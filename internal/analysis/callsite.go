@@ -80,11 +80,7 @@ func (m *CallsiteModule) mergeReset(o *CallsiteModule) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	for k, st := range o.per {
-		dst := m.per[k]
-		if dst == nil {
-			dst = &Stat{}
-			m.per[k] = dst
-		}
+		dst := entry(m.per, k)
 		dst.merge(*st)
 		*st = Stat{}
 	}
@@ -145,11 +141,7 @@ func (m *CallsiteModule) Merge(o *CallsiteModule) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	for k, st := range snap {
-		dst := m.per[k]
-		if dst == nil {
-			dst = &Stat{}
-			m.per[k] = dst
-		}
+		dst := entry(m.per, k)
 		dst.merge(st)
 	}
 	for c, l := range names {

@@ -39,11 +39,7 @@ func (m *CompletenessModule) AddAudit(entries []trace.AuditEntry) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	for _, e := range entries {
-		st := m.per[e.Kind]
-		if st == nil {
-			st = &ShedStat{}
-			m.per[e.Kind] = st
-		}
+		st := entry(m.per, e.Kind)
 		st.Shed += e.Shed
 		st.Kept += e.Kept
 	}
@@ -69,11 +65,7 @@ func (m *CompletenessModule) mergeReset(o *CompletenessModule) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	for k, st := range o.per {
-		dst := m.per[k]
-		if dst == nil {
-			dst = &ShedStat{}
-			m.per[k] = dst
-		}
+		dst := entry(m.per, k)
 		dst.Shed += st.Shed
 		dst.Kept += st.Kept
 		*st = ShedStat{}

@@ -26,10 +26,14 @@ func windowedEnc(tb testing.TB, seed int64, slideNs int64) []byte {
 // wire-visible State/Diff frame and every tree delta carries — over
 // arbitrary bytes. Malformed input must error, never panic or over-read;
 // accepted input must re-encode canonically to bytes that decode to the
-// same canonical form (the fixed point the golden tests rely on). The
-// corpus includes windowed encodings so the trailing window section
-// (count, strictly-increasing indices, nested length-prefixed partials)
-// is mutated too.
+// same canonical form (the fixed point the golden tests rely on). Every
+// input is also folded into a non-empty receiver with MergeEncoded, which
+// must agree with the decoder: accepted input merges to what
+// Merge(DecodePartial) gives, rejected input errors and leaves the
+// receiver as it was. The corpus includes windowed encodings so the
+// trailing window section (count, strictly-increasing indices, nested
+// length-prefixed partials) is mutated too, and one out-of-order and one
+// repeated-key shape for every key-sorted section.
 func FuzzDecodePartial(f *testing.F) {
 	rng := rand.New(rand.NewSource(1))
 	perRank := genRankEvents(rng, 4, 150)
@@ -48,6 +52,20 @@ func FuzzDecodePartial(f *testing.F) {
 	f.Add(tumbling[:len(tumbling)/2])
 	f.Add([]byte("VPP1"))
 	f.Add([]byte{})
+	for bad := 0; bad <= twoKeySections; bad++ {
+		f.Add(twoKeyPartial(bad, false))
+		f.Add(twoKeyPartial(bad, true))
+	}
+	// The receiver rejected input is merged into: same shape as the
+	// twoKeyPartial seeds, so mutants of those get past the header.
+	rxOpts := windowedAllOpts(4, 1500)
+	rxEvents := genRankEvents(rand.New(rand.NewSource(4)), 4, 60)
+	receiver := func(appID uint32, opts PartialOptions) *Partial {
+		if opts.AppSize < 4 {
+			return NewPartial(appID, opts)
+		}
+		return buildPartial(appID, opts, rxEvents, []int{0, 1, 3})
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		// Bound per-exec allocation the way the wire fuzzer caps frame
@@ -62,7 +80,25 @@ func FuzzDecodePartial(f *testing.F) {
 		}
 		pp, err := DecodePartial(data)
 		if err != nil {
+			rx := receiver(0, rxOpts)
+			before := rx.AppendCanonical(nil)
+			if rx.MergeEncoded(data) == nil {
+				t.Fatalf("MergeEncoded accepts what DecodePartial rejects (%v)", err)
+			}
+			if !bytes.Equal(rx.AppendCanonical(nil), before) {
+				t.Fatal("rejected MergeEncoded changed the receiver")
+			}
 			return
+		}
+		direct, viaDecode := receiver(pp.AppID, pp.Options()), receiver(pp.AppID, pp.Options())
+		if err := direct.MergeEncoded(data); err != nil {
+			t.Fatalf("MergeEncoded rejects what DecodePartial accepts: %v", err)
+		}
+		if err := viaDecode.Merge(pp); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(direct.AppendCanonical(nil), viaDecode.AppendCanonical(nil)) {
+			t.Fatal("MergeEncoded diverges from Merge(DecodePartial)")
 		}
 		enc := pp.AppendCanonical(nil)
 		dec, err := DecodePartial(enc)

@@ -29,6 +29,30 @@ func (s *Stat) merge(o Stat) {
 	s.TimeNs += o.TimeNs
 }
 
+// entry returns m[k], inserting a zero value first when the key is new.
+func entry[K comparable, V any](m map[K]*V, k K) *V {
+	v := m[k]
+	if v == nil {
+		v = new(V)
+		m[k] = v
+	}
+	return v
+}
+
+// nonZeroKeys returns, unordered, the keys of m whose value is not the
+// zero value: what an encoder writes of a map whose entries a reset
+// zeroes in place.
+func nonZeroKeys[K comparable, V comparable](m map[K]*V) []K {
+	var zero V
+	keys := make([]K, 0, len(m))
+	for k, v := range m {
+		if *v != zero {
+			keys = append(keys, k)
+		}
+	}
+	return keys
+}
+
 // --- Profiler module ---
 
 // ProfilerModule reduces an application's events to per-call-type
@@ -75,11 +99,7 @@ func (m *ProfilerModule) mergeReset(o *ProfilerModule) {
 	m.events += o.events
 	o.events = 0
 	for k, st := range o.total {
-		dst := m.total[k]
-		if dst == nil {
-			dst = &Stat{}
-			m.total[k] = dst
-		}
+		dst := entry(m.total, k)
 		dst.merge(*st)
 		*st = Stat{}
 	}
@@ -128,11 +148,7 @@ func (m *ProfilerModule) Merge(o *ProfilerModule) {
 	defer m.mu.Unlock()
 	m.events += ev
 	for k, st := range snapshot {
-		dst := m.total[k]
-		if dst == nil {
-			dst = &Stat{}
-			m.total[k] = dst
-		}
+		dst := entry(m.total, k)
 		dst.merge(st)
 	}
 }
@@ -278,6 +294,16 @@ func (m *TopologyModule) mergeReset(o *TopologyModule) {
 		m.mat.TimeNs[i] += o.mat.TimeNs[i]
 		o.mat.Hits[i], o.mat.Bytes[i], o.mat.TimeNs[i] = 0, 0, 0
 	}
+}
+
+// release drops the cell arrays of a matrix that holds nothing any more
+// (the next write re-allocates them).
+func (m *TopologyModule) release() {
+	m.mu.Lock()
+	if m.mat.Hits != nil {
+		m.mat = NewMatrix(m.mat.N)
+	}
+	m.mu.Unlock()
 }
 
 // Matrix returns a snapshot copy of the accumulated matrix.

@@ -1,9 +1,10 @@
 package analysis
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/trace"
 )
@@ -183,15 +184,18 @@ func (pp *Partial) Merge(o *Partial) error {
 // Little-endian, sequential sections behind a 4-byte magic. Every map is
 // encoded sparse and key-sorted, so two partials with equal contents
 // produce identical bytes regardless of the merge order that built them
-// — the canonical form the property tests compare.
+// — the canonical form the property tests compare. Empty entries (a
+// zero Stat, a kind with no non-zero rank) never travel: a reset flush
+// zeroes modules in place and keeps their keys, so "key present" must
+// not leak into the bytes.
 
 var partialMagic = [4]byte{'V', 'P', 'P', '1'}
 
 // maxDecodedAppSize caps the app size a decoded partial may claim. The
-// bound matters: NewPartial allocates the dense 24*N^2-byte topology
-// matrix up front, so an unchecked wire header is a one-frame memory
-// bomb (N = 1<<24 maps ~6 PB). 1<<12 covers the paper's largest
-// application partition (2560 procs) with a ~400 MB worst case.
+// bound matters: a topology section materializes the dense 24*N^2-byte
+// matrix, so an unchecked wire header is a one-frame memory bomb
+// (N = 1<<24 maps ~6 PB). 1<<12 covers the paper's largest application
+// partition (2560 procs) with a ~400 MB worst case.
 const maxDecodedAppSize = 1 << 12
 
 // maxDecodedTemporalBuckets caps both the bucket count a decoded
@@ -221,10 +225,13 @@ func (pp *Partial) AppendCanonical(buf []byte) []byte {
 }
 
 // Flush appends the partial's encoding to buf and clears what was
-// encoded. A non-final flush carries only settled statistics and leaves
-// the wait-state pending queues in place (so later local events still
-// pair exactly); the final flush at stream end carries and clears the
-// queues too.
+// encoded, in place: cells, rows and map entries are zeroed as they are
+// written and their storage is kept, so folding the next epoch into a
+// flushed partial allocates nothing that scales with the app size. A
+// non-final flush carries only settled statistics and leaves the
+// wait-state pending queues in place (so later local events still pair
+// exactly); the final flush at stream end carries and clears the queues
+// too.
 func (pp *Partial) Flush(buf []byte, final bool) []byte {
 	return pp.encode(buf, final, true)
 }
@@ -261,8 +268,8 @@ func (pp *Partial) encode(buf []byte, pendings, reset bool) []byte {
 	w.i64(pp.opts.TemporalWindowNs)
 	if pp.Windows != nil {
 		// Window geometry rides in the header, not the trailing section:
-		// DecodePartial must construct the module (from options) before
-		// any section is read.
+		// a decoder must construct the module (from options) before any
+		// section is read.
 		w.i64(pp.opts.WindowNs)
 		w.i64(pp.opts.WindowSlideNs)
 	}
@@ -302,18 +309,22 @@ func (pp *Partial) encodeWindows(w *pwriter, pendings, reset bool) {
 	for i, wp := range m.wins {
 		if windowHasContent(wp, pendings) {
 			idxs = append(idxs, i)
+		} else if reset {
+			// Idle for a whole epoch: the in-place reset keeps a written
+			// matrix warm, but a window nobody writes to any more must not
+			// pin 24*N^2 bytes for the rest of the run.
+			wp.Topology.release()
 		}
 	}
-	sort.Slice(idxs, func(a, b int) bool { return idxs[a] < idxs[b] })
+	slices.Sort(idxs)
 	w.u32(uint32(len(idxs)))
 	for _, i := range idxs {
 		w.i64(i)
 		// Length-prefixed nested encoding: reserve the u32, encode the
 		// inner partial in place, backfill.
-		lenAt := len(w.buf)
-		w.u32(0)
+		lenAt := w.reserve()
 		w.buf = m.wins[i].encode(w.buf, pendings, reset)
-		binary.LittleEndian.PutUint32(w.buf[lenAt:], uint32(len(w.buf)-lenAt-4))
+		w.backfill(lenAt, len(w.buf)-lenAt-4)
 	}
 }
 
@@ -347,52 +358,6 @@ func windowHasContent(wp *Partial, pendings bool) bool {
 	return false
 }
 
-func (pp *Partial) decodeWindows(r *preader) error {
-	m := pp.Windows
-	n := int(r.u32())
-	if r.err != nil {
-		return r.err
-	}
-	if n < 0 || n > maxDecodedWindows {
-		return fmt.Errorf("analysis: partial window count %d outside [0, %d]", n, maxDecodedWindows)
-	}
-	if err := r.fits(n, 8+4); err != nil {
-		return err
-	}
-	prev := int64(-1)
-	for i := 0; i < n; i++ {
-		idx := r.i64()
-		bl := int(r.u32())
-		if r.err != nil {
-			return r.err
-		}
-		if idx < 0 || idx <= prev {
-			return fmt.Errorf("analysis: partial window index %d out of order after %d", idx, prev)
-		}
-		prev = idx
-		if bl < 0 || bl > len(r.buf)-r.off {
-			r.fail()
-			return r.err
-		}
-		wp, err := DecodePartial(r.buf[r.off : r.off+bl])
-		if err != nil {
-			return fmt.Errorf("analysis: window %d: %w", idx, err)
-		}
-		r.off += bl
-		// A nested windowed partial (or any other module drift) shows up
-		// as an options mismatch against the derived inner selection.
-		if wp.AppID != 0 || wp.opts != m.inner {
-			return fmt.Errorf("analysis: window %d module selection %+v does not match series %+v",
-				idx, wp.opts, m.inner)
-		}
-		if wp.Waits != nil {
-			wp.Waits.lazy = true
-		}
-		m.wins[idx] = wp
-	}
-	return r.err
-}
-
 // AddAudit folds audit-pack entries (a recorder's shed ledger) into the
 // partial, creating its completeness module on first use.
 func (pp *Partial) AddAudit(entries []trace.AuditEntry) {
@@ -409,38 +374,18 @@ func (pp *Partial) encodeShed(w *pwriter, reset bool) {
 	m := pp.Shed
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	kinds := make([]trace.Kind, 0, len(m.per))
-	for k := range m.per {
-		kinds = append(kinds, k)
-	}
-	sort.Slice(kinds, func(i, j int) bool { return kinds[i] < kinds[j] })
+	kinds := nonZeroKeys(m.per)
+	slices.Sort(kinds)
 	w.u32(uint32(len(kinds)))
 	for _, k := range kinds {
 		st := m.per[k]
 		w.u32(uint32(k))
 		w.i64(st.Shed)
 		w.i64(st.Kept)
-	}
-	if reset {
-		m.per = map[trace.Kind]*ShedStat{}
-	}
-}
-
-func (pp *Partial) decodeShed(r *preader) error {
-	m := pp.Shed
-	n := int(r.u32())
-	if err := r.fits(n, 4+16); err != nil {
-		return err
-	}
-	for i := 0; i < n; i++ {
-		k := trace.Kind(r.u32())
-		st := ShedStat{Shed: r.i64(), Kept: r.i64()}
-		if st.Shed < 0 || st.Kept < 0 {
-			return fmt.Errorf("analysis: negative shed ledger counts for %v", k)
+		if reset {
+			*st = ShedStat{}
 		}
-		m.per[k] = &st
 	}
-	return r.err
 }
 
 func sortedKinds(m map[trace.Kind][]Stat) []trace.Kind {
@@ -448,7 +393,7 @@ func sortedKinds(m map[trace.Kind][]Stat) []trace.Kind {
 	for k := range m {
 		out = append(out, k)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
 
@@ -457,20 +402,19 @@ func (pp *Partial) encodeProfiler(w *pwriter, reset bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	w.i64(m.events)
-	kinds := make([]trace.Kind, 0, len(m.total))
-	for k := range m.total {
-		kinds = append(kinds, k)
-	}
-	sort.Slice(kinds, func(i, j int) bool { return kinds[i] < kinds[j] })
+	kinds := nonZeroKeys(m.total)
+	slices.Sort(kinds)
 	w.u32(uint32(len(kinds)))
 	for _, k := range kinds {
 		st := m.total[k]
 		w.u32(uint32(k))
 		w.stat(*st)
+		if reset {
+			*st = Stat{}
+		}
 	}
 	if reset {
 		m.events = 0
-		m.total = make(map[trace.Kind]*Stat)
 	}
 }
 
@@ -479,52 +423,60 @@ func (pp *Partial) encodeTopology(w *pwriter, reset bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	mat := m.mat
+	countAt := w.reserve()
 	n := 0
-	for _, h := range mat.Hits {
-		if h != 0 {
-			n++
-		}
-	}
-	w.u32(uint32(n))
 	for i, h := range mat.Hits {
 		if h == 0 {
 			continue
 		}
+		n++
 		w.u32(uint32(i))
 		w.stat(Stat{Hits: h, Bytes: mat.Bytes[i], TimeNs: mat.TimeNs[i]})
+		if reset {
+			mat.Hits[i], mat.Bytes[i], mat.TimeNs[i] = 0, 0, 0
+		}
 	}
-	if reset {
-		m.mat = NewMatrix(mat.N)
+	w.backfill(countAt, n)
+}
+
+// encodeKindRows writes a kind → dense-row map sparse: kinds ascending,
+// within a kind only the non-zero cells, and no kind without one. A
+// reset zeroes the rows and keeps them.
+func encodeKindRows(w *pwriter, perKind map[trace.Kind][]Stat, reset bool) {
+	kindsAt := w.reserve()
+	nk := 0
+	for _, k := range sortedKinds(perKind) {
+		per := perKind[k]
+		kindAt := len(w.buf)
+		w.u32(uint32(k))
+		countAt := w.reserve()
+		n := 0
+		for i := range per {
+			if per[i] == (Stat{}) {
+				continue
+			}
+			n++
+			w.u32(uint32(i))
+			w.stat(per[i])
+		}
+		if n == 0 {
+			w.buf = w.buf[:kindAt]
+		} else {
+			w.backfill(countAt, n)
+			nk++
+		}
+		if reset {
+			clear(per)
+		}
 	}
+	w.backfill(kindsAt, nk)
 }
 
 func (pp *Partial) encodeDensity(w *pwriter, reset bool) {
 	m := pp.Density
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	kinds := sortedKinds(m.perKind)
-	w.u32(uint32(len(kinds)))
-	for _, k := range kinds {
-		per := m.perKind[k]
-		n := 0
-		for r := range per {
-			if per[r].Hits != 0 {
-				n++
-			}
-		}
-		w.u32(uint32(k))
-		w.u32(uint32(n))
-		for r := range per {
-			if per[r].Hits == 0 {
-				continue
-			}
-			w.u32(uint32(r))
-			w.stat(per[r])
-		}
-	}
-	if reset {
-		m.perKind = make(map[trace.Kind][]Stat)
-	}
+	encodeKindRows(w, m.perKind, reset)
 }
 
 func (pp *Partial) encodeWaits(w *pwriter, pendings, reset bool) {
@@ -538,26 +490,22 @@ func (pp *Partial) encodeWaits(w *pwriter, pendings, reset bool) {
 		m.settleLocked()
 	}
 	w.i64(m.pairs)
+	countAt := w.reserve()
 	n := 0
-	for _, v := range m.lateHits {
-		if v != 0 {
-			n++
-		}
-	}
-	w.u32(uint32(n))
 	for r, v := range m.lateHits {
 		if v == 0 {
 			continue
 		}
+		n++
 		w.u32(uint32(r))
 		w.i64(m.lateNs[r])
 		w.i64(v)
 	}
+	w.backfill(countAt, n)
 	if reset {
 		m.pairs = 0
-		for r := range m.lateNs {
-			m.lateNs[r], m.lateHits[r] = 0, 0
-		}
+		clear(m.lateNs)
+		clear(m.lateHits)
 	}
 	if !pendings {
 		w.u32(0)
@@ -573,7 +521,7 @@ func (pp *Partial) encodeWaits(w *pwriter, pendings, reset bool) {
 			sendKeys = append(sendKeys, k)
 		}
 	}
-	sortChanKeys(sendKeys)
+	slices.SortFunc(sendKeys, cmpChanKey)
 	w.u32(uint32(len(sendKeys)))
 	for _, k := range sendKeys {
 		w.chanKey(k)
@@ -589,7 +537,7 @@ func (pp *Partial) encodeWaits(w *pwriter, pendings, reset bool) {
 			recvKeys = append(recvKeys, k)
 		}
 	}
-	sortChanKeys(recvKeys)
+	slices.SortFunc(recvKeys, cmpChanKey)
 	w.u32(uint32(len(recvKeys)))
 	for _, k := range recvKeys {
 		w.chanKey(k)
@@ -602,8 +550,8 @@ func (pp *Partial) encodeWaits(w *pwriter, pendings, reset bool) {
 		}
 	}
 	if reset {
-		m.sends = make(map[chanKey][]int64)
-		m.recvs = make(map[chanKey][]recvEvt)
+		clear(m.sends)
+		clear(m.recvs)
 	}
 }
 
@@ -612,54 +560,37 @@ func (pp *Partial) encodeTemporal(w *pwriter, reset bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	w.u32(uint32(m.buckets))
-	kinds := sortedKinds(m.perKind)
-	w.u32(uint32(len(kinds)))
-	for _, k := range kinds {
-		per := m.perKind[k]
-		n := 0
-		for b := range per {
-			if per[b] != (Stat{}) {
-				n++
-			}
-		}
-		w.u32(uint32(k))
-		w.u32(uint32(n))
-		for b := range per {
-			if per[b] == (Stat{}) {
-				continue
-			}
-			w.u32(uint32(b))
-			w.stat(per[b])
-		}
-	}
+	encodeKindRows(w, m.perKind, reset)
 	if reset {
-		m.perKind = make(map[trace.Kind][]Stat)
+		// A reset row keeps its capacity but not its length: the bucket
+		// count restarts at zero and growStats re-extends rows as events
+		// arrive.
+		for k, per := range m.perKind {
+			m.perKind[k] = per[:0]
+		}
 		m.buckets = 0
 	}
+}
+
+func cmpCallsiteKey(a, b callsiteKey) int {
+	return cmp.Or(cmp.Compare(a.ctx, b.ctx), cmp.Compare(a.kind, b.kind))
 }
 
 func (pp *Partial) encodeCallsites(w *pwriter, reset bool) {
 	m := pp.Callsites
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	keys := make([]callsiteKey, 0, len(m.per))
-	for k := range m.per {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].ctx != keys[j].ctx {
-			return keys[i].ctx < keys[j].ctx
-		}
-		return keys[i].kind < keys[j].kind
-	})
+	keys := nonZeroKeys(m.per)
+	slices.SortFunc(keys, cmpCallsiteKey)
 	w.u32(uint32(len(keys)))
 	for _, k := range keys {
+		st := m.per[k]
 		w.u32(k.ctx)
 		w.u32(uint32(k.kind))
-		w.stat(*m.per[k])
-	}
-	if reset {
-		m.per = make(map[callsiteKey]*Stat)
+		w.stat(*st)
+		if reset {
+			*st = Stat{}
+		}
 	}
 }
 
@@ -667,63 +598,104 @@ func (pp *Partial) encodeSizes(w *pwriter, reset bool) {
 	m := pp.Sizes
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	countAt := w.reserve()
 	n := 0
-	for b := 0; b < SizeBuckets; b++ {
-		if m.hits[b] != 0 {
-			n++
-		}
-	}
-	w.u32(uint32(n))
 	for b := 0; b < SizeBuckets; b++ {
 		if m.hits[b] == 0 {
 			continue
 		}
+		n++
 		w.u32(uint32(b))
 		w.i64(m.hits[b])
 		w.i64(m.bytes[b])
 	}
+	w.backfill(countAt, n)
 	if reset {
 		m.hits = [SizeBuckets]int64{}
 		m.bytes = [SizeBuckets]int64{}
 	}
 }
 
-func sortChanKeys(keys []chanKey) {
-	sort.Slice(keys, func(i, j int) bool {
-		a, b := keys[i], keys[j]
-		if a.src != b.src {
-			return a.src < b.src
-		}
-		if a.dst != b.dst {
-			return a.dst < b.dst
-		}
-		if a.tag != b.tag {
-			return a.tag < b.tag
-		}
-		return a.comm < b.comm
-	})
+// cmpChanKey is the canonical channel order of the pending-queue
+// sections (fields compared signed, as stored).
+func cmpChanKey(a, b chanKey) int {
+	return cmp.Or(cmp.Compare(a.src, b.src), cmp.Compare(a.dst, b.dst),
+		cmp.Compare(a.tag, b.tag), cmp.Compare(a.comm, b.comm))
 }
+
+// --- decoding: one additive walker ---
+//
+// There is one reader of the wire format. Every section walker folds
+// what it reads into the receiver (cell +=, queue merge + drain) when
+// apply is set and only checks it otherwise; DecodePartial is that
+// walker applied to a fresh partial, MergeEncoded a checking pass
+// followed by an applying one. Keys must arrive strictly ascending, as
+// every encoder writes them: with additive semantics a repeated key
+// would be a silent double count.
 
 // DecodePartial decodes an encoded partial profile. Malformed input
 // returns an error, never panics.
 func DecodePartial(buf []byte) (*Partial, error) {
 	r := preader{buf: buf}
+	appID, opts, flags, err := readPartialHeader(&r)
+	if err != nil {
+		return nil, err
+	}
+	pp := NewPartial(appID, opts)
+	// The receiver is private until it is returned, so the sections are
+	// applied as they are checked: an error just drops it.
+	if err := pp.mergeSections(&r, flags, true); err != nil {
+		return nil, err
+	}
+	return pp, nil
+}
+
+// MergeEncoded folds an encoded partial of the same application and
+// module selection into pp straight from its bytes — the result of
+// Merge(DecodePartial(buf)) without materializing the decoded partial,
+// so the cost is proportional to what buf holds, not to the dense
+// module state. Validate-then-apply: the buffer is first walked with
+// every hostile-input check DecodePartial makes and only then folded
+// in, so an error leaves pp exactly as it was.
+func (pp *Partial) MergeEncoded(buf []byte) error {
+	r := preader{buf: buf}
+	appID, opts, flags, err := readPartialHeader(&r)
+	if err != nil {
+		return err
+	}
+	if appID != pp.AppID {
+		return fmt.Errorf("analysis: merging partials of different apps (%d vs %d)", pp.AppID, appID)
+	}
+	if opts != pp.opts {
+		return fmt.Errorf("analysis: merging partials with different module selections (%+v vs %+v)", pp.opts, opts)
+	}
+	body := r.off
+	if err := pp.mergeSections(&r, flags, false); err != nil {
+		return err
+	}
+	r.off = body
+	return pp.mergeSections(&r, flags, true)
+}
+
+// readPartialHeader reads the magic, identity, module flags and window
+// geometry, and returns the module selection they spell.
+func readPartialHeader(r *preader) (appID uint32, opts PartialOptions, flags uint32, err error) {
 	var magic [4]byte
 	r.bytes(magic[:])
 	if r.err == nil && magic != partialMagic {
-		return nil, fmt.Errorf("analysis: bad partial magic %q", magic[:])
+		return 0, opts, 0, fmt.Errorf("analysis: bad partial magic %q", magic[:])
 	}
-	appID := r.u32()
+	appID = r.u32()
 	appSize := int(r.u32())
-	flags := r.u32()
+	flags = r.u32()
 	window := r.i64()
 	if r.err != nil {
-		return nil, r.err
+		return 0, opts, 0, r.err
 	}
 	if appSize < 0 || appSize > maxDecodedAppSize {
-		return nil, fmt.Errorf("analysis: implausible partial app size %d", appSize)
+		return 0, opts, 0, fmt.Errorf("analysis: implausible partial app size %d", appSize)
 	}
-	opts := PartialOptions{
+	opts = PartialOptions{
 		AppSize:   appSize,
 		WaitState: flags&flagWait != 0,
 		Callsites: flags&flagCallsites != 0,
@@ -731,7 +703,7 @@ func DecodePartial(buf []byte) (*Partial, error) {
 	}
 	if flags&flagTemporal != 0 {
 		if window <= 0 {
-			return nil, fmt.Errorf("analysis: partial temporal flag with window %d", window)
+			return 0, opts, 0, fmt.Errorf("analysis: partial temporal flag with window %d", window)
 		}
 		opts.TemporalWindowNs = window
 	}
@@ -739,85 +711,85 @@ func DecodePartial(buf []byte) (*Partial, error) {
 		opts.WindowNs = r.i64()
 		opts.WindowSlideNs = r.i64()
 		if r.err != nil {
-			return nil, r.err
+			return 0, opts, 0, r.err
 		}
 		// NewPartial would silently normalize these; on the wire an
 		// out-of-range geometry is hostile input and fails loudly.
 		if opts.WindowNs <= 0 {
-			return nil, fmt.Errorf("analysis: partial windowed flag with width %d", opts.WindowNs)
+			return 0, opts, 0, fmt.Errorf("analysis: partial windowed flag with width %d", opts.WindowNs)
 		}
 		if opts.WindowSlideNs <= 0 || opts.WindowSlideNs > opts.WindowNs {
-			return nil, fmt.Errorf("analysis: partial window slide %d outside (0, %d]",
+			return 0, opts, 0, fmt.Errorf("analysis: partial window slide %d outside (0, %d]",
 				opts.WindowSlideNs, opts.WindowNs)
 		}
 	}
-	pp := NewPartial(appID, opts)
-	if err := pp.decodeProfiler(&r); err != nil {
-		return nil, err
+	return appID, opts, flags, nil
+}
+
+// mergeSections walks the sections behind a header that spelled pp.opts
+// to the end of r. With apply unset nothing of pp but its options is
+// touched (its modules may be nil).
+func (pp *Partial) mergeSections(r *preader, flags uint32, apply bool) error {
+	o := pp.opts
+	sections := [...]struct {
+		present bool
+		walk    func(*Partial, *preader, bool) error
+	}{
+		{true, (*Partial).mergeProfiler},
+		{true, (*Partial).mergeTopology},
+		{true, (*Partial).mergeDensity},
+		{o.WaitState, (*Partial).mergeWaits},
+		{o.TemporalWindowNs > 0, (*Partial).mergeTemporal},
+		{o.Callsites, (*Partial).mergeCallsites},
+		{o.Sizes, (*Partial).mergeSizes},
+		{flags&flagShed != 0, (*Partial).mergeShed},
+		{o.WindowNs > 0, (*Partial).mergeWindows},
 	}
-	if err := pp.decodeTopology(&r); err != nil {
-		return nil, err
-	}
-	if err := pp.decodeDensity(&r); err != nil {
-		return nil, err
-	}
-	if pp.Waits != nil {
-		if err := pp.decodeWaits(&r); err != nil {
-			return nil, err
+	for _, sec := range sections {
+		if !sec.present {
+			continue
 		}
-	}
-	if pp.Temporal != nil {
-		if err := pp.decodeTemporal(&r); err != nil {
-			return nil, err
-		}
-	}
-	if pp.Callsites != nil {
-		if err := pp.decodeCallsites(&r); err != nil {
-			return nil, err
-		}
-	}
-	if pp.Sizes != nil {
-		if err := pp.decodeSizes(&r); err != nil {
-			return nil, err
-		}
-	}
-	if flags&flagShed != 0 {
-		pp.Shed = NewCompletenessModule()
-		if err := pp.decodeShed(&r); err != nil {
-			return nil, err
-		}
-	}
-	if pp.Windows != nil {
-		if err := pp.decodeWindows(&r); err != nil {
-			return nil, err
+		if err := sec.walk(pp, r, apply); err != nil {
+			return err
 		}
 	}
 	if r.err != nil {
-		return nil, r.err
+		return r.err
 	}
 	if r.off != len(r.buf) {
-		return nil, fmt.Errorf("analysis: %d trailing bytes after partial", len(r.buf)-r.off)
+		return fmt.Errorf("analysis: %d trailing bytes after partial", len(r.buf)-r.off)
 	}
-	return pp, nil
+	return nil
 }
 
-func (pp *Partial) decodeProfiler(r *preader) error {
-	m := pp.Profiler
-	m.events = r.i64()
+func (pp *Partial) mergeProfiler(r *preader, apply bool) error {
+	events := r.i64()
 	n := int(r.u32())
 	if err := r.fits(n, 4+24); err != nil {
 		return err
 	}
+	m := pp.Profiler
+	if apply {
+		m.mu.Lock()
+		defer m.mu.Unlock()
+		m.events += events
+	}
+	var prev uint32
 	for i := 0; i < n; i++ {
-		k := trace.Kind(r.u32())
+		k := r.u32()
 		st := r.stat()
-		m.total[k] = &st
+		if !r.inOrder(i == 0 || k > prev, "profiler kind") {
+			return r.err
+		}
+		prev = k
+		if apply {
+			entry(m.total, trace.Kind(k)).merge(st)
+		}
 	}
 	return r.err
 }
 
-func (pp *Partial) decodeTopology(r *preader) error {
-	m := pp.Topology
+func (pp *Partial) mergeTopology(r *preader, apply bool) error {
 	n := int(r.u32())
 	if err := r.fits(n, 4+24); err != nil {
 		return err
@@ -825,205 +797,368 @@ func (pp *Partial) decodeTopology(r *preader) error {
 	if n == 0 {
 		return nil
 	}
-	m.mat.ensure()
-	cells := len(m.mat.Hits)
+	size := pp.opts.AppSize
+	var mat *Matrix
+	if apply {
+		m := pp.Topology
+		m.mu.Lock()
+		defer m.mu.Unlock()
+		mat = m.mat
+		mat.ensure()
+	}
+	var prev uint32
 	for i := 0; i < n; i++ {
-		idx := int(r.u32())
+		idx := r.u32()
 		st := r.stat()
-		if r.err != nil {
+		if !r.inOrder(i == 0 || idx > prev, "topology cell") {
 			return r.err
 		}
-		if idx >= cells {
-			return fmt.Errorf("analysis: partial topology cell %d outside %dx%d", idx, m.mat.N, m.mat.N)
+		prev = idx
+		if int(idx) >= size*size {
+			return fmt.Errorf("analysis: partial topology cell %d outside %dx%d", idx, size, size)
 		}
-		m.mat.Hits[idx] = st.Hits
-		m.mat.Bytes[idx] = st.Bytes
-		m.mat.TimeNs[idx] = st.TimeNs
+		if apply {
+			mat.Hits[idx] += st.Hits
+			mat.Bytes[idx] += st.Bytes
+			mat.TimeNs[idx] += st.TimeNs
+		}
 	}
 	return nil
 }
 
-func (pp *Partial) decodeDensity(r *preader) error {
-	m := pp.Density
+func (pp *Partial) mergeDensity(r *preader, apply bool) error {
 	nk := int(r.u32())
 	if err := r.fits(nk, 8); err != nil {
 		return err
 	}
+	m := pp.Density
+	if apply {
+		m.mu.Lock()
+		defer m.mu.Unlock()
+	}
+	var prevK uint32
 	for i := 0; i < nk; i++ {
-		k := trace.Kind(r.u32())
+		k := r.u32()
 		n := int(r.u32())
+		r.inOrder(i == 0 || k > prevK, "density kind")
+		prevK = k
 		if err := r.fits(n, 4+24); err != nil {
 			return err
 		}
-		per := make([]Stat, m.size)
+		var per []Stat
+		if apply && n > 0 {
+			if per = m.perKind[trace.Kind(k)]; per == nil {
+				per = make([]Stat, m.size)
+				m.perKind[trace.Kind(k)] = per
+			}
+		}
+		var prev uint32
 		for j := 0; j < n; j++ {
-			rank := int(r.u32())
+			rank := r.u32()
 			st := r.stat()
-			if r.err != nil {
+			if !r.inOrder(j == 0 || rank > prev, "density rank") {
 				return r.err
 			}
-			if rank >= m.size {
-				return fmt.Errorf("analysis: partial density rank %d outside app of %d", rank, m.size)
+			prev = rank
+			if int(rank) >= pp.opts.AppSize {
+				return fmt.Errorf("analysis: partial density rank %d outside app of %d", rank, pp.opts.AppSize)
 			}
-			per[rank] = st
+			if apply {
+				per[rank].merge(st)
+			}
 		}
-		m.perKind[k] = per
-	}
-	return nil
-}
-
-func (pp *Partial) decodeWaits(r *preader) error {
-	m := pp.Waits
-	m.pairs = r.i64()
-	n := int(r.u32())
-	if err := r.fits(n, 4+16); err != nil {
-		return err
-	}
-	for i := 0; i < n; i++ {
-		rank := int(r.u32())
-		lateNs := r.i64()
-		lateHits := r.i64()
-		if r.err != nil {
-			return r.err
-		}
-		if rank >= m.size {
-			return fmt.Errorf("analysis: partial wait rank %d outside app of %d", rank, m.size)
-		}
-		m.lateNs[rank] = lateNs
-		m.lateHits[rank] = lateHits
-	}
-	nq := int(r.u32())
-	if err := r.fits(nq, 16+4); err != nil {
-		return err
-	}
-	for i := 0; i < nq; i++ {
-		key := r.chanKey()
-		ql := int(r.u32())
-		if err := r.fits(ql, 8); err != nil {
-			return err
-		}
-		q := make([]int64, ql)
-		for j := range q {
-			q[j] = r.i64()
-		}
-		if r.err != nil {
-			return r.err
-		}
-		m.sends[key] = q
-	}
-	nq = int(r.u32())
-	if err := r.fits(nq, 16+4); err != nil {
-		return err
-	}
-	for i := 0; i < nq; i++ {
-		key := r.chanKey()
-		ql := int(r.u32())
-		if err := r.fits(ql, 4+16); err != nil {
-			return err
-		}
-		q := make([]recvEvt, ql)
-		for j := range q {
-			q[j] = recvEvt{rank: int32(r.u32()), tStart: r.i64(), tEnd: r.i64()}
-		}
-		if r.err != nil {
-			return r.err
-		}
-		m.recvs[key] = q
 	}
 	return r.err
 }
 
-func (pp *Partial) decodeTemporal(r *preader) error {
-	m := pp.Temporal
-	m.buckets = int(r.u32())
-	if m.buckets < 0 || m.buckets > maxDecodedTemporalBuckets {
-		return fmt.Errorf("analysis: implausible partial temporal bucket count %d", m.buckets)
+func (pp *Partial) mergeWaits(r *preader, apply bool) error {
+	pairs := r.i64()
+	n := int(r.u32())
+	if err := r.fits(n, 4+16); err != nil {
+		return err
+	}
+	m := pp.Waits
+	if apply {
+		m.mu.Lock()
+		defer m.mu.Unlock()
+		m.pairs += pairs
+	}
+	var prev uint32
+	for i := 0; i < n; i++ {
+		rank := r.u32()
+		lateNs := r.i64()
+		lateHits := r.i64()
+		if !r.inOrder(i == 0 || rank > prev, "wait rank") {
+			return r.err
+		}
+		prev = rank
+		if int(rank) >= pp.opts.AppSize {
+			return fmt.Errorf("analysis: partial wait rank %d outside app of %d", rank, pp.opts.AppSize)
+		}
+		if apply {
+			m.lateNs[rank] += lateNs
+			m.lateHits[rank] += lateHits
+		}
+	}
+	// Pending queues, exactly as MergeFull folds them: sorted merge per
+	// channel, then (unless lazy) a positional drain of every channel the
+	// buffer named — after both sides are in, so the pairing sees the
+	// channel's whole FIFO order.
+	var touched []chanKey
+	for side := 0; side < 2; side++ {
+		elem := 8 // send: start time
+		if side == 1 {
+			elem = 4 + 16 // recv: rank, start, end
+		}
+		nq := int(r.u32())
+		if err := r.fits(nq, 16+4); err != nil {
+			return err
+		}
+		var prevKey chanKey
+		for i := 0; i < nq; i++ {
+			key := r.chanKey()
+			ql := int(r.u32())
+			r.inOrder(i == 0 || cmpChanKey(prevKey, key) < 0, "wait channel")
+			prevKey = key
+			if err := r.fits(ql, elem); err != nil {
+				return err
+			}
+			if !apply || ql == 0 {
+				r.off += ql * elem
+				continue
+			}
+			if side == 0 {
+				q := make([]int64, ql)
+				for j := range q {
+					q[j] = r.i64()
+				}
+				m.sends[key] = mergeSorted(m.sends[key], q, func(a, b int64) bool { return a < b })
+			} else {
+				q := make([]recvEvt, ql)
+				for j := range q {
+					q[j] = recvEvt{rank: int32(r.u32()), tStart: r.i64(), tEnd: r.i64()}
+				}
+				m.recvs[key] = mergeSorted(m.recvs[key], q, lessRecv)
+			}
+			touched = append(touched, key)
+		}
+	}
+	if apply && !m.lazy {
+		for _, key := range touched {
+			m.drainChannel(key)
+		}
+	}
+	return r.err
+}
+
+func (pp *Partial) mergeTemporal(r *preader, apply bool) error {
+	buckets := int(r.u32())
+	if buckets < 0 || buckets > maxDecodedTemporalBuckets {
+		return fmt.Errorf("analysis: implausible partial temporal bucket count %d", buckets)
 	}
 	nk := int(r.u32())
 	if err := r.fits(nk, 8); err != nil {
 		return err
 	}
+	m := pp.Temporal
+	if apply {
+		m.mu.Lock()
+		defer m.mu.Unlock()
+		if buckets > m.buckets {
+			m.buckets = buckets
+		}
+	}
 	cells := 0
+	var prevK uint32
 	for i := 0; i < nk; i++ {
-		k := trace.Kind(r.u32())
+		k := r.u32()
 		n := int(r.u32())
+		r.inOrder(i == 0 || k > prevK, "temporal kind")
+		prevK = k
 		if err := r.fits(n, 4+24); err != nil {
 			return err
 		}
-		// First pass: validate entries and find the highest bucket index so
-		// the dense slice is allocated exactly once. Growing it inside the
-		// fill loop would let a small payload with ascending indices force
+		// First pass: check the entries and find the highest bucket index,
+		// so the dense row grows exactly once. Growing it inside the fill
+		// loop would let a small payload with ascending indices force
 		// repeated near-gigabyte reallocations.
 		mark := r.off
 		maxB := -1
 		for j := 0; j < n; j++ {
 			b := int(r.u32())
 			r.stat()
-			if r.err != nil {
+			if !r.inOrder(b > maxB, "temporal bucket") {
 				return r.err
 			}
-			if b >= m.buckets {
-				return fmt.Errorf("analysis: partial temporal bucket %d outside %d", b, m.buckets)
+			if b >= buckets {
+				return fmt.Errorf("analysis: partial temporal bucket %d outside %d", b, buckets)
 			}
-			if b > maxB {
-				maxB = b
-			}
+			maxB = b
 		}
 		cells += maxB + 1
 		if cells > maxDecodedTemporalBuckets {
 			return fmt.Errorf("analysis: partial temporal map claims %d cells (cap %d)", cells, maxDecodedTemporalBuckets)
 		}
-		var per []Stat
-		if maxB >= 0 {
-			per = make([]Stat, maxB+1)
+		if !apply || n == 0 {
+			continue
 		}
+		per := growStats(m.perKind[trace.Kind(k)], maxB+1)
 		r.off = mark
 		for j := 0; j < n; j++ {
-			b := int(r.u32())
-			per[b] = r.stat()
+			b := r.u32()
+			per[b].merge(r.stat())
 		}
-		m.perKind[k] = per
+		m.perKind[trace.Kind(k)] = per
 	}
-	return nil
+	return r.err
 }
 
-func (pp *Partial) decodeCallsites(r *preader) error {
-	m := pp.Callsites
+func (pp *Partial) mergeCallsites(r *preader, apply bool) error {
 	n := int(r.u32())
 	if err := r.fits(n, 8+24); err != nil {
 		return err
 	}
+	m := pp.Callsites
+	if apply {
+		m.mu.Lock()
+		defer m.mu.Unlock()
+	}
+	var prev uint64
 	for i := 0; i < n; i++ {
-		key := callsiteKey{ctx: r.u32(), kind: trace.Kind(r.u32())}
+		ctx, kind := r.u32(), r.u32()
 		st := r.stat()
-		if r.err != nil {
+		order := uint64(ctx)<<32 | uint64(kind)
+		if !r.inOrder(i == 0 || order > prev, "call-site") {
 			return r.err
 		}
-		m.per[key] = &st
+		prev = order
+		if apply {
+			entry(m.per, callsiteKey{ctx: ctx, kind: trace.Kind(kind)}).merge(st)
+		}
 	}
 	return nil
 }
 
-func (pp *Partial) decodeSizes(r *preader) error {
-	m := pp.Sizes
+func (pp *Partial) mergeSizes(r *preader, apply bool) error {
 	n := int(r.u32())
 	if err := r.fits(n, 4+16); err != nil {
 		return err
 	}
+	m := pp.Sizes
+	if apply {
+		m.mu.Lock()
+		defer m.mu.Unlock()
+	}
+	var prev uint32
 	for i := 0; i < n; i++ {
-		b := int(r.u32())
+		b := r.u32()
 		hits := r.i64()
 		bytes := r.i64()
-		if r.err != nil {
+		if !r.inOrder(i == 0 || b > prev, "size bucket") {
 			return r.err
 		}
+		prev = b
 		if b >= SizeBuckets {
 			return fmt.Errorf("analysis: partial size bucket %d outside %d", b, SizeBuckets)
 		}
-		m.hits[b] = hits
-		m.bytes[b] = bytes
+		if apply {
+			m.hits[b] += hits
+			m.bytes[b] += bytes
+		}
 	}
 	return nil
+}
+
+func (pp *Partial) mergeShed(r *preader, apply bool) error {
+	n := int(r.u32())
+	if err := r.fits(n, 4+16); err != nil {
+		return err
+	}
+	if apply && pp.Shed == nil {
+		pp.Shed = NewCompletenessModule()
+	}
+	m := pp.Shed
+	if apply {
+		m.mu.Lock()
+		defer m.mu.Unlock()
+	}
+	var prev uint32
+	for i := 0; i < n; i++ {
+		k := r.u32()
+		st := ShedStat{Shed: r.i64(), Kept: r.i64()}
+		if !r.inOrder(i == 0 || k > prev, "shed kind") {
+			return r.err
+		}
+		prev = k
+		if st.Shed < 0 || st.Kept < 0 {
+			return fmt.Errorf("analysis: negative shed ledger counts for %v", trace.Kind(k))
+		}
+		if apply {
+			dst := entry(m.per, trace.Kind(k))
+			dst.Shed += st.Shed
+			dst.Kept += st.Kept
+		}
+	}
+	return r.err
+}
+
+func (pp *Partial) mergeWindows(r *preader, apply bool) error {
+	n := int(r.u32())
+	if r.err != nil {
+		return r.err
+	}
+	if n < 0 || n > maxDecodedWindows {
+		return fmt.Errorf("analysis: partial window count %d outside [0, %d]", n, maxDecodedWindows)
+	}
+	if err := r.fits(n, 8+4); err != nil {
+		return err
+	}
+	inner := innerWindowOptions(pp.opts)
+	check := Partial{opts: inner} // checking needs the options only
+	m := pp.Windows
+	if apply {
+		m.mu.Lock()
+		defer m.mu.Unlock()
+	}
+	prev := int64(-1)
+	for i := 0; i < n; i++ {
+		idx := r.i64()
+		bl := int(r.u32())
+		if r.err != nil {
+			return r.err
+		}
+		if idx < 0 || idx <= prev {
+			return fmt.Errorf("analysis: partial window index %d out of order after %d", idx, prev)
+		}
+		prev = idx
+		if bl < 0 || bl > len(r.buf)-r.off {
+			r.fail()
+			return r.err
+		}
+		sub := preader{buf: r.buf[r.off : r.off+bl]}
+		appID, opts, flags, err := readPartialHeader(&sub)
+		if err != nil {
+			return fmt.Errorf("analysis: window %d: %w", idx, err)
+		}
+		// A nested windowed partial (or any other module drift) shows up
+		// as an options mismatch against the derived inner selection.
+		if appID != 0 || opts != inner {
+			return fmt.Errorf("analysis: window %d module selection %+v does not match series %+v",
+				idx, opts, inner)
+		}
+		wp := &check
+		if apply {
+			if wp = m.wins[idx]; wp == nil {
+				wp = m.newWindowPartial()
+				m.wins[idx] = wp
+			}
+		}
+		if err := wp.mergeSections(&sub, flags, apply); err != nil {
+			return fmt.Errorf("analysis: window %d: %w", idx, err)
+		}
+		r.off += bl
+	}
+	return r.err
 }
 
 // --- primitive encoding helpers ---
@@ -1033,6 +1168,16 @@ type pwriter struct{ buf []byte }
 func (w *pwriter) u32(v uint32) { w.buf = binary.LittleEndian.AppendUint32(w.buf, v) }
 func (w *pwriter) i64(v int64)  { w.buf = binary.LittleEndian.AppendUint64(w.buf, uint64(v)) }
 func (w *pwriter) stat(s Stat)  { w.i64(s.Hits); w.i64(s.Bytes); w.i64(s.TimeNs) }
+
+// reserve appends a u32 placeholder for a count or length known only
+// after its items are written, and returns where backfill must put it.
+func (w *pwriter) reserve() int {
+	w.u32(0)
+	return len(w.buf) - 4
+}
+
+func (w *pwriter) backfill(at, v int) { binary.LittleEndian.PutUint32(w.buf[at:], uint32(v)) }
+
 func (w *pwriter) chanKey(k chanKey) {
 	w.u32(uint32(k.src))
 	w.u32(uint32(k.dst))
@@ -1063,6 +1208,16 @@ func (r *preader) fits(n, min int) error {
 		r.fail()
 	}
 	return r.err
+}
+
+// inOrder fails the read unless sorted — the caller's "this key sorts
+// strictly after the previous one" — and reports whether the read is
+// still good.
+func (r *preader) inOrder(sorted bool, what string) bool {
+	if !sorted && r.err == nil {
+		r.err = fmt.Errorf("analysis: partial %s keys out of order or repeated at byte %d", what, r.off)
+	}
+	return r.err == nil
 }
 
 func (r *preader) bytes(dst []byte) {

@@ -51,9 +51,7 @@ func (m *TemporalModule) Add(ev *trace.Event) {
 	}
 	per := m.perKind[ev.Kind]
 	if len(per) <= lastB {
-		grown := make([]Stat, m.buckets)
-		copy(grown, per)
-		per = grown
+		per = growStats(per, m.buckets)
 		m.perKind[ev.Kind] = per
 	}
 	// Hits and bytes land in the start bucket; time is spread pro-rata.
@@ -87,9 +85,7 @@ func (m *TemporalModule) fold(ev *trace.Event) {
 	}
 	per := m.perKind[ev.Kind]
 	if len(per) <= lastB {
-		grown := make([]Stat, m.buckets)
-		copy(grown, per)
-		per = grown
+		per = growStats(per, m.buckets)
 		m.perKind[ev.Kind] = per
 	}
 	per[firstB].Hits++
@@ -119,18 +115,26 @@ func (m *TemporalModule) mergeReset(o *TemporalModule) {
 		m.buckets = o.buckets
 	}
 	for k, per := range o.perKind {
-		dst := m.perKind[k]
-		if len(dst) < len(per) {
-			grown := make([]Stat, len(per))
-			copy(grown, dst)
-			dst = grown
-			m.perKind[k] = dst
-		}
+		dst := growStats(m.perKind[k], len(per))
+		m.perKind[k] = dst
 		for b := range per {
 			dst[b].merge(per[b])
 			per[b] = Stat{}
 		}
 	}
+}
+
+// growStats extends a bucket row to at least n cells, into its spare
+// capacity when it has some (a row truncated by a reset flush is all
+// zeros up to its capacity).
+func growStats(s []Stat, n int) []Stat {
+	if n <= len(s) {
+		return s
+	}
+	if n <= cap(s) {
+		return s[:n]
+	}
+	return append(s, make([]Stat, n-len(s))...)
 }
 
 func max64(a, b int64) int64 {
@@ -217,12 +221,7 @@ func (m *TemporalModule) Merge(o *TemporalModule) {
 		m.buckets = ob
 	}
 	for k, per := range snap {
-		dst := m.perKind[k]
-		if len(dst) < len(per) {
-			grown := make([]Stat, len(per))
-			copy(grown, dst)
-			dst = grown
-		}
+		dst := growStats(m.perKind[k], len(per))
 		for b := range per {
 			dst[b].merge(per[b])
 		}

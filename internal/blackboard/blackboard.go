@@ -193,9 +193,15 @@ type Stats struct {
 	// path: posts after Close (a closed board sheds load instead of
 	// crashing the poster — during a degraded shutdown the stream side may
 	// still be flushing blocks at it) and entries whose listener vanished
-	// in a re-registration race. Together with Posted and Jobs this closes
-	// the board's delivery ledger: nothing is discarded uncounted.
+	// in a re-registration race.
 	Dropped int64
+	// Unclaimed counts posted entries that found no listener at all — a
+	// type nobody is sensitive to, or a post landing between Unregister
+	// and the re-Register — and were released undelivered. With it the
+	// delivery ledger closes: every entry offered to PostEntry is
+	// delivered to (or parked for) a job, or counted in Dropped or
+	// Unclaimed; nothing is discarded uncounted.
+	Unclaimed int64
 }
 
 // sensMap is a published, immutable sensitivity table: readers load it
@@ -241,11 +247,12 @@ type Blackboard struct {
 	closed   atomic.Bool
 	wg       sync.WaitGroup
 
-	posted   atomic.Int64
-	jobsDone atomic.Int64
-	backoffs atomic.Int64
-	panics   atomic.Int64
-	dropped  atomic.Int64
+	posted    atomic.Int64
+	jobsDone  atomic.Int64
+	backoffs  atomic.Int64
+	panics    atomic.Int64
+	dropped   atomic.Int64
+	unclaimed atomic.Int64
 
 	// tel mirrors the counters into a telemetry bundle when attached. An
 	// atomic pointer because workers read it concurrently with SetTelemetry.
@@ -452,6 +459,10 @@ func (bb *Blackboard) PostEntry(e *Entry) {
 	bb.tel.Load().OnPost()
 	sh := bb.shardOf(e.Type)
 	listeners := (*sh.sens.Load())[e.Type]
+	if len(listeners) == 0 {
+		bb.unclaimed.Add(1)
+		bb.tel.Load().OnDrop()
+	}
 	for _, st := range listeners {
 		e.Retain()
 		inputs, ok := st.offer(e)
@@ -640,11 +651,12 @@ func (bb *Blackboard) Workers() int { return bb.workers }
 // Stats returns a snapshot of the engine counters.
 func (bb *Blackboard) Stats() Stats {
 	return Stats{
-		Posted:   bb.posted.Load(),
-		Jobs:     bb.jobsDone.Load(),
-		Backoffs: bb.backoffs.Load(),
-		OpPanics: bb.panics.Load(),
-		Dropped:  bb.dropped.Load(),
+		Posted:    bb.posted.Load(),
+		Jobs:      bb.jobsDone.Load(),
+		Backoffs:  bb.backoffs.Load(),
+		OpPanics:  bb.panics.Load(),
+		Dropped:   bb.dropped.Load(),
+		Unclaimed: bb.unclaimed.Load(),
 	}
 }
 

@@ -398,17 +398,15 @@ func NewDiffReplayer(meta wire.SessionMeta) *DiffReplayer {
 func (r *DiffReplayer) Cursor() uint64 { return r.cursor }
 
 // Apply folds one State answer into the replayed state: deltas merge,
-// full states replace.
+// full states replace. Either way the partials are folded in straight
+// from their bytes (analysis.MergeEncoded), so applying a delta costs
+// what the delta holds, not the size of the replayed state.
 func (r *DiffReplayer) Apply(st wire.State) error {
 	if st.Full {
 		for i, am := range r.apps {
 			fresh := analysis.NewPartial(am.AppID, am.Options())
 			if i < len(st.Apps) {
-				dp, err := analysis.DecodePartial(st.Apps[i])
-				if err != nil {
-					return err
-				}
-				if err := fresh.Merge(dp); err != nil {
+				if err := fresh.MergeEncoded(st.Apps[i]); err != nil {
 					return err
 				}
 			}
@@ -424,11 +422,7 @@ func (r *DiffReplayer) Apply(st wire.State) error {
 		if i >= len(r.apps) {
 			return fmt.Errorf("client: diff names app %d, session has %d", i, len(r.apps))
 		}
-		dp, err := analysis.DecodePartial(st.Apps[i])
-		if err != nil {
-			return err
-		}
-		if err := r.apps[i].Merge(dp); err != nil {
+		if err := r.apps[i].MergeEncoded(st.Apps[i]); err != nil {
 			return err
 		}
 	}

@@ -116,8 +116,8 @@ func TestTreeProfileMatchesFlat(t *testing.T) {
 			}
 			// Ingest reduction at this toy scale only holds for the fixed
 			// 256-byte v1 records; v2's delta+varint packs are already tiny
-			// here, and the per-flush partial tables dominate. The bench
-			// (BENCH_PR5.json) measures the reduction at realistic volume.
+			// here, and the per-flush partial tables dominate; the reduction
+			// shows at realistic volume (streambench -tree).
 			if c.pack == trace.PackV1 && stats.RootIngestBytes >= flatIngest[c.pack] {
 				t.Fatalf("tree root ingest %d >= flat %d: no reduction", stats.RootIngestBytes, flatIngest[c.pack])
 			}
@@ -147,7 +147,7 @@ func TestTreeProfileMatchesFlat(t *testing.T) {
 }
 
 // TestTreeScalingSweep runs the sweep helper at test scale and checks
-// the baseline-relative accounting it feeds BENCH_PR5.json.
+// its baseline-relative accounting.
 func TestTreeScalingSweep(t *testing.T) {
 	p := Tera100()
 	ws := treeTestWorkloads(t)

@@ -101,10 +101,33 @@ type Status struct {
 	// retired and live sessions (always zero with Workers <= 1).
 	ReplicaMerges  int64 `json:"replica_merges"`
 	ReplicaMergeNs int64 `json:"replica_merge_ns"`
+	// QueryStats totals the query path across retired and live sessions.
+	QueryStats
 	// Sessions lists the live sessions' per-session counters.
 	Sessions []SessionStatus `json:"sessions,omitempty"`
 	// Service is the attached service's status JSON (absent without one).
 	Service json.RawMessage `json:"service,omitempty"`
+}
+
+// QueryStats is the wall-clock ledger of the query path, per session
+// and summed for the daemon; its fields appear inline in the status JSON
+// (and so in `profilerctl -status`). SealNs/Seals and DiffNs/Diffs are
+// the mean cost of sealing an epoch and of answering a Diff on top of
+// its seal; StateBytes/(Diffs+snapshots) is what a query ships.
+type QueryStats struct {
+	Seals      int64 `json:"seals"`
+	SealNs     int64 `json:"seal_ns"`
+	Diffs      int64 `json:"diffs"`
+	DiffNs     int64 `json:"diff_ns"`
+	StateBytes int64 `json:"state_bytes"`
+}
+
+func (q *QueryStats) add(o QueryStats) {
+	q.Seals += o.Seals
+	q.SealNs += o.SealNs
+	q.Diffs += o.Diffs
+	q.DiffNs += o.DiffNs
+	q.StateBytes += o.StateBytes
 }
 
 // SessionStatus is one live session's counters inside Status.
@@ -116,6 +139,7 @@ type SessionStatus struct {
 	Events         int64  `json:"events"`
 	ReplicaMerges  int64  `json:"replica_merges"`
 	ReplicaMergeNs int64  `json:"replica_merge_ns"`
+	QueryStats
 	// Windows / LateEvents / MinCompleteness surface the windowed
 	// analysis (windowed sessions only): windows observed so far, events
 	// that arrived after their window should have sealed, and the lowest
@@ -144,6 +168,7 @@ type Daemon struct {
 	shed     int64
 	merges   int64
 	mergeNs  int64
+	query    QueryStats
 }
 
 // New builds a daemon.
@@ -216,6 +241,7 @@ func (d *Daemon) Status() (Status, error) {
 		Workers:        d.opts.Workers,
 		ReplicaMerges:  d.merges,
 		ReplicaMergeNs: d.mergeNs,
+		QueryStats:     d.query,
 	}
 	for _, s := range d.liveSess {
 		ss := SessionStatus{
@@ -226,6 +252,7 @@ func (d *Daemon) Status() (Status, error) {
 			Events:         s.events.Load(),
 			ReplicaMerges:  s.laneMerges.Load(),
 			ReplicaMergeNs: s.laneMergeNs.Load(),
+			QueryStats:     s.queryStats(),
 		}
 		if w, late, minC := s.windowStats(); w > 0 {
 			ss.Windows = w
@@ -234,6 +261,7 @@ func (d *Daemon) Status() (Status, error) {
 		}
 		st.ReplicaMerges += ss.ReplicaMerges
 		st.ReplicaMergeNs += ss.ReplicaMergeNs
+		st.QueryStats.add(ss.QueryStats)
 		st.Sessions = append(st.Sessions, ss)
 	}
 	d.mu.Unlock()
@@ -300,6 +328,7 @@ func (d *Daemon) endSession(s *session, aborted bool) {
 	d.shed += s.shedTotal()
 	d.merges += s.laneMerges.Load()
 	d.mergeNs += s.laneMergeNs.Load()
+	d.query.add(s.queryStats())
 	live := d.live
 	d.mu.Unlock()
 	d.opts.Telemetry.OnEnd(live, aborted)

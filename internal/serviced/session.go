@@ -76,6 +76,16 @@ type session struct {
 	laneMerges  atomic.Int64
 	laneMergeNs atomic.Int64
 
+	// seals/diffs count the epochs sealed and the Diff queries answered,
+	// sealNs/diffNs the wall time spent in them (a diff's own seal counts
+	// as seal time), stateBytes the partial bytes served by Snapshot and
+	// Diff.
+	seals      atomic.Int64
+	sealNs     atomic.Int64
+	diffs      atomic.Int64
+	diffNs     atomic.Int64
+	stateBytes atomic.Int64
+
 	packs  atomic.Int64
 	events atomic.Int64
 	closed bool
@@ -226,8 +236,10 @@ func (s *session) foldSync(src uint32, app *sessionApp, pack []byte, version int
 // seal closes the current delta into a new epoch: pending lane work is
 // flushed into the delta first (the lane pool's epoch barrier), then
 // each application's delta is flushed (settled statistics only —
-// pendings stay local), merged into the cumulative state, and retained
-// for Diff replay.
+// pendings stay local; the flush resets the delta in place), its bytes
+// are folded into the cumulative state with MergeEncoded, and the same
+// bytes are retained for Diff replay. The cost is that of the encoded
+// delta: nothing on this path is proportional to ranks².
 func (s *session) seal() error {
 	if err := s.flushLanes(); err != nil {
 		return err
@@ -235,16 +247,12 @@ func (s *session) seal() error {
 	if !s.dirty {
 		return nil
 	}
+	t0 := time.Now()
 	epoch := s.epoch.Load()
 	se := sealedEpoch{apps: make([][]byte, len(s.apps))}
 	for i, a := range s.apps {
-		buf := a.delta.Flush(nil, false)
-		se.apps[i] = buf
-		dp, err := analysis.DecodePartial(buf)
-		if err != nil {
-			return fmt.Errorf("serviced: seal epoch %d: %w", epoch+1, err)
-		}
-		if err := a.cum.Merge(dp); err != nil {
+		se.apps[i] = a.delta.Flush(nil, false)
+		if err := a.cum.MergeEncoded(se.apps[i]); err != nil {
 			return fmt.Errorf("serviced: seal epoch %d: %w", epoch+1, err)
 		}
 	}
@@ -254,12 +262,14 @@ func (s *session) seal() error {
 		s.sealed = append(s.sealed[:0:0], s.sealed[over:]...)
 	}
 	s.dirty = false
+	s.seals.Add(1)
+	s.sealNs.Add(time.Since(t0).Nanoseconds())
 	return nil
 }
 
 // snapshot seals pending work and returns the full cumulative state:
 // one canonical partial per application, valid as a Diff cursor at
-// epoch To.
+// epoch To. Encoding the whole state is the one O(ranks²) query.
 func (s *session) snapshot() (wire.State, error) {
 	if err := s.seal(); err != nil {
 		return wire.State{}, err
@@ -268,18 +278,47 @@ func (s *session) snapshot() (wire.State, error) {
 	for i, a := range s.apps {
 		st.Apps[i] = a.cum.AppendCanonical(nil)
 	}
+	s.served(st)
 	return st, nil
 }
 
+// queryStats reads the session's query-path ledger (atomics: safe from
+// Status while the connection goroutine serves).
+func (s *session) queryStats() QueryStats {
+	return QueryStats{
+		Seals:      s.seals.Load(),
+		SealNs:     s.sealNs.Load(),
+		Diffs:      s.diffs.Load(),
+		DiffNs:     s.diffNs.Load(),
+		StateBytes: s.stateBytes.Load(),
+	}
+}
+
+// served ledgers the payload size of one query answer.
+func (s *session) served(st wire.State) {
+	for _, a := range st.Apps {
+		s.stateBytes.Add(int64(len(a)))
+	}
+}
+
 // diff seals pending work and returns the state delta after the client's
-// cursor: the merge of every sealed epoch in (cursor, epoch], one
-// mergeable partial per application. A cursor that aged out of the
-// retained log gets the full state back (Full set — replace, don't
-// merge); a cursor at the head gets an empty delta.
+// cursor: one mergeable partial per application covering every sealed
+// epoch in (cursor, epoch]. A cursor one epoch behind — the live-poll
+// case — is answered with that epoch's retained bytes as they are (they
+// decode to the partial a canonical re-encode would give; only the
+// header's pendings bit differs, which no decoder reads); an older one
+// with the epochs folded into one accumulator by MergeEncoded. A cursor
+// that aged out of the retained log gets the full state back (Full set —
+// replace, don't merge); a cursor at the head gets an empty delta.
 func (s *session) diff(cursor uint64) (wire.State, error) {
 	if err := s.seal(); err != nil {
 		return wire.State{}, err
 	}
+	t0 := time.Now()
+	defer func() {
+		s.diffs.Add(1)
+		s.diffNs.Add(time.Since(t0).Nanoseconds())
+	}()
 	epoch := s.epoch.Load()
 	if cursor > epoch {
 		return wire.State{}, fmt.Errorf("serviced: diff cursor %d ahead of epoch %d", cursor, epoch)
@@ -297,22 +336,22 @@ func (s *session) diff(cursor uint64) (wire.State, error) {
 	if cursor == epoch {
 		return st, nil
 	}
-	st.Apps = make([][]byte, len(s.apps))
-	for i := range s.apps {
-		var acc *analysis.Partial
-		for _, se := range s.sealed[cursor-lo:] {
-			dp, err := analysis.DecodePartial(se.apps[i])
-			if err != nil {
-				return wire.State{}, fmt.Errorf("serviced: diff decode: %w", err)
+	missed := s.sealed[cursor-lo:]
+	if len(missed) == 1 {
+		st.Apps = missed[0].apps
+	} else {
+		st.Apps = make([][]byte, len(s.apps))
+		for i, a := range s.apps {
+			acc := analysis.NewPartial(a.meta.AppID, a.opts)
+			for _, se := range missed {
+				if err := acc.MergeEncoded(se.apps[i]); err != nil {
+					return wire.State{}, fmt.Errorf("serviced: diff merge: %w", err)
+				}
 			}
-			if acc == nil {
-				acc = dp
-			} else if err := acc.Merge(dp); err != nil {
-				return wire.State{}, fmt.Errorf("serviced: diff merge: %w", err)
-			}
+			st.Apps[i] = acc.AppendCanonical(nil)
 		}
-		st.Apps[i] = acc.AppendCanonical(nil)
 	}
+	s.served(st)
 	return st, nil
 }
 
@@ -331,16 +370,14 @@ func (s *session) close(cm wire.CloseMeta) (*report.Report, error) {
 			a.delta.AddAudit(a.gate.Entries())
 		}
 	}
+	t0 := time.Now()
 	for _, a := range s.apps {
-		buf := a.delta.Flush(nil, true)
-		dp, err := analysis.DecodePartial(buf)
-		if err != nil {
-			return nil, fmt.Errorf("serviced: final seal: %w", err)
-		}
-		if err := a.cum.Merge(dp); err != nil {
+		if err := a.cum.MergeEncoded(a.delta.Flush(nil, true)); err != nil {
 			return nil, fmt.Errorf("serviced: final seal: %w", err)
 		}
 	}
+	s.seals.Add(1)
+	s.sealNs.Add(time.Since(t0).Nanoseconds())
 	s.epoch.Add(1)
 	s.closed = true
 

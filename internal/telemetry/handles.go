@@ -359,7 +359,8 @@ func (m *BoardMetrics) OnBackoff(shard int) {
 	m.backoffs.AddShard(shard, 1)
 }
 
-// OnDrop records one entry dropped after close.
+// OnDrop records one entry discarded undelivered: posted after close,
+// orphaned by a re-registration race, or claimed by no listener.
 func (m *BoardMetrics) OnDrop() {
 	if m == nil {
 		return
