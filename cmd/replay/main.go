@@ -102,7 +102,7 @@ func main() {
 	}
 
 	// Second pass: replay events through the same pack path the online
-	// engine uses, so the identical unpacker KS feeds the modules.
+	// engine uses, so the identical fold KS feeds the modules.
 	if _, err := f.Seek(0, 0); err != nil {
 		log.Fatal(err)
 	}

@@ -14,6 +14,11 @@
 // plus a bootstrap KS that registers the detector dynamically from inside
 // an operation and then removes itself — the paper's simplified
 // opportunistic reasoning.
+//
+// The example posts its own per-event entries, the paper's Figure 4
+// granularity. The built-in pipeline (internal/analysis) folds per pack
+// instead and posts no event entries (DESIGN.md §11): a KS that wants its
+// events subscribes to "pack"@level and decodes with trace.DecodeEach.
 package main
 
 import (

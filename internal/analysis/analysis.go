@@ -1,15 +1,20 @@
-// Package analysis implements the paper's analysis modules as knowledge
-// sources on the parallel blackboard: the pack unpacker, the multi-level
-// dispatcher, the MPI profiler, the topological module and the density-map
+// Package analysis implements the paper's analysis modules on the parallel
+// blackboard: the multi-level dispatcher, the per-pack fold knowledge
+// source, the MPI profiler, the topological module and the density-map
 // module (paper Figures 4, 5, 17 and 18).
 //
 // Data-flow per application level (Figure 4):
 //
-//	stream block ──("rawpack")──> Dispatcher ──("pack"@level)──> Unpacker
-//	     Unpacker ──("event"@level)──> {Profiler, Topology, Density}
+//	stream block ──("rawpack")──> Dispatcher ──("pack"@level)──> Fold
+//	     Fold: decode in place ──per event──> {Profiler, Topology, Density, ...}
 //
-// Every module keeps its accumulators behind a mutex: operations execute
-// concurrently on the blackboard's worker pool.
+// The board's unit of work is the pack, the element the stream batches
+// into: one job decodes a pack in place and folds every event through the
+// pipeline's fold list — the same list the fused v3 ingest uses, so both
+// paths feed identical module sets. (The paper posts each decoded event as
+// a board entry; see DESIGN §11.) Every module keeps its accumulators
+// behind a mutex, because packs fold concurrently on the worker pool;
+// EnableReplicas swaps the mutexes for per-worker module replicas.
 package analysis
 
 import (
@@ -29,8 +34,6 @@ const (
 	TypeRawPack = "rawpack"
 	// TypePack is an encoded pack on its application level.
 	TypePack = "pack"
-	// TypeEvent is a single decoded event on its application level.
-	TypeEvent = "event"
 	// TypeEOS marks the end of an application's event stream.
 	TypeEOS = "eos"
 	// TypeRawPartial is an encoded partial profile before level dispatch
@@ -69,45 +72,42 @@ type Pipeline struct {
 
 	// tracker, when attached, observes every folded event's virtual
 	// timestamp against the analyzer clock (event→report-update lag and
-	// per-window completeness). It rides registerEventKS on the serial
-	// paths and is re-wrapped into every replica's fold dispatcher,
-	// because EnableReplicas retires the event KSs.
+	// per-window completeness). It is a tap on the fold list, and
+	// Pipeline.NewReplica re-wraps it into every replica's fold dispatcher
+	// (a replica folds its own module set, not the list).
 	tracker *WindowTracker
 
 	mu       sync.Mutex
 	finished bool
 	onFinish []func()
 
-	// folds lists every event consumer (the same Add functions the event
-	// KSs wrap), and foldFn is the published fused dispatcher over them:
-	// the zero-materialization path calls it once per decoded event,
-	// straight from the stream decoder's in-place scratch. Keeping folds
-	// in lockstep with event-KS registration (registerEventKS is the only
-	// writer) is the fused-dispatch invariant: both paths feed the exact
-	// same module set, so profiles are byte-identical either way.
-	foldMu sync.Mutex
-	folds  []func(*trace.Event)
-	foldFn atomic.Pointer[func(*trace.Event)]
+	// folds lists every event consumer by name — the modules' Add
+	// functions plus the taps (export proxy, window tracker) — and foldFn
+	// is the published dispatcher over them, called once per decoded event
+	// straight from the decoder's in-place scratch. The board's fold KS and
+	// the fused v3 ingest both dispatch through it (addFold is the only
+	// writer), so profiles are byte-identical either way.
+	foldMu    sync.Mutex
+	foldNames []string
+	folds     []func(*trace.Event)
+	foldFn    atomic.Pointer[func(*trace.Event)]
 
-	// Replica mode (EnableReplicas): eventKSNames records every event KS
-	// registered through registerEventKS so the replica switch can retire
-	// them; exports counts export proxies (incompatible with replicas);
-	// reps holds one private module replica per board worker, indexed by
-	// worker id, merged every epochEvents events and at Settle.
-	eventKSNames []string
-	exports      int
-	replicaMode  bool
-	epochEvents  int
-	reps         []*Replica
-	rm           *telemetry.ReplicaMetrics
+	// Replica mode (EnableReplicas): exports counts export proxies
+	// (incompatible with replicas); reps, non-nil once enabled, holds one
+	// private module replica per board worker, indexed by worker id,
+	// merged every epochEvents events and at Settle.
+	exports     int
+	epochEvents int
+	reps        []*Replica
+	rm          *telemetry.ReplicaMetrics
 
-	// codec, when attached, accounts each unpacked pack's event count and
-	// wall-clock unpack time. Set it before the first pack is posted; the
-	// board's queue ordering then publishes it to the worker pool.
+	// codec, when attached, accounts each folded pack's event count and
+	// wall-clock decode+fold time. Set it before the first pack is posted;
+	// the board's queue ordering then publishes it to the worker pool.
 	codec *telemetry.CodecMetrics
 }
 
-// SetCodecTelemetry attaches a codec telemetry bundle to the unpacker
+// SetCodecTelemetry attaches a codec telemetry bundle to the pack folds
 // (nil allowed and free). Call before posting packs.
 func (p *Pipeline) SetCodecTelemetry(m *telemetry.CodecMetrics) { p.codec = m }
 
@@ -115,8 +115,9 @@ func (p *Pipeline) SetCodecTelemetry(m *telemetry.CodecMetrics) { p.codec = m }
 // and free). Call before EnableReplicas.
 func (p *Pipeline) SetReplicaTelemetry(m *telemetry.ReplicaMetrics) { p.rm = m }
 
-// NewPipeline registers the unpacker and the three analysis modules for an
-// application of the given rank count under the given level name.
+// NewPipeline registers the per-pack fold KS and the three analysis
+// modules for an application of the given rank count under the given level
+// name.
 func NewPipeline(bb *blackboard.Blackboard, level string, appSize int) (*Pipeline, error) {
 	p := &Pipeline{
 		bb:           bb,
@@ -126,58 +127,26 @@ func NewPipeline(bb *blackboard.Blackboard, level string, appSize int) (*Pipelin
 		Density:      NewDensityModule(appSize),
 		Completeness: NewCompletenessModule(),
 	}
-	packT := blackboard.TypeID(level, TypePack)
-	eventT := blackboard.TypeID(level, TypeEvent)
-	eosT := blackboard.TypeID(level, TypeEOS)
-
+	for _, f := range []struct {
+		name string
+		add  func(*trace.Event)
+	}{{"profiler", p.Profiler.Add}, {"topology", p.Topology.Add}, {"density", p.Density.Add}} {
+		if err := p.addFold(f.name, f.add); err != nil {
+			return nil, err
+		}
+	}
 	if err := bb.Register(blackboard.KS{
-		Name:          "unpacker@" + level,
-		Sensitivities: []blackboard.Type{packT},
-		Op: func(bb *blackboard.Blackboard, in []*blackboard.Entry) {
-			buf := in[0].Payload.([]byte)
-			// A zero-copy reader iterates the borrowed block in place; the
-			// only per-event allocation is the copy posted to the board,
-			// which must outlive the block. Both wire formats decode here —
-			// streams negotiate per writer, so one analyzer can serve v1 and
-			// v2 producers at once.
-			var t0 time.Time
-			if p.codec != nil {
-				t0 = time.Now()
-			}
-			var r trace.PackReader
-			if err := r.Init(buf); err != nil {
-				panic(fmt.Sprintf("analysis: undecodable pack on level %q: %v", level, err))
-			}
-			n := 0
-			for r.Next() {
-				ev := *r.Event()
-				n++
-				bb.Post(eventT, int64(trace.MinRecordSize), &ev)
-			}
-			if err := r.Err(); err != nil {
-				panic(fmt.Sprintf("analysis: undecodable pack on level %q: %v", level, err))
-			}
-			if p.codec != nil {
-				p.codec.OnDecode(n, time.Since(t0).Nanoseconds())
-			}
+		Name:          "fold@" + level,
+		Sensitivities: []blackboard.Type{blackboard.TypeID(level, TypePack)},
+		OpW: func(_ *blackboard.Blackboard, worker int, in []*blackboard.Entry) {
+			p.foldBoardPack(worker, in[0].Payload.([]byte))
 		},
 	}); err != nil {
 		return nil, err
 	}
-
-	if err := p.registerEventKS("profiler", p.Profiler.Add); err != nil {
-		return nil, err
-	}
-	if err := p.registerEventKS("topology", p.Topology.Add); err != nil {
-		return nil, err
-	}
-	if err := p.registerEventKS("density", p.Density.Add); err != nil {
-		return nil, err
-	}
-
 	if err := bb.Register(blackboard.KS{
 		Name:          "eos@" + level,
-		Sensitivities: []blackboard.Type{eosT},
+		Sensitivities: []blackboard.Type{blackboard.TypeID(level, TypeEOS)},
 		Op: func(_ *blackboard.Blackboard, _ []*blackboard.Entry) {
 			p.mu.Lock()
 			p.finished = true
@@ -193,25 +162,52 @@ func NewPipeline(bb *blackboard.Blackboard, level string, appSize int) (*Pipelin
 	return p, nil
 }
 
-// registerEventKS registers an event-sensitive knowledge source wrapping
-// add, and appends add to the fused fold list. Every event consumer goes
-// through here — it is what keeps the board path and the fused path
-// feeding identical module sets.
-func (p *Pipeline) registerEventKS(name string, add func(*trace.Event)) error {
-	err := p.bb.Register(blackboard.KS{
-		Name:          name + "@" + p.level,
-		Sensitivities: []blackboard.Type{blackboard.TypeID(p.level, TypeEvent)},
-		Op: func(_ *blackboard.Blackboard, in []*blackboard.Entry) {
-			add(in[0].Payload.(*trace.Event))
-		},
-	})
-	if err != nil {
-		return err
+// foldBoardPack is the fold KS's operation: one job per pack. The pack
+// (v1 or v2 — streams negotiate per writer, so one analyzer serves both)
+// is decoded in place from the borrowed block and every event folded
+// without an intermediate copy or board entry: through the fold list, or,
+// after EnableReplicas, into the executing worker's private replica.
+func (p *Pipeline) foldBoardPack(worker int, buf []byte) {
+	fn := *p.foldFn.Load()
+	var rep *Replica
+	if p.reps != nil {
+		// Each slot is touched only by its owning worker.
+		if rep = p.reps[worker]; rep == nil {
+			rep = p.NewReplica()
+			p.reps[worker] = rep
+		}
+		fn = rep.foldFn
 	}
-	p.mu.Lock()
-	p.eventKSNames = append(p.eventKSNames, name+"@"+p.level)
-	p.mu.Unlock()
+	var t0 time.Time
+	if p.codec != nil {
+		t0 = time.Now()
+	}
+	h, err := trace.DecodeEach(buf, fn)
+	if err != nil {
+		panic(fmt.Sprintf("analysis: undecodable pack on level %q: %v", p.level, err))
+	}
+	if p.codec != nil {
+		p.codec.OnDecode(h.Count, time.Since(t0).Nanoseconds())
+	}
+	if rep != nil {
+		if rep.pending += h.Count; rep.pending >= p.epochEvents {
+			p.MergeReplica(rep)
+		}
+	}
+}
+
+// addFold appends a named event consumer to the fold list and republishes
+// the dispatcher. Every event consumer goes through here — it is what
+// keeps the board path and the fused path feeding identical module sets.
+func (p *Pipeline) addFold(name string, add func(*trace.Event)) error {
 	p.foldMu.Lock()
+	defer p.foldMu.Unlock()
+	for _, have := range p.foldNames {
+		if have == name {
+			return fmt.Errorf("analysis: %q already enabled on level %q", name, p.level)
+		}
+	}
+	p.foldNames = append(p.foldNames, name)
 	p.folds = append(p.folds, add)
 	folds := p.folds
 	fn := func(e *trace.Event) {
@@ -220,27 +216,25 @@ func (p *Pipeline) registerEventKS(name string, add func(*trace.Event)) error {
 		}
 	}
 	p.foldFn.Store(&fn)
-	p.foldMu.Unlock()
 	return nil
 }
 
 // FoldPack is the fused decode→dispatch path: it decodes one pack
 // through the caller's per-writer stream decoder and folds every event
-// straight into the pipeline's modules — no per-event trace.Event copy,
-// no intermediate blackboard entries, no job scheduling. The modules'
-// own mutexes provide the concurrency safety the board otherwise would.
-// Codec telemetry accounts the pack exactly like the unpacker KS does.
-// Returns the event count.
+// through the fold list on the calling goroutine — the fold KS minus the
+// board hop, for packs (v3) that must decode in per-writer order. Codec
+// telemetry accounts the pack exactly like the fold KS does. Returns the
+// event count.
 func (p *Pipeline) FoldPack(dec *trace.StreamDecoder, buf []byte) (int, error) {
-	fn := p.foldFn.Load()
-	if fn == nil {
-		return 0, fmt.Errorf("analysis: pipeline %q has no event consumers", p.level)
-	}
+	return p.foldStreamPack(dec, buf, *p.foldFn.Load())
+}
+
+func (p *Pipeline) foldStreamPack(dec *trace.StreamDecoder, buf []byte, fn func(*trace.Event)) (int, error) {
 	var t0 time.Time
 	if p.codec != nil {
 		t0 = time.Now()
 	}
-	n, err := dec.DecodeDispatch(buf, *fn)
+	n, err := dec.DecodeDispatch(buf, fn)
 	if err != nil {
 		return n, fmt.Errorf("analysis: undecodable pack on level %q: %w", p.level, err)
 	}

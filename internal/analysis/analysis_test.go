@@ -291,7 +291,7 @@ func BenchmarkPipelineThroughput(b *testing.B) {
 }
 
 func TestGarbagePackIsolated(t *testing.T) {
-	// An undecodable pack makes the unpacker KS panic; the engine isolates
+	// An undecodable pack makes the fold KS panic; the engine isolates
 	// the fault and keeps processing good packs (failure injection).
 	bb := newBoard(t)
 	p, err := NewPipeline(bb, "app", 2)

@@ -1,0 +1,217 @@
+package analysis
+
+import (
+	"bytes"
+	"fmt"
+	"sort"
+	"testing"
+
+	"repro/internal/trace"
+)
+
+// packStream encodes one rank's events as an ordered pack sequence in the
+// given wire format (small packs, so every rank ships several).
+func packStream(t *testing.T, version int, appID uint32, rank int32, evs []trace.Event) [][]byte {
+	t.Helper()
+	b, err := trace.NewBuilder(version, appID, rank, 48, 1<<11)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var packs [][]byte
+	for i := range evs {
+		if b.Add(&evs[i]) {
+			packs = append(packs, b.Take())
+		}
+	}
+	if last := b.Take(); last != nil {
+		packs = append(packs, last)
+	}
+	return packs
+}
+
+// canonicalWithShed is canonicalOf plus the completeness ledger, so the
+// comparison also covers what audit packs fed.
+func canonicalWithShed(p *Pipeline) []byte {
+	out := canonicalOf(p)
+	for _, k := range p.Completeness.Kinds() {
+		st := p.Completeness.Stat(k)
+		out = fmt.Appendf(out, "|shed %d %d %d", k, st.Shed, st.Kept)
+	}
+	return out
+}
+
+// sortEvents orders events totally, for multiset comparison.
+func sortEvents(evs []trace.Event) {
+	sort.Slice(evs, func(i, j int) bool {
+		a, b := &evs[i], &evs[j]
+		if a.Rank != b.Rank {
+			return a.Rank < b.Rank
+		}
+		if a.TStart != b.TStart {
+			return a.TStart < b.TStart
+		}
+		return a.Kind < b.Kind
+	})
+}
+
+// TestBoardPathDifferential feeds one seeded event stream plus an audit
+// pack through every way a pack can reach the modules — the board's fold
+// KS on v1 and on v2 packs, the same KS over per-worker replicas at 1, 2
+// and 4 workers, and the fused v3 ingest — and requires byte-identical
+// canonical state from all of them. Where the export tap is attached
+// (everywhere but replica mode, which excludes it) it must have seen
+// every event exactly once.
+func TestBoardPathDifferential(t *testing.T) {
+	const ranks, perRank = 4, 400
+	var all []trace.Event
+	streams := map[int][][][]byte{}
+	for r := int32(0); r < ranks; r++ {
+		evs := fusedWorkload(r, perRank)
+		all = append(all, evs...)
+		for _, v := range []int{trace.PackV1, trace.PackV2, trace.PackV3} {
+			streams[v] = append(streams[v], packStream(t, v, 7, r, evs))
+		}
+	}
+	sortEvents(all)
+	audit := trace.EncodeAuditPack(7, 1, []trace.AuditEntry{
+		{Kind: trace.KindSend, Shed: 3, Kept: 9},
+		{Kind: trace.KindBarrier, Shed: 1, Kept: 4},
+	})
+
+	run := func(t *testing.T, version, replicaWorkers int) []byte {
+		workers := 4
+		if replicaWorkers > 0 {
+			workers = replicaWorkers
+		}
+		d, p := fullPipeline(t, workers)
+		var exp *ExportModule
+		if replicaWorkers > 0 {
+			// A short epoch, so merges happen mid-stream.
+			if err := p.EnableReplicas(64); err != nil {
+				t.Fatal(err)
+			}
+		} else {
+			var err error
+			if exp, err = p.EnableExport("all", nil); err != nil {
+				t.Fatal(err)
+			}
+		}
+		fi := NewFusedIngest(d)
+		for r, packs := range streams[version] {
+			for _, pk := range packs {
+				if version != trace.PackV3 {
+					d.PostRaw(pk)
+				} else if _, err := fi.Absorb(r, pk); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		if _, err := fi.Absorb(1, audit); err != nil {
+			t.Fatal(err)
+		}
+		d.bb.Drain()
+		p.Settle()
+		if st := d.bb.Stats(); st.OpPanics != 0 || st.Dropped != 0 || st.Unclaimed != 0 {
+			t.Fatalf("board stats %+v", st)
+		}
+		if got := p.Profiler.Events(); got != ranks*perRank {
+			t.Fatalf("analyzed %d events, want %d", got, ranks*perRank)
+		}
+		if exp != nil {
+			var buf bytes.Buffer
+			if _, err := exp.WriteTo(&buf); err != nil {
+				t.Fatal(err)
+			}
+			var seen []trace.Event
+			if err := ReadExported(buf.Bytes(), func(e *trace.Event) { seen = append(seen, *e) }); err != nil {
+				t.Fatal(err)
+			}
+			sortEvents(seen)
+			if len(seen) != len(all) {
+				t.Fatalf("export tap saw %d events, want %d", len(seen), len(all))
+			}
+			for i := range seen {
+				if seen[i] != all[i] {
+					t.Fatalf("export tap event %d = %+v, want %+v", i, seen[i], all[i])
+				}
+			}
+		}
+		return canonicalWithShed(p)
+	}
+
+	want := run(t, trace.PackV1, 0)
+	for _, c := range []struct {
+		name             string
+		version, workers int
+	}{
+		{"board-v2", trace.PackV2, 0},
+		{"fused-v3", trace.PackV3, 0},
+		{"replicas1-v1", trace.PackV1, 1},
+		{"replicas2-v1", trace.PackV1, 2},
+		{"replicas4-v1", trace.PackV1, 4},
+		{"replicas2-v2", trace.PackV2, 2},
+		{"replicas4-v2", trace.PackV2, 4},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			if got := run(t, c.version, c.workers); !bytes.Equal(got, want) {
+				t.Errorf("canonical state diverged from the v1 board path")
+			}
+		})
+	}
+}
+
+// TestBoardPostsPerPack pins the board's unit of work to the pack: N raw
+// packs cost two posts each (rawpack, then pack@level) plus one EOS per
+// level, however many events they hold — a count, so a per-event fan-out
+// cannot creep back — and every entry finds its listener.
+func TestBoardPostsPerPack(t *testing.T) {
+	d, p := fullPipeline(t, 4)
+	const levels = 1
+	n := 0
+	for r := int32(0); r < 4; r++ {
+		for _, pk := range packStream(t, trace.PackV1, 7, r, fusedWorkload(r, 500)) {
+			d.PostRaw(pk)
+			n++
+		}
+	}
+	p.PostEOS()
+	d.bb.Drain()
+	st := d.bb.Stats()
+	if st.Posted > int64(2*n+levels) {
+		t.Errorf("%d packs cost %d board posts, want at most %d", n, st.Posted, 2*n+levels)
+	}
+	if st.Unclaimed != 0 || st.Dropped != 0 || st.OpPanics != 0 {
+		t.Errorf("board stats %+v", st)
+	}
+	if got := p.Profiler.Events(); got != 4*500 {
+		t.Errorf("analyzed %d events, want %d", got, 4*500)
+	}
+	if !p.Finished() {
+		t.Error("EOS not processed")
+	}
+}
+
+// TestBoardFoldAllocsPerPack: folding a v1 pack on the board allocates
+// per pack (entries, job, reader), not per event.
+func TestBoardFoldAllocsPerPack(t *testing.T) {
+	d, _ := fullPipeline(t, 1)
+	perPack := func(events int) float64 {
+		evs := fusedWorkload(0, events)
+		b := trace.NewPackBuilder(7, 0, 48, 1<<20)
+		for i := range evs {
+			b.Add(&evs[i])
+		}
+		pk := b.Take()
+		post := func() {
+			d.PostRaw(pk)
+			d.bb.Drain()
+		}
+		post() // warm the modules' maps and the wait-state queues
+		return testing.AllocsPerRun(20, post)
+	}
+	small, big := perPack(16), perPack(1024)
+	t.Logf("allocs per pack: %.1f (16 events), %.1f (1024 events)", small, big)
+	if big > small+2 || big > 32 {
+		t.Errorf("board fold allocates %.1f per 1024-event pack vs %.1f per 16-event pack, want O(1) per pack", big, small)
+	}
+}

@@ -151,11 +151,11 @@ func (m *CallsiteModule) Merge(o *CallsiteModule) {
 	}
 }
 
-// EnableCallsites registers a call-site KS on the pipeline's level and
+// EnableCallsites adds a call-site module to the pipeline's fold list and
 // returns its module.
 func (p *Pipeline) EnableCallsites() (*CallsiteModule, error) {
 	m := NewCallsiteModule()
-	if err := p.registerEventKS("callsites", m.Add); err != nil {
+	if err := p.addFold("callsites", m.Add); err != nil {
 		return nil, err
 	}
 	p.callsites = m

@@ -119,18 +119,18 @@ func (m *ExportModule) WriteArchive(w io.Writer) error {
 	return aw.Finish(w)
 }
 
-// EnableExport registers an export KS on the pipeline's level and returns
-// its module. name distinguishes several exporters on one level.
+// EnableExport taps an export module into the pipeline's fold list and
+// returns it. name distinguishes several exporters on one level.
 func (p *Pipeline) EnableExport(name string, filter func(*trace.Event) bool) (*ExportModule, error) {
 	p.mu.Lock()
-	if p.replicaMode {
+	if p.reps != nil {
 		p.mu.Unlock()
 		return nil, fmt.Errorf("analysis: trace export is incompatible with replica mode on level %q", p.level)
 	}
 	p.exports++
 	p.mu.Unlock()
 	m := NewExportModule(0, filter)
-	if err := p.registerEventKS("export-"+name, m.Add); err != nil {
+	if err := p.addFold("export-"+name, m.Add); err != nil {
 		return nil, err
 	}
 	return m, nil

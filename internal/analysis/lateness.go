@@ -230,12 +230,12 @@ func (tr *WindowTracker) Publish() {
 	tr.tm.OnPublish(tr.lagNs.Load(), tr.maxLagNs.Load(), dEv, dLt, open)
 }
 
-// AttachWindowTracker wires a tracker into the pipeline's fold paths:
-// a KS on the board path, the fused fold list, and (via Pipeline.
-// NewReplica) every replica's fold dispatcher. Call after EnableWindows
+// AttachWindowTracker wires a tracker into the pipeline's fold paths: a
+// tap on the fold list (board and fused paths) and, via Pipeline.
+// NewReplica, on every replica's fold dispatcher. Call after EnableWindows
 // and before EnableReplicas or any replica/lane creation.
 func (p *Pipeline) AttachWindowTracker(tr *WindowTracker) error {
-	if err := p.registerEventKS("windowlag", tr.OnEvent); err != nil {
+	if err := p.addFold("windowlag", tr.OnEvent); err != nil {
 		return err
 	}
 	p.mu.Lock()

@@ -88,7 +88,7 @@ func TestDispatcherPartialPath(t *testing.T) {
 }
 
 // TestPipelineCodecTelemetry pins the codec accounting on both decode
-// paths: the unpacker KS (board path) and FoldPack (fused path) must each
+// paths: the fold KS (board path) and FoldPack (fused path) must each
 // record their pack's event count.
 func TestPipelineCodecTelemetry(t *testing.T) {
 	bb := blackboard.New(blackboard.Config{Workers: 1})

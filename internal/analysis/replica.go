@@ -5,7 +5,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/blackboard"
 	"repro/internal/trace"
 )
 
@@ -24,7 +23,8 @@ import (
 // sparse key-sorted Partial encoding makes it checkable byte-for-byte.
 
 // DefaultEpochEvents is the board-path epoch length: how many events a
-// worker's replica folds before merging into the canonical modules.
+// worker's replica folds before merging into the canonical modules (checked
+// at pack boundaries).
 const DefaultEpochEvents = 8192
 
 // DefaultEpochPacks is the fused-path epoch length: how many packs an
@@ -47,7 +47,8 @@ type Replica struct {
 	// construction so the fused decode loop passes a stable func value
 	// (no per-pack closure allocation).
 	foldFn func(*trace.Event)
-	// pending counts events folded since the last merge (board path).
+	// pending counts events folded since the last merge (board path,
+	// advanced once per pack).
 	pending int
 }
 
@@ -190,53 +191,31 @@ func (p *Pipeline) MergeReplica(r *Replica) {
 }
 
 // EnableReplicas switches the pipeline's board path to shared-nothing
-// parallel folding: the per-module event KSs (whose Adds all contend on
-// the module mutexes) are replaced by a single worker-aware fold KS that
-// folds each event into the executing worker's private replica, merging
-// into the canonical modules every epochEvents events (0 = default).
-// Call after every Enable* the run will use and before any event flows;
-// call Settle after the board drains to merge the residue.
+// parallel folding: the fold KS stops dispatching through the fold list
+// (whose Adds all contend on the module mutexes) and folds each pack into
+// the executing worker's private replica, merging into the canonical
+// modules once epochEvents events accumulated (0 = default). Call after
+// every Enable* the run will use and before any pack flows; call Settle
+// after the board drains to merge the residue.
 //
 // Trace export is incompatible (the exporter is an IO proxy, not a
-// mergeable module), as is adding further event KSs afterwards.
+// mergeable module), as is enabling further modules afterwards.
 func (p *Pipeline) EnableReplicas(epochEvents int) error {
 	if epochEvents <= 0 {
 		epochEvents = DefaultEpochEvents
 	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if p.replicaMode {
+	if p.reps != nil {
 		return fmt.Errorf("analysis: replicas already enabled on level %q", p.level)
 	}
 	if p.exports > 0 {
 		return fmt.Errorf("analysis: replicas are incompatible with trace export on level %q", p.level)
 	}
-	// Publish the replica table before the fold KS can run: workers
-	// index it lazily, each slot touched only by its owning worker.
+	// Workers fill the table lazily; posting a pack is the happens-before
+	// edge that publishes it to them.
 	p.epochEvents = epochEvents
 	p.reps = make([]*Replica, p.bb.Workers())
-	if err := p.bb.Register(blackboard.KS{
-		Name:          "fold@" + p.level,
-		Sensitivities: []blackboard.Type{blackboard.TypeID(p.level, TypeEvent)},
-		OpW: func(_ *blackboard.Blackboard, worker int, in []*blackboard.Entry) {
-			rep := p.reps[worker]
-			if rep == nil {
-				rep = p.NewReplica()
-				p.reps[worker] = rep
-			}
-			rep.Fold(in[0].Payload.(*trace.Event))
-			rep.pending++
-			if rep.pending >= p.epochEvents {
-				p.MergeReplica(rep)
-			}
-		},
-	}); err != nil {
-		return err
-	}
-	for _, name := range p.eventKSNames {
-		p.bb.Unregister(name)
-	}
-	p.replicaMode = true
 	if p.rm != nil {
 		p.rm.Replicas(len(p.reps))
 	}
@@ -247,7 +226,7 @@ func (p *Pipeline) EnableReplicas(epochEvents int) error {
 func (p *Pipeline) ReplicaMode() bool {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return p.replicaMode
+	return p.reps != nil
 }
 
 // Settle merges every board-worker replica's residue into the canonical
@@ -270,18 +249,7 @@ func (p *Pipeline) Settle() {
 // shared modules: the same fused decode, but the per-event fold touches
 // only replica-local memory. The caller owns rep (see Replica).
 func (p *Pipeline) FoldPackReplica(rep *Replica, dec *trace.StreamDecoder, buf []byte) (int, error) {
-	var t0 time.Time
-	if p.codec != nil {
-		t0 = time.Now()
-	}
-	n, err := dec.DecodeDispatch(buf, rep.foldFn)
-	if err != nil {
-		return n, fmt.Errorf("analysis: undecodable pack on level %q: %w", p.level, err)
-	}
-	if p.codec != nil {
-		p.codec.OnDecode(n, time.Since(t0).Nanoseconds())
-	}
-	return n, nil
+	return p.foldStreamPack(dec, buf, rep.foldFn)
 }
 
 // --- parallel fused ingest ---

@@ -141,11 +141,11 @@ func (m *SizesModule) Merge(o *SizesModule) {
 	}
 }
 
-// EnableSizes registers a message-size histogram KS on the pipeline's
-// level and returns its module.
+// EnableSizes adds a message-size histogram module to the pipeline's fold
+// list and returns it.
 func (p *Pipeline) EnableSizes() (*SizesModule, error) {
 	m := NewSizesModule()
-	if err := p.registerEventKS("sizes", m.Add); err != nil {
+	if err := p.addFold("sizes", m.Add); err != nil {
 		return nil, err
 	}
 	p.sizes = m

@@ -229,11 +229,11 @@ func (m *TemporalModule) Merge(o *TemporalModule) {
 	}
 }
 
-// EnableTemporal registers a temporal-map KS on the pipeline's level and
+// EnableTemporal adds a temporal-map module to the pipeline's fold list and
 // returns its module.
 func (p *Pipeline) EnableTemporal(windowNs int64) (*TemporalModule, error) {
 	m := NewTemporalModule(windowNs)
-	if err := p.registerEventKS("temporal", m.Add); err != nil {
+	if err := p.addFold("temporal", m.Add); err != nil {
 		return nil, err
 	}
 	p.temporal = m

@@ -416,12 +416,12 @@ func mergeSorted[T any](a, b []T, less func(x, y T) bool) []T {
 	return append(out, b[j:]...)
 }
 
-// EnableWaitState registers a wait-state KS on the pipeline's level and
+// EnableWaitState adds a wait-state module to the pipeline's fold list and
 // returns its module. The analysis is optional because it keeps per-channel
 // state proportional to in-flight messages.
 func (p *Pipeline) EnableWaitState() (*WaitStateModule, error) {
 	m := NewWaitStateModule(p.Profiler.size)
-	if err := p.registerEventKS("waitstate", m.Add); err != nil {
+	if err := p.addFold("waitstate", m.Add); err != nil {
 		return nil, err
 	}
 	p.waits = m

@@ -259,10 +259,9 @@ func (m *WindowedModule) mergeReset(o *WindowedModule) {
 	}
 }
 
-// EnableWindows registers the windowed series on the pipeline: a KS on
-// the board path, a fold hook on the fused path, and (through
-// PartialOptions) the per-window sections of every leaf and replica
-// partial. windowNs is the window width in virtual nanoseconds; slideNs
+// EnableWindows registers the windowed series on the pipeline: an entry
+// on the fold list (board and fused paths) and (through PartialOptions)
+// the per-window sections of every leaf and replica partial. windowNs is the window width in virtual nanoseconds; slideNs
 // is the slide (0 = tumbling). Call after every other Enable* the run
 // will use — the inner per-window module selection mirrors what is
 // enabled at this point — and before EnableReplicas.
@@ -278,7 +277,7 @@ func (p *Pipeline) EnableWindows(windowNs, slideNs int64) (*WindowedModule, erro
 	}
 	inner := innerWindowOptions(p.PartialOptions())
 	m := NewWindowedModule(windowNs, slideNs, inner)
-	if err := p.registerEventKS("windows", m.Add); err != nil {
+	if err := p.addFold("windows", m.Add); err != nil {
 		return nil, err
 	}
 	p.windowed = m

@@ -251,8 +251,10 @@ type Proc struct {
 	dead   bool
 	killed bool
 	// blockedOn is a human-readable description of the current blocking
-	// call, reported when the simulation deadlocks.
-	blockedOn string
+	// call, reported when the simulation deadlocks; blockedFor, when set,
+	// renders it on demand instead (ParkFor).
+	blockedOn  string
+	blockedFor fmt.Stringer
 }
 
 // Name returns the name the process was spawned with.
@@ -338,15 +340,15 @@ func (s *Simulator) transfer(p *Proc) {
 // park blocks the process until the scheduler transfers control back. If
 // the process was killed while blocked, park never returns: the stack
 // unwinds via killSignal and Spawn's recover terminates the process.
-func (p *Proc) park(why string) {
+func (p *Proc) park(why string, lazy fmt.Stringer) {
 	p.parked = true
-	p.blockedOn = why
+	p.blockedOn, p.blockedFor = why, lazy
 	p.sim.yield <- yieldMsg{}
 	<-p.resume
 	if p.killed {
 		panic(killSignal{})
 	}
-	p.blockedOn = ""
+	p.blockedOn, p.blockedFor = "", nil
 }
 
 // Sleep advances the process's virtual time by d. A non-positive d yields
@@ -355,7 +357,7 @@ func (p *Proc) park(why string) {
 func (p *Proc) Sleep(d time.Duration) {
 	s := p.sim
 	s.scheduleProc(s.now+DurationToTime(d), p)
-	p.park("sleep")
+	p.park("sleep", nil)
 }
 
 // SleepUntil advances the process's virtual time to at (no-op if at is in
@@ -363,12 +365,18 @@ func (p *Proc) Sleep(d time.Duration) {
 func (p *Proc) SleepUntil(at Time) {
 	s := p.sim
 	s.scheduleProc(at, p)
-	p.park("sleep-until")
+	p.park("sleep-until", nil)
 }
 
 // Park blocks the process indefinitely; some other process or event callback
 // must call Unpark to resume it. why is reported in deadlock diagnostics.
-func (p *Proc) Park(why string) { p.park(why) }
+func (p *Proc) Park(why string) { p.park(why, nil) }
+
+// ParkFor is Park with a lazily rendered reason: why.String() runs only if
+// the simulation deadlocks with the process still parked, so a hot
+// blocking path pays no formatting. why must stay valid and unchanged
+// until the process resumes.
+func (p *Proc) ParkFor(why fmt.Stringer) { p.park("", why) }
 
 // Unpark schedules p to resume at the current virtual time. It must be
 // called from scheduler context or from another (currently running)
@@ -422,7 +430,11 @@ func (s *Simulator) Run() error {
 	if !s.halted && s.live > 0 {
 		blocked := make([]string, 0, s.live)
 		for p := range s.procs {
-			blocked = append(blocked, p.name+": "+p.blockedOn)
+			why := p.blockedOn
+			if p.blockedFor != nil {
+				why = p.blockedFor.String()
+			}
+			blocked = append(blocked, p.name+": "+why)
 		}
 		sort.Strings(blocked)
 		return &DeadlockError{Now: s.now, Blocked: blocked}
@@ -442,7 +454,13 @@ type Cond struct {
 // sync.Cond, the caller must re-check its predicate in a loop.
 func (c *Cond) Wait(p *Proc, why string) {
 	c.waiters = append(c.waiters, p)
-	p.park(why)
+	p.park(why, nil)
+}
+
+// WaitFor is Wait with a lazily rendered reason (see Proc.ParkFor).
+func (c *Cond) WaitFor(p *Proc, why fmt.Stringer) {
+	c.waiters = append(c.waiters, p)
+	p.park("", why)
 }
 
 // Signal wakes one waiting process, if any (FIFO order). Waiters that died

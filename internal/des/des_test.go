@@ -104,6 +104,34 @@ func TestDeadlockDetected(t *testing.T) {
 	}
 }
 
+// lazyWhy counts how often its text is rendered.
+type lazyWhy struct{ rendered int }
+
+func (l *lazyWhy) String() string { l.rendered++; return "lazy-reason" }
+
+// TestLazyParkReason: ParkFor and WaitFor render their reason only for
+// the deadlock report, never for a park that resumes.
+func TestLazyParkReason(t *testing.T) {
+	s := New(1)
+	var c Cond
+	var woken, stuckPark, stuckWait lazyWhy
+	s.Spawn("sleeper", func(p *Proc) {
+		c.WaitFor(p, &woken)
+		p.ParkFor(&stuckPark)
+	})
+	s.Spawn("waiter", func(p *Proc) {
+		c.Broadcast()
+		c.WaitFor(p, &stuckWait)
+	})
+	de, ok := s.Run().(*DeadlockError)
+	if !ok || len(de.Blocked) != 2 || de.Blocked[0] != "sleeper: lazy-reason" || de.Blocked[1] != "waiter: lazy-reason" {
+		t.Fatalf("deadlock report = %v", de)
+	}
+	if woken.rendered != 0 || stuckPark.rendered != 1 || stuckWait.rendered != 1 {
+		t.Fatalf("rendered woken=%d park=%d wait=%d, want 0/1/1", woken.rendered, stuckPark.rendered, stuckWait.rendered)
+	}
+}
+
 func TestParkUnpark(t *testing.T) {
 	s := New(1)
 	var target *Proc

@@ -106,9 +106,6 @@ func CaptureRun(p Platform, workloads []*nas.Workload, opts ProfileOptions) (*Ca
 	packVersion := opts.PackVersion
 	if packVersion == 0 {
 		packVersion = trace.PackV1
-		if opts.PackV2 {
-			packVersion = trace.PackV2
-		}
 	}
 	if packVersion < trace.PackV1 || packVersion > trace.PackV3 {
 		return nil, fmt.Errorf("exp: unknown pack version %d", packVersion)

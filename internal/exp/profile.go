@@ -81,22 +81,18 @@ type ProfileOptions struct {
 	Export func(app string, m *analysis.ExportModule)
 	// ExportFilter selects the exported events (nil = everything).
 	ExportFilter func(*trace.Event) bool
-	// PackV2 streams events in the compact v2 pack format (delta+varint
-	// columns) instead of fixed records; the analyzer decodes either
-	// format per pack, so this only changes the bytes on the wire.
-	// Superseded by PackVersion; kept for older callers.
-	PackV2 bool
-	// PackVersion selects the pack wire format explicitly: trace.PackV1,
-	// PackV2, or PackV3 (the stream-dictionary format, decoded on the
-	// analyzer's fused ingest path instead of the blackboard). 0 defers
-	// to the PackV2 flag.
+	// PackVersion selects the pack wire format: trace.PackV1 (fixed
+	// records; 0 defaults to it), PackV2 (delta+varint columns — the
+	// analyzer decodes either per pack, so this only changes the bytes on
+	// the wire), or PackV3 (the stream-dictionary format, decoded on the
+	// analyzer's fused ingest path instead of the blackboard).
 	PackVersion int
 	// Shards partitions the root blackboard by entry type
 	// (0 = blackboard default of 1, the seed's single-partition board).
 	Shards int
 	// Replicas > 0 switches the analysis to the shared-nothing replica
-	// path: every pipeline's event KSs are replaced by one worker-aware
-	// fold KS writing per-worker module replicas, fused v3 ingest runs
+	// path: every pipeline's fold KS writes per-worker module replicas
+	// instead of the shared (locked) modules, fused v3 ingest runs
 	// Replicas lock-free lanes, and the residue settles into the
 	// canonical modules before anything reads them. Profiles are
 	// byte-identical to the serial path; incompatible with Export (the
@@ -208,8 +204,8 @@ type RunStats struct {
 // The event transport is real: packs of encoded events flow through VMPI
 // streams into the analyzer ranks, which post them on a shared parallel
 // blackboard; the dispatcher routes each pack to its application's level
-// and the unpacker/profiler/topology/density knowledge sources reduce
-// them concurrently with the simulation.
+// and its per-pack fold knowledge source reduces them into the
+// profiler/topology/density modules concurrently with the simulation.
 func ProfileRun(p Platform, workloads []*nas.Workload, opts ProfileOptions) (*report.Report, error) {
 	rep, _, err := ProfileRunStats(p, workloads, opts)
 	return rep, err
@@ -251,9 +247,6 @@ func ProfileRunStats(p Platform, workloads []*nas.Workload, opts ProfileOptions)
 	packVersion := opts.PackVersion
 	if packVersion == 0 {
 		packVersion = trace.PackV1
-		if opts.PackV2 {
-			packVersion = trace.PackV2
-		}
 	}
 	if packVersion < trace.PackV1 || packVersion > trace.PackV3 {
 		return nil, nil, fmt.Errorf("exp: unknown pack version %d", packVersion)
@@ -794,7 +787,7 @@ func ProfileRunStats(p Platform, workloads []*nas.Workload, opts ProfileOptions)
 	}
 
 	if tree != nil {
-		// The root posted encoded partials; let the unpacker and the
+		// The root posted encoded partials; let the partial unpacker and the
 		// per-application fold reducers settle, then absorb each
 		// application's single surviving partial into its pipeline —
 		// after this the report path below is identical to flat mode.

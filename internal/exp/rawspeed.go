@@ -36,8 +36,8 @@ type RawSpeedConfig struct {
 	// seed engine's only path. v3 requires Fused.
 	Fused bool
 	// Replicas > 0 switches module folding to the shared-nothing replica
-	// path: the pipeline's event KSs become one worker-aware fold KS
-	// writing per-worker replicas, and fused ingest runs Replicas
+	// path: the pipeline's fold KS writes per-worker replicas instead of
+	// the shared modules, and fused ingest runs Replicas
 	// lock-free lanes, all merged on epoch boundaries and settled before
 	// the measurement is read.
 	Replicas int

@@ -35,7 +35,9 @@ import (
 // simulation context: implementations may advance virtual time (that time
 // is exactly the instrumentation overhead the experiments measure).
 type Recorder interface {
-	// Record consumes one event.
+	// Record consumes one event. Record must not retain ev: the wrapper
+	// reuses one scratch event per handle, so the pointee is overwritten by
+	// the next intercepted call (copy what must outlive the call).
 	Record(ev *trace.Event)
 	// Finalize flushes pending state (called from the wrapped
 	// MPI_Finalize, so flush time lands inside the measured window, as it
@@ -56,6 +58,9 @@ type MPI struct {
 	rec  Recorder
 	me   int32
 	ctx  uint32
+	// ev is emit's scratch event: recorders do not retain it, so one per
+	// handle serves every intercepted call without a heap allocation.
+	ev trace.Event
 }
 
 // New wraps a rank and communicator with no recorder attached (reference
@@ -97,10 +102,11 @@ func (m *MPI) emit(kind trace.Kind, peer, tag int32, size, t0, t1 int64) {
 	if m.rec == nil {
 		return
 	}
-	m.rec.Record(&trace.Event{
+	m.ev = trace.Event{
 		Kind: kind, Rank: m.me, Peer: peer, Tag: tag,
 		Comm: m.comm.ID(), Ctx: m.ctx, Size: size, TStart: t0, TEnd: t1,
-	})
+	}
+	m.rec.Record(&m.ev)
 }
 
 func (m *MPI) now() int64 { return int64(m.rank.Now()) }

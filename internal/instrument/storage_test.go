@@ -1,0 +1,128 @@
+package instrument
+
+import (
+	"runtime"
+	"testing"
+
+	"repro/internal/mpi"
+	"repro/internal/trace"
+	"repro/internal/vmpi"
+)
+
+// runRecorded runs one application rank, handed an online recorder of the
+// default calibration (1 MiB packs, 256-byte records), against one
+// analyzer rank that passes every received block to onBlock and never
+// releases it (so the pool never has a buffer to recycle).
+func runRecorded(t *testing.T, app func(m *MPI, rec *OnlineRecorder), onBlock func(*vmpi.Block)) {
+	t.Helper()
+	var layout *vmpi.Layout
+	cfg := DefaultOnlineConfig(0)
+	w := mpi.NewWorld(mpi.DefaultConfig(),
+		mpi.Program{Name: "app", Procs: 1, Main: func(r *mpi.Rank) {
+			sess := layout.Init(r)
+			rec, err := AttachOnline(sess, "Analyzer", cfg)
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			m := New(r, sess.WorldComm())
+			m.SetRecorder(rec)
+			app(m, rec)
+		}},
+		mpi.Program{Name: "Analyzer", Procs: 1, Main: func(r *mpi.Rank) {
+			sess := layout.Init(r)
+			var m vmpi.Map
+			if err := sess.MapPartitions(0, vmpi.MapRoundRobin, &m); err != nil {
+				t.Error(err)
+				return
+			}
+			st := vmpi.NewStream(sess, int64(cfg.PackBytes), vmpi.BalanceRoundRobin)
+			if err := st.OpenMap(&m, "r"); err != nil {
+				t.Error(err)
+				return
+			}
+			for {
+				blk, err := st.Read(false)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if blk == nil {
+					return
+				}
+				onBlock(blk)
+			}
+		}},
+	)
+	layout = vmpi.NewLayout(w)
+	if err := w.Run(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestOnlineRecorderStorageFollowsEvents: a recorder that records k
+// events and finalizes allocates (and so zeroes) pack memory in proportion
+// to k, not to the pack capacity, and asks the pool for a buffer only when
+// a further pack actually starts — never after its last flush.
+func TestOnlineRecorderStorageFollowsEvents(t *testing.T) {
+	recordSize := DefaultOnlineConfig(0).RecordSize
+	for _, k := range []int{420, 5000} {
+		packs, events := 0, 0
+		hits0, misses0 := vmpi.PoolCounters()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		runRecorded(t, func(_ *MPI, rec *OnlineRecorder) {
+			ev := trace.Event{Kind: trace.KindSend, Peer: 1, Size: 8}
+			for i := 0; i < k; i++ {
+				rec.Record(&ev)
+			}
+			rec.Finalize()
+		}, func(blk *vmpi.Block) {
+			h, err := trace.PeekHeader(blk.Payload)
+			if err != nil {
+				t.Error(err)
+			}
+			packs++
+			events += h.Count
+		})
+		runtime.ReadMemStats(&after)
+		hits1, misses1 := vmpi.PoolCounters()
+		if events != k {
+			t.Fatalf("k=%d: analyzer received %d events", k, events)
+		}
+		// The whole run's heap allocation — simulator included — stays
+		// under the pack-storage budget.
+		allocated := after.TotalAlloc - before.TotalAlloc
+		t.Logf("k=%d: %d packs, %d bytes allocated", k, packs, allocated)
+		if limit := uint64(2*k*recordSize + 128<<10); allocated >= limit {
+			t.Errorf("k=%d: run allocated %d bytes, want under %d", k, allocated, limit)
+		}
+		// The first pack starts in the builder's own storage.
+		if gets := hits1 + misses1 - hits0 - misses0; gets > int64(packs-1) {
+			t.Errorf("k=%d: %d pool fetches for %d shipped packs", k, gets, packs)
+		}
+	}
+}
+
+// TestEmitRecordZeroAllocs: in the steady state — mid-pack, storage grown
+// — intercepting a call and recording its event allocates nothing: emit
+// fills the handle's scratch event and the recorder encodes it in place.
+func TestEmitRecordZeroAllocs(t *testing.T) {
+	cfg := DefaultOnlineConfig(0)
+	perPack := (cfg.PackBytes - trace.PackHeaderSize) / cfg.RecordSize
+	allocs := -1.0
+	runRecorded(t, func(m *MPI, _ *OnlineRecorder) {
+		// Past the last growth step of the first pack, and far enough from
+		// its end that the measured calls never flush.
+		for i := 0; i < perPack/2+8; i++ {
+			m.emit(trace.KindSend, 1, 0, 8, 0, 1)
+		}
+		allocs = testing.AllocsPerRun(perPack/4, func() {
+			m.emit(trace.KindSend, 1, 0, 8, 0, 1)
+		})
+		m.Finalize()
+	}, func(*vmpi.Block) {})
+	if allocs != 0 {
+		t.Errorf("emit → Record allocates %.2f per event in the steady state, want 0", allocs)
+	}
+}

@@ -137,7 +137,7 @@ func (r *Rank) collective(c *Comm, kind CollKind, bytes int64) {
 	}
 	if st.arrived < c.Size() {
 		st.waiters = append(st.waiters, r.proc)
-		r.proc.Park(fmt.Sprintf("%s(comm=%d seq=%d)", kind, c.id, seq))
+		r.proc.ParkFor(r.blockedOnColl(kind.String(), c, seq))
 		return
 	}
 	// Last arrival: release everyone at completion time.

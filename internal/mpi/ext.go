@@ -32,7 +32,7 @@ func (r *Rank) Ssend(c *Comm, dst, tag int, size int64, payload []byte) {
 	// deliverMessage releases the syncer if the peer crashed in flight.
 	w.sim.AtCall(delivered, deliverMessage, msg)
 	// Park until the receiver matches the message.
-	r.proc.Park(fmt.Sprintf("ssend(dst=%d tag=%d comm=%d)", dst, tag, c.id))
+	r.proc.ParkFor(r.blockedOnP2P("ssend", "dst", dst, tag, c))
 }
 
 // Probe blocks until a message matching (src, tag) is available on c and
@@ -44,7 +44,9 @@ func (r *Rank) Probe(c *Comm, src, tag int) Status {
 		if ok, st := r.Iprobe(c, src, tag); ok {
 			return st
 		}
-		r.WaitArrival(seq, fmt.Sprintf("probe(src=%d tag=%d comm=%d)", src, tag, c.id))
+		for r.arrivalSeq <= seq {
+			r.arrival.WaitFor(r.proc, r.blockedOnP2P("probe", "src", src, tag, c))
+		}
 	}
 }
 
@@ -82,7 +84,7 @@ func (r *Rank) Split(c *Comm, color, key int) *Comm {
 	st.entries = append(st.entries, splitEntry{color: color, key: key, global: r.global})
 	if st.arrived < c.Size() {
 		st.waiters = append(st.waiters, r)
-		r.proc.Park(fmt.Sprintf("MPI_Comm_split(comm=%d seq=%d)", c.id, seq))
+		r.proc.ParkFor(r.blockedOnColl("MPI_Comm_split", c, seq))
 	} else {
 		// Last arrival builds the communicators for everyone.
 		st.comms = make(map[int]*Comm)

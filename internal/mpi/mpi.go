@@ -387,6 +387,41 @@ type Rank struct {
 	// throttle > 1 slows the rank's Compute calls by that factor — the
 	// "slow consumer" fault (see World.ThrottleRank).
 	throttle float64
+
+	// why is the scratch park reason of the rank's current blocking call
+	// (a rank blocks on one thing at a time).
+	why parkReason
+}
+
+// parkReason says what a rank is blocked on. Blocking waits are hot and
+// the text is read only by the deadlock report, so the operands are kept
+// as fields and rendered on demand (des.Proc.ParkFor).
+type parkReason struct {
+	op        string // "recv", "MPI_Allreduce", ...
+	peerLabel string // "src" or "dst" for point-to-point waits, "" for collectives
+	peer, tag int    // point-to-point only
+	comm      uint32
+	seq       uint64 // collectives only
+}
+
+func (p *parkReason) String() string {
+	if p.peerLabel == "" {
+		return fmt.Sprintf("%s(comm=%d seq=%d)", p.op, p.comm, p.seq)
+	}
+	return fmt.Sprintf("%s(%s=%d tag=%d comm=%d)", p.op, p.peerLabel, p.peer, p.tag, p.comm)
+}
+
+// blockedOnP2P fills and returns the rank's park reason for a
+// point-to-point wait.
+func (r *Rank) blockedOnP2P(op, peerLabel string, peer, tag int, c *Comm) *parkReason {
+	r.why = parkReason{op: op, peerLabel: peerLabel, peer: peer, tag: tag, comm: c.id}
+	return &r.why
+}
+
+// blockedOnColl fills and returns the rank's park reason for a collective.
+func (r *Rank) blockedOnColl(op string, c *Comm, seq uint64) *parkReason {
+	r.why = parkReason{op: op, comm: c.id, seq: seq}
+	return &r.why
 }
 
 // Global returns the rank's id in the universe.
@@ -548,7 +583,7 @@ func (r *Rank) waitOne(req *Request) {
 					panic(&RankFailedError{Rank: g, Op: "Recv"})
 				}
 			}
-			r.arrival.Wait(r.proc, fmt.Sprintf("recv(src=%d tag=%d comm=%d)", req.wantSrc, req.wantTag, req.comm.id))
+			r.arrival.WaitFor(r.proc, r.blockedOnP2P("recv", "src", req.wantSrc, req.wantTag, req.comm))
 		}
 	}
 	req.waited = true

@@ -1,10 +1,14 @@
 package mpi
 
 import (
+	"errors"
 	"fmt"
+	"reflect"
 	"testing"
 	"testing/quick"
 	"time"
+
+	"repro/internal/des"
 )
 
 // runSPMD runs a single-program world with n ranks executing main and
@@ -341,6 +345,44 @@ func TestDeadlockReported(t *testing.T) {
 	}})
 	if err := w.Run(); err == nil {
 		t.Fatal("expected deadlock error")
+	}
+}
+
+// TestDeadlockReasonText pins the exact text of every lazily rendered
+// park reason: the operands are stored at park time and formatted only
+// here, when the deadlock report prints the stuck ranks.
+func TestDeadlockReasonText(t *testing.T) {
+	w := NewWorld(DefaultConfig(), Program{Name: "a", Procs: 6, Main: func(r *Rank) {
+		c := r.World().Universe()
+		switch r.Global() {
+		case 0:
+			r.Recv(c, 3, 7)
+		case 1:
+			r.Recv(c, AnySource, AnyTag)
+		case 2:
+			r.Ssend(c, 0, 9, 64, nil) // rank 0 never posts a matching receive
+		case 3:
+			r.Probe(c, 4, 5)
+		case 4:
+			r.Allreduce(c, 8) // nobody else joins
+		case 5:
+			r.Split(c, 0, 0)
+		}
+	}})
+	var de *des.DeadlockError
+	if err := w.Run(); !errors.As(err, &de) {
+		t.Fatalf("err = %v, want a deadlock", err)
+	}
+	want := []string{
+		"a[0]: recv(src=3 tag=7 comm=0)",
+		"a[1]: recv(src=-1 tag=-1 comm=0)",
+		"a[2]: ssend(dst=0 tag=9 comm=0)",
+		"a[3]: probe(src=4 tag=5 comm=0)",
+		"a[4]: MPI_Allreduce(comm=0 seq=0)",
+		"a[5]: MPI_Comm_split(comm=0 seq=0)",
+	}
+	if !reflect.DeepEqual(de.Blocked, want) {
+		t.Fatalf("blocked = %q\nwant      %q", de.Blocked, want)
 	}
 }
 

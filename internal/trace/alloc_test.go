@@ -1,6 +1,11 @@
 package trace
 
-import "testing"
+import (
+	"bytes"
+	"encoding/binary"
+	"runtime"
+	"testing"
+)
 
 // TestPackBuilderReuseAllocationFree pins the recycling contract: a builder
 // that is Reset into the buffer its previous Take returned runs the
@@ -190,4 +195,89 @@ func TestStreamDecoderFusedAllocationFree(t *testing.T) {
 		t.Errorf("fused decode dispatched with %.1f allocations per run, want 0", allocs)
 	}
 	_ = sum
+}
+
+// goldenPackV1 spells the v1 wire format out independently of the
+// builder: the 24-byte header, then fixed little-endian records, each
+// zero-padded to recordSize.
+func goldenPackV1(appID uint32, srcRank int32, recordSize int, evs []Event) []byte {
+	le := binary.LittleEndian
+	out := make([]byte, PackHeaderSize+len(evs)*recordSize)
+	le.PutUint32(out[0:], 0x544d5056)
+	le.PutUint32(out[4:], appID)
+	le.PutUint32(out[8:], uint32(srcRank))
+	le.PutUint32(out[12:], uint32(len(evs)))
+	le.PutUint32(out[16:], uint32(recordSize))
+	for i, e := range evs {
+		rec := out[PackHeaderSize+i*recordSize:]
+		rec[0] = byte(e.Kind)
+		le.PutUint32(rec[4:], uint32(e.Rank))
+		le.PutUint32(rec[8:], uint32(e.Peer))
+		le.PutUint32(rec[12:], uint32(e.Tag))
+		le.PutUint32(rec[16:], e.Comm)
+		le.PutUint32(rec[20:], e.Ctx)
+		le.PutUint64(rec[24:], uint64(e.Size))
+		le.PutUint64(rec[32:], uint64(e.TStart))
+		le.PutUint64(rec[40:], uint64(e.TEnd))
+	}
+	return out
+}
+
+// TestPackBuilderGoldenBytes pins the bytes on the wire for the three
+// kinds of storage a v1 pack can be built in: fresh and never grown,
+// grown past the first allocation, and a dirty recycled block.
+func TestPackBuilderGoldenBytes(t *testing.T) {
+	const recordSize, capBytes = 256, 1 << 20
+	build := func(b *PackBuilder, n int) ([]byte, []byte) {
+		evs := make([]Event, n)
+		for i := range evs {
+			evs[i] = sampleEvent(i)
+			b.Add(&evs[i])
+		}
+		return b.Take(), goldenPackV1(9, 3, recordSize, evs)
+	}
+	dirty := make([]byte, capBytes)
+	for i := range dirty {
+		dirty[i] = 0xAB
+	}
+	recycled := NewPackBuilder(9, 3, recordSize, capBytes)
+	recycled.Reset(dirty)
+	for _, c := range []struct {
+		name string
+		b    *PackBuilder
+		n    int
+	}{
+		{"fresh", NewPackBuilder(9, 3, recordSize, capBytes), 10},
+		{"grown", NewPackBuilder(9, 3, recordSize, capBytes), 3 * packInitBytes / recordSize},
+		{"full", NewPackBuilder(9, 3, recordSize, capBytes), (capBytes - PackHeaderSize) / recordSize},
+		{"recycled", recycled, 3 * packInitBytes / recordSize},
+	} {
+		got, want := build(c.b, c.n)
+		if !bytes.Equal(got, want) {
+			t.Errorf("%s: %d-event pack differs from the golden encoding", c.name, c.n)
+		}
+		if c.name == "full" && cap(got) != capBytes {
+			t.Errorf("full pack buffer has cap %d, want exactly %d (recyclable)", cap(got), capBytes)
+		}
+	}
+}
+
+// TestPackBuilderStorageFollowsFill: a builder never allocates (and so
+// never zeroes) more than about twice what it fills, whatever the pack
+// capacity — a rank that ships 100 KB in a 1 MiB-capacity pack must not
+// pay for the megabyte.
+func TestPackBuilderStorageFollowsFill(t *testing.T) {
+	const recordSize, capBytes, events = 256, 1 << 20, 420
+	ev := sampleEvent(1)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	b := NewPackBuilder(1, 0, recordSize, capBytes)
+	for i := 0; i < events; i++ {
+		b.Add(&ev)
+	}
+	pack := b.Take()
+	runtime.ReadMemStats(&after)
+	if limit := uint64(2*len(pack) + 2*packInitBytes); after.TotalAlloc-before.TotalAlloc > limit {
+		t.Errorf("building a %d-byte pack allocated %d bytes, want at most %d", len(pack), after.TotalAlloc-before.TotalAlloc, limit)
+	}
 }

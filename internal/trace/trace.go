@@ -241,7 +241,10 @@ func (h Header) LogicalLen() int {
 // builder then starts a fresh pack, allocating its storage lazily on the
 // next Add — or reusing a recycled buffer handed to Reset, which is how
 // the online recorder keeps a steady-state stream to zero buffer
-// allocations. The zero value is not usable — use NewPackBuilder.
+// allocations. A builder never zeroes memory it does not fill: fresh
+// storage grows geometrically with the pack, and a recycled buffer is
+// cleaned record by record. The zero value is not usable — use
+// NewPackBuilder.
 type PackBuilder struct {
 	appID      uint32
 	srcRank    int32
@@ -249,7 +252,15 @@ type PackBuilder struct {
 	capBytes   int
 	buf        []byte
 	count      int
+	// stale marks buf as a recycled block that may carry old bytes where
+	// record padding must read zero; Add then clears each record's padding
+	// as it goes. Fresh storage is zero already.
+	stale bool
 }
+
+// packInitBytes is the first allocation of a pack that starts without a
+// recycled buffer; it doubles from there up to the builder's capacity.
+const packInitBytes = 64 << 10
 
 // NewPackBuilder creates a builder producing packs of at most packBytes
 // bytes with the given per-record size. recordSize below MinRecordSize is
@@ -270,23 +281,16 @@ func NewPackBuilder(appID uint32, srcRank int32, recordSize, packBytes int) *Pac
 }
 
 // Reset discards any pack under construction and starts a fresh one in
-// buf, reusing its storage. A nil (or too small) buf allocates fresh
-// storage instead, so Reset(nil) is simply "start over". Recycled buffers
-// may carry stale bytes: when records are padded past MinRecordSize the
-// padding region must read zero, so Reset clears the buffer in that case
-// (a memclr, still far cheaper than allocating and zeroing a fresh
-// buffer plus the eventual collection).
+// buf, reusing its storage. A nil (or too small) buf is dropped and the
+// next Add allocates instead, so Reset(nil) is simply "start over".
 func (b *PackBuilder) Reset(buf []byte) {
 	b.count = 0
 	if cap(buf) < b.capBytes {
-		b.buf = make([]byte, PackHeaderSize, b.capBytes)
+		b.buf, b.stale = nil, false
 		return
 	}
-	buf = buf[:b.capBytes]
-	if b.recordSize > MinRecordSize {
-		clear(buf)
-	}
 	b.buf = buf[:PackHeaderSize]
+	b.stale = b.recordSize > MinRecordSize
 }
 
 // CapBytes returns the maximum encoded pack size, i.e. the buffer size a
@@ -310,20 +314,29 @@ func (b *PackBuilder) Len() int {
 // Add appends an event and reports whether the pack is now full (no room
 // for another record).
 func (b *PackBuilder) Add(e *Event) bool {
-	if b.buf == nil {
-		b.Reset(nil)
+	off := b.Len()
+	need := off + b.recordSize
+	if need > cap(b.buf) {
+		b.grow(need)
 	}
-	off := len(b.buf)
-	if need := off + b.recordSize; need <= cap(b.buf) {
-		// The padding region beyond each 48-byte record is zeroed (by make
-		// or Reset) and never written, so reslicing suffices.
-		b.buf = b.buf[:need]
-	} else {
-		b.buf = append(b.buf, make([]byte, b.recordSize)...)
-	}
+	b.buf = b.buf[:need]
 	encodeRecord(b.buf[off:], e)
+	if b.stale {
+		clear(b.buf[off+MinRecordSize:])
+	}
 	b.count++
-	return len(b.buf)+b.recordSize > b.capBytes
+	return need+b.recordSize > b.capBytes
+}
+
+// grow moves the pack under construction into fresh (zeroed) storage of
+// at least need bytes: packInitBytes first, then doubling, stopping at
+// exactly capBytes so a full pack's buffer can be recycled into Reset.
+func (b *PackBuilder) grow(need int) {
+	n := min(max(2*cap(b.buf), packInitBytes), b.capBytes)
+	n = max(n, need) // past capBytes only if the caller keeps adding to a full pack
+	buf := make([]byte, b.Len(), n)
+	copy(buf, b.buf)
+	b.buf, b.stale = buf, false
 }
 
 // Take finalizes the pack under construction and returns its encoded bytes
@@ -341,7 +354,7 @@ func (b *PackBuilder) Take() []byte {
 	binary.LittleEndian.PutUint32(b.buf[16:], uint32(b.recordSize))
 	binary.LittleEndian.PutUint32(b.buf[20:], 0)
 	out := b.buf
-	b.buf = nil
+	b.buf, b.stale = nil, false
 	b.count = 0
 	return out
 }
@@ -441,7 +454,7 @@ func DecodePack(buf []byte) (Header, []Event, error) {
 }
 
 // DecodeEach decodes a pack (either wire format), invoking fn per event
-// without materializing a slice (the analyzer's unpacker uses this on the
+// without materializing a slice (the analyzer's fold KS uses this on the
 // hot path).
 func DecodeEach(buf []byte, fn func(e *Event)) (Header, error) {
 	var r PackReader

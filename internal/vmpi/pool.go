@@ -15,7 +15,8 @@ import (
 // per-message buffer-reuse discipline MPI streaming runtimes apply to keep
 // the transport off the application's critical path.
 //
-// Ownership protocol: a producer obtains a buffer with GetBlock, fills it,
+// Ownership protocol: a producer obtains a buffer with GetBlock (or
+// RecycledBlock, when it can do without on a miss), fills it,
 // and hands it to Stream.Write; from that point the buffer belongs to the
 // transport and then to the consumer that receives it in a Block. A
 // consumer that is done with a block's bytes calls Block.Release to return
@@ -50,19 +51,31 @@ func RegisterPoolMetrics(reg *telemetry.Registry) {
 	reg.GaugeFunc("vmpi.pool_misses", func() int64 { return poolMisses.Load() })
 }
 
-// GetBlock returns a payload buffer of length n. The contents are NOT
-// zeroed — recycled buffers carry stale bytes; callers that rely on zeroed
-// storage (e.g. record padding) must clear it themselves.
-func GetBlock(n int) []byte {
+// RecycledBlock returns a pooled payload buffer of length n, or nil when
+// the pool has none that large — for producers that can start without
+// one (a pack builder grows its own storage as it fills, so a miss costs
+// it nothing up front). The contents are NOT zeroed — recycled buffers
+// carry stale bytes; callers that rely on zeroed storage (e.g. record
+// padding) must clear it themselves.
+func RecycledBlock(n int) []byte {
 	if v := blockPool.Get(); v != nil {
 		buf := *(v.(*[]byte))
 		if cap(buf) >= n {
 			poolHits.Add(1)
 			return buf[:n]
 		}
-		// Too small for this stream's block size: drop it and allocate.
+		// Too small for this stream's block size: drop it.
 	}
 	poolMisses.Add(1)
+	return nil
+}
+
+// GetBlock returns a payload buffer of length n: a recycled one (stale
+// bytes and all, see RecycledBlock) or, on a pool miss, a fresh one.
+func GetBlock(n int) []byte {
+	if buf := RecycledBlock(n); buf != nil {
+		return buf
+	}
 	return make([]byte, n)
 }
 
