@@ -12,9 +12,18 @@
 // into: one job decodes a pack in place and folds every event through the
 // pipeline's fold list — the same list the fused v3 ingest uses, so both
 // paths feed identical module sets. (The paper posts each decoded event as
-// a board entry; see DESIGN §11.) Every module keeps its accumulators
-// behind a mutex, because packs fold concurrently on the worker pool;
-// EnableReplicas swaps the mutexes for per-worker module replicas.
+// a board entry; see DESIGN §11.)
+//
+// Locking is per pack, not per event. Every module keeps its accumulators
+// behind a mutex and has two ways in: Add (lock, fold, unlock) for a caller
+// with one event and no claim on the module, and the unexported fold for a
+// caller that already owns it. Exactly two kinds of caller own a module: a
+// pack fold (Pipeline.FoldPack, the board's fold KS), which takes the mutex
+// of every module on the fold list once, in list order, decodes the whole
+// pack through the folds and releases; and the single owner of a Replica,
+// whose modules nobody else can reach (EnableReplicas gives each board
+// worker one). Readers — report rendering, AbsorbPartial, MergeReplica —
+// take one module mutex at a time and so wait for at most one pack.
 package analysis
 
 import (
@@ -81,16 +90,13 @@ type Pipeline struct {
 	finished bool
 	onFinish []func()
 
-	// folds lists every event consumer by name — the modules' Add
-	// functions plus the taps (export proxy, window tracker) — and foldFn
-	// is the published dispatcher over them, called once per decoded event
-	// straight from the decoder's in-place scratch. The board's fold KS and
-	// the fused v3 ingest both dispatch through it (addFold is the only
-	// writer), so profiles are byte-identical either way.
-	foldMu    sync.Mutex
-	foldNames []string
-	folds     []func(*trace.Event)
-	foldFn    atomic.Pointer[func(*trace.Event)]
+	// folds is the published fold list: every event consumer — the
+	// modules plus the taps (export proxy, window tracker) — in the order
+	// it was enabled. The board's fold KS and the fused v3 ingest both
+	// fold packs through it (addFold is the only writer, under foldMu), so
+	// profiles are byte-identical either way.
+	foldMu sync.Mutex
+	folds  atomic.Pointer[foldList]
 
 	// Replica mode (EnableReplicas): exports counts export proxies
 	// (incompatible with replicas); reps, non-nil once enabled, holds one
@@ -127,11 +133,13 @@ func NewPipeline(bb *blackboard.Blackboard, level string, appSize int) (*Pipelin
 		Density:      NewDensityModule(appSize),
 		Completeness: NewCompletenessModule(),
 	}
-	for _, f := range []struct {
-		name string
-		add  func(*trace.Event)
-	}{{"profiler", p.Profiler.Add}, {"topology", p.Topology.Add}, {"density", p.Density.Add}} {
-		if err := p.addFold(f.name, f.add); err != nil {
+	p.folds.Store(&foldList{})
+	for _, f := range []foldEntry{
+		{"profiler", &p.Profiler.mu, p.Profiler.fold},
+		{"topology", &p.Topology.mu, p.Topology.fold},
+		{"density", &p.Density.mu, p.Density.fold},
+	} {
+		if err := p.addFold(f); err != nil {
 			return nil, err
 		}
 	}
@@ -162,13 +170,50 @@ func NewPipeline(bb *blackboard.Blackboard, level string, appSize int) (*Pipelin
 	return p, nil
 }
 
+// foldEntry is one consumer on the fold list. A module enters with its
+// mutex and its lock-free fold: a pack fold holds mu for the whole pack.
+// A tap synchronizes itself per event and leaves mu nil.
+type foldEntry struct {
+	name string
+	mu   *sync.Mutex
+	fold func(*trace.Event)
+}
+
+// foldList is an immutable snapshot of a pipeline's consumers; dispatch
+// calls every fold, in list order, for one decoded event straight from
+// the decoder's in-place scratch.
+type foldList struct {
+	entries  []foldEntry
+	dispatch func(*trace.Event)
+}
+
+// lock takes every module mutex on the list, in list order — the one
+// order in which anything holds two of them, so pack folds cannot
+// deadlock each other, and a reader holds only one at a time.
+func (l *foldList) lock() {
+	for _, e := range l.entries {
+		if e.mu != nil {
+			e.mu.Lock()
+		}
+	}
+}
+
+func (l *foldList) unlock() {
+	for _, e := range l.entries {
+		if e.mu != nil {
+			e.mu.Unlock()
+		}
+	}
+}
+
 // foldBoardPack is the fold KS's operation: one job per pack. The pack
 // (v1 or v2 — streams negotiate per writer, so one analyzer serves both)
 // is decoded in place from the borrowed block and every event folded
-// without an intermediate copy or board entry: through the fold list, or,
-// after EnableReplicas, into the executing worker's private replica.
+// without an intermediate copy or board entry: through the fold list under
+// its modules' mutexes, or, after EnableReplicas, into the executing
+// worker's private replica.
 func (p *Pipeline) foldBoardPack(worker int, buf []byte) {
-	fn := *p.foldFn.Load()
+	var fn func(*trace.Event)
 	var rep *Replica
 	if p.reps != nil {
 		// Each slot is touched only by its owning worker.
@@ -177,6 +222,11 @@ func (p *Pipeline) foldBoardPack(worker int, buf []byte) {
 			p.reps[worker] = rep
 		}
 		fn = rep.foldFn
+	} else {
+		fl := p.folds.Load()
+		fl.lock()
+		defer fl.unlock()
+		fn = fl.dispatch
 	}
 	var t0 time.Time
 	if p.codec != nil {
@@ -196,37 +246,39 @@ func (p *Pipeline) foldBoardPack(worker int, buf []byte) {
 	}
 }
 
-// addFold appends a named event consumer to the fold list and republishes
-// the dispatcher. Every event consumer goes through here — it is what
-// keeps the board path and the fused path feeding identical module sets.
-func (p *Pipeline) addFold(name string, add func(*trace.Event)) error {
+// addFold appends a consumer to the fold list and republishes it. Every
+// event consumer goes through here — it is what keeps the board path and
+// the fused path feeding identical module sets.
+func (p *Pipeline) addFold(e foldEntry) error {
 	p.foldMu.Lock()
 	defer p.foldMu.Unlock()
-	for _, have := range p.foldNames {
-		if have == name {
-			return fmt.Errorf("analysis: %q already enabled on level %q", name, p.level)
+	old := p.folds.Load().entries
+	for _, have := range old {
+		if have.name == e.name {
+			return fmt.Errorf("analysis: %q already enabled on level %q", e.name, p.level)
 		}
 	}
-	p.foldNames = append(p.foldNames, name)
-	p.folds = append(p.folds, add)
-	folds := p.folds
-	fn := func(e *trace.Event) {
-		for _, f := range folds {
-			f(e)
+	entries := append(old[:len(old):len(old)], e)
+	p.folds.Store(&foldList{entries: entries, dispatch: func(ev *trace.Event) {
+		for i := range entries {
+			entries[i].fold(ev)
 		}
-	}
-	p.foldFn.Store(&fn)
+	}})
 	return nil
 }
 
 // FoldPack is the fused decode→dispatch path: it decodes one pack
 // through the caller's per-writer stream decoder and folds every event
-// through the fold list on the calling goroutine — the fold KS minus the
-// board hop, for packs (v3) that must decode in per-writer order. Codec
-// telemetry accounts the pack exactly like the fold KS does. Returns the
-// event count.
+// through the fold list on the calling goroutine, holding the listed
+// modules' mutexes for the pack — the fold KS minus the board hop, for
+// packs (v3) that must decode in per-writer order. Codec telemetry
+// accounts the pack exactly like the fold KS does. Returns the event
+// count.
 func (p *Pipeline) FoldPack(dec *trace.StreamDecoder, buf []byte) (int, error) {
-	return p.foldStreamPack(dec, buf, *p.foldFn.Load())
+	fl := p.folds.Load()
+	fl.lock()
+	defer fl.unlock()
+	return p.foldStreamPack(dec, buf, fl.dispatch)
 }
 
 func (p *Pipeline) foldStreamPack(dec *trace.StreamDecoder, buf []byte, fn func(*trace.Event)) (int, error) {

@@ -51,26 +51,13 @@ func (m *CallsiteModule) Label(ctx uint32, label string) {
 
 // Add folds one event in.
 func (m *CallsiteModule) Add(ev *trace.Event) {
-	key := callsiteKey{ctx: ev.Ctx, kind: ev.Kind}
 	m.mu.Lock()
-	defer m.mu.Unlock()
-	st := m.per[key]
-	if st == nil {
-		st = &Stat{}
-		m.per[key] = st
-	}
-	st.add(ev)
+	m.fold(ev)
+	m.mu.Unlock()
 }
 
-// fold is Add without the lock (replica fast path, caller owns m).
 func (m *CallsiteModule) fold(ev *trace.Event) {
-	key := callsiteKey{ctx: ev.Ctx, kind: ev.Kind}
-	st := m.per[key]
-	if st == nil {
-		st = &Stat{}
-		m.per[key] = st
-	}
-	st.add(ev)
+	entry(m.per, callsiteKey{ctx: ev.Ctx, kind: ev.Kind}).add(ev)
 }
 
 // mergeReset folds o into m and resets o's stats in place, keeping o's
@@ -155,7 +142,7 @@ func (m *CallsiteModule) Merge(o *CallsiteModule) {
 // returns its module.
 func (p *Pipeline) EnableCallsites() (*CallsiteModule, error) {
 	m := NewCallsiteModule()
-	if err := p.addFold("callsites", m.Add); err != nil {
+	if err := p.addFold(foldEntry{"callsites", &m.mu, m.fold}); err != nil {
 		return nil, err
 	}
 	p.callsites = m

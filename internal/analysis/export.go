@@ -130,7 +130,7 @@ func (p *Pipeline) EnableExport(name string, filter func(*trace.Event) bool) (*E
 	p.exports++
 	p.mu.Unlock()
 	m := NewExportModule(0, filter)
-	if err := p.addFold("export-"+name, m.Add); err != nil {
+	if err := p.addFold(foldEntry{name: "export-" + name, fold: m.Add}); err != nil {
 		return nil, err
 	}
 	return m, nil

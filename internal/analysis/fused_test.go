@@ -222,3 +222,56 @@ func TestFusedIngestUnknownApp(t *testing.T) {
 		t.Fatalf("err = %v", err)
 	}
 }
+
+// TestFoldPackZeroAllocs guards the fused hot path end to end: once the
+// modules have seen the stream's kinds, ranks and call sites, folding a
+// 256-event v3 pack — decode loop, per-pack locking, fold list —
+// allocates nothing.
+func TestFoldPackZeroAllocs(t *testing.T) {
+	d, err := NewDispatcher(newBoard(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := d.AddApp(7, "app", 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := p.EnableTemporal(100); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := p.EnableCallsites(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := p.EnableSizes(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := p.EnableWindows(1000, 0); err != nil {
+		t.Fatal(err)
+	}
+	b := trace.NewPackBuilderV3(7, 0, 48, trace.PackHeaderSize+256*48)
+	var packs [][]byte
+	for _, ev := range fusedWorkload(0, 512) {
+		if b.Add(&ev) {
+			packs = append(packs, b.Take())
+		}
+	}
+	if h, err := trace.PeekHeader(packs[1]); err != nil || h.Count != 256 {
+		t.Fatalf("second pack: %+v, %v", h, err)
+	}
+	var dec trace.StreamDecoder
+	for _, pk := range packs {
+		if _, err := p.FoldPack(&dec, pk); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// The second pack's dictionary delta is empty, so it decodes again and
+	// again against the same stream state.
+	allocs := testing.AllocsPerRun(50, func() {
+		if _, err := p.FoldPack(&dec, packs[1]); err != nil {
+			t.Error(err)
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("warm FoldPack of a 256-event pack allocates %.1f, want 0", allocs)
+	}
+}

@@ -32,8 +32,9 @@ func windowedEnc(tb testing.TB, seed int64, slideNs int64) []byte {
 // Merge(DecodePartial) gives, rejected input errors and leaves the
 // receiver as it was. The corpus includes windowed encodings so the
 // trailing window section (count, strictly-increasing indices, nested
-// length-prefixed partials) is mutated too, and one out-of-order and one
-// repeated-key shape for every key-sorted section.
+// length-prefixed partials) is mutated too, one out-of-order and one
+// repeated-key shape for every key-sorted section, and a kind above 255
+// for every section keyed by kind.
 func FuzzDecodePartial(f *testing.F) {
 	rng := rand.New(rand.NewSource(1))
 	perRank := genRankEvents(rng, 4, 150)
@@ -53,8 +54,11 @@ func FuzzDecodePartial(f *testing.F) {
 	f.Add([]byte("VPP1"))
 	f.Add([]byte{})
 	for bad := 0; bad <= twoKeySections; bad++ {
-		f.Add(twoKeyPartial(bad, false))
-		f.Add(twoKeyPartial(bad, true))
+		f.Add(twoKeyPartial(bad, swappedKeys))
+		f.Add(twoKeyPartial(bad, repeatedKeys))
+	}
+	for _, sec := range twoKeyKindSections {
+		f.Add(twoKeyPartial(sec, aliasedKinds))
 	}
 	// The receiver rejected input is merged into: same shape as the
 	// twoKeyPartial seeds, so mutants of those get past the header.

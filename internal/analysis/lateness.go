@@ -235,7 +235,7 @@ func (tr *WindowTracker) Publish() {
 // NewReplica, on every replica's fold dispatcher. Call after EnableWindows
 // and before EnableReplicas or any replica/lane creation.
 func (p *Pipeline) AttachWindowTracker(tr *WindowTracker) error {
-	if err := p.addFold("windowlag", tr.OnEvent); err != nil {
+	if err := p.addFold(foldEntry{name: "windowlag", fold: tr.OnEvent}); err != nil {
 		return err
 	}
 	p.mu.Lock()

@@ -153,21 +153,27 @@ func TestFlushResetLeavesNothingBehind(t *testing.T) {
 	}
 }
 
+// The key pairs twoKeyPartial can plant in one section: out of order,
+// repeated, and — for a section keyed by kind — ascending but with a
+// second key that is kind 1 again once truncated to a uint8.
+var (
+	swappedKeys  = [2]uint32{2, 1}
+	repeatedKeys = [2]uint32{1, 1}
+	aliasedKinds = [2]uint32{1, 257}
+)
+
 // twoKeyPartial hand-assembles a small encoding with every module on,
 // a shed ledger and a two-window series, where every key-sorted section
-// holds exactly two keys. Section bad (1-based, 0 = none) gets its two
-// keys swapped, or with repeat set the first key twice.
-func twoKeyPartial(bad int, repeat bool) []byte {
+// holds exactly two keys: 1 and 2, except that section bad (1-based, 0 =
+// none) gets badKeys.
+func twoKeyPartial(bad int, badKeys [2]uint32) []byte {
 	section := 0
 	keys := func() (uint32, uint32) {
 		section++
-		switch {
-		case section != bad:
-			return 1, 2
-		case repeat:
-			return 1, 1
+		if section == bad {
+			return badKeys[0], badKeys[1]
 		}
-		return 2, 1
+		return 1, 2
 	}
 	st := Stat{Hits: 1, Bytes: 2, TimeNs: 3}
 	body := func(w *pwriter) {
@@ -298,11 +304,17 @@ func twoKeyPartial(bad int, repeat bool) []byte {
 // window partials.
 const twoKeySections = 12 + 1 + 2*8
 
+// twoKeyKindSections lists the sections of twoKeyPartial keyed by kind,
+// in the order it writes them: profiler, density, temporal, call-sites
+// and shed in the outer partial, then profiler, density and call-sites in
+// each of the two windows.
+var twoKeyKindSections = []int{1, 3, 8, 10, 12, 14, 16, 21, 22, 24, 29}
+
 // TestDecodePartialRejectsUnsortedKeys: every key-sorted section refuses
 // keys out of order and keys repeated. With an additive walker a repeat
 // would be a silent double count.
 func TestDecodePartialRejectsUnsortedKeys(t *testing.T) {
-	good := twoKeyPartial(0, false)
+	good := twoKeyPartial(0, swappedKeys)
 	pp, err := DecodePartial(good)
 	if err != nil {
 		t.Fatalf("well-ordered hand-built partial: %v", err)
@@ -311,23 +323,73 @@ func TestDecodePartialRejectsUnsortedKeys(t *testing.T) {
 		t.Fatal("hand-built partial is not in canonical form")
 	}
 	for bad := 1; bad <= twoKeySections; bad++ {
-		for _, repeat := range []bool{false, true} {
-			buf := twoKeyPartial(bad, repeat)
+		for _, keys := range [][2]uint32{swappedKeys, repeatedKeys} {
+			buf := twoKeyPartial(bad, keys)
 			if len(buf) != len(good) {
 				t.Fatalf("section %d: builder drifted", bad)
 			}
 			_, err := DecodePartial(buf)
 			if err == nil || !strings.Contains(err.Error(), "out of order") {
-				t.Errorf("section %d repeat=%v: err = %v, want an out-of-order rejection", bad, repeat, err)
+				t.Errorf("section %d keys %v: err = %v, want an out-of-order rejection", bad, keys, err)
 			}
 			rx := NewPartial(0, pp.Options())
 			if err := rx.MergeEncoded(buf); err == nil {
-				t.Errorf("section %d repeat=%v: MergeEncoded accepted it", bad, repeat)
+				t.Errorf("section %d keys %v: MergeEncoded accepted it", bad, keys)
 			}
 		}
 	}
-	if buf := twoKeyPartial(twoKeySections+1, false); !bytes.Equal(buf, good) {
+	if buf := twoKeyPartial(twoKeySections+1, swappedKeys); !bytes.Equal(buf, good) {
 		t.Fatalf("twoKeySections = %d undercounts the builder's sections", twoKeySections)
+	}
+}
+
+// TestDecodePartialRejectsWideKinds: a kind is a uint8 everywhere but in
+// the partial encoding, which spells it as a u32. Kinds {1, 257} pass the
+// strictly-ascending check, and truncated to a Kind they are {1, 1}: the
+// silent double count the ordering rule exists to prevent. Every section
+// keyed by kind must refuse a key above 255, and a refused MergeEncoded
+// must leave the receiver as it was.
+func TestDecodePartialRejectsWideKinds(t *testing.T) {
+	// The smallest case: a profiler section listing kinds 1 and 257 in an
+	// otherwise empty partial.
+	var w pwriter
+	w.buf = append(w.buf, partialMagic[:]...)
+	w.u32(0) // app id
+	w.u32(4) // app size
+	w.u32(0) // flags
+	w.i64(0) // temporal window
+	w.i64(2) // profiler: events, then two kinds
+	w.u32(2)
+	for _, k := range aliasedKinds {
+		w.u32(k)
+		w.stat(Stat{Hits: 1})
+	}
+	w.u32(0) // topology cells
+	w.u32(0) // density kinds
+	if pp, err := DecodePartial(w.buf); err == nil {
+		t.Fatalf("profiler kinds %v decoded; MPI_Send now has %d hits", aliasedKinds, pp.Profiler.Stat(trace.KindSend).Hits)
+	} else if !strings.Contains(err.Error(), "kind 257") {
+		t.Fatalf("err = %v, want a rejection naming kind 257", err)
+	}
+
+	good := twoKeyPartial(0, aliasedKinds)
+	opts := windowedAllOpts(4, 1500)
+	for _, sec := range twoKeyKindSections {
+		buf := twoKeyPartial(sec, aliasedKinds)
+		if bytes.Equal(buf, good) {
+			t.Fatalf("section %d: builder drifted", sec)
+		}
+		if _, err := DecodePartial(buf); err == nil || !strings.Contains(err.Error(), "kind 257") {
+			t.Errorf("section %d: err = %v, want a rejection naming kind 257", sec, err)
+		}
+		rx := buildPartial(0, opts, genRankEvents(rand.New(rand.NewSource(4)), 4, 60), []int{0, 1, 3})
+		before := rx.AppendCanonical(nil)
+		if err := rx.MergeEncoded(buf); err == nil {
+			t.Errorf("section %d: MergeEncoded accepted it", sec)
+		}
+		if !bytes.Equal(rx.AppendCanonical(nil), before) {
+			t.Errorf("section %d: the rejected MergeEncoded changed the receiver", sec)
+		}
 	}
 }
 

@@ -1,6 +1,8 @@
 package analysis
 
 import (
+	"math"
+	"slices"
 	"sync"
 
 	"repro/internal/trace"
@@ -29,6 +31,14 @@ func (s *Stat) merge(o Stat) {
 	s.TimeNs += o.TimeNs
 }
 
+// kindSlots is the size of a table indexed by a trace.Kind. A Kind is a
+// uint8, so 256 slots cover every value a pack dictionary can carry —
+// kinds this build has no name for are counted and reported like any
+// other — and indexing by the kind itself needs neither a hash nor a
+// bounds check. Ascending index order is the canonical kind order of the
+// partial encoding.
+const kindSlots = math.MaxUint8 + 1
+
 // entry returns m[k], inserting a zero value first when the key is new.
 func entry[K comparable, V any](m map[K]*V, k K) *V {
 	v := m[k]
@@ -53,6 +63,17 @@ func nonZeroKeys[K comparable, V comparable](m map[K]*V) []K {
 	return keys
 }
 
+// kindsWhere returns, ascending, the kinds whose table slot is in use.
+func kindsWhere(used func(k int) bool) []trace.Kind {
+	out := make([]trace.Kind, 0, trace.KindCount)
+	for k := 0; k < kindSlots; k++ {
+		if used(k) {
+			out = append(out, trace.Kind(k))
+		}
+	}
+	return out
+}
+
 // --- Profiler module ---
 
 // ProfilerModule reduces an application's events to per-call-type
@@ -61,14 +82,14 @@ func nonZeroKeys[K comparable, V comparable](m map[K]*V) []K {
 type ProfilerModule struct {
 	mu     sync.Mutex
 	size   int
-	total  map[trace.Kind]*Stat
 	events int64
+	total  [kindSlots]Stat
 }
 
 // NewProfilerModule creates a profiler for an application of the given
 // rank count.
 func NewProfilerModule(size int) *ProfilerModule {
-	return &ProfilerModule{size: size, total: make(map[trace.Kind]*Stat)}
+	return &ProfilerModule{size: size}
 }
 
 // Add folds one event in.
@@ -78,31 +99,26 @@ func (m *ProfilerModule) Add(ev *trace.Event) {
 	m.mu.Unlock()
 }
 
-// fold is Add without the lock: the replica fast path, where the caller
-// owns the module exclusively (see Replica).
+// fold is Add for a caller that already owns the module: a replica's
+// single owner, or a pack fold holding m.mu for the whole pack (see
+// Pipeline.FoldPack). Every module's fold has this contract.
 func (m *ProfilerModule) fold(ev *trace.Event) {
 	m.events++
-	st := m.total[ev.Kind]
-	if st == nil {
-		st = &Stat{}
-		m.total[ev.Kind] = st
-	}
-	st.add(ev)
+	m.total[ev.Kind].add(ev)
 }
 
-// mergeReset folds o into m and resets o to empty in place, keeping o's
-// allocated keys and buckets so a steady-state epoch merge allocates
-// nothing. The caller must own o exclusively (it is a paused replica).
+// mergeReset folds o into m and resets o to empty in place, so a
+// steady-state epoch merge allocates nothing. The caller must own o
+// exclusively (it is a paused replica).
 func (m *ProfilerModule) mergeReset(o *ProfilerModule) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.events += o.events
 	o.events = 0
-	for k, st := range o.total {
-		dst := entry(m.total, k)
-		dst.merge(*st)
-		*st = Stat{}
+	for k := range o.total {
+		m.total[k].merge(o.total[k])
 	}
+	o.total = [kindSlots]Stat{}
 }
 
 // Events returns the number of events profiled.
@@ -117,39 +133,27 @@ func (m *ProfilerModule) Events() int64 {
 func (m *ProfilerModule) Stat(k trace.Kind) Stat {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if st := m.total[k]; st != nil {
-		return *st
-	}
-	return Stat{}
+	return m.total[k]
 }
 
-// Kinds returns the call kinds observed, unordered.
+// Kinds returns the call kinds observed, ascending.
 func (m *ProfilerModule) Kinds() []trace.Kind {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	out := make([]trace.Kind, 0, len(m.total))
-	for k := range m.total {
-		out = append(out, k)
-	}
-	return out
+	return kindsWhere(func(k int) bool { return m.total[k] != Stat{} })
 }
 
 // Merge folds another profiler (e.g. from a different analyzer rank) into
 // this one.
 func (m *ProfilerModule) Merge(o *ProfilerModule) {
 	o.mu.Lock()
-	snapshot := make(map[trace.Kind]Stat, len(o.total))
-	for k, st := range o.total {
-		snapshot[k] = *st
-	}
-	ev := o.events
+	snapshot, ev := o.total, o.events
 	o.mu.Unlock()
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.events += ev
-	for k, st := range snapshot {
-		dst := entry(m.total, k)
-		dst.merge(st)
+	for k := range snapshot {
+		m.total[k].merge(snapshot[k])
 	}
 }
 
@@ -244,26 +248,15 @@ func NewTopologyModule(size int) *TopologyModule {
 	return &TopologyModule{mat: NewMatrix(size)}
 }
 
-// Add folds one event in; only outgoing point-to-point events with a valid
-// peer count (each transfer is counted once, at its sender).
+// Add folds one event in.
 func (m *TopologyModule) Add(ev *trace.Event) {
-	if !ev.Kind.IsOutgoingP2P() {
-		return
-	}
-	src, dst := int(ev.Rank), int(ev.Peer)
-	if src < 0 || dst < 0 || src >= m.mat.N || dst >= m.mat.N {
-		return
-	}
 	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.mat.ensure()
-	i := src*m.mat.N + dst
-	m.mat.Hits[i]++
-	m.mat.Bytes[i] += ev.Size
-	m.mat.TimeNs[i] += ev.Duration()
+	m.fold(ev)
+	m.mu.Unlock()
 }
 
-// fold is Add without the lock (replica fast path, caller owns m).
+// fold counts outgoing point-to-point events with a valid peer (each
+// transfer is counted once, at its sender).
 func (m *TopologyModule) fold(ev *trace.Event) {
 	if !ev.Kind.IsOutgoingP2P() {
 		return
@@ -369,79 +362,77 @@ func (w Metric) String() string {
 type DensityModule struct {
 	mu   sync.Mutex
 	size int
-	// perKind maps kind → per-rank stats.
-	perKind map[trace.Kind][]Stat
+	// perKind holds one per-rank row per kind, allocated when the kind
+	// first occurs.
+	perKind [kindSlots][]Stat
 }
 
 // NewDensityModule creates a density module for an application of the
 // given rank count.
 func NewDensityModule(size int) *DensityModule {
-	return &DensityModule{size: size, perKind: make(map[trace.Kind][]Stat)}
+	return &DensityModule{size: size}
 }
 
 // Add folds one event in.
 func (m *DensityModule) Add(ev *trace.Event) {
-	r := int(ev.Rank)
-	if r < 0 || r >= m.size {
-		return
-	}
 	m.mu.Lock()
-	defer m.mu.Unlock()
-	per := m.perKind[ev.Kind]
-	if per == nil {
-		per = make([]Stat, m.size)
-		m.perKind[ev.Kind] = per
-	}
-	per[r].add(ev)
+	m.fold(ev)
+	m.mu.Unlock()
 }
 
-// fold is Add without the lock (replica fast path, caller owns m).
 func (m *DensityModule) fold(ev *trace.Event) {
 	r := int(ev.Rank)
 	if r < 0 || r >= m.size {
 		return
 	}
-	per := m.perKind[ev.Kind]
-	if per == nil {
-		per = make([]Stat, m.size)
-		m.perKind[ev.Kind] = per
-	}
-	per[r].add(ev)
+	m.row(ev.Kind)[r].add(ev)
 }
 
-// mergeReset folds o into m and zeroes o's per-kind rows in place,
-// keeping o's map keys and slices for reuse. The caller must own o
-// exclusively; allocates only the first time m sees a kind.
-func (m *DensityModule) mergeReset(o *DensityModule) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	for k, per := range o.perKind {
-		dst := m.perKind[k]
-		if dst == nil {
-			dst = make([]Stat, m.size)
-			m.perKind[k] = dst
+// row returns kind k's per-rank row, allocating it on first use.
+func (m *DensityModule) row(k trace.Kind) []Stat {
+	per := m.perKind[k]
+	if per == nil {
+		per = make([]Stat, m.size)
+		m.perKind[k] = per
+	}
+	return per
+}
+
+// mergeRows adds every row of src into m. Called with m.mu held.
+func (m *DensityModule) mergeRows(src *[kindSlots][]Stat) {
+	for k, per := range src {
+		if per == nil {
+			continue
 		}
+		dst := m.row(trace.Kind(k))
 		for r := range per {
 			if r < len(dst) {
 				dst[r].merge(per[r])
 			}
-			per[r] = Stat{}
 		}
+	}
+}
+
+// mergeReset folds o into m and zeroes o's rows in place, keeping them
+// for reuse. The caller must own o exclusively; allocates only the first
+// time m sees a kind.
+func (m *DensityModule) mergeReset(o *DensityModule) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	m.mergeRows(&o.perKind)
+	for _, per := range o.perKind {
+		clear(per)
 	}
 }
 
 // Size returns the application's rank count.
 func (m *DensityModule) Size() int { return m.size }
 
-// Kinds returns the call kinds observed, unordered.
+// Kinds returns the call kinds observed, ascending.
 func (m *DensityModule) Kinds() []trace.Kind {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	out := make([]trace.Kind, 0, len(m.perKind))
-	for k := range m.perKind {
-		out = append(out, k)
-	}
-	return out
+	return kindsWhere(func(k int) bool { return m.perKind[k] != nil })
 }
 
 // Map returns the per-rank values of one kind under one metric (length =
@@ -515,25 +506,12 @@ func (m *DensityModule) P2PSizeMap() []float64 {
 // Merge folds another density module into this one.
 func (m *DensityModule) Merge(o *DensityModule) {
 	o.mu.Lock()
-	snap := make(map[trace.Kind][]Stat, len(o.perKind))
-	for k, per := range o.perKind {
-		cp := make([]Stat, len(per))
-		copy(cp, per)
-		snap[k] = cp
+	snap := o.perKind
+	for k, per := range snap {
+		snap[k] = slices.Clone(per)
 	}
 	o.mu.Unlock()
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	for k, per := range snap {
-		dst := m.perKind[k]
-		if dst == nil {
-			dst = make([]Stat, m.size)
-			m.perKind[k] = dst
-		}
-		for r := range per {
-			if r < len(dst) {
-				dst[r].merge(per[r])
-			}
-		}
-	}
+	m.mergeRows(&snap)
 }

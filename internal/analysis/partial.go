@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"encoding/binary"
 	"fmt"
+	"math"
 	"slices"
 
 	"repro/internal/trace"
@@ -345,13 +346,8 @@ func windowHasContent(wp *Partial, pendings bool) bool {
 	ws := wp.Waits
 	ws.mu.Lock()
 	defer ws.mu.Unlock()
-	for _, q := range ws.sends {
-		if len(q) > 0 {
-			return true
-		}
-	}
-	for _, q := range ws.recvs {
-		if len(q) > 0 {
+	for _, q := range ws.chans {
+		if len(q.sends)+len(q.recvs) > 0 {
 			return true
 		}
 	}
@@ -388,31 +384,26 @@ func (pp *Partial) encodeShed(w *pwriter, reset bool) {
 	}
 }
 
-func sortedKinds(m map[trace.Kind][]Stat) []trace.Kind {
-	out := make([]trace.Kind, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	slices.Sort(out)
-	return out
-}
-
 func (pp *Partial) encodeProfiler(w *pwriter, reset bool) {
 	m := pp.Profiler
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	w.i64(m.events)
-	kinds := nonZeroKeys(m.total)
-	slices.Sort(kinds)
-	w.u32(uint32(len(kinds)))
-	for _, k := range kinds {
-		st := m.total[k]
+	countAt := w.reserve()
+	n := 0
+	for k := range m.total {
+		st := &m.total[k]
+		if *st == (Stat{}) {
+			continue
+		}
+		n++
 		w.u32(uint32(k))
 		w.stat(*st)
 		if reset {
 			*st = Stat{}
 		}
 	}
+	w.backfill(countAt, n)
 	if reset {
 		m.events = 0
 	}
@@ -439,14 +430,16 @@ func (pp *Partial) encodeTopology(w *pwriter, reset bool) {
 	w.backfill(countAt, n)
 }
 
-// encodeKindRows writes a kind → dense-row map sparse: kinds ascending,
-// within a kind only the non-zero cells, and no kind without one. A
-// reset zeroes the rows and keeps them.
-func encodeKindRows(w *pwriter, perKind map[trace.Kind][]Stat, reset bool) {
+// encodeKindRows writes a table of per-kind dense rows sparse: kinds
+// ascending (the table's index order), within a kind only the non-zero
+// cells, and no kind without one. A reset zeroes the rows and keeps them.
+func encodeKindRows(w *pwriter, perKind *[kindSlots][]Stat, reset bool) {
 	kindsAt := w.reserve()
 	nk := 0
-	for _, k := range sortedKinds(perKind) {
-		per := perKind[k]
+	for k, per := range perKind {
+		if len(per) == 0 {
+			continue
+		}
 		kindAt := len(w.buf)
 		w.u32(uint32(k))
 		countAt := w.reserve()
@@ -476,7 +469,7 @@ func (pp *Partial) encodeDensity(w *pwriter, reset bool) {
 	m := pp.Density
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	encodeKindRows(w, m.perKind, reset)
+	encodeKindRows(w, &m.perKind, reset)
 }
 
 func (pp *Partial) encodeWaits(w *pwriter, pendings, reset bool) {
@@ -512,46 +505,55 @@ func (pp *Partial) encodeWaits(w *pwriter, pendings, reset bool) {
 		w.u32(0)
 		return
 	}
-	// Pairing can leave empty queues behind in the maps; skipping them
+	// Pairing leaves empty queues behind in the records; skipping them
 	// keeps the encoding canonical (content-equal modules encode
-	// identically whatever their pairing history).
-	sendKeys := make([]chanKey, 0, len(m.sends))
-	for k, q := range m.sends {
-		if len(q) > 0 {
-			sendKeys = append(sendKeys, k)
+	// identically whatever their pairing history). Both sections list
+	// their channels in the same order, so one sort serves them.
+	type liveChan struct {
+		key chanKey
+		q   *chanQueues
+	}
+	live := make([]liveChan, 0, len(m.chans))
+	for k, q := range m.chans {
+		if len(q.sends)+len(q.recvs) > 0 {
+			live = append(live, liveChan{k, q})
 		}
 	}
-	slices.SortFunc(sendKeys, cmpChanKey)
-	w.u32(uint32(len(sendKeys)))
-	for _, k := range sendKeys {
-		w.chanKey(k)
-		q := m.sends[k]
-		w.u32(uint32(len(q)))
-		for _, t := range q {
+	slices.SortFunc(live, func(a, b liveChan) int { return cmpChanKey(a.key, b.key) })
+	countAt = w.reserve()
+	n = 0
+	for _, c := range live {
+		if len(c.q.sends) == 0 {
+			continue
+		}
+		n++
+		w.chanKey(c.key)
+		w.u32(uint32(len(c.q.sends)))
+		for _, t := range c.q.sends {
 			w.i64(t)
 		}
 	}
-	recvKeys := make([]chanKey, 0, len(m.recvs))
-	for k, q := range m.recvs {
-		if len(q) > 0 {
-			recvKeys = append(recvKeys, k)
+	w.backfill(countAt, n)
+	countAt = w.reserve()
+	n = 0
+	for _, c := range live {
+		if len(c.q.recvs) == 0 {
+			continue
 		}
-	}
-	slices.SortFunc(recvKeys, cmpChanKey)
-	w.u32(uint32(len(recvKeys)))
-	for _, k := range recvKeys {
-		w.chanKey(k)
-		q := m.recvs[k]
-		w.u32(uint32(len(q)))
-		for _, rv := range q {
+		n++
+		w.chanKey(c.key)
+		w.u32(uint32(len(c.q.recvs)))
+		for _, rv := range c.q.recvs {
 			w.u32(uint32(rv.rank))
 			w.i64(rv.tStart)
 			w.i64(rv.tEnd)
 		}
 	}
+	w.backfill(countAt, n)
 	if reset {
-		clear(m.sends)
-		clear(m.recvs)
+		for _, c := range live {
+			c.q.sends, c.q.recvs = c.q.sends[:0], c.q.recvs[:0]
+		}
 	}
 }
 
@@ -560,7 +562,7 @@ func (pp *Partial) encodeTemporal(w *pwriter, reset bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	w.u32(uint32(m.buckets))
-	encodeKindRows(w, m.perKind, reset)
+	encodeKindRows(w, &m.perKind, reset)
 	if reset {
 		// A reset row keeps its capacity but not its length: the bucket
 		// count restarts at zero and growStats re-extends rows as events
@@ -776,14 +778,14 @@ func (pp *Partial) mergeProfiler(r *preader, apply bool) error {
 	}
 	var prev uint32
 	for i := 0; i < n; i++ {
-		k := r.u32()
+		k := r.kind("profiler")
 		st := r.stat()
 		if !r.inOrder(i == 0 || k > prev, "profiler kind") {
 			return r.err
 		}
 		prev = k
 		if apply {
-			entry(m.total, trace.Kind(k)).merge(st)
+			m.total[k].merge(st)
 		}
 	}
 	return r.err
@@ -838,7 +840,7 @@ func (pp *Partial) mergeDensity(r *preader, apply bool) error {
 	}
 	var prevK uint32
 	for i := 0; i < nk; i++ {
-		k := r.u32()
+		k := r.kind("density")
 		n := int(r.u32())
 		r.inOrder(i == 0 || k > prevK, "density kind")
 		prevK = k
@@ -847,10 +849,7 @@ func (pp *Partial) mergeDensity(r *preader, apply bool) error {
 		}
 		var per []Stat
 		if apply && n > 0 {
-			if per = m.perKind[trace.Kind(k)]; per == nil {
-				per = make([]Stat, m.size)
-				m.perKind[trace.Kind(k)] = per
-			}
+			per = m.row(trace.Kind(k))
 		}
 		var prev uint32
 		for j := 0; j < n; j++ {
@@ -904,7 +903,7 @@ func (pp *Partial) mergeWaits(r *preader, apply bool) error {
 	// channel, then (unless lazy) a positional drain of every channel the
 	// buffer named — after both sides are in, so the pairing sees the
 	// channel's whole FIFO order.
-	var touched []chanKey
+	var touched []*chanQueues
 	for side := 0; side < 2; side++ {
 		elem := 8 // send: start time
 		if side == 1 {
@@ -927,25 +926,26 @@ func (pp *Partial) mergeWaits(r *preader, apply bool) error {
 				r.off += ql * elem
 				continue
 			}
+			cq := m.queues(key)
 			if side == 0 {
 				q := make([]int64, ql)
 				for j := range q {
 					q[j] = r.i64()
 				}
-				m.sends[key] = mergeSorted(m.sends[key], q, func(a, b int64) bool { return a < b })
+				cq.sends = mergeSorted(cq.sends, q, cmp.Less[int64])
 			} else {
 				q := make([]recvEvt, ql)
 				for j := range q {
 					q[j] = recvEvt{rank: int32(r.u32()), tStart: r.i64(), tEnd: r.i64()}
 				}
-				m.recvs[key] = mergeSorted(m.recvs[key], q, lessRecv)
+				cq.recvs = mergeSorted(cq.recvs, q, lessRecv)
 			}
-			touched = append(touched, key)
+			touched = append(touched, cq)
 		}
 	}
 	if apply && !m.lazy {
-		for _, key := range touched {
-			m.drainChannel(key)
+		for _, cq := range touched {
+			m.drain(cq)
 		}
 	}
 	return r.err
@@ -971,7 +971,7 @@ func (pp *Partial) mergeTemporal(r *preader, apply bool) error {
 	cells := 0
 	var prevK uint32
 	for i := 0; i < nk; i++ {
-		k := r.u32()
+		k := r.kind("temporal")
 		n := int(r.u32())
 		r.inOrder(i == 0 || k > prevK, "temporal kind")
 		prevK = k
@@ -1002,13 +1002,13 @@ func (pp *Partial) mergeTemporal(r *preader, apply bool) error {
 		if !apply || n == 0 {
 			continue
 		}
-		per := growStats(m.perKind[trace.Kind(k)], maxB+1)
+		per := growStats(m.perKind[k], maxB+1)
 		r.off = mark
 		for j := 0; j < n; j++ {
 			b := r.u32()
 			per[b].merge(r.stat())
 		}
-		m.perKind[trace.Kind(k)] = per
+		m.perKind[k] = per
 	}
 	return r.err
 }
@@ -1025,7 +1025,7 @@ func (pp *Partial) mergeCallsites(r *preader, apply bool) error {
 	}
 	var prev uint64
 	for i := 0; i < n; i++ {
-		ctx, kind := r.u32(), r.u32()
+		ctx, kind := r.u32(), r.kind("call-site")
 		st := r.stat()
 		order := uint64(ctx)<<32 | uint64(kind)
 		if !r.inOrder(i == 0 || order > prev, "call-site") {
@@ -1084,7 +1084,7 @@ func (pp *Partial) mergeShed(r *preader, apply bool) error {
 	}
 	var prev uint32
 	for i := 0; i < n; i++ {
-		k := r.u32()
+		k := r.kind("shed")
 		st := ShedStat{Shed: r.i64(), Kept: r.i64()}
 		if !r.inOrder(i == 0 || k > prev, "shed kind") {
 			return r.err
@@ -1148,10 +1148,7 @@ func (pp *Partial) mergeWindows(r *preader, apply bool) error {
 		}
 		wp := &check
 		if apply {
-			if wp = m.wins[idx]; wp == nil {
-				wp = m.newWindowPartial()
-				m.wins[idx] = wp
-			}
+			wp = m.window(idx)
 		}
 		if err := wp.mergeSections(&sub, flags, apply); err != nil {
 			return fmt.Errorf("analysis: window %d: %w", idx, err)
@@ -1256,6 +1253,17 @@ func (r *preader) i64() int64 {
 	v := binary.LittleEndian.Uint64(r.buf[r.off:])
 	r.off += 8
 	return int64(v)
+}
+
+// kind reads a kind key. Every other surface carries a kind as a uint8;
+// a wider value here would alias into the kind tables (257 onto 1) and
+// count twice under a key that passed the ascending-order check.
+func (r *preader) kind(section string) uint32 {
+	k := r.u32()
+	if k > math.MaxUint8 && r.err == nil {
+		r.err = fmt.Errorf("analysis: partial %s kind %d outside [0, %d]", section, k, math.MaxUint8)
+	}
+	return k
 }
 
 func (r *preader) stat() Stat {

@@ -12,12 +12,12 @@ import (
 // replicas folding events into private memory, merged into the canonical
 // modules on epoch boundaries.
 //
-// The flat path serializes every fold on the modules' mutexes — at high
-// core counts the fused ingest collapses into lock convoys on the module
-// maps. But PR 5 already made every module's state associative-commutative
-// mergeable (the Partial machinery), so the fix is structural, not
-// lock-tuning: give each worker its own replica of the module set, fold
-// without any synchronization, and run the existing merge on epoch
+// The flat path serializes pack folds on the modules' mutexes (held per
+// pack, see Pipeline.FoldPack) — concurrent sources queue behind one
+// another. But PR 5 already made every module's state associative-
+// commutative mergeable (the Partial machinery), so the fix is structural,
+// not lock-tuning: give each worker its own replica of the module set,
+// fold without any synchronization, and run the existing merge on epoch
 // boundaries. Merge order and cadence cannot change the result — that is
 // exactly the property the reduction tree is built on, and the canonical
 // sparse key-sorted Partial encoding makes it checkable byte-for-byte.
@@ -192,7 +192,7 @@ func (p *Pipeline) MergeReplica(r *Replica) {
 
 // EnableReplicas switches the pipeline's board path to shared-nothing
 // parallel folding: the fold KS stops dispatching through the fold list
-// (whose Adds all contend on the module mutexes) and folds each pack into
+// (whose pack folds queue on the module mutexes) and folds each pack into
 // the executing worker's private replica, merging into the canonical
 // modules once epochEvents events accumulated (0 = default). Call after
 // every Enable* the run will use and before any pack flows; call Settle

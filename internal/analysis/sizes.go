@@ -36,20 +36,15 @@ func bucketOf(size int64) int {
 	return b
 }
 
-// Add folds one event in (only outgoing point-to-point events count; each
-// transfer is histogrammed once, at its sender).
+// Add folds one event in.
 func (m *SizesModule) Add(ev *trace.Event) {
-	if !ev.Kind.IsOutgoingP2P() || ev.Size < 0 {
-		return
-	}
-	b := bucketOf(ev.Size)
 	m.mu.Lock()
-	m.hits[b]++
-	m.bytes[b] += ev.Size
+	m.fold(ev)
 	m.mu.Unlock()
 }
 
-// fold is Add without the lock (replica fast path, caller owns m).
+// fold histograms outgoing point-to-point events (each transfer once, at
+// its sender).
 func (m *SizesModule) fold(ev *trace.Event) {
 	if !ev.Kind.IsOutgoingP2P() || ev.Size < 0 {
 		return
@@ -145,7 +140,7 @@ func (m *SizesModule) Merge(o *SizesModule) {
 // list and returns it.
 func (p *Pipeline) EnableSizes() (*SizesModule, error) {
 	m := NewSizesModule()
-	if err := p.addFold("sizes", m.Add); err != nil {
+	if err := p.addFold(foldEntry{"sizes", &m.mu, m.fold}); err != nil {
 		return nil, err
 	}
 	p.sizes = m

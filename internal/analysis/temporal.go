@@ -1,6 +1,7 @@
 package analysis
 
 import (
+	"slices"
 	"sync"
 
 	"repro/internal/trace"
@@ -19,8 +20,8 @@ type TemporalModule struct {
 	mu sync.Mutex
 	// window is the bucket width in virtual nanoseconds.
 	window int64
-	// perKind maps kind → per-bucket stats.
-	perKind map[trace.Kind][]Stat
+	// perKind holds one per-bucket row per kind, grown as events arrive.
+	perKind [kindSlots][]Stat
 	buckets int
 }
 
@@ -30,7 +31,7 @@ func NewTemporalModule(windowNs int64) *TemporalModule {
 	if windowNs <= 0 {
 		windowNs = 1e8
 	}
-	return &TemporalModule{window: windowNs, perKind: make(map[trace.Kind][]Stat)}
+	return &TemporalModule{window: windowNs}
 }
 
 // Window returns the bucket width in nanoseconds.
@@ -38,14 +39,18 @@ func (m *TemporalModule) Window() int64 { return m.window }
 
 // Add folds one event in.
 func (m *TemporalModule) Add(ev *trace.Event) {
+	m.mu.Lock()
+	m.fold(ev)
+	m.mu.Unlock()
+}
+
+func (m *TemporalModule) fold(ev *trace.Event) {
 	start, end := ev.TStart, ev.TEnd
 	if end < start {
 		return
 	}
 	firstB := int(start / m.window)
 	lastB := int(end / m.window)
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	if lastB+1 > m.buckets {
 		m.buckets = lastB + 1
 	}
@@ -72,55 +77,32 @@ func (m *TemporalModule) Add(ev *trace.Event) {
 	}
 }
 
-// fold is Add without the lock (replica fast path, caller owns m).
-func (m *TemporalModule) fold(ev *trace.Event) {
-	start, end := ev.TStart, ev.TEnd
-	if end < start {
-		return
-	}
-	firstB := int(start / m.window)
-	lastB := int(end / m.window)
-	if lastB+1 > m.buckets {
-		m.buckets = lastB + 1
-	}
-	per := m.perKind[ev.Kind]
-	if len(per) <= lastB {
-		per = growStats(per, m.buckets)
-		m.perKind[ev.Kind] = per
-	}
-	per[firstB].Hits++
-	per[firstB].Bytes += ev.Size
-	dur := end - start
-	if dur == 0 || firstB == lastB {
-		per[firstB].TimeNs += dur
-		return
-	}
-	for b := firstB; b <= lastB; b++ {
-		bStart := int64(b) * m.window
-		bEnd := bStart + m.window
-		lo, hi := max64(start, bStart), min64(end, bEnd)
-		if hi > lo {
-			per[b].TimeNs += hi - lo
+// mergeRows adds every row of src into m. Called with m.mu held.
+func (m *TemporalModule) mergeRows(src *[kindSlots][]Stat) {
+	for k, per := range src {
+		if len(per) == 0 {
+			continue
+		}
+		dst := growStats(m.perKind[k], len(per))
+		m.perKind[k] = dst
+		for b := range per {
+			dst[b].merge(per[b])
 		}
 	}
 }
 
 // mergeReset folds o into m and zeroes o's buckets in place, keeping o's
-// map keys and slices for reuse. The caller must own o exclusively;
-// allocates only when m has to grow a kind's bucket slice.
+// rows for reuse. The caller must own o exclusively; allocates only when
+// m has to grow a kind's bucket row.
 func (m *TemporalModule) mergeReset(o *TemporalModule) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if o.buckets > m.buckets {
 		m.buckets = o.buckets
 	}
-	for k, per := range o.perKind {
-		dst := growStats(m.perKind[k], len(per))
-		m.perKind[k] = dst
-		for b := range per {
-			dst[b].merge(per[b])
-			per[b] = Stat{}
-		}
+	m.mergeRows(&o.perKind)
+	for _, per := range o.perKind {
+		clear(per)
 	}
 }
 
@@ -158,15 +140,11 @@ func (m *TemporalModule) Buckets() int {
 	return m.buckets
 }
 
-// Kinds returns the call kinds observed, unordered.
+// Kinds returns the call kinds observed, ascending.
 func (m *TemporalModule) Kinds() []trace.Kind {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	out := make([]trace.Kind, 0, len(m.perKind))
-	for k := range m.perKind {
-		out = append(out, k)
-	}
-	return out
+	return kindsWhere(func(k int) bool { return m.perKind[k] != nil })
 }
 
 // Series returns the per-bucket values of one kind under one metric,
@@ -192,13 +170,15 @@ func (m *TemporalModule) Series(k trace.Kind, metric Metric) []float64 {
 // (point-to-point, waits, collectives) per bucket — the report's headline
 // temporal map.
 func (m *TemporalModule) CommunicationTimeSeries() []float64 {
-	out := make([]float64, m.Buckets())
-	for _, k := range m.Kinds() {
-		if !(k.IsP2P() || k.IsWait() || k.IsCollective()) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	out := make([]float64, m.buckets)
+	for k, per := range m.perKind {
+		if k := trace.Kind(k); !(k.IsP2P() || k.IsWait() || k.IsCollective()) {
 			continue
 		}
-		for b, v := range m.Series(k, MetricTime) {
-			out[b] += v
+		for b, st := range per {
+			out[b] += float64(st.TimeNs)
 		}
 	}
 	return out
@@ -207,33 +187,24 @@ func (m *TemporalModule) CommunicationTimeSeries() []float64 {
 // Merge folds another temporal module (same window) into this one.
 func (m *TemporalModule) Merge(o *TemporalModule) {
 	o.mu.Lock()
-	snap := make(map[trace.Kind][]Stat, len(o.perKind))
-	for k, per := range o.perKind {
-		cp := make([]Stat, len(per))
-		copy(cp, per)
-		snap[k] = cp
+	snap, ob := o.perKind, o.buckets
+	for k, per := range snap {
+		snap[k] = slices.Clone(per)
 	}
-	ob := o.buckets
 	o.mu.Unlock()
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if ob > m.buckets {
 		m.buckets = ob
 	}
-	for k, per := range snap {
-		dst := growStats(m.perKind[k], len(per))
-		for b := range per {
-			dst[b].merge(per[b])
-		}
-		m.perKind[k] = dst
-	}
+	m.mergeRows(&snap)
 }
 
 // EnableTemporal adds a temporal-map module to the pipeline's fold list and
 // returns its module.
 func (p *Pipeline) EnableTemporal(windowNs int64) (*TemporalModule, error) {
 	m := NewTemporalModule(windowNs)
-	if err := p.addFold("temporal", m.Add); err != nil {
+	if err := p.addFold(foldEntry{"temporal", &m.mu, m.fold}); err != nil {
 		return nil, err
 	}
 	p.temporal = m

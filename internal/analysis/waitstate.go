@@ -1,6 +1,8 @@
 package analysis
 
 import (
+	"cmp"
+	"slices"
 	"sort"
 	"sync"
 
@@ -40,10 +42,14 @@ type WaitStateModule struct {
 	mu   sync.Mutex
 	size int
 
-	// pending events per channel, each queue sorted by time (= the
-	// channel's FIFO order, since each side originates at a single rank).
-	sends map[chanKey][]int64 // send start times
-	recvs map[chanKey][]recvEvt
+	// chans holds each channel's pending events. A record stays in the
+	// map once its queues drain, so the next event on the channel costs one
+	// lookup and an append into capacity it already has; every reader and
+	// encoder skips empty queues.
+	chans map[chanKey]*chanQueues
+	// slab is the unused rest of the chunk new records are cut from: a
+	// run touches thousands of channels, one allocation each otherwise.
+	slab []chanQueues
 
 	// lateNs / lateHits accumulate late-sender wait per receiving rank.
 	lateNs   []int64
@@ -67,6 +73,13 @@ type chanKey struct {
 	comm     uint32
 }
 
+// chanQueues is one channel's two pending queues, each sorted by time (=
+// the channel's FIFO order, since each side originates at a single rank).
+type chanQueues struct {
+	sends []int64 // send start times
+	recvs []recvEvt
+}
+
 type recvEvt struct {
 	rank   int32
 	tStart int64
@@ -78,8 +91,7 @@ type recvEvt struct {
 func NewWaitStateModule(size int) *WaitStateModule {
 	return &WaitStateModule{
 		size:     size,
-		sends:    make(map[chanKey][]int64),
-		recvs:    make(map[chanKey][]recvEvt),
+		chans:    make(map[chanKey]*chanQueues),
 		lateNs:   make([]int64, size),
 		lateHits: make([]int64, size),
 	}
@@ -88,57 +100,44 @@ func NewWaitStateModule(size int) *WaitStateModule {
 // Add inserts one event into its channel queue (no pairing yet — see the
 // type comment).
 func (m *WaitStateModule) Add(ev *trace.Event) {
-	switch ev.Kind {
-	case trace.KindSend, trace.KindIsend:
-		if ev.Peer < 0 {
-			return
-		}
-		key := chanKey{src: ev.Rank, dst: ev.Peer, tag: ev.Tag, comm: ev.Comm}
-		m.mu.Lock()
-		m.sends[key] = insertSorted(m.sends[key], ev.TStart,
-			func(a, b int64) bool { return a < b })
-		m.mu.Unlock()
-	case trace.KindRecv, trace.KindWait:
-		if ev.Peer < 0 {
-			return // wildcard completion without source: unmatchable
-		}
-		key := chanKey{src: ev.Peer, dst: ev.Rank, tag: ev.Tag, comm: ev.Comm}
-		if ev.Kind == trace.KindWait {
-			// Wait events carry the matched source but not the original
-			// tag; fold them onto the wildcard-tag channel only if a tag
-			// was recorded.
-			if ev.Tag < 0 {
-				return
-			}
-		}
-		rv := recvEvt{rank: ev.Rank, tStart: ev.TStart, tEnd: ev.TEnd}
-		m.mu.Lock()
-		m.recvs[key] = insertSorted(m.recvs[key], rv, lessRecv)
-		m.mu.Unlock()
-	}
+	m.mu.Lock()
+	m.fold(ev)
+	m.mu.Unlock()
 }
 
-// fold is Add without the lock (replica fast path, caller owns m).
 func (m *WaitStateModule) fold(ev *trace.Event) {
 	switch ev.Kind {
 	case trace.KindSend, trace.KindIsend:
 		if ev.Peer < 0 {
 			return
 		}
-		key := chanKey{src: ev.Rank, dst: ev.Peer, tag: ev.Tag, comm: ev.Comm}
-		m.sends[key] = insertSorted(m.sends[key], ev.TStart,
-			func(a, b int64) bool { return a < b })
+		q := m.queues(chanKey{src: ev.Rank, dst: ev.Peer, tag: ev.Tag, comm: ev.Comm})
+		q.sends = insertSorted(q.sends, ev.TStart, cmp.Less[int64])
 	case trace.KindRecv, trace.KindWait:
 		if ev.Peer < 0 {
-			return
+			return // wildcard completion without source: unmatchable
 		}
-		key := chanKey{src: ev.Peer, dst: ev.Rank, tag: ev.Tag, comm: ev.Comm}
+		// Wait events carry the matched source but not the original tag;
+		// they pair only if a tag was recorded.
 		if ev.Kind == trace.KindWait && ev.Tag < 0 {
 			return
 		}
-		rv := recvEvt{rank: ev.Rank, tStart: ev.TStart, tEnd: ev.TEnd}
-		m.recvs[key] = insertSorted(m.recvs[key], rv, lessRecv)
+		q := m.queues(chanKey{src: ev.Peer, dst: ev.Rank, tag: ev.Tag, comm: ev.Comm})
+		q.recvs = insertSorted(q.recvs, recvEvt{rank: ev.Rank, tStart: ev.TStart, tEnd: ev.TEnd}, lessRecv)
 	}
+}
+
+// queues returns channel k's record, minting it on first use.
+func (m *WaitStateModule) queues(k chanKey) *chanQueues {
+	q := m.chans[k]
+	if q == nil {
+		if len(m.slab) == 0 {
+			m.slab = make([]chanQueues, 32)
+		}
+		q, m.slab = &m.slab[0], m.slab[1:]
+		m.chans[k] = q
+	}
+	return q
 }
 
 func lessRecv(a, b recvEvt) bool {
@@ -165,10 +164,8 @@ func insertSorted[T any](q []T, v T, less func(x, y T) bool) []T {
 // settleLocked positionally pairs every channel that currently holds both
 // sides. Called with m.mu held.
 func (m *WaitStateModule) settleLocked() {
-	for k := range m.sends {
-		if len(m.recvs[k]) > 0 {
-			m.drainChannel(k)
-		}
+	for _, q := range m.chans {
+		m.drain(q)
 	}
 }
 
@@ -208,11 +205,8 @@ func (m *WaitStateModule) Unmatched() int64 {
 	defer m.mu.Unlock()
 	m.settleLocked()
 	var n int64
-	for _, q := range m.sends {
-		n += int64(len(q))
-	}
-	for _, q := range m.recvs {
-		n += int64(len(q))
+	for _, q := range m.chans {
+		n += int64(len(q.sends) + len(q.recvs))
 	}
 	return n
 }
@@ -285,61 +279,25 @@ func (m *WaitStateModule) Merge(o *WaitStateModule) {
 // invariant the reduction tree is built on.
 func (m *WaitStateModule) MergeFull(o *WaitStateModule) {
 	o.mu.Lock()
-	ln := append([]int64(nil), o.lateNs...)
-	lh := append([]int64(nil), o.lateHits...)
-	pr := o.pairs
-	sends := make(map[chanKey][]int64, len(o.sends))
-	for k, q := range o.sends {
-		if len(q) > 0 {
-			sends[k] = append([]int64(nil), q...)
-		}
-	}
-	recvs := make(map[chanKey][]recvEvt, len(o.recvs))
-	for k, q := range o.recvs {
-		if len(q) > 0 {
-			recvs[k] = append([]recvEvt(nil), q...)
+	c := &WaitStateModule{pairs: o.pairs, lateNs: slices.Clone(o.lateNs), lateHits: slices.Clone(o.lateHits),
+		chans: make(map[chanKey]*chanQueues, len(o.chans))}
+	for k, q := range o.chans {
+		if len(q.sends)+len(q.recvs) > 0 {
+			c.chans[k] = &chanQueues{sends: slices.Clone(q.sends), recvs: slices.Clone(q.recvs)}
 		}
 	}
 	o.mu.Unlock()
-
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.pairs += pr
-	for r := range ln {
-		if r < m.size {
-			m.lateNs[r] += ln[r]
-			m.lateHits[r] += lh[r]
-		}
-	}
-	for k, q := range sends {
-		m.sends[k] = mergeSorted(m.sends[k], q, func(a, b int64) bool { return a < b })
-	}
-	for k, q := range recvs {
-		m.recvs[k] = mergeSorted(m.recvs[k], q, func(a, b recvEvt) bool {
-			if a.tStart != b.tStart {
-				return a.tStart < b.tStart
-			}
-			return a.tEnd < b.tEnd
-		})
-	}
-	if !m.lazy {
-		for k := range sends {
-			m.drainChannel(k)
-		}
-		for k := range recvs {
-			m.drainChannel(k)
-		}
-	}
+	m.mergeResetFull(c)
 }
 
-// mergeResetFull is MergeFull with move semantics: o's queues and
-// accumulators are transferred into m and o is left empty, without
-// copying. Correctness is the same argument as MergeFull's — sorted
-// merge + positional pairing is order-insensitive — but ownership of
-// the queue backing arrays moves instead of being duplicated, so an
-// epoch merge of a drained replica allocates nothing (mergeSorted
-// returns the non-empty side unchanged when the other side is empty).
-// The caller must own o exclusively (it is a paused replica).
+// mergeResetFull is MergeFull with move semantics (MergeFull is this,
+// applied to a copy): o's queues and accumulators are transferred into m
+// and o is left empty, without copying. Sorted merge + positional pairing
+// is order-insensitive, as MergeFull's comment argues, and a queue whose
+// counterpart in m is empty changes owner instead of being duplicated
+// (the two sides swap backing arrays, so both keep their capacity), and
+// an epoch merge of a drained replica allocates nothing. The caller must
+// own o exclusively (it is a paused replica).
 func (m *WaitStateModule) mergeResetFull(o *WaitStateModule) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -352,45 +310,42 @@ func (m *WaitStateModule) mergeResetFull(o *WaitStateModule) {
 		}
 		o.lateNs[r], o.lateHits[r] = 0, 0
 	}
-	for k, q := range o.sends {
-		if len(q) > 0 {
-			m.sends[k] = mergeSorted(m.sends[k], q, func(a, b int64) bool { return a < b })
+	for k, oq := range o.chans {
+		if len(oq.sends)+len(oq.recvs) == 0 {
+			continue
 		}
-		delete(o.sends, k)
-	}
-	for k, q := range o.recvs {
-		if len(q) > 0 {
-			m.recvs[k] = mergeSorted(m.recvs[k], q, lessRecv)
+		q := m.queues(k)
+		q.sends, oq.sends = moveSorted(q.sends, oq.sends, cmp.Less[int64])
+		q.recvs, oq.recvs = moveSorted(q.recvs, oq.recvs, lessRecv)
+		if !m.lazy {
+			m.drain(q)
 		}
-		delete(o.recvs, k)
-	}
-	if !m.lazy {
-		m.settleLocked()
 	}
 }
 
-// drainChannel positionally pairs a channel's queues while both sides
-// have entries, trimming empty queues from the maps so the module stays
-// in canonical form. Called with m.mu held.
-func (m *WaitStateModule) drainChannel(key chanKey) {
-	sq, rq := m.sends[key], m.recvs[key]
-	n := len(sq)
-	if len(rq) < n {
-		n = len(rq)
+// moveSorted merges the sorted queue src into the sorted queue dst and
+// returns the merged queue and an empty one for src's owner to refill.
+// Nothing is copied while dst is empty: the two swap backing arrays.
+func moveSorted[T any](dst, src []T, less func(x, y T) bool) (merged, emptied []T) {
+	if len(dst) == 0 {
+		return src, dst[:0]
+	}
+	return mergeSorted(dst, src, less), src[:0]
+}
+
+// drain positionally pairs a channel's queues while both sides have
+// entries and moves the survivors to the front, keeping the capacity the
+// drained entries used. Called with m.mu held.
+func (m *WaitStateModule) drain(q *chanQueues) {
+	n := min(len(q.sends), len(q.recvs))
+	if n == 0 {
+		return
 	}
 	for i := 0; i < n; i++ {
-		m.pair(rq[i], sq[i])
+		m.pair(q.recvs[i], q.sends[i])
 	}
-	if len(sq) > n {
-		m.sends[key] = sq[n:]
-	} else {
-		delete(m.sends, key)
-	}
-	if len(rq) > n {
-		m.recvs[key] = rq[n:]
-	} else {
-		delete(m.recvs, key)
-	}
+	q.sends = q.sends[:copy(q.sends, q.sends[n:])]
+	q.recvs = q.recvs[:copy(q.recvs, q.recvs[n:])]
 }
 
 // mergeSorted merges two slices already sorted under less.
@@ -421,7 +376,7 @@ func mergeSorted[T any](a, b []T, less func(x, y T) bool) []T {
 // state proportional to in-flight messages.
 func (p *Pipeline) EnableWaitState() (*WaitStateModule, error) {
 	m := NewWaitStateModule(p.Profiler.size)
-	if err := p.addFold("waitstate", m.Add); err != nil {
+	if err := p.addFold(foldEntry{"waitstate", &m.mu, m.fold}); err != nil {
 		return nil, err
 	}
 	p.waits = m

@@ -186,3 +186,40 @@ func TestWaitStateConservationProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestWaitStateSteadyStateAllocsIndependentOfEvents guards the channel
+// records: on a warm 256-rank partial, a fold → Flush(false) epoch pairs
+// and drains every queue, and the next epoch's events must land in the
+// capacity the drained ones left behind — so what a cycle allocates does
+// not depend on how many events it folds.
+func TestWaitStateSteadyStateAllocsIndependentOfEvents(t *testing.T) {
+	const ranks = 256
+	cycleAllocs := func(perChannel int) float64 {
+		pp := NewPartial(1, PartialOptions{AppSize: ranks, WaitState: true})
+		var buf []byte
+		now := int64(0)
+		cycle := func() {
+			for i := 0; i < perChannel; i++ {
+				for r := int32(0); r < ranks; r++ {
+					now += 10
+					send := sendAt(r, (r+1)%ranks, 0, now)
+					recv := recvAt((r+1)%ranks, r, 0, now-5, now+5)
+					pp.AddEvent(&send)
+					pp.AddEvent(&recv)
+				}
+			}
+			buf = pp.Flush(buf[:0], false)
+		}
+		cycle()
+		cycle()
+		if pp.Waits.Unmatched() != 0 {
+			t.Fatalf("%d events left unmatched", pp.Waits.Unmatched())
+		}
+		return testing.AllocsPerRun(5, cycle)
+	}
+	few, many := cycleAllocs(2), cycleAllocs(8)
+	t.Logf("allocs per fold→Flush cycle: %.0f at 1 024 events, %.0f at 4 096", few, many)
+	if many != few {
+		t.Errorf("a cycle of 4× the events allocates %.0f instead of %.0f: queues are being re-grown per event", many, few)
+	}
+}

@@ -2,6 +2,8 @@ package analysis
 
 import (
 	"fmt"
+	"maps"
+	"math"
 	"sort"
 	"sync"
 
@@ -48,6 +50,13 @@ type WindowedModule struct {
 	slideNs  int64
 	inner    PartialOptions
 	wins     map[int64]*Partial
+
+	// cur caches the window the previous event of a tumbling series fell
+	// into (nil = nothing cached): consecutive events of a pack almost
+	// always share it, and the hit skips the map. It must be dropped
+	// wherever a window leaves wins.
+	curIdx int64
+	cur    *Partial
 }
 
 // maxDecodedWindows caps the window count a decoded partial may claim.
@@ -112,36 +121,46 @@ func (m *WindowedModule) Add(ev *trace.Event) {
 	m.mu.Unlock()
 }
 
-// fold is Add without the lock (replica fast path, caller owns m). The
-// inner modules' fold twins are used directly: the caller's ownership of
-// the WindowedModule covers the inner partials too.
+// fold is Add for a caller that owns m (see ProfilerModule.fold). The
+// inner modules' folds are used directly: owning the WindowedModule
+// covers the inner partials too.
 func (m *WindowedModule) fold(ev *trace.Event) {
 	t := ev.TStart
 	if t < 0 {
 		t = 0
 	}
 	hi := t / m.slideNs
-	lo := hi
-	if m.slideNs < m.windowNs {
-		// Sliding: every window i with i*slide <= t < i*slide+window.
-		lo = (t-m.windowNs)/m.slideNs + 1
-		if t < m.windowNs {
-			lo = 0 // the series starts at virtual time zero
+	if m.slideNs == m.windowNs {
+		// Tumbling: one window per event.
+		if m.cur == nil || hi != m.curIdx {
+			m.curIdx, m.cur = hi, m.window(hi)
 		}
+		foldWindowEvent(m.cur, ev)
+		return
+	}
+	// Sliding: every window i with i*slide <= t < i*slide+window.
+	lo := (t-m.windowNs)/m.slideNs + 1
+	if t < m.windowNs {
+		lo = 0 // the series starts at virtual time zero
 	}
 	for i := lo; i <= hi; i++ {
-		wp := m.wins[i]
-		if wp == nil {
-			wp = m.newWindowPartial()
-			m.wins[i] = wp
-		}
-		foldWindowEvent(wp, ev)
+		foldWindowEvent(m.window(i), ev)
 	}
 }
 
+// window returns window i's inner partial, minting it on first use.
+func (m *WindowedModule) window(i int64) *Partial {
+	wp := m.wins[i]
+	if wp == nil {
+		wp = m.newWindowPartial()
+		m.wins[i] = wp
+	}
+	return wp
+}
+
 // foldWindowEvent folds one event into an inner window partial through
-// the modules' lock-free fold twins (the outer WindowedModule
-// synchronization covers them).
+// the modules' lock-free folds (the outer WindowedModule synchronization
+// covers them).
 func foldWindowEvent(wp *Partial, ev *trace.Event) {
 	wp.Profiler.fold(ev)
 	wp.Topology.fold(ev)
@@ -182,18 +201,21 @@ func (m *WindowedModule) WindowPartial(idx int64) *Partial {
 }
 
 // Series extracts one per-window value across the populated index range
-// (gaps filled with zero), for sparkline rendering. fn reads one window.
+// (gaps filled with zero), for sparkline rendering. fn reads one window
+// and runs with the series locked, so it sees no half-folded pack; it may
+// use the window's locked accessors but must not call back into m.
 func (m *WindowedModule) Series(fn func(*Partial) float64) (firstIdx int64, values []float64) {
-	idxs := m.Indices()
-	if len(idxs) == 0 {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if len(m.wins) == 0 {
 		return 0, nil
 	}
-	first, last := idxs[0], idxs[len(idxs)-1]
+	first, last := int64(math.MaxInt64), int64(math.MinInt64)
+	for i := range m.wins {
+		first, last = min(first, i), max(last, i)
+	}
 	values = make([]float64, last-first+1)
-	for _, i := range idxs {
-		m.mu.Lock()
-		wp := m.wins[i]
-		m.mu.Unlock()
+	for i, wp := range m.wins {
 		values[i-first] = fn(wp)
 	}
 	return first, values
@@ -209,29 +231,16 @@ func (m *WindowedModule) Merge(o *WindowedModule) error {
 		return fmt.Errorf("analysis: merging incompatible window series (%d/%d vs %d/%d)",
 			m.windowNs, m.slideNs, o.windowNs, o.slideNs)
 	}
-	// Snapshot o's index set, then merge window by window; inner Merge
-	// locks the inner modules itself.
+	// Snapshot o's windows, then merge them with m locked: a pack fold
+	// owning m writes the inner partials without their own mutexes, which
+	// only the inner Merge takes.
 	o.mu.Lock()
-	idxs := make([]int64, 0, len(o.wins))
-	for i := range o.wins {
-		idxs = append(idxs, i)
-	}
+	src := maps.Clone(o.wins)
 	o.mu.Unlock()
-	for _, i := range idxs {
-		o.mu.Lock()
-		src := o.wins[i]
-		o.mu.Unlock()
-		if src == nil {
-			continue
-		}
-		m.mu.Lock()
-		dst := m.wins[i]
-		if dst == nil {
-			dst = m.newWindowPartial()
-			m.wins[i] = dst
-		}
-		m.mu.Unlock()
-		if err := dst.Merge(src); err != nil {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	for i, wp := range src {
+		if err := m.window(i).Merge(wp); err != nil {
 			return fmt.Errorf("analysis: window %d: %w", i, err)
 		}
 	}
@@ -244,6 +253,7 @@ func (m *WindowedModule) Merge(o *WindowedModule) error {
 func (m *WindowedModule) mergeReset(o *WindowedModule) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	o.cur = nil // windows are about to leave o.wins
 	for i, wp := range o.wins {
 		dst := m.wins[i]
 		if dst == nil {
@@ -277,7 +287,7 @@ func (p *Pipeline) EnableWindows(windowNs, slideNs int64) (*WindowedModule, erro
 	}
 	inner := innerWindowOptions(p.PartialOptions())
 	m := NewWindowedModule(windowNs, slideNs, inner)
-	if err := p.addFold("windows", m.Add); err != nil {
+	if err := p.addFold(foldEntry{"windows", &m.mu, m.fold}); err != nil {
 		return nil, err
 	}
 	p.windowed = m

@@ -1,6 +1,7 @@
 package analysis
 
 import (
+	"bytes"
 	"strings"
 	"testing"
 
@@ -213,4 +214,38 @@ func TestAttachWindowTrackerValidation(t *testing.T) {
 	}
 	// Publish without a telemetry bundle is free and safe.
 	tr.Publish()
+}
+
+// TestWindowCacheDroppedOnEpochMerge: the tumbling fold remembers the
+// window its last event fell into. An epoch merge moves windows out of
+// the replica wholesale; the replica's next event for the same index must
+// open a fresh window of its own, not write through the remembered
+// pointer into a partial the canonical side now owns (and locks).
+func TestWindowCacheDroppedOnEpochMerge(t *testing.T) {
+	opts := PartialOptions{AppSize: 2, WindowNs: 1000}
+	rep, canon, serial := NewReplica(1, opts), NewPartial(1, opts), NewPartial(1, opts)
+	fold := func(at int64) {
+		ev := sendEvent(0, 1, 64, at, at+5)
+		rep.Fold(&ev)
+		serial.AddEvent(&ev)
+	}
+	for epoch := int64(0); epoch < 3; epoch++ {
+		// Every epoch starts in the window the previous one ended in.
+		fold(100 + epoch)
+		own := rep.Partial().Windows.WindowPartial(0)
+		if own == nil || own == canon.Windows.WindowPartial(0) || own.Profiler.Events() != 1 {
+			t.Fatalf("epoch %d: the first event after a merge did not open the replica's own window 0", epoch)
+		}
+		fold(1100 + epoch)
+		fold(200 + epoch)
+		if err := canon.MergeReset(rep.Partial()); err != nil {
+			t.Fatal(err)
+		}
+		if got, want := canon.Windows.WindowPartial(0).Profiler.Events(), 2*(epoch+1); got != want {
+			t.Fatalf("epoch %d: canonical window 0 holds %d events, want %d", epoch, got, want)
+		}
+	}
+	if !bytes.Equal(canon.AppendCanonical(nil), serial.AppendCanonical(nil)) {
+		t.Error("replica epochs diverged from the serial fold")
+	}
 }

@@ -81,7 +81,7 @@ func (pt PackedStreamPoint) CompressionRatio() float64 {
 // event payloads: each writer encodes perWriter logical bytes of the
 // deterministic Fig14 workload through the selected pack codec and
 // streams the encoded packs; each reader decodes every block in place
-// with a zero-copy trace.PackReader before releasing it. recordSize is
+// through its writer's trace.StreamDecoder before releasing it. recordSize is
 // the logical per-event record size (EventRecordSize in the paper's
 // calibration).
 func StreamThroughputPacked(p Platform, writers, ratio int, perWriter, blockSize int64, recordSize, packVersion int) (PackedStreamPoint, error) {
@@ -168,14 +168,9 @@ func StreamThroughputPacked(p Platform, writers, ratio int, perWriter, blockSize
 				fail(err)
 				return
 			}
-			// v3 packs index a per-writer cross-pack dictionary, so the
-			// reader keeps one persistent StreamDecoder per source rank;
-			// v1/v2 stay on the stateless zero-copy PackReader.
-			var pr trace.PackReader
-			var decs map[int]*trace.StreamDecoder
-			if packVersion == trace.PackV3 {
-				decs = make(map[int]*trace.StreamDecoder)
-			}
+			// One persistent StreamDecoder per source rank serves every
+			// format: v3 packs index a per-writer cross-pack dictionary.
+			decs := make(map[int]*trace.StreamDecoder)
 			count := func(*trace.Event) { decoded++ }
 			for {
 				blk, err := st.Read(false)
@@ -186,27 +181,12 @@ func StreamThroughputPacked(p Platform, writers, ratio int, perWriter, blockSize
 				if blk == nil {
 					break
 				}
-				if decs != nil {
-					dec := decs[blk.From]
-					if dec == nil {
-						dec = &trace.StreamDecoder{}
-						decs[blk.From] = dec
-					}
-					if _, err := dec.DecodeDispatch(blk.Payload, count); err != nil {
-						fail(fmt.Errorf("exp: packed stream block from rank %d: %w", blk.From, err))
-						return
-					}
-					blk.Release()
-					continue
+				dec := decs[blk.From]
+				if dec == nil {
+					dec = &trace.StreamDecoder{}
+					decs[blk.From] = dec
 				}
-				if err := pr.Init(blk.Payload); err != nil {
-					fail(fmt.Errorf("exp: packed stream block from rank %d: %w", blk.From, err))
-					return
-				}
-				for pr.Next() {
-					decoded++
-				}
-				if err := pr.Err(); err != nil {
+				if _, err := dec.DecodeDispatch(blk.Payload, count); err != nil {
 					fail(fmt.Errorf("exp: packed stream block from rank %d: %w", blk.From, err))
 					return
 				}

@@ -141,10 +141,11 @@ type treeLeaf struct {
 	parts []*analysis.Partial  // indexed by application partition id
 	folds []func(*trace.Event) // cached per-app fold funcs (tracker-wrapped)
 	packs int
-	// decs holds one persistent v3 stream decoder per writer (keyed by
-	// the writer's universe rank): v3 packs index a cross-pack
-	// dictionary, so each writer's stream must decode in order through
-	// its own decoder. The stream read loop delivers exactly that order.
+	// decs holds one persistent stream decoder per writer (keyed by the
+	// writer's universe rank) for every pack format: v3 packs index a
+	// cross-pack dictionary, so each writer's stream must decode in order
+	// through its own decoder. The stream read loop delivers exactly that
+	// order.
 	decs map[int]*trace.StreamDecoder
 }
 
@@ -246,29 +247,14 @@ func (lf *treeLeaf) absorb(blk *vmpi.Block) bool {
 		// leaf started analyzing the pack.
 		tr.SetNow(int64(lf.r.Now()))
 	}
-	if h.Version == trace.PackV3 {
-		dec := lf.decs[blk.From]
-		if dec == nil {
-			dec = &trace.StreamDecoder{}
-			lf.decs[blk.From] = dec
-		}
-		if _, err := dec.DecodeDispatch(blk.Payload, fold); err != nil {
-			lf.tc.fail(fmt.Errorf("exp: leaf pack decode: %w", err))
-			return false
-		}
-	} else {
-		var pr trace.PackReader
-		if err := pr.Init(blk.Payload); err != nil {
-			lf.tc.fail(fmt.Errorf("exp: leaf pack decode: %w", err))
-			return false
-		}
-		for pr.Next() {
-			fold(pr.Event())
-		}
-		if err := pr.Err(); err != nil {
-			lf.tc.fail(fmt.Errorf("exp: leaf pack decode: %w", err))
-			return false
-		}
+	dec := lf.decs[blk.From]
+	if dec == nil {
+		dec = &trace.StreamDecoder{}
+		lf.decs[blk.From] = dec
+	}
+	if _, err := dec.DecodeDispatch(blk.Payload, fold); err != nil {
+		lf.tc.fail(fmt.Errorf("exp: leaf pack decode: %w", err))
+		return false
 	}
 	lf.r.Compute(lf.tc.cost(blk.Size))
 	if tr := lf.tracker(h.AppID); tr != nil {

@@ -133,51 +133,14 @@ func (s *session) runLane(l *lane) {
 // the app's (atomic) admission gate per event exactly like the
 // synchronous path.
 func (l *lane) fold(j laneJob) error {
-	app := j.app
-	rep := l.reps[app]
+	rep := l.reps[j.app]
 	if rep == nil {
-		rep = analysis.NewReplica(app.meta.AppID, app.opts)
-		l.reps[app] = rep
+		rep = analysis.NewReplica(j.app.meta.AppID, j.app.opts)
+		l.reps[j.app] = rep
 	}
-	foldEv := func(ev *trace.Event) {
-		if app.gate.Admit(ev.Kind) {
-			rep.Fold(ev)
-			if app.tracker != nil {
-				// The tracker is shared across lanes by design: its counts
-				// are atomics plus one mutex, so lateness accounting stays
-				// exact even though the fold path is shared-nothing.
-				app.tracker.OnEvent(ev)
-			}
-			l.admitted++
-		}
-	}
-	buf := *j.buf
-	h, err := trace.PeekHeader(buf)
-	if err != nil {
-		return fmt.Errorf("serviced: pack header: %w", err)
-	}
-	if h.Version == trace.PackV3 {
-		dec := l.decs[j.src]
-		if dec == nil {
-			dec = &trace.StreamDecoder{}
-			l.decs[j.src] = dec
-		}
-		if _, err := dec.DecodeDispatch(buf, foldEv); err != nil {
-			return fmt.Errorf("serviced: pack decode: %w", err)
-		}
-		return nil
-	}
-	var pr trace.PackReader
-	if err := pr.Init(buf); err != nil {
-		return fmt.Errorf("serviced: pack decode: %w", err)
-	}
-	for pr.Next() {
-		foldEv(pr.Event())
-	}
-	if err := pr.Err(); err != nil {
-		return fmt.Errorf("serviced: pack decode: %w", err)
-	}
-	return nil
+	admitted, err := decodeAdmitted(l.decs, j.src, j.app, *j.buf, rep.FoldFunc())
+	l.admitted += admitted
+	return err
 }
 
 // flushLanes is the epoch barrier: it quiesces every lane, surfaces any
@@ -211,7 +174,7 @@ func (s *session) flushLanes() error {
 				continue
 			}
 			t0 := time.Now()
-			if err := app.delta.MergeReset(pp); err != nil {
+			if err := app.delta.Partial().MergeReset(pp); err != nil {
 				return fmt.Errorf("serviced: replica merge: %w", err)
 			}
 			s.laneMerges.Add(1)

@@ -26,8 +26,10 @@ type sessionApp struct {
 	gate *adapt.Gate
 	// delta accumulates events since the last seal. Non-final seals flush
 	// only settled statistics — wait-state pending queues stay here until
-	// Close, mirroring the tree leaves' final-flush semantics.
-	delta *analysis.Partial
+	// Close, mirroring the tree leaves' final-flush semantics. Only the
+	// connection goroutine touches it, so it is a replica: the synchronous
+	// path folds into it lock-free, the way a lane folds into its own.
+	delta *analysis.Replica
 	// cum is the merge of every sealed delta: the state Snapshot serves.
 	cum *analysis.Partial
 	// tracker, on windowed sessions, is the arrival-side lateness
@@ -52,10 +54,11 @@ type session struct {
 	meta   wire.SessionMeta
 	apps   []*sessionApp
 	byID   map[uint32]*sessionApp
-	// decs holds one persistent v3 stream decoder per writer (keyed by
-	// the client-assigned writer id): v3 packs index a cross-pack
-	// dictionary, so each writer's packs must decode in order through its
-	// own decoder — the same invariant the in-process fused ingest keeps.
+	// decs holds one persistent stream decoder per writer (keyed by the
+	// client-assigned writer id): v3 packs index a cross-pack dictionary,
+	// so each writer's packs must decode in order through its own decoder
+	// — the same invariant the in-process fused ingest keeps. v1 and v2
+	// packs carry no cross-pack state and decode through it all the same.
 	decs map[uint32]*trace.StreamDecoder
 	gov  *governor
 
@@ -130,7 +133,7 @@ func newSession(id uint64, format int, meta wire.SessionMeta, gov *governor, epo
 			meta:  am,
 			opts:  opts,
 			gate:  gov.newGate(),
-			delta: analysis.NewPartial(am.AppID, opts),
+			delta: analysis.NewReplica(am.AppID, opts),
 			cum:   analysis.NewPartial(am.AppID, opts),
 		}
 		if meta.WindowNs > 0 {
@@ -174,7 +177,7 @@ func (s *session) ingest(src uint32, pack []byte) error {
 		if err != nil {
 			return fmt.Errorf("serviced: audit pack: %w", err)
 		}
-		app.delta.AddAudit(entries)
+		app.delta.Partial().AddAudit(entries)
 		s.dirty = true
 		s.gov.onPack(len(pack))
 		return nil
@@ -186,7 +189,7 @@ func (s *session) ingest(src uint32, pack []byte) error {
 		if err := s.enqueue(src, app, pack); err != nil {
 			return err
 		}
-	} else if err := s.foldSync(src, app, pack, h.Version); err != nil {
+	} else if err := s.foldSync(src, app, pack); err != nil {
 		return err
 	}
 	s.packs.Add(1)
@@ -197,40 +200,39 @@ func (s *session) ingest(src uint32, pack []byte) error {
 
 // foldSync is the synchronous decode+fold path: events go straight into
 // the app's delta on the connection goroutine.
-func (s *session) foldSync(src uint32, app *sessionApp, pack []byte, version int) error {
+func (s *session) foldSync(src uint32, app *sessionApp, pack []byte) error {
+	admitted, err := decodeAdmitted(s.decs, src, app, pack, app.delta.FoldFunc())
+	s.events.Add(admitted)
+	return err
+}
+
+// decodeAdmitted decodes one data pack of any negotiated format through
+// its writer's decoder in decs and hands fold every event the app's
+// admission gate admits, the window tracker observing the same events.
+// It returns how many were admitted.
+func decodeAdmitted(decs map[uint32]*trace.StreamDecoder, src uint32, app *sessionApp, pack []byte, fold func(*trace.Event)) (int64, error) {
+	dec := decs[src]
+	if dec == nil {
+		dec = &trace.StreamDecoder{}
+		decs[src] = dec
+	}
 	admitted := int64(0)
-	fold := func(ev *trace.Event) {
+	_, err := dec.DecodeDispatch(pack, func(ev *trace.Event) {
 		if app.gate.Admit(ev.Kind) {
-			app.delta.AddEvent(ev)
+			fold(ev)
 			if app.tracker != nil {
+				// The tracker is shared across lanes by design: its counts
+				// are atomics plus one mutex, so lateness accounting stays
+				// exact even though the fold path is shared-nothing.
 				app.tracker.OnEvent(ev)
 			}
 			admitted++
 		}
+	})
+	if err != nil {
+		return admitted, fmt.Errorf("serviced: pack decode: %w", err)
 	}
-	if version == trace.PackV3 {
-		dec := s.decs[src]
-		if dec == nil {
-			dec = &trace.StreamDecoder{}
-			s.decs[src] = dec
-		}
-		if _, err := dec.DecodeDispatch(pack, fold); err != nil {
-			return fmt.Errorf("serviced: pack decode: %w", err)
-		}
-	} else {
-		var pr trace.PackReader
-		if err := pr.Init(pack); err != nil {
-			return fmt.Errorf("serviced: pack decode: %w", err)
-		}
-		for pr.Next() {
-			fold(pr.Event())
-		}
-		if err := pr.Err(); err != nil {
-			return fmt.Errorf("serviced: pack decode: %w", err)
-		}
-	}
-	s.events.Add(admitted)
-	return nil
+	return admitted, nil
 }
 
 // seal closes the current delta into a new epoch: pending lane work is
@@ -251,7 +253,7 @@ func (s *session) seal() error {
 	epoch := s.epoch.Load()
 	se := sealedEpoch{apps: make([][]byte, len(s.apps))}
 	for i, a := range s.apps {
-		se.apps[i] = a.delta.Flush(nil, false)
+		se.apps[i] = a.delta.Partial().Flush(nil, false)
 		if err := a.cum.MergeEncoded(se.apps[i]); err != nil {
 			return fmt.Errorf("serviced: seal epoch %d: %w", epoch+1, err)
 		}
@@ -367,12 +369,12 @@ func (s *session) close(cm wire.CloseMeta) (*report.Report, error) {
 	}
 	for _, a := range s.apps {
 		if a.gate.TotalShed() > 0 {
-			a.delta.AddAudit(a.gate.Entries())
+			a.delta.Partial().AddAudit(a.gate.Entries())
 		}
 	}
 	t0 := time.Now()
 	for _, a := range s.apps {
-		if err := a.cum.MergeEncoded(a.delta.Flush(nil, true)); err != nil {
+		if err := a.cum.MergeEncoded(a.delta.Partial().Flush(nil, true)); err != nil {
 			return nil, fmt.Errorf("serviced: final seal: %w", err)
 		}
 	}

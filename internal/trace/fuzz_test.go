@@ -5,11 +5,12 @@ import (
 	"testing"
 )
 
-// FuzzDecodePack throws arbitrary bytes at every decode entry point. The
-// contract under fuzzing is purely defensive: malformed input of either
-// wire format must produce an error, never a panic, an over-read, or an
-// event count above the header's claim.
-func FuzzDecodePack(f *testing.F) {
+// packSeeds is the checked-in corpus the pack fuzzers start from, and
+// the fixed inputs of the decoder differential: valid packs of every wire
+// format, truncations, corrupt counts and lengths, bare magics.
+func packSeeds() [][]byte {
+	var seeds [][]byte
+	add := func(b []byte) { seeds = append(seeds, append([]byte(nil), b...)) }
 	// Valid v1 pack.
 	b1 := NewPackBuilder(1, 2, 48, 1<<12)
 	for i := 0; i < 8; i++ {
@@ -17,7 +18,7 @@ func FuzzDecodePack(f *testing.F) {
 		b1.Add(&ev)
 	}
 	v1 := b1.Take()
-	f.Add(append([]byte(nil), v1...))
+	add(v1)
 	// Valid v2 pack.
 	b2 := NewPackBuilderV2(1, 2, 48, 1<<12)
 	for i := 0; i < 8; i++ {
@@ -25,7 +26,7 @@ func FuzzDecodePack(f *testing.F) {
 		b2.Add(&ev)
 	}
 	v2 := b2.Take()
-	f.Add(append([]byte(nil), v2...))
+	add(v2)
 	// Valid v3 packs: a stream opener (dictionary delta) and a follow-up
 	// (empty delta, nonzero base) so the fuzzer mutates both shapes of
 	// the dictionary prefix.
@@ -34,36 +35,42 @@ func FuzzDecodePack(f *testing.F) {
 		ev := fig14ishEvent(i)
 		b3.Add(&ev)
 	}
-	v3 := b3.Take()
-	f.Add(append([]byte(nil), v3...))
+	v3 := append([]byte(nil), b3.Take()...)
+	add(v3)
 	for i := 0; i < 8; i++ {
 		ev := fig14ishEvent(i)
 		b3.Add(&ev)
 	}
-	v3b := b3.Take()
-	f.Add(append([]byte(nil), v3b...))
+	add(b3.Take())
 	// Truncated variants.
-	f.Add(append([]byte(nil), v1[:len(v1)/2]...))
-	f.Add(append([]byte(nil), v2[:len(v2)/2]...))
-	f.Add(append([]byte(nil), v2[:PackHeaderSize]...))
-	f.Add(append([]byte(nil), v3[:len(v3)/2]...))
+	add(v1[:len(v1)/2])
+	add(v2[:len(v2)/2])
+	add(v2[:PackHeaderSize])
+	add(v3[:len(v3)/2])
 	// Corrupt counts and body lengths.
 	for _, seed := range [][]byte{v1, v2, v3} {
-		mut := append([]byte(nil), seed...)
-		binary.LittleEndian.PutUint32(mut[12:], 0xFFFFFFFF)
-		f.Add(append([]byte(nil), mut...))
-		mut = append([]byte(nil), seed...)
-		binary.LittleEndian.PutUint32(mut[16:], 0xFFFFFFFF)
-		f.Add(append([]byte(nil), mut...))
-		mut = append([]byte(nil), seed...)
-		binary.LittleEndian.PutUint32(mut[20:], 0xFFFFFFFF)
-		f.Add(append([]byte(nil), mut...))
+		for _, at := range []int{12, 16, 20} {
+			mut := append([]byte(nil), seed...)
+			binary.LittleEndian.PutUint32(mut[at:], 0xFFFFFFFF)
+			add(mut)
+		}
 	}
 	// Bare magics, short buffers.
-	f.Add([]byte{0x56, 0x50, 0x4d, 0x54})
-	f.Add([]byte{0x56, 0x50, 0x4d, 0x32})
-	f.Add([]byte{0x56, 0x50, 0x4d, 0x33})
-	f.Add([]byte{})
+	add([]byte{0x56, 0x50, 0x4d, 0x54})
+	add([]byte{0x56, 0x50, 0x4d, 0x32})
+	add([]byte{0x56, 0x50, 0x4d, 0x33})
+	add(nil)
+	return seeds
+}
+
+// FuzzDecodePack throws arbitrary bytes at every decode entry point. The
+// contract under fuzzing is purely defensive: malformed input of either
+// wire format must produce an error, never a panic, an over-read, or an
+// event count above the header's claim.
+func FuzzDecodePack(f *testing.F) {
+	for _, seed := range packSeeds() {
+		f.Add(seed)
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		h, err := PeekHeader(data)

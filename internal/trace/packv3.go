@@ -420,10 +420,19 @@ func (d *StreamDecoder) initColumns(persistent bool) error {
 	return nil
 }
 
+// fail latches the pack's first decode error and ends the iteration.
 func (d *StreamDecoder) fail(err error) error {
-	d.err = err
+	if d.err == nil {
+		d.err = err
+	}
 	d.i = d.h.Count
-	return err
+	return d.err
+}
+
+// failColumn fails the pack at event i on a varint that does not fit what
+// is left of column c.
+func (d *StreamDecoder) failColumn(c, i int) error {
+	return d.fail(fmt.Errorf("trace: pack column %d truncated at event %d", c, i))
 }
 
 // Header returns the header of the pack under iteration.
@@ -504,7 +513,7 @@ func (d *StreamDecoder) Next() bool {
 func (d *StreamDecoder) col(c int) (uint64, bool) {
 	v, n := binary.Uvarint(d.buf[d.colPos[c]:d.colEnd[c]])
 	if n <= 0 {
-		d.fail(fmt.Errorf("trace: pack column %d truncated at event %d", c, d.i))
+		d.failColumn(c, d.i)
 		return 0, false
 	}
 	d.colPos[c] += n
@@ -517,14 +526,117 @@ func (d *StreamDecoder) col(c int) (uint64, bool) {
 // in-place scratch, valid only for the duration of the call. Returns the
 // event count. This is what the analyzer's hot path runs: wire bytes in,
 // profiler/topology fold calls out, zero allocations in between.
+//
+// It is the Next loop, not a second decoder: every pack goes through the
+// same Init, and the column formats run the same reads in the same order
+// with the cursors held in locals (dispatchColumns). Both forms deliver
+// the same events, stop at the same event with the same error on malformed
+// input, and leave the stream dictionary in the same state.
 func (d *StreamDecoder) DecodeDispatch(buf []byte, fn func(*Event)) (int, error) {
 	if err := d.Init(buf); err != nil {
 		return 0, err
+	}
+	if d.h.Version != PackV1 {
+		return d.dispatchColumns(fn)
 	}
 	n := 0
 	for d.Next() {
 		fn(&d.ev)
 		n++
 	}
-	return n, d.Err()
+	return n, d.err
+}
+
+// dispatchColumns is Next unrolled over one v2/v3 pack: the seven column
+// cursors, the six delta accumulators and the live dictionary stay in
+// locals for the whole pack instead of being reloaded from, and stored
+// back to, the decoder around every event. Each read keeps Next's check —
+// a varint may not cross its column's end, column 0 may not index past the
+// live dictionary — and a failure names the same column at the same event.
+func (d *StreamDecoder) dispatchColumns(fn func(*Event)) (int, error) {
+	buf := d.buf
+	dict := d.dict
+	if d.h.Version == PackV2 {
+		dict = d.scratch
+	}
+	dict = dict[:d.dictLive]
+	p0, p1, p2, p3, p4, p5, p6 := d.colPos[0], d.colPos[1], d.colPos[2], d.colPos[3], d.colPos[4], d.colPos[5], d.colPos[6]
+	e0, e1, e2, e3, e4, e5, e6 := d.colEnd[0], d.colEnd[1], d.colEnd[2], d.colEnd[3], d.colEnd[4], d.colEnd[5], d.colEnd[6]
+	var rank, peer, tag, size, tStart, dur int64
+	var v uint64
+	ev := &d.ev
+	count := d.h.Count
+	d.i = count // the pack is consumed here: a Next after this finds nothing
+	for i := 0; i < count; i++ {
+		if oneByte(buf, p0, e0) {
+			v, p0 = uint64(buf[p0]), p0+1
+		} else if v, p0 = colUvarint(buf, p0, e0); p0 == 0 {
+			return i, d.failColumn(0, i)
+		}
+		if v >= uint64(len(dict)) {
+			return i, d.fail(fmt.Errorf("trace: pack dictionary index %d out of range", v))
+		}
+		key := dict[v]
+		if oneByte(buf, p1, e1) {
+			v, p1 = uint64(buf[p1]), p1+1
+		} else if v, p1 = colUvarint(buf, p1, e1); p1 == 0 {
+			return i, d.failColumn(1, i)
+		}
+		rank += unzigzag(v)
+		if oneByte(buf, p2, e2) {
+			v, p2 = uint64(buf[p2]), p2+1
+		} else if v, p2 = colUvarint(buf, p2, e2); p2 == 0 {
+			return i, d.failColumn(2, i)
+		}
+		peer += unzigzag(v)
+		if oneByte(buf, p3, e3) {
+			v, p3 = uint64(buf[p3]), p3+1
+		} else if v, p3 = colUvarint(buf, p3, e3); p3 == 0 {
+			return i, d.failColumn(3, i)
+		}
+		tag += unzigzag(v)
+		if oneByte(buf, p4, e4) {
+			v, p4 = uint64(buf[p4]), p4+1
+		} else if v, p4 = colUvarint(buf, p4, e4); p4 == 0 {
+			return i, d.failColumn(4, i)
+		}
+		size += unzigzag(v)
+		if oneByte(buf, p5, e5) {
+			v, p5 = uint64(buf[p5]), p5+1
+		} else if v, p5 = colUvarint(buf, p5, e5); p5 == 0 {
+			return i, d.failColumn(5, i)
+		}
+		tStart += unzigzag(v)
+		if oneByte(buf, p6, e6) {
+			v, p6 = uint64(buf[p6]), p6+1
+		} else if v, p6 = colUvarint(buf, p6, e6); p6 == 0 {
+			return i, d.failColumn(6, i)
+		}
+		dur += unzigzag(v)
+		ev.Kind, ev.Comm, ev.Ctx = key.kind, key.comm, key.ctx
+		ev.Rank, ev.Peer, ev.Tag = int32(rank), int32(peer), int32(tag)
+		ev.Size, ev.TStart, ev.TEnd = size, tStart, tStart+dur
+		fn(ev)
+	}
+	return count, nil
+}
+
+// oneByte reports whether the uvarint at buf[pos] is a single byte inside
+// the column that ends at end — what nearly every delta of a steady stream
+// is. It inlines; colUvarint, the general read, does not.
+func oneByte(buf []byte, pos, end int) bool { return pos < end && buf[pos] < 0x80 }
+
+// colUvarint reads the uvarint at buf[pos:end] — what is left of one
+// column — and returns it with the position behind it, or position 0 (no
+// column starts inside the pack header) when the varint is cut off by the
+// column's end or overflows 64 bits.
+func colUvarint(buf []byte, pos, end int) (uint64, int) {
+	if pos+1 < end && buf[pos] >= 0x80 && buf[pos+1] < 0x80 {
+		return uint64(buf[pos]&0x7f) | uint64(buf[pos+1])<<7, pos + 2
+	}
+	v, n := binary.Uvarint(buf[pos:end])
+	if n <= 0 {
+		return 0, 0
+	}
+	return v, pos + n
 }
