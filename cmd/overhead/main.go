@@ -36,7 +36,7 @@ func main() {
 		repeatFlag   = flag.Int("repeats", 3, "noise-seed passes averaged per point (the paper averages 3)")
 		platformFlag = flag.String("platform", "tera100", "platform model (tera100 or curie)")
 		jFlag        = flag.Int("j", 0, "parallel sweep workers (0 = all cores, 1 = serial); the table is identical for any value")
-		packv2Flag   = flag.Bool("packv2", false, "stream packs in the compact v2 wire format (default: v1 fixed records, the seed behavior)")
+		formatFlag   = flag.Int("format", 0, "pack wire format: 1 (fixed records), 2 (delta+varint) or 3 (stream dictionary); 0 = 1, the seed behavior")
 	)
 	flag.Parse()
 
@@ -71,9 +71,9 @@ func main() {
 			grid = append(grid, w)
 		}
 	}
-	packVersion := trace.PackV1
-	if *packv2Flag {
-		packVersion = trace.PackV2
+	packVersion, err := cliutil.ResolvePackFormat(*formatFlag)
+	if err != nil {
+		log.Fatal(err)
 	}
 	points, err := runner.Run(len(grid), *jFlag, func(i int) (exp.OverheadPoint, error) {
 		pt, err := exp.MeasureOverheadAvgV(platform, grid[i], exp.ToolOnline, *ratioFlag, *repeatFlag, packVersion)
@@ -88,15 +88,15 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	if *packv2Flag {
+	if packVersion > trace.PackV1 {
 		var wire, logical int64
 		for _, pt := range points {
 			wire += pt.DataBytes
 			logical += pt.LogicalBytes
 		}
 		if wire > 0 && logical > 0 {
-			fmt.Fprintf(os.Stderr, "packv2: %d bytes on wire (logical %d), compression %.2fx (%.1f%% reduction)\n",
-				wire, logical, float64(logical)/float64(wire), 100*(1-float64(wire)/float64(logical)))
+			fmt.Fprintf(os.Stderr, "pack v%d: %d bytes on wire (logical %d), compression %.2fx (%.1f%% reduction)\n",
+				packVersion, wire, logical, float64(logical)/float64(wire), 100*(1-float64(wire)/float64(logical)))
 		}
 	}
 	exp.WriteOverheadTable(os.Stdout,

@@ -54,8 +54,7 @@ func main() {
 		platformFlag = flag.String("platform", "tera100", "platform model (tera100 or curie)")
 		telFlag      = flag.Bool("telemetry", false, "stream engine-health meta-events and append a health chapter + JSON summary")
 		telPeriod    = flag.Duration("telemetry-period", 0, "virtual-time sampling period for -telemetry (0 = 10ms)")
-		packv2Flag   = flag.Bool("packv2", false, "stream event packs in the compact v2 wire format (default: v1 fixed records, the seed behavior)")
-		formatFlag   = flag.Int("format", 0, "pack wire format: 1 (fixed records), 2 (delta+varint) or 3 (stream dictionary, fused analyzer decode); 0 defers to -packv2")
+		formatFlag   = flag.Int("format", 0, "pack wire format: 1 (fixed records), 2 (delta+varint) or 3 (stream dictionary, fused analyzer decode); 0 = 1, the seed behavior")
 		shardsFlag   = flag.Int("shards", 0, "blackboard shard count (0 = 1, the single-partition board)")
 		replicasFlag = flag.Int("replicas", 0, "per-worker module replicas (0 = off): lock-free parallel folding with epoch merges; profiles stay byte-identical, incompatible with -export")
 		treeLevels   = flag.Int("tree-levels", 0, "analysis tree levels: <=1 flat pipeline, L>=2 adds L-1 aggregator tiers between leaves and the root blackboard")
@@ -67,7 +66,7 @@ func main() {
 	)
 	flag.Parse()
 
-	format, err := cliutil.ResolvePackFormat(*formatFlag, *packv2Flag)
+	format, err := cliutil.ResolvePackFormat(*formatFlag)
 	if err != nil {
 		fatalUsage(err)
 	}

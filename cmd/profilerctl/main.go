@@ -39,8 +39,7 @@ func main() {
 		appsFlag     = flag.String("apps", "CG.A@16", "applications: NAME.CLASS@PROCS[,...]")
 		itersFlag    = flag.Int("iters", 4, "timesteps per application (0 = official counts)")
 		platformFlag = flag.String("platform", "tera100", "platform model (tera100 or curie)")
-		formatFlag   = flag.Int("format", 0, "pack wire format: 1..3; 0 defers to -packv2")
-		packv2Flag   = flag.Bool("packv2", false, "stream event packs in the compact v2 wire format")
+		formatFlag   = flag.Int("format", 0, "pack wire format: 1 (fixed records), 2 (delta+varint) or 3 (stream dictionary); 0 = 1")
 		waitFlag     = flag.Bool("waitstate", false, "enable the late-sender wait-state analysis")
 		temporalFlag = flag.Duration("temporal", 0, "temporal-map bucket width in virtual time (0 = off)")
 		sitesFlag    = flag.Bool("callsites", false, "enable the per-call-site breakdown")
@@ -71,7 +70,7 @@ func main() {
 		return
 	}
 
-	format, err := cliutil.ResolvePackFormat(*formatFlag, *packv2Flag)
+	format, err := cliutil.ResolvePackFormat(*formatFlag)
 	if err != nil {
 		fatalUsage(err)
 	}

@@ -25,13 +25,8 @@
 //
 //	streambench -overload LU.A@16 -overload-rate 200k
 //
-// With -windowlag, the command runs the windowed-analysis latency sweep:
-// a deterministic virtual-clock model pushes events through steady,
-// burst and recovery phases, folding them into per-window partial
-// profiles, and prints the event-to-report-update lag per phase with a
-// catch-up SLO verdict:
-//
-//	streambench -windowlag -windowlag-slo 100us
+// Host-speed engine measurements (decode, fold, lanes, windows, the daemon)
+// are cmd/bench's; this command runs the simulated experiments.
 package main
 
 import (
@@ -61,14 +56,9 @@ func main() {
 		bytesFlag    = flag.String("bytes", "64M", "bytes streamed per writer (e.g. 64M, 1G)")
 		blockFlag    = flag.String("block", "1M", "stream block size")
 		platformFlag = flag.String("platform", "tera100", "platform model (tera100 or curie)")
-		jFlag        = flag.Int("j", 0, "parallel sweep workers (0 = all cores, 1 = serial); output is identical for any value")
+		jFlag        = flag.Int("j", 0, "parallel sweep workers (0 = one per CPU, 1 = serial); output is identical for any value")
 		telFlag      = flag.Bool("telemetry", false, "re-run the best 1:1 point with engine telemetry and print a JSON health summary")
-		packv2Flag   = flag.Bool("packv2", false, "stream real event packs in the compact v2 wire format (default: size-only v1 blocks, the seed behavior)")
-		formatFlag   = flag.Int("format", 0, "pack wire format: 1 (fixed records), 2 (delta+varint) or 3 (stream dictionary); 0 defers to -packv2")
-		rawFlag      = flag.Bool("rawspeed", false, "single-node raw analysis speed: the v2+flat-board baseline engine vs the v3+sharded fused engine, at host speed")
-		rawWriters   = flag.Int("raw-writers", 8, "writer streams in -rawspeed mode")
-		rawEvents    = flag.Int("raw-events", 200000, "events per writer in -rawspeed mode")
-		rawCores     = flag.String("cores", "", "comma-separated worker counts (e.g. 1,2,4,8): sweep the v3 fused engine's replica scaling in -rawspeed mode instead of the v2-vs-v3 comparison")
+		formatFlag   = flag.Int("format", 0, "stream real event packs in wire format 2 (delta+varint) or 3 (stream dictionary); 0 or 1 = size-only v1 blocks, the seed behavior")
 		cpuProfile   = flag.String("cpuprofile", "", "write a host-side CPU profile of the run to this file")
 		memProfile   = flag.String("memprofile", "", "write a host-side heap profile to this file at exit")
 		treeFlag     = flag.String("tree", "", "reduction-tree ingest sweep over these applications (NAME.CLASS@PROCS[,...]) instead of the Figure 14 stream sweep")
@@ -79,26 +69,15 @@ func main() {
 		overloadFlag = flag.String("overload", "", "adaptive overload sweep over these applications (NAME.CLASS@PROCS[,...]) instead of the Figure 14 stream sweep")
 		overloadRate = flag.String("overload-rate", "200k", "throttled analyzer ingest rate in bytes/second for -overload")
 		overloadIter = flag.Int("overload-iters", 40, "timesteps per -overload application (0 = official counts)")
-		lagFlag      = flag.Bool("windowlag", false, "windowed-analysis latency sweep: virtual-clock burst/catch-up model with per-phase lag and an SLO verdict")
-		lagWindow    = flag.Duration("windowlag-window", time.Millisecond, "window length for -windowlag")
-		lagSlide     = flag.Duration("windowlag-slide", 0, "window slide for -windowlag (0 = tumbling)")
-		lagCost      = flag.Duration("windowlag-cost", time.Microsecond, "modeled analyzer cost per event for -windowlag")
-		lagSLO       = flag.Duration("windowlag-slo", 100*time.Microsecond, "end-of-run lag objective for -windowlag")
 	)
 	flag.Parse()
 
 	var modes []string
-	if *rawFlag {
-		modes = append(modes, "-rawspeed")
-	}
 	if *treeFlag != "" {
 		modes = append(modes, "-tree")
 	}
 	if *overloadFlag != "" {
 		modes = append(modes, "-overload")
-	}
-	if *lagFlag {
-		modes = append(modes, "-windowlag")
 	}
 	if err := cliutil.ExclusiveModes(modes...); err != nil {
 		fatalUsage(err)
@@ -123,7 +102,7 @@ func main() {
 	if err != nil {
 		fatalUsage(err)
 	}
-	format, err := cliutil.ResolvePackFormat(*formatFlag, *packv2Flag)
+	format, err := cliutil.ResolvePackFormat(*formatFlag)
 	if err != nil {
 		fatalUsage(err)
 	}
@@ -154,31 +133,12 @@ func main() {
 		}()
 	}
 
-	if *rawFlag {
-		if *rawCores != "" {
-			cores, err := cliutil.ParseInts(*rawCores)
-			if err != nil {
-				fatalUsage(err)
-			}
-			runRawScaling(*rawWriters, *rawEvents, cores)
-		} else {
-			runRawSpeed(*rawWriters, *rawEvents)
-		}
-		return
-	}
-	if *rawCores != "" {
-		fatalUsage(fmt.Errorf("-cores only applies to -rawspeed mode"))
-	}
 	if *treeFlag != "" {
 		runTreeSweep(platform, *treeFlag, *treeLevels, *treeFanin, *treeFlush, *treeIters, format)
 		return
 	}
 	if *overloadFlag != "" {
 		runOverloadSweep(platform, *overloadFlag, *overloadRate, *overloadIter)
-		return
-	}
-	if *lagFlag {
-		runWindowLag(lagWindow.Nanoseconds(), lagSlide.Nanoseconds(), lagCost.Nanoseconds(), lagSLO.Nanoseconds())
 		return
 	}
 
@@ -348,88 +308,4 @@ func runOverloadSweep(platform exp.Platform, apps, rate string, iters int) {
 		}
 	}
 	fmt.Fprintf(os.Stderr, "streambench: overload sweep in %.2fs\n", time.Since(start).Seconds())
-}
-
-// runWindowLag is the -windowlag mode: the deterministic burst/catch-up
-// latency model over tumbling (or sliding) windows, printed as a
-// per-phase push-rate vs lag table with the SLO verdict last. The whole
-// sweep runs on virtual clocks, so the table is bit-identical across
-// hosts and runs.
-func runWindowLag(windowNs, slideNs, costNs, sloNs int64) {
-	cfg := exp.DefaultWindowLagConfig()
-	cfg.WindowNs = windowNs
-	cfg.SlideNs = slideNs
-	cfg.CostNs = costNs
-	cfg.SLONs = sloNs
-	res, err := exp.WindowLagSweep(cfg)
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("phase      events    push/s       gap     end lag    peak lag      late\n")
-	for _, pt := range res.Points {
-		fmt.Printf("%-8s  %7d  %8.0f  %8s  %10s  %10s  %8d\n",
-			pt.Phase, pt.Events, pt.PushPerSec, time.Duration(pt.GapNs),
-			time.Duration(pt.EndLagNs), time.Duration(pt.PeakLagNs), pt.LateEvents)
-	}
-	fmt.Printf("\n%d windows of %s, max lag %s, final lag %s, %d late events, completeness >= %.2f%%\n",
-		res.Windows, time.Duration(cfg.WindowNs), time.Duration(res.MaxLagNs),
-		time.Duration(res.FinalLagNs), res.LateEvents, 100*res.MinCompleteness)
-	verdict := "MET"
-	if !res.SLOMet {
-		verdict = "MISSED"
-	}
-	fmt.Printf("SLO %s: %s (final lag %s)\n", time.Duration(res.SLONs), verdict, time.Duration(res.FinalLagNs))
-}
-
-// runRawSpeed is the -rawspeed mode: both engines analyze the identical
-// pre-encoded Fig14 workload at host speed — the PR7 acceptance
-// measurement, and the workload to point -cpuprofile at when hunting the
-// next bottleneck.
-func runRawSpeed(writers, events int) {
-	shards := runtime.NumCPU()
-	if shards > 8 {
-		shards = 8
-	}
-	base, err := exp.RawAnalysisSpeed(exp.RawSpeedConfig{
-		Writers: writers, EventsPerWriter: events,
-		PackVersion: trace.PackV2, Shards: 1, Fused: false,
-	})
-	if err != nil {
-		log.Fatal(err)
-	}
-	nu, err := exp.RawAnalysisSpeed(exp.RawSpeedConfig{
-		Writers: writers, EventsPerWriter: events,
-		PackVersion: trace.PackV3, Shards: shards, Fused: true,
-	})
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("engine                          events    wire bytes   seconds      events/s\n")
-	for _, pt := range []struct {
-		name string
-		p    exp.RawSpeedPoint
-	}{{"v2 + flat board (PR6)", base}, {"v3 + sharded board, fused", nu}} {
-		fmt.Printf("%-28s %9d  %12d  %8.3f  %12.0f\n",
-			pt.name, pt.p.Events, pt.p.WireBytes, pt.p.Seconds, pt.p.EventsPerSec)
-	}
-	fmt.Printf("\nspeedup: %.2fx analyzed events/s\n", nu.EventsPerSec/base.EventsPerSec)
-}
-
-// runRawScaling is -rawspeed -cores: the v3 fused engine at each worker
-// count, replicas and shards scaling together — the PR9 acceptance
-// sweep. Speedups are against the 1-worker (serial, replica-free) run
-// when the sweep includes it, else against the smallest count measured.
-func runRawScaling(writers, events int, cores []int) {
-	points, err := exp.RawSpeedScaling(writers, events, cores)
-	if err != nil {
-		log.Fatal(err)
-	}
-	base := points[0].EventsPerSec
-	fmt.Printf("workers  replicas    events   seconds      events/s   speedup  epoch merges\n")
-	for _, pt := range points {
-		fmt.Printf("%7d  %8d  %8d  %8.3f  %12.0f  %7.2fx  %12d\n",
-			pt.Workers, pt.Replicas, pt.Events, pt.Seconds, pt.EventsPerSec,
-			pt.EventsPerSec/base, pt.EpochMerges)
-	}
-	fmt.Fprintf(os.Stderr, "streambench: rawspeed scaling on a %d-core host\n", runtime.NumCPU())
 }

@@ -29,8 +29,7 @@ func main() {
 		itersFlag    = flag.Int("iters", 12, "timesteps per run (0 = official SP.D count)")
 		platformFlag = flag.String("platform", "curie", "platform model (tera100 or curie)")
 		jFlag        = flag.Int("j", 0, "parallel sweep workers (0 = all cores, 1 = serial); output is identical for any value")
-		packv2Flag   = flag.Bool("packv2", false, "online tool streams packs in the compact v2 wire format (default: v1 fixed records, the seed behavior)")
-		formatFlag   = flag.Int("format", 0, "online tool pack wire format: 1, 2 or 3; 0 defers to -packv2")
+		formatFlag   = flag.Int("format", 0, "online tool pack wire format: 1 (fixed records), 2 (delta+varint) or 3 (stream dictionary); 0 = 1, the seed behavior")
 	)
 	flag.Parse()
 
@@ -43,15 +42,9 @@ func main() {
 		log.Fatal(err)
 	}
 
-	packVersion := *formatFlag
-	if packVersion == 0 {
-		packVersion = trace.PackV1
-		if *packv2Flag {
-			packVersion = trace.PackV2
-		}
-	}
-	if packVersion < trace.PackV1 || packVersion > trace.PackV3 {
-		log.Fatalf("-format %d: pack formats are 1..3", packVersion)
+	packVersion, err := cliutil.ResolvePackFormat(*formatFlag)
+	if err != nil {
+		log.Fatal(err)
 	}
 	points, err := exp.Fig16SweepJV(platform, procs, *itersFlag, *jFlag, packVersion)
 	if err != nil {

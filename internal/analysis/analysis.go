@@ -9,25 +9,34 @@
 //	     Fold: decode in place ──per event──> {Profiler, Topology, Density, ...}
 //
 // The board's unit of work is the pack, the element the stream batches
-// into: one job decodes a pack in place and folds every event through the
-// pipeline's fold list — the same list the fused v3 ingest uses, so both
-// paths feed identical module sets. (The paper posts each decoded event as
-// a board entry; see DESIGN §11.)
+// into: one job decodes a pack in place and folds every event into the
+// level's state. (The paper posts each decoded event as a board entry; see
+// DESIGN §11.)
+//
+// A level's state is a Partial — the module set that is also a tree leaf's
+// delta, a replica's private memory, a window of the series and a daemon
+// session's epoch — so there is one fan-out from an event to the modules
+// (Partial.fold) and one merge of two module sets (Partial.Merge, and its
+// move form MergeReset). A Pipeline is that state on a board: its Enable*
+// methods add the optional modules to it, and what is not a module — the
+// export proxy, the window tracker — attaches as a tap behind the fold.
 //
 // Locking is per pack, not per event. Every module keeps its accumulators
 // behind a mutex and has two ways in: Add (lock, fold, unlock) for a caller
 // with one event and no claim on the module, and the unexported fold for a
 // caller that already owns it. Exactly two kinds of caller own a module: a
 // pack fold (Pipeline.FoldPack, the board's fold KS), which takes the mutex
-// of every module on the fold list once, in list order, decodes the whole
-// pack through the folds and releases; and the single owner of a Replica,
-// whose modules nobody else can reach (EnableReplicas gives each board
-// worker one). Readers — report rendering, AbsorbPartial, MergeReplica —
-// take one module mutex at a time and so wait for at most one pack.
+// of every module of the state once, in the order Partial declares them,
+// decodes the whole pack through Partial.fold and releases; and the single
+// owner of a Replica, whose modules nobody else can reach (a board worker
+// after EnableReplicas, a fused lane, a daemon session or lane, a tree
+// leaf). Readers — report rendering, AbsorbPartial, MergeReplica — take one
+// module mutex at a time and so wait for at most one pack.
 package analysis
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -58,6 +67,11 @@ type Pipeline struct {
 	bb    *blackboard.Blackboard
 	level string
 
+	// state is the level's canonical module set: what the pack folds write,
+	// what replicas and tree partials merge into, what the report reads.
+	// The exported module fields below alias its modules.
+	state *Partial
+
 	// Profiler reduces events to per-call-type statistics.
 	Profiler *ProfilerModule
 	// Topology accumulates the point-to-point communication matrix.
@@ -71,32 +85,24 @@ type Pipeline struct {
 	// unless an admission gate shed events.
 	Completeness *CompletenessModule
 
-	// Optional modules, recorded when enabled so tree-mode partials can
-	// be absorbed into them (AbsorbPartial).
-	waits     *WaitStateModule
-	temporal  *TemporalModule
-	callsites *CallsiteModule
-	sizes     *SizesModule
-	windowed  *WindowedModule
-
 	// tracker, when attached, observes every folded event's virtual
 	// timestamp against the analyzer clock (event→report-update lag and
-	// per-window completeness). It is a tap on the fold list, and
-	// Pipeline.NewReplica re-wraps it into every replica's fold dispatcher
-	// (a replica folds its own module set, not the list).
+	// per-window completeness): a tap on the locked pack folds and, through
+	// Pipeline.NewReplica, on every replica's.
 	tracker *WindowTracker
 
 	mu       sync.Mutex
 	finished bool
 	onFinish []func()
 
-	// folds is the published fold list: every event consumer — the
-	// modules plus the taps (export proxy, window tracker) — in the order
-	// it was enabled. The board's fold KS and the fused v3 ingest both
-	// fold packs through it (addFold is the only writer, under foldMu), so
-	// profiles are byte-identical either way.
-	foldMu sync.Mutex
-	folds  atomic.Pointer[foldList]
+	// foldFn is what a locked pack fold calls per event: state.fold, then
+	// the taps — the event consumers that are not modules and synchronize
+	// themselves (export proxies, the window tracker) — in the order they
+	// attached. addTap is its only writer (under mu, with the names it has
+	// attached in taps); the board's fold KS and the fused ingest both load
+	// it, so profiles are byte-identical either way.
+	taps   []string
+	foldFn atomic.Pointer[func(*trace.Event)]
 
 	// Replica mode (EnableReplicas): exports counts export proxies
 	// (incompatible with replicas); reps, non-nil once enabled, holds one
@@ -125,24 +131,22 @@ func (p *Pipeline) SetReplicaTelemetry(m *telemetry.ReplicaMetrics) { p.rm = m }
 // modules for an application of the given rank count under the given level
 // name.
 func NewPipeline(bb *blackboard.Blackboard, level string, appSize int) (*Pipeline, error) {
+	// Replicas and inner windows fold under application id 0, and so does
+	// the state they merge into; the ledger exists from the start because
+	// Completeness is a field callers read unconditionally.
+	state := NewPartial(0, PartialOptions{AppSize: appSize})
+	state.Shed = NewCompletenessModule()
 	p := &Pipeline{
 		bb:           bb,
 		level:        level,
-		Profiler:     NewProfilerModule(appSize),
-		Topology:     NewTopologyModule(appSize),
-		Density:      NewDensityModule(appSize),
-		Completeness: NewCompletenessModule(),
+		state:        state,
+		Profiler:     state.Profiler,
+		Topology:     state.Topology,
+		Density:      state.Density,
+		Completeness: state.Shed,
 	}
-	p.folds.Store(&foldList{})
-	for _, f := range []foldEntry{
-		{"profiler", &p.Profiler.mu, p.Profiler.fold},
-		{"topology", &p.Topology.mu, p.Topology.fold},
-		{"density", &p.Density.mu, p.Density.fold},
-	} {
-		if err := p.addFold(f); err != nil {
-			return nil, err
-		}
-	}
+	fold := state.fold
+	p.foldFn.Store(&fold)
 	if err := bb.Register(blackboard.KS{
 		Name:          "fold@" + level,
 		Sensitivities: []blackboard.Type{blackboard.TypeID(level, TypePack)},
@@ -170,48 +174,12 @@ func NewPipeline(bb *blackboard.Blackboard, level string, appSize int) (*Pipelin
 	return p, nil
 }
 
-// foldEntry is one consumer on the fold list. A module enters with its
-// mutex and its lock-free fold: a pack fold holds mu for the whole pack.
-// A tap synchronizes itself per event and leaves mu nil.
-type foldEntry struct {
-	name string
-	mu   *sync.Mutex
-	fold func(*trace.Event)
-}
-
-// foldList is an immutable snapshot of a pipeline's consumers; dispatch
-// calls every fold, in list order, for one decoded event straight from
-// the decoder's in-place scratch.
-type foldList struct {
-	entries  []foldEntry
-	dispatch func(*trace.Event)
-}
-
-// lock takes every module mutex on the list, in list order — the one
-// order in which anything holds two of them, so pack folds cannot
-// deadlock each other, and a reader holds only one at a time.
-func (l *foldList) lock() {
-	for _, e := range l.entries {
-		if e.mu != nil {
-			e.mu.Lock()
-		}
-	}
-}
-
-func (l *foldList) unlock() {
-	for _, e := range l.entries {
-		if e.mu != nil {
-			e.mu.Unlock()
-		}
-	}
-}
-
 // foldBoardPack is the fold KS's operation: one job per pack. The pack
 // (v1 or v2 — streams negotiate per writer, so one analyzer serves both)
 // is decoded in place from the borrowed block and every event folded
-// without an intermediate copy or board entry: through the fold list under
-// its modules' mutexes, or, after EnableReplicas, into the executing
-// worker's private replica.
+// without an intermediate copy or board entry: into the state under its
+// modules' mutexes, or, after EnableReplicas, into the executing worker's
+// private replica.
 func (p *Pipeline) foldBoardPack(worker int, buf []byte) {
 	var fn func(*trace.Event)
 	var rep *Replica
@@ -223,10 +191,9 @@ func (p *Pipeline) foldBoardPack(worker int, buf []byte) {
 		}
 		fn = rep.foldFn
 	} else {
-		fl := p.folds.Load()
-		fl.lock()
-		defer fl.unlock()
-		fn = fl.dispatch
+		p.state.lock()
+		defer p.state.unlock()
+		fn = *p.foldFn.Load()
 	}
 	var t0 time.Time
 	if p.codec != nil {
@@ -246,39 +213,36 @@ func (p *Pipeline) foldBoardPack(worker int, buf []byte) {
 	}
 }
 
-// addFold appends a consumer to the fold list and republishes it. Every
-// event consumer goes through here — it is what keeps the board path and
-// the fused path feeding identical module sets.
-func (p *Pipeline) addFold(e foldEntry) error {
-	p.foldMu.Lock()
-	defer p.foldMu.Unlock()
-	old := p.folds.Load().entries
-	for _, have := range old {
-		if have.name == e.name {
-			return fmt.Errorf("analysis: %q already enabled on level %q", e.name, p.level)
-		}
+// addTap attaches an event consumer that is not a module behind the state's
+// fold and republishes the dispatcher; fn synchronizes itself. This is the
+// only place such consumers attach, so the board path and the fused path
+// feed the same ones.
+func (p *Pipeline) addTap(name string, fn func(*trace.Event)) error {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if slices.Contains(p.taps, name) {
+		return p.alreadyEnabled(name)
 	}
-	entries := append(old[:len(old):len(old)], e)
-	p.folds.Store(&foldList{entries: entries, dispatch: func(ev *trace.Event) {
-		for i := range entries {
-			entries[i].fold(ev)
-		}
-	}})
+	p.taps = append(p.taps, name)
+	next := tapped(*p.foldFn.Load(), fn)
+	p.foldFn.Store(&next)
 	return nil
+}
+
+func (p *Pipeline) alreadyEnabled(name string) error {
+	return fmt.Errorf("analysis: %q already enabled on level %q", name, p.level)
 }
 
 // FoldPack is the fused decode→dispatch path: it decodes one pack
 // through the caller's per-writer stream decoder and folds every event
-// through the fold list on the calling goroutine, holding the listed
-// modules' mutexes for the pack — the fold KS minus the board hop, for
-// packs (v3) that must decode in per-writer order. Codec telemetry
-// accounts the pack exactly like the fold KS does. Returns the event
-// count.
+// into the state on the calling goroutine, holding its modules' mutexes
+// for the pack — the fold KS minus the board hop, for packs (v3) that must
+// decode in per-writer order. Codec telemetry accounts the pack exactly
+// like the fold KS does. Returns the event count.
 func (p *Pipeline) FoldPack(dec *trace.StreamDecoder, buf []byte) (int, error) {
-	fl := p.folds.Load()
-	fl.lock()
-	defer fl.unlock()
-	return p.foldStreamPack(dec, buf, fl.dispatch)
+	p.state.lock()
+	defer p.state.unlock()
+	return p.foldStreamPack(dec, buf, *p.foldFn.Load())
 }
 
 func (p *Pipeline) foldStreamPack(dec *trace.StreamDecoder, buf []byte, fn func(*trace.Event)) (int, error) {
@@ -482,61 +446,22 @@ func (f *FusedIngest) FusedPacks() int64 { return f.fusedPacks.Load() }
 // FusedEvents returns how many events were folded on the fused path.
 func (f *FusedIngest) FusedEvents() int64 { return f.fusedEvents.Load() }
 
-// PartialOptions derives the Partial module selection matching the
-// pipeline's enabled modules, so leaf partials and the root pipeline
-// agree on what travels up the tree.
-func (p *Pipeline) PartialOptions() PartialOptions {
-	opts := PartialOptions{AppSize: p.Profiler.size}
-	if p.waits != nil {
-		opts.WaitState = true
-	}
-	if p.temporal != nil {
-		opts.TemporalWindowNs = p.temporal.Window()
-	}
-	if p.callsites != nil {
-		opts.Callsites = true
-	}
-	if p.sizes != nil {
-		opts.Sizes = true
-	}
-	if p.windowed != nil {
-		opts.WindowNs = p.windowed.Window()
-		opts.WindowSlideNs = p.windowed.Slide()
-	}
-	return opts
-}
+// PartialOptions returns the module selection of the pipeline's state, so
+// leaf partials, replicas and the root pipeline agree on what they carry.
+func (p *Pipeline) PartialOptions() PartialOptions { return p.state.Options() }
 
 // AbsorbPartial folds a (typically tree-reduced) partial profile into
-// the pipeline's modules: the final step that turns the root's merged
+// the pipeline's state: the final step that turns the root's merged
 // partial into the same report the flat event pipeline would produce.
-// Optional modules are merged only when enabled on the pipeline side;
-// call-site labels registered on the pipeline survive (partials carry
-// statistics, not label tables).
+// Unlike Partial.Merge it is tolerant: whatever application id pp carries,
+// optional modules are merged when both sides have them. Call-site labels
+// registered on the pipeline survive (partials carry statistics, not
+// label tables).
 func (p *Pipeline) AbsorbPartial(pp *Partial) {
-	p.Profiler.Merge(pp.Profiler)
-	p.Topology.Merge(pp.Topology)
-	p.Density.Merge(pp.Density)
-	if p.waits != nil && pp.Waits != nil {
-		p.waits.MergeFull(pp.Waits)
-	}
-	if p.temporal != nil && pp.Temporal != nil {
-		p.temporal.Merge(pp.Temporal)
-	}
-	if p.callsites != nil && pp.Callsites != nil {
-		p.callsites.Merge(pp.Callsites)
-	}
-	if p.sizes != nil && pp.Sizes != nil {
-		p.sizes.Merge(pp.Sizes)
-	}
-	if pp.Shed != nil {
-		p.Completeness.Merge(pp.Shed)
-	}
-	if p.windowed != nil && pp.Windows != nil {
-		if err := p.windowed.Merge(pp.Windows); err != nil {
-			// Geometry mismatch between a tree partial and the root
-			// pipeline is a wiring bug, same class as an unregistered app.
-			panic(fmt.Sprintf("analysis: absorbing partial window series: %v", err))
-		}
+	if err := p.state.merge(pp); err != nil {
+		// Geometry mismatch between a tree partial and the root pipeline
+		// is a wiring bug, same class as an unregistered app.
+		panic(fmt.Sprintf("analysis: absorbing partial window series: %v", err))
 	}
 }
 

@@ -138,13 +138,13 @@ func (m *CallsiteModule) Merge(o *CallsiteModule) {
 	}
 }
 
-// EnableCallsites adds a call-site module to the pipeline's fold list and
-// returns its module.
+// EnableCallsites adds a call-site module to the pipeline's state and
+// returns it.
 func (p *Pipeline) EnableCallsites() (*CallsiteModule, error) {
-	m := NewCallsiteModule()
-	if err := p.addFold(foldEntry{"callsites", &m.mu, m.fold}); err != nil {
-		return nil, err
+	if p.state.Callsites != nil {
+		return nil, p.alreadyEnabled("callsites")
 	}
-	p.callsites = m
-	return m, nil
+	p.state.opts.Callsites = true
+	p.state.Callsites = NewCallsiteModule()
+	return p.state.Callsites, nil
 }

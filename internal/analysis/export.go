@@ -92,7 +92,7 @@ func ReadExported(buf []byte, fn func(*trace.Event)) error {
 		if err != nil {
 			return fmt.Errorf("analysis: corrupt export at offset %d: %w", off, err)
 		}
-		off += trace.PackHeaderSize + h.Count*h.RecordSize
+		off += h.WireLen()
 	}
 	return nil
 }
@@ -119,7 +119,7 @@ func (m *ExportModule) WriteArchive(w io.Writer) error {
 	return aw.Finish(w)
 }
 
-// EnableExport taps an export module into the pipeline's fold list and
+// EnableExport taps an export module into the pipeline's pack folds and
 // returns it. name distinguishes several exporters on one level.
 func (p *Pipeline) EnableExport(name string, filter func(*trace.Event) bool) (*ExportModule, error) {
 	p.mu.Lock()
@@ -130,7 +130,7 @@ func (p *Pipeline) EnableExport(name string, filter func(*trace.Event) bool) (*E
 	p.exports++
 	p.mu.Unlock()
 	m := NewExportModule(0, filter)
-	if err := p.addFold(foldEntry{name: "export-" + name, fold: m.Add}); err != nil {
+	if err := p.addTap("export-"+name, m.Add); err != nil {
 		return nil, err
 	}
 	return m, nil

@@ -78,6 +78,44 @@ func TestReadExportedRejectsGarbage(t *testing.T) {
 	if err := ReadExported([]byte{1, 2, 3, 4, 5}, func(*trace.Event) {}); err == nil {
 		t.Fatal("garbage accepted")
 	}
+	// A well-formed audit pack passes the header check but holds ledger
+	// entries, not event records: an error, not a misread.
+	audit := trace.EncodeAuditPack(1, 0, []trace.AuditEntry{{Kind: trace.KindSend, Shed: 3, Kept: 5}})
+	if err := ReadExported(audit, func(*trace.Event) { t.Fatal("audit entry replayed as an event") }); err == nil {
+		t.Fatal("audit pack accepted")
+	}
+}
+
+// TestReadExportedMixedFormats replays a stream whose middle pack is v2:
+// the reader must step over each pack by its encoded length, not by the
+// fixed-record length its event count would have in v1.
+func TestReadExportedMixedFormats(t *testing.T) {
+	var stream []byte
+	total := 0
+	for i, c := range []struct{ version, events int }{{trace.PackV1, 3}, {trace.PackV2, 5}, {trace.PackV1, 2}} {
+		b, err := trace.NewBuilder(c.version, 0, int32(i), trace.MinRecordSize, 1<<12)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for j := 0; j < c.events; j++ {
+			ev := sendEvent(int32(i), int32(i+1), 64, int64(total), int64(total+1))
+			b.Add(&ev)
+			total++
+		}
+		stream = append(stream, b.Take()...)
+	}
+	var got []int64
+	if err := ReadExported(stream, func(e *trace.Event) { got = append(got, e.TStart) }); err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != total {
+		t.Fatalf("replayed %d of %d events", len(got), total)
+	}
+	for i, ts := range got {
+		if ts != int64(i) {
+			t.Fatalf("event %d has timestamp %d: stream replayed out of order", i, ts)
+		}
+	}
 }
 
 func TestPipelineEnableExport(t *testing.T) {

@@ -127,7 +127,7 @@ func TestFusedIngestMatchesBoardPath(t *testing.T) {
 				mf.Hits[i], mf.Bytes[i], mf.TimeNs[i], mb.Hits[i], mb.Bytes[i], mb.TimeNs[i])
 		}
 	}
-	hf, hb := pf.sizes.Histogram(), pb.sizes.Histogram()
+	hf, hb := pf.state.Sizes.Histogram(), pb.state.Sizes.Histogram()
 	if len(hf) != len(hb) {
 		t.Fatalf("size histogram rows: fused=%d board=%d", len(hf), len(hb))
 	}
@@ -136,7 +136,7 @@ func TestFusedIngestMatchesBoardPath(t *testing.T) {
 			t.Fatalf("size bucket %d: fused=%+v board=%+v", i, hf[i], hb[i])
 		}
 	}
-	tfp, tbp := pf.callsites.Top(0), pb.callsites.Top(0)
+	tfp, tbp := pf.state.Callsites.Top(0), pb.state.Callsites.Top(0)
 	if len(tfp) != len(tbp) {
 		t.Fatalf("callsite rows: fused=%d board=%d", len(tfp), len(tbp))
 	}
@@ -225,7 +225,7 @@ func TestFusedIngestUnknownApp(t *testing.T) {
 
 // TestFoldPackZeroAllocs guards the fused hot path end to end: once the
 // modules have seen the stream's kinds, ranks and call sites, folding a
-// 256-event v3 pack — decode loop, per-pack locking, fold list —
+// 256-event v3 pack — decode loop, per-pack locking, state fold —
 // allocates nothing.
 func TestFoldPackZeroAllocs(t *testing.T) {
 	d, err := NewDispatcher(newBoard(t))

@@ -231,11 +231,11 @@ func (tr *WindowTracker) Publish() {
 }
 
 // AttachWindowTracker wires a tracker into the pipeline's fold paths: a
-// tap on the fold list (board and fused paths) and, via Pipeline.
+// tap on the locked pack folds (board and fused paths) and, via Pipeline.
 // NewReplica, on every replica's fold dispatcher. Call after EnableWindows
 // and before EnableReplicas or any replica/lane creation.
 func (p *Pipeline) AttachWindowTracker(tr *WindowTracker) error {
-	if err := p.addFold(foldEntry{name: "windowlag", fold: tr.OnEvent}); err != nil {
+	if err := p.addTap("windowlag", tr.OnEvent); err != nil {
 		return err
 	}
 	p.mu.Lock()

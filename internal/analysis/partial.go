@@ -119,38 +119,112 @@ func NewPartial(appID uint32, opts PartialOptions) *Partial {
 // Options returns the partial's module selection.
 func (pp *Partial) Options() PartialOptions { return pp.opts }
 
-// AddEvent folds one decoded event into every enabled module.
+// AddEvent folds one decoded event into every enabled module, for a
+// caller with no claim on them.
 func (pp *Partial) AddEvent(ev *trace.Event) {
-	pp.Profiler.Add(ev)
-	pp.Topology.Add(ev)
-	pp.Density.Add(ev)
+	pp.lock()
+	pp.fold(ev)
+	pp.unlock()
+}
+
+// fold is the one fan-out from an event to the modules, for a caller that
+// owns them all: a replica's single owner, a window series folding its
+// inner partials, or a pack fold between lock and unlock.
+func (pp *Partial) fold(ev *trace.Event) {
+	pp.Profiler.fold(ev)
+	pp.Topology.fold(ev)
+	pp.Density.fold(ev)
 	if pp.Waits != nil {
-		pp.Waits.Add(ev)
+		pp.Waits.fold(ev)
 	}
 	if pp.Temporal != nil {
-		pp.Temporal.Add(ev)
+		pp.Temporal.fold(ev)
 	}
 	if pp.Callsites != nil {
-		pp.Callsites.Add(ev)
+		pp.Callsites.fold(ev)
 	}
 	if pp.Sizes != nil {
-		pp.Sizes.Add(ev)
+		pp.Sizes.fold(ev)
 	}
 	if pp.Windows != nil {
-		pp.Windows.Add(ev)
+		pp.Windows.fold(ev)
 	}
+}
+
+// lock takes the mutex of every module fold writes, in the order the type
+// declares them — the one order in which anything holds two of them, so
+// pack folds cannot deadlock each other, and a reader holds only one at a
+// time.
+func (pp *Partial) lock() {
+	pp.Profiler.mu.Lock()
+	pp.Topology.mu.Lock()
+	pp.Density.mu.Lock()
+	if pp.Waits != nil {
+		pp.Waits.mu.Lock()
+	}
+	if pp.Temporal != nil {
+		pp.Temporal.mu.Lock()
+	}
+	if pp.Callsites != nil {
+		pp.Callsites.mu.Lock()
+	}
+	if pp.Sizes != nil {
+		pp.Sizes.mu.Lock()
+	}
+	if pp.Windows != nil {
+		pp.Windows.mu.Lock()
+	}
+}
+
+func (pp *Partial) unlock() {
+	pp.Profiler.mu.Unlock()
+	pp.Topology.mu.Unlock()
+	pp.Density.mu.Unlock()
+	if pp.Waits != nil {
+		pp.Waits.mu.Unlock()
+	}
+	if pp.Temporal != nil {
+		pp.Temporal.mu.Unlock()
+	}
+	if pp.Callsites != nil {
+		pp.Callsites.mu.Unlock()
+	}
+	if pp.Sizes != nil {
+		pp.Sizes.mu.Unlock()
+	}
+	if pp.Windows != nil {
+		pp.Windows.mu.Unlock()
+	}
+}
+
+// mergeable refuses a partial of another application or module selection
+// (given by its identity, so an encoded one can be checked from its
+// header).
+func (pp *Partial) mergeable(appID uint32, opts PartialOptions) error {
+	if pp.AppID != appID {
+		return fmt.Errorf("analysis: merging partials of different apps (%d vs %d)", pp.AppID, appID)
+	}
+	if pp.opts != opts {
+		return fmt.Errorf("analysis: merging partials with different module selections (%+v vs %+v)", pp.opts, opts)
+	}
+	return nil
 }
 
 // Merge folds another partial of the same application into this one.
 // Wait-state pending queues are carried over and re-paired (MergeFull),
 // which is what makes the operation associative and commutative.
 func (pp *Partial) Merge(o *Partial) error {
-	if pp.AppID != o.AppID {
-		return fmt.Errorf("analysis: merging partials of different apps (%d vs %d)", pp.AppID, o.AppID)
+	if err := pp.mergeable(o.AppID, o.opts); err != nil {
+		return err
 	}
-	if pp.opts != o.opts {
-		return fmt.Errorf("analysis: merging partials with different module selections (%+v vs %+v)", pp.opts, o.opts)
-	}
+	return pp.merge(o)
+}
+
+// merge is Merge without the identity check: it copies o's state into pp
+// module by module, for every module both sides carry (Pipeline.
+// AbsorbPartial relies on that tolerance). The only error is a window
+// series of another geometry.
+func (pp *Partial) merge(o *Partial) error {
 	pp.Profiler.Merge(o.Profiler)
 	pp.Topology.Merge(o.Topology)
 	pp.Density.Merge(o.Density)
@@ -160,24 +234,65 @@ func (pp *Partial) Merge(o *Partial) error {
 		}
 		pp.Shed.Merge(o.Shed)
 	}
-	if pp.Waits != nil {
+	if pp.Waits != nil && o.Waits != nil {
 		pp.Waits.MergeFull(o.Waits)
 	}
-	if pp.Temporal != nil {
+	if pp.Temporal != nil && o.Temporal != nil {
 		pp.Temporal.Merge(o.Temporal)
 	}
-	if pp.Callsites != nil {
+	if pp.Callsites != nil && o.Callsites != nil {
 		pp.Callsites.Merge(o.Callsites)
 	}
-	if pp.Sizes != nil {
+	if pp.Sizes != nil && o.Sizes != nil {
 		pp.Sizes.Merge(o.Sizes)
 	}
-	if pp.Windows != nil {
-		if err := pp.Windows.Merge(o.Windows); err != nil {
-			return err
-		}
+	if pp.Windows != nil && o.Windows != nil {
+		return pp.Windows.Merge(o.Windows)
 	}
 	return nil
+}
+
+// MergeReset folds another partial of the same application into this one
+// and resets o to empty in place, keeping o's allocated maps, slices and
+// queue backing arrays for reuse. It is the epoch-merge form of Merge:
+// same result (Merge copies, MergeReset moves), but a steady-state merge
+// of a replica allocates nothing — no re-encoding, no snapshot copies.
+// The caller must own o exclusively (it is a paused replica).
+func (pp *Partial) MergeReset(o *Partial) error {
+	if err := pp.mergeable(o.AppID, o.opts); err != nil {
+		return err
+	}
+	pp.mergeReset(o)
+	return nil
+}
+
+// mergeReset is MergeReset without the identity check, tolerant like merge
+// (Pipeline.MergeReplica: a replica may predate an Enable*).
+func (pp *Partial) mergeReset(o *Partial) {
+	pp.Profiler.mergeReset(o.Profiler)
+	pp.Topology.mergeReset(o.Topology)
+	pp.Density.mergeReset(o.Density)
+	if o.Shed != nil {
+		if pp.Shed == nil {
+			pp.Shed = NewCompletenessModule()
+		}
+		pp.Shed.mergeReset(o.Shed)
+	}
+	if pp.Waits != nil && o.Waits != nil {
+		pp.Waits.mergeResetFull(o.Waits)
+	}
+	if pp.Temporal != nil && o.Temporal != nil {
+		pp.Temporal.mergeReset(o.Temporal)
+	}
+	if pp.Callsites != nil && o.Callsites != nil {
+		pp.Callsites.mergeReset(o.Callsites)
+	}
+	if pp.Sizes != nil && o.Sizes != nil {
+		pp.Sizes.mergeReset(o.Sizes)
+	}
+	if pp.Windows != nil && o.Windows != nil {
+		pp.Windows.mergeReset(o.Windows)
+	}
 }
 
 // --- wire format ---
@@ -665,11 +780,8 @@ func (pp *Partial) MergeEncoded(buf []byte) error {
 	if err != nil {
 		return err
 	}
-	if appID != pp.AppID {
-		return fmt.Errorf("analysis: merging partials of different apps (%d vs %d)", pp.AppID, appID)
-	}
-	if opts != pp.opts {
-		return fmt.Errorf("analysis: merging partials with different module selections (%+v vs %+v)", pp.opts, opts)
+	if err := pp.mergeable(appID, opts); err != nil {
+		return err
 	}
 	body := r.off
 	if err := pp.mergeSections(&r, flags, false); err != nil {

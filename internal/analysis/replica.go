@@ -55,29 +55,22 @@ type Replica struct {
 // NewReplica creates a replica for an application of the given module
 // selection.
 func NewReplica(appID uint32, opts PartialOptions) *Replica {
-	r := &Replica{pp: NewPartial(appID, opts)}
-	pp := r.pp
-	r.foldFn = func(ev *trace.Event) {
-		pp.Profiler.fold(ev)
-		pp.Topology.fold(ev)
-		pp.Density.fold(ev)
-		if pp.Waits != nil {
-			pp.Waits.fold(ev)
-		}
-		if pp.Temporal != nil {
-			pp.Temporal.fold(ev)
-		}
-		if pp.Callsites != nil {
-			pp.Callsites.fold(ev)
-		}
-		if pp.Sizes != nil {
-			pp.Sizes.fold(ev)
-		}
-		if pp.Windows != nil {
-			pp.Windows.fold(ev)
-		}
+	pp := NewPartial(appID, opts)
+	return &Replica{pp: pp, foldFn: pp.fold}
+}
+
+// Tap makes every later fold also hand the event to fn, after the modules:
+// how an observer that is not a module (the window tracker) rides a fold
+// path that bypasses the pipeline's. Call before the first fold; fn
+// synchronizes itself if it is shared between replicas.
+func (r *Replica) Tap(fn func(*trace.Event)) { r.foldFn = tapped(r.foldFn, fn) }
+
+// tapped returns the dispatcher that folds an event, then hands it to tap.
+func tapped(fold, tap func(*trace.Event)) func(*trace.Event) {
+	return func(ev *trace.Event) {
+		fold(ev)
+		tap(ev)
 	}
-	return r
 }
 
 // Fold folds one event into the replica without locking.
@@ -93,97 +86,28 @@ func (r *Replica) Partial() *Partial { return r.pp }
 // Pending reports how many events were folded since the last merge.
 func (r *Replica) Pending() int { return r.pending }
 
-// MergeReset folds another partial of the same application into this one
-// and resets o to empty in place, keeping o's allocated maps, slices and
-// queue backing arrays for reuse. It is the epoch-merge form of Merge:
-// same result (Merge copies, MergeReset moves), but a steady-state merge
-// of a replica allocates nothing — no re-encoding, no snapshot copies.
-// The caller must own o exclusively (it is a paused replica).
-func (pp *Partial) MergeReset(o *Partial) error {
-	if pp.AppID != o.AppID {
-		return fmt.Errorf("analysis: merging partials of different apps (%d vs %d)", pp.AppID, o.AppID)
-	}
-	if pp.opts != o.opts {
-		return fmt.Errorf("analysis: merging partials with different module selections (%+v vs %+v)", pp.opts, o.opts)
-	}
-	pp.Profiler.mergeReset(o.Profiler)
-	pp.Topology.mergeReset(o.Topology)
-	pp.Density.mergeReset(o.Density)
-	if o.Shed != nil {
-		if pp.Shed == nil {
-			pp.Shed = NewCompletenessModule()
-		}
-		pp.Shed.mergeReset(o.Shed)
-	}
-	if pp.Waits != nil {
-		pp.Waits.mergeResetFull(o.Waits)
-	}
-	if pp.Temporal != nil {
-		pp.Temporal.mergeReset(o.Temporal)
-	}
-	if pp.Callsites != nil {
-		pp.Callsites.mergeReset(o.Callsites)
-	}
-	if pp.Sizes != nil {
-		pp.Sizes.mergeReset(o.Sizes)
-	}
-	if pp.Windows != nil {
-		pp.Windows.mergeReset(o.Windows)
-	}
-	return nil
-}
-
-// NewReplica creates a replica matching the pipeline's enabled module
-// selection. Call after every Enable* the run will use. An attached
-// window tracker is woven into the fold dispatcher here: replicas
-// bypass the event KSs, so the lag observer must ride the replica's own
-// fold path.
+// NewReplica creates a replica matching the pipeline's state. Call after
+// every Enable* the run will use. An attached window tracker is tapped in:
+// replicas bypass the pipeline's fold, so the lag observer must ride the
+// replica's own.
 func (p *Pipeline) NewReplica() *Replica {
 	r := NewReplica(0, p.PartialOptions())
-	p.mu.Lock()
-	tr := p.tracker
-	p.mu.Unlock()
-	if tr != nil {
-		inner := r.foldFn
-		r.foldFn = func(ev *trace.Event) {
-			inner(ev)
-			tr.OnEvent(ev)
-		}
+	if tr := p.WindowTracker(); tr != nil {
+		r.Tap(tr.OnEvent)
 	}
 	return r
 }
 
 // MergeReplica folds a replica's accumulated state into the pipeline's
-// canonical modules and resets the replica in place (its maps and
-// buckets stay allocated for the next epoch). Safe to call concurrently
-// for distinct replicas: only the canonical side locks.
+// state and resets the replica in place (its maps and buckets stay
+// allocated for the next epoch). Safe to call concurrently for distinct
+// replicas: only the canonical side locks.
 func (p *Pipeline) MergeReplica(r *Replica) {
 	var t0 time.Time
 	if p.rm != nil {
 		t0 = time.Now()
 	}
-	pp := r.pp
-	p.Profiler.mergeReset(pp.Profiler)
-	p.Topology.mergeReset(pp.Topology)
-	p.Density.mergeReset(pp.Density)
-	if p.waits != nil && pp.Waits != nil {
-		p.waits.mergeResetFull(pp.Waits)
-	}
-	if p.temporal != nil && pp.Temporal != nil {
-		p.temporal.mergeReset(pp.Temporal)
-	}
-	if p.callsites != nil && pp.Callsites != nil {
-		p.callsites.mergeReset(pp.Callsites)
-	}
-	if p.sizes != nil && pp.Sizes != nil {
-		p.sizes.mergeReset(pp.Sizes)
-	}
-	if pp.Shed != nil {
-		p.Completeness.mergeReset(pp.Shed)
-	}
-	if p.windowed != nil && pp.Windows != nil {
-		p.windowed.mergeReset(pp.Windows)
-	}
+	p.state.mergeReset(r.pp)
 	r.pending = 0
 	if p.rm != nil {
 		p.rm.OnEpochMerge(time.Since(t0).Nanoseconds())
@@ -191,10 +115,10 @@ func (p *Pipeline) MergeReplica(r *Replica) {
 }
 
 // EnableReplicas switches the pipeline's board path to shared-nothing
-// parallel folding: the fold KS stops dispatching through the fold list
-// (whose pack folds queue on the module mutexes) and folds each pack into
-// the executing worker's private replica, merging into the canonical
-// modules once epochEvents events accumulated (0 = default). Call after
+// parallel folding: the fold KS stops folding into the state directly
+// (where pack folds queue on the module mutexes) and folds each pack into
+// the executing worker's private replica, merging into the state once
+// epochEvents events accumulated (0 = default). Call after
 // every Enable* the run will use and before any pack flows; call Settle
 // after the board drains to merge the residue.
 //

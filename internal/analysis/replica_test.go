@@ -168,16 +168,16 @@ func canonicalOf(p *Pipeline) []byte {
 	pp.Topology.Merge(p.Topology)
 	pp.Density.Merge(p.Density)
 	if pp.Waits != nil {
-		pp.Waits.MergeFull(p.waits)
+		pp.Waits.MergeFull(p.state.Waits)
 	}
 	if pp.Temporal != nil {
-		pp.Temporal.Merge(p.temporal)
+		pp.Temporal.Merge(p.state.Temporal)
 	}
 	if pp.Callsites != nil {
-		pp.Callsites.Merge(p.callsites)
+		pp.Callsites.Merge(p.state.Callsites)
 	}
 	if pp.Sizes != nil {
-		pp.Sizes.Merge(p.sizes)
+		pp.Sizes.Merge(p.state.Sizes)
 	}
 	return pp.AppendCanonical(nil)
 }

@@ -136,13 +136,13 @@ func (m *SizesModule) Merge(o *SizesModule) {
 	}
 }
 
-// EnableSizes adds a message-size histogram module to the pipeline's fold
-// list and returns it.
+// EnableSizes adds a message-size histogram module to the pipeline's
+// state and returns it.
 func (p *Pipeline) EnableSizes() (*SizesModule, error) {
-	m := NewSizesModule()
-	if err := p.addFold(foldEntry{"sizes", &m.mu, m.fold}); err != nil {
-		return nil, err
+	if p.state.Sizes != nil {
+		return nil, p.alreadyEnabled("sizes")
 	}
-	p.sizes = m
-	return m, nil
+	p.state.opts.Sizes = true
+	p.state.Sizes = NewSizesModule()
+	return p.state.Sizes, nil
 }

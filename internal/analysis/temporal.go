@@ -200,13 +200,13 @@ func (m *TemporalModule) Merge(o *TemporalModule) {
 	m.mergeRows(&snap)
 }
 
-// EnableTemporal adds a temporal-map module to the pipeline's fold list and
-// returns its module.
+// EnableTemporal adds a temporal-map module to the pipeline's state and
+// returns it.
 func (p *Pipeline) EnableTemporal(windowNs int64) (*TemporalModule, error) {
-	m := NewTemporalModule(windowNs)
-	if err := p.addFold(foldEntry{"temporal", &m.mu, m.fold}); err != nil {
-		return nil, err
+	if p.state.Temporal != nil {
+		return nil, p.alreadyEnabled("temporal")
 	}
-	p.temporal = m
-	return m, nil
+	p.state.Temporal = NewTemporalModule(windowNs)
+	p.state.opts.TemporalWindowNs = p.state.Temporal.Window()
+	return p.state.Temporal, nil
 }

@@ -371,14 +371,15 @@ func mergeSorted[T any](a, b []T, less func(x, y T) bool) []T {
 	return append(out, b[j:]...)
 }
 
-// EnableWaitState adds a wait-state module to the pipeline's fold list and
-// returns its module. The analysis is optional because it keeps per-channel
-// state proportional to in-flight messages.
+// EnableWaitState adds a wait-state module to the pipeline's state and
+// returns it. The analysis is optional because it keeps per-channel state
+// proportional to in-flight messages. Like every Enable*, call it before
+// packs flow.
 func (p *Pipeline) EnableWaitState() (*WaitStateModule, error) {
-	m := NewWaitStateModule(p.Profiler.size)
-	if err := p.addFold(foldEntry{"waitstate", &m.mu, m.fold}); err != nil {
-		return nil, err
+	if p.state.Waits != nil {
+		return nil, p.alreadyEnabled("waitstate")
 	}
-	p.waits = m
-	return m, nil
+	p.state.opts.WaitState = true
+	p.state.Waits = NewWaitStateModule(p.state.opts.AppSize)
+	return p.state.Waits, nil
 }

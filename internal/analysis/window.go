@@ -122,8 +122,8 @@ func (m *WindowedModule) Add(ev *trace.Event) {
 }
 
 // fold is Add for a caller that owns m (see ProfilerModule.fold). The
-// inner modules' folds are used directly: owning the WindowedModule
-// covers the inner partials too.
+// inner partials fold without their locks: owning the WindowedModule
+// covers them too.
 func (m *WindowedModule) fold(ev *trace.Event) {
 	t := ev.TStart
 	if t < 0 {
@@ -135,7 +135,7 @@ func (m *WindowedModule) fold(ev *trace.Event) {
 		if m.cur == nil || hi != m.curIdx {
 			m.curIdx, m.cur = hi, m.window(hi)
 		}
-		foldWindowEvent(m.cur, ev)
+		m.cur.fold(ev)
 		return
 	}
 	// Sliding: every window i with i*slide <= t < i*slide+window.
@@ -144,7 +144,7 @@ func (m *WindowedModule) fold(ev *trace.Event) {
 		lo = 0 // the series starts at virtual time zero
 	}
 	for i := lo; i <= hi; i++ {
-		foldWindowEvent(m.window(i), ev)
+		m.window(i).fold(ev)
 	}
 }
 
@@ -156,21 +156,6 @@ func (m *WindowedModule) window(i int64) *Partial {
 		m.wins[i] = wp
 	}
 	return wp
-}
-
-// foldWindowEvent folds one event into an inner window partial through
-// the modules' lock-free folds (the outer WindowedModule synchronization
-// covers them).
-func foldWindowEvent(wp *Partial, ev *trace.Event) {
-	wp.Profiler.fold(ev)
-	wp.Topology.fold(ev)
-	wp.Density.fold(ev)
-	if wp.Waits != nil {
-		wp.Waits.fold(ev)
-	}
-	if wp.Callsites != nil {
-		wp.Callsites.fold(ev)
-	}
 }
 
 // Len reports how many windows hold content.
@@ -269,11 +254,11 @@ func (m *WindowedModule) mergeReset(o *WindowedModule) {
 	}
 }
 
-// EnableWindows registers the windowed series on the pipeline: an entry
-// on the fold list (board and fused paths) and (through PartialOptions)
-// the per-window sections of every leaf and replica partial. windowNs is the window width in virtual nanoseconds; slideNs
-// is the slide (0 = tumbling). Call after every other Enable* the run
-// will use — the inner per-window module selection mirrors what is
+// EnableWindows adds the windowed series to the pipeline's state, and so
+// (through PartialOptions) the per-window sections to every leaf and
+// replica partial. windowNs is the window width in virtual nanoseconds;
+// slideNs is the slide (0 = tumbling). Call after every other Enable* the
+// run will use — the inner per-window module selection mirrors what is
 // enabled at this point — and before EnableReplicas.
 func (p *Pipeline) EnableWindows(windowNs, slideNs int64) (*WindowedModule, error) {
 	if windowNs <= 0 {
@@ -285,19 +270,11 @@ func (p *Pipeline) EnableWindows(windowNs, slideNs int64) (*WindowedModule, erro
 	if slideNs < 0 || slideNs > windowNs {
 		return nil, fmt.Errorf("analysis: window slide %d outside (0, %d]", slideNs, windowNs)
 	}
-	inner := innerWindowOptions(p.PartialOptions())
-	m := NewWindowedModule(windowNs, slideNs, inner)
-	if err := p.addFold(foldEntry{"windows", &m.mu, m.fold}); err != nil {
-		return nil, err
+	if p.state.Windows != nil {
+		return nil, p.alreadyEnabled("windows")
 	}
-	p.windowed = m
-	return m, nil
-}
-
-// WindowedSeries returns the pipeline's windowed module (nil unless
-// EnableWindows ran).
-func (p *Pipeline) WindowedSeries() *WindowedModule {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.windowed
+	o := &p.state.opts
+	o.WindowNs, o.WindowSlideNs = windowNs, slideNs
+	p.state.Windows = NewWindowedModule(windowNs, slideNs, innerWindowOptions(*o))
+	return p.state.Windows, nil
 }

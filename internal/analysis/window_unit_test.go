@@ -112,7 +112,7 @@ func TestEnableWindowsValidation(t *testing.T) {
 	if _, err := p.EnableWindows(1000, 2000); err == nil {
 		t.Fatal("slide > window accepted")
 	}
-	if p.WindowedSeries() != nil {
+	if p.state.Windows != nil {
 		t.Fatal("series set before a successful enable")
 	}
 	m, err := p.EnableWindows(1000, 0)
@@ -122,8 +122,8 @@ func TestEnableWindowsValidation(t *testing.T) {
 	if m.Slide() != 1000 {
 		t.Fatalf("tumbling slide = %d, want window width", m.Slide())
 	}
-	if p.WindowedSeries() != m {
-		t.Fatal("WindowedSeries does not return the enabled module")
+	if p.state.Windows != m {
+		t.Fatal("the state does not carry the enabled module")
 	}
 	// The KS name is taken now; enabling again must fail, not shadow.
 	if _, err := p.EnableWindows(1000, 0); err == nil {
@@ -188,6 +188,22 @@ func TestWindowTrackerEdges(t *testing.T) {
 	tr.Publish()
 	if got := reg.Counter("window.events").Value(); got != 2 {
 		t.Fatalf("re-published window.events = %d, want 2", got)
+	}
+
+	// An over-rate schedule: 100 events arrive 500 ns apart at an analyzer
+	// that spends 1000 ns on each, so every event adds 500 ns of backlog
+	// and the last one folds 99*500 ns after it arrived.
+	over := NewWindowTracker(1_000_000, 0, 0, nil)
+	var arrival, now int64
+	for i := 0; i < 100; i++ {
+		arrival += 500
+		now = max(now, arrival) // no event is served before it arrives
+		over.SetNow(now)
+		over.OnEvent(&trace.Event{Kind: trace.KindSend, Rank: 0, Peer: 1, TStart: arrival, TEnd: arrival + 1})
+		now += 1000
+	}
+	if over.LagNs() != 49_500 || over.MaxLagNs() != 49_500 {
+		t.Fatalf("over-rate lag = %d (max %d), want 49500", over.LagNs(), over.MaxLagNs())
 	}
 }
 

@@ -10,22 +10,15 @@ import (
 	"repro/internal/trace"
 )
 
-// ResolvePackFormat resolves the -format/-packv2 flag pair into a
-// concrete pack wire format. -format 0 defers to the legacy -packv2
-// boolean; an explicit -format must be a known version and must not
-// contradict -packv2. Errors carry no usage hint — the command adds it.
-func ResolvePackFormat(format int, packv2 bool) (int, error) {
+// ResolvePackFormat resolves the -format flag into a concrete pack wire
+// format: 0 (the flag's default) means v1, anything else must be a known
+// version. Errors carry no usage hint — the command adds it.
+func ResolvePackFormat(format int) (int, error) {
 	if format == 0 {
-		if packv2 {
-			return trace.PackV2, nil
-		}
 		return trace.PackV1, nil
 	}
 	if format < trace.PackV1 || format > trace.PackV3 {
 		return 0, fmt.Errorf("cliutil: -format %d: pack formats are %d..%d", format, trace.PackV1, trace.PackV3)
-	}
-	if packv2 && format != trace.PackV2 {
-		return 0, fmt.Errorf("cliutil: -packv2 conflicts with -format %d", format)
 	}
 	return format, nil
 }

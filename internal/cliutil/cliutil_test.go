@@ -100,36 +100,19 @@ func TestParseBenches(t *testing.T) {
 }
 
 func TestResolvePackFormat(t *testing.T) {
-	cases := []struct {
-		format int
-		packv2 bool
-		want   int
-	}{
-		{0, false, 1},
-		{0, true, 2},
-		{1, false, 1},
-		{2, false, 2},
-		{2, true, 2}, // -packv2 agreeing with -format 2 is fine
-		{3, false, 3},
-	}
-	for _, c := range cases {
-		got, err := ResolvePackFormat(c.format, c.packv2)
+	for format, want := range map[int]int{0: 1, 1: 1, 2: 2, 3: 3} {
+		got, err := ResolvePackFormat(format)
 		if err != nil {
-			t.Fatalf("ResolvePackFormat(%d, %v): %v", c.format, c.packv2, err)
+			t.Fatalf("ResolvePackFormat(%d): %v", format, err)
 		}
-		if got != c.want {
-			t.Fatalf("ResolvePackFormat(%d, %v) = %d, want %d", c.format, c.packv2, got, c.want)
+		if got != want {
+			t.Fatalf("ResolvePackFormat(%d) = %d, want %d", format, got, want)
 		}
 	}
-	for _, bad := range []struct {
-		format int
-		packv2 bool
-	}{
-		{-1, false}, {4, false}, {100, false}, // out of range (100 is the audit marker, not a wire format)
-		{1, true}, {3, true}, // -packv2 contradicting an explicit -format
-	} {
-		if _, err := ResolvePackFormat(bad.format, bad.packv2); err == nil {
-			t.Fatalf("ResolvePackFormat(%d, %v) accepted", bad.format, bad.packv2)
+	// Out of range (100 is the audit marker, not a wire format).
+	for _, bad := range []int{-1, 4, 100} {
+		if _, err := ResolvePackFormat(bad); err == nil {
+			t.Fatalf("ResolvePackFormat(%d) accepted", bad)
 		}
 	}
 }

@@ -94,33 +94,3 @@ func TestReplicaExportIncompatible(t *testing.T) {
 		t.Fatalf("err = %v, want replica/export incompatibility", err)
 	}
 }
-
-// TestRawSpeedScalingSweep runs the -cores sweep helper at test scale:
-// every point analyzes the full workload, the 1-worker point is the
-// serial engine, and multi-worker points run replicas.
-func TestRawSpeedScalingSweep(t *testing.T) {
-	pts, err := RawSpeedScaling(4, 5000, []int{1, 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(pts) != 2 {
-		t.Fatalf("points = %d", len(pts))
-	}
-	if pts[0].Replicas != 0 || pts[0].Workers != 1 {
-		t.Fatalf("bad serial baseline: %+v", pts[0])
-	}
-	if pts[1].Replicas != 2 || pts[1].Workers != 2 {
-		t.Fatalf("bad parallel point: %+v", pts[1])
-	}
-	for _, pt := range pts {
-		if pt.Events != 4*5000 || pt.EventsPerSec <= 0 {
-			t.Fatalf("bad point: %+v", pt)
-		}
-	}
-	if pts[1].EpochMerges == 0 {
-		t.Error("parallel point ran no epoch merges")
-	}
-	if _, err := RawSpeedScaling(4, 5000, []int{0}); err == nil {
-		t.Error("worker count 0 accepted")
-	}
-}

@@ -135,11 +135,13 @@ func (tc *treeCtx) openUpstream(sess *vmpi.Session, channel int, order []int) *v
 // tree — the change that takes the root's ingest volume from O(events)
 // to O(profile size).
 type treeLeaf struct {
-	tc    *treeCtx
-	r     *mpi.Rank
-	up    *vmpi.Stream
-	parts []*analysis.Partial  // indexed by application partition id
-	folds []func(*trace.Event) // cached per-app fold funcs (tracker-wrapped)
+	tc *treeCtx
+	r  *mpi.Rank
+	up *vmpi.Stream
+	// reps holds one single-owner replica per application (indexed by
+	// partition id, minted on the application's first pack): the leaf folds
+	// the way a daemon session does, and its partial is the delta it ships.
+	reps  []*analysis.Replica
 	packs int
 	// decs holds one persistent stream decoder per writer (keyed by the
 	// writer's universe rank) for every pack format: v3 packs index a
@@ -155,20 +157,19 @@ func (tc *treeCtx) newLeaf(r *mpi.Rank, sess *vmpi.Session) *treeLeaf {
 		return nil
 	}
 	return &treeLeaf{tc: tc, r: r, up: up,
-		parts: make([]*analysis.Partial, tc.apps),
-		folds: make([]func(*trace.Event), tc.apps),
-		decs:  make(map[int]*trace.StreamDecoder)}
+		reps: make([]*analysis.Replica, tc.apps),
+		decs: make(map[int]*trace.StreamDecoder)}
 }
 
 // flush encodes and ships every application's accumulated delta. Settled
 // statistics reset on each flush; pending wait-state queues travel only
 // on the final flush, so send/recv pairing stays positionally exact.
 func (lf *treeLeaf) flush(final bool) bool {
-	for _, pp := range lf.parts {
-		if pp == nil {
+	for _, rep := range lf.reps {
+		if rep == nil {
 			continue
 		}
-		buf := pp.Flush(vmpi.GetBlock(treeBlockBytes)[:0], final)
+		buf := rep.Partial().Flush(vmpi.GetBlock(treeBlockBytes)[:0], final)
 		if err := lf.up.Write(buf, int64(len(buf))); err != nil {
 			lf.tc.fail(fmt.Errorf("exp: leaf partial upstream: %w", err))
 			return false
@@ -177,34 +178,19 @@ func (lf *treeLeaf) flush(final bool) bool {
 	return true
 }
 
-// part returns (creating on first use) the application's partial.
-func (lf *treeLeaf) part(appID uint32) *analysis.Partial {
-	pp := lf.parts[appID]
-	if pp == nil {
-		pp = analysis.NewPartial(appID, lf.tc.leafOpts[appID])
-		lf.parts[appID] = pp
-	}
-	return pp
-}
-
-// fold returns (building on first use) the application's event fold:
-// the partial's AddEvent, wrapped with the window tracker on windowed
-// runs so leaves account event-to-report lag where the raw events
-// actually fold.
-func (lf *treeLeaf) fold(appID uint32) func(*trace.Event) {
-	if f := lf.folds[appID]; f != nil {
-		return f
-	}
-	pp := lf.part(appID)
-	f := pp.AddEvent
-	if tr := lf.tracker(appID); tr != nil {
-		f = func(ev *trace.Event) {
-			pp.AddEvent(ev)
-			tr.OnEvent(ev)
+// rep returns (creating on first use) the application's replica, tapped
+// by the window tracker on windowed runs so leaves account event-to-report
+// lag where the raw events actually fold.
+func (lf *treeLeaf) rep(appID uint32) *analysis.Replica {
+	rep := lf.reps[appID]
+	if rep == nil {
+		rep = analysis.NewReplica(appID, lf.tc.leafOpts[appID])
+		if tr := lf.tracker(appID); tr != nil {
+			rep.Tap(tr.OnEvent)
 		}
+		lf.reps[appID] = rep
 	}
-	lf.folds[appID] = f
-	return f
+	return rep
 }
 
 // tracker returns the application's window tracker (nil when the run is
@@ -226,7 +212,7 @@ func (lf *treeLeaf) absorb(blk *vmpi.Block) bool {
 		lf.tc.fail(fmt.Errorf("exp: leaf pack header: %w", err))
 		return false
 	}
-	if int(h.AppID) >= len(lf.parts) {
+	if int(h.AppID) >= len(lf.reps) {
 		lf.tc.fail(fmt.Errorf("exp: pack for unknown app id %d", h.AppID))
 		return false
 	}
@@ -236,12 +222,12 @@ func (lf *treeLeaf) absorb(blk *vmpi.Block) bool {
 			lf.tc.fail(fmt.Errorf("exp: leaf audit decode: %w", err))
 			return false
 		}
-		lf.part(h.AppID).AddAudit(entries)
+		lf.rep(h.AppID).Partial().AddAudit(entries)
 		lf.r.Compute(lf.tc.cost(blk.Size))
 		blk.Release()
 		return true
 	}
-	fold := lf.fold(h.AppID)
+	fold := lf.rep(h.AppID).FoldFunc()
 	if tr := lf.tracker(h.AppID); tr != nil {
 		// Clock in before the fold: lag is judged against the moment this
 		// leaf started analyzing the pack.

@@ -113,53 +113,3 @@ func TestWindowSeriesMatrix(t *testing.T) {
 		})
 	}
 }
-
-// TestWindowLagSweepShape pins the harness model itself: a schedule that
-// pushes slower than the analyzer drains never lags, one that pushes
-// faster lags by exactly the modeled backlog, and bad configurations are
-// rejected loudly.
-func TestWindowLagSweepShape(t *testing.T) {
-	cfg := WindowLagConfig{
-		WindowNs: 1_000_000,
-		CostNs:   1_000,
-		SLONs:    1,
-		Phases: []WindowLagPhase{
-			{Name: "idle", Events: 100, GapNs: 2_000},
-		},
-	}
-	res, err := WindowLagSweep(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.MaxLagNs != 0 || res.LateEvents != 0 || !res.SLOMet {
-		t.Errorf("under-rate phase lagged: %+v", res.Points[0])
-	}
-	if res.MinCompleteness != 1 {
-		t.Errorf("completeness %v, want 1", res.MinCompleteness)
-	}
-
-	// 100 events at gap 500 with cost 1000: each event adds 500ns of
-	// backlog, so the last event folds 99*500ns after it arrived.
-	cfg.Phases = []WindowLagPhase{{Name: "over", Events: 100, GapNs: 500}}
-	res, err = WindowLagSweep(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := int64(99 * 500); res.FinalLagNs != want {
-		t.Errorf("final lag %d, want %d", res.FinalLagNs, want)
-	}
-	if res.SLOMet {
-		t.Error("overloaded run met a 1ns SLO")
-	}
-
-	for name, bad := range map[string]WindowLagConfig{
-		"no window": {CostNs: 1, Phases: cfg.Phases},
-		"no cost":   {WindowNs: 1, Phases: cfg.Phases},
-		"no phases": {WindowNs: 1, CostNs: 1},
-		"bad phase": {WindowNs: 1, CostNs: 1, Phases: []WindowLagPhase{{Name: "x", Events: 0, GapNs: 1}}},
-	} {
-		if _, err := WindowLagSweep(bad); err == nil {
-			t.Errorf("%s: accepted", name)
-		}
-	}
-}

@@ -99,7 +99,7 @@ func (s *session) startLanes(workers int) {
 // bytes are copied: they alias the frame reader's buffer, which the
 // connection reuses for the next frame before the lane gets to decode.
 func (s *session) enqueue(src uint32, app *sessionApp, pack []byte) error {
-	l := s.lanes[int(src)%len(s.lanes)]
+	l := s.lanes[src%uint32(len(s.lanes))]
 	if l.failed.Load() {
 		return l.firstErr()
 	}

@@ -76,8 +76,9 @@ func TestStreamDecoderResetStream(t *testing.T) {
 }
 
 // TestAuditPackRoundTrip covers the shed-ledger wire format in its home
-// package: zero-shed classes are elided, nil when nothing shed, and the
-// decode rejects non-audit packs.
+// package: zero-shed classes are elided, nil when nothing shed, the
+// decode rejects non-audit packs, and the event decodes refuse an audit
+// pack (its 20-byte entries are not event records).
 func TestAuditPackRoundTrip(t *testing.T) {
 	if buf := EncodeAuditPack(1, 2, []AuditEntry{{Kind: KindSend, Kept: 50}}); buf != nil {
 		t.Fatal("ledger with nothing shed must encode to nil")
@@ -110,5 +111,11 @@ func TestAuditPackRoundTrip(t *testing.T) {
 	v2.Add(&ev)
 	if _, _, err := DecodeAuditPack(v2.Take()); err == nil {
 		t.Fatal("v2 pack accepted as an audit pack")
+	}
+	if _, err := DecodeEach(buf, func(*Event) { t.Fatal("audit entry delivered as an event") }); err == nil {
+		t.Fatal("DecodeEach accepted an audit pack")
+	}
+	if _, _, err := DecodePack(buf); err == nil {
+		t.Fatal("DecodePack accepted an audit pack")
 	}
 }

@@ -59,8 +59,8 @@ func TestPackBuilderV2ReuseAllocationFree(t *testing.T) {
 }
 
 // TestPackReaderAllocationFree pins the zero-copy decode contract: once
-// the reader's dictionary scratch is sized, iterating packs of either wire
-// format allocates nothing per event — or per pack.
+// the decoder's dictionary scratch is sized, iterating self-contained packs
+// (v1, v2) allocates nothing per event — or per pack.
 func TestPackReaderAllocationFree(t *testing.T) {
 	packs := make([][]byte, 2)
 	for vi, version := range []int{PackV1, PackV2} {
@@ -74,7 +74,7 @@ func TestPackReaderAllocationFree(t *testing.T) {
 		}
 		packs[vi] = b.Take()
 	}
-	var r PackReader
+	var r StreamDecoder
 	// Warm-up sizes the dictionary scratch.
 	if err := r.Init(packs[1]); err != nil {
 		t.Fatal(err)
@@ -95,7 +95,7 @@ func TestPackReaderAllocationFree(t *testing.T) {
 		}
 	})
 	if allocs != 0 {
-		t.Errorf("PackReader decode loop allocated %.1f objects per run, want 0", allocs)
+		t.Errorf("reused decode loop allocated %.1f objects per run, want 0", allocs)
 	}
 	_ = sum
 }

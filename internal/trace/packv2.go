@@ -317,192 +317,3 @@ func NewBuilder(version int, appID uint32, srcRank int32, recordSize, packBytes 
 	}
 	return nil, fmt.Errorf("trace: unknown pack format version %d", version)
 }
-
-// --- Zero-copy streaming decode ---
-
-// PackReader iterates the events of an encoded pack, decoding in place
-// from the borrowed buffer: no per-event allocation, no intermediate
-// slice. It decodes both wire formats (the header's magic selects the
-// path). A reader is reusable — Init on the next pack recycles its
-// dictionary scratch — and single-goroutine, like any iterator.
-//
-//	var pr trace.PackReader
-//	if err := pr.Init(buf); err != nil { ... }
-//	for pr.Next() {
-//	    e := pr.Event() // valid until the next Next/Init
-//	}
-//	if err := pr.Err(); err != nil { ... }
-type PackReader struct {
-	h   Header
-	buf []byte
-	ev  Event
-	err error
-
-	// v1 cursor.
-	off int
-
-	// v2 state: one cursor and one end bound per column, dictionary
-	// scratch, delta accumulators.
-	dict                          []kctKey
-	colPos, colEnd                [numColumns]int
-	i                             int
-	prevRank, prevPeer, prevTag   int64
-	prevSize, prevTStart, prevDur int64
-}
-
-// Init prepares the reader for a pack. The buffer is borrowed, not
-// copied: it must stay immutable until iteration finishes. Returns the
-// header-validation error, if any.
-func (r *PackReader) Init(buf []byte) error {
-	h, err := PeekHeader(buf)
-	if err != nil {
-		r.err = err
-		r.h = Header{}
-		r.i = 0
-		r.off = 0
-		r.buf = nil
-		return err
-	}
-	r.h = h
-	r.buf = buf
-	r.err = nil
-	r.i = 0
-	r.off = PackHeaderSize
-	if h.Version == PackV3 {
-		// v3 decoding needs the persistent per-writer dictionary, which a
-		// stateless reader cannot have: refusing here (instead of silently
-		// misreading) is what catches a v3 pack that leaked onto a path
-		// that does not preserve per-writer order.
-		return r.fail(fmt.Errorf("trace: v3 pack requires a per-writer StreamDecoder, not the stateless PackReader"))
-	}
-	if h.Version != PackV2 {
-		return nil
-	}
-	r.prevRank, r.prevPeer, r.prevTag = 0, 0, 0
-	r.prevSize, r.prevTStart, r.prevDur = 0, 0, 0
-	body := PackHeaderSize + h.bodyLen
-	pos := PackHeaderSize
-	// Dictionary.
-	dictLen, n := binary.Uvarint(buf[pos:body])
-	if n <= 0 || dictLen > uint64(h.Count) {
-		return r.fail(fmt.Errorf("trace: v2 pack dictionary length invalid"))
-	}
-	pos += n
-	if cap(r.dict) < int(dictLen) {
-		r.dict = make([]kctKey, dictLen)
-	}
-	r.dict = r.dict[:dictLen]
-	for i := range r.dict {
-		if pos >= body {
-			return r.fail(fmt.Errorf("trace: v2 pack dictionary truncated"))
-		}
-		kind := Kind(buf[pos])
-		pos++
-		comm, n := binary.Uvarint(buf[pos:body])
-		if n <= 0 || comm > 1<<32-1 {
-			return r.fail(fmt.Errorf("trace: v2 pack dictionary comm invalid"))
-		}
-		pos += n
-		ctx, n := binary.Uvarint(buf[pos:body])
-		if n <= 0 || ctx > 1<<32-1 {
-			return r.fail(fmt.Errorf("trace: v2 pack dictionary ctx invalid"))
-		}
-		pos += n
-		r.dict[i] = kctKey{kind: kind, comm: uint32(comm), ctx: uint32(ctx)}
-	}
-	// Column extents.
-	for c := 0; c < numColumns; c++ {
-		colBytes, n := binary.Uvarint(buf[pos:body])
-		if n <= 0 || colBytes > uint64(body-pos-n) {
-			return r.fail(fmt.Errorf("trace: v2 pack column %d extent invalid", c))
-		}
-		pos += n
-		r.colPos[c] = pos
-		pos += int(colBytes)
-		r.colEnd[c] = pos
-	}
-	if pos != body {
-		return r.fail(fmt.Errorf("trace: v2 pack has %d trailing body bytes", body-pos))
-	}
-	return nil
-}
-
-func (r *PackReader) fail(err error) error {
-	r.err = err
-	r.i = r.h.Count // stop iteration
-	return err
-}
-
-// Header returns the pack header decoded by Init.
-func (r *PackReader) Header() Header { return r.h }
-
-// Err returns the first decode error (nil while the pack is healthy).
-func (r *PackReader) Err() error { return r.err }
-
-// Event returns the event decoded by the last successful Next. The
-// pointer stays valid — and its fields stable — until the next Next or
-// Init call.
-func (r *PackReader) Event() *Event { return &r.ev }
-
-// Next decodes the next event in place, reporting false at the end of
-// the pack or on a malformed record (check Err to distinguish).
-func (r *PackReader) Next() bool {
-	if r.err != nil || r.i >= r.h.Count {
-		return false
-	}
-	if r.h.Version != PackV2 {
-		decodeRecord(r.buf[r.off:], &r.ev)
-		r.off += r.h.RecordSize
-		r.i++
-		return true
-	}
-	idx, ok := r.col(0)
-	if !ok {
-		return false
-	}
-	if idx >= uint64(len(r.dict)) {
-		r.fail(fmt.Errorf("trace: v2 pack dictionary index %d out of range", idx))
-		return false
-	}
-	d := r.dict[idx]
-	dRank, ok1 := r.col(1)
-	dPeer, ok2 := r.col(2)
-	dTag, ok3 := r.col(3)
-	dSize, ok4 := r.col(4)
-	dTS, ok5 := r.col(5)
-	dDur, ok6 := r.col(6)
-	if !(ok1 && ok2 && ok3 && ok4 && ok5 && ok6) {
-		return false
-	}
-	r.prevRank += unzigzag(dRank)
-	r.prevPeer += unzigzag(dPeer)
-	r.prevTag += unzigzag(dTag)
-	r.prevSize += unzigzag(dSize)
-	r.prevTStart += unzigzag(dTS)
-	r.prevDur += unzigzag(dDur)
-	r.ev = Event{
-		Kind:   d.kind,
-		Comm:   d.comm,
-		Ctx:    d.ctx,
-		Rank:   int32(r.prevRank),
-		Peer:   int32(r.prevPeer),
-		Tag:    int32(r.prevTag),
-		Size:   r.prevSize,
-		TStart: r.prevTStart,
-		TEnd:   r.prevTStart + r.prevDur,
-	}
-	r.i++
-	return true
-}
-
-// col reads one uvarint from column c, bounds-checked against the
-// column's extent so a varint can never leak into the next column.
-func (r *PackReader) col(c int) (uint64, bool) {
-	v, n := binary.Uvarint(r.buf[r.colPos[c]:r.colEnd[c]])
-	if n <= 0 {
-		r.fail(fmt.Errorf("trace: v2 pack column %d truncated at event %d", c, r.i))
-		return 0, false
-	}
-	r.colPos[c] += n
-	return v, true
-}

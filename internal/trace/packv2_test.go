@@ -223,7 +223,7 @@ func TestMixedVersionStream(t *testing.T) {
 		packs = append(packs, b.Take())
 	}
 	var got []Event
-	var r PackReader
+	var r StreamDecoder
 	for p, buf := range packs {
 		if err := r.Init(buf); err != nil {
 			t.Fatalf("pack %d: %v", p, err)
@@ -327,10 +327,11 @@ func TestNewBuilderVersions(t *testing.T) {
 	}
 }
 
-// TestPackReaderReuse checks that one reader instance decodes pack after
-// pack without leaking dictionary or delta state between packs.
+// TestPackReaderReuse checks that one decoder instance decodes v2 pack
+// after v2 pack without leaking dictionary scratch or delta state between
+// packs.
 func TestPackReaderReuse(t *testing.T) {
-	var r PackReader
+	var r StreamDecoder
 	for p := 0; p < 4; p++ {
 		b := NewPackBuilderV2(0, int32(p), 48, 1<<12)
 		want := make([]Event, 20)
@@ -353,8 +354,9 @@ func TestPackReaderReuse(t *testing.T) {
 	}
 }
 
-// TestPackV2CorruptBody exercises the reader's bounds checks on
-// systematically corrupted bodies: every outcome must be a clean error.
+// TestPackV2CorruptBody exercises the decoder's bounds checks on
+// systematically corrupted bodies: every outcome must be a clean error,
+// and the stateless entry must stop where the iterator stops.
 func TestPackV2CorruptBody(t *testing.T) {
 	b := NewPackBuilderV2(1, 2, 48, 1<<12)
 	for i := 0; i < 30; i++ {
@@ -363,11 +365,17 @@ func TestPackV2CorruptBody(t *testing.T) {
 	}
 	clean := b.Take()
 	decode := func(buf []byte) error {
-		var r PackReader
-		if err := r.Init(buf); err != nil {
-			return err
+		var r StreamDecoder
+		n := 0
+		if err := r.Init(buf); err == nil {
+			for r.Next() {
+				n++
+			}
 		}
-		for r.Next() {
+		each := 0
+		_, err := DecodeEach(buf, func(*Event) { each++ })
+		if (err == nil) != (r.Err() == nil) || each != n {
+			t.Fatalf("DecodeEach stopped after %d events with %v, Next after %d with %v", each, err, n, r.Err())
 		}
 		return r.Err()
 	}
@@ -431,7 +439,7 @@ func BenchmarkPackReader(b *testing.B) {
 			h, _ := PeekHeader(buf)
 			b.SetBytes(int64(len(buf)))
 			b.ReportAllocs()
-			var r PackReader
+			var r StreamDecoder
 			var sum int64
 			for i := 0; i < b.N; i++ {
 				if err := r.Init(buf); err != nil {

@@ -247,16 +247,28 @@ func (b *PackBuilderV3) Take() []byte {
 	return out
 }
 
-// StreamDecoder decodes one writer's v3 pack sequence, carrying the
-// persistent dictionary across packs. Packs must be fed in the writer's
-// emission order (per-writer stream delivery order); a pack whose
-// dictionary base disagrees with the accumulated state fails loudly
-// instead of mis-attributing events. The decoder also accepts v1 and v2
-// packs (they carry no cross-pack state), so one per-writer decoder
-// serves a stream whose format switches mid-run.
+// StreamDecoder is the one decoder of event packs, every format. For v3 it
+// carries one writer's persistent dictionary across packs: packs must be
+// fed in the writer's emission order (per-writer stream delivery order),
+// and a pack whose dictionary base disagrees with the accumulated state
+// fails loudly instead of mis-attributing events. v1 and v2 packs carry no
+// cross-pack state, so one per-writer decoder serves a stream whose format
+// switches mid-run, and a decoder with no history (DecodeEach) serves
+// consumers that see packs in any order.
 //
-// Like PackReader, iteration is zero-copy and allocation-free in steady
-// state, and a decoder is single-goroutine.
+// Events decode in place from the borrowed buffer: no per-event allocation,
+// no intermediate slice, and none per pack once the dictionary storage is
+// sized. A decoder is reusable and single-goroutine, like any iterator.
+//
+//	var d trace.StreamDecoder
+//	if err := d.Init(buf); err != nil { ... }
+//	for d.Next() {
+//	    e := d.Event() // valid until the next Next/Init
+//	}
+//	if err := d.Err(); err != nil { ... }
+//
+// DecodeDispatch is the same iteration as one call; the engine's folds use
+// it.
 type StreamDecoder struct {
 	h   Header
 	buf []byte
@@ -314,13 +326,9 @@ func (d *StreamDecoder) Init(buf []byte) error {
 	case PackV1:
 		return nil
 	case PackV2:
-		// Stateless: decode the per-pack dictionary into the tail of the
-		// persistent slice? No — a v2 pack must not disturb v3 state (the
-		// stream may interleave formats around a controller switch), so
-		// borrow a PackReader for it... simplest is to decode v2 with the
-		// same column machinery over a scratch window: the per-pack
-		// entries live past the persistent dictionary and are truncated
-		// away on the next Init.
+		// The same column machinery as v3, with the pack's own dictionary
+		// in the scratch slice: a v2 pack must not disturb the v3 state
+		// (a stream may interleave formats around a controller switch).
 		return d.initColumns(false)
 	case PackV3:
 		return d.initColumns(true)

@@ -295,20 +295,24 @@ func TestStreamDecoderHostileDeltas(t *testing.T) {
 	}
 }
 
-// TestPackReaderRejectsV3 pins the ordering guard: the stateless reader
-// refuses v3 packs so they cannot be misdecoded on a path (like the
+// TestPackReaderRejectsV3 pins the ordering guard: the stateless entries
+// refuse v3 packs — the stream opener a fresh decoder could read, and a
+// follow-up — so they cannot be misdecoded on a path (like the
 // blackboard's worker pool) that does not preserve per-writer order.
 func TestPackReaderRejectsV3(t *testing.T) {
 	b := NewPackBuilderV3(1, 0, 48, 1<<12)
 	ev := fig14ishEvent(0)
 	b.Add(&ev)
-	pack := b.Take()
-	var r PackReader
-	if err := r.Init(pack); err == nil || !strings.Contains(err.Error(), "StreamDecoder") {
-		t.Fatalf("PackReader.Init(v3) = %v, want a StreamDecoder redirect error", err)
-	}
-	if _, _, err := DecodePack(pack); err == nil {
-		t.Fatal("DecodePack accepted a v3 pack")
+	opener := append([]byte(nil), b.Take()...)
+	b.Add(&ev)
+	for _, pack := range [][]byte{opener, b.Take()} {
+		n := 0
+		if _, err := DecodeEach(pack, func(*Event) { n++ }); err == nil || n != 0 || !strings.Contains(err.Error(), "StreamDecoder") {
+			t.Fatalf("DecodeEach(v3) = %v after %d events, want a StreamDecoder redirect error before the first", err, n)
+		}
+		if _, _, err := DecodePack(pack); err == nil {
+			t.Fatal("DecodePack accepted a v3 pack")
+		}
 	}
 }
 

@@ -435,34 +435,31 @@ func PeekHeaderV1(buf []byte) (Header, error) {
 	return h, nil
 }
 
-// DecodePack decodes a pack (either wire format) into its header and
-// events.
+// DecodeEach decodes one self-contained pack (v1 or v2), invoking fn per
+// event without materializing a slice: the entry for consumers that see
+// packs in no particular order (the board's fold KS, export replay). It is
+// a StreamDecoder with no history, so it refuses what needs one — a v3
+// pack here has leaked onto a path that does not preserve per-writer
+// order — and, like every decode, anything that is not an event pack.
+func DecodeEach(buf []byte, fn func(e *Event)) (Header, error) {
+	h, err := PeekHeader(buf)
+	if err != nil {
+		return Header{}, err
+	}
+	if h.Version == PackV3 {
+		return Header{}, fmt.Errorf("trace: v3 pack requires a per-writer StreamDecoder, not a stateless decode")
+	}
+	var d StreamDecoder
+	_, err = d.DecodeDispatch(buf, fn)
+	return h, err
+}
+
+// DecodePack is DecodeEach into a slice: the pack's header and events.
 func DecodePack(buf []byte) (Header, []Event, error) {
-	var r PackReader
-	if err := r.Init(buf); err != nil {
-		return Header{}, nil, err
-	}
-	h := r.Header()
-	events := make([]Event, 0, h.Count)
-	for r.Next() {
-		events = append(events, *r.Event())
-	}
-	if err := r.Err(); err != nil {
+	var events []Event
+	h, err := DecodeEach(buf, func(e *Event) { events = append(events, *e) })
+	if err != nil {
 		return h, nil, err
 	}
 	return h, events, nil
-}
-
-// DecodeEach decodes a pack (either wire format), invoking fn per event
-// without materializing a slice (the analyzer's fold KS uses this on the
-// hot path).
-func DecodeEach(buf []byte, fn func(e *Event)) (Header, error) {
-	var r PackReader
-	if err := r.Init(buf); err != nil {
-		return Header{}, err
-	}
-	for r.Next() {
-		fn(r.Event())
-	}
-	return r.Header(), r.Err()
 }
