@@ -111,6 +111,11 @@ func TestMergeEncodedMatchesDecodeMerge(t *testing.T) {
 		}
 		return true
 	}
+	// Pinned: this seed's byte flip lands in a pending receive's rank and
+	// makes it negative; pairing it used to index lateNs out of range.
+	if !f(-6541456248569249401) {
+		t.Fatal("pinned seed failed")
+	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
 	}

@@ -183,7 +183,7 @@ func (m *WaitStateModule) pair(rv recvEvt, sendStart int64) {
 	if wait <= 0 {
 		return
 	}
-	if int(rv.rank) < m.size {
+	if uint32(rv.rank) < uint32(m.size) { // a decoded rank can be negative
 		m.lateNs[rv.rank] += wait
 		m.lateHits[rv.rank]++
 	}

@@ -57,6 +57,35 @@ func TestAtCallAllocsAmortized(t *testing.T) {
 	}
 }
 
+// TestCondBroadcastWaitAllocsAmortized: a broadcast keeps the waiter
+// list's storage, so the wait that follows it (mpi's per-rank arrival
+// condition does this on every blocking receive) does not allocate a fresh
+// one-element list.
+func TestCondBroadcastWaitAllocsAmortized(t *testing.T) {
+	const cycles = 10000
+	allocs := testing.AllocsPerRun(3, func() {
+		s := New(1)
+		var c Cond
+		s.Spawn("waiter", func(p *Proc) {
+			for i := 0; i < cycles; i++ {
+				c.Wait(p, "cycle")
+			}
+		})
+		s.Spawn("waker", func(p *Proc) {
+			for i := 0; i < cycles; i++ {
+				p.Sleep(time.Microsecond)
+				c.Broadcast()
+			}
+		})
+		if err := s.Run(); err != nil {
+			t.Error(err)
+		}
+	})
+	if allocs > 200 {
+		t.Errorf("simulation with %d wait/broadcast cycles allocated %.0f objects, want <= 200 (0 per cycle once warm)", cycles, allocs)
+	}
+}
+
 // TestEventFreeListRecycles pins the free-list behavior directly: fired
 // events land on the free list with every reference cleared, so recycling
 // cannot retain dead processes or closures.

@@ -1,11 +1,14 @@
 // Package des implements a deterministic discrete-event simulation kernel.
 //
 // The kernel drives a set of processes (Proc) in virtual time. Each process
-// runs in its own goroutine, but the scheduler executes exactly one process
-// at a time and hands control back and forth with a strict rendezvous, so a
-// simulation is fully deterministic: given the same seed and the same
-// program, every run produces the same event ordering and the same virtual
-// timestamps.
+// runs in its own goroutine, but exactly one goroutine executes at a time:
+// control is a baton, and there is no scheduler goroutine. A process that
+// parks (or finishes) runs the event loop on its own goroutine until an
+// event resumes a process: itself, and park simply returns; another, and
+// the baton passes with one channel send (see drive). Events are popped in
+// (time, sequence) order whoever pops them, so a simulation is fully
+// deterministic: given the same seed and the same program, every run
+// produces the same event ordering and the same virtual timestamps.
 //
 // The package provides the primitives the MPI runtime model is built on:
 //
@@ -58,9 +61,10 @@ func SecondsToDuration(s float64) time.Duration {
 // pre-boxed argument (AtCall, used by message delivery), and fire runs an
 // arbitrary closure (After/At). The specializations exist so the hot
 // scheduling paths allocate neither a closure nor, thanks to the
-// simulator's free list, the event itself. Callbacks run in the
-// scheduler's goroutine; they must not block other than by transferring
-// control to a process.
+// simulator's free list, the event itself. Callbacks run inside the event
+// loop, on whichever goroutine holds the baton — Run's, a parked process's
+// or a finished one's: they have no goroutine identity, must keep no
+// goroutine-local state, and must not block.
 type event struct {
 	at   Time
 	seq  uint64
@@ -143,18 +147,16 @@ type Simulator struct {
 	rng    *rand.Rand
 	procs  map[*Proc]struct{}
 	live   int
-	yield  chan yieldMsg
 	ran    bool
 	halted bool
+	// done returns the baton from a process goroutine to Run's; failure is
+	// the panic Run re-raises once it holds the baton again.
+	done    chan struct{}
+	failure any
 	// free is the event free list: fired events are recycled here instead
 	// of being left to the garbage collector, so steady-state scheduling
 	// (Sleep, Unpark, message delivery) allocates nothing.
 	free *event
-}
-
-type yieldMsg struct {
-	done  bool
-	panic any
 }
 
 // New creates a simulator whose internal randomness (used by Rand) is seeded
@@ -164,7 +166,7 @@ func New(seed int64) *Simulator {
 	return &Simulator{
 		rng:   rand.New(rand.NewSource(seed)),
 		procs: make(map[*Proc]struct{}),
-		yield: make(chan yieldMsg),
+		done:  make(chan struct{}),
 	}
 }
 
@@ -222,7 +224,8 @@ func (s *Simulator) scheduleProc(at Time, p *Proc) {
 }
 
 // After schedules fn to run d after the current virtual time. fn runs in
-// scheduler context: it may wake processes but must not itself block.
+// scheduler context — inside the event loop, on whichever goroutine holds
+// the baton (see event): it may wake processes but must not itself block.
 func (s *Simulator) After(d time.Duration, fn func()) {
 	s.schedule(s.now+DurationToTime(d), fn)
 }
@@ -247,7 +250,6 @@ type Proc struct {
 	sim    *Simulator
 	name   string
 	resume chan struct{}
-	parked bool
 	dead   bool
 	killed bool
 	// blockedOn is a human-readable description of the current blocking
@@ -282,29 +284,39 @@ func (s *Simulator) Spawn(name string, fn func(p *Proc)) *Proc {
 	s.procs[p] = struct{}{}
 	s.live++
 	go func() {
-		<-p.resume // wait for first transfer from the scheduler
-		defer func() {
-			p.dead = true
-			s.live--
-			delete(s.procs, p)
-			if r := recover(); r != nil {
-				if _, ok := r.(killSignal); !ok {
-					s.yield <- yieldMsg{done: true, panic: r}
-					return
-				}
-			}
-			s.yield <- yieldMsg{done: true}
-		}()
-		if !p.killed {
-			fn(p)
-		}
+		<-p.resume // wait for the baton's first arrival
+		// The finished process passes the baton on, outside run's recover
+		// frame, and its goroutine exits. Deferred, so that a body ending
+		// in runtime.Goexit (t.FailNow) does not take the baton with it.
+		defer s.drive(p)
+		p.run(fn)
 	}()
 	s.scheduleProc(s.now, p)
 	return p
 }
 
+// run executes the process body and marks the process dead however the
+// body ends. A kill unwinds silently; any other panic becomes the
+// simulation's failure, which Run re-raises on its own goroutine.
+func (p *Proc) run(fn func(p *Proc)) {
+	s := p.sim
+	defer func() {
+		p.dead = true
+		s.live--
+		delete(s.procs, p)
+		if r := recover(); r != nil {
+			if _, ok := r.(killSignal); !ok {
+				s.failure = fmt.Sprintf("des: process %q panicked: %v", p.name, r)
+			}
+		}
+	}()
+	if !p.killed {
+		fn(p)
+	}
+}
+
 // killSignal unwinds a killed process's stack from inside park. It is
-// recognized (and swallowed) by Spawn's recover, so a kill terminates the
+// recognized (and swallowed) by run's recover, so a kill terminates the
 // process cleanly instead of surfacing as a simulation panic.
 type killSignal struct{}
 
@@ -323,28 +335,64 @@ func (p *Proc) Kill() {
 	s.scheduleProc(s.now, p)
 }
 
-// transfer hands the scheduler's control to p and waits until p parks or
-// terminates. Runs in scheduler context.
-func (s *Simulator) transfer(p *Proc) {
-	if p.dead {
-		return
+// drive is the event loop, run by the goroutine that holds the baton:
+// Run's (self == nil), a parking process's, or a finished one's. It runs
+// callbacks in place until the popped event resumes a process. If that is
+// self, drive returns true and the caller carries on with no goroutine
+// switch. Otherwise one send on the process's resume channel passes the
+// baton and drive returns false: a parked caller blocks on its own
+// channel, Run's goroutine waits on done and then finds the loop over.
+// When the run is over (queue drained, Halt, a failure) a process
+// goroutine returns the baton to Run. A callback's panic on a process
+// goroutine is caught here, below the process body's frames (its deferred
+// recovers never see it), for Run to re-raise; on Run's goroutine it
+// simply propagates.
+func (s *Simulator) drive(self *Proc) (resumed bool) {
+	if self != nil {
+		defer func() {
+			if r := recover(); r != nil {
+				s.failure = r
+				s.done <- struct{}{}
+			}
+		}()
 	}
-	p.parked = false
-	p.resume <- struct{}{}
-	msg := <-s.yield
-	if msg.panic != nil {
-		panic(fmt.Sprintf("des: process %q panicked: %v", p.name, msg.panic))
+	for len(s.queue) > 0 && !s.halted && s.failure == nil {
+		ev := s.queue.pop()
+		s.now = ev.at
+		p, fn, arg, fire := ev.proc, ev.fn, ev.arg, ev.fire
+		s.recycle(ev) // before control can leave this goroutine
+		switch {
+		case fn != nil:
+			fn(arg)
+		case fire != nil:
+			fire()
+		case p.dead:
+			// A stale wake: the process died after the event was scheduled.
+		case p == self:
+			return true
+		default:
+			p.resume <- struct{}{}
+			if self != nil {
+				return false
+			}
+			<-s.done
+		}
 	}
+	if self != nil {
+		s.done <- struct{}{}
+	}
+	return false
 }
 
-// park blocks the process until the scheduler transfers control back. If
-// the process was killed while blocked, park never returns: the stack
-// unwinds via killSignal and Spawn's recover terminates the process.
+// park blocks the process until an event resumes it, running the event
+// loop on the process's own goroutine meanwhile. If the process was killed
+// while blocked, park never returns: the stack unwinds via killSignal and
+// run's recover terminates the process.
 func (p *Proc) park(why string, lazy fmt.Stringer) {
-	p.parked = true
 	p.blockedOn, p.blockedFor = why, lazy
-	p.sim.yield <- yieldMsg{}
-	<-p.resume
+	if !p.sim.drive(p) {
+		<-p.resume
+	}
 	if p.killed {
 		panic(killSignal{})
 	}
@@ -380,10 +428,11 @@ func (p *Proc) ParkFor(why fmt.Stringer) { p.park("", why) }
 
 // Unpark schedules p to resume at the current virtual time. It must be
 // called from scheduler context or from another (currently running)
-// process. Unparking a dead process is a no-op: with fault injection a
-// process can die between a waker's decision and the wake (transfer
-// already guards against resuming the dead), so a stale wake must be
-// harmless rather than a panic.
+// process; p continues on its own goroutine whichever goroutine made the
+// call. Unparking a dead process is a no-op: with fault injection a
+// process can die between a waker's decision and the wake (the event loop
+// already skips events for the dead), so a stale wake must be harmless
+// rather than a panic.
 func (p *Proc) Unpark() {
 	if p.dead {
 		return
@@ -414,18 +463,9 @@ func (s *Simulator) Run() error {
 		panic("des: Run called twice")
 	}
 	s.ran = true
-	for len(s.queue) > 0 && !s.halted {
-		ev := s.queue.pop()
-		s.now = ev.at
-		switch {
-		case ev.proc != nil:
-			s.transfer(ev.proc)
-		case ev.fn != nil:
-			ev.fn(ev.arg)
-		default:
-			ev.fire()
-		}
-		s.recycle(ev)
+	s.drive(nil)
+	if s.failure != nil {
+		panic(s.failure)
 	}
 	if !s.halted && s.live > 0 {
 		blocked := make([]string, 0, s.live)
@@ -469,8 +509,9 @@ func (c *Cond) WaitFor(p *Proc, why fmt.Stringer) {
 func (c *Cond) Signal() {
 	for len(c.waiters) > 0 {
 		p := c.waiters[0]
-		copy(c.waiters, c.waiters[1:])
-		c.waiters = c.waiters[:len(c.waiters)-1]
+		n := copy(c.waiters, c.waiters[1:])
+		c.waiters[n] = nil
+		c.waiters = c.waiters[:n]
 		if p.dead {
 			continue
 		}
@@ -479,13 +520,14 @@ func (c *Cond) Signal() {
 	}
 }
 
-// Broadcast wakes every waiting process.
+// Broadcast wakes every waiting process. The list keeps its storage (Unpark
+// only schedules, it never touches waiters), so the next Wait is free.
 func (c *Cond) Broadcast() {
-	ws := c.waiters
-	c.waiters = nil
-	for _, p := range ws {
+	for i, p := range c.waiters {
+		c.waiters[i] = nil
 		p.Unpark()
 	}
+	c.waiters = c.waiters[:0]
 }
 
 // Waiting reports how many processes are currently parked on the condition.

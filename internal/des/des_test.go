@@ -1,6 +1,7 @@
 package des
 
 import (
+	"errors"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -458,5 +459,174 @@ func TestDeadlockErrorMessage(t *testing.T) {
 	err := &DeadlockError{Now: DurationToTime(time.Second), Blocked: []string{"a: x"}}
 	if msg := err.Error(); msg == "" || !strings.Contains(msg, "1 process(es)") {
 		t.Fatalf("message = %q", msg)
+	}
+}
+
+// The tests below pin the kernel's contract for each way the baton can be
+// held: the event loop runs on Run's goroutine until the first process
+// starts, and from then on on the goroutine of whichever process parked or
+// finished last.
+
+// TestCallbackPanicSurfacesFromRun: a callback's panic leaves Run on Run's
+// goroutine (the recover deferred around Run catches it; anywhere else it
+// would crash the test binary) carrying the callback's own value, whichever
+// goroutine was executing the loop, and never unwinds through the body of
+// the process whose goroutine that was.
+func TestCallbackPanicSurfacesFromRun(t *testing.T) {
+	boom := errors.New("callback boom")
+	runAndRecover := func(s *Simulator) (r any) {
+		defer func() { r = recover() }()
+		_ = s.Run()
+		return nil
+	}
+	bodySaw := false
+	cases := []struct {
+		name  string
+		setup func(s *Simulator)
+	}{
+		{"run goroutine", func(s *Simulator) {
+			s.After(time.Millisecond, func() { panic(boom) })
+		}},
+		{"parked process goroutine", func(s *Simulator) {
+			s.Spawn("parked", func(p *Proc) {
+				defer func() {
+					if recover() != nil {
+						bodySaw = true
+					}
+				}()
+				p.Park("holding the baton")
+			})
+			s.AtCall(DurationToTime(time.Millisecond), func(any) { panic(boom) }, nil)
+		}},
+		{"finished process goroutine", func(s *Simulator) {
+			s.Spawn("finished", func(p *Proc) {})
+			s.After(time.Millisecond, func() { panic(boom) })
+		}},
+	}
+	for _, tc := range cases {
+		s := New(1)
+		tc.setup(s)
+		if r := runAndRecover(s); r != boom {
+			t.Errorf("%s: Run panicked with %v, want the callback's own value %v", tc.name, r, boom)
+		}
+	}
+	if bodySaw {
+		t.Error("a callback's panic unwound through the parked process's body")
+	}
+}
+
+// TestProcPanicText pins the text a process body's panic surfaces with.
+func TestProcPanicText(t *testing.T) {
+	defer func() {
+		if r, want := recover(), `des: process "bomb" panicked: boom`; r != want {
+			t.Fatalf("Run panicked with %v, want %q", r, want)
+		}
+	}()
+	s := New(1)
+	s.Spawn("bystander", func(p *Proc) { p.Park("elsewhere") })
+	s.Spawn("bomb", func(p *Proc) {
+		p.Sleep(time.Millisecond)
+		panic("boom")
+	})
+	_ = s.Run()
+}
+
+// TestKillFromCallback: a callback kills the process on whose goroutine it
+// is executing (the only process, parked, so it holds the baton), and one
+// running on another process's goroutine kills a parked bystander. Either
+// way the victim unwinds without resuming its blocking call.
+func TestKillFromCallback(t *testing.T) {
+	for _, other := range []bool{false, true} {
+		s := New(1)
+		resumed := false
+		victim := s.Spawn("victim", func(p *Proc) {
+			p.Park("waiting forever")
+			resumed = true
+		})
+		survived := !other
+		if other {
+			// The sleeper parks after the victim, so the loop that fires
+			// the callback runs on the sleeper's goroutine.
+			s.Spawn("sleeper", func(p *Proc) {
+				p.Sleep(time.Hour)
+				survived = true
+			})
+		}
+		s.After(time.Millisecond, victim.Kill)
+		if err := s.Run(); err != nil {
+			t.Fatalf("other=%v: %v", other, err)
+		}
+		if resumed || !victim.Dead() || !victim.Killed() {
+			t.Errorf("other=%v: victim resumed=%v dead=%v killed=%v, want false/true/true", other, resumed, victim.Dead(), victim.Killed())
+		}
+		if !survived {
+			t.Errorf("other=%v: the sleeper never finished", other)
+		}
+	}
+}
+
+// TestDeadlockFoundOnProcessGoroutine: the queue drains while a process
+// goroutine holds the baton (the last process finishes after the stuck one
+// parked); Run still reports the deadlock, with the same text.
+func TestDeadlockFoundOnProcessGoroutine(t *testing.T) {
+	s := New(1)
+	var c Cond
+	s.Spawn("stuck", func(p *Proc) { c.Wait(p, "never-signalled") })
+	s.Spawn("late", func(p *Proc) { p.Sleep(time.Millisecond) })
+	err := s.Run()
+	if _, ok := err.(*DeadlockError); !ok {
+		t.Fatalf("err = %v, want DeadlockError", err)
+	}
+	if got, want := err.Error(), "des: deadlock at t=1ms: 1 process(es) blocked: [stuck: never-signalled]"; got != want {
+		t.Fatalf("err = %q, want %q", got, want)
+	}
+}
+
+// TestHaltFromSleepingProcess: Halt is noticed by the loop on the halting
+// process's own goroutine when it next parks; Run returns nil, the clock
+// stops there and pending events are discarded.
+func TestHaltFromSleepingProcess(t *testing.T) {
+	s := New(1)
+	woke, fired := false, false
+	s.Spawn("halter", func(p *Proc) {
+		p.Sleep(time.Millisecond)
+		s.Halt()
+		p.Sleep(time.Millisecond)
+		woke = true
+	})
+	s.Spawn("bystander", func(p *Proc) { p.Park("never woken") })
+	s.After(time.Second, func() { fired = true })
+	if err := s.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if woke || fired || s.Now() != DurationToTime(time.Millisecond) {
+		t.Fatalf("after Halt: woke=%v fired=%v now=%v, want false/false/1ms", woke, fired, s.Now())
+	}
+}
+
+// BenchmarkProcSwitch times one process resume: N processes loop
+// Sleep(1ns) in lockstep, so with one process every resume returns control
+// to the process that just parked, and with more every resume hands it to
+// a different one. ns/op is ns per resume.
+func BenchmarkProcSwitch(b *testing.B) {
+	for _, bc := range []struct {
+		name  string
+		procs int
+	}{{"self", 1}, {"2", 2}, {"128", 128}} {
+		b.Run(bc.name, func(b *testing.B) {
+			s := New(1)
+			per := b.N/bc.procs + 1
+			for i := 0; i < bc.procs; i++ {
+				s.Spawn("p", func(p *Proc) {
+					for j := 0; j < per; j++ {
+						p.Sleep(time.Nanosecond)
+					}
+				})
+			}
+			b.ResetTimer()
+			if err := s.Run(); err != nil {
+				b.Fatal(err)
+			}
+		})
 	}
 }

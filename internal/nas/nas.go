@@ -355,6 +355,21 @@ func LU(class Class, procs, iters int) (*Workload, error) {
 			haloX := int64(5 * 8 * ny * n)
 			haloY := int64(5 * 8 * nx * n)
 			blockCompute := computePerIter / (2 * kBlocks)
+			// The Jacobi halo's peers and sizes: every existing neighbour.
+			var hPeers []int
+			var hSizes []int64
+			if north >= 0 {
+				hPeers, hSizes = append(hPeers, north), append(hSizes, haloX)
+			}
+			if south >= 0 {
+				hPeers, hSizes = append(hPeers, south), append(hSizes, haloX)
+			}
+			if west >= 0 {
+				hPeers, hSizes = append(hPeers, west), append(hSizes, haloY)
+			}
+			if east >= 0 {
+				hPeers, hSizes = append(hPeers, east), append(hSizes, haloY)
+			}
 
 			m.Init()
 			for it := 0; it < iters; it++ {
@@ -395,20 +410,6 @@ func LU(class Class, procs, iters int) (*Workload, error) {
 				// Jacobi part: halo exchange with every existing
 				// neighbour, posted as a group.
 				m.SetContext(CtxHalo)
-				var hPeers []int
-				var hSizes []int64
-				if north >= 0 {
-					hPeers, hSizes = append(hPeers, north), append(hSizes, haloX)
-				}
-				if south >= 0 {
-					hPeers, hSizes = append(hPeers, south), append(hSizes, haloX)
-				}
-				if west >= 0 {
-					hPeers, hSizes = append(hPeers, west), append(hSizes, haloY)
-				}
-				if east >= 0 {
-					hPeers, hSizes = append(hPeers, east), append(hSizes, haloY)
-				}
 				m.ExchangeGroup(hPeers, 204, hSizes, 1)
 				// Residual norms every few steps.
 				if it%5 == 0 {
