@@ -121,10 +121,9 @@ func TestFusedIngestMatchesBoardPath(t *testing.T) {
 		}
 	}
 	mf, mb := pf.Topology.Matrix(), pb.Topology.Matrix()
-	for i := range mf.Bytes {
-		if mf.Bytes[i] != mb.Bytes[i] || mf.Hits[i] != mb.Hits[i] || mf.TimeNs[i] != mb.TimeNs[i] {
-			t.Fatalf("topology cell %d: fused={%d %d %d} board={%d %d %d}", i,
-				mf.Hits[i], mf.Bytes[i], mf.TimeNs[i], mb.Hits[i], mb.Bytes[i], mb.TimeNs[i])
+	for i := range mf.cells {
+		if mf.cells[i] != mb.cells[i] {
+			t.Fatalf("topology cell %d: fused=%+v board=%+v", i, mf.cells[i], mb.cells[i])
 		}
 	}
 	hf, hb := pf.state.Sizes.Histogram(), pb.state.Sizes.Histogram()

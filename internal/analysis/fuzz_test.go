@@ -33,8 +33,8 @@ func windowedEnc(tb testing.TB, seed int64, slideNs int64) []byte {
 // receiver as it was. The corpus includes windowed encodings so the
 // trailing window section (count, strictly-increasing indices, nested
 // length-prefixed partials) is mutated too, one out-of-order and one
-// repeated-key shape for every key-sorted section, and a kind above 255
-// for every section keyed by kind.
+// repeated-key shape for every key-sorted section, a kind above 255 for
+// every section keyed by kind, and a topology cell without hits.
 func FuzzDecodePartial(f *testing.F) {
 	rng := rand.New(rand.NewSource(1))
 	perRank := genRankEvents(rng, 4, 150)
@@ -60,6 +60,7 @@ func FuzzDecodePartial(f *testing.F) {
 	for _, sec := range twoKeyKindSections {
 		f.Add(twoKeyPartial(sec, aliasedKinds))
 	}
+	f.Add(hitlessCellPartial(0))
 	// The receiver rejected input is merged into: same shape as the
 	// twoKeyPartial seeds, so mutants of those get past the header.
 	rxOpts := windowedAllOpts(4, 1500)

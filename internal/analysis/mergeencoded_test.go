@@ -3,7 +3,6 @@ package analysis
 import (
 	"bytes"
 	"math/rand"
-	"runtime"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -124,7 +123,12 @@ func TestMergeEncodedMatchesDecodeMerge(t *testing.T) {
 // TestFlushResetLeavesNothingBehind: the in-place reset is a reset. A
 // partial flushed and refolded with the same events flushes the same
 // bytes again — final flushes with every module, delta flushes without
-// the wait-state module (whose queues a delta flush keeps on purpose).
+// the wait-state module (whose queues a delta flush keeps on purpose),
+// and with it over a run of three delta epochs closed by a final flush:
+// a send of one epoch pairs with its receive in the next, so what a delta
+// flush leaves behind on purpose crosses epoch boundaries, and the second
+// run of the same epochs must still flush the first run's bytes, epoch by
+// epoch.
 func TestFlushResetLeavesNothingBehind(t *testing.T) {
 	f := func(seed int64, final bool) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -154,6 +158,58 @@ func TestFlushResetLeavesNothingBehind(t *testing.T) {
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
+		t.Fatal(err)
+	}
+
+	epochs := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		opts := windowedAllOpts(6, []int64{0, 500}[rng.Intn(2)])
+		perRank := genRankEvents(rng, opts.AppSize, 450)
+		const deltas = 3
+		pp := NewPartial(1, opts)
+		run := func() (flushed [][]byte, crossed int64) {
+			for e := 0; e <= deltas; e++ {
+				for r := range perRank { // epoch e: the e-th quarter of every rank's events
+					n := len(perRank[r])
+					for i := e * n / (deltas + 1); i < (e+1)*n/(deltas+1); i++ {
+						pp.AddEvent(&perRank[r][i])
+					}
+				}
+				if e > 0 {
+					// What this epoch pairs beyond what it could pair alone
+					// is a pair across its boundary.
+					alone := NewPartial(1, opts)
+					for r := range perRank {
+						n := len(perRank[r])
+						for i := e * n / (deltas + 1); i < (e+1)*n/(deltas+1); i++ {
+							alone.AddEvent(&perRank[r][i])
+						}
+					}
+					crossed += pp.Waits.Pairs() - alone.Waits.Pairs()
+				}
+				flushed = append(flushed, pp.Flush(nil, e == deltas))
+			}
+			return flushed, crossed
+		}
+		first, crossed := run()
+		if crossed == 0 {
+			t.Errorf("seed %d: no channel paired across an epoch boundary", seed)
+			return false
+		}
+		if empty := NewPartial(1, opts).AppendCanonical(nil); !bytes.Equal(pp.AppendCanonical(nil), empty) {
+			t.Errorf("seed %d: after the final flush the partial does not encode as an empty one", seed)
+			return false
+		}
+		second, _ := run()
+		for e := range first {
+			if !bytes.Equal(second[e], first[e]) {
+				t.Errorf("seed %d: epoch %d of the second run flushes differently", seed, e)
+				return false
+			}
+		}
+		return true
+	}
+	if err := quick.Check(epochs, &quick.Config{MaxCount: 30}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -402,11 +458,14 @@ func TestDecodePartialRejectsWideKinds(t *testing.T) {
 // next to the epoch-merge guard: one steady-state Flush → MergeEncoded
 // cycle of the same 2 000 events allocates what the delta holds — the
 // same bytes at 64 ranks and at 512 (within 2×), where re-allocating or
-// copying a dense ranks² matrix anywhere on the path shows as ~64×.
+// copying a dense ranks² matrix anywhere on the path shows as ~64×. And
+// it allocates few objects: at 256 ranks the cycle, fold included, stays
+// under 50, where growing the windows' wait-state queues (a delta flush
+// leaves them behind) one slice at a time costs hundreds.
 func TestSealCycleAllocsIndependentOfAppSize(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
-	perRank := genRankEvents(rng, 32, 2000) // ranks both app sizes have
-	cycleBytes := func(appSize int) uint64 {
+	perRank := genRankEvents(rng, 32, 2000) // ranks every app size has
+	cycleAllocs := func(appSize int) (bytes, objects uint64) {
 		opts := windowedAllOpts(appSize, 0)
 		opts.WindowNs = 20000
 		delta, cum := NewPartial(1, opts), NewPartial(1, opts)
@@ -424,18 +483,23 @@ func TestSealCycleAllocsIndependentOfAppSize(t *testing.T) {
 		}
 		cycle()
 		cycle()
-		var m0, m1 runtime.MemStats
-		runtime.ReadMemStats(&m0)
 		const cycles = 5
-		for i := 0; i < cycles; i++ {
-			cycle()
-		}
-		runtime.ReadMemStats(&m1)
-		return (m1.TotalAlloc - m0.TotalAlloc) / cycles
+		bytes, objects = allocatedBy(func() {
+			for i := 0; i < cycles; i++ {
+				cycle()
+			}
+		})
+		return bytes / cycles, objects / cycles
 	}
-	small, large := cycleBytes(64), cycleBytes(512)
+	small, _ := cycleAllocs(64)
+	large, _ := cycleAllocs(512)
 	t.Logf("Flush→MergeEncoded cycle: %d B at 64 ranks, %d B at 512", small, large)
 	if large > 2*small+4096 {
 		t.Errorf("seal cycle allocates %d B at 512 ranks vs %d B at 64: it scales with the app size", large, small)
+	}
+	_, objects := cycleAllocs(256)
+	t.Logf("fold→Flush→MergeEncoded cycle at 256 ranks: %d objects", objects)
+	if objects > 50 {
+		t.Errorf("seal cycle allocates %d objects at 256 ranks, want ≤ 50", objects)
 	}
 }

@@ -2,6 +2,7 @@ package analysis
 
 import (
 	"math"
+	"math/bits"
 	"slices"
 	"sync"
 
@@ -161,50 +162,99 @@ func (m *ProfilerModule) Merge(o *ProfilerModule) {
 
 // Matrix is a dense rank×rank communication matrix weighted in hits, bytes
 // and time (the three weightings of the paper's topological module).
+//
+// Beside the cells it keeps a touched index: one bit per cellsPerBit
+// consecutive cells, set before a cell of the group first becomes non-zero
+// and cleared only by whoever zeroes the group again. Every writer keeps
+// the invariant "a set bit covers every non-zero cell" (and a non-zero
+// cell has hits: the fold counts one per event, the decoder refuses a cell
+// without), so the encoder and the merges walk what was written since the
+// last reset, in ascending cell order, and skip the rest of the matrix
+// without reading it. The report-time readers below stay dense.
 type Matrix struct {
 	// N is the application's rank count.
 	N int
-	// Hits, Bytes and TimeNs are row-major [src*N+dst] accumulators.
-	Hits   []int64
-	Bytes  []int64
-	TimeNs []int64
+	// cells are the row-major [src*N+dst] accumulators, a cell's three
+	// weights side by side: a write costs one cache line, not three.
+	cells []Stat
+	// touched is the index, bit g for cells [g*cellsPerBit, (g+1)*cellsPerBit).
+	touched []uint64
 }
 
-// NewMatrix creates an N×N matrix. The cell arrays are allocated on the
-// first write, not here: a matrix that never sees a P2P event — an empty
-// window partial, a drained replica, a decoded empty delta — stays O(1),
-// which matters once every per-window partial carries one and once the
-// wire can hand the decoder an app size it never folds events for.
+// cellsPerBit is the touched index's granularity: three cache lines of
+// cells a bit, which makes the index of a 256-rank matrix 1 KB.
+const cellsPerBit = 8
+
+// NewMatrix creates an N×N matrix. The cells are allocated on the first
+// write, not here: a matrix that never sees a P2P event — an empty window
+// partial, a drained replica, a decoded empty delta — stays O(1), which
+// matters once every per-window partial carries one and once the wire can
+// hand the decoder an app size it never folds events for.
 func NewMatrix(n int) *Matrix {
 	return &Matrix{N: n}
 }
 
-// ensure allocates the cell arrays before the first write.
+// ensure allocates the cells and their index before the first write.
 func (m *Matrix) ensure() {
-	if m.Hits == nil {
-		m.Hits = make([]int64, m.N*m.N)
-		m.Bytes = make([]int64, m.N*m.N)
-		m.TimeNs = make([]int64, m.N*m.N)
+	if m.cells == nil {
+		n := m.N * m.N
+		m.cells = make([]Stat, n)
+		m.touched = make([]uint64, (n+64*cellsPerBit-1)/(64*cellsPerBit))
+	}
+}
+
+// cell returns cell i for writing: allocated, and indexed if it is about
+// to become non-zero.
+func (m *Matrix) cell(i int) *Stat {
+	m.ensure()
+	c := &m.cells[i]
+	if c.Hits == 0 {
+		g := i / cellsPerBit
+		m.touched[g/64] |= 1 << (g % 64)
+	}
+	return c
+}
+
+// walk calls fn, ascending, with every cell that has hits. With reset it
+// zeroes each cell behind fn and clears the index behind itself.
+func (m *Matrix) walk(reset bool, fn func(i int, st Stat)) {
+	for w, word := range m.touched {
+		for ; word != 0; word &= word - 1 {
+			lo := (w*64 + bits.TrailingZeros64(word)) * cellsPerBit
+			group := m.cells[lo:min(lo+cellsPerBit, len(m.cells))]
+			for j := range group {
+				if group[j].Hits == 0 {
+					continue
+				}
+				fn(lo+j, group[j])
+				if reset {
+					group[j] = Stat{}
+				}
+			}
+		}
+		if reset {
+			m.touched[w] = 0
+		}
 	}
 }
 
 // At returns (hits, bytes, timeNs) for the src→dst cell.
 func (m *Matrix) At(src, dst int) (int64, int64, int64) {
-	if m.Hits == nil {
+	if m.cells == nil {
 		return 0, 0, 0
 	}
-	i := src*m.N + dst
-	return m.Hits[i], m.Bytes[i], m.TimeNs[i]
+	c := m.cells[src*m.N+dst]
+	return c.Hits, c.Bytes, c.TimeNs
 }
 
 // Degree returns the number of distinct peers src communicates with.
 func (m *Matrix) Degree(src int) int {
-	if m.Hits == nil {
+	if m.cells == nil {
 		return 0
 	}
 	d := 0
-	for dst := 0; dst < m.N; dst++ {
-		if m.Hits[src*m.N+dst] > 0 {
+	for _, c := range m.cells[src*m.N : (src+1)*m.N] {
+		if c.Hits > 0 {
 			d++
 		}
 	}
@@ -214,23 +264,17 @@ func (m *Matrix) Degree(src int) int {
 // TotalBytes sums the matrix's byte weights.
 func (m *Matrix) TotalBytes() int64 {
 	var t int64
-	for _, b := range m.Bytes {
-		t += b
+	for i := range m.cells {
+		t += m.cells[i].Bytes
 	}
 	return t
 }
 
 // Edges calls fn for every non-empty src→dst cell.
 func (m *Matrix) Edges(fn func(src, dst int, hits, bytes, timeNs int64)) {
-	if m.Hits == nil {
-		return
-	}
-	for s := 0; s < m.N; s++ {
-		for d := 0; d < m.N; d++ {
-			i := s*m.N + d
-			if m.Hits[i] > 0 {
-				fn(s, d, m.Hits[i], m.Bytes[i], m.TimeNs[i])
-			}
+	for i := range m.cells {
+		if c := &m.cells[i]; c.Hits > 0 {
+			fn(i/m.N, i%m.N, c.Hits, c.Bytes, c.TimeNs)
 		}
 	}
 }
@@ -265,35 +309,25 @@ func (m *TopologyModule) fold(ev *trace.Event) {
 	if src < 0 || dst < 0 || src >= m.mat.N || dst >= m.mat.N {
 		return
 	}
-	m.mat.ensure()
-	i := src*m.mat.N + dst
-	m.mat.Hits[i]++
-	m.mat.Bytes[i] += ev.Size
-	m.mat.TimeNs[i] += ev.Duration()
+	m.mat.cell(src*m.mat.N + dst).add(ev)
 }
 
-// mergeReset folds o into m and zeroes o's matrix in place. Allocation
-// free once both sides are warm. The caller must own o exclusively.
+// mergeReset folds the cells o wrote into m and zeroes them in place.
+// Allocation free once both sides are warm. The caller must own o
+// exclusively.
 func (m *TopologyModule) mergeReset(o *TopologyModule) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if o.mat.Hits == nil {
-		return
-	}
-	m.mat.ensure()
-	for i := range o.mat.Hits {
-		m.mat.Hits[i] += o.mat.Hits[i]
-		m.mat.Bytes[i] += o.mat.Bytes[i]
-		m.mat.TimeNs[i] += o.mat.TimeNs[i]
-		o.mat.Hits[i], o.mat.Bytes[i], o.mat.TimeNs[i] = 0, 0, 0
-	}
+	// m's cells are allocated on o's first cell, not before: a warm but
+	// empty o (a replica's idle window) must not materialize them.
+	o.mat.walk(true, func(i int, st Stat) { m.mat.cell(i).merge(st) })
 }
 
 // release drops the cell arrays of a matrix that holds nothing any more
 // (the next write re-allocates them).
 func (m *TopologyModule) release() {
 	m.mu.Lock()
-	if m.mat.Hits != nil {
+	if m.mat.cells != nil {
 		m.mat = NewMatrix(m.mat.N)
 	}
 	m.mu.Unlock()
@@ -304,29 +338,29 @@ func (m *TopologyModule) Matrix() *Matrix {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	out := NewMatrix(m.mat.N)
-	if m.mat.Hits == nil {
-		return out
-	}
-	out.ensure()
-	copy(out.Hits, m.mat.Hits)
-	copy(out.Bytes, m.mat.Bytes)
-	copy(out.TimeNs, m.mat.TimeNs)
+	out.cells, out.touched = slices.Clone(m.mat.cells), slices.Clone(m.mat.touched)
 	return out
 }
 
-// Merge folds another topology module into this one.
+// Merge folds another topology module into this one. Only one side is
+// locked at a time, so o's written cells are copied out first — its cells,
+// not its ranks².
 func (m *TopologyModule) Merge(o *TopologyModule) {
-	snap := o.Matrix()
-	if snap.Hits == nil {
+	type cell struct {
+		i  int
+		st Stat
+	}
+	var cells []cell
+	o.mu.Lock()
+	o.mat.walk(false, func(i int, st Stat) { cells = append(cells, cell{i, st}) })
+	o.mu.Unlock()
+	if len(cells) == 0 {
 		return
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.mat.ensure()
-	for i := range snap.Hits {
-		m.mat.Hits[i] += snap.Hits[i]
-		m.mat.Bytes[i] += snap.Bytes[i]
-		m.mat.TimeNs[i] += snap.TimeNs[i]
+	for _, c := range cells {
+		m.mat.cell(c.i).merge(c.st)
 	}
 }
 

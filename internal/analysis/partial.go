@@ -53,6 +53,10 @@ type Partial struct {
 	// non-shedding runs encode byte-identical partials with or without an
 	// admission gate in the path.
 	Shed *CompletenessModule
+
+	// listed is set on a series' inner per-window partial while the series
+	// has it in its written list (see WindowedModule).
+	listed bool
 }
 
 // PartialOptions selects which analysis modules a Partial carries; it
@@ -420,27 +424,56 @@ func (pp *Partial) encodeWindows(w *pwriter, pendings, reset bool) {
 	defer m.mu.Unlock()
 	// Only windows with content travel: a window drained by an earlier
 	// delta flush stays in the map but must not change the bytes (content-
-	// equal series encode identically whatever their flush history).
-	idxs := make([]int64, 0, len(m.wins))
-	for i, wp := range m.wins {
-		if windowHasContent(wp, pendings) {
-			idxs = append(idxs, i)
-		} else if reset {
-			// Idle for a whole epoch: the in-place reset keeps a written
-			// matrix warm, but a window nobody writes to any more must not
-			// pin 24*N^2 bytes for the rest of the run.
-			wp.Topology.release()
+	// equal series encode identically whatever their flush history). Events
+	// are only in the windows written since the last reset; pending queues,
+	// which a delta flush leaves behind, can be in any.
+	visit := m.written
+	if pendings {
+		visit = make([]int64, 0, len(m.wins))
+		for i := range m.wins {
+			visit = append(visit, i)
 		}
 	}
-	slices.Sort(idxs)
-	w.u32(uint32(len(idxs)))
-	for _, i := range idxs {
+	slices.Sort(visit)
+	if reset {
+		// Idle for a whole epoch: the in-place reset keeps a written
+		// matrix warm, but a window nobody writes to any more must not pin
+		// 24*N^2 bytes for the rest of the run.
+		for _, i := range m.flushed {
+			if wp := m.wins[i]; wp != nil && !wp.listed {
+				wp.Topology.release()
+			}
+		}
+		m.flushed = m.flushed[:0]
+	}
+	countAt := w.reserve()
+	n := 0
+	for _, i := range visit {
+		wp := m.wins[i]
+		if !windowHasContent(wp, pendings) {
+			if reset {
+				wp.Topology.release()
+			}
+			continue
+		}
+		n++
 		w.i64(i)
 		// Length-prefixed nested encoding: reserve the u32, encode the
 		// inner partial in place, backfill.
 		lenAt := w.reserve()
-		w.buf = m.wins[i].encode(w.buf, pendings, reset)
+		w.buf = wp.encode(w.buf, pendings, reset)
 		w.backfill(lenAt, len(w.buf)-lenAt-4)
+		if reset {
+			m.flushed = append(m.flushed, i)
+		}
+	}
+	w.backfill(countAt, n)
+	if reset {
+		for _, i := range m.written {
+			m.wins[i].listed = false
+		}
+		m.written = m.written[:0]
+		m.cur = nil // the next fold has to list its window again
 	}
 }
 
@@ -528,20 +561,13 @@ func (pp *Partial) encodeTopology(w *pwriter, reset bool) {
 	m := pp.Topology
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	mat := m.mat
 	countAt := w.reserve()
 	n := 0
-	for i, h := range mat.Hits {
-		if h == 0 {
-			continue
-		}
+	m.mat.walk(reset, func(i int, st Stat) {
 		n++
 		w.u32(uint32(i))
-		w.stat(Stat{Hits: h, Bytes: mat.Bytes[i], TimeNs: mat.TimeNs[i]})
-		if reset {
-			mat.Hits[i], mat.Bytes[i], mat.TimeNs[i] = 0, 0, 0
-		}
-	}
+		w.stat(st)
+	})
 	w.backfill(countAt, n)
 }
 
@@ -918,7 +944,6 @@ func (pp *Partial) mergeTopology(r *preader, apply bool) error {
 		m.mu.Lock()
 		defer m.mu.Unlock()
 		mat = m.mat
-		mat.ensure()
 	}
 	var prev uint32
 	for i := 0; i < n; i++ {
@@ -931,10 +956,13 @@ func (pp *Partial) mergeTopology(r *preader, apply bool) error {
 		if int(idx) >= size*size {
 			return fmt.Errorf("analysis: partial topology cell %d outside %dx%d", idx, size, size)
 		}
+		// No encoder writes a cell without hits, and none would ever write or
+		// zero what such a cell left behind in the matrix.
+		if st.Hits <= 0 {
+			return fmt.Errorf("analysis: partial topology cell %d with %d hits", idx, st.Hits)
+		}
 		if apply {
-			mat.Hits[idx] += st.Hits
-			mat.Bytes[idx] += st.Bytes
-			mat.TimeNs[idx] += st.TimeNs
+			mat.cell(int(idx)).merge(st)
 		}
 	}
 	return nil
@@ -1015,7 +1043,7 @@ func (pp *Partial) mergeWaits(r *preader, apply bool) error {
 	// channel, then (unless lazy) a positional drain of every channel the
 	// buffer named — after both sides are in, so the pairing sees the
 	// channel's whole FIFO order.
-	var touched []*chanQueues
+	var named []*chanQueues
 	for side := 0; side < 2; side++ {
 		elem := 8 // send: start time
 		if side == 1 {
@@ -1052,13 +1080,11 @@ func (pp *Partial) mergeWaits(r *preader, apply bool) error {
 				}
 				cq.recvs = mergeSorted(cq.recvs, q, lessRecv)
 			}
-			touched = append(touched, cq)
+			named = append(named, cq)
 		}
 	}
-	if apply && !m.lazy {
-		for _, cq := range touched {
-			m.drain(cq)
-		}
+	for _, cq := range named {
+		m.merged(cq)
 	}
 	return r.err
 }

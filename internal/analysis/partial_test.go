@@ -3,6 +3,7 @@ package analysis
 import (
 	"bytes"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -286,4 +287,35 @@ func TestDecodePartialMalformed(t *testing.T) {
 	if _, err := DecodePartial(nil); err == nil {
 		t.Fatal("nil input decoded")
 	}
+	// A topology cell without hits is not canonical: no encoder writes one,
+	// and none would ever emit, or zero, what it left behind in the matrix.
+	for _, hits := range []int64{0, -2} {
+		buf := hitlessCellPartial(hits)
+		if _, err := DecodePartial(buf); err == nil || !strings.Contains(err.Error(), "hits") {
+			t.Fatalf("topology cell with %d hits: err = %v, want a rejection naming the hits", hits, err)
+		}
+		rx := NewPartial(1, PartialOptions{AppSize: 4})
+		if err := rx.MergeEncoded(buf); err == nil || rx.Topology.Matrix().TotalBytes() != 0 {
+			t.Fatalf("topology cell with %d hits: MergeEncoded err = %v, %d bytes landed in the matrix",
+				hits, err, rx.Topology.Matrix().TotalBytes())
+		}
+	}
+}
+
+// hitlessCellPartial hand-assembles an otherwise empty partial whose one
+// topology cell carries bytes under the given (non-positive) hit count.
+func hitlessCellPartial(hits int64) []byte {
+	var w pwriter
+	w.buf = append(w.buf, partialMagic[:]...)
+	w.u32(1) // app id
+	w.u32(4) // app size
+	w.u32(0) // flags
+	w.i64(0) // temporal window
+	w.i64(0) // profiler: no events, no kinds
+	w.u32(0)
+	w.u32(1) // topology: one cell
+	w.u32(6)
+	w.stat(Stat{Hits: hits, Bytes: 5})
+	w.u32(0) // density kinds
+	return w.buf
 }

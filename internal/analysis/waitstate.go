@@ -34,7 +34,9 @@ import (
 // operation the reduction tree's MergeFull performs, so a tree of
 // partial profiles settles to the same pairs as the flat analysis.
 // The trade-off is queue memory proportional to the channel's message
-// count between settles rather than to in-flight messages.
+// count between settles rather than to in-flight messages. A settle costs
+// what was written since the last one: it drains the unsettled list — the
+// records that gained an entry — and never ranges the channel map.
 //
 // Send-side blocking (Late Receiver) does not occur under the eager
 // protocol this runtime models, so only the receive side is classified.
@@ -49,7 +51,15 @@ type WaitStateModule struct {
 	chans map[chanKey]*chanQueues
 	// slab is the unused rest of the chunk new records are cut from: a
 	// run touches thousands of channels, one allocation each otherwise.
-	slab []chanQueues
+	// sendStore and recvStore do the same for the queues' storage.
+	slab      []chanQueues
+	sendStore queueStore[int64]
+	recvStore queueStore[recvEvt]
+	// unsettled lists the records that gained an entry since the last
+	// settle, each once (chanQueues.listed). A settle leaves no record
+	// holding both sides, so these are the only ones the next settle can
+	// pair. A lazy module just accumulates the list until read time.
+	unsettled []*chanQueues
 
 	// lateNs / lateHits accumulate late-sender wait per receiving rank.
 	lateNs   []int64
@@ -76,8 +86,9 @@ type chanKey struct {
 // chanQueues is one channel's two pending queues, each sorted by time (=
 // the channel's FIFO order, since each side originates at a single rank).
 type chanQueues struct {
-	sends []int64 // send start times
-	recvs []recvEvt
+	sends  []int64 // send start times
+	recvs  []recvEvt
+	listed bool // in the module's unsettled list
 }
 
 type recvEvt struct {
@@ -112,7 +123,8 @@ func (m *WaitStateModule) fold(ev *trace.Event) {
 			return
 		}
 		q := m.queues(chanKey{src: ev.Rank, dst: ev.Peer, tag: ev.Tag, comm: ev.Comm})
-		q.sends = insertSorted(q.sends, ev.TStart, cmp.Less[int64])
+		q.sends = insertSorted(q.sends, ev.TStart, cmp.Less[int64], &m.sendStore)
+		m.list(q)
 	case trace.KindRecv, trace.KindWait:
 		if ev.Peer < 0 {
 			return // wildcard completion without source: unmatchable
@@ -123,7 +135,8 @@ func (m *WaitStateModule) fold(ev *trace.Event) {
 			return
 		}
 		q := m.queues(chanKey{src: ev.Peer, dst: ev.Rank, tag: ev.Tag, comm: ev.Comm})
-		q.recvs = insertSorted(q.recvs, recvEvt{rank: ev.Rank, tStart: ev.TStart, tEnd: ev.TEnd}, lessRecv)
+		q.recvs = insertSorted(q.recvs, recvEvt{rank: ev.Rank, tStart: ev.TStart, tEnd: ev.TEnd}, lessRecv, &m.recvStore)
+		m.list(q)
 	}
 }
 
@@ -140,6 +153,54 @@ func (m *WaitStateModule) queues(k chanKey) *chanQueues {
 	return q
 }
 
+// list enters q, which just gained an entry, in the unsettled list.
+func (m *WaitStateModule) list(q *chanQueues) {
+	if !q.listed {
+		q.listed = true
+		m.unsettled = append(m.unsettled, q)
+	}
+}
+
+// merged pairs what a merge just put into q — now, or on a lazy module at
+// read time.
+func (m *WaitStateModule) merged(q *chanQueues) {
+	if m.lazy {
+		m.list(q)
+	} else {
+		m.drain(q)
+	}
+}
+
+// queueStore cuts queue storage from chunks, so a module allocates per
+// chunk and not per channel per doubling: a new window touches thousands
+// of queues that each hold a dozen entries. Storage a queue outgrows stays
+// behind in its chunk.
+type queueStore[T any] struct {
+	free  []T // unused rest of the current chunk
+	chunk int // length of that chunk
+}
+
+const (
+	// firstQueueCut is a queue's first capacity; it doubles from there.
+	firstQueueCut = 16
+	// maxQueueChunk caps the chunks, which double from four first cuts: a
+	// module with one event must not pay for one with thousands of queues.
+	maxQueueChunk = 4096
+)
+
+// grow moves the full queue q into storage twice its size.
+func (s *queueStore[T]) grow(q []T) []T {
+	n := max(firstQueueCut, 2*cap(q))
+	if len(s.free) < n {
+		s.chunk = min(max(2*s.chunk, 4*firstQueueCut), maxQueueChunk)
+		s.free = make([]T, max(n, s.chunk))
+	}
+	out := s.free[:len(q):n]
+	s.free = s.free[n:]
+	copy(out, q)
+	return out
+}
+
 func lessRecv(a, b recvEvt) bool {
 	if a.tStart != b.tStart {
 		return a.tStart < b.tStart
@@ -148,9 +209,12 @@ func lessRecv(a, b recvEvt) bool {
 }
 
 // insertSorted inserts v into the sorted queue q, after any equal
-// elements (stable). The common case — in-order arrival — is a plain
-// append.
-func insertSorted[T any](q []T, v T, less func(x, y T) bool) []T {
+// elements (stable), taking room from store when q is full. The common
+// case — in-order arrival — is a plain append.
+func insertSorted[T any](q []T, v T, less func(x, y T) bool, store *queueStore[T]) []T {
+	if len(q) == cap(q) {
+		q = store.grow(q)
+	}
 	if n := len(q); n == 0 || !less(v, q[n-1]) {
 		return append(q, v)
 	}
@@ -162,11 +226,13 @@ func insertSorted[T any](q []T, v T, less func(x, y T) bool) []T {
 }
 
 // settleLocked positionally pairs every channel that currently holds both
-// sides. Called with m.mu held.
+// sides: they are all in the unsettled list. Called with m.mu held.
 func (m *WaitStateModule) settleLocked() {
-	for _, q := range m.chans {
+	for _, q := range m.unsettled {
 		m.drain(q)
+		q.listed = false
 	}
+	m.unsettled = m.unsettled[:0]
 }
 
 // pair classifies one matched (recv, sendStart) pair. Called with m.mu
@@ -317,10 +383,13 @@ func (m *WaitStateModule) mergeResetFull(o *WaitStateModule) {
 		q := m.queues(k)
 		q.sends, oq.sends = moveSorted(q.sends, oq.sends, cmp.Less[int64])
 		q.recvs, oq.recvs = moveSorted(q.recvs, oq.recvs, lessRecv)
-		if !m.lazy {
-			m.drain(q)
-		}
+		m.merged(q)
 	}
+	// Nothing is left in o to pair.
+	for _, oq := range o.unsettled {
+		oq.listed = false
+	}
+	o.unsettled = o.unsettled[:0]
 }
 
 // moveSorted merges the sorted queue src into the sorted queue dst and

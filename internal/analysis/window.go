@@ -39,6 +39,9 @@ import (
 //     windows == whole-run partial" false. Pairing happens at read time
 //     (report rendering), when the windows are complete.
 //
+// A delta encode costs what the epoch wrote: it visits the written list,
+// not the series, so a seal does not grow with the session's age.
+//
 // Lateness is deliberately NOT part of this module: late events always
 // merge into their (still-open) window, so window content is exact and
 // byte-identical whatever the arrival order. The arrival-time story —
@@ -51,10 +54,18 @@ type WindowedModule struct {
 	inner    PartialOptions
 	wins     map[int64]*Partial
 
+	// written lists the windows folded or merged into since the last reset
+	// encode, each once (Partial.listed): every window that holds events is
+	// among them, so a delta encode visits these and not the whole series,
+	// whatever the session's age. flushed lists the windows the last reset
+	// encode wrote and kept warm; the next one releases those nobody wrote
+	// to since.
+	written, flushed []int64
+
 	// cur caches the window the previous event of a tumbling series fell
 	// into (nil = nothing cached): consecutive events of a pack almost
 	// always share it, and the hit skips the map. It must be dropped
-	// wherever a window leaves wins.
+	// wherever a window leaves wins or the written list.
 	curIdx int64
 	cur    *Partial
 }
@@ -148,12 +159,17 @@ func (m *WindowedModule) fold(ev *trace.Event) {
 	}
 }
 
-// window returns window i's inner partial, minting it on first use.
+// window returns window i's inner partial for writing: minted on first
+// use, and entered in the written list.
 func (m *WindowedModule) window(i int64) *Partial {
 	wp := m.wins[i]
 	if wp == nil {
 		wp = m.newWindowPartial()
 		m.wins[i] = wp
+	}
+	if !wp.listed {
+		wp.listed = true
+		m.written = append(m.written, i)
 	}
 	return wp
 }
@@ -238,20 +254,25 @@ func (m *WindowedModule) Merge(o *WindowedModule) error {
 func (m *WindowedModule) mergeReset(o *WindowedModule) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	o.cur = nil // windows are about to leave o.wins
+	o.cur = nil // windows are about to leave o.wins and its written list
 	for i, wp := range o.wins {
-		dst := m.wins[i]
-		if dst == nil {
+		// Only a window o listed can bring events, so only those enter m's
+		// written list; the others are merged for their pending queues.
+		written := wp.listed
+		wp.listed = false
+		if m.wins[i] == nil {
 			m.wins[i] = wp
 			delete(o.wins, i)
-			continue
-		}
-		if err := dst.MergeReset(wp); err != nil {
+		} else if err := m.wins[i].MergeReset(wp); err != nil {
 			// Both sides were minted by this module pair from identical
 			// options; a mismatch is a programming error, not data.
 			panic(fmt.Sprintf("analysis: window %d epoch merge: %v", i, err))
 		}
+		if written {
+			m.window(i)
+		}
 	}
+	o.written = o.written[:0]
 }
 
 // EnableWindows adds the windowed series to the pipeline's state, and so

@@ -659,15 +659,3 @@ func (bb *Blackboard) Stats() Stats {
 		Unclaimed: bb.unclaimed.Load(),
 	}
 }
-
-// KSJobs returns how many jobs a named KS has executed (0 for unknown
-// names).
-func (bb *Blackboard) KSJobs(name string) int64 {
-	bb.regMu.RLock()
-	st, ok := bb.byName[name]
-	bb.regMu.RUnlock()
-	if !ok {
-		return 0
-	}
-	return st.jobs.Load()
-}

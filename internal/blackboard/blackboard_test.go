@@ -613,3 +613,15 @@ func TestDroppedLedgerComplete(t *testing.T) {
 		t.Fatalf("Posted = %d, want 3 (late post discarded, not posted)", bb.Stats().Posted)
 	}
 }
+
+// KSJobs returns how many jobs a named KS has executed (0 for unknown
+// names).
+func (bb *Blackboard) KSJobs(name string) int64 {
+	bb.regMu.RLock()
+	st, ok := bb.byName[name]
+	bb.regMu.RUnlock()
+	if !ok {
+		return 0
+	}
+	return st.jobs.Load()
+}

@@ -183,7 +183,10 @@ func (c *Client) SendPack(src uint32, pack []byte) error {
 		return err
 	}
 	c.avail--
-	return c.send(wire.TypePack, wire.EncodePack(src, pack))
+	if err := wire.WritePack(c.bw, src, pack); err != nil {
+		return err
+	}
+	return c.bw.Flush()
 }
 
 // Snapshot fetches the session's full merged analysis state; the

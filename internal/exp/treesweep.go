@@ -5,7 +5,6 @@ import (
 	"encoding/hex"
 	"fmt"
 	"io"
-	"time"
 
 	"repro/internal/nas"
 	"repro/internal/report"
@@ -143,76 +142,4 @@ func WriteTreeTable(w io.Writer, points []TreePoint) {
 			pt.Config, pt.TreeRanks, pt.AppSeconds, pt.AnalyzedEvents,
 			pt.RootIngestBytes, pt.RootIngestRate, pt.IngestReductionPct, pt.MatchesFlat)
 	}
-}
-
-// TreeFaultPoint reports one aggregator-kill run against its healthy
-// twin.
-type TreeFaultPoint struct {
-	Config TreeConfig
-	// KilledLocal is the aggregator partition-local rank that was
-	// fail-stopped, KillAt the virtual time of the crash.
-	KilledLocal int
-	KillAt      time.Duration
-	// AppSeconds / AnalyzedEvents for the faulty run.
-	AppSeconds     float64
-	AnalyzedEvents int64
-	// CompletenessPct is 100 x faulty events / healthy events — the
-	// bounded-data-loss acceptance metric.
-	CompletenessPct float64
-	// Reparented counts blocks that reached a non-primary parent;
-	// UpFailovers / UpQuarantines / UpDropped are the upstream write-side
-	// failure counters. A successful degraded run shows failovers and
-	// reparenting with bounded (often zero) drops.
-	Reparented    int64
-	UpFailovers   int64
-	UpQuarantines int64
-	UpDropped     int64
-	// ReportProduced records that the faulty run still rendered a full
-	// report.
-	ReportProduced bool
-}
-
-// TreeFaultRun profiles the workloads through the tree twice — healthy,
-// then with aggregator killLocal fail-stopped at failFrac of the healthy
-// run's wall time — and reports the degraded run's completeness and
-// failover counters. The tree must have an interior tier for the kill to
-// exercise reparenting below the root (TreeLevels >= 3 kills an interior
-// aggregator; TreeLevels == 2 kills nothing but the root, which is
-// rejected).
-func TreeFaultRun(p Platform, workloads []*nas.Workload, base ProfileOptions, cfg TreeConfig, killLocal int, failFrac float64) (TreeFaultPoint, error) {
-	opts := base
-	opts.TreeLevels = cfg.Levels
-	opts.TreeFanin = cfg.Fanin
-	opts.TreeFlushPacks = cfg.FlushPacks
-	opts.AggregatorFaults = nil
-	_, healthy, err := ProfileRunStats(p, workloads, opts)
-	if err != nil {
-		return TreeFaultPoint{}, fmt.Errorf("exp: tree fault healthy run: %w", err)
-	}
-
-	killAt := time.Duration(failFrac * healthy.AppSeconds * float64(time.Second))
-	if killAt < time.Millisecond {
-		killAt = time.Millisecond
-	}
-	opts.AggregatorFaults = []AggregatorFault{{Local: killLocal, At: killAt}}
-	rep, faulty, err := ProfileRunStats(p, workloads, opts)
-	if err != nil {
-		return TreeFaultPoint{}, fmt.Errorf("exp: tree fault run: %w", err)
-	}
-	pt := TreeFaultPoint{
-		Config:         cfg,
-		KilledLocal:    killLocal,
-		KillAt:         killAt,
-		AppSeconds:     faulty.AppSeconds,
-		AnalyzedEvents: faulty.AnalyzedEvents,
-		Reparented:     faulty.Reparented,
-		UpFailovers:    faulty.UpFailovers,
-		UpQuarantines:  faulty.UpQuarantines,
-		UpDropped:      faulty.UpDropped,
-		ReportProduced: rep != nil && len(rep.Chapters) == len(workloads),
-	}
-	if healthy.AnalyzedEvents > 0 {
-		pt.CompletenessPct = 100 * float64(faulty.AnalyzedEvents) / float64(healthy.AnalyzedEvents)
-	}
-	return pt, nil
 }

@@ -772,16 +772,6 @@ func (p *ProfileRecorder) Finalize() {
 	}
 }
 
-// NewScalascaRecorder models Scalasca's runtime summarization: call-path
-// management makes events dearer than a flat profile, and the final
-// report is larger.
-func NewScalascaRecorder(r *mpi.Rank, fs *simfs.FS) *ProfileRecorder {
-	return NewProfileRecorder(r, fs, "scalasca", ProfileConfig{
-		PerEventCost: 350 * time.Nanosecond,
-		DumpBytes:    512 << 10,
-	})
-}
-
 // NullRecorder counts events and nothing else (wrapper-overhead testing).
 type NullRecorder struct {
 	// EventsSeen counts Record calls.

@@ -505,3 +505,13 @@ func TestOnlineRecorderFallsBackWhenAllAnalyzersDie(t *testing.T) {
 		t.Fatalf("stats = %+v, want quarantine + at least one dropped block", stats)
 	}
 }
+
+// NewScalascaRecorder models Scalasca's runtime summarization: call-path
+// management makes events dearer than a flat profile, and the final
+// report is larger.
+func NewScalascaRecorder(r *mpi.Rank, fs *simfs.FS) *ProfileRecorder {
+	return NewProfileRecorder(r, fs, "scalasca", ProfileConfig{
+		PerEventCost: 350 * time.Nanosecond,
+		DumpBytes:    512 << 10,
+	})
+}

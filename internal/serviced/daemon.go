@@ -348,6 +348,10 @@ type conn struct {
 	// the governor under escalation — paces its burst size.
 	granted  int64
 	received int64
+	// grant is where a credit frame's payload is assembled: a payload
+	// handed to the frame writer escapes, and a fresh one per window would
+	// be the pack path's only allocation.
+	grant [8]byte
 }
 
 func (c *conn) send(typ byte, payload []byte) error {
@@ -455,7 +459,8 @@ func (c *conn) run() error {
 				}
 				win := int64(c.sess.gov.window())
 				c.granted = c.received + win
-				if err := c.send(wire.TypeCredit, wire.EncodeCredit(wire.Credit{Credits: uint32(win), Window: uint32(win)})); err != nil {
+				n := copy(c.grant[:], wire.EncodeCredit(wire.Credit{Credits: uint32(win), Window: uint32(win)}))
+				if err := c.send(wire.TypeCredit, c.grant[:n]); err != nil {
 					return err
 				}
 			}

@@ -2,6 +2,7 @@ package serviced
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -32,6 +33,9 @@ type sessionApp struct {
 	delta *analysis.Replica
 	// cum is the merge of every sealed delta: the state Snapshot serves.
 	cum *analysis.Partial
+	// sealedLen is the size of the last sealed delta: the next seal's
+	// buffer starts at that capacity instead of growing from nothing.
+	sealedLen int
 	// tracker, on windowed sessions, is the arrival-side lateness
 	// accounting shared by the synchronous fold and every ingest lane.
 	// The daemon has no virtual clock, so lag stays zero and lateness is
@@ -253,16 +257,19 @@ func (s *session) seal() error {
 	epoch := s.epoch.Load()
 	se := sealedEpoch{apps: make([][]byte, len(s.apps))}
 	for i, a := range s.apps {
-		se.apps[i] = a.delta.Partial().Flush(nil, false)
+		// A quarter over the last epoch's size: steady epochs fit, and the
+		// retained bytes are not pinned in a buffer much larger than they are.
+		se.apps[i] = a.delta.Partial().Flush(make([]byte, 0, a.sealedLen+a.sealedLen/4), false)
+		a.sealedLen = len(se.apps[i])
 		if err := a.cum.MergeEncoded(se.apps[i]); err != nil {
 			return fmt.Errorf("serviced: seal epoch %d: %w", epoch+1, err)
 		}
 	}
 	s.epoch.Add(1)
-	s.sealed = append(s.sealed, se)
-	if over := len(s.sealed) - s.epochCap; over > 0 {
-		s.sealed = append(s.sealed[:0:0], s.sealed[over:]...)
+	if len(s.sealed) == s.epochCap {
+		s.sealed = slices.Delete(s.sealed, 0, 1) // copy down: the log keeps its storage
 	}
+	s.sealed = append(s.sealed, se)
 	s.dirty = false
 	s.seals.Add(1)
 	s.sealNs.Add(time.Since(t0).Nanoseconds())

@@ -3,6 +3,7 @@ package trace
 import (
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
@@ -456,4 +457,18 @@ func BenchmarkPackReader(b *testing.B) {
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*h.Count), "ns/event")
 		})
 	}
+}
+
+// PeekHeaderV1 decodes a pack header accepting only the v1 wire format: a
+// reader that has not negotiated v2 uses this so a v2 pack fails loudly
+// instead of being misparsed.
+func PeekHeaderV1(buf []byte) (Header, error) {
+	h, err := PeekHeader(buf)
+	if err != nil {
+		return h, err
+	}
+	if h.Version != PackV1 {
+		return Header{}, fmt.Errorf("trace: pack uses wire format v%d, this reader accepts only v1 (negotiate the stream format)", h.Version)
+	}
+	return h, nil
 }

@@ -421,20 +421,6 @@ func PeekHeader(buf []byte) (Header, error) {
 	return h, nil
 }
 
-// PeekHeaderV1 decodes a pack header accepting only the v1 wire format: a
-// reader that has not negotiated v2 uses this so a v2 pack fails loudly
-// instead of being misparsed.
-func PeekHeaderV1(buf []byte) (Header, error) {
-	h, err := PeekHeader(buf)
-	if err != nil {
-		return h, err
-	}
-	if h.Version != PackV1 {
-		return Header{}, fmt.Errorf("trace: pack uses wire format v%d, this reader accepts only v1 (negotiate the stream format)", h.Version)
-	}
-	return h, nil
-}
-
 // DecodeEach decodes one self-contained pack (v1 or v2), invoking fn per
 // event without materializing a slice: the entry for consumers that see
 // packs in no particular order (the board's fold KS, export replay). It is

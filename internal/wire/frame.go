@@ -78,16 +78,24 @@ type Frame struct {
 	Payload []byte
 }
 
+// appendHeader appends the header of a frame with an n-byte payload.
+func appendHeader(b []byte, typ byte, n int) []byte {
+	b = append(b, 'P', 'F', typ)
+	return binary.LittleEndian.AppendUint32(b, uint32(n))
+}
+
 // WriteFrame writes one frame.
 func WriteFrame(w io.Writer, typ byte, payload []byte) error {
+	if bw, ok := w.(*bufio.Writer); ok {
+		// A connection's writer takes the header in its own buffer; through
+		// the interface the header array below escapes to the heap.
+		return writeBuffered(bw, typ, nil, payload)
+	}
 	if len(payload) > MaxFrameBytes {
 		return fmt.Errorf("wire: frame payload %d exceeds limit %d", len(payload), MaxFrameBytes)
 	}
 	var hdr [frameHeaderSize]byte
-	hdr[0], hdr[1] = 'P', 'F'
-	hdr[2] = typ
-	binary.LittleEndian.PutUint32(hdr[3:], uint32(len(payload)))
-	if _, err := w.Write(hdr[:]); err != nil {
+	if _, err := w.Write(appendHeader(hdr[:0], typ, len(payload))); err != nil {
 		return err
 	}
 	if len(payload) == 0 {
@@ -97,6 +105,39 @@ func WriteFrame(w io.Writer, typ byte, payload []byte) error {
 	return err
 }
 
+// maxFrameHead bounds the fixed-size payload prefix writeBuffered takes
+// beside the header (a pack frame's writer id).
+const maxFrameHead = 4
+
+// writeBuffered writes one frame whose payload is head followed by body
+// into a buffered connection, allocating nothing: header and head are
+// appended into bw's own buffer, body is handed over as it is.
+func writeBuffered(bw *bufio.Writer, typ byte, head, body []byte) error {
+	n := len(head) + len(body)
+	if n > MaxFrameBytes {
+		return fmt.Errorf("wire: frame payload %d exceeds limit %d", n, MaxFrameBytes)
+	}
+	if bw.Available() < frameHeaderSize+maxFrameHead {
+		if err := bw.Flush(); err != nil {
+			return err
+		}
+	}
+	if _, err := bw.Write(append(appendHeader(bw.AvailableBuffer(), typ, n), head...)); err != nil {
+		return err
+	}
+	_, err := bw.Write(body)
+	return err
+}
+
+// WritePack writes one pack frame — writer id, then the pack bytes as they
+// are — into a buffered connection, without assembling the payload first
+// (EncodePack copies the pack to prefix it).
+func WritePack(bw *bufio.Writer, src uint32, pack []byte) error {
+	var id [maxFrameHead]byte
+	binary.LittleEndian.PutUint32(id[:], src)
+	return writeBuffered(bw, TypePack, id[:], pack)
+}
+
 // Reader decodes frames from a byte stream, reusing one payload buffer
 // across frames (the session ingest path consumes each pack
 // synchronously, so aliasing is safe and keeps steady-state framing
@@ -104,6 +145,10 @@ func WriteFrame(w io.Writer, typ byte, payload []byte) error {
 type Reader struct {
 	r   *bufio.Reader
 	buf []byte
+	// hdr is the frame header being read: kept here, a header array local
+	// to Next would escape through the io.Reader and cost an allocation a
+	// frame.
+	hdr [frameHeaderSize]byte
 	// max overrides MaxFrameBytes when nonzero (tests shrink it).
 	max int
 }
@@ -129,7 +174,7 @@ func (fr *Reader) limit() int {
 // io.ErrUnexpectedEOF, which is how the daemon tells a finished peer
 // from a truncated one.
 func (fr *Reader) Next() (Frame, error) {
-	var hdr [frameHeaderSize]byte
+	hdr := &fr.hdr
 	if _, err := io.ReadFull(fr.r, hdr[:1]); err != nil {
 		return Frame{}, err // clean EOF allowed at a frame boundary
 	}

@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/binary"
 	"io"
@@ -111,6 +112,78 @@ func TestWriteFrameOversize(t *testing.T) {
 	}
 	if buf.Len() != 0 {
 		t.Fatalf("%d bytes written for a refused frame", buf.Len())
+	}
+}
+
+// failAfter is a connection that dies after n bytes, mid-write.
+type failAfter struct{ n int }
+
+func (w *failAfter) Write(p []byte) (int, error) {
+	if len(p) > w.n {
+		n := w.n
+		w.n = 0
+		return n, io.ErrClosedPipe
+	}
+	w.n -= len(p)
+	return len(p), nil
+}
+
+// TestBufferedWritersKeepTheWireBytes: a connection's bufio.Writer takes
+// the frame header (and a pack's writer id) in its own buffer; the bytes
+// that reach the stream are those of the plain writer over an assembled
+// payload — whatever the buffer's fill when the frame starts.
+func TestBufferedWritersKeepTheWireBytes(t *testing.T) {
+	packs := [][]byte{nil, []byte("p"), bytes.Repeat([]byte{0xCD}, 40), bytes.Repeat([]byte{0xEF}, 5000)}
+	var want bytes.Buffer
+	for i, pk := range packs {
+		if err := WriteFrame(&want, TypePack, EncodePack(uint32(i+7), pk)); err != nil {
+			t.Fatal(err)
+		}
+		if err := WriteFrame(&want, TypeCredit, pk); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, size := range []int{16, 19, 64, 4096} { // 16 and 19: no room for a header behind a short frame
+		var got bytes.Buffer
+		bw := bufio.NewWriterSize(&got, size)
+		for i, pk := range packs {
+			if err := WritePack(bw, uint32(i+7), pk); err != nil {
+				t.Fatal(err)
+			}
+			if err := WriteFrame(bw, TypeCredit, pk); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := bw.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got.Bytes(), want.Bytes()) {
+			t.Fatalf("buffer of %d: %d bytes on the wire, the plain writer wrote %d", size, got.Len(), want.Len())
+		}
+	}
+
+	// Refused before a byte is buffered.
+	bw := bufio.NewWriter(io.Discard)
+	if err := WritePack(bw, 1, make([]byte, MaxFrameBytes)); err == nil || bw.Buffered() != 0 {
+		t.Fatalf("oversize pack: err = %v with %d bytes buffered", err, bw.Buffered())
+	}
+	// A connection that dies surfaces from the pack bytes, from the flush
+	// that makes room for the next header, and — bufio's error is sticky —
+	// from a header that had room.
+	for _, tc := range []struct {
+		dieAfter, pack int
+		first          error
+	}{{0, 10, io.ErrClosedPipe}, {16, 11, nil}, {12, 10, io.ErrClosedPipe}} {
+		bw := bufio.NewWriterSize(&failAfter{n: tc.dieAfter}, 16)
+		if err := WritePack(bw, 1, make([]byte, tc.pack)); err != tc.first {
+			t.Fatalf("connection dead after %d bytes: first pack err = %v, want %v", tc.dieAfter, err, tc.first)
+		}
+		if err := WritePack(bw, 2, nil); err != io.ErrClosedPipe {
+			t.Fatalf("connection dead after %d bytes: second pack err = %v", tc.dieAfter, err)
+		}
+	}
+	if err := WriteFrame(&failAfter{n: 3}, TypeCredit, []byte("x")); err != io.ErrClosedPipe {
+		t.Fatalf("plain writer, dead connection: err = %v", err)
 	}
 }
 
