@@ -121,7 +121,6 @@ func main() {
 	if buf := builder.Take(); buf != nil {
 		pipe.PostPack(buf)
 	}
-	pipe.PostEOS()
 	bb.Drain()
 	ch.WallTime = time.Duration(lastT)
 

@@ -30,7 +30,7 @@
 // decodes the whole pack through Partial.fold and releases; and the single
 // owner of a Replica, whose modules nobody else can reach (a board worker
 // after EnableReplicas, a fused lane, a daemon session or lane, a tree
-// leaf). Readers — report rendering, AbsorbPartial, MergeReplica — take one
+// leaf). Readers — report rendering, AbsorbEncoded, MergeReplica — take one
 // module mutex at a time and so wait for at most one pack.
 package analysis
 
@@ -52,13 +52,6 @@ const (
 	TypeRawPack = "rawpack"
 	// TypePack is an encoded pack on its application level.
 	TypePack = "pack"
-	// TypeEOS marks the end of an application's event stream.
-	TypeEOS = "eos"
-	// TypeRawPartial is an encoded partial profile before level dispatch
-	// (level ""), as shipped up the reduction tree.
-	TypeRawPartial = "rawpartial"
-	// TypePartial is a decoded *Partial on its application level.
-	TypePartial = "partial"
 )
 
 // Pipeline wires the analysis modules for one application level onto a
@@ -91,16 +84,13 @@ type Pipeline struct {
 	// Pipeline.NewReplica, on every replica's.
 	tracker *WindowTracker
 
-	mu       sync.Mutex
-	finished bool
-	onFinish []func()
-
 	// foldFn is what a locked pack fold calls per event: state.fold, then
 	// the taps — the event consumers that are not modules and synchronize
 	// themselves (export proxies, the window tracker) — in the order they
 	// attached. addTap is its only writer (under mu, with the names it has
 	// attached in taps); the board's fold KS and the fused ingest both load
 	// it, so profiles are byte-identical either way.
+	mu     sync.Mutex
 	taps   []string
 	foldFn atomic.Pointer[func(*trace.Event)]
 
@@ -152,21 +142,6 @@ func NewPipeline(bb *blackboard.Blackboard, level string, appSize int) (*Pipelin
 		Sensitivities: []blackboard.Type{blackboard.TypeID(level, TypePack)},
 		OpW: func(_ *blackboard.Blackboard, worker int, in []*blackboard.Entry) {
 			p.foldBoardPack(worker, in[0].Payload.([]byte))
-		},
-	}); err != nil {
-		return nil, err
-	}
-	if err := bb.Register(blackboard.KS{
-		Name:          "eos@" + level,
-		Sensitivities: []blackboard.Type{blackboard.TypeID(level, TypeEOS)},
-		Op: func(_ *blackboard.Blackboard, _ []*blackboard.Entry) {
-			p.mu.Lock()
-			p.finished = true
-			cbs := p.onFinish
-			p.mu.Unlock()
-			for _, cb := range cbs {
-				cb()
-			}
 		},
 	}); err != nil {
 		return nil, err
@@ -268,25 +243,6 @@ func (p *Pipeline) PostPack(buf []byte) {
 	p.bb.Post(blackboard.TypeID(p.level, TypePack), int64(len(buf)), buf)
 }
 
-// PostEOS marks the end of the application's stream.
-func (p *Pipeline) PostEOS() {
-	p.bb.Post(blackboard.TypeID(p.level, TypeEOS), 0, nil)
-}
-
-// OnFinish registers a callback invoked when the EOS entry is processed.
-func (p *Pipeline) OnFinish(cb func()) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.onFinish = append(p.onFinish, cb)
-}
-
-// Finished reports whether the EOS marker was processed.
-func (p *Pipeline) Finished() bool {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.finished
-}
-
 // Dispatcher is the multi-level KS of the paper's Figure 5: it reads each
 // raw pack's application id and re-posts the pack on the matching
 // application level, so one engine concurrently profiles several programs.
@@ -382,7 +338,7 @@ func (d *Dispatcher) PostRaw(buf []byte) {
 type FusedIngest struct {
 	d    *Dispatcher
 	mu   sync.Mutex
-	decs map[int]*trace.StreamDecoder
+	decs trace.Decoders
 
 	// lanes, when non-empty, partition sources for lock-free parallel
 	// ingest into per-lane module replicas (NewParallelFusedIngest);
@@ -392,13 +348,11 @@ type FusedIngest struct {
 
 	fusedPacks  atomic.Int64
 	fusedEvents atomic.Int64
-	epochMerges atomic.Int64
-	mergeNs     atomic.Int64
 }
 
 // NewFusedIngest wraps a dispatcher with per-writer v3 decode state.
 func NewFusedIngest(d *Dispatcher) *FusedIngest {
-	return &FusedIngest{d: d, decs: make(map[int]*trace.StreamDecoder)}
+	return &FusedIngest{d: d, decs: make(trace.Decoders)}
 }
 
 // Absorb routes one pack from writer src. v3 packs are decoded through
@@ -424,11 +378,7 @@ func (f *FusedIngest) Absorb(src int, buf []byte) (consumed bool, err error) {
 		n, err = f.absorbLane(p, src, buf)
 	} else {
 		f.mu.Lock()
-		dec := f.decs[src]
-		if dec == nil {
-			dec = &trace.StreamDecoder{}
-			f.decs[src] = dec
-		}
+		dec := f.decs.For(src)
 		f.mu.Unlock()
 		n, err = p.FoldPack(dec, buf)
 	}
@@ -450,54 +400,22 @@ func (f *FusedIngest) FusedEvents() int64 { return f.fusedEvents.Load() }
 // leaf partials, replicas and the root pipeline agree on what they carry.
 func (p *Pipeline) PartialOptions() PartialOptions { return p.state.Options() }
 
-// AbsorbPartial folds a (typically tree-reduced) partial profile into
-// the pipeline's state: the final step that turns the root's merged
-// partial into the same report the flat event pipeline would produce.
-// Unlike Partial.Merge it is tolerant: whatever application id pp carries,
-// optional modules are merged when both sides have them. Call-site labels
-// registered on the pipeline survive (partials carry statistics, not
-// label tables).
-func (p *Pipeline) AbsorbPartial(pp *Partial) {
-	if err := p.state.merge(pp); err != nil {
-		// Geometry mismatch between a tree partial and the root pipeline
-		// is a wiring bug, same class as an unregistered app.
-		panic(fmt.Sprintf("analysis: absorbing partial window series: %v", err))
+// AbsorbEncoded folds an encoded partial profile — a tree leaf's or
+// aggregator's flush, as it arrives at the root — into the state of the
+// application its header names, straight from the bytes (Partial.
+// MergeEncoded: validate, then apply, so an error leaves the state as it
+// was). The header's application id only routes: a level's state folds
+// under id 0. The module selection must be the pipeline's own. Safe beside
+// pack folds and report rendering; call-site labels registered on the
+// pipeline survive (partials carry statistics, not label tables).
+func (d *Dispatcher) AbsorbEncoded(buf []byte) error {
+	appID, err := PartialAppID(buf)
+	if err != nil {
+		return err
 	}
-}
-
-// PostPartial places a decoded partial on the pipeline's level, where
-// the tree-fold reducer picks it up.
-func (p *Pipeline) PostPartial(pp *Partial, size int64) {
-	p.bb.Post(blackboard.TypeID(p.level, TypePartial), size, pp)
-}
-
-// EnablePartials registers the partial-profile unpacker: encoded
-// partials arriving from the reduction tree (type "rawpartial") are
-// decoded, routed by application id like raw packs, and re-posted as
-// decoded partials on their application level.
-func (d *Dispatcher) EnablePartials() error {
-	return d.bb.Register(blackboard.KS{
-		Name:          "partial-unpacker",
-		Sensitivities: []blackboard.Type{blackboard.TypeID("", TypeRawPartial)},
-		Op: func(_ *blackboard.Blackboard, in []*blackboard.Entry) {
-			buf := in[0].Payload.([]byte)
-			pp, err := DecodePartial(buf)
-			if err != nil {
-				panic(fmt.Sprintf("analysis: undecodable partial: %v", err))
-			}
-			d.mu.RLock()
-			p := d.byApp[pp.AppID]
-			d.mu.RUnlock()
-			if p == nil {
-				panic(fmt.Sprintf("analysis: partial for unregistered app id %d", pp.AppID))
-			}
-			p.PostPartial(pp, int64(len(buf)))
-		},
-	})
-}
-
-// PostRawPartial places an encoded partial profile on the board; the
-// partial unpacker (EnablePartials) decodes and routes it.
-func (d *Dispatcher) PostRawPartial(buf []byte) {
-	d.bb.Post(blackboard.TypeID("", TypeRawPartial), int64(len(buf)), buf)
+	p := d.Pipeline(appID)
+	if p == nil {
+		return fmt.Errorf("analysis: partial for unregistered app id %d", appID)
+	}
+	return p.state.mergeEncoded(buf, appID)
 }

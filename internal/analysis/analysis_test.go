@@ -154,29 +154,6 @@ func TestDispatcherRoutesByAppID(t *testing.T) {
 	}
 }
 
-func TestEOSCallback(t *testing.T) {
-	bb := newBoard(t)
-	p, err := NewPipeline(bb, "appA", 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	done := make(chan struct{})
-	p.OnFinish(func() { close(done) })
-	if p.Finished() {
-		t.Fatal("finished too early")
-	}
-	p.PostEOS()
-	bb.Drain()
-	select {
-	case <-done:
-	default:
-		t.Fatal("finish callback not invoked")
-	}
-	if !p.Finished() {
-		t.Fatal("not marked finished")
-	}
-}
-
 func TestModuleMerge(t *testing.T) {
 	a, b := NewProfilerModule(2), NewProfilerModule(2)
 	ev := sendEvent(0, 1, 100, 0, 10)

@@ -6,6 +6,7 @@ import (
 	"sort"
 	"testing"
 
+	"repro/internal/blackboard"
 	"repro/internal/trace"
 )
 
@@ -161,12 +162,11 @@ func TestBoardPathDifferential(t *testing.T) {
 }
 
 // TestBoardPostsPerPack pins the board's unit of work to the pack: N raw
-// packs cost two posts each (rawpack, then pack@level) plus one EOS per
-// level, however many events they hold — a count, so a per-event fan-out
-// cannot creep back — and every entry finds its listener.
+// packs cost two posts each (rawpack, then pack@level), however many events
+// they hold — a count, so a per-event fan-out cannot creep back — and every
+// entry finds its listener.
 func TestBoardPostsPerPack(t *testing.T) {
 	d, p := fullPipeline(t, 4)
-	const levels = 1
 	n := 0
 	for r := int32(0); r < 4; r++ {
 		for _, pk := range packStream(t, trace.PackV1, 7, r, fusedWorkload(r, 500)) {
@@ -174,20 +174,16 @@ func TestBoardPostsPerPack(t *testing.T) {
 			n++
 		}
 	}
-	p.PostEOS()
 	d.bb.Drain()
 	st := d.bb.Stats()
-	if st.Posted > int64(2*n+levels) {
-		t.Errorf("%d packs cost %d board posts, want at most %d", n, st.Posted, 2*n+levels)
+	if st.Posted != int64(2*n) {
+		t.Errorf("%d packs cost %d board posts, want %d", n, st.Posted, 2*n)
 	}
 	if st.Unclaimed != 0 || st.Dropped != 0 || st.OpPanics != 0 {
 		t.Errorf("board stats %+v", st)
 	}
 	if got := p.Profiler.Events(); got != 4*500 {
 		t.Errorf("analyzed %d events, want %d", got, 4*500)
-	}
-	if !p.Finished() {
-		t.Error("EOS not processed")
 	}
 }
 
@@ -213,5 +209,88 @@ func TestBoardFoldAllocsPerPack(t *testing.T) {
 	t.Logf("allocs per pack: %.1f (16 events), %.1f (1024 events)", small, big)
 	if big > small+2 || big > 32 {
 		t.Errorf("board fold allocates %.1f per 1024-event pack vs %.1f per 16-event pack, want O(1) per pack", big, small)
+	}
+}
+
+// BenchmarkBoardFold times the board's pack fold — raw v1 packs of eight
+// writers per application posted through the dispatcher onto two workers,
+// sizes and call sites on — over the axes ROADMAP 4b has to decide on:
+// folding under the state's mutexes or into per-worker replicas, on one
+// board partition or two, with one application level or two, in 1 MiB or
+// 16 KiB packs. One iteration posts every pack and drains (and settles);
+// the figure of merit is Mevents/s.
+func BenchmarkBoardFold(b *testing.B) {
+	const writers, perWriter = 8, 1 << 17
+	for _, apps := range []int{1, 2} {
+		for _, pack := range []struct {
+			name  string
+			bytes int
+		}{{"1M", 1 << 20}, {"16K", 16 << 10}} {
+			var packs [][]byte
+			for app := 0; app < apps; app++ {
+				for w := int32(0); w < writers; w++ {
+					pb := trace.NewPackBuilder(uint32(app), w, 48, pack.bytes)
+					for _, ev := range fusedWorkload(w, perWriter) {
+						if pb.Add(&ev) {
+							packs = append(packs, pb.Take())
+						}
+					}
+					if last := pb.Take(); last != nil {
+						packs = append(packs, last)
+					}
+				}
+			}
+			for _, replicas := range []bool{false, true} {
+				for _, shards := range []int{1, 2} {
+					fold := "locked"
+					if replicas {
+						fold = "replica"
+					}
+					b.Run(fmt.Sprintf("apps%d/%s/%s/shards%d", apps, pack.name, fold, shards), func(b *testing.B) {
+						bb := blackboard.New(blackboard.Config{Workers: 2, Shards: shards})
+						defer bb.Close()
+						d, err := NewDispatcher(bb)
+						if err != nil {
+							b.Fatal(err)
+						}
+						pipes := make([]*Pipeline, apps)
+						for app := range pipes {
+							p, err := d.AddApp(uint32(app), fmt.Sprintf("app%d", app), 4)
+							if err != nil {
+								b.Fatal(err)
+							}
+							if _, err := p.EnableSizes(); err != nil {
+								b.Fatal(err)
+							}
+							if _, err := p.EnableCallsites(); err != nil {
+								b.Fatal(err)
+							}
+							if replicas {
+								if err := p.EnableReplicas(0); err != nil {
+									b.Fatal(err)
+								}
+							}
+							pipes[app] = p
+						}
+						b.ResetTimer()
+						for i := 0; i < b.N; i++ {
+							for _, pk := range packs {
+								d.PostRaw(pk)
+							}
+							bb.Drain()
+							for _, p := range pipes {
+								p.Settle()
+							}
+						}
+						b.StopTimer()
+						events := int64(b.N) * int64(apps*writers*perWriter)
+						if got := pipes[0].Profiler.Events() * int64(apps); got != events {
+							b.Fatalf("folded %d events, want %d", got, events)
+						}
+						b.ReportMetric(float64(events)/1e6/b.Elapsed().Seconds(), "Mevents/s")
+					})
+				}
+			}
+		}
 	}
 }

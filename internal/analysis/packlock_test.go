@@ -16,6 +16,7 @@ import (
 // lockedPipeline is a pipeline with every optional module and a tumbling
 // window series enabled, and the chapter that renders all of them.
 type lockedPipeline struct {
+	d       *analysis.Dispatcher
 	p       *analysis.Pipeline
 	chapter *report.Chapter
 }
@@ -49,7 +50,7 @@ func newLockedPipeline(t *testing.T, ranks int) lockedPipeline {
 	if ch.Windows, err = p.EnableWindows(2000, 0); err != nil {
 		t.Fatal(err)
 	}
-	return lockedPipeline{p: p, chapter: ch}
+	return lockedPipeline{d: d, p: p, chapter: ch}
 }
 
 func (lp lockedPipeline) render(t *testing.T) {
@@ -101,8 +102,8 @@ func rankStream(rank, ranks int32, n int) []trace.Event {
 // TestConcurrentPackFoldsRenderAndAbsorb is the lock-order test of the
 // per-pack locking: goroutines FoldPack distinct sources into one pipeline
 // — each pack holding every module's mutex — while another renders the
-// report and a third absorbs tree partials, both taking module mutexes one
-// at a time. It must not deadlock, must be clean under the race detector,
+// report and a third absorbs encoded tree partials, both taking module
+// mutexes one at a time. It must not deadlock, must be clean under the race detector,
 // and must end in the state a serial run reaches.
 func TestConcurrentPackFoldsRenderAndAbsorb(t *testing.T) {
 	const ranks, perRank, folders = 8, 600, 3
@@ -120,9 +121,9 @@ func TestConcurrentPackFoldsRenderAndAbsorb(t *testing.T) {
 		}
 	}
 	// The absorbed side: each remaining rank's stream as a run of small
-	// partials, in stream order.
-	partials := func(opts analysis.PartialOptions) []*analysis.Partial {
-		var out []*analysis.Partial
+	// encoded partials, in stream order.
+	partials := func(opts analysis.PartialOptions) [][]byte {
+		var out [][]byte
 		for r := int32(streamed); r < ranks; r++ {
 			evs := rankStream(r, ranks, perRank)
 			for len(evs) > 0 {
@@ -131,7 +132,7 @@ func TestConcurrentPackFoldsRenderAndAbsorb(t *testing.T) {
 				for i := range evs[:n] {
 					pp.AddEvent(&evs[i])
 				}
-				out = append(out, pp)
+				out = append(out, pp.Flush(nil, true))
 				evs = evs[n:]
 			}
 		}
@@ -157,8 +158,10 @@ func TestConcurrentPackFoldsRenderAndAbsorb(t *testing.T) {
 
 	serial := newLockedPipeline(t, ranks)
 	foldSources(t, serial, []int{0, 1, 2, 3, 4, 5})
-	for _, pp := range partials(serial.p.PartialOptions()) {
-		serial.p.AbsorbPartial(pp)
+	for _, buf := range partials(serial.p.PartialOptions()) {
+		if err := serial.d.AbsorbEncoded(buf); err != nil {
+			t.Fatal(err)
+		}
 	}
 	want := serial.canonical(t)
 
@@ -175,8 +178,10 @@ func TestConcurrentPackFoldsRenderAndAbsorb(t *testing.T) {
 	writers.Add(1)
 	go func() {
 		defer writers.Done()
-		for _, pp := range absorbed {
-			lp.p.AbsorbPartial(pp)
+		for _, buf := range absorbed {
+			if err := lp.d.AbsorbEncoded(buf); err != nil {
+				t.Error(err)
+			}
 		}
 	}()
 	done := make(chan struct{})

@@ -201,12 +201,12 @@ func (pp *Partial) unlock() {
 	}
 }
 
-// mergeable refuses a partial of another application or module selection
-// (given by its identity, so an encoded one can be checked from its
-// header).
-func (pp *Partial) mergeable(appID uint32, opts PartialOptions) error {
-	if pp.AppID != appID {
-		return fmt.Errorf("analysis: merging partials of different apps (%d vs %d)", pp.AppID, appID)
+// mergeable refuses a partial of another application (want is the id the
+// receiver takes it under) or module selection, given by its identity, so
+// an encoded one can be checked from its header.
+func (pp *Partial) mergeable(want, appID uint32, opts PartialOptions) error {
+	if want != appID {
+		return fmt.Errorf("analysis: merging partials of different apps (%d vs %d)", want, appID)
 	}
 	if pp.opts != opts {
 		return fmt.Errorf("analysis: merging partials with different module selections (%+v vs %+v)", pp.opts, opts)
@@ -214,21 +214,14 @@ func (pp *Partial) mergeable(appID uint32, opts PartialOptions) error {
 	return nil
 }
 
-// Merge folds another partial of the same application into this one.
-// Wait-state pending queues are carried over and re-paired (MergeFull),
-// which is what makes the operation associative and commutative.
+// Merge folds another partial of the same application into this one,
+// copying o's state module by module. Wait-state pending queues are carried
+// over and re-paired (MergeFull), which is what makes the operation
+// associative and commutative.
 func (pp *Partial) Merge(o *Partial) error {
-	if err := pp.mergeable(o.AppID, o.opts); err != nil {
+	if err := pp.mergeable(pp.AppID, o.AppID, o.opts); err != nil {
 		return err
 	}
-	return pp.merge(o)
-}
-
-// merge is Merge without the identity check: it copies o's state into pp
-// module by module, for every module both sides carry (Pipeline.
-// AbsorbPartial relies on that tolerance). The only error is a window
-// series of another geometry.
-func (pp *Partial) merge(o *Partial) error {
 	pp.Profiler.Merge(o.Profiler)
 	pp.Topology.Merge(o.Topology)
 	pp.Density.Merge(o.Density)
@@ -238,19 +231,20 @@ func (pp *Partial) merge(o *Partial) error {
 		}
 		pp.Shed.Merge(o.Shed)
 	}
-	if pp.Waits != nil && o.Waits != nil {
+	// Equal selections: what pp carries, o carries.
+	if pp.Waits != nil {
 		pp.Waits.MergeFull(o.Waits)
 	}
-	if pp.Temporal != nil && o.Temporal != nil {
+	if pp.Temporal != nil {
 		pp.Temporal.Merge(o.Temporal)
 	}
-	if pp.Callsites != nil && o.Callsites != nil {
+	if pp.Callsites != nil {
 		pp.Callsites.Merge(o.Callsites)
 	}
-	if pp.Sizes != nil && o.Sizes != nil {
+	if pp.Sizes != nil {
 		pp.Sizes.Merge(o.Sizes)
 	}
-	if pp.Windows != nil && o.Windows != nil {
+	if pp.Windows != nil {
 		return pp.Windows.Merge(o.Windows)
 	}
 	return nil
@@ -263,15 +257,16 @@ func (pp *Partial) merge(o *Partial) error {
 // of a replica allocates nothing — no re-encoding, no snapshot copies.
 // The caller must own o exclusively (it is a paused replica).
 func (pp *Partial) MergeReset(o *Partial) error {
-	if err := pp.mergeable(o.AppID, o.opts); err != nil {
+	if err := pp.mergeable(pp.AppID, o.AppID, o.opts); err != nil {
 		return err
 	}
 	pp.mergeReset(o)
 	return nil
 }
 
-// mergeReset is MergeReset without the identity check, tolerant like merge
-// (Pipeline.MergeReplica: a replica may predate an Enable*).
+// mergeReset is MergeReset without the identity check, for every module
+// both sides carry (Pipeline.MergeReplica: a replica may predate an
+// Enable*).
 func (pp *Partial) mergeReset(o *Partial) {
 	pp.Profiler.mergeReset(o.Profiler)
 	pp.Topology.mergeReset(o.Topology)
@@ -800,13 +795,18 @@ func DecodePartial(buf []byte) (*Partial, error) {
 // module state. Validate-then-apply: the buffer is first walked with
 // every hostile-input check DecodePartial makes and only then folded
 // in, so an error leaves pp exactly as it was.
-func (pp *Partial) MergeEncoded(buf []byte) error {
+func (pp *Partial) MergeEncoded(buf []byte) error { return pp.mergeEncoded(buf, pp.AppID) }
+
+// mergeEncoded is MergeEncoded of a partial whose header must name
+// application want: the receiver's own id, or the id a dispatcher routed
+// the bytes by to a state that folds under another.
+func (pp *Partial) mergeEncoded(buf []byte, want uint32) error {
 	r := preader{buf: buf}
 	appID, opts, flags, err := readPartialHeader(&r)
 	if err != nil {
 		return err
 	}
-	if err := pp.mergeable(appID, opts); err != nil {
+	if err := pp.mergeable(want, appID, opts); err != nil {
 		return err
 	}
 	body := r.off
@@ -815,6 +815,14 @@ func (pp *Partial) MergeEncoded(buf []byte) error {
 	}
 	r.off = body
 	return pp.mergeSections(&r, flags, true)
+}
+
+// PartialAppID returns the application id an encoded partial's header
+// names, checking the header only — what a hop needs to route the bytes to
+// the accumulator or level that merges them.
+func PartialAppID(buf []byte) (uint32, error) {
+	appID, _, _, err := readPartialHeader(&preader{buf: buf})
+	return appID, err
 }
 
 // readPartialHeader reads the magic, identity, module flags and window

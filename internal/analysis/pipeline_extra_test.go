@@ -9,10 +9,9 @@ import (
 	"repro/internal/trace"
 )
 
-// TestDispatcherPartialPath drives the tree-mode plumbing end to end in
-// one process: a leaf-style partial is encoded, posted raw, decoded and
-// routed by the partial unpacker, then absorbed into the root pipeline —
-// the exact hand-off every aggregator tier performs.
+// TestDispatcherPartialPath drives the tree root's hand-off in one process:
+// a leaf-style partial is encoded and absorbed by the dispatcher, which
+// routes it by the header's application id and merges it from its bytes.
 func TestDispatcherPartialPath(t *testing.T) {
 	bb := blackboard.New(blackboard.Config{Workers: 2})
 	defer bb.Close()
@@ -45,22 +44,6 @@ func TestDispatcherPartialPath(t *testing.T) {
 		t.Fatalf("partial options = %+v, want %+v", opts, want)
 	}
 
-	if err := d.EnablePartials(); err != nil {
-		t.Fatal(err)
-	}
-	// The tree reducer normally consumes decoded partials; stand in for it.
-	got := make(chan *Partial, 1)
-	err = bb.Register(blackboard.KS{
-		Name:          "partial-sink",
-		Sensitivities: []blackboard.Type{blackboard.TypeID("app7", TypePartial)},
-		Op: func(_ *blackboard.Blackboard, in []*blackboard.Entry) {
-			got <- in[0].Payload.(*Partial)
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-
 	leaf := NewPartial(7, opts)
 	const n = 32
 	for i := 0; i < n; i++ {
@@ -69,21 +52,35 @@ func TestDispatcherPartialPath(t *testing.T) {
 		leaf.AddEvent(&ev)
 	}
 	leaf.AddAudit([]trace.AuditEntry{{Kind: trace.KindIsend, Shed: 4, Kept: n}})
-	d.PostRawPartial(leaf.Flush(nil, true))
-	bb.Drain()
-
-	var pp *Partial
-	select {
-	case pp = <-got:
-	default:
-		t.Fatal("decoded partial never reached the app level")
+	buf := leaf.Flush(nil, true)
+	if id, err := PartialAppID(buf); err != nil || id != 7 {
+		t.Fatalf("PartialAppID = %d, %v", id, err)
 	}
-	p.AbsorbPartial(pp)
+	if err := d.AbsorbEncoded(buf); err != nil {
+		t.Fatal(err)
+	}
 	if p.Profiler.Events() != n {
 		t.Fatalf("absorbed %d events, want %d", p.Profiler.Events(), n)
 	}
 	if st := p.Completeness.Stat(trace.KindIsend); st.Shed != 4 || st.Kept != n {
 		t.Fatalf("absorbed shed stat = %+v", st)
+	}
+
+	// What cannot be routed or merged is an error, and changes nothing.
+	before := pipelineCanonical(p)
+	stranger := NewPartial(8, opts).Flush(nil, true)
+	for name, bad := range map[string][]byte{
+		"unregistered app": stranger,
+		"truncated body":   buf[:len(buf)-5],
+		"truncated header": buf[:10],
+		"not a partial":    []byte("these are not the bytes of a partial"),
+	} {
+		if err := d.AbsorbEncoded(bad); err == nil {
+			t.Errorf("%s: absorbed without an error", name)
+		}
+	}
+	if !bytes.Equal(pipelineCanonical(p), before) {
+		t.Error("a refused partial changed the state")
 	}
 }
 

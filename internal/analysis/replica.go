@@ -83,9 +83,6 @@ func (r *Replica) FoldFunc() func(*trace.Event) { return r.foldFn }
 // Partial returns the replica's underlying partial profile.
 func (r *Replica) Partial() *Partial { return r.pp }
 
-// Pending reports how many events were folded since the last merge.
-func (r *Replica) Pending() int { return r.pending }
-
 // NewReplica creates a replica matching the pipeline's state. Call after
 // every Enable* the run will use. An attached window tracker is tapped in:
 // replicas bypass the pipeline's fold, so the lag observer must ride the
@@ -146,13 +143,6 @@ func (p *Pipeline) EnableReplicas(epochEvents int) error {
 	return nil
 }
 
-// ReplicaMode reports whether EnableReplicas ran.
-func (p *Pipeline) ReplicaMode() bool {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.reps != nil
-}
-
 // Settle merges every board-worker replica's residue into the canonical
 // modules. Call after the board drains (Drain's completion is the
 // happens-before edge that hands the workers' replicas to the caller);
@@ -186,7 +176,7 @@ func (p *Pipeline) FoldPackReplica(rep *Replica, dec *trace.StreamDecoder, buf [
 // pack, not per event, so it amortizes to nothing at pack granularity.
 type ingestLane struct {
 	mu    sync.Mutex
-	decs  map[int]*trace.StreamDecoder
+	decs  trace.Decoders
 	reps  map[*Pipeline]*Replica
 	packs int
 }
@@ -208,22 +198,12 @@ func NewParallelFusedIngest(d *Dispatcher, lanes, epochPacks int) *FusedIngest {
 	f.lanes = make([]*ingestLane, lanes)
 	for i := range f.lanes {
 		f.lanes[i] = &ingestLane{
-			decs: make(map[int]*trace.StreamDecoder),
+			decs: make(trace.Decoders),
 			reps: make(map[*Pipeline]*Replica),
 		}
 	}
 	return f
 }
-
-// Lanes returns the ingest lane count (0 when serial).
-func (f *FusedIngest) Lanes() int { return len(f.lanes) }
-
-// EpochMerges returns how many lane epoch merges ran.
-func (f *FusedIngest) EpochMerges() int64 { return f.epochMerges.Load() }
-
-// MergeNs returns the total wall-clock nanoseconds spent in lane epoch
-// merges.
-func (f *FusedIngest) MergeNs() int64 { return f.mergeNs.Load() }
 
 // absorbLane folds one v3 pack on the source's lane. Called from Absorb
 // when lanes are configured.
@@ -231,17 +211,12 @@ func (f *FusedIngest) absorbLane(p *Pipeline, src int, buf []byte) (int, error) 
 	lane := f.lanes[src%len(f.lanes)]
 	lane.mu.Lock()
 	defer lane.mu.Unlock()
-	dec := lane.decs[src]
-	if dec == nil {
-		dec = &trace.StreamDecoder{}
-		lane.decs[src] = dec
-	}
 	rep := lane.reps[p]
 	if rep == nil {
 		rep = p.NewReplica()
 		lane.reps[p] = rep
 	}
-	n, err := p.FoldPackReplica(rep, dec, buf)
+	n, err := p.FoldPackReplica(rep, lane.decs.For(src), buf)
 	if err != nil {
 		return n, err
 	}
@@ -256,15 +231,9 @@ func (f *FusedIngest) absorbLane(p *Pipeline, src int, buf []byte) (int, error) 
 // mergeLaneLocked merges every replica on the lane into its pipeline's
 // canonical modules. Called with the lane mutex held.
 func (f *FusedIngest) mergeLaneLocked(lane *ingestLane) {
-	if len(lane.reps) == 0 {
-		return
-	}
-	t0 := time.Now()
 	for p, rep := range lane.reps {
 		p.MergeReplica(rep)
 	}
-	f.epochMerges.Add(1)
-	f.mergeNs.Add(time.Since(t0).Nanoseconds())
 }
 
 // Sync merges every lane's replica residue into the canonical modules.

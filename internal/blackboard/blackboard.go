@@ -145,7 +145,7 @@ type ksState struct {
 	// registration: offer walks only the slots matching the entry instead
 	// of re-scanning the whole sensitivity list per post.
 	slots map[Type][]int
-	// dead flags a state removed from the board (TakeKS) whose pointer may
+	// dead flags a state removed from the board (Unregister) whose pointer may
 	// survive in a published listener snapshot: offers after removal are
 	// discarded, never parked on slots nobody will ever drain.
 	dead bool
@@ -400,17 +400,58 @@ func (bb *Blackboard) Register(ks KS) error {
 	return nil
 }
 
-// Unregister removes a knowledge source by name; pending partial
-// sensitivity sets are released. Removing an unknown name is a no-op so a
-// KS can safely remove itself from inside its own operation.
+// Unregister removes a knowledge source by name; the entries parked on its
+// partially satisfied sensitivity sets are released undelivered and
+// ledgered in Stats.Dropped like every other discard. Removing an unknown
+// name is a no-op so a KS can safely remove itself from inside its own
+// operation.
 func (bb *Blackboard) Unregister(name string) {
-	for _, slot := range bb.TakeKS(name) {
+	bb.regMu.Lock()
+	st, ok := bb.byName[name]
+	if ok {
+		delete(bb.byName, name)
+		// Republish each affected shard's table without st. A post may
+		// still hold the previous snapshot; the dead flag below makes its
+		// late offers discard (and ledger) instead of parking forever.
+		perShard := make(map[*shard][]Type)
+		for t := range st.slots {
+			sh := bb.shardOf(t)
+			perShard[sh] = append(perShard[sh], t)
+		}
+		for sh, types := range perShard {
+			old := *sh.sens.Load()
+			next := make(sensMap, len(old))
+			for k, v := range old {
+				next[k] = v
+			}
+			for _, t := range types {
+				cur := next[t]
+				nl := make([]*ksState, 0, len(cur))
+				for _, s := range cur {
+					if s != st {
+						nl = append(nl, s)
+					}
+				}
+				if len(nl) == 0 {
+					delete(next, t)
+				} else {
+					next[t] = nl
+				}
+			}
+			sh.sens.Store(&next)
+		}
+	}
+	bb.regMu.Unlock()
+	if !ok {
+		return
+	}
+	st.mu.Lock()
+	st.dead = true
+	pend := st.pend
+	st.pend = nil
+	st.mu.Unlock()
+	for _, slot := range pend {
 		for _, e := range slot {
-			// A parked partial input released at unregister is an entry
-			// discarded undelivered: ledger it like every other discard
-			// path, so Stats.Dropped stays complete. (TakeKS itself hands
-			// the entries to the caller and counts nothing — the Reducer
-			// extraction path delivers them, it does not discard.)
 			bb.dropped.Add(1)
 			bb.tel.Load().OnDrop()
 			e.Release()
@@ -487,7 +528,7 @@ func (st *ksState) offer(e *Entry) ([]*Entry, bool) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	if st.dead {
-		// The published snapshot raced with TakeKS: the state is off the
+		// The published snapshot raced with Unregister: the state is off the
 		// board and nobody will ever drain its slots. Parking the entry
 		// would leak it; discard instead (Release is atomic, safe under
 		// st.mu).

@@ -116,9 +116,58 @@ func TestCrossShardSensitivitySet(t *testing.T) {
 	}
 }
 
+// TestTakeKSHandsOverParkedEntries: Unregister takes the entries parked on
+// a partially satisfied sensitivity set off the board — the board's
+// reference released, each one ledgered in Stats.Dropped — and unknown
+// names are a no-op. (The name is from when a TakeKS handed them to a
+// caller instead; nothing extracts parked entries any more.)
+func TestTakeKSHandsOverParkedEntries(t *testing.T) {
+	bb := New(Config{Workers: 2})
+	defer bb.Close()
+	a, b := TypeID("", "a"), TypeID("", "b")
+	err := bb.Register(KS{
+		Name:          "join",
+		Sensitivities: []Type{a, b},
+		Op:            func(_ *Blackboard, _ []*Entry) {},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Three a-entries and no b-entry: all three park on slot 0. The test
+	// keeps a reference of its own to watch the board's go.
+	parked := make([]*Entry, 3)
+	for i := range parked {
+		parked[i] = NewEntry(a, int64(i), i)
+		parked[i].Retain()
+		bb.PostEntry(parked[i])
+	}
+	bb.Drain()
+	for i, e := range parked {
+		if e.Refs() != 2 {
+			t.Fatalf("parked entry %d has %d refs, want the board's and the test's", i, e.Refs())
+		}
+	}
+	bb.Unregister("join")
+	for i, e := range parked {
+		if !e.Writable() {
+			t.Errorf("entry %d still has %d refs after Unregister", i, e.Refs())
+		}
+	}
+	if bb.Registered("join") {
+		t.Error("Unregister left the KS registered")
+	}
+	if st := bb.Stats(); st.Dropped != 3 || st.Jobs != 0 {
+		t.Errorf("stats after Unregister %+v, want 3 dropped and no job", st)
+	}
+	bb.Unregister("nope")
+	if st := bb.Stats(); st.Dropped != 3 {
+		t.Errorf("Unregister of an unknown name dropped entries: %+v", st)
+	}
+}
+
 // TestOfferAfterTakeDiscards pins the re-registration discard race
 // directly: a poster holding a published snapshot may offer to a state
-// TakeKS already removed. The offer must discard the entry (and the
+// Unregister already removed. The offer must discard the entry (and the
 // board must ledger it) — parking it on a dead state would leak it.
 func TestOfferAfterTakeDiscards(t *testing.T) {
 	bb := New(Config{Workers: 1})
@@ -136,19 +185,27 @@ func TestOfferAfterTakeDiscards(t *testing.T) {
 	bb.regMu.RUnlock()
 
 	// Remove the KS, then replay the stale-snapshot path by hand.
-	if got := bb.TakeKS("victim"); got == nil {
-		t.Fatal("TakeKS found nothing")
+	bb.Unregister("victim")
+	if bb.Registered("victim") {
+		t.Fatal("Unregister left the KS registered")
 	}
 	e := NewEntry(ty, 1, nil)
 	e.Retain() // the poster's per-listener reference
 	inputs, ok := st.offer(e)
 	if ok || inputs != nil {
-		t.Fatalf("offer to a taken state accepted the entry (ok=%v inputs=%v)", ok, inputs)
+		t.Fatalf("offer to a removed state accepted the entry (ok=%v inputs=%v)", ok, inputs)
 	}
 	if e.Refs() != 1 {
 		t.Fatalf("discarded offer left %d refs, want the caller's 1", e.Refs())
 	}
 	e.Release()
+	// The same race through the board: PostEntry ledgers what offer refused.
+	stale := sensMap{ty: {st}}
+	bb.shardOf(ty).sens.Store(&stale)
+	bb.Post(ty, 1, nil)
+	if got := bb.Stats().Dropped; got != 1 {
+		t.Fatalf("late offer through a stale snapshot: Dropped = %d, want 1", got)
+	}
 }
 
 // TestReRegistrationRaceLedger hammers post against unregister/register
@@ -195,15 +252,9 @@ func TestReRegistrationRaceLedger(t *testing.T) {
 	}()
 	wg.Wait()
 	bb.Drain()
-	// Late parked entries on the final registration are delivered by
-	// taking the KS (single-slot KS: nothing should be parked, but the
-	// take also flushes any in-flight slot state).
-	for _, slot := range bb.TakeKS("churn") {
-		for _, e := range slot {
-			delivered.Add(1)
-			e.Release()
-		}
-	}
+	// A single-slot KS parks nothing; removing the last registration
+	// ledgers anything that did park as dropped.
+	bb.Unregister("churn")
 	bb.Close()
 	st := bb.Stats()
 	if delivered.Load()+st.Dropped+st.Unclaimed != posts {

@@ -97,7 +97,7 @@ func TestStreamBeatsFSShareAtLowRatio(t *testing.T) {
 
 func TestStreamSweepSkipsOversizedRatios(t *testing.T) {
 	p := Tera100()
-	pts, err := StreamSweep(p, []int{4}, []int{1, 2, 8}, 2<<20, 1<<20)
+	pts, err := StreamSweepJ(p, []int{4}, []int{1, 2, 8}, 2<<20, 1<<20, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,7 +201,7 @@ func TestToolOrdering(t *testing.T) {
 
 func TestFig15SweepShape(t *testing.T) {
 	p := Tera100()
-	pts, err := Fig15Sweep(p, []Fig15Case{{"SP", nas.ClassC}, {"LU", nas.ClassC}}, []int{16, 64}, 3)
+	pts, err := Fig15SweepJ(p, []Fig15Case{{"SP", nas.ClassC}, {"LU", nas.ClassC}}, []int{16, 64}, 3, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,7 +227,7 @@ func TestFig15SweepShape(t *testing.T) {
 
 func TestFig16SweepContainsAllTools(t *testing.T) {
 	p := Curie()
-	pts, err := Fig16Sweep(p, []int{64}, 3)
+	pts, err := Fig16SweepJ(p, []int{64}, 3, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

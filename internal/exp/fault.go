@@ -161,22 +161,18 @@ func runOnlineFaulty(p Platform, w *nas.Workload, ratio int, deadline time.Durat
 // against an application run.
 const DefaultWriteDeadline = 250 * time.Millisecond
 
-// FaultSweep measures the coupling's behavior under analyzer loss. For
+// FaultSweepJ measures the coupling's behavior under analyzer loss. For
 // each fraction in failFracs it crashes killN analyzer ranks at that
 // fraction of the healthy instrumented run time and reports overhead,
 // slowdown versus the fault-free coupling, and measurement completeness.
 // A deadline of 0 selects DefaultWriteDeadline (the seed's blocking
 // behavior is only reachable through the lower-level APIs).
-func FaultSweep(p Platform, w *nas.Workload, ratio int, failFracs []float64, killN int, deadline time.Duration) ([]FaultPoint, error) {
-	return FaultSweepJ(p, w, ratio, failFracs, killN, deadline, 1)
-}
-
-// FaultSweepJ is FaultSweep on j parallel workers (j <= 0 means
-// GOMAXPROCS). The reference and healthy runs are prerequisites for every
-// fault point (kill times are fractions of the healthy run time) and
-// execute first; the per-fraction faulty runs are then independent
-// simulations and fan out across the pool. Output is byte-identical to
-// the serial sweep.
+//
+// It runs on j parallel workers (j <= 0 means GOMAXPROCS). The reference
+// and healthy runs are prerequisites for every fault point (kill times are
+// fractions of the healthy run time) and execute first; the per-fraction
+// faulty runs are then independent simulations and fan out across the
+// pool. Output is byte-identical whatever j.
 func FaultSweepJ(p Platform, w *nas.Workload, ratio int, failFracs []float64, killN int, deadline time.Duration, j int) ([]FaultPoint, error) {
 	if deadline <= 0 {
 		deadline = DefaultWriteDeadline

@@ -16,7 +16,7 @@ func TestFaultSweepSingleAnalyzerLossBounded(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pts, err := FaultSweep(p, w, 8, []float64{0.5}, 1, 0)
+	pts, err := FaultSweepJ(p, w, 8, []float64{0.5}, 1, 0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +56,7 @@ func TestFaultSweepTotalAnalyzerLossFallsBack(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	pts, err := FaultSweep(p, w, 8, []float64{0.5}, 2, 0)
+	pts, err := FaultSweepJ(p, w, 8, []float64{0.5}, 2, 0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -369,20 +369,16 @@ func Fig15Cases() []Fig15Case {
 	}
 }
 
-// Fig15Sweep measures online-coupling overhead (1:1 ratio, as in the
+// Fig15SweepJ measures online-coupling overhead (1:1 ratio, as in the
 // paper) for each case over the given process counts. iters reduces the
 // timestep count (0 = official counts). Process counts are snapped to each
 // benchmark's constraint; unsupported/degenerate combinations are skipped,
 // as the paper omits them.
-func Fig15Sweep(p Platform, cases []Fig15Case, procsList []int, iters int) ([]OverheadPoint, error) {
-	return Fig15SweepJ(p, cases, procsList, iters, 1)
-}
-
-// Fig15SweepJ is Fig15Sweep on j parallel workers (j <= 0 means
-// GOMAXPROCS). The case grid is resolved up front (snapping and skip
-// rules are cheap and order-dependent); the measurements then fan out,
-// one independent simulation set per grid point, yielding output
-// byte-identical to the serial sweep.
+//
+// It runs on j parallel workers (j <= 0 means GOMAXPROCS). The case grid is
+// resolved up front (snapping and skip rules are cheap and
+// order-dependent); the measurements then fan out, one independent
+// simulation set per grid point, yielding output byte-identical whatever j.
 func Fig15SweepJ(p Platform, cases []Fig15Case, procsList []int, iters, j int) ([]OverheadPoint, error) {
 	var grid []*nas.Workload
 	for _, c := range cases {
@@ -405,20 +401,16 @@ func Fig15SweepJ(p Platform, cases []Fig15Case, procsList []int, iters, j int) (
 	})
 }
 
-// Fig16Sweep measures SP.D under every tool configuration over the given
+// Fig16SweepJ measures SP.D under every tool configuration over the given
 // process counts, averaging 5 noise seeds per point as the paper does on
 // Curie. Reference runs are computed once per seed and shared across the
 // tools.
-func Fig16Sweep(p Platform, procsList []int, iters int) ([]OverheadPoint, error) {
-	return Fig16SweepJ(p, procsList, iters, 1)
-}
-
-// Fig16SweepJ is Fig16Sweep on j parallel workers (j <= 0 means
-// GOMAXPROCS). For each process count the per-seed reference runs fan
-// out first (the tool runs need them), then the tool×seed measurement
-// grid fans out; the per-tool averages are folded in seed order
-// afterwards, so the floating-point sums — and therefore the output —
-// are byte-identical to the serial sweep.
+//
+// It runs on j parallel workers (j <= 0 means GOMAXPROCS). For each process
+// count the per-seed reference runs fan out first (the tool runs need
+// them), then the tool×seed measurement grid fans out; the per-tool
+// averages are folded in seed order afterwards, so the floating-point sums
+// — and therefore the output — are byte-identical whatever j.
 func Fig16SweepJ(p Platform, procsList []int, iters, j int) ([]OverheadPoint, error) {
 	return Fig16SweepJV(p, procsList, iters, j, trace.PackV1)
 }
@@ -494,21 +486,17 @@ func humanBytes(b int64) string {
 	return fmt.Sprintf("%.2f%s", f, units[i])
 }
 
-// RatioSweep measures online-coupling overhead across writer/reader
+// RatioSweepJ measures online-coupling overhead across writer/reader
 // ratios for one workload — the resource-dimensioning claim of the paper's
 // §IV-B: "ratios between 1 and 1/32 provide enough bandwidth for profiling
 // purpose, 1/10 being a good bandwidth-resource trade-off". Overhead stays
 // flat while the analysis partition's NIC capacity exceeds the
 // application's instrumentation bandwidth Bi, and grows once stream
 // back-pressure reaches the application.
-func RatioSweep(p Platform, w *nas.Workload, ratios []int) ([]OverheadPoint, error) {
-	return RatioSweepJ(p, w, ratios, 1)
-}
-
-// RatioSweepJ is RatioSweep on j parallel workers (j <= 0 means
-// GOMAXPROCS). The shared reference run executes first; the per-ratio
-// coupled runs are independent simulations and fan out. Output is
-// byte-identical to the serial sweep.
+//
+// It runs on j parallel workers (j <= 0 means GOMAXPROCS). The shared
+// reference run executes first; the per-ratio coupled runs are independent
+// simulations and fan out. Output is byte-identical whatever j.
 func RatioSweepJ(p Platform, w *nas.Workload, ratios []int, j int) ([]OverheadPoint, error) {
 	return RatioSweepJV(p, w, ratios, j, trace.PackV1)
 }

@@ -69,14 +69,6 @@ type PackedStreamPoint struct {
 	EventRate float64
 }
 
-// CompressionRatio returns LogicalBytes/WireBytes (1.0 for v1).
-func (pt PackedStreamPoint) CompressionRatio() float64 {
-	if pt.WireBytes == 0 {
-		return 0
-	}
-	return float64(pt.LogicalBytes) / float64(pt.WireBytes)
-}
-
 // StreamThroughputPacked runs the Figure 14 coupling benchmark with real
 // event payloads: each writer encodes perWriter logical bytes of the
 // deterministic Fig14 workload through the selected pack codec and
@@ -170,7 +162,7 @@ func StreamThroughputPacked(p Platform, writers, ratio int, perWriter, blockSize
 			}
 			// One persistent StreamDecoder per source rank serves every
 			// format: v3 packs index a per-writer cross-pack dictionary.
-			decs := make(map[int]*trace.StreamDecoder)
+			decs := make(trace.Decoders)
 			count := func(*trace.Event) { decoded++ }
 			for {
 				blk, err := st.Read(false)
@@ -181,12 +173,7 @@ func StreamThroughputPacked(p Platform, writers, ratio int, perWriter, blockSize
 				if blk == nil {
 					break
 				}
-				dec := decs[blk.From]
-				if dec == nil {
-					dec = &trace.StreamDecoder{}
-					decs[blk.From] = dec
-				}
-				if _, err := dec.DecodeDispatch(blk.Payload, count); err != nil {
+				if _, err := decs.For(blk.From).DecodeDispatch(blk.Payload, count); err != nil {
 					fail(fmt.Errorf("exp: packed stream block from rank %d: %w", blk.From, err))
 					return
 				}

@@ -17,7 +17,7 @@ func TestStreamSweepParallelIdenticalToSerial(t *testing.T) {
 	p := Tera100()
 	writers := []int{4, 8, 16}
 	ratios := []int{1, 2, 8}
-	serial, err := StreamSweep(p, writers, ratios, 4<<20, 1<<20)
+	serial, err := StreamSweepJ(p, writers, ratios, 4<<20, 1<<20, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,7 +43,7 @@ func TestFaultSweepParallelIdenticalToSerial(t *testing.T) {
 		t.Fatal(err)
 	}
 	fracs := []float64{0.25, 0.5, 0.75}
-	serial, err := FaultSweep(p, w, 8, fracs, 1, 0)
+	serial, err := FaultSweepJ(p, w, 8, fracs, 1, 0, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +63,7 @@ func TestRatioSweepParallelIdenticalToSerial(t *testing.T) {
 		t.Fatal(err)
 	}
 	ratios := []int{1, 2, 4, 8, 64}
-	serial, err := RatioSweep(p, w, ratios)
+	serial, err := RatioSweepJ(p, w, ratios, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

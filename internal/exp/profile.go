@@ -153,9 +153,10 @@ type RunStats struct {
 	// AnalyzedEvents counts the events that reached the root pipelines
 	// (after tree reduction, when one is configured).
 	AnalyzedEvents int64
-	// RootIngestBytes / RootPosts count the bytes and blocks posted on
-	// the root blackboard: raw packs in flat mode, encoded partial
-	// profiles in tree mode. The tree's acceptance metric.
+	// RootIngestBytes / RootPosts count the bytes and blocks the root
+	// ingests: raw packs posted on the blackboard in flat mode, encoded
+	// partial profiles absorbed by the tree root in tree mode. The tree's
+	// acceptance metric.
 	RootIngestBytes int64
 	RootPosts       int64
 	// TreeTiers / TreeRanks describe the aggregator partition (0 when
@@ -165,8 +166,6 @@ type RunStats struct {
 	// TierIngestBytes[t] counts the encoded-partial bytes entering tree
 	// tier t (nil when flat).
 	TierIngestBytes []int64
-	// ReducerMerges counts partial-profile folds on the root blackboard.
-	ReducerMerges int64
 	// Reparented counts blocks that arrived at a node other than the
 	// writer's primary parent (failover traffic inside the tree).
 	Reparented int64
@@ -195,6 +194,17 @@ type RunStats struct {
 	WindowLateEvents int64
 }
 
+// firstError picks a run's error: what a rank reported through fail, else
+// the simulation's. A rank that fails returns from its Main with streams
+// open, so its peers may then block for good — the deadlock the simulator
+// reports is the consequence, the rank's error the cause.
+func firstError(reported, sim error) error {
+	if reported != nil {
+		return reported
+	}
+	return sim
+}
+
 // ProfileRun executes one or more instrumented applications together with
 // an analyzer partition hosting a multi-level blackboard, and returns the
 // profiling report (one chapter per application) — the full pipeline
@@ -215,11 +225,10 @@ func ProfileRun(p Platform, workloads []*nas.Workload, opts ProfileOptions) (*re
 // alongside the report. With TreeLevels > 1 the analyzer partition turns
 // into the leaf level of a multi-tier reduction tree: leaves fold packs
 // into partial profiles, interior aggregator ranks (a dedicated MPMD
-// partition) merge and forward them over per-tier VMPI streams, and only
-// the root posts (much smaller) partials on the blackboard, where a
-// per-application reducer folds them into one profile per application.
-// The profile content is identical to the flat pipeline's; only the
-// transport topology changes.
+// partition) merge and forward them over per-tier VMPI streams, and the
+// root merges the (much smaller) partials that reach it into the
+// application levels, straight from their bytes. The profile content is
+// identical to the flat pipeline's; only the transport topology changes.
 func ProfileRunStats(p Platform, workloads []*nas.Workload, opts ProfileOptions) (*report.Report, *RunStats, error) {
 	if len(workloads) == 0 {
 		return nil, nil, fmt.Errorf("exp: no workloads to profile")
@@ -375,9 +384,6 @@ func ProfileRunStats(p Platform, workloads []*nas.Workload, opts ProfileOptions)
 
 	var tree *treeCtx
 	if plan != nil {
-		if err := disp.EnablePartials(); err != nil {
-			return nil, nil, err
-		}
 		tree = &treeCtx{
 			plan:       plan,
 			flushEvery: opts.TreeFlushPacks,
@@ -767,45 +773,13 @@ func ProfileRunStats(p Platform, workloads []*nas.Workload, opts ProfileOptions)
 			}
 		}
 	}
-	var reducers []*blackboard.Reducer
-	if tree != nil {
-		reducers = make([]*blackboard.Reducer, len(workloads))
-		for i, w := range workloads {
-			reducers[i], err = blackboard.NewReducer(bb, "treefold@"+w.Name,
-				blackboard.TypeID(w.Name, analysis.TypePartial), mergePartialEntries)
-			if err != nil {
-				return nil, nil, err
-			}
-		}
-	}
-
-	if err := world.Run(); err != nil {
+	if err := firstError(runErr, world.Run()); err != nil {
 		return nil, nil, err
 	}
-	if runErr != nil {
-		return nil, nil, runErr
-	}
 
-	if tree != nil {
-		// The root posted encoded partials; let the partial unpacker and the
-		// per-application fold reducers settle, then absorb each
-		// application's single surviving partial into its pipeline —
-		// after this the report path below is identical to flat mode.
-		bb.Drain()
-		for i := range workloads {
-			if e := reducers[i].Take(); e != nil {
-				pipes[i].AbsorbPartial(e.Payload.(*analysis.Partial))
-				e.Release()
-			}
-			stats.ReducerMerges += reducers[i].Merges()
-		}
-	}
-
-	// Streams are closed: mark every level complete and let the board
-	// settle.
-	for _, pipe := range pipes {
-		pipe.PostEOS()
-	}
+	// Streams are closed: let the board settle. (In tree mode the root
+	// merged every partial into the levels as it arrived, so from here the
+	// report path is the flat one.)
 	bb.Drain()
 
 	// Replica mode: merge the worker/lane residue into the canonical

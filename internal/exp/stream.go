@@ -168,15 +168,10 @@ func streamThroughput(p Platform, writers, ratio int, perWriter, blockSize int64
 	}, nil
 }
 
-// StreamSweep runs StreamThroughput over the cross product of writer
-// counts and ratios (skipping ratios larger than the writer count).
-func StreamSweep(p Platform, writerCounts, ratios []int, perWriter, blockSize int64) ([]StreamPoint, error) {
-	return StreamSweepJ(p, writerCounts, ratios, perWriter, blockSize, 1)
-}
-
-// StreamSweepJ is StreamSweep on j parallel workers (j <= 0 means
-// GOMAXPROCS). Every grid point owns its simulation, so the output is
-// byte-identical to the serial sweep regardless of j.
+// StreamSweepJ runs StreamThroughput over the cross product of writer
+// counts and ratios (skipping ratios larger than the writer count) on j
+// parallel workers (j <= 0 means GOMAXPROCS). Every grid point owns its
+// simulation, so the output is byte-identical regardless of j.
 func StreamSweepJ(p Platform, writerCounts, ratios []int, perWriter, blockSize int64, j int) ([]StreamPoint, error) {
 	type gridPoint struct{ writers, ratio int }
 	var grid []gridPoint

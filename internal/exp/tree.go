@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/adapt"
 	"repro/internal/analysis"
-	"repro/internal/blackboard"
 	"repro/internal/mpi"
 	"repro/internal/tbon"
 	"repro/internal/telemetry"
@@ -17,8 +16,27 @@ import (
 // treeBlockBytes is the block size of the tree's partial-profile streams.
 // Encoded partials are statistics tables, not event flows: even with
 // every module enabled they sit far below this bound, and a partial that
-// does exceed it fails the Write loudly instead of truncating.
+// does exceed it fails the Write loudly instead of truncating. It bounds
+// the stream's blocks, not the buffers that carry them: those are sized by
+// what they hold (shipPartial).
 const treeBlockBytes = 8 << 20
+
+// A partial is bytes from the leaf's flush to the root's absorb: a leaf
+// encodes its replica's delta, an interior aggregator merges what arrives
+// into a per-application accumulator straight from the bytes
+// (Partial.MergeEncoded) and encodes that, the root hands the bytes to the
+// dispatcher (AbsorbEncoded), which merges them into the application's
+// level the same way. Whoever merges a block releases it to the pool.
+
+// shipPartial flushes pp upstream and returns the bytes written. The
+// buffer is sized from the endpoint's previous flush of that application
+// (*last, 0 before the first; a few KB then) with headroom for a delta
+// that grew — a pooled block when one is large enough.
+func shipPartial(up *vmpi.Stream, pp *analysis.Partial, last *int, final bool) (int64, error) {
+	buf := pp.Flush(vmpi.GetBlock(max(*last+*last/4, 4<<10))[:0], final)
+	*last = len(buf)
+	return int64(len(buf)), up.Write(buf, int64(len(buf)))
+}
 
 // treeCtx carries the reduction-tree wiring shared by the leaf, interior
 // aggregator and root rank mains of one profiling run. Rank mains run
@@ -141,14 +159,16 @@ type treeLeaf struct {
 	// reps holds one single-owner replica per application (indexed by
 	// partition id, minted on the application's first pack): the leaf folds
 	// the way a daemon session does, and its partial is the delta it ships.
-	reps  []*analysis.Replica
-	packs int
+	// flushed is the length of each one's previous flush.
+	reps    []*analysis.Replica
+	flushed []int
+	packs   int
 	// decs holds one persistent stream decoder per writer (keyed by the
 	// writer's universe rank) for every pack format: v3 packs index a
 	// cross-pack dictionary, so each writer's stream must decode in order
 	// through its own decoder. The stream read loop delivers exactly that
 	// order.
-	decs map[int]*trace.StreamDecoder
+	decs trace.Decoders
 }
 
 func (tc *treeCtx) newLeaf(r *mpi.Rank, sess *vmpi.Session) *treeLeaf {
@@ -157,20 +177,20 @@ func (tc *treeCtx) newLeaf(r *mpi.Rank, sess *vmpi.Session) *treeLeaf {
 		return nil
 	}
 	return &treeLeaf{tc: tc, r: r, up: up,
-		reps: make([]*analysis.Replica, tc.apps),
-		decs: make(map[int]*trace.StreamDecoder)}
+		reps:    make([]*analysis.Replica, tc.apps),
+		flushed: make([]int, tc.apps),
+		decs:    make(trace.Decoders)}
 }
 
 // flush encodes and ships every application's accumulated delta. Settled
 // statistics reset on each flush; pending wait-state queues travel only
 // on the final flush, so send/recv pairing stays positionally exact.
 func (lf *treeLeaf) flush(final bool) bool {
-	for _, rep := range lf.reps {
+	for app, rep := range lf.reps {
 		if rep == nil {
 			continue
 		}
-		buf := rep.Partial().Flush(vmpi.GetBlock(treeBlockBytes)[:0], final)
-		if err := lf.up.Write(buf, int64(len(buf))); err != nil {
+		if _, err := shipPartial(lf.up, rep.Partial(), &lf.flushed[app], final); err != nil {
 			lf.tc.fail(fmt.Errorf("exp: leaf partial upstream: %w", err))
 			return false
 		}
@@ -233,12 +253,7 @@ func (lf *treeLeaf) absorb(blk *vmpi.Block) bool {
 		// leaf started analyzing the pack.
 		tr.SetNow(int64(lf.r.Now()))
 	}
-	dec := lf.decs[blk.From]
-	if dec == nil {
-		dec = &trace.StreamDecoder{}
-		lf.decs[blk.From] = dec
-	}
-	if _, err := dec.DecodeDispatch(blk.Payload, fold); err != nil {
+	if _, err := lf.decs.For(blk.From).DecodeDispatch(blk.Payload, fold); err != nil {
 		lf.tc.fail(fmt.Errorf("exp: leaf pack decode: %w", err))
 		return false
 	}
@@ -271,8 +286,9 @@ func (lf *treeLeaf) finish() bool {
 }
 
 // aggregatorMain is the Main of every aggregator-partition rank: the
-// root feeds the blackboard, every other rank merges its tier's incoming
-// partials and forwards compacted results one tier up.
+// root absorbs what reaches it into the application levels, every other
+// rank merges its tier's incoming partials and forwards compacted results
+// one tier up.
 func (tc *treeCtx) aggregatorMain(r *mpi.Rank, sess *vmpi.Session) {
 	local := sess.LocalRank()
 	tm := tc.tm.Shard(sess.Rank().Global())
@@ -292,19 +308,23 @@ func (tc *treeCtx) aggregatorMain(r *mpi.Rank, sess *vmpi.Session) {
 	if up == nil {
 		return
 	}
+	// acc holds one accumulator per application, minted on its first block
+	// with the module selection its leaves flush; forwarded is the length
+	// of each one's previous flush.
 	acc := make([]*analysis.Partial, tc.apps)
+	forwarded := make([]int, tc.apps)
 	pending := 0
 	forward := func(final bool) bool {
-		for _, pp := range acc {
+		for app, pp := range acc {
 			if pp == nil {
 				continue
 			}
-			buf := pp.Flush(vmpi.GetBlock(treeBlockBytes)[:0], final)
-			if err := up.Write(buf, int64(len(buf))); err != nil {
+			n, err := shipPartial(up, pp, &forwarded[app], final)
+			if err != nil {
 				tc.fail(fmt.Errorf("exp: aggregator %d forward: %w", local, err))
 				return false
 			}
-			tm.OnForward(int64(len(buf)))
+			tm.OnForward(n)
 		}
 		return true
 	}
@@ -319,19 +339,18 @@ func (tc *treeCtx) aggregatorMain(r *mpi.Rank, sess *vmpi.Session) {
 			break
 		}
 		t0 := time.Now()
-		pp, err := analysis.DecodePartial(blk.Payload)
+		appID, err := analysis.PartialAppID(blk.Payload)
+		if err == nil && int(appID) >= len(acc) {
+			err = fmt.Errorf("partial for unknown app id %d", appID)
+		}
+		if err == nil {
+			if acc[appID] == nil {
+				acc[appID] = analysis.NewPartial(appID, tc.leafOpts[appID])
+				pending++
+			}
+			err = acc[appID].MergeEncoded(blk.Payload)
+		}
 		if err != nil {
-			tc.fail(fmt.Errorf("exp: aggregator %d: %w", local, err))
-			return
-		}
-		if int(pp.AppID) >= len(acc) {
-			tc.fail(fmt.Errorf("exp: aggregator %d: partial for unknown app id %d", local, pp.AppID))
-			return
-		}
-		if acc[pp.AppID] == nil {
-			acc[pp.AppID] = pp
-			pending++
-		} else if err := acc[pp.AppID].Merge(pp); err != nil {
 			tc.fail(fmt.Errorf("exp: aggregator %d: %w", local, err))
 			return
 		}
@@ -365,7 +384,8 @@ func (tc *treeCtx) aggregatorMain(r *mpi.Rank, sess *vmpi.Session) {
 	}
 }
 
-// rootMain drains every tier-entry channel into the blackboard. The root
+// rootMain drains every tier-entry channel into the application levels,
+// merging each block from its bytes on this goroutine. The root
 // reads its own tier's channel for the regular flow plus every lower
 // channel as the last-resort failover target each writer lists, so a
 // child whose whole upstream tier died still delivers.
@@ -403,10 +423,12 @@ func (tc *treeCtx) rootMain(r *mpi.Rank, sess *vmpi.Session, tm *telemetry.TreeM
 				tc.stats.RootIngestBytes += blk.Size
 				tc.stats.RootPosts++
 				tc.stats.TierIngestBytes[c] += blk.Size
-				// The board owns the payload from here (the partial
-				// unpacker decodes it asynchronously): no Release.
-				tc.disp.PostRawPartial(blk.Payload)
+				if err := tc.disp.AbsorbEncoded(blk.Payload); err != nil {
+					tc.fail(fmt.Errorf("exp: tree root: %w", err))
+					return
+				}
 				r.Compute(tc.cost(blk.Size))
+				blk.Release()
 				progress = true
 			case err == nil:
 				open[c] = false
@@ -427,19 +449,4 @@ func (tc *treeCtx) rootMain(r *mpi.Rank, sess *vmpi.Session, tm *telemetry.TreeM
 			return
 		}
 	}
-}
-
-// mergePartialEntries is the tree-fold combine on the root blackboard:
-// it folds entry b's partial into a's and keeps a as the survivor (the
-// Reducer's retain-if-input convention handles the reference counts).
-// Partial merges only fail on application or option mismatches, which
-// are wiring bugs — loud, like the dispatcher's decode failures.
-func mergePartialEntries(a, b *blackboard.Entry) *blackboard.Entry {
-	pa := a.Payload.(*analysis.Partial)
-	pb := b.Payload.(*analysis.Partial)
-	if err := pa.Merge(pb); err != nil {
-		panic(fmt.Sprintf("exp: tree partial fold: %v", err))
-	}
-	a.Size += b.Size
-	return a
 }

@@ -3,13 +3,18 @@ package exp
 import (
 	"bytes"
 	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/analysis"
+	"repro/internal/blackboard"
+	"repro/internal/mpi"
 	"repro/internal/nas"
+	"repro/internal/tbon"
 	"repro/internal/trace"
+	"repro/internal/vmpi"
 )
 
 // treeTestOpts is the deterministic e2e configuration: every analysis
@@ -125,10 +130,6 @@ func TestTreeProfileMatchesFlat(t *testing.T) {
 			if stats.TierIngestBytes[0] == 0 {
 				t.Fatal("tier 0 saw no bytes")
 			}
-			// Every application's reducer folded the per-leaf partials.
-			if stats.ReducerMerges == 0 {
-				t.Fatal("no blackboard partial folds")
-			}
 			// A healthy run loses nothing.
 			if stats.UpDropped != 0 {
 				t.Fatalf("healthy run dropped %d blocks", stats.UpDropped)
@@ -176,7 +177,7 @@ func TestTreeScalingSweep(t *testing.T) {
 		if pt.AnalyzedEvents != flat.AnalyzedEvents {
 			t.Errorf("%s events %d != flat %d", pt.Config, pt.AnalyzedEvents, flat.AnalyzedEvents)
 		}
-		if pt.TreeRanks == 0 || pt.ReducerMerges == 0 {
+		if pt.TreeRanks == 0 {
 			t.Errorf("%s missing tree accounting: %+v", pt.Config, pt)
 		}
 	}
@@ -256,6 +257,158 @@ func TestTreeOptionValidation(t *testing.T) {
 				t.Fatalf("err = %v, want %q", err, c.want)
 			}
 		})
+	}
+}
+
+// leafAndRootRanks is the size of the applications runLeafAndRoot profiles.
+const leafAndRootRanks = 64
+
+// runLeafAndRoot runs the smallest tree there is — one leaf analyzer under
+// a root, apps application levels with the wait-state module on — with
+// leaf standing in for the analyzer's read loop, and returns what a
+// ProfileRunStats over it would: the first failure any rank reported, else
+// the simulation's own error.
+func runLeafAndRoot(t *testing.T, apps int, leaf func(lf *treeLeaf)) (*analysis.Dispatcher, error) {
+	t.Helper()
+	bb := blackboard.New(blackboard.Config{Workers: 1})
+	t.Cleanup(bb.Close)
+	disp, err := analysis.NewDispatcher(bb)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plan, err := tbon.NewPlan(1, 2, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var runErr error
+	tc := &treeCtx{
+		plan:     plan,
+		apps:     apps,
+		leafOpts: make([]analysis.PartialOptions, apps),
+		disp:     disp,
+		fail: func(err error) {
+			if runErr == nil {
+				runErr = err
+			}
+		},
+		stats: &RunStats{TierIngestBytes: make([]int64, plan.Tiers())},
+		cost:  func(int64) time.Duration { return time.Microsecond },
+	}
+	for id := range tc.leafOpts {
+		pipe, err := disp.AddApp(uint32(id), fmt.Sprintf("app%d", id), leafAndRootRanks)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := pipe.EnableWaitState(); err != nil {
+			t.Fatal(err)
+		}
+		tc.leafOpts[id] = pipe.PartialOptions()
+	}
+	var layout *vmpi.Layout
+	world := mpi.NewWorld(Tera100().MPIConfig(2),
+		mpi.Program{Name: "Analyzer", Procs: 1, Main: func(r *mpi.Rank) {
+			if lf := tc.newLeaf(r, layout.Init(r)); lf != nil {
+				leaf(lf)
+			}
+		}},
+		mpi.Program{Name: "Aggregator", Procs: plan.Ranks(), Main: func(r *mpi.Rank) {
+			tc.aggregatorMain(r, layout.Init(r))
+		}})
+	layout = vmpi.NewLayout(world)
+	if err := tc.bind(layout); err != nil {
+		t.Fatal(err)
+	}
+	return disp, firstError(runErr, world.Run())
+}
+
+// leafEvents folds n send events of application appID into the leaf's
+// replica, as absorb would from packs.
+func leafEvents(lf *treeLeaf, appID uint32, n int) {
+	fold := lf.rep(appID).FoldFunc()
+	for i := 0; i < n; i++ {
+		rank := int32(i % leafAndRootRanks)
+		fold(&trace.Event{Kind: trace.KindIsend, Rank: rank, Peer: (rank + 1 + int32(i%3)) % leafAndRootRanks, Tag: int32(i % 7),
+			Comm: 1, Size: int64(64 << (i % 5)), TStart: int64(i) * 100, TEnd: int64(i)*100 + 40})
+	}
+}
+
+// TestTreeRootRefusesBadPartial: what the root cannot merge — bytes that
+// are no partial, a partial cut short, an application nobody registered —
+// fails the run with that error; what it merged before stays merged, and
+// nothing is half-applied. (On a board KS this was a recovered panic: the
+// run succeeded, one subtree short.)
+func TestTreeRootRefusesBadPartial(t *testing.T) {
+	good := func(appID uint32) []byte {
+		pp := analysis.NewPartial(appID, analysis.PartialOptions{AppSize: leafAndRootRanks, WaitState: true})
+		pp.AddEvent(&trace.Event{Kind: trace.KindIsend, Rank: 0, Peer: 1, Size: 8, TStart: 1, TEnd: 2})
+		return pp.Flush(nil, true)
+	}
+	for name, c := range map[string]struct {
+		bad  []byte
+		want string
+	}{
+		"truncated":       {good(0)[:40], "truncated partial"},
+		"not a partial":   {[]byte("sixteen bytes of something else."), "bad partial magic"},
+		"unknown app":     {good(2), "unregistered app id 2"},
+		"other selection": {analysis.NewPartial(1, analysis.PartialOptions{AppSize: leafAndRootRanks}).Flush(nil, true), "different module selections"},
+	} {
+		t.Run(name, func(t *testing.T) {
+			disp, err := runLeafAndRoot(t, 2, func(lf *treeLeaf) {
+				for _, buf := range [][]byte{good(0), c.bad} {
+					if err := lf.up.Write(buf, int64(len(buf))); err != nil {
+						t.Error(err)
+					}
+				}
+				lf.up.Close() // the root may be gone by now; its error is the run's
+			})
+			if err == nil || !strings.Contains(err.Error(), c.want) || !strings.Contains(err.Error(), "tree root") {
+				t.Fatalf("run error = %v, want the root's %q", err, c.want)
+			}
+			if got := disp.Pipeline(0).Profiler.Events(); got != 1 {
+				t.Errorf("app 0 holds %d events, want the one merged before the bad block", got)
+			}
+			if got := disp.Pipeline(1).Profiler.Events(); got != 0 {
+				t.Errorf("app 1 holds %d events of a refused partial", got)
+			}
+		})
+	}
+}
+
+// TestTreeFlushStorageFollowsPartial: an endpoint's flush allocates for
+// the partial it ships — a buffer sized from its previous flush — not the
+// stream's 8 MB block bound.
+func TestTreeFlushStorageFollowsPartial(t *testing.T) {
+	var allocated, shipped uint64
+	disp, err := runLeafAndRoot(t, 1, func(lf *treeLeaf) {
+		leafEvents(lf, 0, 2000)
+		if !lf.flush(false) { // sizes the next one
+			return
+		}
+		// Let the root merge it: ranks share the process, and the root's
+		// first merge builds its dense state.
+		lf.r.Compute(time.Millisecond)
+		leafEvents(lf, 0, 2000)
+		// Two collections empty the block pool: the flush below pays for
+		// its buffer, as every flush did when a pool miss cost 8 MB.
+		runtime.GC()
+		runtime.GC()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		ok := lf.flush(false)
+		runtime.ReadMemStats(&after)
+		allocated, shipped = after.TotalAlloc-before.TotalAlloc, uint64(lf.flushed[0])
+		if ok {
+			lf.finish()
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := disp.Pipeline(0).Profiler.Events(); got != 4000 {
+		t.Fatalf("root holds %d events, want 4000", got)
+	}
+	if shipped < 1000 || allocated > 4*shipped {
+		t.Errorf("flushing a %d-byte partial allocated %d bytes, want at most %d", shipped, allocated, 4*shipped)
 	}
 }
 

@@ -70,8 +70,6 @@ type TreePoint struct {
 	// IngestReductionPct is the root-ingest-byte reduction versus the
 	// sweep's flat baseline (0 for the baseline itself).
 	IngestReductionPct float64
-	// ReducerMerges counts partial folds on the root blackboard.
-	ReducerMerges int64
 	// Fingerprint is the masked report hash; MatchesFlat records whether
 	// it equals the flat baseline's.
 	Fingerprint string
@@ -103,7 +101,6 @@ func TreeScalingSweep(p Platform, workloads []*nas.Workload, base ProfileOptions
 			AnalyzedEvents:  stats.AnalyzedEvents,
 			RootIngestBytes: stats.RootIngestBytes,
 			RootPosts:       stats.RootPosts,
-			ReducerMerges:   stats.ReducerMerges,
 			Fingerprint:     fp,
 		}
 		if pt.AppSeconds > 0 {

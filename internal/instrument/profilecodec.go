@@ -3,9 +3,7 @@ package instrument
 import (
 	"encoding/binary"
 	"fmt"
-	"io"
 	"sort"
-	"time"
 
 	"repro/internal/trace"
 )
@@ -70,51 +68,4 @@ func (p CallProfile) MergeProfile(o CallProfile) {
 		dst.TimeNs += st.TimeNs
 		dst.Bytes += st.Bytes
 	}
-}
-
-// MergeEncodedProfiles is a TBON-style reduction filter: it decodes each
-// input profile, folds them together with own, and re-encodes. Undecodable
-// inputs panic — a filter bug, not a recoverable condition.
-func MergeEncodedProfiles(children [][]byte, own []byte) []byte {
-	acc, err := DecodeCallProfile(own)
-	if err != nil {
-		panic(fmt.Sprintf("instrument: merge filter: %v", err))
-	}
-	for _, c := range children {
-		p, err := DecodeCallProfile(c)
-		if err != nil {
-			panic(fmt.Sprintf("instrument: merge filter: %v", err))
-		}
-		acc.MergeProfile(p)
-	}
-	return acc.Encode()
-}
-
-// WriteReport renders the profile as an mpiP-style text table (sorted by
-// accumulated time), the output of purely-online tools the paper cites.
-func (p CallProfile) WriteReport(w io.Writer, title string) error {
-	kinds := p.Kinds()
-	sort.Slice(kinds, func(i, j int) bool { return p[kinds[i]].TimeNs > p[kinds[j]].TimeNs })
-	var totalTime, totalHits int64
-	for _, k := range kinds {
-		totalTime += p[k].TimeNs
-		totalHits += p[k].Hits
-	}
-	if _, err := fmt.Fprintf(w, "@ %s --- %d calls, %v total\n", title, totalHits,
-		time.Duration(totalTime)); err != nil {
-		return err
-	}
-	fmt.Fprintf(w, "%-16s %10s %14s %7s %14s\n", "call", "hits", "time", "time%", "bytes")
-	for _, k := range kinds {
-		st := p[k]
-		pct := 0.0
-		if totalTime > 0 {
-			pct = 100 * float64(st.TimeNs) / float64(totalTime)
-		}
-		if _, err := fmt.Fprintf(w, "%-16s %10d %14v %6.1f%% %14d\n",
-			k, st.Hits, time.Duration(st.TimeNs), pct, st.Bytes); err != nil {
-			return err
-		}
-	}
-	return nil
 }

@@ -1,7 +1,6 @@
 package instrument
 
 import (
-	"strings"
 	"testing"
 	"time"
 
@@ -334,26 +333,6 @@ func TestSsendAndProbeWrappers(t *testing.T) {
 	}
 	if got := cap0.byKind(trace.KindReduce); got != 1 {
 		t.Fatalf("reduce-scatter events = %d", got)
-	}
-}
-
-func TestCallProfileWriteReport(t *testing.T) {
-	p := make(CallProfile)
-	p.Add(&trace.Event{Kind: trace.KindSend, Size: 100, TStart: 0, TEnd: 1000})
-	p.Add(&trace.Event{Kind: trace.KindBarrier, TStart: 0, TEnd: 3000})
-	var buf strings.Builder
-	if err := p.WriteReport(&buf, "test-run"); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.String()
-	for _, want := range []string{"@ test-run --- 2 calls", "MPI_Send", "MPI_Barrier", "75.0%"} {
-		if !strings.Contains(out, want) {
-			t.Fatalf("report missing %q:\n%s", want, out)
-		}
-	}
-	// Barrier (3000ns) must be listed before Send (1000ns).
-	if strings.Index(out, "MPI_Barrier") > strings.Index(out, "MPI_Send") {
-		t.Fatal("report not sorted by time")
 	}
 }
 

@@ -139,92 +139,3 @@ func (st *splitState) commFor(global int) *Comm {
 
 // ReduceScatter models a reduce-scatter of size bytes per rank.
 func (r *Rank) ReduceScatter(c *Comm, size int64) { r.collective(c, CollReduceScatter, size) }
-
-// Scan models an inclusive prefix reduction of size bytes.
-func (r *Rank) Scan(c *Comm, size int64) { r.collective(c, CollScan, size) }
-
-// Waitany blocks until at least one of the requests completes and returns
-// its index (like MPI_Waitany). Completed-and-consumed requests must not
-// be passed again.
-func (r *Rank) Waitany(reqs []*Request) int {
-	r.overhead()
-	if len(reqs) == 0 {
-		panic("mpi: Waitany with no requests")
-	}
-	for {
-		seq := r.ArrivalSeq()
-		earliest, at := -1, des.Time(0)
-		for i, req := range reqs {
-			if req == nil || req.waited {
-				continue
-			}
-			if req.rank != r {
-				panic("mpi: Waitany on a request owned by another rank")
-			}
-			if req.isSend {
-				// Send requests complete at injection; pick the soonest.
-				if earliest < 0 || req.doneAt < at {
-					earliest, at = i, req.doneAt
-				}
-				continue
-			}
-			if req.matched != nil || r.tryMatch(req) {
-				req.waited = true
-				return i
-			}
-		}
-		if earliest >= 0 {
-			req := reqs[earliest]
-			if req.doneAt > r.Now() {
-				r.proc.SleepUntil(req.doneAt)
-			}
-			req.waited = true
-			return earliest
-		}
-		r.WaitArrival(seq, "waitany")
-	}
-}
-
-// PersistentRequest is a reusable communication descriptor, like the
-// handles created by MPI_Send_init / MPI_Recv_init; the NAS solvers set
-// these up once and Start them every iteration.
-type PersistentRequest struct {
-	rank    *Rank
-	comm    *Comm
-	isSend  bool
-	peer    int
-	tag     int
-	size    int64
-	payload []byte
-}
-
-// SendInit creates a persistent send descriptor.
-func (r *Rank) SendInit(c *Comm, dst, tag int, size int64, payload []byte) *PersistentRequest {
-	if dst < 0 || dst >= c.Size() {
-		panic(fmt.Sprintf("mpi: SendInit to invalid rank %d of comm size %d", dst, c.Size()))
-	}
-	return &PersistentRequest{rank: r, comm: c, isSend: true, peer: dst, tag: tag, size: size, payload: payload}
-}
-
-// RecvInit creates a persistent receive descriptor.
-func (r *Rank) RecvInit(c *Comm, src, tag int) *PersistentRequest {
-	return &PersistentRequest{rank: r, comm: c, peer: src, tag: tag}
-}
-
-// Start activates the persistent request and returns the live request to
-// wait on, like MPI_Start.
-func (p *PersistentRequest) Start() *Request {
-	if p.isSend {
-		return p.rank.Isend(p.comm, p.peer, p.tag, p.size, p.payload)
-	}
-	return p.rank.Irecv(p.comm, p.peer, p.tag)
-}
-
-// Startall activates several persistent requests (MPI_Startall).
-func Startall(ps []*PersistentRequest) []*Request {
-	out := make([]*Request, len(ps))
-	for i, p := range ps {
-		out[i] = p.Start()
-	}
-	return out
-}

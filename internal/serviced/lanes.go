@@ -52,7 +52,7 @@ type lane struct {
 
 	// Owned by the lane goroutine (and by the connection goroutine only
 	// while the lane is quiescent after a flush ack):
-	decs     map[uint32]*trace.StreamDecoder
+	decs     trace.Decoders
 	reps     map[*sessionApp]*analysis.Replica
 	admitted int64
 
@@ -86,7 +86,7 @@ func (s *session) startLanes(workers int) {
 	for i := range s.lanes {
 		l := &lane{
 			jobs: make(chan laneJob, laneQueueDepth),
-			decs: make(map[uint32]*trace.StreamDecoder),
+			decs: make(trace.Decoders),
 			reps: make(map[*sessionApp]*analysis.Replica),
 		}
 		s.lanes[i] = l

@@ -63,7 +63,7 @@ type session struct {
 	// so each writer's packs must decode in order through its own decoder
 	// — the same invariant the in-process fused ingest keeps. v1 and v2
 	// packs carry no cross-pack state and decode through it all the same.
-	decs map[uint32]*trace.StreamDecoder
+	decs trace.Decoders
 	gov  *governor
 
 	// epoch counts seals; sealed retains the most recent epochCap sealed
@@ -116,7 +116,7 @@ func newSession(id uint64, format int, meta wire.SessionMeta, gov *governor, epo
 		format:   format,
 		meta:     meta,
 		byID:     make(map[uint32]*sessionApp, len(meta.Apps)),
-		decs:     make(map[uint32]*trace.StreamDecoder),
+		decs:     make(trace.Decoders),
 		gov:      gov,
 		epochCap: epochCap,
 	}
@@ -214,14 +214,9 @@ func (s *session) foldSync(src uint32, app *sessionApp, pack []byte) error {
 // its writer's decoder in decs and hands fold every event the app's
 // admission gate admits, the window tracker observing the same events.
 // It returns how many were admitted.
-func decodeAdmitted(decs map[uint32]*trace.StreamDecoder, src uint32, app *sessionApp, pack []byte, fold func(*trace.Event)) (int64, error) {
-	dec := decs[src]
-	if dec == nil {
-		dec = &trace.StreamDecoder{}
-		decs[src] = dec
-	}
+func decodeAdmitted(decs trace.Decoders, src uint32, app *sessionApp, pack []byte, fold func(*trace.Event)) (int64, error) {
 	admitted := int64(0)
-	_, err := dec.DecodeDispatch(pack, func(ev *trace.Event) {
+	_, err := decs.For(int(src)).DecodeDispatch(pack, func(ev *trace.Event) {
 		if app.gate.Admit(ev.Kind) {
 			fold(ev)
 			if app.tracker != nil {

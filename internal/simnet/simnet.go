@@ -70,13 +70,12 @@ func DefaultConfig() Config {
 // Net is the interconnect model. It is not safe for concurrent use; all
 // calls must come from simulation context (one process at a time).
 type Net struct {
-	cfg       Config
-	endpoints int
-	tx        []des.Queue // per-node injection port
-	rx        []des.Queue // per-node ejection port
-	spine     des.Queue   // shared bisection pipe
-	spineSel  func(from, to int) bool
-	degrade   []float64 // per-node NIC service-time multiplier (0 = healthy)
+	cfg      Config
+	tx       []des.Queue // per-node injection port
+	rx       []des.Queue // per-node ejection port
+	spine    des.Queue   // shared bisection pipe
+	spineSel func(from, to int) bool
+	degrade  []float64 // per-node NIC service-time multiplier (0 = healthy)
 
 	bytesMoved int64
 	messages   int64
@@ -106,15 +105,11 @@ func New(n int, cfg Config) *Net {
 	}
 	nodes := (n + cfg.CoresPerNode - 1) / cfg.CoresPerNode
 	return &Net{
-		cfg:       cfg,
-		endpoints: n,
-		tx:        make([]des.Queue, nodes),
-		rx:        make([]des.Queue, nodes),
+		cfg: cfg,
+		tx:  make([]des.Queue, nodes),
+		rx:  make([]des.Queue, nodes),
 	}
 }
-
-// Endpoints returns the number of endpoints.
-func (n *Net) Endpoints() int { return n.endpoints }
 
 // Nodes returns the number of simulated nodes.
 func (n *Net) Nodes() int { return len(n.tx) }

@@ -1,35 +1,21 @@
-// Package tbon implements a Tree-Based Overlay Network over the MPI
-// runtime model: the reduction architecture of MRNet, GTI and Periscope,
-// which the paper's related-work section positions its blackboard design
-// against (§V).
-//
-// In a TBON, instrumented processes are the leaves of a k-ary tree;
-// measurement data flows toward the front-end (root) and is combined at
-// every internal node by reduction filters. The paper's criticism is
-// architectural: TBONs are excellent when the data *reduces* on the way up
-// (profiles, aggregates) but funnel everything through the root's
-// bandwidth when it does not (full event streams) — whereas the paper maps
-// applications onto *all* analysis processes to maximize the bisection
-// bandwidth. The BenchmarkTBONVsStreams ablation quantifies exactly that
-// trade-off on this implementation.
-//
-// Two tree embeddings live here. Node is the classic single-communicator
-// k-ary tree used by the ablation. Plan is the layout used by the online
-// engine's multi-level analysis partition (exp.ProfileRun with
-// TreeLevels >= 2): leaf analyzers reduce event packs to partial
-// profiles and stream them through tiered aggregator ranks to a single
-// root, one vmpi stream channel per tier, with failover orderings that
-// reparent a dead aggregator's children to a sibling or the root.
-//
-// The tree spans one communicator, rooted at rank 0, with parent(i) =
-// (i-1)/fanout — the classic array-embedded k-ary tree. All operations are
-// collective over the communicator (every member must call them in the
-// same order).
 package tbon
+
+// Node is the classic TBON of MRNet, GTI and Periscope, which the paper's
+// related-work section positions its blackboard design against (§V):
+// instrumented processes are the leaves of a k-ary tree over one
+// communicator, rooted at rank 0 with parent(i) = (i-1)/fanout; data flows
+// toward the front-end and is combined at every internal node by reduction
+// filters. Nothing in the engine uses it — the reduction tree is laid out
+// by Plan — so it lives in test files, beside its callers: the tests here
+// and BenchmarkTBONVsStreams (ablation_test.go), which quantifies the
+// paper's criticism that a TBON funnels whatever does not reduce through
+// the root's bandwidth. All operations are collective over the
+// communicator (every member must call them in the same order).
 
 import (
 	"fmt"
 
+	"repro/internal/instrument"
 	"repro/internal/mpi"
 )
 
@@ -156,4 +142,22 @@ func (n *Node) ReduceStream(waves int, produce func(wave int) []byte, filter Fil
 			sink(w, combined)
 		}
 	}
+}
+
+// MergeEncodedProfiles is a reduction filter over encoded call profiles: it
+// decodes each input, folds them together with own, and re-encodes.
+// Undecodable inputs panic — a filter bug, not a recoverable condition.
+func MergeEncodedProfiles(children [][]byte, own []byte) []byte {
+	acc, err := instrument.DecodeCallProfile(own)
+	if err != nil {
+		panic(fmt.Sprintf("tbon: merge filter: %v", err))
+	}
+	for _, c := range children {
+		p, err := instrument.DecodeCallProfile(c)
+		if err != nil {
+			panic(fmt.Sprintf("tbon: merge filter: %v", err))
+		}
+		acc.MergeProfile(p)
+	}
+	return acc.Encode()
 }

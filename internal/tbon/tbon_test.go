@@ -133,7 +133,7 @@ func TestProfileMergeOverTree(t *testing.T) {
 	runTree(t, n, 4, func(node *Node, r *mpi.Rank) {
 		own := make(instrument.CallProfile)
 		own.Add(&trace.Event{Kind: trace.KindSend, Size: int64(r.Global()), TStart: 0, TEnd: 10})
-		combined, isRoot := node.Reduce(own.Encode(), instrument.MergeEncodedProfiles)
+		combined, isRoot := node.Reduce(own.Encode(), MergeEncodedProfiles)
 		if isRoot {
 			p, err := instrument.DecodeCallProfile(combined)
 			if err != nil {

@@ -1,3 +1,12 @@
+// Package tbon lays out the online engine's reduction tree
+// (exp.ProfileRun with TreeLevels >= 2): leaf analyzers reduce event packs
+// to partial profiles and stream them through tiered aggregator ranks to a
+// single root, one vmpi stream channel per tier, with failover orderings
+// that reparent a dead aggregator's children to a sibling or the root.
+//
+// The classic single-communicator TBON the paper argues against (§V) is
+// test scaffolding: Node, in this package's test files, measured by
+// BenchmarkTBONVsStreams.
 package tbon
 
 import "fmt"
@@ -13,17 +22,15 @@ const ChannelBase = 10
 func Channel(t int) int { return ChannelBase + t }
 
 // Plan is the static layout of a bottom-up k-ary reduction tree over an
-// aggregator partition. Unlike Node (which embeds a top-down tree in one
-// communicator, root at rank 0), Plan models the analysis topology of
-// this PR: a separate partition of aggregator ranks arranged in tiers,
-// with the leaf analyzers below tier 0 and the root — the single rank
-// that feeds the root blackboard — at the top.
+// aggregator partition: a separate partition of aggregator ranks arranged
+// in tiers, with the leaf analyzers below tier 0 and the root — the single
+// rank that merges into the application levels — at the top.
 //
 // Aggregator local ranks are laid out tier-0 first: locals
 // [0, Sizes[0]) are tier 0, the next Sizes[1] are tier 1, and the last
 // local is always the root. Every tier is ceil(previous/fanin) wide
 // except the top, which is forced to a single root even when that
-// exceeds the nominal fan-in (MaxFanin reports the true worst case).
+// exceeds the nominal fan-in.
 type Plan struct {
 	leaves int
 	fanin  int
@@ -52,9 +59,6 @@ func NewPlan(leaves, fanin, tiers int) (*Plan, error) {
 	prev := leaves
 	for t := 0; t < tiers; t++ {
 		n := (prev + fanin - 1) / fanin
-		if n < 1 {
-			n = 1
-		}
 		if t == tiers-1 {
 			n = 1 // the top tier is the root, whatever the fan-in says
 		}
@@ -69,12 +73,6 @@ func NewPlan(leaves, fanin, tiers int) (*Plan, error) {
 	}
 	return p, nil
 }
-
-// Leaves returns the number of leaf analyzers below the tree.
-func (p *Plan) Leaves() int { return p.leaves }
-
-// Fanin returns the nominal fan-in the plan was built with.
-func (p *Plan) Fanin() int { return p.fanin }
 
 // Tiers returns the number of aggregator tiers (root included).
 func (p *Plan) Tiers() int { return len(p.Sizes) }
@@ -135,58 +133,6 @@ func (p *Plan) Parent(local int) int {
 		j = p.Sizes[t+1] - 1
 	}
 	return p.Local(t+1, j)
-}
-
-// ChildrenOf returns the local ranks of the aggregators in tier t-1 that
-// report to the given tier-t node (empty for t == 0, whose children are
-// leaves — see LeavesOf).
-func (p *Plan) ChildrenOf(local int) []int {
-	t := p.TierOf(local)
-	if t == 0 {
-		return nil
-	}
-	var out []int
-	for j := 0; j < p.Sizes[t-1]; j++ {
-		c := p.Local(t-1, j)
-		if p.Parent(c) == local {
-			out = append(out, c)
-		}
-	}
-	return out
-}
-
-// LeavesOf returns the leaf analyzers that report to a tier-0 node.
-func (p *Plan) LeavesOf(local int) []int {
-	if p.TierOf(local) != 0 {
-		return nil
-	}
-	var out []int
-	for l := 0; l < p.leaves; l++ {
-		if p.LeafParent(l) == local {
-			out = append(out, l)
-		}
-	}
-	return out
-}
-
-// MaxFanin returns the largest number of direct children any node has —
-// the root may exceed the nominal fan-in when a tier is collapsed into
-// it, and the last node of a tier absorbs its tier's remainder.
-func (p *Plan) MaxFanin() int {
-	max := 0
-	for j := 0; j < p.Sizes[0]; j++ {
-		if n := len(p.LeavesOf(p.Local(0, j))); n > max {
-			max = n
-		}
-	}
-	for t := 1; t < len(p.Sizes); t++ {
-		for j := 0; j < p.Sizes[t]; j++ {
-			if n := len(p.ChildrenOf(p.Local(t, j))); n > max {
-				max = n
-			}
-		}
-	}
-	return max
 }
 
 // UpstreamOrder returns the failover-ordered upstream endpoints of an

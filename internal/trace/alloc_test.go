@@ -281,3 +281,36 @@ func TestPackBuilderStorageFollowsFill(t *testing.T) {
 		t.Errorf("building a %d-byte pack allocated %d bytes, want at most %d", len(pack), after.TotalAlloc-before.TotalAlloc, limit)
 	}
 }
+
+// TestPackBuilderV3StorageFollowsFill: a v3 builder that owns no output
+// buffer allocates for the pack it has, not for the pack capacity — a rank
+// that ships ten events in a 1 MiB-capacity pack must not zero the
+// megabyte — and what it allocates carries the next pack of that size too.
+func TestPackBuilderV3StorageFollowsFill(t *testing.T) {
+	const capBytes, events = 1 << 20, 10
+	b := NewPackBuilderV3(1, 0, 64, capBytes)
+	fill := func() {
+		for i := 0; i < events; i++ {
+			ev := fig14ishEvent(i)
+			b.Add(&ev)
+		}
+	}
+	fill() // warm: the dictionary and the column scratch are the builder's
+	b.Take()
+	fill()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	pack := b.Take()
+	runtime.ReadMemStats(&after)
+	if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(4*len(pack)); got > limit {
+		t.Errorf("taking a %d-byte pack allocated %d bytes, want at most %d", len(pack), got, limit)
+	}
+	if cap(pack) > 4*len(pack) {
+		t.Errorf("a %d-byte pack sits in %d bytes of storage", len(pack), cap(pack))
+	}
+	b.Reset(pack)
+	fill()
+	if allocs := testing.AllocsPerRun(1, func() { b.Take() }); allocs != 0 {
+		t.Errorf("the next pack of the same size did not fit the recycled buffer (%.0f allocations)", allocs)
+	}
+}

@@ -171,13 +171,11 @@ func (b *PackBuilderV3) resetState() {
 }
 
 // Reset discards any pack under construction (the stream dictionary
-// keeps only entries already shipped) and adopts buf as output storage
-// when large enough, mirroring the v1/v2 builders.
+// keeps only entries already shipped) and adopts buf, whatever its size, as
+// output storage: Take replaces it only if the pack does not fit.
 func (b *PackBuilderV3) Reset(buf []byte) {
 	b.resetState()
-	if cap(buf) >= b.capBytes {
-		b.out = buf[:0]
-	}
+	b.out = buf[:0]
 }
 
 // Add appends an event and reports whether the pack is now full.
@@ -221,7 +219,10 @@ func (b *PackBuilderV3) Take() []byte {
 	n := b.encodedLen()
 	out := b.out
 	if cap(out) < n {
-		out = make([]byte, 0, b.capBytes)
+		// Storage follows the fill, as in PackBuilder.grow: twice the pack,
+		// so the buffer fits the next one when it comes back through Reset,
+		// and past capBytes only if the pack is.
+		out = make([]byte, 0, max(n, min(2*n, b.capBytes)))
 	}
 	out = out[:PackHeaderSize]
 	binary.LittleEndian.PutUint32(out[0:], packMagicV3)
@@ -290,6 +291,20 @@ type StreamDecoder struct {
 	i                             int
 	prevRank, prevPeer, prevTag   int64
 	prevSize, prevTStart, prevDur int64
+}
+
+// Decoders holds the per-writer decoders of one ingest loop, keyed by
+// whatever identifies a writer there (a universe rank, a source id).
+type Decoders map[int]*StreamDecoder
+
+// For returns the writer's decoder, created on its first pack.
+func (ds Decoders) For(src int) *StreamDecoder {
+	d := ds[src]
+	if d == nil {
+		d = &StreamDecoder{}
+		ds[src] = d
+	}
+	return d
 }
 
 // ResetStream discards the accumulated dictionary, as if no pack had

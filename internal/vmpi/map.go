@@ -60,11 +60,10 @@ func policyFunc(p Policy) MapFunc {
 // single analyzer partition maps to several instrumented applications.
 type Map struct {
 	targets []int // universe ranks
-	parts   []int // partition id of each target
 }
 
 // Clear empties the map (the paper's VMPI_Map_clear).
-func (m *Map) Clear() { m.targets, m.parts = nil, nil }
+func (m *Map) Clear() { m.targets = nil }
 
 // Len returns the number of mapped processes.
 func (m *Map) Len() int { return len(m.targets) }
@@ -73,23 +72,7 @@ func (m *Map) Len() int { return len(m.targets) }
 // assignment order. The returned slice is owned by the map.
 func (m *Map) Targets() []int { return m.targets }
 
-// TargetsOf returns the mapped universe ranks belonging to partition id.
-func (m *Map) TargetsOf(part int) []int {
-	var out []int
-	for i, t := range m.targets {
-		if m.parts[i] == part {
-			out = append(out, t)
-		}
-	}
-	return out
-}
-
-func (m *Map) add(part int, globals ...int) {
-	for _, g := range globals {
-		m.targets = append(m.targets, g)
-		m.parts = append(m.parts, part)
-	}
-}
+func (m *Map) add(globals ...int) { m.targets = append(m.targets, globals...) }
 
 // Reserved universe tags for the vmpi control and data protocols. They live
 // far above any application tag space.
@@ -121,16 +104,6 @@ func decodeRanks(buf []byte) []int {
 // like the paper's VMPI_Map_partitions.
 func (s *Session) MapPartitions(target int, policy Policy, m *Map) error {
 	return s.mapPartitions(target, policy, nil, m)
-}
-
-// MapPartitionsFunc is MapPartitions with a user-defined mapping function.
-// fn is only evaluated on the master partition's root (the pivot); all
-// callers must still participate.
-func (s *Session) MapPartitionsFunc(target int, fn MapFunc, m *Map) error {
-	if fn == nil {
-		return fmt.Errorf("vmpi: nil mapping function")
-	}
-	return s.mapPartitions(target, 0, fn, m)
 }
 
 // mapPartitions runs the pivot protocol of the paper's Figure 7:
@@ -171,7 +144,7 @@ func (s *Session) mapPartitions(target int, policy Policy, fn MapFunc, m *Map) e
 		// Register with the pivot, then wait for the assignment.
 		r.Send(u, master.Root(), tagMapRegister, 4, encodeRanks([]int{r.Global()}))
 		_, payload := r.Recv(u, master.Root(), tagMapAssign)
-		m.add(other.ID, decodeRanks(payload)...)
+		m.add(decodeRanks(payload)...)
 		return nil
 	}
 
@@ -200,7 +173,7 @@ func (s *Session) mapPartitions(target int, policy Policy, fn MapFunc, m *Map) e
 		// signals end-of-mapping.
 		for mi, mg := range master.Globals {
 			if mg == r.Global() {
-				m.add(other.ID, perMaster[mi]...)
+				m.add(perMaster[mi]...)
 				continue
 			}
 			buf := encodeRanks(perMaster[mi])
@@ -211,6 +184,6 @@ func (s *Session) mapPartitions(target int, policy Policy, fn MapFunc, m *Map) e
 
 	// Master non-root: wait for the pivot's end-of-mapping message.
 	_, payload := r.Recv(u, master.Root(), tagMapAssign)
-	m.add(other.ID, decodeRanks(payload)...)
+	m.add(decodeRanks(payload)...)
 	return nil
 }

@@ -5,14 +5,18 @@ import (
 	"testing"
 )
 
-// TestStreamFormatNegotiation covers the happy path: a writer announcing
-// pack format v2 at open has that format recorded per peer on the reader
-// before the first data block is served, and the payload path is
-// unchanged.
-func TestStreamFormatNegotiation(t *testing.T) {
-	var got []string
-	var peerFormat int
-	runMPMD(t,
+// formatExchange streams one block from a writer that declares pack format
+// writerFormat (0 = never calls SetPackFormat) to a reader whose acceptance
+// ceiling is lowered to ceiling (0 = the default). It returns the payloads
+// the reader was served, the error its Read ended on, and how many messages
+// the run moved.
+func formatExchange(t *testing.T, writerFormat, ceiling int, payload string) (got []string, readErr error, messages int64) {
+	t.Helper()
+	accepts := ceiling
+	if accepts == 0 {
+		accepts = DefaultMaxPackFormat
+	}
+	l := runMPMD(t,
 		progSpec{"w", 1, func(s *Session) {
 			var m Map
 			if err := s.MapPartitions(1, MapRoundRobin, &m); err != nil {
@@ -20,13 +24,20 @@ func TestStreamFormatNegotiation(t *testing.T) {
 				return
 			}
 			st := NewStream(s, 1024, BalanceRoundRobin)
-			st.SetPackFormat(2)
+			if writerFormat != 0 {
+				st.SetPackFormat(writerFormat)
+			}
 			if err := st.OpenMap(&m, "w"); err != nil {
 				t.Error(err)
 				return
 			}
-			if err := st.Write([]byte("packed"), 6); err != nil {
+			if err := st.Write([]byte(payload), int64(len(payload))); err != nil {
 				t.Error(err)
+			}
+			if writerFormat > accepts {
+				// The reader errors out: skip Close, which would wait for a
+				// reader that is gone.
+				return
 			}
 			if err := st.Close(); err != nil {
 				t.Error(err)
@@ -39,6 +50,7 @@ func TestStreamFormatNegotiation(t *testing.T) {
 				return
 			}
 			st := NewStream(s, 1024, BalanceRoundRobin)
+			st.maxPackFormat = ceiling
 			if err := st.OpenMap(&m, "r"); err != nil {
 				t.Error(err)
 				return
@@ -46,7 +58,7 @@ func TestStreamFormatNegotiation(t *testing.T) {
 			for {
 				blk, err := st.Read(false)
 				if err != nil {
-					t.Error(err)
+					readErr = err
 					return
 				}
 				if blk == nil {
@@ -54,243 +66,110 @@ func TestStreamFormatNegotiation(t *testing.T) {
 				}
 				got = append(got, string(blk.Payload))
 			}
-			peerFormat = st.PeerFormat(0) // writer is universe rank 0
 			if err := st.Close(); err != nil {
 				t.Error(err)
 			}
 		}},
 	)
+	return got, readErr, l.world.Net().Messages()
+}
+
+// TestStreamFormatNegotiation covers the happy path: a writer announcing
+// pack format v2 at open is accepted by a default reader, and the payload
+// path is unchanged.
+func TestStreamFormatNegotiation(t *testing.T) {
+	got, err, _ := formatExchange(t, 2, 0, "packed")
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(got) != 1 || got[0] != "packed" {
 		t.Fatalf("payload = %v", got)
-	}
-	if peerFormat != 2 {
-		t.Fatalf("reader recorded peer format %d, want 2", peerFormat)
 	}
 }
 
 // TestStreamFormatDefaultIsV1 pins the compatibility contract: a writer
-// that never calls SetPackFormat sends no hello, and the reader reports
-// the v1 default for it — the message sequence is identical to the seed.
+// that never calls SetPackFormat sends no hello — the message sequence is
+// identical to the seed, one message short of an announcing writer's — so
+// even a strict v1 reader accepts it.
 func TestStreamFormatDefaultIsV1(t *testing.T) {
-	var peerFormat int
-	runMPMD(t,
-		progSpec{"w", 1, func(s *Session) {
-			var m Map
-			if err := s.MapPartitions(1, MapRoundRobin, &m); err != nil {
-				t.Error(err)
-				return
-			}
-			st := NewStream(s, 1024, BalanceRoundRobin)
-			if err := st.OpenMap(&m, "w"); err != nil {
-				t.Error(err)
-				return
-			}
-			if err := st.Write(nil, 64); err != nil {
-				t.Error(err)
-			}
-			if err := st.Close(); err != nil {
-				t.Error(err)
-			}
-		}},
-		progSpec{"r", 1, func(s *Session) {
-			var m Map
-			if err := s.MapPartitions(0, MapRoundRobin, &m); err != nil {
-				t.Error(err)
-				return
-			}
-			st := NewStream(s, 1024, BalanceRoundRobin)
-			st.SetMaxPackFormat(1) // a strict v1 reader must still accept this writer
-			if err := st.OpenMap(&m, "r"); err != nil {
-				t.Error(err)
-				return
-			}
-			for {
-				blk, err := st.Read(false)
-				if err != nil {
-					t.Error(err)
-					return
-				}
-				if blk == nil {
-					break
-				}
-			}
-			peerFormat = st.PeerFormat(0)
-		}},
-	)
-	if peerFormat != 1 {
-		t.Fatalf("default peer format = %d, want 1", peerFormat)
+	_, err, silent := formatExchange(t, 0, 1, "record")
+	if err != nil {
+		t.Fatalf("a strict v1 reader refused a default writer: %v", err)
+	}
+	_, err, announced := formatExchange(t, 2, 0, "record")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if announced != silent+1 {
+		t.Fatalf("announcing writer moved %d messages, default writer %d: want exactly the hello more", announced, silent)
 	}
 }
 
 // TestStreamFormatRejectedAboveCeiling: a reader capped below the writer's
 // announced format fails its Read with an error naming both versions,
-// instead of misparsing packs.
+// instead of misparsing packs — and so does a default reader offered a
+// format this engine does not have.
 func TestStreamFormatRejectedAboveCeiling(t *testing.T) {
-	var readErr error
-	runMPMD(t,
-		progSpec{"w", 1, func(s *Session) {
-			var m Map
-			if err := s.MapPartitions(1, MapRoundRobin, &m); err != nil {
-				t.Error(err)
-				return
+	for _, c := range []struct {
+		writer, ceiling int
+		want            []string
+	}{
+		{2, 1, []string{"format v2", "up to v1"}},
+		{DefaultMaxPackFormat + 1, 0, []string{"format v4", "up to v3"}},
+	} {
+		_, err, _ := formatExchange(t, c.writer, c.ceiling, "packed")
+		if err == nil {
+			t.Fatalf("reader (ceiling %d) accepted format v%d", c.ceiling, c.writer)
+		}
+		for _, w := range c.want {
+			if !strings.Contains(err.Error(), w) {
+				t.Fatalf("rejection should name both formats, got: %v", err)
 			}
-			st := NewStream(s, 1024, BalanceRoundRobin)
-			st.SetPackFormat(2)
-			if err := st.OpenMap(&m, "w"); err != nil {
-				t.Error(err)
-				return
-			}
-			// Fire-and-forget: the reader errors out, so skip Close (which
-			// would wait for a reader that is gone).
-			_ = st.Write([]byte("packed"), 6)
-		}},
-		progSpec{"r", 1, func(s *Session) {
-			var m Map
-			if err := s.MapPartitions(0, MapRoundRobin, &m); err != nil {
-				t.Error(err)
-				return
-			}
-			st := NewStream(s, 1024, BalanceRoundRobin)
-			st.SetMaxPackFormat(1)
-			if err := st.OpenMap(&m, "r"); err != nil {
-				t.Error(err)
-				return
-			}
-			_, readErr = st.Read(false)
-		}},
-	)
-	if readErr == nil {
-		t.Fatal("reader accepted a format above its ceiling")
-	}
-	if !strings.Contains(readErr.Error(), "format v2") || !strings.Contains(readErr.Error(), "up to v1") {
-		t.Fatalf("rejection should name both formats, got: %v", readErr)
+		}
 	}
 }
 
 // TestSetPackFormatValidation pins the API edges: version bounds and the
-// no-reconfiguration-after-open rule.
+// default ceiling.
 func TestSetPackFormatValidation(t *testing.T) {
 	st := &Stream{}
-	mustPanic := func(name string, fn func()) {
+	func() {
 		defer func() {
 			if recover() == nil {
-				t.Errorf("%s did not panic", name)
+				t.Error("SetPackFormat(-1) did not panic")
 			}
 		}()
-		fn()
-	}
-	mustPanic("SetPackFormat(-1)", func() { st.SetPackFormat(-1) })
-	mustPanic("SetMaxPackFormat(0)", func() { st.SetMaxPackFormat(0) })
+		st.SetPackFormat(-1)
+	}()
 	st.SetPackFormat(2)
-	if st.PackFormat() != 2 {
-		t.Fatalf("PackFormat = %d", st.PackFormat())
-	}
-	if (&Stream{}).PackFormat() != 1 {
-		t.Fatal("default PackFormat should be 1")
+	if st.packFormat != 2 {
+		t.Fatalf("packFormat = %d", st.packFormat)
 	}
 	if (&Stream{}).MaxPackFormat() != DefaultMaxPackFormat {
 		t.Fatal("default MaxPackFormat should be DefaultMaxPackFormat")
 	}
-	if (&Stream{}).PeerFormat(0) != 1 {
-		t.Fatal("unknown peer should default to format 1")
-	}
 }
 
 // TestStreamFormatV3Negotiation: the v3 hello travels like v2's — the
-// default reader ceiling now admits it, and a reader capped at v2
-// rejects it naming both versions.
+// default reader ceiling admits it.
 func TestStreamFormatV3Negotiation(t *testing.T) {
-	var peerFormat int
-	runMPMD(t,
-		progSpec{"w", 1, func(s *Session) {
-			var m Map
-			if err := s.MapPartitions(1, MapRoundRobin, &m); err != nil {
-				t.Error(err)
-				return
-			}
-			st := NewStream(s, 1024, BalanceRoundRobin)
-			st.SetPackFormat(3)
-			if err := st.OpenMap(&m, "w"); err != nil {
-				t.Error(err)
-				return
-			}
-			if err := st.Write([]byte("dictionary"), 10); err != nil {
-				t.Error(err)
-			}
-			if err := st.Close(); err != nil {
-				t.Error(err)
-			}
-		}},
-		progSpec{"r", 1, func(s *Session) {
-			var m Map
-			if err := s.MapPartitions(0, MapRoundRobin, &m); err != nil {
-				t.Error(err)
-				return
-			}
-			st := NewStream(s, 1024, BalanceRoundRobin)
-			if err := st.OpenMap(&m, "r"); err != nil {
-				t.Error(err)
-				return
-			}
-			for {
-				blk, err := st.Read(false)
-				if err != nil {
-					t.Error(err)
-					return
-				}
-				if blk == nil {
-					break
-				}
-			}
-			peerFormat = st.PeerFormat(0)
-			if err := st.Close(); err != nil {
-				t.Error(err)
-			}
-		}},
-	)
-	if peerFormat != 3 {
-		t.Fatalf("reader recorded peer format %d, want 3", peerFormat)
+	got, err, _ := formatExchange(t, 3, 0, "dictionary")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != 1 || got[0] != "dictionary" {
+		t.Fatalf("payload = %v", got)
 	}
 }
 
-// TestStreamFormatV3RejectedByV2Reader: a reader that lowered its ceiling
-// to v2 refuses a v3 writer with an error naming both versions.
+// TestStreamFormatV3RejectedByV2Reader: a reader whose ceiling is v2
+// refuses a v3 writer with an error naming both versions.
 func TestStreamFormatV3RejectedByV2Reader(t *testing.T) {
-	var readErr error
-	runMPMD(t,
-		progSpec{"w", 1, func(s *Session) {
-			var m Map
-			if err := s.MapPartitions(1, MapRoundRobin, &m); err != nil {
-				t.Error(err)
-				return
-			}
-			st := NewStream(s, 1024, BalanceRoundRobin)
-			st.SetPackFormat(3)
-			if err := st.OpenMap(&m, "w"); err != nil {
-				t.Error(err)
-				return
-			}
-			_ = st.Write([]byte("dictionary"), 10)
-		}},
-		progSpec{"r", 1, func(s *Session) {
-			var m Map
-			if err := s.MapPartitions(0, MapRoundRobin, &m); err != nil {
-				t.Error(err)
-				return
-			}
-			st := NewStream(s, 1024, BalanceRoundRobin)
-			st.SetMaxPackFormat(2)
-			if err := st.OpenMap(&m, "r"); err != nil {
-				t.Error(err)
-				return
-			}
-			_, readErr = st.Read(false)
-		}},
-	)
-	if readErr == nil {
+	_, err, _ := formatExchange(t, 3, 2, "dictionary")
+	if err == nil {
 		t.Fatal("v2-capped reader accepted a v3 writer")
 	}
-	if !strings.Contains(readErr.Error(), "format v3") || !strings.Contains(readErr.Error(), "up to v2") {
-		t.Fatalf("rejection should name both formats, got: %v", readErr)
+	if !strings.Contains(err.Error(), "format v3") || !strings.Contains(err.Error(), "up to v2") {
+		t.Fatalf("rejection should name both formats, got: %v", err)
 	}
 }

@@ -162,9 +162,8 @@ type Stream struct {
 	// accepts, instead of letting the decoder choke on alien bytes later.
 	// Default-format writers announce nothing, so format-1 traffic is
 	// message-for-message identical to a pre-negotiation stream.
-	packFormat    int         // writer's announced payload format (0 ≡ 1)
-	maxPackFormat int         // reader's acceptance ceiling (0 ≡ DefaultMaxPackFormat)
-	peerFormat    map[int]int // reader: announced format per writer universe rank
+	packFormat    int // writer's announced payload format (0 ≡ 1)
+	maxPackFormat int // reader's acceptance ceiling (0 ≡ DefaultMaxPackFormat; only tests lower it)
 
 	// Reader state.
 	writers []int // writer universe ranks
@@ -259,11 +258,12 @@ func (st *Stream) SetChannel(ch int) {
 	st.channel = ch
 }
 
-// DefaultMaxPackFormat is the highest payload format a reader accepts
-// unless lowered with SetMaxPackFormat. Format 3 is the persistent
-// per-stream dictionary codec; its packs must be decoded in per-writer
-// order (trace.StreamDecoder), which the stream layer's per-writer
-// delivery order guarantees.
+// DefaultMaxPackFormat is the highest payload format a reader accepts: a
+// Read that has seen a writer announce a higher one fails with a
+// descriptive error instead of surfacing undecodable blocks. Format 3 is
+// the persistent per-stream dictionary codec; its packs must be decoded in
+// per-writer order (trace.StreamDecoder), which the stream layer's
+// per-writer delivery order guarantees.
 const DefaultMaxPackFormat = 3
 
 // SetPackFormat declares the payload format this writer will stream
@@ -281,41 +281,12 @@ func (st *Stream) SetPackFormat(v int) {
 	st.packFormat = v
 }
 
-// SetMaxPackFormat bounds the payload formats this reader accepts
-// (default DefaultMaxPackFormat). A Read that has seen a writer announce
-// a higher format fails with a descriptive error instead of surfacing
-// undecodable blocks.
-func (st *Stream) SetMaxPackFormat(v int) {
-	if v < 1 {
-		panic("vmpi: max pack format must be at least 1")
-	}
-	st.maxPackFormat = v
-}
-
-// PackFormat returns the writer's declared payload format.
-func (st *Stream) PackFormat() int {
-	if st.packFormat == 0 {
-		return 1
-	}
-	return st.packFormat
-}
-
 // MaxPackFormat returns the reader's acceptance ceiling.
 func (st *Stream) MaxPackFormat() int {
 	if st.maxPackFormat == 0 {
 		return DefaultMaxPackFormat
 	}
 	return st.maxPackFormat
-}
-
-// PeerFormat returns the payload format writer rank (universe) announced
-// to this reader — 1 when the writer never announced (the default
-// format), since announcements precede data on the same channel.
-func (st *Stream) PeerFormat(rank int) int {
-	if v, ok := st.peerFormat[rank]; ok {
-		return v
-	}
-	return 1
 }
 
 // Stats returns a consistent-enough copy of the endpoint's counters. Each
@@ -344,9 +315,6 @@ func (st *Stream) Stats() StreamStats {
 // instruments and reports its credit window to the credits-in-flight
 // gauge.
 func (st *Stream) SetTelemetry(m *telemetry.StreamMetrics) { st.tel = m }
-
-// BlockSize returns the stream's block size.
-func (st *Stream) BlockSize() int64 { return st.blockSize }
 
 // SetWriteDeadline bounds how long a Write (or a writer-half Close) may
 // block waiting for credits. When the deadline expires, every endpoint
@@ -705,10 +673,6 @@ func (st *Stream) Read(nonblock bool) (*Block, error) {
 			if v > st.MaxPackFormat() {
 				return nil, fmt.Errorf("vmpi: writer rank %d streams pack format v%d, reader accepts up to v%d", status.Source, v, st.MaxPackFormat())
 			}
-			if st.peerFormat == nil {
-				st.peerFormat = make(map[int]int, len(st.writers))
-			}
-			st.peerFormat[status.Source] = v
 		}
 		// Consume any close notifications first; the writer-side protocol
 		// guarantees all of a writer's data was acknowledged before its

@@ -1,6 +1,7 @@
 package vmpi
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 	"time"
@@ -258,19 +259,22 @@ func TestMapRandomCoversAllSlaves(t *testing.T) {
 	}
 }
 
+// TestMapUserFunc drives the pivot protocol with a mapping function that is
+// none of the built-in policies (the paper's "user-defined function"; no
+// caller passes one, so the seam is mapPartitions itself).
 func TestMapUserFunc(t *testing.T) {
 	var an0, an1 []int
 	reverse := func(i, sSize, mSize int) int { return (sSize - 1 - i) % mSize }
 	runMPMD(t,
 		progSpec{"app", 4, func(s *Session) {
 			var m Map
-			if err := s.MapPartitionsFunc(1, reverse, &m); err != nil {
+			if err := s.mapPartitions(1, 0, reverse, &m); err != nil {
 				t.Error(err)
 			}
 		}},
 		progSpec{"an", 2, func(s *Session) {
 			var m Map
-			if err := s.MapPartitionsFunc(0, reverse, &m); err != nil {
+			if err := s.mapPartitions(0, 0, reverse, &m); err != nil {
 				t.Error(err)
 				return
 			}
@@ -319,8 +323,13 @@ func TestMapAdditiveMultiInstrumentation(t *testing.T) {
 				}
 			}
 			targets = append([]int(nil), m.Targets()...)
-			perPart[0] = m.TargetsOf(0)
-			perPart[1] = m.TargetsOf(1)
+			for _, g := range targets {
+				for pid := range perPart {
+					if slices.Contains(s.Layout().Partition(pid).Globals, g) {
+						perPart[pid] = append(perPart[pid], g)
+					}
+				}
+			}
 		}},
 	)
 	if len(targets) != 5 {
@@ -340,15 +349,12 @@ func TestMapErrors(t *testing.T) {
 		if err := s.MapPartitions(42, MapRoundRobin, &m); err == nil {
 			t.Error("unknown partition should fail")
 		}
-		if err := s.MapPartitionsFunc(0, nil, &m); err == nil {
-			t.Error("nil map func should fail")
-		}
 	}})
 }
 
 func TestMapClear(t *testing.T) {
 	var m Map
-	m.add(0, 1, 2, 3)
+	m.add(1, 2, 3)
 	if m.Len() != 3 {
 		t.Fatalf("len = %d", m.Len())
 	}
