@@ -281,7 +281,7 @@ func BenchmarkRatioTradeoff(b *testing.B) {
 	ratios := []int{1, 4, 16, 64}
 	var pts []exp.OverheadPoint
 	for i := 0; i < b.N; i++ {
-		pts, err = exp.RatioSweepJ(p, w, ratios, 1)
+		pts, err = exp.RatioSweepJ(p, w, ratios, 1, trace.PackV1)
 		if err != nil {
 			b.Fatal(err)
 		}

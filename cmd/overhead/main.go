@@ -17,6 +17,7 @@ import (
 	"fmt"
 	"log"
 	"os"
+	"strings"
 
 	"repro/internal/cliutil"
 	"repro/internal/exp"
@@ -29,7 +30,7 @@ func main() {
 	log.SetFlags(0)
 	log.SetPrefix("overhead: ")
 	var (
-		benchFlag    = flag.String("benches", "BT.C,BT.D,CG.C,FT.C,LU.C,LU.D,SP.C,SP.D,EulerMHD", "benchmark list (NAME.CLASS or EulerMHD)")
+		benchFlag    = flag.String("benches", paperBenches(), "benchmark list (NAME.CLASS or EulerMHD)")
 		procsFlag    = flag.String("procs", "64,144,256,484,900", "process counts (snapped per benchmark)")
 		itersFlag    = flag.Int("iters", 12, "timesteps per run (0 = official NAS counts)")
 		ratioFlag    = flag.Int("ratio", 1, "writer/reader ratio for the analysis partition")
@@ -53,30 +54,15 @@ func main() {
 		log.Fatal(err)
 	}
 
-	// Resolve the measurement grid up front (snapping and skip rules are
-	// cheap), then fan the independent simulations out over the pool.
-	var grid []*nas.Workload
-	for _, c := range cases {
-		seen := map[int]bool{}
-		for _, p := range procs {
-			p = nas.ValidProcs(c.Kind, p)
-			if p < 2 || seen[p] {
-				continue
-			}
-			seen[p] = true
-			w, err := nas.ByName(c.Kind, c.Class, p, *itersFlag)
-			if err != nil {
-				continue // unsupported combination, omitted like the paper
-			}
-			grid = append(grid, w)
-		}
-	}
+	// Resolve the measurement grid up front, then fan the independent
+	// simulations out over the pool.
+	grid := exp.Fig15Grid(cases, procs, *itersFlag)
 	packVersion, err := cliutil.ResolvePackFormat(*formatFlag)
 	if err != nil {
 		log.Fatal(err)
 	}
 	points, err := runner.Run(len(grid), *jFlag, func(i int) (exp.OverheadPoint, error) {
-		pt, err := exp.MeasureOverheadAvgV(platform, grid[i], exp.ToolOnline, *ratioFlag, *repeatFlag, packVersion)
+		pt, err := exp.MeasureOverheadAvg(platform, grid[i], exp.ToolOnline, *ratioFlag, *repeatFlag, packVersion)
 		if err != nil {
 			return exp.OverheadPoint{}, err
 		}
@@ -103,6 +89,19 @@ func main() {
 		fmt.Sprintf("Figure 15: online-coupling overhead at ratio 1:%d on %s (%d passes averaged)",
 			*ratioFlag, platform.Name, *repeatFlag),
 		points)
+}
+
+// paperBenches renders the paper's Figure 15 series as a -benches value.
+func paperBenches() string {
+	var names []string
+	for _, c := range exp.Fig15Cases() {
+		name := c.Kind
+		if c.Class != 0 {
+			name += "." + string(c.Class)
+		}
+		names = append(names, name)
+	}
+	return strings.Join(names, ",")
 }
 
 func parseCases(s string) ([]exp.Fig15Case, error) {

@@ -46,7 +46,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	points, err := exp.Fig16SweepJV(platform, procs, *itersFlag, *jFlag, packVersion)
+	points, err := exp.Fig16SweepJ(platform, procs, *itersFlag, *jFlag, packVersion)
 	if err != nil {
 		log.Fatal(err)
 	}

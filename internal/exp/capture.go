@@ -8,7 +8,6 @@ import (
 	"repro/internal/mpi"
 	"repro/internal/nas"
 	"repro/internal/report"
-	"repro/internal/trace"
 	"repro/internal/vmpi"
 )
 
@@ -66,20 +65,22 @@ type Capture struct {
 	Labels map[uint32]string
 }
 
-// CaptureRun executes the same instrumented simulation as ProfileRun —
-// identical world, streams, pack encoding and modeled analysis cost — but
-// instead of analyzing, the analyzer partition tees every incoming block
-// into the returned Capture. Because the analysis engine is host-side in
-// ProfileRun (the simulated analyzer only charges Compute time, which
-// CaptureRun charges identically), the captured packs, wall times and
-// loss counters are exactly what the in-process pipeline would have seen.
+// CaptureRun executes the instrumented simulation of ProfileRun with the
+// analysis taken out: the analyzer partition tees every incoming block into
+// the returned Capture and charges the block's modeled analysis cost. Both
+// are one coupledRun under options resolved by one function, and the
+// analysis engine is host-side in ProfileRun (its simulated analyzer only
+// charges that same Compute time), so the captured packs, wall times and
+// loss counters are exactly what the in-process pipeline would have seen
+// (TestCaptureRunMatchesProfileRun).
 //
 // Options that require the in-process engine are rejected: Telemetry and
 // Adaptive close loops through the live blackboard, trees reshape the
 // transport below the capture point, and Export needs the raw event flow.
 func CaptureRun(p Platform, workloads []*nas.Workload, opts ProfileOptions) (*Capture, error) {
-	if len(workloads) == 0 {
-		return nil, fmt.Errorf("exp: no workloads to capture")
+	co, err := opts.resolve(workloads)
+	if err != nil {
+		return nil, err
 	}
 	if opts.Telemetry || opts.Adaptive {
 		return nil, fmt.Errorf("exp: capture cannot host the telemetry/adaptive loop (it has no analysis engine)")
@@ -91,36 +92,9 @@ func CaptureRun(p Platform, workloads []*nas.Workload, opts ProfileOptions) (*Ca
 		return nil, fmt.Errorf("exp: trace export needs the in-process engine")
 	}
 
-	appProcs := 0
-	for _, w := range workloads {
-		appProcs += w.Procs
-	}
-	analyzers := opts.Analyzers
-	if analyzers <= 0 {
-		analyzers = (appProcs + 15) / 16
-	}
-	packBytes := opts.PackBytes
-	if packBytes <= 0 {
-		packBytes = StreamBlockSize
-	}
-	packVersion := opts.PackVersion
-	if packVersion == 0 {
-		packVersion = trace.PackV1
-	}
-	if packVersion < trace.PackV1 || packVersion > trace.PackV3 {
-		return nil, fmt.Errorf("exp: unknown pack version %d", packVersion)
-	}
-	rate := opts.AnalyzerByteRate
-	if rate <= 0 {
-		rate = AnalyzerByteRate
-	}
-	cost := func(bytes int64) time.Duration {
-		return time.Duration(float64(bytes) / rate * 1e9)
-	}
-
 	cp := &Capture{
 		PlatformName:     p.Name,
-		PackVersion:      packVersion,
+		PackVersion:      co.packVersion,
 		WaitState:        opts.WaitState,
 		TemporalWindowNs: opts.TemporalWindowNs,
 		Callsites:        opts.Callsites,
@@ -136,103 +110,30 @@ func CaptureRun(p Platform, workloads []*nas.Workload, opts ProfileOptions) (*Ca
 		}
 	}
 
-	var layout *vmpi.Layout
-	var runErr error
-	fail := func(err error) {
-		if runErr == nil {
-			runErr = err
-		}
-	}
-
-	type lossProbe struct {
-		app  string
-		rank int
-		rec  *instrument.OnlineRecorder
-	}
-	var probes []*lossProbe
-
-	programs := make([]mpi.Program, 0, len(workloads)+1)
-	for _, w := range workloads {
-		w := w
-		programs = append(programs, mpi.Program{
-			Name: w.Name, Cmdline: "./" + w.Name, Procs: w.Procs,
-			Main: func(r *mpi.Rank) {
-				sess := layout.Init(r)
-				m := instrument.New(r, sess.WorldComm())
-				cfg := instrument.OnlineConfig{
-					AppID:        uint32(sess.PartitionID()),
-					RecordSize:   EventRecordSize,
-					PackBytes:    packBytes,
-					PerEventCost: OnlinePerEventCost,
-					SizeOnly:     false,
-				}
-				cfg.PackVersion = packVersion
-				rec, err := instrument.AttachOnline(sess, "Analyzer", cfg)
-				if err != nil {
-					fail(err)
-					return
-				}
-				m.SetRecorder(rec)
-				probes = append(probes, &lossProbe{app: w.Name, rank: sess.LocalRank(), rec: rec})
-				w.Run(m)
-			},
-		})
-	}
-	programs = append(programs, mpi.Program{
-		Name: "Analyzer", Cmdline: "./analyzer", Procs: analyzers,
-		Main: func(r *mpi.Rank) {
-			sess := layout.Init(r)
-			var m vmpi.Map
-			for pid := 0; pid < len(workloads); pid++ {
-				if pid == sess.PartitionID() {
-					continue
-				}
-				if err := sess.MapPartitions(pid, vmpi.MapRoundRobin, &m); err != nil {
-					fail(err)
-					return
-				}
-			}
-			st := vmpi.NewStream(sess, int64(packBytes), vmpi.BalanceRoundRobin)
-			if err := st.OpenMap(&m, "r"); err != nil {
-				fail(err)
-				return
-			}
-			for {
-				blk, err := st.Read(false)
-				if err != nil {
-					fail(err)
-					return
-				}
-				if blk == nil {
-					break
-				}
-				// Tee the block: the payload goes back to the pool, so the
-				// capture keeps its own copy. The modeled analysis cost is
-				// charged exactly as the live pipeline charges it, keeping
-				// the virtual timeline — and with it every pack boundary,
-				// wall time and credit decision — identical.
-				cp.Packs = append(cp.Packs, CapturedPack{
-					Src:  blk.From,
-					Data: append([]byte(nil), blk.Payload...),
-				})
-				r.Compute(cost(blk.Size))
-				blk.Release()
-			}
-			st.Close()
-		},
-	})
-
-	world := mpi.NewWorld(p.MPIConfig(appProcs+analyzers), programs...)
-	layout = vmpi.NewLayout(world)
-	if err := world.Run(); err != nil {
+	run := &coupledRun{blockSize: int64(co.packBytes)}
+	if err := run.instrumented(workloads, instrument.OnlineConfig{PackVersion: co.packVersion}, nil); err != nil {
 		return nil, err
 	}
-	if runErr != nil {
-		return nil, runErr
+	run.analyzer(co.analyzers, nil, false, func(r *mpi.Rank, _ *vmpi.Session) (reader, error) {
+		return reader{onBlock: func(blk *vmpi.Block) error {
+			// Tee the block: the payload goes back to the pool, so the
+			// capture keeps its own copy.
+			cp.Packs = append(cp.Packs, CapturedPack{
+				Src:  blk.From,
+				Data: append([]byte(nil), blk.Payload...),
+			})
+			r.Compute(co.cost(blk.Size))
+			blk.Release()
+			return nil
+		}}, nil
+	})
+	run.build(p, 1)
+	if err := run.run(); err != nil {
+		return nil, err
 	}
 
 	for i, w := range workloads {
-		part := layout.DescByName(w.Name)
+		part := run.layout.DescByName(w.Name)
 		if part == nil {
 			return nil, fmt.Errorf("exp: partition %q missing", w.Name)
 		}
@@ -240,17 +141,11 @@ func CaptureRun(p Platform, workloads []*nas.Workload, opts ProfileOptions) (*Ca
 			Name:     w.Name,
 			Procs:    w.Procs,
 			AppID:    uint32(part.ID),
-			WallTime: time.Duration(world.ProgramFinish(i).Duration()),
+			WallTime: time.Duration(run.world.ProgramFinish(i).Duration()),
 		})
 	}
-	for _, pr := range probes {
-		st := pr.rec.StreamStats()
-		cp.Loss = append(cp.Loss, report.StreamLossRow{
-			App:          pr.app,
-			Rank:         pr.rank,
-			Dropped:      st.BlocksDropped,
-			LostInFlight: st.BlocksLostInFlight,
-		})
+	cp.Loss = run.lossRows()
+	for _, pr := range run.probes {
 		cp.Events += pr.rec.Events()
 	}
 	return cp, nil

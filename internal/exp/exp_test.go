@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/analysis"
+	"repro/internal/exp/runner"
 	"repro/internal/nas"
 	"repro/internal/otf2lite"
 	"repro/internal/trace"
@@ -167,7 +168,7 @@ func TestToolOrdering(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref, err := runReference(p, w)
+	ref, err := runReferenceSeed(p, w, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,7 +202,10 @@ func TestToolOrdering(t *testing.T) {
 
 func TestFig15SweepShape(t *testing.T) {
 	p := Tera100()
-	pts, err := Fig15SweepJ(p, []Fig15Case{{"SP", nas.ClassC}, {"LU", nas.ClassC}}, []int{16, 64}, 3, 1)
+	grid := Fig15Grid([]Fig15Case{{"SP", nas.ClassC}, {"LU", nas.ClassC}}, []int{16, 64}, 3)
+	pts, err := runner.Run(len(grid), 1, func(i int) (OverheadPoint, error) {
+		return MeasureOverheadAvg(p, grid[i], ToolOnline, 1, 3, trace.PackV1)
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,7 +231,7 @@ func TestFig15SweepShape(t *testing.T) {
 
 func TestFig16SweepContainsAllTools(t *testing.T) {
 	p := Curie()
-	pts, err := Fig16SweepJ(p, []int{64}, 3, 1)
+	pts, err := Fig16SweepJ(p, []int{64}, 3, 1, trace.PackV1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -317,7 +321,7 @@ func TestMeasureOverheadAvgAverages(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	avg, err := MeasureOverheadAvg(p, w, ToolOnline, 1, 3)
+	avg, err := MeasureOverheadAvg(p, w, ToolOnline, 1, 3, trace.PackV1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -328,7 +332,7 @@ func TestMeasureOverheadAvgAverages(t *testing.T) {
 		t.Fatalf("missing values: %+v", avg)
 	}
 	// Averaging must be deterministic.
-	avg2, err := MeasureOverheadAvg(p, w, ToolOnline, 1, 3)
+	avg2, err := MeasureOverheadAvg(p, w, ToolOnline, 1, 3, trace.PackV1)
 	if err != nil {
 		t.Fatal(err)
 	}

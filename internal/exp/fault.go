@@ -7,10 +7,8 @@ import (
 
 	"repro/internal/des"
 	"repro/internal/exp/runner"
-	"repro/internal/instrument"
-	"repro/internal/mpi"
 	"repro/internal/nas"
-	"repro/internal/vmpi"
+	"repro/internal/trace"
 )
 
 // FaultPoint is one measurement of the online coupling under analyzer
@@ -47,115 +45,6 @@ type FaultPoint struct {
 	FellBack int
 }
 
-// faultRun is one instrumented execution with optional analyzer crashes.
-type faultRun struct {
-	seconds  float64
-	analyzed int64 // bytes that reached an analyzer
-	produced int64
-	stats    vmpi.StreamStats
-	fellBack int
-}
-
-// runOnlineFaulty is runOnlineCost with failure-aware coupling: writers
-// get a write deadline and failover endpoints spanning the whole analysis
-// partition, analyzers read from every potential writer, and killN
-// analyzer ranks are crashed at killAt. killN = 0 measures the healthy
-// baseline with identical plumbing.
-func runOnlineFaulty(p Platform, w *nas.Workload, ratio int, deadline time.Duration, killAt des.Time, killN int, seed int64) (faultRun, error) {
-	analyzers := Readers(w.Procs, ratio)
-	if killN > analyzers {
-		killN = analyzers
-	}
-	var layout *vmpi.Layout
-	var runErr error
-	var res faultRun
-	fail := func(err error) {
-		if runErr == nil {
-			runErr = err
-		}
-	}
-	cfg := p.MPIConfig(w.Procs + analyzers)
-	cfg.Seed = seed
-	world := mpi.NewWorld(cfg,
-		mpi.Program{Name: w.Name, Cmdline: "./" + w.Name, Procs: w.Procs, Main: func(r *mpi.Rank) {
-			sess := layout.Init(r)
-			m := instrument.New(r, sess.WorldComm())
-			cfg := instrument.OnlineConfig{
-				AppID:             uint32(sess.PartitionID()),
-				RecordSize:        EventRecordSize,
-				PackBytes:         StreamBlockSize,
-				PerEventCost:      OnlinePerEventCost,
-				SizeOnly:          true,
-				WriteDeadline:     deadline,
-				FailoverEndpoints: analyzers - 1,
-			}
-			rec, err := instrument.AttachOnline(sess, "Analyzer", cfg)
-			if err != nil {
-				fail(err)
-				return
-			}
-			m.SetRecorder(rec)
-			w.Run(m)
-			res.produced += rec.BytesProduced()
-			st := rec.StreamStats()
-			res.stats.Failovers += st.Failovers
-			res.stats.Quarantines += st.Quarantines
-			res.stats.BlocksDropped += st.BlocksDropped
-			if rec.FellBack() {
-				res.fellBack++
-			}
-		}},
-		mpi.Program{Name: "Analyzer", Cmdline: "./analyzer", Procs: analyzers, Main: func(r *mpi.Rank) {
-			sess := layout.Init(r)
-			var m vmpi.Map
-			var writers []int
-			for pid := 0; pid < sess.Layout().PartitionCount(); pid++ {
-				if pid == sess.PartitionID() {
-					continue
-				}
-				if err := sess.MapPartitions(pid, vmpi.MapRoundRobin, &m); err != nil {
-					fail(err)
-					return
-				}
-				writers = append(writers, sess.Layout().Partition(pid).Globals...)
-			}
-			// Any writer may fail over here, so the read stream spans the
-			// full application partition, not just the mapped writers.
-			st := vmpi.NewStream(sess, StreamBlockSize, vmpi.BalanceRoundRobin)
-			if err := st.OpenRanks(writers, "r"); err != nil {
-				fail(err)
-				return
-			}
-			for {
-				blk, err := st.Read(false)
-				if err != nil {
-					fail(err)
-					return
-				}
-				if blk == nil {
-					break
-				}
-				res.analyzed += blk.Size
-				r.Compute(analysisCost(blk.Size))
-				blk.Release()
-			}
-			st.Close()
-		}},
-	)
-	layout = vmpi.NewLayout(world)
-	for k := 0; k < killN; k++ {
-		world.FailRank(killAt, w.Procs+k)
-	}
-	if err := world.Run(); err != nil {
-		return faultRun{}, err
-	}
-	if runErr != nil {
-		return faultRun{}, runErr
-	}
-	res.seconds = world.ProgramFinish(0).Seconds()
-	return res, nil
-}
-
 // DefaultWriteDeadline is the back-pressure bound used by the fault
 // experiments: long against a healthy analyzer's block turnaround, short
 // against an application run.
@@ -177,18 +66,16 @@ func FaultSweepJ(p Platform, w *nas.Workload, ratio int, failFracs []float64, ki
 	if deadline <= 0 {
 		deadline = DefaultWriteDeadline
 	}
-	if n := Readers(w.Procs, ratio); killN > n {
-		killN = n
-	}
-	ref, err := runReference(p, w)
+	analyzers := Readers(w.Procs, ratio)
+	killN = min(killN, analyzers)
+	ref, err := runReferenceSeed(p, w, 1)
 	if err != nil {
 		return nil, fmt.Errorf("exp: reference run of %s/%d: %w", w.Name, w.Procs, err)
 	}
-	healthy, err := runOnlineFaulty(p, w, ratio, deadline, 0, 0, 1)
+	healthy, err := runOnline(p, w, ratio, 1, trace.PackV1, &faults{deadline: deadline})
 	if err != nil {
 		return nil, fmt.Errorf("exp: healthy coupled run of %s/%d: %w", w.Name, w.Procs, err)
 	}
-	analyzers := Readers(w.Procs, ratio)
 	return runner.Run(len(failFracs), j, func(i int) (FaultPoint, error) {
 		frac := failFracs[i]
 		killAt := des.DurationToTime(time.Duration(frac * healthy.seconds * float64(time.Second)))
@@ -197,7 +84,7 @@ func FaultSweepJ(p Platform, w *nas.Workload, ratio int, failFracs []float64, ki
 			// the map protocol is not fault-aware.
 			killAt = des.DurationToTime(time.Millisecond)
 		}
-		faulty, err := runOnlineFaulty(p, w, ratio, deadline, killAt, killN, 1)
+		faulty, err := runOnline(p, w, ratio, 1, trace.PackV1, &faults{deadline, killAt, killN})
 		if err != nil {
 			return FaultPoint{}, fmt.Errorf("exp: faulty run of %s/%d at frac %.2f: %w", w.Name, w.Procs, frac, err)
 		}

@@ -5,6 +5,7 @@ import (
 	"io"
 	"time"
 
+	"repro/internal/des"
 	"repro/internal/exp/runner"
 	"repro/internal/instrument"
 	"repro/internal/mpi"
@@ -85,13 +86,8 @@ type OverheadPoint struct {
 	Bi float64
 }
 
-// runReference executes the workload uninstrumented and returns its wall
-// time in seconds.
-func runReference(p Platform, w *nas.Workload) (float64, error) {
-	return runReferenceSeed(p, w, 1)
-}
-
-// runReferenceSeed is runReference under a specific noise seed.
+// runReferenceSeed executes the workload uninstrumented under the given
+// noise seed and returns its wall time in seconds.
 func runReferenceSeed(p Platform, w *nas.Workload, seed int64) (float64, error) {
 	var comm *mpi.Comm
 	cfg := p.MPIConfig(w.Procs)
@@ -107,91 +103,77 @@ func runReferenceSeed(p Platform, w *nas.Workload, seed int64) (float64, error) 
 	return world.ProgramFinish(0).Seconds(), nil
 }
 
-// runOnline executes the workload under the online coupling at the given
-// writer/reader ratio and returns (wall seconds, data bytes, logical
-// bytes, events).
-func runOnline(p Platform, w *nas.Workload, ratio int, seed int64, packVersion int) (float64, int64, int64, int64, error) {
-	return runOnlineCost(p, w, ratio, OnlinePerEventCost, seed, packVersion)
+// faults makes a coupled overhead run failure-aware: writers get the write
+// deadline and failover endpoints spanning the whole analysis partition,
+// analyzers read from every potential writer, and killN analyzer ranks are
+// crashed at killAt (0 of them measures the healthy baseline, on the same
+// plumbing; at most the partition's size).
+type faults struct {
+	deadline time.Duration
+	killAt   des.Time
+	killN    int
 }
 
-// runOnlineCost is runOnline with an explicit per-event capture cost.
-func runOnlineCost(p Platform, w *nas.Workload, ratio int, perEvent time.Duration, seed int64, packVersion int) (float64, int64, int64, int64, error) {
+// onlineRun is one execution under the online coupling.
+type onlineRun struct {
+	seconds float64
+	// produced is the bytes that crossed the streams, logical their
+	// fixed-record volume, analyzed the bytes that reached an analyzer.
+	produced, logical, analyzed int64
+	events                      int64
+	stats                       vmpi.StreamStats
+	fellBack                    int
+}
+
+// runOnline executes the workload under the online coupling at the given
+// writer/reader ratio, with size-only packs and analyzers that charge
+// each block's modeled unpack and analysis time; f, when non-nil, makes
+// the coupling failure-aware and schedules its crashes.
+func runOnline(p Platform, w *nas.Workload, ratio int, seed int64, packVersion int, f *faults) (onlineRun, error) {
 	analyzers := Readers(w.Procs, ratio)
-	var layout *vmpi.Layout
-	var runErr error
-	var bytes, logical, events int64
-	fail := func(err error) {
-		if runErr == nil {
-			runErr = err
+	cfg := instrument.OnlineConfig{SizeOnly: true, PackVersion: packVersion}
+	if f != nil {
+		cfg.WriteDeadline = f.deadline
+		cfg.FailoverEndpoints = analyzers - 1
+	}
+	c := &coupledRun{blockSize: StreamBlockSize}
+	if err := c.instrumented([]*nas.Workload{w}, cfg, nil); err != nil {
+		return onlineRun{}, err
+	}
+	var res onlineRun
+	c.analyzer(analyzers, nil, f != nil, func(r *mpi.Rank, _ *vmpi.Session) (reader, error) {
+		return reader{onBlock: func(blk *vmpi.Block) error {
+			res.analyzed += blk.Size
+			// The bytes are not retained past this point, so recycle the
+			// payload.
+			r.Compute(analysisCost(blk.Size))
+			blk.Release()
+			return nil
+		}}, nil
+	})
+	c.build(p, seed)
+	if f != nil {
+		for k := 0; k < f.killN; k++ {
+			c.world.FailRank(f.killAt, w.Procs+k)
 		}
 	}
-	cfg := p.MPIConfig(w.Procs + analyzers)
-	cfg.Seed = seed
-	world := mpi.NewWorld(cfg,
-		mpi.Program{Name: w.Name, Cmdline: "./" + w.Name, Procs: w.Procs, Main: func(r *mpi.Rank) {
-			sess := layout.Init(r)
-			m := instrument.New(r, sess.WorldComm())
-			cfg := instrument.OnlineConfig{
-				AppID:        uint32(sess.PartitionID()),
-				RecordSize:   EventRecordSize,
-				PackBytes:    StreamBlockSize,
-				PerEventCost: perEvent,
-				SizeOnly:     true,
-				PackVersion:  packVersion,
-			}
-			rec, err := instrument.AttachOnline(sess, "Analyzer", cfg)
-			if err != nil {
-				fail(err)
-				return
-			}
-			m.SetRecorder(rec)
-			w.Run(m)
-			bytes += rec.BytesProduced()
-			logical += rec.LogicalBytes()
-			events += rec.Events()
-		}},
-		mpi.Program{Name: "Analyzer", Cmdline: "./analyzer", Procs: analyzers, Main: func(r *mpi.Rank) {
-			sess := layout.Init(r)
-			var m vmpi.Map
-			for pid := 0; pid < sess.Layout().PartitionCount(); pid++ {
-				if pid == sess.PartitionID() {
-					continue
-				}
-				if err := sess.MapPartitions(pid, vmpi.MapRoundRobin, &m); err != nil {
-					fail(err)
-					return
-				}
-			}
-			st := vmpi.NewStream(sess, StreamBlockSize, vmpi.BalanceRoundRobin)
-			if err := st.OpenMap(&m, "r"); err != nil {
-				fail(err)
-				return
-			}
-			for {
-				blk, err := st.Read(false)
-				if err != nil {
-					fail(err)
-					return
-				}
-				if blk == nil {
-					break
-				}
-				// Unpack + analysis cost for the block; the bytes are not
-				// retained past this point, so recycle the payload.
-				r.Compute(analysisCost(blk.Size))
-				blk.Release()
-			}
-			st.Close()
-		}},
-	)
-	layout = vmpi.NewLayout(world)
-	if err := world.Run(); err != nil {
-		return 0, 0, 0, 0, err
+	if err := c.run(); err != nil {
+		return onlineRun{}, err
 	}
-	if runErr != nil {
-		return 0, 0, 0, 0, runErr
+	res.seconds = c.world.ProgramFinish(0).Seconds()
+	for _, pr := range c.probes {
+		res.produced += pr.rec.BytesProduced()
+		res.logical += pr.rec.LogicalBytes()
+		res.events += pr.rec.Events()
+		st := pr.rec.StreamStats()
+		res.stats.Failovers += st.Failovers
+		res.stats.Quarantines += st.Quarantines
+		res.stats.BlocksDropped += st.BlocksDropped
+		if pr.rec.FellBack() {
+			res.fellBack++
+		}
 	}
-	return world.ProgramFinish(0).Seconds(), bytes, logical, events, nil
+	return res, nil
 }
 
 // analysisCost converts an incoming block size to analyzer processing
@@ -271,7 +253,7 @@ func runFileTool(p Platform, w *nas.Workload, tool Tool, seed int64) (float64, i
 // tool, returning the relative overhead point. ratio applies to the online
 // tool only.
 func MeasureOverhead(p Platform, w *nas.Workload, tool Tool, ratio int) (OverheadPoint, error) {
-	ref, err := runReference(p, w)
+	ref, err := runReferenceSeed(p, w, 1)
 	if err != nil {
 		return OverheadPoint{}, fmt.Errorf("exp: reference run of %s/%d: %w", w.Name, w.Procs, err)
 	}
@@ -294,7 +276,9 @@ func measureOverheadSeed(p Platform, w *nas.Workload, tool Tool, ratio int, ref 
 	case ToolOnline:
 		pt.Ratio = ratio
 		pt.PackVersion = packVersion
-		pt.Seconds, pt.DataBytes, pt.LogicalBytes, pt.Events, err = runOnline(p, w, ratio, seed, packVersion)
+		var run onlineRun
+		run, err = runOnline(p, w, ratio, seed, packVersion, nil)
+		pt.Seconds, pt.DataBytes, pt.LogicalBytes, pt.Events = run.seconds, run.produced, run.logical, run.events
 	default:
 		pt.Seconds, pt.DataBytes, pt.Events, err = runFileTool(p, w, tool, seed)
 	}
@@ -311,42 +295,43 @@ func measureOverheadSeed(p Platform, w *nas.Workload, tool Tool, ratio int, ref 
 // MeasureOverheadAvg repeats the paired (reference, tool) measurement
 // under `repeats` different noise seeds and averages, exactly as the paper
 // averages its 3 to 5 passes to suppress measurement noise. Each seed
-// draws a fresh ±0.2 % per-rank compute-jitter realization.
-func MeasureOverheadAvg(p Platform, w *nas.Workload, tool Tool, ratio, repeats int) (OverheadPoint, error) {
-	return MeasureOverheadAvgV(p, w, tool, ratio, repeats, trace.PackV1)
-}
-
-// MeasureOverheadAvgV is MeasureOverheadAvg with an explicit pack wire
-// format for the online tool (trace.PackV1 or trace.PackV2).
-func MeasureOverheadAvgV(p Platform, w *nas.Workload, tool Tool, ratio, repeats, packVersion int) (OverheadPoint, error) {
-	if repeats < 1 {
-		repeats = 1
-	}
-	var acc OverheadPoint
-	for s := 0; s < repeats; s++ {
+// draws a fresh ±0.2 % per-rank compute-jitter realization. packVersion is
+// the online tool's pack wire format (0 = trace.PackV1).
+func MeasureOverheadAvg(p Platform, w *nas.Workload, tool Tool, ratio, repeats, packVersion int) (OverheadPoint, error) {
+	pts := make([]OverheadPoint, max(repeats, 1))
+	for s := range pts {
 		seed := int64(s + 1)
 		ref, err := runReferenceSeed(p, w, seed)
 		if err != nil {
 			return OverheadPoint{}, fmt.Errorf("exp: reference run of %s/%d: %w", w.Name, w.Procs, err)
 		}
-		pt, err := measureOverheadSeed(p, w, tool, ratio, ref, seed, packVersion)
-		if err != nil {
+		if pts[s], err = measureOverheadSeed(p, w, tool, ratio, ref, seed, packVersion); err != nil {
 			return OverheadPoint{}, err
 		}
-		acc.Bench, acc.Procs, acc.Tool, acc.Ratio = pt.Bench, pt.Procs, pt.Tool, pt.Ratio
-		acc.PackVersion = pt.PackVersion
+	}
+	return averageOverhead(pts), nil
+}
+
+// averageOverhead folds one configuration's per-seed points, in seed order
+// (so the floating-point sums do not depend on how the runs were scheduled):
+// times and overhead are means, volumes are the last seed's.
+func averageOverhead(pts []OverheadPoint) OverheadPoint {
+	acc := pts[len(pts)-1]
+	acc.RefSeconds, acc.Seconds, acc.OverheadPct = 0, 0, 0
+	for _, pt := range pts {
 		acc.RefSeconds += pt.RefSeconds
 		acc.Seconds += pt.Seconds
 		acc.OverheadPct += pt.OverheadPct
-		acc.DataBytes, acc.LogicalBytes, acc.Events = pt.DataBytes, pt.LogicalBytes, pt.Events
 	}
-	acc.RefSeconds /= float64(repeats)
-	acc.Seconds /= float64(repeats)
-	acc.OverheadPct /= float64(repeats)
+	n := float64(len(pts))
+	acc.RefSeconds /= n
+	acc.Seconds /= n
+	acc.OverheadPct /= n
+	acc.Bi = 0
 	if acc.Seconds > 0 {
 		acc.Bi = float64(acc.DataBytes) / acc.Seconds
 	}
-	return acc, nil
+	return acc
 }
 
 // Fig15Case is one benchmark series of Figure 15.
@@ -369,17 +354,15 @@ func Fig15Cases() []Fig15Case {
 	}
 }
 
-// Fig15SweepJ measures online-coupling overhead (1:1 ratio, as in the
-// paper) for each case over the given process counts. iters reduces the
-// timestep count (0 = official counts). Process counts are snapped to each
-// benchmark's constraint; unsupported/degenerate combinations are skipped,
-// as the paper omits them.
-//
-// It runs on j parallel workers (j <= 0 means GOMAXPROCS). The case grid is
-// resolved up front (snapping and skip rules are cheap and
-// order-dependent); the measurements then fan out, one independent
-// simulation set per grid point, yielding output byte-identical whatever j.
-func Fig15SweepJ(p Platform, cases []Fig15Case, procsList []int, iters, j int) ([]OverheadPoint, error) {
+// Fig15Grid resolves the Figure 15 measurement grid: each case over the
+// given process counts, in case order. iters reduces the timestep count
+// (0 = official counts). Process counts are snapped to each benchmark's
+// constraint; unsupported/degenerate combinations are skipped, as the paper
+// omits them. The grid is resolved up front because snapping and the skip
+// rules are cheap and order-dependent; the measurements (MeasureOverheadAvg
+// of ToolOnline at 1:1, as in the paper) are then independent simulations,
+// one set per grid point, and can fan out over a runner.
+func Fig15Grid(cases []Fig15Case, procsList []int, iters int) []*nas.Workload {
 	var grid []*nas.Workload
 	for _, c := range cases {
 		seen := map[int]bool{}
@@ -396,28 +379,21 @@ func Fig15SweepJ(p Platform, cases []Fig15Case, procsList []int, iters, j int) (
 			grid = append(grid, w)
 		}
 	}
-	return runner.Run(len(grid), j, func(i int) (OverheadPoint, error) {
-		return MeasureOverheadAvg(p, grid[i], ToolOnline, 1, 3)
-	})
+	return grid
 }
 
 // Fig16SweepJ measures SP.D under every tool configuration over the given
 // process counts, averaging 5 noise seeds per point as the paper does on
 // Curie. Reference runs are computed once per seed and shared across the
-// tools.
+// tools. packVersion is the online tool's pack wire format; the file-based
+// tools are unaffected.
 //
 // It runs on j parallel workers (j <= 0 means GOMAXPROCS). For each process
 // count the per-seed reference runs fan out first (the tool runs need
 // them), then the tool×seed measurement grid fans out; the per-tool
 // averages are folded in seed order afterwards, so the floating-point sums
 // — and therefore the output — are byte-identical whatever j.
-func Fig16SweepJ(p Platform, procsList []int, iters, j int) ([]OverheadPoint, error) {
-	return Fig16SweepJV(p, procsList, iters, j, trace.PackV1)
-}
-
-// Fig16SweepJV is Fig16SweepJ with an explicit pack wire format for the
-// online tool; the file-based tools are unaffected.
-func Fig16SweepJV(p Platform, procsList []int, iters, j, packVersion int) ([]OverheadPoint, error) {
+func Fig16SweepJ(p Platform, procsList []int, iters, j, packVersion int) ([]OverheadPoint, error) {
 	const repeats = 5
 	var out []OverheadPoint
 	for _, procs := range procsList {
@@ -441,23 +417,7 @@ func Fig16SweepJV(p Platform, procsList []int, iters, j, packVersion int) ([]Ove
 			return out, err
 		}
 		for t := range tools {
-			var acc OverheadPoint
-			for sd := 0; sd < repeats; sd++ {
-				pt := pts[t*repeats+sd]
-				acc.Bench, acc.Procs, acc.Tool, acc.Ratio = pt.Bench, pt.Procs, pt.Tool, pt.Ratio
-				acc.PackVersion = pt.PackVersion
-				acc.RefSeconds += pt.RefSeconds
-				acc.Seconds += pt.Seconds
-				acc.OverheadPct += pt.OverheadPct
-				acc.DataBytes, acc.LogicalBytes, acc.Events = pt.DataBytes, pt.LogicalBytes, pt.Events
-			}
-			acc.RefSeconds /= repeats
-			acc.Seconds /= repeats
-			acc.OverheadPct /= repeats
-			if acc.Seconds > 0 {
-				acc.Bi = float64(acc.DataBytes) / acc.Seconds
-			}
-			out = append(out, acc)
+			out = append(out, averageOverhead(pts[t*repeats:(t+1)*repeats]))
 		}
 	}
 	return out, nil
@@ -496,14 +456,10 @@ func humanBytes(b int64) string {
 //
 // It runs on j parallel workers (j <= 0 means GOMAXPROCS). The shared
 // reference run executes first; the per-ratio coupled runs are independent
-// simulations and fan out. Output is byte-identical whatever j.
-func RatioSweepJ(p Platform, w *nas.Workload, ratios []int, j int) ([]OverheadPoint, error) {
-	return RatioSweepJV(p, w, ratios, j, trace.PackV1)
-}
-
-// RatioSweepJV is RatioSweepJ with an explicit pack wire format.
-func RatioSweepJV(p Platform, w *nas.Workload, ratios []int, j, packVersion int) ([]OverheadPoint, error) {
-	ref, err := runReference(p, w)
+// simulations and fan out. Output is byte-identical whatever j. packVersion
+// is the pack wire format (0 = trace.PackV1).
+func RatioSweepJ(p Platform, w *nas.Workload, ratios []int, j, packVersion int) ([]OverheadPoint, error) {
+	ref, err := runReferenceSeed(p, w, 1)
 	if err != nil {
 		return nil, err
 	}

@@ -77,131 +77,73 @@ type PackedStreamPoint struct {
 // the logical per-event record size (EventRecordSize in the paper's
 // calibration).
 func StreamThroughputPacked(p Platform, writers, ratio int, perWriter, blockSize int64, recordSize, packVersion int) (PackedStreamPoint, error) {
-	readers := Readers(writers, ratio)
-	var layout *vmpi.Layout
-	var runErr error
-	var stalls, wireBytes, logicalBytes, wrote, decoded int64
-	fail := func(err error) {
-		if runErr == nil {
-			runErr = err
-		}
-	}
-
-	cfg := p.MPIConfig(writers + readers)
-	w := mpi.NewWorld(cfg,
-		mpi.Program{Name: "writer", Cmdline: "./writer", Procs: writers, Main: func(r *mpi.Rank) {
-			sess := layout.Init(r)
-			an := sess.Layout().DescByName("Analyzer")
-			var m vmpi.Map
-			if err := sess.MapPartitions(an.ID, vmpi.MapRoundRobin, &m); err != nil {
-				fail(err)
-				return
-			}
-			st := vmpi.NewStream(sess, blockSize, vmpi.BalanceRoundRobin)
-			if packVersion > trace.PackV1 {
-				st.SetPackFormat(packVersion)
-			}
-			if err := st.OpenMap(&m, "w"); err != nil {
-				fail(err)
-				return
-			}
-			b, err := trace.NewBuilder(packVersion, uint32(sess.PartitionID()), int32(sess.LocalRank()), recordSize, int(blockSize))
-			if err != nil {
-				fail(err)
-				return
-			}
-			rank := int32(sess.LocalRank())
-			var logical int64
-			flush := func() bool {
-				n := b.Count()
-				payload := b.Take()
-				if payload == nil {
-					return true
-				}
-				if err := st.Write(payload, int64(len(payload))); err != nil {
-					fail(err)
-					return false
-				}
-				wireBytes += int64(len(payload))
-				logicalBytes += int64(trace.PackHeaderSize + n*recordSize)
-				wrote += int64(n)
-				b.Reset(vmpi.GetBlock(b.CapBytes()))
-				return true
-			}
-			for i := 0; logical < perWriter; i++ {
-				ev := Fig14Event(i, rank)
-				logical += int64(recordSize)
-				if b.Add(&ev) && !flush() {
-					return
-				}
-			}
-			if !flush() {
-				return
-			}
-			if err := st.Close(); err != nil {
-				fail(err)
-			}
-			stalls += st.Stats().WriteStalls
-		}},
-		mpi.Program{Name: "Analyzer", Cmdline: "./analyzer", Procs: readers, Main: func(r *mpi.Rank) {
-			sess := layout.Init(r)
-			var m vmpi.Map
-			for pid := 0; pid < sess.Layout().PartitionCount(); pid++ {
-				if pid == sess.PartitionID() {
-					continue
-				}
-				if err := sess.MapPartitions(pid, vmpi.MapRoundRobin, &m); err != nil {
-					fail(err)
-					return
-				}
-			}
-			st := vmpi.NewStream(sess, blockSize, vmpi.BalanceRoundRobin)
-			if err := st.OpenMap(&m, "r"); err != nil {
-				fail(err)
-				return
-			}
-			// One persistent StreamDecoder per source rank serves every
-			// format: v3 packs index a per-writer cross-pack dictionary.
-			decs := make(trace.Decoders)
-			count := func(*trace.Event) { decoded++ }
-			for {
-				blk, err := st.Read(false)
-				if err != nil {
-					fail(err)
-					return
-				}
-				if blk == nil {
-					break
-				}
-				if _, err := decs.For(blk.From).DecodeDispatch(blk.Payload, count); err != nil {
-					fail(fmt.Errorf("exp: packed stream block from rank %d: %w", blk.From, err))
-					return
-				}
-				blk.Release()
-			}
-			if err := st.Close(); err != nil {
-				fail(err)
-			}
-		}},
-	)
-	layout = vmpi.NewLayout(w)
-	if err := w.Run(); err != nil {
+	if _, err := packVersionOf(packVersion); err != nil {
 		return PackedStreamPoint{}, err
 	}
-	if runErr != nil {
-		return PackedStreamPoint{}, runErr
+	readers := Readers(writers, ratio)
+	var wireBytes, logicalBytes, wrote, decoded int64
+	run := &coupledRun{blockSize: blockSize}
+	run.rawWriters(writers, nil, packVersion, func(sess *vmpi.Session, st *vmpi.Stream) error {
+		rank := int32(sess.LocalRank())
+		b, err := trace.NewBuilder(packVersion, uint32(sess.PartitionID()), rank, recordSize, int(blockSize))
+		if err != nil {
+			return err
+		}
+		flush := func() error {
+			n := b.Count()
+			payload := b.Take()
+			if payload == nil {
+				return nil
+			}
+			if err := st.Write(payload, int64(len(payload))); err != nil {
+				return err
+			}
+			wireBytes += int64(len(payload))
+			logicalBytes += int64(trace.PackHeaderSize + n*recordSize)
+			wrote += int64(n)
+			b.Reset(vmpi.GetBlock(b.CapBytes()))
+			return nil
+		}
+		var logical int64
+		for i := 0; logical < perWriter; i++ {
+			ev := Fig14Event(i, rank)
+			logical += int64(recordSize)
+			if b.Add(&ev) {
+				if err := flush(); err != nil {
+					return err
+				}
+			}
+		}
+		return flush()
+	})
+	count := func(*trace.Event) { decoded++ }
+	run.analyzer(readers, nil, false, func(*mpi.Rank, *vmpi.Session) (reader, error) {
+		// One persistent StreamDecoder per source rank serves every
+		// format: v3 packs index a per-writer cross-pack dictionary.
+		decs := make(trace.Decoders)
+		return reader{onBlock: func(blk *vmpi.Block) error {
+			if _, err := decs.For(blk.From).DecodeDispatch(blk.Payload, count); err != nil {
+				return fmt.Errorf("exp: packed stream block from rank %d: %w", blk.From, err)
+			}
+			blk.Release()
+			return nil
+		}}, nil
+	})
+	run.build(p, 1)
+	if err := run.run(); err != nil {
+		return PackedStreamPoint{}, err
 	}
 	if decoded != wrote {
 		return PackedStreamPoint{}, fmt.Errorf("exp: packed stream decoded %d of %d events", decoded, wrote)
 	}
-	secs := w.ProgramFinish(1).Seconds()
+	secs := run.world.ProgramFinish(1).Seconds()
 	return PackedStreamPoint{
 		StreamPoint: StreamPoint{
 			Writers: writers, Readers: readers, Ratio: ratio,
 			Bytes: wireBytes, Seconds: secs,
 			Throughput:  float64(wireBytes) / secs,
 			FSShare:     p.FSShare(writers),
-			WriteStalls: stalls,
+			WriteStalls: run.stalls,
 		},
 		PackVersion:  packVersion,
 		WireBytes:    wireBytes,

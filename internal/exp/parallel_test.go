@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/nas"
+	"repro/internal/trace"
 )
 
 // The parallel engine's contract is byte-identical output: every grid
@@ -63,11 +64,11 @@ func TestRatioSweepParallelIdenticalToSerial(t *testing.T) {
 		t.Fatal(err)
 	}
 	ratios := []int{1, 2, 4, 8, 64}
-	serial, err := RatioSweepJ(p, w, ratios, 1)
+	serial, err := RatioSweepJ(p, w, ratios, 1, trace.PackV1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	parallel, err := RatioSweepJ(p, w, ratios, 8)
+	parallel, err := RatioSweepJ(p, w, ratios, 8, trace.PackV1)
 	if err != nil {
 		t.Fatal(err)
 	}

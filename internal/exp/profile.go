@@ -1,7 +1,6 @@
 package exp
 
 import (
-	"errors"
 	"fmt"
 	"runtime"
 	"time"
@@ -194,15 +193,46 @@ type RunStats struct {
 	WindowLateEvents int64
 }
 
-// firstError picks a run's error: what a rank reported through fail, else
-// the simulation's. A rank that fails returns from its Main with streams
-// open, so its peers may then block for good — the deadlock the simulator
-// reports is the consequence, the rank's error the cause.
-func firstError(reported, sim error) error {
-	if reported != nil {
-		return reported
+// couplingOptions is what the options that shape the coupling resolve to
+// on a set of workloads: the sizes their zero values stand for, a pack
+// version that names a format, and the analyzer's modeled cost of a block.
+// A profile and a capture of it resolve them here, once.
+type couplingOptions struct {
+	analyzers   int
+	packBytes   int
+	packVersion int
+	cost        func(bytes int64) time.Duration
+}
+
+func (opts ProfileOptions) resolve(workloads []*nas.Workload) (couplingOptions, error) {
+	if len(workloads) == 0 {
+		return couplingOptions{}, fmt.Errorf("exp: no workloads to profile")
 	}
-	return sim
+	appProcs := 0
+	for _, w := range workloads {
+		appProcs += w.Procs
+	}
+	o := couplingOptions{analyzers: opts.Analyzers, packBytes: opts.PackBytes}
+	if o.analyzers <= 0 {
+		o.analyzers = (appProcs + 15) / 16
+	}
+	if o.packBytes <= 0 {
+		o.packBytes = StreamBlockSize
+	}
+	var err error
+	if o.packVersion, err = packVersionOf(opts.PackVersion); err != nil {
+		return couplingOptions{}, err
+	}
+	rate := opts.AnalyzerByteRate
+	if rate <= 0 {
+		rate = AnalyzerByteRate
+	}
+	// Same expression as analysisCost, so the default rate reproduces its
+	// float math exactly.
+	o.cost = func(bytes int64) time.Duration {
+		return time.Duration(float64(bytes) / rate * 1e9)
+	}
+	return o, nil
 }
 
 // ProfileRun executes one or more instrumented applications together with
@@ -230,44 +260,18 @@ func ProfileRun(p Platform, workloads []*nas.Workload, opts ProfileOptions) (*re
 // application levels, straight from their bytes. The profile content is
 // identical to the flat pipeline's; only the transport topology changes.
 func ProfileRunStats(p Platform, workloads []*nas.Workload, opts ProfileOptions) (*report.Report, *RunStats, error) {
-	if len(workloads) == 0 {
-		return nil, nil, fmt.Errorf("exp: no workloads to profile")
+	co, err := opts.resolve(workloads)
+	if err != nil {
+		return nil, nil, err
 	}
 	if opts.Adaptive {
 		// The controller's only sensor is the engine-health channel.
 		opts.Telemetry = true
 	}
-	appProcs := 0
-	for _, w := range workloads {
-		appProcs += w.Procs
-	}
-	analyzers := opts.Analyzers
-	if analyzers <= 0 {
-		analyzers = (appProcs + 15) / 16
-	}
+	analyzers, cost := co.analyzers, co.cost
 	workers := opts.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
-	}
-	packBytes := opts.PackBytes
-	if packBytes <= 0 {
-		packBytes = StreamBlockSize
-	}
-	packVersion := opts.PackVersion
-	if packVersion == 0 {
-		packVersion = trace.PackV1
-	}
-	if packVersion < trace.PackV1 || packVersion > trace.PackV3 {
-		return nil, nil, fmt.Errorf("exp: unknown pack version %d", packVersion)
-	}
-	rate := opts.AnalyzerByteRate
-	if rate <= 0 {
-		rate = AnalyzerByteRate
-	}
-	// Same expression as analysisCost, so the default rate reproduces its
-	// float math exactly.
-	cost := func(bytes int64) time.Duration {
-		return time.Duration(float64(bytes) / rate * 1e9)
 	}
 
 	levels := opts.TreeLevels
@@ -283,7 +287,6 @@ func ProfileRunStats(p Platform, workloads []*nas.Workload, opts ProfileOptions)
 		if fanin == 0 {
 			fanin = DefaultTreeFanin
 		}
-		var err error
 		if plan, err = tbon.NewPlan(analyzers, fanin, levels-1); err != nil {
 			return nil, nil, err
 		}
@@ -374,13 +377,7 @@ func ProfileRunStats(p Platform, workloads []*nas.Workload, opts ProfileOptions)
 		}
 	}
 
-	var layout *vmpi.Layout
-	var runErr error
-	fail := func(err error) {
-		if runErr == nil {
-			runErr = err
-		}
-	}
+	run := &coupledRun{blockSize: int64(co.packBytes)}
 
 	var tree *treeCtx
 	if plan != nil {
@@ -391,7 +388,6 @@ func ProfileRunStats(p Platform, workloads []*nas.Workload, opts ProfileOptions)
 			leafOpts:   make([]analysis.PartialOptions, len(workloads)),
 			disp:       disp,
 			tm:         treeMetrics,
-			fail:       fail,
 			stats:      stats,
 			cost:       cost,
 			ctl:        ctl,
@@ -399,282 +395,136 @@ func ProfileRunStats(p Platform, workloads []*nas.Workload, opts ProfileOptions)
 		}
 	}
 
-	// Per-stream loss accounting for the report: one probe per
-	// instrumented rank, read after the run. Rank mains execute one at a
-	// time on the simulator, so plain appends are safe.
-	type lossProbe struct {
-		app  string
-		rank int
-		rec  *instrument.OnlineRecorder
-		gate *adapt.Gate
+	// Real payloads: the analyzer decodes them.
+	online := instrument.OnlineConfig{PackVersion: co.packVersion}
+	if opts.Adaptive {
+		// Announce the v3 ceiling so the controller may climb the whole
+		// v1→v2→v3 ladder mid-run without renegotiating.
+		online.AnnouncePackVersion = trace.PackV3
 	}
-	var probes []*lossProbe
-
-	programs := make([]mpi.Program, 0, len(workloads)+2)
-	for i, w := range workloads {
-		i, w := i, w
-		programs = append(programs, mpi.Program{
-			Name: w.Name, Cmdline: "./" + w.Name, Procs: w.Procs,
-			Main: func(r *mpi.Rank) {
-				sess := layout.Init(r)
-				m := instrument.New(r, sess.WorldComm())
-				cfg := instrument.OnlineConfig{
-					AppID:        uint32(sess.PartitionID()),
-					RecordSize:   EventRecordSize,
-					PackBytes:    packBytes,
-					PerEventCost: OnlinePerEventCost,
-					// Real payloads: the analyzer decodes them.
-					SizeOnly: false,
+	err = run.instrumented(workloads, online, func(r *mpi.Rank, sess *vmpi.Session, pr *probe) (func() error, error) {
+		rec := pr.rec
+		if ctl != nil {
+			pr.gate = ctl.NewGate()
+			rec.SetGate(pr.gate)
+			rec.SetPackVersionFunc(ctl.PackVersion)
+			ctl.AddStream(rec.Stream())
+		}
+		// Nil-safe: with telemetry disabled these attach nil handles, whose
+		// methods no-op.
+		rec.SetTelemetry(sinkMetrics.Shard(r.Global()))
+		rec.SetCodecTelemetry(codecMetrics.Shard(r.Global()))
+		rec.Stream().SetTelemetry(streamMetrics.Shard(r.Global()))
+		if !opts.Telemetry || sess.PartitionID() != 0 || sess.LocalRank() != 0 {
+			return nil, nil
+		}
+		// One rank in the system carries the sampler: the first
+		// application's local rank 0 opens a write stream on the dedicated
+		// meta-event channel to analyzer rank 0 and emits snapshots as its
+		// own event flow advances virtual time.
+		ap := sess.Layout().DescByName("Analyzer")
+		telStream := vmpi.NewStream(sess, telemetry.SnapshotBlockSize, vmpi.BalanceNone)
+		telStream.SetChannel(telemetry.StreamChannel)
+		// The meta channel is itself instrumented: under overload the
+		// sampler's writes stall like any other stream's, and those stalls
+		// are the controller's most immediate signal.
+		telStream.SetTelemetry(streamMetrics.Shard(r.Global()))
+		if err := telStream.OpenRanks([]int{ap.Globals[0]}, "w"); err != nil {
+			return nil, err
+		}
+		if ctl != nil {
+			ctl.AddStream(telStream)
+		}
+		sampler := telemetry.NewSampler(reg, telStream, opts.TelemetryPeriod, r.Global())
+		sampler.SetBufferFunc(func(n int) []byte { return vmpi.GetBlock(n)[:0] })
+		rec.SetSampler(sampler)
+		// The recorder's Finalize flushes the parting snapshot; closing the
+		// stream after it releases the analyzer's meta reader.
+		return telStream.Close, nil
+	})
+	if err != nil {
+		return nil, nil, err
+	}
+	run.analyzer(analyzers, streamMetrics, false, func(r *mpi.Rank, sess *vmpi.Session) (reader, error) {
+		// The flat pipeline routes each pack through the fused ingest: v3
+		// packs decode straight into the modules on this goroutine (stream
+		// delivery preserves the per-writer order the v3 dictionary
+		// needs), everything else is posted on the shared blackboard.
+		// Either way the modeled analysis time is charged.
+		// clock sets the window trackers' analyzer clock (windowed runs
+		// only; the entries are nil otherwise).
+		clock := func(publish bool) {
+			for _, tr := range trackers {
+				if tr != nil {
+					tr.SetNow(int64(r.Now()))
+					if publish {
+						tr.Publish()
+					}
 				}
-				cfg.PackVersion = packVersion
-				if opts.Adaptive {
-					// Announce the v3 ceiling so the controller may climb
-					// the whole v1→v2→v3 ladder mid-run without
-					// renegotiating.
-					cfg.AnnouncePackVersion = trace.PackV3
-				}
-				rec, err := instrument.AttachOnline(sess, "Analyzer", cfg)
-				if err != nil {
-					fail(err)
-					return
-				}
-				m.SetRecorder(rec)
-				probe := &lossProbe{app: w.Name, rank: sess.LocalRank(), rec: rec}
-				probes = append(probes, probe)
+			}
+		}
+		rd := reader{onBlock: func(blk *vmpi.Block) error {
+			stats.RootIngestBytes += blk.Size
+			stats.RootPosts++
+			// Before the fold, so event-to-report lag is measured against
+			// the moment this block started being analyzed.
+			clock(false)
+			consumed, err := fused.Absorb(blk.From, blk.Payload)
+			if err != nil {
+				return err
+			}
+			r.Compute(cost(blk.Size))
+			clock(true)
+			if consumed {
+				// The fused path folded the events synchronously; the
+				// buffer can go back to the pool. (On the board path the
+				// blackboard owns the payload.)
+				blk.Release()
+			}
+			return nil
+		}}
+		if tree != nil {
+			// Tree mode swaps in the leaf endpoint, which folds packs into
+			// partial profiles locally and ships compacted deltas up the
+			// tree.
+			lf, err := tree.newLeaf(r, sess)
+			if err != nil {
+				return rd, err
+			}
+			rd.onBlock, rd.finish = lf.absorb, lf.finish
+		}
+		if opts.Telemetry && sess.LocalRank() == 0 {
+			// Analyzer rank 0 additionally reads the meta-event channel
+			// written by the sampler.
+			telSt := vmpi.NewStream(sess, telemetry.SnapshotBlockSize, vmpi.BalanceNone)
+			telSt.SetChannel(telemetry.StreamChannel)
+			telSt.SetTelemetry(streamMetrics.Shard(r.Global()))
+			if err := telSt.OpenRanks([]int{sess.Layout().Partition(0).Globals[0]}, "r"); err != nil {
+				return rd, err
+			}
+			rd.side = polled{telSt, func(blk *vmpi.Block) error {
+				health.PostMeta(blk.Payload)
 				if ctl != nil {
-					g := ctl.NewGate()
-					probe.gate = g
-					rec.SetGate(g)
-					rec.SetPackVersionFunc(ctl.PackVersion)
-					ctl.AddStream(rec.Stream())
+					// Settle the board before the sim advances: the
+					// controller's knowledge source runs on a host worker,
+					// and draining here pins its decision to the snapshot's
+					// virtual timestamp instead of leaving actuation to host
+					// scheduling. Keeps adaptive runs deterministic.
+					bb.Drain()
 				}
-				// Nil-safe: with telemetry disabled these attach nil
-				// handles, whose methods no-op.
-				rec.SetTelemetry(sinkMetrics.Shard(r.Global()))
-				rec.SetCodecTelemetry(codecMetrics.Shard(r.Global()))
-				rec.Stream().SetTelemetry(streamMetrics.Shard(r.Global()))
-				// One rank in the system carries the sampler: the first
-				// application's local rank 0 opens a write stream on the
-				// dedicated meta-event channel to analyzer rank 0 and emits
-				// snapshots as its own event flow advances virtual time.
-				var sampler *telemetry.Sampler
-				var telStream *vmpi.Stream
-				if opts.Telemetry && i == 0 && sess.LocalRank() == 0 {
-					ap := sess.Layout().DescByName("Analyzer")
-					telStream = vmpi.NewStream(sess, telemetry.SnapshotBlockSize, vmpi.BalanceNone)
-					telStream.SetChannel(telemetry.StreamChannel)
-					// The meta channel is itself instrumented: under overload
-					// the sampler's writes stall like any other stream's, and
-					// those stalls are the controller's most immediate signal.
-					telStream.SetTelemetry(streamMetrics.Shard(r.Global()))
-					if err := telStream.OpenRanks([]int{ap.Globals[0]}, "w"); err != nil {
-						fail(err)
-						return
-					}
-					if ctl != nil {
-						ctl.AddStream(telStream)
-					}
-					sampler = telemetry.NewSampler(reg, telStream, opts.TelemetryPeriod, r.Global())
-					sampler.SetBufferFunc(func(n int) []byte { return vmpi.GetBlock(n)[:0] })
-					rec.SetSampler(sampler)
-				}
-				w.Run(m)
-				if telStream != nil {
-					// The recorder's Finalize already flushed the parting
-					// snapshot; release the analyzer's meta reader.
-					if err := telStream.Close(); err != nil {
-						fail(err)
-					}
-				}
-			},
-		})
-	}
-	programs = append(programs, mpi.Program{
-		Name: "Analyzer", Cmdline: "./analyzer", Procs: analyzers,
-		Main: func(r *mpi.Rank) {
-			sess := layout.Init(r)
-			var m vmpi.Map
-			// Additive map over every application partition
-			// (multi-instrumentation, paper Figure 10). Only application
-			// partitions are mapped: the aggregator partition, if any,
-			// couples through direct per-tier streams, not the mapping
-			// protocol.
-			for pid := 0; pid < len(workloads); pid++ {
-				if pid == sess.PartitionID() {
-					continue
-				}
-				if err := sess.MapPartitions(pid, vmpi.MapRoundRobin, &m); err != nil {
-					fail(err)
-					return
-				}
-			}
-			st := vmpi.NewStream(sess, int64(packBytes), vmpi.BalanceRoundRobin)
-			// Read-side accounting closes the controller's backlog loop:
-			// bytes_written - bytes_read across all shards is exactly the
-			// volume queued between the instrumented ranks and the analyzers.
-			st.SetTelemetry(streamMetrics.Shard(r.Global()))
-			if err := st.OpenMap(&m, "r"); err != nil {
-				fail(err)
-				return
-			}
-			// absorb handles one incoming pack; finish runs once the data
-			// stream has drained, before the streams close. The flat
-			// pipeline routes each pack through the fused ingest: v3
-			// packs decode straight into the modules on this goroutine
-			// (stream delivery preserves the per-writer order the v3
-			// dictionary needs), everything else is posted on the shared
-			// blackboard. Either way the modeled analysis time is
-			// charged; tree mode swaps in the leaf endpoint, which folds
-			// packs into partial profiles locally and ships compacted
-			// deltas up the tree.
-			absorb := func(blk *vmpi.Block) bool {
-				stats.RootIngestBytes += blk.Size
-				stats.RootPosts++
-				if opts.WindowNs > 0 {
-					// Advance the window trackers' analyzer clock before the
-					// fold so event-to-report lag is measured against the
-					// moment this block started being analyzed.
-					now := int64(r.Now())
-					for _, tr := range trackers {
-						if tr != nil {
-							tr.SetNow(now)
-						}
-					}
-				}
-				consumed, err := fused.Absorb(blk.From, blk.Payload)
-				if err != nil {
-					fail(err)
-					return false
-				}
-				r.Compute(cost(blk.Size))
-				if opts.WindowNs > 0 {
-					now := int64(r.Now())
-					for _, tr := range trackers {
-						if tr != nil {
-							tr.SetNow(now)
-							tr.Publish()
-						}
-					}
-				}
-				if consumed {
-					// The fused path folded the events synchronously;
-					// the buffer can go back to the pool. (On the board
-					// path the blackboard owns the payload.)
-					blk.Release()
-				}
-				return true
-			}
-			finish := func() bool { return true }
-			if tree != nil {
-				lf := tree.newLeaf(r, sess)
-				if lf == nil {
-					return
-				}
-				absorb, finish = lf.absorb, lf.finish
-			}
-			// With telemetry on, analyzer rank 0 additionally reads the
-			// meta-event channel written by the sampler.
-			var telSt *vmpi.Stream
-			if opts.Telemetry && sess.LocalRank() == 0 {
-				telSt = vmpi.NewStream(sess, telemetry.SnapshotBlockSize, vmpi.BalanceNone)
-				telSt.SetChannel(telemetry.StreamChannel)
-				telSt.SetTelemetry(streamMetrics.Shard(r.Global()))
-				if err := telSt.OpenRanks([]int{sess.Layout().Partition(0).Globals[0]}, "r"); err != nil {
-					fail(err)
-					return
-				}
-			}
-			if telSt == nil {
-				for {
-					blk, err := st.Read(false)
-					if err != nil {
-						fail(err)
-						return
-					}
-					if blk == nil {
-						break
-					}
-					if !absorb(blk) {
-						return
-					}
-				}
-				if !finish() {
-					return
-				}
-				st.Close()
-				return
-			}
-			// Dual-stream poll loop: data packs and meta-events are served
-			// as they arrive, parking only when neither stream has input.
-			dataOpen, telOpen := true, true
-			for dataOpen || telOpen {
-				seq := r.ArrivalSeq()
-				progress := false
-				if dataOpen {
-					blk, err := st.Read(true)
-					switch {
-					case err == nil && blk != nil:
-						if !absorb(blk) {
-							return
-						}
-						progress = true
-					case err == nil:
-						dataOpen = false
-						progress = true
-					case !errors.Is(err, vmpi.ErrAgain):
-						fail(err)
-						return
-					}
-				}
-				if telOpen {
-					blk, err := telSt.Read(true)
-					switch {
-					case err == nil && blk != nil:
-						health.PostMeta(blk.Payload)
-						if ctl != nil {
-							// Settle the board before the sim advances: the
-							// controller's knowledge source runs on a host
-							// worker, and draining here pins its decision to
-							// the snapshot's virtual timestamp instead of
-							// leaving actuation to host scheduling. Keeps
-							// adaptive runs deterministic.
-							bb.Drain()
-						}
-						progress = true
-					case err == nil:
-						telOpen = false
-						progress = true
-					case !errors.Is(err, vmpi.ErrAgain):
-						fail(err)
-						return
-					}
-				}
-				if !progress {
-					r.WaitArrival(seq, "analyzer read (data+telemetry)")
-				}
-			}
-			if !finish() {
-				return
-			}
-			st.Close()
-			telSt.Close()
-		},
+				return nil
+			}}
+		}
+		return rd, nil
 	})
 	if tree != nil {
-		programs = append(programs, mpi.Program{
-			Name: "Aggregator", Cmdline: "./aggregator", Procs: plan.Ranks(),
-			Main: func(r *mpi.Rank) {
-				tree.aggregatorMain(r, layout.Init(r))
-			},
+		run.program("Aggregator", plan.Ranks(), func(r *mpi.Rank) error {
+			return tree.aggregatorMain(r, run.layout.Init(r))
 		})
 	}
 
-	// The network and filesystem model is pinned to the application plus
-	// analyzer core count even in tree mode: the aggregator partition is
-	// an analysis-side topology change, and keeping the platform model
-	// fixed is what makes flat and tree profiles directly comparable.
-	world := mpi.NewWorld(p.MPIConfig(appProcs+analyzers), programs...)
-	layout = vmpi.NewLayout(world)
+	run.build(p, 1)
+	world, layout := run.world, run.layout
 	if opts.Telemetry {
 		world.AttachTelemetry(reg)
 	}
@@ -773,7 +623,7 @@ func ProfileRunStats(p Platform, workloads []*nas.Workload, opts ProfileOptions)
 			}
 		}
 	}
-	if err := firstError(runErr, world.Run()); err != nil {
+	if err := run.run(); err != nil {
 		return nil, nil, err
 	}
 
@@ -837,20 +687,7 @@ func ProfileRunStats(p Platform, workloads []*nas.Workload, opts ProfileOptions)
 	rep := &report.Report{
 		Title:        fmt.Sprintf("online profiling report (%s)", p.Name),
 		EngineHealth: health,
-	}
-	for _, pr := range probes {
-		st := pr.rec.StreamStats()
-		var shed int64
-		if pr.gate != nil {
-			shed = pr.gate.TotalShed()
-		}
-		rep.StreamLoss = append(rep.StreamLoss, report.StreamLossRow{
-			App:          pr.app,
-			Rank:         pr.rank,
-			Dropped:      st.BlocksDropped,
-			LostInFlight: st.BlocksLostInFlight,
-			Shed:         shed,
-		})
+		StreamLoss:   run.lossRows(),
 	}
 	for i, w := range workloads {
 		rep.Chapters = append(rep.Chapters, &report.Chapter{

@@ -75,96 +75,38 @@ func streamThroughput(p Platform, writers, ratio int, perWriter, blockSize int64
 	if blocks < 1 {
 		blocks = 1
 	}
-	var layout *vmpi.Layout
-	var runErr error
-	var stalls int64
-	fail := func(err error) {
-		if runErr == nil {
-			runErr = err
+	run := &coupledRun{blockSize: blockSize}
+	run.rawWriters(writers, streamTel, 0, func(_ *vmpi.Session, st *vmpi.Stream) error {
+		for i := 0; i < blocks; i++ {
+			if err := st.Write(nil, blockSize); err != nil {
+				return err
+			}
 		}
-	}
-
-	cfg := p.MPIConfig(writers + readers)
-	w := mpi.NewWorld(cfg,
-		mpi.Program{Name: "writer", Cmdline: "./writer", Procs: writers, Main: func(r *mpi.Rank) {
-			sess := layout.Init(r)
-			an := sess.Layout().DescByName("Analyzer")
-			var m vmpi.Map
-			if err := sess.MapPartitions(an.ID, vmpi.MapRoundRobin, &m); err != nil {
-				fail(err)
-				return
-			}
-			st := vmpi.NewStream(sess, blockSize, vmpi.BalanceRoundRobin)
-			st.SetTelemetry(streamTel.Shard(r.Global()))
-			if err := st.OpenMap(&m, "w"); err != nil {
-				fail(err)
-				return
-			}
-			for i := 0; i < blocks; i++ {
-				if err := st.Write(nil, blockSize); err != nil {
-					fail(err)
-					return
-				}
-			}
-			if err := st.Close(); err != nil {
-				fail(err)
-			}
-			stalls += st.Stats().WriteStalls
-		}},
-		mpi.Program{Name: "Analyzer", Cmdline: "./analyzer", Procs: readers, Main: func(r *mpi.Rank) {
-			sess := layout.Init(r)
-			var m vmpi.Map
-			for pid := 0; pid < sess.Layout().PartitionCount(); pid++ {
-				if pid == sess.PartitionID() {
-					continue
-				}
-				if err := sess.MapPartitions(pid, vmpi.MapRoundRobin, &m); err != nil {
-					fail(err)
-					return
-				}
-			}
-			st := vmpi.NewStream(sess, blockSize, vmpi.BalanceRoundRobin)
-			st.SetTelemetry(streamTel.Shard(r.Global()))
-			if err := st.OpenMap(&m, "r"); err != nil {
-				fail(err)
-				return
-			}
-			for {
-				blk, err := st.Read(false)
-				if err != nil {
-					fail(err)
-					return
-				}
-				if blk == nil {
-					break
-				}
-				// The benchmark only counts bytes; recycle the payload so
-				// writers draw from the shared pool instead of allocating.
-				blk.Release()
-			}
-			if err := st.Close(); err != nil {
-				fail(err)
-			}
-		}},
-	)
-	layout = vmpi.NewLayout(w)
+		return nil
+	})
+	run.analyzer(readers, streamTel, false, func(*mpi.Rank, *vmpi.Session) (reader, error) {
+		return reader{onBlock: func(blk *vmpi.Block) error {
+			// The benchmark only counts bytes; recycle the payload so
+			// writers draw from the shared pool instead of allocating.
+			blk.Release()
+			return nil
+		}}, nil
+	})
+	run.build(p, 1)
 	if reg != nil {
-		w.AttachTelemetry(reg)
+		run.world.AttachTelemetry(reg)
 	}
-	if err := w.Run(); err != nil {
+	if err := run.run(); err != nil {
 		return StreamPoint{}, err
 	}
-	if runErr != nil {
-		return StreamPoint{}, runErr
-	}
 	total := int64(writers) * int64(blocks) * blockSize
-	secs := w.ProgramFinish(1).Seconds()
+	secs := run.world.ProgramFinish(1).Seconds()
 	return StreamPoint{
 		Writers: writers, Readers: readers, Ratio: ratio,
 		Bytes: total, Seconds: secs,
 		Throughput:  float64(total) / secs,
 		FSShare:     p.FSShare(writers),
-		WriteStalls: stalls,
+		WriteStalls: run.stalls,
 	}, nil
 }
 

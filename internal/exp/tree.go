@@ -49,7 +49,6 @@ type treeCtx struct {
 	leafOpts   []analysis.PartialOptions // indexed by application partition id
 	disp       *analysis.Dispatcher
 	tm         *telemetry.TreeMetrics // nil-safe when telemetry is off
-	fail       func(error)
 	stats      *RunStats
 	// cost models the analyzer processing time for an ingested block
 	// (profile.go builds it from the run's analyzer byte rate).
@@ -132,7 +131,7 @@ func (tc *treeCtx) addUp(st vmpi.StreamStats) {
 // failover-ordered peer locals: BalanceNone keeps traffic on the primary
 // parent while it is healthy, and the write deadline bounds how long a
 // dead parent can stall the writer before traffic fails over.
-func (tc *treeCtx) openUpstream(sess *vmpi.Session, channel int, order []int) *vmpi.Stream {
+func (tc *treeCtx) openUpstream(sess *vmpi.Session, channel int, order []int) (*vmpi.Stream, error) {
 	up := vmpi.NewStream(sess, treeBlockBytes, vmpi.BalanceNone)
 	up.SetChannel(channel)
 	up.SetWriteDeadline(DefaultWriteDeadline)
@@ -140,11 +139,7 @@ func (tc *treeCtx) openUpstream(sess *vmpi.Session, channel int, order []int) *v
 	for i, l := range order {
 		peers[i] = tc.aggGlobals[l]
 	}
-	if err := up.OpenRanks(peers, "w"); err != nil {
-		tc.fail(err)
-		return nil
-	}
-	return up
+	return up, up.OpenRanks(peers, "w")
 }
 
 // treeLeaf is the analyzer-side tree endpoint: instead of posting raw
@@ -171,31 +166,27 @@ type treeLeaf struct {
 	decs trace.Decoders
 }
 
-func (tc *treeCtx) newLeaf(r *mpi.Rank, sess *vmpi.Session) *treeLeaf {
-	up := tc.openUpstream(sess, tbon.Channel(0), tc.plan.LeafUpstreamOrder(sess.LocalRank()))
-	if up == nil {
-		return nil
-	}
+func (tc *treeCtx) newLeaf(r *mpi.Rank, sess *vmpi.Session) (*treeLeaf, error) {
+	up, err := tc.openUpstream(sess, tbon.Channel(0), tc.plan.LeafUpstreamOrder(sess.LocalRank()))
 	return &treeLeaf{tc: tc, r: r, up: up,
 		reps:    make([]*analysis.Replica, tc.apps),
 		flushed: make([]int, tc.apps),
-		decs:    make(trace.Decoders)}
+		decs:    make(trace.Decoders)}, err
 }
 
 // flush encodes and ships every application's accumulated delta. Settled
 // statistics reset on each flush; pending wait-state queues travel only
 // on the final flush, so send/recv pairing stays positionally exact.
-func (lf *treeLeaf) flush(final bool) bool {
+func (lf *treeLeaf) flush(final bool) error {
 	for app, rep := range lf.reps {
 		if rep == nil {
 			continue
 		}
 		if _, err := shipPartial(lf.up, rep.Partial(), &lf.flushed[app], final); err != nil {
-			lf.tc.fail(fmt.Errorf("exp: leaf partial upstream: %w", err))
-			return false
+			return fmt.Errorf("exp: leaf partial upstream: %w", err)
 		}
 	}
-	return true
+	return nil
 }
 
 // rep returns (creating on first use) the application's replica, tapped
@@ -226,26 +217,23 @@ func (lf *treeLeaf) tracker(appID uint32) *analysis.WindowTracker {
 // the modeled analysis time. Audit packs — the admission gates' shed
 // ledgers — fold into the partial's completeness module and ride the
 // same reduction path as the statistics they bound.
-func (lf *treeLeaf) absorb(blk *vmpi.Block) bool {
+func (lf *treeLeaf) absorb(blk *vmpi.Block) error {
 	h, err := trace.PeekHeader(blk.Payload)
 	if err != nil {
-		lf.tc.fail(fmt.Errorf("exp: leaf pack header: %w", err))
-		return false
+		return fmt.Errorf("exp: leaf pack header: %w", err)
 	}
 	if int(h.AppID) >= len(lf.reps) {
-		lf.tc.fail(fmt.Errorf("exp: pack for unknown app id %d", h.AppID))
-		return false
+		return fmt.Errorf("exp: pack for unknown app id %d", h.AppID)
 	}
 	if h.Version == trace.PackAudit {
 		_, entries, err := trace.DecodeAuditPack(blk.Payload)
 		if err != nil {
-			lf.tc.fail(fmt.Errorf("exp: leaf audit decode: %w", err))
-			return false
+			return fmt.Errorf("exp: leaf audit decode: %w", err)
 		}
 		lf.rep(h.AppID).Partial().AddAudit(entries)
 		lf.r.Compute(lf.tc.cost(blk.Size))
 		blk.Release()
-		return true
+		return nil
 	}
 	fold := lf.rep(h.AppID).FoldFunc()
 	if tr := lf.tracker(h.AppID); tr != nil {
@@ -254,8 +242,7 @@ func (lf *treeLeaf) absorb(blk *vmpi.Block) bool {
 		tr.SetNow(int64(lf.r.Now()))
 	}
 	if _, err := lf.decs.For(blk.From).DecodeDispatch(blk.Payload, fold); err != nil {
-		lf.tc.fail(fmt.Errorf("exp: leaf pack decode: %w", err))
-		return false
+		return fmt.Errorf("exp: leaf pack decode: %w", err)
 	}
 	lf.r.Compute(lf.tc.cost(blk.Size))
 	if tr := lf.tracker(h.AppID); tr != nil {
@@ -267,46 +254,43 @@ func (lf *treeLeaf) absorb(blk *vmpi.Block) bool {
 	if n := lf.tc.cadence(); n > 0 && lf.packs%n == 0 {
 		return lf.flush(false)
 	}
-	return true
+	return nil
 }
 
 // finish ships the final deltas (pendings included) and closes the
 // upstream, then folds the endpoint's failure counters into the run
 // stats.
-func (lf *treeLeaf) finish() bool {
-	if !lf.flush(true) {
-		return false
+func (lf *treeLeaf) finish() error {
+	if err := lf.flush(true); err != nil {
+		return err
 	}
 	if err := lf.up.Close(); err != nil {
-		lf.tc.fail(err)
-		return false
+		return err
 	}
 	lf.tc.addUp(lf.up.Stats())
-	return true
+	return nil
 }
 
 // aggregatorMain is the Main of every aggregator-partition rank: the
 // root absorbs what reaches it into the application levels, every other
 // rank merges its tier's incoming partials and forwards compacted results
 // one tier up.
-func (tc *treeCtx) aggregatorMain(r *mpi.Rank, sess *vmpi.Session) {
+func (tc *treeCtx) aggregatorMain(r *mpi.Rank, sess *vmpi.Session) error {
 	local := sess.LocalRank()
 	tm := tc.tm.Shard(sess.Rank().Global())
 	if local == tc.plan.Root() {
-		tc.rootMain(r, sess, tm)
-		return
+		return tc.rootMain(r, sess, tm)
 	}
 	tier := tc.plan.TierOf(local)
 	myGlobal := sess.Rank().Global()
 	rd := vmpi.NewStream(sess, treeBlockBytes, vmpi.BalanceRoundRobin)
 	rd.SetChannel(tbon.Channel(tier))
 	if err := rd.OpenRanks(tc.writersInto(tier), "r"); err != nil {
-		tc.fail(err)
-		return
+		return err
 	}
-	up := tc.openUpstream(sess, tbon.Channel(tier+1), tc.plan.UpstreamOrder(local))
-	if up == nil {
-		return
+	up, err := tc.openUpstream(sess, tbon.Channel(tier+1), tc.plan.UpstreamOrder(local))
+	if err != nil {
+		return err
 	}
 	// acc holds one accumulator per application, minted on its first block
 	// with the module selection its leaves flush; forwarded is the length
@@ -314,30 +298,21 @@ func (tc *treeCtx) aggregatorMain(r *mpi.Rank, sess *vmpi.Session) {
 	acc := make([]*analysis.Partial, tc.apps)
 	forwarded := make([]int, tc.apps)
 	pending := 0
-	forward := func(final bool) bool {
+	forward := func(final bool) error {
 		for app, pp := range acc {
 			if pp == nil {
 				continue
 			}
 			n, err := shipPartial(up, pp, &forwarded[app], final)
 			if err != nil {
-				tc.fail(fmt.Errorf("exp: aggregator %d forward: %w", local, err))
-				return false
+				return fmt.Errorf("exp: aggregator %d forward: %w", local, err)
 			}
 			tm.OnForward(n)
 		}
-		return true
+		return nil
 	}
 	blocks := 0
-	for {
-		blk, err := rd.Read(false)
-		if err != nil {
-			tc.fail(err)
-			return
-		}
-		if blk == nil {
-			break
-		}
+	err = drain(rd, func(blk *vmpi.Block) error {
 		t0 := time.Now()
 		appID, err := analysis.PartialAppID(blk.Payload)
 		if err == nil && int(appID) >= len(acc) {
@@ -351,8 +326,7 @@ func (tc *treeCtx) aggregatorMain(r *mpi.Rank, sess *vmpi.Session) {
 			err = acc[appID].MergeEncoded(blk.Payload)
 		}
 		if err != nil {
-			tc.fail(fmt.Errorf("exp: aggregator %d: %w", local, err))
-			return
+			return fmt.Errorf("exp: aggregator %d: %w", local, err)
 		}
 		tm.OnMerge(time.Since(t0).Nanoseconds())
 		tm.OnIngest(tier, blk.Size)
@@ -366,22 +340,21 @@ func (tc *treeCtx) aggregatorMain(r *mpi.Rank, sess *vmpi.Session) {
 		blk.Release()
 		blocks++
 		if n := tc.cadence(); n > 0 && blocks%n == 0 {
-			if !forward(false) {
-				return
-			}
+			return forward(false)
 		}
+		return nil
+	})
+	if err == nil {
+		err = forward(true)
 	}
-	if !forward(true) {
-		return
+	if err != nil {
+		return err
 	}
 	if err := up.Close(); err != nil {
-		tc.fail(err)
-		return
+		return err
 	}
 	tc.addUp(up.Stats())
-	if err := rd.Close(); err != nil {
-		tc.fail(err)
-	}
+	return rd.Close()
 }
 
 // rootMain drains every tier-entry channel into the application levels,
@@ -389,64 +362,39 @@ func (tc *treeCtx) aggregatorMain(r *mpi.Rank, sess *vmpi.Session) {
 // reads its own tier's channel for the regular flow plus every lower
 // channel as the last-resort failover target each writer lists, so a
 // child whose whole upstream tier died still delivers.
-func (tc *treeCtx) rootMain(r *mpi.Rank, sess *vmpi.Session, tm *telemetry.TreeMetrics) {
+func (tc *treeCtx) rootMain(r *mpi.Rank, sess *vmpi.Session, tm *telemetry.TreeMetrics) error {
 	myGlobal := sess.Rank().Global()
-	tiers := tc.plan.Tiers()
-	streams := make([]*vmpi.Stream, tiers)
-	open := make([]bool, tiers)
-	for c := 0; c < tiers; c++ {
+	streams := make([]polled, tc.plan.Tiers())
+	for c := range streams {
 		s := vmpi.NewStream(sess, treeBlockBytes, vmpi.BalanceRoundRobin)
 		s.SetChannel(tbon.Channel(c))
 		if err := s.OpenRanks(tc.writersInto(c), "r"); err != nil {
-			tc.fail(err)
-			return
+			return err
 		}
-		streams[c] = s
-		open[c] = true
+		streams[c] = polled{s, func(blk *vmpi.Block) error {
+			tm.OnIngest(c, blk.Size)
+			if tc.primary[blk.From] != myGlobal {
+				tm.OnReparent()
+				tc.stats.Reparented++
+			}
+			tc.stats.RootIngestBytes += blk.Size
+			tc.stats.RootPosts++
+			tc.stats.TierIngestBytes[c] += blk.Size
+			if err := tc.disp.AbsorbEncoded(blk.Payload); err != nil {
+				return fmt.Errorf("exp: tree root: %w", err)
+			}
+			r.Compute(tc.cost(blk.Size))
+			blk.Release()
+			return nil
+		}}
 	}
-	nOpen := tiers
-	for nOpen > 0 {
-		seq := r.ArrivalSeq()
-		progress := false
-		for c, s := range streams {
-			if !open[c] {
-				continue
-			}
-			blk, err := s.Read(true)
-			switch {
-			case err == nil && blk != nil:
-				tm.OnIngest(c, blk.Size)
-				if tc.primary[blk.From] != myGlobal {
-					tm.OnReparent()
-					tc.stats.Reparented++
-				}
-				tc.stats.RootIngestBytes += blk.Size
-				tc.stats.RootPosts++
-				tc.stats.TierIngestBytes[c] += blk.Size
-				if err := tc.disp.AbsorbEncoded(blk.Payload); err != nil {
-					tc.fail(fmt.Errorf("exp: tree root: %w", err))
-					return
-				}
-				r.Compute(tc.cost(blk.Size))
-				blk.Release()
-				progress = true
-			case err == nil:
-				open[c] = false
-				nOpen--
-				progress = true
-			case err != vmpi.ErrAgain:
-				tc.fail(err)
-				return
-			}
-		}
-		if !progress {
-			r.WaitArrival(seq, "tree root read")
-		}
+	if err := poll(r, "tree root read", streams...); err != nil {
+		return err
 	}
 	for _, s := range streams {
-		if err := s.Close(); err != nil {
-			tc.fail(err)
-			return
+		if err := s.st.Close(); err != nil {
+			return err
 		}
 	}
+	return nil
 }

@@ -14,7 +14,6 @@ import (
 	"repro/internal/nas"
 	"repro/internal/tbon"
 	"repro/internal/trace"
-	"repro/internal/vmpi"
 )
 
 // treeTestOpts is the deterministic e2e configuration: every analysis
@@ -268,7 +267,7 @@ const leafAndRootRanks = 64
 // leaf standing in for the analyzer's read loop, and returns what a
 // ProfileRunStats over it would: the first failure any rank reported, else
 // the simulation's own error.
-func runLeafAndRoot(t *testing.T, apps int, leaf func(lf *treeLeaf)) (*analysis.Dispatcher, error) {
+func runLeafAndRoot(t *testing.T, apps int, leaf func(lf *treeLeaf) error) (*analysis.Dispatcher, error) {
 	t.Helper()
 	bb := blackboard.New(blackboard.Config{Workers: 1})
 	t.Cleanup(bb.Close)
@@ -280,19 +279,13 @@ func runLeafAndRoot(t *testing.T, apps int, leaf func(lf *treeLeaf)) (*analysis.
 	if err != nil {
 		t.Fatal(err)
 	}
-	var runErr error
 	tc := &treeCtx{
 		plan:     plan,
 		apps:     apps,
 		leafOpts: make([]analysis.PartialOptions, apps),
 		disp:     disp,
-		fail: func(err error) {
-			if runErr == nil {
-				runErr = err
-			}
-		},
-		stats: &RunStats{TierIngestBytes: make([]int64, plan.Tiers())},
-		cost:  func(int64) time.Duration { return time.Microsecond },
+		stats:    &RunStats{TierIngestBytes: make([]int64, plan.Tiers())},
+		cost:     func(int64) time.Duration { return time.Microsecond },
 	}
 	for id := range tc.leafOpts {
 		pipe, err := disp.AddApp(uint32(id), fmt.Sprintf("app%d", id), leafAndRootRanks)
@@ -304,21 +297,22 @@ func runLeafAndRoot(t *testing.T, apps int, leaf func(lf *treeLeaf)) (*analysis.
 		}
 		tc.leafOpts[id] = pipe.PartialOptions()
 	}
-	var layout *vmpi.Layout
-	world := mpi.NewWorld(Tera100().MPIConfig(2),
-		mpi.Program{Name: "Analyzer", Procs: 1, Main: func(r *mpi.Rank) {
-			if lf := tc.newLeaf(r, layout.Init(r)); lf != nil {
-				leaf(lf)
-			}
-		}},
-		mpi.Program{Name: "Aggregator", Procs: plan.Ranks(), Main: func(r *mpi.Rank) {
-			tc.aggregatorMain(r, layout.Init(r))
-		}})
-	layout = vmpi.NewLayout(world)
-	if err := tc.bind(layout); err != nil {
+	run := &coupledRun{cores: 2}
+	run.program("Analyzer", 1, func(r *mpi.Rank) error {
+		lf, err := tc.newLeaf(r, run.layout.Init(r))
+		if err != nil {
+			return err
+		}
+		return leaf(lf)
+	})
+	run.program("Aggregator", plan.Ranks(), func(r *mpi.Rank) error {
+		return tc.aggregatorMain(r, run.layout.Init(r))
+	})
+	run.build(Tera100(), 1)
+	if err := tc.bind(run.layout); err != nil {
 		t.Fatal(err)
 	}
-	return disp, firstError(runErr, world.Run())
+	return disp, run.run()
 }
 
 // leafEvents folds n send events of application appID into the leaf's
@@ -353,13 +347,14 @@ func TestTreeRootRefusesBadPartial(t *testing.T) {
 		"other selection": {analysis.NewPartial(1, analysis.PartialOptions{AppSize: leafAndRootRanks}).Flush(nil, true), "different module selections"},
 	} {
 		t.Run(name, func(t *testing.T) {
-			disp, err := runLeafAndRoot(t, 2, func(lf *treeLeaf) {
+			disp, err := runLeafAndRoot(t, 2, func(lf *treeLeaf) error {
 				for _, buf := range [][]byte{good(0), c.bad} {
 					if err := lf.up.Write(buf, int64(len(buf))); err != nil {
 						t.Error(err)
 					}
 				}
 				lf.up.Close() // the root may be gone by now; its error is the run's
+				return nil
 			})
 			if err == nil || !strings.Contains(err.Error(), c.want) || !strings.Contains(err.Error(), "tree root") {
 				t.Fatalf("run error = %v, want the root's %q", err, c.want)
@@ -379,10 +374,10 @@ func TestTreeRootRefusesBadPartial(t *testing.T) {
 // stream's 8 MB block bound.
 func TestTreeFlushStorageFollowsPartial(t *testing.T) {
 	var allocated, shipped uint64
-	disp, err := runLeafAndRoot(t, 1, func(lf *treeLeaf) {
+	disp, err := runLeafAndRoot(t, 1, func(lf *treeLeaf) error {
 		leafEvents(lf, 0, 2000)
-		if !lf.flush(false) { // sizes the next one
-			return
+		if err := lf.flush(false); err != nil { // sizes the next one
+			return err
 		}
 		// Let the root merge it: ranks share the process, and the root's
 		// first merge builds its dense state.
@@ -394,12 +389,13 @@ func TestTreeFlushStorageFollowsPartial(t *testing.T) {
 		runtime.GC()
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		ok := lf.flush(false)
+		err := lf.flush(false)
 		runtime.ReadMemStats(&after)
 		allocated, shipped = after.TotalAlloc-before.TotalAlloc, uint64(lf.flushed[0])
-		if ok {
-			lf.finish()
+		if err != nil {
+			return err
 		}
+		return lf.finish()
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -205,8 +205,9 @@ type OnlineRecorder struct {
 	fallback CallProfile
 }
 
-// NewOnlineRecorder wraps an already-open writer stream.
-func NewOnlineRecorder(sess *vmpi.Session, stream *vmpi.Stream, cfg OnlineConfig) *OnlineRecorder {
+// NewOnlineRecorder wraps an already-open writer stream. It refuses a
+// cfg.PackVersion that names no pack format.
+func NewOnlineRecorder(sess *vmpi.Session, stream *vmpi.Stream, cfg OnlineConfig) (*OnlineRecorder, error) {
 	version := cfg.PackVersion
 	if version == 0 {
 		version = trace.PackV1
@@ -227,11 +228,11 @@ func NewOnlineRecorder(sess *vmpi.Session, stream *vmpi.Stream, cfg OnlineConfig
 	if !cfg.SizeOnly || version != trace.PackV1 {
 		b, err := trace.NewBuilder(version, cfg.AppID, int32(sess.LocalRank()), cfg.RecordSize, cfg.PackBytes)
 		if err != nil {
-			panic(fmt.Sprintf("instrument: %v", err))
+			return nil, fmt.Errorf("instrument: %w", err)
 		}
 		o.builder = b
 	}
-	return o
+	return o, nil
 }
 
 // PackVersion returns the recorder's pack wire format.
@@ -247,6 +248,11 @@ func (o *OnlineRecorder) PackVersion() int { return o.version }
 // side must then open its read streams over every potential writer, not
 // just its mapped ones.
 func AttachOnline(sess *vmpi.Session, analyzer string, cfg OnlineConfig) (*OnlineRecorder, error) {
+	// Before the map and the stream: a rank that leaves with either open
+	// strands its analyzer.
+	if v := cfg.PackVersion; v < 0 || v > trace.PackV3 {
+		return nil, fmt.Errorf("instrument: unknown pack version %d", v)
+	}
 	part := sess.Layout().DescByName(analyzer)
 	if part == nil {
 		return nil, fmt.Errorf("instrument: could not locate %q partition", analyzer)
@@ -276,7 +282,7 @@ func AttachOnline(sess *vmpi.Session, analyzer string, cfg OnlineConfig) (*Onlin
 	} else if err := st.OpenMap(&m, "w"); err != nil {
 		return nil, err
 	}
-	return NewOnlineRecorder(sess, st, cfg), nil
+	return NewOnlineRecorder(sess, st, cfg)
 }
 
 // failoverPeers returns the mapped analyzer ranks followed by up to extra

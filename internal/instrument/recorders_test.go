@@ -1,6 +1,8 @@
 package instrument
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -75,6 +77,31 @@ func TestAttachOnlineUnknownPartition(t *testing.T) {
 	}
 	if gotErr == nil {
 		t.Fatal("expected error for unknown analyzer partition")
+	}
+}
+
+// TestAttachOnlineUnknownPackVersion: a pack version that names no format
+// is refused before the map and the stream exist — the analyzer below sees
+// no writer and the run ends clean — where it used to panic in the
+// recorder's constructor, inside the simulator.
+func TestAttachOnlineUnknownPackVersion(t *testing.T) {
+	for _, v := range []int{9, -1} {
+		var layout *vmpi.Layout
+		var gotErr error
+		w := mpi.NewWorld(mpi.DefaultConfig(),
+			mpi.Program{Name: "app", Procs: 1, Main: func(r *mpi.Rank) {
+				cfg := DefaultOnlineConfig(0)
+				cfg.PackVersion = v
+				_, gotErr = AttachOnline(layout.Init(r), "Analyzer", cfg)
+			}},
+			mpi.Program{Name: "Analyzer", Procs: 1, Main: func(r *mpi.Rank) { layout.Init(r) }})
+		layout = vmpi.NewLayout(w)
+		if err := w.Run(); err != nil {
+			t.Fatal(err)
+		}
+		if want := fmt.Sprintf("unknown pack version %d", v); gotErr == nil || !strings.Contains(gotErr.Error(), want) {
+			t.Errorf("AttachOnline(pack version %d) = %v, want %q", v, gotErr, want)
+		}
 	}
 }
 

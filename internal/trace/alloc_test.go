@@ -2,7 +2,9 @@ package trace
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/binary"
+	"encoding/hex"
 	"runtime"
 	"testing"
 )
@@ -282,35 +284,117 @@ func TestPackBuilderStorageFollowsFill(t *testing.T) {
 	}
 }
 
-// TestPackBuilderV3StorageFollowsFill: a v3 builder that owns no output
-// buffer allocates for the pack it has, not for the pack capacity — a rank
-// that ships ten events in a 1 MiB-capacity pack must not zero the
+// TestPackBuilderV3StorageFollowsFill: a column builder, v2 or v3, that owns
+// no output buffer allocates for the pack it has, not for the pack capacity
+// — a rank that ships ten events in a 1 MiB-capacity pack must not zero the
 // megabyte — and what it allocates carries the next pack of that size too.
 func TestPackBuilderV3StorageFollowsFill(t *testing.T) {
 	const capBytes, events = 1 << 20, 10
-	b := NewPackBuilderV3(1, 0, 64, capBytes)
-	fill := func() {
-		for i := 0; i < events; i++ {
-			ev := fig14ishEvent(i)
-			b.Add(&ev)
+	for _, b := range []*ColumnBuilder{NewPackBuilderV2(1, 0, 64, capBytes), NewPackBuilderV3(1, 0, 64, capBytes)} {
+		fill := func() {
+			for i := 0; i < events; i++ {
+				ev := fig14ishEvent(i)
+				b.Add(&ev)
+			}
+		}
+		fill() // warm: the dictionary and the column scratch are the builder's
+		b.Take()
+		fill()
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		pack := b.Take()
+		runtime.ReadMemStats(&after)
+		if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(4*len(pack)); got > limit {
+			t.Errorf("v%d: taking a %d-byte pack allocated %d bytes, want at most %d", b.Version(), len(pack), got, limit)
+		}
+		if cap(pack) > 4*len(pack) {
+			t.Errorf("v%d: a %d-byte pack sits in %d bytes of storage", b.Version(), len(pack), cap(pack))
+		}
+		b.Reset(pack)
+		fill()
+		if allocs := testing.AllocsPerRun(1, func() { b.Take() }); allocs != 0 {
+			t.Errorf("v%d: the next pack of the same size did not fit the recycled buffer (%.0f allocations)", b.Version(), allocs)
 		}
 	}
-	fill() // warm: the dictionary and the column scratch are the builder's
-	b.Take()
-	fill()
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	pack := b.Take()
-	runtime.ReadMemStats(&after)
-	if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(4*len(pack)); got > limit {
-		t.Errorf("taking a %d-byte pack allocated %d bytes, want at most %d", len(pack), got, limit)
+}
+
+// TestColumnBuilderGoldenBytes pins the bytes the v2 and v3 builders put on
+// the wire to what they emitted at d7fb1da (the commit before the two became
+// one type), over a stream that walks every branch of the fill → take →
+// reset cycle: a steady low-entropy stretch, a high-entropy stretch whose
+// packs close on encoded size before the logical capacity is reached, a
+// pack discarded by Reset without Take (v3 rolls its dictionary delta
+// back), and recycled output buffers throughout.
+func TestColumnBuilderGoldenBytes(t *testing.T) {
+	const recordSize, capBytes = MinRecordSize, 4096
+	const logicalCap = (capBytes - PackHeaderSize) / recordSize
+	// splitmix64: the same sequence on every toolchain.
+	seed := uint64(0x9e3779b97f4a7c15)
+	next := func() uint64 {
+		seed += 0x9e3779b97f4a7c15
+		z := seed
+		z = (z ^ z>>30) * 0xbf58476d1ce4e5b9
+		z = (z ^ z>>27) * 0x94d049bb133111eb
+		return z ^ z>>31
 	}
-	if cap(pack) > 4*len(pack) {
-		t.Errorf("a %d-byte pack sits in %d bytes of storage", len(pack), cap(pack))
+	events := make([]Event, 0, 900)
+	for i := 0; i < 400; i++ {
+		events = append(events, fig14ishEvent(i))
 	}
-	b.Reset(pack)
-	fill()
-	if allocs := testing.AllocsPerRun(1, func() { b.Take() }); allocs != 0 {
-		t.Errorf("the next pack of the same size did not fit the recycled buffer (%.0f allocations)", allocs)
+	for i := 0; i < 300; i++ {
+		events = append(events, Event{
+			Kind: Kind(next() % uint64(KindCount)), Rank: int32(next()), Peer: int32(next()), Tag: int32(next()),
+			Comm: uint32(next()), Ctx: uint32(next()), Size: int64(next()), TStart: int64(next()), TEnd: int64(next()),
+		})
+	}
+	for i := 0; i < 200; i++ {
+		events = append(events, fig14ishEvent(400+i))
+	}
+	for _, c := range []struct {
+		version int
+		want    string
+	}{
+		{PackV2, "eef6058d1d420da834c56d9e0db6e7e743645137d4b2a2cdc45620b19953d86c"},
+		{PackV3, "5abf2e835e83dc19eace0a405c2d383c22d4f5ad255c0a77d60e15da4f01e102"},
+	} {
+		b, err := NewBuilder(c.version, 9, 3, recordSize, capBytes)
+		if err != nil {
+			t.Fatal(err)
+		}
+		h := sha256.New()
+		packs, early := 0, 0
+		ship := func() {
+			n := b.Count()
+			pack := b.Take()
+			if len(pack) > capBytes {
+				t.Fatalf("v%d pack %d is %d bytes, capacity %d", c.version, packs, len(pack), capBytes)
+			}
+			if n < logicalCap {
+				early++
+			}
+			var lp [4]byte
+			binary.LittleEndian.PutUint32(lp[:], uint32(len(pack)))
+			h.Write(lp[:])
+			h.Write(pack)
+			packs++
+			b.Reset(pack)
+		}
+		for i := range events {
+			if i == 250 || i == 500 {
+				// Mid-pack discard, once on steady and once on novel call
+				// sites: the events so far in this pack are dropped.
+				b.Reset(nil)
+			}
+			if b.Add(&events[i]) {
+				ship()
+			}
+		}
+		ship()
+		if early < 3 {
+			t.Errorf("v%d: %d of %d packs closed before their logical capacity, want the encoded-size bound to fire", c.version, early, packs)
+		}
+		if got := hex.EncodeToString(h.Sum(nil)); got != c.want {
+			t.Errorf("v%d: %d packs hash to %s, want %s", c.version, packs, got, c.want)
+		}
 	}
 }

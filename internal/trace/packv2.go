@@ -88,20 +88,35 @@ type kctKey struct {
 	ctx  uint32
 }
 
-// PackBuilderV2 accumulates events into a v2-encoded pack. It mirrors the
+// ColumnBuilder accumulates events into packs of a column format, v2 or v3
+// as its constructor fixed: the two share every column and differ only in
+// the dictionary's lifetime, which ends at Take for v2 and never for v3
+// (the decoder's initColumns draws the same line). It mirrors the
 // PackBuilder contract (Add/Take/Reset/CapBytes/Count/Len) so the online
-// recorder can hold either behind the Builder interface. The column
-// scratch buffers, the dictionary and the output buffer are all reused
-// across packs: the steady-state fill → take → reset cycle allocates
-// nothing. The zero value is not usable — use NewPackBuilderV2.
-type PackBuilderV2 struct {
+// recorder can hold either behind the Builder interface. The column scratch,
+// the dictionary and the output buffer are reused across packs: the
+// steady-state fill → take → reset cycle allocates nothing. The zero value
+// is not usable — use NewPackBuilderV2 or NewPackBuilderV3.
+type ColumnBuilder struct {
+	// Fixed by the constructor: the format's magic and version, the worst
+	// encoded growth of one Add, and whether the dictionary outlives a pack.
+	magic      uint32
+	version    int
+	worst      int
+	persistent bool
+
 	appID      uint32
 	srcRank    int32
 	recordSize int
 	capBytes   int
 
+	// dict[:base] was shipped in earlier packs (v3; base stays 0 for v2);
+	// dict[base:] is this pack's dictionary section, dictBytes its encoded
+	// size. Reset without Take rolls the section back, so a discarded pack
+	// never desynchronizes a stream dictionary.
 	dict      []kctKey
 	dictIdx   map[kctKey]uint32
+	base      int
 	dictBytes int
 
 	cols  [numColumns][]byte
@@ -110,8 +125,8 @@ type PackBuilderV2 struct {
 	prevRank, prevPeer, prevTag   int64
 	prevSize, prevTStart, prevDur int64
 
-	// out is the recycled output buffer adopted by Reset; Take assembles
-	// into it when large enough.
+	// out is the output buffer adopted by Reset; Take assembles into it when
+	// large enough.
 	out []byte
 }
 
@@ -121,53 +136,58 @@ type PackBuilderV2 struct {
 // identical event sets and differ only in encoded size. recordSize below
 // MinRecordSize is raised to it; packBytes is raised to fit at least one
 // record.
-func NewPackBuilderV2(appID uint32, srcRank int32, recordSize, packBytes int) *PackBuilderV2 {
-	if recordSize < MinRecordSize {
-		recordSize = MinRecordSize
-	}
-	if packBytes < PackHeaderSize+recordSize {
-		packBytes = PackHeaderSize + recordSize
-	}
-	if packBytes < PackHeaderSize+worstPerEventV2 {
-		// A v2 pack must be able to hold one worst-case event.
-		packBytes = PackHeaderSize + worstPerEventV2
-	}
-	return &PackBuilderV2{
-		appID:      appID,
-		srcRank:    srcRank,
-		recordSize: recordSize,
-		capBytes:   packBytes,
-		dictIdx:    make(map[kctKey]uint32),
-	}
+func NewPackBuilderV2(appID uint32, srcRank int32, recordSize, packBytes int) *ColumnBuilder {
+	b := &ColumnBuilder{magic: packMagicV2, version: PackV2, worst: worstPerEventV2}
+	return b.init(appID, srcRank, recordSize, packBytes)
+}
+
+// NewPackBuilderV3 creates a v3 builder — v2's capacity semantics, so pack
+// boundaries are format-independent — whose (Kind, Comm, Ctx) dictionary
+// outlives the take → reset cycle: entries are interned once per stream and
+// each Take ships only the entries its pack introduced.
+func NewPackBuilderV3(appID uint32, srcRank int32, recordSize, packBytes int) *ColumnBuilder {
+	b := &ColumnBuilder{magic: packMagicV3, version: PackV3, worst: worstPerEventV3, persistent: true}
+	return b.init(appID, srcRank, recordSize, packBytes)
+}
+
+func (b *ColumnBuilder) init(appID uint32, srcRank int32, recordSize, packBytes int) *ColumnBuilder {
+	recordSize = max(recordSize, MinRecordSize)
+	// A pack must be able to hold one record, and one worst-case event.
+	packBytes = max(packBytes, PackHeaderSize+recordSize, PackHeaderSize+b.worst)
+	b.appID, b.srcRank, b.recordSize, b.capBytes = appID, srcRank, recordSize, packBytes
+	b.dictIdx = make(map[kctKey]uint32)
+	return b
 }
 
 // Version reports the builder's wire format.
-func (b *PackBuilderV2) Version() int { return PackV2 }
+func (b *ColumnBuilder) Version() int { return b.version }
 
 // CapBytes returns the maximum encoded pack size (also the logical pack
 // capacity, matching the v1 builder's).
-func (b *PackBuilderV2) CapBytes() int { return b.capBytes }
+func (b *ColumnBuilder) CapBytes() int { return b.capBytes }
 
 // RecordSize returns the logical per-record size in bytes.
-func (b *PackBuilderV2) RecordSize() int { return b.recordSize }
+func (b *ColumnBuilder) RecordSize() int { return b.recordSize }
 
 // Count returns the number of events in the pack under construction.
-func (b *PackBuilderV2) Count() int { return b.count }
+func (b *ColumnBuilder) Count() int { return b.count }
 
 // Len returns the current encoded size of the pack under construction.
-func (b *PackBuilderV2) Len() int { return b.encodedLen() }
+func (b *ColumnBuilder) Len() int { return b.encodedLen() }
 
 // LogicalLen returns the v1-equivalent size of the pack under
 // construction: what the same events would occupy in the v1 format.
-func (b *PackBuilderV2) LogicalLen() int {
-	if b.count == 0 {
-		return PackHeaderSize
-	}
-	return PackHeaderSize + b.count*b.recordSize
-}
+func (b *ColumnBuilder) LogicalLen() int { return PackHeaderSize + b.count*b.recordSize }
 
-func (b *PackBuilderV2) encodedLen() int {
-	n := PackHeaderSize + uvarintLen(uint64(len(b.dict))) + b.dictBytes
+// DictLen returns the dictionary size including this pack's pending
+// entries (diagnostics and tests).
+func (b *ColumnBuilder) DictLen() int { return len(b.dict) }
+
+func (b *ColumnBuilder) encodedLen() int {
+	n := PackHeaderSize + uvarintLen(uint64(len(b.dict)-b.base)) + b.dictBytes
+	if b.persistent {
+		n += uvarintLen(uint64(b.base))
+	}
 	for i := range b.cols {
 		n += uvarintLen(uint64(len(b.cols[i]))) + len(b.cols[i])
 	}
@@ -183,12 +203,14 @@ func uvarintLen(v uint64) int {
 	return n
 }
 
-// reset clears the builder's accumulation state without touching the
-// output buffer.
-func (b *PackBuilderV2) resetState() {
+// resetState clears per-pack accumulation and drops the dictionary entries
+// no pack has shipped — all of them for v2, whose base never moves.
+func (b *ColumnBuilder) resetState() {
 	b.count = 0
-	b.dict = b.dict[:0]
-	clear(b.dictIdx)
+	for _, k := range b.dict[b.base:] {
+		delete(b.dictIdx, k)
+	}
+	b.dict = b.dict[:b.base]
 	b.dictBytes = 0
 	for i := range b.cols {
 		b.cols[i] = b.cols[i][:0]
@@ -197,23 +219,20 @@ func (b *PackBuilderV2) resetState() {
 	b.prevSize, b.prevTStart, b.prevDur = 0, 0, 0
 }
 
-// Reset discards any pack under construction and adopts buf (when large
-// enough) as the next pack's output storage, mirroring PackBuilder.Reset:
-// the online recorder hands back recycled stream blocks here. A nil or
-// undersized buf keeps the current output buffer (or allocates lazily at
-// Take).
-func (b *PackBuilderV2) Reset(buf []byte) {
+// Reset discards any pack under construction (a stream dictionary keeps
+// only entries already shipped) and adopts buf, whatever its size, as
+// output storage: Take replaces it only if the pack does not fit. The
+// online recorder hands back recycled stream blocks here.
+func (b *ColumnBuilder) Reset(buf []byte) {
 	b.resetState()
-	if cap(buf) >= b.capBytes {
-		b.out = buf[:0]
-	}
+	b.out = buf[:0]
 }
 
 // Add appends an event and reports whether the pack is now full — either
 // another logical record would overflow the capacity (the v1 condition,
 // keeping pack boundaries identical across formats) or, for high-entropy
 // input, another worst-case encoded event would.
-func (b *PackBuilderV2) Add(e *Event) bool {
+func (b *ColumnBuilder) Add(e *Event) bool {
 	key := kctKey{kind: e.Kind, comm: e.Comm, ctx: e.Ctx}
 	idx, ok := b.dictIdx[key]
 	if !ok {
@@ -240,32 +259,41 @@ func (b *PackBuilderV2) Add(e *Event) bool {
 
 	b.count++
 	return PackHeaderSize+(b.count+1)*b.recordSize > b.capBytes ||
-		b.encodedLen()+worstPerEventV2 > b.capBytes
+		b.encodedLen()+b.worst > b.capBytes
 }
 
 // Take finalizes the pack under construction and returns its encoded
 // bytes (nil if it holds no events), then starts a fresh pack reusing the
-// column scratch. The returned slice aliases the builder's output buffer;
-// hand a recycled buffer to Reset before the next fill to keep the cycle
-// allocation-free.
-func (b *PackBuilderV2) Take() []byte {
+// column scratch; a v3 builder commits the pack's dictionary entries as
+// shipped, and later packs reference them by index alone. The returned
+// slice aliases the builder's output buffer; hand a recycled buffer to
+// Reset before the next fill to keep the cycle allocation-free.
+func (b *ColumnBuilder) Take() []byte {
 	if b.count == 0 {
 		return nil
 	}
 	n := b.encodedLen()
 	out := b.out
 	if cap(out) < n {
-		out = make([]byte, 0, b.capBytes)
+		// Storage follows the fill, as in PackBuilder.grow: twice the pack,
+		// so the buffer fits the next one when it comes back through Reset,
+		// and past capBytes only if the pack is.
+		out = make([]byte, 0, max(n, min(2*n, b.capBytes)))
 	}
 	out = out[:PackHeaderSize]
-	binary.LittleEndian.PutUint32(out[0:], packMagicV2)
+	binary.LittleEndian.PutUint32(out[0:], b.magic)
 	binary.LittleEndian.PutUint32(out[4:], b.appID)
 	binary.LittleEndian.PutUint32(out[8:], uint32(b.srcRank))
 	binary.LittleEndian.PutUint32(out[12:], uint32(b.count))
 	binary.LittleEndian.PutUint32(out[16:], uint32(b.recordSize))
 	binary.LittleEndian.PutUint32(out[20:], uint32(n-PackHeaderSize))
-	out = binary.AppendUvarint(out, uint64(len(b.dict)))
-	for _, k := range b.dict {
+	if b.persistent {
+		// v3 says how many entries earlier packs shipped; the count that
+		// follows is then this pack's additions, not v2's whole dictionary.
+		out = binary.AppendUvarint(out, uint64(b.base))
+	}
+	out = binary.AppendUvarint(out, uint64(len(b.dict)-b.base))
+	for _, k := range b.dict[b.base:] {
 		out = append(out, byte(k.kind))
 		out = binary.AppendUvarint(out, uint64(k.comm))
 		out = binary.AppendUvarint(out, uint64(k.ctx))
@@ -274,13 +302,16 @@ func (b *PackBuilderV2) Take() []byte {
 		out = binary.AppendUvarint(out, uint64(len(b.cols[i])))
 		out = append(out, b.cols[i]...)
 	}
+	if b.persistent {
+		b.base = len(b.dict)
+	}
 	b.out = nil
 	b.resetState()
 	return out
 }
 
-// Builder is the encoding side of a pack codec: both the v1 PackBuilder
-// and the v2 PackBuilderV2 satisfy it, so the online recorder treats the
+// Builder is the encoding side of a pack codec: the v1 PackBuilder and the
+// ColumnBuilder of v2 and v3 satisfy it, so the online recorder treats the
 // wire format as a per-stream configuration.
 type Builder interface {
 	// Add appends an event and reports whether the pack is full.

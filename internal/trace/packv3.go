@@ -68,186 +68,6 @@ const (
 // PackV3 is the persistent-dictionary column format.
 const PackV3 = 3
 
-// PackBuilderV3 accumulates events into v3-encoded packs, keeping the
-// (Kind, Comm, Ctx) dictionary across the take → reset cycle: entries are
-// interned once per stream and each Take ships only the delta section.
-// Like the v2 builder, the steady-state fill → take → reset cycle
-// allocates nothing. The zero value is not usable — use NewPackBuilderV3.
-type PackBuilderV3 struct {
-	appID      uint32
-	srcRank    int32
-	recordSize int
-	capBytes   int
-
-	// dict[:base] has been shipped in previous packs; dict[base:] is this
-	// pack's delta section. Reset without Take rolls the delta back so a
-	// discarded pack never desynchronizes the stream dictionary.
-	dict      []kctKey
-	dictIdx   map[kctKey]uint32
-	base      int
-	dictBytes int // encoded size of the pending delta entries
-
-	cols  [numColumns][]byte
-	count int
-
-	prevRank, prevPeer, prevTag   int64
-	prevSize, prevTStart, prevDur int64
-
-	out []byte
-}
-
-// NewPackBuilderV3 creates a v3 builder with the same capacity semantics
-// as the v1/v2 builders: the pack closes when another logical (v1-sized)
-// record would no longer fit, so pack boundaries are format-independent.
-func NewPackBuilderV3(appID uint32, srcRank int32, recordSize, packBytes int) *PackBuilderV3 {
-	if recordSize < MinRecordSize {
-		recordSize = MinRecordSize
-	}
-	if packBytes < PackHeaderSize+recordSize {
-		packBytes = PackHeaderSize + recordSize
-	}
-	if packBytes < PackHeaderSize+worstPerEventV3 {
-		packBytes = PackHeaderSize + worstPerEventV3
-	}
-	return &PackBuilderV3{
-		appID:      appID,
-		srcRank:    srcRank,
-		recordSize: recordSize,
-		capBytes:   packBytes,
-		dictIdx:    make(map[kctKey]uint32),
-	}
-}
-
-// Version reports the builder's wire format.
-func (b *PackBuilderV3) Version() int { return PackV3 }
-
-// CapBytes returns the maximum encoded pack size.
-func (b *PackBuilderV3) CapBytes() int { return b.capBytes }
-
-// RecordSize returns the logical per-record size in bytes.
-func (b *PackBuilderV3) RecordSize() int { return b.recordSize }
-
-// Count returns the number of events in the pack under construction.
-func (b *PackBuilderV3) Count() int { return b.count }
-
-// Len returns the current encoded size of the pack under construction.
-func (b *PackBuilderV3) Len() int { return b.encodedLen() }
-
-// LogicalLen returns the v1-equivalent size of the pack under
-// construction: the fixed-record volume the same events would occupy.
-func (b *PackBuilderV3) LogicalLen() int {
-	return PackHeaderSize + b.count*b.recordSize
-}
-
-// DictLen returns the stream dictionary size including pending entries
-// (diagnostics and tests).
-func (b *PackBuilderV3) DictLen() int { return len(b.dict) }
-
-func (b *PackBuilderV3) encodedLen() int {
-	n := PackHeaderSize +
-		uvarintLen(uint64(b.base)) +
-		uvarintLen(uint64(len(b.dict)-b.base)) +
-		b.dictBytes
-	for i := range b.cols {
-		n += uvarintLen(uint64(len(b.cols[i]))) + len(b.cols[i])
-	}
-	return n
-}
-
-// resetState clears per-pack accumulation and rolls back any unshipped
-// dictionary delta.
-func (b *PackBuilderV3) resetState() {
-	b.count = 0
-	for _, k := range b.dict[b.base:] {
-		delete(b.dictIdx, k)
-	}
-	b.dict = b.dict[:b.base]
-	b.dictBytes = 0
-	for i := range b.cols {
-		b.cols[i] = b.cols[i][:0]
-	}
-	b.prevRank, b.prevPeer, b.prevTag = 0, 0, 0
-	b.prevSize, b.prevTStart, b.prevDur = 0, 0, 0
-}
-
-// Reset discards any pack under construction (the stream dictionary
-// keeps only entries already shipped) and adopts buf, whatever its size, as
-// output storage: Take replaces it only if the pack does not fit.
-func (b *PackBuilderV3) Reset(buf []byte) {
-	b.resetState()
-	b.out = buf[:0]
-}
-
-// Add appends an event and reports whether the pack is now full.
-func (b *PackBuilderV3) Add(e *Event) bool {
-	key := kctKey{kind: e.Kind, comm: e.Comm, ctx: e.Ctx}
-	idx, ok := b.dictIdx[key]
-	if !ok {
-		idx = uint32(len(b.dict))
-		b.dict = append(b.dict, key)
-		b.dictIdx[key] = idx
-		b.dictBytes += 1 + uvarintLen(uint64(e.Comm)) + uvarintLen(uint64(e.Ctx))
-	}
-	b.cols[0] = binary.AppendUvarint(b.cols[0], uint64(idx))
-
-	b.cols[1] = binary.AppendUvarint(b.cols[1], zigzag(int64(e.Rank)-b.prevRank))
-	b.prevRank = int64(e.Rank)
-	b.cols[2] = binary.AppendUvarint(b.cols[2], zigzag(int64(e.Peer)-b.prevPeer))
-	b.prevPeer = int64(e.Peer)
-	b.cols[3] = binary.AppendUvarint(b.cols[3], zigzag(int64(e.Tag)-b.prevTag))
-	b.prevTag = int64(e.Tag)
-	b.cols[4] = binary.AppendUvarint(b.cols[4], zigzag(e.Size-b.prevSize))
-	b.prevSize = e.Size
-	b.cols[5] = binary.AppendUvarint(b.cols[5], zigzag(e.TStart-b.prevTStart))
-	b.prevTStart = e.TStart
-	dur := e.TEnd - e.TStart
-	b.cols[6] = binary.AppendUvarint(b.cols[6], zigzag(dur-b.prevDur))
-	b.prevDur = dur
-
-	b.count++
-	return PackHeaderSize+(b.count+1)*b.recordSize > b.capBytes ||
-		b.encodedLen()+worstPerEventV3 > b.capBytes
-}
-
-// Take finalizes the pack and returns its encoded bytes (nil if empty),
-// committing this pack's dictionary delta as shipped: subsequent packs
-// reference those entries by index alone.
-func (b *PackBuilderV3) Take() []byte {
-	if b.count == 0 {
-		return nil
-	}
-	n := b.encodedLen()
-	out := b.out
-	if cap(out) < n {
-		// Storage follows the fill, as in PackBuilder.grow: twice the pack,
-		// so the buffer fits the next one when it comes back through Reset,
-		// and past capBytes only if the pack is.
-		out = make([]byte, 0, max(n, min(2*n, b.capBytes)))
-	}
-	out = out[:PackHeaderSize]
-	binary.LittleEndian.PutUint32(out[0:], packMagicV3)
-	binary.LittleEndian.PutUint32(out[4:], b.appID)
-	binary.LittleEndian.PutUint32(out[8:], uint32(b.srcRank))
-	binary.LittleEndian.PutUint32(out[12:], uint32(b.count))
-	binary.LittleEndian.PutUint32(out[16:], uint32(b.recordSize))
-	binary.LittleEndian.PutUint32(out[20:], uint32(n-PackHeaderSize))
-	out = binary.AppendUvarint(out, uint64(b.base))
-	out = binary.AppendUvarint(out, uint64(len(b.dict)-b.base))
-	for _, k := range b.dict[b.base:] {
-		out = append(out, byte(k.kind))
-		out = binary.AppendUvarint(out, uint64(k.comm))
-		out = binary.AppendUvarint(out, uint64(k.ctx))
-	}
-	for i := range b.cols {
-		out = binary.AppendUvarint(out, uint64(len(b.cols[i])))
-		out = append(out, b.cols[i]...)
-	}
-	b.base = len(b.dict)
-	b.out = nil
-	b.resetState()
-	return out
-}
-
 // StreamDecoder is the one decoder of event packs, every format. For v3 it
 // carries one writer's persistent dictionary across packs: packs must be
 // fed in the writer's emission order (per-writer stream delivery order),

@@ -8,7 +8,7 @@ import (
 
 // takePacksV3 drains n events through a v3 builder, collecting every
 // finalized pack plus the tail pack.
-func takePacksV3(b *PackBuilderV3, events []Event) [][]byte {
+func takePacksV3(b *ColumnBuilder, events []Event) [][]byte {
 	var packs [][]byte
 	for i := range events {
 		if b.Add(&events[i]) {
