@@ -9,7 +9,7 @@ import (
 // the process pointer in the event, AtCall carries a shared function plus a
 // pre-boxed argument, and fired events recycle through the free list. The
 // tests below run whole simulations and bound the TOTAL allocation count,
-// so the fixed setup cost (simulator, process, goroutine, channels) is
+// so the fixed setup cost (simulator, process, coroutine) is
 // amortized over enough events that any per-event allocation would blow
 // the budget by orders of magnitude.
 
@@ -31,6 +31,28 @@ func TestSleepAllocsAmortized(t *testing.T) {
 	// 10000+.
 	if allocs > 200 {
 		t.Errorf("simulation with %d sleeps allocated %.0f objects, want <= 200 (per-sleep path must be allocation-free)", sleeps, allocs)
+	}
+}
+
+// TestSpawnAllocsPerProcess pins what a process costs to make and run to
+// its end: the Proc, the sequence function's closure, and inside iter.Pull
+// the coro, its four closures and the variables they share — 13 objects on
+// go1.24.0 (a goroutine and a channel came to 3). The map entry, the start
+// event and the heap slot are warm by the measured rounds.
+func TestSpawnAllocsPerProcess(t *testing.T) {
+	const procs = 1000
+	s := New(1)
+	round := func() {
+		for i := 0; i < procs; i++ {
+			s.Spawn("p", func(p *Proc) {})
+		}
+		s.ran = false
+		if err := s.Run(); err != nil {
+			t.Error(err)
+		}
+	}
+	if per := testing.AllocsPerRun(3, round) / procs; per > 14 {
+		t.Errorf("a process costs %.1f objects to spawn and finish, want <= 14", per)
 	}
 }
 

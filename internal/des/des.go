@@ -1,14 +1,19 @@
 // Package des implements a deterministic discrete-event simulation kernel.
 //
 // The kernel drives a set of processes (Proc) in virtual time. Each process
-// runs in its own goroutine, but exactly one goroutine executes at a time:
-// control is a baton, and there is no scheduler goroutine. A process that
-// parks (or finishes) runs the event loop on its own goroutine until an
-// event resumes a process: itself, and park simply returns; another, and
-// the baton passes with one channel send (see drive). Events are popped in
-// (time, sequence) order whoever pops them, so a simulation is fully
-// deterministic: given the same seed and the same program, every run
-// produces the same event ordering and the same virtual timestamps.
+// is a coroutine (iter.Pull) of the goroutine that called Run, so exactly
+// one executes at a time: control is a baton, handed over by coroutine
+// switches that never enter the Go scheduler, and there is no scheduler
+// goroutine — a process that parks runs the event loop itself (see drive).
+// Events are popped in (time, sequence) order whoever pops them, so a
+// simulation is fully deterministic: given the same seed and the same
+// program, every run produces the same event ordering and the same virtual
+// timestamps.
+//
+// A process body that panics fails the simulation (Run re-raises it); one
+// that calls runtime.Goexit (t.FailNow) ends the goroutine that called Run,
+// as if Run itself had. Processes still parked when Run returns are never
+// resumed, and their deferred functions never run.
 //
 // The package provides the primitives the MPI runtime model is built on:
 //
@@ -24,6 +29,7 @@ package des
 
 import (
 	"fmt"
+	"iter"
 	"math/rand"
 	"sort"
 	"time"
@@ -62,8 +68,8 @@ func SecondsToDuration(s float64) time.Duration {
 // arbitrary closure (After/At). The specializations exist so the hot
 // scheduling paths allocate neither a closure nor, thanks to the
 // simulator's free list, the event itself. Callbacks run inside the event
-// loop, on whichever goroutine holds the baton — Run's, a parked process's
-// or a finished one's: they have no goroutine identity, must keep no
+// loop, on whichever stack holds the baton — Run's goroutine or a parked
+// process's coroutine: they have no identity of their own, must keep no
 // goroutine-local state, and must not block.
 type event struct {
 	at   Time
@@ -149,9 +155,9 @@ type Simulator struct {
 	live   int
 	ran    bool
 	halted bool
-	// done returns the baton from a process goroutine to Run's; failure is
-	// the panic Run re-raises once it holds the baton again.
-	done    chan struct{}
+	// pending is the process Run is to resume next, left by an event loop
+	// that yields (see drive); failure is the panic Run re-raises.
+	pending *Proc
 	failure any
 	// free is the event free list: fired events are recycled here instead
 	// of being left to the garbage collector, so steady-state scheduling
@@ -166,7 +172,6 @@ func New(seed int64) *Simulator {
 	return &Simulator{
 		rng:   rand.New(rand.NewSource(seed)),
 		procs: make(map[*Proc]struct{}),
-		done:  make(chan struct{}),
 	}
 }
 
@@ -224,8 +229,8 @@ func (s *Simulator) scheduleProc(at Time, p *Proc) {
 }
 
 // After schedules fn to run d after the current virtual time. fn runs in
-// scheduler context — inside the event loop, on whichever goroutine holds
-// the baton (see event): it may wake processes but must not itself block.
+// scheduler context — inside the event loop, on whichever stack holds the
+// baton (see event): it may wake processes but must not itself block.
 func (s *Simulator) After(d time.Duration, fn func()) {
 	s.schedule(s.now+DurationToTime(d), fn)
 }
@@ -244,12 +249,15 @@ func (s *Simulator) AtCall(at Time, fn func(any), arg any) {
 }
 
 // Proc is a simulated process. All its methods must be called from the
-// process's own goroutine (inside the function passed to Spawn), except
+// process's own coroutine (inside the function passed to Spawn), except
 // Kill, which may be called from scheduler context or another process.
 type Proc struct {
-	sim    *Simulator
-	name   string
-	resume chan struct{}
+	sim  *Simulator
+	name string
+	// next transfers control into the process's coroutine (only Run's
+	// goroutine calls it); yield transfers it back from park.
+	next   func() (struct{}, bool)
+	yield  func(struct{}) bool
 	dead   bool
 	killed bool
 	// blockedOn is a human-readable description of the current blocking
@@ -277,27 +285,24 @@ func (p *Proc) Sim() *Simulator { return p.sim }
 func (p *Proc) Now() Time { return p.sim.now }
 
 // Spawn creates a process executing fn and schedules its start at the
-// current virtual time. It may be called before Run or from a running
-// process.
+// current virtual time. It may be called before Run, from a running
+// process or from a callback. Nothing of the coroutine runs before the
+// first transfer; a finished body returns from it, and so into Run.
 func (s *Simulator) Spawn(name string, fn func(p *Proc)) *Proc {
-	p := &Proc{sim: s, name: name, resume: make(chan struct{})}
+	p := &Proc{sim: s, name: name}
 	s.procs[p] = struct{}{}
 	s.live++
-	go func() {
-		<-p.resume // wait for the baton's first arrival
-		// The finished process passes the baton on, outside run's recover
-		// frame, and its goroutine exits. Deferred, so that a body ending
-		// in runtime.Goexit (t.FailNow) does not take the baton with it.
-		defer s.drive(p)
+	p.next, _ = iter.Pull(func(yield func(struct{}) bool) {
+		p.yield = yield
 		p.run(fn)
-	}()
+	})
 	s.scheduleProc(s.now, p)
 	return p
 }
 
 // run executes the process body and marks the process dead however the
 // body ends. A kill unwinds silently; any other panic becomes the
-// simulation's failure, which Run re-raises on its own goroutine.
+// simulation's failure, which Run re-raises.
 func (p *Proc) run(fn func(p *Proc)) {
 	s := p.sim
 	defer func() {
@@ -335,24 +340,23 @@ func (p *Proc) Kill() {
 	s.scheduleProc(s.now, p)
 }
 
-// drive is the event loop, run by the goroutine that holds the baton:
-// Run's (self == nil), a parking process's, or a finished one's. It runs
+// drive is the event loop, run on whichever stack holds the baton: Run's
+// goroutine (self == nil) or a parking process's coroutine. It runs
 // callbacks in place until the popped event resumes a process. If that is
-// self, drive returns true and the caller carries on with no goroutine
-// switch. Otherwise one send on the process's resume channel passes the
-// baton and drive returns false: a parked caller blocks on its own
-// channel, Run's goroutine waits on done and then finds the loop over.
-// When the run is over (queue drained, Halt, a failure) a process
-// goroutine returns the baton to Run. A callback's panic on a process
-// goroutine is caught here, below the process body's frames (its deferred
-// recovers never see it), for Run to re-raise; on Run's goroutine it
-// simply propagates.
+// self, drive returns true and the caller carries on with no switch at
+// all. A process whose loop pops another's resume leaves it in pending and
+// returns false: park yields, and Run's goroutine — the only caller of
+// next — resumes whatever is pending until nothing is, then carries on
+// popping. A process also returns false, with nothing pending, when the
+// run is over (queue drained, Halt, a failure). A callback's panic on a
+// process's coroutine is caught here, below the process body's frames (its
+// deferred recovers never see it), for Run to re-raise; on Run's goroutine
+// it simply propagates.
 func (s *Simulator) drive(self *Proc) (resumed bool) {
 	if self != nil {
 		defer func() {
 			if r := recover(); r != nil {
 				s.failure = r
-				s.done <- struct{}{}
 			}
 		}()
 	}
@@ -360,7 +364,7 @@ func (s *Simulator) drive(self *Proc) (resumed bool) {
 		ev := s.queue.pop()
 		s.now = ev.at
 		p, fn, arg, fire := ev.proc, ev.fn, ev.arg, ev.fire
-		s.recycle(ev) // before control can leave this goroutine
+		s.recycle(ev) // before control can leave this stack
 		switch {
 		case fn != nil:
 			fn(arg)
@@ -370,28 +374,27 @@ func (s *Simulator) drive(self *Proc) (resumed bool) {
 			// A stale wake: the process died after the event was scheduled.
 		case p == self:
 			return true
+		case self != nil:
+			s.pending = p
+			return false
 		default:
-			p.resume <- struct{}{}
-			if self != nil {
-				return false
+			for s.pending = p; s.pending != nil; {
+				p, s.pending = s.pending, nil
+				p.next()
 			}
-			<-s.done
 		}
-	}
-	if self != nil {
-		s.done <- struct{}{}
 	}
 	return false
 }
 
 // park blocks the process until an event resumes it, running the event
-// loop on the process's own goroutine meanwhile. If the process was killed
+// loop on the process's own coroutine meanwhile. If the process was killed
 // while blocked, park never returns: the stack unwinds via killSignal and
 // run's recover terminates the process.
 func (p *Proc) park(why string, lazy fmt.Stringer) {
 	p.blockedOn, p.blockedFor = why, lazy
 	if !p.sim.drive(p) {
-		<-p.resume
+		p.yield(struct{}{})
 	}
 	if p.killed {
 		panic(killSignal{})
@@ -428,8 +431,8 @@ func (p *Proc) ParkFor(why fmt.Stringer) { p.park("", why) }
 
 // Unpark schedules p to resume at the current virtual time. It must be
 // called from scheduler context or from another (currently running)
-// process; p continues on its own goroutine whichever goroutine made the
-// call. Unparking a dead process is a no-op: with fault injection a
+// process; p continues on its own coroutine wherever the call was made.
+// Unparking a dead process is a no-op: with fault injection a
 // process can die between a waker's decision and the wake (the event loop
 // already skips events for the dead), so a stale wake must be harmless
 // rather than a panic.

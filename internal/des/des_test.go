@@ -2,6 +2,7 @@ package des
 
 import (
 	"errors"
+	"runtime"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -153,23 +154,32 @@ func TestParkUnpark(t *testing.T) {
 	}
 }
 
+// TestSpawnFromProcess: a process spawns children from its own body, and a
+// callback spawns one while the event loop is running on a parked
+// process's coroutine (the parent's: it is the only process parked when
+// the callback fires). Each child is a coroutine of Run's goroutine like
+// any other, whichever stack made it.
 func TestSpawnFromProcess(t *testing.T) {
 	s := New(1)
 	sum := 0
+	child := func(i int) func(*Proc) {
+		return func(p *Proc) {
+			p.Sleep(time.Duration(i) * time.Millisecond)
+			sum += i
+		}
+	}
 	s.Spawn("parent", func(p *Proc) {
+		s.After(time.Microsecond, func() { s.Spawn("callback child", child(4)) })
+		p.Sleep(2 * time.Microsecond)
 		for i := 1; i <= 3; i++ {
-			i := i
-			s.Spawn("child", func(p *Proc) {
-				p.Sleep(time.Duration(i) * time.Millisecond)
-				sum += i
-			})
+			s.Spawn("child", child(i))
 		}
 	})
 	if err := s.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if sum != 6 {
-		t.Fatalf("sum = %d, want 6", sum)
+	if sum != 10 {
+		t.Fatalf("sum = %d, want 10", sum)
 	}
 }
 
@@ -398,6 +408,7 @@ func TestKillSleepingProcStopsClock(t *testing.T) {
 }
 
 func TestKillBeforeFirstRun(t *testing.T) {
+	before := runtime.NumGoroutine()
 	s := New(1)
 	ran := false
 	p := s.Spawn("stillborn", func(p *Proc) { ran = true })
@@ -410,6 +421,10 @@ func TestKillBeforeFirstRun(t *testing.T) {
 	}
 	if !p.Dead() {
 		t.Fatal("killed process should be dead")
+	}
+	// Its coroutine ran no line of the body and is not left behind parked.
+	if after := runtime.NumGoroutine(); after > before {
+		t.Fatalf("%d goroutines after the run, %d before: the stillborn process's coroutine is still there", after, before)
 	}
 }
 
@@ -464,14 +479,14 @@ func TestDeadlockErrorMessage(t *testing.T) {
 
 // The tests below pin the kernel's contract for each way the baton can be
 // held: the event loop runs on Run's goroutine until the first process
-// starts, and from then on on the goroutine of whichever process parked or
-// finished last.
+// starts and whenever a process has finished or yielded to another, and
+// otherwise on the coroutine of the process that parked last.
 
 // TestCallbackPanicSurfacesFromRun: a callback's panic leaves Run on Run's
 // goroutine (the recover deferred around Run catches it; anywhere else it
 // would crash the test binary) carrying the callback's own value, whichever
-// goroutine was executing the loop, and never unwinds through the body of
-// the process whose goroutine that was.
+// stack was executing the loop, and never unwinds through the body of the
+// process whose coroutine that was.
 func TestCallbackPanicSurfacesFromRun(t *testing.T) {
 	boom := errors.New("callback boom")
 	runAndRecover := func(s *Simulator) (r any) {
@@ -531,9 +546,9 @@ func TestProcPanicText(t *testing.T) {
 	_ = s.Run()
 }
 
-// TestKillFromCallback: a callback kills the process on whose goroutine it
+// TestKillFromCallback: a callback kills the process on whose coroutine it
 // is executing (the only process, parked, so it holds the baton), and one
-// running on another process's goroutine kills a parked bystander. Either
+// running on another process's coroutine kills a parked bystander. Either
 // way the victim unwinds without resuming its blocking call.
 func TestKillFromCallback(t *testing.T) {
 	for _, other := range []bool{false, true} {
@@ -565,8 +580,8 @@ func TestKillFromCallback(t *testing.T) {
 	}
 }
 
-// TestDeadlockFoundOnProcessGoroutine: the queue drains while a process
-// goroutine holds the baton (the last process finishes after the stuck one
+// TestDeadlockFoundOnProcessGoroutine: the queue drains after the loop has
+// run on process coroutines (the last process finishes after the stuck one
 // parked); Run still reports the deadlock, with the same text.
 func TestDeadlockFoundOnProcessGoroutine(t *testing.T) {
 	s := New(1)
@@ -583,7 +598,7 @@ func TestDeadlockFoundOnProcessGoroutine(t *testing.T) {
 }
 
 // TestHaltFromSleepingProcess: Halt is noticed by the loop on the halting
-// process's own goroutine when it next parks; Run returns nil, the clock
+// process's own coroutine when it next parks; Run returns nil, the clock
 // stops there and pending events are discarded.
 func TestHaltFromSleepingProcess(t *testing.T) {
 	s := New(1)
@@ -601,6 +616,43 @@ func TestHaltFromSleepingProcess(t *testing.T) {
 	}
 	if woke || fired || s.Now() != DurationToTime(time.Millisecond) {
 		t.Fatalf("after Halt: woke=%v fired=%v now=%v, want false/false/1ms", woke, fired, s.Now())
+	}
+}
+
+// TestGoexitInBodyEndsRunsCaller: runtime.Goexit in a process body (what
+// t.FailNow does) ends the goroutine that called Run — Run never returns
+// there — with everything the simulation did up to that point intact and
+// nothing after it.
+func TestGoexitInBodyEndsRunsCaller(t *testing.T) {
+	s := New(1)
+	var steps []string
+	s.Spawn("worker", func(p *Proc) {
+		steps = append(steps, "w@0")
+		p.Sleep(2 * time.Millisecond)
+		steps = append(steps, "w@2ms")
+	})
+	s.Spawn("quitter", func(p *Proc) {
+		defer func() { steps = append(steps, "q deferred") }()
+		p.Sleep(time.Millisecond)
+		steps = append(steps, "q@1ms")
+		runtime.Goexit()
+	})
+	returned := false
+	exited := make(chan struct{})
+	go func() {
+		defer close(exited)
+		_ = s.Run()
+		returned = true
+	}()
+	<-exited
+	if returned {
+		t.Error("Run returned normally after a process body called runtime.Goexit")
+	}
+	if got, want := strings.Join(steps, ", "), "w@0, q@1ms, q deferred"; got != want {
+		t.Errorf("steps = %q, want %q", got, want)
+	}
+	if s.Now() != DurationToTime(time.Millisecond) {
+		t.Errorf("clock = %v, want it stopped at 1ms", s.Now())
 	}
 }
 

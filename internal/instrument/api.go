@@ -61,6 +61,9 @@ type MPI struct {
 	// ev is emit's scratch event: recorders do not retain it, so one per
 	// handle serves every intercepted call without a heap allocation.
 	ev trace.Event
+	// reqs is exchange's request storage: pointers into one slab, as long
+	// as the largest group the handle has exchanged with.
+	reqs []*mpi.Request
 }
 
 // New wraps a rank and communicator with no recorder attached (reference
@@ -192,18 +195,7 @@ func (m *MPI) Sendrecv(dst, sendTag int, size int64, src, recvTag int) (int, int
 // faithful to the unsampled benchmark. See DESIGN.md ("event fidelity is
 // preserved; transport fidelity is sampled").
 func (m *MPI) Exchange(peer, tag int, size int64, count int) {
-	if count <= 0 {
-		return
-	}
-	t0 := m.now()
-	for i := 0; i < count; i++ {
-		m.emit(trace.KindIsend, int32(peer), int32(tag), size, t0, t0)
-		m.emit(trace.KindIrecv, int32(peer), int32(tag), 0, t0, t0)
-	}
-	sreq := m.rank.Isend(m.comm, peer, tag, size*int64(count), nil)
-	rreq := m.rank.Irecv(m.comm, peer, tag)
-	m.rank.Waitall([]*mpi.Request{rreq, sreq})
-	m.emit(trace.KindWaitall, int32(peer), int32(tag), 2*size*int64(count), t0, m.now())
+	m.exchange([]int{peer}, tag, []int64{size}, count, int32(peer))
 }
 
 // ExchangeGroup performs a symmetric neighbour exchange with several peers
@@ -214,6 +206,12 @@ func (m *MPI) Exchange(peer, tag int, size int64, count int) {
 // then one Waitall covering the group. sizes[i] is the per-message size
 // toward peers[i].
 func (m *MPI) ExchangeGroup(peers []int, tag int, sizes []int64, count int) {
+	m.exchange(peers, tag, sizes, count, -1)
+}
+
+// exchange is Exchange and ExchangeGroup, the requests in the handle's slab
+// (a warm one allocates nothing); waitPeer is whom the Waitall record names.
+func (m *MPI) exchange(peers []int, tag int, sizes []int64, count int, waitPeer int32) {
 	if count <= 0 || len(peers) == 0 {
 		return
 	}
@@ -221,21 +219,26 @@ func (m *MPI) ExchangeGroup(peers []int, tag int, sizes []int64, count int) {
 		panic("instrument: ExchangeGroup sizes/peers length mismatch")
 	}
 	t0 := m.now()
-	reqs := make([]*mpi.Request, 0, 2*len(peers))
+	n := 2 * len(peers)
+	if len(m.reqs) < n {
+		slab := make([]mpi.Request, n)
+		m.reqs = make([]*mpi.Request, n)
+		for i := range slab {
+			m.reqs[i] = &slab[i]
+		}
+	}
+	var total int64
 	for pi, peer := range peers {
 		for i := 0; i < count; i++ {
 			m.emit(trace.KindIsend, int32(peer), int32(tag), sizes[pi], t0, t0)
 			m.emit(trace.KindIrecv, int32(peer), int32(tag), 0, t0, t0)
 		}
-		reqs = append(reqs, m.rank.Irecv(m.comm, peer, tag))
-		reqs = append(reqs, m.rank.Isend(m.comm, peer, tag, sizes[pi]*int64(count), nil))
-	}
-	m.rank.Waitall(reqs)
-	var total int64
-	for pi := range peers {
+		m.rank.IrecvInto(m.reqs[2*pi], m.comm, peer, tag)
+		m.rank.IsendInto(m.reqs[2*pi+1], m.comm, peer, tag, sizes[pi]*int64(count), nil)
 		total += 2 * sizes[pi] * int64(count)
 	}
-	m.emit(trace.KindWaitall, -1, int32(tag), total, t0, m.now())
+	m.rank.Waitall(m.reqs[:n])
+	m.emit(trace.KindWaitall, waitPeer, int32(tag), total, t0, m.now())
 }
 
 // Barrier synchronizes the communicator.

@@ -126,3 +126,36 @@ func TestEmitRecordZeroAllocs(t *testing.T) {
 		t.Errorf("emit → Record allocates %.2f per event in the steady state, want 0", allocs)
 	}
 }
+
+// TestExchangeGroupZeroAllocs: a warm ExchangeGroup with 4 peers, and a
+// warm pairwise Exchange, allocate nothing — the requests live in the
+// handle's slab, the messages and events come from their free lists. 8
+// ranks on a ring exchange with their neighbours at distance 1 and 2, then
+// in pairs; differencing two run lengths cancels the world's setup and the
+// slab's one allocation per handle. Before the slab a round read 9 (the
+// group's 8 requests and their list; the pair's stayed on the stack).
+func TestExchangeGroupZeroAllocs(t *testing.T) {
+	const ranks, short, long = 8, 50, 550
+	sizes := []int64{64, 64, 128, 128}
+	total := func(rounds int) float64 {
+		return testing.AllocsPerRun(1, func() {
+			var comm *mpi.Comm
+			w := mpi.NewWorld(mpi.DefaultConfig(), mpi.Program{Name: "app", Procs: ranks, Main: func(r *mpi.Rank) {
+				m := New(r, comm)
+				me := m.Rank()
+				peers := []int{(me + 1) % ranks, (me + ranks - 1) % ranks, (me + 2) % ranks, (me + ranks - 2) % ranks}
+				for i := 0; i < rounds; i++ {
+					m.ExchangeGroup(peers, 7, sizes, 2)
+					m.Exchange(me^1, 8, 64, 2)
+				}
+			}})
+			comm = w.NewComm(w.ProgramRanks(0))
+			if err := w.Run(); err != nil {
+				t.Error(err)
+			}
+		})
+	}
+	if per := (total(long) - total(short)) / ((long - short) * ranks); per > 0.01 {
+		t.Errorf("a warm 4-peer ExchangeGroup and a pairwise Exchange allocate %.3f objects per round, want 0", per)
+	}
+}

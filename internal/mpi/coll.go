@@ -125,7 +125,7 @@ func (r *Rank) collective(c *Comm, kind CollKind, bytes int64) {
 	key := collKey{comm: c.id, seq: seq}
 	st := w.colls[key]
 	if st == nil {
-		st = &collState{}
+		st = &collState{waiters: make([]*des.Proc, 0, c.Size()-1)}
 		w.colls[key] = st
 	}
 	st.arrived++
@@ -144,11 +144,14 @@ func (r *Rank) collective(c *Comm, kind CollKind, bytes int64) {
 	done := st.latest + des.DurationToTime(collCost(kind, c.Size(), st.bytes, w.cfg))
 	delete(w.colls, key)
 	for _, p := range st.waiters {
-		p := p
-		w.sim.At(done, func() { p.Unpark() })
+		w.sim.AtCall(done, unparkProc, p)
 	}
 	r.proc.SleepUntil(done)
 }
+
+// unparkProc is the shared release callback of collective and Split: one
+// AtCall per waiter, no closure each.
+func unparkProc(a any) { a.(*des.Proc).Unpark() }
 
 // Barrier blocks until every member of c has entered it.
 func (r *Rank) Barrier(c *Comm) { r.collective(c, CollBarrier, 0) }

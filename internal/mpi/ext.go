@@ -1,7 +1,6 @@
 package mpi
 
 import (
-	"fmt"
 	"sort"
 
 	"repro/internal/des"
@@ -14,23 +13,7 @@ import (
 // matters.
 func (r *Rank) Ssend(c *Comm, dst, tag int, size int64, payload []byte) {
 	r.overhead()
-	w := r.world
-	srcLocal := c.LocalOf(r.global)
-	if srcLocal < 0 {
-		panic("mpi: Ssend on a communicator the sender is not a member of")
-	}
-	if dst < 0 || dst >= c.Size() {
-		panic(fmt.Sprintf("mpi: Ssend to invalid rank %d of comm size %d", dst, c.Size()))
-	}
-	dstGlobal := c.Global(dst)
-	_, delivered := w.net.Transfer(r.Now(), r.global, dstGlobal, size+w.cfg.Envelope)
-	msg := w.newMessage()
-	msg.srcLocal, msg.tag, msg.comm, msg.size = srcLocal, tag, c.id, size
-	msg.payload = payload
-	msg.syncer = r.proc
-	msg.dst = w.ranks[dstGlobal]
-	// deliverMessage releases the syncer if the peer crashed in flight.
-	w.sim.AtCall(delivered, deliverMessage, msg)
+	r.inject("Ssend", c, dst, tag, size, payload, r.proc)
 	// Park until the receiver matches the message.
 	r.proc.ParkFor(r.blockedOnP2P("ssend", "dst", dst, tag, c))
 }
@@ -116,8 +99,7 @@ func (r *Rank) Split(c *Comm, color, key int) *Comm {
 		// The split costs one barrier-like synchronization.
 		done := r.Now() + des.DurationToTime(collCost(CollBarrier, c.Size(), 0, w.cfg))
 		for _, waiter := range st.waiters {
-			p := waiter.proc
-			w.sim.At(done, func() { p.Unpark() })
+			w.sim.AtCall(done, unparkProc, waiter.proc)
 		}
 		delete(w.splits, skey)
 		r.proc.SleepUntil(done)

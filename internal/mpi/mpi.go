@@ -228,7 +228,6 @@ func (w *World) NewComm(globals []int) *Comm {
 // returns an error if the simulation deadlocks.
 func (w *World) Run() error {
 	for _, r := range w.ranks {
-		r := r
 		name := fmt.Sprintf("%s[%d]", w.programs[r.prog].Name, r.local)
 		// The proc handle is taken from Spawn so fault injection scheduled
 		// at t=0 (before the rank's first transfer) can still target it.
@@ -465,47 +464,56 @@ func (r *Rank) overhead() { r.proc.Sleep(r.world.cfg.CallOverhead) }
 func (r *Rank) Send(c *Comm, dst, tag int, size int64, payload []byte) {
 	r.overhead()
 	var req Request
-	r.isendInit(&req, c, dst, tag, size, payload)
+	r.IsendInto(&req, c, dst, tag, size, payload)
 	r.waitOne(&req)
 }
 
 // Isend starts a non-blocking send and returns its request.
 func (r *Rank) Isend(c *Comm, dst, tag int, size int64, payload []byte) *Request {
 	req := new(Request)
-	r.isendInit(req, c, dst, tag, size, payload)
+	r.IsendInto(req, c, dst, tag, size, payload)
 	return req
 }
 
-// isendInit injects the message and fills req, without allocating the
-// request itself (Send keeps it on the stack).
-func (r *Rank) isendInit(req *Request, c *Comm, dst, tag int, size int64, payload []byte) {
+// IsendInto is Isend into caller-owned storage: it injects the message and
+// fills req without allocating it (Send keeps it on the stack, a stencil
+// exchange in a slab it reuses). req must not be in flight.
+func (r *Rank) IsendInto(req *Request, c *Comm, dst, tag int, size int64, payload []byte) {
+	*req = Request{rank: r, isSend: true, doneAt: r.inject("Isend", c, dst, tag, size, payload, nil)}
+}
+
+// inject puts a message for rank dst of c on the network, schedules its
+// delivery and returns the time the sender's NIC is done with it. syncer,
+// when non-nil, is the sender, about to park until the message is matched
+// (Ssend; deliverMessage releases it if the peer crashed in flight).
+func (r *Rank) inject(op string, c *Comm, dst, tag int, size int64, payload []byte, syncer *des.Proc) des.Time {
 	if dst < 0 || dst >= c.Size() {
-		panic(fmt.Sprintf("mpi: Isend to invalid rank %d of comm size %d", dst, c.Size()))
+		panic(fmt.Sprintf("mpi: %s to invalid rank %d of comm size %d", op, dst, c.Size()))
 	}
 	w := r.world
 	srcLocal := c.LocalOf(r.global)
 	if srcLocal < 0 {
-		panic("mpi: Isend on a communicator the sender is not a member of")
+		panic("mpi: " + op + " on a communicator the sender is not a member of")
 	}
 	dstGlobal := c.Global(dst)
 	injected, delivered := w.net.Transfer(r.Now(), r.global, dstGlobal, size+w.cfg.Envelope)
 	msg := w.newMessage()
 	msg.srcLocal, msg.tag, msg.comm, msg.size = srcLocal, tag, c.id, size
-	msg.payload = payload
-	msg.dst = w.ranks[dstGlobal]
+	msg.payload, msg.syncer, msg.dst = payload, syncer, w.ranks[dstGlobal]
 	w.sim.AtCall(delivered, deliverMessage, msg)
-	*req = Request{rank: r, isSend: true, doneAt: injected}
+	return injected
 }
 
 // Irecv posts a non-blocking receive matching (src, tag) on communicator c.
 // Use AnySource / AnyTag as wildcards.
 func (r *Rank) Irecv(c *Comm, src, tag int) *Request {
 	req := new(Request)
-	r.irecvInit(req, c, src, tag)
+	r.IrecvInto(req, c, src, tag)
 	return req
 }
 
-func (r *Rank) irecvInit(req *Request, c *Comm, src, tag int) {
+// IrecvInto is Irecv into caller-owned storage (see IsendInto).
+func (r *Rank) IrecvInto(req *Request, c *Comm, src, tag int) {
 	if c.LocalOf(r.global) < 0 {
 		panic("mpi: Irecv on a communicator the receiver is not a member of")
 	}
@@ -517,7 +525,7 @@ func (r *Rank) irecvInit(req *Request, c *Comm, src, tag int) {
 func (r *Rank) Recv(c *Comm, src, tag int) (Status, []byte) {
 	r.overhead()
 	var req Request
-	r.irecvInit(&req, c, src, tag)
+	r.IrecvInto(&req, c, src, tag)
 	r.waitOne(&req)
 	return req.Status, req.Payload
 }
@@ -645,8 +653,8 @@ func (r *Rank) Iprobe(c *Comm, src, tag int) (bool, Status) {
 func (r *Rank) SendRecv(c *Comm, dst, sendTag int, size int64, payload []byte, src, recvTag int) (Status, []byte) {
 	r.overhead()
 	var sreq, rreq Request
-	r.isendInit(&sreq, c, dst, sendTag, size, payload)
-	r.irecvInit(&rreq, c, src, recvTag)
+	r.IsendInto(&sreq, c, dst, sendTag, size, payload)
+	r.IrecvInto(&rreq, c, src, recvTag)
 	r.waitOne(&rreq)
 	r.waitOne(&sreq)
 	return rreq.Status, rreq.Payload

@@ -580,3 +580,31 @@ func TestSingletonCommCollectiveIsFree(t *testing.T) {
 		}
 	})
 }
+
+// TestAllreduceAllocsPerCollective: a warm 64-rank Allreduce allocates 2
+// objects per collective — the collState and its waiter list, made by the
+// first arrival — and nothing per call: the 63 waiters are released through
+// one shared callback, not a closure each. Differencing two run lengths
+// cancels the world's setup; the bound's slack is for a stray runtime
+// object in a thousand collectives (a closure per waiter and a grown list
+// read 71).
+func TestAllreduceAllocsPerCollective(t *testing.T) {
+	const ranks, short, long = 64, 50, 550
+	total := func(rounds int) float64 {
+		return testing.AllocsPerRun(1, func() {
+			var comm *Comm
+			w := NewWorld(DefaultConfig(), Program{Name: "app", Procs: ranks, Main: func(r *Rank) {
+				for i := 0; i < rounds; i++ {
+					r.Allreduce(comm, 8)
+				}
+			}})
+			comm = w.NewComm(w.ProgramRanks(0))
+			if err := w.Run(); err != nil {
+				t.Error(err)
+			}
+		})
+	}
+	if per := (total(long) - total(short)) / (long - short); per > 2.1 {
+		t.Errorf("a warm %d-rank Allreduce allocates %.2f objects per collective, want 2", ranks, per)
+	}
+}
