@@ -55,7 +55,6 @@ func main() {
 		telFlag      = flag.Bool("telemetry", false, "stream engine-health meta-events and append a health chapter + JSON summary")
 		telPeriod    = flag.Duration("telemetry-period", 0, "virtual-time sampling period for -telemetry (0 = 10ms)")
 		formatFlag   = flag.Int("format", 0, "pack wire format: 1 (fixed records), 2 (delta+varint) or 3 (stream dictionary, fused analyzer decode); 0 = 1, the seed behavior")
-		shardsFlag   = flag.Int("shards", 0, "blackboard shard count (0 = 1, the single-partition board)")
 		replicasFlag = flag.Int("replicas", 0, "per-worker module replicas (0 = off): lock-free parallel folding with epoch merges; profiles stay byte-identical, incompatible with -export")
 		treeLevels   = flag.Int("tree-levels", 0, "analysis tree levels: <=1 flat pipeline, L>=2 adds L-1 aggregator tiers between leaves and the root blackboard")
 		treeFanin    = flag.Int("tree-fanin", 0, "reduction-tree fan-in (0 = 8); only with -tree-levels >= 2")
@@ -96,7 +95,6 @@ func main() {
 		Callsites:        *sitesFlag,
 		Sizes:            *sizesFlag,
 		PackVersion:      format,
-		Shards:           *shardsFlag,
 		Replicas:         *replicasFlag,
 		Telemetry:        *telFlag,
 		TelemetryPeriod:  *telPeriod,

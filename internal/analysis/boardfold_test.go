@@ -215,9 +215,8 @@ func TestBoardFoldAllocsPerPack(t *testing.T) {
 // BenchmarkBoardFold times the board's pack fold — raw v1 packs of eight
 // writers per application posted through the dispatcher onto two workers,
 // sizes and call sites on — over the axes ROADMAP 4b has to decide on:
-// folding under the state's mutexes or into per-worker replicas, on one
-// board partition or two, with one application level or two, in 1 MiB or
-// 16 KiB packs. One iteration posts every pack and drains (and settles);
+// folding under the state's mutexes or into per-worker replicas, with one
+// application level or two, in 1 MiB or 16 KiB packs. One iteration posts every pack and drains (and settles);
 // the figure of merit is Mevents/s.
 func BenchmarkBoardFold(b *testing.B) {
 	const writers, perWriter = 8, 1 << 17
@@ -241,55 +240,53 @@ func BenchmarkBoardFold(b *testing.B) {
 				}
 			}
 			for _, replicas := range []bool{false, true} {
-				for _, shards := range []int{1, 2} {
-					fold := "locked"
-					if replicas {
-						fold = "replica"
+				fold := "locked"
+				if replicas {
+					fold = "replica"
+				}
+				b.Run(fmt.Sprintf("apps%d/%s/%s", apps, pack.name, fold), func(b *testing.B) {
+					bb := blackboard.New(blackboard.Config{Workers: 2})
+					defer bb.Close()
+					d, err := NewDispatcher(bb)
+					if err != nil {
+						b.Fatal(err)
 					}
-					b.Run(fmt.Sprintf("apps%d/%s/%s/shards%d", apps, pack.name, fold, shards), func(b *testing.B) {
-						bb := blackboard.New(blackboard.Config{Workers: 2, Shards: shards})
-						defer bb.Close()
-						d, err := NewDispatcher(bb)
+					pipes := make([]*Pipeline, apps)
+					for app := range pipes {
+						p, err := d.AddApp(uint32(app), fmt.Sprintf("app%d", app), 4)
 						if err != nil {
 							b.Fatal(err)
 						}
-						pipes := make([]*Pipeline, apps)
-						for app := range pipes {
-							p, err := d.AddApp(uint32(app), fmt.Sprintf("app%d", app), 4)
-							if err != nil {
+						if _, err := p.EnableSizes(); err != nil {
+							b.Fatal(err)
+						}
+						if _, err := p.EnableCallsites(); err != nil {
+							b.Fatal(err)
+						}
+						if replicas {
+							if err := p.EnableReplicas(0); err != nil {
 								b.Fatal(err)
 							}
-							if _, err := p.EnableSizes(); err != nil {
-								b.Fatal(err)
-							}
-							if _, err := p.EnableCallsites(); err != nil {
-								b.Fatal(err)
-							}
-							if replicas {
-								if err := p.EnableReplicas(0); err != nil {
-									b.Fatal(err)
-								}
-							}
-							pipes[app] = p
 						}
-						b.ResetTimer()
-						for i := 0; i < b.N; i++ {
-							for _, pk := range packs {
-								d.PostRaw(pk)
-							}
-							bb.Drain()
-							for _, p := range pipes {
-								p.Settle()
-							}
+						pipes[app] = p
+					}
+					b.ResetTimer()
+					for i := 0; i < b.N; i++ {
+						for _, pk := range packs {
+							d.PostRaw(pk)
 						}
-						b.StopTimer()
-						events := int64(b.N) * int64(apps*writers*perWriter)
-						if got := pipes[0].Profiler.Events() * int64(apps); got != events {
-							b.Fatalf("folded %d events, want %d", got, events)
+						bb.Drain()
+						for _, p := range pipes {
+							p.Settle()
 						}
-						b.ReportMetric(float64(events)/1e6/b.Elapsed().Seconds(), "Mevents/s")
-					})
-				}
+					}
+					b.StopTimer()
+					events := int64(b.N) * int64(apps*writers*perWriter)
+					if got := pipes[0].Profiler.Events() * int64(apps); got != events {
+						b.Fatalf("folded %d events, want %d", got, events)
+					}
+					b.ReportMetric(float64(events)/1e6/b.Elapsed().Seconds(), "Mevents/s")
+				})
 			}
 		}
 	}

@@ -186,7 +186,7 @@ func canonicalOf(p *Pipeline) []byte {
 // a fresh board.
 func fullPipeline(t *testing.T, workers int) (*Dispatcher, *Pipeline) {
 	t.Helper()
-	bb := blackboard.New(blackboard.Config{Workers: workers, Shards: workers})
+	bb := blackboard.New(blackboard.Config{Workers: workers})
 	t.Cleanup(bb.Close)
 	d, err := NewDispatcher(bb)
 	if err != nil {

@@ -335,14 +335,19 @@ func (m *WaitStateModule) Merge(o *WaitStateModule) {
 }
 
 // MergeFull folds another wait-state module into this one *including*
-// the pending unmatched queues, re-pairing any channels that now hold
-// both sides. Per channel, all sends originate at one rank and all
-// receives at another, and each rank's stream is time-ordered — so every
-// pending queue is sorted by time, a sorted merge reconstructs the
-// channel's true FIFO order, and positional pairing of the merged queues
-// reproduces exactly the pairs the flat single-blackboard analysis would
-// have formed. That makes MergeFull associative and commutative: the
-// invariant the reduction tree is built on.
+// the pending unmatched queues; channels that now hold both sides pair at
+// m's next settle (a read accessor, Flush or encode). Per channel, all
+// sends originate at one rank and all receives at another, and each
+// rank's stream is time-ordered — so every pending queue is sorted by
+// time and a sorted merge reconstructs the channel's true FIFO order.
+// Positional pairing at a settle reproduces exactly the pairs the flat
+// single-blackboard analysis would have formed on one condition: each side
+// of a channel is a prefix of that side's sends or receives. A module fed
+// each writer's packs in order (a tree leaf, a fused or daemon lane) meets
+// it at every settle; board replicas meet it only once all of them have
+// merged, since any worker may fold any of a writer's packs. That makes
+// MergeFull associative and commutative: the invariant the reduction tree
+// is built on.
 func (m *WaitStateModule) MergeFull(o *WaitStateModule) {
 	o.mu.Lock()
 	c := &WaitStateModule{pairs: o.pairs, lateNs: slices.Clone(o.lateNs), lateHits: slices.Clone(o.lateHits),
@@ -358,12 +363,16 @@ func (m *WaitStateModule) MergeFull(o *WaitStateModule) {
 
 // mergeResetFull is MergeFull with move semantics (MergeFull is this,
 // applied to a copy): o's queues and accumulators are transferred into m
-// and o is left empty, without copying. Sorted merge + positional pairing
-// is order-insensitive, as MergeFull's comment argues, and a queue whose
-// counterpart in m is empty changes owner instead of being duplicated
-// (the two sides swap backing arrays, so both keep their capacity), and
-// an epoch merge of a drained replica allocates nothing. The caller must
-// own o exclusively (it is a paused replica).
+// and o is left empty, without copying. Merged channels are only listed,
+// not paired: a board replica may hold a non-prefix of a channel's sends
+// or receives, and pairing it against m now would match the wrong
+// partners, so pairing waits for m's next settle, which the board path
+// reaches once Pipeline.Settle has merged every replica and each side is
+// a prefix again (MergeFull's condition). A queue whose counterpart in m is
+// empty changes owner instead of being duplicated (the two sides swap
+// backing arrays, so both keep their capacity), and an epoch merge of a
+// drained replica allocates nothing. The caller must own o exclusively (it
+// is a paused replica).
 func (m *WaitStateModule) mergeResetFull(o *WaitStateModule) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -383,7 +392,7 @@ func (m *WaitStateModule) mergeResetFull(o *WaitStateModule) {
 		q := m.queues(k)
 		q.sends, oq.sends = moveSorted(q.sends, oq.sends, cmp.Less[int64])
 		q.recvs, oq.recvs = moveSorted(q.recvs, oq.recvs, lessRecv)
-		m.merged(q)
+		m.list(q)
 	}
 	// Nothing is left in o to pair.
 	for _, oq := range o.unsettled {

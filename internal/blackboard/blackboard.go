@@ -27,16 +27,11 @@
 //     together, so identical KSs and data types coexist per level
 //     (paper Figure 5).
 //
-// The board is partitioned: types hash to independent shards, each with
-// its own published sensitivity map, job FIFOs, and worker subset, so
-// posts on disjoint types share no locks and no counters beyond the
-// global delivery ledger. Since a Type already hashes level and name
-// together, the shard function is a mix of the type identifier — the
-// paper's hash(level ⊕ type). A KS whose sensitivities span shards is
-// simply listed in each one's map; its slot state is its own (per-KS
-// mutex), so cross-shard sensitivity sets still assemble complete input
-// jobs. With Shards: 1 (the default) the engine is the original flat
-// board.
+// The board is the paper's single engine: one sensitivity table and one
+// array of 2×Workers job FIFOs swept by every worker. The table is a
+// copy-on-write map published through an atomic pointer, so a post looks
+// up its listeners without a lock, and each KS indexes its own slots by
+// type under its own mutex.
 //
 // KSs may register or remove KSs — including themselves — at runtime,
 // which is the paper's simplified form of opportunistic reasoning.
@@ -45,7 +40,9 @@ package blackboard
 import (
 	"fmt"
 	"hash/fnv"
+	"maps"
 	"math/rand"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -164,18 +161,9 @@ type job struct {
 
 // Config parameterizes the engine.
 type Config struct {
-	// Workers is the worker pool size (default: 4).
+	// Workers is the worker pool size (default: 4). The board keeps
+	// 2×Workers job FIFOs.
 	Workers int
-	// Queues is the total number of job FIFOs across all shards
-	// (default: 2×Workers).
-	Queues int
-	// Seed seeds the queue-selection randomness.
-	Seed int64
-	// Shards is the number of independent board partitions (default: 1,
-	// the flat board). Types hash to shards; posts on types of different
-	// shards touch no common mutable state. Clamped to Workers so every
-	// shard owns at least one worker.
-	Shards int
 }
 
 // Stats is a snapshot of engine counters.
@@ -210,37 +198,21 @@ type Stats struct {
 // type it touches so published slices are immutable too.
 type sensMap = map[Type][]*ksState
 
-// shard is one independent partition of the board: its own sensitivity
-// table, job FIFOs, idle bookkeeping and queue-selection seed. Workers
-// are bound to a shard and sweep only its FIFOs.
-type shard struct {
-	sens     atomic.Pointer[sensMap]
-	queues   []jobFIFO
-	queued   atomic.Int64 // jobs sitting in this shard's FIFOs
-	idleMu   sync.Mutex
-	idleCond *sync.Cond
-	seed     atomic.Int64
-}
-
-// nextRand is a tiny splitmix step: cheap, lock-free queue selection.
-func (sh *shard) nextRand() uint64 {
-	z := uint64(sh.seed.Add(-0x61c8864680b583eb)) // += 0x9e3779b97f4a7c15 (two's complement)
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	return z ^ (z >> 31)
-}
-
 // Blackboard is the parallel engine. Create with New, stop with Close.
 type Blackboard struct {
 	// regMu serializes registration changes (rare); the hot path never
-	// takes it — posts read the shards' published tables lock-free.
+	// takes it — posts read the published table lock-free.
 	regMu  sync.RWMutex
 	byName map[string]*ksState
+	sens   atomic.Pointer[sensMap]
 
-	shards  []*shard
-	workers int
+	queues   []jobFIFO
+	seed     atomic.Int64 // queue-selection randomness
+	queued   atomic.Int64 // jobs sitting in the FIFOs
+	idleMu   sync.Mutex
+	idleCond *sync.Cond
+	workers  int
 
-	queued   atomic.Int64 // total queued jobs (telemetry gauge)
 	inflight atomic.Int64 // queued + executing jobs
 	drainMu  sync.Mutex
 	drain    *sync.Cond
@@ -265,6 +237,14 @@ type Blackboard struct {
 // distribution.
 func (bb *Blackboard) SetTelemetry(m *telemetry.BoardMetrics) {
 	bb.tel.Store(m)
+}
+
+// nextRand is a tiny splitmix step: cheap, lock-free queue selection.
+func (bb *Blackboard) nextRand() uint64 {
+	z := uint64(bb.seed.Add(-0x61c8864680b583eb)) // += 0x9e3779b97f4a7c15 (two's complement)
+	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
+	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
+	return z ^ (z >> 31)
 }
 
 type jobFIFO struct {
@@ -296,53 +276,20 @@ func New(cfg Config) *Blackboard {
 	if cfg.Workers <= 0 {
 		cfg.Workers = 4
 	}
-	if cfg.Queues <= 0 {
-		cfg.Queues = 2 * cfg.Workers
-	}
-	if cfg.Shards <= 0 {
-		cfg.Shards = 1
-	}
-	if cfg.Shards > cfg.Workers {
-		cfg.Shards = cfg.Workers
-	}
-	perShard := cfg.Queues / cfg.Shards
-	if perShard < 1 {
-		perShard = 1
-	}
 	bb := &Blackboard{
 		byName:  make(map[string]*ksState),
-		shards:  make([]*shard, cfg.Shards),
+		queues:  make([]jobFIFO, 2*cfg.Workers),
 		workers: cfg.Workers,
 	}
-	for i := range bb.shards {
-		sh := &shard{queues: make([]jobFIFO, perShard)}
-		sh.idleCond = sync.NewCond(&sh.idleMu)
-		// Distinct streams per shard; the odd stride keeps them apart for
-		// any user seed.
-		sh.seed.Store(cfg.Seed + int64(i)*0x9e3779b9)
-		empty := make(sensMap)
-		sh.sens.Store(&empty)
-		bb.shards[i] = sh
-	}
+	empty := make(sensMap)
+	bb.sens.Store(&empty)
+	bb.idleCond = sync.NewCond(&bb.idleMu)
 	bb.drain = sync.NewCond(&bb.drainMu)
 	bb.wg.Add(cfg.Workers)
 	for i := 0; i < cfg.Workers; i++ {
-		go bb.worker(i, bb.shards[i%cfg.Shards])
+		go bb.worker(i)
 	}
 	return bb
-}
-
-// shardOf maps a type to its owning shard. TypeID is already an FNV hash
-// of level and name, so a cheap avalanche over it spreads types evenly.
-func (bb *Blackboard) shardOf(t Type) *shard {
-	if len(bb.shards) == 1 {
-		return bb.shards[0]
-	}
-	x := uint64(t)
-	x ^= x >> 33
-	x *= 0xff51afd7ed558ccd
-	x ^= x >> 33
-	return bb.shards[x%uint64(len(bb.shards))]
 }
 
 // Register adds a knowledge source. It may be called concurrently,
@@ -375,28 +322,13 @@ func (bb *Blackboard) Register(ks KS) error {
 		return fmt.Errorf("blackboard: KS %q already registered", ks.Name)
 	}
 	bb.byName[ks.Name] = st
-	// Republish each shard's table once, appending st under every distinct
-	// type it listens to (slots already de-duplicates).
-	perShard := make(map[*shard][]Type)
+	// Republish the table once, appending st under every distinct type it
+	// listens to (slots already de-duplicates).
+	next := maps.Clone(*bb.sens.Load())
 	for t := range st.slots {
-		sh := bb.shardOf(t)
-		perShard[sh] = append(perShard[sh], t)
+		next[t] = append(slices.Clip(next[t]), st)
 	}
-	for sh, types := range perShard {
-		old := *sh.sens.Load()
-		next := make(sensMap, len(old)+len(types))
-		for k, v := range old {
-			next[k] = v
-		}
-		for _, t := range types {
-			cur := next[t]
-			nl := make([]*ksState, len(cur)+1)
-			copy(nl, cur)
-			nl[len(cur)] = st
-			next[t] = nl
-		}
-		sh.sens.Store(&next)
-	}
+	bb.sens.Store(&next)
 	return nil
 }
 
@@ -410,36 +342,19 @@ func (bb *Blackboard) Unregister(name string) {
 	st, ok := bb.byName[name]
 	if ok {
 		delete(bb.byName, name)
-		// Republish each affected shard's table without st. A post may
-		// still hold the previous snapshot; the dead flag below makes its
-		// late offers discard (and ledger) instead of parking forever.
-		perShard := make(map[*shard][]Type)
+		// Republish the table without st. A post may still hold the
+		// previous snapshot; the dead flag below makes its late offers
+		// discard (and ledger) instead of parking forever.
+		next := maps.Clone(*bb.sens.Load())
 		for t := range st.slots {
-			sh := bb.shardOf(t)
-			perShard[sh] = append(perShard[sh], t)
-		}
-		for sh, types := range perShard {
-			old := *sh.sens.Load()
-			next := make(sensMap, len(old))
-			for k, v := range old {
-				next[k] = v
+			nl := slices.DeleteFunc(slices.Clone(next[t]), func(s *ksState) bool { return s == st })
+			if len(nl) == 0 {
+				delete(next, t)
+			} else {
+				next[t] = nl
 			}
-			for _, t := range types {
-				cur := next[t]
-				nl := make([]*ksState, 0, len(cur))
-				for _, s := range cur {
-					if s != st {
-						nl = append(nl, s)
-					}
-				}
-				if len(nl) == 0 {
-					delete(next, t)
-				} else {
-					next[t] = nl
-				}
-			}
-			sh.sens.Store(&next)
 		}
+		bb.sens.Store(&next)
 	}
 	bb.regMu.Unlock()
 	if !ok {
@@ -481,11 +396,10 @@ func (bb *Blackboard) Post(t Type, size int64, payload any) {
 // still governing writability).
 //
 // The hot path is lock-free up to the matched KSs' slot mutexes: the
-// shard's sensitivity table is an immutable published map (registration
+// sensitivity table is an immutable published map (registration
 // republishes a clone), so the lookup takes no lock and the listener list
 // needs no defensive copy. Registration during posting affects later
-// posts only — same snapshot semantics the flat board had, now without
-// the per-post allocation.
+// posts only.
 func (bb *Blackboard) PostEntry(e *Entry) {
 	if bb.closed.Load() {
 		// A stopped board drops rather than panics: late posts are
@@ -498,8 +412,7 @@ func (bb *Blackboard) PostEntry(e *Entry) {
 	}
 	bb.posted.Add(1)
 	bb.tel.Load().OnPost()
-	sh := bb.shardOf(e.Type)
-	listeners := (*sh.sens.Load())[e.Type]
+	listeners := (*bb.sens.Load())[e.Type]
 	if len(listeners) == 0 {
 		bb.unclaimed.Add(1)
 		bb.tel.Load().OnDrop()
@@ -515,7 +428,7 @@ func (bb *Blackboard) PostEntry(e *Entry) {
 			continue
 		}
 		if inputs != nil {
-			bb.push(sh, job{st: st, inputs: inputs})
+			bb.push(job{st: st, inputs: inputs})
 		}
 	}
 	e.Release() // the board consumed the caller's reference
@@ -561,34 +474,31 @@ func (st *ksState) offer(e *Entry) ([]*Entry, bool) {
 	return inputs, true
 }
 
-// push enqueues a job on a random FIFO of the shard that triggered it and
-// wakes one of the shard's workers. The queued counter is raised before
-// the signal and checked by workers under the shard's idleMu, so a signal
-// can never be lost between a failed sweep and the wait.
-func (bb *Blackboard) push(sh *shard, j job) {
+// push enqueues a job on a random FIFO and wakes one worker. The queued
+// counter is raised before the signal and checked by workers under
+// idleMu, so a signal can never be lost between a failed sweep and the
+// wait.
+func (bb *Blackboard) push(j job) {
 	bb.inflight.Add(1)
-	qi := int(sh.nextRand() % uint64(len(sh.queues)))
-	q := &sh.queues[qi]
+	q := &bb.queues[bb.nextRand()%uint64(len(bb.queues))]
 	q.mu.Lock()
 	q.jobs = append(q.jobs, j)
 	q.mu.Unlock()
-	sh.queued.Add(1)
 	bb.tel.Load().QueueDepth(bb.queued.Add(1))
-	sh.idleMu.Lock()
-	sh.idleCond.Signal()
-	sh.idleMu.Unlock()
+	bb.idleMu.Lock()
+	bb.idleCond.Signal()
+	bb.idleMu.Unlock()
 }
 
-// steal sweeps the shard's FIFOs from a random starting point.
-func (bb *Blackboard) steal(sh *shard, rng *rand.Rand) (job, bool) {
-	n := len(sh.queues)
+// steal sweeps the FIFOs from a random starting point.
+func (bb *Blackboard) steal(rng *rand.Rand) (job, bool) {
+	n := len(bb.queues)
 	start := rng.Intn(n)
 	for k := 0; k < n; k++ {
-		q := &sh.queues[(start+k)%n]
+		q := &bb.queues[(start+k)%n]
 		q.mu.Lock()
 		if j, ok := q.pop(); ok {
 			q.mu.Unlock()
-			sh.queued.Add(-1)
 			bb.tel.Load().QueueDepth(bb.queued.Add(-1))
 			return j, true
 		}
@@ -597,29 +507,28 @@ func (bb *Blackboard) steal(sh *shard, rng *rand.Rand) (job, bool) {
 	return job{}, false
 }
 
-func (bb *Blackboard) worker(id int, sh *shard) {
+func (bb *Blackboard) worker(id int) {
 	defer bb.wg.Done()
 	rng := rand.New(rand.NewSource(int64(id)*0x9e37 + 1))
 	for {
-		j, ok := bb.steal(sh, rng)
+		j, ok := bb.steal(rng)
 		if !ok {
 			// Back-off: wait for a push instead of spinning over the
-			// locks (paper §III-B). Re-checking the shard's queued counter
-			// under its idleMu makes the wait race-free against push's
-			// signal.
+			// locks (paper §III-B). Re-checking the queued counter under
+			// idleMu makes the wait race-free against push's signal.
 			bb.backoffs.Add(1)
-			bb.tel.Load().OnBackoff(id)
-			sh.idleMu.Lock()
+			bb.tel.Load().OnBackoff()
+			bb.idleMu.Lock()
 			if bb.closed.Load() {
-				sh.idleMu.Unlock()
+				bb.idleMu.Unlock()
 				return
 			}
-			if sh.queued.Load() > 0 {
-				sh.idleMu.Unlock()
+			if bb.queued.Load() > 0 {
+				bb.idleMu.Unlock()
 				continue
 			}
-			sh.idleCond.Wait()
-			sh.idleMu.Unlock()
+			bb.idleCond.Wait()
+			bb.idleMu.Unlock()
 			continue
 		}
 		if j.st.lat != nil {
@@ -631,7 +540,7 @@ func (bb *Blackboard) worker(id int, sh *shard) {
 		}
 		j.st.jobs.Add(1)
 		bb.jobsDone.Add(1)
-		bb.tel.Load().OnJob(id)
+		bb.tel.Load().OnJob()
 		for _, e := range j.inputs {
 			e.Release()
 		}
@@ -660,11 +569,9 @@ func (bb *Blackboard) Drain() {
 func (bb *Blackboard) Close() {
 	bb.Drain()
 	bb.closed.Store(true)
-	for _, sh := range bb.shards {
-		sh.idleMu.Lock()
-		sh.idleCond.Broadcast()
-		sh.idleMu.Unlock()
-	}
+	bb.idleMu.Lock()
+	bb.idleCond.Broadcast()
+	bb.idleMu.Unlock()
 	bb.wg.Wait()
 }
 

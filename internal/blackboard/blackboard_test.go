@@ -343,7 +343,7 @@ func TestPostWithNoListenersIsDropped(t *testing.T) {
 }
 
 func TestManyProducersParallel(t *testing.T) {
-	bb := New(Config{Workers: 8, Queues: 16})
+	bb := New(Config{Workers: 8})
 	defer bb.Close()
 	typ := TypeID("l", "n")
 	var sum atomic.Int64
@@ -430,7 +430,7 @@ func BenchmarkPostSingleKS(b *testing.B) {
 }
 
 func BenchmarkPostParallel(b *testing.B) {
-	bb := New(Config{Workers: 8, Queues: 32})
+	bb := New(Config{Workers: 8})
 	defer bb.Close()
 	typ := TypeID("l", "ev")
 	var sink atomic.Int64
@@ -492,7 +492,7 @@ func TestStatsConcurrentWithPosting(t *testing.T) {
 	// Stats() and KSJobs() are host-side observability calls; they must be
 	// safe (and monotone) while producers and workers are running, not just
 	// after Drain. Run under -race this also pins the counters' atomicity.
-	bb := New(Config{Workers: 8, Queues: 16})
+	bb := New(Config{Workers: 8})
 	defer bb.Close()
 	typ := TypeID("l", "n")
 	if err := bb.Register(KS{

@@ -164,7 +164,7 @@ func (c *coupledRun) rawWriters(n int, tel *telemetry.StreamMetrics, packFormat 
 			return err
 		}
 		st := vmpi.NewStream(sess, c.blockSize, vmpi.BalanceRoundRobin)
-		st.SetTelemetry(tel.Shard(r.Global()))
+		st.SetTelemetry(tel)
 		if packFormat > trace.PackV1 {
 			st.SetPackFormat(packFormat)
 		}
@@ -221,9 +221,9 @@ func (c *coupledRun) analyzer(ranks int, tel *telemetry.StreamMetrics, failover 
 		}
 		st := vmpi.NewStream(sess, c.blockSize, vmpi.BalanceRoundRobin)
 		// Read-side accounting closes the controller's backlog loop:
-		// bytes_written - bytes_read across all shards is exactly the
-		// volume queued between the writers and the analyzers.
-		st.SetTelemetry(tel.Shard(r.Global()))
+		// bytes_written - bytes_read is exactly the volume queued between
+		// the writers and the analyzers.
+		st.SetTelemetry(tel)
 		var err error
 		if failover {
 			err = st.OpenRanks(writers, "r")

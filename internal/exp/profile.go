@@ -86,9 +86,6 @@ type ProfileOptions struct {
 	// the wire), or PackV3 (the stream-dictionary format, decoded on the
 	// analyzer's fused ingest path instead of the blackboard).
 	PackVersion int
-	// Shards partitions the root blackboard by entry type
-	// (0 = blackboard default of 1, the seed's single-partition board).
-	Shards int
 	// Replicas > 0 switches the analysis to the shared-nothing replica
 	// path: every pipeline's fold KS writes per-worker module replicas
 	// instead of the shared (locked) modules, fused v3 ingest runs
@@ -309,7 +306,7 @@ func ProfileRunStats(p Platform, workloads []*nas.Workload, opts ProfileOptions)
 		stats.TierIngestBytes = make([]int64, plan.Tiers())
 	}
 
-	bb := blackboard.New(blackboard.Config{Workers: workers, Shards: opts.Shards})
+	bb := blackboard.New(blackboard.Config{Workers: workers})
 	defer bb.Close()
 
 	// Telemetry wiring happens before any KS registration so per-KS
@@ -412,9 +409,9 @@ func ProfileRunStats(p Platform, workloads []*nas.Workload, opts ProfileOptions)
 		}
 		// Nil-safe: with telemetry disabled these attach nil handles, whose
 		// methods no-op.
-		rec.SetTelemetry(sinkMetrics.Shard(r.Global()))
-		rec.SetCodecTelemetry(codecMetrics.Shard(r.Global()))
-		rec.Stream().SetTelemetry(streamMetrics.Shard(r.Global()))
+		rec.SetTelemetry(sinkMetrics)
+		rec.SetCodecTelemetry(codecMetrics)
+		rec.Stream().SetTelemetry(streamMetrics)
 		if !opts.Telemetry || sess.PartitionID() != 0 || sess.LocalRank() != 0 {
 			return nil, nil
 		}
@@ -428,7 +425,7 @@ func ProfileRunStats(p Platform, workloads []*nas.Workload, opts ProfileOptions)
 		// The meta channel is itself instrumented: under overload the
 		// sampler's writes stall like any other stream's, and those stalls
 		// are the controller's most immediate signal.
-		telStream.SetTelemetry(streamMetrics.Shard(r.Global()))
+		telStream.SetTelemetry(streamMetrics)
 		if err := telStream.OpenRanks([]int{ap.Globals[0]}, "w"); err != nil {
 			return nil, err
 		}
@@ -498,7 +495,7 @@ func ProfileRunStats(p Platform, workloads []*nas.Workload, opts ProfileOptions)
 			// written by the sampler.
 			telSt := vmpi.NewStream(sess, telemetry.SnapshotBlockSize, vmpi.BalanceNone)
 			telSt.SetChannel(telemetry.StreamChannel)
-			telSt.SetTelemetry(streamMetrics.Shard(r.Global()))
+			telSt.SetTelemetry(streamMetrics)
 			if err := telSt.OpenRanks([]int{sess.Layout().Partition(0).Globals[0]}, "r"); err != nil {
 				return rd, err
 			}
@@ -559,7 +556,7 @@ func ProfileRunStats(p Platform, workloads []*nas.Workload, opts ProfileOptions)
 			return nil, nil, err
 		}
 		// Decode-side codec accounting (nil-safe when telemetry is off).
-		pipes[i].SetCodecTelemetry(codecMetrics.Shard(i))
+		pipes[i].SetCodecTelemetry(codecMetrics)
 		if opts.WaitState {
 			waits[i], err = pipes[i].EnableWaitState()
 			if err != nil {

@@ -52,7 +52,6 @@ func TestReplicaProfileMatrixMatchesSerial(t *testing.T) {
 				if replicas > 0 {
 					// Real parallelism on the board and the fused lanes.
 					opts.Workers = replicas
-					opts.Shards = replicas
 				}
 				rep, stats, err := ProfileRunStats(p, ws, opts)
 				if err != nil {

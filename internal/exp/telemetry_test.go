@@ -2,6 +2,10 @@ package exp
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
+	"fmt"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -115,6 +119,44 @@ func TestProfileRunTelemetryEndToEnd(t *testing.T) {
 	sum := hk.Summary()
 	if sum.Snapshots != hk.Snapshots() || len(sum.Metrics) == 0 {
 		t.Fatalf("summary = %+v", sum)
+	}
+}
+
+// TestTelemetrySeriesGolden pins the values of the series the simulated
+// side writes — streams, NIC, sinks and the codec's byte and event counts —
+// at every snapshot, virtual timestamp included. Wall-clock series (codec
+// ns, KS latency) and the board's host-scheduled ones stay out.
+func TestTelemetrySeriesGolden(t *testing.T) {
+	const want = "1586d57d51803241a7a285bac19fc295fc2e818b17b6c1e27e7277a09a912d7a"
+	w, err := nas.LU(nas.ClassC, 8, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := ProfileRun(Tera100(), []*nas.Workload{w}, ProfileOptions{
+		Analyzers: 1, Workers: 4, PackBytes: 1 << 14,
+		Telemetry: true, TelemetryPeriod: time.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	acc := &rep.EngineHealth.Acc
+	names := acc.Names()
+	slices.Sort(names)
+	prefixes := []string{"stream.", "net.", "sink.", "codec.encoded_", "codec.wire_bytes", "codec.logical_bytes"}
+	h := sha256.New()
+	series := 0
+	for _, name := range names {
+		if !slices.ContainsFunc(prefixes, func(p string) bool { return strings.HasPrefix(name, p) }) {
+			continue
+		}
+		series++
+		fmt.Fprintf(h, "%s\n", name)
+		for _, p := range acc.Points(name) {
+			fmt.Fprintf(h, "%d %g\n", p.VirtualNs, p.Value)
+		}
+	}
+	if got := hex.EncodeToString(h.Sum(nil)); series != 29 || got != want {
+		t.Fatalf("%d series hash to %s, want 29 hashing to %s", series, got, want)
 	}
 }
 

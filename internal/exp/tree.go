@@ -277,9 +277,8 @@ func (lf *treeLeaf) finish() error {
 // one tier up.
 func (tc *treeCtx) aggregatorMain(r *mpi.Rank, sess *vmpi.Session) error {
 	local := sess.LocalRank()
-	tm := tc.tm.Shard(sess.Rank().Global())
 	if local == tc.plan.Root() {
-		return tc.rootMain(r, sess, tm)
+		return tc.rootMain(r, sess)
 	}
 	tier := tc.plan.TierOf(local)
 	myGlobal := sess.Rank().Global()
@@ -307,7 +306,7 @@ func (tc *treeCtx) aggregatorMain(r *mpi.Rank, sess *vmpi.Session) error {
 			if err != nil {
 				return fmt.Errorf("exp: aggregator %d forward: %w", local, err)
 			}
-			tm.OnForward(n)
+			tc.tm.OnForward(n)
 		}
 		return nil
 	}
@@ -328,11 +327,11 @@ func (tc *treeCtx) aggregatorMain(r *mpi.Rank, sess *vmpi.Session) error {
 		if err != nil {
 			return fmt.Errorf("exp: aggregator %d: %w", local, err)
 		}
-		tm.OnMerge(time.Since(t0).Nanoseconds())
-		tm.OnIngest(tier, blk.Size)
-		tm.PendingPartials(pending)
+		tc.tm.OnMerge(time.Since(t0).Nanoseconds())
+		tc.tm.OnIngest(tier, blk.Size)
+		tc.tm.PendingPartials(pending)
 		if tc.primary[blk.From] != myGlobal {
-			tm.OnReparent()
+			tc.tm.OnReparent()
 			tc.stats.Reparented++
 		}
 		tc.stats.TierIngestBytes[tier] += blk.Size
@@ -362,7 +361,7 @@ func (tc *treeCtx) aggregatorMain(r *mpi.Rank, sess *vmpi.Session) error {
 // reads its own tier's channel for the regular flow plus every lower
 // channel as the last-resort failover target each writer lists, so a
 // child whose whole upstream tier died still delivers.
-func (tc *treeCtx) rootMain(r *mpi.Rank, sess *vmpi.Session, tm *telemetry.TreeMetrics) error {
+func (tc *treeCtx) rootMain(r *mpi.Rank, sess *vmpi.Session) error {
 	myGlobal := sess.Rank().Global()
 	streams := make([]polled, tc.plan.Tiers())
 	for c := range streams {
@@ -372,9 +371,9 @@ func (tc *treeCtx) rootMain(r *mpi.Rank, sess *vmpi.Session, tm *telemetry.TreeM
 			return err
 		}
 		streams[c] = polled{s, func(blk *vmpi.Block) error {
-			tm.OnIngest(c, blk.Size)
+			tc.tm.OnIngest(c, blk.Size)
 			if tc.primary[blk.From] != myGlobal {
-				tm.OnReparent()
+				tc.tm.OnReparent()
 				tc.stats.Reparented++
 			}
 			tc.stats.RootIngestBytes += blk.Size

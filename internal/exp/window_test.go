@@ -85,7 +85,6 @@ func TestWindowSeriesMatrix(t *testing.T) {
 				opts.Replicas = replicas
 				if replicas > 0 {
 					opts.Workers = replicas
-					opts.Shards = replicas
 				}
 				rep, _, err := ProfileRunStats(p, ws, opts)
 				if err != nil {

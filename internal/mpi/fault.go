@@ -1,32 +1,27 @@
 // Fault injection for the MPI runtime model.
 //
 // The paper's coupling layer uses back-pressure as its adaptation
-// mechanism, which turns a crashed or stalled analysis partition into a
-// hang of the instrumented application. To study (and defend against)
-// that hazard, the runtime can inject three fault classes at a virtual
-// time:
+// mechanism, which turns a crashed analysis partition into a hang of the
+// instrumented application. To study (and defend against) that hazard,
+// the runtime can crash a rank at a virtual time (FailRank), with
+// fail-stop semantics: the rank's process stops computing and
+// communicating, messages in flight to it are dropped, its mailbox is
+// discarded, and every other rank's arrival generation is bumped so
+// blocked fault-aware waits (WaitArrivalDeadline, the vmpi streams)
+// re-check peer health through RankFailed. A slow analyzer, the other
+// hazard the experiments study, is modeled by its byte rate, not by a
+// fault.
 //
-//   - rank crash (FailRank): the rank's process stops computing and
-//     communicating — fail-stop semantics. Messages in flight to it are
-//     dropped, its mailbox is discarded, and every other rank's arrival
-//     generation is bumped so blocked fault-aware waits re-check peer
-//     health.
-//   - NIC degradation (DegradeNIC): the victim node's NIC service time is
-//     stretched, modeling a flaky or near-partitioned link.
-//   - compute throttle (ThrottleRank): the rank's Compute calls are
-//     stretched — the "slow consumer" that makes credits trickle back.
-//
-// Crashes surface to communication partners as *RankFailedError: the
-// checked variants (SendChecked, RecvDeadline, IprobeChecked) return it,
-// and the legacy blocking Recv panics with it (loud, never a silent
-// hang). Collectives are not fault-aware: a rank crashing mid-collective
-// strands the other participants until Run's deadlock detector reports
-// them — acceptable for this reproduction, where faults are injected into
-// the analysis partition, which performs no collectives.
+// Crashes surface to communication partners as *RankFailedError:
+// SendChecked returns it, and the legacy blocking Recv panics with it
+// (loud, never a silent hang). Collectives are not fault-aware: a rank
+// crashing mid-collective strands the other participants until Run's
+// deadlock detector reports them — acceptable for this reproduction,
+// where faults are injected into the analysis partition, which performs
+// no collectives.
 package mpi
 
 import (
-	"errors"
 	"fmt"
 
 	"repro/internal/des"
@@ -44,10 +39,6 @@ type RankFailedError struct {
 func (e *RankFailedError) Error() string {
 	return fmt.Sprintf("mpi: %s peer rank %d has failed", e.Op, e.Rank)
 }
-
-// ErrDeadline is returned by deadline-bounded operations when the deadline
-// expires before completion.
-var ErrDeadline = errors.New("mpi: deadline exceeded")
 
 // FailRank schedules a fail-stop crash of the given global rank at virtual
 // time at. Call it after NewWorld and before Run. At the fault time the
@@ -67,7 +58,6 @@ func (w *World) failRankNow(global int) {
 		return
 	}
 	w.failed[global] = true
-	w.failedAt[global] = w.sim.Now()
 	r := w.ranks[global]
 	// Synchronous senders parked on unmatched messages in the victim's
 	// mailbox would otherwise be stranded forever.
@@ -98,30 +88,6 @@ func (w *World) RankFailed(global int) bool {
 	return global >= 0 && global < len(w.failed) && w.failed[global]
 }
 
-// FailedAt returns the virtual time a rank crashed and whether it has.
-func (w *World) FailedAt(global int) (des.Time, bool) {
-	if !w.RankFailed(global) {
-		return 0, false
-	}
-	return w.failedAt[global], true
-}
-
-// DegradeNIC schedules a degradation of the NIC serving the given global
-// rank's node at virtual time at: factor 2 halves the link's effective
-// bandwidth, large factors model a near-partition, factor 1 restores
-// health. Call after NewWorld and before Run.
-func (w *World) DegradeNIC(at des.Time, global int, factor float64) {
-	w.sim.At(at, func() { w.net.SetEndpointDegrade(global, factor) })
-}
-
-// ThrottleRank schedules a compute throttle on the given global rank at
-// virtual time at: its Compute calls stretch by factor — the slow-consumer
-// fault that makes an analyzer fall behind without crashing. Factor <= 1
-// restores full speed. Call after NewWorld and before Run.
-func (w *World) ThrottleRank(at des.Time, global int, factor float64) {
-	w.sim.At(at, func() { w.ranks[global].throttle = factor })
-}
-
 // SendChecked is Send returning a *RankFailedError instead of silently
 // dropping the payload when the destination has crashed. Argument
 // validation failures still panic (caller bugs, not faults).
@@ -135,47 +101,6 @@ func (r *Rank) SendChecked(c *Comm, dst, tag int, size int64, payload []byte) er
 	}
 	r.Send(c, dst, tag, size, payload)
 	return nil
-}
-
-// RecvDeadline is a blocking receive bounded by an absolute virtual-time
-// deadline (0 means no deadline). It returns *RankFailedError if src is a
-// specific rank that has crashed (buffered messages from before the crash
-// are still delivered first), and ErrDeadline when the deadline passes
-// with no match.
-func (r *Rank) RecvDeadline(c *Comm, src, tag int, deadline des.Time) (Status, []byte, error) {
-	r.overhead()
-	req := r.Irecv(c, src, tag)
-	for {
-		seq := r.arrivalSeq
-		if r.tryMatch(req) {
-			req.waited = true
-			return req.Status, req.Payload, nil
-		}
-		if src != AnySource {
-			if g := c.Global(src); r.world.failed[g] {
-				return Status{}, nil, &RankFailedError{Rank: g, Op: "RecvDeadline"}
-			}
-		}
-		if deadline > 0 && r.Now() >= deadline {
-			return Status{}, nil, ErrDeadline
-		}
-		r.WaitArrivalDeadline(seq, deadline, fmt.Sprintf("recv-deadline(src=%d tag=%d comm=%d)", src, tag, c.id))
-	}
-}
-
-// IprobeChecked is Iprobe returning a *RankFailedError when probing a
-// specific crashed source with no buffered message left from it.
-func (r *Rank) IprobeChecked(c *Comm, src, tag int) (bool, Status, error) {
-	ok, st := r.Iprobe(c, src, tag)
-	if ok {
-		return true, st, nil
-	}
-	if src != AnySource {
-		if g := c.Global(src); r.world.failed[g] {
-			return false, Status{}, &RankFailedError{Rank: g, Op: "IprobeChecked"}
-		}
-	}
-	return false, Status{}, nil
 }
 
 // WaitArrivalDeadline is WaitArrival bounded by an absolute virtual-time

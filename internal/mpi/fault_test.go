@@ -16,85 +16,6 @@ func twoRankWorld(a, b func(r *Rank)) *World {
 	)
 }
 
-func TestFailRankWakesRecvDeadline(t *testing.T) {
-	var gotErr error
-	w := twoRankWorld(
-		func(r *Rank) {
-			// Block on a receive from rank 1, no deadline: the crash event
-			// must wake us with a RankFailedError rather than hang.
-			_, _, gotErr = r.RecvDeadline(r.World().Universe(), 1, 7, 0)
-		},
-		func(r *Rank) {
-			r.Compute(time.Hour) // never sends; killed at 1ms
-		},
-	)
-	w.FailRank(des.DurationToTime(time.Millisecond), 1)
-	if err := w.Run(); err != nil {
-		t.Fatal(err)
-	}
-	var rf *RankFailedError
-	if !errors.As(gotErr, &rf) || rf.Rank != 1 {
-		t.Fatalf("err = %v, want RankFailedError{Rank:1}", gotErr)
-	}
-	if !w.RankFailed(1) {
-		t.Fatal("RankFailed(1) = false")
-	}
-	if at, ok := w.FailedAt(1); !ok || at != des.DurationToTime(time.Millisecond) {
-		t.Fatalf("FailedAt = %v, %v", at, ok)
-	}
-}
-
-func TestRecvDeadlineExpires(t *testing.T) {
-	var gotErr error
-	var woke des.Time
-	w := twoRankWorld(
-		func(r *Rank) {
-			deadline := r.Now() + des.DurationToTime(5*time.Millisecond)
-			_, _, gotErr = r.RecvDeadline(r.World().Universe(), 1, 7, deadline)
-			woke = r.Now()
-		},
-		func(r *Rank) {
-			r.Compute(50 * time.Millisecond) // alive but silent
-		},
-	)
-	if err := w.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if !errors.Is(gotErr, ErrDeadline) {
-		t.Fatalf("err = %v, want ErrDeadline", gotErr)
-	}
-	if woke > des.DurationToTime(6*time.Millisecond) {
-		t.Fatalf("woke at %v, deadline was 5ms", woke.Duration())
-	}
-}
-
-func TestRecvDeadlineDrainsBufferedBeforeFailing(t *testing.T) {
-	// A message sent before the crash must still be received after it.
-	var first, second error
-	w := twoRankWorld(
-		func(r *Rank) {
-			r.Compute(10 * time.Millisecond) // let the send land and the crash hit
-			_, _, first = r.RecvDeadline(r.World().Universe(), 1, 7, 0)
-			_, _, second = r.RecvDeadline(r.World().Universe(), 1, 7, 0)
-		},
-		func(r *Rank) {
-			r.Send(r.World().Universe(), 0, 7, 64, nil)
-			r.Compute(time.Hour)
-		},
-	)
-	w.FailRank(des.DurationToTime(5*time.Millisecond), 1)
-	if err := w.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if first != nil {
-		t.Fatalf("buffered message lost: %v", first)
-	}
-	var rf *RankFailedError
-	if !errors.As(second, &rf) {
-		t.Fatalf("second recv = %v, want RankFailedError", second)
-	}
-}
-
 func TestSendCheckedToFailedRank(t *testing.T) {
 	var gotErr error
 	w := twoRankWorld(
@@ -116,30 +37,6 @@ func TestSendCheckedToFailedRank(t *testing.T) {
 	}
 }
 
-func TestIprobeCheckedReportsFailure(t *testing.T) {
-	var before, after error
-	var okBefore bool
-	w := twoRankWorld(
-		func(r *Rank) {
-			okBefore, _, before = r.IprobeChecked(r.World().Universe(), 1, 7)
-			r.Compute(10 * time.Millisecond)
-			_, _, after = r.IprobeChecked(r.World().Universe(), 1, 7)
-		},
-		func(r *Rank) { r.Compute(time.Hour) },
-	)
-	w.FailRank(des.DurationToTime(time.Millisecond), 1)
-	if err := w.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if okBefore || before != nil {
-		t.Fatalf("before crash: ok=%v err=%v", okBefore, before)
-	}
-	var rf *RankFailedError
-	if !errors.As(after, &rf) {
-		t.Fatalf("after crash err = %v, want RankFailedError", after)
-	}
-}
-
 func TestSsendReleasedByPeerCrash(t *testing.T) {
 	// A synchronous sender whose peer dies before matching must be
 	// released, not stranded.
@@ -157,48 +54,6 @@ func TestSsendReleasedByPeerCrash(t *testing.T) {
 	}
 	if !done {
 		t.Fatal("synchronous sender stranded by peer crash")
-	}
-}
-
-func TestThrottleRankStretchesCompute(t *testing.T) {
-	var finish des.Time
-	w := NewWorld(DefaultConfig(), Program{Name: "a", Procs: 1, Main: func(r *Rank) {
-		r.Compute(10 * time.Millisecond)
-		finish = r.Now()
-	}})
-	w.ThrottleRank(0, 0, 4)
-	if err := w.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if finish != des.DurationToTime(40*time.Millisecond) {
-		t.Fatalf("throttled 10ms compute finished at %v, want 40ms", finish.Duration())
-	}
-}
-
-func TestDegradeNICSlowsTransfers(t *testing.T) {
-	transfer := func(degrade float64) des.Time {
-		var got des.Time
-		w := twoRankWorld(
-			func(r *Rank) {
-				r.Send(r.World().Universe(), 1, 7, 1<<20, nil)
-			},
-			func(r *Rank) {
-				r.Recv(r.World().Universe(), 0, 7)
-				got = r.Now()
-			},
-		)
-		if degrade > 1 {
-			w.DegradeNIC(0, 1, degrade)
-		}
-		if err := w.Run(); err != nil {
-			t.Fatal(err)
-		}
-		return got
-	}
-	healthy := transfer(1)
-	degraded := transfer(8)
-	if degraded < 4*healthy {
-		t.Fatalf("8x NIC degrade: healthy=%v degraded=%v, want ≥4x slower", healthy.Duration(), degraded.Duration())
 	}
 }
 

@@ -101,8 +101,7 @@ type World struct {
 	finishTime []des.Time
 
 	// Fault-injection state (see fault.go).
-	failed   []bool
-	failedAt []des.Time
+	failed []bool
 }
 
 // NewWorld builds a world from the given programs. Run must be called to
@@ -127,7 +126,6 @@ func NewWorld(cfg Config, programs ...Program) *World {
 		splits:     make(map[collKey]*splitState),
 		finishTime: make([]des.Time, total),
 		failed:     make([]bool, total),
-		failedAt:   make([]des.Time, total),
 	}
 	if cfg.FS != nil {
 		w.fs = simfs.New(*cfg.FS)
@@ -383,10 +381,6 @@ type Rank struct {
 	arrival    des.Cond
 	arrivalSeq uint64
 
-	// throttle > 1 slows the rank's Compute calls by that factor — the
-	// "slow consumer" fault (see World.ThrottleRank).
-	throttle float64
-
 	// why is the scratch park reason of the rank's current blocking call
 	// (a rank blocks on one thing at a time).
 	why parkReason
@@ -446,11 +440,8 @@ func (r *Rank) Now() des.Time { return r.proc.Now() }
 func (r *Rank) Wtime() float64 { return r.proc.Now().Seconds() }
 
 // Compute advances the rank's virtual time by d, modeling local
-// computation. A throttle fault (World.ThrottleRank) stretches it.
+// computation.
 func (r *Rank) Compute(d time.Duration) {
-	if r.throttle > 1 {
-		d = time.Duration(float64(d) * r.throttle)
-	}
 	r.proc.Sleep(d)
 }
 
@@ -584,8 +575,8 @@ func (r *Rank) waitOne(req *Request) {
 				break
 			}
 			// A receive from a specific crashed peer can never match: fail
-			// loudly instead of hanging silently. Fault-aware code uses
-			// RecvDeadline, which returns a *RankFailedError instead.
+			// loudly instead of hanging silently. Fault-aware code checks
+			// RankFailed before it blocks, as the vmpi streams do.
 			if req.wantSrc != AnySource {
 				if g := req.comm.Global(req.wantSrc); r.world.failed[g] {
 					panic(&RankFailedError{Rank: g, Op: "Recv"})

@@ -5,12 +5,10 @@ import (
 	"testing"
 
 	"repro/internal/exp"
-	"repro/internal/telemetry"
 )
 
 func TestStatusJSON(t *testing.T) {
 	s := New(exp.Tera100())
-	s.SetTelemetry(telemetry.NewServiceMetrics(telemetry.NewRegistry()))
 	s.SetHistoryCap(1)
 
 	empty, err := s.StatusJSON()

@@ -23,7 +23,6 @@ import (
 	"repro/internal/exp"
 	"repro/internal/nas"
 	"repro/internal/report"
-	"repro/internal/telemetry"
 )
 
 // Job is one profiling request.
@@ -86,16 +85,6 @@ type Service struct {
 	historyCap int
 	dropped    int // results evicted from the ring
 	stats      Stats
-	tel        *telemetry.ServiceMetrics
-}
-
-// SetTelemetry attaches a telemetry bundle (nil detaches, and is free):
-// completed jobs and the history-ring length then feed the registry's
-// service.* instruments.
-func (s *Service) SetTelemetry(m *telemetry.ServiceMetrics) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.tel = m
 }
 
 // New creates a service on the given platform model.
@@ -117,7 +106,6 @@ func (s *Service) SetHistoryCap(n int) {
 	}
 	s.historyCap = n
 	s.evictLocked()
-	s.tel.HistoryLen(len(s.history))
 }
 
 func (s *Service) evictLocked() {
@@ -169,8 +157,6 @@ func (s *Service) Record(rep *report.Report) Result {
 	s.stats.AppSeconds += res.AppSeconds
 	s.history = append(s.history, res)
 	s.evictLocked()
-	s.tel.OnJob(len(rep.Chapters), res.Events)
-	s.tel.HistoryLen(len(s.history))
 	return res
 }
 

@@ -31,7 +31,6 @@ import (
 
 	"repro/internal/adapt"
 	"repro/internal/service"
-	"repro/internal/telemetry"
 	"repro/internal/trace"
 	"repro/internal/wire"
 )
@@ -77,8 +76,6 @@ type Options struct {
 	// Record — the cross-job metric centralisation the in-process service
 	// keeps, now shared by every tenant of the daemon.
 	Service *service.Service
-	// Telemetry instruments the daemon (nil = free no-ops).
-	Telemetry *telemetry.DaemonMetrics
 	// Logf, when non-nil, receives connection-level diagnostics.
 	Logf func(format string, args ...any)
 }
@@ -291,12 +288,10 @@ func (d *Daemon) beginSession() (uint64, bool) {
 	defer d.mu.Unlock()
 	if d.live >= d.opts.MaxSessions {
 		d.reject++
-		d.opts.Telemetry.OnReject()
 		return 0, false
 	}
 	d.nextID++
 	d.live++
-	d.opts.Telemetry.OnRegister(d.live)
 	return d.nextID, true
 }
 
@@ -329,10 +324,7 @@ func (d *Daemon) endSession(s *session, aborted bool) {
 	d.merges += s.laneMerges.Load()
 	d.mergeNs += s.laneMergeNs.Load()
 	d.query.add(s.queryStats())
-	live := d.live
 	d.mu.Unlock()
-	d.opts.Telemetry.OnEnd(live, aborted)
-	d.opts.Telemetry.OnShed(s.shedTotal())
 }
 
 // conn is one connection's protocol state machine.
@@ -451,12 +443,8 @@ func (c *conn) run() error {
 			if err := c.sess.ingest(src, pack); err != nil {
 				return c.fail("session %d: %v", c.sess.id, err)
 			}
-			c.d.opts.Telemetry.OnPack(len(f.Payload))
 			c.received++
 			if c.received >= c.granted {
-				if over := c.received - c.granted; over > 0 {
-					c.d.opts.Telemetry.CreditBacklog(over)
-				}
 				win := int64(c.sess.gov.window())
 				c.granted = c.received + win
 				n := copy(c.grant[:], wire.EncodeCredit(wire.Credit{Credits: uint32(win), Window: uint32(win)}))

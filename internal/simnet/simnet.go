@@ -75,7 +75,6 @@ type Net struct {
 	rx       []des.Queue // per-node ejection port
 	spine    des.Queue   // shared bisection pipe
 	spineSel func(from, to int) bool
-	degrade  []float64 // per-node NIC service-time multiplier (0 = healthy)
 
 	bytesMoved int64
 	messages   int64
@@ -126,26 +125,6 @@ func (n *Net) BytesMoved() int64 { return n.bytesMoved }
 // Messages reports the cumulative number of transfers.
 func (n *Net) Messages() int64 { return n.messages }
 
-// SetEndpointDegrade scales the NIC service time of the node hosting
-// endpoint ep by factor: 2 halves the effective bandwidth, large factors
-// model a near-partitioned link. Factors <= 1 restore the healthy rate.
-// This is the fault-injection hook for NIC degradation; it affects every
-// rank sharing the node's NIC, like a real link fault.
-func (n *Net) SetEndpointDegrade(ep int, factor float64) {
-	if n.degrade == nil {
-		n.degrade = make([]float64, len(n.tx))
-	}
-	n.degrade[n.NodeOf(ep)] = factor
-}
-
-// nodeFactor returns the NIC service-time multiplier for a node.
-func (n *Net) nodeFactor(node int) float64 {
-	if n.degrade == nil || n.degrade[node] <= 1 {
-		return 1
-	}
-	return n.degrade[node]
-}
-
 func (n *Net) serial(size int64, bw float64) time.Duration {
 	if bw <= 0 || size <= 0 {
 		return 0
@@ -170,15 +149,13 @@ func (n *Net) Transfer(now des.Time, from, to int, size int64) (injected, delive
 		return end, end
 	}
 	ser := n.serial(size, n.cfg.EndpointBandwidth)
-	serTx := time.Duration(float64(ser) * n.nodeFactor(fn))
-	serRx := time.Duration(float64(ser) * n.nodeFactor(tn))
-	injected = n.tx[fn].Next(now, serTx)
+	injected = n.tx[fn].Next(now, ser)
 	n.tel.OnTransfer(size, int64(injected-now))
 	cross := injected
 	if n.cfg.BisectionBandwidth > 0 && (n.spineSel == nil || n.spineSel(from, to)) {
 		cross = n.spine.Next(injected, n.serial(size, n.cfg.BisectionBandwidth))
 	}
-	delivered = n.rx[tn].Next(cross, serRx) + des.DurationToTime(n.cfg.Latency)
+	delivered = n.rx[tn].Next(cross, ser) + des.DurationToTime(n.cfg.Latency)
 	return injected, delivered
 }
 

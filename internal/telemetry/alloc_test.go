@@ -14,7 +14,6 @@ func TestDisabledTelemetryZeroAllocs(t *testing.T) {
 		net     *NetMetrics
 		sink    *SinkMetrics
 		board   *BoardMetrics
-		svc     *ServiceMetrics
 		sampler *Sampler
 		c       = reg.Counter("c")
 		g       = reg.Gauge("g")
@@ -23,7 +22,6 @@ func TestDisabledTelemetryZeroAllocs(t *testing.T) {
 	)
 	allocs := testing.AllocsPerRun(1000, func() {
 		c.Add(1)
-		c.AddShard(3, 1)
 		g.Set(1)
 		g.Add(1)
 		h.Observe(1)
@@ -36,20 +34,15 @@ func TestDisabledTelemetryZeroAllocs(t *testing.T) {
 		stream.OnFailover()
 		stream.OnDrop()
 		stream.CreditsInFlight(2)
-		if stream.Shard(1) != nil {
-			t.Fatal("nil shard")
-		}
 		net.OnTransfer(64, 1)
 		sink.OnEvent()
 		sink.OnFlush(10, 640)
 		sink.OnFallback()
 		board.OnPost()
-		board.OnJob(0)
-		board.OnBackoff(0)
+		board.OnJob()
+		board.OnBackoff()
 		board.OnDrop()
 		board.QueueDepth(1)
-		svc.OnJob(1, 1)
-		svc.HistoryLen(1)
 		_ = sampler.Poll(0)
 	})
 	if allocs != 0 {

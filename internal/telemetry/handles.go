@@ -8,10 +8,8 @@ import "fmt"
 // method accepts a nil receiver and no-ops with zero allocations — that is
 // the entire cost of disabled telemetry.
 
-// StreamMetrics instruments one side of the vmpi stream layer. Multi-rank
-// call sites use Shard to spread counter traffic.
+// StreamMetrics instruments one side of the vmpi stream layer.
 type StreamMetrics struct {
-	shard       int
 	blocksW     *Counter
 	bytesW      *Counter
 	blocksR     *Counter
@@ -49,25 +47,13 @@ func NewStreamMetrics(reg *Registry) *StreamMetrics {
 	}
 }
 
-// Shard returns a copy of the bundle whose counter writes land on the
-// shard derived from id (e.g. a global rank), so concurrent endpoints do
-// not contend on one cache line. The underlying instruments are shared.
-func (m *StreamMetrics) Shard(id int) *StreamMetrics {
-	if m == nil {
-		return nil
-	}
-	c := *m
-	c.shard = id
-	return &c
-}
-
 // OnWrite records one block of size bytes written.
 func (m *StreamMetrics) OnWrite(size int64) {
 	if m == nil {
 		return
 	}
-	m.blocksW.AddShard(m.shard, 1)
-	m.bytesW.AddShard(m.shard, size)
+	m.blocksW.Add(1)
+	m.bytesW.Add(size)
 }
 
 // OnRead records one block of size bytes read.
@@ -75,8 +61,8 @@ func (m *StreamMetrics) OnRead(size int64) {
 	if m == nil {
 		return
 	}
-	m.blocksR.AddShard(m.shard, 1)
-	m.bytesR.AddShard(m.shard, size)
+	m.blocksR.Add(1)
+	m.bytesR.Add(size)
 }
 
 // OnWriteStall records one back-pressure stall.
@@ -84,7 +70,7 @@ func (m *StreamMetrics) OnWriteStall() {
 	if m == nil {
 		return
 	}
-	m.stalls.AddShard(m.shard, 1)
+	m.stalls.Add(1)
 }
 
 // OnEAGAIN records one would-block nonblocking read.
@@ -92,7 +78,7 @@ func (m *StreamMetrics) OnEAGAIN() {
 	if m == nil {
 		return
 	}
-	m.eagains.AddShard(m.shard, 1)
+	m.eagains.Add(1)
 }
 
 // OnQuarantine records one endpoint quarantined.
@@ -100,7 +86,7 @@ func (m *StreamMetrics) OnQuarantine() {
 	if m == nil {
 		return
 	}
-	m.quarantines.AddShard(m.shard, 1)
+	m.quarantines.Add(1)
 }
 
 // OnFailover records one write redirected to a failover endpoint.
@@ -108,7 +94,7 @@ func (m *StreamMetrics) OnFailover() {
 	if m == nil {
 		return
 	}
-	m.failovers.AddShard(m.shard, 1)
+	m.failovers.Add(1)
 }
 
 // OnDrop records one block dropped in degraded mode.
@@ -116,7 +102,7 @@ func (m *StreamMetrics) OnDrop() {
 	if m == nil {
 		return
 	}
-	m.drops.AddShard(m.shard, 1)
+	m.drops.Add(1)
 }
 
 // OnLostInFlight records n written blocks whose credits were written off
@@ -125,7 +111,7 @@ func (m *StreamMetrics) OnLostInFlight(n int64) {
 	if m == nil {
 		return
 	}
-	m.lost.AddShard(m.shard, n)
+	m.lost.Add(n)
 }
 
 // OnWindowResize records one runtime credit-window retarget to na buffers.
@@ -133,7 +119,7 @@ func (m *StreamMetrics) OnWindowResize(na int) {
 	if m == nil {
 		return
 	}
-	m.resizes.AddShard(m.shard, 1)
+	m.resizes.Add(1)
 	m.window.Set(int64(na))
 }
 
@@ -181,7 +167,6 @@ var EventsPerPackBounds = []int64{1, 16, 64, 256, 1024, 4096, 16384}
 
 // SinkMetrics instruments the instrument-layer event sinks (recorders).
 type SinkMetrics struct {
-	shard     int
 	events    *Counter
 	flushes   *Counter
 	packBytes *Counter
@@ -203,23 +188,12 @@ func NewSinkMetrics(reg *Registry) *SinkMetrics {
 	}
 }
 
-// Shard returns a copy whose counter writes land on the shard derived
-// from id. The underlying instruments are shared.
-func (m *SinkMetrics) Shard(id int) *SinkMetrics {
-	if m == nil {
-		return nil
-	}
-	c := *m
-	c.shard = id
-	return &c
-}
-
 // OnEvent records one event recorded into the sink.
 func (m *SinkMetrics) OnEvent() {
 	if m == nil {
 		return
 	}
-	m.events.AddShard(m.shard, 1)
+	m.events.Add(1)
 }
 
 // OnFlush records one pack of events totaling bytes flushed to the stream.
@@ -227,8 +201,8 @@ func (m *SinkMetrics) OnFlush(events int, bytes int64) {
 	if m == nil {
 		return
 	}
-	m.flushes.AddShard(m.shard, 1)
-	m.packBytes.AddShard(m.shard, bytes)
+	m.flushes.Add(1)
+	m.packBytes.Add(bytes)
 	m.perPack.Observe(int64(events))
 }
 
@@ -237,7 +211,7 @@ func (m *SinkMetrics) OnFallback() {
 	if m == nil {
 		return
 	}
-	m.fallbacks.AddShard(m.shard, 1)
+	m.fallbacks.Add(1)
 }
 
 // CodecMetrics instruments the pack codec on both sides of the wire:
@@ -245,7 +219,6 @@ func (m *SinkMetrics) OnFallback() {
 // compression factor), and wall-clock nanoseconds spent encoding and
 // decoding (divide by the event counters for ns/event).
 type CodecMetrics struct {
-	shard        int
 	encPacks     *Counter
 	encEvents    *Counter
 	wireBytes    *Counter
@@ -273,17 +246,6 @@ func NewCodecMetrics(reg *Registry) *CodecMetrics {
 	}
 }
 
-// Shard returns a copy whose counter writes land on the shard derived
-// from id. The underlying instruments are shared.
-func (m *CodecMetrics) Shard(id int) *CodecMetrics {
-	if m == nil {
-		return nil
-	}
-	c := *m
-	c.shard = id
-	return &c
-}
-
 // OnEncode records one encoded pack: its event count, its bytes on the
 // wire, the logical (fixed-record) bytes it stands for, and the
 // wall-clock nanoseconds spent encoding it.
@@ -291,11 +253,11 @@ func (m *CodecMetrics) OnEncode(events int, wire, logical, ns int64) {
 	if m == nil {
 		return
 	}
-	m.encPacks.AddShard(m.shard, 1)
-	m.encEvents.AddShard(m.shard, int64(events))
-	m.wireBytes.AddShard(m.shard, wire)
-	m.logicalBytes.AddShard(m.shard, logical)
-	m.encNs.AddShard(m.shard, ns)
+	m.encPacks.Add(1)
+	m.encEvents.Add(int64(events))
+	m.wireBytes.Add(wire)
+	m.logicalBytes.Add(logical)
+	m.encNs.Add(ns)
 }
 
 // OnDecode records one decoded pack: its event count and the wall-clock
@@ -304,9 +266,9 @@ func (m *CodecMetrics) OnDecode(events int, ns int64) {
 	if m == nil {
 		return
 	}
-	m.decPacks.AddShard(m.shard, 1)
-	m.decEvents.AddShard(m.shard, int64(events))
-	m.decNs.AddShard(m.shard, ns)
+	m.decPacks.Add(1)
+	m.decEvents.Add(int64(events))
+	m.decNs.Add(ns)
 }
 
 // BoardMetrics instruments the blackboard: post/job/backoff rates, FIFO
@@ -344,19 +306,19 @@ func (m *BoardMetrics) OnPost() {
 }
 
 // OnJob records one KS job executed.
-func (m *BoardMetrics) OnJob(shard int) {
+func (m *BoardMetrics) OnJob() {
 	if m == nil {
 		return
 	}
-	m.jobs.AddShard(shard, 1)
+	m.jobs.Add(1)
 }
 
 // OnBackoff records one idle-worker backoff.
-func (m *BoardMetrics) OnBackoff(shard int) {
+func (m *BoardMetrics) OnBackoff() {
 	if m == nil {
 		return
 	}
-	m.backoffs.AddShard(shard, 1)
+	m.backoffs.Add(1)
 }
 
 // OnDrop records one entry discarded undelivered: posted after close,
@@ -391,7 +353,6 @@ func (m *BoardMetrics) KSLatency(name string) *Histogram {
 // land in the registry like every other bundle, so the engine-health
 // chapter picks the tree up automatically.
 type TreeMetrics struct {
-	shard        int
 	ingestBlocks []*Counter
 	ingestBytes  []*Counter
 	partialsIn   *Counter
@@ -427,26 +388,14 @@ func NewTreeMetrics(reg *Registry, tiers int) *TreeMetrics {
 	return m
 }
 
-// Shard returns a copy whose counter writes land on the shard derived
-// from id (e.g. the aggregator's local rank). The underlying
-// instruments are shared.
-func (m *TreeMetrics) Shard(id int) *TreeMetrics {
-	if m == nil {
-		return nil
-	}
-	c := *m
-	c.shard = id
-	return &c
-}
-
 // OnIngest records one encoded partial of size bytes arriving into tier.
 func (m *TreeMetrics) OnIngest(tier int, size int64) {
 	if m == nil || tier < 0 || tier >= len(m.ingestBytes) {
 		return
 	}
-	m.ingestBlocks[tier].AddShard(m.shard, 1)
-	m.ingestBytes[tier].AddShard(m.shard, size)
-	m.partialsIn.AddShard(m.shard, 1)
+	m.ingestBlocks[tier].Add(1)
+	m.ingestBytes[tier].Add(size)
+	m.partialsIn.Add(1)
 }
 
 // OnMerge records one partial-profile merge taking ns wall-clock
@@ -455,7 +404,7 @@ func (m *TreeMetrics) OnMerge(ns int64) {
 	if m == nil {
 		return
 	}
-	m.merges.AddShard(m.shard, 1)
+	m.merges.Add(1)
 	m.mergeNs.Observe(ns)
 }
 
@@ -464,8 +413,8 @@ func (m *TreeMetrics) OnForward(size int64) {
 	if m == nil {
 		return
 	}
-	m.partialsOut.AddShard(m.shard, 1)
-	m.fwdBytes.AddShard(m.shard, size)
+	m.partialsOut.Add(1)
+	m.fwdBytes.Add(size)
 }
 
 // OnReparent records one block that arrived over a failover endpoint
@@ -474,7 +423,7 @@ func (m *TreeMetrics) OnReparent() {
 	if m == nil {
 		return
 	}
-	m.reparented.AddShard(m.shard, 1)
+	m.reparented.Add(1)
 }
 
 // PendingPartials records an aggregator's per-app accumulator count.
@@ -555,132 +504,6 @@ func (m *ControllerMetrics) Backlog(bytes int64) {
 		return
 	}
 	m.backlog.Set(bytes)
-}
-
-// ServiceMetrics instruments the profiling service front-end.
-type ServiceMetrics struct {
-	jobs    *Counter
-	apps    *Counter
-	events  *Counter
-	history *Gauge
-}
-
-// NewServiceMetrics registers the service instrument set on reg.
-func NewServiceMetrics(reg *Registry) *ServiceMetrics {
-	if reg == nil {
-		return nil
-	}
-	return &ServiceMetrics{
-		jobs:    reg.Counter("service.jobs"),
-		apps:    reg.Counter("service.apps"),
-		events:  reg.Counter("service.events"),
-		history: reg.Gauge("service.history_len"),
-	}
-}
-
-// OnJob records one completed profiling job with its app count and total
-// recorded events.
-func (m *ServiceMetrics) OnJob(apps int, events int64) {
-	if m == nil {
-		return
-	}
-	m.jobs.Add(1)
-	m.apps.Add(int64(apps))
-	m.events.Add(events)
-}
-
-// HistoryLen records the current history-ring length.
-func (m *ServiceMetrics) HistoryLen(n int) {
-	if m == nil {
-		return
-	}
-	m.history.Set(int64(n))
-}
-
-// DaemonMetrics instruments the profiling daemon (serviced): the
-// per-session multi-tenant layer above the in-process service. All
-// methods are nil-safe, so a daemon without telemetry pays nothing.
-type DaemonMetrics struct {
-	live     *Gauge
-	sessions *Counter
-	rejected *Counter
-	aborted  *Counter
-	bytes    *Counter
-	packs    *Counter
-	shed     *Counter
-	backlog  *Gauge
-}
-
-// NewDaemonMetrics registers the daemon instrument set on reg.
-func NewDaemonMetrics(reg *Registry) *DaemonMetrics {
-	if reg == nil {
-		return nil
-	}
-	return &DaemonMetrics{
-		live:     reg.Gauge("daemon.sessions_live"),
-		sessions: reg.Counter("daemon.sessions"),
-		rejected: reg.Counter("daemon.sessions_rejected"),
-		aborted:  reg.Counter("daemon.sessions_aborted"),
-		bytes:    reg.Counter("daemon.pack_bytes"),
-		packs:    reg.Counter("daemon.packs"),
-		shed:     reg.Counter("daemon.shed_events"),
-		backlog:  reg.Gauge("daemon.credit_backlog"),
-	}
-}
-
-// OnRegister records a session opening and the new live count.
-func (m *DaemonMetrics) OnRegister(live int) {
-	if m == nil {
-		return
-	}
-	m.sessions.Add(1)
-	m.live.Set(int64(live))
-}
-
-// OnReject records an admission rejection (daemon at capacity).
-func (m *DaemonMetrics) OnReject() {
-	if m == nil {
-		return
-	}
-	m.rejected.Add(1)
-}
-
-// OnEnd records a session ending (closed or aborted) and the new live
-// count.
-func (m *DaemonMetrics) OnEnd(live int, aborted bool) {
-	if m == nil {
-		return
-	}
-	if aborted {
-		m.aborted.Add(1)
-	}
-	m.live.Set(int64(live))
-}
-
-// OnPack records one ingested pack frame.
-func (m *DaemonMetrics) OnPack(bytes int) {
-	if m == nil {
-		return
-	}
-	m.packs.Add(1)
-	m.bytes.Add(int64(bytes))
-}
-
-// OnShed records events shed by a session's admission governor.
-func (m *DaemonMetrics) OnShed(events int64) {
-	if m == nil {
-		return
-	}
-	m.shed.Add(events)
-}
-
-// CreditBacklog records the worst per-session credit overrun observed —
-// how far past its window the most aggressive tenant has pushed.
-func (m *DaemonMetrics) CreditBacklog(frames int64) {
-	if m == nil {
-		return
-	}
-	m.backlog.Set(frames)
 }
 
 // ReplicaMetrics instruments the lock-free parallel analysis path:

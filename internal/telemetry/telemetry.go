@@ -1,7 +1,7 @@
 // Package telemetry is the coupling stack's self-observation subsystem:
 // the engine meta-profiles itself through the same mechanism it offers to
-// applications. A Registry holds allocation-free sharded counters, gauges
-// and fixed-bucket histograms; a Sampler periodically packs the registry
+// applications. A Registry holds allocation-free counters, gauges and
+// fixed-bucket histograms; a Sampler periodically packs the registry
 // into fixed-layout binary meta-events carrying dual timestamps (DES
 // virtual time and wall clock) and writes them to a dedicated VMPI stream
 // channel, where the analysis side unpacks them into per-component time
@@ -13,8 +13,8 @@
 // that perform zero allocations, so disabled telemetry costs one nil check
 // per instrumentation point and nothing else. Updates use atomics
 // throughout, because instruments are written from both simulation context
-// (streams, NIC model) and real OS threads (blackboard workers, the
-// service front-end) while a sampler reads them live.
+// (streams, NIC model) and real OS threads (blackboard workers) while a
+// sampler reads them live.
 package telemetry
 
 import (
@@ -22,19 +22,6 @@ import (
 	"sync"
 	"sync/atomic"
 )
-
-// Shards is the fixed shard count of a Counter. Writers that update the
-// same logical counter from many ranks or workers spread over the shards
-// (pick one with Counter.AddShard or a bundle's Shard method); readers sum
-// them at snapshot time. Power of two so shard selection is a mask.
-const Shards = 8
-
-// cell is one padded counter shard: 64 bytes so adjacent shards never
-// share a cache line under concurrent writers.
-type cell struct {
-	v atomic.Int64
-	_ [56]byte
-}
 
 // Kind discriminates the instrument types in snapshots.
 type Kind uint8
@@ -62,39 +49,26 @@ func (k Kind) String() string {
 	return fmt.Sprintf("kind(%d)", uint8(k))
 }
 
-// Counter is an allocation-free sharded accumulator.
+// Counter is an allocation-free accumulator.
 type Counter struct {
-	name  string
-	cells [Shards]cell
+	name string
+	v    atomic.Int64
 }
 
-// Add accumulates d on shard 0 (single-writer call sites).
+// Add accumulates d.
 func (c *Counter) Add(d int64) {
 	if c == nil {
 		return
 	}
-	c.cells[0].v.Add(d)
+	c.v.Add(d)
 }
 
-// AddShard accumulates d on the given shard (reduced contention for
-// multi-writer call sites; the shard index is masked into range).
-func (c *Counter) AddShard(shard int, d int64) {
-	if c == nil {
-		return
-	}
-	c.cells[shard&(Shards-1)].v.Add(d)
-}
-
-// Value sums the shards.
+// Value returns the accumulated sum.
 func (c *Counter) Value() int64 {
 	if c == nil {
 		return 0
 	}
-	var sum int64
-	for i := range c.cells {
-		sum += c.cells[i].v.Load()
-	}
-	return sum
+	return c.v.Load()
 }
 
 // Name returns the counter's registered name ("" on nil).
@@ -207,16 +181,8 @@ func (h *Histogram) Sum() int64 {
 	return h.sum.Load()
 }
 
-// Bounds returns the bucket upper bounds (shared storage; do not mutate).
-func (h *Histogram) Bounds() []int64 {
-	if h == nil {
-		return nil
-	}
-	return h.bounds
-}
-
-// BucketCounts copies the per-bucket counts (len(Bounds())+1 entries, the
-// last one unbounded).
+// BucketCounts copies the per-bucket counts (one per bound plus the last,
+// unbounded one).
 func (h *Histogram) BucketCounts() []int64 {
 	if h == nil {
 		return nil
