@@ -289,7 +289,9 @@ func NewDispatcher(bb *blackboard.Blackboard) (*Dispatcher, error) {
 				p.Completeness.AddAudit(entries)
 				return
 			}
-			p.PostPack(buf)
+			// The level entry holds the raw one, so a handed-over pack goes
+			// back to the pool only once its fold KS is done with it.
+			d.bb.PostFrom(in[0], blackboard.TypeID(p.level, TypePack), int64(len(buf)), buf)
 		},
 	})
 	if err != nil {
@@ -319,9 +321,17 @@ func (d *Dispatcher) Pipeline(appID uint32) *Pipeline {
 }
 
 // PostRaw places an encoded pack of unknown level on the board; the
-// dispatcher routes it.
-func (d *Dispatcher) PostRaw(buf []byte) {
-	d.bb.Post(blackboard.TypeID("", TypeRawPack), int64(len(buf)), buf)
+// dispatcher routes it. The pack is lent: the board never recycles it.
+func (d *Dispatcher) PostRaw(buf []byte) { d.postRaw(buf, nil) }
+
+// postRaw is PostRaw that, with a non-nil release, takes the pack over:
+// release gets it back once the last entry that references it is released.
+func (d *Dispatcher) postRaw(buf []byte, release func([]byte)) {
+	var free func()
+	if release != nil {
+		free = func() { release(buf) }
+	}
+	d.bb.PostOwned(blackboard.TypeID("", TypeRawPack), int64(len(buf)), buf, free)
 }
 
 // FusedIngest is the analyzer-side entry point for v3 streams: one
@@ -358,16 +368,34 @@ func NewFusedIngest(d *Dispatcher) *FusedIngest {
 // Absorb routes one pack from writer src. v3 packs are decoded through
 // the writer's persistent dictionary and folded synchronously into the
 // application's modules; the return reports the buffer was consumed (the
-// caller may recycle it). v1, v2 and audit packs go to the board via
-// PostRaw — the board then owns the buffer — and consumed is false.
+// caller may reuse it). v1, v2 and audit packs go to the board via
+// PostRaw, which reads the buffer until the board drains, and consumed is
+// false. The pack is lent either way: Absorb never recycles it.
 func (f *FusedIngest) Absorb(src int, buf []byte) (consumed bool, err error) {
+	return f.absorb(src, buf, nil)
+}
+
+// HandOver is Absorb for a pack whose storage the caller hands over: it
+// goes back to the trace pack pool once the analysis is done with it —
+// when the fused fold returns, or when the board releases the last entry
+// that references it. The caller must not touch buf afterwards.
+func (f *FusedIngest) HandOver(src int, buf []byte) error {
+	_, err := f.absorb(src, buf, trace.PutBuffer)
+	return err
+}
+
+// absorb is Absorb and HandOver: release is nil for a lent pack.
+func (f *FusedIngest) absorb(src int, buf []byte, release func([]byte)) (consumed bool, err error) {
 	h, err := trace.PeekHeader(buf)
+	if err == nil && h.Version != trace.PackV3 {
+		f.d.postRaw(buf, release)
+		return false, nil
+	}
+	if release != nil {
+		defer release(buf)
+	}
 	if err != nil {
 		return false, fmt.Errorf("analysis: undecodable raw pack from src %d: %w", src, err)
-	}
-	if h.Version != trace.PackV3 {
-		f.d.PostRaw(buf)
-		return false, nil
 	}
 	p := f.d.Pipeline(h.AppID)
 	if p == nil {

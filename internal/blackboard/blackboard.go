@@ -19,9 +19,10 @@
 //     of spinning when the board is empty.
 //   - Entries are reference counted and read-mostly: an entry is writable
 //     only while its refcount is 1. Posted payloads are released
-//     automatically once every processing that references them completes,
-//     which is how the blackboard doubles as the temporary storage that
-//     frees the stream's communication buffers.
+//     automatically once every processing that references them completes
+//     (PostOwned; an entry a KS derives from its input holds the input,
+//     PostFrom), which is how the blackboard doubles as the temporary
+//     storage that frees the stream's communication buffers.
 //   - Multi-level blackboards (one level per instrumented application) are
 //     encoded in the type identifier: TypeID hashes level and type name
 //     together, so identical KSs and data types coexist per level
@@ -77,6 +78,10 @@ type Entry struct {
 	Payload any
 
 	refs atomic.Int32
+	// release (PostOwned) runs, and from (PostFrom) is released, when the
+	// last reference is dropped.
+	release func()
+	from    *Entry
 }
 
 // NewEntry creates an entry with a reference count of 1 (owned by the
@@ -91,13 +96,23 @@ func NewEntry(t Type, size int64, payload any) *Entry {
 func (e *Entry) Retain() { e.refs.Add(1) }
 
 // Release drops a reference. It reports whether this was the last
-// reference (the entry's storage is then reclaimable).
+// reference: the entry's storage is then reclaimable, and the entry runs
+// its release function and releases the entry it was derived from.
 func (e *Entry) Release() bool {
 	n := e.refs.Add(-1)
 	if n < 0 {
 		panic("blackboard: Release of an already-freed entry")
 	}
-	return n == 0
+	if n > 0 {
+		return false
+	}
+	if e.release != nil {
+		e.release()
+	}
+	if e.from != nil {
+		e.from.Release()
+	}
+	return true
 }
 
 // Writable reports whether the caller holds the only reference, the
@@ -389,11 +404,31 @@ func (bb *Blackboard) Post(t Type, size int64, payload any) {
 	bb.PostEntry(NewEntry(t, size, payload))
 }
 
+// PostOwned is Post for a payload whose storage the caller hands over:
+// release, unless nil, runs once, when the entry's last reference is
+// dropped — after every job that read it, or when the board discards it.
+// This is how the paper frees stream buffers.
+func (bb *Blackboard) PostOwned(t Type, size int64, payload any, release func()) {
+	e := NewEntry(t, size, payload)
+	e.release = release
+	bb.PostEntry(e)
+}
+
+// PostFrom is Post for a payload a knowledge source passes on from its
+// input entry from: the new entry holds a reference on from until its own
+// last reference is dropped, so whatever from releases outlives every job
+// that reads the payload under its new type.
+func (bb *Blackboard) PostFrom(from *Entry, t Type, size int64, payload any) {
+	from.Retain()
+	e := NewEntry(t, size, payload)
+	e.from = from
+	bb.PostEntry(e)
+}
+
 // PostEntry places an entry on the board, consuming the caller's
 // reference: once every triggered processing completes, the payload is
-// unreachable and reclaimed by the garbage collector (the paper frees the
-// buffer explicitly — Go's GC plays that role here, with the refcount
-// still governing writability).
+// unreachable — returned by its release function (PostOwned), or left to
+// the garbage collector, with the refcount still governing writability.
 //
 // The hot path is lock-free up to the matched KSs' slot mutexes: the
 // sensitivity table is an immutable published map (registration

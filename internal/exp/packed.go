@@ -101,7 +101,7 @@ func StreamThroughputPacked(p Platform, writers, ratio int, perWriter, blockSize
 			wireBytes += int64(len(payload))
 			logicalBytes += int64(trace.PackHeaderSize + n*recordSize)
 			wrote += int64(n)
-			b.Reset(vmpi.GetBlock(b.CapBytes()))
+			b.Reset(trace.GetBuffer(b.CapBytes()))
 			return nil
 		}
 		var logical int64

@@ -433,7 +433,7 @@ func ProfileRunStats(p Platform, workloads []*nas.Workload, opts ProfileOptions)
 			ctl.AddStream(telStream)
 		}
 		sampler := telemetry.NewSampler(reg, telStream, opts.TelemetryPeriod, r.Global())
-		sampler.SetBufferFunc(func(n int) []byte { return vmpi.GetBlock(n)[:0] })
+		sampler.SetBufferFunc(func(n int) []byte { return trace.GetBuffer(n)[:0] })
 		rec.SetSampler(sampler)
 		// The recorder's Finalize flushes the parting snapshot; closing the
 		// stream after it releases the analyzer's meta reader.
@@ -466,18 +466,13 @@ func ProfileRunStats(p Platform, workloads []*nas.Workload, opts ProfileOptions)
 			// Before the fold, so event-to-report lag is measured against
 			// the moment this block started being analyzed.
 			clock(false)
-			consumed, err := fused.Absorb(blk.From, blk.Payload)
-			if err != nil {
+			// The analysis is the payload's last owner: it goes back to the
+			// pack pool once folded, here or on the board.
+			if err := fused.HandOver(blk.From, blk.Payload); err != nil {
 				return err
 			}
 			r.Compute(cost(blk.Size))
 			clock(true)
-			if consumed {
-				// The fused path folded the events synchronously; the
-				// buffer can go back to the pool. (On the board path the
-				// blackboard owns the payload.)
-				blk.Release()
-			}
 			return nil
 		}}
 		if tree != nil {

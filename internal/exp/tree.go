@@ -31,9 +31,9 @@ const treeBlockBytes = 8 << 20
 // shipPartial flushes pp upstream and returns the bytes written. The
 // buffer is sized from the endpoint's previous flush of that application
 // (*last, 0 before the first; a few KB then) with headroom for a delta
-// that grew — a pooled block when one is large enough.
+// that grew, and drawn from the pack pool's class for that size.
 func shipPartial(up *vmpi.Stream, pp *analysis.Partial, last *int, final bool) (int64, error) {
-	buf := pp.Flush(vmpi.GetBlock(max(*last+*last/4, 4<<10))[:0], final)
+	buf := pp.Flush(trace.GetBuffer(max(*last+*last/4, 4<<10))[:0], final)
 	*last = len(buf)
 	return int64(len(buf)), up.Write(buf, int64(len(buf)))
 }

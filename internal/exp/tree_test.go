@@ -383,10 +383,9 @@ func TestTreeFlushStorageFollowsPartial(t *testing.T) {
 		// first merge builds its dense state.
 		lf.r.Compute(time.Millisecond)
 		leafEvents(lf, 0, 2000)
-		// Two collections empty the block pool: the flush below pays for
-		// its buffer, as every flush did when a pool miss cost 8 MB.
-		runtime.GC()
-		runtime.GC()
+		// Empty the pool's classes a flush could use: the flush below pays
+		// for its buffer, as every flush did when a pool miss cost 8 MB.
+		drainPool()
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		err := lf.flush(false)

@@ -174,10 +174,6 @@ type OnlineRecorder struct {
 	logical  int64
 	events   int64
 	closed   bool
-	// recycle is set by a shipped pack and consumed by the next Record: the
-	// following pack's buffer is fetched from the block pool only once an
-	// event needs it, so the final flush fetches none.
-	recycle bool
 
 	// Adaptive hooks (nil when the controller is disabled): the admission
 	// gate sheds events by class before they cost pack space, and packFn is
@@ -416,13 +412,6 @@ func (o *OnlineRecorder) Record(ev *trace.Event) {
 		}
 		return
 	}
-	if o.recycle {
-		// Start this pack in a recycled payload buffer: once consumers
-		// release their blocks, the steady state allocates no pack storage
-		// at all. On a pool miss the builder grows its own.
-		o.recycle = false
-		o.builder.Reset(vmpi.RecycledBlock(o.builder.CapBytes()))
-	}
 	if o.codec != nil {
 		t0 := time.Now()
 		full := o.builder.Add(ev)
@@ -501,7 +490,6 @@ func (o *OnlineRecorder) flush() {
 		return
 	}
 	o.switchFormat()
-	o.recycle = true
 }
 
 // switchFormat swaps the pack builder when the format selector wants a

@@ -12,7 +12,7 @@ import (
 // runRecorded runs one application rank, handed an online recorder of the
 // default calibration (1 MiB packs, 256-byte records), against one
 // analyzer rank that passes every received block to onBlock and never
-// releases it (so the pool never has a buffer to recycle).
+// releases it (so no shipped pack comes back to the pool).
 func runRecorded(t *testing.T, app func(m *MPI, rec *OnlineRecorder), onBlock func(*vmpi.Block)) {
 	t.Helper()
 	var layout *vmpi.Layout
@@ -63,12 +63,23 @@ func runRecorded(t *testing.T, app func(m *MPI, rec *OnlineRecorder), onBlock fu
 // TestOnlineRecorderStorageFollowsEvents: a recorder that records k
 // events and finalizes allocates (and so zeroes) pack memory in proportion
 // to k, not to the pack capacity, and asks the pool for a buffer only when
-// a further pack actually starts — never after its last flush.
+// a pack it ships grows — one fetch per growth step, never after its last
+// flush.
 func TestOnlineRecorderStorageFollowsEvents(t *testing.T) {
 	recordSize := DefaultOnlineConfig(0).RecordSize
+	// growthSteps is how many pool buffers a pack of n bytes passes
+	// through: the first 64 KiB, then one per doubling until it fits.
+	growthSteps := func(n int) int64 {
+		steps := int64(1)
+		for c := 64 << 10; c < n; c *= 2 {
+			steps++
+		}
+		return steps
+	}
 	for _, k := range []int{420, 5000} {
 		packs, events := 0, 0
-		hits0, misses0 := vmpi.PoolCounters()
+		var steps int64
+		hits0, misses0 := trace.PoolCounters()
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
 		runRecorded(t, func(_ *MPI, rec *OnlineRecorder) {
@@ -84,9 +95,10 @@ func TestOnlineRecorderStorageFollowsEvents(t *testing.T) {
 			}
 			packs++
 			events += h.Count
+			steps += growthSteps(len(blk.Payload))
 		})
 		runtime.ReadMemStats(&after)
-		hits1, misses1 := vmpi.PoolCounters()
+		hits1, misses1 := trace.PoolCounters()
 		if events != k {
 			t.Fatalf("k=%d: analyzer received %d events", k, events)
 		}
@@ -97,9 +109,8 @@ func TestOnlineRecorderStorageFollowsEvents(t *testing.T) {
 		if limit := uint64(2*k*recordSize + 128<<10); allocated >= limit {
 			t.Errorf("k=%d: run allocated %d bytes, want under %d", k, allocated, limit)
 		}
-		// The first pack starts in the builder's own storage.
-		if gets := hits1 + misses1 - hits0 - misses0; gets > int64(packs-1) {
-			t.Errorf("k=%d: %d pool fetches for %d shipped packs", k, gets, packs)
+		if gets := hits1 + misses1 - hits0 - misses0; gets != steps {
+			t.Errorf("k=%d: %d pool fetches for %d shipped packs, want one per growth step (%d)", k, gets, packs, steps)
 		}
 	}
 }

@@ -113,7 +113,7 @@ func TestLoopbackByteIdentical(t *testing.T) {
 	optsV3 := testOpts
 	optsV3.PackVersion = trace.PackV3
 
-	// Simulations run serially (they share the vmpi payload pools); only
+	// Simulations run serially (they share the pack pool); only
 	// the wire sessions run concurrently.
 	capCG := capture(t, optsV1, cg)
 	capLU := capture(t, optsV3, lu)

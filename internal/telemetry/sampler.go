@@ -14,7 +14,7 @@ const StreamChannel = 9
 
 // SnapshotBlockSize is the stream block size used for meta-event blocks:
 // large enough for a few hundred instruments, small enough to recycle
-// through the shared block pool.
+// through the shared pack pool.
 const SnapshotBlockSize = 16 << 10
 
 // BlockWriter is the sink a Sampler writes encoded snapshots to. It is

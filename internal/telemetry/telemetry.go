@@ -304,7 +304,7 @@ func (r *Registry) Histogram(name string, bounds []int64) *Histogram {
 }
 
 // GaugeFunc registers a callback-backed gauge sampled at snapshot time.
-// Use it to surface process-global state (like the shared vmpi block pool)
+// Use it to surface process-global state (like the shared pack pool)
 // that cannot be written through a per-run handle.
 func (r *Registry) GaugeFunc(name string, fn func() int64) {
 	if r == nil || fn == nil {

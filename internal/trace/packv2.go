@@ -126,7 +126,7 @@ type ColumnBuilder struct {
 	prevSize, prevTStart, prevDur int64
 
 	// out is the output buffer adopted by Reset; Take assembles into it when
-	// large enough.
+	// large enough and otherwise trades it for a pool buffer that is.
 	out []byte
 }
 
@@ -220,9 +220,9 @@ func (b *ColumnBuilder) resetState() {
 }
 
 // Reset discards any pack under construction (a stream dictionary keeps
-// only entries already shipped) and adopts buf, whatever its size, as
-// output storage: Take replaces it only if the pack does not fit. The
-// online recorder hands back recycled stream blocks here.
+// only entries already shipped) and takes buf over, whatever its size, as
+// output storage: Take trades it for a pool buffer only if the pack does
+// not fit.
 func (b *ColumnBuilder) Reset(buf []byte) {
 	b.resetState()
 	b.out = buf[:0]
@@ -266,8 +266,8 @@ func (b *ColumnBuilder) Add(e *Event) bool {
 // bytes (nil if it holds no events), then starts a fresh pack reusing the
 // column scratch; a v3 builder commits the pack's dictionary entries as
 // shipped, and later packs reference them by index alone. The returned
-// slice aliases the builder's output buffer; hand a recycled buffer to
-// Reset before the next fill to keep the cycle allocation-free.
+// slice is the builder's output buffer, now the caller's; the next Take
+// draws from the pool unless a buffer is handed to Reset first.
 func (b *ColumnBuilder) Take() []byte {
 	if b.count == 0 {
 		return nil
@@ -275,10 +275,10 @@ func (b *ColumnBuilder) Take() []byte {
 	n := b.encodedLen()
 	out := b.out
 	if cap(out) < n {
-		// Storage follows the fill, as in PackBuilder.grow: twice the pack,
-		// so the buffer fits the next one when it comes back through Reset,
-		// and past capBytes only if the pack is.
-		out = make([]byte, 0, max(n, min(2*n, b.capBytes)))
+		// Storage follows the fill, as in PackBuilder.grow: the pool class
+		// covering the pack, and the outgrown buffer goes back to the pool.
+		PutBuffer(out)
+		out = GetBuffer(n)
 	}
 	out = out[:PackHeaderSize]
 	binary.LittleEndian.PutUint32(out[0:], b.magic)

@@ -238,13 +238,13 @@ func (h Header) LogicalLen() int {
 
 // PackBuilder accumulates events into a bounded binary pack. When the pack
 // is full the caller takes the encoded bytes (Take) and streams them; the
-// builder then starts a fresh pack, allocating its storage lazily on the
-// next Add — or reusing a recycled buffer handed to Reset, which is how
-// the online recorder keeps a steady-state stream to zero buffer
-// allocations. A builder never zeroes memory it does not fill: fresh
-// storage grows geometrically with the pack, and a recycled buffer is
-// cleaned record by record. The zero value is not usable — use
-// NewPackBuilder.
+// builder then starts a fresh pack, drawing its storage from the pack pool
+// on the next Add — or adopting a full-capacity buffer handed to Reset. The
+// storage follows the fill: it starts at packInitBytes and doubles up to
+// the pack capacity, each step a pool buffer, and the buffer a step moves
+// out of goes back to the pool. Pooled storage is stale, so Add clears each
+// record's padding as it writes the record. The zero value is not usable —
+// use NewPackBuilder.
 type PackBuilder struct {
 	appID      uint32
 	srcRank    int32
@@ -252,14 +252,10 @@ type PackBuilder struct {
 	capBytes   int
 	buf        []byte
 	count      int
-	// stale marks buf as a recycled block that may carry old bytes where
-	// record padding must read zero; Add then clears each record's padding
-	// as it goes. Fresh storage is zero already.
-	stale bool
 }
 
-// packInitBytes is the first allocation of a pack that starts without a
-// recycled buffer; it doubles from there up to the builder's capacity.
+// packInitBytes is the storage a pack starts in; it doubles from there up
+// to the builder's capacity.
 const packInitBytes = 64 << 10
 
 // NewPackBuilder creates a builder producing packs of at most packBytes
@@ -281,16 +277,17 @@ func NewPackBuilder(appID uint32, srcRank int32, recordSize, packBytes int) *Pac
 }
 
 // Reset discards any pack under construction and starts a fresh one in
-// buf, reusing its storage. A nil (or too small) buf is dropped and the
-// next Add allocates instead, so Reset(nil) is simply "start over".
+// buf, taking its storage over. A buf too small for a full pack goes back
+// to the pool and the next Add grows from the pool instead, so Reset(nil)
+// is simply "start over".
 func (b *PackBuilder) Reset(buf []byte) {
 	b.count = 0
+	b.buf = nil
 	if cap(buf) < b.capBytes {
-		b.buf, b.stale = nil, false
+		PutBuffer(buf)
 		return
 	}
 	b.buf = buf[:PackHeaderSize]
-	b.stale = b.recordSize > MinRecordSize
 }
 
 // CapBytes returns the maximum encoded pack size, i.e. the buffer size a
@@ -321,28 +318,28 @@ func (b *PackBuilder) Add(e *Event) bool {
 	}
 	b.buf = b.buf[:need]
 	encodeRecord(b.buf[off:], e)
-	if b.stale {
-		clear(b.buf[off+MinRecordSize:])
-	}
+	clear(b.buf[off+MinRecordSize:])
 	b.count++
 	return need+b.recordSize > b.capBytes
 }
 
-// grow moves the pack under construction into fresh (zeroed) storage of
-// at least need bytes: packInitBytes first, then doubling, stopping at
-// exactly capBytes so a full pack's buffer can be recycled into Reset.
+// grow moves the pack under construction into pooled storage of at least
+// need bytes — packInitBytes first, then doubling, stopping at the class
+// covering capBytes so a full pack's buffer can be adopted by Reset — and
+// returns the storage it moves out of to the pool.
 func (b *PackBuilder) grow(need int) {
 	n := min(max(2*cap(b.buf), packInitBytes), b.capBytes)
 	n = max(n, need) // past capBytes only if the caller keeps adding to a full pack
-	buf := make([]byte, b.Len(), n)
+	buf := GetBuffer(n)[:b.Len()]
 	copy(buf, b.buf)
-	b.buf, b.stale = buf, false
+	PutBuffer(b.buf)
+	b.buf = buf
 }
 
 // Take finalizes the pack under construction and returns its encoded bytes
 // (nil if it holds no events), then starts a fresh pack. The next pack's
-// storage is allocated lazily, so a caller with a recycled buffer can
-// Reset into it without wasting an allocation.
+// storage is drawn lazily, so a caller with a buffer to recycle can Reset
+// into it first.
 func (b *PackBuilder) Take() []byte {
 	if b.count == 0 {
 		return nil
@@ -354,7 +351,7 @@ func (b *PackBuilder) Take() []byte {
 	binary.LittleEndian.PutUint32(b.buf[16:], uint32(b.recordSize))
 	binary.LittleEndian.PutUint32(b.buf[20:], 0)
 	out := b.buf
-	b.buf, b.stale = nil, false
+	b.buf = nil
 	b.count = 0
 	return out
 }

@@ -1,6 +1,10 @@
 package vmpi
 
-import "testing"
+import (
+	"testing"
+
+	"repro/internal/trace"
+)
 
 // TestStreamAllocsAmortized bounds the allocation cost of the stream hot
 // path. One writer pushes many size-only blocks through the credit
@@ -76,26 +80,27 @@ func TestStreamAllocsAmortized(t *testing.T) {
 	}
 }
 
-// TestBlockPoolRecycles pins the payload pool contract: a released
-// payload's storage is handed back to the next GetBlock of compatible
-// size, and Release nils the payload so stale references cannot alias the
-// recycled buffer.
+// TestBlockPoolRecycles pins the payload side of the pack pool: a released
+// payload's storage is handed to the next request of its size class, and
+// Release nils the payload so stale references cannot alias the recycled
+// buffer.
 func TestBlockPoolRecycles(t *testing.T) {
-	buf := GetBlock(1 << 10)
+	buf := trace.GetBuffer(1 << 10)
 	for i := range buf {
 		buf[i] = byte(i)
 	}
 	blk := &Block{Payload: buf, Size: int64(len(buf))}
+	hits, _ := trace.PoolCounters()
 	blk.Release()
 	if blk.Payload != nil {
 		t.Fatal("Release left the payload reference in place")
 	}
-	got := GetBlock(1 << 10)
-	if len(got) != 1<<10 {
-		t.Fatalf("GetBlock returned %d bytes, want %d", len(got), 1<<10)
+	got := trace.GetBuffer(1<<10 - 100)
+	if len(got) != 1<<10-100 {
+		t.Fatalf("GetBuffer returned %d bytes, want %d", len(got), 1<<10-100)
 	}
-	// Pool hits are best-effort (the runtime may drop pooled objects), so
-	// only the no-crash/no-alias behavior is contractual; still, in a
-	// quiet test process the storage normally round-trips.
+	if now, _ := trace.PoolCounters(); now != hits+1 || &got[0] != &buf[0] {
+		t.Errorf("the released payload did not serve the next request of its class (hits %d → %d)", hits, now)
+	}
 	blk.Release() // second release of a nil payload is a no-op
 }

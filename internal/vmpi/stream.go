@@ -11,6 +11,7 @@ import (
 	"repro/internal/des"
 	"repro/internal/mpi"
 	"repro/internal/telemetry"
+	"repro/internal/trace"
 )
 
 // Buffering constants from the paper's Figure 9: NA receive buffers per
@@ -63,6 +64,26 @@ type Block struct {
 	// Payload holds the block's bytes; nil for size-only transfers (cost
 	// modeling without data, used by large overhead sweeps).
 	Payload []byte
+}
+
+// Release returns the block's payload to the trace pack pool and nils it.
+// Call it only as the payload's final owner: after Release the bytes may
+// be overwritten by any pack builder in the process. A consumer that keeps
+// the bytes, or hands them to an analysis that recycles them itself, does
+// not release. Releasing a payload-less block is a no-op.
+func (b *Block) Release() {
+	if b.Payload != nil {
+		trace.PutBuffer(b.Payload)
+		b.Payload = nil
+	}
+}
+
+// RegisterPoolMetrics surfaces the process-wide pack pool through a
+// telemetry registry as callback gauges sampled at snapshot time (the pool
+// is process-global, so it cannot be written through a per-run handle).
+func RegisterPoolMetrics(reg *telemetry.Registry) {
+	reg.GaugeFunc("vmpi.pool_hits", func() int64 { hits, _ := trace.PoolCounters(); return hits })
+	reg.GaugeFunc("vmpi.pool_misses", func() int64 { _, misses := trace.PoolCounters(); return misses })
 }
 
 // streamCounters is the endpoint's live counter storage. The stream's own
