@@ -44,7 +44,7 @@ func main() {
 	)
 	flag.Parse()
 
-	platform, err := cliutil.PlatformByName(*platformFlag)
+	platform, err := exp.PlatformByName(*platformFlag)
 	if err != nil {
 		log.Fatal(err)
 	}

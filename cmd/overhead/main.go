@@ -45,7 +45,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	platform, err := cliutil.PlatformByName(*platformFlag)
+	platform, err := exp.PlatformByName(*platformFlag)
 	if err != nil {
 		log.Fatal(err)
 	}

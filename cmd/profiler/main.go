@@ -78,7 +78,7 @@ func main() {
 	if *replicasFlag > 0 && *exportFlag != "" {
 		fatalUsage(fmt.Errorf("-replicas is incompatible with -export (the exporter is an IO proxy, not a mergeable module)"))
 	}
-	platform, err := cliutil.PlatformByName(*platformFlag)
+	platform, err := exp.PlatformByName(*platformFlag)
 	if err != nil {
 		fatalUsage(err)
 	}

@@ -74,7 +74,7 @@ func main() {
 	if err != nil {
 		fatalUsage(err)
 	}
-	platform, err := cliutil.PlatformByName(*platformFlag)
+	platform, err := exp.PlatformByName(*platformFlag)
 	if err != nil {
 		fatalUsage(err)
 	}

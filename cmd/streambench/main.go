@@ -98,7 +98,7 @@ func main() {
 	if err != nil {
 		fatalUsage(err)
 	}
-	platform, err := cliutil.PlatformByName(*platformFlag)
+	platform, err := exp.PlatformByName(*platformFlag)
 	if err != nil {
 		fatalUsage(err)
 	}

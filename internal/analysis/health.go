@@ -59,9 +59,5 @@ func (k *EngineHealthKS) PostMeta(buf []byte) {
 // Snapshots reports how many snapshots have been unpacked.
 func (k *EngineHealthKS) Snapshots() int { return k.Acc.Snapshots() }
 
-// LastSampleNs returns the virtual timestamp of the newest accumulated
-// snapshot (0 if none): the final sampler instant before shutdown.
-func (k *EngineHealthKS) LastSampleNs() int64 { return k.Acc.LastVirtualNs() }
-
 // Summary digests the accumulated series (for the -telemetry JSON output).
 func (k *EngineHealthKS) Summary() telemetry.Summary { return k.Acc.Summary() }

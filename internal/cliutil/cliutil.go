@@ -6,7 +6,6 @@ import (
 	"strconv"
 	"strings"
 
-	"repro/internal/exp"
 	"repro/internal/trace"
 )
 
@@ -83,17 +82,6 @@ func ParseBytes(s string) (int64, error) {
 		return 0, fmt.Errorf("cliutil: bad byte size %q: %w", s, err)
 	}
 	return v * mult, nil
-}
-
-// PlatformByName resolves a platform flag value.
-func PlatformByName(name string) (exp.Platform, error) {
-	switch strings.ToLower(name) {
-	case "tera100", "tera-100", "tera":
-		return exp.Tera100(), nil
-	case "curie":
-		return exp.Curie(), nil
-	}
-	return exp.Platform{}, fmt.Errorf("cliutil: unknown platform %q (want tera100 or curie)", name)
 }
 
 // AppSpec is one parsed NAME.CLASS@PROCS item.

@@ -45,21 +45,6 @@ func TestParseBytes(t *testing.T) {
 	}
 }
 
-func TestPlatformByName(t *testing.T) {
-	for _, name := range []string{"tera100", "Tera-100", "TERA", "curie", "Curie"} {
-		if _, err := PlatformByName(name); err != nil {
-			t.Fatalf("PlatformByName(%q): %v", name, err)
-		}
-	}
-	if _, err := PlatformByName("summit"); err == nil {
-		t.Fatal("unknown platform accepted")
-	}
-	p, _ := PlatformByName("curie")
-	if p.Name != "Curie" {
-		t.Fatalf("name = %s", p.Name)
-	}
-}
-
 func TestParseApps(t *testing.T) {
 	got, err := ParseApps("LU.D@1024, cg.c@128,EulerMHD@64")
 	if err != nil {

@@ -43,6 +43,21 @@ func TestPlatformConfig(t *testing.T) {
 	}
 }
 
+func TestPlatformByName(t *testing.T) {
+	for _, name := range []string{"tera100", "Tera-100", "TERA", "curie", "Curie"} {
+		if _, err := PlatformByName(name); err != nil {
+			t.Fatalf("PlatformByName(%q): %v", name, err)
+		}
+	}
+	if _, err := PlatformByName("summit"); err == nil {
+		t.Fatal("unknown platform accepted")
+	}
+	p, _ := PlatformByName("curie")
+	if p.Name != "Curie" {
+		t.Fatalf("name = %s", p.Name)
+	}
+}
+
 func TestStreamThroughputGrowsWithWriters(t *testing.T) {
 	p := Tera100()
 	small, err := StreamThroughput(p, 32, 1, 8<<20, 1<<20)
@@ -299,6 +314,33 @@ func TestProfileRunMultiApp(t *testing.T) {
 		t.Fatal("wall times missing")
 	}
 	_ = trace.KindSend
+}
+
+// TestProfileRunAdaptive arms the overload controller on an unloaded run:
+// it completes with a full report and an all-zero loss ledger (the idle
+// controller sheds nothing).
+func TestProfileRunAdaptive(t *testing.T) {
+	lu, err := nas.LU(nas.ClassC, 16, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := ProfileRun(Tera100(), []*nas.Workload{lu}, ProfileOptions{Analyzers: 2, Workers: 2, Adaptive: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.Chapters) != 1 || rep.Chapters[0].Profiler.Events() == 0 {
+		t.Fatalf("chapters = %d", len(rep.Chapters))
+	}
+	for _, row := range rep.StreamLoss {
+		if row.Shed != 0 || row.Dropped != 0 || row.LostInFlight != 0 {
+			t.Fatalf("idle adaptive run lost events: %+v", row)
+		}
+	}
+	for _, ch := range rep.Chapters {
+		if ch.Completeness != nil && !ch.Completeness.Empty() {
+			t.Fatalf("chapter %s advertises loss on an unloaded run", ch.App)
+		}
+	}
 }
 
 func TestStreamDeterminism(t *testing.T) {

@@ -22,6 +22,8 @@
 package exp
 
 import (
+	"fmt"
+	"strings"
 	"time"
 
 	"repro/internal/mpi"
@@ -78,6 +80,17 @@ func Curie() Platform {
 		FSTotal:          250e9,
 		JobFSCap:         10e9,
 	}
+}
+
+// PlatformByName resolves a -platform flag value.
+func PlatformByName(name string) (Platform, error) {
+	switch strings.ToLower(name) {
+	case "tera100", "tera-100", "tera":
+		return Tera100(), nil
+	case "curie":
+		return Curie(), nil
+	}
+	return Platform{}, fmt.Errorf("exp: unknown platform %q (want tera100 or curie)", name)
 }
 
 // MPIConfig builds the runtime configuration for a job of totalRanks cores

@@ -12,10 +12,11 @@
 // partial profiles (the reduction tree's leaf machinery reused as the
 // serving engine), Snapshot/Diff serve incremental report state keyed by
 // a monotonic epoch cursor, Close runs the final flush and returns the
-// rendered report — byte-identical to the in-process service path for
-// the same packs and metadata. Per-session admission (credit windows +
-// a quota-driven adapt.Controller with class-level shedding gates) keeps
-// one hot tenant from degrading the rest; see admission.go.
+// rendered report — byte-identical to an in-process exp.ProfileRun of
+// the same run — and adds a row to the daemon's cross-session history
+// (history.go). Per-session admission (credit windows + a quota-driven
+// adapt.Controller with class-level shedding gates) keeps one hot tenant
+// from degrading the rest; see admission.go.
 package serviced
 
 import (
@@ -30,7 +31,7 @@ import (
 	"sync"
 
 	"repro/internal/adapt"
-	"repro/internal/service"
+	"repro/internal/report"
 	"repro/internal/trace"
 	"repro/internal/wire"
 )
@@ -72,10 +73,6 @@ type Options struct {
 	// (see lanes.go). <= 1 ingests synchronously on the connection
 	// goroutine, the seed behaviour.
 	Workers int
-	// Service, when non-nil, receives every closed session's report via
-	// Record — the cross-job metric centralisation the in-process service
-	// keeps, now shared by every tenant of the daemon.
-	Service *service.Service
 	// Logf, when non-nil, receives connection-level diagnostics.
 	Logf func(format string, args ...any)
 }
@@ -102,8 +99,8 @@ type Status struct {
 	QueryStats
 	// Sessions lists the live sessions' per-session counters.
 	Sessions []SessionStatus `json:"sessions,omitempty"`
-	// Service is the attached service's status JSON (absent without one).
-	Service json.RawMessage `json:"service,omitempty"`
+	// Service is the cross-session history of closed sessions.
+	Service ServiceStatus `json:"service"`
 }
 
 // QueryStats is the wall-clock ledger of the query path, per session
@@ -166,6 +163,7 @@ type Daemon struct {
 	merges   int64
 	mergeNs  int64
 	query    QueryStats
+	hist     history
 }
 
 // New builds a daemon.
@@ -179,7 +177,7 @@ func New(opts Options) *Daemon {
 	if opts.Workers <= 0 {
 		opts.Workers = 1
 	}
-	return &Daemon{opts: opts, liveSess: make(map[uint64]*session)}
+	return &Daemon{opts: opts, liveSess: make(map[uint64]*session), hist: history{cap: historyCap}}
 }
 
 // Serve accepts connections until the listener closes, one goroutine per
@@ -208,7 +206,7 @@ func (d *Daemon) ServeConn(rw io.ReadWriteCloser) error {
 	c := &conn{d: d, fr: wire.NewReader(rw), bw: bufio.NewWriter(rw)}
 	err := c.run()
 	if c.sess != nil && !c.sess.closed {
-		d.endSession(c.sess, true)
+		d.endSession(c.sess, nil)
 	}
 	return err
 }
@@ -219,10 +217,10 @@ func (d *Daemon) logf(format string, args ...any) {
 	}
 }
 
-// Status returns the daemon's current counters (plus the attached
-// service's status when one is wired in). Live sessions are listed with
-// their per-session replica counters; the aggregate replica totals span
-// retired and live sessions.
+// Status returns the daemon's current counters and its cross-session
+// history. Live sessions are listed with their per-session replica
+// counters; the aggregate replica totals span retired and live sessions.
+// The error is always nil.
 func (d *Daemon) Status() (Status, error) {
 	d.mu.Lock()
 	st := Status{
@@ -239,6 +237,7 @@ func (d *Daemon) Status() (Status, error) {
 		ReplicaMerges:  d.merges,
 		ReplicaMergeNs: d.mergeNs,
 		QueryStats:     d.query,
+		Service:        d.hist.status(),
 	}
 	for _, s := range d.liveSess {
 		ss := SessionStatus{
@@ -263,13 +262,6 @@ func (d *Daemon) Status() (Status, error) {
 	}
 	d.mu.Unlock()
 	sort.Slice(st.Sessions, func(i, j int) bool { return st.Sessions[i].ID < st.Sessions[j].ID })
-	if d.opts.Service != nil {
-		sj, err := d.opts.Service.StatusJSON()
-		if err != nil {
-			return Status{}, err
-		}
-		st.Service = sj
-	}
 	return st, nil
 }
 
@@ -302,18 +294,20 @@ func (d *Daemon) trackSession(s *session) {
 	d.mu.Unlock()
 }
 
-// endSession retires a session (closed cleanly or aborted): the lane
-// pool is stopped first (so every counter is final), then its accounting
-// folds into the daemon totals.
-func (d *Daemon) endSession(s *session, aborted bool) {
+// endSession retires a session, closed with its final report rep or
+// aborted when rep is nil: the lane pool is stopped first (so every
+// counter is final), then its accounting folds into the daemon totals and
+// a closed session's report into the history.
+func (d *Daemon) endSession(s *session, rep *report.Report) {
 	s.shutdown()
 	d.mu.Lock()
 	delete(d.liveSess, s.id)
 	d.live--
-	if aborted {
+	if rep == nil {
 		d.aborted++
 	} else {
 		d.closed++
+		d.hist.record(rep)
 	}
 	d.packs += s.packs.Load()
 	if s.gov != nil {
@@ -421,7 +415,7 @@ func (c *conn) run() error {
 				c.sess, err = newSession(id, format, meta, gov, c.d.opts.EpochCap, c.d.opts.Workers)
 			}
 			if err != nil {
-				c.d.endSession(&session{}, true)
+				c.d.endSession(&session{}, nil)
 				c.sess = nil
 				return c.fail("%v", err)
 			}
@@ -497,10 +491,7 @@ func (c *conn) run() error {
 			if err := rep.Render(&buf); err != nil {
 				return c.fail("session %d: render: %v", c.sess.id, err)
 			}
-			if c.d.opts.Service != nil {
-				c.d.opts.Service.Record(rep)
-			}
-			c.d.endSession(c.sess, false)
+			c.d.endSession(c.sess, rep)
 			_, late, _ := c.sess.windowStats()
 			fr := wire.FinalReport{
 				Session:    c.sess.id,

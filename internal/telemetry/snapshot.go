@@ -267,10 +267,6 @@ type Accumulator struct {
 	order     []string
 	series    map[string]*Series
 	snapshots int
-	// lastVirtual is the latest snapshot virtual timestamp folded in —
-	// the sampler's final instant, surfaced through the service history
-	// so lag consumers know how fresh the last health sample is.
-	lastVirtual int64
 }
 
 func (a *Accumulator) line(name string) *Series {
@@ -294,9 +290,6 @@ func (a *Accumulator) AddSnapshot(s *Snapshot) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	a.snapshots++
-	if s.VirtualNs > a.lastVirtual {
-		a.lastVirtual = s.VirtualNs
-	}
 	add := func(name string, v float64) {
 		// Keep each series ordered by virtual time: snapshots travel
 		// through the blackboard's concurrent worker pool, so two posted
@@ -344,14 +337,6 @@ func (a *Accumulator) Snapshots() int {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	return a.snapshots
-}
-
-// LastVirtualNs returns the virtual timestamp of the newest snapshot
-// folded in (0 if none): when the engine last heard from its sampler.
-func (a *Accumulator) LastVirtualNs() int64 {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.lastVirtual
 }
 
 // Names returns the series names in first-seen order.

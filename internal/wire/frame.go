@@ -158,10 +158,6 @@ func NewReader(r io.Reader) *Reader {
 	return &Reader{r: bufio.NewReader(r)}
 }
 
-// SetMaxFrameBytes lowers the acceptable payload size (0 restores the
-// package default).
-func (fr *Reader) SetMaxFrameBytes(n int) { fr.max = n }
-
 func (fr *Reader) limit() int {
 	if fr.max > 0 {
 		return fr.max
@@ -563,7 +559,7 @@ type FinalReport struct {
 	// per-window completeness bound accounts them).
 	LateEvents int64 `json:"late_events,omitempty"`
 	// Rendered is the report's structured-text rendering — byte-identical
-	// to the in-process service path for the same packs and metadata.
+	// to an in-process exp.ProfileRun of the same run.
 	Rendered string `json:"rendered"`
 }
 

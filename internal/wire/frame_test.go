@@ -97,7 +97,7 @@ func TestFrameHostileLength(t *testing.T) {
 	var buf bytes.Buffer
 	WriteFrame(&buf, TypePack, make([]byte, 128))
 	fr = NewReader(&buf)
-	fr.SetMaxFrameBytes(64)
+	fr.max = 64
 	if _, err := fr.Next(); err == nil || !strings.Contains(err.Error(), "limit") {
 		t.Fatalf("err = %v", err)
 	}

@@ -80,7 +80,7 @@ func FuzzDecodeFrame(f *testing.F) {
 		fr := NewReader(bytes.NewReader(data))
 		// Cap the payload limit so hostile lengths cannot ask the reader
 		// for a 64 MiB allocation per fuzz exec.
-		fr.SetMaxFrameBytes(1 << 16)
+		fr.max = 1 << 16
 		for {
 			frame, err := fr.Next()
 			if err != nil {
