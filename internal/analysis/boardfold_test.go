@@ -119,12 +119,8 @@ func TestBoardPathDifferential(t *testing.T) {
 			t.Fatalf("analyzed %d events, want %d", got, ranks*perRank)
 		}
 		if exp != nil {
-			var buf bytes.Buffer
-			if _, err := exp.WriteTo(&buf); err != nil {
-				t.Fatal(err)
-			}
 			var seen []trace.Event
-			if err := ReadExported(buf.Bytes(), func(e *trace.Event) { seen = append(seen, *e) }); err != nil {
+			if err := readExported(drainPacks(exp), func(e *trace.Event) { seen = append(seen, *e) }); err != nil {
 				t.Fatal(err)
 			}
 			sortEvents(seen)

@@ -13,9 +13,8 @@ import (
 // sketches as future work ("a module, acting as an IO proxy, to generate
 // selective traces in the OTF2 format in order to combine our analysis
 // with existing tools such as Vampir"). Events passing the filter are
-// re-encoded into pack-framed binary chunks; WriteTo emits them as one
-// stream that DecodeEach can replay, so a post-mortem tool (or a test) can
-// consume exactly the selected slice of the run.
+// re-encoded into v1 packs; WriteArchive emits them as an otf2lite archive,
+// so a post-mortem tool can consume exactly the selected slice of the run.
 type ExportModule struct {
 	mu       sync.Mutex
 	filter   func(*trace.Event) bool
@@ -62,45 +61,11 @@ func (m *ExportModule) Dropped() int64 {
 	return m.dropped
 }
 
-// WriteTo flushes the selected trace to w as consecutive packs and returns
-// the byte count. The module can keep accumulating afterwards.
-func (m *ExportModule) WriteTo(w io.Writer) (int64, error) {
-	m.mu.Lock()
-	chunks := m.chunks
-	if last := m.builder.Take(); last != nil {
-		chunks = append(chunks, last)
-	}
-	m.chunks = nil
-	m.mu.Unlock()
-	var n int64
-	for _, c := range chunks {
-		k, err := w.Write(c)
-		n += int64(k)
-		if err != nil {
-			return n, err
-		}
-	}
-	return n, nil
-}
-
-// ReadExported decodes a stream produced by WriteTo, invoking fn per
-// event.
-func ReadExported(buf []byte, fn func(*trace.Event)) error {
-	off := 0
-	for off < len(buf) {
-		h, err := trace.DecodeEach(buf[off:], fn)
-		if err != nil {
-			return fmt.Errorf("analysis: corrupt export at offset %d: %w", off, err)
-		}
-		off += h.WireLen()
-	}
-	return nil
-}
-
 // WriteArchive flushes the selected trace as a structured otf2lite
 // archive (definition tables + delta-encoded events, sorted per location
 // like OTF2's streams) — the export format the paper targets for Vampir
-// interoperability. Like WriteTo, it drains the module.
+// interoperability. It drains the module, which can keep accumulating
+// afterwards.
 func (m *ExportModule) WriteArchive(w io.Writer) error {
 	aw := otf2lite.NewWriter()
 	m.mu.Lock()

@@ -1,12 +1,38 @@
 package analysis
 
 import (
-	"bytes"
+	"fmt"
 	"testing"
 
 	"repro/internal/blackboard"
 	"repro/internal/trace"
 )
+
+// drainPacks drains the module's selected trace as consecutive packs, the
+// stream readExported replays.
+func drainPacks(m *ExportModule) []byte {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	var out []byte
+	for _, c := range append(m.chunks, m.builder.Take()) {
+		out = append(out, c...)
+	}
+	m.chunks = nil
+	return out
+}
+
+// readExported decodes a stream of consecutive packs, invoking fn per
+// event and stepping over each pack by its encoded length.
+func readExported(buf []byte, fn func(*trace.Event)) error {
+	for off := 0; off < len(buf); {
+		h, err := trace.DecodeEach(buf[off:], fn)
+		if err != nil {
+			return fmt.Errorf("analysis: corrupt export at offset %d: %w", off, err)
+		}
+		off += h.WireLen()
+	}
+	return nil
+}
 
 func TestExportModuleFilterAndRoundTrip(t *testing.T) {
 	m := NewExportModule(0, func(e *trace.Event) bool { return e.Kind == trace.KindSend })
@@ -20,16 +46,8 @@ func TestExportModuleFilterAndRoundTrip(t *testing.T) {
 	if m.Exported() != 50 || m.Dropped() != 50 {
 		t.Fatalf("exported=%d dropped=%d", m.Exported(), m.Dropped())
 	}
-	var buf bytes.Buffer
-	n, err := m.WriteTo(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != int64(buf.Len()) || n == 0 {
-		t.Fatalf("n=%d len=%d", n, buf.Len())
-	}
 	var got []trace.Event
-	if err := ReadExported(buf.Bytes(), func(e *trace.Event) { got = append(got, *e) }); err != nil {
+	if err := readExported(drainPacks(m), func(e *trace.Event) { got = append(got, *e) }); err != nil {
 		t.Fatal(err)
 	}
 	if len(got) != 50 {
@@ -40,14 +58,10 @@ func TestExportModuleFilterAndRoundTrip(t *testing.T) {
 			t.Fatalf("unexpected event in export: %+v", e)
 		}
 	}
-	// After WriteTo the module keeps working.
+	// After a drain the module keeps working.
 	m.Add(&trace.Event{Kind: trace.KindSend})
-	var buf2 bytes.Buffer
-	if _, err := m.WriteTo(&buf2); err != nil {
-		t.Fatal(err)
-	}
 	var more int
-	if err := ReadExported(buf2.Bytes(), func(*trace.Event) { more++ }); err != nil {
+	if err := readExported(drainPacks(m), func(*trace.Event) { more++ }); err != nil {
 		t.Fatal(err)
 	}
 	if more != 1 {
@@ -61,12 +75,8 @@ func TestExportSpansMultipleChunks(t *testing.T) {
 	for i := 0; i < n; i++ {
 		m.Add(&trace.Event{Kind: trace.KindRecv, Rank: int32(i)})
 	}
-	var buf bytes.Buffer
-	if _, err := m.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
 	count := 0
-	if err := ReadExported(buf.Bytes(), func(*trace.Event) { count++ }); err != nil {
+	if err := readExported(drainPacks(m), func(*trace.Event) { count++ }); err != nil {
 		t.Fatal(err)
 	}
 	if count != n {
@@ -75,13 +85,13 @@ func TestExportSpansMultipleChunks(t *testing.T) {
 }
 
 func TestReadExportedRejectsGarbage(t *testing.T) {
-	if err := ReadExported([]byte{1, 2, 3, 4, 5}, func(*trace.Event) {}); err == nil {
+	if err := readExported([]byte{1, 2, 3, 4, 5}, func(*trace.Event) {}); err == nil {
 		t.Fatal("garbage accepted")
 	}
 	// A well-formed audit pack passes the header check but holds ledger
 	// entries, not event records: an error, not a misread.
 	audit := trace.EncodeAuditPack(1, 0, []trace.AuditEntry{{Kind: trace.KindSend, Shed: 3, Kept: 5}})
-	if err := ReadExported(audit, func(*trace.Event) { t.Fatal("audit entry replayed as an event") }); err == nil {
+	if err := readExported(audit, func(*trace.Event) { t.Fatal("audit entry replayed as an event") }); err == nil {
 		t.Fatal("audit pack accepted")
 	}
 }
@@ -105,7 +115,7 @@ func TestReadExportedMixedFormats(t *testing.T) {
 		stream = append(stream, b.Take()...)
 	}
 	var got []int64
-	if err := ReadExported(stream, func(e *trace.Event) { got = append(got, e.TStart) }); err != nil {
+	if err := readExported(stream, func(e *trace.Event) { got = append(got, e.TStart) }); err != nil {
 		t.Fatal(err)
 	}
 	if len(got) != total {

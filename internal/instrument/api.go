@@ -179,14 +179,6 @@ func (m *MPI) Waitall(reqs []*mpi.Request) {
 	m.emit(trace.KindWaitall, -1, -1, int64(len(reqs)), t0, m.now())
 }
 
-// Sendrecv exchanges with two partners in one call.
-func (m *MPI) Sendrecv(dst, sendTag int, size int64, src, recvTag int) (int, int64) {
-	t0 := m.now()
-	st, _ := m.rank.SendRecv(m.comm, dst, sendTag, size, nil, src, recvTag)
-	m.emit(trace.KindSendrecv, int32(dst), int32(sendTag), size+st.Size, t0, m.now())
-	return st.Source, st.Size
-}
-
 // Exchange performs a symmetric neighbour exchange with peer: count
 // messages of size bytes in each direction. Transport is sampled — the
 // bytes move as one aggregated message pair — while the event stream

@@ -1,6 +1,7 @@
 package instrument
 
 import (
+	"fmt"
 	"runtime"
 	"testing"
 
@@ -9,14 +10,12 @@ import (
 	"repro/internal/vmpi"
 )
 
-// runRecorded runs one application rank, handed an online recorder of the
-// default calibration (1 MiB packs, 256-byte records), against one
-// analyzer rank that passes every received block to onBlock and never
-// releases it (so no shipped pack comes back to the pool).
-func runRecorded(t *testing.T, app func(m *MPI, rec *OnlineRecorder), onBlock func(*vmpi.Block)) {
+// runRecorded runs one application rank, handed an online recorder of
+// configuration cfg, against one analyzer rank that passes every received
+// block to onBlock (which decides whether the pack goes back to the pool).
+func runRecorded(t testing.TB, cfg OnlineConfig, app func(m *MPI, rec *OnlineRecorder), onBlock func(*vmpi.Block)) {
 	t.Helper()
 	var layout *vmpi.Layout
-	cfg := DefaultOnlineConfig(0)
 	w := mpi.NewWorld(mpi.DefaultConfig(),
 		mpi.Program{Name: "app", Procs: 1, Main: func(r *mpi.Rank) {
 			sess := layout.Init(r)
@@ -82,7 +81,7 @@ func TestOnlineRecorderStorageFollowsEvents(t *testing.T) {
 		hits0, misses0 := trace.PoolCounters()
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		runRecorded(t, func(_ *MPI, rec *OnlineRecorder) {
+		runRecorded(t, DefaultOnlineConfig(0), func(_ *MPI, rec *OnlineRecorder) {
 			ev := trace.Event{Kind: trace.KindSend, Peer: 1, Size: 8}
 			for i := 0; i < k; i++ {
 				rec.Record(&ev)
@@ -122,7 +121,7 @@ func TestEmitRecordZeroAllocs(t *testing.T) {
 	cfg := DefaultOnlineConfig(0)
 	perPack := (cfg.PackBytes - trace.PackHeaderSize) / cfg.RecordSize
 	allocs := -1.0
-	runRecorded(t, func(m *MPI, _ *OnlineRecorder) {
+	runRecorded(t, cfg, func(m *MPI, _ *OnlineRecorder) {
 		// Past the last growth step of the first pack, and far enough from
 		// its end that the measured calls never flush.
 		for i := 0; i < perPack/2+8; i++ {
@@ -135,6 +134,41 @@ func TestEmitRecordZeroAllocs(t *testing.T) {
 	}, func(*vmpi.Block) {})
 	if allocs != 0 {
 		t.Errorf("emit → Record allocates %.2f per event in the steady state, want 0", allocs)
+	}
+}
+
+// BenchmarkOnlineRecorderRecord times Record in wall-clock time at the
+// default calibration (1 MiB packs, 256-byte records) for the fixed-record
+// format and the persistent-dictionary column format: the cost meter, the
+// pack encode, and the flush of each full pack into the stream. The
+// analyzer releases every pack it receives, so storage cycles through the
+// pool as in a profiled run. DESIGN §5 charges about 150 ns of virtual time
+// per event for this path; EXPERIMENTS.md sets the two side by side.
+func BenchmarkOnlineRecorderRecord(b *testing.B) {
+	// Seven call sites per rank, as the engine benchmark's corpus cycles.
+	events := make([]trace.Event, 7*1024)
+	for i := range events {
+		slot := i % 7
+		events[i] = trace.Event{
+			Kind: []trace.Kind{trace.KindIsend, trace.KindIrecv, trace.KindWait}[slot%3], Peer: int32(1 + slot/3),
+			Tag: int32(100 + i/7%4), Comm: 1, Ctx: uint32(10 + slot), Size: int64(8192 << (i % 3)),
+			TStart: int64(i)*1500 + int64(i*37%300), TEnd: int64(i)*1500 + 600 + int64(i*53%500),
+		}
+	}
+	for _, version := range []int{trace.PackV1, trace.PackV3} {
+		b.Run(fmt.Sprintf("v%d", version), func(b *testing.B) {
+			cfg := DefaultOnlineConfig(0)
+			cfg.PackVersion = version
+			runRecorded(b, cfg, func(_ *MPI, rec *OnlineRecorder) {
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					rec.Record(&events[i%len(events)])
+				}
+				b.StopTimer()
+				rec.Finalize()
+			}, (*vmpi.Block).Release)
+		})
 	}
 }
 

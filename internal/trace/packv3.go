@@ -413,6 +413,10 @@ func (d *StreamDecoder) dispatchColumns(fn func(*Event)) (int, error) {
 	for i := 0; i < count; i++ {
 		if oneByte(buf, p0, e0) {
 			v, p0 = uint64(buf[p0]), p0+1
+		} else if twoBytes(buf, p0, e0) {
+			v, p0 = uint64(buf[p0]&0x7f)|uint64(buf[p0+1])<<7, p0+2
+		} else if threeBytes(buf, p0, e0) {
+			v, p0 = uint64(buf[p0]&0x7f)|uint64(buf[p0+1]&0x7f)<<7|uint64(buf[p0+2])<<14, p0+3
 		} else if v, p0 = colUvarint(buf, p0, e0); p0 == 0 {
 			return i, d.failColumn(0, i)
 		}
@@ -422,36 +426,60 @@ func (d *StreamDecoder) dispatchColumns(fn func(*Event)) (int, error) {
 		key := dict[v]
 		if oneByte(buf, p1, e1) {
 			v, p1 = uint64(buf[p1]), p1+1
+		} else if twoBytes(buf, p1, e1) {
+			v, p1 = uint64(buf[p1]&0x7f)|uint64(buf[p1+1])<<7, p1+2
+		} else if threeBytes(buf, p1, e1) {
+			v, p1 = uint64(buf[p1]&0x7f)|uint64(buf[p1+1]&0x7f)<<7|uint64(buf[p1+2])<<14, p1+3
 		} else if v, p1 = colUvarint(buf, p1, e1); p1 == 0 {
 			return i, d.failColumn(1, i)
 		}
 		rank += unzigzag(v)
 		if oneByte(buf, p2, e2) {
 			v, p2 = uint64(buf[p2]), p2+1
+		} else if twoBytes(buf, p2, e2) {
+			v, p2 = uint64(buf[p2]&0x7f)|uint64(buf[p2+1])<<7, p2+2
+		} else if threeBytes(buf, p2, e2) {
+			v, p2 = uint64(buf[p2]&0x7f)|uint64(buf[p2+1]&0x7f)<<7|uint64(buf[p2+2])<<14, p2+3
 		} else if v, p2 = colUvarint(buf, p2, e2); p2 == 0 {
 			return i, d.failColumn(2, i)
 		}
 		peer += unzigzag(v)
 		if oneByte(buf, p3, e3) {
 			v, p3 = uint64(buf[p3]), p3+1
+		} else if twoBytes(buf, p3, e3) {
+			v, p3 = uint64(buf[p3]&0x7f)|uint64(buf[p3+1])<<7, p3+2
+		} else if threeBytes(buf, p3, e3) {
+			v, p3 = uint64(buf[p3]&0x7f)|uint64(buf[p3+1]&0x7f)<<7|uint64(buf[p3+2])<<14, p3+3
 		} else if v, p3 = colUvarint(buf, p3, e3); p3 == 0 {
 			return i, d.failColumn(3, i)
 		}
 		tag += unzigzag(v)
 		if oneByte(buf, p4, e4) {
 			v, p4 = uint64(buf[p4]), p4+1
+		} else if twoBytes(buf, p4, e4) {
+			v, p4 = uint64(buf[p4]&0x7f)|uint64(buf[p4+1])<<7, p4+2
+		} else if threeBytes(buf, p4, e4) {
+			v, p4 = uint64(buf[p4]&0x7f)|uint64(buf[p4+1]&0x7f)<<7|uint64(buf[p4+2])<<14, p4+3
 		} else if v, p4 = colUvarint(buf, p4, e4); p4 == 0 {
 			return i, d.failColumn(4, i)
 		}
 		size += unzigzag(v)
 		if oneByte(buf, p5, e5) {
 			v, p5 = uint64(buf[p5]), p5+1
+		} else if twoBytes(buf, p5, e5) {
+			v, p5 = uint64(buf[p5]&0x7f)|uint64(buf[p5+1])<<7, p5+2
+		} else if threeBytes(buf, p5, e5) {
+			v, p5 = uint64(buf[p5]&0x7f)|uint64(buf[p5+1]&0x7f)<<7|uint64(buf[p5+2])<<14, p5+3
 		} else if v, p5 = colUvarint(buf, p5, e5); p5 == 0 {
 			return i, d.failColumn(5, i)
 		}
 		tStart += unzigzag(v)
 		if oneByte(buf, p6, e6) {
 			v, p6 = uint64(buf[p6]), p6+1
+		} else if twoBytes(buf, p6, e6) {
+			v, p6 = uint64(buf[p6]&0x7f)|uint64(buf[p6+1])<<7, p6+2
+		} else if threeBytes(buf, p6, e6) {
+			v, p6 = uint64(buf[p6]&0x7f)|uint64(buf[p6+1]&0x7f)<<7|uint64(buf[p6+2])<<14, p6+3
 		} else if v, p6 = colUvarint(buf, p6, e6); p6 == 0 {
 			return i, d.failColumn(6, i)
 		}
@@ -464,19 +492,21 @@ func (d *StreamDecoder) dispatchColumns(fn func(*Event)) (int, error) {
 	return count, nil
 }
 
-// oneByte reports whether the uvarint at buf[pos] is a single byte inside
-// the column that ends at end — what nearly every delta of a steady stream
-// is. It inlines; colUvarint, the general read, does not.
-func oneByte(buf []byte, pos, end int) bool { return pos < end && buf[pos] < 0x80 }
+// oneByte, twoBytes and threeBytes are the read ladder of dispatchColumns,
+// each asked only after the one before it said no: whether the uvarint at
+// buf[pos] ends in its first, second or third byte inside the column that
+// ends at end. Nearly every delta of a steady stream is one of those three
+// widths; the predicates inline and the reads are written out at each call
+// site, while colUvarint, the general read, does not inline.
+func oneByte(buf []byte, pos, end int) bool    { return pos < end && buf[pos] < 0x80 }
+func twoBytes(buf []byte, pos, end int) bool   { return pos+1 < end && buf[pos+1] < 0x80 }
+func threeBytes(buf []byte, pos, end int) bool { return pos+2 < end && buf[pos+2] < 0x80 }
 
 // colUvarint reads the uvarint at buf[pos:end] — what is left of one
 // column — and returns it with the position behind it, or position 0 (no
 // column starts inside the pack header) when the varint is cut off by the
 // column's end or overflows 64 bits.
 func colUvarint(buf []byte, pos, end int) (uint64, int) {
-	if pos+1 < end && buf[pos] >= 0x80 && buf[pos+1] < 0x80 {
-		return uint64(buf[pos]&0x7f) | uint64(buf[pos+1])<<7, pos + 2
-	}
 	v, n := binary.Uvarint(buf[pos:end])
 	if n <= 0 {
 		return 0, 0

@@ -375,3 +375,67 @@ func TestStreamDecoderDispatch(t *testing.T) {
 		}
 	}
 }
+
+// ingestishEvent is event i of one rank cycling seven call sites the way
+// the engine benchmark's ingest corpus does: two exchanges (isend, irecv,
+// wait) with two peers and an allreduce, 8–32 KiB payloads and stamps
+// about 1.5 µs apart with jitter. Its size deltas take three varint bytes,
+// its stamp and duration deltas mostly two.
+func ingestishEvent(i int) Event {
+	r := uint64(i+1) * 0x9e3779b97f4a7c15
+	r ^= r >> 31
+	slot := i % 7
+	kinds := [...]Kind{KindIsend, KindIrecv, KindWait, KindIsend, KindIrecv, KindWait, KindAllreduce}
+	ev := Event{Kind: kinds[slot], Rank: 5, Peer: -1, Tag: -1, Comm: 1, Ctx: uint32(10 + slot), Size: 2048}
+	if slot < 6 {
+		ev.Peer, ev.Tag = 5^int32(1+slot/3), int32(100+i/7%4)
+		ev.Size = int64(8192 << (r >> 40 % 3))
+	}
+	ev.TStart = int64(i)*1500 + int64(r%300)
+	ev.TEnd = ev.TStart + 600 + int64(r>>20%500)
+	return ev
+}
+
+// ingestishPacks encodes n events of ingestishEvent as a v3 stream of
+// 256-event packs of 256-byte logical records.
+func ingestishPacks(n int) [][]byte {
+	events := make([]Event, n)
+	for i := range events {
+		events[i] = ingestishEvent(i)
+	}
+	return takePacksV3(NewPackBuilderV3(1, 5, 256, PackHeaderSize+256*256), events)
+}
+
+func BenchmarkPackEncodeV3(b *testing.B) {
+	pb := NewPackBuilderV3(1, 5, 256, PackHeaderSize+256*256)
+	events := make([]Event, 7*1024)
+	for i := range events {
+		events[i] = ingestishEvent(i)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if pb.Add(&events[i%len(events)]) {
+			pb.Reset(pb.Take())
+		}
+	}
+}
+
+// BenchmarkDecodeDispatchV3 times the fused decode loop over a 64-pack v3
+// stream, one decoder carrying the stream dictionary across packs.
+func BenchmarkDecodeDispatchV3(b *testing.B) {
+	packs := ingestishPacks(64 * 256)
+	var d StreamDecoder
+	var sum int64
+	fold := func(e *Event) { sum += e.Size }
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, p := range packs {
+			if _, err := d.DecodeDispatch(p, fold); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*64*256), "ns/event")
+}
