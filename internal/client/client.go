@@ -3,7 +3,9 @@
 // TCP via Dial, or an in-process net.Pipe via New), negotiates the pack
 // wire format, registers a session, streams packs under the daemon's
 // credit window, polls incremental state through the Snapshot/Diff
-// cursor API, and collects the final report at Close.
+// cursor API, and collects the final report at Close. Packs are batched:
+// a credit window's packs go out in one write, when its last credit is
+// spent or with the next request, whichever comes first (DESIGN §14.5).
 package client
 
 import (
@@ -36,6 +38,7 @@ type Client struct {
 	avail  int
 	window int
 	closed bool
+	shut   bool // Shutdown ran: a buffered SendPack would not notice
 }
 
 // New wraps an established connection and runs the hello handshake,
@@ -48,7 +51,7 @@ func New(conn io.ReadWriteCloser, maxFormat int) (*Client, error) {
 	if maxFormat > trace.PackV3 {
 		return nil, fmt.Errorf("client: unknown pack format %d", maxFormat)
 	}
-	c := &Client{conn: conn, fr: wire.NewReader(conn), bw: bufio.NewWriter(conn)}
+	c := &Client{conn: conn, fr: wire.NewReader(conn), bw: bufio.NewWriterSize(conn, wire.ConnBuffer)}
 	if err := c.send(wire.TypeHello, wire.EncodeHello(wire.Hello{Proto: wire.ProtoVersion, MaxFormat: byte(maxFormat)})); err != nil {
 		conn.Close()
 		return nil, err
@@ -174,16 +177,21 @@ func (c *Client) waitCredit() error {
 
 // SendPack streams one encoded pack for the given writer id, honouring
 // the daemon's credit window: at zero balance it blocks until the daemon
-// grants more.
+// grants more. The pack is buffered, not written: the window's packs reach
+// the connection together when the last credit is spent, when the buffer
+// fills, or ahead of the next request.
 func (c *Client) SendPack(src uint32, pack []byte) error {
-	if c.session == 0 {
+	switch {
+	case c.shut:
+		return fmt.Errorf("client: send after shutdown")
+	case c.session == 0:
 		return fmt.Errorf("client: send before register")
 	}
 	if err := c.waitCredit(); err != nil {
 		return err
 	}
 	c.avail--
-	if err := wire.WritePack(c.bw, src, pack); err != nil {
+	if err := wire.WritePack(c.bw, src, pack); err != nil || c.avail > 0 {
 		return err
 	}
 	return c.bw.Flush()
@@ -271,8 +279,12 @@ func (c *Client) Stats() ([]byte, error) {
 	return append([]byte(nil), f.Payload...), nil
 }
 
-// Shutdown closes the connection.
-func (c *Client) Shutdown() error { return c.conn.Close() }
+// Shutdown closes the connection; every later call fails at once. Packs
+// still buffered are dropped, as the session they belong to is.
+func (c *Client) Shutdown() error {
+	c.shut = true
+	return c.conn.Close()
+}
 
 // --- capture replay --------------------------------------------------------
 

@@ -48,9 +48,13 @@ func TestProfileRunTelemetryEndToEnd(t *testing.T) {
 	}
 
 	series := func(name string) []float64 {
-		vs := hk.Acc.Values(name)
-		if vs == nil {
+		pts := hk.Acc.Points(name)
+		if pts == nil {
 			t.Fatalf("series %q missing (have %v)", name, hk.Acc.Names())
+		}
+		vs := make([]float64, len(pts))
+		for i, p := range pts {
+			vs[i] = p.Value
 		}
 		return vs
 	}

@@ -417,7 +417,11 @@ func renderEngineHealth(w io.Writer, hk *analysis.EngineHealthKS) error {
 	}
 	fmt.Fprintf(w, "  %-32s %14s %14s  series\n", "metric", "last", "max")
 	for _, name := range hk.Acc.Names() {
-		values := hk.Acc.Values(name)
+		pts := hk.Acc.Points(name)
+		values := make([]float64, len(pts))
+		for i, p := range pts {
+			values[i] = p.Value
+		}
 		st := Stats(values)
 		if st.Max == 0 && st.Min == 0 {
 			continue

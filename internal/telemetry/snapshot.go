@@ -357,21 +357,6 @@ func (a *Accumulator) Points(name string) []Point {
 	return append([]Point(nil), s.Points...)
 }
 
-// Values copies one series' values in sample order (for sparklines).
-func (a *Accumulator) Values(name string) []float64 {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	s := a.series[name]
-	if s == nil {
-		return nil
-	}
-	out := make([]float64, len(s.Points))
-	for i, p := range s.Points {
-		out[i] = p.Value
-	}
-	return out
-}
-
 // MetricSummary condenses one series for the JSON health summary.
 type MetricSummary struct {
 	Name    string  `json:"name"`

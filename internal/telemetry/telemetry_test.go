@@ -206,23 +206,23 @@ func TestAccumulatorSeries(t *testing.T) {
 	if acc.Snapshots() != 3 {
 		t.Fatalf("snapshots = %d, want 3", acc.Snapshots())
 	}
-	if vs := acc.Values("c"); len(vs) != 3 || vs[2] != 6 {
+	if vs := values(&acc, "c"); len(vs) != 3 || vs[2] != 6 {
 		t.Fatalf("counter series = %v", vs)
 	}
-	if vs := acc.Values("g.max"); len(vs) != 3 || vs[2] != 30 {
+	if vs := values(&acc, "g.max"); len(vs) != 3 || vs[2] != 30 {
 		t.Fatalf("gauge max series = %v", vs)
 	}
-	if vs := acc.Values("h.count"); vs[2] != 3 {
+	if vs := values(&acc, "h.count"); vs[2] != 3 {
 		t.Fatalf("histogram count series = %v", vs)
 	}
-	if vs := acc.Values("h.mean"); vs[2] != 2 {
+	if vs := values(&acc, "h.mean"); vs[2] != 2 {
 		t.Fatalf("histogram mean series = %v", vs)
 	}
 	pts := acc.Points("c")
 	if pts[1].VirtualNs != 200 {
 		t.Fatalf("virtual timestamps = %+v", pts)
 	}
-	if acc.Values("missing") != nil {
+	if values(&acc, "missing") != nil {
 		t.Fatal("unknown series should be nil")
 	}
 
@@ -242,6 +242,15 @@ func TestAccumulatorSeries(t *testing.T) {
 	if !found {
 		t.Fatal("summary missing series c")
 	}
+}
+
+// values reads one series' values in sample order (nil for unknown names).
+func values(acc *Accumulator, name string) []float64 {
+	var vs []float64
+	for _, p := range acc.Points(name) {
+		vs = append(vs, p.Value)
+	}
+	return vs
 }
 
 func TestAccumulatorReordersByVirtualTime(t *testing.T) {
@@ -269,7 +278,7 @@ func TestAccumulatorReordersByVirtualTime(t *testing.T) {
 			t.Fatalf("points out of virtual order: %+v", pts)
 		}
 	}
-	if vs := acc.Values("c"); vs[0] != 1 || vs[1] != 2 || vs[2] != 3 {
+	if vs := values(&acc, "c"); vs[0] != 1 || vs[1] != 2 || vs[2] != 3 {
 		t.Fatalf("values = %v, want monotone counter", vs)
 	}
 }

@@ -129,8 +129,8 @@ func TestStreamFormatRejectedAboveCeiling(t *testing.T) {
 	}
 }
 
-// TestSetPackFormatValidation pins the API edges: version bounds and the
-// default ceiling.
+// TestSetPackFormatValidation pins the API edges: version bounds. The
+// default ceiling is TestStreamFormatRejectedAboveCeiling's second case.
 func TestSetPackFormatValidation(t *testing.T) {
 	st := &Stream{}
 	func() {
@@ -144,9 +144,6 @@ func TestSetPackFormatValidation(t *testing.T) {
 	st.SetPackFormat(2)
 	if st.packFormat != 2 {
 		t.Fatalf("packFormat = %d", st.packFormat)
-	}
-	if (&Stream{}).MaxPackFormat() != DefaultMaxPackFormat {
-		t.Fatal("default MaxPackFormat should be DefaultMaxPackFormat")
 	}
 }
 

@@ -1,6 +1,7 @@
 package vmpi
 
 import (
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -300,14 +301,6 @@ func (st *Stream) SetPackFormat(v int) {
 		panic("vmpi: negative pack format")
 	}
 	st.packFormat = v
-}
-
-// MaxPackFormat returns the reader's acceptance ceiling.
-func (st *Stream) MaxPackFormat() int {
-	if st.maxPackFormat == 0 {
-		return DefaultMaxPackFormat
-	}
-	return st.maxPackFormat
 }
 
 // Stats returns a consistent-enough copy of the endpoint's counters. Each
@@ -690,9 +683,9 @@ func (st *Stream) Read(nonblock bool) (*Block, error) {
 			if len(payload) != 4 {
 				return nil, fmt.Errorf("vmpi: malformed format hello from rank %d (%d bytes)", status.Source, len(payload))
 			}
-			v := int(binary.LittleEndian.Uint32(payload))
-			if v > st.MaxPackFormat() {
-				return nil, fmt.Errorf("vmpi: writer rank %d streams pack format v%d, reader accepts up to v%d", status.Source, v, st.MaxPackFormat())
+			v, accepts := int(binary.LittleEndian.Uint32(payload)), cmp.Or(st.maxPackFormat, DefaultMaxPackFormat)
+			if v > accepts {
+				return nil, fmt.Errorf("vmpi: writer rank %d streams pack format v%d, reader accepts up to v%d", status.Source, v, accepts)
 			}
 		}
 		// Consume any close notifications first; the writer-side protocol

@@ -153,9 +153,13 @@ type Reader struct {
 	max int
 }
 
+// ConnBuffer sizes a connection's read buffer, and the client's write
+// buffer: a credit window of packs crosses in one syscall.
+const ConnBuffer = 64 << 10
+
 // NewReader wraps a byte stream in a frame reader.
 func NewReader(r io.Reader) *Reader {
-	return &Reader{r: bufio.NewReader(r)}
+	return &Reader{r: bufio.NewReaderSize(r, ConnBuffer)}
 }
 
 func (fr *Reader) limit() int {
