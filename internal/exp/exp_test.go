@@ -2,9 +2,12 @@ package exp
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"testing"
+	"time"
 
+	"repro/internal/adapt"
 	"repro/internal/analysis"
 	"repro/internal/exp/runner"
 	"repro/internal/nas"
@@ -340,6 +343,36 @@ func TestProfileRunAdaptive(t *testing.T) {
 		if ch.Completeness != nil && !ch.Completeness.Empty() {
 			t.Fatalf("chapter %s advertises loss on an unloaded run", ch.App)
 		}
+	}
+}
+
+// TestOverloadSweepGolden pins the adaptive point of a small overload
+// sweep, on the flags `streambench -overload` uses: how high the
+// controller climbed, how many decisions it took, what it shed per class
+// and what the application paid for it.
+func TestOverloadSweepGolden(t *testing.T) {
+	const want = "level 4 decisions 18 app-sec 1.736807886 shed MPI_Send:2486 MPI_Recv:2486 MPI_Isend:336 MPI_Irecv:336 MPI_Waitall:112"
+	lu, err := nas.LU(nas.ClassA, 16, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pts, err := OverloadSweep(Tera100(), []*nas.Workload{lu}, ProfileOptions{
+		Workers:         2,
+		PackBytes:       8192,
+		TelemetryPeriod: 50 * time.Millisecond,
+		AdaptiveConfig:  adapt.Config{BacklogHighBytes: 64 << 10},
+	}, 200<<10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ap := pts[len(pts)-1]
+	got := fmt.Sprintf("level %d decisions %d app-sec %v shed", ap.AdaptMaxLevel, ap.AdaptDecisions, ap.AppSeconds)
+	comp := ap.Report.Chapters[0].Completeness
+	for _, k := range comp.Kinds() {
+		got += fmt.Sprintf(" %s:%d", k, comp.Stat(k).Shed)
+	}
+	if got != want {
+		t.Fatalf("adaptive point\n got %s\nwant %s", got, want)
 	}
 }
 
