@@ -5,7 +5,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/blackboard"
 	"repro/internal/telemetry"
 	"repro/internal/trace"
 )
@@ -105,10 +104,42 @@ var ladder = [maxLevel + 1]classPlan{
 	{async: -1, p2p: 64, posix: 64},
 }
 
-// Controller is the closed-loop overload governor. It registers as a
-// blackboard knowledge source sensitive to engine-health meta-events
-// (the same channel-9 snapshots the engine-health chapter renders), so
-// its sensor input arrives through the real analysis machinery; its
+// Signals is one observation of the engine's health, as far as the control
+// law reads it: the stream counters since boot, the NIC backlog gauge and
+// the observation's wall clock.
+type Signals struct {
+	// Stalls, BytesWritten and BytesRead are the cumulative
+	// stream.write_stalls, stream.bytes_written and stream.bytes_read.
+	Stalls, BytesWritten, BytesRead int64
+	// BacklogNs and BacklogMaxNs are the net.nic_backlog_ns gauge's last
+	// value and its high-water mark since boot.
+	BacklogNs, BacklogMaxNs int64
+	// WallNs is the wall clock the observation was taken at (0 = unknown).
+	WallNs int64
+}
+
+// SignalsOf reads the controller's signals out of one engine-health
+// snapshot. Metrics the snapshot does not carry read as zero.
+func SignalsOf(s *telemetry.Snapshot) Signals {
+	sig := Signals{WallNs: s.WallNs}
+	for i := range s.Metrics {
+		switch m := &s.Metrics[i]; m.Name {
+		case "stream.write_stalls":
+			sig.Stalls = m.Value
+		case "stream.bytes_written":
+			sig.BytesWritten = m.Value
+		case "stream.bytes_read":
+			sig.BytesRead = m.Value
+		case "net.nic_backlog_ns":
+			sig.BacklogNs, sig.BacklogMaxNs = m.Value, m.Max
+		}
+	}
+	return sig
+}
+
+// Controller is the closed-loop overload governor. It is fed Signals —
+// in the engine, by the engine-health knowledge source, from the same
+// channel-9 snapshots the engine-health chapter renders — and its
 // decisions land in atomics that the instrumented ranks' hot paths read
 // at their next safe point.
 type Controller struct {
@@ -122,46 +153,23 @@ type Controller struct {
 	calm    int
 	seeded  bool
 	// Previous snapshot's counter values, for rate-of-change signals.
-	prevStalls float64
+	prevStalls int64
 
 	levelA      atomic.Int32
 	decisions   atomic.Int64
-	escalations atomic.Int64
 	packVersion atomic.Int32
 	flushEvery  atomic.Int32
 	maxSeen     atomic.Int32
 }
 
-// NewController builds a controller with the given thresholds and, when
-// bb is non-nil, registers its knowledge source ("adapt-controller") on
-// the board. tel may be nil.
-func NewController(bb *blackboard.Blackboard, cfg Config, tel *telemetry.ControllerMetrics) (*Controller, error) {
+// NewController builds a controller with the given thresholds. tel may be
+// nil.
+func NewController(cfg Config, tel *telemetry.ControllerMetrics) *Controller {
 	cfg.defaults()
 	c := &Controller{cfg: cfg, tel: tel}
 	c.packVersion.Store(int32(trace.PackV1))
 	c.flushEvery.Store(cfg.BaseFlushPacks)
-	if bb != nil {
-		metaT := blackboard.TypeID("", "meta")
-		err := bb.Register(blackboard.KS{
-			Name:          "adapt-controller",
-			Sensitivities: []blackboard.Type{metaT},
-			Op: func(_ *blackboard.Blackboard, in []*blackboard.Entry) {
-				buf, ok := in[0].Payload.([]byte)
-				if !ok {
-					return
-				}
-				s, err := telemetry.DecodeSnapshot(buf)
-				if err != nil {
-					return // a truncated snapshot must not kill the loop
-				}
-				c.Observe(s)
-			},
-		})
-		if err != nil {
-			return nil, err
-		}
-	}
-	return c, nil
+	return c
 }
 
 // NewGate creates an admission gate governed by this controller,
@@ -189,38 +197,20 @@ func (c *Controller) AddStream(w WindowSetter) {
 	c.mu.Unlock()
 }
 
-// Observe feeds one engine-health snapshot into the control loop. It is
-// normally invoked by the controller's knowledge source, but tests (and
-// hosts without a board) may call it directly.
-func (c *Controller) Observe(s *telemetry.Snapshot) {
-	if s == nil {
-		return
+// Observe feeds one observation into the control loop.
+func (c *Controller) Observe(sig Signals) {
+	if sig.WallNs > 0 {
+		c.tel.SnapshotLag(time.Now().UnixNano() - sig.WallNs)
 	}
-	var stalls, bytesW, bytesR, backlogNs float64
-	for i := range s.Metrics {
-		switch m := &s.Metrics[i]; m.Name {
-		case "stream.write_stalls":
-			stalls = float64(m.Value)
-		case "stream.bytes_written":
-			bytesW = float64(m.Value)
-		case "stream.bytes_read":
-			bytesR = float64(m.Value)
-		case "net.nic_backlog_ns":
-			backlogNs = float64(m.Max)
-		}
-	}
-	if s.WallNs > 0 {
-		c.tel.SnapshotLag(time.Now().UnixNano() - s.WallNs)
-	}
-	backlogBytes := int64(bytesW - bytesR)
+	backlogBytes := sig.BytesWritten - sig.BytesRead
 	if backlogBytes > 0 {
 		c.tel.Backlog(backlogBytes)
 	}
 
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	dStalls := int64(stalls - c.prevStalls)
-	c.prevStalls = stalls
+	dStalls := sig.Stalls - c.prevStalls
+	c.prevStalls = sig.Stalls
 	if !c.seeded {
 		// First snapshot only seeds the counter baselines: its "delta" is
 		// the absolute count since boot, not a rate.
@@ -236,7 +226,7 @@ func (c *Controller) Observe(s *telemetry.Snapshot) {
 		c.calm = 0
 		c.decide(c.cfg.MaxLevel)
 	case dStalls >= c.cfg.StallDelta ||
-		backlogNs >= float64(c.cfg.BacklogHighNs) ||
+		sig.BacklogMaxNs >= c.cfg.BacklogHighNs ||
 		backlogBytes >= c.cfg.BacklogHighBytes:
 		c.calm = 0
 		c.decide(c.level + 1)
@@ -268,7 +258,6 @@ func (c *Controller) decide(level int) {
 		level = c.cfg.MaxLevel
 	}
 	if level > c.level {
-		c.escalations.Add(1)
 		c.tel.OnEscalate()
 	} else if level < c.level {
 		c.tel.OnRelax()
@@ -351,9 +340,6 @@ func (c *Controller) MaxLevelSeen() int { return int(c.maxSeen.Load()) }
 
 // Decisions returns how many control decisions have been taken.
 func (c *Controller) Decisions() int64 { return c.decisions.Load() }
-
-// Escalations returns how many decisions raised the level.
-func (c *Controller) Escalations() int64 { return c.escalations.Load() }
 
 // PackVersion returns the pack wire format the recorders should build
 // next (consulted at flush boundaries, where swapping is safe).

@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/analysis"
 	"repro/internal/blackboard"
 	"repro/internal/telemetry"
 	"repro/internal/trace"
@@ -13,24 +14,21 @@ type fakeWindow struct{ reqs []int }
 
 func (f *fakeWindow) RequestWindow(n int) { f.reqs = append(f.reqs, n) }
 
-func snap(stalls, bytesW, bytesR, backlogNs int64) *telemetry.Snapshot {
-	return &telemetry.Snapshot{
-		Metrics: []telemetry.MetricSample{
-			{Name: "stream.write_stalls", Value: stalls},
-			{Name: "stream.bytes_written", Value: bytesW},
-			{Name: "stream.bytes_read", Value: bytesR},
-			{Name: "net.nic_backlog_ns", Max: backlogNs},
-		},
-	}
+// snap is one observation whose NIC backlog peaked at its last value.
+func snap(stalls, bytesW, bytesR, backlogNs int64) Signals {
+	return Signals{Stalls: stalls, BytesWritten: bytesW, BytesRead: bytesR, BacklogNs: backlogNs, BacklogMaxNs: backlogNs}
 }
 
-func newTestController(t *testing.T, cfg Config) *Controller {
-	t.Helper()
-	c, err := NewController(nil, cfg, nil)
-	if err != nil {
-		t.Fatal(err)
+// admitted offers n events of class k to the gate and counts the ones it
+// lets through.
+func admitted(g *Gate, k trace.Kind, n int) int {
+	kept := 0
+	for i := 0; i < n; i++ {
+		if g.Admit(k) {
+			kept++
+		}
 	}
-	return c
+	return kept
 }
 
 func TestConfigDefaults(t *testing.T) {
@@ -53,7 +51,8 @@ func TestConfigDefaults(t *testing.T) {
 }
 
 func TestControllerEscalatesOnStalls(t *testing.T) {
-	c := newTestController(t, Config{})
+	reg := telemetry.NewRegistry()
+	c := NewController(Config{}, telemetry.NewControllerMetrics(reg))
 	g := c.NewGate()
 	w := &fakeWindow{}
 	c.AddStream(w)
@@ -65,7 +64,6 @@ func TestControllerEscalatesOnStalls(t *testing.T) {
 		t.Fatalf("fresh controller at v%d level %d", c.PackVersion(), c.Level())
 	}
 
-	c.Observe(nil)                // ignored
 	c.Observe(snap(100, 0, 0, 0)) // seeds baselines: the absolute count is not a delta
 	if c.Level() != 0 {
 		t.Fatalf("seed snapshot escalated to %d", c.Level())
@@ -78,8 +76,8 @@ func TestControllerEscalatesOnStalls(t *testing.T) {
 			t.Fatalf("snapshot %d: level %d, want %d", i, c.Level(), want)
 		}
 	}
-	if c.MaxLevelSeen() != 4 || c.Escalations() != 4 {
-		t.Fatalf("maxSeen %d escalations %d", c.MaxLevelSeen(), c.Escalations())
+	if esc := reg.Counter("adapt.escalations").Value(); c.MaxLevelSeen() != 4 || esc != 4 {
+		t.Fatalf("maxSeen %d escalations %d", c.MaxLevelSeen(), esc)
 	}
 	if c.PackVersion() != trace.PackV3 {
 		t.Fatalf("deep-overload controller streaming v%d, want the v3 stream dictionary", c.PackVersion())
@@ -89,25 +87,22 @@ func TestControllerEscalatesOnStalls(t *testing.T) {
 	}
 	// L4 plan: async classes closed, p2p and POSIX sampled 1-in-64,
 	// collectives and Init/Finalize untouched — they anchor the profile.
-	if iv := g.Interval(trace.KindIsend); iv != -1 {
-		t.Fatalf("async interval %d, want -1", iv)
-	}
-	if iv := g.Interval(trace.KindSend); iv != 64 {
-		t.Fatalf("p2p interval %d, want 64", iv)
-	}
-	if iv := g.Interval(trace.KindPosixWrite); iv != 64 {
-		t.Fatalf("posix interval %d, want 64", iv)
-	}
-	if iv := g.Interval(trace.KindAllreduce); iv != 1 {
-		t.Fatalf("collective interval %d, want 1 (never shed)", iv)
-	}
-	if iv := g.Interval(trace.KindInit); iv != 1 || g.Interval(trace.KindFinalize) != 1 {
-		t.Fatalf("init/finalize sampled (%d)", iv)
+	for k, want := range map[trace.Kind]int{
+		trace.KindIsend:      0,
+		trace.KindSend:       2,
+		trace.KindPosixWrite: 2,
+		trace.KindAllreduce:  128,
+		trace.KindInit:       128,
+		trace.KindFinalize:   128,
+	} {
+		if got := admitted(g, k, 128); got != want {
+			t.Fatalf("%s: L4 gate admitted %d of 128, want %d", k, got, want)
+		}
 	}
 }
 
 func TestControllerPanicJumpsToMax(t *testing.T) {
-	c := newTestController(t, Config{})
+	c := NewController(Config{}, nil)
 	c.Observe(snap(0, 0, 0, 0)) // seed
 	c.Observe(snap(32, 0, 0, 0))
 	if c.Level() != 4 {
@@ -117,7 +112,7 @@ func TestControllerPanicJumpsToMax(t *testing.T) {
 
 func TestControllerBacklogSignals(t *testing.T) {
 	cfg := Config{BacklogHighBytes: 1000}
-	c := newTestController(t, cfg)
+	c := NewController(cfg, nil)
 	c.Observe(snap(0, 0, 0, 0)) // seed
 
 	// Byte backlog at the overload line escalates one level.
@@ -154,7 +149,7 @@ func TestControllerBacklogSignals(t *testing.T) {
 }
 
 func TestControllerNICBacklogEscalates(t *testing.T) {
-	c := newTestController(t, Config{BacklogHighNs: int64(10 * time.Millisecond)})
+	c := NewController(Config{BacklogHighNs: int64(10 * time.Millisecond)}, nil)
 	c.Observe(snap(0, 0, 0, 0)) // seed
 	c.Observe(snap(0, 0, 0, int64(20*time.Millisecond)))
 	if c.Level() != 1 {
@@ -163,7 +158,7 @@ func TestControllerNICBacklogEscalates(t *testing.T) {
 }
 
 func TestControllerFlushCadence(t *testing.T) {
-	c := newTestController(t, Config{BaseFlushPacks: 2})
+	c := NewController(Config{BaseFlushPacks: 2}, nil)
 	if c.FlushEvery() != 2 {
 		t.Fatalf("base cadence %d, want 2", c.FlushEvery())
 	}
@@ -179,7 +174,7 @@ func TestControllerFlushCadence(t *testing.T) {
 }
 
 func TestControllerMaxLevelCap(t *testing.T) {
-	c := newTestController(t, Config{MaxLevel: 2})
+	c := NewController(Config{MaxLevel: 2}, nil)
 	c.Observe(snap(0, 0, 0, 0))
 	c.Observe(snap(64, 0, 0, 0)) // panic — but capped
 	if c.Level() != 2 {
@@ -190,15 +185,14 @@ func TestControllerMaxLevelCap(t *testing.T) {
 func TestControllerGatesProgrammedLate(t *testing.T) {
 	// A gate created after escalation starts under the current plan, and
 	// TotalShed aggregates across every gate.
-	c := newTestController(t, Config{})
+	c := NewController(Config{}, nil)
 	c.Observe(snap(0, 0, 0, 0))
 	c.Observe(snap(32, 0, 0, 0)) // L4
 	g := c.NewGate()
-	if iv := g.Interval(trace.KindIsend); iv != -1 {
-		t.Fatalf("late gate interval %d, want the active plan's -1", iv)
+	if g.Admit(trace.KindIsend) {
+		t.Fatal("late gate admitted an async event the active plan sheds")
 	}
 	g2 := c.NewGate()
-	g.Admit(trace.KindIsend)
 	g2.Admit(trace.KindIsend)
 	if c.TotalShed() != 2 {
 		t.Fatalf("TotalShed %d, want 2", c.TotalShed())
@@ -207,7 +201,8 @@ func TestControllerGatesProgrammedLate(t *testing.T) {
 
 // TestControllerThroughBlackboard drives the control loop the way the
 // engine does: snapshots encoded by a real registry, posted as meta
-// entries on a real board, decoded by the controller's knowledge source.
+// entries on a real board, decoded by the engine-health knowledge source
+// and handed to the controller.
 func TestControllerThroughBlackboard(t *testing.T) {
 	bb := blackboard.New(blackboard.Config{Workers: 2})
 	defer bb.Close()
@@ -215,14 +210,13 @@ func TestControllerThroughBlackboard(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	stalls := reg.Counter("stream.write_stalls")
 
-	c, err := NewController(bb, Config{}, telemetry.NewControllerMetrics(reg))
+	c := NewController(Config{}, telemetry.NewControllerMetrics(reg))
+	health, err := analysis.NewEngineHealthKS(bb, func(s *telemetry.Snapshot) { c.Observe(SignalsOf(s)) })
 	if err != nil {
 		t.Fatal(err)
 	}
-	metaT := blackboard.TypeID("", "meta")
 	post := func(seq uint64) {
-		buf := reg.EncodeSnapshot(nil, seq, int64(seq)*1e6, 0)
-		bb.Post(metaT, int64(len(buf)), buf)
+		health.PostMeta(reg.EncodeSnapshot(nil, seq, int64(seq)*1e6, 0))
 		bb.Drain()
 	}
 
@@ -237,17 +231,18 @@ func TestControllerThroughBlackboard(t *testing.T) {
 	}
 
 	// Garbage must not kill the loop: wrong payload type, truncated bytes.
+	metaT := blackboard.TypeID("", analysis.TypeMeta)
 	bb.Post(metaT, 3, "not bytes")
 	bb.Post(metaT, 3, []byte{1, 2, 3})
 	bb.Drain()
 	stalls.Add(5)
 	post(3)
-	if c.Level() != 2 {
-		t.Fatalf("level %d after garbage interleave, want 2", c.Level())
+	if c.Level() != 2 || c.Decisions() != 3 {
+		t.Fatalf("level %d after %d decisions with garbage interleaved, want 2 after 3", c.Level(), c.Decisions())
 	}
 
 	// Duplicate registration fails cleanly.
-	if _, err := NewController(bb, Config{}, nil); err == nil {
-		t.Fatal("second controller registered on the same board")
+	if _, err := analysis.NewEngineHealthKS(bb, nil); err == nil {
+		t.Fatal("second engine-health KS registered on the same board")
 	}
 }

@@ -1,6 +1,6 @@
 // Package adapt closes the loop between the engine's self-telemetry and
-// its runtime knobs: a controller knowledge source watches engine-health
-// meta-events on the blackboard and, under overload, retunes the transport
+// its runtime knobs: a controller reads the engine's health signals and,
+// under overload, retunes the transport
 // (credit windows, pack format, tree flush cadence) before degrading
 // measurement itself through an admission gate that sheds event classes
 // with counted, bounded loss. Shedding is never silent: every dropped
@@ -67,14 +67,6 @@ func (g *Gate) SetInterval(k trace.Kind, n int32) {
 		return
 	}
 	g.interval[k].Store(n)
-}
-
-// Interval returns the class's current sampling interval.
-func (g *Gate) Interval(k trace.Kind) int32 {
-	if g == nil || k <= trace.KindInvalid || int(k) >= trace.KindCount {
-		return 0
-	}
-	return g.interval[k].Load()
 }
 
 // Shed returns how many events of the class have been shed.

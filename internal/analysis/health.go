@@ -21,15 +21,18 @@ type EngineHealthKS struct {
 	// operation runs on the blackboard's worker pool).
 	Acc telemetry.Accumulator
 
-	bb    *blackboard.Blackboard
-	metaT blackboard.Type
+	bb      *blackboard.Blackboard
+	metaT   blackboard.Type
+	observe func(*telemetry.Snapshot)
 }
 
 // NewEngineHealthKS registers the engine-health knowledge source on the
 // board, sensitive to TypeMeta entries whose payloads are encoded
-// telemetry snapshots ([]byte).
-func NewEngineHealthKS(bb *blackboard.Blackboard) (*EngineHealthKS, error) {
-	k := &EngineHealthKS{bb: bb, metaT: blackboard.TypeID("", TypeMeta)}
+// telemetry snapshots ([]byte). observe, when non-nil, is handed every
+// snapshot the KS decodes (the overload controller's sensor), on the
+// board worker that decoded it.
+func NewEngineHealthKS(bb *blackboard.Blackboard, observe func(*telemetry.Snapshot)) (*EngineHealthKS, error) {
+	k := &EngineHealthKS{bb: bb, metaT: blackboard.TypeID("", TypeMeta), observe: observe}
 	err := bb.Register(blackboard.KS{
 		Name:          "engine-health",
 		Sensitivities: []blackboard.Type{k.metaT},
@@ -38,9 +41,16 @@ func NewEngineHealthKS(bb *blackboard.Blackboard) (*EngineHealthKS, error) {
 			if !ok {
 				return // not a snapshot; ignore rather than kill the KS
 			}
-			// Decode errors are swallowed: a truncated snapshot must not
-			// poison the analysis of the run it describes.
-			_ = k.Acc.AddEncoded(buf)
+			s, err := telemetry.DecodeSnapshot(buf)
+			if err != nil {
+				// A truncated snapshot must not poison the analysis of the
+				// run it describes.
+				return
+			}
+			k.Acc.AddSnapshot(s)
+			if k.observe != nil {
+				k.observe(s)
+			}
 		},
 	})
 	if err != nil {

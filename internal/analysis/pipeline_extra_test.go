@@ -122,12 +122,13 @@ func TestPipelineCodecTelemetry(t *testing.T) {
 }
 
 // TestEngineHealthKS feeds the self-telemetry KS one encoded snapshot and
-// one junk payload: the snapshot accumulates, the junk is ignored rather
-// than killing the KS.
+// two junk payloads: the snapshot accumulates and reaches the observer,
+// the junk is ignored rather than killing the KS.
 func TestEngineHealthKS(t *testing.T) {
 	bb := blackboard.New(blackboard.Config{Workers: 1})
 	defer bb.Close()
-	k, err := NewEngineHealthKS(bb)
+	var observed []uint64
+	k, err := NewEngineHealthKS(bb, func(s *telemetry.Snapshot) { observed = append(observed, s.Seq) })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,9 +136,10 @@ func TestEngineHealthKS(t *testing.T) {
 	reg.Counter("engine.test.count").Add(5)
 	k.PostMeta(reg.EncodeSnapshot(nil, 1, 1000, 0))
 	bb.Post(blackboard.TypeID("", TypeMeta), 1, "not a snapshot")
+	k.PostMeta([]byte{1, 2, 3})
 	bb.Drain()
-	if k.Snapshots() != 1 {
-		t.Fatalf("snapshots = %d, want 1", k.Snapshots())
+	if k.Snapshots() != 1 || len(observed) != 1 || observed[0] != 1 {
+		t.Fatalf("snapshots = %d, observed %v, want 1 and [1]", k.Snapshots(), observed)
 	}
 	if sum := k.Summary(); len(sum.Metrics) == 0 {
 		t.Fatal("summary lost the accumulated series")

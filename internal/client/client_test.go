@@ -305,9 +305,9 @@ func TestAfterShutdown(t *testing.T) {
 
 func TestReplayFormatGuard(t *testing.T) {
 	cp := captureCG(t, 1, trace.PackV3)
-	// Daemon only speaks v1: the negotiated session format cannot carry
-	// the captured v3 packs, and Replay must say so before registering.
-	c := pipeTo(t, serviced.New(serviced.Options{MaxFormat: trace.PackV1}), trace.PackV3)
+	// The daemon acks v1: the negotiated session format cannot carry the
+	// captured v3 packs, and Replay must say so before registering.
+	c := scripted(t, func(*wire.Reader, io.Writer) {})
 	if c.Format() != trace.PackV1 {
 		t.Fatalf("negotiated v%d, want v1", c.Format())
 	}

@@ -351,7 +351,7 @@ func TestProfileRunAdaptive(t *testing.T) {
 // controller climbed, how many decisions it took, what it shed per class
 // and what the application paid for it.
 func TestOverloadSweepGolden(t *testing.T) {
-	const want = "level 4 decisions 18 app-sec 1.736807886 shed MPI_Send:2486 MPI_Recv:2486 MPI_Isend:336 MPI_Irecv:336 MPI_Waitall:112"
+	const want = "level 4 decisions 18 app-sec 1.736807865 shed MPI_Send:2486 MPI_Recv:2486 MPI_Isend:336 MPI_Irecv:336 MPI_Waitall:112"
 	lu, err := nas.LU(nas.ClassA, 16, 8)
 	if err != nil {
 		t.Fatal(err)

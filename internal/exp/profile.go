@@ -104,8 +104,8 @@ type ProfileOptions struct {
 	// TelemetryPeriod is the snapshot cadence in virtual time
 	// (0 = the sampler's 10ms default).
 	TelemetryPeriod time.Duration
-	// Adaptive engages the closed-loop overload controller: a blackboard
-	// knowledge source consumes the engine-health snapshots and actuates
+	// Adaptive engages the closed-loop overload controller: it reads the
+	// snapshots the engine-health knowledge source decodes and actuates
 	// per-stream credit windows, the pack wire format, the tree's
 	// partial-flush cadence, and class-level admission gates that shed
 	// events under sustained overload with a quantified completeness
@@ -359,17 +359,16 @@ func ProfileRunStats(p Platform, workloads []*nas.Workload, opts ProfileOptions)
 	if opts.Telemetry && opts.Replicas > 0 {
 		replicaMetrics = telemetry.NewReplicaMetrics(reg)
 	}
-	if opts.Telemetry {
-		if health, err = analysis.NewEngineHealthKS(bb); err != nil {
-			return nil, nil, err
-		}
-	}
-	// The controller rides the same board: its knowledge source sees every
-	// meta-event the engine-health KS sees, closing the loop through the
-	// real analysis machinery.
+	// The controller reads every snapshot the engine-health KS decodes,
+	// closing the loop through the real analysis machinery.
 	var ctl *adapt.Controller
+	var observe func(*telemetry.Snapshot)
 	if opts.Adaptive {
-		if ctl, err = adapt.NewController(bb, opts.AdaptiveConfig, telemetry.NewControllerMetrics(reg)); err != nil {
+		ctl = adapt.NewController(opts.AdaptiveConfig, telemetry.NewControllerMetrics(reg))
+		observe = func(s *telemetry.Snapshot) { ctl.Observe(adapt.SignalsOf(s)) }
+	}
+	if opts.Telemetry {
+		if health, err = analysis.NewEngineHealthKS(bb, observe); err != nil {
 			return nil, nil, err
 		}
 	}
@@ -498,10 +497,11 @@ func ProfileRunStats(p Platform, workloads []*nas.Workload, opts ProfileOptions)
 				health.PostMeta(blk.Payload)
 				if ctl != nil {
 					// Settle the board before the sim advances: the
-					// controller's knowledge source runs on a host worker,
-					// and draining here pins its decision to the snapshot's
-					// virtual timestamp instead of leaving actuation to host
-					// scheduling. Keeps adaptive runs deterministic.
+					// controller decides on the engine-health KS's host
+					// worker, and draining here pins its decision to the
+					// snapshot's virtual timestamp instead of leaving
+					// actuation to host scheduling. Keeps adaptive runs
+					// deterministic.
 					bb.Drain()
 				}
 				return nil

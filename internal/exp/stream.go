@@ -60,7 +60,9 @@ func StreamThroughputTelemetry(p Platform, writers, ratio int, perWriter, blockS
 		return StreamPoint{}, telemetry.Summary{}, err
 	}
 	var acc telemetry.Accumulator
-	acc.AddSnapshot(reg.Snapshot(0, int64(pt.Seconds*1e9), -1))
+	if err := acc.AddEncoded(reg.EncodeSnapshot(nil, 0, int64(pt.Seconds*1e9), -1)); err != nil {
+		return StreamPoint{}, telemetry.Summary{}, err
+	}
 	return pt, acc.Summary(), nil
 }
 

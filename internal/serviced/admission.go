@@ -1,14 +1,11 @@
 package serviced
 
-import (
-	"repro/internal/adapt"
-	"repro/internal/telemetry"
-)
+import "repro/internal/adapt"
 
 // governor is one session's admission controller: the PR6 closed-loop
-// overload law re-used on the serving side. It synthesizes engine-health
-// snapshots from the session's ingest counters and feeds them to a
-// (board-less) adapt.Controller; the controller's escalation level then
+// overload law re-used on the serving side. It builds the controller's
+// signals from the session's ingest counters and feeds them to an
+// adapt.Controller; the controller's escalation level then
 // actuates the session's credit window and its per-application admission
 // gates, exactly the ladder the in-process adaptive engine climbs.
 //
@@ -32,15 +29,12 @@ type governor struct {
 	// base is the level-0 credit window; every escalation level halves it
 	// (floor 1).
 	base int
-	// every is the observation cadence in packs.
-	every int64
 	// budget is the session's ingest quota in bytes (0 = unlimited: the
 	// governor never escalates and the gates never shed).
 	budget int64
 
 	packs   int64
 	bytesIn int64
-	seq     uint64
 }
 
 // Default admission parameters.
@@ -53,22 +47,15 @@ const (
 	DefaultGovernEvery = 4
 )
 
-func newGovernor(cfg adapt.Config, base, every int, budget int64) (*governor, error) {
+func newGovernor(cfg adapt.Config, base int, budget int64) *governor {
 	if base <= 0 {
 		base = DefaultWindow
 	}
-	if every <= 0 {
-		every = DefaultGovernEvery
-	}
-	ctl, err := adapt.NewController(nil, cfg, nil)
-	if err != nil {
-		return nil, err
-	}
-	g := &governor{ctl: ctl, base: base, every: int64(every), budget: budget}
-	// The controller's first snapshot only seeds its counter baselines;
+	g := &governor{ctl: adapt.NewController(cfg, nil), base: base, budget: budget}
+	// The controller's first observation only seeds its counter baselines;
 	// deliver it now so the first in-band observation acts on real deltas.
 	g.observe()
-	return g, nil
+	return g
 }
 
 // newGate mints an admission gate governed by this session's controller
@@ -81,29 +68,20 @@ func (g *governor) newGate() *adapt.Gate { return g.ctl.NewGate() }
 func (g *governor) onPack(bytes int) {
 	g.packs++
 	g.bytesIn += int64(bytes)
-	if g.packs%g.every == 0 {
+	if g.packs%DefaultGovernEvery == 0 {
 		g.observe()
 	}
 }
 
-// observe synthesizes one engine-health snapshot from the session
-// counters and feeds the control law. Quota overage is presented as byte
-// backlog — written bytes the (budgeted) engine has not "read".
+// observe feeds the control law the session counters. Quota overage is
+// presented as byte backlog — written bytes the (budgeted) engine has not
+// "read".
 func (g *governor) observe() {
 	var over int64
 	if g.budget > 0 && g.bytesIn > g.budget {
 		over = g.bytesIn - g.budget
 	}
-	s := &telemetry.Snapshot{
-		Seq:    g.seq,
-		Source: -2, // synthetic: the daemon's admission sensor, not a sampled rank
-		Metrics: []telemetry.MetricSample{
-			{Name: "stream.bytes_written", Kind: telemetry.KindCounter, Value: g.bytesIn},
-			{Name: "stream.bytes_read", Kind: telemetry.KindCounter, Value: g.bytesIn - over},
-		},
-	}
-	g.seq++
-	g.ctl.Observe(s)
+	g.ctl.Observe(adapt.Signals{BytesWritten: g.bytesIn, BytesRead: g.bytesIn - over})
 }
 
 // window returns the current credit window: the base halved per

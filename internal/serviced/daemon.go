@@ -45,15 +45,9 @@ type Options struct {
 	// MaxSessions caps concurrently live sessions; registrations beyond it
 	// are rejected with an error frame (default DefaultMaxSessions).
 	MaxSessions int
-	// MaxFormat is the highest pack wire format the daemon negotiates
-	// (default trace.PackV3).
-	MaxFormat int
 	// Window is the level-0 per-session credit window in pack frames
 	// (default DefaultWindow).
 	Window int
-	// GovernEvery is the admission governor's observation cadence in packs
-	// (default DefaultGovernEvery).
-	GovernEvery int
 	// SessionBudgetBytes is the per-session ingest quota: volume past it
 	// reads as backlog to the session's adaptive controller, which
 	// escalates through the PR6 ladder — narrower credit window first,
@@ -63,9 +57,6 @@ type Options struct {
 	// Adaptive tunes each session's controller (zero value = adapt
 	// defaults; tests shrink the thresholds for fast escalation).
 	Adaptive adapt.Config
-	// EpochCap bounds the retained sealed-delta log per session (default
-	// DefaultEpochCap); older Diff cursors get a full-state resync.
-	EpochCap int
 	// Workers is the per-session ingest worker-pool size. With Workers > 1
 	// each session fans its data packs out to that many lanes folding into
 	// lock-free per-app replicas, merged into the session delta at every
@@ -170,9 +161,6 @@ type Daemon struct {
 func New(opts Options) *Daemon {
 	if opts.MaxSessions <= 0 {
 		opts.MaxSessions = DefaultMaxSessions
-	}
-	if opts.MaxFormat <= 0 || opts.MaxFormat > trace.PackV3 {
-		opts.MaxFormat = trace.PackV3
 	}
 	if opts.Workers <= 0 {
 		opts.Workers = 1
@@ -379,8 +367,8 @@ func (c *conn) run() error {
 	if format < trace.PackV1 {
 		return c.fail("client announced no usable pack format (%d)", h.MaxFormat)
 	}
-	if format > c.d.opts.MaxFormat {
-		format = c.d.opts.MaxFormat
+	if format > trace.PackV3 {
+		format = trace.PackV3
 	}
 	if err := c.send(wire.TypeHelloAck, wire.EncodeHelloAck(wire.HelloAck{Proto: wire.ProtoVersion, Format: byte(format)})); err != nil {
 		return err
@@ -410,10 +398,8 @@ func (c *conn) run() error {
 			if !ok {
 				return c.fail("daemon at capacity (%d live sessions)", c.d.opts.MaxSessions)
 			}
-			gov, err := newGovernor(c.d.opts.Adaptive, c.d.opts.Window, c.d.opts.GovernEvery, c.d.opts.SessionBudgetBytes)
-			if err == nil {
-				c.sess, err = newSession(id, format, meta, gov, c.d.opts.EpochCap, c.d.opts.Workers)
-			}
+			gov := newGovernor(c.d.opts.Adaptive, c.d.opts.Window, c.d.opts.SessionBudgetBytes)
+			c.sess, err = newSession(id, format, meta, gov, c.d.opts.Workers)
 			if err != nil {
 				c.d.endSession(&session{}, nil)
 				c.sess = nil

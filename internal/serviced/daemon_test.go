@@ -222,11 +222,8 @@ func TestDiffCursorAgesOut(t *testing.T) {
 	opts := testOpts
 	opts.PackVersion = trace.PackV1
 	cp := capture(t, opts, spec)
-	if len(cp.Packs) < 6 {
-		t.Fatalf("capture too small (%d packs) to exercise the epoch log", len(cp.Packs))
-	}
 
-	d := New(Options{EpochCap: 2})
+	d := New(Options{})
 	c := pipeClient(t, d, cp.PackVersion)
 	meta := client.SessionMetaFromCapture(cp)
 	if _, err := c.Register(meta); err != nil {
@@ -234,15 +231,16 @@ func TestDiffCursorAgesOut(t *testing.T) {
 	}
 	replay := client.NewDiffReplayer(meta)
 	// Hold the cursor at 0 while sealing one epoch per pack: after
-	// epochCap+1 seals the cursor has aged out.
-	for i, p := range cp.Packs {
+	// DefaultEpochCap+1 seals the cursor has aged out. v1 packs carry no
+	// stream state, so the capture's packs may go round again.
+	for i := 0; i <= DefaultEpochCap; i++ {
+		p := cp.Packs[i%len(cp.Packs)]
 		if err := c.SendPack(uint32(p.Src), p.Data); err != nil {
 			t.Fatal(err)
 		}
 		if _, err := c.Snapshot(); err != nil { // forces a seal per pack
 			t.Fatal(err)
 		}
-		_ = i
 	}
 	st, err := c.Diff(0)
 	if err != nil {
@@ -436,10 +434,16 @@ func TestLifecycleEdges(t *testing.T) {
 	})
 
 	t.Run("hello negotiation clamps to daemon max", func(t *testing.T) {
-		d := New(Options{MaxFormat: trace.PackV2})
-		c := pipeClient(t, d, trace.PackV3)
-		if c.Format() != trace.PackV2 {
-			t.Fatalf("negotiated v%d, want v2", c.Format())
+		r := rawConn(t, New(Options{}))
+		if err := wire.WriteFrame(r.conn, wire.TypeHello, wire.EncodeHello(wire.Hello{Proto: wire.ProtoVersion, MaxFormat: 9})); err != nil {
+			t.Fatal(err)
+		}
+		f, err := r.fr.Next()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if ack, err := wire.ParseHelloAck(f.Payload); err != nil || f.Type != wire.TypeHelloAck || ack.Format != trace.PackV3 {
+			t.Fatalf("hello for v9 answered with frame %#x %+v (err %v), want a v3 ack", f.Type, ack, err)
 		}
 	})
 }

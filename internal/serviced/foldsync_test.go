@@ -13,13 +13,9 @@ import (
 // decoder, past the admission gate and into the delta allocates nothing —
 // and takes no lock, the delta being the connection goroutine's own.
 func TestSyncFoldZeroAllocs(t *testing.T) {
-	gov, err := newGovernor(adapt.Config{}, 0, 0, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
 	meta := wire.SessionMeta{Title: "t", Callsites: true, Sizes: true, TemporalWindowNs: 1000,
 		Apps: []wire.AppMeta{{AppID: 3, Name: "app", Procs: 4}}}
-	s, err := newSession(1, trace.PackV3, meta, gov, 0, 1)
+	s, err := newSession(1, trace.PackV3, meta, newGovernor(adapt.Config{}, 0, 0), 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -228,10 +228,11 @@ func TestWindowIsOneWrite(t *testing.T) {
 		})
 		t.Run(tr.name+"/window of one", func(t *testing.T) {
 			// Every byte past the budget reads as backlog twice the overload
-			// line, so the first pack takes the governor to the top of its
-			// ladder: the register-time window goes out whole, every later
-			// window is one pack.
-			c, cc := open(t, Options{SessionBudgetBytes: 1, GovernEvery: 1, Adaptive: adapt.Config{BacklogHighBytes: 1}})
+			// line, so the governor's first step, DefaultGovernEvery packs in,
+			// takes it to the top of its ladder before the register-time
+			// window is spent: that window goes out whole, every later window
+			// is one pack.
+			c, cc := open(t, Options{SessionBudgetBytes: 1, Adaptive: adapt.Config{BacklogHighBytes: 1}})
 			events := stream(t, c, 4*DefaultWindow)
 			if c.Window() != 1 {
 				t.Fatalf("window %d, want the governor's floor of 1", c.Window())

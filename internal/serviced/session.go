@@ -66,13 +66,12 @@ type session struct {
 	decs trace.Decoders
 	gov  *governor
 
-	// epoch counts seals; sealed retains the most recent epochCap sealed
-	// deltas, covering epochs (epoch-len(sealed), epoch]. A Diff cursor
-	// older than that gets a full-state resync.
-	epoch    atomic.Uint64
-	dirty    bool
-	sealed   []sealedEpoch
-	epochCap int
+	// epoch counts seals; sealed retains the most recent DefaultEpochCap
+	// sealed deltas, covering epochs (epoch-len(sealed), epoch]. A Diff
+	// cursor older than that gets a full-state resync.
+	epoch  atomic.Uint64
+	dirty  bool
+	sealed []sealedEpoch
 
 	// lanes is the bounded ingest worker pool (empty = synchronous
 	// ingest); see lanes.go for the full concurrency contract.
@@ -107,18 +106,14 @@ type sealedEpoch struct {
 // DefaultEpochCap bounds the retained sealed-delta log per session.
 const DefaultEpochCap = 64
 
-func newSession(id uint64, format int, meta wire.SessionMeta, gov *governor, epochCap, workers int) (*session, error) {
-	if epochCap <= 0 {
-		epochCap = DefaultEpochCap
-	}
+func newSession(id uint64, format int, meta wire.SessionMeta, gov *governor, workers int) (*session, error) {
 	s := &session{
-		id:       id,
-		format:   format,
-		meta:     meta,
-		byID:     make(map[uint32]*sessionApp, len(meta.Apps)),
-		decs:     make(trace.Decoders),
-		gov:      gov,
-		epochCap: epochCap,
+		id:     id,
+		format: format,
+		meta:   meta,
+		byID:   make(map[uint32]*sessionApp, len(meta.Apps)),
+		decs:   make(trace.Decoders),
+		gov:    gov,
 	}
 	for _, am := range meta.Apps {
 		opts := analysis.PartialOptions{
@@ -261,7 +256,7 @@ func (s *session) seal() error {
 		}
 	}
 	s.epoch.Add(1)
-	if len(s.sealed) == s.epochCap {
+	if len(s.sealed) == DefaultEpochCap {
 		s.sealed = slices.Delete(s.sealed, 0, 1) // copy down: the log keeps its storage
 	}
 	s.sealed = append(s.sealed, se)

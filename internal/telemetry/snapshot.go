@@ -70,29 +70,6 @@ func (h *Histogram) encode(buf []byte) []byte {
 	return buf
 }
 
-func (c *Counter) sample() MetricSample {
-	return MetricSample{Name: c.name, Kind: KindCounter, Value: c.Value()}
-}
-
-func (g *Gauge) sample() MetricSample {
-	return MetricSample{Name: g.name, Kind: KindGauge, Value: g.v.Load(), Max: g.max.Load()}
-}
-
-func (f *funcGauge) sample() MetricSample {
-	v := f.fn()
-	return MetricSample{Name: f.name, Kind: KindGauge, Value: v, Max: v}
-}
-
-func (h *Histogram) sample() MetricSample {
-	return MetricSample{
-		Name: h.name, Kind: KindHistogram,
-		Value:  h.count.Load(),
-		Sum:    h.sum.Load(),
-		Bounds: append([]int64(nil), h.bounds...),
-		Counts: h.BucketCounts(),
-	}
-}
-
 // EncodeSnapshot appends a binary snapshot of every registered instrument
 // to buf (pass buf[:0] of a recycled block for an allocation-free steady
 // state) and returns the extended slice. The wall timestamp is taken here;
@@ -119,24 +96,6 @@ func (r *Registry) EncodeSnapshot(buf []byte, seq uint64, virtualNs int64, sourc
 		buf = m.encode(buf)
 	}
 	return buf
-}
-
-// Snapshot builds the decoded form of the registry directly (host-side
-// observers that do not go through the wire).
-func (r *Registry) Snapshot(seq uint64, virtualNs int64, source int32) *Snapshot {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	s := &Snapshot{
-		Seq: seq, VirtualNs: virtualNs, WallNs: time.Now().UnixNano(), Source: source,
-		Metrics: make([]MetricSample, 0, len(r.order)),
-	}
-	for _, m := range r.order {
-		s.Metrics = append(s.Metrics, m.sample())
-	}
-	return s
 }
 
 // MetricSample is one instrument's state inside a snapshot. Value holds

@@ -213,8 +213,6 @@ type metric interface {
 	// encode appends the instrument's snapshot record body (everything
 	// after name and kind) to buf.
 	encode(buf []byte) []byte
-	// sample builds the decoded form directly (host-side Snapshot()).
-	sample() MetricSample
 }
 
 func (c *Counter) metricName() string { return c.name }
