@@ -25,7 +25,8 @@ type Config struct {
 	// to the maximum level instead of stepping (default 32).
 	PanicStalls int64
 	// BacklogHighNs is the NIC backlog gauge level treated as overload on
-	// its own, stalls or not (default 50ms of virtual time).
+	// its own, stalls or not (default 50ms of virtual time). The level
+	// read is the backlog's peak since the previous snapshot.
 	BacklogHighNs int64
 	// BacklogHighBytes is the stream byte backlog — bytes_written minus
 	// bytes_read across every instrumented stream, i.e. the volume queued
@@ -152,8 +153,9 @@ type Controller struct {
 	level   int
 	calm    int
 	seeded  bool
-	// Previous snapshot's counter values, for rate-of-change signals.
-	prevStalls int64
+	// Previous snapshot's counter values, for rate-of-change signals, and
+	// its NIC backlog high-water mark.
+	prevStalls, prevBacklogMax int64
 
 	levelA      atomic.Int32
 	decisions   atomic.Int64
@@ -211,6 +213,14 @@ func (c *Controller) Observe(sig Signals) {
 	defer c.mu.Unlock()
 	dStalls := sig.Stalls - c.prevStalls
 	c.prevStalls = sig.Stalls
+	// The gauge's high-water mark never falls, so it only says something
+	// about this period when it rose in it; otherwise the last value is
+	// the best reading of the backlog since the previous snapshot.
+	backlogNs := sig.BacklogNs
+	if sig.BacklogMaxNs > c.prevBacklogMax {
+		backlogNs = sig.BacklogMaxNs
+		c.prevBacklogMax = sig.BacklogMaxNs
+	}
 	if !c.seeded {
 		// First snapshot only seeds the counter baselines: its "delta" is
 		// the absolute count since boot, not a rate.
@@ -226,7 +236,7 @@ func (c *Controller) Observe(sig Signals) {
 		c.calm = 0
 		c.decide(c.cfg.MaxLevel)
 	case dStalls >= c.cfg.StallDelta ||
-		sig.BacklogMaxNs >= c.cfg.BacklogHighNs ||
+		backlogNs >= c.cfg.BacklogHighNs ||
 		backlogBytes >= c.cfg.BacklogHighBytes:
 		c.calm = 0
 		c.decide(c.level + 1)

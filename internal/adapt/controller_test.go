@@ -157,6 +157,33 @@ func TestControllerNICBacklogEscalates(t *testing.T) {
 	}
 }
 
+// TestControllerNICSpikeRelaxes: one NIC backlog spike escalates once. The
+// gauge's high-water mark keeps reading the spike afterwards, but calm
+// snapshots must still relax the controller back to level 0.
+func TestControllerNICSpikeRelaxes(t *testing.T) {
+	spike := int64(60 * time.Millisecond)
+	c := NewController(Config{}, nil)
+	c.Observe(Signals{}) // seed
+	c.Observe(Signals{BacklogNs: spike, BacklogMaxNs: spike})
+	level := c.Level()
+	if level != 1 {
+		t.Fatalf("NIC spike: level %d, want 1", level)
+	}
+	calm := Signals{BacklogNs: int64(time.Millisecond), BacklogMaxNs: spike}
+	for i := 0; i < 2*level; i++ { // CalmSnapshots per level
+		c.Observe(calm)
+	}
+	if c.Level() != 0 {
+		t.Fatalf("level %d after %d calm snapshots behind one spike, want 0", c.Level(), 2*level)
+	}
+	for i := 0; i < 10; i++ {
+		c.Observe(calm)
+	}
+	if c.Level() != 0 || c.MaxLevelSeen() != 1 {
+		t.Fatalf("calm run at level %d (max %d), want 0 (max 1)", c.Level(), c.MaxLevelSeen())
+	}
+}
+
 func TestControllerFlushCadence(t *testing.T) {
 	c := NewController(Config{BaseFlushPacks: 2}, nil)
 	if c.FlushEvery() != 2 {
