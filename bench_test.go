@@ -278,12 +278,19 @@ func BenchmarkRatioTradeoff(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	ratios := []int{1, 4, 16, 64}
 	var pts []exp.OverheadPoint
 	for i := 0; i < b.N; i++ {
-		pts, err = exp.RatioSweepJ(p, w, ratios, 1, trace.PackV1)
+		ref, err := exp.MeasureOverhead(p, w, exp.ToolReference, 1)
 		if err != nil {
 			b.Fatal(err)
+		}
+		pts = pts[:0]
+		for _, ratio := range []int{1, 4, 16, 64} {
+			pt, err := exp.MeasureOverheadWithRef(p, w, exp.ToolOnline, ratio, ref.RefSeconds)
+			if err != nil {
+				b.Fatal(err)
+			}
+			pts = append(pts, pt)
 		}
 	}
 	byRatio := map[int]exp.OverheadPoint{}

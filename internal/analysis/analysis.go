@@ -355,9 +355,6 @@ type FusedIngest struct {
 	// epochPacks is the per-lane merge cadence.
 	lanes      []*ingestLane
 	epochPacks int
-
-	fusedPacks  atomic.Int64
-	fusedEvents atomic.Int64
 }
 
 // NewFusedIngest wraps a dispatcher with per-writer v3 decode state.
@@ -401,28 +398,16 @@ func (f *FusedIngest) absorb(src int, buf []byte, release func([]byte)) (consume
 	if p == nil {
 		return false, fmt.Errorf("analysis: v3 pack for unregistered app id %d", h.AppID)
 	}
-	var n int
 	if len(f.lanes) > 0 {
-		n, err = f.absorbLane(p, src, buf)
+		err = f.absorbLane(p, src, buf)
 	} else {
 		f.mu.Lock()
 		dec := f.decs.For(src)
 		f.mu.Unlock()
-		n, err = p.FoldPack(dec, buf)
+		_, err = p.FoldPack(dec, buf)
 	}
-	if err != nil {
-		return true, err
-	}
-	f.fusedPacks.Add(1)
-	f.fusedEvents.Add(int64(n))
-	return true, nil
+	return true, err
 }
-
-// FusedPacks returns how many packs took the fused path.
-func (f *FusedIngest) FusedPacks() int64 { return f.fusedPacks.Load() }
-
-// FusedEvents returns how many events were folded on the fused path.
-func (f *FusedIngest) FusedEvents() int64 { return f.fusedEvents.Load() }
 
 // PartialOptions returns the module selection of the pipeline's state, so
 // leaf partials, replicas and the root pipeline agree on what they carry.

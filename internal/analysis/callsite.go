@@ -97,22 +97,6 @@ func (m *CallsiteModule) Top(n int) []CallsiteStat {
 	return out
 }
 
-// Contexts returns the distinct context ids observed.
-func (m *CallsiteModule) Contexts() []uint32 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	seen := map[uint32]bool{}
-	for key := range m.per {
-		seen[key.ctx] = true
-	}
-	out := make([]uint32, 0, len(seen))
-	for c := range seen {
-		out = append(out, c)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
 // Merge folds another call-site module into this one.
 func (m *CallsiteModule) Merge(o *CallsiteModule) {
 	o.mu.Lock()

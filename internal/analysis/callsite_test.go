@@ -37,9 +37,6 @@ func TestCallsiteAggregation(t *testing.T) {
 	if got := m.Top(2); len(got) != 2 {
 		t.Fatalf("Top(2) = %d rows", len(got))
 	}
-	if ctxs := m.Contexts(); len(ctxs) != 3 || ctxs[0] != 1 || ctxs[2] != 3 {
-		t.Fatalf("contexts = %v", ctxs)
-	}
 }
 
 func TestCallsiteMerge(t *testing.T) {

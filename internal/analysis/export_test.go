@@ -1,6 +1,7 @@
 package analysis
 
 import (
+	"encoding/binary"
 	"fmt"
 	"testing"
 
@@ -22,14 +23,19 @@ func drainPacks(m *ExportModule) []byte {
 }
 
 // readExported decodes a stream of consecutive packs, invoking fn per
-// event and stepping over each pack by its encoded length.
+// event and stepping over each pack by its encoded length: a v1 pack's
+// records, or the body length a v2 header carries in bytes 20-23.
 func readExported(buf []byte, fn func(*trace.Event)) error {
 	for off := 0; off < len(buf); {
 		h, err := trace.DecodeEach(buf[off:], fn)
 		if err != nil {
 			return fmt.Errorf("analysis: corrupt export at offset %d: %w", off, err)
 		}
-		off += h.WireLen()
+		if h.Version == trace.PackV1 {
+			off += h.LogicalLen()
+		} else {
+			off += trace.PackHeaderSize + int(binary.LittleEndian.Uint32(buf[off+20:]))
+		}
 	}
 	return nil
 }

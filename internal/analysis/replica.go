@@ -207,7 +207,7 @@ func NewParallelFusedIngest(d *Dispatcher, lanes, epochPacks int) *FusedIngest {
 
 // absorbLane folds one v3 pack on the source's lane. Called from Absorb
 // when lanes are configured.
-func (f *FusedIngest) absorbLane(p *Pipeline, src int, buf []byte) (int, error) {
+func (f *FusedIngest) absorbLane(p *Pipeline, src int, buf []byte) error {
 	lane := f.lanes[src%len(f.lanes)]
 	lane.mu.Lock()
 	defer lane.mu.Unlock()
@@ -216,16 +216,15 @@ func (f *FusedIngest) absorbLane(p *Pipeline, src int, buf []byte) (int, error) 
 		rep = p.NewReplica()
 		lane.reps[p] = rep
 	}
-	n, err := p.FoldPackReplica(rep, lane.decs.For(src), buf)
-	if err != nil {
-		return n, err
+	if _, err := p.FoldPackReplica(rep, lane.decs.For(src), buf); err != nil {
+		return err
 	}
 	lane.packs++
 	if lane.packs >= f.epochPacks {
 		lane.packs = 0
 		f.mergeLaneLocked(lane)
 	}
-	return n, nil
+	return nil
 }
 
 // mergeLaneLocked merges every replica on the lane into its pipeline's

@@ -116,15 +116,6 @@ func (m *WindowedModule) Window() int64 { return m.windowNs }
 // tumbling windows).
 func (m *WindowedModule) Slide() int64 { return m.slideNs }
 
-// WindowIndex returns the tumbling window index covering virtual time t
-// (window i covers [i*slide, i*slide+window)).
-func (m *WindowedModule) WindowIndex(t int64) int64 {
-	if t < 0 {
-		return 0
-	}
-	return t / m.slideNs
-}
-
 // Add folds one event into every window covering its start time.
 func (m *WindowedModule) Add(ev *trace.Event) {
 	m.mu.Lock()
@@ -191,14 +182,6 @@ func (m *WindowedModule) Indices() []int64 {
 	}
 	sort.Slice(out, func(a, b int) bool { return out[a] < out[b] })
 	return out
-}
-
-// WindowPartial returns window idx's inner partial (nil if empty). The
-// returned partial is shared with the module: treat it as read-only.
-func (m *WindowedModule) WindowPartial(idx int64) *Partial {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.wins[idx]
 }
 
 // Series extracts one per-window value across the populated index range

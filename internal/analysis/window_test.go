@@ -58,7 +58,7 @@ func TestWindowConcatReconstructsWholeRun(t *testing.T) {
 
 		acc := NewPartial(0, opts)
 		for _, i := range m.Indices() {
-			if err := acc.Merge(m.WindowPartial(i)); err != nil {
+			if err := acc.Merge(m.wins[i]); err != nil {
 				t.Logf("seed %d: window %d merge: %v", seed, i, err)
 				return false
 			}
@@ -150,7 +150,7 @@ func TestWindowCompletenessConservative(t *testing.T) {
 					seed, idx, on, late, wantOn[idx], wantLate[idx])
 				return false
 			}
-			wp := m.WindowPartial(idx)
+			wp := m.wins[idx]
 			if wp == nil || wp.Profiler.Events() != on+late {
 				got := int64(-1)
 				if wp != nil {

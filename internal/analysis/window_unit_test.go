@@ -10,21 +10,15 @@ import (
 )
 
 // TestWindowedModuleEdges pins the windowed module's small contracts:
-// index math at the clock origin, negative-timestamp clamping, series
-// extraction over gappy index ranges, and merge geometry checking.
+// negative-timestamp clamping, series extraction over gappy index ranges,
+// and merge geometry checking.
 func TestWindowedModuleEdges(t *testing.T) {
 	m := NewWindowedModule(1000, 1000, PartialOptions{AppSize: 2})
 	if m.Window() != 1000 || m.Slide() != 1000 {
 		t.Fatalf("geometry = %d/%d", m.Window(), m.Slide())
 	}
-	if got := m.WindowIndex(-5); got != 0 {
-		t.Fatalf("WindowIndex(-5) = %d, want 0", got)
-	}
-	if got := m.WindowIndex(2500); got != 2 {
-		t.Fatalf("WindowIndex(2500) = %d, want 2", got)
-	}
 
-	// A negative event timestamp folds into window 0, like WindowIndex.
+	// A negative event timestamp folds into window 0.
 	ev := sendEvent(0, 1, 64, -100, -50)
 	m.Add(&ev)
 	ev2 := sendEvent(1, 0, 64, 2500, 2600)
@@ -32,7 +26,7 @@ func TestWindowedModuleEdges(t *testing.T) {
 	if m.Len() != 2 {
 		t.Fatalf("Len = %d, want 2", m.Len())
 	}
-	if wp := m.WindowPartial(0); wp == nil || wp.Profiler.Events() != 1 {
+	if wp := m.wins[0]; wp == nil || wp.Profiler.Events() != 1 {
 		t.Fatalf("window 0 = %+v", wp)
 	}
 
@@ -71,10 +65,10 @@ func TestWindowedModuleEdges(t *testing.T) {
 	if m.Len() != 3 || b.Len() != 2 {
 		t.Fatalf("post-merge lens = %d/%d, want 3/2", m.Len(), b.Len())
 	}
-	if got := m.WindowPartial(0).Profiler.Events(); got != 2 {
+	if got := m.wins[0].Profiler.Events(); got != 2 {
 		t.Fatalf("merged window 0 events = %d, want 2", got)
 	}
-	if got := m.WindowPartial(5).Profiler.Events(); got != 1 {
+	if got := m.wins[5].Profiler.Events(); got != 1 {
 		t.Fatalf("merged window 5 events = %d, want 1", got)
 	}
 
@@ -86,13 +80,13 @@ func TestWindowedModuleEdges(t *testing.T) {
 	c.Add(&ev5)
 	c.Add(&ev6)
 	m.mergeReset(c)
-	if got := m.WindowPartial(0).Profiler.Events(); got != 3 {
+	if got := m.wins[0].Profiler.Events(); got != 3 {
 		t.Fatalf("epoch-merged window 0 events = %d, want 3", got)
 	}
-	if m.WindowPartial(7) == nil || m.WindowPartial(7).Profiler.Events() != 1 {
+	if m.wins[7] == nil || m.wins[7].Profiler.Events() != 1 {
 		t.Fatal("moved window 7 missing after mergeReset")
 	}
-	if wp := c.WindowPartial(0); wp != nil && wp.Profiler.Events() != 0 {
+	if wp := c.wins[0]; wp != nil && wp.Profiler.Events() != 0 {
 		t.Fatalf("source window 0 not drained: %d events", wp.Profiler.Events())
 	}
 }
@@ -248,8 +242,8 @@ func TestWindowCacheDroppedOnEpochMerge(t *testing.T) {
 	for epoch := int64(0); epoch < 3; epoch++ {
 		// Every epoch starts in the window the previous one ended in.
 		fold(100 + epoch)
-		own := rep.Partial().Windows.WindowPartial(0)
-		if own == nil || own == canon.Windows.WindowPartial(0) || own.Profiler.Events() != 1 {
+		own := rep.Partial().Windows.wins[0]
+		if own == nil || own == canon.Windows.wins[0] || own.Profiler.Events() != 1 {
 			t.Fatalf("epoch %d: the first event after a merge did not open the replica's own window 0", epoch)
 		}
 		fold(1100 + epoch)
@@ -257,7 +251,7 @@ func TestWindowCacheDroppedOnEpochMerge(t *testing.T) {
 		if err := canon.MergeReset(rep.Partial()); err != nil {
 			t.Fatal(err)
 		}
-		if got, want := canon.Windows.WindowPartial(0).Profiler.Events(), 2*(epoch+1); got != want {
+		if got, want := canon.Windows.wins[0].Profiler.Events(), 2*(epoch+1); got != want {
 			t.Fatalf("epoch %d: canonical window 0 holds %d events, want %d", epoch, got, want)
 		}
 	}

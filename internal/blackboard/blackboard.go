@@ -115,13 +115,6 @@ func (e *Entry) Release() bool {
 	return true
 }
 
-// Writable reports whether the caller holds the only reference, the
-// paper's condition for in-place mutation.
-func (e *Entry) Writable() bool { return e.refs.Load() == 1 }
-
-// Refs returns the current reference count (for tests and diagnostics).
-func (e *Entry) Refs() int32 { return e.refs.Load() }
-
 // Operation is a knowledge source's code: it receives the matched entries
 // (one per sensitivity slot, in slot order) and may post new entries or
 // (un)register KSs through the board handle.

@@ -221,12 +221,12 @@ func TestUnregisterReleasesPendingEntries(t *testing.T) {
 	e.Retain() // keep our own reference to observe the count
 	bb.PostEntry(e)
 	bb.Drain()
-	if e.Refs() != 2 { // ours + the pending slot's
-		t.Fatalf("refs = %d, want 2", e.Refs())
+	if e.refs.Load() != 2 { // ours + the pending slot's
+		t.Fatalf("refs = %d, want 2", e.refs.Load())
 	}
 	bb.Unregister("join")
-	if e.Refs() != 1 {
-		t.Fatalf("refs after unregister = %d, want 1", e.Refs())
+	if e.refs.Load() != 1 {
+		t.Fatalf("refs after unregister = %d, want 1", e.refs.Load())
 	}
 }
 
@@ -253,12 +253,12 @@ func TestRegisterValidation(t *testing.T) {
 
 func TestEntryRefcounting(t *testing.T) {
 	e := NewEntry(1, 10, "payload")
-	if !e.Writable() || e.Refs() != 1 {
-		t.Fatal("fresh entry should be writable with one ref")
+	if e.refs.Load() != 1 {
+		t.Fatal("fresh entry should hold one ref")
 	}
 	e.Retain()
-	if e.Writable() {
-		t.Fatal("shared entry must not be writable")
+	if e.refs.Load() != 2 {
+		t.Fatal("retained entry should hold two refs")
 	}
 	if e.Release() {
 		t.Fatal("first release should not be last")
@@ -284,7 +284,7 @@ func TestEntriesSharedAcrossKSs(t *testing.T) {
 	var seen atomic.Int64
 	op := func(_ *Blackboard, in []*Entry) {
 		seen.Add(1)
-		if in[0].Writable() && seen.Load() < 2 {
+		if in[0].refs.Load() == 1 && seen.Load() < 2 {
 			// The very last op to run may hold the only remaining ref;
 			// any earlier observation of writability is a bug.
 			writable.Add(1)
@@ -334,8 +334,8 @@ func TestPostWithNoListenersIsDropped(t *testing.T) {
 	e.Retain()
 	bb.PostEntry(e)
 	bb.Drain()
-	if e.Refs() != 1 {
-		t.Fatalf("orphan entry refs = %d, want 1 (only ours)", e.Refs())
+	if e.refs.Load() != 1 {
+		t.Fatalf("orphan entry refs = %d, want 1 (only ours)", e.refs.Load())
 	}
 	if bb.Stats().Posted != 1 {
 		t.Fatalf("stats = %+v", bb.Stats())
@@ -566,8 +566,8 @@ func TestPostAfterCloseDropsAndCounts(t *testing.T) {
 	if got := bb.Stats().Dropped; got != 2 {
 		t.Fatalf("Dropped = %d, want 2", got)
 	}
-	if e.Refs() != 0 {
-		t.Fatalf("dropped entry holds %d refs, want 0 (reference released)", e.Refs())
+	if e.refs.Load() != 0 {
+		t.Fatalf("dropped entry holds %d refs, want 0 (reference released)", e.refs.Load())
 	}
 }
 

@@ -88,14 +88,14 @@ func TestTakeKSHandsOverParkedEntries(t *testing.T) {
 	}
 	bb.Drain()
 	for i, e := range parked {
-		if e.Refs() != 2 {
-			t.Fatalf("parked entry %d has %d refs, want the board's and the test's", i, e.Refs())
+		if e.refs.Load() != 2 {
+			t.Fatalf("parked entry %d has %d refs, want the board's and the test's", i, e.refs.Load())
 		}
 	}
 	bb.Unregister("join")
 	for i, e := range parked {
-		if !e.Writable() {
-			t.Errorf("entry %d still has %d refs after Unregister", i, e.Refs())
+		if e.refs.Load() != 1 {
+			t.Errorf("entry %d still has %d refs after Unregister", i, e.refs.Load())
 		}
 	}
 	if bb.Registered("join") {
@@ -140,8 +140,8 @@ func TestOfferAfterTakeDiscards(t *testing.T) {
 	if ok || inputs != nil {
 		t.Fatalf("offer to a removed state accepted the entry (ok=%v inputs=%v)", ok, inputs)
 	}
-	if e.Refs() != 1 {
-		t.Fatalf("discarded offer left %d refs, want the caller's 1", e.Refs())
+	if e.refs.Load() != 1 {
+		t.Fatalf("discarded offer left %d refs, want the caller's 1", e.refs.Load())
 	}
 	e.Release()
 	// The same race through the board: PostEntry ledgers what offer refused.

@@ -18,7 +18,7 @@
 // The package provides the primitives the MPI runtime model is built on:
 //
 //   - Simulator: the event queue and virtual clock.
-//   - Proc: a coroutine-style simulated process (Sleep, Park, Now).
+//   - Proc: a coroutine-style simulated process (Sleep, ParkFor, Now).
 //   - Cond: a condition variable in virtual time.
 //   - Queue: a FIFO server used for busy-until bandwidth accounting
 //     (NIC ports, filesystem service, ...).
@@ -65,7 +65,7 @@ func SecondsToDuration(s float64) time.Duration {
 // proc transfers control to a parked process (the overwhelmingly common
 // case — Sleep, Unpark, Spawn), fn runs a caller-supplied function with a
 // pre-boxed argument (AtCall, used by message delivery), and fire runs an
-// arbitrary closure (After/At). The specializations exist so the hot
+// arbitrary closure (At). The specializations exist so the hot
 // scheduling paths allocate neither a closure nor, thanks to the
 // simulator's free list, the event itself. Callbacks run inside the event
 // loop, on whichever stack holds the baton — Run's goroutine or a parked
@@ -182,10 +182,6 @@ func (s *Simulator) Now() Time { return s.now }
 // used from process context or event callbacks (never concurrently).
 func (s *Simulator) Rand() *rand.Rand { return s.rng }
 
-// Halt stops the simulation: Run returns once the currently executing
-// process parks. Remaining events are discarded.
-func (s *Simulator) Halt() { s.halted = true }
-
 // alloc takes an event from the free list (or the allocator) and stamps
 // its (time, sequence) key, clamping past times to now.
 func (s *Simulator) alloc(at Time) *event {
@@ -228,14 +224,9 @@ func (s *Simulator) scheduleProc(at Time, p *Proc) {
 	s.queue.push(ev)
 }
 
-// After schedules fn to run d after the current virtual time. fn runs in
-// scheduler context — inside the event loop, on whichever stack holds the
-// baton (see event): it may wake processes but must not itself block.
-func (s *Simulator) After(d time.Duration, fn func()) {
-	s.schedule(s.now+DurationToTime(d), fn)
-}
-
-// At schedules fn to run at absolute virtual time at.
+// At schedules fn to run at absolute virtual time at. fn runs in scheduler
+// context — inside the event loop, on whichever stack holds the baton (see
+// event): it may wake processes but must not itself block.
 func (s *Simulator) At(at Time, fn func()) { s.schedule(at, fn) }
 
 // AtCall schedules fn(arg) at absolute virtual time at. It exists for hot
@@ -348,7 +339,7 @@ func (p *Proc) Kill() {
 // returns false: park yields, and Run's goroutine — the only caller of
 // next — resumes whatever is pending until nothing is, then carries on
 // popping. A process also returns false, with nothing pending, when the
-// run is over (queue drained, Halt, a failure). A callback's panic on a
+// run is over (queue drained, halted, a failure). A callback's panic on a
 // process's coroutine is caught here, below the process body's frames (its
 // deferred recovers never see it), for Run to re-raise; on Run's goroutine
 // it simply propagates.
@@ -419,14 +410,11 @@ func (p *Proc) SleepUntil(at Time) {
 	p.park("sleep-until", nil)
 }
 
-// Park blocks the process indefinitely; some other process or event callback
-// must call Unpark to resume it. why is reported in deadlock diagnostics.
-func (p *Proc) Park(why string) { p.park(why, nil) }
-
-// ParkFor is Park with a lazily rendered reason: why.String() runs only if
-// the simulation deadlocks with the process still parked, so a hot
-// blocking path pays no formatting. why must stay valid and unchanged
-// until the process resumes.
+// ParkFor blocks the process indefinitely; some other process or event
+// callback must call Unpark to resume it. why is reported in deadlock
+// diagnostics, rendered lazily: why.String() runs only if the simulation
+// deadlocks with the process still parked, so a hot blocking path pays no
+// formatting. why must stay valid and unchanged until the process resumes.
 func (p *Proc) ParkFor(why fmt.Stringer) { p.park("", why) }
 
 // Unpark schedules p to resume at the current virtual time. It must be
@@ -458,9 +446,11 @@ func (e *DeadlockError) Error() string {
 		e.Now.Duration(), len(e.Blocked), e.Blocked)
 }
 
-// Run executes the simulation until the event queue drains or Halt is
-// called. It returns a *DeadlockError if processes remain blocked with no
-// pending events, and nil otherwise. Run must be called exactly once.
+// Run executes the simulation until the event queue drains or the
+// simulator halts (once halted, Run returns when the executing process
+// parks, discarding the remaining events). It returns a *DeadlockError if
+// processes remain blocked with no pending events, and nil otherwise. Run
+// must be called exactly once.
 func (s *Simulator) Run() error {
 	if s.ran {
 		panic("des: Run called twice")
@@ -533,9 +523,6 @@ func (c *Cond) Broadcast() {
 	c.waiters = c.waiters[:0]
 }
 
-// Waiting reports how many processes are currently parked on the condition.
-func (c *Cond) Waiting() int { return len(c.waiters) }
-
 // Queue models a single FIFO server with busy-until accounting: each job
 // occupies the server for its service duration, starting no earlier than the
 // completion of the previous job. It is the building block for bandwidth
@@ -555,9 +542,6 @@ func (q *Queue) Next(arrive Time, service time.Duration) Time {
 	q.freeAt = start + DurationToTime(service)
 	return q.freeAt
 }
-
-// FreeAt reports when the server becomes idle.
-func (q *Queue) FreeAt() Time { return q.freeAt }
 
 // Reset makes the server idle immediately.
 func (q *Queue) Reset() { q.freeAt = 0 }

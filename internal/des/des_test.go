@@ -9,6 +9,9 @@ import (
 	"time"
 )
 
+// after schedules fn d after the current virtual time.
+func after(s *Simulator, d time.Duration, fn func()) { s.At(s.Now()+DurationToTime(d), fn) }
+
 func TestSleepAdvancesClock(t *testing.T) {
 	s := New(1)
 	var end Time
@@ -53,7 +56,7 @@ func TestSimultaneousEventsFireInScheduleOrder(t *testing.T) {
 	var order []int
 	for i := 0; i < 10; i++ {
 		i := i
-		s.After(time.Millisecond, func() { order = append(order, i) })
+		after(s, time.Millisecond, func() { order = append(order, i) })
 	}
 	if err := s.Run(); err != nil {
 		t.Fatal(err)
@@ -139,7 +142,7 @@ func TestParkUnpark(t *testing.T) {
 	var target *Proc
 	done := false
 	target = s.Spawn("sleeper", func(p *Proc) {
-		p.Park("waiting for friend")
+		p.park("waiting for friend", nil)
 		done = true
 	})
 	s.Spawn("waker", func(p *Proc) {
@@ -169,7 +172,7 @@ func TestSpawnFromProcess(t *testing.T) {
 		}
 	}
 	s.Spawn("parent", func(p *Proc) {
-		s.After(time.Microsecond, func() { s.Spawn("callback child", child(4)) })
+		after(s, time.Microsecond, func() { s.Spawn("callback child", child(4)) })
 		p.Sleep(2 * time.Microsecond)
 		for i := 1; i <= 3; i++ {
 			s.Spawn("child", child(i))
@@ -191,8 +194,8 @@ func TestHaltStopsRun(t *testing.T) {
 			p.Sleep(time.Millisecond)
 			ticks++
 			if ticks == 5 {
-				s.Halt()
-				p.Park("halted")
+				s.halted = true
+				p.park("halted", nil)
 			}
 		}
 	})
@@ -321,7 +324,7 @@ func TestAccessorsAndSleepUntil(t *testing.T) {
 			t.Error("At fired at the wrong time")
 		}
 	})
-	if c.Waiting() != 0 {
+	if len(c.waiters) != 0 {
 		t.Error("empty cond should report no waiters")
 	}
 	if err := s.Run(); err != nil {
@@ -369,7 +372,7 @@ func TestKillParkedProc(t *testing.T) {
 	var victim *Proc
 	resumed := false
 	victim = s.Spawn("victim", func(p *Proc) {
-		p.Park("waiting forever")
+		p.park("waiting forever", nil)
 		resumed = true
 	})
 	s.Spawn("killer", func(p *Proc) {
@@ -461,11 +464,11 @@ func TestKillCondWaiterThenSignal(t *testing.T) {
 func TestQueueFreeAtAndReset(t *testing.T) {
 	var q Queue
 	q.Next(0, 5*time.Millisecond)
-	if q.FreeAt() != DurationToTime(5*time.Millisecond) {
-		t.Fatalf("FreeAt = %v", q.FreeAt())
+	if q.freeAt != DurationToTime(5*time.Millisecond) {
+		t.Fatalf("freeAt = %v", q.freeAt)
 	}
 	q.Reset()
-	if q.FreeAt() != 0 {
+	if q.freeAt != 0 {
 		t.Fatal("Reset failed")
 	}
 }
@@ -500,7 +503,7 @@ func TestCallbackPanicSurfacesFromRun(t *testing.T) {
 		setup func(s *Simulator)
 	}{
 		{"run goroutine", func(s *Simulator) {
-			s.After(time.Millisecond, func() { panic(boom) })
+			after(s, time.Millisecond, func() { panic(boom) })
 		}},
 		{"parked process goroutine", func(s *Simulator) {
 			s.Spawn("parked", func(p *Proc) {
@@ -509,13 +512,13 @@ func TestCallbackPanicSurfacesFromRun(t *testing.T) {
 						bodySaw = true
 					}
 				}()
-				p.Park("holding the baton")
+				p.park("holding the baton", nil)
 			})
 			s.AtCall(DurationToTime(time.Millisecond), func(any) { panic(boom) }, nil)
 		}},
 		{"finished process goroutine", func(s *Simulator) {
 			s.Spawn("finished", func(p *Proc) {})
-			s.After(time.Millisecond, func() { panic(boom) })
+			after(s, time.Millisecond, func() { panic(boom) })
 		}},
 	}
 	for _, tc := range cases {
@@ -538,7 +541,7 @@ func TestProcPanicText(t *testing.T) {
 		}
 	}()
 	s := New(1)
-	s.Spawn("bystander", func(p *Proc) { p.Park("elsewhere") })
+	s.Spawn("bystander", func(p *Proc) { p.park("elsewhere", nil) })
 	s.Spawn("bomb", func(p *Proc) {
 		p.Sleep(time.Millisecond)
 		panic("boom")
@@ -555,7 +558,7 @@ func TestKillFromCallback(t *testing.T) {
 		s := New(1)
 		resumed := false
 		victim := s.Spawn("victim", func(p *Proc) {
-			p.Park("waiting forever")
+			p.park("waiting forever", nil)
 			resumed = true
 		})
 		survived := !other
@@ -567,7 +570,7 @@ func TestKillFromCallback(t *testing.T) {
 				survived = true
 			})
 		}
-		s.After(time.Millisecond, victim.Kill)
+		after(s, time.Millisecond, victim.Kill)
 		if err := s.Run(); err != nil {
 			t.Fatalf("other=%v: %v", other, err)
 		}
@@ -597,7 +600,7 @@ func TestDeadlockFoundOnProcessGoroutine(t *testing.T) {
 	}
 }
 
-// TestHaltFromSleepingProcess: Halt is noticed by the loop on the halting
+// TestHaltFromSleepingProcess: a halt is noticed by the loop on the halting
 // process's own coroutine when it next parks; Run returns nil, the clock
 // stops there and pending events are discarded.
 func TestHaltFromSleepingProcess(t *testing.T) {
@@ -605,17 +608,17 @@ func TestHaltFromSleepingProcess(t *testing.T) {
 	woke, fired := false, false
 	s.Spawn("halter", func(p *Proc) {
 		p.Sleep(time.Millisecond)
-		s.Halt()
+		s.halted = true
 		p.Sleep(time.Millisecond)
 		woke = true
 	})
-	s.Spawn("bystander", func(p *Proc) { p.Park("never woken") })
-	s.After(time.Second, func() { fired = true })
+	s.Spawn("bystander", func(p *Proc) { p.park("never woken", nil) })
+	after(s, time.Second, func() { fired = true })
 	if err := s.Run(); err != nil {
 		t.Fatal(err)
 	}
 	if woke || fired || s.Now() != DurationToTime(time.Millisecond) {
-		t.Fatalf("after Halt: woke=%v fired=%v now=%v, want false/false/1ms", woke, fired, s.Now())
+		t.Fatalf("after the halt: woke=%v fired=%v now=%v, want false/false/1ms", woke, fired, s.Now())
 	}
 }
 

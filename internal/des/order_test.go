@@ -67,7 +67,7 @@ func (g *orderProg) wake(id int) {
 // waiters never outnumber pending signals).
 func (g *orderProg) signal(arg any) {
 	c := arg.(*Cond)
-	g.log(-2, c.Waiting())
+	g.log(-2, len(c.waiters))
 	c.Signal()
 }
 
@@ -87,10 +87,10 @@ func (g *orderProg) body(id, steps int) func(*Proc) {
 				p.SleepUntil(p.Now() + Time(r.Intn(400)) - 100) // sometimes in the past
 			case op < 54:
 				g.parked = append(g.parked, id)
-				s.After(time.Duration(r.Intn(300)), func() { g.log(-1, id); g.wake(id) })
+				after(s, time.Duration(r.Intn(300)), func() { g.log(-1, id); g.wake(id) })
 				for slices.Contains(g.parked, id) {
 					if i%2 == 0 {
-						p.Park("golden")
+						p.park("golden", nil)
 					} else {
 						p.ParkFor(orderWhy(id))
 					}
@@ -125,7 +125,7 @@ func (g *orderProg) body(id, steps int) func(*Proc) {
 				s.At(p.Now()+Time(r.Intn(200)), func() { g.log(-4, id) })
 			default:
 				c := &g.conds[id%len(g.conds)]
-				s.After(time.Duration(r.Intn(200)), func() { g.log(-5, id); c.Broadcast() })
+				after(s, time.Duration(r.Intn(200)), func() { g.log(-5, id); c.Broadcast() })
 			}
 			g.log(id, 100+op)
 		}

@@ -63,10 +63,6 @@ func TestBadPackVersionIsAnError(t *testing.T) {
 				_, err := Fig16SweepJ(Curie(), []int{16}, 2, 1, v)
 				return err
 			},
-			"RatioSweepJ": func() error {
-				_, err := RatioSweepJ(p, w, []int{1}, 1, v)
-				return err
-			},
 			"StreamThroughputPacked": func() error {
 				_, err := StreamThroughputPacked(p, 4, 1, 1<<16, 1<<14, EventRecordSize, v)
 				return err

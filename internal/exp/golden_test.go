@@ -44,13 +44,13 @@ func TestSweepTablesGolden(t *testing.T) {
 			return err
 		}},
 		"ratio-v1": {"8ed424d89a819e063868ee3fddabbe5abb4f0d0e080671b77016e77233103d9e", func(buf *bytes.Buffer) error {
-			pts, err := RatioSweepJ(p, sp, []int{1, 4, 16}, 1, trace.PackV1)
+			pts, err := ratioSweepJ(p, sp, []int{1, 4, 16}, 1, trace.PackV1)
 			WriteOverheadTable(buf, "ratio sweep", pts)
 			fmt.Fprintf(buf, "%+v\n", pts)
 			return err
 		}},
 		"ratio-v3": {"91407608d8e66d77891c7a81d8b50caa6dcefcf89d8bde09f140d182b857ecc1", func(buf *bytes.Buffer) error {
-			pts, err := RatioSweepJ(p, sp, []int{1, 4, 16}, 1, trace.PackV3)
+			pts, err := ratioSweepJ(p, sp, []int{1, 4, 16}, 1, trace.PackV3)
 			WriteOverheadTable(buf, "ratio sweep", pts)
 			fmt.Fprintf(buf, "%+v\n", pts)
 			return err

@@ -445,32 +445,3 @@ func humanBytes(b int64) string {
 	}
 	return fmt.Sprintf("%.2f%s", f, units[i])
 }
-
-// RatioSweepJ measures online-coupling overhead across writer/reader
-// ratios for one workload — the resource-dimensioning claim of the paper's
-// §IV-B: "ratios between 1 and 1/32 provide enough bandwidth for profiling
-// purpose, 1/10 being a good bandwidth-resource trade-off". Overhead stays
-// flat while the analysis partition's NIC capacity exceeds the
-// application's instrumentation bandwidth Bi, and grows once stream
-// back-pressure reaches the application.
-//
-// It runs on j parallel workers (j <= 0 means GOMAXPROCS). The shared
-// reference run executes first; the per-ratio coupled runs are independent
-// simulations and fan out. Output is byte-identical whatever j. packVersion
-// is the pack wire format (0 = trace.PackV1).
-func RatioSweepJ(p Platform, w *nas.Workload, ratios []int, j, packVersion int) ([]OverheadPoint, error) {
-	ref, err := runReferenceSeed(p, w, 1)
-	if err != nil {
-		return nil, err
-	}
-	var grid []int
-	for _, ratio := range ratios {
-		if ratio > w.Procs {
-			continue
-		}
-		grid = append(grid, ratio)
-	}
-	return runner.Run(len(grid), j, func(i int) (OverheadPoint, error) {
-		return measureOverheadSeed(p, w, ToolOnline, grid[i], ref, 1, packVersion)
-	})
-}

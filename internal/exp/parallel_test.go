@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"testing"
 
+	"repro/internal/exp/runner"
 	"repro/internal/nas"
 	"repro/internal/trace"
 )
@@ -57,6 +58,24 @@ func TestFaultSweepParallelIdenticalToSerial(t *testing.T) {
 	}
 }
 
+// ratioSweepJ is the paper's §IV-B ratio sweep on j workers: one shared
+// reference run, then one coupled run per ratio no larger than the workload.
+func ratioSweepJ(p Platform, w *nas.Workload, ratios []int, j, packVersion int) ([]OverheadPoint, error) {
+	ref, err := runReferenceSeed(p, w, 1)
+	if err != nil {
+		return nil, err
+	}
+	var grid []int
+	for _, ratio := range ratios {
+		if ratio <= w.Procs {
+			grid = append(grid, ratio)
+		}
+	}
+	return runner.Run(len(grid), j, func(i int) (OverheadPoint, error) {
+		return measureOverheadSeed(p, w, ToolOnline, grid[i], ref, 1, packVersion)
+	})
+}
+
 func TestRatioSweepParallelIdenticalToSerial(t *testing.T) {
 	p := Tera100()
 	w, err := nas.CG(nas.ClassC, 8, 3)
@@ -64,11 +83,11 @@ func TestRatioSweepParallelIdenticalToSerial(t *testing.T) {
 		t.Fatal(err)
 	}
 	ratios := []int{1, 2, 4, 8, 64}
-	serial, err := RatioSweepJ(p, w, ratios, 1, trace.PackV1)
+	serial, err := ratioSweepJ(p, w, ratios, 1, trace.PackV1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	parallel, err := RatioSweepJ(p, w, ratios, 8, trace.PackV1)
+	parallel, err := ratioSweepJ(p, w, ratios, 8, trace.PackV1)
 	if err != nil {
 		t.Fatal(err)
 	}

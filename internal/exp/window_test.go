@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/analysis"
 	"repro/internal/report"
 	"repro/internal/trace"
 )
@@ -17,20 +18,29 @@ import (
 func windowFingerprint(t *testing.T, rep *report.Report) (string, int) {
 	t.Helper()
 	h := sha256.New()
-	var buf []byte
 	windows := 0
 	for _, ch := range rep.Chapters {
 		if ch.Windows == nil {
 			t.Fatal("chapter carries no windowed series")
 		}
-		for _, idx := range ch.Windows.Indices() {
+		// Series visits the populated windows in no particular order: each
+		// one's value is the 1-based position of its encoding in encs, so
+		// the zero-filled gaps stay zero.
+		var encs [][]byte
+		first, refs := ch.Windows.Series(func(p *analysis.Partial) float64 {
+			encs = append(encs, p.AppendCanonical(nil))
+			return float64(len(encs))
+		})
+		for i, ref := range refs {
+			if ref == 0 {
+				continue
+			}
 			var ib [8]byte
-			for i := 0; i < 8; i++ {
-				ib[i] = byte(uint64(idx) >> (8 * i))
+			for j := 0; j < 8; j++ {
+				ib[j] = byte(uint64(first+int64(i)) >> (8 * j))
 			}
 			h.Write(ib[:])
-			buf = ch.Windows.WindowPartial(idx).AppendCanonical(buf[:0])
-			h.Write(buf)
+			h.Write(encs[int(ref)-1])
 			windows++
 		}
 	}

@@ -334,10 +334,3 @@ func (m *MPI) PosixWrite(size int64, d time.Duration) {
 	m.rank.Compute(d)
 	m.emit(trace.KindPosixWrite, -1, -1, size, t0, m.now())
 }
-
-// PosixRead records a POSIX read of size bytes.
-func (m *MPI) PosixRead(size int64, d time.Duration) {
-	t0 := m.now()
-	m.rank.Compute(d)
-	m.emit(trace.KindPosixRead, -1, -1, size, t0, m.now())
-}

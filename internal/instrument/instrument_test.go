@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/des"
 	"repro/internal/mpi"
 	"repro/internal/simfs"
 	"repro/internal/trace"
@@ -204,11 +205,12 @@ func TestProfileRecorderChargesCost(t *testing.T) {
 
 func TestTraceRecorderWritesThroughFS(t *testing.T) {
 	cfg := mpi.DefaultConfig()
-	fscfg := simfs.DefaultConfig().Prorate(2, 140000) // tiny share: visible stalls
+	fscfg := simfs.DefaultConfig()
+	fscfg.AggregateBandwidth = fscfg.AggregateBandwidth * 2 / 140000 // tiny share: visible stalls
 	cfg.FS = &fscfg
 	var comm *mpi.Comm
 	var produced [2]int64
-	var stalled time.Duration
+	var stalled des.Time
 	var set *SIONSet
 	w := mpi.NewWorld(cfg, mpi.Program{Name: "app", Procs: 2, Main: func(r *mpi.Rank) {
 		m := New(r, comm)
@@ -218,15 +220,18 @@ func TestTraceRecorderWritesThroughFS(t *testing.T) {
 			PerEventCost: 0,
 		})
 		m.SetRecorder(rec)
+		// The writes cost nothing themselves: any time they take is spent
+		// waiting on the filesystem.
+		t0 := r.Now()
 		for i := 0; i < 1000; i++ {
 			m.PosixWrite(1, 0)
+		}
+		if r.ProgramRank() == 0 {
+			stalled = r.Now() - t0
 		}
 		m.Finalize()
 		// A recorder counts bytes only once the filesystem took them.
 		produced[r.ProgramRank()] = rec.BytesProduced()
-		if r.ProgramRank() == 0 {
-			stalled = rec.Stalled()
-		}
 	}})
 	comm = w.NewComm(w.ProgramRanks(0))
 	set = NewSIONSet(w.FS(), 2, "trace")
@@ -239,8 +244,8 @@ func TestTraceRecorderWritesThroughFS(t *testing.T) {
 	if stalled == 0 {
 		t.Fatal("starved filesystem should cause stalls")
 	}
-	if set.Files() != 1 {
-		t.Fatalf("SION set should aggregate 2 ranks into 1 file, got %d", set.Files())
+	if len(set.fds) != 1 {
+		t.Fatalf("SION set should aggregate 2 ranks into 1 file, got %d", len(set.fds))
 	}
 	if produced[0]+produced[1] != 2*80*1001 {
 		t.Fatalf("fs bytes = %d", produced[0]+produced[1])
@@ -259,8 +264,8 @@ func TestSIONSetAggregation(t *testing.T) {
 	if fdA == fdC {
 		t.Fatal("rank 4 should get a new file")
 	}
-	if set.Files() != 2 {
-		t.Fatalf("files = %d", set.Files())
+	if len(set.fds) != 2 {
+		t.Fatalf("files = %d", len(set.fds))
 	}
 	// ranksPerFile < 1 clamps to per-rank files.
 	set2 := NewSIONSet(fs, 0, "u")
@@ -281,7 +286,8 @@ func TestOnlineRecorderEndToEnd(t *testing.T) {
 		mpi.Program{Name: "app", Procs: 2, Main: func(r *mpi.Rank) {
 			sess := layout.Init(r)
 			m := New(r, sess.WorldComm())
-			ocfg := DefaultOnlineConfig(uint32(sess.PartitionID()))
+			ocfg := onlineCfg
+			ocfg.AppID = uint32(sess.PartitionID())
 			ocfg.PackBytes = 2048
 			ocfg.RecordSize = 64
 			rec, err := AttachOnline(sess, "Analyzer", ocfg)
@@ -358,7 +364,7 @@ func TestOnlineRecorderSizeOnly(t *testing.T) {
 		mpi.Program{Name: "app", Procs: 1, Main: func(r *mpi.Rank) {
 			sess := layout.Init(r)
 			m := New(r, sess.WorldComm())
-			ocfg := DefaultOnlineConfig(0)
+			ocfg := onlineCfg
 			ocfg.SizeOnly = true
 			ocfg.PackBytes = 1024
 			rec, err := AttachOnline(sess, "Analyzer", ocfg)
@@ -368,7 +374,7 @@ func TestOnlineRecorderSizeOnly(t *testing.T) {
 			}
 			m.SetRecorder(rec)
 			for i := 0; i < 100; i++ {
-				m.PosixRead(5, 0)
+				m.PosixWrite(5, 0)
 			}
 			m.Finalize()
 		}},

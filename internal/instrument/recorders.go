@@ -132,18 +132,6 @@ type OnlineConfig struct {
 	FailoverEndpoints int
 }
 
-// DefaultOnlineConfig returns the calibration used by the experiments:
-// 1 MB blocks, 256-byte events (the 48-byte record plus call context), and
-// a 150 ns interception cost.
-func DefaultOnlineConfig(appID uint32) OnlineConfig {
-	return OnlineConfig{
-		AppID:        appID,
-		RecordSize:   256,
-		PackBytes:    1 << 20,
-		PerEventCost: 150 * time.Nanosecond,
-	}
-}
-
 // AdmissionGate is the recorder path's load-shedding hook (implemented by
 // adapt.Gate): Admit decides per event class whether an event enters the
 // pack stream, and AuditPack encodes the resulting shed ledger so the
@@ -159,9 +147,8 @@ type AdmissionGate interface {
 // overhead is its per-event cost plus whatever back-pressure the stream
 // applies when the analyzer or the network cannot keep up. When the stream
 // degrades (every analyzer endpoint crashed or stalled past the write
-// deadline), the recorder falls back to a local per-call-kind reduction —
-// the application keeps its instrumentation and loses only the streamed
-// detail.
+// deadline), the recorder falls back: it stops streaming, and the
+// application keeps running and loses only the streamed detail.
 type OnlineRecorder struct {
 	sess     *vmpi.Session
 	stream   *vmpi.Stream
@@ -195,10 +182,8 @@ type OnlineRecorder struct {
 	sampler *telemetry.Sampler
 	encNs   int64 // wall-clock encode time accumulated for the open pack
 
-	// Degraded-mode fallback: a ProfileRecorder-style local reduction
-	// covering events recorded after the stream died.
+	// fellBack is set once the stream died: later events are not sent.
 	fellBack bool
-	fallback CallProfile
 }
 
 // NewOnlineRecorder wraps an already-open writer stream. It refuses a
@@ -317,15 +302,8 @@ func (o *OnlineRecorder) BytesProduced() int64 { return o.produced }
 // Events returns the number of events recorded.
 func (o *OnlineRecorder) Events() int64 { return o.events }
 
-// FellBack reports whether the recorder abandoned the stream and switched
-// to its local-profile fallback.
+// FellBack reports whether the recorder abandoned the stream.
 func (o *OnlineRecorder) FellBack() bool { return o.fellBack }
-
-// FallbackProfile returns the local reduction accumulated after fallback
-// (nil if the stream stayed healthy). It covers only events recorded after
-// the switch; earlier events either reached the analyzer or are accounted
-// in StreamStats().BlocksDropped.
-func (o *OnlineRecorder) FallbackProfile() CallProfile { return o.fallback }
 
 // StreamStats exposes the underlying stream's health counters.
 func (o *OnlineRecorder) StreamStats() vmpi.StreamStats { return o.stream.Stats() }
@@ -363,13 +341,12 @@ func (o *OnlineRecorder) SetGate(g AdmissionGate) { o.gate = g }
 // AnnouncePackVersion). Nil pins the format chosen at construction.
 func (o *OnlineRecorder) SetPackVersionFunc(f func() int) { o.packFn = f }
 
-// enterFallback switches the recorder to local reduction.
+// enterFallback abandons the stream.
 func (o *OnlineRecorder) enterFallback() {
 	if o.fellBack {
 		return
 	}
 	o.fellBack = true
-	o.fallback = make(CallProfile)
 	o.pendBytes = 0
 	o.packEvents = 0
 	o.tel.OnFallback()
@@ -393,9 +370,6 @@ func (o *OnlineRecorder) Record(ev *trace.Event) {
 		return // shed: counted by class in the gate's ledger
 	}
 	if o.fellBack {
-		if ev != nil {
-			o.fallback.Add(ev)
-		}
 		return
 	}
 	o.packEvents++
@@ -513,8 +487,8 @@ func (o *OnlineRecorder) switchFormat() {
 
 // Finalize implements Recorder: it flushes the last pack and closes the
 // stream (waiting for the analyzer to acknowledge all in-flight blocks).
-// A recorder that fell back closes best-effort: the surviving profile is
-// in FallbackProfile and close errors are not fatal to the application.
+// A recorder that fell back closes best-effort: close errors are not fatal
+// to the application.
 func (o *OnlineRecorder) Finalize() {
 	if o.closed {
 		return
@@ -577,9 +551,6 @@ func (s *SIONSet) FD(rank int, now des.Time) (fd int, done des.Time) {
 	return fd, done
 }
 
-// Files reports how many physical files were created.
-func (s *SIONSet) Files() int { return len(s.fds) }
-
 // --- Trace recorder (Score-P trace + SIONlib baseline) ---
 
 // TraceConfig parameterizes a TraceRecorder.
@@ -613,7 +584,6 @@ type TraceRecorder struct {
 	haveFD   bool
 	buffered int64
 	produced int64
-	stalled  time.Duration
 }
 
 // NewTraceRecorder creates a trace recorder writing through the given
@@ -630,9 +600,6 @@ func (t *TraceRecorder) Name() string { return "scorep-trace-sionlib" }
 
 // BytesProduced implements Recorder.
 func (t *TraceRecorder) BytesProduced() int64 { return t.produced }
-
-// Stalled reports the total virtual time spent waiting on the filesystem.
-func (t *TraceRecorder) Stalled() time.Duration { return t.stalled }
 
 // Record implements Recorder.
 func (t *TraceRecorder) Record(ev *trace.Event) {
@@ -651,7 +618,6 @@ func (t *TraceRecorder) ensureFD() {
 	t.fd = fd
 	t.haveFD = true
 	if wait := done - t.rank.Now(); wait > 0 {
-		t.stalled += wait.Duration()
 		t.rank.Compute(wait.Duration())
 	}
 }
@@ -669,7 +635,6 @@ func (t *TraceRecorder) flush() {
 	t.produced += t.buffered
 	t.buffered = 0
 	if wait := done - t.rank.Now(); wait > 0 {
-		t.stalled += wait.Duration()
 		t.rank.Compute(wait.Duration())
 	}
 }

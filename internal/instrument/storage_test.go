@@ -65,7 +65,7 @@ func runRecorded(t testing.TB, cfg OnlineConfig, app func(m *MPI, rec *OnlineRec
 // a pack it ships grows — one fetch per growth step, never after its last
 // flush.
 func TestOnlineRecorderStorageFollowsEvents(t *testing.T) {
-	recordSize := DefaultOnlineConfig(0).RecordSize
+	recordSize := onlineCfg.RecordSize
 	// growthSteps is how many pool buffers a pack of n bytes passes
 	// through: the first 64 KiB, then one per doubling until it fits.
 	growthSteps := func(n int) int64 {
@@ -81,7 +81,7 @@ func TestOnlineRecorderStorageFollowsEvents(t *testing.T) {
 		hits0, misses0 := trace.PoolCounters()
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
-		runRecorded(t, DefaultOnlineConfig(0), func(_ *MPI, rec *OnlineRecorder) {
+		runRecorded(t, onlineCfg, func(_ *MPI, rec *OnlineRecorder) {
 			ev := trace.Event{Kind: trace.KindSend, Peer: 1, Size: 8}
 			for i := 0; i < k; i++ {
 				rec.Record(&ev)
@@ -118,7 +118,7 @@ func TestOnlineRecorderStorageFollowsEvents(t *testing.T) {
 // — intercepting a call and recording its event allocates nothing: emit
 // fills the handle's scratch event and the recorder encodes it in place.
 func TestEmitRecordZeroAllocs(t *testing.T) {
-	cfg := DefaultOnlineConfig(0)
+	cfg := onlineCfg
 	perPack := (cfg.PackBytes - trace.PackHeaderSize) / cfg.RecordSize
 	allocs := -1.0
 	runRecorded(t, cfg, func(m *MPI, _ *OnlineRecorder) {
@@ -157,7 +157,7 @@ func BenchmarkOnlineRecorderRecord(b *testing.B) {
 	}
 	for _, version := range []int{trace.PackV1, trace.PackV3} {
 		b.Run(fmt.Sprintf("v%d", version), func(b *testing.B) {
-			cfg := DefaultOnlineConfig(0)
+			cfg := onlineCfg
 			cfg.PackVersion = version
 			runRecorded(b, cfg, func(_ *MPI, rec *OnlineRecorder) {
 				b.ReportAllocs()

@@ -99,12 +99,6 @@ func collCost(kind CollKind, p int, bytes int64, cfg Config) time.Duration {
 	return des.SecondsToDuration(sec)
 }
 
-// CollectiveCost exposes the collective cost model (used by instrumentation
-// sinks that need to pre-compute expected durations in tests).
-func CollectiveCost(kind CollKind, p int, bytes int64, cfg Config) time.Duration {
-	return collCost(kind, p, bytes, cfg)
-}
-
 // collective is the generic rendezvous: the n-th call to a collective on a
 // communicator matches the n-th call on every other member. Completion time
 // is latest-arrival + modeled cost; every participant resumes then, so

@@ -196,7 +196,7 @@ func TestSplitByColor(t *testing.T) {
 		r.Allreduce(sub, 8)
 		next := (sub.LocalOf(me) + 1) % sub.Size()
 		prev := (sub.LocalOf(me) + sub.Size() - 1) % sub.Size()
-		r.SendRecv(sub, next, 0, 16, nil, prev, 0)
+		sendRecv(r, sub, next, prev, 16)
 	})
 	for me, sz := range sizes {
 		if sz != 4 {
@@ -270,10 +270,10 @@ func TestReduceScatterAndScan(t *testing.T) {
 		r.Scan(c, 512)
 	})
 	cfg := DefaultConfig()
-	if CollectiveCost(CollReduceScatter, 16, 1<<20, cfg) <= 0 {
+	if collCost(CollReduceScatter, 16, 1<<20, cfg) <= 0 {
 		t.Fatal("reduce-scatter cost model empty")
 	}
-	if CollectiveCost(CollScan, 16, 1<<20, cfg) <= 0 {
+	if collCost(CollScan, 16, 1<<20, cfg) <= 0 {
 		t.Fatal("scan cost model empty")
 	}
 }

@@ -190,9 +190,6 @@ func (w *World) Size() int { return len(w.ranks) }
 // Rank returns the rank with the given global id.
 func (w *World) Rank(global int) *Rank { return w.ranks[global] }
 
-// ProgramOf returns the program index of a global rank.
-func (w *World) ProgramOf(global int) int { return w.ranks[global].prog }
-
 // ProgramRanks returns the global ranks belonging to program pi, in local
 // rank order.
 func (w *World) ProgramRanks(pi int) []int {
@@ -237,10 +234,6 @@ func (w *World) Run() error {
 	}
 	return w.sim.Run()
 }
-
-// FinishTime returns the virtual time at which a global rank returned from
-// its Main.
-func (w *World) FinishTime(global int) des.Time { return w.finishTime[global] }
 
 // ProgramFinish returns the latest finish time across a program's ranks —
 // the program's virtual wall-time when it started at t=0.
@@ -419,9 +412,6 @@ func (r *Rank) blockedOnColl(op string, c *Comm, seq uint64) *parkReason {
 
 // Global returns the rank's id in the universe.
 func (r *Rank) Global() int { return r.global }
-
-// ProgramIndex returns the index of the program this rank belongs to.
-func (r *Rank) ProgramIndex() int { return r.prog }
 
 // ProgramRank returns the rank's id within its program.
 func (r *Rank) ProgramRank() int { return r.local }
@@ -637,16 +627,4 @@ func (r *Rank) Iprobe(c *Comm, src, tag int) (bool, Status) {
 		return true, Status{Source: msg.srcLocal, Tag: msg.tag, Size: msg.size}
 	}
 	return false, Status{}
-}
-
-// SendRecv exchanges messages with two (possibly different) partners in one
-// call, like MPI_Sendrecv.
-func (r *Rank) SendRecv(c *Comm, dst, sendTag int, size int64, payload []byte, src, recvTag int) (Status, []byte) {
-	r.overhead()
-	var sreq, rreq Request
-	r.IsendInto(&sreq, c, dst, sendTag, size, payload)
-	r.IrecvInto(&rreq, c, src, recvTag)
-	r.waitOne(&rreq)
-	r.waitOne(&sreq)
-	return rreq.Status, rreq.Payload
 }

@@ -27,7 +27,7 @@ func runSPMD(t *testing.T, n int, main func(r *Rank)) *World {
 // for collectives to match, so we cache one per (world, program).
 func worldComm(r *Rank) *Comm {
 	w := r.World()
-	return commCache(w, fmt.Sprintf("prog%d", r.ProgramIndex()), w.ProgramRanks(r.ProgramIndex()))
+	return commCache(w, fmt.Sprintf("prog%d", r.prog), w.ProgramRanks(r.prog))
 }
 
 func TestSendRecvPayload(t *testing.T) {
@@ -196,6 +196,15 @@ func TestIprobe(t *testing.T) {
 	}
 }
 
+// sendRecv is MPI_Sendrecv made of the nonblocking pair: it sends size
+// bytes to dst and returns the status of the message received from src.
+func sendRecv(r *Rank, c *Comm, dst, src int, size int64) Status {
+	rq := r.Irecv(c, src, 0)
+	r.Wait(r.Isend(c, dst, 0, size, nil))
+	r.Wait(rq)
+	return rq.Status
+}
+
 func TestSendRecvCombined(t *testing.T) {
 	sizes := make([]int64, 4)
 	runSPMD(t, 4, func(r *Rank) {
@@ -203,7 +212,7 @@ func TestSendRecvCombined(t *testing.T) {
 		me := r.Global()
 		right := (me + 1) % 4
 		left := (me + 3) % 4
-		st, _ := r.SendRecv(c, right, 0, int64(100+me), nil, left, 0)
+		st := sendRecv(r, c, right, left, int64(100+me))
 		sizes[me] = st.Size
 	})
 	for me, sz := range sizes {
@@ -287,16 +296,16 @@ func commCache(w *World, key string, globals []int) *Comm {
 
 func TestCollectiveCostGrowsWithRanksAndBytes(t *testing.T) {
 	cfg := DefaultConfig()
-	c1 := CollectiveCost(CollAllreduce, 16, 1024, cfg)
-	c2 := CollectiveCost(CollAllreduce, 1024, 1024, cfg)
-	c3 := CollectiveCost(CollAllreduce, 16, 1<<20, cfg)
+	c1 := collCost(CollAllreduce, 16, 1024, cfg)
+	c2 := collCost(CollAllreduce, 1024, 1024, cfg)
+	c3 := collCost(CollAllreduce, 16, 1<<20, cfg)
 	if c2 <= c1 {
 		t.Fatalf("cost should grow with ranks: %v vs %v", c1, c2)
 	}
 	if c3 <= c1 {
 		t.Fatalf("cost should grow with bytes: %v vs %v", c1, c3)
 	}
-	if CollectiveCost(CollAlltoall, 64, 4096, cfg) <= CollectiveCost(CollBcast, 64, 4096, cfg) {
+	if collCost(CollAlltoall, 64, 4096, cfg) <= collCost(CollBcast, 64, 4096, cfg) {
 		t.Fatal("alltoall should dominate bcast at equal sizes")
 	}
 }
@@ -321,8 +330,8 @@ func TestMPMDProgramsAndFinishTimes(t *testing.T) {
 	if w.ProgramFinish(1).Duration() != 9*time.Millisecond {
 		t.Fatalf("analyzer finish = %v", w.ProgramFinish(1).Duration())
 	}
-	if w.ProgramOf(4) != 1 || w.ProgramOf(0) != 0 {
-		t.Fatal("ProgramOf mapping wrong")
+	if w.ranks[4].prog != 1 || w.ranks[0].prog != 0 {
+		t.Fatal("program mapping wrong")
 	}
 }
 
@@ -424,7 +433,7 @@ func TestRingDeliveryProperty(t *testing.T) {
 		w := NewWorld(DefaultConfig(), Program{Name: "ring", Procs: n, Main: func(r *Rank) {
 			c := r.World().Universe()
 			me := r.Global()
-			st, _ := r.SendRecv(c, (me+1)%n, 0, sizes[me], nil, (me+n-1)%n, 0)
+			st := sendRecv(r, c, (me+1)%n, (me+n-1)%n, sizes[me])
 			got[me] = st.Size
 		}})
 		if err := w.Run(); err != nil {
@@ -541,8 +550,8 @@ func TestWorldAccessors(t *testing.T) {
 	if err := w.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if w.FinishTime(0).Duration() != time.Millisecond {
-		t.Fatalf("finish = %v", w.FinishTime(0))
+	if w.finishTime[0].Duration() != time.Millisecond {
+		t.Fatalf("finish = %v", w.finishTime[0])
 	}
 }
 

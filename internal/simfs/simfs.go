@@ -39,9 +39,9 @@ type Config struct {
 }
 
 // DefaultConfig models the paper's scaling rule on Tera 100: 500 GB/s for
-// 140 000 cores. Callers should use Prorate to scale it to the allocated
-// core count, which is what the paper itself does when it derives the
-// 9.1 GB/s figure for 2560 cores.
+// 140 000 cores. Callers scale AggregateBandwidth to the allocated core
+// count, which is what the paper itself does when it derives the 9.1 GB/s
+// figure for 2560 cores.
 func DefaultConfig() Config {
 	return Config{
 		AggregateBandwidth: 500e9,
@@ -49,15 +49,6 @@ func DefaultConfig() Config {
 		MetaOpLatency:      200 * time.Microsecond,
 		MetaOpsPerSecond:   20000,
 	}
-}
-
-// Prorate returns a copy of c with aggregate bandwidth scaled to
-// cores/totalCores, matching the paper's even-bandwidth-balancing
-// assumption for a fat-tree machine.
-func (c Config) Prorate(cores, totalCores int) Config {
-	out := c
-	out.AggregateBandwidth = c.AggregateBandwidth * float64(cores) / float64(totalCores)
-	return out
 }
 
 // FS is the filesystem model.

@@ -75,10 +75,7 @@ type Net struct {
 	rx       []des.Queue // per-node ejection port
 	spine    des.Queue   // shared bisection pipe
 	spineSel func(from, to int) bool
-
-	bytesMoved int64
-	messages   int64
-	tel        *telemetry.NetMetrics
+	tel      *telemetry.NetMetrics
 }
 
 // SetTelemetry attaches a telemetry bundle (nil allowed and free): each
@@ -110,20 +107,11 @@ func New(n int, cfg Config) *Net {
 	}
 }
 
-// Nodes returns the number of simulated nodes.
-func (n *Net) Nodes() int { return len(n.tx) }
-
 // NodeOf returns the node an endpoint is placed on.
 func (n *Net) NodeOf(ep int) int { return ep / n.cfg.CoresPerNode }
 
 // Config returns the network configuration.
 func (n *Net) Config() Config { return n.cfg }
-
-// BytesMoved reports the cumulative payload bytes transferred.
-func (n *Net) BytesMoved() int64 { return n.bytesMoved }
-
-// Messages reports the cumulative number of transfers.
-func (n *Net) Messages() int64 { return n.messages }
 
 func (n *Net) serial(size int64, bw float64) time.Duration {
 	if bw <= 0 || size <= 0 {
@@ -138,8 +126,6 @@ func (n *Net) serial(size int64, bw float64) time.Duration {
 // eager send returns to the caller at that point); delivered is when the
 // payload is fully available at the receiver.
 func (n *Net) Transfer(now des.Time, from, to int, size int64) (injected, delivered des.Time) {
-	n.bytesMoved += size
-	n.messages++
 	fn, tn := n.NodeOf(from), n.NodeOf(to)
 	if fn == tn {
 		// Same node (including self-sends): shared-memory copy, no NIC.
@@ -157,15 +143,4 @@ func (n *Net) Transfer(now des.Time, from, to int, size int64) (injected, delive
 	}
 	delivered = n.rx[tn].Next(cross, ser) + des.DurationToTime(n.cfg.Latency)
 	return injected, delivered
-}
-
-// InjectOnly accounts for the sender-side cost of a message without a
-// receiver (used for modeled collective traffic where the rendezvous
-// formula owns the end-to-end cost but injection still loads the port).
-func (n *Net) InjectOnly(now des.Time, from int, size int64) des.Time {
-	n.bytesMoved += size
-	n.messages++
-	injected := n.tx[n.NodeOf(from)].Next(now, n.serial(size, n.cfg.EndpointBandwidth))
-	n.tel.OnTransfer(size, int64(injected-now))
-	return injected
 }

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"repro/internal/des"
+	"repro/internal/telemetry"
 )
 
 func testConfig() Config {
@@ -81,15 +82,17 @@ func TestBisectionCap(t *testing.T) {
 }
 
 func TestCounters(t *testing.T) {
+	reg := telemetry.NewRegistry()
 	n := New(2, testConfig())
+	n.SetTelemetry(telemetry.NewNetMetrics(reg))
 	n.Transfer(0, 0, 1, 500)
 	n.Transfer(0, 1, 0, 700)
-	n.InjectOnly(0, 0, 300)
-	if n.BytesMoved() != 1500 {
-		t.Fatalf("BytesMoved = %d", n.BytesMoved())
+	n.Transfer(0, 1, 1, 300) // a self-send counts too
+	if got := reg.Counter("net.bytes").Value(); got != 1500 {
+		t.Fatalf("net.bytes = %d", got)
 	}
-	if n.Messages() != 3 {
-		t.Fatalf("Messages = %d", n.Messages())
+	if got := reg.Counter("net.messages").Value(); got != 3 {
+		t.Fatalf("net.messages = %d", got)
 	}
 }
 
@@ -124,8 +127,8 @@ func TestNodeSharedNIC(t *testing.T) {
 	cfg := testConfig()
 	cfg.CoresPerNode = 4
 	n := New(8, cfg) // 2 nodes of 4 cores
-	if n.Nodes() != 2 || n.NodeOf(3) != 0 || n.NodeOf(4) != 1 {
-		t.Fatalf("node layout wrong: nodes=%d", n.Nodes())
+	if len(n.tx) != 2 || n.NodeOf(3) != 0 || n.NodeOf(4) != 1 {
+		t.Fatalf("node layout wrong: nodes=%d", len(n.tx))
 	}
 	// Four ranks on node 0 each send 1 MB to node 1: they serialize on the
 	// shared tx NIC (1 GB/s): last injection >= 4 ms.

@@ -63,7 +63,7 @@ func BenchmarkTBONVsStreams(b *testing.B) {
 	b.Run("profile-merge/tbon", func(b *testing.B) {
 		prof := make(instrument.CallProfile)
 		prof.Add(&trace.Event{Kind: trace.KindSend, Size: 1024, TStart: 0, TEnd: 10})
-		encoded := prof.Encode()
+		encoded := tbon.EncodeProfile(prof)
 		for i := 0; i < b.N; i++ {
 			tbonProfile = runTBON(b, tbon.MergeEncodedProfiles,
 				func(_, _ int) []byte { return encoded })

@@ -13,6 +13,7 @@ package tbon
 // communicator (every member must call them in the same order).
 
 import (
+	"encoding/json"
 	"fmt"
 
 	"repro/internal/instrument"
@@ -144,20 +145,38 @@ func (n *Node) ReduceStream(waves int, produce func(wave int) []byte, filter Fil
 	}
 }
 
+// EncodeProfile serializes a call profile, the payload
+// MergeEncodedProfiles reduces.
+func EncodeProfile(p instrument.CallProfile) []byte {
+	buf, _ := json.Marshal(p) // a map of plain structs always marshals
+	return buf
+}
+
+// DecodeProfile parses EncodeProfile's bytes.
+func DecodeProfile(buf []byte) (instrument.CallProfile, error) {
+	var p instrument.CallProfile
+	err := json.Unmarshal(buf, &p)
+	return p, err
+}
+
 // MergeEncodedProfiles is a reduction filter over encoded call profiles: it
 // decodes each input, folds them together with own, and re-encodes.
 // Undecodable inputs panic — a filter bug, not a recoverable condition.
 func MergeEncodedProfiles(children [][]byte, own []byte) []byte {
-	acc, err := instrument.DecodeCallProfile(own)
-	if err != nil {
-		panic(fmt.Sprintf("tbon: merge filter: %v", err))
-	}
-	for _, c := range children {
-		p, err := instrument.DecodeCallProfile(c)
+	acc := make(instrument.CallProfile)
+	for _, buf := range append([][]byte{own}, children...) {
+		p, err := DecodeProfile(buf)
 		if err != nil {
 			panic(fmt.Sprintf("tbon: merge filter: %v", err))
 		}
-		acc.MergeProfile(p)
+		for k, st := range p {
+			if acc[k] == nil {
+				acc[k] = &instrument.CallStats{}
+			}
+			acc[k].Hits += st.Hits
+			acc[k].TimeNs += st.TimeNs
+			acc[k].Bytes += st.Bytes
+		}
 	}
-	return acc.Encode()
+	return EncodeProfile(acc)
 }

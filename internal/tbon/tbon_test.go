@@ -133,9 +133,9 @@ func TestProfileMergeOverTree(t *testing.T) {
 	runTree(t, n, 4, func(node *Node, r *mpi.Rank) {
 		own := make(instrument.CallProfile)
 		own.Add(&trace.Event{Kind: trace.KindSend, Size: int64(r.Global()), TStart: 0, TEnd: 10})
-		combined, isRoot := node.Reduce(own.Encode(), MergeEncodedProfiles)
+		combined, isRoot := node.Reduce(EncodeProfile(own), MergeEncodedProfiles)
 		if isRoot {
-			p, err := instrument.DecodeCallProfile(combined)
+			p, err := DecodeProfile(combined)
 			if err != nil {
 				t.Error(err)
 				return
@@ -228,17 +228,17 @@ func TestProfileCodecRoundTrip(t *testing.T) {
 	p := make(instrument.CallProfile)
 	p.Add(&trace.Event{Kind: trace.KindSend, Size: 100, TStart: 0, TEnd: 7})
 	p.Add(&trace.Event{Kind: trace.KindBarrier, TStart: 3, TEnd: 5})
-	got, err := instrument.DecodeCallProfile(p.Encode())
+	got, err := DecodeProfile(EncodeProfile(p))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got[trace.KindSend].Bytes != 100 || got[trace.KindBarrier].TimeNs != 2 {
 		t.Fatalf("roundtrip = %+v", got)
 	}
-	if _, err := instrument.DecodeCallProfile([]byte{1}); err == nil {
+	if _, err := DecodeProfile([]byte{1}); err == nil {
 		t.Fatal("short buffer accepted")
 	}
-	if _, err := instrument.DecodeCallProfile([]byte{5, 0, 0, 0, 1}); err == nil {
+	if _, err := DecodeProfile([]byte{5, 0, 0, 0, 1}); err == nil {
 		t.Fatal("truncated buffer accepted")
 	}
 }

@@ -181,19 +181,6 @@ func (h *Histogram) Sum() int64 {
 	return h.sum.Load()
 }
 
-// BucketCounts copies the per-bucket counts (one per bound plus the last,
-// unbounded one).
-func (h *Histogram) BucketCounts() []int64 {
-	if h == nil {
-		return nil
-	}
-	out := make([]int64, len(h.counts))
-	for i := range h.counts {
-		out[i] = h.counts[i].Load()
-	}
-	return out
-}
-
 // Name returns the histogram's registered name ("" on nil).
 func (h *Histogram) Name() string {
 	if h == nil {

@@ -50,12 +50,17 @@ func TestGaugeHighWater(t *testing.T) {
 }
 
 func TestHistogramBuckets(t *testing.T) {
-	h := NewRegistry().Histogram("h", []int64{10, 100})
+	reg := NewRegistry()
+	h := reg.Histogram("h", []int64{10, 100})
 	for _, v := range []int64{5, 10, 11, 100, 1000} {
 		h.Observe(v)
 	}
+	s, err := DecodeSnapshot(reg.EncodeSnapshot(nil, 0, 0, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
 	want := []int64{2, 2, 1}
-	got := h.BucketCounts()
+	got := s.Metrics[0].Counts
 	if len(got) != len(want) {
 		t.Fatalf("bucket count = %d, want %d", len(got), len(want))
 	}

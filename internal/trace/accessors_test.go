@@ -43,9 +43,9 @@ func TestBuilderAccessors(t *testing.T) {
 	}
 }
 
-// TestStreamDecoderResetStream: an explicit reset forgets the persistent
-// dictionary, so resuming mid-stream must fail with a gap (the caller is
-// declaring "this is a new stream", not "skip ahead").
+// TestStreamDecoderResetStream: a stream that starts over gets a fresh
+// decoder (Decoders.For), which has no dictionary, so resuming mid-stream
+// there must fail with a gap rather than decode against nothing.
 func TestStreamDecoderResetStream(t *testing.T) {
 	b := NewPackBuilderV3(1, 0, MinRecordSize, 1<<16)
 	for i := 0; i < 10; i++ {
@@ -59,19 +59,19 @@ func TestStreamDecoderResetStream(t *testing.T) {
 	}
 	second := b.Take()
 
-	var d StreamDecoder
-	if _, err := d.DecodeDispatch(first, func(*Event) {}); err != nil {
+	ds := Decoders{}
+	if _, err := ds.For(0).DecodeDispatch(first, func(*Event) {}); err != nil {
 		t.Fatal(err)
 	}
-	if d.DictLen() == 0 {
+	if ds.For(0).DictLen() == 0 {
 		t.Fatal("dictionary empty after first pack")
 	}
-	d.ResetStream()
-	if d.DictLen() != 0 {
-		t.Fatalf("dictionary survived ResetStream: %d entries", d.DictLen())
+	delete(ds, 0) // the writer's stream restarts
+	if ds.For(0).DictLen() != 0 {
+		t.Fatalf("a restarted stream's decoder holds %d dictionary entries", ds.For(0).DictLen())
 	}
-	if _, err := d.DecodeDispatch(second, func(*Event) {}); err == nil {
-		t.Fatal("continuation pack decoded against a reset dictionary")
+	if _, err := ds.For(0).DecodeDispatch(second, func(*Event) {}); err == nil {
+		t.Fatal("continuation pack decoded against an empty dictionary")
 	}
 }
 
@@ -115,7 +115,7 @@ func TestAuditPackRoundTrip(t *testing.T) {
 	if _, err := DecodeEach(buf, func(*Event) { t.Fatal("audit entry delivered as an event") }); err == nil {
 		t.Fatal("DecodeEach accepted an audit pack")
 	}
-	if _, _, err := DecodePack(buf); err == nil {
-		t.Fatal("DecodePack accepted an audit pack")
+	if _, _, err := decodePack(buf); err == nil {
+		t.Fatal("decodePack accepted an audit pack")
 	}
 }

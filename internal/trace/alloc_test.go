@@ -123,7 +123,7 @@ func TestPackBuilderResetClearsPadding(t *testing.T) {
 		}
 	}
 	// Round-trip through the decoder for good measure.
-	_, evs, err := DecodePack(pack)
+	_, evs, err := decodePack(pack)
 	if err != nil {
 		t.Fatal(err)
 	}

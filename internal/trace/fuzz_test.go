@@ -76,15 +76,15 @@ func FuzzDecodePack(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		h, err := PeekHeader(data)
-		if err == nil && h.WireLen() > len(data) {
-			t.Fatalf("PeekHeader accepted a pack claiming %d bytes from a %d-byte buffer", h.WireLen(), len(data))
+		if err == nil && (h.bodyLen > len(data)-PackHeaderSize || h.bodyLen == 0 && h.LogicalLen() > len(data)) {
+			t.Fatalf("PeekHeader accepted a pack claiming more than its %d bytes", len(data))
 		}
 		if _, err := PeekHeaderV1(data); err == nil && h.Version != PackV1 {
 			t.Fatal("PeekHeaderV1 accepted a non-v1 pack")
 		}
-		hd, events, err := DecodePack(data)
+		hd, events, err := decodePack(data)
 		if err == nil && len(events) != hd.Count {
-			t.Fatalf("DecodePack returned %d events for a header claiming %d", len(events), hd.Count)
+			t.Fatalf("decodePack returned %d events for a header claiming %d", len(events), hd.Count)
 		}
 		var n int
 		if _, err := DecodeEach(data, func(*Event) { n++ }); err == nil && n != hd.Count {

@@ -38,15 +38,15 @@ func TestPackV2RoundTrip(t *testing.T) {
 		}
 	}
 	buf := b.Take()
-	h, events, err := DecodePack(buf)
+	h, events, err := decodePack(buf)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if h.AppID != 3 || h.SrcRank != 9 || h.Count != n || h.RecordSize != 64 || h.Version != PackV2 {
 		t.Fatalf("header = %+v", h)
 	}
-	if h.WireLen() != len(buf) {
-		t.Fatalf("WireLen = %d, pack is %d bytes", h.WireLen(), len(buf))
+	if PackHeaderSize+h.bodyLen != len(buf) {
+		t.Fatalf("header claims %d bytes, pack is %d", PackHeaderSize+h.bodyLen, len(buf))
 	}
 	if h.LogicalLen() != PackHeaderSize+n*64 {
 		t.Fatalf("LogicalLen = %d", h.LogicalLen())
@@ -93,7 +93,7 @@ func TestPackV2RoundTripProperty(t *testing.T) {
 		}
 		var got []Event
 		for _, p := range packs {
-			_, evs, err := DecodePack(p)
+			_, evs, err := decodePack(p)
 			if err != nil {
 				t.Logf("decode: %v", err)
 				return false
@@ -132,8 +132,8 @@ func TestPackV2BoundariesMatchV1(t *testing.T) {
 		}
 		if f1 {
 			p1, p2 := b1.Take(), b2.Take()
-			h1, _, err1 := DecodePack(p1)
-			h2, _, err2 := DecodePack(p2)
+			h1, _, err1 := decodePack(p1)
+			h2, _, err2 := decodePack(p2)
 			if err1 != nil || err2 != nil {
 				t.Fatal(err1, err2)
 			}
@@ -171,7 +171,7 @@ func TestPackV2NeverExceedsCapacity(t *testing.T) {
 			if len(p) > capBytes {
 				t.Fatalf("encoded pack of %d bytes exceeds capacity %d", len(p), capBytes)
 			}
-			if _, _, err := DecodePack(p); err != nil {
+			if _, _, err := decodePack(p); err != nil {
 				t.Fatal(err)
 			}
 		}

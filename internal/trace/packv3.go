@@ -127,16 +127,6 @@ func (ds Decoders) For(src int) *StreamDecoder {
 	return d
 }
 
-// ResetStream discards the accumulated dictionary, as if no pack had
-// been decoded yet.
-func (d *StreamDecoder) ResetStream() {
-	d.dict = d.dict[:0]
-	d.scratch = d.scratch[:0]
-	d.err = nil
-	d.i = 0
-	d.h = Header{}
-}
-
 // DictLen returns the accumulated stream dictionary size.
 func (d *StreamDecoder) DictLen() int { return len(d.dict) }
 

@@ -310,8 +310,8 @@ func TestPackReaderRejectsV3(t *testing.T) {
 		if _, err := DecodeEach(pack, func(*Event) { n++ }); err == nil || n != 0 || !strings.Contains(err.Error(), "StreamDecoder") {
 			t.Fatalf("DecodeEach(v3) = %v after %d events, want a StreamDecoder redirect error before the first", err, n)
 		}
-		if _, _, err := DecodePack(pack); err == nil {
-			t.Fatal("DecodePack accepted a v3 pack")
+		if _, _, err := decodePack(pack); err == nil {
+			t.Fatal("decodePack accepted a v3 pack")
 		}
 	}
 }

@@ -222,16 +222,9 @@ type Header struct {
 	bodyLen int
 }
 
-// WireLen returns the encoded byte size of the pack the header describes.
-func (h Header) WireLen() int {
-	if h.Version == PackV2 || h.Version == PackV3 {
-		return PackHeaderSize + h.bodyLen
-	}
-	return PackHeaderSize + h.Count*h.RecordSize
-}
-
 // LogicalLen returns the v1-equivalent byte size of the pack: what its
-// events would occupy as fixed records. For v1 packs this equals WireLen.
+// events would occupy as fixed records. For v1 packs this is the pack's
+// size on the wire.
 func (h Header) LogicalLen() int {
 	return PackHeaderSize + h.Count*h.RecordSize
 }
@@ -437,8 +430,9 @@ func DecodeEach(buf []byte, fn func(e *Event)) (Header, error) {
 	return h, err
 }
 
-// DecodePack is DecodeEach into a slice: the pack's header and events.
-func DecodePack(buf []byte) (Header, []Event, error) {
+// decodePack is DecodeEach into a slice: the pack's header and events. The
+// decoder differential holds the stream decoder to it.
+func decodePack(buf []byte) (Header, []Event, error) {
 	var events []Event
 	h, err := DecodeEach(buf, func(e *Event) { events = append(events, *e) })
 	if err != nil {

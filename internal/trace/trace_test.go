@@ -28,7 +28,7 @@ func TestPackRoundTrip(t *testing.T) {
 		b.Add(&ev)
 	}
 	buf := b.Take()
-	h, events, err := DecodePack(buf)
+	h, events, err := decodePack(buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +60,7 @@ func TestTakeResetsBuilder(t *testing.T) {
 	ev2 := sampleEvent(2)
 	b.Add(&ev2)
 	second := b.Take()
-	_, events, err := DecodePack(second)
+	_, events, err := decodePack(second)
 	if err != nil || len(events) != 1 || events[0].Rank != 2 {
 		t.Fatalf("second pack wrong: %v %v", events, err)
 	}
@@ -122,7 +122,7 @@ func TestDecodeEachMatchesDecodePack(t *testing.T) {
 		b.Add(&ev)
 	}
 	buf := b.Take()
-	_, want, err := DecodePack(buf)
+	_, want, err := decodePack(buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,7 +204,7 @@ func TestRoundTripProperty(t *testing.T) {
 			b.Add(&want[i])
 		}
 		buf := b.Take()
-		h, got, err := DecodePack(buf)
+		h, got, err := decodePack(buf)
 		if err != nil || h.Count != count || h.RecordSize != recordSize {
 			return false
 		}

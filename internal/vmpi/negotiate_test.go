@@ -3,21 +3,25 @@ package vmpi
 import (
 	"strings"
 	"testing"
+
+	"repro/internal/telemetry"
 )
 
 // formatExchange streams one block from a writer that declares pack format
 // writerFormat (0 = never calls SetPackFormat) to a reader whose acceptance
 // ceiling is lowered to ceiling (0 = the default). It returns the payloads
 // the reader was served, the error its Read ended on, and how many messages
-// the run moved.
+// the run moved once the writer started.
 func formatExchange(t *testing.T, writerFormat, ceiling int, payload string) (got []string, readErr error, messages int64) {
 	t.Helper()
 	accepts := ceiling
 	if accepts == 0 {
 		accepts = DefaultMaxPackFormat
 	}
-	l := runMPMD(t,
+	reg := telemetry.NewRegistry()
+	runMPMD(t,
 		progSpec{"w", 1, func(s *Session) {
+			s.Rank().World().AttachTelemetry(reg)
 			var m Map
 			if err := s.MapPartitions(1, MapRoundRobin, &m); err != nil {
 				t.Error(err)
@@ -71,7 +75,7 @@ func formatExchange(t *testing.T, writerFormat, ceiling int, payload string) (go
 			}
 		}},
 	)
-	return got, readErr, l.world.Net().Messages()
+	return got, readErr, reg.Counter("net.messages").Value()
 }
 
 // TestStreamFormatNegotiation covers the happy path: a writer announcing

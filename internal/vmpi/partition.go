@@ -163,6 +163,3 @@ func (s *Session) PartitionID() int { return s.part.ID }
 // LocalRank returns the process's rank inside its partition (its rank in
 // the virtualized world).
 func (s *Session) LocalRank() int { return s.local }
-
-// LocalSize returns the size of the virtualized world.
-func (s *Session) LocalSize() int { return s.part.Size() }

@@ -87,8 +87,8 @@ func TestVirtualizedWorldIsSandboxed(t *testing.T) {
 	main := func(who string) func(s *Session) {
 		return func(s *Session) {
 			wc := s.WorldComm()
-			if s.LocalSize() != 2 {
-				t.Errorf("%s: local size = %d", who, s.LocalSize())
+			if wc.Size() != 2 {
+				t.Errorf("%s: local size = %d", who, wc.Size())
 			}
 			switch s.LocalRank() {
 			case 0:
