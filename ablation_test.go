@@ -30,7 +30,7 @@ func ablationStream(b *testing.B, writers, readers int, blockSize int64, window 
 				return
 			}
 			st := vmpi.NewStream(sess, blockSize, policy)
-			st.SetWindow(window, window)
+			st.RequestWindow(window)
 			if err := st.OpenMap(&m, "w"); err != nil {
 				b.Error(err)
 				return
@@ -51,7 +51,6 @@ func ablationStream(b *testing.B, writers, readers int, blockSize int64, window 
 				return
 			}
 			st := vmpi.NewStream(sess, blockSize, policy)
-			st.SetWindow(window, window)
 			if err := st.OpenMap(&m, "r"); err != nil {
 				b.Error(err)
 				return

@@ -19,7 +19,6 @@ import (
 	"net"
 	"os"
 
-	"repro/internal/adapt"
 	"repro/internal/cliutil"
 	"repro/internal/serviced"
 )
@@ -55,7 +54,7 @@ func main() {
 		if err != nil {
 			fatalUsage(err)
 		}
-		opts.Adaptive = adapt.Config{BacklogHighBytes: b}
+		opts.BacklogHighBytes = b
 	}
 	if *verboseFlag {
 		opts.Logf = log.Printf

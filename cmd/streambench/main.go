@@ -39,7 +39,6 @@ import (
 	"runtime/pprof"
 	"time"
 
-	"repro/internal/adapt"
 	"repro/internal/cliutil"
 	"repro/internal/exp"
 	"repro/internal/exp/runner"
@@ -288,10 +287,10 @@ func runOverloadSweep(platform exp.Platform, apps, rate string, iters int) {
 		log.Fatal(err)
 	}
 	base := exp.ProfileOptions{
-		Workers:         2,
-		PackBytes:       8192,
-		TelemetryPeriod: 50 * time.Millisecond,
-		AdaptiveConfig:  adapt.Config{BacklogHighBytes: 64 << 10},
+		Workers:          2,
+		PackBytes:        8192,
+		TelemetryPeriod:  50 * time.Millisecond,
+		BacklogHighBytes: 64 << 10,
 	}
 	start := time.Now()
 	points, err := exp.OverloadSweep(platform, workloads, base, float64(slowRate))

@@ -15,70 +15,36 @@ type WindowSetter interface {
 	RequestWindow(na int)
 }
 
-// Config tunes the controller's thresholds. The zero value selects the
-// defaults noted on each field.
-type Config struct {
-	// StallDelta is the per-snapshot increase of stream.write_stalls that
-	// counts as overload (default 1: any new back-pressure stall).
-	StallDelta int64
-	// PanicStalls is the per-snapshot stall increase that jumps straight
-	// to the maximum level instead of stepping (default 32).
-	PanicStalls int64
-	// BacklogHighNs is the NIC backlog gauge level treated as overload on
-	// its own, stalls or not (default 50ms of virtual time). The level
-	// read is the backlog's peak since the previous snapshot.
-	BacklogHighNs int64
-	// BacklogHighBytes is the stream byte backlog — bytes_written minus
-	// bytes_read across every instrumented stream, i.e. the volume queued
-	// between the recorders and the analyzers — treated as overload
-	// (default 256 KiB). Relaxing requires the backlog to drain below
-	// half this level, so the controller holds its level while the
-	// analyzers chew through queued packs instead of oscillating.
-	BacklogHighBytes int64
-	// CalmSnapshots is how many consecutive calm snapshots must pass
-	// before the controller relaxes one level (default 2).
-	CalmSnapshots int
-	// BaseWindow is the credit window restored at level 0 (default 3, the
-	// paper's NA).
-	BaseWindow int
-	// MaxWindow is the credit window requested under overload (default 8).
-	MaxWindow int
-	// BaseFlushPacks is the tree partial-flush cadence at level 0
-	// (default 0: leave the tree's static cadence untouched at level 0).
-	BaseFlushPacks int32
-	// MaxLevel caps escalation (default 4, the full ladder).
-	MaxLevel int
-}
-
-func (c *Config) defaults() {
-	if c.StallDelta <= 0 {
-		c.StallDelta = 1
-	}
-	if c.PanicStalls <= 0 {
-		c.PanicStalls = 32
-	}
-	if c.BacklogHighNs <= 0 {
-		c.BacklogHighNs = int64(50 * time.Millisecond)
-	}
-	if c.BacklogHighBytes <= 0 {
-		c.BacklogHighBytes = 256 << 10
-	}
-	if c.CalmSnapshots <= 0 {
-		c.CalmSnapshots = 2
-	}
-	if c.BaseWindow <= 0 {
-		c.BaseWindow = 3
-	}
-	if c.MaxWindow <= 0 {
-		c.MaxWindow = 8
-	}
-	if c.MaxLevel <= 0 || c.MaxLevel > maxLevel {
-		c.MaxLevel = maxLevel
-	}
-}
-
-// maxLevel is the top of the escalation ladder.
-const maxLevel = 4
+// The control law's thresholds.
+const (
+	// stallDelta is the per-snapshot increase of stream.write_stalls that
+	// counts as overload: any new back-pressure stall.
+	stallDelta = 1
+	// panicStalls is the per-snapshot stall increase that jumps straight
+	// to the top of the ladder instead of stepping.
+	panicStalls = 32
+	// backlogHighNs is the NIC backlog, in virtual time, treated as
+	// overload on its own, stalls or not. The level read is the backlog's
+	// peak since the previous snapshot.
+	backlogHighNs = int64(50 * time.Millisecond)
+	// defaultBacklogHighBytes is the stream byte backlog — bytes_written
+	// minus bytes_read across every instrumented stream, i.e. the volume
+	// queued between the recorders and the analyzers — treated as
+	// overload when NewController is given none. Relaxing requires the
+	// backlog to drain below a quarter of the overload level, so the
+	// controller holds its level while the analyzers chew through queued
+	// packs instead of oscillating.
+	defaultBacklogHighBytes = 256 << 10
+	// calmSnapshots is how many consecutive calm snapshots must pass
+	// before the controller relaxes one level.
+	calmSnapshots = 2
+	// baseWindow is the credit window at level 0, the paper's NA.
+	baseWindow = 3
+	// maxWindow is the credit window requested under overload.
+	maxWindow = 8
+	// maxLevel is the top of the escalation ladder.
+	maxLevel = 4
+)
 
 // classPlan is one level's gate programming.
 type classPlan struct {
@@ -144,8 +110,8 @@ func SignalsOf(s *telemetry.Snapshot) Signals {
 // decisions land in atomics that the instrumented ranks' hot paths read
 // at their next safe point.
 type Controller struct {
-	cfg Config
-	tel *telemetry.ControllerMetrics
+	backlogHigh int64 // stream byte backlog treated as overload
+	tel         *telemetry.ControllerMetrics
 
 	mu      sync.Mutex
 	gates   []*Gate
@@ -164,13 +130,14 @@ type Controller struct {
 	maxSeen     atomic.Int32
 }
 
-// NewController builds a controller with the given thresholds. tel may be
-// nil.
-func NewController(cfg Config, tel *telemetry.ControllerMetrics) *Controller {
-	cfg.defaults()
-	c := &Controller{cfg: cfg, tel: tel}
+// NewController builds a controller that treats a stream byte backlog of
+// backlogHighBytes as overload (0 = 256 KiB). tel may be nil.
+func NewController(backlogHighBytes int64, tel *telemetry.ControllerMetrics) *Controller {
+	if backlogHighBytes <= 0 {
+		backlogHighBytes = defaultBacklogHighBytes
+	}
+	c := &Controller{backlogHigh: backlogHighBytes, tel: tel}
 	c.packVersion.Store(int32(trace.PackV1))
-	c.flushEvery.Store(cfg.BaseFlushPacks)
 	return c
 }
 
@@ -229,18 +196,18 @@ func (c *Controller) Observe(sig Signals) {
 		return
 	}
 	switch {
-	case dStalls >= c.cfg.PanicStalls || backlogBytes >= 2*c.cfg.BacklogHighBytes:
+	case dStalls >= panicStalls || backlogBytes >= 2*c.backlogHigh:
 		// A stall burst, or a queue already twice the overload line:
 		// stepping one level at a time would let the backlog compound for
 		// several more control periods. Jump to the top of the ladder.
 		c.calm = 0
-		c.decide(c.cfg.MaxLevel)
-	case dStalls >= c.cfg.StallDelta ||
-		backlogNs >= c.cfg.BacklogHighNs ||
-		backlogBytes >= c.cfg.BacklogHighBytes:
+		c.decide(maxLevel)
+	case dStalls >= stallDelta ||
+		backlogNs >= backlogHighNs ||
+		backlogBytes >= c.backlogHigh:
 		c.calm = 0
 		c.decide(c.level + 1)
-	case backlogBytes > c.cfg.BacklogHighBytes/4:
+	case backlogBytes > c.backlogHigh/4:
 		// Hysteresis band: no new pressure, but the queue has not drained
 		// deep either. Hold the level rather than relax into a fresh
 		// stall — relaxing is only safe once the analyzers have real
@@ -249,7 +216,7 @@ func (c *Controller) Observe(sig Signals) {
 		c.decide(c.level)
 	default:
 		c.calm++
-		if c.calm >= c.cfg.CalmSnapshots && c.level > 0 {
+		if c.calm >= calmSnapshots && c.level > 0 {
 			c.calm = 0
 			c.decide(c.level - 1)
 		} else {
@@ -264,8 +231,8 @@ func (c *Controller) decide(level int) {
 	if level < 0 {
 		level = 0
 	}
-	if level > c.cfg.MaxLevel {
-		level = c.cfg.MaxLevel
+	if level > maxLevel {
+		level = maxLevel
 	}
 	if level > c.level {
 		c.tel.OnEscalate()
@@ -301,29 +268,22 @@ func (c *Controller) decide(level int) {
 		// data for the analyzer.
 		if level >= 2 {
 			c.packVersion.Store(int32(trace.PackV3))
+			c.flushEvery.Store(32)
 		} else {
 			c.packVersion.Store(int32(trace.PackV2))
+			c.flushEvery.Store(16)
 		}
-		base := c.cfg.BaseFlushPacks
-		if base <= 0 {
-			base = 4
-		}
-		mult := int32(4)
-		if level >= 2 {
-			mult = 8
-		}
-		c.flushEvery.Store(base * mult)
 	} else {
 		c.packVersion.Store(int32(trace.PackV1))
-		c.flushEvery.Store(c.cfg.BaseFlushPacks)
+		c.flushEvery.Store(0)
 	}
 }
 
 func (c *Controller) windowFor(level int) int {
 	if level >= 1 {
-		return c.cfg.MaxWindow
+		return maxWindow
 	}
-	return c.cfg.BaseWindow
+	return baseWindow
 }
 
 // program applies a level plan to one gate.

@@ -31,28 +31,9 @@ func admitted(g *Gate, k trace.Kind, n int) int {
 	return kept
 }
 
-func TestConfigDefaults(t *testing.T) {
-	var cfg Config
-	cfg.defaults()
-	if cfg.StallDelta != 1 || cfg.PanicStalls != 32 || cfg.CalmSnapshots != 2 {
-		t.Fatalf("stall defaults %+v", cfg)
-	}
-	if cfg.BacklogHighNs != int64(50*time.Millisecond) || cfg.BacklogHighBytes != 256<<10 {
-		t.Fatalf("backlog defaults %+v", cfg)
-	}
-	if cfg.BaseWindow != 3 || cfg.MaxWindow != 8 || cfg.MaxLevel != maxLevel {
-		t.Fatalf("window/level defaults %+v", cfg)
-	}
-	over := Config{MaxLevel: 99}
-	over.defaults()
-	if over.MaxLevel != maxLevel {
-		t.Fatalf("MaxLevel not clamped: %d", over.MaxLevel)
-	}
-}
-
 func TestControllerEscalatesOnStalls(t *testing.T) {
 	reg := telemetry.NewRegistry()
-	c := NewController(Config{}, telemetry.NewControllerMetrics(reg))
+	c := NewController(0, telemetry.NewControllerMetrics(reg))
 	g := c.NewGate()
 	w := &fakeWindow{}
 	c.AddStream(w)
@@ -102,7 +83,7 @@ func TestControllerEscalatesOnStalls(t *testing.T) {
 }
 
 func TestControllerPanicJumpsToMax(t *testing.T) {
-	c := NewController(Config{}, nil)
+	c := NewController(0, nil)
 	c.Observe(snap(0, 0, 0, 0)) // seed
 	c.Observe(snap(32, 0, 0, 0))
 	if c.Level() != 4 {
@@ -111,8 +92,7 @@ func TestControllerPanicJumpsToMax(t *testing.T) {
 }
 
 func TestControllerBacklogSignals(t *testing.T) {
-	cfg := Config{BacklogHighBytes: 1000}
-	c := NewController(cfg, nil)
+	c := NewController(1000, nil)
 	c.Observe(snap(0, 0, 0, 0)) // seed
 
 	// Byte backlog at the overload line escalates one level.
@@ -148,12 +128,32 @@ func TestControllerBacklogSignals(t *testing.T) {
 	}
 }
 
+// TestControllerDefaultBacklogLine: a line of 0 (and below) means 256 KiB.
+func TestControllerDefaultBacklogLine(t *testing.T) {
+	for _, line := range []int64{0, -1} {
+		c := NewController(line, nil)
+		c.Observe(snap(0, 0, 0, 0)) // seed
+		c.Observe(snap(0, 256<<10-1, 0, 0))
+		if c.Level() != 0 {
+			t.Fatalf("line %d: backlog under 256 KiB escalated to %d", line, c.Level())
+		}
+		c.Observe(snap(0, 256<<10, 0, 0))
+		if c.Level() != 1 {
+			t.Fatalf("line %d: backlog of 256 KiB: level %d, want 1", line, c.Level())
+		}
+	}
+}
+
 func TestControllerNICBacklogEscalates(t *testing.T) {
-	c := NewController(Config{BacklogHighNs: int64(10 * time.Millisecond)}, nil)
+	c := NewController(0, nil)
 	c.Observe(snap(0, 0, 0, 0)) // seed
-	c.Observe(snap(0, 0, 0, int64(20*time.Millisecond)))
+	c.Observe(snap(0, 0, 0, backlogHighNs-1))
+	if c.Level() != 0 {
+		t.Fatalf("NIC backlog under the line: level %d, want 0", c.Level())
+	}
+	c.Observe(snap(0, 0, 0, backlogHighNs))
 	if c.Level() != 1 {
-		t.Fatalf("NIC backlog: level %d, want 1", c.Level())
+		t.Fatalf("NIC backlog at the line: level %d, want 1", c.Level())
 	}
 }
 
@@ -162,7 +162,7 @@ func TestControllerNICBacklogEscalates(t *testing.T) {
 // snapshots must still relax the controller back to level 0.
 func TestControllerNICSpikeRelaxes(t *testing.T) {
 	spike := int64(60 * time.Millisecond)
-	c := NewController(Config{}, nil)
+	c := NewController(0, nil)
 	c.Observe(Signals{}) // seed
 	c.Observe(Signals{BacklogNs: spike, BacklogMaxNs: spike})
 	level := c.Level()
@@ -185,34 +185,29 @@ func TestControllerNICSpikeRelaxes(t *testing.T) {
 }
 
 func TestControllerFlushCadence(t *testing.T) {
-	c := NewController(Config{BaseFlushPacks: 2}, nil)
-	if c.FlushEvery() != 2 {
-		t.Fatalf("base cadence %d, want 2", c.FlushEvery())
+	c := NewController(0, nil)
+	if c.FlushEvery() != 0 {
+		t.Fatalf("L0 cadence %d, want 0 (the tree's static cadence)", c.FlushEvery())
 	}
 	c.Observe(snap(0, 0, 0, 0)) // seed
-	c.Observe(snap(1, 0, 0, 0)) // L1: base x4
-	if c.FlushEvery() != 8 {
-		t.Fatalf("L1 cadence %d, want 8", c.FlushEvery())
-	}
-	c.Observe(snap(2, 0, 0, 0)) // L2: base x8
+	c.Observe(snap(1, 0, 0, 0))
 	if c.FlushEvery() != 16 {
-		t.Fatalf("L2 cadence %d, want 16", c.FlushEvery())
+		t.Fatalf("L1 cadence %d, want 16", c.FlushEvery())
 	}
-}
-
-func TestControllerMaxLevelCap(t *testing.T) {
-	c := NewController(Config{MaxLevel: 2}, nil)
-	c.Observe(snap(0, 0, 0, 0))
-	c.Observe(snap(64, 0, 0, 0)) // panic — but capped
-	if c.Level() != 2 {
-		t.Fatalf("capped controller at level %d, want 2", c.Level())
+	c.Observe(snap(2, 0, 0, 0))
+	if c.FlushEvery() != 32 {
+		t.Fatalf("L2 cadence %d, want 32", c.FlushEvery())
+	}
+	c.Observe(snap(3, 0, 0, 0))
+	if c.FlushEvery() != 32 {
+		t.Fatalf("L3 cadence %d, want 32", c.FlushEvery())
 	}
 }
 
 func TestControllerGatesProgrammedLate(t *testing.T) {
 	// A gate created after escalation starts under the current plan, and
 	// TotalShed aggregates across every gate.
-	c := NewController(Config{}, nil)
+	c := NewController(0, nil)
 	c.Observe(snap(0, 0, 0, 0))
 	c.Observe(snap(32, 0, 0, 0)) // L4
 	g := c.NewGate()
@@ -237,7 +232,7 @@ func TestControllerThroughBlackboard(t *testing.T) {
 	reg := telemetry.NewRegistry()
 	stalls := reg.Counter("stream.write_stalls")
 
-	c := NewController(Config{}, telemetry.NewControllerMetrics(reg))
+	c := NewController(0, telemetry.NewControllerMetrics(reg))
 	health, err := analysis.NewEngineHealthKS(bb, func(s *telemetry.Snapshot) { c.Observe(SignalsOf(s)) })
 	if err != nil {
 		t.Fatal(err)

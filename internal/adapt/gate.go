@@ -69,22 +69,6 @@ func (g *Gate) SetInterval(k trace.Kind, n int32) {
 	g.interval[k].Store(n)
 }
 
-// Shed returns how many events of the class have been shed.
-func (g *Gate) Shed(k trace.Kind) int64 {
-	if g == nil || k <= trace.KindInvalid || int(k) >= trace.KindCount {
-		return 0
-	}
-	return g.shed[k].Load()
-}
-
-// Kept returns how many events of the class have been admitted.
-func (g *Gate) Kept(k trace.Kind) int64 {
-	if g == nil || k <= trace.KindInvalid || int(k) >= trace.KindCount {
-		return 0
-	}
-	return g.kept[k].Load()
-}
-
 // TotalShed returns the gate's total shed count across classes.
 func (g *Gate) TotalShed() int64 {
 	if g == nil {
@@ -93,18 +77,6 @@ func (g *Gate) TotalShed() int64 {
 	var n int64
 	for k := range g.shed {
 		n += g.shed[k].Load()
-	}
-	return n
-}
-
-// TotalKept returns the gate's total admitted count across classes.
-func (g *Gate) TotalKept() int64 {
-	if g == nil {
-		return 0
-	}
-	var n int64
-	for k := range g.kept {
-		n += g.kept[k].Load()
 	}
 	return n
 }

@@ -235,9 +235,6 @@ func (p *Pipeline) foldStreamPack(dec *trace.StreamDecoder, buf []byte, fn func(
 	return n, nil
 }
 
-// Level returns the pipeline's level name.
-func (p *Pipeline) Level() string { return p.level }
-
 // PostPack places an encoded pack on the pipeline's level.
 func (p *Pipeline) PostPack(buf []byte) {
 	p.bb.Post(blackboard.TypeID(p.level, TypePack), int64(len(buf)), buf)

@@ -94,28 +94,6 @@ func (m *CompletenessModule) Stat(k trace.Kind) ShedStat {
 	return ShedStat{}
 }
 
-// TotalShed returns the ledger's total shed count.
-func (m *CompletenessModule) TotalShed() int64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	var n int64
-	for _, st := range m.per {
-		n += st.Shed
-	}
-	return n
-}
-
-// TotalKept returns the ledger's total admitted count.
-func (m *CompletenessModule) TotalKept() int64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	var n int64
-	for _, st := range m.per {
-		n += st.Kept
-	}
-	return n
-}
-
 // Bound returns the class's loss bound shed/(shed+analyzed): the fraction
 // of the class's events missing from a chapter that analyzed `analyzed`
 // of them. It is conservative — analyzed never exceeds the gate's kept

@@ -7,7 +7,7 @@ import (
 )
 
 // TestCompletenessLedger pins the shed-ledger accounting: per-class
-// accumulation, totals, the conservative loss bound and the merge used at
+// accumulation, the conservative loss bound and the merge used at
 // every tree tier.
 func TestCompletenessLedger(t *testing.T) {
 	m := NewCompletenessModule()
@@ -37,8 +37,8 @@ func TestCompletenessLedger(t *testing.T) {
 	if st := m.Stat(trace.KindBarrier); st != (ShedStat{}) {
 		t.Fatalf("absent class stat = %+v", st)
 	}
-	if m.TotalShed() != 5 || m.TotalKept() != 195 {
-		t.Fatalf("totals = %d shed / %d kept", m.TotalShed(), m.TotalKept())
+	if st := m.Stat(trace.KindRecv); st.Shed != 0 || st.Kept != 50 {
+		t.Fatalf("recv stat = %+v", st)
 	}
 	if m.Empty() {
 		t.Fatal("ledger with shed events reports empty")
@@ -63,8 +63,8 @@ func TestCompletenessLedger(t *testing.T) {
 	if st := m.Stat(trace.KindBarrier); st.Shed != 7 || st.Kept != 1 {
 		t.Fatalf("merged barrier stat = %+v", st)
 	}
-	if m.TotalShed() != 12 {
-		t.Fatalf("merged total shed = %d", m.TotalShed())
+	if shed := m.Stat(trace.KindSend).Shed + m.Stat(trace.KindBarrier).Shed; shed != 12 {
+		t.Fatalf("merged total shed = %d", shed)
 	}
 
 	// A kept-only ledger bounds nothing.
@@ -113,7 +113,7 @@ func TestPartialShedRoundTrip(t *testing.T) {
 	if err := other.Merge(dec); err != nil {
 		t.Fatal(err)
 	}
-	if other.Shed == nil || other.Shed.TotalShed() != 9 {
+	if other.Shed == nil || other.Shed.Stat(trace.KindSend).Shed != 9 {
 		t.Fatal("merge dropped the shed ledger")
 	}
 	dec2, err := DecodePartial(other.AppendCanonical(nil))

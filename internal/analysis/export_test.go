@@ -32,7 +32,7 @@ func readExported(buf []byte, fn func(*trace.Event)) error {
 			return fmt.Errorf("analysis: corrupt export at offset %d: %w", off, err)
 		}
 		if h.Version == trace.PackV1 {
-			off += h.LogicalLen()
+			off += trace.PackHeaderSize + h.Count*h.RecordSize
 		} else {
 			off += trace.PackHeaderSize + int(binary.LittleEndian.Uint32(buf[off+20:]))
 		}

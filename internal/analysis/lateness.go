@@ -90,9 +90,6 @@ func (tr *WindowTracker) SetNow(now int64) {
 	}
 }
 
-// Now returns the analyzer's virtual clock.
-func (tr *WindowTracker) Now() int64 { return tr.now.Load() }
-
 // OnEvent observes one folded event. Safe for concurrent callers.
 func (tr *WindowTracker) OnEvent(ev *trace.Event) {
 	t := ev.TStart

@@ -459,9 +459,6 @@ func (m *DensityModule) mergeReset(o *DensityModule) {
 	}
 }
 
-// Size returns the application's rank count.
-func (m *DensityModule) Size() int { return m.size }
-
 // Kinds returns the call kinds observed, ascending.
 func (m *DensityModule) Kinds() []trace.Kind {
 	m.mu.Lock()

@@ -23,8 +23,8 @@ func TestDispatcherPartialPath(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if p.Level() != "app7" {
-		t.Fatalf("level = %q", p.Level())
+	if p.level != "app7" {
+		t.Fatalf("level = %q", p.level)
 	}
 	if _, err := p.EnableWaitState(); err != nil {
 		t.Fatal(err)
@@ -187,7 +187,7 @@ func TestMetricLabels(t *testing.T) {
 			t.Fatalf("Metric(%d).String() = %q, want %q", m, m.String(), want)
 		}
 	}
-	if NewDensityModule(8).Size() != 8 {
+	if NewDensityModule(8).size != 8 {
 		t.Fatal("density size accessor")
 	}
 }

@@ -92,17 +92,6 @@ func (m *SizesModule) Histogram() []SizeBucket {
 	return out
 }
 
-// Totals returns the histogram's message and byte totals.
-func (m *SizesModule) Totals() (hits, bytes int64) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	for b := 0; b < SizeBuckets; b++ {
-		hits += m.hits[b]
-		bytes += m.bytes[b]
-	}
-	return hits, bytes
-}
-
 // MedianBucket returns the bucket containing the median message (by
 // count), or a zero bucket when empty.
 func (m *SizesModule) MedianBucket() SizeBucket {

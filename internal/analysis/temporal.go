@@ -140,32 +140,6 @@ func (m *TemporalModule) Buckets() int {
 	return m.buckets
 }
 
-// Kinds returns the call kinds observed, ascending.
-func (m *TemporalModule) Kinds() []trace.Kind {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return kindsWhere(func(k int) bool { return m.perKind[k] != nil })
-}
-
-// Series returns the per-bucket values of one kind under one metric,
-// padded to the module's full bucket count.
-func (m *TemporalModule) Series(k trace.Kind, metric Metric) []float64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	out := make([]float64, m.buckets)
-	for b, st := range m.perKind[k] {
-		switch metric {
-		case MetricHits:
-			out[b] = float64(st.Hits)
-		case MetricBytes:
-			out[b] = float64(st.Bytes)
-		case MetricTime:
-			out[b] = float64(st.TimeNs)
-		}
-	}
-	return out
-}
-
 // CommunicationTimeSeries sums time spent in any MPI communication
 // (point-to-point, waits, collectives) per bucket — the report's headline
 // temporal map.

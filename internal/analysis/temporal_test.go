@@ -9,6 +9,25 @@ import (
 	"repro/internal/trace"
 )
 
+// Series returns the per-bucket values of one kind under one metric,
+// padded to the module's full bucket count.
+func (m *TemporalModule) Series(k trace.Kind, metric Metric) []float64 {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	out := make([]float64, m.buckets)
+	for b, st := range m.perKind[k] {
+		switch metric {
+		case MetricHits:
+			out[b] = float64(st.Hits)
+		case MetricBytes:
+			out[b] = float64(st.Bytes)
+		case MetricTime:
+			out[b] = float64(st.TimeNs)
+		}
+	}
+	return out
+}
+
 func TestTemporalBucketsByStartTime(t *testing.T) {
 	m := NewTemporalModule(100)
 	evs := []trace.Event{

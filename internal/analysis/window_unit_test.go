@@ -135,12 +135,12 @@ func TestWindowTrackerEdges(t *testing.T) {
 	tr := NewWindowTracker(1000, 0, -50, tm)
 
 	tr.SetNow(100)
-	if tr.Now() != 100 {
-		t.Fatalf("Now = %d", tr.Now())
+	if tr.now.Load() != 100 {
+		t.Fatalf("Now = %d", tr.now.Load())
 	}
 	tr.SetNow(50) // monotonic: ignored
-	if tr.Now() != 100 {
-		t.Fatalf("Now after stale SetNow = %d", tr.Now())
+	if tr.now.Load() != 100 {
+		t.Fatalf("Now after stale SetNow = %d", tr.now.Load())
 	}
 
 	// Negative timestamps clamp to zero (window 0, lag vs clock 100).

@@ -36,7 +36,6 @@ type Client struct {
 	// until a grant arrives — the compliant behaviour the daemon's
 	// admission governor paces by shrinking the window.
 	avail  int
-	window int
 	closed bool
 	shut   bool // Shutdown ran: a buffered SendPack would not notice
 }
@@ -83,15 +82,6 @@ func Dial(addr string, maxFormat int) (*Client, error) {
 	return New(conn, maxFormat)
 }
 
-// Format returns the negotiated pack wire format.
-func (c *Client) Format() int { return c.format }
-
-// Session returns the registered session id (0 before Register).
-func (c *Client) Session() uint64 { return c.session }
-
-// Window returns the daemon's current credit window.
-func (c *Client) Window() int { return c.window }
-
 func (c *Client) send(typ byte, payload []byte) error {
 	if err := wire.WriteFrame(c.bw, typ, payload); err != nil {
 		return err
@@ -117,7 +107,6 @@ func (c *Client) recv(want byte) (wire.Frame, error) {
 				return wire.Frame{}, err
 			}
 			c.avail += int(cr.Credits)
-			c.window = int(cr.Window)
 		case wire.TypeError:
 			return wire.Frame{}, fmt.Errorf("client: daemon: %s", f.Payload)
 		default:
@@ -148,7 +137,6 @@ func (c *Client) Register(meta wire.SessionMeta) (uint64, error) {
 	}
 	c.session = ack.Session
 	c.meta = meta
-	c.window = int(ack.Window)
 	c.avail = int(ack.Window)
 	return ack.Session, nil
 }
@@ -170,7 +158,6 @@ func (c *Client) waitCredit() error {
 			return err
 		}
 		c.avail += int(cr.Credits)
-		c.window = int(cr.Window)
 	}
 	return nil
 }

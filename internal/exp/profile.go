@@ -113,8 +113,9 @@ type ProfileOptions struct {
 	// snapshots. Disabled (the default), the run is byte-identical to a
 	// non-adaptive one.
 	Adaptive bool
-	// AdaptiveConfig tunes the controller (zero value = adapt defaults).
-	AdaptiveConfig adapt.Config
+	// BacklogHighBytes is the stream byte backlog the controller treats as
+	// overload (0 = 256 KiB).
+	BacklogHighBytes int64
 	// AnalyzerByteRate overrides the modeled analyzer processing rate in
 	// bytes/second (0 = the calibration constant). The overload
 	// experiments throttle the analysis partition with it.
@@ -364,7 +365,7 @@ func ProfileRunStats(p Platform, workloads []*nas.Workload, opts ProfileOptions)
 	var ctl *adapt.Controller
 	var observe func(*telemetry.Snapshot)
 	if opts.Adaptive {
-		ctl = adapt.NewController(opts.AdaptiveConfig, telemetry.NewControllerMetrics(reg))
+		ctl = adapt.NewController(opts.BacklogHighBytes, telemetry.NewControllerMetrics(reg))
 		observe = func(s *telemetry.Snapshot) { ctl.Observe(adapt.SignalsOf(s)) }
 	}
 	if opts.Telemetry {

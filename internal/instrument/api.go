@@ -45,8 +45,6 @@ type Recorder interface {
 	Finalize()
 	// BytesProduced reports the cumulative measurement data generated.
 	BytesProduced() int64
-	// Name identifies the recorder in reports.
-	Name() string
 }
 
 // MPI is the interposed MPI interface handed to workloads. All methods are
@@ -75,9 +73,6 @@ func New(r *mpi.Rank, c *mpi.Comm) *MPI {
 // SetRecorder attaches (or clears, with nil) the measurement recorder.
 func (m *MPI) SetRecorder(rec Recorder) { m.rec = rec }
 
-// Recorder returns the attached recorder, if any.
-func (m *MPI) Recorder() Recorder { return m.rec }
-
 // SetContext sets the call-site context id stamped on subsequent events.
 func (m *MPI) SetContext(ctx uint32) { m.ctx = ctx }
 
@@ -87,14 +82,8 @@ func (m *MPI) Rank() int { return int(m.me) }
 // Size returns the wrapped communicator's size.
 func (m *MPI) Size() int { return m.comm.Size() }
 
-// Comm exposes the wrapped communicator.
-func (m *MPI) Comm() *mpi.Comm { return m.comm }
-
 // MPIRank exposes the underlying runtime rank.
 func (m *MPI) MPIRank() *mpi.Rank { return m.rank }
-
-// Wtime returns the virtual time in seconds.
-func (m *MPI) Wtime() float64 { return m.rank.Wtime() }
 
 // Compute advances virtual time (application computation; never
 // instrumented).
@@ -146,37 +135,6 @@ func (m *MPI) Recv(src, tag int) (int, int64) {
 	st, _ := m.rank.Recv(m.comm, src, tag)
 	m.emit(trace.KindRecv, int32(st.Source), int32(st.Tag), st.Size, t0, m.now())
 	return st.Source, st.Size
-}
-
-// Isend starts a non-blocking send.
-func (m *MPI) Isend(dst, tag int, size int64) *mpi.Request {
-	t0 := m.now()
-	req := m.rank.Isend(m.comm, dst, tag, size, nil)
-	m.emit(trace.KindIsend, int32(dst), int32(tag), size, t0, m.now())
-	return req
-}
-
-// Irecv posts a non-blocking receive.
-func (m *MPI) Irecv(src, tag int) *mpi.Request {
-	t0 := m.now()
-	req := m.rank.Irecv(m.comm, src, tag)
-	m.emit(trace.KindIrecv, int32(src), int32(tag), 0, t0, m.now())
-	return req
-}
-
-// Wait blocks until req completes.
-func (m *MPI) Wait(req *mpi.Request) {
-	t0 := m.now()
-	m.rank.Wait(req)
-	size := req.Status.Size
-	m.emit(trace.KindWait, int32(req.Status.Source), -1, size, t0, m.now())
-}
-
-// Waitall blocks until every request completes.
-func (m *MPI) Waitall(reqs []*mpi.Request) {
-	t0 := m.now()
-	m.rank.Waitall(reqs)
-	m.emit(trace.KindWaitall, -1, -1, int64(len(reqs)), t0, m.now())
 }
 
 // Exchange performs a symmetric neighbour exchange with peer: count
@@ -233,27 +191,6 @@ func (m *MPI) exchange(peers []int, tag int, sizes []int64, count int, waitPeer 
 	m.emit(trace.KindWaitall, waitPeer, int32(tag), total, t0, m.now())
 }
 
-// Barrier synchronizes the communicator.
-func (m *MPI) Barrier() {
-	t0 := m.now()
-	m.rank.Barrier(m.comm)
-	m.emit(trace.KindBarrier, -1, -1, 0, t0, m.now())
-}
-
-// Bcast broadcasts size bytes from root.
-func (m *MPI) Bcast(root int, size int64) {
-	t0 := m.now()
-	m.rank.Bcast(m.comm, root, size)
-	m.emit(trace.KindBcast, int32(root), -1, size, t0, m.now())
-}
-
-// Reduce reduces size bytes to root.
-func (m *MPI) Reduce(root int, size int64) {
-	t0 := m.now()
-	m.rank.Reduce(m.comm, root, size)
-	m.emit(trace.KindReduce, int32(root), -1, size, t0, m.now())
-}
-
 // Allreduce reduces size bytes to every rank.
 func (m *MPI) Allreduce(size int64) {
 	t0 := m.now()
@@ -261,49 +198,11 @@ func (m *MPI) Allreduce(size int64) {
 	m.emit(trace.KindAllreduce, -1, -1, size, t0, m.now())
 }
 
-// Gather gathers size bytes per rank to root.
-func (m *MPI) Gather(root int, size int64) {
-	t0 := m.now()
-	m.rank.Gather(m.comm, root, size)
-	m.emit(trace.KindGather, int32(root), -1, size, t0, m.now())
-}
-
-// Allgather gathers size bytes per rank to every rank.
-func (m *MPI) Allgather(size int64) {
-	t0 := m.now()
-	m.rank.Allgather(m.comm, size)
-	m.emit(trace.KindAllgather, -1, -1, size, t0, m.now())
-}
-
 // Alltoall exchanges perPair bytes between every rank pair.
 func (m *MPI) Alltoall(perPair int64) {
 	t0 := m.now()
 	m.rank.Alltoall(m.comm, perPair)
 	m.emit(trace.KindAlltoall, -1, -1, perPair*int64(m.comm.Size()-1), t0, m.now())
-}
-
-// Ssend is a blocking synchronous-mode send: it completes only once the
-// receiver matched the message.
-func (m *MPI) Ssend(dst, tag int, size int64) {
-	t0 := m.now()
-	m.rank.Ssend(m.comm, dst, tag, size, nil)
-	m.emit(trace.KindSend, int32(dst), int32(tag), size, t0, m.now())
-}
-
-// Probe blocks until a matching message is available and returns its
-// source and size without receiving it.
-func (m *MPI) Probe(src, tag int) (int, int64) {
-	t0 := m.now()
-	st := m.rank.Probe(m.comm, src, tag)
-	m.emit(trace.KindProbe, int32(st.Source), int32(st.Tag), st.Size, t0, m.now())
-	return st.Source, st.Size
-}
-
-// ReduceScatter reduces-and-scatters size bytes per rank.
-func (m *MPI) ReduceScatter(size int64) {
-	t0 := m.now()
-	m.rank.ReduceScatter(m.comm, size)
-	m.emit(trace.KindReduce, -1, -1, size, t0, m.now())
 }
 
 // Split partitions the wrapped communicator like MPI_Comm_split and

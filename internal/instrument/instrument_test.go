@@ -41,7 +41,7 @@ func TestWrapperPassThroughWithoutRecorder(t *testing.T) {
 				t.Errorf("recv got src=%d sz=%d", src, sz)
 			}
 		}
-		m.Barrier()
+		m.Allreduce(8)
 	})
 }
 
@@ -73,7 +73,6 @@ type captureRecorder struct {
 	events []trace.Event
 }
 
-func (c *captureRecorder) Name() string           { return "capture" }
 func (c *captureRecorder) Record(ev *trace.Event) { c.events = append(c.events, *ev) }
 func (c *captureRecorder) Finalize()              {}
 func (c *captureRecorder) BytesProduced() int64   { return 0 }
@@ -116,16 +115,14 @@ func TestWaitRecordsBlockingTime(t *testing.T) {
 	run2(t, func(m *MPI) {
 		if m.Rank() == 0 {
 			m.Compute(20 * time.Millisecond)
-			m.Send(1, 0, 8)
 		} else {
 			m.SetRecorder(&cap1)
-			req := m.Irecv(0, 0)
-			m.Wait(req)
 		}
+		m.Exchange(1-m.Rank(), 0, 8, 1)
 	})
 	var waitEv *trace.Event
 	for i := range cap1.events {
-		if cap1.events[i].Kind == trace.KindWait {
+		if cap1.events[i].Kind == trace.KindWaitall {
 			waitEv = &cap1.events[i]
 		}
 	}
@@ -191,7 +188,7 @@ func TestProfileRecorderChargesCost(t *testing.T) {
 				m.PosixWrite(10, 0)
 			}
 			m.Finalize()
-			finish[0] = m.Wtime()
+			finish[0] = m.MPIRank().Now().Seconds()
 			if rec.Profile()[trace.KindPosixWrite].Hits != events {
 				t.Errorf("profile hits = %d", rec.Profile()[trace.KindPosixWrite].Hits)
 			}
@@ -428,7 +425,7 @@ func TestScalascaCostsMoreThanProfile(t *testing.T) {
 				m.PosixWrite(1, 0)
 			}
 			m.Finalize()
-			finish = m.Wtime()
+			finish = m.MPIRank().Now().Seconds()
 		}})
 		comm = w.NewComm(w.ProgramRanks(0))
 		if err := w.Run(); err != nil {

@@ -39,17 +39,6 @@ func (c *costMeter) charge() {
 	}
 }
 
-func (c *costMeter) chargeN(n int) {
-	if c.per <= 0 || n <= 0 {
-		return
-	}
-	c.pending += time.Duration(n) * c.per
-	if c.pending >= c.grain {
-		c.rank.Compute(c.pending)
-		c.pending = 0
-	}
-}
-
 func (c *costMeter) settle() {
 	if c.pending > 0 {
 		c.rank.Compute(c.pending)
@@ -216,9 +205,6 @@ func NewOnlineRecorder(sess *vmpi.Session, stream *vmpi.Stream, cfg OnlineConfig
 	return o, nil
 }
 
-// PackVersion returns the recorder's pack wire format.
-func (o *OnlineRecorder) PackVersion() int { return o.version }
-
 // AttachOnline maps the session's partition to the named analyzer
 // partition (round-robin), opens a write stream over the map and returns a
 // recorder on it — the whole coupling sequence of the paper's Figure 11.
@@ -292,9 +278,6 @@ func failoverPeers(primaries, analyzers []int, extra int) []int {
 	}
 	return peers
 }
-
-// Name implements Recorder.
-func (o *OnlineRecorder) Name() string { return "online-coupling" }
 
 // BytesProduced implements Recorder.
 func (o *OnlineRecorder) BytesProduced() int64 { return o.produced }
@@ -595,9 +578,6 @@ func NewTraceRecorder(r *mpi.Rank, fs *simfs.FS, set *SIONSet, cfg TraceConfig) 
 	return &TraceRecorder{rank: r, fs: fs, set: set, cfg: cfg, cost: newCostMeter(r, cfg.PerEventCost), fd: -1}
 }
 
-// Name implements Recorder.
-func (t *TraceRecorder) Name() string { return "scorep-trace-sionlib" }
-
 // BytesProduced implements Recorder.
 func (t *TraceRecorder) BytesProduced() int64 { return t.produced }
 
@@ -683,9 +663,6 @@ func NewProfileRecorder(r *mpi.Rank, fs *simfs.FS, name string, cfg ProfileConfi
 	}
 }
 
-// Name implements Recorder.
-func (p *ProfileRecorder) Name() string { return p.name }
-
 // BytesProduced implements Recorder.
 func (p *ProfileRecorder) BytesProduced() int64 { return p.produced }
 
@@ -726,9 +703,6 @@ type NullRecorder struct {
 	// EventsSeen counts Record calls.
 	EventsSeen int64
 }
-
-// Name implements Recorder.
-func (n *NullRecorder) Name() string { return "null" }
 
 // Record implements Recorder.
 func (n *NullRecorder) Record(*trace.Event) { n.EventsSeen++ }

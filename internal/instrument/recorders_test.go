@@ -37,7 +37,9 @@ func TestCostMeterBatchesAndSettles(t *testing.T) {
 		if r.Now().Duration() != 10*time.Microsecond {
 			t.Errorf("after grain: %v", r.Now().Duration())
 		}
-		cm.chargeN(7)
+		for i := 0; i < 7; i++ {
+			cm.charge()
+		}
 		cm.settle()
 		finish = r.Now().Duration()
 	}})
@@ -57,7 +59,6 @@ func TestCostMeterZeroCostFree(t *testing.T) {
 		for i := 0; i < 100; i++ {
 			cm.charge()
 		}
-		cm.chargeN(50)
 		cm.settle()
 		if r.Now() != 0 {
 			t.Errorf("zero-cost meter advanced time: %v", r.Now())
@@ -291,8 +292,8 @@ func TestDefaultConfigsSane(t *testing.T) {
 func TestScalascaRecorderNamed(t *testing.T) {
 	w := mpi.NewWorld(mpi.DefaultConfig(), mpi.Program{Name: "a", Procs: 1, Main: func(r *mpi.Rank) {
 		rec := NewScalascaRecorder(r, nil)
-		if rec.Name() != "scalasca" {
-			t.Errorf("name = %s", rec.Name())
+		if rec.name != "scalasca" {
+			t.Errorf("name = %s", rec.name)
 		}
 		rec.Record(&trace.Event{Kind: trace.KindSend, Size: 10})
 		rec.Finalize()
@@ -334,36 +335,6 @@ func TestSubAndSplitShareRecorder(t *testing.T) {
 		if rec.EventsSeen != 1 {
 			t.Fatalf("rank %d recorded %d events through sub-comm", i, rec.EventsSeen)
 		}
-	}
-}
-
-func TestSsendAndProbeWrappers(t *testing.T) {
-	var comm *mpi.Comm
-	var cap0 captureRecorder
-	w := mpi.NewWorld(mpi.DefaultConfig(), mpi.Program{Name: "a", Procs: 2, Main: func(r *mpi.Rank) {
-		m := New(r, comm)
-		if m.Rank() == 0 {
-			m.SetRecorder(&cap0)
-			m.Ssend(1, 3, 256)
-			m.ReduceScatter(64)
-		} else {
-			src, size := m.Probe(0, 3)
-			if src != 0 || size != 256 {
-				t.Errorf("probe = %d/%d", src, size)
-			}
-			m.Recv(0, 3)
-			m.ReduceScatter(64)
-		}
-	}})
-	comm = w.NewComm(w.ProgramRanks(0))
-	if err := w.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if got := cap0.byKind(trace.KindSend); got != 1 {
-		t.Fatalf("ssend events = %d", got)
-	}
-	if got := cap0.byKind(trace.KindReduce); got != 1 {
-		t.Fatalf("reduce-scatter events = %d", got)
 	}
 }
 

@@ -15,26 +15,14 @@ type CollKind int
 // Collective kinds.
 const (
 	CollBarrier CollKind = iota
-	CollBcast
-	CollReduce
 	CollAllreduce
-	CollGather
-	CollAllgather
 	CollAlltoall
-	CollReduceScatter
-	CollScan
 )
 
 var collNames = [...]string{
-	CollBarrier:       "MPI_Barrier",
-	CollBcast:         "MPI_Bcast",
-	CollReduce:        "MPI_Reduce",
-	CollAllreduce:     "MPI_Allreduce",
-	CollGather:        "MPI_Gather",
-	CollAllgather:     "MPI_Allgather",
-	CollAlltoall:      "MPI_Alltoall",
-	CollReduceScatter: "MPI_Reduce_scatter",
-	CollScan:          "MPI_Scan",
+	CollBarrier:   "MPI_Barrier",
+	CollAllreduce: "MPI_Allreduce",
+	CollAlltoall:  "MPI_Alltoall",
 }
 
 // String returns the MPI name of the collective.
@@ -75,24 +63,13 @@ func collCost(kind CollKind, p int, bytes int64, cfg Config) time.Duration {
 	switch kind {
 	case CollBarrier:
 		sec = 2 * logp * alpha
-	case CollBcast:
-		sec = logp * (alpha + m*beta)
-	case CollReduce:
-		sec = logp * (alpha + m*beta)
 	case CollAllreduce:
 		// reduce-scatter + allgather (Rabenseifner) costs ~2(p-1)/p * m
 		// bandwidth terms plus 2 log p latency terms.
 		sec = 2*logp*alpha + 2*(float64(p-1)/float64(p))*m*beta
-	case CollGather, CollAllgather:
-		sec = logp*alpha + float64(p-1)*m*beta
 	case CollAlltoall:
 		// m is the per-pair message size; every rank sends (p-1)m.
 		sec = float64(p-1) * (alpha + m*beta)
-	case CollReduceScatter:
-		// Ring reduce-scatter: (p-1)/p of the buffer moved once.
-		sec = logp*alpha + (float64(p-1)/float64(p))*m*beta
-	case CollScan:
-		sec = logp * (alpha + m*beta)
 	default:
 		panic("mpi: unknown collective kind")
 	}
@@ -147,24 +124,8 @@ func (r *Rank) collective(c *Comm, kind CollKind, bytes int64) {
 // AtCall per waiter, no closure each.
 func unparkProc(a any) { a.(*des.Proc).Unpark() }
 
-// Barrier blocks until every member of c has entered it.
-func (r *Rank) Barrier(c *Comm) { r.collective(c, CollBarrier, 0) }
-
-// Bcast models a broadcast of size bytes from root (root identity affects
-// only event recording; the cost model is symmetric).
-func (r *Rank) Bcast(c *Comm, root int, size int64) { r.collective(c, CollBcast, size) }
-
-// Reduce models a reduction of size bytes to root.
-func (r *Rank) Reduce(c *Comm, root int, size int64) { r.collective(c, CollReduce, size) }
-
 // Allreduce models an allreduce of size bytes.
 func (r *Rank) Allreduce(c *Comm, size int64) { r.collective(c, CollAllreduce, size) }
-
-// Gather models a gather of size bytes per rank to root.
-func (r *Rank) Gather(c *Comm, root int, size int64) { r.collective(c, CollGather, size) }
-
-// Allgather models an allgather of size bytes per rank.
-func (r *Rank) Allgather(c *Comm, size int64) { r.collective(c, CollAllgather, size) }
 
 // Alltoall models an all-to-all personalized exchange of perPair bytes
 // between every rank pair.

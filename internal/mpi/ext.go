@@ -6,33 +6,6 @@ import (
 	"repro/internal/des"
 )
 
-// Ssend performs a synchronous-mode send: it returns only once the
-// receiver has matched the message (posted a matching receive). Unlike the
-// eager standard-mode Send, Ssend exposes late receivers to the sender —
-// useful for workloads (and wait-state analyses) where send-side blocking
-// matters.
-func (r *Rank) Ssend(c *Comm, dst, tag int, size int64, payload []byte) {
-	r.overhead()
-	r.inject("Ssend", c, dst, tag, size, payload, r.proc)
-	// Park until the receiver matches the message.
-	r.proc.ParkFor(r.blockedOnP2P("ssend", "dst", dst, tag, c))
-}
-
-// Probe blocks until a message matching (src, tag) is available on c and
-// returns its status without receiving it.
-func (r *Rank) Probe(c *Comm, src, tag int) Status {
-	r.overhead()
-	for {
-		seq := r.ArrivalSeq()
-		if ok, st := r.Iprobe(c, src, tag); ok {
-			return st
-		}
-		for r.arrivalSeq <= seq {
-			r.arrival.WaitFor(r.proc, r.blockedOnP2P("probe", "src", src, tag, c))
-		}
-	}
-}
-
 // splitState coordinates one Comm.Split instance.
 type splitState struct {
 	arrived int
@@ -118,6 +91,3 @@ func (st *splitState) commFor(global int) *Comm {
 	}
 	return nil
 }
-
-// ReduceScatter models a reduce-scatter of size bytes per rank.
-func (r *Rank) ReduceScatter(c *Comm, size int64) { r.collective(c, CollReduceScatter, size) }

@@ -42,10 +42,10 @@ func (e *RankFailedError) Error() string {
 
 // FailRank schedules a fail-stop crash of the given global rank at virtual
 // time at. Call it after NewWorld and before Run. At the fault time the
-// rank's process is killed, its mailbox is discarded (releasing stranded
-// synchronous senders), messages still in flight to it are dropped on
-// delivery, and every surviving rank's arrival generation is bumped so
-// blocked multiplexed waits re-evaluate peer health.
+// rank's process is killed, its mailbox is discarded, messages still in
+// flight to it are dropped on delivery, and every surviving rank's arrival
+// generation is bumped so blocked multiplexed waits re-evaluate peer
+// health.
 func (w *World) FailRank(at des.Time, global int) {
 	if global < 0 || global >= len(w.ranks) {
 		panic(fmt.Sprintf("mpi: FailRank of invalid rank %d", global))
@@ -59,14 +59,6 @@ func (w *World) failRankNow(global int) {
 	}
 	w.failed[global] = true
 	r := w.ranks[global]
-	// Synchronous senders parked on unmatched messages in the victim's
-	// mailbox would otherwise be stranded forever.
-	for _, msg := range r.mailbox {
-		if msg.syncer != nil {
-			msg.syncer.Unpark()
-			msg.syncer = nil
-		}
-	}
 	r.mailbox = nil
 	if r.proc != nil {
 		r.proc.Kill()

@@ -37,26 +37,6 @@ func TestSendCheckedToFailedRank(t *testing.T) {
 	}
 }
 
-func TestSsendReleasedByPeerCrash(t *testing.T) {
-	// A synchronous sender whose peer dies before matching must be
-	// released, not stranded.
-	done := false
-	w := twoRankWorld(
-		func(r *Rank) {
-			r.Ssend(r.World().Universe(), 1, 7, 64, nil)
-			done = true
-		},
-		func(r *Rank) { r.Compute(time.Hour) }, // never posts the receive
-	)
-	w.FailRank(des.DurationToTime(time.Millisecond), 1)
-	if err := w.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if !done {
-		t.Fatal("synchronous sender stranded by peer crash")
-	}
-}
-
 func TestLegacyRecvFromFailedPeerPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {

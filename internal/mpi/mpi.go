@@ -164,9 +164,6 @@ func (w *World) Sim() *des.Simulator { return w.sim }
 // to derive deterministic per-rank noise).
 func (w *World) Seed() int64 { return w.cfg.Seed }
 
-// Net exposes the interconnect model.
-func (w *World) Net() *simnet.Net { return w.net }
-
 // AttachTelemetry wires the world's interconnect model into a telemetry
 // registry: message/byte rates and NIC queue depth flow into the registry's
 // net.* instruments. A nil registry detaches (and is free).
@@ -183,12 +180,6 @@ func (w *World) Universe() *Comm { return w.universe }
 
 // Programs returns the program table.
 func (w *World) Programs() []Program { return w.programs }
-
-// Size returns the total number of ranks.
-func (w *World) Size() int { return len(w.ranks) }
-
-// Rank returns the rank with the given global id.
-func (w *World) Rank(global int) *Rank { return w.ranks[global] }
 
 // ProgramRanks returns the global ranks belonging to program pi, in local
 // rank order.
@@ -284,9 +275,6 @@ type message struct {
 	comm     uint32
 	size     int64
 	payload  []byte
-	// syncer, when non-nil, is the synchronous-mode sender parked until
-	// this message is matched (Ssend semantics).
-	syncer *des.Proc
 	// dst is the receiving rank, carried so the shared delivery callback
 	// (deliverMessage) needs no per-message closure.
 	dst *Rank
@@ -307,8 +295,7 @@ func (w *World) newMessage() *message {
 }
 
 // recycleMessage clears a consumed message and returns it to the free
-// list. Callers must have copied out every field they need and released
-// any parked syncer first.
+// list. Callers must have copied out every field they need first.
 func (w *World) recycleMessage(m *message) {
 	*m = message{next: w.msgFree}
 	w.msgFree = m
@@ -320,12 +307,7 @@ func deliverMessage(a any) {
 	msg := a.(*message)
 	t := msg.dst
 	if t.world.failed[t.global] {
-		// Delivered into the void: the peer crashed in flight. Release a
-		// parked synchronous sender rather than strand it.
-		if msg.syncer != nil {
-			msg.syncer.Unpark()
-			msg.syncer = nil
-		}
+		// Delivered into the void: the peer crashed in flight.
 		t.world.recycleMessage(msg)
 		return
 	}
@@ -419,15 +401,8 @@ func (r *Rank) ProgramRank() int { return r.local }
 // World returns the owning world.
 func (r *Rank) World() *World { return r.world }
 
-// Proc returns the underlying des process (available once Run has started
-// the rank).
-func (r *Rank) Proc() *des.Proc { return r.proc }
-
 // Now returns the rank's current virtual time.
 func (r *Rank) Now() des.Time { return r.proc.Now() }
-
-// Wtime returns the virtual time in seconds, like MPI_Wtime.
-func (r *Rank) Wtime() float64 { return r.proc.Now().Seconds() }
 
 // Compute advances the rank's virtual time by d, modeling local
 // computation.
@@ -449,51 +424,31 @@ func (r *Rank) Send(c *Comm, dst, tag int, size int64, payload []byte) {
 	r.waitOne(&req)
 }
 
-// Isend starts a non-blocking send and returns its request.
-func (r *Rank) Isend(c *Comm, dst, tag int, size int64, payload []byte) *Request {
-	req := new(Request)
-	r.IsendInto(req, c, dst, tag, size, payload)
-	return req
-}
-
-// IsendInto is Isend into caller-owned storage: it injects the message and
+// IsendInto starts a non-blocking send into caller-owned storage: it puts a
+// message for rank dst of c on the network, schedules its delivery and
 // fills req without allocating it (Send keeps it on the stack, a stencil
 // exchange in a slab it reuses). req must not be in flight.
 func (r *Rank) IsendInto(req *Request, c *Comm, dst, tag int, size int64, payload []byte) {
-	*req = Request{rank: r, isSend: true, doneAt: r.inject("Isend", c, dst, tag, size, payload, nil)}
-}
-
-// inject puts a message for rank dst of c on the network, schedules its
-// delivery and returns the time the sender's NIC is done with it. syncer,
-// when non-nil, is the sender, about to park until the message is matched
-// (Ssend; deliverMessage releases it if the peer crashed in flight).
-func (r *Rank) inject(op string, c *Comm, dst, tag int, size int64, payload []byte, syncer *des.Proc) des.Time {
 	if dst < 0 || dst >= c.Size() {
-		panic(fmt.Sprintf("mpi: %s to invalid rank %d of comm size %d", op, dst, c.Size()))
+		panic(fmt.Sprintf("mpi: Isend to invalid rank %d of comm size %d", dst, c.Size()))
 	}
 	w := r.world
 	srcLocal := c.LocalOf(r.global)
 	if srcLocal < 0 {
-		panic("mpi: " + op + " on a communicator the sender is not a member of")
+		panic("mpi: Isend on a communicator the sender is not a member of")
 	}
 	dstGlobal := c.Global(dst)
 	injected, delivered := w.net.Transfer(r.Now(), r.global, dstGlobal, size+w.cfg.Envelope)
 	msg := w.newMessage()
 	msg.srcLocal, msg.tag, msg.comm, msg.size = srcLocal, tag, c.id, size
-	msg.payload, msg.syncer, msg.dst = payload, syncer, w.ranks[dstGlobal]
+	msg.payload, msg.dst = payload, w.ranks[dstGlobal]
 	w.sim.AtCall(delivered, deliverMessage, msg)
-	return injected
+	*req = Request{rank: r, isSend: true, doneAt: injected}
 }
 
-// Irecv posts a non-blocking receive matching (src, tag) on communicator c.
-// Use AnySource / AnyTag as wildcards.
-func (r *Rank) Irecv(c *Comm, src, tag int) *Request {
-	req := new(Request)
-	r.IrecvInto(req, c, src, tag)
-	return req
-}
-
-// IrecvInto is Irecv into caller-owned storage (see IsendInto).
+// IrecvInto posts a non-blocking receive matching (src, tag) on
+// communicator c into caller-owned storage (see IsendInto). Use AnySource /
+// AnyTag as wildcards.
 func (r *Rank) IrecvInto(req *Request, c *Comm, src, tag int) {
 	if c.LocalOf(r.global) < 0 {
 		panic("mpi: Irecv on a communicator the receiver is not a member of")
@@ -537,10 +492,6 @@ func (r *Rank) tryMatch(req *Request) bool {
 			req.matched = msg
 			req.Status = Status{Source: msg.srcLocal, Tag: msg.tag, Size: msg.size}
 			req.Payload = msg.payload
-			if msg.syncer != nil {
-				msg.syncer.Unpark() // release the synchronous sender
-				msg.syncer = nil
-			}
 			r.world.recycleMessage(msg)
 			return true
 		}
@@ -576,12 +527,6 @@ func (r *Rank) waitOne(req *Request) {
 		}
 	}
 	req.waited = true
-}
-
-// Wait blocks until the request completes.
-func (r *Rank) Wait(req *Request) {
-	r.overhead()
-	r.waitOne(req)
 }
 
 // Waitall blocks until every request completes.

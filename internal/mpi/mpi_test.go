@@ -30,6 +30,19 @@ func worldComm(r *Rank) *Comm {
 	return commCache(w, fmt.Sprintf("prog%d", r.prog), w.ProgramRanks(r.prog))
 }
 
+// isend and irecv post a non-blocking request into fresh storage.
+func isend(r *Rank, c *Comm, dst, tag int, size int64) *Request {
+	req := new(Request)
+	r.IsendInto(req, c, dst, tag, size, nil)
+	return req
+}
+
+func irecv(r *Rank, c *Comm, src, tag int) *Request {
+	req := new(Request)
+	r.IrecvInto(req, c, src, tag)
+	return req
+}
+
 func TestSendRecvPayload(t *testing.T) {
 	var got []byte
 	var status Status
@@ -57,11 +70,11 @@ func TestRecvBlocksUntilArrival(t *testing.T) {
 		switch r.Global() {
 		case 0:
 			r.Compute(10 * time.Millisecond)
-			sendAt = r.Wtime()
+			sendAt = r.Now().Seconds()
 			r.Send(c, 1, 0, 100, nil)
 		case 1:
 			r.Recv(c, 0, 0)
-			recvDone = r.Wtime()
+			recvDone = r.Now().Seconds()
 		}
 	})
 	if recvDone < sendAt {
@@ -137,15 +150,15 @@ func TestIsendIrecvWaitall(t *testing.T) {
 		switch r.Global() {
 		case 0:
 			reqs := []*Request{
-				r.Isend(c, 1, 0, 100, nil),
-				r.Isend(c, 1, 1, 200, nil),
-				r.Irecv(c, 1, 9),
+				isend(r, c, 1, 0, 100),
+				isend(r, c, 1, 1, 200),
+				irecv(r, c, 1, 9),
 			}
 			r.Waitall(reqs)
 			ok = reqs[2].Status.Size == 300
 		case 1:
-			a := r.Irecv(c, 0, 0)
-			b := r.Irecv(c, 0, 1)
+			a := irecv(r, c, 0, 0)
+			b := irecv(r, c, 0, 1)
 			r.Send(c, 0, 9, 300, nil)
 			r.Waitall([]*Request{a, b})
 		}
@@ -164,9 +177,9 @@ func TestDoubleWaitPanics(t *testing.T) {
 	w := NewWorld(DefaultConfig(), Program{Name: "a", Procs: 2, Main: func(r *Rank) {
 		c := r.World().Universe()
 		if r.Global() == 0 {
-			req := r.Isend(c, 1, 0, 1, nil)
-			r.Wait(req)
-			r.Wait(req)
+			req := isend(r, c, 1, 0, 1)
+			r.Waitall([]*Request{req})
+			r.Waitall([]*Request{req})
 		} else {
 			r.Recv(c, 0, 0)
 		}
@@ -199,9 +212,8 @@ func TestIprobe(t *testing.T) {
 // sendRecv is MPI_Sendrecv made of the nonblocking pair: it sends size
 // bytes to dst and returns the status of the message received from src.
 func sendRecv(r *Rank, c *Comm, dst, src int, size int64) Status {
-	rq := r.Irecv(c, src, 0)
-	r.Wait(r.Isend(c, dst, 0, size, nil))
-	r.Wait(rq)
+	rq := irecv(r, c, src, 0)
+	r.Waitall([]*Request{isend(r, c, dst, 0, size), rq})
 	return rq.Status
 }
 
@@ -223,22 +235,6 @@ func TestSendRecvCombined(t *testing.T) {
 	}
 }
 
-func TestBarrierSynchronizes(t *testing.T) {
-	var after [4]float64
-	runSPMD(t, 4, func(r *Rank) {
-		c := worldComm(r)
-		r.Compute(time.Duration(r.Global()) * 10 * time.Millisecond)
-		r.Barrier(c)
-		after[r.Global()] = r.Wtime()
-	})
-	// Everyone leaves the barrier no earlier than the slowest arrival (30ms).
-	for i, v := range after {
-		if v < 0.030 {
-			t.Fatalf("rank %d left barrier at %v, before slowest arrival", i, v)
-		}
-	}
-}
-
 func TestCollectiveWaitTimeObservable(t *testing.T) {
 	var waits [2]float64
 	runSPMD(t, 2, func(r *Rank) {
@@ -246,12 +242,12 @@ func TestCollectiveWaitTimeObservable(t *testing.T) {
 		if r.Global() == 1 {
 			r.Compute(50 * time.Millisecond)
 		}
-		t0 := r.Wtime()
-		r.Barrier(c)
-		waits[r.Global()] = r.Wtime() - t0
+		t0 := r.Now().Seconds()
+		r.Allreduce(c, 0)
+		waits[r.Global()] = r.Now().Seconds() - t0
 	})
 	if waits[0] < 0.049 {
-		t.Fatalf("early rank should wait ~50ms in the barrier, waited %v s", waits[0])
+		t.Fatalf("early rank should wait ~50ms in the collective, waited %v s", waits[0])
 	}
 	if waits[1] > 0.01 {
 		t.Fatalf("late rank should barely wait, waited %v s", waits[1])
@@ -268,7 +264,7 @@ func TestCollectiveSequencingIndependentPerComm(t *testing.T) {
 		} else {
 			mine = commCache(world, "hi", []int{2, 3})
 		}
-		r.Barrier(mine)
+		r.Allreduce(mine, 0)
 		r.Allreduce(mine, 8)
 	}})
 	if err := w.Run(); err != nil {
@@ -305,8 +301,8 @@ func TestCollectiveCostGrowsWithRanksAndBytes(t *testing.T) {
 	if c3 <= c1 {
 		t.Fatalf("cost should grow with bytes: %v vs %v", c1, c3)
 	}
-	if collCost(CollAlltoall, 64, 4096, cfg) <= collCost(CollBcast, 64, 4096, cfg) {
-		t.Fatal("alltoall should dominate bcast at equal sizes")
+	if collCost(CollAlltoall, 64, 4096, cfg) <= collCost(CollAllreduce, 64, 4096, cfg) {
+		t.Fatal("alltoall should dominate allreduce at equal sizes")
 	}
 }
 
@@ -318,8 +314,8 @@ func TestMPMDProgramsAndFinishTimes(t *testing.T) {
 	if err := w.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if w.Size() != 5 {
-		t.Fatalf("size = %d", w.Size())
+	if len(w.ranks) != 5 {
+		t.Fatalf("size = %d", len(w.ranks))
 	}
 	if got := w.ProgramRanks(1); len(got) != 2 || got[0] != 3 || got[1] != 4 {
 		t.Fatalf("analyzer ranks = %v", got)
@@ -361,7 +357,7 @@ func TestDeadlockReported(t *testing.T) {
 // park reason: the operands are stored at park time and formatted only
 // here, when the deadlock report prints the stuck ranks.
 func TestDeadlockReasonText(t *testing.T) {
-	w := NewWorld(DefaultConfig(), Program{Name: "a", Procs: 6, Main: func(r *Rank) {
+	w := NewWorld(DefaultConfig(), Program{Name: "a", Procs: 4, Main: func(r *Rank) {
 		c := r.World().Universe()
 		switch r.Global() {
 		case 0:
@@ -369,12 +365,8 @@ func TestDeadlockReasonText(t *testing.T) {
 		case 1:
 			r.Recv(c, AnySource, AnyTag)
 		case 2:
-			r.Ssend(c, 0, 9, 64, nil) // rank 0 never posts a matching receive
-		case 3:
-			r.Probe(c, 4, 5)
-		case 4:
 			r.Allreduce(c, 8) // nobody else joins
-		case 5:
+		case 3:
 			r.Split(c, 0, 0)
 		}
 	}})
@@ -385,10 +377,8 @@ func TestDeadlockReasonText(t *testing.T) {
 	want := []string{
 		"a[0]: recv(src=3 tag=7 comm=0)",
 		"a[1]: recv(src=-1 tag=-1 comm=0)",
-		"a[2]: ssend(dst=0 tag=9 comm=0)",
-		"a[3]: probe(src=4 tag=5 comm=0)",
-		"a[4]: MPI_Allreduce(comm=0 seq=0)",
-		"a[5]: MPI_Comm_split(comm=0 seq=0)",
+		"a[2]: MPI_Allreduce(comm=0 seq=0)",
+		"a[3]: MPI_Comm_split(comm=0 seq=0)",
 	}
 	if !reflect.DeepEqual(de.Blocked, want) {
 		t.Fatalf("blocked = %q\nwant      %q", de.Blocked, want)
@@ -402,12 +392,12 @@ func TestDeterministicTimestamps(t *testing.T) {
 			c := r.World().Universe()
 			me := r.Global()
 			for iter := 0; iter < 10; iter++ {
-				st := r.Isend(c, (me+1)%8, 0, 4096, nil)
+				st := isend(r, c, (me+1)%8, 0, 4096)
 				r.Recv(c, (me+7)%8, 0)
-				r.Wait(st)
+				r.Waitall([]*Request{st})
 			}
 			if me == 0 {
-				finish = r.Wtime()
+				finish = r.Now().Seconds()
 			}
 		}})
 		if err := w.Run(); err != nil {
@@ -462,7 +452,7 @@ func TestManyToOneThroughputSerializesOnReceiver(t *testing.T) {
 			for i := 0; i < senders; i++ {
 				r.Recv(c, AnySource, 0)
 			}
-			done = r.Wtime()
+			done = r.Now().Seconds()
 		} else {
 			r.Send(c, 0, 0, 1<<20, nil)
 		}
@@ -536,15 +526,15 @@ func ExampleWorld_mpmd() {
 func TestWorldAccessors(t *testing.T) {
 	cfg := DefaultConfig()
 	w := NewWorld(cfg, Program{Name: "a", Procs: 2, Main: func(r *Rank) {
-		if r.ProgramRank() != r.Global() || r.Proc() == nil {
+		if r.ProgramRank() != r.Global() || r.proc == nil {
 			t.Error("rank accessors wrong")
 		}
 		r.Compute(time.Millisecond)
 	}})
-	if w.Sim() == nil || w.Net() == nil || w.FS() != nil || w.Seed() != cfg.Seed {
+	if w.Sim() == nil || w.FS() != nil || w.Seed() != cfg.Seed {
 		t.Fatal("world accessors wrong")
 	}
-	if len(w.Programs()) != 1 || w.Rank(1).Global() != 1 {
+	if len(w.Programs()) != 1 || w.ranks[1].Global() != 1 {
 		t.Fatal("program table wrong")
 	}
 	if err := w.Run(); err != nil {
@@ -558,18 +548,13 @@ func TestWorldAccessors(t *testing.T) {
 func TestAllCollectivesComplete(t *testing.T) {
 	runSPMD(t, 4, func(r *Rank) {
 		c := commCache(r.World(), "coll-all", r.World().ProgramRanks(0))
-		r.Bcast(c, 0, 4096)
-		r.Reduce(c, 0, 4096)
-		r.Gather(c, 0, 512)
-		r.Allgather(c, 512)
+		r.Allreduce(c, 4096)
 		r.Alltoall(c, 256)
-		r.ReduceScatter(c, 4096)
-		r.Scan(c, 64)
 	})
 }
 
 func TestCollKindNames(t *testing.T) {
-	for k := CollBarrier; k <= CollScan; k++ {
+	for k := CollBarrier; k <= CollAlltoall; k++ {
 		if name := k.String(); name == "" || name[0] != 'M' {
 			t.Fatalf("name of %d = %q", int(k), name)
 		}

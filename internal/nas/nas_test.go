@@ -42,7 +42,6 @@ type moduleRecorder struct {
 	dens *analysis.DensityModule
 }
 
-func (mr *moduleRecorder) Name() string { return "modules" }
 func (mr *moduleRecorder) Record(ev *trace.Event) {
 	mr.prof.Add(ev)
 	mr.topo.Add(ev)

@@ -62,9 +62,6 @@ func (w *Writer) Add(ev *trace.Event) {
 	w.events = append(w.events, *ev)
 }
 
-// Count returns the number of buffered events.
-func (w *Writer) Count() int { return len(w.events) }
-
 func putUvarint(b *bufio.Writer, v uint64) {
 	var tmp [binary.MaxVarintLen64]byte
 	n := binary.PutUvarint(tmp[:], v)

@@ -92,8 +92,8 @@ func TestWriterReusableAfterFinish(t *testing.T) {
 	if err := w.Finish(&a); err != nil {
 		t.Fatal(err)
 	}
-	if w.Count() != 0 {
-		t.Fatalf("count after finish = %d", w.Count())
+	if len(w.events) != 0 {
+		t.Fatalf("count after finish = %d", len(w.events))
 	}
 	ev2 := trace.Event{Kind: trace.KindRecv, Rank: 1, TStart: 9, TEnd: 12}
 	w.Add(&ev2)

@@ -47,11 +47,11 @@ const (
 	DefaultGovernEvery = 4
 )
 
-func newGovernor(cfg adapt.Config, base int, budget int64) *governor {
+func newGovernor(backlogHighBytes int64, base int, budget int64) *governor {
 	if base <= 0 {
 		base = DefaultWindow
 	}
-	g := &governor{ctl: adapt.NewController(cfg, nil), base: base, budget: budget}
+	g := &governor{ctl: adapt.NewController(backlogHighBytes, nil), base: base, budget: budget}
 	// The controller's first observation only seeds its counter baselines;
 	// deliver it now so the first in-band observation acts on real deltas.
 	g.observe()

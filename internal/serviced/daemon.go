@@ -30,7 +30,6 @@ import (
 	"sort"
 	"sync"
 
-	"repro/internal/adapt"
 	"repro/internal/report"
 	"repro/internal/trace"
 	"repro/internal/wire"
@@ -54,9 +53,10 @@ type Options struct {
 	// class-level shedding with an audited completeness bound at the top.
 	// 0 disables the quota (sessions never escalate or shed).
 	SessionBudgetBytes int64
-	// Adaptive tunes each session's controller (zero value = adapt
-	// defaults; tests shrink the thresholds for fast escalation).
-	Adaptive adapt.Config
+	// BacklogHighBytes is the quota overage each session's controller
+	// treats as overload (0 = 256 KiB; tests shrink it for fast
+	// escalation).
+	BacklogHighBytes int64
 	// Workers is the per-session ingest worker-pool size. With Workers > 1
 	// each session fans its data packs out to that many lanes folding into
 	// lock-free per-app replicas, merged into the session delta at every
@@ -398,7 +398,7 @@ func (c *conn) run() error {
 			if !ok {
 				return c.fail("daemon at capacity (%d live sessions)", c.d.opts.MaxSessions)
 			}
-			gov := newGovernor(c.d.opts.Adaptive, c.d.opts.Window, c.d.opts.SessionBudgetBytes)
+			gov := newGovernor(c.d.opts.BacklogHighBytes, c.d.opts.Window, c.d.opts.SessionBudgetBytes)
 			c.sess, err = newSession(id, format, meta, gov, c.d.opts.Workers)
 			if err != nil {
 				c.d.endSession(&session{}, nil)

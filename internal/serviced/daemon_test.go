@@ -9,7 +9,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/adapt"
 	"repro/internal/client"
 	"repro/internal/exp"
 	"repro/internal/nas"
@@ -544,7 +543,7 @@ func TestHotTenantIsolation(t *testing.T) {
 
 	_, addr := startTCP(t, Options{
 		SessionBudgetBytes: budget,
-		Adaptive:           adapt.Config{BacklogHighBytes: budget / 8},
+		BacklogHighBytes:   budget / 8,
 	})
 
 	type result struct {

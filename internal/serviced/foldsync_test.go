@@ -3,7 +3,6 @@ package serviced
 import (
 	"testing"
 
-	"repro/internal/adapt"
 	"repro/internal/trace"
 	"repro/internal/wire"
 )
@@ -15,7 +14,7 @@ import (
 func TestSyncFoldZeroAllocs(t *testing.T) {
 	meta := wire.SessionMeta{Title: "t", Callsites: true, Sizes: true, TemporalWindowNs: 1000,
 		Apps: []wire.AppMeta{{AppID: 3, Name: "app", Procs: 4}}}
-	s, err := newSession(1, trace.PackV3, meta, newGovernor(adapt.Config{}, 0, 0), 1)
+	s, err := newSession(1, trace.PackV3, meta, newGovernor(0, 0, 0), 1)
 	if err != nil {
 		t.Fatal(err)
 	}

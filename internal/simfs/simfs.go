@@ -90,16 +90,6 @@ func (f *FS) Create(now des.Time, name string) (fd int, done des.Time) {
 	return fd, f.metaOp(now)
 }
 
-// Open reopens an existing file (metadata cost only).
-func (f *FS) Open(now des.Time, fd int) (des.Time, error) {
-	fl, ok := f.files[fd]
-	if !ok {
-		return now, fmt.Errorf("simfs: open of unknown fd %d", fd)
-	}
-	fl.open = true
-	return f.metaOp(now), nil
-}
-
 // Close closes a file (metadata cost only).
 func (f *FS) Close(now des.Time, fd int) (des.Time, error) {
 	fl, ok := f.files[fd]
@@ -133,14 +123,5 @@ func (f *FS) Write(now des.Time, fd int, size int64) (des.Time, error) {
 		return now, fmt.Errorf("simfs: write to closed or unknown fd %d", fd)
 	}
 	fl.size += size
-	return f.dataXfer(now, fl, size), nil
-}
-
-// Read reads size bytes from fd and returns the completion time.
-func (f *FS) Read(now des.Time, fd int, size int64) (des.Time, error) {
-	fl, ok := f.files[fd]
-	if !ok || !fl.open {
-		return now, fmt.Errorf("simfs: read from closed or unknown fd %d", fd)
-	}
 	return f.dataXfer(now, fl, size), nil
 }

@@ -100,29 +100,12 @@ func TestProrate(t *testing.T) {
 	}
 }
 
-func TestReopen(t *testing.T) {
-	fs := New(testConfig())
-	fd, done := fs.Create(0, "f")
-	done, _ = fs.Close(done, fd)
-	done, err := fs.Open(done, fd)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := fs.Write(done, fd, 100); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := fs.Open(done, 42); err == nil {
-		t.Fatal("expected error opening unknown fd")
-	}
-}
-
 func TestTotals(t *testing.T) {
 	fs := New(testConfig())
 	fdA, tA := fs.Create(0, "a")
 	fdB, _ := fs.Create(0, "b")
 	fs.Write(tA, fdA, 100)
 	fs.Write(tA, fdB, 200)
-	fs.Read(tA, fdA, 50)
 	if a, b := fs.files[fdA].size, fs.files[fdB].size; a != 100 || b != 200 || len(fs.files) != 2 {
 		t.Fatalf("sizes = %d, %d of %d files", a, b, len(fs.files))
 	}

@@ -42,10 +42,6 @@ type Config struct {
 	// second. Zero means unlimited. For a fat tree this should scale with
 	// the allocation size; internal/exp computes it per experiment.
 	BisectionBandwidth float64
-	// SmallMessage is the eager threshold used only for cost accounting:
-	// messages at or below it pay latency but negligible bandwidth cost
-	// beyond their size.
-	SmallMessage int64
 	// LocalCopyBandwidth is the memcpy bandwidth for self-sends and
 	// intra-node transfers, in bytes per second. Zero disables the cost
 	// (instant local delivery).
@@ -62,7 +58,6 @@ func DefaultConfig() Config {
 		EndpointBandwidth:  3.2e9,
 		CoresPerNode:       1,
 		BisectionBandwidth: 0, // fat tree: full bisection unless configured
-		SmallMessage:       4096,
 		LocalCopyBandwidth: 8e9,
 	}
 }
@@ -109,9 +104,6 @@ func New(n int, cfg Config) *Net {
 
 // NodeOf returns the node an endpoint is placed on.
 func (n *Net) NodeOf(ep int) int { return ep / n.cfg.CoresPerNode }
-
-// Config returns the network configuration.
-func (n *Net) Config() Config { return n.cfg }
 
 func (n *Net) serial(size int64, bw float64) time.Duration {
 	if bw <= 0 || size <= 0 {

@@ -48,7 +48,7 @@ func BenchmarkTBONVsStreams(b *testing.B) {
 				func(wave int) []byte { return payload(r.Global(), wave) },
 				filter, nil)
 			if node.IsRoot() {
-				secs = r.Wtime()
+				secs = r.Now().Seconds()
 			}
 		}})
 		comm = w.NewComm(w.ProgramRanks(0))

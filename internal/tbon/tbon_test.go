@@ -164,7 +164,7 @@ func TestReduceDepthLatency(t *testing.T) {
 			}
 			node.Reduce(encodeInt(1), sumFilter)
 			if node.IsRoot() {
-				secs = r.Wtime()
+				secs = r.Now().Seconds()
 			}
 		}})
 		comm = w.NewComm(w.ProgramRanks(0))

@@ -23,7 +23,6 @@ func TestDisabledTelemetryZeroAllocs(t *testing.T) {
 	allocs := testing.AllocsPerRun(1000, func() {
 		c.Add(1)
 		g.Set(1)
-		g.Add(1)
 		h.Observe(1)
 		lat.Observe(1)
 		stream.OnWrite(64)

@@ -37,7 +37,6 @@ type Sampler struct {
 	next   des.Time
 	seq    uint64
 	source int32
-	err    error
 }
 
 // NewSampler builds a sampler that snapshots reg every period of virtual
@@ -66,9 +65,8 @@ func (s *Sampler) SetBufferFunc(f func(n int) []byte) {
 }
 
 // Poll emits a snapshot if at least one period of virtual time has passed
-// since the last one. It returns the first persistent write error, which
-// callers may ignore: a dead telemetry stream must never fail the run it
-// observes.
+// since the last one. It returns the write error, which callers may
+// ignore: a dead telemetry stream must never fail the run it observes.
 func (s *Sampler) Poll(now des.Time) error {
 	if s == nil || now < s.next {
 		return nil
@@ -88,27 +86,5 @@ func (s *Sampler) Flush(now des.Time) error {
 	}
 	buf = s.reg.EncodeSnapshot(buf, s.seq, int64(now), s.source)
 	s.seq++
-	if err := s.w.Write(buf, int64(len(buf))); err != nil {
-		if s.err == nil {
-			s.err = err
-		}
-		return err
-	}
-	return nil
-}
-
-// Samples reports how many snapshots have been emitted.
-func (s *Sampler) Samples() uint64 {
-	if s == nil {
-		return 0
-	}
-	return s.seq
-}
-
-// Err returns the first write error the sampler has seen.
-func (s *Sampler) Err() error {
-	if s == nil {
-		return nil
-	}
-	return s.err
+	return s.w.Write(buf, int64(len(buf)))
 }

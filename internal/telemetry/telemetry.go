@@ -71,14 +71,6 @@ func (c *Counter) Value() int64 {
 	return c.v.Load()
 }
 
-// Name returns the counter's registered name ("" on nil).
-func (c *Counter) Name() string {
-	if c == nil {
-		return ""
-	}
-	return c.name
-}
-
 // Gauge is a last-value instrument that also tracks its high-water mark,
 // so a snapshot taken at a quiet instant still reveals the peak between
 // samples (e.g. stream credits in flight).
@@ -100,44 +92,6 @@ func (g *Gauge) Set(v int64) {
 			return
 		}
 	}
-}
-
-// Add adjusts the current value by d and raises the high-water mark.
-func (g *Gauge) Add(d int64) {
-	if g == nil {
-		return
-	}
-	v := g.v.Add(d)
-	for {
-		m := g.max.Load()
-		if v <= m || g.max.CompareAndSwap(m, v) {
-			return
-		}
-	}
-}
-
-// Value returns the last recorded value.
-func (g *Gauge) Value() int64 {
-	if g == nil {
-		return 0
-	}
-	return g.v.Load()
-}
-
-// Max returns the high-water mark.
-func (g *Gauge) Max() int64 {
-	if g == nil {
-		return 0
-	}
-	return g.max.Load()
-}
-
-// Name returns the gauge's registered name ("" on nil).
-func (g *Gauge) Name() string {
-	if g == nil {
-		return ""
-	}
-	return g.name
 }
 
 // Histogram is a fixed-bucket distribution: bucket i counts observations
@@ -163,30 +117,6 @@ func (h *Histogram) Observe(v int64) {
 	h.counts[i].Add(1)
 	h.count.Add(1)
 	h.sum.Add(v)
-}
-
-// Count returns the number of observations.
-func (h *Histogram) Count() int64 {
-	if h == nil {
-		return 0
-	}
-	return h.count.Load()
-}
-
-// Sum returns the sum of observed values.
-func (h *Histogram) Sum() int64 {
-	if h == nil {
-		return 0
-	}
-	return h.sum.Load()
-}
-
-// Name returns the histogram's registered name ("" on nil).
-func (h *Histogram) Name() string {
-	if h == nil {
-		return ""
-	}
-	return h.name
 }
 
 // LatencyBounds is the default bucket layout for latency histograms, in
@@ -296,14 +226,4 @@ func (r *Registry) GaugeFunc(name string, fn func() int64) {
 		return
 	}
 	r.lookup(name, KindGauge, func() metric { return &funcGauge{name: name, fn: fn} })
-}
-
-// Len returns the number of registered instruments.
-func (r *Registry) Len() int {
-	if r == nil {
-		return 0
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return len(r.order)
 }

@@ -5,40 +5,30 @@ import (
 )
 
 // TestBuilderAccessors pins the introspection surface all three builders
-// share (cmd tools and the exp harnesses size buffers off it).
+// share (cmd tools and the exp harnesses size buffers off it), and that a
+// column pack is smaller than the v1 records it stands in for.
 func TestBuilderAccessors(t *testing.T) {
 	ev := Event{Kind: KindSend, Rank: 0, Peer: 1, Size: 64, TStart: 1, TEnd: 2}
 
 	v1 := NewPackBuilder(1, 0, MinRecordSize, 1<<12)
 	v1.Add(&ev)
-	if v1.CapBytes() != 1<<12 || v1.RecordSize() != MinRecordSize || v1.Count() != 1 {
-		t.Fatalf("v1 accessors: cap=%d rec=%d count=%d", v1.CapBytes(), v1.RecordSize(), v1.Count())
+	if v1.CapBytes() != 1<<12 || v1.Count() != 1 {
+		t.Fatalf("v1 accessors: cap=%d count=%d", v1.CapBytes(), v1.Count())
 	}
 	if v1.Len() != PackHeaderSize+MinRecordSize {
 		t.Fatalf("v1 len = %d", v1.Len())
 	}
 
-	v2 := NewPackBuilderV2(1, 0, MinRecordSize, 1<<12)
-	v2.Add(&ev)
-	if v2.CapBytes() != 1<<12 || v2.RecordSize() != MinRecordSize || v2.Count() != 1 {
-		t.Fatalf("v2 accessors: cap=%d rec=%d count=%d", v2.CapBytes(), v2.RecordSize(), v2.Count())
-	}
-	if v2.Len() <= PackHeaderSize || v2.Len() >= v2.LogicalLen() {
-		t.Fatalf("v2 len = %d, logical %d", v2.Len(), v2.LogicalLen())
-	}
-
-	v3 := NewPackBuilderV3(1, 0, MinRecordSize, 1<<12)
-	v3.Add(&ev)
-	if v3.CapBytes() != 1<<12 || v3.RecordSize() != MinRecordSize || v3.Count() != 1 {
-		t.Fatalf("v3 accessors: cap=%d rec=%d count=%d", v3.CapBytes(), v3.RecordSize(), v3.Count())
-	}
-	if v3.Len() <= PackHeaderSize || v3.Len() >= v3.LogicalLen() {
-		t.Fatalf("v3 len = %d, logical %d", v3.Len(), v3.LogicalLen())
-	}
-
-	for v, b := range map[int]Builder{PackV1: v1, PackV2: v2, PackV3: v3} {
-		if b.Version() != v {
-			t.Fatalf("builder reports v%d, want v%d", b.Version(), v)
+	for version, b := range map[int]*ColumnBuilder{
+		PackV2: NewPackBuilderV2(1, 0, MinRecordSize, 1<<12),
+		PackV3: NewPackBuilderV3(1, 0, MinRecordSize, 1<<12),
+	} {
+		b.Add(&ev)
+		if b.CapBytes() != 1<<12 || b.Count() != 1 || b.version != version {
+			t.Fatalf("v%d accessors: cap=%d count=%d version=%d", version, b.CapBytes(), b.Count(), b.version)
+		}
+		if n, logical := b.encodedLen(), PackHeaderSize+b.count*b.recordSize; n <= PackHeaderSize || n >= logical {
+			t.Fatalf("v%d len = %d, logical %d", version, n, logical)
 		}
 	}
 }
@@ -63,12 +53,12 @@ func TestStreamDecoderResetStream(t *testing.T) {
 	if _, err := ds.For(0).DecodeDispatch(first, func(*Event) {}); err != nil {
 		t.Fatal(err)
 	}
-	if ds.For(0).DictLen() == 0 {
+	if len(ds.For(0).dict) == 0 {
 		t.Fatal("dictionary empty after first pack")
 	}
 	delete(ds, 0) // the writer's stream restarts
-	if ds.For(0).DictLen() != 0 {
-		t.Fatalf("a restarted stream's decoder holds %d dictionary entries", ds.For(0).DictLen())
+	if len(ds.For(0).dict) != 0 {
+		t.Fatalf("a restarted stream's decoder holds %d dictionary entries", len(ds.For(0).dict))
 	}
 	if _, err := ds.For(0).DecodeDispatch(second, func(*Event) {}); err == nil {
 		t.Fatal("continuation pack decoded against an empty dictionary")

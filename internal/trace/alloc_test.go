@@ -89,10 +89,10 @@ func TestPackReaderAllocationFree(t *testing.T) {
 				return
 			}
 			for r.Next() {
-				sum += r.Event().Size
+				sum += r.ev.Size
 			}
-			if r.Err() != nil {
-				t.Error(r.Err())
+			if r.err != nil {
+				t.Error(r.err)
 			}
 		}
 	})
@@ -305,15 +305,15 @@ func TestPackBuilderV3StorageFollowsFill(t *testing.T) {
 		pack := b.Take()
 		runtime.ReadMemStats(&after)
 		if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(4*len(pack)); got > limit {
-			t.Errorf("v%d: taking a %d-byte pack allocated %d bytes, want at most %d", b.Version(), len(pack), got, limit)
+			t.Errorf("v%d: taking a %d-byte pack allocated %d bytes, want at most %d", b.version, len(pack), got, limit)
 		}
 		if cap(pack) > 4*len(pack) {
-			t.Errorf("v%d: a %d-byte pack sits in %d bytes of storage", b.Version(), len(pack), cap(pack))
+			t.Errorf("v%d: a %d-byte pack sits in %d bytes of storage", b.version, len(pack), cap(pack))
 		}
 		b.Reset(pack)
 		fill()
 		if allocs := testing.AllocsPerRun(1, func() { b.Take() }); allocs != 0 {
-			t.Errorf("v%d: the next pack of the same size did not fit the recycled buffer (%.0f allocations)", b.Version(), allocs)
+			t.Errorf("v%d: the next pack of the same size did not fit the recycled buffer (%.0f allocations)", b.version, allocs)
 		}
 	}
 }
@@ -406,9 +406,9 @@ func TestColumnBuilderGoldenBytes(t *testing.T) {
 				if i == c.discard[0] || i == c.discard[1] {
 					// Mid-pack discard: the events so far in this pack are
 					// dropped.
-					n := b.(*ColumnBuilder).DictLen()
+					n := len(b.(*ColumnBuilder).dict)
 					b.Reset(nil)
-					if b.(*ColumnBuilder).DictLen() < n {
+					if len(b.(*ColumnBuilder).dict) < n {
 						rolled++
 					}
 				}

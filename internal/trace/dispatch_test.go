@@ -19,10 +19,10 @@ func decodeBoth(t *testing.T, what string, dispatch, iterate *StreamDecoder, pac
 	n, gotErr := dispatch.DecodeDispatch(pack, func(e *Event) { got = append(got, *e) })
 	wantErr := iterate.Init(pack)
 	for iterate.Next() {
-		want = append(want, *iterate.Event())
+		want = append(want, iterate.ev)
 	}
 	if wantErr == nil {
-		wantErr = iterate.Err()
+		wantErr = iterate.err
 	}
 	if n != len(got) {
 		t.Fatalf("%s: DecodeDispatch returned %d after %d calls", what, n, len(got))
@@ -38,8 +38,8 @@ func decodeBoth(t *testing.T, what string, dispatch, iterate *StreamDecoder, pac
 	if (gotErr == nil) != (wantErr == nil) || gotErr != nil && gotErr.Error() != wantErr.Error() {
 		t.Fatalf("%s: DecodeDispatch error %v, Next error %v", what, gotErr, wantErr)
 	}
-	if dispatch.DictLen() != iterate.DictLen() {
-		t.Fatalf("%s: stream dictionaries diverged: %d vs %d entries", what, dispatch.DictLen(), iterate.DictLen())
+	if len(dispatch.dict) != len(iterate.dict) {
+		t.Fatalf("%s: stream dictionaries diverged: %d vs %d entries", what, len(dispatch.dict), len(iterate.dict))
 	}
 	if dispatch.Next() {
 		t.Fatalf("%s: Next yields an event after DecodeDispatch consumed the pack", what)
@@ -185,8 +185,8 @@ func TestDecodeDispatchMatchesNext(t *testing.T) {
 					decodeBoth(t, "interleaved v2 pack", &a, &b, b2.Take())
 				}
 			}
-			if a.DictLen() < 8 {
-				t.Fatalf("seed %d: stream dictionary only grew to %d entries", seed, a.DictLen())
+			if len(a.dict) < 8 {
+				t.Fatalf("seed %d: stream dictionary only grew to %d entries", seed, len(a.dict))
 			}
 		}
 	})

@@ -76,7 +76,7 @@ func FuzzDecodePack(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		h, err := PeekHeader(data)
-		if err == nil && (h.bodyLen > len(data)-PackHeaderSize || h.bodyLen == 0 && h.LogicalLen() > len(data)) {
+		if err == nil && (h.bodyLen > len(data)-PackHeaderSize || h.bodyLen == 0 && PackHeaderSize+h.Count*h.RecordSize > len(data)) {
 			t.Fatalf("PeekHeader accepted a pack claiming more than its %d bytes", len(data))
 		}
 		if _, err := PeekHeaderV1(data); err == nil && h.Version != PackV1 {
@@ -105,7 +105,7 @@ func FuzzDecodePack(f *testing.F) {
 			count := 0
 			for d.Next() {
 				count++
-				if count > d.Header().Count {
+				if count > d.h.Count {
 					t.Fatal("StreamDecoder yielded more events than the header claims")
 				}
 			}

@@ -162,29 +162,12 @@ func (b *ColumnBuilder) init(appID uint32, srcRank int32, recordSize, packBytes 
 	return b
 }
 
-// Version reports the builder's wire format.
-func (b *ColumnBuilder) Version() int { return b.version }
-
 // CapBytes returns the maximum encoded pack size (also the logical pack
 // capacity, matching the v1 builder's).
 func (b *ColumnBuilder) CapBytes() int { return b.capBytes }
 
-// RecordSize returns the logical per-record size in bytes.
-func (b *ColumnBuilder) RecordSize() int { return b.recordSize }
-
 // Count returns the number of events in the pack under construction.
 func (b *ColumnBuilder) Count() int { return b.count }
-
-// Len returns the current encoded size of the pack under construction.
-func (b *ColumnBuilder) Len() int { return b.encodedLen() }
-
-// LogicalLen returns the v1-equivalent size of the pack under
-// construction: what the same events would occupy in the v1 format.
-func (b *ColumnBuilder) LogicalLen() int { return PackHeaderSize + b.count*b.recordSize }
-
-// DictLen returns the dictionary size including this pack's pending
-// entries (diagnostics and tests).
-func (b *ColumnBuilder) DictLen() int { return len(b.dict) }
 
 func (b *ColumnBuilder) encodedLen() int {
 	n := PackHeaderSize + uvarintLen(uint64(len(b.dict)-b.base)) + b.dictBytes
@@ -366,16 +349,7 @@ type Builder interface {
 	CapBytes() int
 	// Count returns the events in the pack under construction.
 	Count() int
-	// Len returns the current encoded size of the pack under construction.
-	Len() int
-	// RecordSize returns the logical per-record size.
-	RecordSize() int
-	// Version returns the wire format (PackV1, PackV2, or PackV3).
-	Version() int
 }
-
-// Version reports the v1 builder's wire format (Builder interface).
-func (b *PackBuilder) Version() int { return PackV1 }
 
 // NewBuilder creates a pack builder for the given wire format version
 // (0 defaults to v1).

@@ -48,9 +48,6 @@ func TestPackV2RoundTrip(t *testing.T) {
 	if PackHeaderSize+h.bodyLen != len(buf) {
 		t.Fatalf("header claims %d bytes, pack is %d", PackHeaderSize+h.bodyLen, len(buf))
 	}
-	if h.LogicalLen() != PackHeaderSize+n*64 {
-		t.Fatalf("LogicalLen = %d", h.LogicalLen())
-	}
 	for i, e := range events {
 		if e != want[i] {
 			t.Fatalf("event %d = %+v, want %+v", i, e, want[i])
@@ -58,8 +55,8 @@ func TestPackV2RoundTrip(t *testing.T) {
 	}
 	// The whole point: a delta-friendly workload must encode far smaller
 	// than its logical v1 size.
-	if len(buf)*2 > h.LogicalLen() {
-		t.Fatalf("v2 pack is %d bytes for logical %d — expected at least 2x reduction", len(buf), h.LogicalLen())
+	if logical := PackHeaderSize + n*64; len(buf)*2 > logical {
+		t.Fatalf("v2 pack is %d bytes for logical %d — expected at least 2x reduction", len(buf), logical)
 	}
 }
 
@@ -230,13 +227,13 @@ func TestMixedVersionStream(t *testing.T) {
 			t.Fatalf("pack %d: %v", p, err)
 		}
 		wantVersion := PackV1 + p%2
-		if r.Header().Version != wantVersion {
-			t.Fatalf("pack %d decoded as v%d, want v%d", p, r.Header().Version, wantVersion)
+		if r.h.Version != wantVersion {
+			t.Fatalf("pack %d decoded as v%d, want v%d", p, r.h.Version, wantVersion)
 		}
 		for r.Next() {
-			got = append(got, *r.Event())
+			got = append(got, r.ev)
 		}
-		if err := r.Err(); err != nil {
+		if err := r.err; err != nil {
 			t.Fatalf("pack %d: %v", p, err)
 		}
 	}
@@ -319,8 +316,9 @@ func TestNewBuilderVersions(t *testing.T) {
 		if err != nil {
 			t.Fatalf("version %d: %v", c.version, err)
 		}
-		if b.Version() != c.want {
-			t.Fatalf("NewBuilder(%d).Version() = %d, want %d", c.version, b.Version(), c.want)
+		b.Add(&Event{Kind: KindSend, Size: 1, TEnd: 1})
+		if h, err := PeekHeader(b.Take()); err != nil || h.Version != c.want {
+			t.Fatalf("NewBuilder(%d) packs v%d (%v), want v%d", c.version, h.Version, err, c.want)
 		}
 	}
 	if _, err := NewBuilder(4, 0, 0, 48, 1<<12); err == nil {
@@ -345,11 +343,11 @@ func TestPackReaderReuse(t *testing.T) {
 			t.Fatal(err)
 		}
 		for i := 0; r.Next(); i++ {
-			if *r.Event() != want[i] {
-				t.Fatalf("pack %d event %d = %+v, want %+v", p, i, *r.Event(), want[i])
+			if r.ev != want[i] {
+				t.Fatalf("pack %d event %d = %+v, want %+v", p, i, r.ev, want[i])
 			}
 		}
-		if err := r.Err(); err != nil {
+		if err := r.err; err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -375,10 +373,10 @@ func TestPackV2CorruptBody(t *testing.T) {
 		}
 		each := 0
 		_, err := DecodeEach(buf, func(*Event) { each++ })
-		if (err == nil) != (r.Err() == nil) || each != n {
-			t.Fatalf("DecodeEach stopped after %d events with %v, Next after %d with %v", each, err, n, r.Err())
+		if (err == nil) != (r.err == nil) || each != n {
+			t.Fatalf("DecodeEach stopped after %d events with %v, Next after %d with %v", each, err, n, r.err)
 		}
-		return r.Err()
+		return r.err
 	}
 	if err := decode(clean); err != nil {
 		t.Fatal(err)
@@ -447,10 +445,10 @@ func BenchmarkPackReader(b *testing.B) {
 					b.Fatal(err)
 				}
 				for r.Next() {
-					sum += r.Event().Size
+					sum += r.ev.Size
 				}
-				if r.Err() != nil {
-					b.Fatal(r.Err())
+				if r.err != nil {
+					b.Fatal(r.err)
 				}
 			}
 			_ = sum

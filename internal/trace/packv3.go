@@ -127,9 +127,6 @@ func (ds Decoders) For(src int) *StreamDecoder {
 	return d
 }
 
-// DictLen returns the accumulated stream dictionary size.
-func (d *StreamDecoder) DictLen() int { return len(d.dict) }
-
 // Init prepares the decoder for the writer's next pack. The buffer is
 // borrowed, not copied: it must stay immutable until iteration finishes.
 func (d *StreamDecoder) Init(buf []byte) error {
@@ -267,16 +264,6 @@ func (d *StreamDecoder) fail(err error) error {
 func (d *StreamDecoder) failColumn(c, i int) error {
 	return d.fail(fmt.Errorf("trace: pack column %d truncated at event %d", c, i))
 }
-
-// Header returns the header of the pack under iteration.
-func (d *StreamDecoder) Header() Header { return d.h }
-
-// Err returns the first decode error for the current pack.
-func (d *StreamDecoder) Err() error { return d.err }
-
-// Event returns the event decoded by the last successful Next; valid
-// until the next Next or Init.
-func (d *StreamDecoder) Event() *Event { return &d.ev }
 
 // dictAt resolves a column-0 index for the current pack: persistent
 // indices for v3, per-pack scratch indices for v2.

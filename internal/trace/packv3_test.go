@@ -31,9 +31,9 @@ func decodeStream(t *testing.T, d *StreamDecoder, packs [][]byte) []Event {
 			t.Fatalf("pack %d: Init: %v", pi, err)
 		}
 		for d.Next() {
-			got = append(got, *d.Event())
+			got = append(got, d.ev)
 		}
-		if err := d.Err(); err != nil {
+		if err := d.err; err != nil {
 			t.Fatalf("pack %d: %v", pi, err)
 		}
 	}
@@ -79,8 +79,8 @@ func TestPackV3RoundTripMultiPack(t *testing.T) {
 			t.Fatalf("pack %d: %d dictionary additions on a steady workload, want 0", pi+1, adds)
 		}
 	}
-	if d.DictLen() != b.DictLen() {
-		t.Fatalf("decoder dictionary has %d entries, builder %d", d.DictLen(), b.DictLen())
+	if len(d.dict) != len(b.dict) {
+		t.Fatalf("decoder dictionary has %d entries, builder %d", len(d.dict), len(b.dict))
 	}
 }
 
@@ -272,12 +272,12 @@ func TestStreamDecoderHostileDeltas(t *testing.T) {
 		if err := d.Init(pack); err == nil {
 			for d.Next() {
 			}
-			if d.Err() == nil {
+			if d.err == nil {
 				t.Errorf("%s: decoded without error", name)
 			}
 		}
-		if d.DictLen() != 0 {
-			t.Errorf("%s: hostile pack grew the stream dictionary to %d entries", name, d.DictLen())
+		if len(d.dict) != 0 {
+			t.Errorf("%s: hostile pack grew the stream dictionary to %d entries", name, len(d.dict))
 		}
 	}
 
@@ -290,8 +290,8 @@ func TestStreamDecoderHostileDeltas(t *testing.T) {
 	}
 	for d.Next() {
 	}
-	if d.Err() != nil {
-		t.Fatal(d.Err())
+	if d.err != nil {
+		t.Fatal(d.err)
 	}
 }
 

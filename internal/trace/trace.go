@@ -222,13 +222,6 @@ type Header struct {
 	bodyLen int
 }
 
-// LogicalLen returns the v1-equivalent byte size of the pack: what its
-// events would occupy as fixed records. For v1 packs this is the pack's
-// size on the wire.
-func (h Header) LogicalLen() int {
-	return PackHeaderSize + h.Count*h.RecordSize
-}
-
 // PackBuilder accumulates events into a bounded binary pack. When the pack
 // is full the caller takes the encoded bytes (Take) and streams them; the
 // builder then starts a fresh pack, drawing its storage from the pack pool
@@ -286,9 +279,6 @@ func (b *PackBuilder) Reset(buf []byte) {
 // CapBytes returns the maximum encoded pack size, i.e. the buffer size a
 // recycled Reset buffer must have to be adopted.
 func (b *PackBuilder) CapBytes() int { return b.capBytes }
-
-// RecordSize returns the per-record size in bytes.
-func (b *PackBuilder) RecordSize() int { return b.recordSize }
 
 // Count returns the number of events in the pack under construction.
 func (b *PackBuilder) Count() int { return b.count }

@@ -86,8 +86,8 @@ func TestAddReportsFull(t *testing.T) {
 
 func TestRecordSizeClamped(t *testing.T) {
 	b := NewPackBuilder(0, 0, 10, 8)
-	if b.RecordSize() != MinRecordSize {
-		t.Fatalf("record size = %d", b.RecordSize())
+	if b.recordSize != MinRecordSize {
+		t.Fatalf("record size = %d", b.recordSize)
 	}
 	ev := sampleEvent(0)
 	b.Add(&ev) // must fit: packBytes raised to hold one record

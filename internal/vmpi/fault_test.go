@@ -278,13 +278,12 @@ func TestWriteDeadlineQuarantinesStalledReader(t *testing.T) {
 }
 
 func TestStreamTinyWindowsUnderFailover(t *testing.T) {
-	// SetWindow edge case: na=1, naOut=1 leaves no slack at all — a single
+	// Window edge case: na=1, naOut=1 leaves no slack at all — a single
 	// in-flight block blocks the writer. Failover must still work.
 	const blocks = 8
 	var wstats StreamStats
 	readerMain := func(s *Session) {
 		st := NewStream(s, 1<<14, BalanceNone)
-		st.SetWindow(1, 1)
 		if err := st.OpenRanks([]int{0}, "r"); err != nil {
 			t.Error(err)
 			return
@@ -305,7 +304,7 @@ func TestStreamTinyWindowsUnderFailover(t *testing.T) {
 		func(w *mpi.World) { w.FailRank(des.DurationToTime(5*time.Millisecond), 1) },
 		progSpec{"writer", 1, func(s *Session) {
 			st := NewStream(s, 1<<14, BalanceNone)
-			st.SetWindow(1, 1)
+			st.RequestWindow(1)
 			st.SetWriteDeadline(20 * time.Millisecond)
 			if err := st.OpenRanks([]int{1, 2}, "w"); err != nil {
 				t.Error(err)

@@ -19,35 +19,16 @@ const (
 	// MapFixed assigns contiguous blocks of slave ranks to each master
 	// rank.
 	MapFixed
-	// MapTree assigns fan-in blocks of ceil(slaveSize/masterSize)
-	// consecutive slave ranks to each master rank, folding the remainder
-	// into the last master — the leaf-to-aggregator assignment of a
-	// reduction tree (tbon.Plan.LeafParent with the same block shape).
-	// Unlike MapFixed's balanced i*m/s blocks, every non-final master
-	// gets exactly the tree's nominal fan-in.
-	MapTree
 )
 
-// MapFunc is a user-defined mapping: given a slave's local rank and both
-// partition sizes, it returns the target master local rank (the paper's
-// "user-defined function which takes a source as a parameter and returns
-// the target").
-type MapFunc func(slaveLocal, slaveSize, masterSize int) int
-
-func policyFunc(p Policy) MapFunc {
+// policyFunc returns the policy's mapping: given a slave's local rank and
+// both partition sizes, the target master local rank.
+func policyFunc(p Policy) func(slaveLocal, slaveSize, masterSize int) int {
 	switch p {
 	case MapRoundRobin:
 		return func(i, _, m int) int { return i % m }
 	case MapFixed:
 		return func(i, s, m int) int { return i * m / s }
-	case MapTree:
-		return func(i, s, m int) int {
-			f := (s + m - 1) / m
-			if t := i / f; t < m-1 {
-				return t
-			}
-			return m - 1
-		}
 	case MapRandom:
 		return nil // resolved against the simulator RNG at assignment time
 	default:
@@ -64,9 +45,6 @@ type Map struct {
 
 // Clear empties the map (the paper's VMPI_Map_clear).
 func (m *Map) Clear() { m.targets = nil }
-
-// Len returns the number of mapped processes.
-func (m *Map) Len() int { return len(m.targets) }
 
 // Targets returns the universe ranks this process is coupled with, in
 // assignment order. The returned slice is owned by the map.
@@ -101,12 +79,8 @@ func decodeRanks(buf []byte) []int {
 // MapPartitions maps the calling process's partition with the target
 // partition using a default policy, appending the resulting associations to
 // m. Every process of both partitions must call it (with equal arguments),
-// like the paper's VMPI_Map_partitions.
-func (s *Session) MapPartitions(target int, policy Policy, m *Map) error {
-	return s.mapPartitions(target, policy, nil, m)
-}
-
-// mapPartitions runs the pivot protocol of the paper's Figure 7:
+// like the paper's VMPI_Map_partitions. It runs the pivot protocol of the
+// paper's Figure 7:
 //
 //   - the larger partition is the slave, the smaller the master (ties break
 //     toward the lower partition id as master);
@@ -116,7 +90,7 @@ func (s *Session) MapPartitions(target int, policy Policy, m *Map) error {
 //   - the root answers each slave with its match and finally sends every
 //     master process its (possibly empty) list of slaves, which doubles as
 //     the end-of-mapping broadcast.
-func (s *Session) mapPartitions(target int, policy Policy, fn MapFunc, m *Map) error {
+func (s *Session) MapPartitions(target int, policy Policy, m *Map) error {
 	l := s.layout
 	if target < 0 || target >= l.PartitionCount() {
 		return fmt.Errorf("vmpi: mapping to unknown partition %d", target)
@@ -131,9 +105,7 @@ func (s *Session) mapPartitions(target int, policy Policy, fn MapFunc, m *Map) e
 	if mine.Size() > other.Size() || (mine.Size() == other.Size() && mine.ID > other.ID) {
 		master, slave = other, mine
 	}
-	if fn == nil {
-		fn = policyFunc(policy)
-	}
+	fn := policyFunc(policy)
 
 	u := s.Universe()
 	r := s.rank
@@ -161,9 +133,6 @@ func (s *Session) mapPartitions(target int, policy Policy, fn MapFunc, m *Map) e
 				mi = fn(i, slave.Size(), master.Size())
 			} else {
 				mi = r.World().Sim().Rand().Intn(master.Size())
-			}
-			if mi < 0 || mi >= master.Size() {
-				return fmt.Errorf("vmpi: mapping function returned %d for master size %d", mi, master.Size())
 			}
 			perMaster[mi] = append(perMaster[mi], sg)
 			// Answer the slave with its match.

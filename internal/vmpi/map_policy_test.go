@@ -19,19 +19,13 @@ func TestMapPolicyTable(t *testing.T) {
 		{"roundrobin-uneven", MapRoundRobin, 7, 3},
 		{"fixed-even", MapFixed, 8, 4},
 		{"fixed-uneven", MapFixed, 7, 3},
-		{"tree-even", MapTree, 8, 4},
-		{"tree-uneven", MapTree, 7, 3},
-		{"tree-remainder-fold", MapTree, 10, 3},
-		{"tree-wide-root", MapTree, 9, 2},
 		{"random-uneven", MapRandom, 7, 3},
 		// Size tie: the lower partition id (app) becomes master, so the
 		// analyzers are the slaves even though they are the "tool" side.
 		{"tie-app-master", MapRoundRobin, 3, 3},
-		{"tree-tie", MapTree, 4, 4},
 		// Master larger than slave: the app partition is master and some
 		// masters end up with no slaves at all.
 		{"masters-idle-roundrobin", MapRoundRobin, 5, 2},
-		{"masters-idle-tree", MapTree, 6, 2},
 		{"one-to-one", MapFixed, 1, 1},
 	}
 	for _, c := range cases {
@@ -114,33 +108,5 @@ func TestMapPolicyTable(t *testing.T) {
 				t.Fatalf("master lists cover %d of %d slaves", len(seen), slave.Size())
 			}
 		})
-	}
-}
-
-// TestMapTreeBlocks pins the MapTree shape directly: fan-in blocks of
-// ceil(s/m) consecutive slaves per master, remainder folded into the
-// last master.
-func TestMapTreeBlocks(t *testing.T) {
-	fn := policyFunc(MapTree)
-	cases := []struct {
-		s, m int
-		want []int // per slave local rank
-	}{
-		{8, 4, []int{0, 0, 1, 1, 2, 2, 3, 3}},
-		{7, 3, []int{0, 0, 0, 1, 1, 1, 2}},
-		{10, 3, []int{0, 0, 0, 0, 1, 1, 1, 1, 2, 2}},
-		{9, 2, []int{0, 0, 0, 0, 0, 1, 1, 1, 1}},
-		{3, 5, []int{0, 1, 2}},
-		{5, 5, []int{0, 1, 2, 3, 4}},
-		// Remainder fold: the division would send slave 5 to master 2,
-		// but ceil(6/5)=2 blocks leave masters 3 and 4 empty instead.
-		{6, 5, []int{0, 0, 1, 1, 2, 2}},
-	}
-	for _, c := range cases {
-		for i, want := range c.want {
-			if got := fn(i, c.s, c.m); got != want {
-				t.Errorf("MapTree(%d, s=%d, m=%d) = %d, want %d", i, c.s, c.m, got, want)
-			}
-		}
 	}
 }

@@ -8,16 +8,11 @@ import (
 )
 
 // formatExchange streams one block from a writer that declares pack format
-// writerFormat (0 = never calls SetPackFormat) to a reader whose acceptance
-// ceiling is lowered to ceiling (0 = the default). It returns the payloads
-// the reader was served, the error its Read ended on, and how many messages
-// the run moved once the writer started.
-func formatExchange(t *testing.T, writerFormat, ceiling int, payload string) (got []string, readErr error, messages int64) {
+// writerFormat (0 = never calls SetPackFormat) to a reader. It returns the
+// payloads the reader was served, the error its Read ended on, and how many
+// messages the run moved once the writer started.
+func formatExchange(t *testing.T, writerFormat int, payload string) (got []string, readErr error, messages int64) {
 	t.Helper()
-	accepts := ceiling
-	if accepts == 0 {
-		accepts = DefaultMaxPackFormat
-	}
 	reg := telemetry.NewRegistry()
 	runMPMD(t,
 		progSpec{"w", 1, func(s *Session) {
@@ -38,7 +33,7 @@ func formatExchange(t *testing.T, writerFormat, ceiling int, payload string) (go
 			if err := st.Write([]byte(payload), int64(len(payload))); err != nil {
 				t.Error(err)
 			}
-			if writerFormat > accepts {
+			if writerFormat > DefaultMaxPackFormat {
 				// The reader errors out: skip Close, which would wait for a
 				// reader that is gone.
 				return
@@ -54,7 +49,6 @@ func formatExchange(t *testing.T, writerFormat, ceiling int, payload string) (go
 				return
 			}
 			st := NewStream(s, 1024, BalanceRoundRobin)
-			st.maxPackFormat = ceiling
 			if err := st.OpenMap(&m, "r"); err != nil {
 				t.Error(err)
 				return
@@ -82,7 +76,7 @@ func formatExchange(t *testing.T, writerFormat, ceiling int, payload string) (go
 // pack format v2 at open is accepted by a default reader, and the payload
 // path is unchanged.
 func TestStreamFormatNegotiation(t *testing.T) {
-	got, err, _ := formatExchange(t, 2, 0, "packed")
+	got, err, _ := formatExchange(t, 2, "packed")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,14 +87,13 @@ func TestStreamFormatNegotiation(t *testing.T) {
 
 // TestStreamFormatDefaultIsV1 pins the compatibility contract: a writer
 // that never calls SetPackFormat sends no hello — the message sequence is
-// identical to the seed, one message short of an announcing writer's — so
-// even a strict v1 reader accepts it.
+// identical to the seed, one message short of an announcing writer's.
 func TestStreamFormatDefaultIsV1(t *testing.T) {
-	_, err, silent := formatExchange(t, 0, 1, "record")
+	_, err, silent := formatExchange(t, 0, "record")
 	if err != nil {
-		t.Fatalf("a strict v1 reader refused a default writer: %v", err)
+		t.Fatalf("a reader refused a default writer: %v", err)
 	}
-	_, err, announced := formatExchange(t, 2, 0, "record")
+	_, err, announced := formatExchange(t, 2, "record")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,32 +102,23 @@ func TestStreamFormatDefaultIsV1(t *testing.T) {
 	}
 }
 
-// TestStreamFormatRejectedAboveCeiling: a reader capped below the writer's
-// announced format fails its Read with an error naming both versions,
-// instead of misparsing packs — and so does a default reader offered a
-// format this engine does not have.
+// TestStreamFormatRejectedAboveCeiling: a reader offered a format this
+// engine does not have fails its Read with an error naming both versions,
+// instead of misparsing packs.
 func TestStreamFormatRejectedAboveCeiling(t *testing.T) {
-	for _, c := range []struct {
-		writer, ceiling int
-		want            []string
-	}{
-		{2, 1, []string{"format v2", "up to v1"}},
-		{DefaultMaxPackFormat + 1, 0, []string{"format v4", "up to v3"}},
-	} {
-		_, err, _ := formatExchange(t, c.writer, c.ceiling, "packed")
-		if err == nil {
-			t.Fatalf("reader (ceiling %d) accepted format v%d", c.ceiling, c.writer)
-		}
-		for _, w := range c.want {
-			if !strings.Contains(err.Error(), w) {
-				t.Fatalf("rejection should name both formats, got: %v", err)
-			}
+	_, err, _ := formatExchange(t, DefaultMaxPackFormat+1, "packed")
+	if err == nil {
+		t.Fatalf("reader accepted format v%d", DefaultMaxPackFormat+1)
+	}
+	for _, w := range []string{"format v4", "up to v3"} {
+		if !strings.Contains(err.Error(), w) {
+			t.Fatalf("rejection should name both formats, got: %v", err)
 		}
 	}
 }
 
 // TestSetPackFormatValidation pins the API edges: version bounds. The
-// default ceiling is TestStreamFormatRejectedAboveCeiling's second case.
+// reader's ceiling is TestStreamFormatRejectedAboveCeiling's case.
 func TestSetPackFormatValidation(t *testing.T) {
 	st := &Stream{}
 	func() {
@@ -154,23 +138,11 @@ func TestSetPackFormatValidation(t *testing.T) {
 // TestStreamFormatV3Negotiation: the v3 hello travels like v2's — the
 // default reader ceiling admits it.
 func TestStreamFormatV3Negotiation(t *testing.T) {
-	got, err, _ := formatExchange(t, 3, 0, "dictionary")
+	got, err, _ := formatExchange(t, 3, "dictionary")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(got) != 1 || got[0] != "dictionary" {
 		t.Fatalf("payload = %v", got)
-	}
-}
-
-// TestStreamFormatV3RejectedByV2Reader: a reader whose ceiling is v2
-// refuses a v3 writer with an error naming both versions.
-func TestStreamFormatV3RejectedByV2Reader(t *testing.T) {
-	_, err, _ := formatExchange(t, 3, 2, "dictionary")
-	if err == nil {
-		t.Fatal("v2-capped reader accepted a v3 writer")
-	}
-	if !strings.Contains(err.Error(), "format v3") || !strings.Contains(err.Error(), "up to v2") {
-		t.Fatalf("rejection should name both formats, got: %v", err)
 	}
 }

@@ -80,9 +80,6 @@ func NewLayout(w *mpi.World) *Layout {
 	return l
 }
 
-// World returns the underlying MPI world.
-func (l *Layout) World() *mpi.World { return l.world }
-
 // PartitionCount returns the number of partitions (the paper's
 // VMPI_Get_partition_count).
 func (l *Layout) PartitionCount() int { return len(l.parts) }
@@ -152,9 +149,6 @@ func (s *Session) WorldComm() *mpi.Comm { return s.part.comm }
 // Universe returns the real world communicator spanning all partitions
 // (the paper's MPI_COMM_UNIVERSE).
 func (s *Session) Universe() *mpi.Comm { return s.layout.world.Universe() }
-
-// Partition returns the process's own partition.
-func (s *Session) Partition() *Partition { return s.part }
 
 // PartitionID returns the id of the process's partition (the paper's
 // VMPI_Get_partition_id).

@@ -1,7 +1,6 @@
 package vmpi
 
 import (
-	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -184,8 +183,7 @@ type Stream struct {
 	// accepts, instead of letting the decoder choke on alien bytes later.
 	// Default-format writers announce nothing, so format-1 traffic is
 	// message-for-message identical to a pre-negotiation stream.
-	packFormat    int // writer's announced payload format (0 ≡ 1)
-	maxPackFormat int // reader's acceptance ceiling (0 ≡ DefaultMaxPackFormat; only tests lower it)
+	packFormat int // writer's announced payload format (0 ≡ 1)
 
 	// Reader state.
 	writers []int // writer universe ranks
@@ -204,25 +202,10 @@ type Stream struct {
 	tel   *telemetry.StreamMetrics
 }
 
-// SetWindow overrides the stream's asynchronous buffer counts before
-// OpenMap: na receive buffers per incoming stream (the writer's
-// per-endpoint credit window) and naOut shared output buffers. The paper
-// fixes both at 3; making them configurable supports the buffering
-// ablation study.
-func (st *Stream) SetWindow(na, naOut int) {
-	if st.mode != 0 {
-		panic("vmpi: SetWindow after OpenMap")
-	}
-	if na < 1 || naOut < 1 {
-		panic("vmpi: stream windows must be at least 1")
-	}
-	st.na, st.naOut = na, naOut
-}
-
 // RequestWindow asks the writer half to retarget its credit window to na
 // buffers per endpoint (and na shared output buffers) at the next
-// simulation-context-safe point. Unlike SetWindow it may be called at any
-// time, from any goroutine — it is the adaptive controller's actuator: the
+// simulation-context-safe point. It may be called at any time, from any
+// goroutine — it is the adaptive controller's actuator: the
 // request is stored atomically and applied lazily at the top of the next
 // Write (or writer-half Close), where the stream's bookkeeping is owned by
 // the simulation. Values below 1 are clamped to 1.
@@ -232,10 +215,6 @@ func (st *Stream) RequestWindow(na int) {
 	}
 	st.windowTarget.Store(int32(na))
 }
-
-// Window returns the writer's current per-endpoint credit window. A
-// pending RequestWindow not yet applied is not reflected.
-func (st *Stream) Window() int { return st.na }
 
 // applyWindow applies a pending RequestWindow retarget. Must run in
 // simulation context. Growing the window grants each live endpoint the
@@ -683,9 +662,8 @@ func (st *Stream) Read(nonblock bool) (*Block, error) {
 			if len(payload) != 4 {
 				return nil, fmt.Errorf("vmpi: malformed format hello from rank %d (%d bytes)", status.Source, len(payload))
 			}
-			v, accepts := int(binary.LittleEndian.Uint32(payload)), cmp.Or(st.maxPackFormat, DefaultMaxPackFormat)
-			if v > accepts {
-				return nil, fmt.Errorf("vmpi: writer rank %d streams pack format v%d, reader accepts up to v%d", status.Source, v, accepts)
+			if v := int(binary.LittleEndian.Uint32(payload)); v > DefaultMaxPackFormat {
+				return nil, fmt.Errorf("vmpi: writer rank %d streams pack format v%d, reader accepts up to v%d", status.Source, v, DefaultMaxPackFormat)
 			}
 		}
 		// Consume any close notifications first; the writer-side protocol

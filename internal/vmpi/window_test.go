@@ -123,34 +123,34 @@ func TestRequestWindowAppliedAtWrite(t *testing.T) {
 				t.Error(err)
 				return
 			}
-			if st.Window() != NA {
-				t.Errorf("initial window %d, want %d", st.Window(), NA)
+			if st.na != NA {
+				t.Errorf("initial window %d, want %d", st.na, NA)
 			}
 			st.RequestWindow(8)
-			if st.Window() != NA {
+			if st.na != NA {
 				t.Error("window changed before the next Write: apply must be lazy")
 			}
 			if err := st.Write(nil, 1024); err != nil {
 				t.Error(err)
 				return
 			}
-			if st.Window() != 8 {
-				t.Errorf("window %d after grow, want 8", st.Window())
+			if st.na != 8 {
+				t.Errorf("window %d after grow, want 8", st.na)
 			}
 			st.RequestWindow(0) // clamps to 1
 			if err := st.Write(nil, 1024); err != nil {
 				t.Error(err)
 				return
 			}
-			if st.Window() != 1 {
-				t.Errorf("window %d after shrink, want 1", st.Window())
+			if st.na != 1 {
+				t.Errorf("window %d after shrink, want 1", st.na)
 			}
 			if err := st.Close(); err != nil {
 				t.Error(err)
 				return
 			}
 			resizes = st.Stats().WindowResizes
-			finalWindow = st.Window()
+			finalWindow = st.na
 		}},
 		progSpec{"r", 1, func(s *Session) {
 			st := NewStream(s, 1024, BalanceNone)
