@@ -302,6 +302,12 @@ func TestReplayFormatGuard(t *testing.T) {
 	if _, err := c.Replay(cp, 0); err == nil || !strings.Contains(err.Error(), "negotiated") {
 		t.Fatalf("replay: err = %v", err)
 	}
+	// A default client (maxFormat 0) and a default daemon negotiate v3, so
+	// the same capture replays: the guard above would refuse it otherwise.
+	def := pipeTo(t, serviced.New(serviced.Options{}), 0)
+	if rep, err := def.Replay(cp, 0); err != nil || rep.Packs != int64(len(cp.Packs)) {
+		t.Fatalf("default negotiation: replay = %+v, err = %v", rep, err)
+	}
 }
 
 func TestReplayWithDiffPollingAndStats(t *testing.T) {

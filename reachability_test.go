@@ -38,6 +38,12 @@ var reachAllowlist = map[string]string{
 // standard package (the standard library calls those). A method reached
 // through an interface reaches every method of the module that implements
 // it.
+//
+// importer.Default loads the standard library's type data by running
+// `go list -export`, so the test needs the go toolchain on PATH and a
+// writable build cache, and costs about 2 s of one core. CI runs it once,
+// in the plain `go test ./...` step; keep the root package out of the
+// -count and -cpu repetition steps.
 func TestEveryFuncIsReachable(t *testing.T) {
 	s := newReachScan()
 	if err := s.load("."); err != nil {
