@@ -2,9 +2,10 @@
 // paper's evaluation. Each benchmark regenerates its figure's data series
 // at a reduced default scale (so `go test -bench=.` completes in minutes)
 // and reports the figure's headline quantities as custom benchmark
-// metrics. The cmd/ tools run the same experiments at paper scale and
-// print the full tables; EXPERIMENTS.md records paper-vs-measured for
-// every figure.
+// metrics. The figure table (exp.Figures, written by profiler -fig) runs
+// the same experiments at the scale of the committed results/ files,
+// which TestResultsCurrent holds to it; EXPERIMENTS.md records
+// paper-vs-measured for every figure.
 package repro
 
 import (

@@ -6,15 +6,17 @@
 // concurrently in one MPMD job and are profiled by one multi-level
 // blackboard, each getting its own report chapter:
 //
-//	profiler -apps CG.D@128                      # Figure 17a/17b
-//	profiler -apps LU.D@1024 -iters 10           # Figure 18a/18b
-//	profiler -apps BT.D@1024 -iters 10           # Figure 18c/18d/18e
-//	profiler -apps EulerMHD@2048 -iters 5        # Figure 17c
+//	profiler -apps CG.D@128 -iters 2
 //	profiler -apps LU.C@64,CG.C@64               # concurrent profiling
 //
 // Besides the textual report (stdout), -out writes per-application
 // artifacts: communication matrix CSV, topology DOT graph, and density-map
 // PGM images.
+//
+// -fig NAME regenerates one entry of the paper's figure table
+// (exp.Figures: 14, 15, 16, 17cg, 17euler, 18lu, 18bt, fault; or all)
+// at its paths under results/, relative to the working directory. It
+// takes no other flag.
 package main
 
 import (
@@ -29,8 +31,6 @@ import (
 	"repro/internal/analysis"
 	"repro/internal/cliutil"
 	"repro/internal/exp"
-	"repro/internal/nas"
-	"repro/internal/report"
 	"repro/internal/trace"
 )
 
@@ -62,8 +62,25 @@ func main() {
 		windowFlag   = flag.Duration("window", 0, "windowed analysis: slice virtual time into windows of this width, each with its own report chapter section (0 = off)")
 		slideFlag    = flag.Duration("window-slide", 0, "sliding-window stride for -window (0 = tumbling)")
 		graceFlag    = flag.Duration("window-grace", 0, "lateness grace before an event counts against its window's completeness bound")
+		figFlag      = flag.String("fig", "", "write the figure table entry NAME (or all) at its paths under results/; takes no other flag")
 	)
 	flag.Parse()
+
+	if *figFlag != "" {
+		var others []string
+		flag.Visit(func(f *flag.Flag) {
+			if f.Name != "fig" {
+				others = append(others, "-"+f.Name)
+			}
+		})
+		if len(others) > 0 {
+			fatalUsage(fmt.Errorf("-fig takes no other flag, got %s", strings.Join(others, " ")))
+		}
+		if err := writeFigures(*figFlag); err != nil {
+			log.Fatal(err)
+		}
+		return
+	}
 
 	format, err := cliutil.ResolvePackFormat(*formatFlag)
 	if err != nil {
@@ -82,7 +99,7 @@ func main() {
 	if err != nil {
 		fatalUsage(err)
 	}
-	workloads, err := parseApps(*appsFlag, *itersFlag)
+	workloads, err := exp.Workloads(*appsFlag, *itersFlag)
 	if err != nil {
 		fatalUsage(err)
 	}
@@ -162,7 +179,11 @@ func main() {
 		fmt.Fprintf(os.Stderr, "JSON analysis written to %s\n", *jsonFlag)
 	}
 	if *outFlag != "" {
-		if err := writeArtifacts(*outFlag, rep); err != nil {
+		files := map[string][]byte{}
+		for name, data := range rep.Artifacts() {
+			files[filepath.Join(*outFlag, name)] = data
+		}
+		if err := writeFiles(files); err != nil {
 			log.Fatal(err)
 		}
 		fmt.Fprintf(os.Stderr, "artifacts written to %s\n", *outFlag)
@@ -182,43 +203,40 @@ func fatalUsage(err error) {
 	log.Fatalf("%v (run with -h for usage)", err)
 }
 
-func parseApps(s string, iters int) ([]*nas.Workload, error) {
-	specs, err := cliutil.ParseApps(s)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]*nas.Workload, 0, len(specs))
-	for _, spec := range specs {
-		procs := nas.ValidProcs(spec.Kind, spec.Procs)
-		w, err := nas.ByName(spec.Kind, nas.Class(spec.Class), procs, iters)
-		if err != nil {
-			return nil, err
+// writeFigures runs the figure table entry called name, or every entry
+// for "all", and writes its files at their paths.
+func writeFigures(name string) error {
+	var names []string
+	ran := false
+	for _, fig := range exp.Figures() {
+		names = append(names, fig.Name)
+		if name != "all" && name != fig.Name {
+			continue
 		}
-		out = append(out, w)
+		ran = true
+		files, err := fig.Run(0)
+		if err != nil {
+			return fmt.Errorf("figure %s: %w", fig.Name, err)
+		}
+		if err := writeFiles(files); err != nil {
+			return err
+		}
+		fmt.Fprintf(os.Stderr, "figure %s: %d files written\n", fig.Name, len(files))
 	}
-	return out, nil
+	if !ran {
+		return fmt.Errorf("unknown figure %q (have %s or all)", name, strings.Join(names, ", "))
+	}
+	return nil
 }
 
-func writeArtifacts(dir string, rep *report.Report) error {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
-	}
-	for _, ch := range rep.Chapters {
-		base := filepath.Join(dir, strings.ReplaceAll(ch.App, ".", "_"))
-		mat := ch.Topology.Matrix()
-		files := map[string][]byte{
-			base + "_matrix_bytes.csv": []byte(report.MatrixCSV(mat, analysis.MetricBytes)),
-			base + "_matrix_hits.csv":  []byte(report.MatrixCSV(mat, analysis.MetricHits)),
-			base + "_topology.dot":     []byte(report.DOT(ch.App, mat, analysis.MetricBytes)),
-			base + "_send_hits.pgm":    report.DensityPGM(ch.Density.Map(trace.KindSend, analysis.MetricHits)),
-			base + "_p2p_size.pgm":     report.DensityPGM(ch.Density.P2PSizeMap()),
-			base + "_wait_time.pgm":    report.DensityPGM(ch.Density.WaitTimeMap()),
-			base + "_coll_time.pgm":    report.DensityPGM(ch.Density.CollectiveTimeMap()),
+// writeFiles writes each file at its path, creating directories as needed.
+func writeFiles(files map[string][]byte) error {
+	for path, data := range files {
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			return err
 		}
-		for name, data := range files {
-			if err := os.WriteFile(name, data, 0o644); err != nil {
-				return err
-			}
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			return err
 		}
 	}
 	return nil

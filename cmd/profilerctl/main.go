@@ -27,7 +27,6 @@ import (
 	"repro/internal/client"
 	"repro/internal/cliutil"
 	"repro/internal/exp"
-	"repro/internal/nas"
 )
 
 func main() {
@@ -78,18 +77,9 @@ func main() {
 	if err != nil {
 		fatalUsage(err)
 	}
-	specs, err := cliutil.ParseApps(*appsFlag)
+	workloads, err := exp.Workloads(*appsFlag, *itersFlag)
 	if err != nil {
 		fatalUsage(err)
-	}
-	workloads := make([]*nas.Workload, 0, len(specs))
-	for _, spec := range specs {
-		procs := nas.ValidProcs(spec.Kind, spec.Procs)
-		w, err := nas.ByName(spec.Kind, nas.Class(spec.Class), procs, *itersFlag)
-		if err != nil {
-			fatalUsage(err)
-		}
-		workloads = append(workloads, w)
 	}
 
 	start := time.Now()

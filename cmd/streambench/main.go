@@ -1,19 +1,11 @@
-// Command streambench regenerates the paper's Figure 14: global VMPI
-// stream throughput between a writer and a reader partition, swept over
-// writer counts and writer/reader ratios, with the prorated filesystem
-// bandwidth as the comparison column.
+// Command streambench runs the simulated sweeps of the engine's extensions
+// beyond the paper; the paper's Figure 14 stream sweep is the figure
+// table's entry 14 (profiler -fig 14).
 //
-// The paper's headline configuration (2560 writers + 2560 readers, 1 GB
-// per writer, 1 MB blocks) is reproduced with:
-//
-//	streambench -writers 2560 -ratios 1 -bytes 1G
-//
-// The default sweep is smaller so it completes in seconds.
-//
-// With -tree, the command instead measures the multi-level reduction
-// tree: the named applications are profiled through the flat pipeline
-// and through each requested tree topology, and the table compares every
-// topology's root-blackboard ingest volume against the flat baseline:
+// With -tree, the command measures the multi-level reduction tree: the
+// named applications are profiled through the flat pipeline and through
+// each requested tree topology, and the table compares every topology's
+// root-blackboard ingest volume against the flat baseline:
 //
 //	streambench -tree LU.C@64,CG.C@64 -tree-levels 2,3 -tree-fanin 8
 //
@@ -30,7 +22,7 @@
 package main
 
 import (
-	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"log"
@@ -41,31 +33,22 @@ import (
 
 	"repro/internal/cliutil"
 	"repro/internal/exp"
-	"repro/internal/exp/runner"
-	"repro/internal/nas"
-	"repro/internal/trace"
 )
 
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("streambench: ")
 	var (
-		writersFlag  = flag.String("writers", "32,128,512,2560", "comma-separated writer counts")
-		ratiosFlag   = flag.String("ratios", "1,2,4,8,16,32,64", "comma-separated writer/reader ratios")
-		bytesFlag    = flag.String("bytes", "64M", "bytes streamed per writer (e.g. 64M, 1G)")
-		blockFlag    = flag.String("block", "1M", "stream block size")
 		platformFlag = flag.String("platform", "tera100", "platform model (tera100 or curie)")
-		jFlag        = flag.Int("j", 0, "parallel sweep workers (0 = one per CPU, 1 = serial); output is identical for any value")
-		telFlag      = flag.Bool("telemetry", false, "re-run the best 1:1 point with engine telemetry and print a JSON health summary")
-		formatFlag   = flag.Int("format", 0, "stream real event packs in wire format 2 (delta+varint) or 3 (stream dictionary); 0 or 1 = size-only v1 blocks, the seed behavior")
+		formatFlag   = flag.Int("format", 0, "-tree pack wire format: 1 (fixed records), 2 (delta+varint) or 3 (stream dictionary); 0 = 1")
 		cpuProfile   = flag.String("cpuprofile", "", "write a host-side CPU profile of the run to this file")
 		memProfile   = flag.String("memprofile", "", "write a host-side heap profile to this file at exit")
-		treeFlag     = flag.String("tree", "", "reduction-tree ingest sweep over these applications (NAME.CLASS@PROCS[,...]) instead of the Figure 14 stream sweep")
+		treeFlag     = flag.String("tree", "", "reduction-tree ingest sweep over these applications (NAME.CLASS@PROCS[,...])")
 		treeLevels   = flag.String("tree-levels", "2,3", "comma-separated tree level counts for -tree (each >= 2)")
 		treeFanin    = flag.Int("tree-fanin", 0, "reduction-tree fan-in for -tree (0 = 8)")
 		treeFlush    = flag.Int("tree-flush", 4, "ship partial-profile deltas every N packs in -tree mode (0 = only at stream end)")
 		treeIters    = flag.Int("tree-iters", 2, "timesteps per -tree application (0 = official counts)")
-		overloadFlag = flag.String("overload", "", "adaptive overload sweep over these applications (NAME.CLASS@PROCS[,...]) instead of the Figure 14 stream sweep")
+		overloadFlag = flag.String("overload", "", "adaptive overload sweep over these applications (NAME.CLASS@PROCS[,...])")
 		overloadRate = flag.String("overload-rate", "200k", "throttled analyzer ingest rate in bytes/second for -overload")
 		overloadIter = flag.Int("overload-iters", 40, "timesteps per -overload application (0 = official counts)")
 	)
@@ -81,21 +64,8 @@ func main() {
 	if err := cliutil.ExclusiveModes(modes...); err != nil {
 		fatalUsage(err)
 	}
-	writers, err := cliutil.ParseInts(*writersFlag)
-	if err != nil {
-		fatalUsage(err)
-	}
-	ratios, err := cliutil.ParseInts(*ratiosFlag)
-	if err != nil {
-		fatalUsage(err)
-	}
-	perWriter, err := cliutil.ParseBytes(*bytesFlag)
-	if err != nil {
-		fatalUsage(err)
-	}
-	block, err := cliutil.ParseBytes(*blockFlag)
-	if err != nil {
-		fatalUsage(err)
+	if len(modes) == 0 {
+		fatalUsage(errors.New("give -tree or -overload"))
 	}
 	platform, err := exp.PlatformByName(*platformFlag)
 	if err != nil {
@@ -136,82 +106,7 @@ func main() {
 		runTreeSweep(platform, *treeFlag, *treeLevels, *treeFanin, *treeFlush, *treeIters, format)
 		return
 	}
-	if *overloadFlag != "" {
-		runOverloadSweep(platform, *overloadFlag, *overloadRate, *overloadIter)
-		return
-	}
-
-	start := time.Now()
-	var points []exp.StreamPoint
-	if format > trace.PackV1 {
-		// Packed mode: writers encode the deterministic Fig14 workload
-		// through the selected codec and readers decode every block, so the
-		// compression shows up in the simulated GB/s. The stdout table keeps
-		// the Figure 14 format; wire volume and ratio go to stderr.
-		type gridPoint struct{ writers, ratio int }
-		var grid []gridPoint
-		for _, nw := range writers {
-			for _, ratio := range ratios {
-				if ratio <= nw {
-					grid = append(grid, gridPoint{nw, ratio})
-				}
-			}
-		}
-		packed, err := runner.Run(len(grid), *jFlag, func(i int) (exp.PackedStreamPoint, error) {
-			g := grid[i]
-			return exp.StreamThroughputPacked(platform, g.writers, g.ratio, perWriter, block, exp.EventRecordSize, format)
-		})
-		if err != nil {
-			log.Fatal(err)
-		}
-		var wire, logical, events int64
-		for _, pt := range packed {
-			points = append(points, pt.StreamPoint)
-			wire += pt.WireBytes
-			logical += pt.LogicalBytes
-			events += pt.Events
-		}
-		if wire > 0 {
-			fmt.Fprintf(os.Stderr, "streambench: pack v%d: %d events, %d bytes on wire (logical %d), compression %.2fx (%.1f%% reduction)\n",
-				format, events, wire, logical, float64(logical)/float64(wire), 100*(1-float64(wire)/float64(logical)))
-		}
-	} else {
-		points, err = exp.StreamSweepJ(platform, writers, ratios, perWriter, block, *jFlag)
-		if err != nil {
-			log.Fatal(err)
-		}
-	}
-	elapsed := time.Since(start)
-	exp.WriteStreamTable(os.Stdout, points)
-	// Engine wall-clock (host time, not simulated time) on stderr so the
-	// table on stdout stays byte-comparable across -j values.
-	fmt.Fprintf(os.Stderr, "streambench: %d points in %.2fs (%.2f points/sec)\n",
-		len(points), elapsed.Seconds(), float64(len(points))/elapsed.Seconds())
-
-	// Headline check mirroring the paper's text: best ratio-1 point vs the
-	// prorated filesystem bandwidth.
-	var best exp.StreamPoint
-	for _, pt := range points {
-		if pt.Ratio == 1 && pt.Throughput > best.Throughput {
-			best = pt
-		}
-	}
-	if best.Writers > 0 {
-		fmt.Printf("\nbest 1:1 point: %d writers + %d readers -> %.1f GB/s (prorated FS: %.1f GB/s)\n",
-			best.Writers, best.Readers, best.Throughput/1e9, best.FSShare/1e9)
-	}
-
-	if *telFlag && best.Writers > 0 {
-		_, sum, err := exp.StreamThroughputTelemetry(platform, best.Writers, best.Ratio, perWriter, block)
-		if err != nil {
-			log.Fatal(err)
-		}
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(sum); err != nil {
-			log.Fatal(err)
-		}
-	}
+	runOverloadSweep(platform, *overloadFlag, *overloadRate, *overloadIter)
 }
 
 // fatalUsage exits non-zero on a bad flag or flag combination, with a
@@ -225,18 +120,9 @@ func fatalUsage(err error) {
 // root-ingest reduction against the flat baseline. All analysis modules
 // are on so the partial profiles carry their full table set.
 func runTreeSweep(platform exp.Platform, apps, levels string, fanin, flush, iters, format int) {
-	specs, err := cliutil.ParseApps(apps)
+	workloads, err := exp.Workloads(apps, iters)
 	if err != nil {
 		log.Fatal(err)
-	}
-	workloads := make([]*nas.Workload, 0, len(specs))
-	for _, spec := range specs {
-		procs := nas.ValidProcs(spec.Kind, spec.Procs)
-		w, err := nas.ByName(spec.Kind, nas.Class(spec.Class), procs, iters)
-		if err != nil {
-			log.Fatal(err)
-		}
-		workloads = append(workloads, w)
 	}
 	lv, err := cliutil.ParseInts(levels)
 	if err != nil {
@@ -269,18 +155,9 @@ func runTreeSweep(platform exp.Platform, apps, levels string, fanin, flush, iter
 // unloaded, statically overloaded, and adaptively overloaded, with the
 // final adaptive report's loss accounting printed after the table.
 func runOverloadSweep(platform exp.Platform, apps, rate string, iters int) {
-	specs, err := cliutil.ParseApps(apps)
+	workloads, err := exp.Workloads(apps, iters)
 	if err != nil {
 		log.Fatal(err)
-	}
-	workloads := make([]*nas.Workload, 0, len(specs))
-	for _, spec := range specs {
-		procs := nas.ValidProcs(spec.Kind, spec.Procs)
-		w, err := nas.ByName(spec.Kind, nas.Class(spec.Class), procs, iters)
-		if err != nil {
-			log.Fatal(err)
-		}
-		workloads = append(workloads, w)
 	}
 	slowRate, err := cliutil.ParseBytes(rate)
 	if err != nil {

@@ -48,23 +48,6 @@ func ParseInts(s string) ([]int, error) {
 	return out, nil
 }
 
-// ParseFloats parses a comma-separated list of floats ("0.25,0.5,0.75").
-func ParseFloats(s string) ([]float64, error) {
-	if strings.TrimSpace(s) == "" {
-		return nil, fmt.Errorf("cliutil: empty float list")
-	}
-	parts := strings.Split(s, ",")
-	out := make([]float64, 0, len(parts))
-	for _, p := range parts {
-		v, err := strconv.ParseFloat(strings.TrimSpace(p), 64)
-		if err != nil {
-			return nil, fmt.Errorf("cliutil: bad float %q: %w", p, err)
-		}
-		out = append(out, v)
-	}
-	return out, nil
-}
-
 // ParseBytes parses a byte size with an optional K/M/G suffix ("64M").
 func ParseBytes(s string) (int64, error) {
 	s = strings.TrimSpace(strings.ToUpper(s))
@@ -124,42 +107,6 @@ func ParseApps(s string) ([]AppSpec, error) {
 	}
 	if len(out) == 0 {
 		return nil, fmt.Errorf("cliutil: no applications given")
-	}
-	return out, nil
-}
-
-// BenchSpec is one parsed NAME.CLASS benchmark item.
-type BenchSpec struct {
-	// Kind is the benchmark name.
-	Kind string
-	// Class is the NAS class byte (0 for class-less kinds like EulerMHD).
-	Class byte
-}
-
-// ParseBenches parses a comma-separated list of NAME.CLASS items
-// ("BT.C,SP.D,EulerMHD").
-func ParseBenches(s string) ([]BenchSpec, error) {
-	var out []BenchSpec
-	for _, item := range strings.Split(s, ",") {
-		item = strings.TrimSpace(item)
-		if item == "" {
-			continue
-		}
-		if strings.EqualFold(item, "EulerMHD") || strings.EqualFold(item, "euler") {
-			out = append(out, BenchSpec{Kind: "EulerMHD"})
-			continue
-		}
-		kind, classPart, ok := strings.Cut(item, ".")
-		if !ok || len(strings.TrimSpace(classPart)) != 1 {
-			return nil, fmt.Errorf("cliutil: bad benchmark %q (want NAME.CLASS, e.g. SP.C)", item)
-		}
-		out = append(out, BenchSpec{
-			Kind:  strings.ToUpper(strings.TrimSpace(kind)),
-			Class: strings.ToUpper(strings.TrimSpace(classPart))[0],
-		})
-	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("cliutil: no benchmarks selected")
 	}
 	return out, nil
 }

@@ -69,21 +69,6 @@ func TestParseApps(t *testing.T) {
 	}
 }
 
-func TestParseBenches(t *testing.T) {
-	got, err := ParseBenches("BT.C, sp.d ,EulerMHD")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 3 || got[0].Kind != "BT" || got[1].Class != 'D' || got[2].Kind != "EulerMHD" {
-		t.Fatalf("specs = %v", got)
-	}
-	for _, bad := range []string{"", "BT", "BT.CD"} {
-		if _, err := ParseBenches(bad); err == nil {
-			t.Fatalf("ParseBenches(%q) accepted", bad)
-		}
-	}
-}
-
 func TestResolvePackFormat(t *testing.T) {
 	for format, want := range map[int]int{0: 1, 1: 1, 2: 2, 3: 3} {
 		got, err := ResolvePackFormat(format)

@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/exp/runner"
 	"repro/internal/mpi"
-	"repro/internal/telemetry"
 	"repro/internal/vmpi"
 )
 
@@ -46,39 +45,13 @@ func Readers(writers, ratio int) int {
 // to a reader partition sized by ratio, and the cumulative throughput is
 // measured.
 func StreamThroughput(p Platform, writers, ratio int, perWriter, blockSize int64) (StreamPoint, error) {
-	return streamThroughput(p, writers, ratio, perWriter, blockSize, nil)
-}
-
-// StreamThroughputTelemetry is StreamThroughput with engine telemetry
-// attached to every stream endpoint and the interconnect model; it
-// additionally returns the run's engine-health summary (credits in
-// flight, stalls, EAGAIN rate, NIC traffic, pool behavior).
-func StreamThroughputTelemetry(p Platform, writers, ratio int, perWriter, blockSize int64) (StreamPoint, telemetry.Summary, error) {
-	reg := telemetry.NewRegistry()
-	pt, err := streamThroughput(p, writers, ratio, perWriter, blockSize, reg)
-	if err != nil {
-		return StreamPoint{}, telemetry.Summary{}, err
-	}
-	var acc telemetry.Accumulator
-	if err := acc.AddEncoded(reg.EncodeSnapshot(nil, 0, int64(pt.Seconds*1e9), -1)); err != nil {
-		return StreamPoint{}, telemetry.Summary{}, err
-	}
-	return pt, acc.Summary(), nil
-}
-
-func streamThroughput(p Platform, writers, ratio int, perWriter, blockSize int64, reg *telemetry.Registry) (StreamPoint, error) {
 	readers := Readers(writers, ratio)
-	// Nil-safe: with reg == nil the bundle is nil and every hook no-ops.
-	streamTel := telemetry.NewStreamMetrics(reg)
-	if reg != nil {
-		vmpi.RegisterPoolMetrics(reg)
-	}
 	blocks := int(perWriter / blockSize)
 	if blocks < 1 {
 		blocks = 1
 	}
 	run := &coupledRun{blockSize: blockSize}
-	run.rawWriters(writers, streamTel, 0, func(_ *vmpi.Session, st *vmpi.Stream) error {
+	run.rawWriters(writers, nil, 0, func(_ *vmpi.Session, st *vmpi.Stream) error {
 		for i := 0; i < blocks; i++ {
 			if err := st.Write(nil, blockSize); err != nil {
 				return err
@@ -86,7 +59,7 @@ func streamThroughput(p Platform, writers, ratio int, perWriter, blockSize int64
 		}
 		return nil
 	})
-	run.analyzer(readers, streamTel, false, func(*mpi.Rank, *vmpi.Session) (reader, error) {
+	run.analyzer(readers, nil, false, func(*mpi.Rank, *vmpi.Session) (reader, error) {
 		return reader{onBlock: func(blk *vmpi.Block) error {
 			// The benchmark only counts bytes; recycle the payload so
 			// writers draw from the shared pool instead of allocating.
@@ -95,9 +68,6 @@ func streamThroughput(p Platform, writers, ratio int, perWriter, blockSize int64
 		}}, nil
 	})
 	run.build(p, 1)
-	if reg != nil {
-		run.world.AttachTelemetry(reg)
-	}
 	if err := run.run(); err != nil {
 		return StreamPoint{}, err
 	}

@@ -47,11 +47,7 @@ func (r *Report) RenderLaTeX(w io.Writer) error {
 		// Profile table.
 		b.WriteString("\\subsection{MPI profile}\n")
 		b.WriteString("\\begin{tabular}{lrrr}\n\\toprule\ncall & hits & time & total size \\\\\n\\midrule\n")
-		kinds := ch.Profiler.Kinds()
-		sort.Slice(kinds, func(a, c int) bool {
-			return ch.Profiler.Stat(kinds[a]).TimeNs > ch.Profiler.Stat(kinds[c]).TimeNs
-		})
-		for _, k := range kinds {
+		for _, k := range ch.profileRows() {
 			st := ch.Profiler.Stat(k)
 			fmt.Fprintf(&b, "%s & %d & %s & %s \\\\\n",
 				latexEscape(k.String()), st.Hits,

@@ -432,21 +432,46 @@ func renderEngineHealth(w io.Writer, hk *analysis.EngineHealthKS) error {
 	return nil
 }
 
-func (ch *Chapter) render(w io.Writer) error {
-	// MPI call profile.
-	fmt.Fprintf(w, "\nMPI profile:\n")
-	fmt.Fprintf(w, "  %-14s %12s %14s %14s\n", "call", "hits", "time", "total size")
+// profileRows lists the chapter's MPI call kinds in the order both
+// renderings print them: by time, longest first, ties (typically
+// zero-time calls) by kind so the table does not depend on the order
+// events reached the profiler.
+func (ch *Chapter) profileRows() []trace.Kind {
 	kinds := ch.Profiler.Kinds()
 	sort.Slice(kinds, func(i, j int) bool {
 		ti, tj := ch.Profiler.Stat(kinds[i]).TimeNs, ch.Profiler.Stat(kinds[j]).TimeNs
 		if ti != tj {
 			return ti > tj
 		}
-		// Ties (typically zero-time calls) break by name so the table does
-		// not depend on the order events reached the profiler.
 		return kinds[i] < kinds[j]
 	})
-	for _, k := range kinds {
+	return kinds
+}
+
+// Artifacts returns every chapter's per-application files, keyed by file
+// name: the communication matrix as CSV (bytes and hits), the topology as
+// a DOT graph and the density maps as PGM images.
+func (r *Report) Artifacts() map[string][]byte {
+	files := map[string][]byte{}
+	for _, ch := range r.Chapters {
+		base := strings.ReplaceAll(ch.App, ".", "_")
+		mat := ch.Topology.Matrix()
+		files[base+"_matrix_bytes.csv"] = []byte(MatrixCSV(mat, analysis.MetricBytes))
+		files[base+"_matrix_hits.csv"] = []byte(MatrixCSV(mat, analysis.MetricHits))
+		files[base+"_topology.dot"] = []byte(DOT(ch.App, mat, analysis.MetricBytes))
+		files[base+"_send_hits.pgm"] = DensityPGM(ch.Density.Map(trace.KindSend, analysis.MetricHits))
+		files[base+"_p2p_size.pgm"] = DensityPGM(ch.Density.P2PSizeMap())
+		files[base+"_wait_time.pgm"] = DensityPGM(ch.Density.WaitTimeMap())
+		files[base+"_coll_time.pgm"] = DensityPGM(ch.Density.CollectiveTimeMap())
+	}
+	return files
+}
+
+func (ch *Chapter) render(w io.Writer) error {
+	// MPI call profile.
+	fmt.Fprintf(w, "\nMPI profile:\n")
+	fmt.Fprintf(w, "  %-14s %12s %14s %14s\n", "call", "hits", "time", "total size")
+	for _, k := range ch.profileRows() {
 		st := ch.Profiler.Stat(k)
 		fmt.Fprintf(w, "  %-14s %12d %14s %14s\n",
 			k, st.Hits, time.Duration(st.TimeNs), HumanBytes(float64(st.Bytes)))

@@ -196,6 +196,52 @@ func TestReportRender(t *testing.T) {
 			t.Fatalf("report missing %q:\n%s", want, out)
 		}
 	}
+
+	// Rows tied on time, MPI_Init and MPI_Finalize at zero among them,
+	// come out in kind order in the text and in the LaTeX rendering alike.
+	tied := analysis.NewProfilerModule(1)
+	var want []string
+	for k := trace.KindSend; int(k) < trace.KindCount; k++ {
+		ns := int64(k%3) * 100
+		if k == trace.KindInit || k == trace.KindFinalize {
+			ns = 0
+		}
+		tied.Add(&trace.Event{Kind: k, Peer: -1, TEnd: ns})
+	}
+	for _, ns := range []int64{200, 100, 0} {
+		for k := trace.KindSend; int(k) < trace.KindCount; k++ {
+			if tied.Stat(k).TimeNs == ns {
+				want = append(want, k.String())
+			}
+		}
+	}
+	r.Chapters[0].Profiler = tied
+	buf.Reset()
+	if err := r.Render(&buf); err != nil {
+		t.Fatal(err)
+	}
+	_, text, _ := strings.Cut(buf.String(), "total size\n")
+	text, _, _ = strings.Cut(text, "\n\n")
+	buf.Reset()
+	if err := r.RenderLaTeX(&buf); err != nil {
+		t.Fatal(err)
+	}
+	_, tex, _ := strings.Cut(buf.String(), "\\midrule\n")
+	tex, _, _ = strings.Cut(tex, "\\bottomrule")
+	var textRows, texRows []string
+	for _, line := range strings.Split(strings.TrimSpace(text), "\n") {
+		textRows = append(textRows, strings.Fields(line)[0])
+	}
+	for _, line := range strings.Split(strings.TrimSpace(tex), "\n") {
+		name, _, _ := strings.Cut(line, " & ")
+		texRows = append(texRows, strings.ReplaceAll(name, "\\_", "_"))
+	}
+	if got, w := strings.Join(textRows, " "), strings.Join(want, " "); got != w {
+		t.Errorf("text rows:\n got %s\nwant %s", got, w)
+	}
+	if got, w := strings.Join(texRows, " "), strings.Join(want, " "); got != w {
+		t.Errorf("LaTeX rows:\n got %s\nwant %s", got, w)
+	}
 }
 
 // Property: PGM output always has cols*rows pixels, all within 0..255.

@@ -281,16 +281,6 @@ func (a *Accumulator) AddSnapshot(s *Snapshot) {
 	}
 }
 
-// AddEncoded decodes one wire snapshot and folds it in.
-func (a *Accumulator) AddEncoded(buf []byte) error {
-	s, err := DecodeSnapshot(buf)
-	if err != nil {
-		return err
-	}
-	a.AddSnapshot(s)
-	return nil
-}
-
 // Snapshots reports how many snapshots have been folded in.
 func (a *Accumulator) Snapshots() int {
 	a.mu.Lock()

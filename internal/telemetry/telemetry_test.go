@@ -188,6 +188,16 @@ func TestDecodeSnapshotTruncated(t *testing.T) {
 	}
 }
 
+// addEncoded decodes one wire snapshot and folds it into acc.
+func addEncoded(acc *Accumulator, buf []byte) error {
+	s, err := DecodeSnapshot(buf)
+	if err != nil {
+		return err
+	}
+	acc.AddSnapshot(s)
+	return nil
+}
+
 func TestAccumulatorSeries(t *testing.T) {
 	reg := NewRegistry()
 	c := reg.Counter("c")
@@ -199,8 +209,8 @@ func TestAccumulatorSeries(t *testing.T) {
 		c.Add(int64(i))
 		g.Set(int64(10 * i))
 		h.Observe(int64(i))
-		if err := acc.AddEncoded(reg.EncodeSnapshot(nil, uint64(i), int64(i*100), 0)); err != nil {
-			t.Fatalf("AddEncoded: %v", err)
+		if err := addEncoded(&acc, reg.EncodeSnapshot(nil, uint64(i), int64(i*100), 0)); err != nil {
+			t.Fatalf("addEncoded: %v", err)
 		}
 	}
 	if acc.Snapshots() != 3 {
@@ -316,7 +326,7 @@ func TestSamplerCadence(t *testing.T) {
 	}
 	var acc Accumulator
 	for _, b := range w.bufs {
-		if err := acc.AddEncoded(b); err != nil {
+		if err := addEncoded(&acc, b); err != nil {
 			t.Fatalf("decode sampled snapshot: %v", err)
 		}
 	}
