@@ -1,6 +1,7 @@
 package analysis
 
 import (
+	"maps"
 	"sort"
 	"sync"
 
@@ -19,10 +20,16 @@ type CallsiteModule struct {
 	name map[uint32]string
 }
 
-type callsiteKey struct {
-	ctx  uint32
-	kind trace.Kind
+// callsiteKey packs (ctx, kind) into one word, ctx<<8 | kind: a map
+// hashes it on its 64-bit fast path, and it sorts as (ctx, kind).
+type callsiteKey uint64
+
+func makeCallsiteKey(ctx uint32, kind trace.Kind) callsiteKey {
+	return callsiteKey(ctx)<<8 | callsiteKey(kind)
 }
+
+func (k callsiteKey) ctx() uint32      { return uint32(k >> 8) }
+func (k callsiteKey) kind() trace.Kind { return trace.Kind(k) }
 
 // CallsiteStat is one row of the call-site profile.
 type CallsiteStat struct {
@@ -57,7 +64,7 @@ func (m *CallsiteModule) Add(ev *trace.Event) {
 }
 
 func (m *CallsiteModule) fold(ev *trace.Event) {
-	entry(m.per, callsiteKey{ctx: ev.Ctx, kind: ev.Kind}).add(ev)
+	entry(m.per, makeCallsiteKey(ev.Ctx, ev.Kind)).add(ev)
 }
 
 // mergeReset folds o into m and resets o's stats in place, keeping o's
@@ -79,7 +86,7 @@ func (m *CallsiteModule) Top(n int) []CallsiteStat {
 	m.mu.Lock()
 	out := make([]CallsiteStat, 0, len(m.per))
 	for key, st := range m.per {
-		out = append(out, CallsiteStat{Ctx: key.ctx, Label: m.name[key.ctx], Kind: key.kind, Stat: *st})
+		out = append(out, CallsiteStat{Ctx: key.ctx(), Label: m.name[key.ctx()], Kind: key.kind(), Stat: *st})
 	}
 	m.mu.Unlock()
 	sort.Slice(out, func(i, j int) bool {
@@ -104,10 +111,7 @@ func (m *CallsiteModule) Merge(o *CallsiteModule) {
 	for k, st := range o.per {
 		snap[k] = *st
 	}
-	names := make(map[uint32]string, len(o.name))
-	for c, l := range o.name {
-		names[c] = l
-	}
+	names := maps.Clone(o.name)
 	o.mu.Unlock()
 	m.mu.Lock()
 	defer m.mu.Unlock()

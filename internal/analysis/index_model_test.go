@@ -17,7 +17,8 @@ import (
 // module's unsettled list, the window series' written list — to a model
 // that has none: plain maps filled event by event, encoded by sorting their
 // keys. The model shares no fold, merge or encode code with the engine; it
-// reuses only the primitive writer and the key types.
+// reuses only the primitive writer and the channel key type. Its call-site
+// key is a struct of its own, so it does not share the engine's packing.
 
 // modelPartial is the naive partial: every module a map.
 type modelPartial struct {
@@ -29,7 +30,7 @@ type modelPartial struct {
 	prof   map[trace.Kind]Stat
 	topo   map[int]Stat
 	dens   map[trace.Kind]map[int]Stat
-	calls  map[callsiteKey]Stat
+	calls  map[modelCallsite]Stat
 	sizes  map[int][2]int64
 
 	pairs    int64
@@ -41,11 +42,20 @@ type modelPartial struct {
 	wins     map[int64]*modelPartial
 }
 
+type modelCallsite struct {
+	ctx  uint32
+	kind trace.Kind
+}
+
+func cmpModelCallsite(a, b modelCallsite) int {
+	return cmp.Or(cmp.Compare(a.ctx, b.ctx), cmp.Compare(a.kind, b.kind))
+}
+
 func newModelPartial(appID uint32, opts PartialOptions, lazy bool) *modelPartial {
 	return &modelPartial{
 		appID: appID, opts: opts, lazy: lazy,
 		prof: map[trace.Kind]Stat{}, topo: map[int]Stat{}, dens: map[trace.Kind]map[int]Stat{},
-		calls: map[callsiteKey]Stat{}, sizes: map[int][2]int64{}, late: map[int][2]int64{},
+		calls: map[modelCallsite]Stat{}, sizes: map[int][2]int64{}, late: map[int][2]int64{},
 		sends: map[chanKey][]int64{}, recvs: map[chanKey][]recvEvt{},
 		temporal: map[trace.Kind]map[int]Stat{}, wins: map[int64]*modelPartial{},
 	}
@@ -100,7 +110,7 @@ func (m *modelPartial) fold(ev *trace.Event) {
 		}
 	}
 	if m.opts.Callsites {
-		addTo(m.calls, callsiteKey{ctx: ev.Ctx, kind: ev.Kind}, st)
+		addTo(m.calls, modelCallsite{ctx: ev.Ctx, kind: ev.Kind}, st)
 	}
 	if m.opts.Sizes && p2p {
 		b := 0
@@ -269,7 +279,7 @@ func (m *modelPartial) encode(w *pwriter, pendings, reset bool) {
 		kindRows(w, m.temporal)
 	}
 	if o.Callsites {
-		statTable(w, m.calls, cmpCallsiteKey, func(k callsiteKey) { w.u32(k.ctx); w.u32(uint32(k.kind)) })
+		statTable(w, m.calls, cmpModelCallsite, func(k modelCallsite) { w.u32(k.ctx); w.u32(uint32(k.kind)) })
 	}
 	if o.Sizes {
 		bs := sortedKeys(m.sizes, cmp.Compare[int])
@@ -459,12 +469,12 @@ func indexInvariants(pp *Partial) error {
 				return fmt.Errorf("%s: cell %d is non-zero under a clear bit", name, i)
 			}
 		}
-		for k, q := range p.Waits.chans {
+		for _, q := range p.Waits.chans.recs {
 			if len(q.sends) > 0 && len(q.recvs) > 0 && !q.listed {
-				return fmt.Errorf("%s: channel %+v holds both sides outside the unsettled list", name, k)
+				return fmt.Errorf("%s: channel %+v holds both sides outside the unsettled list", name, q.key)
 			}
 			if q.listed && !slices.Contains(p.Waits.unsettled, q) {
-				return fmt.Errorf("%s: channel %+v is marked listed but is not in the list", name, k)
+				return fmt.Errorf("%s: channel %+v is marked listed but is not in the list", name, q.key)
 			}
 		}
 		return nil

@@ -489,7 +489,7 @@ func windowHasContent(wp *Partial, pendings bool) bool {
 	ws := wp.Waits
 	ws.mu.Lock()
 	defer ws.mu.Unlock()
-	for _, q := range ws.chans {
+	for _, q := range ws.chans.recs {
 		if len(q.sends)+len(q.recvs) > 0 {
 			return true
 		}
@@ -645,41 +645,37 @@ func (pp *Partial) encodeWaits(w *pwriter, pendings, reset bool) {
 	// keeps the encoding canonical (content-equal modules encode
 	// identically whatever their pairing history). Both sections list
 	// their channels in the same order, so one sort serves them.
-	type liveChan struct {
-		key chanKey
-		q   *chanQueues
-	}
-	live := make([]liveChan, 0, len(m.chans))
-	for k, q := range m.chans {
+	live := make([]*chanQueues, 0, len(m.chans.recs))
+	for _, q := range m.chans.recs {
 		if len(q.sends)+len(q.recvs) > 0 {
-			live = append(live, liveChan{k, q})
+			live = append(live, q)
 		}
 	}
-	slices.SortFunc(live, func(a, b liveChan) int { return cmpChanKey(a.key, b.key) })
+	slices.SortFunc(live, func(a, b *chanQueues) int { return cmpChanKey(a.key, b.key) })
 	countAt = w.reserve()
 	n = 0
-	for _, c := range live {
-		if len(c.q.sends) == 0 {
+	for _, q := range live {
+		if len(q.sends) == 0 {
 			continue
 		}
 		n++
-		w.chanKey(c.key)
-		w.u32(uint32(len(c.q.sends)))
-		for _, t := range c.q.sends {
+		w.chanKey(q.key)
+		w.u32(uint32(len(q.sends)))
+		for _, t := range q.sends {
 			w.i64(t)
 		}
 	}
 	w.backfill(countAt, n)
 	countAt = w.reserve()
 	n = 0
-	for _, c := range live {
-		if len(c.q.recvs) == 0 {
+	for _, q := range live {
+		if len(q.recvs) == 0 {
 			continue
 		}
 		n++
-		w.chanKey(c.key)
-		w.u32(uint32(len(c.q.recvs)))
-		for _, rv := range c.q.recvs {
+		w.chanKey(q.key)
+		w.u32(uint32(len(q.recvs)))
+		for _, rv := range q.recvs {
 			w.u32(uint32(rv.rank))
 			w.i64(rv.tStart)
 			w.i64(rv.tEnd)
@@ -687,8 +683,8 @@ func (pp *Partial) encodeWaits(w *pwriter, pendings, reset bool) {
 	}
 	w.backfill(countAt, n)
 	if reset {
-		for _, c := range live {
-			c.q.sends, c.q.recvs = c.q.sends[:0], c.q.recvs[:0]
+		for _, q := range live {
+			q.sends, q.recvs = q.sends[:0], q.recvs[:0]
 		}
 	}
 }
@@ -710,21 +706,17 @@ func (pp *Partial) encodeTemporal(w *pwriter, reset bool) {
 	}
 }
 
-func cmpCallsiteKey(a, b callsiteKey) int {
-	return cmp.Or(cmp.Compare(a.ctx, b.ctx), cmp.Compare(a.kind, b.kind))
-}
-
 func (pp *Partial) encodeCallsites(w *pwriter, reset bool) {
 	m := pp.Callsites
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	keys := nonZeroKeys(m.per)
-	slices.SortFunc(keys, cmpCallsiteKey)
+	slices.Sort(keys)
 	w.u32(uint32(len(keys)))
 	for _, k := range keys {
 		st := m.per[k]
-		w.u32(k.ctx)
-		w.u32(uint32(k.kind))
+		w.u32(k.ctx())
+		w.u32(uint32(k.kind()))
 		w.stat(*st)
 		if reset {
 			*st = Stat{}
@@ -1169,17 +1161,17 @@ func (pp *Partial) mergeCallsites(r *preader, apply bool) error {
 		m.mu.Lock()
 		defer m.mu.Unlock()
 	}
-	var prev uint64
+	var prev callsiteKey
 	for i := 0; i < n; i++ {
 		ctx, kind := r.u32(), r.kind("call-site")
 		st := r.stat()
-		order := uint64(ctx)<<32 | uint64(kind)
-		if !r.inOrder(i == 0 || order > prev, "call-site") {
+		key := makeCallsiteKey(ctx, trace.Kind(kind))
+		if !r.inOrder(i == 0 || key > prev, "call-site") {
 			return r.err
 		}
-		prev = order
+		prev = key
 		if apply {
-			entry(m.per, callsiteKey{ctx: ctx, kind: trace.Kind(kind)}).merge(st)
+			entry(m.per, key).merge(st)
 		}
 	}
 	return nil

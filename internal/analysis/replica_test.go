@@ -313,3 +313,30 @@ func TestReplicaExportExclusion(t *testing.T) {
 		t.Error("double EnableReplicas succeeded")
 	}
 }
+
+// BenchmarkReplicaFold times a fresh replica folding 2 048 packs of the
+// live workload (256 ranks, every module on; seal_test.go's livePacks),
+// without windows and with its 500 µs tumbling windows: the per-event
+// cost of the analysis fold alone, reported as ns/event.
+func BenchmarkReplicaFold(b *testing.B) {
+	const ranks = 256
+	evs := livePacks(ranks, 0, 8*ranks)
+	for _, windowed := range []bool{false, true} {
+		name, opts := "plain", liveOpts(ranks)
+		if windowed {
+			name = "windowed"
+		} else {
+			opts.WindowNs = 0
+		}
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			for n := 0; n < b.N; n++ {
+				rep := NewReplica(1, opts)
+				for i := range evs {
+					rep.Fold(&evs[i])
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(evs)), "ns/event")
+		})
+	}
+}

@@ -161,7 +161,7 @@ func TestNewWindowAllocsPerChunk(t *testing.T) {
 		first[i].TEnd += opts.WindowNs
 	}
 	_, objects := allocatedBy(func() { foldAll(pp, first) })
-	channels := len(pp.Windows.wins[1].Waits.chans)
+	channels := len(pp.Windows.wins[1].Waits.chans.recs)
 	t.Logf("a fresh window of %d channels allocates %d objects", channels, objects)
 	if channels < 2000 {
 		t.Fatalf("the workload opened %d channels in the window, want ≥ 2000", channels)

@@ -2,6 +2,8 @@ package analysis
 
 import (
 	"cmp"
+	"math/bits"
+	"math/rand/v2"
 	"slices"
 	"sort"
 	"sync"
@@ -36,7 +38,7 @@ import (
 // The trade-off is queue memory proportional to the channel's message
 // count between settles rather than to in-flight messages. A settle costs
 // what was written since the last one: it drains the unsettled list — the
-// records that gained an entry — and never ranges the channel map.
+// records that gained an entry — and never ranges the channel index.
 //
 // Send-side blocking (Late Receiver) does not occur under the eager
 // protocol this runtime models, so only the receive side is classified.
@@ -45,10 +47,10 @@ type WaitStateModule struct {
 	size int
 
 	// chans holds each channel's pending events. A record stays in the
-	// map once its queues drain, so the next event on the channel costs one
-	// lookup and an append into capacity it already has; every reader and
-	// encoder skips empty queues.
-	chans map[chanKey]*chanQueues
+	// index once its queues drain, so the next event on the channel costs
+	// one lookup and an append into capacity it already has; every reader
+	// and encoder skips empty queues.
+	chans chanIndex
 	// slab is the unused rest of the chunk new records are cut from: a
 	// run touches thousands of channels, one allocation each otherwise.
 	// sendStore and recvStore do the same for the queues' storage.
@@ -83,9 +85,67 @@ type chanKey struct {
 	comm     uint32
 }
 
+// chanIndex maps channels to their records: open addressing with linear
+// probing over a table of records at most half full, the records also
+// listed in insertion order for iteration. A client's packs choose every
+// field of a key, so each table hashes with a seed of its own drawn at
+// random, and no fixed set of keys collides in every table. Records are
+// never removed.
+type chanIndex struct {
+	seed  uint64
+	slots []*chanQueues // nil is free
+	recs  []*chanQueues
+}
+
+// slot returns the slot holding k's record, or the free slot a put of k
+// fills. The table must not be empty.
+func (x *chanIndex) slot(k chanKey) int {
+	mask := len(x.slots) - 1
+	i := int(k.hash(x.seed)) & mask
+	for x.slots[i] != nil && x.slots[i].key != k {
+		i = (i + 1) & mask
+	}
+	return i
+}
+
+// get returns channel k's record, or nil.
+func (x *chanIndex) get(k chanKey) *chanQueues {
+	if len(x.slots) == 0 {
+		return nil
+	}
+	return x.slots[x.slot(k)]
+}
+
+// put adds record q, whose channel must be absent.
+func (x *chanIndex) put(q *chanQueues) {
+	if 2*(len(x.recs)+1) > len(x.slots) {
+		if x.slots == nil {
+			x.seed = rand.Uint64()
+		}
+		x.slots = make([]*chanQueues, max(8, 2*len(x.slots)))
+		for _, r := range x.recs {
+			x.slots[x.slot(r.key)] = r
+		}
+	}
+	x.slots[x.slot(q.key)] = q
+	x.recs = append(x.recs, q)
+}
+
+// hash mixes the key's two words with the table's seed by two folded
+// 64×64 → 128-bit multiplies; neither factor of the first can be steered
+// to zero without knowing the seed.
+func (k chanKey) hash(seed uint64) uint64 {
+	a := uint64(uint32(k.src))<<32 | uint64(uint32(k.dst))
+	b := uint64(uint32(k.tag))<<32 | uint64(k.comm)
+	hi, lo := bits.Mul64(a^seed^0xa0761d6478bd642f, b^seed^0xe7037ed1a0b428db)
+	hi, lo = bits.Mul64(hi^lo, seed^0x8ebc6af09c88c6e3)
+	return hi ^ lo
+}
+
 // chanQueues is one channel's two pending queues, each sorted by time (=
 // the channel's FIFO order, since each side originates at a single rank).
 type chanQueues struct {
+	key    chanKey
 	sends  []int64 // send start times
 	recvs  []recvEvt
 	listed bool // in the module's unsettled list
@@ -102,7 +162,6 @@ type recvEvt struct {
 func NewWaitStateModule(size int) *WaitStateModule {
 	return &WaitStateModule{
 		size:     size,
-		chans:    make(map[chanKey]*chanQueues),
 		lateNs:   make([]int64, size),
 		lateHits: make([]int64, size),
 	}
@@ -142,13 +201,14 @@ func (m *WaitStateModule) fold(ev *trace.Event) {
 
 // queues returns channel k's record, minting it on first use.
 func (m *WaitStateModule) queues(k chanKey) *chanQueues {
-	q := m.chans[k]
+	q := m.chans.get(k)
 	if q == nil {
 		if len(m.slab) == 0 {
 			m.slab = make([]chanQueues, 32)
 		}
 		q, m.slab = &m.slab[0], m.slab[1:]
-		m.chans[k] = q
+		q.key = k
+		m.chans.put(q)
 	}
 	return q
 }
@@ -271,7 +331,7 @@ func (m *WaitStateModule) Unmatched() int64 {
 	defer m.mu.Unlock()
 	m.settleLocked()
 	var n int64
-	for _, q := range m.chans {
+	for _, q := range m.chans.recs {
 		n += int64(len(q.sends) + len(q.recvs))
 	}
 	return n
@@ -350,11 +410,10 @@ func (m *WaitStateModule) Merge(o *WaitStateModule) {
 // is built on.
 func (m *WaitStateModule) MergeFull(o *WaitStateModule) {
 	o.mu.Lock()
-	c := &WaitStateModule{pairs: o.pairs, lateNs: slices.Clone(o.lateNs), lateHits: slices.Clone(o.lateHits),
-		chans: make(map[chanKey]*chanQueues, len(o.chans))}
-	for k, q := range o.chans {
+	c := &WaitStateModule{pairs: o.pairs, lateNs: slices.Clone(o.lateNs), lateHits: slices.Clone(o.lateHits)}
+	for _, q := range o.chans.recs {
 		if len(q.sends)+len(q.recvs) > 0 {
-			c.chans[k] = &chanQueues{sends: slices.Clone(q.sends), recvs: slices.Clone(q.recvs)}
+			c.chans.put(&chanQueues{key: q.key, sends: slices.Clone(q.sends), recvs: slices.Clone(q.recvs)})
 		}
 	}
 	o.mu.Unlock()
@@ -385,11 +444,11 @@ func (m *WaitStateModule) mergeResetFull(o *WaitStateModule) {
 		}
 		o.lateNs[r], o.lateHits[r] = 0, 0
 	}
-	for k, oq := range o.chans {
+	for _, oq := range o.chans.recs {
 		if len(oq.sends)+len(oq.recvs) == 0 {
 			continue
 		}
-		q := m.queues(k)
+		q := m.queues(oq.key)
 		q.sends, oq.sends = moveSorted(q.sends, oq.sends, cmp.Less[int64])
 		q.recvs, oq.recvs = moveSorted(q.recvs, oq.recvs, lessRecv)
 		m.list(q)
