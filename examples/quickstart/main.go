@@ -28,7 +28,7 @@ func main() {
 	var received int64
 
 	world := mpi.NewWorld(mpi.DefaultConfig(),
-		mpi.Program{Name: "writer", Cmdline: "./writer", Procs: writers, Main: func(r *mpi.Rank) {
+		mpi.Program{Name: "writer", Procs: writers, Main: func(r *mpi.Rank) {
 			sess := layout.Init(r) // the moral equivalent of MPI_Init under VMPI
 
 			// Fill in mapping data (paper Figure 11).
@@ -57,7 +57,7 @@ func main() {
 				log.Fatal(err)
 			}
 		}},
-		mpi.Program{Name: "Analyzer", Cmdline: "./analyzer", Procs: analyzerRanks, Main: func(r *mpi.Rank) {
+		mpi.Program{Name: "Analyzer", Procs: analyzerRanks, Main: func(r *mpi.Rank) {
 			sess := layout.Init(r)
 
 			// Map every other partition (paper Figure 12).

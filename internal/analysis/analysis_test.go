@@ -155,7 +155,7 @@ func TestDispatcherRoutesByAppID(t *testing.T) {
 }
 
 func TestModuleMerge(t *testing.T) {
-	a, b := NewProfilerModule(2), NewProfilerModule(2)
+	a, b := &ProfilerModule{}, &ProfilerModule{}
 	ev := sendEvent(0, 1, 100, 0, 10)
 	a.Add(&ev)
 	b.Add(&ev)

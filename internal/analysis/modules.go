@@ -82,15 +82,8 @@ func kindsWhere(used func(k int) bool) []trace.Kind {
 // Figure 4).
 type ProfilerModule struct {
 	mu     sync.Mutex
-	size   int
 	events int64
 	total  [kindSlots]Stat
-}
-
-// NewProfilerModule creates a profiler for an application of the given
-// rank count.
-func NewProfilerModule(size int) *ProfilerModule {
-	return &ProfilerModule{size: size}
 }
 
 // Add folds one event in.

@@ -98,7 +98,7 @@ func NewPartial(appID uint32, opts PartialOptions) *Partial {
 	pp := &Partial{
 		AppID:    appID,
 		opts:     opts,
-		Profiler: NewProfilerModule(opts.AppSize),
+		Profiler: &ProfilerModule{},
 		Topology: NewTopologyModule(opts.AppSize),
 		Density:  NewDensityModule(opts.AppSize),
 	}

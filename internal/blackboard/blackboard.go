@@ -180,8 +180,6 @@ type Stats struct {
 	Posted int64
 	// Jobs counts operations executed.
 	Jobs int64
-	// Backoffs counts worker sleeps due to an empty board.
-	Backoffs int64
 	// OpPanics counts knowledge-source operations that panicked and were
 	// isolated.
 	OpPanics int64
@@ -229,7 +227,6 @@ type Blackboard struct {
 
 	posted    atomic.Int64
 	jobsDone  atomic.Int64
-	backoffs  atomic.Int64
 	panics    atomic.Int64
 	dropped   atomic.Int64
 	unclaimed atomic.Int64
@@ -544,7 +541,6 @@ func (bb *Blackboard) worker(id int) {
 			// Back-off: wait for a push instead of spinning over the
 			// locks (paper §III-B). Re-checking the queued counter under
 			// idleMu makes the wait race-free against push's signal.
-			bb.backoffs.Add(1)
 			bb.tel.Load().OnBackoff()
 			bb.idleMu.Lock()
 			if bb.closed.Load() {
@@ -629,7 +625,6 @@ func (bb *Blackboard) Stats() Stats {
 	return Stats{
 		Posted:    bb.posted.Load(),
 		Jobs:      bb.jobsDone.Load(),
-		Backoffs:  bb.backoffs.Load(),
 		OpPanics:  bb.panics.Load(),
 		Dropped:   bb.dropped.Load(),
 		Unclaimed: bb.unclaimed.Load(),

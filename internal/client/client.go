@@ -30,7 +30,6 @@ type Client struct {
 
 	format  int
 	session uint64
-	meta    wire.SessionMeta
 	// avail is the client's credit balance: decremented per pack, topped
 	// up by the daemon's Credit frames. At zero, SendPack blocks reading
 	// until a grant arrives — the compliant behaviour the daemon's
@@ -136,7 +135,6 @@ func (c *Client) Register(meta wire.SessionMeta) (uint64, error) {
 		return 0, err
 	}
 	c.session = ack.Session
-	c.meta = meta
 	c.avail = int(ack.Window)
 	return ack.Session, nil
 }

@@ -92,7 +92,7 @@ func packVersionOf(v int) (int, error) {
 // main returns is the run's.
 func (c *coupledRun) program(name string, procs int, main func(*mpi.Rank) error) {
 	c.programs = append(c.programs, mpi.Program{
-		Name: name, Cmdline: "./" + name, Procs: procs,
+		Name: name, Procs: procs,
 		Main: func(r *mpi.Rank) {
 			if err := main(r); err != nil && c.reported == nil {
 				c.reported = err

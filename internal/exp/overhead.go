@@ -242,7 +242,7 @@ func runFileTool(p Platform, w *nas.Workload, tool Tool, seed int64) (float64, i
 		},
 	})
 	comm = world.NewComm(world.ProgramRanks(0))
-	set = instrument.NewSIONSet(world.FS(), p.CoresPerNode, w.Name)
+	set = instrument.NewSIONSet(world.FS(), p.CoresPerNode)
 	if err := world.Run(); err != nil {
 		return 0, 0, 0, err
 	}

@@ -32,10 +32,9 @@ type OverloadPoint struct {
 	// (zero unless adaptive).
 	AdaptMaxLevel  int
 	AdaptDecisions int64
-	// Report and Stats give callers the full run outputs for deeper
-	// assertions (per-class completeness, loss ledgers).
+	// Report gives callers the full run output for deeper assertions
+	// (per-class completeness, loss ledgers).
 	Report *report.Report
-	Stats  *RunStats
 }
 
 // OverloadSweep profiles the workloads three ways on a pinned platform:
@@ -70,7 +69,6 @@ func OverloadSweep(p Platform, workloads []*nas.Workload, base ProfileOptions, s
 			AdaptMaxLevel:   stats.AdaptMaxLevel,
 			AdaptDecisions:  stats.AdaptDecisions,
 			Report:          rep,
-			Stats:           stats,
 		}
 		if total := pt.AnalyzedEvents + pt.ShedEvents; total > 0 {
 			pt.CompletenessPct = 100 * float64(pt.AnalyzedEvents) / float64(total)

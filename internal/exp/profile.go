@@ -143,8 +143,6 @@ type ProfileOptions struct {
 // quantities the reduction tree exists to improve, plus its failure
 // counters.
 type RunStats struct {
-	// Analyzers is the resolved analyzer (leaf) partition size.
-	Analyzers int
 	// AppSeconds is the slowest application's virtual wall time.
 	AppSeconds float64
 	// AnalyzedEvents counts the events that reached the root pipelines
@@ -179,16 +177,9 @@ type RunStats struct {
 	// reached; AdaptDecisions counts its control decisions.
 	AdaptMaxLevel  int
 	AdaptDecisions int64
-	// WindowCount sums the populated analysis windows across applications
-	// (windowed runs only).
-	WindowCount int
 	// WindowMaxLagNs is the high-water event-to-report latency observed
 	// by any application's window tracker.
 	WindowMaxLagNs int64
-	// WindowLateEvents counts events that arrived after their window
-	// should have sealed (still merged; the completeness bound accounts
-	// them).
-	WindowLateEvents int64
 }
 
 // couplingOptions is what the options that shape the coupling resolve to
@@ -300,7 +291,7 @@ func ProfileRunStats(p Platform, workloads []*nas.Workload, opts ProfileOptions)
 		return nil, nil, fmt.Errorf("exp: aggregator faults need a reduction tree (TreeLevels > 1)")
 	}
 
-	stats := &RunStats{Analyzers: analyzers}
+	stats := &RunStats{}
 	if plan != nil {
 		stats.TreeTiers = plan.Tiers()
 		stats.TreeRanks = plan.Ranks()
@@ -642,10 +633,6 @@ func ProfileRunStats(p Platform, workloads []*nas.Workload, opts ProfileOptions)
 				if tr.MaxLagNs() > stats.WindowMaxLagNs {
 					stats.WindowMaxLagNs = tr.MaxLagNs()
 				}
-				stats.WindowLateEvents += tr.LateEvents()
-			}
-			if windows[i] != nil {
-				stats.WindowCount += windows[i].Len()
 			}
 		}
 	}

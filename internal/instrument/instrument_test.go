@@ -212,13 +212,11 @@ func TestTraceRecorderWritesThroughFS(t *testing.T) {
 	w := mpi.NewWorld(cfg, mpi.Program{Name: "app", Procs: 2, Main: func(r *mpi.Rank) {
 		m := New(r, comm)
 		rec := NewTraceRecorder(r, r.World().FS(), set, TraceConfig{
-			RecordSize:   80,
-			BufferBytes:  8000, // flush every 100 events
-			PerEventCost: 0,
+			BufferBytes: 100 * traceRecordSize, // flush every 100 events
 		})
 		m.SetRecorder(rec)
-		// The writes cost nothing themselves: any time they take is spent
-		// waiting on the filesystem.
+		// The writes cost nothing themselves: any time they take past the
+		// recorder's own per-event cost is spent waiting on the filesystem.
 		t0 := r.Now()
 		for i := 0; i < 1000; i++ {
 			m.PosixWrite(1, 0)
@@ -231,27 +229,27 @@ func TestTraceRecorderWritesThroughFS(t *testing.T) {
 		produced[r.ProgramRank()] = rec.BytesProduced()
 	}})
 	comm = w.NewComm(w.ProgramRanks(0))
-	set = NewSIONSet(w.FS(), 2, "trace")
+	set = NewSIONSet(w.FS(), 2)
 	if err := w.Run(); err != nil {
 		t.Fatal(err)
 	}
-	if produced[0] != 80*1001 { // 1000 posix writes + MPI_Finalize
+	if produced[0] != traceRecordSize*1001 { // 1000 posix writes + MPI_Finalize
 		t.Fatalf("produced = %d", produced[0])
 	}
-	if stalled == 0 {
+	if stalled.Duration() <= 1000*tracePerEventCost {
 		t.Fatal("starved filesystem should cause stalls")
 	}
 	if len(set.fds) != 1 {
 		t.Fatalf("SION set should aggregate 2 ranks into 1 file, got %d", len(set.fds))
 	}
-	if produced[0]+produced[1] != 2*80*1001 {
+	if produced[0]+produced[1] != 2*traceRecordSize*1001 {
 		t.Fatalf("fs bytes = %d", produced[0]+produced[1])
 	}
 }
 
 func TestSIONSetAggregation(t *testing.T) {
 	fs := simfs.New(simfs.DefaultConfig())
-	set := NewSIONSet(fs, 4, "t")
+	set := NewSIONSet(fs, 4)
 	fdA, _ := set.FD(0, 0)
 	fdB, _ := set.FD(3, 0)
 	fdC, _ := set.FD(4, 0)
@@ -265,7 +263,7 @@ func TestSIONSetAggregation(t *testing.T) {
 		t.Fatalf("files = %d", len(set.fds))
 	}
 	// ranksPerFile < 1 clamps to per-rank files.
-	set2 := NewSIONSet(fs, 0, "u")
+	set2 := NewSIONSet(fs, 0)
 	a, _ := set2.FD(0, 0)
 	b, _ := set2.FD(1, 0)
 	if a == b {

@@ -508,18 +508,17 @@ func (o *OnlineRecorder) Finalize() {
 type SIONSet struct {
 	fs           *simfs.FS
 	ranksPerFile int
-	prefix       string
 	fds          map[int]int
 }
 
 // NewSIONSet creates a file set on fs. ranksPerFile < 1 means one file per
 // rank (the classic one-file-per-process layout the paper's Figure 1
 // criticizes).
-func NewSIONSet(fs *simfs.FS, ranksPerFile int, prefix string) *SIONSet {
+func NewSIONSet(fs *simfs.FS, ranksPerFile int) *SIONSet {
 	if ranksPerFile < 1 {
 		ranksPerFile = 1
 	}
-	return &SIONSet{fs: fs, ranksPerFile: ranksPerFile, prefix: prefix, fds: make(map[int]int)}
+	return &SIONSet{fs: fs, ranksPerFile: ranksPerFile, fds: make(map[int]int)}
 }
 
 // FD returns the physical file descriptor for a rank, creating the file on
@@ -529,7 +528,7 @@ func (s *SIONSet) FD(rank int, now des.Time) (fd int, done des.Time) {
 	if fd, ok := s.fds[slot]; ok {
 		return fd, now
 	}
-	fd, done = s.fs.Create(now, fmt.Sprintf("%s.%06d.sion", s.prefix, slot))
+	fd, done = s.fs.Create(now)
 	s.fds[slot] = fd
 	return fd, done
 }
@@ -538,19 +537,21 @@ func (s *SIONSet) FD(rank int, now des.Time) (fd int, done des.Time) {
 
 // TraceConfig parameterizes a TraceRecorder.
 type TraceConfig struct {
-	// RecordSize is the per-event record size in the trace.
-	RecordSize int
 	// BufferBytes is the in-memory event buffer flushed to the filesystem
 	// when full (Score-P's default chunk is a few MB).
 	BufferBytes int64
-	// PerEventCost is the CPU cost of one event measurement + encode.
-	PerEventCost time.Duration
 }
 
-// DefaultTraceConfig mirrors Score-P's defaults: 4 MB buffers, 80-byte OTF2
-// records, 200 ns per event.
+// A trace recorder writes Score-P's 80-byte OTF2 records and spends 200 ns
+// measuring and encoding each event.
+const (
+	traceRecordSize   = 80
+	tracePerEventCost = 200 * time.Nanosecond
+)
+
+// DefaultTraceConfig mirrors Score-P's default 4 MB buffers.
 func DefaultTraceConfig() TraceConfig {
-	return TraceConfig{RecordSize: 80, BufferBytes: 4 << 20, PerEventCost: 200 * time.Nanosecond}
+	return TraceConfig{BufferBytes: 4 << 20}
 }
 
 // TraceRecorder buffers events and writes them through the shared
@@ -572,10 +573,7 @@ type TraceRecorder struct {
 // NewTraceRecorder creates a trace recorder writing through the given
 // SIONlib-style file set.
 func NewTraceRecorder(r *mpi.Rank, fs *simfs.FS, set *SIONSet, cfg TraceConfig) *TraceRecorder {
-	if cfg.RecordSize < trace.MinRecordSize {
-		cfg.RecordSize = trace.MinRecordSize
-	}
-	return &TraceRecorder{rank: r, fs: fs, set: set, cfg: cfg, cost: newCostMeter(r, cfg.PerEventCost), fd: -1}
+	return &TraceRecorder{rank: r, fs: fs, set: set, cfg: cfg, cost: newCostMeter(r, tracePerEventCost), fd: -1}
 }
 
 // BytesProduced implements Recorder.
@@ -584,7 +582,7 @@ func (t *TraceRecorder) BytesProduced() int64 { return t.produced }
 // Record implements Recorder.
 func (t *TraceRecorder) Record(ev *trace.Event) {
 	t.cost.charge()
-	t.buffered += int64(t.cfg.RecordSize)
+	t.buffered += traceRecordSize
 	if t.buffered >= t.cfg.BufferBytes {
 		t.flush()
 	}
@@ -685,7 +683,7 @@ func (p *ProfileRecorder) Finalize() {
 	}
 	p.produced += p.cfg.DumpBytes
 	if p.fs != nil {
-		fd, done := p.fs.Create(p.rank.Now(), fmt.Sprintf("%s.prof", p.name))
+		fd, done := p.fs.Create(p.rank.Now())
 		if wait := done - p.rank.Now(); wait > 0 {
 			p.rank.Compute(wait.Duration())
 		}

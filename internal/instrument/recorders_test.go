@@ -243,7 +243,7 @@ func TestTraceRecorderNoFlushWithoutEvents(t *testing.T) {
 			t.Errorf("produced = %d", rec.BytesProduced())
 		}
 	}})
-	set = NewSIONSet(w.FS(), 32, "t")
+	set = NewSIONSet(w.FS(), 32)
 	if err := w.Run(); err != nil {
 		t.Fatal(err)
 	}
@@ -275,14 +275,14 @@ func TestProfileRecorderRootOnlyDump(t *testing.T) {
 	}
 	// Descriptors are handed out in creation order, so the next one is the
 	// number of files the run created.
-	if fd, _ := w.FS().Create(0, "probe"); fd != 1 {
+	if fd, _ := w.FS().Create(0); fd != 1 {
 		t.Fatalf("files = %d", fd)
 	}
 }
 
 func TestDefaultConfigsSane(t *testing.T) {
-	if c := DefaultTraceConfig(); c.BufferBytes != 4<<20 || c.RecordSize != 80 {
-		t.Fatalf("trace config = %+v", c)
+	if c := DefaultTraceConfig(); c.BufferBytes != 4<<20 || traceRecordSize != 80 {
+		t.Fatalf("trace config = %+v, record size %d", c, traceRecordSize)
 	}
 	if c := DefaultProfileConfig(); c.DumpBytes != 64<<10 {
 		t.Fatalf("profile config = %+v", c)

@@ -50,7 +50,7 @@ type collState struct {
 // formulas for the usual tree / ring algorithms.
 func collCost(kind CollKind, p int, bytes int64, cfg Config) time.Duration {
 	if p <= 1 {
-		return cfg.CallOverhead
+		return callOverhead
 	}
 	alpha := cfg.Net.Latency.Seconds()
 	beta := 0.0

@@ -47,8 +47,6 @@ type Program struct {
 	// Name identifies the program; the VMPI layer groups processes into
 	// partitions by this name.
 	Name string
-	// Cmdline is the command line, kept for partition descriptions.
-	Cmdline string
 	// Procs is the number of processes to launch.
 	Procs int
 	// Main is the entry point, executed once per rank.
@@ -64,21 +62,22 @@ type Config struct {
 	FS *simfs.Config
 	// Seed seeds the deterministic random source.
 	Seed int64
-	// CallOverhead is the fixed software cost of every MPI call.
-	CallOverhead time.Duration
-	// Envelope is the per-message protocol overhead in bytes, added to the
-	// payload size for transfer-time purposes.
-	Envelope int64
 }
 
+const (
+	// callOverhead is the fixed software cost of every MPI call.
+	callOverhead = 100 * time.Nanosecond
+	// envelope is the per-message protocol overhead in bytes, added to the
+	// payload size for transfer-time purposes.
+	envelope = 64
+)
+
 // DefaultConfig returns a runtime configuration with the default
-// interconnect model and a 100 ns per-call software cost.
+// interconnect model.
 func DefaultConfig() Config {
 	return Config{
-		Net:          simnet.DefaultConfig(),
-		Seed:         1,
-		CallOverhead: 100 * time.Nanosecond,
-		Envelope:     64,
+		Net:  simnet.DefaultConfig(),
+		Seed: 1,
 	}
 }
 
@@ -97,7 +96,6 @@ type World struct {
 	splits   map[collKey]*splitState
 	msgFree  *message
 
-	finished   int
 	finishTime []des.Time
 
 	// Fault-injection state (see fault.go).
@@ -197,7 +195,6 @@ func (w *World) ProgramRanks(pi int) []int {
 // retained; it must not be mutated afterwards.
 func (w *World) NewComm(globals []int) *Comm {
 	c := &Comm{
-		world:   w,
 		id:      w.nextComm,
 		members: globals,
 		index:   make(map[int]int, len(globals)),
@@ -220,7 +217,6 @@ func (w *World) Run() error {
 		r.proc = w.sim.Spawn(name, func(p *des.Proc) {
 			w.programs[r.prog].Main(r)
 			w.finishTime[r.global] = p.Now()
-			w.finished++
 		})
 	}
 	return w.sim.Run()
@@ -240,7 +236,6 @@ func (w *World) ProgramFinish(pi int) des.Time {
 
 // Comm is a communicator: an ordered group of global ranks.
 type Comm struct {
-	world   *World
 	id      uint32
 	members []int
 	index   map[int]int
@@ -410,7 +405,7 @@ func (r *Rank) Compute(d time.Duration) {
 	r.proc.Sleep(d)
 }
 
-func (r *Rank) overhead() { r.proc.Sleep(r.world.cfg.CallOverhead) }
+func (r *Rank) overhead() { r.proc.Sleep(callOverhead) }
 
 // Send performs a blocking standard-mode send of size bytes (payload may be
 // nil for size-only modeling) to rank dst of communicator c. Sends are
@@ -438,7 +433,7 @@ func (r *Rank) IsendInto(req *Request, c *Comm, dst, tag int, size int64, payloa
 		panic("mpi: Isend on a communicator the sender is not a member of")
 	}
 	dstGlobal := c.Global(dst)
-	injected, delivered := w.net.Transfer(r.Now(), r.global, dstGlobal, size+w.cfg.Envelope)
+	injected, delivered := w.net.Transfer(r.Now(), r.global, dstGlobal, size+envelope)
 	msg := w.newMessage()
 	msg.srcLocal, msg.tag, msg.comm, msg.size = srcLocal, tag, c.id, size
 	msg.payload, msg.dst = payload, w.ranks[dstGlobal]

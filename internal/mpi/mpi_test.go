@@ -15,7 +15,7 @@ import (
 // returns the world after a successful run.
 func runSPMD(t *testing.T, n int, main func(r *Rank)) *World {
 	t.Helper()
-	w := NewWorld(DefaultConfig(), Program{Name: "app", Cmdline: "./app", Procs: n, Main: main})
+	w := NewWorld(DefaultConfig(), Program{Name: "app", Procs: n, Main: main})
 	if err := w.Run(); err != nil {
 		t.Fatal(err)
 	}

@@ -15,7 +15,7 @@ import (
 // wall time in seconds.
 func recordingRun(t *testing.T, w *Workload) (*analysis.ProfilerModule, *analysis.TopologyModule, *analysis.DensityModule, float64) {
 	t.Helper()
-	prof := analysis.NewProfilerModule(w.Procs)
+	prof := &analysis.ProfilerModule{}
 	topo := analysis.NewTopologyModule(w.Procs)
 	dens := analysis.NewDensityModule(w.Procs)
 	var comm *mpi.Comm

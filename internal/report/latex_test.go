@@ -11,7 +11,7 @@ import (
 )
 
 func sampleReport() *Report {
-	prof := analysis.NewProfilerModule(4)
+	prof := &analysis.ProfilerModule{}
 	topo := analysis.NewTopologyModule(4)
 	dens := analysis.NewDensityModule(4)
 	for i := int32(0); i < 4; i++ {

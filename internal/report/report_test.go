@@ -160,7 +160,7 @@ func TestHumanBytes(t *testing.T) {
 }
 
 func TestReportRender(t *testing.T) {
-	prof := analysis.NewProfilerModule(4)
+	prof := &analysis.ProfilerModule{}
 	topo := analysis.NewTopologyModule(4)
 	dens := analysis.NewDensityModule(4)
 	for i := int32(0); i < 4; i++ {
@@ -199,7 +199,7 @@ func TestReportRender(t *testing.T) {
 
 	// Rows tied on time, MPI_Init and MPI_Finalize at zero among them,
 	// come out in kind order in the text and in the LaTeX rendering alike.
-	tied := analysis.NewProfilerModule(1)
+	tied := &analysis.ProfilerModule{}
 	var want []string
 	for k := trace.KindSend; int(k) < trace.KindCount; k++ {
 		ns := int64(k%3) * 100
@@ -316,7 +316,7 @@ type strErr struct{ s string }
 func (e *strErr) Error() string { return e.s }
 
 func TestWriteJSON(t *testing.T) {
-	prof := analysis.NewProfilerModule(4)
+	prof := &analysis.ProfilerModule{}
 	topo := analysis.NewTopologyModule(4)
 	dens := analysis.NewDensityModule(4)
 	sizes := analysis.NewSizesModule()

@@ -14,7 +14,7 @@ import (
 func closedReport(events int, apps ...string) *report.Report {
 	rep := &report.Report{}
 	for _, app := range apps {
-		p := analysis.NewProfilerModule(1)
+		p := &analysis.ProfilerModule{}
 		for i := 0; i < events; i++ {
 			p.Add(&trace.Event{Kind: trace.KindSend})
 		}

@@ -28,27 +28,25 @@ type Config struct {
 	// AggregateBandwidth is the total data bandwidth available to the job,
 	// in bytes per second (shared by all writers and readers).
 	AggregateBandwidth float64
-	// StripeBandwidth caps the bandwidth a single file (stream) can
-	// achieve, in bytes per second. Zero means no per-file cap.
-	StripeBandwidth float64
-	// MetaOpLatency is the base cost of one metadata operation.
-	MetaOpLatency time.Duration
-	// MetaOpsPerSecond is the metadata server's service rate; concurrent
-	// metadata operations queue behind each other at this rate.
-	MetaOpsPerSecond float64
 }
+
+const (
+	// stripeBandwidth caps the bandwidth a single file (stream) can
+	// achieve, in bytes per second.
+	stripeBandwidth float64 = 2.5e9
+	// metaOpLatency is the base cost of one metadata operation.
+	metaOpLatency = 200 * time.Microsecond
+	// metaOpsPerSecond is the metadata server's service rate; concurrent
+	// metadata operations queue behind each other at this rate.
+	metaOpsPerSecond float64 = 20000
+)
 
 // DefaultConfig models the paper's scaling rule on Tera 100: 500 GB/s for
 // 140 000 cores. Callers scale AggregateBandwidth to the allocated core
 // count, which is what the paper itself does when it derives the 9.1 GB/s
 // figure for 2560 cores.
 func DefaultConfig() Config {
-	return Config{
-		AggregateBandwidth: 500e9,
-		StripeBandwidth:    2.5e9,
-		MetaOpLatency:      200 * time.Microsecond,
-		MetaOpsPerSecond:   20000,
-	}
+	return Config{AggregateBandwidth: 500e9}
 }
 
 // FS is the filesystem model.
@@ -62,7 +60,6 @@ type FS struct {
 }
 
 type file struct {
-	name   string
 	size   int64
 	stripe des.Queue // per-file stream cap
 	open   bool
@@ -74,19 +71,16 @@ func New(cfg Config) *FS {
 }
 
 func (f *FS) metaOp(now des.Time) des.Time {
-	var svc time.Duration
-	if f.cfg.MetaOpsPerSecond > 0 {
-		svc = des.SecondsToDuration(1 / f.cfg.MetaOpsPerSecond)
-	}
-	return f.meta.Next(now, svc) + des.DurationToTime(f.cfg.MetaOpLatency)
+	svc := des.SecondsToDuration(1 / metaOpsPerSecond)
+	return f.meta.Next(now, svc) + des.DurationToTime(metaOpLatency)
 }
 
 // Create creates a file and returns its descriptor and the virtual time the
 // create completes.
-func (f *FS) Create(now des.Time, name string) (fd int, done des.Time) {
+func (f *FS) Create(now des.Time) (fd int, done des.Time) {
 	fd = f.next
 	f.next++
-	f.files[fd] = &file{name: name, open: true}
+	f.files[fd] = &file{open: true}
 	return fd, f.metaOp(now)
 }
 
@@ -101,17 +95,14 @@ func (f *FS) Close(now des.Time, fd int) (des.Time, error) {
 }
 
 func (f *FS) dataXfer(now des.Time, fl *file, size int64) des.Time {
-	var agg, stripe time.Duration
+	var agg time.Duration
 	if f.cfg.AggregateBandwidth > 0 {
 		agg = des.SecondsToDuration(float64(size) / f.cfg.AggregateBandwidth)
 	}
 	done := f.data.Next(now, agg)
-	if f.cfg.StripeBandwidth > 0 {
-		stripe = des.SecondsToDuration(float64(size) / f.cfg.StripeBandwidth)
-		done2 := fl.stripe.Next(now, stripe)
-		if done2 > done {
-			done = done2
-		}
+	stripe := des.SecondsToDuration(float64(size) / stripeBandwidth)
+	if done2 := fl.stripe.Next(now, stripe); done2 > done {
+		done = done2
 	}
 	return done
 }

@@ -3,31 +3,28 @@ package simfs
 import (
 	"testing"
 	"testing/quick"
-	"time"
 
 	"repro/internal/des"
 )
 
+// testConfig's aggregate path (1 GB/s) is narrower than one file's stripe.
 func testConfig() Config {
-	return Config{
-		AggregateBandwidth: 1e9, // 1 GB/s
-		StripeBandwidth:    0.5e9,
-		MetaOpLatency:      100 * time.Microsecond,
-		MetaOpsPerSecond:   10000, // 100 us service per metadata op
-	}
+	return Config{AggregateBandwidth: 1e9}
 }
 
 func TestCreateWriteClose(t *testing.T) {
-	fs := New(testConfig())
-	fd, done := fs.Create(0, "trace.0")
+	// An aggregate path wider than the stripe: the stripe caps the write.
+	fs := New(Config{AggregateBandwidth: 4 * stripeBandwidth})
+	fd, done := fs.Create(0)
 	if done <= 0 {
 		t.Fatal("create should cost metadata time")
 	}
-	wdone, err := fs.Write(done, fd, 1_000_000) // 1 MB at stripe 0.5 GB/s = 2 ms
+	const size = 1_000_000
+	wdone, err := fs.Write(done, fd, size)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if wdone-done < des.DurationToTime(2*time.Millisecond) {
+	if wdone-done < des.DurationToTime(des.SecondsToDuration(size/stripeBandwidth)) {
 		t.Fatalf("write too fast: %v", (wdone - done).Duration())
 	}
 	if _, err := fs.Close(wdone, fd); err != nil {
@@ -40,7 +37,7 @@ func TestCreateWriteClose(t *testing.T) {
 
 func TestWriteToClosedFileFails(t *testing.T) {
 	fs := New(testConfig())
-	fd, done := fs.Create(0, "f")
+	fd, done := fs.Create(0)
 	done, _ = fs.Close(done, fd)
 	if _, err := fs.Write(done, fd, 10); err == nil {
 		t.Fatal("expected error writing to closed file")
@@ -51,38 +48,42 @@ func TestWriteToClosedFileFails(t *testing.T) {
 }
 
 func TestAggregateBandwidthShared(t *testing.T) {
-	fs := New(testConfig())
-	fdA, tA := fs.Create(0, "a")
-	fdB, tB := fs.Create(0, "b")
+	cfg := testConfig()
+	fs := New(cfg)
+	fdA, tA := fs.Create(0)
+	fdB, tB := fs.Create(0)
 	start := tB
 	if tA > start {
 		start = tA
 	}
 	// Two 1 MB writes from different files at the same instant share the
-	// 1 GB/s aggregate path: the later completion is >= 2 ms after start.
-	d1, _ := fs.Write(start, fdA, 1_000_000)
-	d2, _ := fs.Write(start, fdB, 1_000_000)
+	// aggregate path: the later completion is no earlier than both writes'
+	// bytes over the aggregate bandwidth after start.
+	const size = 1_000_000
+	d1, _ := fs.Write(start, fdA, size)
+	d2, _ := fs.Write(start, fdB, size)
 	last := d1
 	if d2 > last {
 		last = d2
 	}
-	if last-start < des.DurationToTime(2*time.Millisecond) {
+	if last-start < des.DurationToTime(des.SecondsToDuration(2*size/cfg.AggregateBandwidth)) {
 		t.Fatalf("aggregate path not shared: last-start = %v", (last - start).Duration())
 	}
 }
 
 func TestMetadataContention(t *testing.T) {
 	fs := New(testConfig())
-	// 100 creates at t=0 serialize on the metadata server at 10k ops/s:
-	// the last completes no earlier than ~10 ms.
+	// 100 creates at t=0 serialize on the metadata server: the last
+	// completes no earlier than 100 services at metaOpsPerSecond.
+	const creates = 100
 	var last des.Time
-	for i := 0; i < 100; i++ {
-		_, done := fs.Create(0, "f")
+	for i := 0; i < creates; i++ {
+		_, done := fs.Create(0)
 		if done > last {
 			last = done
 		}
 	}
-	if last < des.DurationToTime(10*time.Millisecond) {
+	if last < des.DurationToTime(des.SecondsToDuration(creates/metaOpsPerSecond)) {
 		t.Fatalf("metadata contention not modeled: last = %v", last.Duration())
 	}
 	if len(fs.files) != 100 {
@@ -102,8 +103,8 @@ func TestProrate(t *testing.T) {
 
 func TestTotals(t *testing.T) {
 	fs := New(testConfig())
-	fdA, tA := fs.Create(0, "a")
-	fdB, _ := fs.Create(0, "b")
+	fdA, tA := fs.Create(0)
+	fdB, _ := fs.Create(0)
 	fs.Write(tA, fdA, 100)
 	fs.Write(tA, fdB, 200)
 	if a, b := fs.files[fdA].size, fs.files[fdB].size; a != 100 || b != 200 || len(fs.files) != 2 {
@@ -115,7 +116,7 @@ func TestTotals(t *testing.T) {
 func TestCompletionMonotoneProperty(t *testing.T) {
 	f := func(sizes []uint16) bool {
 		fs := New(testConfig())
-		fd, now := fs.Create(0, "f")
+		fd, now := fs.Create(0)
 		for _, sz := range sizes {
 			done, err := fs.Write(now, fd, int64(sz))
 			if err != nil || done < now {

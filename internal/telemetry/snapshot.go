@@ -209,12 +209,6 @@ type Point struct {
 	Value float64
 }
 
-// Series is one named time series accumulated from snapshots.
-type Series struct {
-	Name   string
-	Points []Point
-}
-
 // Accumulator folds decoded snapshots into per-series time lines. Each
 // metric contributes one or more series: a counter contributes its name; a
 // gauge contributes "name" (value) and "name.max" (high-water); a
@@ -224,21 +218,8 @@ type Series struct {
 type Accumulator struct {
 	mu        sync.Mutex
 	order     []string
-	series    map[string]*Series
+	series    map[string][]Point
 	snapshots int
-}
-
-func (a *Accumulator) line(name string) *Series {
-	s := a.series[name]
-	if s == nil {
-		if a.series == nil {
-			a.series = make(map[string]*Series)
-		}
-		s = &Series{Name: name}
-		a.series[name] = s
-		a.order = append(a.order, name)
-	}
-	return s
 }
 
 // AddSnapshot folds one decoded snapshot in.
@@ -253,15 +234,22 @@ func (a *Accumulator) AddSnapshot(s *Snapshot) {
 		// Keep each series ordered by virtual time: snapshots travel
 		// through the blackboard's concurrent worker pool, so two posted
 		// close together can arrive swapped. Ties keep arrival order.
-		ln := a.line(name)
+		pts, ok := a.series[name]
+		if !ok {
+			if a.series == nil {
+				a.series = make(map[string][]Point)
+			}
+			a.order = append(a.order, name)
+		}
 		p := Point{VirtualNs: s.VirtualNs, WallNs: s.WallNs, Value: v}
-		i := len(ln.Points)
-		for i > 0 && ln.Points[i-1].VirtualNs > p.VirtualNs {
+		i := len(pts)
+		for i > 0 && pts[i-1].VirtualNs > p.VirtualNs {
 			i--
 		}
-		ln.Points = append(ln.Points, Point{})
-		copy(ln.Points[i+1:], ln.Points[i:])
-		ln.Points[i] = p
+		pts = append(pts, Point{})
+		copy(pts[i+1:], pts[i:])
+		pts[i] = p
+		a.series[name] = pts
 	}
 	for _, m := range s.Metrics {
 		switch m.Kind {
@@ -299,11 +287,7 @@ func (a *Accumulator) Names() []string {
 func (a *Accumulator) Points(name string) []Point {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	s := a.series[name]
-	if s == nil {
-		return nil
-	}
-	return append([]Point(nil), s.Points...)
+	return append([]Point(nil), a.series[name]...)
 }
 
 // MetricSummary condenses one series for the JSON health summary.
@@ -329,17 +313,17 @@ func (a *Accumulator) Summary() Summary {
 	names := append([]string(nil), a.order...)
 	sort.Strings(names)
 	for _, name := range names {
-		s := a.series[name]
-		ms := MetricSummary{Name: name, Samples: len(s.Points)}
+		pts := a.series[name]
+		ms := MetricSummary{Name: name, Samples: len(pts)}
 		var sum float64
-		for _, p := range s.Points {
+		for _, p := range pts {
 			if p.Value > ms.Max {
 				ms.Max = p.Value
 			}
 			sum += p.Value
 		}
-		if n := len(s.Points); n > 0 {
-			ms.Last = s.Points[n-1].Value
+		if n := len(pts); n > 0 {
+			ms.Last = pts[n-1].Value
 			ms.Mean = sum / float64(n)
 		}
 		out.Metrics = append(out.Metrics, ms)

@@ -28,8 +28,6 @@ type Partition struct {
 	// Name is the partition name (program name, or the name set with the
 	// paper's VMPI_Set_partition_name).
 	Name string
-	// Cmdline is the command line of the program(s) in the partition.
-	Cmdline string
 	// Globals lists the partition's processes as universe ranks, in local
 	// rank order.
 	Globals []int
@@ -65,9 +63,8 @@ func NewLayout(w *mpi.World) *Layout {
 		part, ok := index[prog.Name]
 		if !ok {
 			part = &Partition{
-				ID:      len(l.parts),
-				Name:    prog.Name,
-				Cmdline: prog.Cmdline,
+				ID:   len(l.parts),
+				Name: prog.Name,
 			}
 			index[prog.Name] = part
 			l.parts = append(l.parts, part)

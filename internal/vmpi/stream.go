@@ -92,11 +92,8 @@ func RegisterPoolMetrics(reg *telemetry.Registry) {
 // sampler, so every counter is atomic.
 type streamCounters struct {
 	blocksWritten atomic.Int64
-	bytesWritten  atomic.Int64
 	blocksRead    atomic.Int64
-	bytesRead     atomic.Int64
 	writeStalls   atomic.Int64
-	eagains       atomic.Int64
 	quarantines   atomic.Int64
 	failovers     atomic.Int64
 	blocksDropped atomic.Int64
@@ -106,18 +103,14 @@ type streamCounters struct {
 
 // StreamStats is a point-in-time copy of an endpoint's counters.
 type StreamStats struct {
-	// BlocksWritten / BytesWritten count completed writes.
+	// BlocksWritten counts completed writes.
 	BlocksWritten int64
-	BytesWritten  int64
-	// BlocksRead / BytesRead count completed reads.
+	// BlocksRead counts completed reads.
 	BlocksRead int64
-	BytesRead  int64
 	// WriteStalls counts writes that had to block waiting for credits —
 	// the paper's back-pressure, the mechanism behind instrumentation
 	// overhead when the analyzer cannot keep up.
 	WriteStalls int64
-	// EAGAINs counts non-blocking reads that found nothing.
-	EAGAINs int64
 	// Quarantines counts endpoints removed from service: crashed peers,
 	// peers whose reader half closed, peers that missed the write
 	// deadline, and (reader side) writers that crashed before closing.
@@ -289,11 +282,8 @@ func (st *Stream) SetPackFormat(v int) {
 func (st *Stream) Stats() StreamStats {
 	return StreamStats{
 		BlocksWritten: st.stats.blocksWritten.Load(),
-		BytesWritten:  st.stats.bytesWritten.Load(),
 		BlocksRead:    st.stats.blocksRead.Load(),
-		BytesRead:     st.stats.bytesRead.Load(),
 		WriteStalls:   st.stats.writeStalls.Load(),
-		EAGAINs:       st.stats.eagains.Load(),
 		Quarantines:   st.stats.quarantines.Load(),
 		Failovers:     st.stats.failovers.Load(),
 		BlocksDropped: st.stats.blocksDropped.Load(),
@@ -577,7 +567,6 @@ func (st *Stream) Write(payload []byte, size int64) error {
 					st.rr = (i + 1) % len(st.peers)
 				}
 				st.stats.blocksWritten.Add(1)
-				st.stats.bytesWritten.Add(size)
 				st.tel.OnWrite(size)
 				st.tel.CreditsInFlight(st.outstanding)
 				if st.nQuarantined > 0 {
@@ -704,7 +693,6 @@ func (st *Stream) Read(nonblock bool) (*Block, error) {
 			return nil, nil // all remote streams closed
 		}
 		if nonblock {
-			st.stats.eagains.Add(1)
 			st.tel.OnEAGAIN()
 			return nil, ErrAgain
 		}
@@ -742,7 +730,6 @@ func (st *Stream) takeData() *Block {
 func (st *Stream) finishRead(status mpi.Status, payload []byte) *Block {
 	st.sess.rank.Send(st.sess.Universe(), status.Source, st.tagCredit(), 0, nil)
 	st.stats.blocksRead.Add(1)
-	st.stats.bytesRead.Add(status.Size)
 	st.tel.OnRead(status.Size)
 	return &Block{From: status.Source, Size: status.Size, Payload: payload}
 }

@@ -32,9 +32,8 @@ func launch(specs ...progSpec) (*Layout, error) {
 	for i, sp := range specs {
 		sp := sp
 		progs[i] = mpi.Program{
-			Name:    sp.name,
-			Cmdline: "./" + sp.name,
-			Procs:   sp.procs,
+			Name:  sp.name,
+			Procs: sp.procs,
 			Main: func(r *mpi.Rank) {
 				sp.main(layout.Init(r))
 			},
