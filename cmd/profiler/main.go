@@ -14,9 +14,9 @@
 // PGM images.
 //
 // -fig NAME regenerates one entry of the paper's figure table
-// (exp.Figures: 14, 15, 16, 17cg, 17euler, 18lu, 18bt, fault; or all)
-// at its paths under results/, relative to the working directory. It
-// takes no other flag.
+// (exp.Figures: 14, 15, 16, 17cg, 17euler, 18lu, 18bt, fault, tree,
+// overload; or all) at its paths under results/, relative to the working
+// directory. It takes no other flag.
 package main
 
 import (

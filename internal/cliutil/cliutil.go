@@ -3,6 +3,7 @@ package cliutil
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 
@@ -22,47 +23,25 @@ func ResolvePackFormat(format int) (int, error) {
 	return format, nil
 }
 
-// ExclusiveModes checks that at most one mode flag of a command is set;
-// names lists the set ones ("-tree", "-overload", ...).
-func ExclusiveModes(names ...string) error {
-	if len(names) > 1 {
-		return fmt.Errorf("cliutil: %s are mutually exclusive", strings.Join(names, " and "))
-	}
-	return nil
-}
-
-// ParseInts parses a comma-separated list of integers ("64,256,1024").
-func ParseInts(s string) ([]int, error) {
-	if strings.TrimSpace(s) == "" {
-		return nil, fmt.Errorf("cliutil: empty integer list")
-	}
-	parts := strings.Split(s, ",")
-	out := make([]int, 0, len(parts))
-	for _, p := range parts {
-		v, err := strconv.Atoi(strings.TrimSpace(p))
-		if err != nil {
-			return nil, fmt.Errorf("cliutil: bad integer %q: %w", p, err)
-		}
-		out = append(out, v)
-	}
-	return out, nil
-}
-
-// ParseBytes parses a byte size with an optional K/M/G suffix ("64M").
+// ParseBytes parses a byte size with an optional K/M/G suffix ("64M"). A
+// negative size, or one that overflows int64, is an error.
 func ParseBytes(s string) (int64, error) {
-	s = strings.TrimSpace(strings.ToUpper(s))
+	num := strings.TrimSpace(strings.ToUpper(s))
 	mult := int64(1)
 	switch {
-	case strings.HasSuffix(s, "G"):
-		mult, s = 1<<30, strings.TrimSuffix(s, "G")
-	case strings.HasSuffix(s, "M"):
-		mult, s = 1<<20, strings.TrimSuffix(s, "M")
-	case strings.HasSuffix(s, "K"):
-		mult, s = 1<<10, strings.TrimSuffix(s, "K")
+	case strings.HasSuffix(num, "G"):
+		mult, num = 1<<30, strings.TrimSuffix(num, "G")
+	case strings.HasSuffix(num, "M"):
+		mult, num = 1<<20, strings.TrimSuffix(num, "M")
+	case strings.HasSuffix(num, "K"):
+		mult, num = 1<<10, strings.TrimSuffix(num, "K")
 	}
-	v, err := strconv.ParseInt(strings.TrimSpace(s), 10, 64)
+	v, err := strconv.ParseInt(strings.TrimSpace(num), 10, 64)
 	if err != nil {
 		return 0, fmt.Errorf("cliutil: bad byte size %q: %w", s, err)
+	}
+	if v < 0 || v > math.MaxInt64/mult {
+		return 0, fmt.Errorf("cliutil: byte size %q is negative or overflows int64", s)
 	}
 	return v * mult, nil
 }

@@ -4,21 +4,6 @@ import (
 	"testing"
 )
 
-func TestParseInts(t *testing.T) {
-	got, err := ParseInts(" 64, 256,1024 ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 3 || got[0] != 64 || got[2] != 1024 {
-		t.Fatalf("got %v", got)
-	}
-	for _, bad := range []string{"", "a,b", "1,,2", "1;2"} {
-		if _, err := ParseInts(bad); err == nil {
-			t.Fatalf("ParseInts(%q) accepted", bad)
-		}
-	}
-}
-
 func TestParseBytes(t *testing.T) {
 	cases := []struct {
 		in   string
@@ -28,6 +13,7 @@ func TestParseBytes(t *testing.T) {
 		{"4K", 4 << 10},
 		{"64m", 64 << 20},
 		{" 1G ", 1 << 30},
+		{"8589934591G", 8589934591 << 30},
 	}
 	for _, c := range cases {
 		got, err := ParseBytes(c.in)
@@ -38,7 +24,7 @@ func TestParseBytes(t *testing.T) {
 			t.Fatalf("ParseBytes(%q) = %d, want %d", c.in, got, c.want)
 		}
 	}
-	for _, bad := range []string{"", "G", "12Q", "x4K"} {
+	for _, bad := range []string{"", "G", "12Q", "x4K", "-1K", "8589934592G"} {
 		if _, err := ParseBytes(bad); err == nil {
 			t.Fatalf("ParseBytes(%q) accepted", bad)
 		}
@@ -84,17 +70,5 @@ func TestResolvePackFormat(t *testing.T) {
 		if _, err := ResolvePackFormat(bad); err == nil {
 			t.Fatalf("ResolvePackFormat(%d) accepted", bad)
 		}
-	}
-}
-
-func TestExclusiveModes(t *testing.T) {
-	if err := ExclusiveModes(); err != nil {
-		t.Fatal(err)
-	}
-	if err := ExclusiveModes("-tree"); err != nil {
-		t.Fatal(err)
-	}
-	if err := ExclusiveModes("-tree", "-overload"); err == nil {
-		t.Fatal("two modes accepted")
 	}
 }

@@ -346,9 +346,11 @@ func TestProfileRunAdaptive(t *testing.T) {
 }
 
 // TestOverloadSweepGolden pins the adaptive point of a small overload
-// sweep, on the flags `streambench -overload` uses: how high the
-// controller climbed, how many decisions it took, what it shed per class
-// and what the application paid for it.
+// sweep, on the options of the figure table's overload entry at 8
+// timesteps: how high the controller climbed, how many decisions it took,
+// what it shed per class and what the application paid for it. Every
+// point conserves the unloaded run's events (analyzed + shed) and loses
+// no stream block.
 func TestOverloadSweepGolden(t *testing.T) {
 	const want = "level 4 decisions 18 app-sec 1.736807865 shed MPI_Send:2486 MPI_Recv:2486 MPI_Isend:336 MPI_Irecv:336 MPI_Waitall:112"
 	lu, err := nas.LU(nas.ClassA, 16, 8)
@@ -363,6 +365,17 @@ func TestOverloadSweepGolden(t *testing.T) {
 	}, 200<<10)
 	if err != nil {
 		t.Fatal(err)
+	}
+	for _, pt := range pts {
+		if sum := pt.AnalyzedEvents + pt.ShedEvents; sum != pts[0].AnalyzedEvents {
+			t.Errorf("%s: analyzed %d + shed %d = %d, want the unloaded run's %d",
+				pt.Mode, pt.AnalyzedEvents, pt.ShedEvents, sum, pts[0].AnalyzedEvents)
+		}
+		for _, row := range pt.Report.StreamLoss {
+			if row.Dropped != 0 || row.LostInFlight != 0 {
+				t.Errorf("%s: %s rank %d dropped %d blocks, lost %d in flight", pt.Mode, row.App, row.Rank, row.Dropped, row.LostInFlight)
+			}
+		}
 	}
 	ap := pts[len(pts)-1]
 	got := fmt.Sprintf("level %d decisions %d app-sec %v shed", ap.AdaptMaxLevel, ap.AdaptDecisions, ap.AppSeconds)

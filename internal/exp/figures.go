@@ -27,9 +27,9 @@ type Figure struct {
 }
 
 // Figures is the paper's figure table, in the order of its evaluation
-// section with the fault extension last. Each entry reproduces the
-// committed file of the same path; the root package's TestResultsCurrent
-// holds them to it.
+// section with the extensions last: analyzer faults, the reduction tree
+// and adaptive overload control. Each entry reproduces the committed file
+// of the same path; the root package's TestResultsCurrent holds them to it.
 func Figures() []Figure {
 	return []Figure{
 		tableFigure("14", "results/fig14.txt", streamSweep{
@@ -86,6 +86,31 @@ func Figures() []Figure {
 			failAt:   []float64{0.25, 0.5, 0.75},
 			kill:     1,
 			deadline: DefaultWriteDeadline,
+		}.write),
+		tableFigure("tree", "results/tree.txt", treeSweep{
+			platform: Tera100(),
+			apps: []app{
+				{"LU", nas.ClassA, 64}, {"CG", nas.ClassA, 64}, {"BT", nas.ClassA, 64},
+				{"LU", nas.ClassA, 256}, {"CG", nas.ClassA, 256}, {"BT", nas.ClassA, 256},
+				{"LU", nas.ClassA, 1024},
+			},
+			iters:  10,
+			levels: []int{2, 3},
+			fanin:  8,
+			flush:  4,
+			format: trace.PackV3,
+		}.write),
+		tableFigure("overload", "results/overload.txt", overloadSweep{
+			platform: Tera100(),
+			app:      app{"LU", nas.ClassA, 16},
+			iters:    40,
+			rate:     200 << 10,
+			base: ProfileOptions{
+				Workers:          2,
+				PackBytes:        8192,
+				TelemetryPeriod:  50 * time.Millisecond,
+				BacklogHighBytes: 64 << 10,
+			},
 		}.write),
 	}
 }
@@ -251,6 +276,85 @@ func (s faultSweep) write(w io.Writer, j int) error {
 	WriteFaultTable(w, fmt.Sprintf("analyzer-failure sweep: %s procs=%d ratio=1:%d analyzers=%d kill=%d deadline=%s on %s",
 		wl.Name, wl.Procs, s.ratio, Readers(wl.Procs, s.ratio), s.kill,
 		s.deadline.Round(time.Millisecond), s.platform.Name), points)
+	return nil
+}
+
+// treeSweep is the reduction-tree extension (DESIGN.md §10): each
+// application profiled flat and through each tree depth at equal event
+// volume, one table per application, comparing every topology's
+// root-blackboard ingest and report with the flat run's. All analysis
+// modules are on, so the partials carry their full table set. j is the
+// blackboard's worker count.
+type treeSweep struct {
+	platform                    Platform
+	apps                        []app
+	levels                      []int
+	iters, fanin, flush, format int
+}
+
+func (s treeSweep) write(w io.Writer, j int) error {
+	var configs []TreeConfig
+	for _, l := range s.levels {
+		configs = append(configs, TreeConfig{Levels: l, Fanin: s.fanin, FlushPacks: s.flush})
+	}
+	base := ProfileOptions{
+		Workers:          j,
+		WaitState:        true,
+		TemporalWindowNs: (10 * time.Millisecond).Nanoseconds(),
+		Callsites:        true,
+		Sizes:            true,
+		PackVersion:      s.format,
+	}
+	for i, a := range s.apps {
+		wl, err := a.workload(s.iters)
+		if err != nil {
+			return err
+		}
+		points, err := TreeScalingSweep(s.platform, []*nas.Workload{wl}, base, configs)
+		if err != nil {
+			return err
+		}
+		if i > 0 {
+			fmt.Fprintln(w)
+		}
+		fmt.Fprintf(w, "reduction-tree sweep: %s procs=%d iters=%d fan-in=%d flush=%d pack=v%d on %s\n",
+			wl.Name, wl.Procs, s.iters, s.fanin, s.flush, s.format, s.platform.Name)
+		WriteTreeTable(w, points)
+	}
+	return nil
+}
+
+// overloadSweep is the adaptive-overload extension (DESIGN.md §12): one
+// application profiled unloaded, then with the analyzer partition
+// throttled to rate bytes/second, once static (back-pressure only) and
+// once adaptive (the controller sheds load under a quantified completeness
+// bound), then the adaptive run's loss per rank. base fixes the blackboard
+// worker count, so j does not enter.
+type overloadSweep struct {
+	platform Platform
+	app      app
+	iters    int
+	rate     float64
+	base     ProfileOptions
+}
+
+func (s overloadSweep) write(w io.Writer, _ int) error {
+	wl, err := s.app.workload(s.iters)
+	if err != nil {
+		return err
+	}
+	points, err := OverloadSweep(s.platform, []*nas.Workload{wl}, s.base, s.rate)
+	if err != nil {
+		return err
+	}
+	WriteOverloadTable(w, points)
+	if rep := points[len(points)-1].Report; len(rep.StreamLoss) > 0 {
+		fmt.Fprintln(w)
+		for _, row := range rep.StreamLoss {
+			fmt.Fprintf(w, "%s rank %d: %d blocks dropped, %d lost in flight, %d events shed\n",
+				row.App, row.Rank, row.Dropped, row.LostInFlight, row.Shed)
+		}
+	}
 	return nil
 }
 

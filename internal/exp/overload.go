@@ -15,23 +15,16 @@ import (
 type OverloadPoint struct {
 	// Mode is "unloaded", "static" or "adaptive".
 	Mode string
-	// AppSeconds is the slowest application's virtual wall time; OverheadX
-	// is AppSeconds over the sweep's unloaded baseline (1.0 for the
-	// baseline itself).
-	AppSeconds float64
-	OverheadX  float64
-	// AnalyzedEvents reached the root pipelines; ShedEvents were dropped
-	// by the admission gates (0 unless adaptive).
-	AnalyzedEvents int64
-	ShedEvents     int64
+	// RunStats is the run's measurements; its shed events and controller
+	// activity are zero unless adaptive.
+	*RunStats
+	// OverheadX is AppSeconds over the sweep's unloaded baseline (1.0 for
+	// the baseline itself).
+	OverheadX float64
 	// CompletenessPct is the advertised completeness
 	// 100 x analyzed/(analyzed+shed) — what the report's completeness
 	// section guarantees (100 when nothing was shed).
 	CompletenessPct float64
-	// AdaptMaxLevel / AdaptDecisions describe the controller's activity
-	// (zero unless adaptive).
-	AdaptMaxLevel  int
-	AdaptDecisions int64
 	// Report gives callers the full run output for deeper assertions
 	// (per-class completeness, loss ledgers).
 	Report *report.Report
@@ -60,16 +53,7 @@ func OverloadSweep(p Platform, workloads []*nas.Workload, base ProfileOptions, s
 		if err != nil {
 			return OverloadPoint{}, fmt.Errorf("exp: overload %s run: %w", mode, err)
 		}
-		pt := OverloadPoint{
-			Mode:            mode,
-			AppSeconds:      stats.AppSeconds,
-			AnalyzedEvents:  stats.AnalyzedEvents,
-			ShedEvents:      stats.ShedEvents,
-			CompletenessPct: 100,
-			AdaptMaxLevel:   stats.AdaptMaxLevel,
-			AdaptDecisions:  stats.AdaptDecisions,
-			Report:          rep,
-		}
+		pt := OverloadPoint{Mode: mode, RunStats: stats, CompletenessPct: 100, Report: rep}
 		if total := pt.AnalyzedEvents + pt.ShedEvents; total > 0 {
 			pt.CompletenessPct = 100 * float64(pt.AnalyzedEvents) / float64(total)
 		}

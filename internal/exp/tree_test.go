@@ -122,7 +122,7 @@ func TestTreeProfileMatchesFlat(t *testing.T) {
 			// Ingest reduction at this toy scale only holds for the fixed
 			// 256-byte v1 records; v2's delta+varint packs are already tiny
 			// here, and the per-flush partial tables dominate; the reduction
-			// shows at realistic volume (streambench -tree).
+			// shows at realistic volume (profiler -fig tree).
 			if c.pack == trace.PackV1 && stats.RootIngestBytes >= flatIngest[c.pack] {
 				t.Fatalf("tree root ingest %d >= flat %d: no reduction", stats.RootIngestBytes, flatIngest[c.pack])
 			}

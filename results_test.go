@@ -16,12 +16,12 @@ import (
 
 var (
 	update = flag.Bool("update", false, "TestResultsCurrent rewrites the results/ files it checks")
-	long   = flag.Bool("long", false, "TestResultsCurrent also runs the sweep figures 14, 15 and 16 (about 90 s on 2 cores)")
+	long   = flag.Bool("long", false, "TestResultsCurrent also runs the sweep entries 14, 15, 16 and tree (about 85 s on 2 cores, tree 6 s of it)")
 )
 
 // sweepFigures are the figure table entries TestResultsCurrent runs only
 // with -long.
-var sweepFigures = map[string]bool{"14": true, "15": true, "16": true}
+var sweepFigures = map[string]bool{"14": true, "15": true, "16": true, "tree": true}
 
 // jFigure is the profile entry TestResultsCurrent also runs on 1 and on 2
 // blackboard workers, which must not change its bytes.
