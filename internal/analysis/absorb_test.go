@@ -16,13 +16,15 @@ import (
 // optional modules of tolerantEnables on reached at commit 43b75c3 by
 // AbsorbPartial(DecodePartial(bytes)), twice, of the final-flush bytes of a
 // partial of its own selection holding tolerantEvents and a shed ledger.
+// The windows row is re-pinned for the window layout of kind table and
+// wait sums, whose decoded values the naive reference checks (oracleAgrees).
 var absorbGolden = []string{
 	"6afc688cc1dcd1fbd25ced252e10f6c9364ca009dbf72964e9a8b5dcdf828623", // core
 	"d92ede28702f23b8024c581b3ee7b1e45853ff47342e50f4c8f66ff53b65fd9a", // + waitstate
 	"daa16b5a24e07093bcb328a4a73b82cecfd81af7432f47b19a9461211ed29ddd", // + temporal
 	"a068e9b86e26508175022dbc3f516e5588b864d4a193ee61eb2c121ef83f5923", // + callsites
 	"311b209070956aa61ee085fb5214335a2a50c1303b1a4fb581d5f4a6667059e8", // + sizes
-	"1280450b8f8edc4a50a0f761b317c89d3970851045df4f7266625ec2fefcdb1b", // + windows
+	"5e0bb722ca35ffe0407cd9c07634691f5516d0167f6c3f4cf8dac6db1a30fd5d", // + windows
 }
 
 // absorbFixture is a dispatcher with one application (id 7) that has the
@@ -67,7 +69,11 @@ func TestAbsorbEncodedMatchesDecodeAbsorb(t *testing.T) {
 				t.Fatalf("selection %d: %v", k, err)
 			}
 		}
-		sum := sha256.Sum256(pipelineCanonical(p))
+		state := pipelineCanonical(p)
+		if p.PartialOptions().WindowNs > 0 {
+			oracleAgrees(t, "selection with windows", state, append(evs, evs...))
+		}
+		sum := sha256.Sum256(state)
 		if got := hex.EncodeToString(sum[:]); got != absorbGolden[k] {
 			t.Errorf("selection %d: canonical state %s, want %s", k, got, absorbGolden[k])
 		}

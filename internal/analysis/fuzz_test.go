@@ -6,6 +6,8 @@ import (
 	"math/rand"
 	"strings"
 	"testing"
+
+	"repro/internal/trace"
 )
 
 // windowedEnc builds a canonical windowed encoding for the fuzz seeds:
@@ -61,6 +63,10 @@ func FuzzDecodePartial(f *testing.F) {
 		f.Add(twoKeyPartial(sec, aliasedKinds))
 	}
 	f.Add(hitlessCellPartial(0))
+	accepted, refused := windowLayoutSeeds()
+	for _, seed := range append(accepted, refused...) {
+		f.Add(seed)
+	}
 	// The receiver rejected input is merged into: same shape as the
 	// twoKeyPartial seeds, so mutants of those get past the header.
 	rxOpts := windowedAllOpts(4, 1500)
@@ -118,8 +124,8 @@ func FuzzDecodePartial(f *testing.F) {
 
 // TestDecodePartialHostileWindows pins the loud failure modes of the
 // window section outside the fuzzer: an absurd window count is rejected
-// before any allocation, and so are out-of-order indices and nested
-// geometry drift.
+// before any allocation, and so are out-of-order indices, nested geometry
+// drift and a window naming sections the series does not carry.
 func TestDecodePartialHostileWindows(t *testing.T) {
 	enc := windowedEnc(t, 5, 0)
 	pp, err := DecodePartial(enc)
@@ -143,6 +149,20 @@ func TestDecodePartialHostileWindows(t *testing.T) {
 	binary.LittleEndian.PutUint32(hostile[len(hostile)-4:], maxDecodedWindows+1)
 	if _, err := DecodePartial(hostile); err == nil || !strings.Contains(err.Error(), "window count") {
 		t.Fatalf("window count cap+1: err = %v, want loud count rejection", err)
+	}
+
+	// The window layout's seeds: every accepted shape decodes, every
+	// broken one is refused.
+	accepted, refused := windowLayoutSeeds()
+	for i, seed := range accepted {
+		if _, err := DecodePartial(seed); err != nil {
+			t.Errorf("accepted window seed %d: %v", i, err)
+		}
+	}
+	for i, seed := range refused {
+		if _, err := DecodePartial(seed); err == nil {
+			t.Errorf("broken window seed %d decoded", i)
+		}
 	}
 
 	// An implausible app size is rejected before the dense topology
@@ -200,4 +220,66 @@ func TestDecodePartialHostileWindows(t *testing.T) {
 	if _, err := DecodePartial(tb); err == nil || !strings.Contains(err.Error(), "cells") {
 		t.Fatalf("temporal cells cap: err = %v, want loud cells rejection", err)
 	}
+}
+
+// windowLayoutSeeds returns the window layout's shapes for the fuzz corpus.
+// Accepted: a run's three delta flushes and its final flush, tumbling and
+// sliding; late-sender wait credited to windows; a window credited in a
+// later epoch than its events (a receive sealed before its send arrived).
+// Refused, one per way a window can break the layout: a header naming a
+// flag, app id or app size the series does not carry, a wait rank outside
+// the app, a negative index, a length past the section or short of the
+// window, cuts inside the section, and a window count one past the cap.
+func windowLayoutSeeds() (accepted, refused [][]byte) {
+	for _, slide := range []int64{0, 500} {
+		pp := NewPartial(3, windowedAllOpts(4, slide))
+		perRank := genRankEvents(rand.New(rand.NewSource(7)), 4, 120)
+		for epoch := 0; epoch < 3; epoch++ {
+			for _, evs := range perRank {
+				for _, ev := range evs[epoch*len(evs)/3 : (epoch+1)*len(evs)/3] {
+					pp.AddEvent(&ev)
+				}
+			}
+			accepted = append(accepted, pp.Flush(nil, false))
+		}
+		accepted = append(accepted, pp.Flush(nil, true))
+	}
+	for _, slide := range []int64{0, 4000} {
+		pp := NewPartial(0, PartialOptions{AppSize: 4, WaitState: true, WindowNs: 12_000, WindowSlideNs: slide})
+		for _, ev := range tolerantEvents() {
+			pp.AddEvent(&ev)
+		}
+		accepted = append(accepted, pp.AppendCanonical(nil))
+	}
+	credited := NewPartial(0, PartialOptions{AppSize: 2, WaitState: true, WindowNs: 1000})
+	credited.AddEvent(&trace.Event{Kind: trace.KindRecv, Rank: 1, Peer: 0, TStart: 100, TEnd: 900})
+	accepted = append(accepted, credited.Flush(nil, false))
+	credited.AddEvent(&trace.Event{Kind: trace.KindSend, Rank: 0, Peer: 1, TStart: 5000, TEnd: 5100})
+	delta := credited.Flush(nil, false) // window 0: no events, one late pair
+	accepted = append(accepted, delta)
+
+	one := NewPartial(0, PartialOptions{AppSize: 2, WaitState: true, WindowNs: 100})
+	one.AddEvent(&trace.Event{Kind: trace.KindRecv, Rank: 1, Peer: 0, TStart: 10, TEnd: 20})
+	enc := one.AppendCanonical(nil)
+	at := bytes.LastIndex(enc, partialMagic[:]) // the window's header, behind its index and length
+	edit := func(buf []byte, off int, v uint32) []byte {
+		b := bytes.Clone(buf)
+		binary.LittleEndian.PutUint32(b[off:], v)
+		return b
+	}
+	for _, f := range []uint32{flagTemporal, flagCallsites, flagSizes, flagPendings, flagShed, flagWindowed} {
+		refused = append(refused, edit(enc, at+12, flagWait|f))
+	}
+	winLen := binary.LittleEndian.Uint32(enc[at-4:])
+	refused = append(refused,
+		edit(enc, at+4, 1), // app id
+		edit(enc, at+8, 3), // app size
+		edit(delta, bytes.Index(delta[4:], partialMagic[:])+4+48, 2), // window 0's late rank
+		edit(edit(enc, at-12, ^uint32(0)), at-8, ^uint32(0)),         // index -1
+		edit(enc, at-4, winLen+100),
+		edit(enc, at-4, winLen-4),
+		enc[:at-12], enc[:at-4], enc[:at], enc[:at+12])
+	capped := NewPartial(0, PartialOptions{AppSize: 2, WindowNs: 100}).AppendCanonical(nil)
+	refused = append(refused, edit(capped, len(capped)-4, maxDecodedWindows+1))
+	return accepted, refused
 }

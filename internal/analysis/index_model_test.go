@@ -22,9 +22,9 @@ import (
 
 // modelPartial is the naive partial: every module a map.
 type modelPartial struct {
-	appID uint32
-	opts  PartialOptions
-	lazy  bool // a window's inner partial: never pairs
+	appID  uint32
+	opts   PartialOptions
+	window bool // a window: events, kind table and the wait sums credited to it
 
 	events int64
 	prof   map[trace.Kind]Stat
@@ -51,9 +51,9 @@ func cmpModelCallsite(a, b modelCallsite) int {
 	return cmp.Or(cmp.Compare(a.ctx, b.ctx), cmp.Compare(a.kind, b.kind))
 }
 
-func newModelPartial(appID uint32, opts PartialOptions, lazy bool) *modelPartial {
+func newModelPartial(appID uint32, opts PartialOptions, window bool) *modelPartial {
 	return &modelPartial{
-		appID: appID, opts: opts, lazy: lazy,
+		appID: appID, opts: opts, window: window,
 		prof: map[trace.Kind]Stat{}, topo: map[int]Stat{}, dens: map[trace.Kind]map[int]Stat{},
 		calls: map[modelCallsite]Stat{}, sizes: map[int][2]int64{}, late: map[int][2]int64{},
 		sends: map[chanKey][]int64{}, recvs: map[chanKey][]recvEvt{},
@@ -81,6 +81,9 @@ func (m *modelPartial) fold(ev *trace.Event) {
 	st := statOf(ev)
 	m.events++
 	addTo(m.prof, ev.Kind, st)
+	if m.window {
+		return
+	}
 	p2p := ev.Kind == trace.KindSend || ev.Kind == trace.KindIsend
 	if p2p && src >= 0 && src < n && dst >= 0 && dst < n {
 		addTo(m.topo, src*n+dst, st)
@@ -119,17 +122,26 @@ func (m *modelPartial) fold(ev *trace.Event) {
 		}
 		m.sizes[b] = [2]int64{m.sizes[b][0] + 1, m.sizes[b][1] + ev.Size}
 	}
+	for _, wm := range m.covering(ev.TStart) {
+		wm.fold(ev)
+	}
+}
+
+// covering returns the windows whose span holds t, minting them.
+func (m *modelPartial) covering(t int64) []*modelPartial {
+	var out []*modelPartial
 	if width, slide := m.opts.WindowNs, m.opts.WindowSlideNs; width > 0 {
-		for i := int64(0); i*slide <= ev.TStart; i++ {
-			if ev.TStart >= i*slide+width {
+		for i := int64(0); i*slide <= t; i++ {
+			if t >= i*slide+width {
 				continue
 			}
 			if m.wins[i] == nil {
 				m.wins[i] = newModelPartial(0, innerWindowOptions(m.opts), true)
 			}
-			m.wins[i].fold(ev)
+			out = append(out, m.wins[i])
 		}
 	}
+	return out
 }
 
 // settle pairs every channel positionally, in time order.
@@ -142,29 +154,19 @@ func (m *modelPartial) settle() {
 		})
 		n := min(len(sends), len(recvs))
 		for i := 0; i < n; i++ {
-			m.pairs++
 			wait := min(sends[i]-recvs[i].tStart, recvs[i].tEnd-recvs[i].tStart)
-			if wait > 0 {
-				l := m.late[int(recvs[i].rank)]
-				m.late[int(recvs[i].rank)] = [2]int64{l[0] + wait, l[1] + 1}
+			// The pair counts in the whole run and in every window covering
+			// the receive.
+			for _, c := range append(m.covering(recvs[i].tStart), m) {
+				c.pairs++
+				if wait > 0 {
+					l := c.late[int(recvs[i].rank)]
+					c.late[int(recvs[i].rank)] = [2]int64{l[0] + wait, l[1] + 1}
+				}
 			}
 		}
 		m.sends[k], m.recvs[k] = sends[n:], recvs[n:]
 	}
-}
-
-func (m *modelPartial) pending() bool {
-	for _, q := range m.sends {
-		if len(q) > 0 {
-			return true
-		}
-	}
-	for _, q := range m.recvs {
-		if len(q) > 0 {
-			return true
-		}
-	}
-	return false
 }
 
 func sortedKeys[K comparable, V any](m map[K]V, cmpFn func(a, b K) int) []K {
@@ -228,10 +230,12 @@ func (m *modelPartial) encode(w *pwriter, pendings, reset bool) {
 	}
 	w.i64(m.events)
 	statTable(w, m.prof, cmp.Compare[trace.Kind], func(k trace.Kind) { w.u32(uint32(k)) })
-	statTable(w, m.topo, cmp.Compare[int], func(i int) { w.u32(uint32(i)) })
-	kindRows(w, m.dens)
+	if !m.window {
+		statTable(w, m.topo, cmp.Compare[int], func(i int) { w.u32(uint32(i)) })
+		kindRows(w, m.dens)
+	}
 	if o.WaitState {
-		if !m.lazy {
+		if !m.window {
 			m.settle()
 		}
 		w.i64(m.pairs)
@@ -242,7 +246,7 @@ func (m *modelPartial) encode(w *pwriter, pendings, reset bool) {
 			w.i64(m.late[r][0])
 			w.i64(m.late[r][1])
 		}
-		for side := 0; side < 2; side++ {
+		for side := 0; side < 2 && !m.window; side++ {
 			if !pendings {
 				w.u32(0)
 				continue
@@ -294,11 +298,11 @@ func (m *modelPartial) encode(w *pwriter, pendings, reset bool) {
 		countAt := w.reserve()
 		n := 0
 		for _, i := range sortedKeys(m.wins, cmp.Compare[int64]) {
-			if wm := m.wins[i]; wm.events > 0 || pendings && wm.pending() {
+			if wm := m.wins[i]; wm.events > 0 || wm.pairs > 0 {
 				n++
 				w.i64(i)
 				lenAt := w.reserve()
-				wm.encode(w, pendings, reset)
+				wm.encode(w, false, reset)
 				w.backfill(lenAt, len(w.buf)-lenAt-4)
 			}
 		}
@@ -306,7 +310,7 @@ func (m *modelPartial) encode(w *pwriter, pendings, reset bool) {
 	}
 	if reset {
 		sends, recvs, wins := m.sends, m.recvs, m.wins
-		*m = *newModelPartial(m.appID, m.opts, m.lazy)
+		*m = *newModelPartial(m.appID, m.opts, m.window)
 		m.wins = wins // each reset by its own encode
 		if !pendings {
 			m.sends, m.recvs = sends, recvs
@@ -430,26 +434,24 @@ func indexModelRun(seed int64, slideNs int64, ops []int) error {
 }
 
 // indexAllClear reads the dense state behind a reset directly: every
-// matrix cell and every index bit of the partial and of its windows must
-// be zero — a stale cell under a cleared bit would never be seen again.
+// matrix cell and every index bit of the partial must be zero — a stale
+// cell under a cleared bit would never be seen again — and no window may
+// stay listed as written.
 func indexAllClear(pp *Partial) error {
-	mats := map[string]*Matrix{"the matrix": pp.Topology.mat}
 	for i, wp := range pp.Windows.wins {
-		mats[fmt.Sprintf("window %d's matrix", i)] = wp.Topology.mat
 		if wp.listed {
 			return fmt.Errorf("window %d is still listed as written", i)
 		}
 	}
-	for name, mat := range mats {
-		for i, c := range mat.cells {
-			if c != (Stat{}) {
-				return fmt.Errorf("%s keeps %+v in cell %d", name, c, i)
-			}
+	mat := pp.Topology.mat
+	for i, c := range mat.cells {
+		if c != (Stat{}) {
+			return fmt.Errorf("the matrix keeps %+v in cell %d", c, i)
 		}
-		for w, word := range mat.touched {
-			if word != 0 {
-				return fmt.Errorf("%s keeps index word %d = %#x", name, w, word)
-			}
+	}
+	for w, word := range mat.touched {
+		if word != 0 {
+			return fmt.Errorf("the matrix keeps index word %d = %#x", w, word)
 		}
 	}
 	if n := len(pp.Windows.written); n != 0 {
@@ -460,34 +462,25 @@ func indexAllClear(pp *Partial) error {
 
 // indexInvariants checks what each walker relies on: a non-zero cell is
 // under a set bit, a channel holding both sides is in the unsettled list,
-// a window holding events is in the written list.
+// a window holding events or pairs is in the written list.
 func indexInvariants(pp *Partial) error {
-	check := func(name string, p *Partial) error {
-		mat := p.Topology.mat
-		for i, c := range mat.cells {
-			if g := i / cellsPerBit; c != (Stat{}) && mat.touched[g/64]&(1<<(g%64)) == 0 {
-				return fmt.Errorf("%s: cell %d is non-zero under a clear bit", name, i)
-			}
+	mat := pp.Topology.mat
+	for i, c := range mat.cells {
+		if g := i / cellsPerBit; c != (Stat{}) && mat.touched[g/64]&(1<<(g%64)) == 0 {
+			return fmt.Errorf("cell %d is non-zero under a clear bit", i)
 		}
-		for _, q := range p.Waits.chans.recs {
-			if len(q.sends) > 0 && len(q.recvs) > 0 && !q.listed {
-				return fmt.Errorf("%s: channel %+v holds both sides outside the unsettled list", name, q.key)
-			}
-			if q.listed && !slices.Contains(p.Waits.unsettled, q) {
-				return fmt.Errorf("%s: channel %+v is marked listed but is not in the list", name, q.key)
-			}
-		}
-		return nil
 	}
-	if err := check("partial", pp); err != nil {
-		return err
+	for _, q := range pp.Waits.chans.recs {
+		if len(q.sends) > 0 && len(q.recvs) > 0 && !q.listed {
+			return fmt.Errorf("channel %+v holds both sides outside the unsettled list", q.key)
+		}
+		if q.listed && !slices.Contains(pp.Waits.unsettled, q) {
+			return fmt.Errorf("channel %+v is marked listed but is not in the list", q.key)
+		}
 	}
 	for i, wp := range pp.Windows.wins {
-		if err := check(fmt.Sprintf("window %d", i), wp); err != nil {
-			return err
-		}
-		if wp.Profiler.events > 0 && !wp.listed {
-			return fmt.Errorf("window %d holds events outside the written list", i)
+		if (wp.Profiler.events > 0 || wp.Waits.pairs > 0) && !wp.listed {
+			return fmt.Errorf("window %d holds events or pairs outside the written list", i)
 		}
 		if wp.listed != slices.Contains(pp.Windows.written, i) {
 			return fmt.Errorf("window %d: listed = %v, but the written list says otherwise", i, wp.listed)
@@ -501,9 +494,9 @@ func indexInvariants(pp *Partial) error {
 // — canonical bytes equal to the model's after every step, dense state
 // all-zero behind every reset.
 func TestTouchedIndexMatchesDenseModel(t *testing.T) {
-	// Pinned: a window is written, flushed, idle for an epoch (its matrix
-	// is released), written again by the laggard, and merged into from
-	// every side in between.
+	// Pinned: a window is written, flushed, idle for an epoch, written
+	// again by the laggard (and credited with the pairs its receives
+	// close), and merged into from every side in between.
 	pinned := []int{opFold, opLaggard, opFlushDelta, opFold, opFlushDelta, opFold, opFlushDelta, opLaggard, opMergeReset,
 		opFlushDelta, opLaggard, opMergeEnc, opMerge, opFlushFinal, opLaggard, opMergeEnc, opFlushDelta, opFlushFinal}
 	for _, slide := range []int64{0, 500} {

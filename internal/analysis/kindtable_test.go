@@ -28,8 +28,10 @@ func oddKindEvents() [][]trace.Event {
 
 // oddKindsGolden is the SHA-256 of the canonical bytes oddKindEvents folds
 // to (every module on, tumbling windows), captured on the commit before
-// the kind tables replaced the kind-keyed maps (52fd8a5).
-const oddKindsGolden = "206401a1e30354e40e70cdc48dfd71c7ba58517cf5d63a52aa876c6e31fd297e"
+// the kind tables replaced the kind-keyed maps (52fd8a5) and re-pinned for
+// the window layout of kind table and wait sums, whose decoded values the
+// naive reference checks (oracleAgrees).
+const oddKindsGolden = "8d45d8efb78ea64eea2e853b6f4f46d3e08a224bae0d3e3bce074fa4a4819d1c"
 
 // TestUnnamedKindsCanonicalBytes: kinds outside the named range are
 // counted and encoded exactly as the map-keyed modules did, whichever way
@@ -95,7 +97,9 @@ func TestUnnamedKindsCanonicalBytes(t *testing.T) {
 				t.Errorf("%s: kind %d was not counted", name, k)
 			}
 		}
-		sum := sha256.Sum256(pp.AppendCanonical(nil))
+		canonical := pp.AppendCanonical(nil)
+		oracleAgrees(t, name, canonical, slices.Concat(perRank...))
+		sum := sha256.Sum256(canonical)
 		if got := hex.EncodeToString(sum[:]); got != oddKindsGolden {
 			t.Errorf("%s: canonical bytes hash to %s, want %s", name, got, oddKindsGolden)
 		}

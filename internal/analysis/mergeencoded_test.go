@@ -237,7 +237,7 @@ func twoKeyPartial(bad int, badKeys [2]uint32) []byte {
 		return 1, 2
 	}
 	st := Stat{Hits: 1, Bytes: 2, TimeNs: 3}
-	body := func(w *pwriter) {
+	profiler := func(w *pwriter) {
 		a, b := keys() // profiler kinds
 		w.i64(2)
 		w.u32(2)
@@ -245,7 +245,20 @@ func twoKeyPartial(bad int, badKeys [2]uint32) []byte {
 		w.stat(st)
 		w.u32(b)
 		w.stat(st)
-		a, b = keys() // topology cells
+	}
+	waitSums := func(w *pwriter) {
+		a, b := keys() // wait ranks
+		w.i64(0)
+		w.u32(2)
+		for _, r := range []uint32{a, b} {
+			w.u32(r)
+			w.i64(5)
+			w.i64(1)
+		}
+	}
+	body := func(w *pwriter) {
+		profiler(w)
+		a, b := keys() // topology cells
 		w.u32(2)
 		w.u32(a)
 		w.stat(st)
@@ -265,14 +278,7 @@ func twoKeyPartial(bad int, badKeys [2]uint32) []byte {
 			w.u32(d)
 			w.stat(st)
 		}
-		a, b = keys() // wait ranks
-		w.i64(0)
-		w.u32(2)
-		for _, r := range []uint32{a, b} {
-			w.u32(r)
-			w.i64(5)
-			w.i64(1)
-		}
+		waitSums(w)
 		a, b = keys() // send channels
 		w.u32(2)
 		for _, src := range []uint32{a, b} {
@@ -352,24 +358,23 @@ func twoKeyPartial(bad int, badKeys [2]uint32) []byte {
 	for _, idx := range []uint32{a, b} {
 		w.i64(int64(idx))
 		lenAt := w.reserve()
-		header(&w, innerWindowOptions(opts), flagWait|flagCallsites|flagPendings)
-		body(&w)
-		callsites(&w)
+		header(&w, innerWindowOptions(opts), flagWait)
+		profiler(&w)
+		waitSums(&w)
 		w.backfill(lenAt, len(w.buf)-lenAt-4)
 	}
 	return w.buf
 }
 
 // twoKeySections is how many key-sorted sections twoKeyPartial writes:
-// 12 in the outer partial, the window index, and 8 in each of the two
-// window partials.
-const twoKeySections = 12 + 1 + 2*8
+// 12 in the outer partial, the window index, and 2 (profiler kinds, wait
+// ranks) in each of the two windows.
+const twoKeySections = 12 + 1 + 2*2
 
 // twoKeyKindSections lists the sections of twoKeyPartial keyed by kind,
 // in the order it writes them: profiler, density, temporal, call-sites
-// and shed in the outer partial, then profiler, density and call-sites in
-// each of the two windows.
-var twoKeyKindSections = []int{1, 3, 8, 10, 12, 14, 16, 21, 22, 24, 29}
+// and shed in the outer partial, then the profiler of each window.
+var twoKeyKindSections = []int{1, 3, 8, 10, 12, 14, 16}
 
 // TestDecodePartialRejectsUnsortedKeys: every key-sorted section refuses
 // keys out of order and keys repeated. With an additive walker a repeat
@@ -460,8 +465,8 @@ func TestDecodePartialRejectsWideKinds(t *testing.T) {
 // same bytes at 64 ranks and at 512 (within 2×), where re-allocating or
 // copying a dense ranks² matrix anywhere on the path shows as ~64×. And
 // it allocates few objects: at 256 ranks the cycle, fold included, stays
-// under 50, where growing the windows' wait-state queues (a delta flush
-// leaves them behind) one slice at a time costs hundreds.
+// under 50, where growing the wait-state queues (a delta flush leaves them
+// behind) one slice at a time costs hundreds.
 func TestSealCycleAllocsIndependentOfAppSize(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	perRank := genRankEvents(rng, 32, 2000) // ranks every app size has

@@ -179,10 +179,9 @@ type Matrix struct {
 const cellsPerBit = 8
 
 // NewMatrix creates an N×N matrix. The cells are allocated on the first
-// write, not here: a matrix that never sees a P2P event — an empty window
-// partial, a drained replica, a decoded empty delta — stays O(1), which
-// matters once every per-window partial carries one and once the wire can
-// hand the decoder an app size it never folds events for.
+// write, not here: a matrix that never sees a P2P event — a drained
+// replica, a decoded empty delta — stays O(1), which matters once the
+// wire can hand the decoder an app size it never folds events for.
 func NewMatrix(n int) *Matrix {
 	return &Matrix{N: n}
 }
@@ -314,16 +313,6 @@ func (m *TopologyModule) mergeReset(o *TopologyModule) {
 	// m's cells are allocated on o's first cell, not before: a warm but
 	// empty o (a replica's idle window) must not materialize them.
 	o.mat.walk(true, func(i int, st Stat) { m.mat.cell(i).merge(st) })
-}
-
-// release drops the cell arrays of a matrix that holds nothing any more
-// (the next write re-allocates them).
-func (m *TopologyModule) release() {
-	m.mu.Lock()
-	if m.mat.cells != nil {
-		m.mat = NewMatrix(m.mat.N)
-	}
-	m.mu.Unlock()
 }
 
 // Matrix returns a snapshot copy of the accumulated matrix.

@@ -60,9 +60,9 @@ func (lp lockedPipeline) render(t *testing.T) {
 	}
 }
 
-// canonical renders once more — which settles what the lazy per-window
-// wait-state modules still hold, as any reader does — and returns the
-// pipeline's state as canonical partial bytes.
+// canonical renders once more — which settles the wait-state queues and
+// credits the windows, as any reader does — and returns the pipeline's
+// state as canonical partial bytes.
 func (lp lockedPipeline) canonical(t *testing.T) []byte {
 	lp.render(t)
 	pp := analysis.NewPartial(0, lp.p.PartialOptions())

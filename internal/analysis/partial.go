@@ -30,7 +30,8 @@ type Partial struct {
 
 	opts PartialOptions
 
-	// Core modules, always present (the report's mandatory chapters).
+	// Core modules, present on every partial but a window's (the report's
+	// mandatory chapters; see WindowedModule).
 	Profiler *ProfilerModule
 	Topology *TopologyModule
 	Density  *DensityModule
@@ -41,8 +42,8 @@ type Partial struct {
 	Callsites *CallsiteModule
 	Sizes     *SizesModule
 
-	// Windows is the time-resolved series: one inner per-window Partial
-	// per virtual-time window (see WindowedModule). Present when
+	// Windows is the time-resolved series: one inner Partial per
+	// virtual-time window (see WindowedModule). Present when
 	// opts.WindowNs > 0; travels with the partial so tree leaves seal
 	// windows below the root and replicas carry them through epoch merges.
 	Windows *WindowedModule
@@ -115,13 +116,17 @@ func NewPartial(appID uint32, opts PartialOptions) *Partial {
 		pp.Sizes = NewSizesModule()
 	}
 	if opts.WindowNs > 0 {
-		pp.Windows = NewWindowedModule(opts.WindowNs, opts.WindowSlideNs, innerWindowOptions(opts))
+		pp.Windows = NewWindowedModule(opts.WindowNs, opts.WindowSlideNs, innerWindowOptions(opts), pp.Waits)
 	}
 	return pp
 }
 
 // Options returns the partial's module selection.
 func (pp *Partial) Options() PartialOptions { return pp.opts }
+
+// isWindow reports whether pp is a window's inner partial: the one kind
+// of partial without a topology module.
+func (pp *Partial) isWindow() bool { return pp.Topology == nil }
 
 // AddEvent folds one decoded event into every enabled module, for a
 // caller with no claim on them.
@@ -390,8 +395,10 @@ func (pp *Partial) encode(buf []byte, pendings, reset bool) []byte {
 	}
 
 	pp.encodeProfiler(&w, reset)
-	pp.encodeTopology(&w, reset)
-	pp.encodeDensity(&w, reset)
+	if !pp.isWindow() {
+		pp.encodeTopology(&w, reset)
+		pp.encodeDensity(&w, reset)
+	}
 	if pp.Waits != nil {
 		pp.encodeWaits(&w, pendings, reset)
 	}
@@ -408,47 +415,27 @@ func (pp *Partial) encode(buf []byte, pendings, reset bool) []byte {
 		pp.encodeShed(&w, reset)
 	}
 	if pp.Windows != nil {
-		pp.encodeWindows(&w, pendings, reset)
+		pp.encodeWindows(&w, reset)
 	}
 	return w.buf
 }
 
-func (pp *Partial) encodeWindows(w *pwriter, pendings, reset bool) {
+// encodeWindows writes the series after the whole-run sections, whose
+// settle has credited it. Only windows with content travel, and all of
+// them are in the written list: a window drained by an earlier delta flush
+// stays in the map but must not change the bytes (content-equal series
+// encode identically whatever their flush history).
+func (pp *Partial) encodeWindows(w *pwriter, reset bool) {
 	m := pp.Windows
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	// Only windows with content travel: a window drained by an earlier
-	// delta flush stays in the map but must not change the bytes (content-
-	// equal series encode identically whatever their flush history). Events
-	// are only in the windows written since the last reset; pending queues,
-	// which a delta flush leaves behind, can be in any.
-	visit := m.written
-	if pendings {
-		visit = make([]int64, 0, len(m.wins))
-		for i := range m.wins {
-			visit = append(visit, i)
-		}
-	}
-	slices.Sort(visit)
-	if reset {
-		// Idle for a whole epoch: the in-place reset keeps a written
-		// matrix warm, but a window nobody writes to any more must not pin
-		// 24*N^2 bytes for the rest of the run.
-		for _, i := range m.flushed {
-			if wp := m.wins[i]; wp != nil && !wp.listed {
-				wp.Topology.release()
-			}
-		}
-		m.flushed = m.flushed[:0]
-	}
+	slices.Sort(m.written)
 	countAt := w.reserve()
 	n := 0
-	for _, i := range visit {
+	for _, i := range m.written {
+		// The series' lock covers its windows' modules.
 		wp := m.wins[i]
-		if !windowHasContent(wp, pendings) {
-			if reset {
-				wp.Topology.release()
-			}
+		if wp.Profiler.events == 0 && (wp.Waits == nil || wp.Waits.pairs == 0) {
 			continue
 		}
 		n++
@@ -456,11 +443,8 @@ func (pp *Partial) encodeWindows(w *pwriter, pendings, reset bool) {
 		// Length-prefixed nested encoding: reserve the u32, encode the
 		// inner partial in place, backfill.
 		lenAt := w.reserve()
-		w.buf = wp.encode(w.buf, pendings, reset)
+		w.buf = wp.encode(w.buf, false, reset)
 		w.backfill(lenAt, len(w.buf)-lenAt-4)
-		if reset {
-			m.flushed = append(m.flushed, i)
-		}
 	}
 	w.backfill(countAt, n)
 	if reset {
@@ -468,33 +452,8 @@ func (pp *Partial) encodeWindows(w *pwriter, pendings, reset bool) {
 			m.wins[i].listed = false
 		}
 		m.written = m.written[:0]
-		m.cur = nil // the next fold has to list its window again
+		m.cur = nil // the next write has to list its window again
 	}
-}
-
-// windowHasContent reports whether an inner window partial would
-// contribute anything to an encoding: folded events, or (on a
-// pendings-carrying encode) unmatched wait queues left behind by an
-// earlier delta flush.
-func windowHasContent(wp *Partial, pendings bool) bool {
-	wp.Profiler.mu.Lock()
-	events := wp.Profiler.events
-	wp.Profiler.mu.Unlock()
-	if events > 0 {
-		return true
-	}
-	if !pendings || wp.Waits == nil {
-		return false
-	}
-	ws := wp.Waits
-	ws.mu.Lock()
-	defer ws.mu.Unlock()
-	for _, q := range ws.chans.recs {
-		if len(q.sends)+len(q.recvs) > 0 {
-			return true
-		}
-	}
-	return false
 }
 
 // AddAudit folds audit-pack entries (a recorder's shed ledger) into the
@@ -612,12 +571,10 @@ func (pp *Partial) encodeWaits(w *pwriter, pendings, reset bool) {
 	m := pp.Waits
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	// Settle first: pairs realized here ride in the settled sums, and only
-	// the truly unmatched remainder travels as pending queues. Lazy
-	// (per-window) modules skip this and ship whole queues instead.
-	if !m.lazy {
-		m.settleLocked()
-	}
+	// Settle first: pairs realized here ride in the settled sums (and in
+	// the windows they credit), and only the truly unmatched remainder
+	// travels as pending queues.
+	m.settleLocked()
 	w.i64(m.pairs)
 	countAt := w.reserve()
 	n := 0
@@ -635,6 +592,9 @@ func (pp *Partial) encodeWaits(w *pwriter, pendings, reset bool) {
 		m.pairs = 0
 		clear(m.lateNs)
 		clear(m.lateHits)
+	}
+	if pp.isWindow() {
+		return // a window carries the sums only
 	}
 	if !pendings {
 		w.u32(0)
@@ -867,18 +827,20 @@ func readPartialHeader(r *preader) (appID uint32, opts PartialOptions, flags uin
 }
 
 // mergeSections walks the sections behind a header that spelled pp.opts
-// to the end of r. With apply unset nothing of pp but its options is
-// touched (its modules may be nil).
+// to the end of r: a window's (pp.isWindow) are the profiler's and the
+// wait sums. With apply unset nothing of pp but its options is touched
+// (its modules may be nil).
 func (pp *Partial) mergeSections(r *preader, flags uint32, apply bool) error {
-	o := pp.opts
+	o, whole := pp.opts, !pp.isWindow()
 	sections := [...]struct {
 		present bool
 		walk    func(*Partial, *preader, bool) error
 	}{
 		{true, (*Partial).mergeProfiler},
-		{true, (*Partial).mergeTopology},
-		{true, (*Partial).mergeDensity},
-		{o.WaitState, (*Partial).mergeWaits},
+		{whole, (*Partial).mergeTopology},
+		{whole, (*Partial).mergeDensity},
+		{o.WaitState, (*Partial).mergeWaitSums},
+		{o.WaitState && whole, (*Partial).mergeWaitQueues},
 		{o.TemporalWindowNs > 0, (*Partial).mergeTemporal},
 		{o.Callsites, (*Partial).mergeCallsites},
 		{o.Sizes, (*Partial).mergeSizes},
@@ -1010,7 +972,7 @@ func (pp *Partial) mergeDensity(r *preader, apply bool) error {
 	return r.err
 }
 
-func (pp *Partial) mergeWaits(r *preader, apply bool) error {
+func (pp *Partial) mergeWaitSums(r *preader, apply bool) error {
 	pairs := r.i64()
 	n := int(r.u32())
 	if err := r.fits(n, 4+16); err != nil {
@@ -1039,10 +1001,19 @@ func (pp *Partial) mergeWaits(r *preader, apply bool) error {
 			m.lateHits[rank] += lateHits
 		}
 	}
-	// Pending queues, exactly as MergeFull folds them: sorted merge per
-	// channel, then (unless lazy) a positional drain of every channel the
-	// buffer named — after both sides are in, so the pairing sees the
-	// channel's whole FIFO order.
+	return r.err
+}
+
+// mergeWaitQueues folds the pending queues exactly as MergeFull does:
+// sorted merge per channel, then a positional drain of every channel the
+// buffer named — after both sides are in, so the pairing sees the
+// channel's whole FIFO order.
+func (pp *Partial) mergeWaitQueues(r *preader, apply bool) error {
+	m := pp.Waits
+	if apply {
+		m.mu.Lock()
+		defer m.mu.Unlock()
+	}
 	var named []*chanQueues
 	for side := 0; side < 2; side++ {
 		elem := 8 // send: start time
@@ -1083,8 +1054,8 @@ func (pp *Partial) mergeWaits(r *preader, apply bool) error {
 			named = append(named, cq)
 		}
 	}
-	for _, cq := range named {
-		m.merged(cq)
+	if apply {
+		m.drainAll(named)
 	}
 	return r.err
 }
@@ -1252,7 +1223,7 @@ func (pp *Partial) mergeWindows(r *preader, apply bool) error {
 		return err
 	}
 	inner := innerWindowOptions(pp.opts)
-	check := Partial{opts: inner} // checking needs the options only
+	check := Partial{opts: inner} // a window (no topology); checking needs the options only
 	m := pp.Windows
 	if apply {
 		m.mu.Lock()
@@ -1279,10 +1250,11 @@ func (pp *Partial) mergeWindows(r *preader, apply bool) error {
 			return fmt.Errorf("analysis: window %d: %w", idx, err)
 		}
 		// A nested windowed partial (or any other module drift) shows up
-		// as an options mismatch against the derived inner selection.
-		if appID != 0 || opts != inner {
-			return fmt.Errorf("analysis: window %d module selection %+v does not match series %+v",
-				idx, opts, inner)
+		// as an options mismatch against the derived inner selection; a
+		// window carries no pending queues and no shed ledger either.
+		if appID != 0 || opts != inner || flags&^flagWait != 0 {
+			return fmt.Errorf("analysis: window %d module selection %+v (flags %#x) does not match series %+v",
+				idx, opts, flags, inner)
 		}
 		wp := &check
 		if apply {

@@ -144,29 +144,29 @@ func TestSealCostIndependentOfHistory(t *testing.T) {
 	}
 }
 
-// TestNewWindowAllocsPerChunk: the first events of a fresh window open
-// thousands of wait-state queues. Their records and their storage are cut
-// from chunks, so the window allocates per chunk — far fewer objects than
-// it has channels, where a slice per queue per doubling is several each.
-func TestNewWindowAllocsPerChunk(t *testing.T) {
-	const ranks = 256
-	opts := liveOpts(ranks)
-	pp := NewPartial(1, opts)
-	// Window 0, so the outer modules are warm; then the same calls one
-	// window later.
-	first := livePacks(ranks, 0, 2*ranks)
-	foldAll(pp, first)
-	for i := range first {
-		first[i].TStart += opts.WindowNs
-		first[i].TEnd += opts.WindowNs
+// TestNewWindowAllocsPerRankCount: minting a window allocates the same
+// objects whatever the app size — a window is its kind table and its wait
+// sums, not a module set with a channel index and queues.
+func TestNewWindowAllocsPerRankCount(t *testing.T) {
+	objects := map[int]uint64{}
+	for _, ranks := range []int{64, 1024} {
+		opts := liveOpts(ranks)
+		pp := NewPartial(1, opts)
+		// Window 0, so the outer modules are warm; then the same calls one
+		// window later.
+		first := livePacks(ranks, 0, 2*ranks)
+		foldAll(pp, first)
+		for i := range first {
+			first[i].TStart += opts.WindowNs
+			first[i].TEnd += opts.WindowNs
+		}
+		_, objects[ranks] = allocatedBy(func() { foldAll(pp, first) })
+		if pp.Windows.Len() != 2 {
+			t.Fatalf("%d ranks: %d windows, want 2", ranks, pp.Windows.Len())
+		}
 	}
-	_, objects := allocatedBy(func() { foldAll(pp, first) })
-	channels := len(pp.Windows.wins[1].Waits.chans.recs)
-	t.Logf("a fresh window of %d channels allocates %d objects", channels, objects)
-	if channels < 2000 {
-		t.Fatalf("the workload opened %d channels in the window, want ≥ 2000", channels)
-	}
-	if objects > uint64(channels)/4 {
-		t.Errorf("a fresh window of %d channels allocates %d objects: per channel, not per chunk", channels, objects)
+	t.Logf("a fresh window allocates %d objects at 64 ranks, %d at 1024", objects[64], objects[1024])
+	if objects[64] != objects[1024] {
+		t.Errorf("a fresh window allocates %d objects at 64 ranks but %d at 1024", objects[64], objects[1024])
 	}
 }

@@ -60,7 +60,7 @@ type WaitStateModule struct {
 	// unsettled lists the records that gained an entry since the last
 	// settle, each once (chanQueues.listed). A settle leaves no record
 	// holding both sides, so these are the only ones the next settle can
-	// pair. A lazy module just accumulates the list until read time.
+	// pair.
 	unsettled []*chanQueues
 
 	// lateNs / lateHits accumulate late-sender wait per receiving rank.
@@ -68,15 +68,9 @@ type WaitStateModule struct {
 	lateHits []int64
 	pairs    int64
 
-	// lazy suppresses settling on merge, flush and encode (not on the
-	// read accessors). Set on per-window modules: a window holds only a
-	// slice of each channel's queues, and positional pairing within that
-	// slice is not a prefix of the channel's whole-run FIFO matching when
-	// a channel straddles a window boundary — settling early would make
-	// the merge of all windows diverge from the whole-run module. Lazy
-	// queues travel un-paired and settle once, at read time, when the
-	// series is complete.
-	lazy bool
+	// wins is the owning partial's window series (nil without one): every
+	// pair is credited to the windows covering its receive as it settles.
+	wins *WindowedModule
 }
 
 type chanKey struct {
@@ -221,19 +215,9 @@ func (m *WaitStateModule) list(q *chanQueues) {
 	}
 }
 
-// merged pairs what a merge just put into q — now, or on a lazy module at
-// read time.
-func (m *WaitStateModule) merged(q *chanQueues) {
-	if m.lazy {
-		m.list(q)
-	} else {
-		m.drain(q)
-	}
-}
-
 // queueStore cuts queue storage from chunks, so a module allocates per
-// chunk and not per channel per doubling: a new window touches thousands
-// of queues that each hold a dozen entries. Storage a queue outgrows stays
+// chunk and not per channel per doubling: a run touches thousands of
+// queues that each hold a dozen entries. Storage a queue outgrows stays
 // behind in its chunk.
 type queueStore[T any] struct {
 	free  []T // unused rest of the current chunk
@@ -288,30 +272,44 @@ func insertSorted[T any](q []T, v T, less func(x, y T) bool, store *queueStore[T
 // settleLocked positionally pairs every channel that currently holds both
 // sides: they are all in the unsettled list. Called with m.mu held.
 func (m *WaitStateModule) settleLocked() {
+	m.drainAll(m.unsettled)
 	for _, q := range m.unsettled {
-		m.drain(q)
 		q.listed = false
 	}
 	m.unsettled = m.unsettled[:0]
 }
 
-// pair classifies one matched (recv, sendStart) pair. Called with m.mu
-// held.
+// drainAll drains qs, holding the credited series' lock once for all of
+// them (Waits before Windows, the order Partial declares them). Called
+// with m.mu held.
+func (m *WaitStateModule) drainAll(qs []*chanQueues) {
+	if m.wins != nil && len(qs) > 0 {
+		m.wins.mu.Lock()
+		defer m.wins.mu.Unlock()
+	}
+	for _, q := range qs {
+		m.drain(q)
+	}
+}
+
+// pair classifies one matched (recv, sendStart) pair and credits it to the
+// window series. Called with m.mu and the series' lock held.
 func (m *WaitStateModule) pair(rv recvEvt, sendStart int64) {
 	m.pairs++
-	if sendStart <= rv.tStart {
-		return // sender was ready: no late-sender wait
-	}
 	wait := sendStart - rv.tStart
 	if rv.tEnd-rv.tStart < wait {
 		wait = rv.tEnd - rv.tStart
 	}
-	if wait <= 0 {
-		return
-	}
-	if uint32(rv.rank) < uint32(m.size) { // a decoded rank can be negative
+	// No wait when the sender was ready, and none counted for a decoded
+	// rank outside the app (it can be negative).
+	if sendStart <= rv.tStart || wait <= 0 || uint32(rv.rank) >= uint32(m.size) {
+		wait = 0
+	} else {
 		m.lateNs[rv.rank] += wait
 		m.lateHits[rv.rank]++
+	}
+	if m.wins != nil {
+		m.wins.credit(rv.tStart, rv.rank, wait)
 	}
 }
 
@@ -472,7 +470,7 @@ func moveSorted[T any](dst, src []T, less func(x, y T) bool) (merged, emptied []
 
 // drain positionally pairs a channel's queues while both sides have
 // entries and moves the survivors to the front, keeping the capacity the
-// drained entries used. Called with m.mu held.
+// drained entries used. Called as pair is.
 func (m *WaitStateModule) drain(q *chanQueues) {
 	n := min(len(q.sends), len(q.recvs))
 	if n == 0 {

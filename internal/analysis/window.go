@@ -19,28 +19,26 @@ import (
 // time, so a sliding configuration costs about window/slide times the
 // tumbling fold work.
 //
-// The inner per-window partials carry the profiler, topology, density,
-// wait-state and call-site modules (per the outer selection) and reuse
-// the whole Partial merge machinery: window i merged across leaves,
-// replicas or epochs is byte-identical to window i computed flat, the
-// same associative-commutative argument the reduction tree runs on.
-// Two deliberate deviations from the outer Partial:
+// A window carries what anything reads from one: the profiler kind table
+// (events and bytes per window) and, with wait-state on, the late-sender
+// sums. Its inner partial has no other module, always carries AppID 0 (the
+// window index is the key, and replicas, which fold under AppID 0, and
+// tree leaves, which fold under the real AppID, must produce mergeable
+// windows), and merges by plain addition: window i merged across leaves,
+// replicas or epochs is byte-identical to window i computed flat.
 //
-//   - Inner partials always carry AppID 0. The window index is the key;
-//     replicas (which fold under AppID 0) and tree leaves (which fold
-//     under the real AppID) must produce mergeable windows.
+// Wait-state pairs are not formed per window. The owning partial's module
+// pairs each channel once, in its whole-run FIFO order, and credits every
+// pair to the windows covering the receive's start time — the fold's clamp
+// and cover rule — together with its late-sender wait, at the moment the
+// pair settles. A channel that straddles a window boundary therefore pairs
+// as it does in the whole run, Σ per-window pairs and late-sender wait of a
+// tumbling series equal the whole run's, and the windows of a delta carry
+// the wait the delta's settled sums carry. Series settles the owning
+// module before it reads, so a reader sees every pair its queues hold.
 //
-//   - Inner wait-state modules are lazy: they never settle while the
-//     engine merges, flushes or encodes them. Settling inside a window
-//     would pair a channel's sends and recvs positionally *within the
-//     window's slice of the queues*, which is not a prefix of the
-//     channel's whole-run FIFO matching when a channel straddles a
-//     window boundary — early pairing would make "merge of all sealed
-//     windows == whole-run partial" false. Pairing happens at read time
-//     (report rendering), when the windows are complete.
-//
-// A delta encode costs what the epoch wrote: it visits the written list,
-// not the series, so a seal does not grow with the session's age.
+// An encode visits the written list, not the series: a seal costs what
+// was written since the last one, whatever the session's age.
 //
 // Lateness is deliberately NOT part of this module: late events always
 // merge into their (still-open) window, so window content is exact and
@@ -53,19 +51,20 @@ type WindowedModule struct {
 	slideNs  int64
 	inner    PartialOptions
 	wins     map[int64]*Partial
+	// waits is the owning partial's wait-state module (nil without one): it
+	// credits its pairs here, and Series settles it first.
+	waits *WaitStateModule
 
-	// written lists the windows folded or merged into since the last reset
-	// encode, each once (Partial.listed): every window that holds events is
-	// among them, so a delta encode visits these and not the whole series,
-	// whatever the session's age. flushed lists the windows the last reset
-	// encode wrote and kept warm; the next one releases those nobody wrote
-	// to since.
-	written, flushed []int64
+	// written lists the windows folded, credited or merged into since the
+	// last reset encode, each once (Partial.listed): every window that holds
+	// content is among them, so an encode visits these and not the whole
+	// series, whatever the session's age.
+	written []int64
 
-	// cur caches the window the previous event of a tumbling series fell
-	// into (nil = nothing cached): consecutive events of a pack almost
-	// always share it, and the hit skips the map. It must be dropped
-	// wherever a window leaves wins or the written list.
+	// cur caches the window the previous write went to (nil = nothing
+	// cached): consecutive events of a pack, and consecutive pairs of a
+	// channel, almost always share it, and the hit skips the map. It must
+	// be dropped wherever a window leaves wins or the written list.
 	curIdx int64
 	cur    *Partial
 }
@@ -75,36 +74,36 @@ type WindowedModule struct {
 // anyway; on the wire a larger count is hostile input and fails loudly.
 const maxDecodedWindows = 1 << 20
 
-// innerWindowOptions derives the per-window module selection from the
-// outer partial's: the time-resolved modules of the outer set, minus the
-// temporal map (windows subsume it), the size histogram (whole-run
-// shape) and the windows themselves (no recursion).
+// innerWindowOptions derives a window's module selection from the outer
+// partial's: the app size, and the wait-state sums when they are on.
 func innerWindowOptions(o PartialOptions) PartialOptions {
-	return PartialOptions{
-		AppSize:   o.AppSize,
-		WaitState: o.WaitState,
-		Callsites: o.Callsites,
-	}
+	return PartialOptions{AppSize: o.AppSize, WaitState: o.WaitState}
 }
 
 // NewWindowedModule creates a windowed series with the given window
 // width and slide (both in virtual nanoseconds; slide must be in
-// (0, windowNs]) over the given inner module selection.
-func NewWindowedModule(windowNs, slideNs int64, inner PartialOptions) *WindowedModule {
-	return &WindowedModule{
+// (0, windowNs]) over the given inner module selection. waits, when
+// non-nil, is the owning partial's wait-state module: from now on it
+// credits its pairs to the series.
+func NewWindowedModule(windowNs, slideNs int64, inner PartialOptions, waits *WaitStateModule) *WindowedModule {
+	m := &WindowedModule{
 		windowNs: windowNs,
 		slideNs:  slideNs,
 		inner:    inner,
 		wins:     make(map[int64]*Partial),
 	}
+	if waits != nil && inner.WaitState {
+		m.waits, waits.wins = waits, m
+	}
+	return m
 }
 
-// newWindowPartial mints one inner per-window partial: AppID 0 and a
-// lazy wait-state module (see the type comment).
+// newWindowPartial mints one window: AppID 0, the profiler and, per the
+// inner selection, the wait-state sums (see the type comment).
 func (m *WindowedModule) newWindowPartial() *Partial {
-	wp := NewPartial(0, m.inner)
-	if wp.Waits != nil {
-		wp.Waits.lazy = true
+	wp := &Partial{opts: m.inner, Profiler: &ProfilerModule{}}
+	if m.inner.WaitState {
+		wp.Waits = NewWaitStateModule(m.inner.AppSize)
 	}
 	return wp
 }
@@ -127,27 +126,44 @@ func (m *WindowedModule) Add(ev *trace.Event) {
 // inner partials fold without their locks: owning the WindowedModule
 // covers them too.
 func (m *WindowedModule) fold(ev *trace.Event) {
-	t := ev.TStart
-	if t < 0 {
-		t = 0
-	}
-	hi := t / m.slideNs
-	if m.slideNs == m.windowNs {
-		// Tumbling: one window per event.
-		if m.cur == nil || hi != m.curIdx {
-			m.curIdx, m.cur = hi, m.window(hi)
-		}
-		m.cur.fold(ev)
-		return
-	}
-	// Sliding: every window i with i*slide <= t < i*slide+window.
-	lo := (t-m.windowNs)/m.slideNs + 1
-	if t < m.windowNs {
-		lo = 0 // the series starts at virtual time zero
-	}
+	lo, hi := m.cover(ev.TStart)
 	for i := lo; i <= hi; i++ {
-		m.window(i).fold(ev)
+		m.at(i).Profiler.fold(ev)
 	}
+}
+
+// credit adds one settled pair to every window covering the receive's
+// start time t, and its late-sender wait, when positive, to the receiving
+// rank (pair has checked it). The caller owns m, as for fold.
+func (m *WindowedModule) credit(t int64, rank int32, wait int64) {
+	lo, hi := m.cover(t)
+	for i := lo; i <= hi; i++ {
+		ws := m.at(i).Waits
+		ws.pairs++
+		if wait > 0 {
+			ws.lateNs[rank] += wait
+			ws.lateHits[rank]++
+		}
+	}
+}
+
+// cover returns the windows [lo, hi] covering virtual time t: every i with
+// i*slide <= t < i*slide+window, a negative t clamped to zero (the series
+// starts at virtual time zero). Tumbling windows give lo == hi.
+func (m *WindowedModule) cover(t int64) (lo, hi int64) {
+	t = max(t, 0)
+	if t < m.windowNs {
+		return 0, t / m.slideNs
+	}
+	return (t-m.windowNs)/m.slideNs + 1, t / m.slideNs
+}
+
+// at returns window i for writing, through the one-window cache.
+func (m *WindowedModule) at(i int64) *Partial {
+	if m.cur == nil || i != m.curIdx {
+		m.curIdx, m.cur = i, m.window(i)
+	}
+	return m.cur
 }
 
 // window returns window i's inner partial for writing: minted on first
@@ -185,10 +201,18 @@ func (m *WindowedModule) Indices() []int64 {
 }
 
 // Series extracts one per-window value across the populated index range
-// (gaps filled with zero), for sparkline rendering. fn reads one window
-// and runs with the series locked, so it sees no half-folded pack; it may
-// use the window's locked accessors but must not call back into m.
+// (gaps filled with zero), for sparkline rendering. It settles the owning
+// wait-state module first (Waits before Windows, the order Partial
+// declares them), so the windows hold every pair its queues can form. fn
+// reads one window and runs with the series locked, so it sees no
+// half-folded pack; it may use the window's locked accessors but must not
+// call back into m.
 func (m *WindowedModule) Series(fn func(*Partial) float64) (firstIdx int64, values []float64) {
+	if m.waits != nil {
+		m.waits.mu.Lock()
+		defer m.waits.mu.Unlock()
+		m.waits.settleLocked()
+	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if len(m.wins) == 0 {
@@ -217,15 +241,17 @@ func (m *WindowedModule) Merge(o *WindowedModule) error {
 	}
 	// Snapshot o's windows, then merge them with m locked: a pack fold
 	// owning m writes the inner partials without their own mutexes, which
-	// only the inner Merge takes.
+	// only the inner merges take.
 	o.mu.Lock()
 	src := maps.Clone(o.wins)
 	o.mu.Unlock()
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	for i, wp := range src {
-		if err := m.window(i).Merge(wp); err != nil {
-			return fmt.Errorf("analysis: window %d: %w", i, err)
+		w := m.window(i)
+		w.Profiler.Merge(wp.Profiler)
+		if w.Waits != nil {
+			w.Waits.Merge(wp.Waits)
 		}
 	}
 	return nil
@@ -233,27 +259,25 @@ func (m *WindowedModule) Merge(o *WindowedModule) error {
 
 // mergeReset folds o into m with move semantics and leaves o empty; a
 // window m has never seen moves wholesale (no allocation, no copying).
-// The caller must own o exclusively (it is a paused replica).
+// Only a window o listed holds content, so only those are visited. The
+// caller must own o exclusively (it is a paused replica).
 func (m *WindowedModule) mergeReset(o *WindowedModule) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	o.cur = nil // windows are about to leave o.wins and its written list
-	for i, wp := range o.wins {
-		// Only a window o listed can bring events, so only those enter m's
-		// written list; the others are merged for their pending queues.
-		written := wp.listed
+	for _, i := range o.written {
+		wp := o.wins[i]
 		wp.listed = false
-		if m.wins[i] == nil {
+		if w := m.wins[i]; w == nil {
 			m.wins[i] = wp
 			delete(o.wins, i)
-		} else if err := m.wins[i].MergeReset(wp); err != nil {
-			// Both sides were minted by this module pair from identical
-			// options; a mismatch is a programming error, not data.
-			panic(fmt.Sprintf("analysis: window %d epoch merge: %v", i, err))
+		} else {
+			w.Profiler.mergeReset(wp.Profiler)
+			if w.Waits != nil {
+				w.Waits.mergeResetFull(wp.Waits)
+			}
 		}
-		if written {
-			m.window(i)
-		}
+		m.window(i)
 	}
 	o.written = o.written[:0]
 }
@@ -279,6 +303,6 @@ func (p *Pipeline) EnableWindows(windowNs, slideNs int64) (*WindowedModule, erro
 	}
 	o := &p.state.opts
 	o.WindowNs, o.WindowSlideNs = windowNs, slideNs
-	p.state.Windows = NewWindowedModule(windowNs, slideNs, innerWindowOptions(*o))
+	p.state.Windows = NewWindowedModule(windowNs, slideNs, innerWindowOptions(*o), p.state.Waits)
 	return p.state.Windows, nil
 }

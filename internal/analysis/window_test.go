@@ -9,71 +9,82 @@ import (
 	"repro/internal/trace"
 )
 
-// windowTestOpts is the inner module selection the window property tests
-// run: wait-state on (the hard case — pending queues straddle window
-// boundaries) plus call-sites.
+// windowTestOpts is the module selection the window property tests run:
+// wait-state on (the hard case — channels straddle window boundaries) plus
+// call-sites.
 func windowTestOpts(appSize int) PartialOptions {
 	return PartialOptions{AppSize: appSize, WaitState: true, Callsites: true}
 }
 
 // TestWindowConcatReconstructsWholeRun is the tumbling-window
-// reconstruction law: folding a run into W-sized windows and then
-// merging every sealed window back together must reproduce, byte for
-// byte, the partial that folded the whole run directly. (Tumbling only:
-// a sliding series folds each event into window/slide windows, so its
-// concatenation multiply-counts by construction.) This is the property
-// that makes per-window series trustworthy — a window holds exactly its
-// slice of the run, nothing leaks across boundaries, and the lazy
-// wait-state queues pair identically once reassembled.
+// reconstruction law: merging every window of a run back together
+// reproduces, byte for byte, the profiler section of the partial that
+// folded the whole run directly, and Σ window wait sums — pairs, and
+// late-sender ns and hits per rank — equal the whole run's settled sums.
+// (Tumbling only: a sliding series folds each event into window/slide
+// windows, so its concatenation multiply-counts by construction.) A window
+// holds exactly its slice of the run, nothing leaks across boundaries, and
+// a channel that straddles one pairs as it does in the whole run.
 func TestWindowConcatReconstructsWholeRun(t *testing.T) {
 	const appSize = 6
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		opts := windowTestOpts(appSize)
 		perRank := genRankEvents(rng, appSize, 400)
-		windowNs := int64(200 + rng.Intn(5000))
+		opts.WindowNs = int64(200 + rng.Intn(5000))
+		pp := NewPartial(0, opts)
+		roundRobin(perRank, pp.AddEvent)
 
-		m := NewWindowedModule(windowNs, windowNs, opts)
-		whole := NewPartial(0, opts)
-		ranks := make([]int, appSize)
-		for i := range ranks {
-			ranks[i] = i
-		}
-		idx := make([]int, appSize)
-		for {
-			progressed := false
-			for i, r := range ranks {
-				if idx[i] < len(perRank[r]) {
-					ev := perRank[r][idx[i]]
-					m.Add(&ev)
-					whole.AddEvent(&ev)
-					idx[i]++
-					progressed = true
-				}
-			}
-			if !progressed {
-				break
-			}
-		}
-
-		acc := NewPartial(0, opts)
-		for _, i := range m.Indices() {
-			if err := acc.Merge(m.wins[i]); err != nil {
-				t.Logf("seed %d: window %d merge: %v", seed, i, err)
-				return false
-			}
-		}
-		got := acc.AppendCanonical(nil)
-		want := whole.AppendCanonical(nil)
-		if !bytes.Equal(got, want) {
+		acc := &ProfilerModule{}
+		sums := NewWaitStateModule(appSize)
+		pp.Windows.Series(func(wp *Partial) float64 {
+			acc.Merge(wp.Profiler)
+			sums.Merge(wp.Waits)
+			return 0
+		})
+		whole := NewPartial(0, windowTestOpts(appSize))
+		whole.Profiler.Merge(pp.Profiler)
+		whole.Waits.Merge(pp.Waits)
+		cat := NewPartial(0, windowTestOpts(appSize))
+		cat.Profiler.Merge(acc)
+		cat.Waits.Merge(sums)
+		if got, want := cat.AppendCanonical(nil), whole.AppendCanonical(nil); !bytes.Equal(got, want) {
 			t.Logf("seed %d: %d windows of %dns concatenate to %d bytes != whole run %d bytes",
-				seed, m.Len(), windowNs, len(got), len(want))
+				seed, pp.Windows.Len(), opts.WindowNs, len(got), len(want))
 			return false
 		}
 		return true
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestWindowSumsMatchWholeRun is the window-boundary regression test, on a
+// stream of the live-query workload's shape (256 ranks, 3 648 packs of 63
+// events, 500 µs tumbling windows): Σ per-window pairs and late-sender
+// wait equal the whole run's. Pairing each window's slice of the channel
+// queues on its own instead loses the pairs that straddle a boundary and
+// mismatches the rest into late-sender wait the run does not have.
+func TestWindowSumsMatchWholeRun(t *testing.T) {
+	const ranks = 256
+	pp := NewPartial(1, liveOpts(ranks))
+	foldAll(pp, livePacks(ranks, 0, 3648))
+	var pairs, lateNs int64
+	pp.Windows.Series(func(wp *Partial) float64 {
+		pairs += wp.Waits.Pairs()
+		lateNs += wp.Waits.TotalLateNs()
+		return 0
+	})
+	wholePairs, wholeLate := pp.Waits.Pairs(), pp.Waits.TotalLateNs()
+	t.Logf("whole run: %d pairs, %d ns late; Σ %d windows: %d pairs, %d ns late",
+		wholePairs, wholeLate, pp.Windows.Len(), pairs, lateNs)
+	if wholePairs == 0 || pp.Windows.Len() < 2 {
+		t.Fatalf("the stream paired %d messages over %d windows: nothing straddles", wholePairs, pp.Windows.Len())
+	}
+	if pairs != wholePairs || lateNs != wholeLate {
+		t.Errorf("Σ windows = %d pairs, %d ns late; the whole run = %d pairs, %d ns late",
+			pairs, lateNs, wholePairs, wholeLate)
 	}
 }
 
@@ -104,7 +115,7 @@ func TestWindowCompletenessConservative(t *testing.T) {
 
 		windowNs := int64(300 + rng.Intn(3000))
 		graceNs := int64(rng.Intn(500))
-		m := NewWindowedModule(windowNs, windowNs, opts)
+		m := NewWindowedModule(windowNs, windowNs, opts, nil)
 		tr := NewWindowTracker(windowNs, 0, graceNs, nil)
 
 		// Independent replay of the lateness definition.
@@ -191,7 +202,7 @@ func TestWindowCompletenessConservative(t *testing.T) {
 // from the series origin — which is exactly the documented cost factor.
 func TestSlidingWindowCoverage(t *testing.T) {
 	opts := PartialOptions{AppSize: 2}
-	m := NewWindowedModule(4000, 1000, opts)
+	m := NewWindowedModule(4000, 1000, opts, nil)
 	ev := trace.Event{Kind: trace.KindSend, Rank: 0, Peer: 1, TStart: 10_500, TEnd: 10_600}
 	m.Add(&ev)
 	want := []int64{7, 8, 9, 10}
@@ -205,7 +216,7 @@ func TestSlidingWindowCoverage(t *testing.T) {
 		}
 	}
 	// Near the origin the cover clips at window zero.
-	m2 := NewWindowedModule(4000, 1000, opts)
+	m2 := NewWindowedModule(4000, 1000, opts, nil)
 	ev2 := trace.Event{Kind: trace.KindSend, Rank: 0, Peer: 1, TStart: 1500, TEnd: 1600}
 	m2.Add(&ev2)
 	if got := m2.Indices(); len(got) != 2 || got[0] != 0 || got[1] != 1 {

@@ -13,7 +13,7 @@ import (
 // negative-timestamp clamping, series extraction over gappy index ranges,
 // and merge geometry checking.
 func TestWindowedModuleEdges(t *testing.T) {
-	m := NewWindowedModule(1000, 1000, PartialOptions{AppSize: 2})
+	m := NewWindowedModule(1000, 1000, PartialOptions{AppSize: 2}, nil)
 	if m.Window() != 1000 || m.Slide() != 1000 {
 		t.Fatalf("geometry = %d/%d", m.Window(), m.Slide())
 	}
@@ -47,14 +47,14 @@ func TestWindowedModuleEdges(t *testing.T) {
 	if err := m.Merge(nil); err != nil {
 		t.Fatal(err)
 	}
-	other := NewWindowedModule(500, 500, PartialOptions{AppSize: 2})
+	other := NewWindowedModule(500, 500, PartialOptions{AppSize: 2}, nil)
 	if err := m.Merge(other); err == nil || !strings.Contains(err.Error(), "incompatible") {
 		t.Fatalf("incompatible merge: err = %v", err)
 	}
 
 	// Compatible merge: overlapping windows accumulate, new ones copy in,
 	// and the source is left intact (copy semantics).
-	b := NewWindowedModule(1000, 1000, PartialOptions{AppSize: 2})
+	b := NewWindowedModule(1000, 1000, PartialOptions{AppSize: 2}, nil)
 	ev3 := sendEvent(0, 1, 64, 150, 160)
 	ev4 := sendEvent(1, 0, 64, 5200, 5300)
 	b.Add(&ev3)
@@ -74,7 +74,7 @@ func TestWindowedModuleEdges(t *testing.T) {
 
 	// mergeReset: move semantics — overlapping windows fold in, unseen
 	// windows move wholesale, and the source drains.
-	c := NewWindowedModule(1000, 1000, PartialOptions{AppSize: 2})
+	c := NewWindowedModule(1000, 1000, PartialOptions{AppSize: 2}, nil)
 	ev5 := sendEvent(0, 1, 64, 150, 160)
 	ev6 := sendEvent(0, 1, 64, 7100, 7200)
 	c.Add(&ev5)

@@ -5,6 +5,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/analysis"
 	"repro/internal/client"
 	"repro/internal/trace"
 )
@@ -91,5 +92,61 @@ func TestDiffLoopCursorDepths(t *testing.T) {
 		if q.Diffs != polls+1 || q.Seals != int64(depth*polls+1) || q.SealNs <= 0 || q.DiffNs <= 0 || q.StateBytes <= 0 {
 			t.Errorf("depth %d: query ledger %+v, want %d diffs over %d seals with time and bytes", depth, q, polls+1, depth*polls+1)
 		}
+	}
+}
+
+// TestLiveWindowsCarryLateSender: a live dashboard sees late-sender wait
+// per window before the session closes. One Diff after the last pack seals
+// the session's delta; the pairs that seal settles ride its whole-run sums
+// and, credited to the windows covering their receives, its window series.
+// The replayed state's Σ window late ns must equal its whole-run late ns,
+// which must not be zero.
+func TestLiveWindowsCarryLateSender(t *testing.T) {
+	opts := testOpts
+	opts.PackVersion = trace.PackV3
+	opts.WindowNs = (5 * time.Millisecond).Nanoseconds()
+	cp := capture(t, opts, [4]int{1, 'A', 16, 2})
+	meta := client.SessionMetaFromCapture(cp)
+	c := pipeClient(t, New(Options{}), cp.PackVersion)
+	if _, err := c.Register(meta); err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range cp.Packs {
+		if err := c.SendPack(uint32(p.Src), p.Data); err != nil {
+			t.Fatal(err)
+		}
+	}
+	replay := client.NewDiffReplayer(meta)
+	st, err := c.Diff(replay.Cursor())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := replay.Apply(st); err != nil {
+		t.Fatal(err)
+	}
+	// The replayed state is byte-identical to the snapshot; read it there.
+	snap, err := c.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := replay.Verify(snap); err != nil {
+		t.Fatal(err)
+	}
+	pp, err := analysis.DecodePartial(snap.Apps[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	var windows int64
+	pp.Windows.Series(func(wp *analysis.Partial) float64 {
+		windows += wp.Waits.TotalLateNs()
+		return 0
+	})
+	whole := pp.Waits.TotalLateNs()
+	t.Logf("before Close: %d ns of late-sender wait over %d windows, %d ns in the whole run", windows, pp.Windows.Len(), whole)
+	if whole == 0 {
+		t.Fatal("the workload has no late sender: nothing to check")
+	}
+	if windows != whole {
+		t.Errorf("Σ window late-sender wait %d ns != whole run %d ns", windows, whole)
 	}
 }
