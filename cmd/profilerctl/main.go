@@ -4,8 +4,9 @@
 //
 // Replay runs the named applications through the deterministic simulator
 // with the analysis engine replaced by a capture tee, then streams the
-// captured packs through a daemon session — Register, Pack frames under
-// the daemon's credit window, periodic Diff polls, Close:
+// captured packs through a daemon session with (*exp.Capture).Replay —
+// Register, Pack frames under the daemon's credit window, periodic Diff
+// polls, Close — over the client SDK, which links no simulator:
 //
 //	profilerctl -addr 127.0.0.1:7101 -apps CG.A@16
 //	profilerctl -addr 127.0.0.1:7101 -apps LU.A@16,CG.A@16 -waitstate
@@ -104,7 +105,7 @@ func main() {
 		log.Fatal(err)
 	}
 	defer c.Shutdown()
-	rep, err := c.Replay(cp, *diffFlag)
+	rep, err := cp.Replay(c, *diffFlag)
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -6,6 +6,8 @@
 // cursor API, and collects the final report at Close. Packs are batched:
 // a credit window's packs go out in one write, when its last credit is
 // spent or with the next request, whichever comes first (DESIGN §14.5).
+// Replaying a simulated capture is (*exp.Capture).Replay, on the
+// simulator's side: a client links no simulator.
 package client
 
 import (
@@ -15,7 +17,6 @@ import (
 	"net"
 
 	"repro/internal/analysis"
-	"repro/internal/exp"
 	"repro/internal/trace"
 	"repro/internal/wire"
 )
@@ -28,15 +29,68 @@ type Client struct {
 	fr   *wire.Reader
 	bw   *bufio.Writer
 
-	format  int
-	session uint64
-	// avail is the client's credit balance: decremented per pack, topped
-	// up by the daemon's Credit frames. At zero, SendPack blocks reading
-	// until a grant arrives — the compliant behaviour the daemon's
-	// admission governor paces by shrinking the window.
+	format int
+	sess   session
+}
+
+// session is the client's half of the protocol state: the registered
+// session, its credit balance and how far its life has gone. It does no
+// I/O; the Client asks it before every session request and feeds it every
+// frame the daemon answers with.
+type session struct {
+	id uint64
+	// avail is the credit balance: decremented per pack, topped up by the
+	// daemon's Credit frames. At zero, SendPack blocks reading until a
+	// grant arrives — the compliant behaviour the daemon's admission
+	// governor paces by shrinking the window.
 	avail  int
 	closed bool
 	shut   bool // Shutdown ran: a buffered SendPack would not notice
+}
+
+// ready refuses the session requests the daemon would refuse: before
+// register, after close and after shutdown. Refused here, op fails at
+// once and the connection stays usable; sent, it would end the
+// connection under a later, unrelated call.
+func (s *session) ready(op string) error {
+	switch {
+	case s.shut:
+		return fmt.Errorf("client: %s after shutdown", op)
+	case s.id == 0:
+		return fmt.Errorf("client: %s before register", op)
+	case s.closed:
+		return fmt.Errorf("client: %s after close", op)
+	}
+	return nil
+}
+
+// starved reports whether a Credit frame must be read before the next
+// request: an open session with its balance spent. The daemon grants a
+// fresh batch exactly when the issued credits are exhausted, so one is
+// then guaranteed in flight.
+func (s *session) starved() bool { return s.id != 0 && !s.closed && s.avail <= 0 }
+
+// observe advances the session by one frame from the daemon: the
+// register ack opens it with its first window, a Credit tops the balance
+// up, and the final report closes it.
+func (s *session) observe(f wire.Frame) error {
+	switch f.Type {
+	case wire.TypeRegisterAck:
+		ack, err := wire.ParseRegisterAck(f.Payload)
+		if err != nil {
+			return err
+		}
+		s.id, s.avail = ack.Session, int(ack.Window)
+	case wire.TypeCredit:
+		cr, err := wire.ParseCredit(f.Payload)
+		if err != nil {
+			return err
+		}
+		s.avail += int(cr.Credits)
+	case wire.TypeReport:
+		s.closed = true // no further credits arrive on a closed session
+	}
+	return nil
 }
 
 // New wraps an established connection and runs the hello handshake,
@@ -50,27 +104,25 @@ func New(conn io.ReadWriteCloser, maxFormat int) (*Client, error) {
 		return nil, fmt.Errorf("client: unknown pack format %d", maxFormat)
 	}
 	c := &Client{conn: conn, fr: wire.NewReader(conn), bw: bufio.NewWriterSize(conn, wire.ConnBuffer)}
-	if err := c.send(wire.TypeHello, wire.EncodeHello(wire.Hello{Proto: wire.ProtoVersion, MaxFormat: byte(maxFormat)})); err != nil {
-		conn.Close()
-		return nil, err
+	f, err := c.call(wire.TypeHello, wire.EncodeHello(wire.Hello{Proto: wire.ProtoVersion, MaxFormat: byte(maxFormat)}), wire.TypeHelloAck)
+	var ack wire.HelloAck
+	if err == nil {
+		ack, err = wire.ParseHelloAck(f.Payload)
 	}
-	f, err := c.recv(wire.TypeHelloAck)
+	if err == nil && ack.Proto != wire.ProtoVersion {
+		err = fmt.Errorf("client: daemon speaks protocol %d, want %d", ack.Proto, wire.ProtoVersion)
+	}
 	if err != nil {
 		conn.Close()
 		return nil, err
-	}
-	ack, err := wire.ParseHelloAck(f.Payload)
-	if err != nil {
-		conn.Close()
-		return nil, err
-	}
-	if ack.Proto != wire.ProtoVersion {
-		conn.Close()
-		return nil, fmt.Errorf("client: daemon speaks protocol %d, want %d", ack.Proto, wire.ProtoVersion)
 	}
 	c.format = int(ack.Format)
 	return c, nil
 }
+
+// Format is the pack wire format the hello negotiated: the packs this
+// client sends must be in it.
+func (c *Client) Format() int { return c.format }
 
 // Dial connects to a daemon over TCP and runs the hello handshake.
 func Dial(addr string, maxFormat int) (*Client, error) {
@@ -81,83 +133,75 @@ func Dial(addr string, maxFormat int) (*Client, error) {
 	return New(conn, maxFormat)
 }
 
-func (c *Client) send(typ byte, payload []byte) error {
-	if err := wire.WriteFrame(c.bw, typ, payload); err != nil {
-		return err
+// call writes one request frame, with any packs buffered ahead of it, and
+// reads the answer of type want.
+func (c *Client) call(typ byte, payload []byte, want byte) (wire.Frame, error) {
+	err := wire.WriteFrame(c.bw, typ, payload)
+	if err == nil {
+		err = c.bw.Flush()
 	}
-	return c.bw.Flush()
+	if err != nil {
+		return wire.Frame{}, err
+	}
+	return c.recv(want)
 }
 
-// recv reads frames until one of the wanted type arrives. Credit frames
-// are folded into the balance along the way; an error frame becomes the
-// returned error.
+// recv reads frames until one of the wanted type arrives, feeding each to
+// the session: Credit frames are folded into the balance along the way;
+// an error frame becomes the returned error.
 func (c *Client) recv(want byte) (wire.Frame, error) {
 	for {
 		f, err := c.fr.Next()
 		if err != nil {
 			return wire.Frame{}, fmt.Errorf("client: reading frame: %w", err)
 		}
-		switch f.Type {
-		case want:
-			return f, nil
-		case wire.TypeCredit:
-			cr, err := wire.ParseCredit(f.Payload)
-			if err != nil {
-				return wire.Frame{}, err
-			}
-			c.avail += int(cr.Credits)
-		case wire.TypeError:
+		switch {
+		case f.Type == wire.TypeError:
 			return wire.Frame{}, fmt.Errorf("client: daemon: %s", f.Payload)
-		default:
+		case f.Type != want && f.Type != wire.TypeCredit:
 			return wire.Frame{}, fmt.Errorf("client: unexpected frame type %#x (want %#x)", f.Type, want)
+		}
+		if err := c.sess.observe(f); err != nil || f.Type == want {
+			return f, err
 		}
 	}
 }
 
 // Register opens a session.
 func (c *Client) Register(meta wire.SessionMeta) (uint64, error) {
-	if c.session != 0 {
-		return 0, fmt.Errorf("client: session %d already registered", c.session)
+	if c.sess.id != 0 {
+		return 0, fmt.Errorf("client: session %d already registered", c.sess.id)
 	}
 	payload, err := wire.EncodeSessionMeta(meta)
 	if err != nil {
 		return 0, err
 	}
-	if err := c.send(wire.TypeRegister, payload); err != nil {
+	if _, err := c.call(wire.TypeRegister, payload, wire.TypeRegisterAck); err != nil {
 		return 0, err
 	}
-	f, err := c.recv(wire.TypeRegisterAck)
-	if err != nil {
-		return 0, err
-	}
-	ack, err := wire.ParseRegisterAck(f.Payload)
-	if err != nil {
-		return 0, err
-	}
-	c.session = ack.Session
-	c.avail = int(ack.Window)
-	return ack.Session, nil
+	return c.sess.id, nil
 }
 
-// waitCredit blocks until the credit balance is positive. The daemon
-// grants a fresh batch exactly when the issued credits are exhausted, so
-// at zero balance a Credit frame is guaranteed in flight — and reading
-// it before writing anything keeps the protocol deadlock-free even on
-// unbuffered transports (net.Pipe), where a daemon blocked writing the
-// grant cannot simultaneously read a request.
+// waitCredit blocks until the credit balance is positive. Reading the
+// grant in flight before writing anything keeps the protocol
+// deadlock-free even on unbuffered transports (net.Pipe), where a daemon
+// blocked writing the grant cannot simultaneously read a request.
 func (c *Client) waitCredit() error {
-	for c.session != 0 && !c.closed && c.avail <= 0 {
-		f, err := c.recv(wire.TypeCredit)
-		if err != nil {
+	for c.sess.starved() {
+		if _, err := c.recv(wire.TypeCredit); err != nil {
 			return err
 		}
-		cr, err := wire.ParseCredit(f.Payload)
-		if err != nil {
-			return err
-		}
-		c.avail += int(cr.Credits)
 	}
 	return nil
+}
+
+// ready clears a session request: refused at once when the daemon would
+// refuse it, and held until the grant in flight, if any, is read.
+func (c *Client) ready(op string) error {
+	if err := c.sess.ready(op); err != nil {
+		return err
+	}
+	return c.waitCredit()
 }
 
 // SendPack streams one encoded pack for the given writer id, honouring
@@ -166,17 +210,11 @@ func (c *Client) waitCredit() error {
 // the connection together when the last credit is spent, when the buffer
 // fills, or ahead of the next request.
 func (c *Client) SendPack(src uint32, pack []byte) error {
-	switch {
-	case c.shut:
-		return fmt.Errorf("client: send after shutdown")
-	case c.session == 0:
-		return fmt.Errorf("client: send before register")
-	}
-	if err := c.waitCredit(); err != nil {
+	if err := c.ready("send"); err != nil {
 		return err
 	}
-	c.avail--
-	if err := wire.WritePack(c.bw, src, pack); err != nil || c.avail > 0 {
+	c.sess.avail--
+	if err := wire.WritePack(c.bw, src, pack); err != nil || c.sess.avail > 0 {
 		return err
 	}
 	return c.bw.Flush()
@@ -185,13 +223,10 @@ func (c *Client) SendPack(src uint32, pack []byte) error {
 // Snapshot fetches the session's full merged analysis state; the
 // returned epoch (State.To) is a valid Diff cursor.
 func (c *Client) Snapshot() (wire.State, error) {
-	if err := c.waitCredit(); err != nil {
+	if err := c.ready("snapshot"); err != nil {
 		return wire.State{}, err
 	}
-	if err := c.send(wire.TypeSnapshot, nil); err != nil {
-		return wire.State{}, err
-	}
-	f, err := c.recv(wire.TypeState)
+	f, err := c.call(wire.TypeSnapshot, nil, wire.TypeState)
 	if err != nil {
 		return wire.State{}, err
 	}
@@ -202,13 +237,10 @@ func (c *Client) Snapshot() (wire.State, error) {
 // covering epochs (cursor, State.To], or the full state (State.Full)
 // when the cursor aged out of the daemon's epoch log.
 func (c *Client) Diff(cursor uint64) (wire.State, error) {
-	if err := c.waitCredit(); err != nil {
+	if err := c.ready("diff"); err != nil {
 		return wire.State{}, err
 	}
-	if err := c.send(wire.TypeDiff, wire.EncodeDiffReq(wire.DiffReq{Cursor: cursor})); err != nil {
-		return wire.State{}, err
-	}
-	f, err := c.recv(wire.TypeState)
+	f, err := c.call(wire.TypeDiff, wire.EncodeDiffReq(wire.DiffReq{Cursor: cursor}), wire.TypeState)
 	if err != nil {
 		return wire.State{}, err
 	}
@@ -231,33 +263,26 @@ func parseStateCopy(payload []byte) (wire.State, error) {
 // Close ends the session and returns the daemon's final report. The
 // connection remains usable for Stats until Shutdown.
 func (c *Client) Close(meta wire.CloseMeta) (wire.FinalReport, error) {
-	if c.session == 0 {
-		return wire.FinalReport{}, fmt.Errorf("client: close before register")
-	}
-	if err := c.waitCredit(); err != nil {
+	if err := c.ready("close"); err != nil {
 		return wire.FinalReport{}, err
 	}
 	payload, err := wire.EncodeCloseMeta(meta)
 	if err != nil {
 		return wire.FinalReport{}, err
 	}
-	if err := c.send(wire.TypeClose, payload); err != nil {
-		return wire.FinalReport{}, err
-	}
-	f, err := c.recv(wire.TypeReport)
+	f, err := c.call(wire.TypeClose, payload, wire.TypeReport)
 	if err != nil {
 		return wire.FinalReport{}, err
 	}
-	c.closed = true // no further credits arrive on a closed session
 	return wire.ParseFinalReport(f.Payload)
 }
 
 // Stats fetches the daemon's status JSON.
 func (c *Client) Stats() ([]byte, error) {
-	if err := c.send(wire.TypeStats, nil); err != nil {
+	if err := c.waitCredit(); err != nil {
 		return nil, err
 	}
-	f, err := c.recv(wire.TypeStatsAck)
+	f, err := c.call(wire.TypeStats, nil, wire.TypeStatsAck)
 	if err != nil {
 		return nil, err
 	}
@@ -267,105 +292,8 @@ func (c *Client) Stats() ([]byte, error) {
 // Shutdown closes the connection; every later call fails at once. Packs
 // still buffered are dropped, as the session they belong to is.
 func (c *Client) Shutdown() error {
-	c.shut = true
+	c.sess.shut = true
 	return c.conn.Close()
-}
-
-// --- capture replay --------------------------------------------------------
-
-// SessionMetaFromCapture builds the Register payload for a captured run:
-// the same title, chapter order, module selection and call-site labels
-// the in-process pipeline would use.
-func SessionMetaFromCapture(cp *exp.Capture) wire.SessionMeta {
-	m := wire.SessionMeta{
-		Title:            fmt.Sprintf("online profiling report (%s)", cp.PlatformName),
-		WaitState:        cp.WaitState,
-		TemporalWindowNs: cp.TemporalWindowNs,
-		Callsites:        cp.Callsites,
-		Sizes:            cp.Sizes,
-		WindowNs:         cp.WindowNs,
-		WindowSlideNs:    cp.WindowSlideNs,
-		WindowGraceNs:    cp.WindowGraceNs,
-	}
-	for _, a := range cp.Apps {
-		m.Apps = append(m.Apps, wire.AppMeta{
-			Name:   a.Name,
-			Procs:  a.Procs,
-			AppID:  a.AppID,
-			Labels: cp.Labels,
-		})
-	}
-	return m
-}
-
-// CloseMetaFromCapture builds the Close payload: per-application wall
-// times and the per-stream loss accounting, the run facts only the
-// client side knows.
-func CloseMetaFromCapture(cp *exp.Capture) wire.CloseMeta {
-	m := wire.CloseMeta{}
-	for _, a := range cp.Apps {
-		m.Apps = append(m.Apps, wire.AppFinal{WallNs: int64(a.WallTime)})
-	}
-	for _, lr := range cp.Loss {
-		m.Loss = append(m.Loss, wire.LossRow{
-			App:          lr.App,
-			Rank:         lr.Rank,
-			Dropped:      lr.Dropped,
-			LostInFlight: lr.LostInFlight,
-			Shed:         lr.Shed,
-		})
-	}
-	return m
-}
-
-// Replay runs a captured workload through a full session: Register, every
-// pack in capture order, Close. When diffEvery > 0 it additionally polls
-// Diff every diffEvery packs and verifies at the end that the replayed
-// cursor state matches a fresh Snapshot — the query API's convergence
-// check. Returns the daemon's final report.
-func (c *Client) Replay(cp *exp.Capture, diffEvery int) (wire.FinalReport, error) {
-	if cp.PackVersion > c.format {
-		return wire.FinalReport{}, fmt.Errorf("client: capture uses pack v%d but the daemon negotiated v%d", cp.PackVersion, c.format)
-	}
-	meta := SessionMetaFromCapture(cp)
-	if _, err := c.Register(meta); err != nil {
-		return wire.FinalReport{}, err
-	}
-	var replay *DiffReplayer
-	if diffEvery > 0 {
-		replay = NewDiffReplayer(meta)
-	}
-	for i, p := range cp.Packs {
-		if err := c.SendPack(uint32(p.Src), p.Data); err != nil {
-			return wire.FinalReport{}, err
-		}
-		if replay != nil && (i+1)%diffEvery == 0 {
-			st, err := c.Diff(replay.Cursor())
-			if err != nil {
-				return wire.FinalReport{}, err
-			}
-			if err := replay.Apply(st); err != nil {
-				return wire.FinalReport{}, err
-			}
-		}
-	}
-	if replay != nil {
-		st, err := c.Diff(replay.Cursor())
-		if err != nil {
-			return wire.FinalReport{}, err
-		}
-		if err := replay.Apply(st); err != nil {
-			return wire.FinalReport{}, err
-		}
-		snap, err := c.Snapshot()
-		if err != nil {
-			return wire.FinalReport{}, err
-		}
-		if err := replay.Verify(snap); err != nil {
-			return wire.FinalReport{}, err
-		}
-	}
-	return c.Close(CloseMetaFromCapture(cp))
 }
 
 // DiffReplayer accumulates Diff deltas client-side: the "live dashboard"

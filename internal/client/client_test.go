@@ -5,6 +5,7 @@ import (
 	"net"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/analysis"
 	"repro/internal/client"
@@ -53,7 +54,7 @@ func TestClientGuards(t *testing.T) {
 	}
 
 	cp := captureCG(t, 1, trace.PackV1)
-	meta := client.SessionMetaFromCapture(cp)
+	meta := cp.SessionMeta()
 	c := pipeTo(t, serviced.New(serviced.Options{}), 0)
 	if err := c.SendPack(0, cp.Packs[0].Data); err == nil {
 		t.Fatal("send before register succeeded")
@@ -70,7 +71,7 @@ func TestClientGuards(t *testing.T) {
 	if _, err := c.Register(wire.SessionMeta{}); err == nil {
 		t.Fatal("re-register with empty meta succeeded")
 	}
-	if _, err := c.Replay(cp, 0); err == nil {
+	if _, err := cp.Replay(c, 0); err == nil {
 		t.Fatal("replay on a registered session succeeded")
 	}
 }
@@ -169,21 +170,27 @@ func TestRequestErrorPaths(t *testing.T) {
 		}
 	})
 	t.Run("garbage snapshot state", func(t *testing.T) {
-		c := scripted(t, func(fr *wire.Reader, w io.Writer) {
+		c := scripted(t, ackThen(wire.RegisterAck{Session: 7, Window: 4}, func(fr *wire.Reader, w io.Writer) {
 			if next(fr) {
 				wire.WriteFrame(w, wire.TypeState, []byte{0xFF})
 			}
-		})
+		}))
+		if _, err := c.Register(wire.SessionMeta{Apps: []wire.AppMeta{{Name: "x", Procs: 1}}}); err != nil {
+			t.Fatal(err)
+		}
 		if _, err := c.Snapshot(); err == nil {
 			t.Fatal("garbage state payload accepted")
 		}
 	})
 	t.Run("diff refused", func(t *testing.T) {
-		c := scripted(t, func(fr *wire.Reader, w io.Writer) {
+		c := scripted(t, ackThen(wire.RegisterAck{Session: 7, Window: 4}, func(fr *wire.Reader, w io.Writer) {
 			if next(fr) {
 				wire.WriteFrame(w, wire.TypeError, []byte("no session"))
 			}
-		})
+		}))
+		if _, err := c.Register(wire.SessionMeta{Apps: []wire.AppMeta{{Name: "x", Procs: 1}}}); err != nil {
+			t.Fatal(err)
+		}
 		if _, err := c.Diff(4); err == nil || !strings.Contains(err.Error(), "no session") {
 			t.Fatal("daemon error frame not surfaced by diff")
 		}
@@ -239,7 +246,7 @@ func TestRequestErrorPaths(t *testing.T) {
 				}
 			}
 		}))
-		if _, err := c.Replay(cp, 1); err == nil || !strings.Contains(err.Error(), "diff broken") {
+		if _, err := cp.Replay(c, 1); err == nil || !strings.Contains(err.Error(), "diff broken") {
 			t.Fatal("daemon diff error not surfaced by replay")
 		}
 	})
@@ -273,7 +280,7 @@ func TestDialTCP(t *testing.T) {
 func TestAfterShutdown(t *testing.T) {
 	cp := captureCG(t, 1, trace.PackV1)
 	c := pipeTo(t, serviced.New(serviced.Options{}), trace.PackV1)
-	if _, err := c.Register(client.SessionMetaFromCapture(cp)); err != nil {
+	if _, err := c.Register(cp.SessionMeta()); err != nil {
 		t.Fatal(err)
 	}
 	c.Shutdown()
@@ -299,13 +306,13 @@ func TestReplayFormatGuard(t *testing.T) {
 	// The daemon acks v1: the negotiated session format cannot carry the
 	// captured v3 packs, and Replay must say so before registering.
 	c := scripted(t, func(*wire.Reader, io.Writer) {})
-	if _, err := c.Replay(cp, 0); err == nil || !strings.Contains(err.Error(), "negotiated") {
+	if _, err := cp.Replay(c, 0); err == nil || !strings.Contains(err.Error(), "negotiated") {
 		t.Fatalf("replay: err = %v", err)
 	}
 	// A default client (maxFormat 0) and a default daemon negotiate v3, so
 	// the same capture replays: the guard above would refuse it otherwise.
 	def := pipeTo(t, serviced.New(serviced.Options{}), 0)
-	if rep, err := def.Replay(cp, 0); err != nil || rep.Packs != int64(len(cp.Packs)) {
+	if rep, err := cp.Replay(def, 0); err != nil || rep.Packs != int64(len(cp.Packs)) {
 		t.Fatalf("default negotiation: replay = %+v, err = %v", rep, err)
 	}
 }
@@ -314,7 +321,7 @@ func TestReplayWithDiffPollingAndStats(t *testing.T) {
 	cp := captureCG(t, 2, trace.PackV2)
 	d := serviced.New(serviced.Options{})
 	c := pipeTo(t, d, cp.PackVersion)
-	rep, err := c.Replay(cp, 2)
+	rep, err := cp.Replay(c, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -335,7 +342,7 @@ func TestReplayWithDiffPollingAndStats(t *testing.T) {
 
 func TestDiffReplayerValidation(t *testing.T) {
 	cp := captureCG(t, 1, trace.PackV1)
-	meta := client.SessionMetaFromCapture(cp)
+	meta := cp.SessionMeta()
 
 	r := client.NewDiffReplayer(meta)
 	if r.Cursor() != 0 {
@@ -403,7 +410,7 @@ func TestCaptureMetaHelpers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	meta := client.SessionMetaFromCapture(cp)
+	meta := cp.SessionMeta()
 	if meta.Title != "online profiling report (Tera100)" {
 		t.Fatalf("title = %q", meta.Title)
 	}
@@ -413,11 +420,83 @@ func TestCaptureMetaHelpers(t *testing.T) {
 	if !meta.Callsites || len(meta.Apps[0].Labels) == 0 {
 		t.Fatal("callsite labels missing from capture meta")
 	}
-	cm := client.CloseMetaFromCapture(cp)
+	cm := cp.CloseMeta()
 	if len(cm.Apps) != 1 || cm.Apps[0].WallNs <= 0 {
 		t.Fatalf("close meta = %+v", cm)
 	}
 	if len(cm.Loss) == 0 {
 		t.Fatal("close meta lacks loss rows")
+	}
+}
+
+// TestRefusedLocally holds the client to refusing, at once, the session
+// requests the daemon would refuse — before register and after close — so
+// that none reaches the daemon to end the connection under a later,
+// unrelated call: Stats still answers after each of them.
+func TestRefusedLocally(t *testing.T) {
+	cp := captureCG(t, 1, trace.PackV1)
+	c := pipeTo(t, serviced.New(serviced.Options{}), trace.PackV1)
+	if _, err := c.Snapshot(); err == nil || !strings.Contains(err.Error(), "client: snapshot before register") {
+		t.Fatalf("snapshot before register: err = %v", err)
+	}
+	if _, err := c.Diff(0); err == nil || !strings.Contains(err.Error(), "client: diff before register") {
+		t.Fatalf("diff before register: err = %v", err)
+	}
+	if _, err := c.Stats(); err != nil {
+		t.Fatalf("stats after refusals before register: %v", err)
+	}
+	if _, err := c.Register(cp.SessionMeta()); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.SendPack(uint32(cp.Packs[0].Src), cp.Packs[0].Data); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Close(cp.CloseMeta()); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.SendPack(uint32(cp.Packs[0].Src), cp.Packs[0].Data); err == nil || !strings.Contains(err.Error(), "after close") {
+		t.Fatalf("send after close: err = %v", err)
+	}
+	if _, err := c.Diff(0); err == nil || !strings.Contains(err.Error(), "after close") {
+		t.Fatalf("diff after close: err = %v", err)
+	}
+	raw, err := c.Stats()
+	if err != nil {
+		t.Fatalf("stats after refusals after close: %v", err)
+	}
+	if !strings.Contains(string(raw), `"sessions_closed":1,"sessions_aborted":0`) {
+		t.Fatalf("stats = %s", raw)
+	}
+}
+
+// TestStatsAfterSpentWindow asks for Stats with the credit window just
+// spent, on the unbuffered net.Pipe: the grant the daemon is writing must
+// be read first, or the two ends block writing to each other.
+func TestStatsAfterSpentWindow(t *testing.T) {
+	cp := captureCG(t, 1, trace.PackV1)
+	if len(cp.Packs) < serviced.DefaultWindow {
+		t.Fatalf("capture has %d packs, fewer than a window of %d", len(cp.Packs), serviced.DefaultWindow)
+	}
+	c := pipeTo(t, serviced.New(serviced.Options{}), trace.PackV1)
+	if _, err := c.Register(cp.SessionMeta()); err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range cp.Packs[:serviced.DefaultWindow] {
+		if err := c.SendPack(uint32(p.Src), p.Data); err != nil {
+			t.Fatal(err)
+		}
+	}
+	done := make(chan error, 1)
+	go func() {
+		_, err := c.Stats()
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("Stats with a spent credit window deadlocked")
 	}
 }

@@ -4,11 +4,13 @@ import (
 	"fmt"
 	"time"
 
+	"repro/internal/client"
 	"repro/internal/instrument"
 	"repro/internal/mpi"
 	"repro/internal/nas"
 	"repro/internal/report"
 	"repro/internal/vmpi"
+	"repro/internal/wire"
 )
 
 // CapturedPack is one stream block as the analyzer partition received it:
@@ -149,4 +151,97 @@ func CaptureRun(p Platform, workloads []*nas.Workload, opts ProfileOptions) (*Ca
 		cp.Events += pr.rec.Events()
 	}
 	return cp, nil
+}
+
+// SessionMeta builds the Register payload for the captured run: the same
+// title, chapter order, module selection and call-site labels the
+// in-process pipeline would use.
+func (cp *Capture) SessionMeta() wire.SessionMeta {
+	m := wire.SessionMeta{
+		Title:            fmt.Sprintf("online profiling report (%s)", cp.PlatformName),
+		WaitState:        cp.WaitState,
+		TemporalWindowNs: cp.TemporalWindowNs,
+		Callsites:        cp.Callsites,
+		Sizes:            cp.Sizes,
+		WindowNs:         cp.WindowNs,
+		WindowSlideNs:    cp.WindowSlideNs,
+		WindowGraceNs:    cp.WindowGraceNs,
+	}
+	for _, a := range cp.Apps {
+		m.Apps = append(m.Apps, wire.AppMeta{
+			Name:   a.Name,
+			Procs:  a.Procs,
+			AppID:  a.AppID,
+			Labels: cp.Labels,
+		})
+	}
+	return m
+}
+
+// CloseMeta builds the Close payload: per-application wall times and the
+// per-stream loss accounting, the run facts only the client side knows.
+func (cp *Capture) CloseMeta() wire.CloseMeta {
+	m := wire.CloseMeta{}
+	for _, a := range cp.Apps {
+		m.Apps = append(m.Apps, wire.AppFinal{WallNs: int64(a.WallTime)})
+	}
+	for _, lr := range cp.Loss {
+		m.Loss = append(m.Loss, wire.LossRow{
+			App:          lr.App,
+			Rank:         lr.Rank,
+			Dropped:      lr.Dropped,
+			LostInFlight: lr.LostInFlight,
+			Shed:         lr.Shed,
+		})
+	}
+	return m
+}
+
+// Replay runs the captured workload through a full session on c:
+// Register, every pack in capture order, Close. When diffEvery > 0 it
+// additionally polls Diff every diffEvery packs and verifies at the end
+// that the replayed cursor state matches a fresh Snapshot — the query
+// API's convergence check. Returns the daemon's final report.
+func (cp *Capture) Replay(c *client.Client, diffEvery int) (wire.FinalReport, error) {
+	if cp.PackVersion > c.Format() {
+		return wire.FinalReport{}, fmt.Errorf("exp: capture uses pack v%d but the daemon negotiated v%d", cp.PackVersion, c.Format())
+	}
+	meta := cp.SessionMeta()
+	if _, err := c.Register(meta); err != nil {
+		return wire.FinalReport{}, err
+	}
+	var replay *client.DiffReplayer
+	if diffEvery > 0 {
+		replay = client.NewDiffReplayer(meta)
+	}
+	poll := func() error {
+		st, err := c.Diff(replay.Cursor())
+		if err == nil {
+			err = replay.Apply(st)
+		}
+		return err
+	}
+	for i, p := range cp.Packs {
+		if err := c.SendPack(uint32(p.Src), p.Data); err != nil {
+			return wire.FinalReport{}, err
+		}
+		if replay != nil && (i+1)%diffEvery == 0 {
+			if err := poll(); err != nil {
+				return wire.FinalReport{}, err
+			}
+		}
+	}
+	if replay != nil {
+		if err := poll(); err != nil {
+			return wire.FinalReport{}, err
+		}
+		snap, err := c.Snapshot()
+		if err == nil {
+			err = replay.Verify(snap)
+		}
+		if err != nil {
+			return wire.FinalReport{}, err
+		}
+	}
+	return c.Close(cp.CloseMeta())
 }

@@ -187,14 +187,18 @@ func (d *Daemon) Serve(l net.Listener) error {
 	}
 }
 
-// ServeConn drives one connection's session to completion. Exported so
-// in-process transports (net.Pipe) serve without a listener.
+// ServeConn drives one connection's session to completion; a session the
+// connection ends with open is aborted. Exported so in-process transports
+// (net.Pipe) serve without a listener.
 func (d *Daemon) ServeConn(rw io.ReadWriteCloser) error {
 	defer rw.Close()
-	c := &conn{d: d, fr: wire.NewReader(rw), bw: bufio.NewWriter(rw)}
-	err := c.run()
+	c := &conn{d: d}
+	err := c.run(wire.NewReader(rw), bufio.NewWriter(rw))
 	if c.sess != nil && !c.sess.closed {
 		d.endSession(c.sess, nil)
+		if err == nil {
+			err = fmt.Errorf("serviced: session %d: connection ended before close", c.sess.id)
+		}
 	}
 	return err
 }
@@ -253,15 +257,6 @@ func (d *Daemon) Status() (Status, error) {
 	return st, nil
 }
 
-// StatusJSON marshals Status.
-func (d *Daemon) StatusJSON() ([]byte, error) {
-	st, err := d.Status()
-	if err != nil {
-		return nil, err
-	}
-	return json.Marshal(st)
-}
-
 // beginSession admits (or rejects) a new session under the live cap.
 func (d *Daemon) beginSession() (uint64, bool) {
 	d.mu.Lock()
@@ -309,12 +304,13 @@ func (d *Daemon) endSession(s *session, rep *report.Report) {
 	d.mu.Unlock()
 }
 
-// conn is one connection's protocol state machine.
+// conn is one connection's protocol state machine. handle advances it by
+// one frame and does no I/O; run is the socket shell around it.
 type conn struct {
-	d    *Daemon
-	fr   *wire.Reader
-	bw   *bufio.Writer
-	sess *session
+	d *Daemon
+	// format is the pack format the hello negotiated; 0 until it arrives.
+	format int
+	sess   *session
 	// granted/received implement the credit window: granted packs are the
 	// credits issued (RegisterAck window plus every Credit frame), and a
 	// fresh batch is granted exactly when the client exhausts them, so a
@@ -328,197 +324,171 @@ type conn struct {
 	grant [8]byte
 }
 
-func (c *conn) send(typ byte, payload []byte) error {
-	if err := wire.WriteFrame(c.bw, typ, payload); err != nil {
-		return err
-	}
-	return c.bw.Flush()
-}
-
-// fail sends a terminal error frame; the connection ends after it.
-func (c *conn) fail(format string, args ...any) error {
-	msg := fmt.Sprintf(format, args...)
-	if err := c.send(wire.TypeError, []byte(msg)); err != nil {
-		return fmt.Errorf("serviced: %s (error frame not delivered: %v)", msg, err)
-	}
-	return errors.New("serviced: " + msg)
-}
-
-// run drives the session state machine: Hello, then Register, then any
-// number of Pack/Snapshot/Diff/Stats, then Close; the connection may
-// only end cleanly at a frame boundary (a mid-frame disconnect aborts
-// the session).
-func (c *conn) run() error {
-	f, err := c.fr.Next()
-	if err != nil {
-		return fmt.Errorf("serviced: reading hello: %w", err)
-	}
-	if f.Type != wire.TypeHello {
-		return c.fail("expected hello, got frame type %#x", f.Type)
-	}
-	h, err := wire.ParseHello(f.Payload)
-	if err != nil {
-		return c.fail("%v", err)
-	}
-	if h.Proto != wire.ProtoVersion {
-		return c.fail("protocol version %d unsupported (want %d)", h.Proto, wire.ProtoVersion)
-	}
-	format := int(h.MaxFormat)
-	if format < trace.PackV1 {
-		return c.fail("client announced no usable pack format (%d)", h.MaxFormat)
-	}
-	if format > trace.PackV3 {
-		format = trace.PackV3
-	}
-	if err := c.send(wire.TypeHelloAck, wire.EncodeHelloAck(wire.HelloAck{Proto: wire.ProtoVersion, Format: byte(format)})); err != nil {
-		return err
-	}
-
+// run is the socket shell: read a frame, handle it, write the reply. A
+// refused frame is answered with a terminal error frame, the one reply
+// that ends the connection. A clean end is EOF at a frame boundary.
+func (c *conn) run(fr *wire.Reader, bw *bufio.Writer) error {
 	for {
-		f, err := c.fr.Next()
+		f, err := fr.Next()
 		if err == io.EOF {
-			if c.sess != nil && !c.sess.closed {
-				return fmt.Errorf("serviced: session %d: connection ended before close", c.sess.id)
-			}
 			return nil
 		}
 		if err != nil {
 			return fmt.Errorf("serviced: reading frame: %w", err)
 		}
-		switch f.Type {
-		case wire.TypeRegister:
-			if c.sess != nil {
-				return c.fail("duplicate register on one connection")
+		typ, payload, refused := c.handle(f)
+		if refused != nil {
+			typ, payload = wire.TypeError, []byte(refused.Error())
+		}
+		if typ != 0 {
+			if err = wire.WriteFrame(bw, typ, payload); err == nil {
+				err = bw.Flush()
 			}
-			meta, err := wire.ParseSessionMeta(f.Payload)
-			if err != nil {
-				return c.fail("%v", err)
-			}
-			id, ok := c.d.beginSession()
-			if !ok {
-				return c.fail("daemon at capacity (%d live sessions)", c.d.opts.MaxSessions)
-			}
-			gov := newGovernor(c.d.opts.BacklogHighBytes, c.d.opts.Window, c.d.opts.SessionBudgetBytes)
-			c.sess, err = newSession(id, format, meta, gov, c.d.opts.Workers)
-			if err != nil {
-				c.d.endSession(&session{}, nil)
-				c.sess = nil
-				return c.fail("%v", err)
-			}
-			c.d.trackSession(c.sess)
-			win := gov.window()
-			c.granted = int64(win)
-			if err := c.send(wire.TypeRegisterAck, wire.EncodeRegisterAck(wire.RegisterAck{Session: id, Window: uint32(win)})); err != nil {
-				return err
-			}
-
-		case wire.TypePack:
-			if err := c.needOpen("pack"); err != nil {
-				return err
-			}
-			src, pack, err := wire.ParsePack(f.Payload)
-			if err != nil {
-				return c.fail("%v", err)
-			}
-			if err := c.sess.ingest(src, pack); err != nil {
-				return c.fail("session %d: %v", c.sess.id, err)
-			}
-			c.received++
-			if c.received >= c.granted {
-				win := int64(c.sess.gov.window())
-				c.granted = c.received + win
-				n := copy(c.grant[:], wire.EncodeCredit(wire.Credit{Credits: uint32(win), Window: uint32(win)}))
-				if err := c.send(wire.TypeCredit, c.grant[:n]); err != nil {
-					return err
-				}
-			}
-
-		case wire.TypeSnapshot:
-			if err := c.needOpen("snapshot"); err != nil {
-				return err
-			}
-			st, err := c.sess.snapshot()
-			if err != nil {
-				return c.fail("session %d: %v", c.sess.id, err)
-			}
-			if err := c.send(wire.TypeState, wire.EncodeState(st)); err != nil {
-				return err
-			}
-
-		case wire.TypeDiff:
-			if err := c.needOpen("diff"); err != nil {
-				return err
-			}
-			dr, err := wire.ParseDiffReq(f.Payload)
-			if err != nil {
-				return c.fail("%v", err)
-			}
-			st, err := c.sess.diff(dr.Cursor)
-			if err != nil {
-				return c.fail("session %d: %v", c.sess.id, err)
-			}
-			if err := c.send(wire.TypeState, wire.EncodeState(st)); err != nil {
-				return err
-			}
-
-		case wire.TypeClose:
-			if err := c.needOpen("close"); err != nil {
-				return err
-			}
-			cm, err := wire.ParseCloseMeta(f.Payload)
-			if err != nil {
-				return c.fail("%v", err)
-			}
-			rep, err := c.sess.close(cm)
-			if err != nil {
-				return c.fail("session %d: %v", c.sess.id, err)
-			}
-			var buf bytes.Buffer
-			if err := rep.Render(&buf); err != nil {
-				return c.fail("session %d: render: %v", c.sess.id, err)
-			}
-			c.d.endSession(c.sess, rep)
-			_, late, _ := c.sess.windowStats()
-			fr := wire.FinalReport{
-				Session:    c.sess.id,
-				Events:     c.sess.analyzedEvents(),
-				Packs:      c.sess.packs.Load(),
-				Shed:       c.sess.shedTotal(),
-				MaxLevel:   c.sess.gov.maxLevel(),
-				Windows:    c.sess.sealedWindows(),
-				LateEvents: late,
-				Rendered:   buf.String(),
-			}
-			payload, err := wire.EncodeFinalReport(fr)
-			if err != nil {
-				return c.fail("session %d: %v", c.sess.id, err)
-			}
-			if err := c.send(wire.TypeReport, payload); err != nil {
-				return err
-			}
-
-		case wire.TypeStats:
-			sj, err := c.d.StatusJSON()
-			if err != nil {
-				return c.fail("status: %v", err)
-			}
-			if err := c.send(wire.TypeStatsAck, sj); err != nil {
-				return err
-			}
-
-		default:
-			return c.fail("unexpected frame type %#x", f.Type)
+		}
+		if refused != nil && err != nil {
+			return fmt.Errorf("serviced: %v (error frame not delivered: %v)", refused, err)
+		}
+		if refused != nil {
+			return fmt.Errorf("serviced: %w", refused)
+		}
+		if err != nil {
+			return err
 		}
 	}
 }
 
-// needOpen checks that a session is registered and still open.
-func (c *conn) needOpen(op string) error {
-	if c.sess == nil {
-		return c.fail("%s before register", op)
+// sessionOps names the frames that act on the registered session, indexed
+// by frame type ("" for the rest): a lookup on every pack costs no hash.
+var sessionOps = [256]string{wire.TypePack: "pack", wire.TypeSnapshot: "snapshot", wire.TypeDiff: "diff", wire.TypeClose: "close"}
+
+// handle advances the protocol by one frame: Hello, then Register, then
+// any number of Pack/Snapshot/Diff/Stats, then Close. It returns the reply
+// frame, typ 0 for none (a pack inside its credit window), or the error
+// that refuses the frame. It does no I/O.
+func (c *conn) handle(f wire.Frame) (typ byte, payload []byte, err error) {
+	op := sessionOps[f.Type]
+	switch {
+	case c.format == 0:
+		return c.hello(f)
+	case f.Type == wire.TypeStats:
+		st, _ := c.d.Status() // its error is always nil
+		if payload, err = json.Marshal(st); err != nil {
+			err = fmt.Errorf("status: %w", err)
+		}
+		return wire.TypeStatsAck, payload, err
+	case f.Type == wire.TypeRegister:
+		return c.register(f.Payload)
+	case op == "":
+		return 0, nil, fmt.Errorf("unexpected frame type %#x", f.Type)
+	case c.sess == nil:
+		return 0, nil, fmt.Errorf("%s before register", op)
+	case c.sess.closed:
+		err = fmt.Errorf("%s after close", op)
+	default:
+		typ, payload, err = c.request(f)
 	}
-	if c.sess.closed {
-		return c.fail("session %d: %s after close", c.sess.id, op)
+	if err != nil {
+		return 0, nil, fmt.Errorf("session %d: %w", c.sess.id, err)
 	}
-	return nil
+	return typ, payload, nil
+}
+
+// hello negotiates the pack format: the client's highest, clamped to the
+// daemon's.
+func (c *conn) hello(f wire.Frame) (byte, []byte, error) {
+	if f.Type != wire.TypeHello {
+		return 0, nil, fmt.Errorf("expected hello, got frame type %#x", f.Type)
+	}
+	h, err := wire.ParseHello(f.Payload)
+	if err != nil {
+		return 0, nil, err
+	}
+	if h.Proto != wire.ProtoVersion {
+		return 0, nil, fmt.Errorf("protocol version %d unsupported (want %d)", h.Proto, wire.ProtoVersion)
+	}
+	if h.MaxFormat < trace.PackV1 {
+		return 0, nil, fmt.Errorf("client announced no usable pack format (%d)", h.MaxFormat)
+	}
+	c.format = min(int(h.MaxFormat), trace.PackV3)
+	return wire.TypeHelloAck, wire.EncodeHelloAck(wire.HelloAck{Proto: wire.ProtoVersion, Format: byte(c.format)}), nil
+}
+
+// register opens the connection's one session under the daemon's live cap.
+func (c *conn) register(p []byte) (byte, []byte, error) {
+	if c.sess != nil {
+		return 0, nil, errors.New("duplicate register on one connection")
+	}
+	meta, err := wire.ParseSessionMeta(p)
+	if err != nil {
+		return 0, nil, err
+	}
+	id, ok := c.d.beginSession()
+	if !ok {
+		return 0, nil, fmt.Errorf("daemon at capacity (%d live sessions)", c.d.opts.MaxSessions)
+	}
+	gov := newGovernor(c.d.opts.BacklogHighBytes, c.d.opts.Window, c.d.opts.SessionBudgetBytes)
+	c.sess = newSession(id, c.format, meta, gov, c.d.opts.Workers)
+	c.d.trackSession(c.sess)
+	win := gov.window()
+	c.granted = int64(win)
+	return wire.TypeRegisterAck, wire.EncodeRegisterAck(wire.RegisterAck{Session: id, Window: uint32(win)}), nil
+}
+
+// request serves one frame of the open session, answered with a credit
+// grant, a state or the final report.
+func (c *conn) request(f wire.Frame) (byte, []byte, error) {
+	switch f.Type {
+	case wire.TypePack:
+		src, pack, err := wire.ParsePack(f.Payload)
+		if err == nil {
+			err = c.sess.ingest(src, pack)
+		}
+		if err != nil {
+			return 0, nil, err
+		}
+		if c.received++; c.received < c.granted {
+			return 0, nil, nil
+		}
+		win := int64(c.sess.gov.window())
+		c.granted = c.received + win
+		n := copy(c.grant[:], wire.EncodeCredit(wire.Credit{Credits: uint32(win), Window: uint32(win)}))
+		return wire.TypeCredit, c.grant[:n], nil
+	case wire.TypeSnapshot:
+		st, err := c.sess.snapshot()
+		return wire.TypeState, wire.EncodeState(st), err
+	case wire.TypeDiff:
+		dr, err := wire.ParseDiffReq(f.Payload)
+		if err != nil {
+			return 0, nil, err
+		}
+		st, err := c.sess.diff(dr.Cursor)
+		return wire.TypeState, wire.EncodeState(st), err
+	}
+	// Close runs the final flush and retires the session into the
+	// daemon's history.
+	cm, err := wire.ParseCloseMeta(f.Payload)
+	if err != nil {
+		return 0, nil, err
+	}
+	rep, err := c.sess.close(cm)
+	if err != nil {
+		return 0, nil, err
+	}
+	var buf bytes.Buffer
+	if err := rep.Render(&buf); err != nil {
+		return 0, nil, fmt.Errorf("render: %w", err)
+	}
+	c.d.endSession(c.sess, rep)
+	_, late, _ := c.sess.windowStats()
+	payload, err := wire.EncodeFinalReport(wire.FinalReport{
+		Session:    c.sess.id,
+		Events:     c.sess.analyzedEvents(),
+		Packs:      c.sess.packs.Load(),
+		Shed:       c.sess.shedTotal(),
+		MaxLevel:   c.sess.gov.maxLevel(),
+		Windows:    c.sess.sealedWindows(),
+		LateEvents: late,
+		Rendered:   buf.String(),
+	})
+	return wire.TypeReport, payload, err
 }

@@ -3,6 +3,7 @@ package serviced
 import (
 	"bytes"
 	"encoding/json"
+	"io"
 	"net"
 	"strings"
 	"sync"
@@ -126,7 +127,7 @@ func TestLoopbackByteIdentical(t *testing.T) {
 				return err
 			}
 			defer c.Shutdown()
-			rep, err := c.Replay(cp, 0)
+			rep, err := cp.Replay(c, 0)
 			if err != nil {
 				return err
 			}
@@ -201,7 +202,7 @@ func TestDiffReplayConvergence(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Shutdown()
-	rep, err := c.Replay(cp, 3) // Diff every 3 packs + final Verify
+	rep, err := cp.Replay(c, 3) // Diff every 3 packs + final Verify
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,7 +225,7 @@ func TestDiffCursorAgesOut(t *testing.T) {
 
 	d := New(Options{})
 	c := pipeClient(t, d, cp.PackVersion)
-	meta := client.SessionMetaFromCapture(cp)
+	meta := cp.SessionMeta()
 	if _, err := c.Register(meta); err != nil {
 		t.Fatal(err)
 	}
@@ -272,17 +273,37 @@ func TestLifecycleEdges(t *testing.T) {
 	opts := testOpts
 	opts.PackVersion = trace.PackV1
 	cp := capture(t, opts, spec)
-	meta := client.SessionMetaFromCapture(cp)
+	meta := cp.SessionMeta()
 
 	t.Run("pack before register", func(t *testing.T) {
 		d := New(Options{})
-		c := pipeClient(t, d, 0)
 		// The SDK refuses locally; speak raw frames to hit the daemon path.
 		raw := rawSession(t, d)
 		if err := raw.expectError(wire.TypePack, wire.EncodePack(0, cp.Packs[0].Data), "before register"); err != nil {
 			t.Fatal(err)
 		}
-		_ = c
+		// The error frame is terminal: the daemon ends the connection.
+		if f, err := raw.fr.Next(); err != io.EOF {
+			t.Fatalf("after the error frame: frame %#x, err %v; want EOF", f.Type, err)
+		}
+	})
+
+	t.Run("refused register counts no session", func(t *testing.T) {
+		d := New(Options{})
+		dup := meta
+		dup.Apps = []wire.AppMeta{meta.Apps[0], meta.Apps[0]}
+		for _, tc := range []struct {
+			meta wire.SessionMeta
+			want string
+		}{{dup, "duplicate app id"}, {wire.SessionMeta{Title: "no apps"}, "no applications"}} {
+			mp, _ := wire.EncodeSessionMeta(tc.meta)
+			if err := rawSession(t, d).expectError(wire.TypeRegister, mp, tc.want); err != nil {
+				t.Fatal(err)
+			}
+			if st, _ := d.Status(); st.SessionsTotal != 0 || st.Aborted != 0 {
+				t.Fatalf("register refused for %s: sessions_total %d, sessions_aborted %d; want 0 and 0", tc.want, st.SessionsTotal, st.Aborted)
+			}
+		}
 	})
 
 	t.Run("duplicate register", func(t *testing.T) {
@@ -307,16 +328,19 @@ func TestLifecycleEdges(t *testing.T) {
 		if err := c.SendPack(uint32(cp.Packs[0].Src), cp.Packs[0].Data); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := c.Close(client.CloseMetaFromCapture(cp)); err != nil {
+		if _, err := c.Close(cp.CloseMeta()); err != nil {
 			t.Fatal(err)
 		}
 		if _, err := c.Snapshot(); err == nil || !strings.Contains(err.Error(), "after close") {
 			t.Fatalf("snapshot after close: err = %v", err)
 		}
-		// The error frame is terminal: a second Close cannot even be
-		// delivered on this connection.
-		if _, err := c.Close(client.CloseMetaFromCapture(cp)); err == nil {
-			t.Fatal("close after terminal error succeeded")
+		// The client refuses both at once, so the connection stays usable
+		// for Stats.
+		if _, err := c.Close(cp.CloseMeta()); err == nil {
+			t.Fatal("second close succeeded")
+		}
+		if _, err := c.Stats(); err != nil {
+			t.Fatalf("stats after refused requests: %v", err)
 		}
 		st, err := d.Status()
 		if err != nil {
@@ -333,11 +357,11 @@ func TestLifecycleEdges(t *testing.T) {
 		if _, err := c.Register(meta); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := c.Close(client.CloseMetaFromCapture(cp)); err != nil {
+		if _, err := c.Close(cp.CloseMeta()); err != nil {
 			t.Fatal(err)
 		}
 		raw := rawSession(t, d)
-		cmp, _ := wire.EncodeCloseMeta(client.CloseMetaFromCapture(cp))
+		cmp, _ := wire.EncodeCloseMeta(cp.CloseMeta())
 		if err := raw.expectError(wire.TypeClose, cmp, "before register"); err != nil {
 			t.Fatal(err)
 		}
@@ -349,7 +373,7 @@ func TestLifecycleEdges(t *testing.T) {
 		cpV3 := capture(t, v3, spec)
 		d := New(Options{})
 		raw := rawSession(t, d) // hello announces v1, so the session negotiates v1
-		mp, _ := wire.EncodeSessionMeta(client.SessionMetaFromCapture(cpV3))
+		mp, _ := wire.EncodeSessionMeta(cpV3.SessionMeta())
 		if err := raw.roundTrip(wire.TypeRegister, mp, wire.TypeRegisterAck); err != nil {
 			t.Fatal(err)
 		}
@@ -423,7 +447,7 @@ func TestLifecycleEdges(t *testing.T) {
 			t.Fatalf("status = %+v", st)
 		}
 		// The slot frees when the first session closes; a new session fits.
-		if _, err := c1.Close(client.CloseMetaFromCapture(cp)); err != nil {
+		if _, err := c1.Close(cp.CloseMeta()); err != nil {
 			t.Fatal(err)
 		}
 		c3 := pipeClient(t, d, cp.PackVersion)
@@ -558,7 +582,7 @@ func TestHotTenantIsolation(t *testing.T) {
 				return
 			}
 			defer c.Shutdown()
-			out.rep, out.err = c.Replay(cp, 0)
+			out.rep, out.err = cp.Replay(c, 0)
 		}
 	}
 	var hot, healthy result
@@ -595,7 +619,8 @@ func TestHotTenantIsolation(t *testing.T) {
 // also returns its top-level keys.
 func statusJSON(t *testing.T, d *Daemon) (Status, map[string]json.RawMessage) {
 	t.Helper()
-	raw, err := d.StatusJSON()
+	cur, _ := d.Status()
+	raw, err := json.Marshal(cur)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -632,7 +657,7 @@ func TestStatusJSONHistory(t *testing.T) {
 	var lastCap *exp.Capture
 	for _, spec := range [][4]int{{0, 'A', 16, 1}, {1, 'A', 16, 1}} {
 		lastCap = capture(t, opts, spec)
-		rep, err := pipeClient(t, d, lastCap.PackVersion).Replay(lastCap, 0)
+		rep, err := lastCap.Replay(pipeClient(t, d, lastCap.PackVersion), 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -668,7 +693,7 @@ func TestMultiAppSession(t *testing.T) {
 	opts := testOpts
 	opts.PackVersion = trace.PackV1
 	cp := capture(t, opts, [4]int{0, 'A', 16, 1}, [4]int{1, 'A', 16, 1})
-	rep, err := pipeClient(t, d, cp.PackVersion).Replay(cp, 0)
+	rep, err := cp.Replay(pipeClient(t, d, cp.PackVersion), 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -708,7 +733,7 @@ func TestConcurrentSessionsRecord(t *testing.T) {
 		wg.Add(1)
 		go func(i int, c *client.Client) {
 			defer wg.Done()
-			_, errs[i] = c.Replay(cp, 0)
+			_, errs[i] = cp.Replay(c, 0)
 		}(i, c)
 	}
 	wg.Wait()
@@ -737,125 +762,6 @@ func TestConcurrentSessionsRecord(t *testing.T) {
 	}
 }
 
-// TestProtocolErrors sweeps the remaining protocol-violation branches:
-// handshake failures, malformed control payloads, and unknown frames.
-func TestProtocolErrors(t *testing.T) {
-	spec := [4]int{0, 'A', 16, 1}
-	opts := testOpts
-	opts.PackVersion = trace.PackV1
-	cp := capture(t, opts, spec)
-	meta := client.SessionMetaFromCapture(cp)
-	mp, _ := wire.EncodeSessionMeta(meta)
-
-	t.Run("first frame not hello", func(t *testing.T) {
-		r := rawConn(t, New(Options{}))
-		if err := r.expectError(wire.TypeStats, nil, "expected hello"); err != nil {
-			t.Fatal(err)
-		}
-	})
-
-	t.Run("bad hello payload", func(t *testing.T) {
-		r := rawConn(t, New(Options{}))
-		if err := r.expectError(wire.TypeHello, []byte{1}, "hello payload"); err != nil {
-			t.Fatal(err)
-		}
-	})
-
-	t.Run("bad protocol version", func(t *testing.T) {
-		r := rawConn(t, New(Options{}))
-		if err := r.expectError(wire.TypeHello, wire.EncodeHello(wire.Hello{Proto: 99, MaxFormat: 1}), "protocol version"); err != nil {
-			t.Fatal(err)
-		}
-	})
-
-	t.Run("no usable format", func(t *testing.T) {
-		r := rawConn(t, New(Options{}))
-		if err := r.expectError(wire.TypeHello, wire.EncodeHello(wire.Hello{Proto: wire.ProtoVersion, MaxFormat: 0}), "no usable pack format"); err != nil {
-			t.Fatal(err)
-		}
-	})
-
-	t.Run("bad register payload", func(t *testing.T) {
-		r := rawSession(t, New(Options{}))
-		empty, _ := wire.EncodeSessionMeta(wire.SessionMeta{Title: "no apps"})
-		if err := r.expectError(wire.TypeRegister, empty, "no applications"); err != nil {
-			t.Fatal(err)
-		}
-	})
-
-	t.Run("duplicate app id in register", func(t *testing.T) {
-		r := rawSession(t, New(Options{}))
-		dup := meta
-		dup.Apps = []wire.AppMeta{meta.Apps[0], meta.Apps[0]}
-		p, _ := wire.EncodeSessionMeta(dup)
-		if err := r.expectError(wire.TypeRegister, p, "duplicate app id"); err != nil {
-			t.Fatal(err)
-		}
-	})
-
-	t.Run("bad diff payload", func(t *testing.T) {
-		r := rawSession(t, New(Options{}))
-		if err := r.roundTrip(wire.TypeRegister, mp, wire.TypeRegisterAck); err != nil {
-			t.Fatal(err)
-		}
-		if err := r.expectError(wire.TypeDiff, []byte{1, 2}, "diff payload"); err != nil {
-			t.Fatal(err)
-		}
-	})
-
-	t.Run("bad close payload", func(t *testing.T) {
-		r := rawSession(t, New(Options{}))
-		if err := r.roundTrip(wire.TypeRegister, mp, wire.TypeRegisterAck); err != nil {
-			t.Fatal(err)
-		}
-		if err := r.expectError(wire.TypeClose, []byte("{"), "close payload"); err != nil {
-			t.Fatal(err)
-		}
-	})
-
-	t.Run("close app count mismatch", func(t *testing.T) {
-		d := New(Options{})
-		c := pipeClient(t, d, cp.PackVersion)
-		if _, err := c.Register(meta); err != nil {
-			t.Fatal(err)
-		}
-		if _, err := c.Close(wire.CloseMeta{}); err == nil || !strings.Contains(err.Error(), "names 0 apps") {
-			t.Fatalf("empty close: err = %v", err)
-		}
-	})
-
-	t.Run("unknown frame type", func(t *testing.T) {
-		r := rawSession(t, New(Options{}))
-		if err := r.expectError(0x7F, nil, "unexpected frame type"); err != nil {
-			t.Fatal(err)
-		}
-	})
-
-	t.Run("bad pack header", func(t *testing.T) {
-		r := rawSession(t, New(Options{}))
-		if err := r.roundTrip(wire.TypeRegister, mp, wire.TypeRegisterAck); err != nil {
-			t.Fatal(err)
-		}
-		if err := r.expectError(wire.TypePack, wire.EncodePack(0, []byte{1, 2}), "pack header"); err != nil {
-			t.Fatal(err)
-		}
-	})
-
-	t.Run("pack for unknown app id", func(t *testing.T) {
-		r := rawSession(t, New(Options{}))
-		m2 := meta
-		m2.Apps = []wire.AppMeta{{Name: meta.Apps[0].Name, Procs: meta.Apps[0].Procs, AppID: meta.Apps[0].AppID + 77}}
-		p2, _ := wire.EncodeSessionMeta(m2)
-		if err := r.roundTrip(wire.TypeRegister, p2, wire.TypeRegisterAck); err != nil {
-			t.Fatal(err)
-		}
-		pk := wire.EncodePack(uint32(cp.Packs[0].Src), cp.Packs[0].Data)
-		if err := r.expectError(wire.TypePack, pk, "unregistered app"); err != nil {
-			t.Fatal(err)
-		}
-	})
-}
-
 // TestAuditPackIngestion checks a client-side shed ledger (an audit
 // pack, as the adaptive instrumented runtime emits) folds into the
 // session's completeness accounting.
@@ -864,7 +770,7 @@ func TestAuditPackIngestion(t *testing.T) {
 	opts := testOpts
 	opts.PackVersion = trace.PackV1
 	cp := capture(t, opts, spec)
-	meta := client.SessionMetaFromCapture(cp)
+	meta := cp.SessionMeta()
 
 	d := New(Options{})
 	c := pipeClient(t, d, cp.PackVersion)
@@ -882,7 +788,7 @@ func TestAuditPackIngestion(t *testing.T) {
 	if err := c.SendPack(0, audit); err != nil {
 		t.Fatal(err)
 	}
-	rep, err := c.Close(client.CloseMetaFromCapture(cp))
+	rep, err := c.Close(cp.CloseMeta())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -905,7 +811,7 @@ func TestDiffAtHeadIsEmpty(t *testing.T) {
 
 	d := New(Options{})
 	c := pipeClient(t, d, cp.PackVersion)
-	if _, err := c.Register(client.SessionMetaFromCapture(cp)); err != nil {
+	if _, err := c.Register(cp.SessionMeta()); err != nil {
 		t.Fatal(err)
 	}
 	if err := c.SendPack(uint32(cp.Packs[0].Src), cp.Packs[0].Data); err != nil {
@@ -950,12 +856,16 @@ func TestStatsOverWireAndLogf(t *testing.T) {
 	c.Shutdown()
 	_ = d
 
-	// A protocol violation over TCP lands in the diagnostics hook.
-	c2, err := client.Dial(addr, 0)
+	// A protocol violation over TCP lands in the diagnostics hook. The SDK
+	// refuses one locally, so it is spoken as a raw frame: a first frame
+	// that is no hello.
+	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	c2.Snapshot() // before register: terminal error
-	c2.Shutdown()
+	defer conn.Close()
+	if err := wire.WriteFrame(conn, wire.TypeStats, nil); err != nil {
+		t.Fatal(err)
+	}
 	waitCounter(t, func() bool { mu.Lock(); defer mu.Unlock(); return len(logged) > 0 })
 }

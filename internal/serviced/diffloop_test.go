@@ -29,7 +29,7 @@ func TestDiffLoopCursorDepths(t *testing.T) {
 	if len(cp.Packs) < 3*polls {
 		t.Fatalf("capture has %d packs, need %d", len(cp.Packs), 3*polls)
 	}
-	meta := client.SessionMetaFromCapture(cp)
+	meta := cp.SessionMeta()
 
 	run := func(depth int) ([]byte, QueryStats) {
 		d := New(Options{})
@@ -106,7 +106,7 @@ func TestLiveWindowsCarryLateSender(t *testing.T) {
 	opts.PackVersion = trace.PackV3
 	opts.WindowNs = (5 * time.Millisecond).Nanoseconds()
 	cp := capture(t, opts, [4]int{1, 'A', 16, 2})
-	meta := client.SessionMetaFromCapture(cp)
+	meta := cp.SessionMeta()
 	c := pipeClient(t, New(Options{}), cp.PackVersion)
 	if _, err := c.Register(meta); err != nil {
 		t.Fatal(err)

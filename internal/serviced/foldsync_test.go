@@ -14,10 +14,7 @@ import (
 func TestSyncFoldZeroAllocs(t *testing.T) {
 	meta := wire.SessionMeta{Title: "t", Callsites: true, Sizes: true, TemporalWindowNs: 1000,
 		Apps: []wire.AppMeta{{AppID: 3, Name: "app", Procs: 4}}}
-	s, err := newSession(1, trace.PackV3, meta, newGovernor(0, 0, 0), 1)
-	if err != nil {
-		t.Fatal(err)
-	}
+	s := newSession(1, trace.PackV3, meta, newGovernor(0, 0, 0), 1)
 	defer s.shutdown()
 	b := trace.NewPackBuilderV3(3, 0, 48, trace.PackHeaderSize+256*48)
 	var packs [][]byte

@@ -27,7 +27,7 @@ func TestParallelWorkersByteIdentical(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			rep, err := c.Replay(cp, 3) // Diff every 3 packs + final Verify
+			rep, err := cp.Replay(c, 3) // Diff every 3 packs + final Verify
 			if err != nil {
 				t.Fatalf("v%d workers=%d: %v", pack, workers, err)
 			}
@@ -67,7 +67,7 @@ func TestParallelSessionStatus(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Shutdown()
-	id, err := c.Register(client.SessionMetaFromCapture(cp))
+	id, err := c.Register(cp.SessionMeta())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,7 +102,7 @@ func TestParallelSessionStatus(t *testing.T) {
 		t.Fatalf("aggregate merges %d < live session's %d", st.ReplicaMerges, ss.ReplicaMerges)
 	}
 
-	if _, err := c.Close(client.CloseMetaFromCapture(cp)); err != nil {
+	if _, err := c.Close(cp.CloseMeta()); err != nil {
 		t.Fatal(err)
 	}
 	st, err = d.Status()
@@ -127,7 +127,7 @@ func TestParallelLaneDecodeError(t *testing.T) {
 
 	d, _ := startTCP(t, Options{Workers: 2})
 	c := pipeClient(t, d, cp.PackVersion)
-	if _, err := c.Register(client.SessionMetaFromCapture(cp)); err != nil {
+	if _, err := c.Register(cp.SessionMeta()); err != nil {
 		t.Fatal(err)
 	}
 	bad := append([]byte(nil), cp.Packs[0].Data...)

@@ -106,7 +106,7 @@ type sealedEpoch struct {
 // DefaultEpochCap bounds the retained sealed-delta log per session.
 const DefaultEpochCap = 64
 
-func newSession(id uint64, format int, meta wire.SessionMeta, gov *governor, workers int) (*session, error) {
+func newSession(id uint64, format int, meta wire.SessionMeta, gov *governor, workers int) *session {
 	s := &session{
 		id:     id,
 		format: format,
@@ -125,9 +125,6 @@ func newSession(id uint64, format int, meta wire.SessionMeta, gov *governor, wor
 			WindowNs:         meta.WindowNs,
 			WindowSlideNs:    meta.WindowSlideNs,
 		}
-		if _, dup := s.byID[am.AppID]; dup {
-			return nil, fmt.Errorf("serviced: duplicate app id %d in register", am.AppID)
-		}
 		app := &sessionApp{
 			meta:  am,
 			opts:  opts,
@@ -144,7 +141,7 @@ func newSession(id uint64, format int, meta wire.SessionMeta, gov *governor, wor
 	if workers > 1 {
 		s.startLanes(workers)
 	}
-	return s, nil
+	return s
 }
 
 // workerCount reports the session's ingest pool size (1 = synchronous).

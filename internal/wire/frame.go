@@ -478,10 +478,15 @@ func ParseSessionMeta(p []byte) (SessionMeta, error) {
 	if len(m.Apps) > maxSessionApps {
 		return SessionMeta{}, fmt.Errorf("wire: register with %d applications (limit %d)", len(m.Apps), maxSessionApps)
 	}
+	ids := make(map[uint32]bool, len(m.Apps))
 	for i, a := range m.Apps {
 		if a.Name == "" {
 			return SessionMeta{}, fmt.Errorf("wire: register app %d has no name", i)
 		}
+		if ids[a.AppID] {
+			return SessionMeta{}, fmt.Errorf("wire: duplicate app id %d in register", a.AppID)
+		}
+		ids[a.AppID] = true
 		if a.Procs <= 0 || a.Procs > maxSessionProcs {
 			return SessionMeta{}, fmt.Errorf("wire: register app %q has implausible proc count %d", a.Name, a.Procs)
 		}

@@ -291,6 +291,7 @@ func TestSessionMetaValidation(t *testing.T) {
 		{Apps: []AppMeta{{Name: "x", Procs: 0}}},
 		{Apps: []AppMeta{{Name: "x", Procs: 1 << 30}}},
 		{Apps: make([]AppMeta, maxSessionApps+1)},
+		{Apps: []AppMeta{{Name: "x", Procs: 1, AppID: 2}, {Name: "y", Procs: 1, AppID: 2}}},
 	}
 	for i, m := range bad {
 		for j := range m.Apps {
