@@ -130,36 +130,37 @@ func BenchmarkFig17Topology(b *testing.B) {
 	cases := []struct {
 		name string
 		mk   func() (*nas.Workload, error)
-		// verify checks the figure's structural signature.
-		verify func(b *testing.B, mat *analysis.Matrix)
+		// verify checks the figure's structural signature from the
+		// written cells and each rank's degree.
+		verify func(b *testing.B, cells map[[2]int]analysis.Stat, deg []int)
 	}{
 		{"CG.D-128", func() (*nas.Workload, error) { return nas.CG(nas.ClassD, 128, 3) },
-			func(b *testing.B, mat *analysis.Matrix) {
+			func(b *testing.B, cells map[[2]int]analysis.Stat, deg []int) {
 				// Power-of-two ladder bands: distance 1, 2, 4, 8 edges in
 				// the first process row (npcols = 16 for p = 128).
 				for _, d := range []int{1, 2, 4, 8} {
-					if h, _, _ := mat.At(0, d); h == 0 {
+					if cells[[2]int{0, d}].Hits == 0 {
 						b.Fatalf("CG matrix missing distance-%d band", d)
 					}
 				}
 			}},
 		{"SP.C-256", func() (*nas.Workload, error) { return nas.SP(nas.ClassC, 256, 3) },
-			func(b *testing.B, mat *analysis.Matrix) {
+			func(b *testing.B, cells map[[2]int]analysis.Stat, deg []int) {
 				// Torus: every rank has exactly 4 neighbours.
-				for r := 0; r < mat.N; r++ {
-					if mat.Degree(r) != 4 {
-						b.Fatalf("SP rank %d degree = %d, want 4", r, mat.Degree(r))
+				for r, d := range deg {
+					if d != 4 {
+						b.Fatalf("SP rank %d degree = %d, want 4", r, d)
 					}
 				}
 			}},
 		{"EulerMHD-256", func() (*nas.Workload, error) { return nas.EulerMHD(256, 2) },
-			func(b *testing.B, mat *analysis.Matrix) {
+			func(b *testing.B, cells map[[2]int]analysis.Stat, deg []int) {
 				// Non-periodic mesh: corners 2, interior 4.
-				if mat.Degree(0) != 2 {
-					b.Fatalf("EulerMHD corner degree = %d", mat.Degree(0))
+				if deg[0] != 2 {
+					b.Fatalf("EulerMHD corner degree = %d", deg[0])
 				}
-				if mat.Degree(mat.N/2+2) != 4 {
-					b.Fatalf("EulerMHD interior degree = %d", mat.Degree(mat.N/2+2))
+				if deg[len(deg)/2+2] != 4 {
+					b.Fatalf("EulerMHD interior degree = %d", deg[len(deg)/2+2])
 				}
 			}},
 	}
@@ -170,19 +171,26 @@ func BenchmarkFig17Topology(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			var mat *analysis.Matrix
+			var topo *analysis.TopologyModule
 			var events int64
 			for i := 0; i < b.N; i++ {
 				rep, err := exp.ProfileRun(p, []*nas.Workload{w}, exp.ProfileOptions{})
 				if err != nil {
 					b.Fatal(err)
 				}
-				mat = rep.Chapters[0].Topology.Matrix()
+				topo = rep.Chapters[0].Topology
 				events = rep.Chapters[0].Profiler.Events()
 			}
-			c.verify(b, mat)
+			cells, deg := map[[2]int]analysis.Stat{}, make([]int, topo.Ranks())
+			var p2pBytes int64
+			for _, e := range topo.AppendEdges(nil) {
+				cells[[2]int{e.Src, e.Dst}] = e.Stat
+				deg[e.Src]++
+				p2pBytes += e.Bytes
+			}
+			c.verify(b, cells, deg)
 			b.ReportMetric(float64(events), "events")
-			b.ReportMetric(float64(mat.TotalBytes())/(1<<20), "p2p-MB")
+			b.ReportMetric(float64(p2pBytes)/(1<<20), "p2p-MB")
 		})
 	}
 }

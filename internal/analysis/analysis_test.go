@@ -68,27 +68,39 @@ func TestTopologyMatrixFromEvents(t *testing.T) {
 		trace.Event{Kind: trace.KindRecv, Rank: 0, Peer: 1, Size: 999, TStart: 0, TEnd: 1},
 	))
 	bb.Drain()
-	mat := p.Topology.Matrix()
-	if h, b, _ := mat.At(0, 1); h != 2 || b != 200 {
-		t.Fatalf("0->1 = hits %d bytes %d", h, b)
+	cells := cellsOf(p.Topology)
+	if c := cells[[2]int{0, 1}]; c.Hits != 2 || c.Bytes != 200 {
+		t.Fatalf("0->1 = hits %d bytes %d", c.Hits, c.Bytes)
 	}
-	if h, b, _ := mat.At(0, 2); h != 1 || b != 300 {
-		t.Fatalf("0->2 = hits %d bytes %d", h, b)
+	if c := cells[[2]int{0, 2}]; c.Hits != 1 || c.Bytes != 300 {
+		t.Fatalf("0->2 = hits %d bytes %d", c.Hits, c.Bytes)
 	}
-	if h, _, _ := mat.At(1, 0); h != 0 {
+	if _, ok := cells[[2]int{1, 0}]; ok {
 		t.Fatal("recv events must not create sender edges")
 	}
-	if mat.Degree(0) != 2 || mat.Degree(1) != 0 {
-		t.Fatalf("degrees wrong: %d %d", mat.Degree(0), mat.Degree(1))
+	if len(cells) != 2 || cells.totalBytes() != 500 {
+		t.Fatalf("edges = %d, total bytes = %d", len(cells), cells.totalBytes())
 	}
-	if mat.TotalBytes() != 500 {
-		t.Fatalf("total bytes = %d", mat.TotalBytes())
+}
+
+// topoCells is a topology module's written cells keyed by (src, dst), as
+// AppendEdges reads them.
+type topoCells map[[2]int]Stat
+
+func cellsOf(m *TopologyModule) topoCells {
+	cells := topoCells{}
+	for _, e := range m.AppendEdges(nil) {
+		cells[[2]int{e.Src, e.Dst}] = e.Stat
 	}
-	edges := 0
-	mat.Edges(func(s, d int, h, b, tm int64) { edges++ })
-	if edges != 2 {
-		t.Fatalf("edges = %d", edges)
+	return cells
+}
+
+func (c topoCells) totalBytes() int64 {
+	var t int64
+	for _, st := range c {
+		t += st.Bytes
 	}
+	return t
 }
 
 func TestDensityMaps(t *testing.T) {
@@ -169,8 +181,8 @@ func TestModuleMerge(t *testing.T) {
 	ta.Add(&ev)
 	tb.Add(&ev)
 	ta.Merge(tb)
-	if h, bts, _ := ta.Matrix().At(0, 1); h != 2 || bts != 200 {
-		t.Fatalf("merged topology = %d %d", h, bts)
+	if c := cellsOf(ta)[[2]int{0, 1}]; c.Hits != 2 || c.Bytes != 200 {
+		t.Fatalf("merged topology = %d %d", c.Hits, c.Bytes)
 	}
 
 	da, db := NewDensityModule(2), NewDensityModule(2)
@@ -190,7 +202,7 @@ func TestOutOfRangeRanksIgnored(t *testing.T) {
 	dens.Add(&bad)
 	badPeer := sendEvent(0, 7, 10, 0, 1)
 	topo.Add(&badPeer)
-	if topo.Matrix().TotalBytes() != 0 {
+	if len(cellsOf(topo)) != 0 {
 		t.Fatal("out-of-range events must be dropped")
 	}
 	if m := dens.Map(trace.KindSend, MetricHits); m[0] != 0 && m[1] != 0 {
@@ -235,7 +247,7 @@ func TestAccountingConservationProperty(t *testing.T) {
 		for _, k := range p.Profiler.Kinds() {
 			gotEvents += p.Profiler.Stat(k).Hits
 		}
-		return gotEvents == wantEvents && p.Topology.Matrix().TotalBytes() == wantP2PBytes
+		return gotEvents == wantEvents && cellsOf(p.Topology).totalBytes() == wantP2PBytes
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
 		t.Fatal(err)

@@ -2,6 +2,7 @@ package analysis
 
 import (
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -117,11 +118,8 @@ func TestFusedIngestMatchesBoardPath(t *testing.T) {
 			t.Fatalf("kind %v: fused=%+v board=%+v", k, sf, sb)
 		}
 	}
-	mf, mb := pf.Topology.Matrix(), pb.Topology.Matrix()
-	for i := range mf.cells {
-		if mf.cells[i] != mb.cells[i] {
-			t.Fatalf("topology cell %d: fused=%+v board=%+v", i, mf.cells[i], mb.cells[i])
-		}
+	if ef, eb := pf.Topology.AppendEdges(nil), pb.Topology.AppendEdges(nil); !slices.Equal(ef, eb) {
+		t.Fatalf("topology: fused=%+v board=%+v", ef, eb)
 	}
 	hf, hb := pf.state.Sizes.Histogram(), pb.state.Sizes.Histogram()
 	if len(hf) != len(hb) {

@@ -163,7 +163,8 @@ func (m *ProfilerModule) Merge(o *ProfilerModule) {
 // cell has hits: the fold counts one per event, the decoder refuses a cell
 // without), so the encoder and the merges walk what was written since the
 // last reset, in ascending cell order, and skip the rest of the matrix
-// without reading it. The report-time readers below stay dense.
+// without reading it. A query reads the matrix the same way, through
+// TopologyModule.AppendEdges: nothing reads it densely.
 type Matrix struct {
 	// N is the application's rank count.
 	N int
@@ -230,47 +231,6 @@ func (m *Matrix) walk(reset bool, fn func(i int, st Stat)) {
 	}
 }
 
-// At returns (hits, bytes, timeNs) for the src→dst cell.
-func (m *Matrix) At(src, dst int) (int64, int64, int64) {
-	if m.cells == nil {
-		return 0, 0, 0
-	}
-	c := m.cells[src*m.N+dst]
-	return c.Hits, c.Bytes, c.TimeNs
-}
-
-// Degree returns the number of distinct peers src communicates with.
-func (m *Matrix) Degree(src int) int {
-	if m.cells == nil {
-		return 0
-	}
-	d := 0
-	for _, c := range m.cells[src*m.N : (src+1)*m.N] {
-		if c.Hits > 0 {
-			d++
-		}
-	}
-	return d
-}
-
-// TotalBytes sums the matrix's byte weights.
-func (m *Matrix) TotalBytes() int64 {
-	var t int64
-	for i := range m.cells {
-		t += m.cells[i].Bytes
-	}
-	return t
-}
-
-// Edges calls fn for every non-empty src→dst cell.
-func (m *Matrix) Edges(fn func(src, dst int, hits, bytes, timeNs int64)) {
-	for i := range m.cells {
-		if c := &m.cells[i]; c.Hits > 0 {
-			fn(i/m.N, i%m.N, c.Hits, c.Bytes, c.TimeNs)
-		}
-	}
-}
-
 // TopologyModule accumulates the point-to-point communication matrix from
 // outgoing p2p events.
 type TopologyModule struct {
@@ -315,13 +275,25 @@ func (m *TopologyModule) mergeReset(o *TopologyModule) {
 	o.mat.walk(true, func(i int, st Stat) { m.mat.cell(i).merge(st) })
 }
 
-// Matrix returns a snapshot copy of the accumulated matrix.
-func (m *TopologyModule) Matrix() *Matrix {
+// Edge is one written src→dst cell of the communication matrix.
+type Edge struct {
+	Src, Dst int
+	Stat
+}
+
+// Ranks returns the application's rank count, the matrix's side.
+func (m *TopologyModule) Ranks() int { return m.mat.N }
+
+// AppendEdges appends the written cells to buf, ascending by (src, dst),
+// and returns the extended buffer. The module lock covers that
+// O(written cells) copy and nothing else: it is the one read of the
+// matrix a query makes.
+func (m *TopologyModule) AppendEdges(buf []Edge) []Edge {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	out := NewMatrix(m.mat.N)
-	out.cells, out.touched = slices.Clone(m.mat.cells), slices.Clone(m.mat.touched)
-	return out
+	n := m.mat.N
+	m.mat.walk(false, func(i int, st Stat) { buf = append(buf, Edge{Src: i / n, Dst: i % n, Stat: st}) })
+	return buf
 }
 
 // Merge folds another topology module into this one. Only one side is
@@ -371,6 +343,19 @@ func (w Metric) String() string {
 	default:
 		return "unknown"
 	}
+}
+
+// Value returns s weighted by w (0 for an unknown metric).
+func (s Stat) Value(w Metric) float64 {
+	switch w {
+	case MetricHits:
+		return float64(s.Hits)
+	case MetricBytes:
+		return float64(s.Bytes)
+	case MetricTime:
+		return float64(s.TimeNs)
+	}
+	return 0
 }
 
 // DensityModule accumulates per-rank, per-call-kind statistics: the source
@@ -441,32 +426,14 @@ func (m *DensityModule) mergeReset(o *DensityModule) {
 	}
 }
 
-// Kinds returns the call kinds observed, ascending.
-func (m *DensityModule) Kinds() []trace.Kind {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return kindsWhere(func(k int) bool { return m.perKind[k] != nil })
-}
-
 // Map returns the per-rank values of one kind under one metric (length =
 // application size; all zeros if the kind never occurred).
 func (m *DensityModule) Map(k trace.Kind, metric Metric) []float64 {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	out := make([]float64, m.size)
-	per := m.perKind[k]
-	if per == nil {
-		return out
-	}
-	for r := range per {
-		switch metric {
-		case MetricHits:
-			out[r] = float64(per[r].Hits)
-		case MetricBytes:
-			out[r] = float64(per[r].Bytes)
-		case MetricTime:
-			out[r] = float64(per[r].TimeNs)
-		}
+	for r, st := range m.perKind[k] {
+		out[r] = st.Value(metric)
 	}
 	return out
 }
@@ -474,43 +441,33 @@ func (m *DensityModule) Map(k trace.Kind, metric Metric) []float64 {
 // CollectiveTimeMap sums the time metric over every collective kind — the
 // paper's "time spent in collectives" map (Figure 18c).
 func (m *DensityModule) CollectiveTimeMap() []float64 {
-	out := make([]float64, m.size)
-	for _, k := range m.Kinds() {
-		if !k.IsCollective() {
-			continue
-		}
-		for r, v := range m.Map(k, MetricTime) {
-			out[r] += v
-		}
-	}
-	return out
+	return m.sumMap(trace.Kind.IsCollective, MetricTime)
 }
 
 // WaitTimeMap sums the time metric over MPI_Wait/MPI_Waitall — the paper's
 // wait-time map (Figure 18d).
 func (m *DensityModule) WaitTimeMap() []float64 {
-	out := make([]float64, m.size)
-	for _, k := range m.Kinds() {
-		if !k.IsWait() {
-			continue
-		}
-		for r, v := range m.Map(k, MetricTime) {
-			out[r] += v
-		}
-	}
-	return out
+	return m.sumMap(trace.Kind.IsWait, MetricTime)
 }
 
 // P2PSizeMap sums outgoing point-to-point bytes per rank — the paper's
 // total point-to-point size map (Figure 18e).
 func (m *DensityModule) P2PSizeMap() []float64 {
+	return m.sumMap(trace.Kind.IsOutgoingP2P, MetricBytes)
+}
+
+// sumMap sums metric per rank over the kinds pick selects, ascending, in
+// one locked pass.
+func (m *DensityModule) sumMap(pick func(trace.Kind) bool, metric Metric) []float64 {
+	m.mu.Lock()
+	defer m.mu.Unlock()
 	out := make([]float64, m.size)
-	for _, k := range m.Kinds() {
-		if !k.IsOutgoingP2P() {
+	for k, per := range m.perKind {
+		if per == nil || !pick(trace.Kind(k)) {
 			continue
 		}
-		for r, v := range m.Map(k, MetricBytes) {
-			out[r] += v
+		for r := range per {
+			out[r] += per[r].Value(metric)
 		}
 	}
 	return out

@@ -293,13 +293,11 @@ func TestProfileRunMultiApp(t *testing.T) {
 		t.Fatalf("events: LU=%d CG=%d", luCh.Profiler.Events(), cgCh.Profiler.Events())
 	}
 	// LU on a 4x4 mesh: interior rank degree 4, corner degree 2.
-	mat := luCh.Topology.Matrix()
-	if mat.Degree(5) != 4 || mat.Degree(0) != 2 {
-		t.Fatalf("LU degrees: interior=%d corner=%d", mat.Degree(5), mat.Degree(0))
+	if _, deg := topologyCells(luCh.Topology); deg[5] != 4 || deg[0] != 2 {
+		t.Fatalf("LU degrees: interior=%d corner=%d", deg[5], deg[0])
 	}
 	// CG keeps its banded edges separated from LU's mesh (level isolation).
-	cgMat := cgCh.Topology.Matrix()
-	if h, _, _ := cgMat.At(0, 1); h == 0 {
+	if cells, _ := topologyCells(cgCh.Topology); cells[[2]int{0, 1}].Hits == 0 {
 		t.Fatal("CG ladder edge missing")
 	}
 	// The report renders with both chapters.

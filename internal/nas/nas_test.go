@@ -10,6 +10,17 @@ import (
 	"repro/internal/trace"
 )
 
+// topologyCells reads a topology module's written cells, keyed by
+// (src, dst), and each rank's degree (its number of distinct peers).
+func topologyCells(topo *analysis.TopologyModule) (map[[2]int]analysis.Stat, []int) {
+	cells, deg := map[[2]int]analysis.Stat{}, make([]int, topo.Ranks())
+	for _, e := range topo.AppendEdges(nil) {
+		cells[[2]int{e.Src, e.Dst}] = e.Stat
+		deg[e.Src]++
+	}
+	return cells, deg
+}
+
 // recordingRun executes a workload with a capturing recorder on every rank
 // and returns the aggregated analysis modules plus the program's virtual
 // wall time in seconds.
@@ -126,9 +137,9 @@ func TestLUSendHitsFollowNeighbourCount(t *testing.T) {
 			corner, edge, interior)
 	}
 	// Degrees from the topology matrix tell the same story.
-	mat := topo.Matrix()
-	if mat.Degree(5) != 4 || mat.Degree(0) != 2 || mat.Degree(1) != 3 {
-		t.Fatalf("degrees: interior=%d corner=%d edge=%d", mat.Degree(5), mat.Degree(0), mat.Degree(1))
+	_, deg := topologyCells(topo)
+	if deg[5] != 4 || deg[0] != 2 || deg[1] != 3 {
+		t.Fatalf("degrees: interior=%d corner=%d edge=%d", deg[5], deg[0], deg[1])
 	}
 }
 
@@ -138,21 +149,21 @@ func TestCGTopologyBandedPattern(t *testing.T) {
 		t.Fatal(err)
 	}
 	_, topo, _, _ := recordingRun(t, w)
-	mat := topo.Matrix()
+	cells, _ := topologyCells(topo)
 	// Ladder partners at XOR distance 1 and 2 within the row.
-	if h, _, _ := mat.At(0, 1); h == 0 {
+	if cells[[2]int{0, 1}].Hits == 0 {
 		t.Fatal("missing distance-1 ladder edge")
 	}
-	if h, _, _ := mat.At(0, 2); h == 0 {
+	if cells[[2]int{0, 2}].Hits == 0 {
 		t.Fatal("missing distance-2 ladder edge")
 	}
 	// Transpose partner: rank 1 = (0,1) exchanges with (1,0) = rank 4.
-	if h, _, _ := mat.At(1, 4); h == 0 {
+	if cells[[2]int{1, 4}].Hits == 0 {
 		t.Fatal("missing transpose edge")
 	}
 	// No edge outside the row except the transpose: (0,1) and (0,2) are in
 	// row 0; rank 0 -> rank 5 must be empty.
-	if h, _, _ := mat.At(0, 5); h != 0 {
+	if cells[[2]int{0, 5}].Hits != 0 {
 		t.Fatal("spurious edge 0->5")
 	}
 }
@@ -350,8 +361,8 @@ func TestMGHaloSizesShrinkWithLevels(t *testing.T) {
 		t.Fatal("no halo exchanges recorded")
 	}
 	// A 4x4 mesh: interior ranks have degree 4.
-	if topo.Matrix().Degree(5) != 4 {
-		t.Fatalf("interior degree = %d", topo.Matrix().Degree(5))
+	if _, deg := topologyCells(topo); deg[5] != 4 {
+		t.Fatalf("interior degree = %d", deg[5])
 	}
 }
 

@@ -108,33 +108,24 @@ func (r *Report) ToJSON(includeMatrix bool) JSONReport {
 			WallSeconds: ch.WallTime.Seconds(),
 			Density:     map[string]JSONMap{},
 		}
-		for _, k := range ch.Profiler.Kinds() {
-			st := ch.Profiler.Stat(k)
+		for _, row := range ch.profileRows() {
 			jc.Profile = append(jc.Profile, JSONProfileRow{
-				Call: k.String(), Hits: st.Hits, TimeNs: st.TimeNs, Bytes: st.Bytes,
+				Call: row.kind.String(), Hits: row.st.Hits, TimeNs: row.st.TimeNs, Bytes: row.st.Bytes,
 			})
 		}
-		sortProfileRows(jc.Profile)
 
-		mat := ch.Topology.Matrix()
-		topo := JSONTopology{Ranks: mat.N, TotalBytes: mat.TotalBytes()}
-		topo.Degrees = make([]int, mat.N)
-		for rk := 0; rk < mat.N; rk++ {
-			topo.Degrees[rk] = mat.Degree(rk)
-		}
-		mat.Edges(func(s, d int, h, b, t int64) { topo.Edges++ })
+		topo := readTopology(ch.Topology)
+		jc.Topology = JSONTopology{Ranks: topo.n, TotalBytes: topo.bytes, Edges: len(topo.edges), Degrees: topo.degree}
 		if includeMatrix {
-			topo.BytesRows = make([][]int, mat.N)
-			for s := 0; s < mat.N; s++ {
-				row := make([]int, mat.N)
-				for d := 0; d < mat.N; d++ {
-					_, b, _ := mat.At(s, d)
-					row[d] = int(b)
-				}
-				topo.BytesRows[s] = row
+			cells := make([]int, topo.n*topo.n)
+			jc.Topology.BytesRows = make([][]int, topo.n)
+			for s := range jc.Topology.BytesRows {
+				jc.Topology.BytesRows[s] = cells[s*topo.n : (s+1)*topo.n]
+			}
+			for _, e := range topo.edges {
+				jc.Topology.BytesRows[e.Src][e.Dst] = int(e.Bytes)
 			}
 		}
-		jc.Topology = topo
 
 		jc.Density["send_hits"] = mapToJSON(ch.Density.Map(trace.KindSend, analysis.MetricHits))
 		jc.Density["p2p_bytes"] = mapToJSON(ch.Density.P2PSizeMap())
@@ -181,13 +172,4 @@ func (r *Report) WriteJSON(w io.Writer, includeMatrix bool) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(r.ToJSON(includeMatrix))
-}
-
-// sortProfileRows orders rows by time descending (stable report order).
-func sortProfileRows(rows []JSONProfileRow) {
-	for i := 1; i < len(rows); i++ {
-		for j := i; j > 0 && rows[j].TimeNs > rows[j-1].TimeNs; j-- {
-			rows[j], rows[j-1] = rows[j-1], rows[j]
-		}
-	}
 }

@@ -3,7 +3,6 @@ package report
 import (
 	"fmt"
 	"io"
-	"sort"
 	"strings"
 	"time"
 
@@ -47,34 +46,22 @@ func (r *Report) RenderLaTeX(w io.Writer) error {
 		// Profile table.
 		b.WriteString("\\subsection{MPI profile}\n")
 		b.WriteString("\\begin{tabular}{lrrr}\n\\toprule\ncall & hits & time & total size \\\\\n\\midrule\n")
-		for _, k := range ch.profileRows() {
-			st := ch.Profiler.Stat(k)
+		for _, row := range ch.profileRows() {
 			fmt.Fprintf(&b, "%s & %d & %s & %s \\\\\n",
-				latexEscape(k.String()), st.Hits,
-				latexEscape(time.Duration(st.TimeNs).String()),
-				latexEscape(HumanBytes(float64(st.Bytes))))
+				latexEscape(row.kind.String()), row.st.Hits,
+				latexEscape(time.Duration(row.st.TimeNs).String()),
+				latexEscape(HumanBytes(float64(row.st.Bytes))))
 		}
 		b.WriteString("\\bottomrule\n\\end{tabular}\n")
 
 		// Topology.
 		b.WriteString("\n\\subsection{Point-to-point topology}\n")
-		mat := ch.Topology.Matrix()
-		fmt.Fprintf(&b, "Total point-to-point volume: %s. ", latexEscape(HumanBytes(float64(mat.TotalBytes()))))
-		degs := map[int]int{}
-		for rk := 0; rk < mat.N; rk++ {
-			degs[mat.Degree(rk)]++
-		}
-		dkeys := make([]int, 0, len(degs))
-		for d := range degs {
-			dkeys = append(dkeys, d)
-		}
-		sort.Ints(dkeys)
+		topo := readTopology(ch.Topology)
+		fmt.Fprintf(&b, "Total point-to-point volume: %s. ", latexEscape(HumanBytes(float64(topo.bytes))))
 		b.WriteString("Degree histogram:")
-		for _, d := range dkeys {
-			fmt.Fprintf(&b, " %d neighbours $\\times$ %d ranks;", d, degs[d])
-		}
+		topo.degreeHistogram(func(d, ranks int) { fmt.Fprintf(&b, " %d neighbours $\\times$ %d ranks;", d, ranks) })
 		fmt.Fprintf(&b, "\n\\begin{verbatim}\n%s\\end{verbatim}\n",
-			MatrixHeatmap(mat, analysis.MetricBytes, 60))
+			topo.heatmap(analysis.MetricBytes, 60))
 		fmt.Fprintf(&b, "The communication graph is emitted as \\texttt{%s\\_topology.dot} (render with Graphviz).\n",
 			latexEscape(strings.ReplaceAll(ch.App, ".", "_")))
 

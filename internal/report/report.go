@@ -7,10 +7,12 @@
 package report
 
 import (
+	"cmp"
 	"fmt"
 	"io"
 	"math"
-	"sort"
+	"slices"
+	"strconv"
 	"strings"
 	"time"
 
@@ -53,103 +55,128 @@ func HumanBytes(b float64) string {
 	return fmt.Sprintf("%.2f %s", b, units[i])
 }
 
-// MatrixValue extracts one weighting from a matrix cell.
-func MatrixValue(m *analysis.Matrix, src, dst int, w analysis.Metric) float64 {
-	h, b, t := m.At(src, dst)
-	switch w {
-	case analysis.MetricHits:
-		return float64(h)
-	case analysis.MetricBytes:
-		return float64(b)
-	case analysis.MetricTime:
-		return float64(t)
-	}
-	return 0
+// topology is the renderers' one read of a TopologyModule: the written
+// cells, ascending by (src, dst), and what every renderer derives from
+// them. A query costs O(written cells + ranks); only the CSV and the JSON
+// byte matrix, dense by definition, cost ranks².
+type topology struct {
+	n      int
+	edges  []analysis.Edge
+	degree []int // per rank: the distinct peers it sent to
+	bytes  int64 // summed over every cell
 }
 
-// MatrixCSV renders a communication matrix weighted by w as CSV (one row
-// per source rank).
-func MatrixCSV(m *analysis.Matrix, w analysis.Metric) string {
-	var sb strings.Builder
-	for s := 0; s < m.N; s++ {
-		for d := 0; d < m.N; d++ {
-			if d > 0 {
-				sb.WriteByte(',')
-			}
-			fmt.Fprintf(&sb, "%g", MatrixValue(m, s, d, w))
+func readTopology(m *analysis.TopologyModule) *topology {
+	t := &topology{n: m.Ranks(), edges: m.AppendEdges(nil)}
+	t.degree = make([]int, t.n)
+	for _, e := range t.edges {
+		t.degree[e.Src]++
+		t.bytes += e.Bytes
+	}
+	return t
+}
+
+// degreeHistogram calls fn, ascending by degree, with every degree some
+// rank has and the number of ranks that have it.
+func (t *topology) degreeHistogram(fn func(degree, ranks int)) {
+	hist := make([]int, t.n+1)
+	for _, d := range t.degree {
+		hist[d]++
+	}
+	for d, ranks := range hist {
+		if ranks > 0 {
+			fn(d, ranks)
 		}
-		sb.WriteByte('\n')
 	}
-	return sb.String()
 }
 
-// MatrixHeatmap renders a communication matrix as an ASCII heat map,
-// downsampling to at most maxCells×maxCells character cells (the paper's
-// Figure 17a for CG.D/128 renders every cell; large matrices are pooled by
-// max).
-func MatrixHeatmap(m *analysis.Matrix, w analysis.Metric, maxCells int) string {
+// heatmap renders the matrix weighted by w as an ASCII heat map,
+// max-pooled to at most maxCells×maxCells character cells (the paper's
+// Figure 17a for CG.D/128 renders every cell). The pool is seeded with 0,
+// which an unwritten cell weighs under every metric, so reading only the
+// written cells is exact: a pooled cell is above 0 only where an edge put
+// it there, the scale runs from 0 (from the least pooled cell when every
+// one is above 0) to the largest, and every other character is the
+// ramp's for 0.
+func (t *topology) heatmap(w analysis.Metric, maxCells int) string {
 	if maxCells <= 0 {
 		maxCells = 64
 	}
-	n := m.N
-	cells := n
-	if cells > maxCells {
-		cells = maxCells
+	cells := min(t.n, maxCells)
+	cellOf := make([]int, t.n)
+	for r := range cellOf {
+		cellOf[r] = r * cells / t.n
 	}
 	grid := make([]float64, cells*cells)
-	for s := 0; s < n; s++ {
-		cs := s * cells / n
-		for d := 0; d < n; d++ {
-			cd := d * cells / n
-			v := MatrixValue(m, s, d, w)
-			if v > grid[cs*cells+cd] {
-				grid[cs*cells+cd] = v
+	lo, hi, lit := 0.0, 0.0, 0
+	for _, e := range t.edges {
+		g := &grid[cellOf[e.Src]*cells+cellOf[e.Dst]]
+		if v := e.Value(w); v > *g {
+			if *g == 0 {
+				lit++
 			}
+			*g, hi = v, max(hi, v)
 		}
 	}
-	lo, hi := math.Inf(1), math.Inf(-1)
-	for _, v := range grid {
-		if v < lo {
-			lo = v
+	if lit > 0 && lit == len(grid) {
+		lo = slices.Min(grid)
+	}
+	b := fmt.Appendf(make([]byte, 0, 64+cells*(cells+1)),
+		"p2p matrix (%s), %d ranks, cell=max-pooled %dx%d\n", w, t.n, cells, cells)
+	head, zero := len(b), rampChar(0, lo, hi)
+	for range cells {
+		for range cells {
+			b = append(b, zero)
 		}
-		if v > hi {
-			hi = v
+		b = append(b, '\n')
+	}
+	for _, e := range t.edges {
+		r, c := cellOf[e.Src], cellOf[e.Dst]
+		if v := grid[r*cells+c]; v != 0 {
+			b[head+r*(cells+1)+c] = rampChar(v, lo, hi)
 		}
 	}
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "p2p matrix (%s), %d ranks, cell=max-pooled %dx%d\n", w, n, cells, cells)
-	for r := 0; r < cells; r++ {
-		for c := 0; c < cells; c++ {
-			sb.WriteByte(rampChar(grid[r*cells+c], lo, hi))
-		}
-		sb.WriteByte('\n')
-	}
-	return sb.String()
+	return string(b)
 }
 
-// DOT renders the communication graph in Graphviz format, edges weighted
+// csv renders the matrix weighted by w as CSV, one row per source rank;
+// a value prints as %g would.
+func (t *topology) csv(w analysis.Metric) []byte {
+	b := make([]byte, 0, 2*t.n*t.n+16*len(t.edges))
+	edges := t.edges
+	for s := 0; s < t.n; s++ {
+		for d := 0; d < t.n; d++ {
+			if d > 0 {
+				b = append(b, ',')
+			}
+			if len(edges) > 0 && edges[0].Src == s && edges[0].Dst == d {
+				b = strconv.AppendFloat(b, edges[0].Value(w), 'g', -1, 64)
+				edges = edges[1:]
+			} else {
+				b = append(b, '0')
+			}
+		}
+		b = append(b, '\n')
+	}
+	return b
+}
+
+// dot renders the communication graph in Graphviz format, edges weighted
 // by w (penwidth scaled to the weight, like the paper's topology figures).
-func DOT(name string, m *analysis.Matrix, w analysis.Metric) string {
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "digraph %q {\n", name)
-	sb.WriteString("  node [shape=circle, fontsize=8];\n")
-	var max float64
-	m.Edges(func(s, d int, h, b, t int64) {
-		v := MatrixValue(m, s, d, w)
-		if v > max {
-			max = v
+func (t *topology) dot(name string, w analysis.Metric) []byte {
+	b := fmt.Appendf(nil, "digraph %q {\n  node [shape=circle, fontsize=8];\n", name)
+	var top float64
+	for _, e := range t.edges {
+		top = max(top, e.Value(w))
+	}
+	for _, e := range t.edges {
+		v, pw := e.Value(w), 0.5
+		if top > 0 {
+			pw = 0.5 + 4.5*v/top
 		}
-	})
-	m.Edges(func(s, d int, h, b, t int64) {
-		v := MatrixValue(m, s, d, w)
-		pw := 0.5
-		if max > 0 {
-			pw = 0.5 + 4.5*v/max
-		}
-		fmt.Fprintf(&sb, "  %d -> %d [penwidth=%.2f, label=\"%g\"];\n", s, d, pw, v)
-	})
-	sb.WriteString("}\n")
-	return sb.String()
+		b = fmt.Appendf(b, "  %d -> %d [penwidth=%.2f, label=\"%g\"];\n", e.Src, e.Dst, pw, v)
+	}
+	return append(b, "}\n"...)
 }
 
 // GridShape picks a near-square (cols, rows) layout for n ranks, matching
@@ -432,20 +459,27 @@ func renderEngineHealth(w io.Writer, hk *analysis.EngineHealthKS) error {
 	return nil
 }
 
-// profileRows lists the chapter's MPI call kinds in the order both
-// renderings print them: by time, longest first, ties (typically
+// profileRow is one call kind's line of the MPI profile.
+type profileRow struct {
+	kind trace.Kind
+	st   analysis.Stat
+}
+
+// profileRows lists the chapter's MPI call kinds in the order every
+// rendering prints them: by time, longest first, ties (typically
 // zero-time calls) by kind so the table does not depend on the order
-// events reached the profiler.
-func (ch *Chapter) profileRows() []trace.Kind {
+// events reached the profiler. Each kind's Stat is read once, so a fold
+// running beside the render cannot reorder the rows in mid-sort.
+func (ch *Chapter) profileRows() []profileRow {
 	kinds := ch.Profiler.Kinds()
-	sort.Slice(kinds, func(i, j int) bool {
-		ti, tj := ch.Profiler.Stat(kinds[i]).TimeNs, ch.Profiler.Stat(kinds[j]).TimeNs
-		if ti != tj {
-			return ti > tj
-		}
-		return kinds[i] < kinds[j]
+	rows := make([]profileRow, len(kinds))
+	for i, k := range kinds {
+		rows[i] = profileRow{k, ch.Profiler.Stat(k)}
+	}
+	slices.SortFunc(rows, func(a, b profileRow) int {
+		return cmp.Or(cmp.Compare(b.st.TimeNs, a.st.TimeNs), cmp.Compare(a.kind, b.kind))
 	})
-	return kinds
+	return rows
 }
 
 // Artifacts returns every chapter's per-application files, keyed by file
@@ -455,10 +489,10 @@ func (r *Report) Artifacts() map[string][]byte {
 	files := map[string][]byte{}
 	for _, ch := range r.Chapters {
 		base := strings.ReplaceAll(ch.App, ".", "_")
-		mat := ch.Topology.Matrix()
-		files[base+"_matrix_bytes.csv"] = []byte(MatrixCSV(mat, analysis.MetricBytes))
-		files[base+"_matrix_hits.csv"] = []byte(MatrixCSV(mat, analysis.MetricHits))
-		files[base+"_topology.dot"] = []byte(DOT(ch.App, mat, analysis.MetricBytes))
+		topo := readTopology(ch.Topology)
+		files[base+"_matrix_bytes.csv"] = topo.csv(analysis.MetricBytes)
+		files[base+"_matrix_hits.csv"] = topo.csv(analysis.MetricHits)
+		files[base+"_topology.dot"] = topo.dot(ch.App, analysis.MetricBytes)
 		files[base+"_send_hits.pgm"] = DensityPGM(ch.Density.Map(trace.KindSend, analysis.MetricHits))
 		files[base+"_p2p_size.pgm"] = DensityPGM(ch.Density.P2PSizeMap())
 		files[base+"_wait_time.pgm"] = DensityPGM(ch.Density.WaitTimeMap())
@@ -471,29 +505,17 @@ func (ch *Chapter) render(w io.Writer) error {
 	// MPI call profile.
 	fmt.Fprintf(w, "\nMPI profile:\n")
 	fmt.Fprintf(w, "  %-14s %12s %14s %14s\n", "call", "hits", "time", "total size")
-	for _, k := range ch.profileRows() {
-		st := ch.Profiler.Stat(k)
+	for _, row := range ch.profileRows() {
 		fmt.Fprintf(w, "  %-14s %12d %14s %14s\n",
-			k, st.Hits, time.Duration(st.TimeNs), HumanBytes(float64(st.Bytes)))
+			row.kind, row.st.Hits, time.Duration(row.st.TimeNs), HumanBytes(float64(row.st.Bytes)))
 	}
 
 	// Topology.
-	mat := ch.Topology.Matrix()
+	topo := readTopology(ch.Topology)
 	fmt.Fprintf(w, "\nTopology (total size weighting):\n")
-	io.WriteString(w, MatrixHeatmap(mat, analysis.MetricBytes, 48))
-	degs := map[int]int{}
-	for rk := 0; rk < mat.N; rk++ {
-		degs[mat.Degree(rk)]++
-	}
-	keys := make([]int, 0, len(degs))
-	for d := range degs {
-		keys = append(keys, d)
-	}
-	sort.Ints(keys)
+	io.WriteString(w, topo.heatmap(analysis.MetricBytes, 48))
 	fmt.Fprintf(w, "degree histogram:")
-	for _, d := range keys {
-		fmt.Fprintf(w, " %d-neighbour:%d", d, degs[d])
-	}
+	topo.degreeHistogram(func(d, ranks int) { fmt.Fprintf(w, " %d-neighbour:%d", d, ranks) })
 	fmt.Fprintln(w)
 
 	// Density maps.

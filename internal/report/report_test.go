@@ -12,8 +12,7 @@ import (
 	"repro/internal/trace"
 )
 
-func mat3() *analysis.Matrix {
-	m := analysis.NewMatrix(3)
+func topo3() *topology {
 	topo := analysis.NewTopologyModule(3)
 	add := func(src, dst int32, size int64) {
 		topo.Add(&trace.Event{Kind: trace.KindSend, Rank: src, Peer: dst, Size: size, TStart: 0, TEnd: 10})
@@ -21,12 +20,11 @@ func mat3() *analysis.Matrix {
 	add(0, 1, 100)
 	add(1, 2, 200)
 	add(2, 0, 300)
-	m = topo.Matrix()
-	return m
+	return readTopology(topo)
 }
 
 func TestMatrixCSV(t *testing.T) {
-	csv := MatrixCSV(mat3(), analysis.MetricBytes)
+	csv := string(topo3().csv(analysis.MetricBytes))
 	lines := strings.Split(strings.TrimSpace(csv), "\n")
 	if len(lines) != 3 {
 		t.Fatalf("rows = %d", len(lines))
@@ -37,7 +35,7 @@ func TestMatrixCSV(t *testing.T) {
 }
 
 func TestMatrixHeatmapShapes(t *testing.T) {
-	hm := MatrixHeatmap(mat3(), analysis.MetricBytes, 8)
+	hm := topo3().heatmap(analysis.MetricBytes, 8)
 	lines := strings.Split(strings.TrimSpace(hm), "\n")
 	// header + 3 rows (no downsampling needed)
 	if len(lines) != 4 {
@@ -57,7 +55,7 @@ func TestMatrixHeatmapDownsamples(t *testing.T) {
 	for i := int32(0); i < 100; i++ {
 		topo.Add(&trace.Event{Kind: trace.KindSend, Rank: i, Peer: (i + 1) % 100, Size: 10, TEnd: 1})
 	}
-	hm := MatrixHeatmap(topo.Matrix(), analysis.MetricHits, 10)
+	hm := readTopology(topo).heatmap(analysis.MetricHits, 10)
 	lines := strings.Split(strings.TrimSpace(hm), "\n")
 	if len(lines) != 11 {
 		t.Fatalf("downsampled heatmap lines = %d", len(lines))
@@ -68,7 +66,7 @@ func TestMatrixHeatmapDownsamples(t *testing.T) {
 }
 
 func TestDOTOutput(t *testing.T) {
-	dot := DOT("cg", mat3(), analysis.MetricBytes)
+	dot := string(topo3().dot("cg", analysis.MetricBytes))
 	if !strings.HasPrefix(dot, "digraph \"cg\"") {
 		t.Fatalf("dot header: %q", dot[:30])
 	}
