@@ -1,206 +1,274 @@
-// Command profiler runs one or more instrumented applications coupled to
-// the distributed analysis engine and writes the resulting profiling
-// report — the full pipeline behind the paper's Figures 17 and 18.
+// Command profiler profiles instrumented applications with the distributed
+// analysis engine and writes the resulting report — the full pipeline
+// behind the paper's Figures 17 and 18. It is the one command that
+// describes a run: the events come from the simulator, or with -trace from
+// an otf2lite archive the IO proxy exported (-export), set up with the
+// code a simulated run uses; they are analysed in-process, or with -daemon
+// in a session on a profilerd (`profilerctl` prints a daemon's status).
+// Several NAME.CLASS@PROCS items run concurrently in one MPMD job, one
+// report chapter each; -out, -latex and -json add CSV/DOT/PGM artifacts,
+// a LaTeX document and the JSON analysis:
 //
-// Applications are given as NAME.CLASS@PROCS items; several items run
-// concurrently in one MPMD job and are profiled by one multi-level
-// blackboard, each getting its own report chapter:
-//
-//	profiler -apps CG.D@128 -iters 2
-//	profiler -apps LU.C@64,CG.C@64               # concurrent profiling
-//
-// Besides the textual report (stdout), -out writes per-application
-// artifacts: communication matrix CSV, topology DOT graph, and density-map
-// PGM images.
+//	profiler -apps LU.C@64,CG.C@64 -export exp
+//	profiler -trace exp/LU_C.o2l -waitstate
+//	profiler -apps CG.A@16 -daemon 127.0.0.1:7101 -diff-every 4
 //
 // -fig NAME regenerates one entry of the paper's figure table
 // (exp.Figures: 14, 15, 16, 17cg, 17euler, 18lu, 18bt, fault, tree,
 // overload; or all) at its paths under results/, relative to the working
-// directory. It takes no other flag.
+// directory. Each mode takes only its row of modeFlags, and a flag that
+// refines another is refused without it.
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"log"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
+	"time"
 
 	"repro/internal/analysis"
+	"repro/internal/client"
 	"repro/internal/cliutil"
 	"repro/internal/exp"
+	"repro/internal/nas"
+	"repro/internal/report"
 	"repro/internal/trace"
 )
+
+// modeFlags names the flags each mode takes. The mode is the first of -fig,
+// -trace and -daemon that is set, and the simulator when none is.
+var modeFlags = map[string]string{
+	"simulate": "apps iters analyzers workers out latex json waitstate temporal callsites sizes export export-p2p-only platform telemetry telemetry-period format replicas tree-levels tree-fanin tree-flush window window-slide window-grace",
+	"fig":      "fig",
+	"trace":    "trace workers out latex json waitstate temporal callsites sizes",
+	"daemon":   "daemon diff-every apps iters platform format waitstate temporal callsites sizes window window-slide window-grace",
+}
+
+// config is one parsed command line.
+type config struct {
+	mode                     string
+	fig, trace, daemon       string
+	out, latex, json, export string
+	exportP2P                bool
+	diffEvery                int
+	platform                 exp.Platform
+	workloads                []*nas.Workload
+	opts                     exp.ProfileOptions
+}
 
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("profiler: ")
-	var (
-		appsFlag     = flag.String("apps", "CG.D@128", "applications: NAME.CLASS@PROCS[,...]")
-		itersFlag    = flag.Int("iters", 6, "timesteps per application (0 = official counts)")
-		analyzerFlag = flag.Int("analyzers", 0, "analysis partition size (0 = procs/16)")
-		workersFlag  = flag.Int("workers", 0, "blackboard worker threads (0 = GOMAXPROCS)")
-		outFlag      = flag.String("out", "", "directory for CSV/DOT/PGM artifacts (empty = none)")
-		latexFlag    = flag.String("latex", "", "write the report as a compilable LaTeX document to this file")
-		jsonFlag     = flag.String("json", "", "write the full analysis as JSON to this file")
-		waitFlag     = flag.Bool("waitstate", false, "enable the late-sender wait-state analysis")
-		temporalFlag = flag.Duration("temporal", 0, "temporal-map bucket width in virtual time (e.g. 100ms; 0 = off)")
-		sitesFlag    = flag.Bool("callsites", false, "enable the per-call-site breakdown")
-		sizesFlag    = flag.Bool("sizes", false, "enable the message-size distribution")
-		exportFlag   = flag.String("export", "", "directory for selective otf2lite trace archives (one per app; empty = off)")
-		exportP2P    = flag.Bool("export-p2p-only", false, "export only point-to-point events")
-		platformFlag = flag.String("platform", "tera100", "platform model (tera100 or curie)")
-		telFlag      = flag.Bool("telemetry", false, "stream engine-health meta-events and append a health chapter + JSON summary")
-		telPeriod    = flag.Duration("telemetry-period", 0, "virtual-time sampling period for -telemetry (0 = 10ms)")
-		formatFlag   = flag.Int("format", 0, "pack wire format: 1 (fixed records), 2 (delta+varint) or 3 (stream dictionary, fused analyzer decode); 0 = 1, the seed behavior")
-		replicasFlag = flag.Int("replicas", 0, "per-worker module replicas (0 = off): lock-free parallel folding with epoch merges; profiles stay byte-identical, incompatible with -export")
-		treeLevels   = flag.Int("tree-levels", 0, "analysis tree levels: <=1 flat pipeline, L>=2 adds L-1 aggregator tiers between leaves and the root blackboard")
-		treeFanin    = flag.Int("tree-fanin", 0, "reduction-tree fan-in (0 = 8); only with -tree-levels >= 2")
-		treeFlush    = flag.Int("tree-flush", 0, "ship partial-profile deltas every N packs (0 = only at stream end); only with -tree-levels >= 2")
-		windowFlag   = flag.Duration("window", 0, "windowed analysis: slice virtual time into windows of this width, each with its own report chapter section (0 = off)")
-		slideFlag    = flag.Duration("window-slide", 0, "sliding-window stride for -window (0 = tumbling)")
-		graceFlag    = flag.Duration("window-grace", 0, "lateness grace before an event counts against its window's completeness bound")
-		figFlag      = flag.String("fig", "", "write the figure table entry NAME (or all) at its paths under results/; takes no other flag")
-	)
-	flag.Parse()
-
-	if *figFlag != "" {
-		var others []string
-		flag.Visit(func(f *flag.Flag) {
-			if f.Name != "fig" {
-				others = append(others, "-"+f.Name)
-			}
-		})
-		if len(others) > 0 {
-			fatalUsage(fmt.Errorf("-fig takes no other flag, got %s", strings.Join(others, " ")))
-		}
-		if err := writeFigures(*figFlag); err != nil {
-			log.Fatal(err)
-		}
-		return
-	}
-
-	format, err := cliutil.ResolvePackFormat(*formatFlag)
+	c, err := parse(flag.CommandLine, os.Args[1:])
 	if err != nil {
-		fatalUsage(err)
+		log.Fatalf("%v (run with -h for usage)", err)
 	}
-	if *treeLevels <= 1 && (*treeFanin != 0 || *treeFlush != 0) {
-		fatalUsage(fmt.Errorf("-tree-fanin/-tree-flush need a reduction tree (-tree-levels >= 2)"))
+	switch c.mode {
+	case "fig":
+		err = writeFigures(c.fig)
+	case "daemon":
+		err = runDaemon(c, os.Stdout, os.Stderr)
+	default:
+		err = runLocal(c)
 	}
-	if *exportP2P && *exportFlag == "" {
-		fatalUsage(fmt.Errorf("-export-p2p-only needs -export"))
-	}
-	if *replicasFlag > 0 && *exportFlag != "" {
-		fatalUsage(fmt.Errorf("-replicas is incompatible with -export (the exporter is an IO proxy, not a mergeable module)"))
-	}
-	platform, err := exp.PlatformByName(*platformFlag)
-	if err != nil {
-		fatalUsage(err)
-	}
-	workloads, err := exp.Workloads(*appsFlag, *itersFlag)
-	if err != nil {
-		fatalUsage(err)
-	}
-
-	opts := exp.ProfileOptions{
-		Analyzers:        *analyzerFlag,
-		Workers:          *workersFlag,
-		WaitState:        *waitFlag,
-		TemporalWindowNs: temporalFlag.Nanoseconds(),
-		Callsites:        *sitesFlag,
-		Sizes:            *sizesFlag,
-		PackVersion:      format,
-		Replicas:         *replicasFlag,
-		Telemetry:        *telFlag,
-		TelemetryPeriod:  *telPeriod,
-		TreeLevels:       *treeLevels,
-		TreeFanin:        *treeFanin,
-		TreeFlushPacks:   *treeFlush,
-		WindowNs:         windowFlag.Nanoseconds(),
-		WindowSlideNs:    slideFlag.Nanoseconds(),
-		WindowGraceNs:    graceFlag.Nanoseconds(),
-	}
-	if *exportFlag != "" {
-		if err := os.MkdirAll(*exportFlag, 0o755); err != nil {
-			log.Fatal(err)
-		}
-		if *exportP2P {
-			opts.ExportFilter = func(e *trace.Event) bool { return e.Kind.IsP2P() }
-		}
-		opts.Export = func(app string, m *analysis.ExportModule) {
-			name := filepath.Join(*exportFlag, strings.ReplaceAll(app, ".", "_")+".o2l")
-			f, err := os.Create(name)
-			if err != nil {
-				log.Fatal(err)
-			}
-			if err := m.WriteArchive(f); err != nil {
-				log.Fatal(err)
-			}
-			if err := f.Close(); err != nil {
-				log.Fatal(err)
-			}
-			fmt.Fprintf(os.Stderr, "exported %d events to %s (%d filtered out)\n",
-				m.Exported(), name, m.Dropped())
-		}
-	}
-	rep, err := exp.ProfileRun(platform, workloads, opts)
 	if err != nil {
 		log.Fatal(err)
-	}
-	if err := rep.Render(os.Stdout); err != nil {
-		log.Fatal(err)
-	}
-	if *latexFlag != "" {
-		f, err := os.Create(*latexFlag)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if err := rep.RenderLaTeX(f); err != nil {
-			log.Fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			log.Fatal(err)
-		}
-		fmt.Fprintf(os.Stderr, "LaTeX report written to %s\n", *latexFlag)
-	}
-	if *jsonFlag != "" {
-		f, err := os.Create(*jsonFlag)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if err := rep.WriteJSON(f, false); err != nil {
-			log.Fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			log.Fatal(err)
-		}
-		fmt.Fprintf(os.Stderr, "JSON analysis written to %s\n", *jsonFlag)
-	}
-	if *outFlag != "" {
-		files := map[string][]byte{}
-		for name, data := range rep.Artifacts() {
-			files[filepath.Join(*outFlag, name)] = data
-		}
-		if err := writeFiles(files); err != nil {
-			log.Fatal(err)
-		}
-		fmt.Fprintf(os.Stderr, "artifacts written to %s\n", *outFlag)
-	}
-	if *telFlag && rep.EngineHealth != nil {
-		enc := json.NewEncoder(os.Stdout)
-		enc.SetIndent("", "  ")
-		if err := enc.Encode(rep.EngineHealth.Summary()); err != nil {
-			log.Fatal(err)
-		}
 	}
 }
 
-// fatalUsage exits non-zero on a bad flag or flag combination, with a
-// one-line pointer at the flag help.
-func fatalUsage(err error) {
-	log.Fatalf("%v (run with -h for usage)", err)
+// parse reads args into a config on fs, refusing a flag the mode does not
+// take and a flag whose prerequisite is missing.
+func parse(fs *flag.FlagSet, args []string) (*config, error) {
+	c := &config{}
+	o := &c.opts
+	var (
+		apps, platform                            string
+		iters, format, replicas                   int
+		temporal, telPeriod, window, slide, grace time.Duration
+	)
+	fs.StringVar(&apps, "apps", "CG.D@128", "applications: NAME.CLASS@PROCS[,...]")
+	fs.IntVar(&iters, "iters", 6, "timesteps per application (0 = official counts)")
+	fs.IntVar(&o.Analyzers, "analyzers", 0, "analysis partition size (0 = procs/16)")
+	fs.IntVar(&o.Workers, "workers", 0, "blackboard worker threads (0 = GOMAXPROCS)")
+	fs.StringVar(&c.out, "out", "", "directory for CSV/DOT/PGM artifacts (empty = none)")
+	fs.StringVar(&c.latex, "latex", "", "write the report as a compilable LaTeX document to this file")
+	fs.StringVar(&c.json, "json", "", "write the full analysis as JSON to this file")
+	fs.BoolVar(&o.WaitState, "waitstate", false, "enable the late-sender wait-state analysis")
+	fs.DurationVar(&temporal, "temporal", 0, "temporal-map bucket width in virtual time (e.g. 100ms; 0 = off)")
+	fs.BoolVar(&o.Callsites, "callsites", false, "enable the per-call-site breakdown")
+	fs.BoolVar(&o.Sizes, "sizes", false, "enable the message-size distribution")
+	fs.StringVar(&c.export, "export", "", "directory for selective otf2lite trace archives (one per app; empty = off)")
+	fs.BoolVar(&c.exportP2P, "export-p2p-only", false, "export only point-to-point events")
+	fs.StringVar(&platform, "platform", "tera100", "platform model (tera100 or curie)")
+	fs.BoolVar(&o.Telemetry, "telemetry", false, "stream engine-health meta-events and append a health chapter + JSON summary")
+	fs.DurationVar(&telPeriod, "telemetry-period", 0, "virtual-time sampling period for -telemetry (0 = 10ms)")
+	fs.IntVar(&format, "format", 0, "pack wire format: 1 (fixed records), 2 (delta+varint) or 3 (stream dictionary, fused analyzer decode); 0 = 1, the seed behavior")
+	fs.IntVar(&replicas, "replicas", 0, "per-worker module replicas (0 = off): lock-free parallel folding with epoch merges; profiles stay byte-identical, incompatible with -export")
+	fs.IntVar(&o.TreeLevels, "tree-levels", 0, "analysis tree levels: <=1 flat pipeline, L>=2 adds L-1 aggregator tiers between leaves and the root blackboard")
+	fs.IntVar(&o.TreeFanin, "tree-fanin", 0, "reduction-tree fan-in (0 = 8); only with -tree-levels >= 2")
+	fs.IntVar(&o.TreeFlushPacks, "tree-flush", 0, "ship partial-profile deltas every N packs (0 = only at stream end); only with -tree-levels >= 2")
+	fs.DurationVar(&window, "window", 0, "windowed analysis: slice virtual time into windows of this width, each with its own report chapter section (0 = off)")
+	fs.DurationVar(&slide, "window-slide", 0, "sliding-window stride for -window (0 = tumbling)")
+	fs.DurationVar(&grace, "window-grace", 0, "lateness grace before an event counts against its window's completeness bound")
+	fs.StringVar(&c.fig, "fig", "", "write the figure table entry NAME (or all) at its paths under results/; takes no other flag")
+	fs.StringVar(&c.trace, "trace", "", "replay this otf2lite archive instead of simulating")
+	fs.StringVar(&c.daemon, "daemon", "", "analyse in a session on the profilerd at this TCP address instead of in-process")
+	fs.IntVar(&c.diffEvery, "diff-every", 0, "with -daemon: poll Diff every N packs and verify the replayed state against a Snapshot (0 = off)")
+	if err := fs.Parse(args); err != nil {
+		return nil, err
+	}
+	o.TemporalWindowNs, o.TelemetryPeriod, o.Replicas = temporal.Nanoseconds(), telPeriod, replicas
+	o.WindowNs, o.WindowSlideNs, o.WindowGraceNs = window.Nanoseconds(), slide.Nanoseconds(), grace.Nanoseconds()
+
+	c.mode = "simulate"
+	for _, m := range []string{"daemon", "trace", "fig"} {
+		if fs.Lookup(m).Value.String() != "" {
+			c.mode = m
+		}
+	}
+	// needs names, for each flag that refines another, what it needs of
+	// that one and whether the command line has it.
+	needs := map[string]struct {
+		what string
+		met  bool
+	}{
+		"tree-fanin":       {"needs a reduction tree (-tree-levels >= 2)", o.TreeLevels >= 2},
+		"tree-flush":       {"needs a reduction tree (-tree-levels >= 2)", o.TreeLevels >= 2},
+		"export-p2p-only":  {"needs -export", c.export != ""},
+		"replicas":         {"is incompatible with -export (the exporter is an IO proxy, not a mergeable module)", o.Replicas == 0 || c.export == ""},
+		"window-slide":     {"needs -window", window > 0},
+		"window-grace":     {"needs -window", window > 0},
+		"telemetry-period": {"needs -telemetry", o.Telemetry},
+		"diff-every":       {"needs -daemon", c.daemon != ""},
+	}
+	var err error
+	fs.Visit(func(f *flag.Flag) {
+		if n, ok := needs[f.Name]; err == nil && ok && !n.met {
+			err = fmt.Errorf("-%s %s", f.Name, n.what)
+		} else if err == nil && !slices.Contains(strings.Fields(modeFlags[c.mode]), f.Name) {
+			err = fmt.Errorf("%s mode takes no -%s", c.mode, f.Name)
+		}
+	})
+	if err != nil {
+		return nil, err
+	}
+	if o.PackVersion, err = cliutil.ResolvePackFormat(format); err != nil {
+		return nil, err
+	}
+	if c.mode == "simulate" || c.mode == "daemon" {
+		if c.platform, err = exp.PlatformByName(platform); err != nil {
+			return nil, err
+		}
+		if c.workloads, err = exp.Workloads(apps, iters); err != nil {
+			return nil, err
+		}
+	}
+	return c, nil
+}
+
+// runLocal analyses in-process, the simulated run or the archive's, and
+// writes the report and what the output flags ask for.
+func runLocal(c *config) error {
+	var rep *report.Report
+	var err error
+	if c.mode == "trace" {
+		rep, err = exp.ReplayArchive(c.trace, c.opts)
+	} else {
+		if c.export != "" {
+			if err := os.MkdirAll(c.export, 0o755); err != nil {
+				return err
+			}
+			if c.exportP2P {
+				c.opts.ExportFilter = func(e *trace.Event) bool { return e.Kind.IsP2P() }
+			}
+			c.opts.Export = func(app string, m *analysis.ExportModule) {
+				name := filepath.Join(c.export, strings.ReplaceAll(app, ".", "_")+".o2l")
+				f, err := os.Create(name)
+				if err != nil {
+					log.Fatal(err)
+				}
+				if err := m.WriteArchive(f); err != nil {
+					log.Fatal(err)
+				}
+				if err := f.Close(); err != nil {
+					log.Fatal(err)
+				}
+				fmt.Fprintf(os.Stderr, "exported %d events to %s (%d filtered out)\n",
+					m.Exported(), name, m.Dropped())
+			}
+		}
+		rep, err = exp.ProfileRun(c.platform, c.workloads, c.opts)
+	}
+	if err != nil {
+		return err
+	}
+	if err := rep.Render(os.Stdout); err != nil {
+		return err
+	}
+	files := map[string][]byte{}
+	for path, write := range map[string]func(io.Writer) error{
+		c.latex: rep.RenderLaTeX,
+		c.json:  func(w io.Writer) error { return rep.WriteJSON(w, false) },
+	} {
+		if path == "" {
+			continue
+		}
+		var b bytes.Buffer
+		if err := write(&b); err != nil {
+			return err
+		}
+		files[path] = b.Bytes()
+	}
+	if c.out != "" {
+		for name, data := range rep.Artifacts() {
+			files[filepath.Join(c.out, name)] = data
+		}
+	}
+	if err := writeFiles(files); err != nil {
+		return err
+	}
+	if rep.EngineHealth != nil {
+		enc := json.NewEncoder(os.Stdout)
+		enc.SetIndent("", "  ")
+		return enc.Encode(rep.EngineHealth.Summary())
+	}
+	return nil
+}
+
+// runDaemon captures the simulated run's analyzer input, streams it
+// through a session on the daemon and prints the daemon's report.
+func runDaemon(c *config, stdout, stderr io.Writer) error {
+	start := time.Now()
+	cp, err := exp.CaptureRun(c.platform, c.workloads, c.opts)
+	if err != nil {
+		return err
+	}
+	fmt.Fprintf(stderr, "profiler: captured %d events in %d packs (pack v%d) in %.2fs\n",
+		cp.Events, len(cp.Packs), cp.PackVersion, time.Since(start).Seconds())
+	cl, err := client.Dial(c.daemon, c.opts.PackVersion)
+	if err != nil {
+		return err
+	}
+	defer cl.Shutdown()
+	rep, err := cp.Replay(cl, c.diffEvery)
+	if err != nil {
+		return err
+	}
+	io.WriteString(stdout, rep.Rendered)
+	fmt.Fprintf(stderr, "profiler: session %d: %d events analysed, %d packs, %d shed (max admission level %d)\n",
+		rep.Session, rep.Events, rep.Packs, rep.Shed, rep.MaxLevel)
+	if rep.Windows > 0 {
+		fmt.Fprintf(stderr, "profiler: session %d: %d analysis windows sealed, %d late events\n",
+			rep.Session, rep.Windows, rep.LateEvents)
+	}
+	return nil
 }
 
 // writeFigures runs the figure table entry called name, or every entry

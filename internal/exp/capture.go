@@ -51,20 +51,9 @@ type Capture struct {
 	Loss []report.StreamLossRow
 	// Events counts the events the recorders produced.
 	Events int64
-	// WaitState, TemporalWindowNs, Callsites, Sizes echo the analysis
-	// module selection the run was captured for.
-	WaitState        bool
-	TemporalWindowNs int64
-	Callsites        bool
-	Sizes            bool
-	// WindowNs, WindowSlideNs, WindowGraceNs echo the windowed-analysis
-	// geometry (0 = not windowed), so a replayed session rebuilds the
-	// same per-window series.
-	WindowNs      int64
-	WindowSlideNs int64
-	WindowGraceNs int64
-	// Labels maps call-site contexts to labels (Callsites runs only).
-	Labels map[uint32]string
+	// Options are the options the run was captured with: their module
+	// selection and window geometry are what a replayed session enables.
+	Options ProfileOptions
 }
 
 // CaptureRun executes the instrumented simulation of ProfileRun with the
@@ -94,23 +83,7 @@ func CaptureRun(p Platform, workloads []*nas.Workload, opts ProfileOptions) (*Ca
 		return nil, fmt.Errorf("exp: trace export needs the in-process engine")
 	}
 
-	cp := &Capture{
-		PlatformName:     p.Name,
-		PackVersion:      co.packVersion,
-		WaitState:        opts.WaitState,
-		TemporalWindowNs: opts.TemporalWindowNs,
-		Callsites:        opts.Callsites,
-		Sizes:            opts.Sizes,
-		WindowNs:         opts.WindowNs,
-		WindowSlideNs:    opts.WindowSlideNs,
-		WindowGraceNs:    opts.WindowGraceNs,
-	}
-	if opts.Callsites {
-		cp.Labels = map[uint32]string{}
-		for ctx, label := range nas.ContextLabels() {
-			cp.Labels[ctx] = label
-		}
-	}
+	cp := &Capture{PlatformName: p.Name, PackVersion: co.packVersion, Options: opts}
 
 	run := &coupledRun{blockSize: int64(co.packBytes)}
 	if err := run.instrumented(workloads, instrument.OnlineConfig{PackVersion: co.packVersion}, nil); err != nil {
@@ -157,22 +130,27 @@ func CaptureRun(p Platform, workloads []*nas.Workload, opts ProfileOptions) (*Ca
 // title, chapter order, module selection and call-site labels the
 // in-process pipeline would use.
 func (cp *Capture) SessionMeta() wire.SessionMeta {
+	o := cp.Options
 	m := wire.SessionMeta{
 		Title:            fmt.Sprintf("online profiling report (%s)", cp.PlatformName),
-		WaitState:        cp.WaitState,
-		TemporalWindowNs: cp.TemporalWindowNs,
-		Callsites:        cp.Callsites,
-		Sizes:            cp.Sizes,
-		WindowNs:         cp.WindowNs,
-		WindowSlideNs:    cp.WindowSlideNs,
-		WindowGraceNs:    cp.WindowGraceNs,
+		WaitState:        o.WaitState,
+		TemporalWindowNs: o.TemporalWindowNs,
+		Callsites:        o.Callsites,
+		Sizes:            o.Sizes,
+		WindowNs:         o.WindowNs,
+		WindowSlideNs:    o.WindowSlideNs,
+		WindowGraceNs:    o.WindowGraceNs,
+	}
+	var labels map[uint32]string
+	if o.Callsites {
+		labels = nas.ContextLabels()
 	}
 	for _, a := range cp.Apps {
 		m.Apps = append(m.Apps, wire.AppMeta{
 			Name:   a.Name,
 			Procs:  a.Procs,
 			AppID:  a.AppID,
-			Labels: cp.Labels,
+			Labels: labels,
 		})
 	}
 	return m

@@ -124,27 +124,27 @@ func foldCapture(t *testing.T, cp *Capture) *report.Report {
 			Profiler: pipe.Profiler, Topology: pipe.Topology, Density: pipe.Density,
 			Completeness: pipe.Completeness,
 		}
-		if cp.WaitState {
+		if cp.Options.WaitState {
 			ch.WaitState, err = pipe.EnableWaitState()
 			check(err)
 		}
-		if cp.TemporalWindowNs > 0 {
-			ch.Temporal, err = pipe.EnableTemporal(cp.TemporalWindowNs)
+		if cp.Options.TemporalWindowNs > 0 {
+			ch.Temporal, err = pipe.EnableTemporal(cp.Options.TemporalWindowNs)
 			check(err)
 		}
-		if cp.Callsites {
+		if cp.Options.Callsites {
 			ch.Callsites, err = pipe.EnableCallsites()
 			check(err)
-			for ctx, label := range cp.Labels {
+			for ctx, label := range nas.ContextLabels() {
 				ch.Callsites.Label(ctx, label)
 			}
 		}
-		if cp.Sizes {
+		if cp.Options.Sizes {
 			ch.Sizes, err = pipe.EnableSizes()
 			check(err)
 		}
-		if cp.WindowNs > 0 {
-			ch.Windows, err = pipe.EnableWindows(cp.WindowNs, cp.WindowSlideNs)
+		if cp.Options.WindowNs > 0 {
+			ch.Windows, err = pipe.EnableWindows(cp.Options.WindowNs, cp.Options.WindowSlideNs)
 			check(err)
 		}
 		pipes = append(pipes, pipe)

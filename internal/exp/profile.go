@@ -329,10 +329,8 @@ func ProfileRunStats(p Platform, workloads []*nas.Workload, opts ProfileOptions)
 		}
 	}
 
-	// Windowed analysis plumbing: one series module and one arrival
-	// tracker per application, shared between the ingest closures below
-	// and the per-pipeline Enable loop after layout construction.
-	windows := make([]*analysis.WindowedModule, len(workloads))
+	// One arrival tracker per windowed application, shared between the
+	// ingest closures below and the level setup after layout construction.
 	trackers := make([]*analysis.WindowTracker, len(workloads))
 
 	disp, err := analysis.NewDispatcher(bb)
@@ -527,82 +525,32 @@ func ProfileRunStats(p Platform, workloads []*nas.Workload, opts ProfileOptions)
 	}
 
 	// Register one pipeline per application level before the run.
-	pipes := make([]*analysis.Pipeline, len(workloads))
-	waits := make([]*analysis.WaitStateModule, len(workloads))
-	temporals := make([]*analysis.TemporalModule, len(workloads))
-	callsites := make([]*analysis.CallsiteModule, len(workloads))
-	exports := make([]*analysis.ExportModule, len(workloads))
-	sizes := make([]*analysis.SizesModule, len(workloads))
+	appLevels := make([]*appLevel, len(workloads))
 	for i, w := range workloads {
 		part := layout.DescByName(w.Name)
 		if part == nil {
 			return nil, nil, fmt.Errorf("exp: partition %q missing", w.Name)
 		}
-		pipes[i], err = disp.AddApp(uint32(part.ID), w.Name, w.Procs)
+		lv, err := addLevel(disp, uint32(part.ID), w.Name, w.Procs, opts, windowMetrics)
 		if err != nil {
 			return nil, nil, err
 		}
+		appLevels[i], trackers[i] = lv, lv.ch.WindowLag
 		// Decode-side codec accounting (nil-safe when telemetry is off).
-		pipes[i].SetCodecTelemetry(codecMetrics)
-		if opts.WaitState {
-			waits[i], err = pipes[i].EnableWaitState()
-			if err != nil {
-				return nil, nil, err
-			}
-		}
-		if opts.TemporalWindowNs > 0 {
-			temporals[i], err = pipes[i].EnableTemporal(opts.TemporalWindowNs)
-			if err != nil {
-				return nil, nil, err
-			}
-		}
-		if opts.Callsites {
-			callsites[i], err = pipes[i].EnableCallsites()
-			if err != nil {
-				return nil, nil, err
-			}
-			for ctx, label := range nas.ContextLabels() {
-				callsites[i].Label(ctx, label)
-			}
-		}
-		if opts.Export != nil {
-			exports[i], err = pipes[i].EnableExport("proxy", opts.ExportFilter)
-			if err != nil {
-				return nil, nil, err
-			}
-		}
-		if opts.Sizes {
-			sizes[i], err = pipes[i].EnableSizes()
-			if err != nil {
-				return nil, nil, err
-			}
-		}
-		if opts.WindowNs > 0 {
-			// After every content module so the windows inherit the final
-			// selection, and before the leaf-options capture so tree leaves
-			// seal the same per-window series the root pipeline would.
-			windows[i], err = pipes[i].EnableWindows(opts.WindowNs, opts.WindowSlideNs)
-			if err != nil {
-				return nil, nil, err
-			}
-			trackers[i] = analysis.NewWindowTracker(opts.WindowNs, opts.WindowSlideNs, opts.WindowGraceNs, windowMetrics)
-			if err := pipes[i].AttachWindowTracker(trackers[i]); err != nil {
-				return nil, nil, err
-			}
-		}
+		lv.pipe.SetCodecTelemetry(codecMetrics)
 		if tree != nil {
 			// Leaves build partials with exactly the root pipeline's
 			// module selection, so everything shipped up the tree has a
 			// home to be absorbed into.
-			tree.leafOpts[part.ID] = pipes[i].PartialOptions()
+			tree.leafOpts[part.ID] = lv.pipe.PartialOptions()
 			tree.trackers[part.ID] = trackers[i]
 		}
 		if opts.Replicas > 0 {
 			// After every Enable*: the replica module selection is frozen
 			// here. In tree mode only partials reach the root, so the fold
 			// KS idles — replica parallelism lives in the flat event flow.
-			pipes[i].SetReplicaTelemetry(replicaMetrics)
-			if err := pipes[i].EnableReplicas(0); err != nil {
+			lv.pipe.SetReplicaTelemetry(replicaMetrics)
+			if err := lv.pipe.EnableReplicas(0); err != nil {
 				return nil, nil, err
 			}
 		}
@@ -619,21 +567,16 @@ func ProfileRunStats(p Platform, workloads []*nas.Workload, opts ProfileOptions)
 	// Replica mode: merge the worker/lane residue into the canonical
 	// modules before anything reads them (no-ops when serial).
 	fused.Sync()
-	for _, pipe := range pipes {
-		pipe.Settle()
+	for _, lv := range appLevels {
+		lv.pipe.Settle()
 	}
 
-	if opts.WindowNs > 0 {
-		// Final tracker flush before the closing telemetry snapshot so the
-		// window gauges' end-of-run values ride into the engine-health
-		// chapter.
-		for i := range workloads {
-			if tr := trackers[i]; tr != nil {
-				tr.Publish()
-				if tr.MaxLagNs() > stats.WindowMaxLagNs {
-					stats.WindowMaxLagNs = tr.MaxLagNs()
-				}
-			}
+	// Final tracker flush before the closing telemetry snapshot so the
+	// window gauges' end-of-run values ride into the engine-health chapter.
+	for _, tr := range trackers {
+		if tr != nil {
+			tr.Publish()
+			stats.WindowMaxLagNs = max(stats.WindowMaxLagNs, tr.MaxLagNs())
 		}
 	}
 
@@ -648,7 +591,7 @@ func ProfileRunStats(p Platform, workloads []*nas.Workload, opts ProfileOptions)
 
 	if opts.Export != nil {
 		for i, w := range workloads {
-			opts.Export(w.Name, exports[i])
+			opts.Export(w.Name, appLevels[i].export)
 		}
 	}
 
@@ -656,7 +599,7 @@ func ProfileRunStats(p Platform, workloads []*nas.Workload, opts ProfileOptions)
 		if s := world.ProgramFinish(i).Seconds(); s > stats.AppSeconds {
 			stats.AppSeconds = s
 		}
-		stats.AnalyzedEvents += pipes[i].Profiler.Events()
+		stats.AnalyzedEvents += appLevels[i].pipe.Profiler.Events()
 	}
 	if ctl != nil {
 		stats.ShedEvents = ctl.TotalShed()
@@ -669,22 +612,78 @@ func ProfileRunStats(p Platform, workloads []*nas.Workload, opts ProfileOptions)
 		EngineHealth: health,
 		StreamLoss:   run.lossRows(),
 	}
-	for i, w := range workloads {
-		rep.Chapters = append(rep.Chapters, &report.Chapter{
-			App:          w.Name,
-			Procs:        w.Procs,
-			WallTime:     time.Duration(world.ProgramFinish(i).Duration()),
-			Profiler:     pipes[i].Profiler,
-			Topology:     pipes[i].Topology,
-			Density:      pipes[i].Density,
-			WaitState:    waits[i],
-			Temporal:     temporals[i],
-			Callsites:    callsites[i],
-			Sizes:        sizes[i],
-			Completeness: pipes[i].Completeness,
-			Windows:      windows[i],
-			WindowLag:    trackers[i],
-		})
+	for i, lv := range appLevels {
+		lv.ch.WallTime = time.Duration(world.ProgramFinish(i).Duration())
+		rep.Chapters = append(rep.Chapters, lv.ch)
 	}
 	return rep, stats, nil
+}
+
+// appLevel is one application's level on the analysis board: its pipeline,
+// its trace-export module when one is on, and the report chapter over the
+// modules the options selected, less the wall time the caller sets.
+type appLevel struct {
+	pipe   *analysis.Pipeline
+	export *analysis.ExportModule
+	ch     *report.Chapter
+}
+
+// addLevel registers an application level on disp and enables the modules
+// opts selects. A simulated run and an archive replay both set up their
+// levels here, so the two cannot disagree on what a level runs.
+func addLevel(disp *analysis.Dispatcher, appID uint32, name string, procs int, opts ProfileOptions, wm *telemetry.WindowMetrics) (*appLevel, error) {
+	pipe, err := disp.AddApp(appID, name, procs)
+	if err != nil {
+		return nil, err
+	}
+	ch := &report.Chapter{
+		App:          name,
+		Procs:        procs,
+		Profiler:     pipe.Profiler,
+		Topology:     pipe.Topology,
+		Density:      pipe.Density,
+		Completeness: pipe.Completeness,
+	}
+	lv := &appLevel{pipe: pipe, ch: ch}
+	if opts.WaitState {
+		if ch.WaitState, err = pipe.EnableWaitState(); err != nil {
+			return nil, err
+		}
+	}
+	if opts.TemporalWindowNs > 0 {
+		if ch.Temporal, err = pipe.EnableTemporal(opts.TemporalWindowNs); err != nil {
+			return nil, err
+		}
+	}
+	if opts.Callsites {
+		if ch.Callsites, err = pipe.EnableCallsites(); err != nil {
+			return nil, err
+		}
+		for ctx, label := range nas.ContextLabels() {
+			ch.Callsites.Label(ctx, label)
+		}
+	}
+	if opts.Export != nil {
+		if lv.export, err = pipe.EnableExport("proxy", opts.ExportFilter); err != nil {
+			return nil, err
+		}
+	}
+	if opts.Sizes {
+		if ch.Sizes, err = pipe.EnableSizes(); err != nil {
+			return nil, err
+		}
+	}
+	if opts.WindowNs > 0 {
+		// After every content module so the windows inherit the final
+		// selection, and before a tree leaf copies the level's options so
+		// leaves seal the same per-window series the root pipeline would.
+		if ch.Windows, err = pipe.EnableWindows(opts.WindowNs, opts.WindowSlideNs); err != nil {
+			return nil, err
+		}
+		ch.WindowLag = analysis.NewWindowTracker(opts.WindowNs, opts.WindowSlideNs, opts.WindowGraceNs, wm)
+		if err := pipe.AttachWindowTracker(ch.WindowLag); err != nil {
+			return nil, err
+		}
+	}
+	return lv, nil
 }

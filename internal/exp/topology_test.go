@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/analysis"
 	"repro/internal/nas"
+	"repro/internal/trace"
 )
 
 // Closed-form communication matrices: each expectation is derived from
@@ -143,4 +144,70 @@ func TestLUClosedFormMatrix(t *testing.T) {
 	if want := map[int]int{2: 4, 3: 24, 4: 36}; !maps.Equal(hist, want) {
 		t.Fatalf("degree histogram = %v, want %v", hist, want)
 	}
+}
+
+// requireCollectives holds a profiled run of w to closed-form collective
+// counts: perRank gives each kind's hits and recorded bytes on every rank,
+// which the density map must show rank by rank and the profile summed
+// over the ranks. The matrix stays empty: collectives never feed it.
+func requireCollectives(t *testing.T, w *nas.Workload, perRank map[trace.Kind]analysis.Stat) {
+	t.Helper()
+	rep, err := ProfileRun(Tera100(), []*nas.Workload{w}, ProfileOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ch := rep.Chapters[0]
+	if edges := ch.Topology.AppendEdges(nil); len(edges) != 0 {
+		t.Errorf("%d matrix cells written, want none: %+v", len(edges), edges)
+	}
+	procs := int64(w.Procs)
+	for k, want := range perRank {
+		if got := ch.Profiler.Stat(k); got.Hits != procs*want.Hits || got.Bytes != procs*want.Bytes {
+			t.Errorf("%v: %d hits %d bytes, want %d hits %d bytes", k, got.Hits, got.Bytes, procs*want.Hits, procs*want.Bytes)
+		}
+		hits, bytes := ch.Density.Map(k, analysis.MetricHits), ch.Density.Map(k, analysis.MetricBytes)
+		for r := range hits {
+			if hits[r] != float64(want.Hits) || bytes[r] != float64(want.Bytes) {
+				t.Errorf("%v on rank %d: %v hits %v bytes, want %d hits %d bytes", k, r, hits[r], bytes[r], want.Hits, want.Bytes)
+			}
+		}
+	}
+}
+
+// TestFTClosedForm holds FT.A@16 to nas.FT's decomposition: a 4×4 pencil
+// grid (grid2D(16)) of the 256×256×128 class A array, 16 B per point; per
+// iteration one Alltoall over the 4-rank row communicator and one over the
+// 4-rank column communicator, each moving the local array once
+// (16·256·256·128/16/4/4 B per pair), then the 16 B checksum Allreduce. An
+// Alltoall records its per-pair size times the communicator's other ranks.
+func TestFTClosedForm(t *testing.T) {
+	const procs, iters = 16, 2
+	const p1, p2 = 4, 4
+	const local = 16 * 256 * 256 * 128 / procs
+	w, err := nas.FT(nas.ClassA, procs, iters)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rowPair, colPair := int64(local/p2/p2), int64(local/p1/p1)
+	requireCollectives(t, w, map[trace.Kind]analysis.Stat{
+		trace.KindAlltoall:  {Hits: 2 * iters, Bytes: iters * (rowPair*(p2-1) + colPair*(p1-1))},
+		trace.KindAllreduce: {Hits: iters, Bytes: iters * 16},
+	})
+}
+
+// TestISClosedForm holds IS.A@16 to nas.IS's decomposition: 2^23 keys of
+// 4 B, each redistributed once per iteration by one Alltoall over the
+// world (4·2^23/16/16 B per pair), between the 4 KiB bucket-size Allreduce
+// and the 8 B verification Allreduce.
+func TestISClosedForm(t *testing.T) {
+	const procs, iters = 16, 2
+	w, err := nas.IS(nas.ClassA, procs, iters)
+	if err != nil {
+		t.Fatal(err)
+	}
+	perPair := int64(4 * (1 << 23) / procs / procs)
+	requireCollectives(t, w, map[trace.Kind]analysis.Stat{
+		trace.KindAlltoall:  {Hits: iters, Bytes: iters * perPair * (procs - 1)},
+		trace.KindAllreduce: {Hits: 2 * iters, Bytes: iters * (4096 + 8)},
+	})
 }

@@ -55,7 +55,11 @@ type MPI struct {
 	comm *mpi.Comm
 	rec  Recorder
 	me   int32
-	ctx  uint32
+	// app is the caller's rank in the communicator the first handle wraps.
+	// Events carry it as Rank whatever communicator a call uses, so a
+	// sub-communicator's collectives land on the caller's application rank.
+	app int32
+	ctx uint32
 	// ev is emit's scratch event: recorders do not retain it, so one per
 	// handle serves every intercepted call without a heap allocation.
 	ev trace.Event
@@ -67,7 +71,8 @@ type MPI struct {
 // New wraps a rank and communicator with no recorder attached (reference
 // behaviour).
 func New(r *mpi.Rank, c *mpi.Comm) *MPI {
-	return &MPI{rank: r, comm: c, me: int32(c.LocalOf(r.Global()))}
+	me := int32(c.LocalOf(r.Global()))
+	return &MPI{rank: r, comm: c, me: me, app: me}
 }
 
 // SetRecorder attaches (or clears, with nil) the measurement recorder.
@@ -95,7 +100,7 @@ func (m *MPI) emit(kind trace.Kind, peer, tag int32, size, t0, t1 int64) {
 		return
 	}
 	m.ev = trace.Event{
-		Kind: kind, Rank: m.me, Peer: peer, Tag: tag,
+		Kind: kind, Rank: m.app, Peer: peer, Tag: tag,
 		Comm: m.comm.ID(), Ctx: m.ctx, Size: size, TStart: t0, TEnd: t1,
 	}
 	m.rec.Record(&m.ev)
@@ -222,7 +227,7 @@ func (m *MPI) Split(color, key int) *MPI {
 func (m *MPI) Sub(c *mpi.Comm) *MPI {
 	return &MPI{
 		rank: m.rank, comm: c, rec: m.rec, ctx: m.ctx,
-		me: int32(c.LocalOf(m.rank.Global())),
+		me: int32(c.LocalOf(m.rank.Global())), app: m.app,
 	}
 }
 
