@@ -36,7 +36,8 @@ func windowedEnc(tb testing.TB, seed int64, slideNs int64) []byte {
 // trailing window section (count, strictly-increasing indices, nested
 // length-prefixed partials) is mutated too, one out-of-order and one
 // repeated-key shape for every key-sorted section, a kind above 255 for
-// every section keyed by kind, and a topology cell without hits.
+// every section keyed by kind, and for every cell section a cell its
+// writer never writes (without hits, zero, or an empty kind row).
 func FuzzDecodePartial(f *testing.F) {
 	rng := rand.New(rand.NewSource(1))
 	perRank := genRankEvents(rng, 4, 150)
@@ -62,7 +63,9 @@ func FuzzDecodePartial(f *testing.F) {
 	for _, sec := range twoKeyKindSections {
 		f.Add(twoKeyPartial(sec, aliasedKinds))
 	}
-	f.Add(hitlessCellPartial(0))
+	for _, sec := range hitlessSections {
+		f.Add(hitlessCellPartial(sec, 0))
+	}
 	accepted, refused := windowLayoutSeeds()
 	for _, seed := range append(accepted, refused...) {
 		f.Add(seed)
@@ -212,10 +215,11 @@ func TestDecodePartialHostileWindows(t *testing.T) {
 	u32(maxDecodedTemporalBuckets) // claimed bucket count, at the cap
 	u32(2)                         // two kinds, each naming the top bucket
 	for k := uint32(0); k < 2; k++ {
-		u32(k)                               // kind
-		u32(1)                               // one entry
-		u32(maxDecodedTemporalBuckets - 1)   // bucket index
-		tb = append(tb, make([]byte, 24)...) // zero Stat
+		u32(k)                                       // kind
+		u32(1)                                       // one entry
+		u32(maxDecodedTemporalBuckets - 1)           // bucket index
+		tb = binary.LittleEndian.AppendUint64(tb, 1) // Stat: one hit, as a zero one is refused
+		tb = append(tb, make([]byte, 16)...)
 	}
 	if _, err := DecodePartial(tb); err == nil || !strings.Contains(err.Error(), "cells") {
 		t.Fatalf("temporal cells cap: err = %v, want loud cells rejection", err)

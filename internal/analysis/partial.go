@@ -4,8 +4,8 @@ import (
 	"cmp"
 	"encoding/binary"
 	"fmt"
-	"math"
 	"slices"
+	"sync"
 
 	"repro/internal/trace"
 )
@@ -307,7 +307,8 @@ func (pp *Partial) mergeReset(o *Partial) {
 // — the canonical form the property tests compare. Empty entries (a
 // zero Stat, a kind with no non-zero rank) never travel: a reset flush
 // zeroes modules in place and keeps their keys, so "key present" must
-// not leak into the bytes.
+// not leak into the bytes. Eight sections are cell lists, written by
+// statRow, pairRow and sortedCells and walked by preader.cells alone.
 
 var partialMagic = [4]byte{'V', 'P', 'P', '1'}
 
@@ -337,6 +338,67 @@ const (
 	flagWindowed
 )
 
+// bit is flag if on, else 0.
+func bit(on bool, flag uint32) uint32 {
+	if on {
+		return flag
+	}
+	return 0
+}
+
+// section is one section behind the header: the header flag that makes it
+// present (0: always), whether a window's inner partial leaves it out, the
+// lock of its module, its writer and its walker. The writer runs under the
+// lock, and so does the walker when it applies. A writer takes the pwriter
+// by value and returns its bytes: through a func value a pointer would
+// move every encode's writer to the heap.
+type section struct {
+	flag  uint32
+	whole bool
+	mu    func(*Partial) *sync.Mutex
+	write func(*Partial, pwriter) []byte
+	walk  func(*Partial, *preader, bool) error
+}
+
+// partialSections lists the sections in wire order, the one place encode
+// and mergeSections both learn it from.
+func partialSections() [10]section {
+	return [...]section{
+		{0, false, (*Partial).profilerMu, (*Partial).encodeProfiler, (*Partial).mergeProfiler},
+		{0, true, (*Partial).topologyMu, (*Partial).encodeTopology, (*Partial).mergeTopology},
+		{0, true, (*Partial).densityMu, (*Partial).encodeDensity, (*Partial).mergeDensity},
+		{flagWait, false, (*Partial).waitsMu, (*Partial).encodeWaitSums, (*Partial).mergeWaitSums},
+		{flagWait, true, (*Partial).waitsMu, (*Partial).encodeWaitQueues, (*Partial).mergeWaitQueues},
+		{flagTemporal, false, (*Partial).temporalMu, (*Partial).encodeTemporal, (*Partial).mergeTemporal},
+		{flagCallsites, false, (*Partial).callsitesMu, (*Partial).encodeCallsites, (*Partial).mergeCallsites},
+		{flagSizes, false, (*Partial).sizesMu, (*Partial).encodeSizes, (*Partial).mergeSizes},
+		{flagShed, false, (*Partial).shedMu, (*Partial).encodeShed, (*Partial).mergeShed},
+		{flagWindowed, false, (*Partial).windowsMu, (*Partial).encodeWindows, (*Partial).mergeWindows},
+	}
+}
+
+func (pp *Partial) profilerMu() *sync.Mutex  { return &pp.Profiler.mu }
+func (pp *Partial) topologyMu() *sync.Mutex  { return &pp.Topology.mu }
+func (pp *Partial) densityMu() *sync.Mutex   { return &pp.Density.mu }
+func (pp *Partial) waitsMu() *sync.Mutex     { return &pp.Waits.mu }
+func (pp *Partial) temporalMu() *sync.Mutex  { return &pp.Temporal.mu }
+func (pp *Partial) callsitesMu() *sync.Mutex { return &pp.Callsites.mu }
+func (pp *Partial) sizesMu() *sync.Mutex     { return &pp.Sizes.mu }
+func (pp *Partial) windowsMu() *sync.Mutex   { return &pp.Windows.mu }
+
+// shedMu creates the ledger for a walker about to fold in its first entries.
+func (pp *Partial) shedMu() *sync.Mutex {
+	if pp.Shed == nil {
+		pp.Shed = NewCompletenessModule()
+	}
+	return &pp.Shed.mu
+}
+
+// in reports whether pp, behind a header with these flags, carries s.
+func (s section) in(pp *Partial, flags uint32) bool {
+	return (s.flag == 0 || flags&s.flag != 0) && !(s.whole && pp.isWindow())
+}
+
 // AppendCanonical appends the partial's full canonical encoding
 // (pending wait-state queues included) to buf without mutating any
 // module — the comparison form.
@@ -357,65 +419,30 @@ func (pp *Partial) Flush(buf []byte, final bool) []byte {
 }
 
 func (pp *Partial) encode(buf []byte, pendings, reset bool) []byte {
-	w := pwriter{buf: buf}
+	w := pwriter{buf: buf, pendings: pendings, reset: reset}
 	w.buf = append(w.buf, partialMagic[:]...)
+	o := pp.opts
 	w.u32(pp.AppID)
-	w.u32(uint32(pp.opts.AppSize))
-	var flags uint32
-	if pp.opts.WaitState {
-		flags |= flagWait
-	}
-	if pp.opts.TemporalWindowNs > 0 {
-		flags |= flagTemporal
-	}
-	if pp.opts.Callsites {
-		flags |= flagCallsites
-	}
-	if pp.opts.Sizes {
-		flags |= flagSizes
-	}
-	if pendings {
-		flags |= flagPendings
-	}
-	shed := pp.Shed != nil && !pp.Shed.Empty()
-	if shed {
-		flags |= flagShed
-	}
-	if pp.Windows != nil {
-		flags |= flagWindowed
-	}
+	w.u32(uint32(o.AppSize))
+	flags := bit(o.WaitState, flagWait) | bit(o.TemporalWindowNs > 0, flagTemporal) | bit(o.Callsites, flagCallsites) |
+		bit(o.Sizes, flagSizes) | bit(pendings, flagPendings) | bit(pp.Shed != nil && !pp.Shed.Empty(), flagShed) |
+		bit(pp.Windows != nil, flagWindowed)
 	w.u32(flags)
-	w.i64(pp.opts.TemporalWindowNs)
+	w.i64(o.TemporalWindowNs)
 	if pp.Windows != nil {
 		// Window geometry rides in the header, not the trailing section:
 		// a decoder must construct the module (from options) before any
 		// section is read.
-		w.i64(pp.opts.WindowNs)
-		w.i64(pp.opts.WindowSlideNs)
+		w.i64(o.WindowNs)
+		w.i64(o.WindowSlideNs)
 	}
-
-	pp.encodeProfiler(&w, reset)
-	if !pp.isWindow() {
-		pp.encodeTopology(&w, reset)
-		pp.encodeDensity(&w, reset)
-	}
-	if pp.Waits != nil {
-		pp.encodeWaits(&w, pendings, reset)
-	}
-	if pp.Temporal != nil {
-		pp.encodeTemporal(&w, reset)
-	}
-	if pp.Callsites != nil {
-		pp.encodeCallsites(&w, reset)
-	}
-	if pp.Sizes != nil {
-		pp.encodeSizes(&w, reset)
-	}
-	if shed {
-		pp.encodeShed(&w, reset)
-	}
-	if pp.Windows != nil {
-		pp.encodeWindows(&w, reset)
+	for _, s := range partialSections() {
+		if s.in(pp, flags) {
+			mu := s.mu(pp)
+			mu.Lock()
+			w.buf = s.write(pp, w)
+			mu.Unlock()
+		}
 	}
 	return w.buf
 }
@@ -425,10 +452,8 @@ func (pp *Partial) encode(buf []byte, pendings, reset bool) []byte {
 // them are in the written list: a window drained by an earlier delta flush
 // stays in the map but must not change the bytes (content-equal series
 // encode identically whatever their flush history).
-func (pp *Partial) encodeWindows(w *pwriter, reset bool) {
+func (pp *Partial) encodeWindows(w pwriter) []byte {
 	m := pp.Windows
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	slices.Sort(m.written)
 	countAt := w.reserve()
 	n := 0
@@ -443,17 +468,18 @@ func (pp *Partial) encodeWindows(w *pwriter, reset bool) {
 		// Length-prefixed nested encoding: reserve the u32, encode the
 		// inner partial in place, backfill.
 		lenAt := w.reserve()
-		w.buf = wp.encode(w.buf, false, reset)
+		w.buf = wp.encode(w.buf, false, w.reset)
 		w.backfill(lenAt, len(w.buf)-lenAt-4)
 	}
 	w.backfill(countAt, n)
-	if reset {
+	if w.reset {
 		for _, i := range m.written {
 			m.wins[i].listed = false
 		}
 		m.written = m.written[:0]
 		m.cur = nil // the next write has to list its window again
 	}
+	return w.buf
 }
 
 // AddAudit folds audit-pack entries (a recorder's shed ledger) into the
@@ -468,152 +494,73 @@ func (pp *Partial) AddAudit(entries []trace.AuditEntry) {
 	pp.Shed.AddAudit(entries)
 }
 
-func (pp *Partial) encodeShed(w *pwriter, reset bool) {
-	m := pp.Shed
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	kinds := nonZeroKeys(m.per)
-	slices.Sort(kinds)
-	w.u32(uint32(len(kinds)))
-	for _, k := range kinds {
-		st := m.per[k]
+func (pp *Partial) encodeShed(w pwriter) []byte {
+	sortedCells(&w, pp.Shed.per, func(k trace.Kind, st ShedStat) {
 		w.u32(uint32(k))
 		w.i64(st.Shed)
 		w.i64(st.Kept)
-		if reset {
-			*st = ShedStat{}
-		}
-	}
+	})
+	return w.buf
 }
 
-func (pp *Partial) encodeProfiler(w *pwriter, reset bool) {
+func (pp *Partial) encodeProfiler(w pwriter) []byte {
 	m := pp.Profiler
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	w.i64(m.events)
-	countAt := w.reserve()
-	n := 0
-	for k := range m.total {
-		st := &m.total[k]
-		if *st == (Stat{}) {
-			continue
-		}
-		n++
-		w.u32(uint32(k))
-		w.stat(*st)
-		if reset {
-			*st = Stat{}
-		}
-	}
-	w.backfill(countAt, n)
-	if reset {
+	w.statRow(m.total[:])
+	if w.reset {
 		m.events = 0
 	}
+	return w.buf
 }
 
-func (pp *Partial) encodeTopology(w *pwriter, reset bool) {
-	m := pp.Topology
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	countAt := w.reserve()
-	n := 0
-	m.mat.walk(reset, func(i int, st Stat) {
+func (pp *Partial) encodeTopology(w pwriter) []byte {
+	countAt, n := w.reserve(), 0
+	pp.Topology.mat.walk(w.reset, func(i int, st Stat) {
 		n++
 		w.u32(uint32(i))
 		w.stat(st)
 	})
 	w.backfill(countAt, n)
+	return w.buf
 }
 
-// encodeKindRows writes a table of per-kind dense rows sparse: kinds
-// ascending (the table's index order), within a kind only the non-zero
-// cells, and no kind without one. A reset zeroes the rows and keeps them.
-func encodeKindRows(w *pwriter, perKind *[kindSlots][]Stat, reset bool) {
-	kindsAt := w.reserve()
-	nk := 0
-	for k, per := range perKind {
-		if len(per) == 0 {
-			continue
-		}
-		kindAt := len(w.buf)
-		w.u32(uint32(k))
-		countAt := w.reserve()
-		n := 0
-		for i := range per {
-			if per[i] == (Stat{}) {
-				continue
-			}
-			n++
-			w.u32(uint32(i))
-			w.stat(per[i])
-		}
-		if n == 0 {
-			w.buf = w.buf[:kindAt]
-		} else {
-			w.backfill(countAt, n)
-			nk++
-		}
-		if reset {
-			clear(per)
-		}
-	}
-	w.backfill(kindsAt, nk)
+func (pp *Partial) encodeDensity(w pwriter) []byte {
+	w.kindRows(&pp.Density.perKind)
+	return w.buf
 }
 
-func (pp *Partial) encodeDensity(w *pwriter, reset bool) {
-	m := pp.Density
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	encodeKindRows(w, &m.perKind, reset)
-}
-
-func (pp *Partial) encodeWaits(w *pwriter, pendings, reset bool) {
+// encodeWaitSums settles first: pairs realized here ride in the settled
+// sums (and in the windows they credit), and only the truly unmatched
+// remainder travels in the queue section behind it.
+func (pp *Partial) encodeWaitSums(w pwriter) []byte {
 	m := pp.Waits
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	// Settle first: pairs realized here ride in the settled sums (and in
-	// the windows they credit), and only the truly unmatched remainder
-	// travels as pending queues.
 	m.settleLocked()
 	w.i64(m.pairs)
-	countAt := w.reserve()
-	n := 0
-	for r, v := range m.lateHits {
-		if v == 0 {
-			continue
-		}
-		n++
-		w.u32(uint32(r))
-		w.i64(m.lateNs[r])
-		w.i64(v)
-	}
-	w.backfill(countAt, n)
-	if reset {
+	w.pairRow([2][]int64{m.lateNs, m.lateHits}, 1)
+	if w.reset {
 		m.pairs = 0
-		clear(m.lateNs)
-		clear(m.lateHits)
 	}
-	if pp.isWindow() {
-		return // a window carries the sums only
-	}
-	if !pendings {
-		w.u32(0)
-		w.u32(0)
-		return
-	}
+	return w.buf
+}
+
+func (pp *Partial) encodeWaitQueues(w pwriter) []byte {
 	// Pairing leaves empty queues behind in the records; skipping them
 	// keeps the encoding canonical (content-equal modules encode
 	// identically whatever their pairing history). Both sections list
-	// their channels in the same order, so one sort serves them.
-	live := make([]*chanQueues, 0, len(m.chans.recs))
-	for _, q := range m.chans.recs {
-		if len(q.sends)+len(q.recvs) > 0 {
-			live = append(live, q)
+	// their channels in the same order, so one sort serves them. A delta
+	// flush leaves the queues behind: both sections are empty.
+	var live []*chanQueues
+	if recs := pp.Waits.chans.recs; w.pendings {
+		live = make([]*chanQueues, 0, len(recs))
+		for _, q := range recs {
+			if len(q.sends)+len(q.recvs) > 0 {
+				live = append(live, q)
+			}
 		}
 	}
 	slices.SortFunc(live, func(a, b *chanQueues) int { return cmpChanKey(a.key, b.key) })
-	countAt = w.reserve()
-	n = 0
+	countAt := w.reserve()
+	n := 0
 	for _, q := range live {
 		if len(q.sends) == 0 {
 			continue
@@ -642,20 +589,19 @@ func (pp *Partial) encodeWaits(w *pwriter, pendings, reset bool) {
 		}
 	}
 	w.backfill(countAt, n)
-	if reset {
+	if w.reset {
 		for _, q := range live {
 			q.sends, q.recvs = q.sends[:0], q.recvs[:0]
 		}
 	}
+	return w.buf
 }
 
-func (pp *Partial) encodeTemporal(w *pwriter, reset bool) {
+func (pp *Partial) encodeTemporal(w pwriter) []byte {
 	m := pp.Temporal
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	w.u32(uint32(m.buckets))
-	encodeKindRows(w, &m.perKind, reset)
-	if reset {
+	w.kindRows(&m.perKind)
+	if w.reset {
 		// A reset row keeps its capacity but not its length: the bucket
 		// count restarts at zero and growStats re-extends rows as events
 		// arrive.
@@ -664,46 +610,22 @@ func (pp *Partial) encodeTemporal(w *pwriter, reset bool) {
 		}
 		m.buckets = 0
 	}
+	return w.buf
 }
 
-func (pp *Partial) encodeCallsites(w *pwriter, reset bool) {
-	m := pp.Callsites
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	keys := nonZeroKeys(m.per)
-	slices.Sort(keys)
-	w.u32(uint32(len(keys)))
-	for _, k := range keys {
-		st := m.per[k]
+func (pp *Partial) encodeCallsites(w pwriter) []byte {
+	sortedCells(&w, pp.Callsites.per, func(k callsiteKey, st Stat) {
 		w.u32(k.ctx())
 		w.u32(uint32(k.kind()))
-		w.stat(*st)
-		if reset {
-			*st = Stat{}
-		}
-	}
+		w.stat(st)
+	})
+	return w.buf
 }
 
-func (pp *Partial) encodeSizes(w *pwriter, reset bool) {
+func (pp *Partial) encodeSizes(w pwriter) []byte {
 	m := pp.Sizes
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	countAt := w.reserve()
-	n := 0
-	for b := 0; b < SizeBuckets; b++ {
-		if m.hits[b] == 0 {
-			continue
-		}
-		n++
-		w.u32(uint32(b))
-		w.i64(m.hits[b])
-		w.i64(m.bytes[b])
-	}
-	w.backfill(countAt, n)
-	if reset {
-		m.hits = [SizeBuckets]int64{}
-		m.bytes = [SizeBuckets]int64{}
-	}
+	w.pairRow([2][]int64{m.hits[:], m.bytes[:]}, 0)
+	return w.buf
 }
 
 // cmpChanKey is the canonical channel order of the pending-queue
@@ -721,7 +643,8 @@ func cmpChanKey(a, b chanKey) int {
 // walker applied to a fresh partial, MergeEncoded a checking pass
 // followed by an applying one. Keys must arrive strictly ascending, as
 // every encoder writes them: with additive semantics a repeated key
-// would be a silent double count.
+// would be a silent double count. And a cell its writer never writes is
+// refused: folded in, it would be dropped by the next encode.
 
 // DecodePartial decodes an encoded partial profile. Malformed input
 // returns an error, never panics.
@@ -781,7 +704,7 @@ func PartialAppID(buf []byte) (uint32, error) {
 // geometry, and returns the module selection they spell.
 func readPartialHeader(r *preader) (appID uint32, opts PartialOptions, flags uint32, err error) {
 	var magic [4]byte
-	r.bytes(magic[:])
+	binary.LittleEndian.PutUint32(magic[:], r.u32())
 	if r.err == nil && magic != partialMagic {
 		return 0, opts, 0, fmt.Errorf("analysis: bad partial magic %q", magic[:])
 	}
@@ -826,38 +749,26 @@ func readPartialHeader(r *preader) (appID uint32, opts PartialOptions, flags uin
 	return appID, opts, flags, nil
 }
 
-// mergeSections walks the sections behind a header that spelled pp.opts
-// to the end of r: a window's (pp.isWindow) are the profiler's and the
-// wait sums. With apply unset nothing of pp but its options is touched
-// (its modules may be nil).
+// mergeSections walks the sections behind a header with these flags, which
+// spelled pp.opts, to the end of r. With apply unset nothing of pp but its
+// options is touched (its modules may be nil).
 func (pp *Partial) mergeSections(r *preader, flags uint32, apply bool) error {
-	o, whole := pp.opts, !pp.isWindow()
-	sections := [...]struct {
-		present bool
-		walk    func(*Partial, *preader, bool) error
-	}{
-		{true, (*Partial).mergeProfiler},
-		{whole, (*Partial).mergeTopology},
-		{whole, (*Partial).mergeDensity},
-		{o.WaitState, (*Partial).mergeWaitSums},
-		{o.WaitState && whole, (*Partial).mergeWaitQueues},
-		{o.TemporalWindowNs > 0, (*Partial).mergeTemporal},
-		{o.Callsites, (*Partial).mergeCallsites},
-		{o.Sizes, (*Partial).mergeSizes},
-		{flags&flagShed != 0, (*Partial).mergeShed},
-		{o.WindowNs > 0, (*Partial).mergeWindows},
-	}
-	for _, sec := range sections {
-		if !sec.present {
+	for _, s := range partialSections() {
+		if !s.in(pp, flags) {
 			continue
 		}
-		if err := sec.walk(pp, r, apply); err != nil {
+		if apply {
+			s.mu(pp).Lock()
+		}
+		err := s.walk(pp, r, apply)
+		if apply {
+			s.mu(pp).Unlock()
+		}
+		if err != nil {
 			return err
 		}
 	}
-	if r.err != nil {
-		return r.err
-	}
+	// Every walker returns the reader's error, so r.err is nil here.
 	if r.off != len(r.buf) {
 		return fmt.Errorf("analysis: %d trailing bytes after partial", len(r.buf)-r.off)
 	}
@@ -866,106 +777,45 @@ func (pp *Partial) mergeSections(r *preader, flags uint32, apply bool) error {
 
 func (pp *Partial) mergeProfiler(r *preader, apply bool) error {
 	events := r.i64()
-	n := int(r.u32())
-	if err := r.fits(n, 4+24); err != nil {
-		return err
-	}
 	m := pp.Profiler
 	if apply {
-		m.mu.Lock()
-		defer m.mu.Unlock()
 		m.events += events
 	}
-	var prev uint32
-	for i := 0; i < n; i++ {
-		k := r.kind("profiler")
-		st := r.stat()
-		if !r.inOrder(i == 0 || k > prev, "profiler kind") {
-			return r.err
-		}
-		prev = k
-		if apply {
-			m.total[k].merge(st)
+	for c := r.cells("profiler kind", kindSlots, false, 4+24); c.next(); {
+		if st := r.stat(); st == (Stat{}) {
+			c.refuse(zeroStat)
+		} else if apply {
+			m.total[c.key].merge(st)
 		}
 	}
 	return r.err
 }
 
 func (pp *Partial) mergeTopology(r *preader, apply bool) error {
-	n := int(r.u32())
-	if err := r.fits(n, 4+24); err != nil {
-		return err
-	}
-	if n == 0 {
-		return nil
-	}
 	size := pp.opts.AppSize
-	var mat *Matrix
-	if apply {
-		m := pp.Topology
-		m.mu.Lock()
-		defer m.mu.Unlock()
-		mat = m.mat
-	}
-	var prev uint32
-	for i := 0; i < n; i++ {
-		idx := r.u32()
-		st := r.stat()
-		if !r.inOrder(i == 0 || idx > prev, "topology cell") {
-			return r.err
-		}
-		prev = idx
-		if int(idx) >= size*size {
-			return fmt.Errorf("analysis: partial topology cell %d outside %dx%d", idx, size, size)
-		}
+	for c := r.cells("topology cell", size*size, false, 4+24); c.next(); {
 		// No encoder writes a cell without hits, and none would ever write or
 		// zero what such a cell left behind in the matrix.
-		if st.Hits <= 0 {
-			return fmt.Errorf("analysis: partial topology cell %d with %d hits", idx, st.Hits)
-		}
-		if apply {
-			mat.cell(int(idx)).merge(st)
+		if st := r.stat(); st.Hits <= 0 {
+			c.refuse("without hits")
+		} else if apply {
+			pp.Topology.mat.cell(int(c.key)).merge(st)
 		}
 	}
-	return nil
+	return r.err
 }
 
 func (pp *Partial) mergeDensity(r *preader, apply bool) error {
-	nk := int(r.u32())
-	if err := r.fits(nk, 8); err != nil {
-		return err
-	}
-	m := pp.Density
-	if apply {
-		m.mu.Lock()
-		defer m.mu.Unlock()
-	}
-	var prevK uint32
-	for i := 0; i < nk; i++ {
-		k := r.kind("density")
-		n := int(r.u32())
-		r.inOrder(i == 0 || k > prevK, "density kind")
-		prevK = k
-		if err := r.fits(n, 4+24); err != nil {
-			return err
-		}
+	for k := r.cells("density kind", kindSlots, false, 4+4); k.next(); {
 		var per []Stat
-		if apply && n > 0 {
-			per = m.row(trace.Kind(k))
+		if apply {
+			per = pp.Density.row(trace.Kind(k.key))
 		}
-		var prev uint32
-		for j := 0; j < n; j++ {
-			rank := r.u32()
-			st := r.stat()
-			if !r.inOrder(j == 0 || rank > prev, "density rank") {
-				return r.err
-			}
-			prev = rank
-			if int(rank) >= pp.opts.AppSize {
-				return fmt.Errorf("analysis: partial density rank %d outside app of %d", rank, pp.opts.AppSize)
-			}
-			if apply {
-				per[rank].merge(st)
+		for c := k.row("density rank", pp.opts.AppSize); c.next(); {
+			if st := r.stat(); st == (Stat{}) {
+				c.refuse(zeroStat)
+			} else if apply {
+				per[c.key].merge(st)
 			}
 		}
 	}
@@ -974,31 +824,16 @@ func (pp *Partial) mergeDensity(r *preader, apply bool) error {
 
 func (pp *Partial) mergeWaitSums(r *preader, apply bool) error {
 	pairs := r.i64()
-	n := int(r.u32())
-	if err := r.fits(n, 4+16); err != nil {
-		return err
-	}
 	m := pp.Waits
 	if apply {
-		m.mu.Lock()
-		defer m.mu.Unlock()
 		m.pairs += pairs
 	}
-	var prev uint32
-	for i := 0; i < n; i++ {
-		rank := r.u32()
-		lateNs := r.i64()
-		lateHits := r.i64()
-		if !r.inOrder(i == 0 || rank > prev, "wait rank") {
-			return r.err
-		}
-		prev = rank
-		if int(rank) >= pp.opts.AppSize {
-			return fmt.Errorf("analysis: partial wait rank %d outside app of %d", rank, pp.opts.AppSize)
-		}
-		if apply {
-			m.lateNs[rank] += lateNs
-			m.lateHits[rank] += lateHits
+	for c := r.cells("wait rank", pp.opts.AppSize, false, 4+16); c.next(); {
+		if lateNs, lateHits := r.i64(), r.i64(); lateHits == 0 {
+			c.refuse("without hits")
+		} else if apply {
+			m.lateNs[c.key] += lateNs
+			m.lateHits[c.key] += lateHits
 		}
 	}
 	return r.err
@@ -1010,16 +845,9 @@ func (pp *Partial) mergeWaitSums(r *preader, apply bool) error {
 // channel's whole FIFO order.
 func (pp *Partial) mergeWaitQueues(r *preader, apply bool) error {
 	m := pp.Waits
-	if apply {
-		m.mu.Lock()
-		defer m.mu.Unlock()
-	}
 	var named []*chanQueues
 	for side := 0; side < 2; side++ {
-		elem := 8 // send: start time
-		if side == 1 {
-			elem = 4 + 16 // recv: rank, start, end
-		}
+		elem := [2]int{8, 4 + 16}[side] // send: start time; recv: rank, start, end
 		nq := int(r.u32())
 		if err := r.fits(nq, 16+4); err != nil {
 			return err
@@ -1065,145 +893,77 @@ func (pp *Partial) mergeTemporal(r *preader, apply bool) error {
 	if buckets < 0 || buckets > maxDecodedTemporalBuckets {
 		return fmt.Errorf("analysis: implausible partial temporal bucket count %d", buckets)
 	}
-	nk := int(r.u32())
-	if err := r.fits(nk, 8); err != nil {
-		return err
-	}
 	m := pp.Temporal
 	if apply {
-		m.mu.Lock()
-		defer m.mu.Unlock()
-		if buckets > m.buckets {
-			m.buckets = buckets
-		}
+		m.buckets = max(m.buckets, buckets)
 	}
 	cells := 0
-	var prevK uint32
-	for i := 0; i < nk; i++ {
-		k := r.kind("temporal")
-		n := int(r.u32())
-		r.inOrder(i == 0 || k > prevK, "temporal kind")
-		prevK = k
-		if err := r.fits(n, 4+24); err != nil {
-			return err
-		}
-		// First pass: check the entries and find the highest bucket index,
-		// so the dense row grows exactly once. Growing it inside the fill
-		// loop would let a small payload with ascending indices force
-		// repeated near-gigabyte reallocations.
-		mark := r.off
-		maxB := -1
-		for j := 0; j < n; j++ {
-			b := int(r.u32())
-			r.stat()
-			if !r.inOrder(b > maxB, "temporal bucket") {
-				return r.err
+	for k := r.cells("temporal kind", kindSlots, false, 4+4); k.next(); {
+		// First pass: check the row and find its highest bucket, so the
+		// dense row grows exactly once. Growing it inside the fill loop
+		// would let a small payload with ascending indices force repeated
+		// near-gigabyte reallocations.
+		mark, top := r.off, 0
+		for c := k.row("temporal bucket", buckets); c.next(); {
+			if r.stat() == (Stat{}) {
+				c.refuse(zeroStat)
 			}
-			if b >= buckets {
-				return fmt.Errorf("analysis: partial temporal bucket %d outside %d", b, buckets)
-			}
-			maxB = b
+			top = int(c.key)
 		}
-		cells += maxB + 1
-		if cells > maxDecodedTemporalBuckets {
+		if r.err != nil {
+			break
+		}
+		if cells += top + 1; cells > maxDecodedTemporalBuckets {
 			return fmt.Errorf("analysis: partial temporal map claims %d cells (cap %d)", cells, maxDecodedTemporalBuckets)
 		}
-		if !apply || n == 0 {
+		if !apply {
 			continue
 		}
-		per := growStats(m.perKind[k], maxB+1)
+		per := growStats(m.perKind[k.key], top+1)
+		m.perKind[k.key] = per
 		r.off = mark
-		for j := 0; j < n; j++ {
-			b := r.u32()
-			per[b].merge(r.stat())
+		for c := k.row("temporal bucket", buckets); c.next(); {
+			per[c.key].merge(r.stat())
 		}
-		m.perKind[k] = per
 	}
 	return r.err
 }
 
 func (pp *Partial) mergeCallsites(r *preader, apply bool) error {
-	n := int(r.u32())
-	if err := r.fits(n, 8+24); err != nil {
-		return err
-	}
-	m := pp.Callsites
-	if apply {
-		m.mu.Lock()
-		defer m.mu.Unlock()
-	}
-	var prev callsiteKey
-	for i := 0; i < n; i++ {
-		ctx, kind := r.u32(), r.kind("call-site")
-		st := r.stat()
-		key := makeCallsiteKey(ctx, trace.Kind(kind))
-		if !r.inOrder(i == 0 || key > prev, "call-site") {
-			return r.err
-		}
-		prev = key
-		if apply {
-			entry(m.per, key).merge(st)
+	// A call site's key is wide: its ctx, then its kind.
+	for c := r.cells("call-site kind", kindSlots, true, 8+24); c.next(); {
+		if st := r.stat(); st == (Stat{}) {
+			c.refuse(zeroStat)
+		} else if apply {
+			entry(pp.Callsites.per, makeCallsiteKey(uint32(c.key>>32), trace.Kind(c.key))).merge(st)
 		}
 	}
-	return nil
+	return r.err
 }
 
 func (pp *Partial) mergeSizes(r *preader, apply bool) error {
-	n := int(r.u32())
-	if err := r.fits(n, 4+16); err != nil {
-		return err
-	}
 	m := pp.Sizes
-	if apply {
-		m.mu.Lock()
-		defer m.mu.Unlock()
-	}
-	var prev uint32
-	for i := 0; i < n; i++ {
-		b := r.u32()
-		hits := r.i64()
-		bytes := r.i64()
-		if !r.inOrder(i == 0 || b > prev, "size bucket") {
-			return r.err
-		}
-		prev = b
-		if b >= SizeBuckets {
-			return fmt.Errorf("analysis: partial size bucket %d outside %d", b, SizeBuckets)
-		}
-		if apply {
-			m.hits[b] += hits
-			m.bytes[b] += bytes
+	for c := r.cells("size bucket", SizeBuckets, false, 4+16); c.next(); {
+		if hits, bytes := r.i64(), r.i64(); hits == 0 {
+			c.refuse("without hits")
+		} else if apply {
+			m.hits[c.key] += hits
+			m.bytes[c.key] += bytes
 		}
 	}
-	return nil
+	return r.err
 }
 
 func (pp *Partial) mergeShed(r *preader, apply bool) error {
-	n := int(r.u32())
-	if err := r.fits(n, 4+16); err != nil {
-		return err
-	}
-	if apply && pp.Shed == nil {
-		pp.Shed = NewCompletenessModule()
-	}
-	m := pp.Shed
-	if apply {
-		m.mu.Lock()
-		defer m.mu.Unlock()
-	}
-	var prev uint32
-	for i := 0; i < n; i++ {
-		k := r.kind("shed")
+	for c := r.cells("shed kind", kindSlots, false, 4+16); c.next(); {
 		st := ShedStat{Shed: r.i64(), Kept: r.i64()}
-		if !r.inOrder(i == 0 || k > prev, "shed kind") {
-			return r.err
-		}
-		prev = k
 		if st.Shed < 0 || st.Kept < 0 {
-			return fmt.Errorf("analysis: negative shed ledger counts for %v", trace.Kind(k))
+			return fmt.Errorf("analysis: negative shed ledger counts for %v", trace.Kind(c.key))
 		}
-		if apply {
-			dst := entry(m.per, trace.Kind(k))
+		if st == (ShedStat{}) {
+			c.refuse("with a zero ledger")
+		} else if apply {
+			dst := entry(pp.Shed.per, trace.Kind(c.key))
 			dst.Shed += st.Shed
 			dst.Kept += st.Kept
 		}
@@ -1225,10 +985,6 @@ func (pp *Partial) mergeWindows(r *preader, apply bool) error {
 	inner := innerWindowOptions(pp.opts)
 	check := Partial{opts: inner} // a window (no topology); checking needs the options only
 	m := pp.Windows
-	if apply {
-		m.mu.Lock()
-		defer m.mu.Unlock()
-	}
 	prev := int64(-1)
 	for i := 0; i < n; i++ {
 		idx := r.i64()
@@ -1270,7 +1026,12 @@ func (pp *Partial) mergeWindows(r *preader, apply bool) error {
 
 // --- primitive encoding helpers ---
 
-type pwriter struct{ buf []byte }
+// pwriter appends an encoding to buf; pendings and reset are the flush's
+// (see encode).
+type pwriter struct {
+	buf             []byte
+	pendings, reset bool
+}
 
 func (w *pwriter) u32(v uint32) { w.buf = binary.LittleEndian.AppendUint32(w.buf, v) }
 func (w *pwriter) i64(v int64)  { w.buf = binary.LittleEndian.AppendUint64(w.buf, uint64(v)) }
@@ -1290,6 +1051,84 @@ func (w *pwriter) chanKey(k chanKey) {
 	w.u32(uint32(k.dst))
 	w.u32(uint32(k.tag))
 	w.u32(k.comm)
+}
+
+// statRow writes a dense Stat row as a cell list of its non-zero cells,
+// keyed by index, and returns how many it wrote. A reset zeroes the row
+// and keeps it.
+func (w *pwriter) statRow(row []Stat) int {
+	countAt, n := w.reserve(), 0
+	for i, st := range row {
+		if st == (Stat{}) {
+			continue
+		}
+		n++
+		w.u32(uint32(i))
+		w.stat(st)
+	}
+	w.backfill(countAt, n)
+	if w.reset {
+		clear(row)
+	}
+	return n
+}
+
+// kindRows writes a table of per-kind dense rows as a cell list of
+// statRows keyed by kind, leaving out a kind whose row has no non-zero
+// cell.
+func (w *pwriter) kindRows(perKind *[kindSlots][]Stat) {
+	countAt, n := w.reserve(), 0
+	for k, row := range perKind {
+		if len(row) == 0 {
+			continue
+		}
+		kindAt := len(w.buf)
+		w.u32(uint32(k))
+		if w.statRow(row) == 0 {
+			w.buf = w.buf[:kindAt]
+			continue
+		}
+		n++
+	}
+	w.backfill(countAt, n)
+}
+
+// pairRow writes two dense i64 columns as a cell list keyed by index: both
+// values of every cell whose hits column (0 or 1) is non-zero. A reset
+// zeroes both columns.
+func (w *pwriter) pairRow(cols [2][]int64, hits int) {
+	countAt, n := w.reserve(), 0
+	for i, h := range cols[hits] {
+		if h == 0 {
+			continue
+		}
+		n++
+		w.u32(uint32(i))
+		w.i64(cols[0][i])
+		w.i64(cols[1][i])
+	}
+	w.backfill(countAt, n)
+	if w.reset {
+		clear(cols[0])
+		clear(cols[1])
+	}
+}
+
+// sortedCells writes a map's non-zero entries as a cell list in key order,
+// put writing each key and value. A reset zeroes the entries and keeps
+// them.
+func sortedCells[K cmp.Ordered, V comparable](w *pwriter, m map[K]*V, put func(K, V)) {
+	keys := nonZeroKeys(m)
+	slices.Sort(keys)
+	w.u32(uint32(len(keys)))
+	var zero V
+	for _, k := range keys {
+		v := m[k]
+		put(k, *v)
+		if w.reset {
+			*v = zero
+		}
+	}
 }
 
 type preader struct {
@@ -1327,16 +1166,81 @@ func (r *preader) inOrder(sorted bool, what string) bool {
 	return r.err == nil
 }
 
-func (r *preader) bytes(dst []byte) {
-	if r.err != nil {
-		return
+// cellList walks a cell list: a count, then cells of at least size bytes
+// strictly ascending by key, each key below bound — a wide key (a call
+// site's) is a u32 prefix and then the u32 below bound. next checks a key;
+// the section reads the value behind it, refuses a cell no encoder writes,
+// and folds it in when applying. Any failure is the reader's error.
+type cellList struct {
+	r        *preader
+	what     string
+	bound, n int // n counts the cells left
+	wide     bool
+	started  bool
+	key      uint64 // the current cell's
+}
+
+func (r *preader) cells(what string, bound int, wide bool, size int) cellList {
+	n := int(r.u32())
+	if r.fits(n, size) != nil {
+		n = 0
 	}
-	if r.off+len(dst) > len(r.buf) {
+	return cellList{r: r, what: what, bound: bound, n: n, wide: wide}
+}
+
+// next steps to the next cell, reading its key in place (it runs once a
+// cell), and reports whether there is one to read.
+func (c *cellList) next() bool {
+	r := c.r
+	if c.n == 0 || r.err != nil {
+		return false
+	}
+	c.n--
+	at := r.off
+	if c.wide {
+		at += 4
+	}
+	if at+4 > len(r.buf) {
 		r.fail()
-		return
+		return false
 	}
-	copy(dst, r.buf[r.off:])
-	r.off += len(dst)
+	low := binary.LittleEndian.Uint32(r.buf[at:])
+	key := uint64(low)
+	if c.wide {
+		key |= uint64(binary.LittleEndian.Uint32(r.buf[r.off:])) << 32
+	}
+	r.off = at + 4
+	switch {
+	case c.started && key <= c.key:
+		return r.inOrder(false, c.what) // fails the read
+	case int(low) >= c.bound:
+		r.err = fmt.Errorf("analysis: partial %s %d outside [0, %d)", c.what, low, c.bound)
+		return false
+	}
+	c.key, c.started = key, true
+	return true
+}
+
+// refuse ends the walk at the current cell, one its section's writer never
+// writes: folded in, it would vanish at the next encode.
+func (c *cellList) refuse(why string) {
+	if c.r.err == nil {
+		c.r.err = fmt.Errorf("analysis: partial %s %d %s, which no encoder writes", c.what, c.key, why)
+	}
+}
+
+// zeroStat is why a Stat section refuses a cell: no writer writes a zero
+// Stat. Not hits: temporal spreads time into buckets that got none.
+const zeroStat = "with a zero Stat"
+
+// row starts the row behind the current kind of a kindRows table: Stat
+// cells keyed below bound, at least one, as kindRows writes no empty row.
+func (c *cellList) row(what string, bound int) cellList {
+	row := c.r.cells(what, bound, false, 4+24)
+	if row.n == 0 {
+		c.refuse("with an empty row")
+	}
+	return row
 }
 
 func (r *preader) u32() uint32 {
@@ -1363,17 +1267,6 @@ func (r *preader) i64() int64 {
 	v := binary.LittleEndian.Uint64(r.buf[r.off:])
 	r.off += 8
 	return int64(v)
-}
-
-// kind reads a kind key. Every other surface carries a kind as a uint8;
-// a wider value here would alias into the kind tables (257 onto 1) and
-// count twice under a key that passed the ascending-order check.
-func (r *preader) kind(section string) uint32 {
-	k := r.u32()
-	if k > math.MaxUint8 && r.err == nil {
-		r.err = fmt.Errorf("analysis: partial %s kind %d outside [0, %d]", section, k, math.MaxUint8)
-	}
-	return k
 }
 
 func (r *preader) stat() Stat {

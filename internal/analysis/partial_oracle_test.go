@@ -1,0 +1,177 @@
+package analysis
+
+import (
+	"fmt"
+	"math/rand"
+	"reflect"
+	"testing"
+
+	"repro/internal/trace"
+)
+
+// The naive whole-run reference for the six module sections: maps over the
+// run's events and nothing of the engine's — no packs, no partials, no
+// shared helper. Per module it is what a reader of the paper writes down:
+// hits, bytes and time per call kind; the same per (sender, receiver) of
+// outgoing point-to-point calls between ranks of the app, per (kind, rank)
+// of the app, and per (call site, kind); per (kind, time bucket) the hits
+// and bytes of the calls starting in the bucket and the time of every call
+// spanning it, time before zero counted at zero; and the power-of-two
+// histogram of outgoing message sizes.
+
+// refCells is one module's answer: hits, bytes and time by a two-part key,
+// no zero ones.
+type refCells map[[2]int64][3]int64
+
+func (c refCells) add(a, b int64, v [3]int64) {
+	s := c[[2]int64{a, b}]
+	c[[2]int64{a, b}] = [3]int64{s[0] + v[0], s[1] + v[1], s[2] + v[2]}
+}
+
+// refProfile is the reference's answer for a whole run. A size bucket is
+// keyed by its lower bound.
+type refProfile struct {
+	events, buckets                                    int64
+	kinds, matrix, density, temporal, callsites, sizes refCells
+}
+
+func newRefProfile() refProfile {
+	return refProfile{kinds: refCells{}, matrix: refCells{}, density: refCells{}, temporal: refCells{},
+		callsites: refCells{}, sizes: refCells{}}
+}
+
+// refProfileOf runs the reference over a run's events, in any order, with
+// temporal buckets of bucketNs.
+func refProfileOf(evs []trace.Event, appSize int, bucketNs int64) refProfile {
+	p := newRefProfile()
+	inApp := func(r int32) bool { return r >= 0 && int(r) < appSize }
+	for _, ev := range evs {
+		k, v := int64(ev.Kind), [3]int64{1, ev.Size, ev.TEnd - ev.TStart}
+		p.events++
+		p.kinds.add(k, 0, v)
+		p.callsites.add(int64(ev.Ctx), k, v)
+		if inApp(ev.Rank) {
+			p.density.add(k, int64(ev.Rank), v)
+		}
+		if ev.Kind == trace.KindSend || ev.Kind == trace.KindIsend || ev.Kind == trace.KindSendrecv {
+			if inApp(ev.Rank) && inApp(ev.Peer) {
+				p.matrix.add(int64(ev.Rank), int64(ev.Peer), v)
+			}
+			if ev.Size >= 0 {
+				// The highest power of two up to the size, from 2 to 2^39;
+				// 0 and 1 share the bucket from 0.
+				lo := int64(0)
+				for b := 1; b < 40; b++ {
+					if int64(1)<<b <= ev.Size {
+						lo = 1 << b
+					}
+				}
+				p.sizes.add(lo, 0, [3]int64{1, ev.Size, 0})
+			}
+		}
+		if ev.TEnd < ev.TStart {
+			continue
+		}
+		start, end := max(ev.TStart, 0), max(ev.TEnd, 0)
+		p.buckets = max(p.buckets, end/bucketNs+1)
+		p.temporal.add(k, start/bucketNs, [3]int64{1, ev.Size, 0})
+		for b := int64(0); b*bucketNs < end; b++ {
+			if lo, hi := max(start, b*bucketNs), min(end, (b+1)*bucketNs); hi > lo {
+				p.temporal.add(k, b, [3]int64{0, 0, hi - lo})
+			}
+		}
+	}
+	return p
+}
+
+// engineProfile reads the same values out of a partial the way the report
+// does, through the modules' accessors.
+func engineProfile(pp *Partial) refProfile {
+	p := newRefProfile()
+	stat := func(st Stat) [3]int64 { return [3]int64{st.Hits, st.Bytes, st.TimeNs} }
+	p.events = pp.Profiler.Events()
+	for _, k := range pp.Profiler.Kinds() {
+		p.kinds[[2]int64{int64(k)}] = stat(pp.Profiler.Stat(k))
+	}
+	for _, e := range pp.Topology.AppendEdges(nil) {
+		p.matrix[[2]int64{int64(e.Src), int64(e.Dst)}] = stat(e.Stat)
+	}
+	p.buckets = int64(pp.Temporal.Buckets())
+	for kind := 0; kind < 256; kind++ {
+		k := trace.Kind(kind)
+		dense := func(cells refCells, values func(k trace.Kind, metric Metric) []float64) {
+			hits, bytes, ns := values(k, MetricHits), values(k, MetricBytes), values(k, MetricTime)
+			for i := range hits {
+				if v := [3]int64{int64(hits[i]), int64(bytes[i]), int64(ns[i])}; v != ([3]int64{}) {
+					cells[[2]int64{int64(k), int64(i)}] = v
+				}
+			}
+		}
+		dense(p.density, pp.Density.Map)
+		dense(p.temporal, pp.Temporal.Series)
+	}
+	for _, c := range pp.Callsites.Top(0) {
+		p.callsites[[2]int64{int64(c.Ctx), int64(c.Kind)}] = stat(c.Stat)
+	}
+	for _, b := range pp.Sizes.Histogram() {
+		p.sizes[[2]int64{b.Lo}] = [3]int64{b.Hits, b.Bytes, 0}
+	}
+	return p
+}
+
+// TestPartialOracle holds the six module sections to the naive reference on
+// 1 000 generated runs with every module on, through the four ingest paths
+// TestWindowOracle drives, each compared on the values its canonical bytes
+// decode to. The temporal buckets are drawn as narrow as 50 ns, so the
+// streams' starts before zero reach back several buckets.
+func TestPartialOracle(t *testing.T) {
+	const appSize = 5
+	for seed := int64(0); seed < 1000; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		perRank := oracleStream(rng, appSize)
+		opts := PartialOptions{AppSize: appSize, WaitState: true, TemporalWindowNs: int64(50 + rng.Intn(1950)),
+			Callsites: true, Sizes: true, WindowNs: int64(600 + rng.Intn(2400))}
+		var evs []trace.Event
+		for _, seq := range perRank {
+			evs = append(evs, seq...)
+		}
+		want := refProfileOf(evs, appSize, opts.TemporalWindowNs)
+		for name, path := range ingestPaths(t, rng, opts, perRank) {
+			pp, err := DecodePartial(path().AppendCanonical(nil))
+			if err != nil {
+				t.Fatalf("seed %d %s: %v", seed, name, err)
+			}
+			if got := engineProfile(pp); !reflect.DeepEqual(got, want) {
+				t.Fatalf("seed %d %s (temporal bucket %d ns): the decoded profile disagrees with the reference: %s",
+					seed, name, opts.TemporalWindowNs, profileDiff(got, want))
+			}
+		}
+	}
+}
+
+// profileDiff names a module and a cell where two answers differ.
+func profileDiff(got, want refProfile) string {
+	if got.events != want.events || got.buckets != want.buckets {
+		return fmt.Sprintf("events %d and temporal buckets %d, want %d and %d", got.events, got.buckets, want.events, want.buckets)
+	}
+	for _, m := range []struct {
+		name      string
+		got, want refCells
+	}{
+		{"profiler", got.kinds, want.kinds}, {"topology", got.matrix, want.matrix},
+		{"density", got.density, want.density}, {"temporal", got.temporal, want.temporal},
+		{"call sites", got.callsites, want.callsites}, {"sizes", got.sizes, want.sizes},
+	} {
+		for key, v := range m.want {
+			if m.got[key] != v {
+				return fmt.Sprintf("%s cell %v: got %v, want %v", m.name, key, m.got[key], v)
+			}
+		}
+		for key, v := range m.got {
+			if _, ok := m.want[key]; !ok {
+				return fmt.Sprintf("%s cell %v: got %v, want none", m.name, key, v)
+			}
+		}
+	}
+	return "no cell differs"
+}

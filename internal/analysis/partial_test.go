@@ -291,32 +291,117 @@ func TestDecodePartialMalformed(t *testing.T) {
 	// A topology cell without hits is not canonical: no encoder writes one,
 	// and none would ever emit, or zero, what it left behind in the matrix.
 	for _, hits := range []int64{0, -2} {
-		buf := hitlessCellPartial(hits)
+		buf := hitlessCellPartial("topology", hits)
 		if _, err := DecodePartial(buf); err == nil || !strings.Contains(err.Error(), "hits") {
 			t.Fatalf("topology cell with %d hits: err = %v, want a rejection naming the hits", hits, err)
 		}
-		rx := NewPartial(1, PartialOptions{AppSize: 4})
+		rx := NewPartial(1, hitlessCellOpts)
 		err := rx.MergeEncoded(buf)
 		if landed := slices.ContainsFunc(rx.Topology.mat.cells, func(c Stat) bool { return c != Stat{} }); err == nil || landed {
 			t.Fatalf("topology cell with %d hits: MergeEncoded err = %v, landed in the matrix: %v", hits, err, landed)
 		}
 	}
+	// Nor is any other cell its section's writer skips. Folded in, a sizes
+	// bucket or a wait rank without hits would keep its bytes or its late
+	// time in the module, and the next encode would drop them unseen.
+	for _, sec := range hitlessSections {
+		if _, err := DecodePartial(hitlessCellPartial(sec, 1)); err != nil {
+			t.Fatalf("%s: the same cell with a hit: %v", sec, err)
+		}
+		buf := hitlessCellPartial(sec, 0)
+		if _, err := DecodePartial(buf); err == nil || !strings.Contains(err.Error(), "no encoder writes") {
+			t.Errorf("%s: err = %v, want the unwritten cell refused", sec, err)
+		}
+		rx := NewPartial(1, hitlessCellOpts)
+		before := rx.AppendCanonical(nil)
+		if err := rx.MergeEncoded(buf); err == nil || !bytes.Equal(rx.AppendCanonical(nil), before) {
+			t.Errorf("%s: MergeEncoded err = %v, or the receiver changed", sec, err)
+		}
+	}
 }
 
-// hitlessCellPartial hand-assembles an otherwise empty partial whose one
-// topology cell carries bytes under the given (non-positive) hit count.
-func hitlessCellPartial(hits int64) []byte {
+// hitlessSections names the cell sections hitlessCellPartial can plant a
+// cell in; a "row" is a kind table's kind with no cells under it.
+var hitlessSections = []string{"profiler", "topology", "density", "density row", "wait sums",
+	"temporal", "temporal row", "call sites", "sizes", "shed"}
+
+// hitlessCellOpts is the module selection of hitlessCellPartial's
+// encodings, but for the shed ledger, which only its "shed" one carries.
+var hitlessCellOpts = PartialOptions{AppSize: 4, WaitState: true, TemporalWindowNs: 1000, Callsites: true, Sizes: true}
+
+// hitlessCellPartial hand-assembles a partial without events whose one
+// cell sits in section sec (of hitlessSections) and has the given hits.
+// With hits != 0 it is a cell an encoder writes. With hits 0 it is one no
+// encoder writes: bytes or late time without hits where the section's
+// writer tests hits (topology, wait sums, sizes), a zero value where it
+// tests for zero, and an empty row in a kind table.
+func hitlessCellPartial(sec string, hits int64) []byte {
+	val := Stat{}
+	if hits != 0 {
+		val = Stat{Hits: hits, Bytes: 5}
+	}
 	var w pwriter
+	count := func(planted bool) bool { // a cell list's count: the one cell, or none
+		n := uint32(0)
+		if planted {
+			n = 1
+		}
+		w.u32(n)
+		return planted
+	}
+	table := func(name string) { // kind 1, whose row holds the cell or is the empty "row"
+		if count(sec == name || sec == name+" row") {
+			w.u32(1)
+			if count(sec == name || hits != 0) {
+				w.u32(2)
+				w.stat(val)
+			}
+		}
+	}
+	flags := flagWait | flagTemporal | flagCallsites | flagSizes
+	if sec == "shed" {
+		flags |= flagShed
+	}
 	w.buf = append(w.buf, partialMagic[:]...)
 	w.u32(1) // app id
-	w.u32(4) // app size
-	w.u32(0) // flags
-	w.i64(0) // temporal window
-	w.i64(0) // profiler: no events, no kinds
-	w.u32(0)
-	w.u32(1) // topology: one cell
-	w.u32(6)
-	w.stat(Stat{Hits: hits, Bytes: 5})
-	w.u32(0) // density kinds
+	w.u32(uint32(hitlessCellOpts.AppSize))
+	w.u32(flags)
+	w.i64(hitlessCellOpts.TemporalWindowNs)
+	w.i64(0) // profiler: events, then kinds
+	if count(sec == "profiler") {
+		w.u32(1)
+		w.stat(val)
+	}
+	if count(sec == "topology") {
+		w.u32(6)
+		w.stat(Stat{Hits: hits, Bytes: 5})
+	}
+	table("density")
+	w.i64(0) // wait sums: pairs, then ranks
+	if count(sec == "wait sums") {
+		w.u32(2)
+		w.i64(777) // late time
+		w.i64(hits)
+	}
+	w.u32(0) // pending sends
+	w.u32(0) // pending receives
+	w.u32(4) // temporal buckets
+	table("temporal")
+	if count(sec == "call sites") {
+		w.u32(9) // ctx
+		w.u32(1) // kind
+		w.stat(val)
+	}
+	if count(sec == "sizes") {
+		w.u32(3)
+		w.i64(hits)
+		w.i64(999) // bytes
+	}
+	if sec == "shed" {
+		w.u32(1)
+		w.u32(1)
+		w.i64(hits) // shed
+		w.i64(0)    // kept
+	}
 	return w.buf
 }

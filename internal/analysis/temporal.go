@@ -45,10 +45,12 @@ func (m *TemporalModule) Add(ev *trace.Event) {
 }
 
 func (m *TemporalModule) fold(ev *trace.Event) {
-	start, end := ev.TStart, ev.TEnd
-	if end < start {
+	if ev.TEnd < ev.TStart {
 		return
 	}
+	// Time before zero counts at zero, as the window series counts it: a
+	// negative bucket index has no row.
+	start, end := max(ev.TStart, 0), max(ev.TEnd, 0)
 	firstB := int(start / m.window)
 	lastB := int(end / m.window)
 	if lastB+1 > m.buckets {
@@ -70,7 +72,7 @@ func (m *TemporalModule) fold(ev *trace.Event) {
 	for b := firstB; b <= lastB; b++ {
 		bStart := int64(b) * m.window
 		bEnd := bStart + m.window
-		lo, hi := max64(start, bStart), min64(end, bEnd)
+		lo, hi := max(start, bStart), min(end, bEnd)
 		if hi > lo {
 			per[b].TimeNs += hi - lo
 		}
@@ -117,20 +119,6 @@ func growStats(s []Stat, n int) []Stat {
 		return s[:n]
 	}
 	return append(s, make([]Stat, n-len(s))...)
-}
-
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func min64(a, b int64) int64 {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 // Buckets returns the number of time buckets observed so far.

@@ -159,7 +159,9 @@ func engineRun(pp *Partial) refRun {
 }
 
 // oracleStream generates one seeded run: per-rank time-ordered streams of
-// point-to-point traffic between neighbours, with the edges mixed in —
+// point-to-point traffic between neighbours from three call sites (the
+// site follows the call's place in its rank's stream, so the draws are
+// those of a stream without sites), with the edges mixed in —
 // unnamed kinds, peers outside the app, a rank outside the app, wildcard
 // (Peer < 0) completions, Waits without a tag, zero-duration calls and
 // starts before zero — over enough windows that channels straddle their
@@ -173,7 +175,7 @@ func oracleStream(rng *rand.Rand, appSize int) [][]trace.Event {
 		for i := 0; i < n; i++ {
 			now += int64(rng.Intn(300))
 			ev := trace.Event{Kind: kinds[rng.Intn(len(kinds))], Rank: int32(r), Tag: int32(rng.Intn(2)),
-				Comm: uint32(rng.Intn(2)), Size: int64(rng.Intn(4096)), TStart: now}
+				Comm: uint32(rng.Intn(2)), Size: int64(rng.Intn(4096)), TStart: now, Ctx: uint32(i % 3)}
 			switch rng.Intn(12) {
 			case 0:
 				ev.Peer = -1
@@ -232,63 +234,70 @@ func TestWindowOracle(t *testing.T) {
 		for _, seq := range perRank {
 			evs = append(evs, seq...)
 		}
-
-		paths := map[string]func() *Partial{
-			"AddEvent": func() *Partial {
-				pp := NewPartial(1, opts)
-				roundRobin(perRank, pp.AddEvent)
-				return pp
-			},
-			"Replica.Fold+MergeReset": func() *Partial {
-				canon := NewPartial(0, opts)
-				reps := []*Replica{NewReplica(0, opts), NewReplica(0, opts)}
-				roundRobin(perRank, func(ev *trace.Event) {
-					r := reps[rng.Intn(len(reps))]
-					r.Fold(ev)
-					if rng.Intn(16) == 0 {
-						if err := canon.MergeReset(r.Partial()); err != nil {
-							t.Fatal(err)
-						}
-					}
-				})
-				for _, r := range reps {
-					if err := canon.MergeReset(r.Partial()); err != nil {
-						t.Fatal(err)
-					}
-				}
-				return canon
-			},
-			"Flush(false)→MergeEncoded chain": func() *Partial {
-				delta, cum := NewPartial(1, opts), NewPartial(1, opts)
-				seal := func(final bool) {
-					if err := cum.MergeEncoded(delta.Flush(nil, final)); err != nil {
-						t.Fatal(err)
-					}
-				}
-				roundRobin(perRank, func(ev *trace.Event) {
-					delta.AddEvent(ev)
-					if rng.Intn(24) == 0 {
-						seal(false)
-					}
-				})
-				seal(true)
-				return cum
-			},
-			"Flush(true)": func() *Partial {
-				pp := NewPartial(1, opts)
-				roundRobin(perRank, pp.AddEvent)
-				dec, err := DecodePartial(pp.Flush(nil, true))
-				if err != nil {
-					t.Fatal(err)
-				}
-				return dec
-			},
-		}
-		for name, path := range paths {
+		for name, path := range ingestPaths(t, rng, opts, perRank) {
 			if !oracleAgrees(t, fmt.Sprintf("seed %d %s", seed, name), path().AppendCanonical(nil), evs) {
 				return
 			}
 		}
+	}
+}
+
+// ingestPaths returns the ways the oracles feed a run's events to a
+// partial of opts — AddEvent, replicas epoch-merged with MergeReset, the
+// daemon's seal chain (a delta's Flush(false) merged into a cumulative
+// state with MergeEncoded, then its Flush(true)) and a whole-run
+// Flush(true) decoded — with rng picking replicas and seal points.
+func ingestPaths(t *testing.T, rng *rand.Rand, opts PartialOptions, perRank [][]trace.Event) map[string]func() *Partial {
+	return map[string]func() *Partial{
+		"AddEvent": func() *Partial {
+			pp := NewPartial(1, opts)
+			roundRobin(perRank, pp.AddEvent)
+			return pp
+		},
+		"Replica.Fold+MergeReset": func() *Partial {
+			canon := NewPartial(0, opts)
+			reps := []*Replica{NewReplica(0, opts), NewReplica(0, opts)}
+			roundRobin(perRank, func(ev *trace.Event) {
+				r := reps[rng.Intn(len(reps))]
+				r.Fold(ev)
+				if rng.Intn(16) == 0 {
+					if err := canon.MergeReset(r.Partial()); err != nil {
+						t.Fatal(err)
+					}
+				}
+			})
+			for _, r := range reps {
+				if err := canon.MergeReset(r.Partial()); err != nil {
+					t.Fatal(err)
+				}
+			}
+			return canon
+		},
+		"Flush(false)→MergeEncoded chain": func() *Partial {
+			delta, cum := NewPartial(1, opts), NewPartial(1, opts)
+			seal := func(final bool) {
+				if err := cum.MergeEncoded(delta.Flush(nil, final)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			roundRobin(perRank, func(ev *trace.Event) {
+				delta.AddEvent(ev)
+				if rng.Intn(24) == 0 {
+					seal(false)
+				}
+			})
+			seal(true)
+			return cum
+		},
+		"Flush(true)": func() *Partial {
+			pp := NewPartial(1, opts)
+			roundRobin(perRank, pp.AddEvent)
+			dec, err := DecodePartial(pp.Flush(nil, true))
+			if err != nil {
+				t.Fatal(err)
+			}
+			return dec
+		},
 	}
 }
 
