@@ -66,6 +66,7 @@ func FuzzDecodePartial(f *testing.F) {
 	for _, sec := range hitlessSections {
 		f.Add(hitlessCellPartial(sec, 0))
 	}
+	f.Add(shedFlaggedPartial())
 	accepted, refused := windowLayoutSeeds()
 	for _, seed := range append(accepted, refused...) {
 		f.Add(seed)

@@ -954,12 +954,16 @@ func (pp *Partial) mergeSizes(r *preader, apply bool) error {
 	return r.err
 }
 
+// mergeShed also refuses a section without a shed event: the header flags
+// one only then, so the next encode would drop the flag and the section.
 func (pp *Partial) mergeShed(r *preader, apply bool) error {
+	shed := false
 	for c := r.cells("shed kind", kindSlots, false, 4+16); c.next(); {
 		st := ShedStat{Shed: r.i64(), Kept: r.i64()}
 		if st.Shed < 0 || st.Kept < 0 {
 			return fmt.Errorf("analysis: negative shed ledger counts for %v", trace.Kind(c.key))
 		}
+		shed = shed || st.Shed > 0
 		if st == (ShedStat{}) {
 			c.refuse("with a zero ledger")
 		} else if apply {
@@ -967,6 +971,9 @@ func (pp *Partial) mergeShed(r *preader, apply bool) error {
 			dst.Shed += st.Shed
 			dst.Kept += st.Kept
 		}
+	}
+	if r.err == nil && !shed {
+		return fmt.Errorf("analysis: partial shed flag without a shed event")
 	}
 	return r.err
 }

@@ -2,6 +2,7 @@ package analysis
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math/rand"
 	"slices"
 	"strings"
@@ -318,6 +319,50 @@ func TestDecodePartialMalformed(t *testing.T) {
 			t.Errorf("%s: MergeEncoded err = %v, or the receiver changed", sec, err)
 		}
 	}
+}
+
+// TestDecodePartialRefusesShedFlagWithoutShed: the header flags a shed
+// ledger only when it holds a shed event, so a flagged section without one
+// — empty, or of kept-only cells — is refused by DecodePartial and leaves a
+// MergeEncoded receiver as it was. Accepted, the next encode would drop
+// the flag and the section (48 → 44 bytes for the empty one).
+func TestDecodePartialRefusesShedFlagWithoutShed(t *testing.T) {
+	empty := shedFlaggedPartial()
+	if len(empty) != 48 {
+		t.Fatalf("the empty case is %d bytes, want 48", len(empty))
+	}
+	for name, buf := range map[string][]byte{"empty": empty, "kept only": shedFlaggedPartial(ShedStat{Kept: 5})} {
+		if _, err := DecodePartial(buf); err == nil || !strings.Contains(err.Error(), "without a shed event") {
+			t.Errorf("%s: err = %v, want the flagged section without a shed event refused", name, err)
+		}
+		rx := NewPartial(1, PartialOptions{AppSize: 2})
+		if err := rx.MergeEncoded(buf); err == nil || rx.Shed != nil {
+			t.Errorf("%s: MergeEncoded err = %v, ledger %v", name, err, rx.Shed)
+		}
+	}
+	shed := shedFlaggedPartial(ShedStat{Shed: 1, Kept: 5})
+	pp, err := DecodePartial(shed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again := pp.AppendCanonical(nil); !bytes.Equal(again, shed) {
+		t.Fatalf("a ledger with a shed event re-encodes to %d bytes, not its own %d", len(again), len(shed))
+	}
+}
+
+// shedFlaggedPartial hand-assembles an empty partial of two ranks (44
+// bytes) with the shed flag set and a shed section holding cells, one per
+// stat, under kinds 1, 2, ...
+func shedFlaggedPartial(cells ...ShedStat) []byte {
+	w := pwriter{buf: NewPartial(1, PartialOptions{AppSize: 2}).AppendCanonical(nil)}
+	binary.LittleEndian.PutUint32(w.buf[12:], binary.LittleEndian.Uint32(w.buf[12:])|flagShed)
+	w.u32(uint32(len(cells)))
+	for k, st := range cells {
+		w.u32(uint32(k + 1))
+		w.i64(st.Shed)
+		w.i64(st.Kept)
+	}
+	return w.buf
 }
 
 // hitlessSections names the cell sections hitlessCellPartial can plant a

@@ -386,18 +386,23 @@ func (p *Proc) park(why string, lazy fmt.Stringer) {
 // Sleep advances the process's virtual time by d. A non-positive d yields
 // control without advancing time, which still gives other ready processes a
 // chance to run at the same timestamp.
-func (p *Proc) Sleep(d time.Duration) {
-	s := p.sim
-	s.scheduleProc(s.now+DurationToTime(d), p)
-	p.park("sleep", nil)
-}
+func (p *Proc) Sleep(d time.Duration) { p.SleepUntil(p.sim.now + DurationToTime(d)) }
 
 // SleepUntil advances the process's virtual time to at (no-op if at is in
-// the past).
+// the past). A wake no queued event can overtake (a tie yields to the lower
+// sequence) would be popped next, by this process's own loop, so unless a
+// halt, a failure or a kill needs the loop, the clock advances in place:
+// the wake's sequence number is spent, and nothing is pushed or popped.
 func (p *Proc) SleepUntil(at Time) {
 	s := p.sim
+	at = max(at, s.now)
+	if !p.killed && !s.halted && s.failure == nil && (len(s.queue) == 0 || at < s.queue[0].at) {
+		s.seq++
+		s.now = at
+		return
+	}
 	s.scheduleProc(at, p)
-	p.park("sleep-until", nil)
+	p.park("sleep", nil)
 }
 
 // ParkFor blocks the process indefinitely; some other process or event

@@ -698,3 +698,98 @@ func BenchmarkProcSwitch(b *testing.B) {
 		})
 	}
 }
+
+// The tests below pin the edges of a sleep no queued event can overtake,
+// which advances the clock in place instead of scheduling a wake.
+
+// TestSleepTieYieldsToQueuedEvent: a wake due at the same time as a queued
+// event comes after it, as its higher sequence number says — whether the
+// sleeper is alone with a callback or a process sleeps to the tie.
+func TestSleepTieYieldsToQueuedEvent(t *testing.T) {
+	s := New(1)
+	var order []string
+	at := DurationToTime(10 * time.Microsecond)
+	s.At(at, func() { order = append(order, "callback") })
+	s.Spawn("a", func(p *Proc) {
+		p.Sleep(10 * time.Microsecond)
+		order = append(order, "a")
+		p.SleepUntil(2 * at)
+		order = append(order, "a again")
+	})
+	s.Spawn("b", func(p *Proc) {
+		p.SleepUntil(2 * at)
+		order = append(order, "b")
+	})
+	if err := s.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := strings.Join(order, ", "), "callback, a, b, a again"; got != want {
+		t.Fatalf("order = %q, want %q", got, want)
+	}
+}
+
+// TestKilledProcUnwindsAtNextSleep: a process that is killed while it runs
+// (here by itself) unwinds at its next Sleep, with nothing else queued:
+// the sleep never returns.
+func TestKilledProcUnwindsAtNextSleep(t *testing.T) {
+	s := New(1)
+	returned := false
+	p := s.Spawn("victim", func(p *Proc) {
+		p.Sleep(time.Millisecond)
+		p.Kill()
+		p.Sleep(time.Millisecond)
+		returned = true
+	})
+	if err := s.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if returned || !p.Dead() {
+		t.Fatalf("returned=%v dead=%v, want the killed sleeper unwound", returned, p.Dead())
+	}
+}
+
+// TestHaltedRunStopsLoneSleeper: a halt set by the only process stops the
+// run at its next Sleep, though no queued event could overtake the wake.
+func TestHaltedRunStopsLoneSleeper(t *testing.T) {
+	s := New(1)
+	steps := 0
+	s.Spawn("halter", func(p *Proc) {
+		for steps < 10 { // bounded, so a sleep past the halt fails rather than spins
+			p.Sleep(time.Millisecond)
+			if steps++; steps == 3 {
+				s.halted = true
+			}
+		}
+	})
+	if err := s.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if steps != 3 || s.Now() != DurationToTime(3*time.Millisecond) {
+		t.Fatalf("steps=%d now=%v, want 3 steps stopped at 3ms", steps, s.Now())
+	}
+}
+
+// TestSleepUntilPastClamps: a wake in the past is a wake now, alone (the
+// clock never runs backwards) and behind a queued event due now (which
+// still goes first).
+func TestSleepUntilPastClamps(t *testing.T) {
+	s := New(1)
+	var order []string
+	s.Spawn("a", func(p *Proc) {
+		p.Sleep(5 * time.Millisecond)
+		seq := s.seq
+		p.SleepUntil(DurationToTime(time.Millisecond))
+		if p.Now() != DurationToTime(5*time.Millisecond) || s.seq != seq+1 {
+			t.Errorf("alone: now=%v after a past SleepUntil, %d sequence numbers spent; want 5ms and 1", p.Now(), s.seq-seq)
+		}
+		s.At(p.Now(), func() { order = append(order, "callback") })
+		p.SleepUntil(0)
+		order = append(order, "a")
+	})
+	if err := s.Run(); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := strings.Join(order, ", "), "callback, a"; got != want || s.Now() != DurationToTime(5*time.Millisecond) {
+		t.Fatalf("order = %q, now %v; want %q at 5ms", got, s.Now(), want)
+	}
+}

@@ -85,7 +85,7 @@ func CaptureRun(p Platform, workloads []*nas.Workload, opts ProfileOptions) (*Ca
 
 	cp := &Capture{PlatformName: p.Name, PackVersion: co.packVersion, Options: opts}
 
-	run := &coupledRun{blockSize: int64(co.packBytes)}
+	run := &coupledRun{blockSize: int64(co.packBytes), mayLose: co.mayLose}
 	if err := run.instrumented(workloads, instrument.OnlineConfig{PackVersion: co.packVersion}, nil); err != nil {
 		return nil, err
 	}

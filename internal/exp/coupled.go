@@ -33,6 +33,8 @@ import (
 type coupledRun struct {
 	// blockSize is the stream block (and pack) size of the data streams.
 	blockSize int64
+	// mayLose is set when a fault, a throttle or a write deadline is configured.
+	mayLose bool
 
 	programs []mpi.Program
 	// writerParts counts the writer partitions, which are the first
@@ -322,9 +324,19 @@ func (c *coupledRun) build(p Platform, seed int64) {
 }
 
 // run executes the simulation and returns its first error, a rank's
-// before the simulator's.
+// before the simulator's. Without mayLose nothing may lose events: a recorder
+// that fell back, or a dropped or lost block, is then the run's error.
 func (c *coupledRun) run() error {
-	return firstError(c.reported, c.world.Run())
+	if err := firstError(c.reported, c.world.Run()); err != nil || c.mayLose {
+		return err
+	}
+	for _, pr := range c.probes {
+		if st, fell := pr.rec.StreamStats(), pr.rec.FellBack(); fell || st.BlocksDropped > 0 || st.BlocksLostInFlight > 0 {
+			return fmt.Errorf("exp: %s rank %d lost events with no fault, throttle or write deadline configured (fell back %v, %d blocks dropped, %d lost in flight)",
+				pr.app, pr.rank, fell, st.BlocksDropped, st.BlocksLostInFlight)
+		}
+	}
+	return nil
 }
 
 // lossRows is the run's per-stream loss accounting, one row per

@@ -136,7 +136,7 @@ func runOnline(p Platform, w *nas.Workload, ratio int, seed int64, packVersion i
 		cfg.WriteDeadline = f.deadline
 		cfg.FailoverEndpoints = analyzers - 1
 	}
-	c := &coupledRun{blockSize: StreamBlockSize}
+	c := &coupledRun{blockSize: StreamBlockSize, mayLose: f != nil}
 	if err := c.instrumented([]*nas.Workload{w}, cfg, nil); err != nil {
 		return onlineRun{}, err
 	}

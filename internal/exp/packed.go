@@ -95,10 +95,10 @@ func StreamThroughputPacked(p Platform, writers, ratio int, perWriter, blockSize
 			if payload == nil {
 				return nil
 			}
-			if err := st.Write(payload, int64(len(payload))); err != nil {
+			if err := st.Write(payload, trace.BlockSize(payload)); err != nil {
 				return err
 			}
-			wireBytes += int64(len(payload))
+			wireBytes += trace.BlockSize(payload)
 			logicalBytes += int64(trace.PackHeaderSize + n*recordSize)
 			wrote += int64(n)
 			b.Reset(trace.GetBuffer(b.CapBytes()))

@@ -184,13 +184,14 @@ type RunStats struct {
 
 // couplingOptions is what the options that shape the coupling resolve to
 // on a set of workloads: the sizes their zero values stand for, a pack
-// version that names a format, and the analyzer's modeled cost of a block.
-// A profile and a capture of it resolve them here, once.
+// version that names a format, the analyzer's modeled cost of a block and
+// whether loss is legal. A profile and a capture of it resolve them here.
 type couplingOptions struct {
 	analyzers   int
 	packBytes   int
 	packVersion int
 	cost        func(bytes int64) time.Duration
+	mayLose     bool
 }
 
 func (opts ProfileOptions) resolve(workloads []*nas.Workload) (couplingOptions, error) {
@@ -201,7 +202,8 @@ func (opts ProfileOptions) resolve(workloads []*nas.Workload) (couplingOptions, 
 	for _, w := range workloads {
 		appProcs += w.Procs
 	}
-	o := couplingOptions{analyzers: opts.Analyzers, packBytes: opts.PackBytes}
+	o := couplingOptions{analyzers: opts.Analyzers, packBytes: opts.PackBytes,
+		mayLose: len(opts.AggregatorFaults) > 0 || opts.AnalyzerByteRate > 0}
 	if o.analyzers <= 0 {
 		o.analyzers = (appProcs + 15) / 16
 	}
@@ -363,7 +365,7 @@ func ProfileRunStats(p Platform, workloads []*nas.Workload, opts ProfileOptions)
 		}
 	}
 
-	run := &coupledRun{blockSize: int64(co.packBytes)}
+	run := &coupledRun{blockSize: int64(co.packBytes), mayLose: co.mayLose}
 
 	var tree *treeCtx
 	if plan != nil {

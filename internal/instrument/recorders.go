@@ -141,7 +141,7 @@ type AdmissionGate interface {
 type OnlineRecorder struct {
 	sess     *vmpi.Session
 	stream   *vmpi.Stream
-	builder  trace.Builder // nil only on the v1 size-only fast path
+	builder  trace.Builder // nil for v1 size-only: see Record
 	version  int
 	appID    uint32
 	cost     costMeter
@@ -159,11 +159,12 @@ type OnlineRecorder struct {
 	gate   AdmissionGate
 	packFn func() int
 
-	// Size-only fast path (v1 only): no encoding, just byte accounting.
+	// recordSize is the declared record size, what LogicalBytes charges;
+	// packBytes bounds a pack's modelled size; counted is the open pack's
+	// event count when there is no builder.
 	recordSize int
 	packBytes  int
-	pendBytes  int
-	packEvents int
+	counted    int
 
 	// Telemetry (nil when disabled — the nil checks are the whole cost).
 	tel     *telemetry.SinkMetrics
@@ -330,8 +331,7 @@ func (o *OnlineRecorder) enterFallback() {
 		return
 	}
 	o.fellBack = true
-	o.pendBytes = 0
-	o.packEvents = 0
+	o.counted = 0
 	o.tel.OnFallback()
 	if o.builder != nil {
 		o.builder.Take() // discard the partial pack; its events are lost
@@ -355,16 +355,11 @@ func (o *OnlineRecorder) Record(ev *trace.Event) {
 	if o.fellBack {
 		return
 	}
-	o.packEvents++
 	if o.builder == nil {
-		// v1 size-only fast path: overhead experiments observe virtual time
-		// only, and the v1 wire size is a closed-form function of the event
-		// count, so the pack is accounted, not encoded.
-		if o.pendBytes == 0 {
-			o.pendBytes = trace.PackHeaderSize
-		}
-		o.pendBytes += o.recordSize
-		if o.pendBytes+o.recordSize > o.packBytes {
+		// v1 size-only: nothing reads the records and the modelled size is a
+		// closed form of the count. Encoded, every rank of a sweep would hold
+		// its open pack's records (Fig. 16: 4 096 ranks × ≈ 190 KB).
+		if o.counted++; trace.PackHeaderSize+(o.counted+1)*o.recordSize > o.packBytes {
 			o.flush()
 		}
 		return
@@ -387,62 +382,44 @@ func (o *OnlineRecorder) flush() {
 	if o.fellBack {
 		return
 	}
-	var payload []byte
-	var size int64
-	if o.builder == nil {
-		if o.pendBytes == 0 {
-			return
-		}
-		size = int64(o.pendBytes)
-		o.pendBytes = 0
-	} else {
-		var t0 time.Time
-		if o.codec != nil {
-			t0 = time.Now()
-		}
-		payload = o.builder.Take()
-		if o.codec != nil {
-			o.encNs += time.Since(t0).Nanoseconds()
-		}
-		if payload == nil {
-			return
-		}
-		size = int64(len(payload))
+	var t0 time.Time
+	if o.codec != nil {
+		t0 = time.Now()
 	}
-	packLogical := int64(trace.PackHeaderSize + o.packEvents*o.recordSize)
+	events, payload := o.counted, []byte(nil)
+	if o.builder != nil {
+		events, payload = o.builder.Count(), o.builder.Take()
+	}
+	if o.codec != nil {
+		o.encNs += time.Since(t0).Nanoseconds()
+	}
+	if events == 0 {
+		return
+	}
+	o.counted = 0
+	packLogical := int64(trace.PackHeaderSize + events*o.recordSize)
+	size := packLogical
+	if payload != nil {
+		size = trace.BlockSize(payload)
+	}
 	o.logical += packLogical
-	o.tel.OnFlush(o.packEvents, size)
-	o.codec.OnEncode(o.packEvents, size, packLogical, o.encNs)
+	o.tel.OnFlush(events, size)
+	o.codec.OnEncode(events, size, packLogical, o.encNs)
 	o.encNs = 0
-	o.packEvents = 0
 	o.produced += size
 	o.cost.settle()
-	if o.sizeOnly {
+	sent := payload
+	if o.sizeOnly && payload != nil {
 		// The encoded pack never leaves the process: only its size crosses
 		// the stream, and the buffer is recycled for the next pack directly.
-		if err := o.stream.Write(nil, size); err != nil {
-			o.enterFallback()
-			return
-		}
-		if o.stream.Degraded() {
-			o.enterFallback()
-			return
-		}
-		if o.builder != nil {
-			o.builder.Reset(payload)
-		}
-		return
+		sent = nil
+		o.builder.Reset(payload)
 	}
-	if err := o.stream.Write(payload, size); err != nil {
-		// A protocol error (e.g. unmapped control traffic) kills the
-		// stream for good: switch to local reduction instead of taking
-		// the application down.
-		o.enterFallback()
-		return
-	}
-	if o.stream.Degraded() {
-		// Every endpoint is quarantined; further packs would only be
-		// counted as drops. Reduce locally instead.
+	// A protocol error (e.g. unmapped control traffic) kills the stream for
+	// good, and with every endpoint quarantined further packs would only be
+	// counted as drops: reduce locally instead of taking the application
+	// down.
+	if err := o.stream.Write(sent, size); err != nil || o.stream.Degraded() {
 		o.enterFallback()
 		return
 	}

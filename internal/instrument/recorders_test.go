@@ -164,8 +164,8 @@ func TestOnlineRecorderSizeOnlyAccounting(t *testing.T) {
 					if sizeOnly && blk.Payload != nil {
 						t.Error("size-only block carried payload")
 					}
-					if !sizeOnly && int64(len(blk.Payload)) != blk.Size {
-						t.Error("payload size mismatch")
+					if !sizeOnly && trace.BlockSize(blk.Payload) != blk.Size {
+						t.Error("block size is not its payload's modelled size")
 					}
 				}
 			}},

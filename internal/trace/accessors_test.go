@@ -12,7 +12,7 @@ func TestBuilderAccessors(t *testing.T) {
 
 	v1 := NewPackBuilder(1, 0, MinRecordSize, 1<<12)
 	v1.Add(&ev)
-	if v1.CapBytes() != 1<<12 || v1.Count() != 1 {
+	if v1.CapBytes() != PackHeaderSize+(1<<12-PackHeaderSize)/MinRecordSize*MinRecordSize || v1.Count() != 1 {
 		t.Fatalf("v1 accessors: cap=%d count=%d", v1.CapBytes(), v1.Count())
 	}
 	if v1.Len() != PackHeaderSize+MinRecordSize {

@@ -6,6 +6,7 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"runtime"
+	"slices"
 	"testing"
 )
 
@@ -102,33 +103,39 @@ func TestPackReaderAllocationFree(t *testing.T) {
 	_ = sum
 }
 
-// TestPackBuilderResetClearsPadding guards the encoding invariant the
-// recycling relies on: record bytes beyond the fixed 48-byte core must
-// read zero even when the builder adopts a dirty recycled buffer.
-func TestPackBuilderResetClearsPadding(t *testing.T) {
-	const recordSize = 64
-	b := NewPackBuilder(1, 0, recordSize, 4096)
-	dirty := make([]byte, 4096)
-	for i := range dirty {
-		dirty[i] = 0xAB
+// TestPackBuilderDeclaredRecordSize: a v1 pack declares its record size
+// and writes none of the padding. Built in a dirty recycled buffer, a pack
+// of n events with declared records of 256 bytes holds 24+48n bytes,
+// models 24+256n (BlockSize), fills at the count the declared size allows
+// and round-trips with the declared size in its header.
+func TestPackBuilderDeclaredRecordSize(t *testing.T) {
+	const recordSize, packBytes = 256, PackHeaderSize + 10*256 + 255
+	b := NewPackBuilder(1, 0, recordSize, packBytes)
+	b.Reset(bytes.Repeat([]byte{0xAB}, b.CapBytes()))
+	var want []Event
+	for full := false; !full; {
+		ev := sampleEvent(len(want))
+		want = append(want, ev)
+		full = b.Add(&ev)
 	}
-	b.Reset(dirty)
-	ev := sampleEvent(1)
-	b.Add(&ev)
 	pack := b.Take()
-	rec := pack[PackHeaderSize : PackHeaderSize+recordSize]
-	for i := MinRecordSize; i < recordSize; i++ {
-		if rec[i] != 0 {
-			t.Fatalf("padding byte %d = %#x after Reset with a dirty buffer, want 0", i, rec[i])
-		}
+	n := len(want)
+	if n != 10 || len(pack) != PackHeaderSize+MinRecordSize*n || BlockSize(pack) != int64(PackHeaderSize+recordSize*n) {
+		t.Fatalf("%d events in %d bytes modelled as %d; want 10 in %d modelled as %d",
+			n, len(pack), BlockSize(pack), PackHeaderSize+MinRecordSize*10, PackHeaderSize+recordSize*10)
 	}
-	// Round-trip through the decoder for good measure.
-	_, evs, err := decodePack(pack)
+	h, evs, err := decodePack(pack)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(evs) != 1 || evs[0] != ev {
-		t.Fatalf("decoded %+v, want %+v", evs, ev)
+	if h.RecordSize != recordSize || h.Count != n || !slices.Equal(evs, want) {
+		t.Fatalf("decoded header %+v and %d events, want record size %d and the %d events built", h, len(evs), recordSize, n)
+	}
+	// Any other payload weighs its length.
+	v3 := NewPackBuilderV3(1, 0, recordSize, packBytes)
+	v3.Add(&want[0])
+	if p := v3.Take(); BlockSize(p) != int64(len(p)) || BlockSize(nil) != 0 {
+		t.Fatal("BlockSize of a non-v1 payload is not its length")
 	}
 }
 
@@ -200,18 +207,18 @@ func TestStreamDecoderFusedAllocationFree(t *testing.T) {
 }
 
 // goldenPackV1 spells the v1 wire format out independently of the
-// builder: the 24-byte header, then fixed little-endian records, each
-// zero-padded to recordSize.
+// builder: the 24-byte header declaring recordSize, then fixed
+// little-endian 48-byte records.
 func goldenPackV1(appID uint32, srcRank int32, recordSize int, evs []Event) []byte {
 	le := binary.LittleEndian
-	out := make([]byte, PackHeaderSize+len(evs)*recordSize)
+	out := make([]byte, PackHeaderSize+len(evs)*48)
 	le.PutUint32(out[0:], 0x544d5056)
 	le.PutUint32(out[4:], appID)
 	le.PutUint32(out[8:], uint32(srcRank))
 	le.PutUint32(out[12:], uint32(len(evs)))
 	le.PutUint32(out[16:], uint32(recordSize))
 	for i, e := range evs {
-		rec := out[PackHeaderSize+i*recordSize:]
+		rec := out[PackHeaderSize+i*48:]
 		rec[0] = byte(e.Kind)
 		le.PutUint32(rec[4:], uint32(e.Rank))
 		le.PutUint32(rec[8:], uint32(e.Peer))
@@ -227,7 +234,8 @@ func goldenPackV1(appID uint32, srcRank int32, recordSize int, evs []Event) []by
 
 // TestPackBuilderGoldenBytes pins the bytes on the wire for the three
 // kinds of storage a v1 pack can be built in: fresh and never grown,
-// grown past the first allocation, and a dirty recycled block.
+// grown past the first allocation, and a dirty recycled block. A full
+// pack's storage is recyclable: Reset adopts it.
 func TestPackBuilderGoldenBytes(t *testing.T) {
 	const recordSize, capBytes = 256, 1 << 20
 	build := func(b *PackBuilder, n int) ([]byte, []byte) {
@@ -250,16 +258,16 @@ func TestPackBuilderGoldenBytes(t *testing.T) {
 		n    int
 	}{
 		{"fresh", NewPackBuilder(9, 3, recordSize, capBytes), 10},
-		{"grown", NewPackBuilder(9, 3, recordSize, capBytes), 3 * packInitBytes / recordSize},
+		{"grown", NewPackBuilder(9, 3, recordSize, capBytes), 2 * packInitBytes / MinRecordSize},
 		{"full", NewPackBuilder(9, 3, recordSize, capBytes), (capBytes - PackHeaderSize) / recordSize},
-		{"recycled", recycled, 3 * packInitBytes / recordSize},
+		{"recycled", recycled, 2 * packInitBytes / MinRecordSize},
 	} {
 		got, want := build(c.b, c.n)
 		if !bytes.Equal(got, want) {
 			t.Errorf("%s: %d-event pack differs from the golden encoding", c.name, c.n)
 		}
-		if c.name == "full" && cap(got) != capBytes {
-			t.Errorf("full pack buffer has cap %d, want exactly %d (recyclable)", cap(got), capBytes)
+		if c.name == "full" && cap(got) < c.b.CapBytes() {
+			t.Errorf("full pack buffer has cap %d, want at least CapBytes %d (recyclable)", cap(got), c.b.CapBytes())
 		}
 	}
 }

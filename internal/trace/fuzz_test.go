@@ -68,7 +68,9 @@ func packSeeds() [][]byte {
 // FuzzDecodePack throws arbitrary bytes at every decode entry point. The
 // contract under fuzzing is purely defensive: malformed input of either
 // wire format must produce an error, never a panic, an over-read, or an
-// event count above the header's claim.
+// event count above the header's claim. A v1 pack may not claim more
+// records than its bytes hold at the 48-byte stride, whatever record size
+// it declares.
 func FuzzDecodePack(f *testing.F) {
 	for _, seed := range packSeeds() {
 		f.Add(seed)
@@ -76,7 +78,9 @@ func FuzzDecodePack(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		h, err := PeekHeader(data)
-		if err == nil && (h.bodyLen > len(data)-PackHeaderSize || h.bodyLen == 0 && PackHeaderSize+h.Count*h.RecordSize > len(data)) {
+		if err == nil && (h.bodyLen > len(data)-PackHeaderSize ||
+			h.Version == PackV1 && h.Count > (len(data)-PackHeaderSize)/MinRecordSize ||
+			h.Version == PackAudit && PackHeaderSize+h.Count*h.RecordSize > len(data)) {
 			t.Fatalf("PeekHeader accepted a pack claiming more than its %d bytes", len(data))
 		}
 		if _, err := PeekHeaderV1(data); err == nil && h.Version != PackV1 {

@@ -285,7 +285,7 @@ func (d *StreamDecoder) Next() bool {
 	}
 	if d.h.Version == PackV1 {
 		decodeRecord(d.buf[d.off:], &d.ev)
-		d.off += d.h.RecordSize
+		d.off += MinRecordSize
 		d.i++
 		return true
 	}

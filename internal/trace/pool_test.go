@@ -110,7 +110,7 @@ func TestPoolWarmCycleZeroAllocs(t *testing.T) {
 // TestPooledStorageBuildsIdenticalPacks: packs built in stale pooled
 // storage — every buffer the builders draw filled with 0xAB — are
 // byte-identical to the same packs built in fresh, zeroed storage: a v1
-// pack with padded records that grows through several classes, and a v3
+// pack with declared padding that grows through several classes, and a v3
 // stream whose output buffers come from the pool at each Take.
 func TestPooledStorageBuildsIdenticalPacks(t *testing.T) {
 	const recordSize, capBytes = 256, 1 << 20
@@ -118,7 +118,7 @@ func TestPooledStorageBuildsIdenticalPacks(t *testing.T) {
 		var packs [][]byte
 		v1 := NewPackBuilder(9, 3, recordSize, capBytes)
 		v3 := NewPackBuilderV3(9, 3, recordSize, 8<<10)
-		for i := 0; i < 3*packInitBytes/recordSize; i++ {
+		for i := 0; i < 2*packInitBytes/MinRecordSize; i++ {
 			ev := fig14ishEvent(i)
 			v1.Add(&ev)
 			if v3.Add(&ev) {
@@ -139,7 +139,7 @@ func TestPooledStorageBuildsIdenticalPacks(t *testing.T) {
 		// Every v3 Take draws a small buffer; the v1 pack one per doubling.
 		n := 2
 		if c <= 14 {
-			n = 64
+			n = 128
 		}
 		for i := 0; i < n; i++ {
 			buf := bytes.Repeat([]byte{0xAB}, 1<<c)

@@ -8,10 +8,11 @@
 // records, and encoding is a straight byte copy with no compression or
 // framing beyond the pack header.
 //
-// Records can be padded beyond the minimal 48 bytes (RecordSize) to model
-// the call context the paper attaches to each event (call sites, stack
-// digests); the padding participates in every bandwidth computation, so the
-// instrumentation data volume is a first-class experimental parameter.
+// A pack declares a record size beyond the 48 bytes an event occupies to
+// model the call context the paper attaches to it (call sites, stack
+// digests). The padding is declared, not written: BlockSize charges it in
+// every bandwidth and cost computation, so the instrumentation data volume
+// stays a first-class experimental parameter.
 package trace
 
 import (
@@ -163,9 +164,9 @@ type Event struct {
 // Duration returns the call's duration in nanoseconds.
 func (e *Event) Duration() int64 { return e.TEnd - e.TStart }
 
-// MinRecordSize is the exact byte size of the binary event structure; packs
-// may pad each record up to their RecordSize to model richer per-event
-// context.
+// MinRecordSize is the exact byte size of the binary event structure and
+// the stride of v1 records; a pack's RecordSize may declare more to model
+// richer per-event context.
 const MinRecordSize = 48
 
 // encodeRecord writes the event into buf (len >= MinRecordSize).
@@ -198,8 +199,8 @@ func decodeRecord(buf []byte, e *Event) {
 // Pack framing.
 const (
 	packMagic = 0x544d5056 // "VPMT" little-endian
-	// PackHeaderSize is the encoded pack header size in bytes; a pack
-	// occupies PackHeaderSize + Count*RecordSize bytes.
+	// PackHeaderSize is the encoded pack header size in bytes; a v1 pack
+	// occupies PackHeaderSize + Count*MinRecordSize bytes.
 	PackHeaderSize = 24
 )
 
@@ -211,9 +212,9 @@ type Header struct {
 	SrcRank int32
 	// Count is the number of event records in the pack.
 	Count int
-	// RecordSize is the per-record byte size (>= MinRecordSize). For a v2
-	// pack this is the logical v1 record size the pack stands in for — the
-	// accounting basis for compression ratios — not an on-wire stride.
+	// RecordSize is the declared per-record size (>= MinRecordSize) for
+	// every version: the logical record the pack stands in for, what
+	// BlockSize and compression ratios charge, never an on-wire stride.
 	RecordSize int
 	// Version is the pack wire format (PackV1, PackV2, or PackV3).
 	Version int
@@ -228,14 +229,14 @@ type Header struct {
 // on the next Add — or adopting a full-capacity buffer handed to Reset. The
 // storage follows the fill: it starts at packInitBytes and doubles up to
 // the pack capacity, each step a pool buffer, and the buffer a step moves
-// out of goes back to the pool. Pooled storage is stale, so Add clears each
-// record's padding as it writes the record. The zero value is not usable —
-// use NewPackBuilder.
+// out of goes back to the pool. Records are written at the MinRecordSize
+// stride; the declared record size only bounds how many fit the pack. The
+// zero value is not usable — use NewPackBuilder.
 type PackBuilder struct {
 	appID      uint32
 	srcRank    int32
 	recordSize int
-	capBytes   int
+	capBytes   int // storage of a full pack: its records at the 48-byte stride
 	buf        []byte
 	count      int
 }
@@ -245,20 +246,16 @@ type PackBuilder struct {
 const packInitBytes = 64 << 10
 
 // NewPackBuilder creates a builder producing packs of at most packBytes
-// bytes with the given per-record size. recordSize below MinRecordSize is
-// raised to it; packBytes is raised to fit at least one record.
+// modelled bytes (BlockSize) with the given declared record size. recordSize
+// below MinRecordSize is raised to it; packBytes, to fit one record.
 func NewPackBuilder(appID uint32, srcRank int32, recordSize, packBytes int) *PackBuilder {
-	if recordSize < MinRecordSize {
-		recordSize = MinRecordSize
-	}
-	if packBytes < PackHeaderSize+recordSize {
-		packBytes = PackHeaderSize + recordSize
-	}
+	recordSize = max(recordSize, MinRecordSize)
+	records := max(packBytes-PackHeaderSize, recordSize) / recordSize
 	return &PackBuilder{
 		appID:      appID,
 		srcRank:    srcRank,
 		recordSize: recordSize,
-		capBytes:   packBytes,
+		capBytes:   PackHeaderSize + records*MinRecordSize,
 	}
 }
 
@@ -276,8 +273,8 @@ func (b *PackBuilder) Reset(buf []byte) {
 	b.buf = buf[:PackHeaderSize]
 }
 
-// CapBytes returns the maximum encoded pack size, i.e. the buffer size a
-// recycled Reset buffer must have to be adopted.
+// CapBytes returns the maximum encoded (not modelled) pack size, i.e. the
+// buffer size a recycled Reset buffer must have to be adopted.
 func (b *PackBuilder) CapBytes() int { return b.capBytes }
 
 // Count returns the number of events in the pack under construction.
@@ -295,15 +292,14 @@ func (b *PackBuilder) Len() int {
 // for another record).
 func (b *PackBuilder) Add(e *Event) bool {
 	off := b.Len()
-	need := off + b.recordSize
+	need := off + MinRecordSize
 	if need > cap(b.buf) {
 		b.grow(need)
 	}
 	b.buf = b.buf[:need]
 	encodeRecord(b.buf[off:], e)
-	clear(b.buf[off+MinRecordSize:])
 	b.count++
-	return need+b.recordSize > b.capBytes
+	return need+MinRecordSize > b.capBytes
 }
 
 // grow moves the pack under construction into pooled storage of at least
@@ -393,12 +389,22 @@ func PeekHeader(buf []byte) (Header, error) {
 		}
 		return h, nil
 	}
-	// Division keeps the bound overflow-free: Count and RecordSize are
-	// attacker-controlled 32-bit fields whose product overflows int64.
-	if h.Count > (len(buf)-PackHeaderSize)/h.RecordSize {
-		return Header{}, fmt.Errorf("trace: pack truncated: %d bytes, header implies %d records of %d bytes", len(buf), h.Count, h.RecordSize)
+	// Division keeps the bound overflow-free for a hostile 32-bit Count.
+	if h.Count > (len(buf)-PackHeaderSize)/MinRecordSize {
+		return Header{}, fmt.Errorf("trace: pack truncated: %d bytes, header implies %d records", len(buf), h.Count)
 	}
 	return h, nil
+}
+
+// BlockSize returns the modelled size of a stream block carrying payload:
+// for a v1 pack its header plus Count records of the declared RecordSize,
+// for any other payload its length.
+func BlockSize(payload []byte) int64 {
+	le := binary.LittleEndian
+	if len(payload) < PackHeaderSize || le.Uint32(payload) != packMagic {
+		return int64(len(payload))
+	}
+	return PackHeaderSize + int64(le.Uint32(payload[12:]))*int64(le.Uint32(payload[16:]))
 }
 
 // DecodeEach decodes one self-contained pack (v1 or v2), invoking fn per
@@ -418,15 +424,4 @@ func DecodeEach(buf []byte, fn func(e *Event)) (Header, error) {
 	var d StreamDecoder
 	_, err = d.DecodeDispatch(buf, fn)
 	return h, err
-}
-
-// decodePack is DecodeEach into a slice: the pack's header and events. The
-// decoder differential holds the stream decoder to it.
-func decodePack(buf []byte) (Header, []Event, error) {
-	var events []Event
-	h, err := DecodeEach(buf, func(e *Event) { events = append(events, *e) })
-	if err != nil {
-		return h, nil, err
-	}
-	return h, events, nil
 }

@@ -256,3 +256,14 @@ func BenchmarkDecodeEach(b *testing.B) {
 		}
 	}
 }
+
+// decodePack is DecodeEach into a slice: the pack's header and events. The
+// decoder differential holds the stream decoder to it.
+func decodePack(buf []byte) (Header, []Event, error) {
+	var events []Event
+	h, err := DecodeEach(buf, func(e *Event) { events = append(events, *e) })
+	if err != nil {
+		return h, nil, err
+	}
+	return h, events, nil
+}

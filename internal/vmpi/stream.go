@@ -59,7 +59,9 @@ const (
 type Block struct {
 	// From is the universe rank of the writer.
 	From int
-	// Size is the block's payload size in bytes.
+	// Size is the block's modelled size in bytes (trace.BlockSize of its
+	// payload): what the network, the credits and the analyzer's cost
+	// charge. A v1 pack's payload is shorter, its padding declared only.
 	Size int64
 	// Payload holds the block's bytes; nil for size-only transfers (cost
 	// modeling without data, used by large overhead sweeps).
@@ -513,10 +515,10 @@ func (st *Stream) pickWritable() int {
 }
 
 // Write sends one block of the given size (payload may be nil for size-only
-// modeling, or a byte slice of length size). It is non-blocking until the
-// shared output buffers are full or every mapped endpoint's receive window
-// is exhausted, in which case it blocks until a credit returns — the
-// paper's producer/consumer adaptation window.
+// modeling, or bytes whose trace.BlockSize is exactly size). It is
+// non-blocking until the shared output buffers are full or every mapped
+// endpoint's receive window is exhausted, in which case it blocks until a
+// credit returns — the paper's producer/consumer adaptation window.
 //
 // Under faults the window is bounded: a crashed peer or a reader-half
 // close quarantines its endpoint immediately, a write deadline (see
@@ -530,8 +532,8 @@ func (st *Stream) Write(payload []byte, size int64) error {
 	if size > st.blockSize {
 		return fmt.Errorf("vmpi: block of %d bytes exceeds stream block size %d", size, st.blockSize)
 	}
-	if payload != nil && int64(len(payload)) != size {
-		return fmt.Errorf("vmpi: payload length %d does not match size %d", len(payload), size)
+	if payload != nil && trace.BlockSize(payload) != size {
+		return fmt.Errorf("vmpi: payload of modelled size %d does not match size %d", trace.BlockSize(payload), size)
 	}
 	r := st.sess.rank
 	var deadline des.Time

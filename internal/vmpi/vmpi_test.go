@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro/internal/mpi"
+	"repro/internal/trace"
 )
 
 // runMPMD builds a world from (name, procs, main) triples where main
@@ -440,6 +441,85 @@ func TestStreamWriteReadPayload(t *testing.T) {
 		if got[i] != want[i] {
 			t.Fatalf("got %v, want %v", got, want)
 		}
+	}
+}
+
+// TestStreamBlockSizeIsModelled: a block's size is its payload's modelled
+// size, trace.BlockSize, exactly. A v1 pack of n events declaring 256-byte
+// records holds 24+48n bytes and crosses as a block of 24+256n; Write
+// refuses any other size for it, and for any other payload any size but
+// its length.
+func TestStreamBlockSizeIsModelled(t *testing.T) {
+	const n, recordSize = 3, 256
+	b := trace.NewPackBuilder(1, 0, recordSize, 1<<12)
+	for i := 0; i < n; i++ {
+		b.Add(&trace.Event{Kind: trace.KindSend, Peer: 1, Size: int64(i), TEnd: 1})
+	}
+	pack := b.Take()
+	modelled := int64(trace.PackHeaderSize + n*recordSize)
+	var got []*Block
+	runMPMD(t,
+		progSpec{"w", 1, func(s *Session) {
+			var m Map
+			if err := s.MapPartitions(1, MapRoundRobin, &m); err != nil {
+				t.Error(err)
+				return
+			}
+			st := NewStream(s, 1<<12, BalanceRoundRobin)
+			if err := st.OpenMap(&m, "w"); err != nil {
+				t.Error(err)
+				return
+			}
+			for _, size := range []int64{int64(len(pack)), modelled - 1, modelled + 1} {
+				if err := st.Write(pack, size); err == nil {
+					t.Errorf("a v1 pack modelled at %d bytes was written as a block of %d", modelled, size)
+				}
+			}
+			if err := st.Write([]byte("alpha"), 4); err == nil {
+				t.Error("a 5-byte payload was written as a block of 4")
+			}
+			if err := st.Write(pack, modelled); err != nil {
+				t.Error(err)
+			}
+			if err := st.Write([]byte("alpha"), 5); err != nil {
+				t.Error(err)
+			}
+			if err := st.Close(); err != nil {
+				t.Error(err)
+			}
+		}},
+		progSpec{"r", 1, func(s *Session) {
+			var m Map
+			if err := s.MapPartitions(0, MapRoundRobin, &m); err != nil {
+				t.Error(err)
+				return
+			}
+			st := NewStream(s, 1<<12, BalanceRoundRobin)
+			if err := st.OpenMap(&m, "r"); err != nil {
+				t.Error(err)
+				return
+			}
+			for {
+				blk, err := st.Read(false)
+				if err != nil || blk == nil {
+					if err != nil {
+						t.Error(err)
+					}
+					break
+				}
+				got = append(got, blk)
+			}
+			if err := st.Close(); err != nil {
+				t.Error(err)
+			}
+		}},
+	)
+	if len(got) != 2 || got[0].Size != modelled || len(got[0].Payload) != trace.PackHeaderSize+n*trace.MinRecordSize || got[1].Size != 5 {
+		t.Fatalf("received %d blocks; want the pack as %d bytes in a %d-byte payload, then 5 bytes", len(got), modelled, trace.PackHeaderSize+n*trace.MinRecordSize)
+	}
+	var d trace.StreamDecoder
+	if k, err := d.DecodeDispatch(got[0].Payload, func(*trace.Event) {}); k != n || err != nil {
+		t.Fatalf("decoded %d events (%v), want %d", k, err, n)
 	}
 }
 

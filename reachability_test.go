@@ -29,7 +29,6 @@ var reachAllowlist = map[string]string{
 	"analysis.(*WaitStateModule).Add":   "locked single-event fold, removed with the module mutexes",
 	"analysis.(*WindowedModule).Add":    "locked single-event fold, removed with the module mutexes",
 	"analysis.(*WaitStateModule).Merge": "locked copy-merge, removed with the module mutexes",
-	"trace.decodePack":                  "the reference the decoder differential compares DecodeDispatch with",
 	"bench.BenchmarkJSON":               "the benchmark's own test checks BENCHMARK.json against it",
 }
 
