@@ -78,11 +78,11 @@ type Pipeline struct {
 	// unless an admission gate shed events.
 	Completeness *CompletenessModule
 
-	// tracker, when attached, observes every folded event's virtual
-	// timestamp against the analyzer clock (event→report-update lag and
-	// per-window completeness): a tap on the locked pack folds and, through
-	// Pipeline.NewReplica, on every replica's.
-	tracker *WindowTracker
+	// tally, when a window tracker is attached, counts for it what the
+	// locked pack folds fold (event→report-update lag and per-window
+	// completeness), owned by whoever holds the state's locks and committed
+	// before they are released; Pipeline.NewReplica tracks every replica's.
+	tally *WindowTally
 
 	// foldFn is what a locked pack fold calls per event: state.fold, then
 	// the taps — the event consumers that are not modules and synchronize
@@ -158,13 +158,14 @@ func NewPipeline(bb *blackboard.Blackboard, level string, appSize int) (*Pipelin
 func (p *Pipeline) foldBoardPack(worker int, buf []byte) {
 	var fn func(*trace.Event)
 	var rep *Replica
+	tally := p.tally
 	if p.reps != nil {
 		// Each slot is touched only by its owning worker.
 		if rep = p.reps[worker]; rep == nil {
 			rep = p.NewReplica()
 			p.reps[worker] = rep
 		}
-		fn = rep.foldFn
+		fn, tally = rep.foldFn, rep.tally
 	} else {
 		p.state.lock()
 		defer p.state.unlock()
@@ -175,6 +176,7 @@ func (p *Pipeline) foldBoardPack(worker int, buf []byte) {
 		t0 = time.Now()
 	}
 	h, err := trace.DecodeEach(buf, fn)
+	tally.Commit()
 	if err != nil {
 		panic(fmt.Sprintf("analysis: undecodable pack on level %q: %v", p.level, err))
 	}
@@ -217,7 +219,9 @@ func (p *Pipeline) alreadyEnabled(name string) error {
 func (p *Pipeline) FoldPack(dec *trace.StreamDecoder, buf []byte) (int, error) {
 	p.state.lock()
 	defer p.state.unlock()
-	return p.foldStreamPack(dec, buf, *p.foldFn.Load())
+	n, err := p.foldStreamPack(dec, buf, *p.foldFn.Load())
+	p.tally.Commit()
+	return n, err
 }
 
 func (p *Pipeline) foldStreamPack(dec *trace.StreamDecoder, buf []byte, fn func(*trace.Event)) (int, error) {

@@ -34,10 +34,12 @@ import (
 //     true window content is always at least what an on-time-only
 //     reading would have shown.
 //
-// Concurrency: the clock, watermark and lag ride atomics; the
-// per-window counts take one mutex per event. The tracker is shared
-// across replicas/lanes, so its counts are exact even when the fold
-// path itself is shared-nothing.
+// Concurrency: the tracker is shared across replicas and lanes, so its
+// counts are exact even when the fold path itself is shared-nothing. An
+// event is not counted into it directly: each fold goroutine counts its
+// events in a WindowTally of its own, in plain fields, and commits the
+// tally once per pack — a CAS each for the watermark and the lag
+// high-water, an add per counter, and one mutex for the per-window counts.
 type WindowTracker struct {
 	windowNs int64
 	slideNs  int64
@@ -51,8 +53,7 @@ type WindowTracker struct {
 	late      atomic.Int64
 
 	mu     sync.Mutex
-	onTime map[int64]int64 // per-window on-time event counts
-	lateBy map[int64]int64 // per-window late event counts
+	counts map[int64][2]int64 // per window: on-time and late events
 
 	tm             *telemetry.WindowMetrics
 	pubEv, pubLate int64 // counter values already published (deltas)
@@ -72,8 +73,7 @@ func NewWindowTracker(windowNs, slideNs, graceNs int64, tm *telemetry.WindowMetr
 		windowNs: windowNs,
 		slideNs:  slideNs,
 		graceNs:  graceNs,
-		onTime:   make(map[int64]int64),
-		lateBy:   make(map[int64]int64),
+		counts:   make(map[int64][2]int64),
 		tm:       tm,
 	}
 }
@@ -81,62 +81,95 @@ func NewWindowTracker(windowNs, slideNs, graceNs int64, tm *telemetry.WindowMetr
 // SetNow advances the analyzer's virtual clock (monotonic: an older
 // timestamp is ignored). Call from the ingest loop with the recorder or
 // arrival clock each time a block is absorbed.
-func (tr *WindowTracker) SetNow(now int64) {
-	for {
-		n := tr.now.Load()
-		if now <= n || tr.now.CompareAndSwap(n, now) {
-			return
-		}
-	}
+func (tr *WindowTracker) SetNow(now int64) { raise(&tr.now, now) }
+
+// WindowTally is one fold goroutine's pending share of a WindowTracker:
+// what Observe counted since the last Commit. It reads the tracker's clock
+// and watermark at the pack's first event and carries its own watermark
+// through the pack, so on one goroutine the counts, lag and watermark are
+// those of observing each event against the tracker itself. A tally has
+// one owner: a replica's, or whoever holds the pipeline state's locks.
+type WindowTally struct {
+	tr *WindowTracker
+	// now and the watermark are the tracker's at the pack's first event,
+	// the watermark raised by the pack's own; the clock does not move
+	// within a pack, so the lags follow from the pack's lowest and last
+	// timestamps.
+	now, watermark, minT, lastT int64
+	// runs holds the per-window counts, one run per change of window; the
+	// last run's window starts at lo, and its events are late once the
+	// effective clock passes due.
+	runs    []windowRun
+	lo, due int64
 }
 
-// OnEvent observes one folded event. Safe for concurrent callers.
-func (tr *WindowTracker) OnEvent(ev *trace.Event) {
-	t := ev.TStart
-	if t < 0 {
-		t = 0
-	}
-	for {
-		w := tr.watermark.Load()
-		if t <= w || tr.watermark.CompareAndSwap(w, t) {
-			break
-		}
-	}
-	now := tr.now.Load()
-	lag := now - t
-	if lag < 0 {
-		lag = 0
-	}
-	tr.lagNs.Store(lag)
-	for {
-		mx := tr.maxLagNs.Load()
-		if lag <= mx || tr.maxLagNs.CompareAndSwap(mx, lag) {
-			break
-		}
-	}
-	tr.events.Add(1)
+// windowRun counts consecutive observed events of one window.
+type windowRun struct{ idx, onTime, late int64 }
 
+// NewTally returns a tally that commits into tr.
+func (tr *WindowTracker) NewTally() *WindowTally { return &WindowTally{tr: tr} }
+
+// Observe counts one folded event.
+func (ta *WindowTally) Observe(ev *trace.Event) {
+	t := max(ev.TStart, 0)
 	// Lateness is judged against the last window that covers the event
 	// (index by slide), whose end is the moment the event stopped being
 	// expectable. The effective clock includes the watermark so pure
 	// reordering — later events already seen — marks stragglers late
 	// even when the analyzer clock itself lags the whole stream.
-	idx := t / tr.slideNs
-	end := idx*tr.slideNs + tr.windowNs
-	eff := now
-	if w := tr.watermark.Load(); w > eff {
-		eff = w
+	n := len(ta.runs)
+	if n == 0 || t < ta.lo || t-ta.lo >= ta.tr.slideNs {
+		tr := ta.tr
+		if n == 0 {
+			ta.now, ta.watermark, ta.minT = tr.now.Load(), tr.watermark.Load(), t
+		}
+		idx := t / tr.slideNs
+		ta.lo = idx * tr.slideNs
+		ta.due = ta.lo + tr.windowNs + tr.graceNs
+		ta.runs = append(ta.runs, windowRun{idx: idx})
+		n++
 	}
-	isLate := eff-end > tr.graceNs
-	tr.mu.Lock()
-	if isLate {
-		tr.lateBy[idx]++
+	ta.watermark = max(ta.watermark, t)
+	ta.minT = min(ta.minT, t)
+	ta.lastT = t
+	if run := &ta.runs[n-1]; max(ta.now, ta.watermark) > ta.due {
+		run.late++
 	} else {
-		tr.onTime[idx]++
+		run.onTime++
+	}
+}
+
+// Commit publishes what the tally counted since the last Commit and
+// empties it. A nil or empty tally commits nothing.
+func (ta *WindowTally) Commit() {
+	if ta == nil || len(ta.runs) == 0 {
+		return
+	}
+	tr := ta.tr
+	raise(&tr.watermark, ta.watermark)
+	tr.lagNs.Store(max(ta.now-ta.lastT, 0))
+	raise(&tr.maxLagNs, ta.now-ta.minT)
+	var events, late int64
+	tr.mu.Lock()
+	for _, r := range ta.runs {
+		c := tr.counts[r.idx]
+		tr.counts[r.idx] = [2]int64{c[0] + r.onTime, c[1] + r.late}
+		events += r.onTime + r.late
+		late += r.late
 	}
 	tr.mu.Unlock()
-	if isLate {
-		tr.late.Add(1)
+	tr.events.Add(events)
+	tr.late.Add(late)
+	ta.runs = ta.runs[:0]
+}
+
+// raise stores v in a unless a already holds more.
+func raise(a *atomic.Int64, v int64) {
+	for {
+		old := a.Load()
+		if v <= old || a.CompareAndSwap(old, v) {
+			return
+		}
 	}
 }
 
@@ -153,42 +186,25 @@ func (tr *WindowTracker) Events() int64 { return tr.events.Load() }
 // window.
 func (tr *WindowTracker) LateEvents() int64 { return tr.late.Load() }
 
-// WindowCounts returns window idx's on-time and late event counts.
-func (tr *WindowTracker) WindowCounts(idx int64) (onTime, late int64) {
+// WorstWindow returns the window with the lowest completeness bound, the
+// lowest index among equals, and the bound; ok is false when no event was
+// late. A window's bound is the fraction of its events that arrived
+// before it should have sealed. Because late events still merge into the
+// window's content, it is conservative — the rendered window always holds
+// at least this fraction of itself.
+func (tr *WindowTracker) WorstWindow() (idx int64, bound float64, ok bool) {
 	tr.mu.Lock()
 	defer tr.mu.Unlock()
-	return tr.onTime[idx], tr.lateBy[idx]
-}
-
-// Completeness returns window idx's completeness bound in [0, 1]: the
-// fraction of the window's events that arrived before it should have
-// sealed. Because late events still merge into the window's content,
-// the bound is conservative — the rendered window always holds at least
-// this fraction of itself. An untouched window is complete.
-func (tr *WindowTracker) Completeness(idx int64) float64 {
-	on, late := tr.WindowCounts(idx)
-	total := on + late
-	if total == 0 {
-		return 1
-	}
-	return float64(on) / float64(total)
-}
-
-// WindowIndices returns the distinct window indices the tracker has
-// counted events for, in no particular order.
-func (tr *WindowTracker) WindowIndices() []int64 {
-	tr.mu.Lock()
-	defer tr.mu.Unlock()
-	out := make([]int64, 0, len(tr.onTime)+len(tr.lateBy))
-	for idx := range tr.onTime {
-		out = append(out, idx)
-	}
-	for idx := range tr.lateBy {
-		if _, ok := tr.onTime[idx]; !ok {
-			out = append(out, idx)
+	bound = 1
+	for i, c := range tr.counts {
+		if c[1] == 0 {
+			continue
+		}
+		if b := float64(c[0]) / float64(c[0]+c[1]); b < bound || ok && b == bound && i < idx {
+			idx, bound, ok = i, b, true
 		}
 	}
-	return out
+	return idx, bound, ok
 }
 
 // WindowsObserved returns how many distinct windows the tracker has
@@ -196,13 +212,7 @@ func (tr *WindowTracker) WindowIndices() []int64 {
 func (tr *WindowTracker) WindowsObserved() int {
 	tr.mu.Lock()
 	defer tr.mu.Unlock()
-	n := len(tr.onTime)
-	for idx := range tr.lateBy {
-		if _, ok := tr.onTime[idx]; !ok {
-			n++
-		}
-	}
-	return n
+	return len(tr.counts)
 }
 
 // Publish flushes the tracker's state to its telemetry bundle: gauges
@@ -217,12 +227,7 @@ func (tr *WindowTracker) Publish() {
 	tr.mu.Lock()
 	dEv, dLt := ev-tr.pubEv, lt-tr.pubLate
 	tr.pubEv, tr.pubLate = ev, lt
-	open := len(tr.onTime)
-	for idx := range tr.lateBy {
-		if _, ok := tr.onTime[idx]; !ok {
-			open++
-		}
-	}
+	open := len(tr.counts)
 	tr.mu.Unlock()
 	tr.tm.OnPublish(tr.lagNs.Load(), tr.maxLagNs.Load(), dEv, dLt, open)
 }
@@ -232,11 +237,12 @@ func (tr *WindowTracker) Publish() {
 // NewReplica, on every replica's fold dispatcher. Call after EnableWindows
 // and before EnableReplicas or any replica/lane creation.
 func (p *Pipeline) AttachWindowTracker(tr *WindowTracker) error {
-	if err := p.addTap("windowlag", tr.OnEvent); err != nil {
+	tally := tr.NewTally()
+	if err := p.addTap("windowlag", tally.Observe); err != nil {
 		return err
 	}
 	p.mu.Lock()
-	p.tracker = tr
+	p.tally = tally
 	p.mu.Unlock()
 	return nil
 }
@@ -245,5 +251,8 @@ func (p *Pipeline) AttachWindowTracker(tr *WindowTracker) error {
 func (p *Pipeline) WindowTracker() *WindowTracker {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return p.tracker
+	if p.tally == nil {
+		return nil
+	}
+	return p.tally.tr
 }

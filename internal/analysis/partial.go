@@ -347,51 +347,86 @@ func bit(on bool, flag uint32) uint32 {
 }
 
 // section is one section behind the header: the header flag that makes it
-// present (0: always), whether a window's inner partial leaves it out, the
-// lock of its module, its writer and its walker. The writer runs under the
-// lock, and so does the walker when it applies. A writer takes the pwriter
-// by value and returns its bytes: through a func value a pointer would
-// move every encode's writer to the heap.
+// present (0: always), whether a window's inner partial leaves it out, and
+// its writer, which runs under the section's lock (sectionMu), as does its
+// walker (walkSection) when it applies. A pointer handed to a func value
+// escapes: so a writer takes the pwriter by value and returns its bytes,
+// and the lock and the walker are switches, or every encode would
+// allocate its writer and every decode and merge its readers.
 type section struct {
 	flag  uint32
 	whole bool
-	mu    func(*Partial) *sync.Mutex
 	write func(*Partial, pwriter) []byte
-	walk  func(*Partial, *preader, bool) error
 }
 
 // partialSections lists the sections in wire order, the one place encode
-// and mergeSections both learn it from.
+// and mergeSections both learn it from; sectionMu and walkSection take
+// their index in it.
 func partialSections() [10]section {
 	return [...]section{
-		{0, false, (*Partial).profilerMu, (*Partial).encodeProfiler, (*Partial).mergeProfiler},
-		{0, true, (*Partial).topologyMu, (*Partial).encodeTopology, (*Partial).mergeTopology},
-		{0, true, (*Partial).densityMu, (*Partial).encodeDensity, (*Partial).mergeDensity},
-		{flagWait, false, (*Partial).waitsMu, (*Partial).encodeWaitSums, (*Partial).mergeWaitSums},
-		{flagWait, true, (*Partial).waitsMu, (*Partial).encodeWaitQueues, (*Partial).mergeWaitQueues},
-		{flagTemporal, false, (*Partial).temporalMu, (*Partial).encodeTemporal, (*Partial).mergeTemporal},
-		{flagCallsites, false, (*Partial).callsitesMu, (*Partial).encodeCallsites, (*Partial).mergeCallsites},
-		{flagSizes, false, (*Partial).sizesMu, (*Partial).encodeSizes, (*Partial).mergeSizes},
-		{flagShed, false, (*Partial).shedMu, (*Partial).encodeShed, (*Partial).mergeShed},
-		{flagWindowed, false, (*Partial).windowsMu, (*Partial).encodeWindows, (*Partial).mergeWindows},
+		{0, false, (*Partial).encodeProfiler},
+		{0, true, (*Partial).encodeTopology},
+		{0, true, (*Partial).encodeDensity},
+		{flagWait, false, (*Partial).encodeWaitSums},
+		{flagWait, true, (*Partial).encodeWaitQueues},
+		{flagTemporal, false, (*Partial).encodeTemporal},
+		{flagCallsites, false, (*Partial).encodeCallsites},
+		{flagSizes, false, (*Partial).encodeSizes},
+		{flagShed, false, (*Partial).encodeShed},
+		{flagWindowed, false, (*Partial).encodeWindows},
 	}
 }
 
-func (pp *Partial) profilerMu() *sync.Mutex  { return &pp.Profiler.mu }
-func (pp *Partial) topologyMu() *sync.Mutex  { return &pp.Topology.mu }
-func (pp *Partial) densityMu() *sync.Mutex   { return &pp.Density.mu }
-func (pp *Partial) waitsMu() *sync.Mutex     { return &pp.Waits.mu }
-func (pp *Partial) temporalMu() *sync.Mutex  { return &pp.Temporal.mu }
-func (pp *Partial) callsitesMu() *sync.Mutex { return &pp.Callsites.mu }
-func (pp *Partial) sizesMu() *sync.Mutex     { return &pp.Sizes.mu }
-func (pp *Partial) windowsMu() *sync.Mutex   { return &pp.Windows.mu }
-
-// shedMu creates the ledger for a walker about to fold in its first entries.
-func (pp *Partial) shedMu() *sync.Mutex {
-	if pp.Shed == nil {
-		pp.Shed = NewCompletenessModule()
+// sectionMu returns the lock of section i's module, creating the shed
+// ledger for a walker about to fold in its first entries.
+func (pp *Partial) sectionMu(i int) *sync.Mutex {
+	switch i {
+	case 0:
+		return &pp.Profiler.mu
+	case 1:
+		return &pp.Topology.mu
+	case 2:
+		return &pp.Density.mu
+	case 3, 4:
+		return &pp.Waits.mu
+	case 5:
+		return &pp.Temporal.mu
+	case 6:
+		return &pp.Callsites.mu
+	case 7:
+		return &pp.Sizes.mu
+	case 8:
+		if pp.Shed == nil {
+			pp.Shed = NewCompletenessModule()
+		}
+		return &pp.Shed.mu
 	}
-	return &pp.Shed.mu
+	return &pp.Windows.mu
+}
+
+// walkSection runs section i's walker.
+func (pp *Partial) walkSection(i int, r *preader, apply bool) error {
+	switch i {
+	case 0:
+		return pp.mergeProfiler(r, apply)
+	case 1:
+		return pp.mergeTopology(r, apply)
+	case 2:
+		return pp.mergeDensity(r, apply)
+	case 3:
+		return pp.mergeWaitSums(r, apply)
+	case 4:
+		return pp.mergeWaitQueues(r, apply)
+	case 5:
+		return pp.mergeTemporal(r, apply)
+	case 6:
+		return pp.mergeCallsites(r, apply)
+	case 7:
+		return pp.mergeSizes(r, apply)
+	case 8:
+		return pp.mergeShed(r, apply)
+	}
+	return pp.mergeWindows(r, apply)
 }
 
 // in reports whether pp, behind a header with these flags, carries s.
@@ -436,9 +471,9 @@ func (pp *Partial) encode(buf []byte, pendings, reset bool) []byte {
 		w.i64(o.WindowNs)
 		w.i64(o.WindowSlideNs)
 	}
-	for _, s := range partialSections() {
+	for i, s := range partialSections() {
 		if s.in(pp, flags) {
-			mu := s.mu(pp)
+			mu := pp.sectionMu(i)
 			mu.Lock()
 			w.buf = s.write(pp, w)
 			mu.Unlock()
@@ -703,10 +738,8 @@ func PartialAppID(buf []byte) (uint32, error) {
 // readPartialHeader reads the magic, identity, module flags and window
 // geometry, and returns the module selection they spell.
 func readPartialHeader(r *preader) (appID uint32, opts PartialOptions, flags uint32, err error) {
-	var magic [4]byte
-	binary.LittleEndian.PutUint32(magic[:], r.u32())
-	if r.err == nil && magic != partialMagic {
-		return 0, opts, 0, fmt.Errorf("analysis: bad partial magic %q", magic[:])
+	if magic := r.u32(); r.err == nil && magic != binary.LittleEndian.Uint32(partialMagic[:]) {
+		return 0, opts, 0, fmt.Errorf("analysis: bad partial magic %q", binary.LittleEndian.AppendUint32(nil, magic))
 	}
 	appID = r.u32()
 	appSize := int(r.u32())
@@ -753,16 +786,16 @@ func readPartialHeader(r *preader) (appID uint32, opts PartialOptions, flags uin
 // spelled pp.opts, to the end of r. With apply unset nothing of pp but its
 // options is touched (its modules may be nil).
 func (pp *Partial) mergeSections(r *preader, flags uint32, apply bool) error {
-	for _, s := range partialSections() {
+	for i, s := range partialSections() {
 		if !s.in(pp, flags) {
 			continue
 		}
 		if apply {
-			s.mu(pp).Lock()
+			pp.sectionMu(i).Lock()
 		}
-		err := s.walk(pp, r, apply)
+		err := pp.walkSection(i, r, apply)
 		if apply {
-			s.mu(pp).Unlock()
+			pp.sectionMu(i).Unlock()
 		}
 		if err != nil {
 			return err
@@ -781,9 +814,9 @@ func (pp *Partial) mergeProfiler(r *preader, apply bool) error {
 	if apply {
 		m.events += events
 	}
-	for c := r.cells("profiler kind", kindSlots, false, 4+24); c.next(); {
+	for c := r.cells("profiler kind", kindSlots, false, 4+24); c.next(r); {
 		if st := r.stat(); st == (Stat{}) {
-			c.refuse(zeroStat)
+			c.refuse(r, zeroStat)
 		} else if apply {
 			m.total[c.key].merge(st)
 		}
@@ -793,11 +826,11 @@ func (pp *Partial) mergeProfiler(r *preader, apply bool) error {
 
 func (pp *Partial) mergeTopology(r *preader, apply bool) error {
 	size := pp.opts.AppSize
-	for c := r.cells("topology cell", size*size, false, 4+24); c.next(); {
+	for c := r.cells("topology cell", size*size, false, 4+24); c.next(r); {
 		// No encoder writes a cell without hits, and none would ever write or
 		// zero what such a cell left behind in the matrix.
 		if st := r.stat(); st.Hits <= 0 {
-			c.refuse("without hits")
+			c.refuse(r, "without hits")
 		} else if apply {
 			pp.Topology.mat.cell(int(c.key)).merge(st)
 		}
@@ -806,14 +839,14 @@ func (pp *Partial) mergeTopology(r *preader, apply bool) error {
 }
 
 func (pp *Partial) mergeDensity(r *preader, apply bool) error {
-	for k := r.cells("density kind", kindSlots, false, 4+4); k.next(); {
+	for k := r.cells("density kind", kindSlots, false, 4+4); k.next(r); {
 		var per []Stat
 		if apply {
 			per = pp.Density.row(trace.Kind(k.key))
 		}
-		for c := k.row("density rank", pp.opts.AppSize); c.next(); {
+		for c := k.row(r, "density rank", pp.opts.AppSize); c.next(r); {
 			if st := r.stat(); st == (Stat{}) {
-				c.refuse(zeroStat)
+				c.refuse(r, zeroStat)
 			} else if apply {
 				per[c.key].merge(st)
 			}
@@ -828,9 +861,9 @@ func (pp *Partial) mergeWaitSums(r *preader, apply bool) error {
 	if apply {
 		m.pairs += pairs
 	}
-	for c := r.cells("wait rank", pp.opts.AppSize, false, 4+16); c.next(); {
+	for c := r.cells("wait rank", pp.opts.AppSize, false, 4+16); c.next(r); {
 		if lateNs, lateHits := r.i64(), r.i64(); lateHits == 0 {
-			c.refuse("without hits")
+			c.refuse(r, "without hits")
 		} else if apply {
 			m.lateNs[c.key] += lateNs
 			m.lateHits[c.key] += lateHits
@@ -898,15 +931,15 @@ func (pp *Partial) mergeTemporal(r *preader, apply bool) error {
 		m.buckets = max(m.buckets, buckets)
 	}
 	cells := 0
-	for k := r.cells("temporal kind", kindSlots, false, 4+4); k.next(); {
+	for k := r.cells("temporal kind", kindSlots, false, 4+4); k.next(r); {
 		// First pass: check the row and find its highest bucket, so the
 		// dense row grows exactly once. Growing it inside the fill loop
 		// would let a small payload with ascending indices force repeated
 		// near-gigabyte reallocations.
 		mark, top := r.off, 0
-		for c := k.row("temporal bucket", buckets); c.next(); {
+		for c := k.row(r, "temporal bucket", buckets); c.next(r); {
 			if r.stat() == (Stat{}) {
-				c.refuse(zeroStat)
+				c.refuse(r, zeroStat)
 			}
 			top = int(c.key)
 		}
@@ -922,7 +955,7 @@ func (pp *Partial) mergeTemporal(r *preader, apply bool) error {
 		per := growStats(m.perKind[k.key], top+1)
 		m.perKind[k.key] = per
 		r.off = mark
-		for c := k.row("temporal bucket", buckets); c.next(); {
+		for c := k.row(r, "temporal bucket", buckets); c.next(r); {
 			per[c.key].merge(r.stat())
 		}
 	}
@@ -931,9 +964,9 @@ func (pp *Partial) mergeTemporal(r *preader, apply bool) error {
 
 func (pp *Partial) mergeCallsites(r *preader, apply bool) error {
 	// A call site's key is wide: its ctx, then its kind.
-	for c := r.cells("call-site kind", kindSlots, true, 8+24); c.next(); {
+	for c := r.cells("call-site kind", kindSlots, true, 8+24); c.next(r); {
 		if st := r.stat(); st == (Stat{}) {
-			c.refuse(zeroStat)
+			c.refuse(r, zeroStat)
 		} else if apply {
 			entry(pp.Callsites.per, makeCallsiteKey(uint32(c.key>>32), trace.Kind(c.key))).merge(st)
 		}
@@ -943,9 +976,9 @@ func (pp *Partial) mergeCallsites(r *preader, apply bool) error {
 
 func (pp *Partial) mergeSizes(r *preader, apply bool) error {
 	m := pp.Sizes
-	for c := r.cells("size bucket", SizeBuckets, false, 4+16); c.next(); {
+	for c := r.cells("size bucket", SizeBuckets, false, 4+16); c.next(r); {
 		if hits, bytes := r.i64(), r.i64(); hits == 0 {
-			c.refuse("without hits")
+			c.refuse(r, "without hits")
 		} else if apply {
 			m.hits[c.key] += hits
 			m.bytes[c.key] += bytes
@@ -958,14 +991,14 @@ func (pp *Partial) mergeSizes(r *preader, apply bool) error {
 // one only then, so the next encode would drop the flag and the section.
 func (pp *Partial) mergeShed(r *preader, apply bool) error {
 	shed := false
-	for c := r.cells("shed kind", kindSlots, false, 4+16); c.next(); {
+	for c := r.cells("shed kind", kindSlots, false, 4+16); c.next(r); {
 		st := ShedStat{Shed: r.i64(), Kept: r.i64()}
 		if st.Shed < 0 || st.Kept < 0 {
 			return fmt.Errorf("analysis: negative shed ledger counts for %v", trace.Kind(c.key))
 		}
 		shed = shed || st.Shed > 0
 		if st == (ShedStat{}) {
-			c.refuse("with a zero ledger")
+			c.refuse(r, "with a zero ledger")
 		} else if apply {
 			dst := entry(pp.Shed.per, trace.Kind(c.key))
 			dst.Shed += st.Shed
@@ -991,6 +1024,10 @@ func (pp *Partial) mergeWindows(r *preader, apply bool) error {
 	}
 	inner := innerWindowOptions(pp.opts)
 	check := Partial{opts: inner} // a window (no topology); checking needs the options only
+	// Each window's reader is declared out here: declared in the loop, its
+	// address would reach this walker's own reader through the recursion
+	// and outlive the iteration, and every window would allocate one.
+	var sub preader
 	m := pp.Windows
 	prev := int64(-1)
 	for i := 0; i < n; i++ {
@@ -1007,7 +1044,7 @@ func (pp *Partial) mergeWindows(r *preader, apply bool) error {
 			r.fail()
 			return r.err
 		}
-		sub := preader{buf: r.buf[r.off : r.off+bl]}
+		sub = preader{buf: r.buf[r.off : r.off+bl]}
 		appID, opts, flags, err := readPartialHeader(&sub)
 		if err != nil {
 			return fmt.Errorf("analysis: window %d: %w", idx, err)
@@ -1177,9 +1214,10 @@ func (r *preader) inOrder(sorted bool, what string) bool {
 // strictly ascending by key, each key below bound — a wide key (a call
 // site's) is a u32 prefix and then the u32 below bound. next checks a key;
 // the section reads the value behind it, refuses a cell no encoder writes,
-// and folds it in when applying. Any failure is the reader's error.
+// and folds it in when applying. Any failure is the reader's error. The
+// reader is passed, not held: a cursor's name reaches the errors, and with
+// it everything the cursor holds would escape, the reader too.
 type cellList struct {
-	r        *preader
 	what     string
 	bound, n int // n counts the cells left
 	wide     bool
@@ -1192,13 +1230,12 @@ func (r *preader) cells(what string, bound int, wide bool, size int) cellList {
 	if r.fits(n, size) != nil {
 		n = 0
 	}
-	return cellList{r: r, what: what, bound: bound, n: n, wide: wide}
+	return cellList{what: what, bound: bound, n: n, wide: wide}
 }
 
-// next steps to the next cell, reading its key in place (it runs once a
-// cell), and reports whether there is one to read.
-func (c *cellList) next() bool {
-	r := c.r
+// next steps to the next cell of r, reading its key in place (it runs once
+// a cell), and reports whether there is one to read.
+func (c *cellList) next(r *preader) bool {
 	if c.n == 0 || r.err != nil {
 		return false
 	}
@@ -1230,9 +1267,9 @@ func (c *cellList) next() bool {
 
 // refuse ends the walk at the current cell, one its section's writer never
 // writes: folded in, it would vanish at the next encode.
-func (c *cellList) refuse(why string) {
-	if c.r.err == nil {
-		c.r.err = fmt.Errorf("analysis: partial %s %d %s, which no encoder writes", c.what, c.key, why)
+func (c *cellList) refuse(r *preader, why string) {
+	if r.err == nil {
+		r.err = fmt.Errorf("analysis: partial %s %d %s, which no encoder writes", c.what, c.key, why)
 	}
 }
 
@@ -1242,10 +1279,10 @@ const zeroStat = "with a zero Stat"
 
 // row starts the row behind the current kind of a kindRows table: Stat
 // cells keyed below bound, at least one, as kindRows writes no empty row.
-func (c *cellList) row(what string, bound int) cellList {
-	row := c.r.cells(what, bound, false, 4+24)
+func (c *cellList) row(r *preader, what string, bound int) cellList {
+	row := r.cells(what, bound, false, 4+24)
 	if row.n == 0 {
-		c.refuse("with an empty row")
+		c.refuse(r, "with an empty row")
 	}
 	return row
 }

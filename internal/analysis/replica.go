@@ -50,6 +50,9 @@ type Replica struct {
 	// pending counts events folded since the last merge (board path,
 	// advanced once per pack).
 	pending int
+	// tally, when a tracker is attached (Track), counts what the fold
+	// hands it until EndPack commits it.
+	tally *WindowTally
 }
 
 // NewReplica creates a replica for an application of the given module
@@ -59,11 +62,17 @@ func NewReplica(appID uint32, opts PartialOptions) *Replica {
 	return &Replica{pp: pp, foldFn: pp.fold}
 }
 
-// Tap makes every later fold also hand the event to fn, after the modules:
-// how an observer that is not a module (the window tracker) rides a fold
-// path that bypasses the pipeline's. Call before the first fold; fn
-// synchronizes itself if it is shared between replicas.
-func (r *Replica) Tap(fn func(*trace.Event)) { r.foldFn = tapped(r.foldFn, fn) }
+// Track makes every later fold also count the event, after the modules,
+// in a tally of tr that EndPack commits: how the window tracker rides a
+// fold path that bypasses the pipeline's. Call before the first fold.
+func (r *Replica) Track(tr *WindowTracker) {
+	r.tally = tr.NewTally()
+	r.foldFn = tapped(r.foldFn, r.tally.Observe)
+}
+
+// EndPack commits what the replica's tally counted to its tracker: call it
+// where a pack's fold ends. Free on an untracked replica.
+func (r *Replica) EndPack() { r.tally.Commit() }
 
 // tapped returns the dispatcher that folds an event, then hands it to tap.
 func tapped(fold, tap func(*trace.Event)) func(*trace.Event) {
@@ -84,13 +93,13 @@ func (r *Replica) FoldFunc() func(*trace.Event) { return r.foldFn }
 func (r *Replica) Partial() *Partial { return r.pp }
 
 // NewReplica creates a replica matching the pipeline's state. Call after
-// every Enable* the run will use. An attached window tracker is tapped in:
+// every Enable* the run will use. An attached window tracker is tracked:
 // replicas bypass the pipeline's fold, so the lag observer must ride the
 // replica's own.
 func (p *Pipeline) NewReplica() *Replica {
 	r := NewReplica(0, p.PartialOptions())
 	if tr := p.WindowTracker(); tr != nil {
-		r.Tap(tr.OnEvent)
+		r.Track(tr)
 	}
 	return r
 }
@@ -163,7 +172,9 @@ func (p *Pipeline) Settle() {
 // shared modules: the same fused decode, but the per-event fold touches
 // only replica-local memory. The caller owns rep (see Replica).
 func (p *Pipeline) FoldPackReplica(rep *Replica, dec *trace.StreamDecoder, buf []byte) (int, error) {
-	return p.foldStreamPack(dec, buf, rep.foldFn)
+	n, err := p.foldStreamPack(dec, buf, rep.foldFn)
+	rep.EndPack()
+	return n, err
 }
 
 // --- parallel fused ingest ---

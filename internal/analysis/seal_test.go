@@ -170,3 +170,42 @@ func TestNewWindowAllocsPerRankCount(t *testing.T) {
 		t.Errorf("a fresh window allocates %d objects at 64 ranks but %d at 1024", objects[64], objects[1024])
 	}
 }
+
+// TestMergeEncodedWindowedZeroAllocs: the walk of an encoded partial
+// allocates nothing of its own. A one-window delta of the live workload
+// (one poll interval at 256 ranks) merges into a warm accumulator without
+// an allocation, and DecodePartial of it allocates what building the same
+// partial from NewPartial does — the partial, not the readers, the window
+// headers or the windows' checking partial.
+func TestMergeEncodedWindowedZeroAllocs(t *testing.T) {
+	opts := liveOpts(256)
+	delta, cum := NewPartial(1, opts), NewPartial(1, opts)
+	foldAll(delta, livePacks(256, 2048, 2128))
+	buf := delta.Flush(nil, false)
+	if got, err := DecodePartial(buf); err != nil || got.Windows.Len() != 1 {
+		t.Fatalf("the live delta decodes to %v windows (%v), want one", got.Windows.Len(), err)
+	}
+	if err := cum.MergeEncoded(buf); err != nil {
+		t.Fatal(err)
+	}
+	if allocs := testing.AllocsPerRun(20, func() {
+		if err := cum.MergeEncoded(buf); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 0 {
+		t.Errorf("MergeEncoded of the one-window live delta into a warm accumulator allocates %.0f, want 0", allocs)
+	}
+	decode := testing.AllocsPerRun(20, func() {
+		if _, err := DecodePartial(buf); err != nil {
+			t.Fatal(err)
+		}
+	})
+	build := testing.AllocsPerRun(20, func() {
+		if err := NewPartial(1, opts).MergeEncoded(buf); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if decode != build {
+		t.Errorf("DecodePartial allocates %.0f, building the same partial %.0f: the walk allocates", decode, build)
+	}
+}

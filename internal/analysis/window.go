@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"maps"
 	"math"
-	"sort"
 	"sync"
 
 	"repro/internal/trace"
@@ -186,18 +185,6 @@ func (m *WindowedModule) Len() int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	return len(m.wins)
-}
-
-// Indices returns the populated window indices in ascending order.
-func (m *WindowedModule) Indices() []int64 {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	out := make([]int64, 0, len(m.wins))
-	for i := range m.wins {
-		out = append(out, i)
-	}
-	sort.Slice(out, func(a, b int) bool { return out[a] < out[b] })
-	return out
 }
 
 // Series extracts one per-window value across the populated index range

@@ -1,12 +1,14 @@
 package analysis
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"reflect"
 	"sort"
 	"testing"
 
+	"repro/internal/blackboard"
 	"repro/internal/trace"
 )
 
@@ -217,10 +219,8 @@ func roundRobin(perRank [][]trace.Event, fn func(*trace.Event)) {
 
 // TestWindowOracle holds the window series to the naive reference on 1 000
 // generated runs, tumbling and sliding, through every way events reach a
-// windowed partial — AddEvent, replicas epoch-merged with MergeReset, the
-// daemon's seal chain (a delta's Flush(false) merged into a cumulative
-// state with MergeEncoded, then its Flush(true)) and a whole-run
-// Flush(true) — each compared on the values its canonical bytes decode to.
+// windowed partial (ingestPaths; the board legs on 100 of the runs), each
+// compared on the values its canonical bytes decode to.
 func TestWindowOracle(t *testing.T) {
 	const appSize = 5
 	for seed := int64(0); seed < 1000; seed++ {
@@ -234,7 +234,7 @@ func TestWindowOracle(t *testing.T) {
 		for _, seq := range perRank {
 			evs = append(evs, seq...)
 		}
-		for name, path := range ingestPaths(t, rng, opts, perRank) {
+		for name, path := range ingestPaths(t, rng, opts, perRank, seed%oracleBoardEvery == 0) {
 			if !oracleAgrees(t, fmt.Sprintf("seed %d %s", seed, name), path().AppendCanonical(nil), evs) {
 				return
 			}
@@ -242,13 +242,20 @@ func TestWindowOracle(t *testing.T) {
 	}
 }
 
+// oracleBoardEvery spaces the board legs of the oracles: every tenth seed,
+// 100 of the 1 000 streams, as their board workers are dear under -race.
+const oracleBoardEvery = 10
+
 // ingestPaths returns the ways the oracles feed a run's events to a
 // partial of opts — AddEvent, replicas epoch-merged with MergeReset, the
 // daemon's seal chain (a delta's Flush(false) merged into a cumulative
-// state with MergeEncoded, then its Flush(true)) and a whole-run
-// Flush(true) decoded — with rng picking replicas and seal points.
-func ingestPaths(t *testing.T, rng *rand.Rand, opts PartialOptions, perRank [][]trace.Event) map[string]func() *Partial {
-	return map[string]func() *Partial{
+// state with MergeEncoded, then its Flush(true)), a whole-run Flush(true)
+// decoded, v3 packs through two fused lanes and, with board set, v1 packs
+// posted on the board, folded under the state's locks and into replicas —
+// with rng picking replicas, seal points, pack cuts and epochs. The pack
+// paths feed a window tracker too, which they hold to the reference.
+func ingestPaths(t *testing.T, rng *rand.Rand, opts PartialOptions, perRank [][]trace.Event, board bool) map[string]func() *Partial {
+	paths := map[string]func() *Partial{
 		"AddEvent": func() *Partial {
 			pp := NewPartial(1, opts)
 			roundRobin(perRank, pp.AddEvent)
@@ -298,7 +305,133 @@ func ingestPaths(t *testing.T, rng *rand.Rand, opts PartialOptions, perRank [][]
 			}
 			return dec
 		},
+		"fused lanes v3": func() *Partial {
+			d, p, tr := oraclePipeline(t, opts)
+			fi := NewParallelFusedIngest(d, 2, 1+rng.Intn(8))
+			roundRobinPacks(oraclePacks(t, trace.PackV3, perRank, 1+rng.Intn(8)), func(src int, pk []byte) {
+				if _, err := fi.Absorb(src, pk); err != nil {
+					t.Fatal(err)
+				}
+			})
+			fi.Sync()
+			return trackerAgrees(t, "fused lanes", d, p, tr, perRank)
+		},
 	}
+	if !board {
+		return paths
+	}
+	for _, replicas := range []bool{false, true} {
+		paths[fmt.Sprintf("board v1 (replicas %v)", replicas)] = func() *Partial {
+			d, p, tr := oraclePipeline(t, opts)
+			if replicas {
+				if err := p.EnableReplicas(1 + rng.Intn(64)); err != nil {
+					t.Fatal(err)
+				}
+			}
+			roundRobinPacks(oraclePacks(t, trace.PackV1, perRank, 1+rng.Intn(8)), func(_ int, pk []byte) { d.PostRaw(pk) })
+			d.bb.Drain()
+			p.Settle()
+			return trackerAgrees(t, "board", d, p, tr, perRank)
+		}
+	}
+	return paths
+}
+
+// oraclePipeline builds a level carrying opts' modules, with a window
+// tracker attached, on a board of two workers.
+func oraclePipeline(t *testing.T, opts PartialOptions) (*Dispatcher, *Pipeline, *WindowTracker) {
+	t.Helper()
+	d, err := NewDispatcher(blackboard.New(blackboard.Config{Workers: 2}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := d.AddApp(1, "app", opts.AppSize)
+	errs := []error{err}
+	if opts.WaitState {
+		_, err = p.EnableWaitState()
+		errs = append(errs, err)
+	}
+	if opts.TemporalWindowNs > 0 {
+		_, err = p.EnableTemporal(opts.TemporalWindowNs)
+		errs = append(errs, err)
+	}
+	if opts.Callsites {
+		_, err = p.EnableCallsites()
+		errs = append(errs, err)
+	}
+	if opts.Sizes {
+		_, err = p.EnableSizes()
+		errs = append(errs, err)
+	}
+	_, err = p.EnableWindows(opts.WindowNs, opts.WindowSlideNs)
+	tr := NewWindowTracker(opts.WindowNs, opts.WindowSlideNs, 0, nil)
+	if err := errors.Join(append(errs, err, p.AttachWindowTracker(tr))...); err != nil {
+		t.Fatal(err)
+	}
+	return d, p, tr
+}
+
+// oraclePacks encodes each rank's events, in order, as packs of perPack
+// events in the given format.
+func oraclePacks(t *testing.T, version int, perRank [][]trace.Event, perPack int) [][][]byte {
+	t.Helper()
+	out := make([][][]byte, len(perRank))
+	for r, evs := range perRank {
+		b, err := trace.NewBuilder(version, 1, int32(r), 48, trace.PackHeaderSize+perPack*48)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range evs {
+			if b.Add(&evs[i]) {
+				out[r] = append(out[r], b.Take())
+			}
+		}
+		if last := b.Take(); last != nil {
+			out[r] = append(out[r], last)
+		}
+	}
+	return out
+}
+
+// roundRobinPacks hands over every rank's packs, one rank's next pack at a
+// time, each rank's in order.
+func roundRobinPacks(perRank [][][]byte, fn func(src int, pk []byte)) {
+	for i, more := 0, true; more; i++ {
+		more = false
+		for r, packs := range perRank {
+			if i < len(packs) {
+				fn(r, packs[i])
+				more = true
+			}
+		}
+	}
+}
+
+// trackerAgrees closes a pack path's board and checks its tracker against
+// the reference: it observed every event, and each window's on-time and
+// late events add up to those whose last covering window it is. It
+// returns the path's state.
+func trackerAgrees(t *testing.T, path string, d *Dispatcher, p *Pipeline, tr *WindowTracker, perRank [][]trace.Event) *Partial {
+	t.Helper()
+	d.bb.Close()
+	o := p.PartialOptions()
+	want, events := map[int64]int64{}, int64(0)
+	for _, seq := range perRank {
+		for _, ev := range seq {
+			cover := refCovering(ev.TStart, o.WindowNs, o.WindowSlideNs)
+			want[cover[len(cover)-1]]++
+			events++
+		}
+	}
+	got := map[int64]int64{}
+	for idx, n := range trackerCounts(tr) {
+		got[idx] = n[0] + n[1]
+	}
+	if tr.Events() != events || !reflect.DeepEqual(got, want) {
+		t.Errorf("%s: the tracker observed %d events, by last covering window %v; the reference %d, %v",
+			path, tr.Events(), got, events, want)
+	}
+	return p.state
 }
 
 // oracleAgrees reports whether buf, the canonical encoding of a windowed

@@ -2,7 +2,9 @@ package analysis
 
 import (
 	"bytes"
+	"maps"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -100,7 +102,8 @@ func TestWindowSumsMatchWholeRun(t *testing.T) {
 //     understate what the window holds, never overstate it;
 //   - the late marking itself must match an independent replay of the
 //     definition (effective clock past window end + grace);
-//   - a window that saw no late arrivals reports completeness 1.
+//   - the worst window is the replay's lowest bound, and a run without a
+//     late arrival has none.
 func TestWindowCompletenessConservative(t *testing.T) {
 	const appSize = 5
 	f := func(seed int64) bool {
@@ -131,7 +134,7 @@ func TestWindowCompletenessConservative(t *testing.T) {
 			}
 			tr.SetNow(now)
 			m.Add(ev)
-			tr.OnEvent(ev)
+			observe(tr, ev)
 
 			tv := ev.TStart
 			if tv < 0 {
@@ -153,8 +156,9 @@ func TestWindowCompletenessConservative(t *testing.T) {
 		}
 
 		var counted int64
-		for _, idx := range tr.WindowIndices() {
-			on, late := tr.WindowCounts(idx)
+		worst, worstIdx := 1.0, int64(0)
+		for idx, n := range trackerCounts(tr) {
+			on, late := n[0], n[1]
 			counted += on + late
 			if on != wantOn[idx] || late != wantLate[idx] {
 				t.Logf("seed %d: window %d counts (%d on, %d late), replay wants (%d, %d)",
@@ -171,19 +175,13 @@ func TestWindowCompletenessConservative(t *testing.T) {
 					seed, idx, got, on+late)
 				return false
 			}
-			c := tr.Completeness(idx)
-			if c < 0 || c > 1 {
-				t.Logf("seed %d: window %d completeness %v out of range", seed, idx, c)
-				return false
+			if c := float64(on) / float64(on+late); c < worst || c == worst && idx < worstIdx {
+				worst, worstIdx = c, idx
 			}
-			if late == 0 && c != 1 {
-				t.Logf("seed %d: window %d has no late events but completeness %v", seed, idx, c)
-				return false
-			}
-			if late > 0 && c >= 1 && on > 0 {
-				t.Logf("seed %d: window %d has %d late events but completeness %v", seed, idx, late, c)
-				return false
-			}
+		}
+		if idx, c, ok := tr.WorstWindow(); ok != (worst < 1) || ok && (idx != worstIdx || c != worst) {
+			t.Logf("seed %d: worst window %d at %v (%v), replay wants %d at %v", seed, idx, c, ok, worstIdx, worst)
+			return false
 		}
 		if counted != int64(len(evs)) || tr.Events() != int64(len(evs)) {
 			t.Logf("seed %d: %d events counted across windows, %d observed, %d folded",
@@ -206,7 +204,7 @@ func TestSlidingWindowCoverage(t *testing.T) {
 	ev := trace.Event{Kind: trace.KindSend, Rank: 0, Peer: 1, TStart: 10_500, TEnd: 10_600}
 	m.Add(&ev)
 	want := []int64{7, 8, 9, 10}
-	got := m.Indices()
+	got := windowIndices(m)
 	if len(got) != len(want) {
 		t.Fatalf("indices = %v, want %v", got, want)
 	}
@@ -219,7 +217,14 @@ func TestSlidingWindowCoverage(t *testing.T) {
 	m2 := NewWindowedModule(4000, 1000, opts, nil)
 	ev2 := trace.Event{Kind: trace.KindSend, Rank: 0, Peer: 1, TStart: 1500, TEnd: 1600}
 	m2.Add(&ev2)
-	if got := m2.Indices(); len(got) != 2 || got[0] != 0 || got[1] != 1 {
+	if got := windowIndices(m2); len(got) != 2 || got[0] != 0 || got[1] != 1 {
 		t.Fatalf("origin indices = %v, want [0 1]", got)
 	}
+}
+
+// windowIndices returns the populated window indices in ascending order.
+func windowIndices(m *WindowedModule) []int64 {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return slices.Sorted(maps.Keys(m.wins))
 }

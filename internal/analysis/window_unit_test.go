@@ -145,30 +145,27 @@ func TestWindowTrackerEdges(t *testing.T) {
 
 	// Negative timestamps clamp to zero (window 0, lag vs clock 100).
 	ev := trace.Event{Kind: trace.KindSend, Rank: 0, Peer: 1, TStart: -20, TEnd: -10}
-	tr.OnEvent(&ev)
+	observe(tr, &ev)
 	if tr.LagNs() != 100 || tr.MaxLagNs() != 100 {
 		t.Fatalf("lag = %d/%d, want 100/100", tr.LagNs(), tr.MaxLagNs())
 	}
-	if on, late := tr.WindowCounts(0); on != 1 || late != 0 {
-		t.Fatalf("window 0 counts = %d/%d", on, late)
+	if n := trackerCounts(tr)[0]; n != [2]int64{1, 0} {
+		t.Fatalf("window 0 counts = %d/%d", n[0], n[1])
 	}
 
 	// A late-only window: clock far past window 3's end (grace clamped
 	// to zero by the constructor).
 	tr.SetNow(100_000)
 	ev2 := trace.Event{Kind: trace.KindSend, Rank: 1, Peer: 0, TStart: 3500, TEnd: 3600}
-	tr.OnEvent(&ev2)
+	observe(tr, &ev2)
 	if tr.LateEvents() != 1 || tr.Events() != 2 {
 		t.Fatalf("events = %d late = %d", tr.Events(), tr.LateEvents())
 	}
 	if got := tr.WindowsObserved(); got != 2 {
 		t.Fatalf("WindowsObserved = %d, want 2", got)
 	}
-	if c := tr.Completeness(3); c != 0 {
-		t.Fatalf("late-only window completeness = %v, want 0", c)
-	}
-	if c := tr.Completeness(42); c != 1 {
-		t.Fatalf("untouched window completeness = %v, want 1", c)
+	if idx, c, ok := tr.WorstWindow(); idx != 3 || c != 0 || !ok {
+		t.Fatalf("worst window %d at %v (%v), want the late-only window 3 at 0", idx, c, ok)
 	}
 
 	tr.Publish()
@@ -193,7 +190,7 @@ func TestWindowTrackerEdges(t *testing.T) {
 		arrival += 500
 		now = max(now, arrival) // no event is served before it arrives
 		over.SetNow(now)
-		over.OnEvent(&trace.Event{Kind: trace.KindSend, Rank: 0, Peer: 1, TStart: arrival, TEnd: arrival + 1})
+		observe(over, &trace.Event{Kind: trace.KindSend, Rank: 0, Peer: 1, TStart: arrival, TEnd: arrival + 1})
 		now += 1000
 	}
 	if over.LagNs() != 49_500 || over.MaxLagNs() != 49_500 {

@@ -343,16 +343,18 @@ func (s *Simulator) drive(self *Proc) (resumed bool) {
 	}
 	for len(s.queue) > 0 && !s.halted && s.failure == nil {
 		ev := s.queue.pop()
-		s.now = ev.at
 		p, fn, arg, fire := ev.proc, ev.fn, ev.arg, ev.fire
+		if p != nil && p.dead { // a stale wake, of nothing: the clock stays put
+			s.recycle(ev)
+			continue
+		}
+		s.now = ev.at
 		s.recycle(ev) // before control can leave this stack
 		switch {
 		case fn != nil:
 			fn(arg)
 		case fire != nil:
 			fire()
-		case p.dead:
-			// A stale wake: the process died after the event was scheduled.
 		case p == self:
 			return true
 		case self != nil:

@@ -730,7 +730,8 @@ func TestSleepTieYieldsToQueuedEvent(t *testing.T) {
 
 // TestKilledProcUnwindsAtNextSleep: a process that is killed while it runs
 // (here by itself) unwinds at its next Sleep, with nothing else queued:
-// the sleep never returns.
+// the sleep never returns, and its wake, stale once the process is dead,
+// does not move the clock.
 func TestKilledProcUnwindsAtNextSleep(t *testing.T) {
 	s := New(1)
 	returned := false
@@ -745,6 +746,9 @@ func TestKilledProcUnwindsAtNextSleep(t *testing.T) {
 	}
 	if returned || !p.Dead() {
 		t.Fatalf("returned=%v dead=%v, want the killed sleeper unwound", returned, p.Dead())
+	}
+	if s.Now() != DurationToTime(time.Millisecond) {
+		t.Fatalf("run ended at %v, want 1ms: a dead process's wake moved the clock", s.Now())
 	}
 }
 

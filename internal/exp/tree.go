@@ -189,7 +189,7 @@ func (lf *treeLeaf) flush(final bool) error {
 	return nil
 }
 
-// rep returns (creating on first use) the application's replica, tapped
+// rep returns (creating on first use) the application's replica, tracked
 // by the window tracker on windowed runs so leaves account event-to-report
 // lag where the raw events actually fold.
 func (lf *treeLeaf) rep(appID uint32) *analysis.Replica {
@@ -197,7 +197,7 @@ func (lf *treeLeaf) rep(appID uint32) *analysis.Replica {
 	if rep == nil {
 		rep = analysis.NewReplica(appID, lf.tc.leafOpts[appID])
 		if tr := lf.tracker(appID); tr != nil {
-			rep.Tap(tr.OnEvent)
+			rep.Track(tr)
 		}
 		lf.reps[appID] = rep
 	}
@@ -235,13 +235,15 @@ func (lf *treeLeaf) absorb(blk *vmpi.Block) error {
 		blk.Release()
 		return nil
 	}
-	fold := lf.rep(h.AppID).FoldFunc()
+	rep := lf.rep(h.AppID)
 	if tr := lf.tracker(h.AppID); tr != nil {
 		// Clock in before the fold: lag is judged against the moment this
 		// leaf started analyzing the pack.
 		tr.SetNow(int64(lf.r.Now()))
 	}
-	if _, err := lf.decs.For(blk.From).DecodeDispatch(blk.Payload, fold); err != nil {
+	_, err = lf.decs.For(blk.From).DecodeDispatch(blk.Payload, rep.FoldFunc())
+	rep.EndPack()
+	if err != nil {
 		return fmt.Errorf("exp: leaf pack decode: %w", err)
 	}
 	lf.r.Compute(lf.tc.cost(blk.Size))

@@ -638,14 +638,8 @@ func (ch *Chapter) render(w io.Writer) error {
 			fmt.Fprintf(w, "  event-to-report lag: last %v, max %v (%d events, %d late)\n",
 				time.Duration(tr.LagNs()), time.Duration(tr.MaxLagNs()),
 				tr.Events(), tr.LateEvents())
-			minC, minIdx := 1.0, int64(-1)
-			for _, idx := range ch.Windows.Indices() {
-				if c := tr.Completeness(idx); c < minC {
-					minC, minIdx = c, idx
-				}
-			}
-			if minIdx >= 0 {
-				fmt.Fprintf(w, "  worst window completeness: >=%.2f%% (window %d)\n", 100*minC, minIdx)
+			if idx, c, ok := tr.WorstWindow(); ok {
+				fmt.Fprintf(w, "  worst window completeness: >=%.2f%% (window %d)\n", 100*c, idx)
 			}
 		}
 	}

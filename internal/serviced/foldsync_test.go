@@ -12,8 +12,19 @@ import (
 // decoder, past the admission gate and into the delta allocates nothing —
 // and takes no lock, the delta being the connection goroutine's own.
 func TestSyncFoldZeroAllocs(t *testing.T) {
-	meta := wire.SessionMeta{Title: "t", Callsites: true, Sizes: true, TemporalWindowNs: 1000,
-		Apps: []wire.AppMeta{{AppID: 3, Name: "app", Procs: 4}}}
+	syncFoldZeroAllocs(t, wire.SessionMeta{Title: "t", Callsites: true, Sizes: true, TemporalWindowNs: 1000,
+		Apps: []wire.AppMeta{{AppID: 3, Name: "app", Procs: 4}}})
+}
+
+// TestSyncFoldWindowedZeroAllocs is TestSyncFoldZeroAllocs on a windowed
+// session: the window series and the lateness tracker, whose tally the
+// pack commits, add no allocation either.
+func TestSyncFoldWindowedZeroAllocs(t *testing.T) {
+	syncFoldZeroAllocs(t, wire.SessionMeta{Title: "t", Callsites: true, Sizes: true, TemporalWindowNs: 1000,
+		WindowNs: 2000, WindowGraceNs: 500, Apps: []wire.AppMeta{{AppID: 3, Name: "app", Procs: 4}}})
+}
+
+func syncFoldZeroAllocs(t *testing.T, meta wire.SessionMeta) {
 	s := newSession(1, trace.PackV3, meta, newGovernor(0, 0, 0), 1)
 	defer s.shutdown()
 	b := trace.NewPackBuilderV3(3, 0, 48, trace.PackHeaderSize+256*48)
@@ -43,5 +54,55 @@ func TestSyncFoldZeroAllocs(t *testing.T) {
 	}
 	if got, want := s.events.Load(), int64(256*(2+51)); got != want {
 		t.Errorf("session counted %d admitted events, want %d", got, want)
+	}
+	if tr := app.tracker; tr != nil && tr.Events() != s.events.Load() {
+		t.Errorf("the tracker counted %d events, the session %d", tr.Events(), s.events.Load())
+	}
+}
+
+// TestLaneTrackersMatchSync: the ingest lanes each commit their own tally
+// into the app's one tracker, and the tracker ends where the synchronous
+// session's does — events, late events, windows and the worst window. One
+// writer's packs run a window ahead; the other's, sent after a flush, are
+// all late behind them on both paths.
+func TestLaneTrackersMatchSync(t *testing.T) {
+	meta := wire.SessionMeta{Title: "t", WindowNs: 10_000, WindowGraceNs: 1000,
+		Apps: []wire.AppMeta{{AppID: 3, Name: "app", Procs: 4}}}
+	packs := func(writer int32, from int64) [][]byte {
+		b := trace.NewPackBuilderV3(3, writer, 48, trace.PackHeaderSize+64*48)
+		var out [][]byte
+		for i := int64(0); i < 500; i++ {
+			ev := trace.Event{Kind: trace.KindSend, Rank: writer, Peer: 1 - writer, Size: 64,
+				TStart: from + i*97, TEnd: from + i*97 + 30}
+			if b.Add(&ev) {
+				out = append(out, b.Take())
+			}
+		}
+		return append(out, b.Take())
+	}
+	ahead, behind := packs(0, 60_000), packs(1, 0)
+	totals := func(workers int) [5]any {
+		s := newSession(1, trace.PackV3, meta, newGovernor(0, 0, 0), workers)
+		defer s.shutdown()
+		for phase, ps := range [][][]byte{ahead, behind} {
+			for _, pk := range ps {
+				if err := s.ingest(uint32(phase), pk); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if err := s.flushLanes(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		tr := s.apps[0].tracker
+		idx, c, _ := tr.WorstWindow()
+		return [5]any{tr.Events(), tr.LateEvents(), tr.WindowsObserved(), idx, c}
+	}
+	want, got := totals(1), totals(2)
+	if want[0] != int64(1000) || want[1] != int64(500) {
+		t.Fatalf("synchronous tracker: %v events and late, want 1000 and 500", want[:2])
+	}
+	if got != want {
+		t.Errorf("two lanes' tracker (events, late, windows, worst window, its bound) = %v, synchronous %v", got, want)
 	}
 }

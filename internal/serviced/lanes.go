@@ -136,9 +136,12 @@ func (l *lane) fold(j laneJob) error {
 	rep := l.reps[j.app]
 	if rep == nil {
 		rep = analysis.NewReplica(j.app.meta.AppID, j.app.opts)
+		if j.app.tracker != nil {
+			rep.Track(j.app.tracker)
+		}
 		l.reps[j.app] = rep
 	}
-	admitted, err := decodeAdmitted(l.decs, j.src, j.app, *j.buf, rep.FoldFunc())
+	admitted, err := decodeAdmitted(l.decs, j.src, j.app, *j.buf, rep)
 	l.admitted += admitted
 	return err
 }

@@ -37,7 +37,8 @@ type sessionApp struct {
 	// buffer starts at that capacity instead of growing from nothing.
 	sealedLen int
 	// tracker, on windowed sessions, is the arrival-side lateness
-	// accounting shared by the synchronous fold and every ingest lane.
+	// accounting shared by the synchronous fold and every ingest lane,
+	// each counting into a tally of its own replica (Replica.Track).
 	// The daemon has no virtual clock, so lag stays zero and lateness is
 	// judged purely against the event-time watermark: an event behind a
 	// window the watermark already passed is late.
@@ -134,6 +135,7 @@ func newSession(id uint64, format int, meta wire.SessionMeta, gov *governor, wor
 		}
 		if meta.WindowNs > 0 {
 			app.tracker = analysis.NewWindowTracker(meta.WindowNs, meta.WindowSlideNs, meta.WindowGraceNs, nil)
+			app.delta.Track(app.tracker)
 		}
 		s.apps = append(s.apps, app)
 		s.byID[am.AppID] = app
@@ -197,29 +199,26 @@ func (s *session) ingest(src uint32, pack []byte) error {
 // foldSync is the synchronous decode+fold path: events go straight into
 // the app's delta on the connection goroutine.
 func (s *session) foldSync(src uint32, app *sessionApp, pack []byte) error {
-	admitted, err := decodeAdmitted(s.decs, src, app, pack, app.delta.FoldFunc())
+	admitted, err := decodeAdmitted(s.decs, src, app, pack, app.delta)
 	s.events.Add(admitted)
 	return err
 }
 
 // decodeAdmitted decodes one data pack of any negotiated format through
-// its writer's decoder in decs and hands fold every event the app's
-// admission gate admits, the window tracker observing the same events.
-// It returns how many were admitted.
-func decodeAdmitted(decs trace.Decoders, src uint32, app *sessionApp, pack []byte, fold func(*trace.Event)) (int64, error) {
+// its writer's decoder in decs and folds into rep every event the app's
+// admission gate admits, then commits rep's window tally: the tracker,
+// shared across lanes, takes the pack's counts at once. It returns how
+// many were admitted.
+func decodeAdmitted(decs trace.Decoders, src uint32, app *sessionApp, pack []byte, rep *analysis.Replica) (int64, error) {
 	admitted := int64(0)
+	fold := rep.FoldFunc()
 	_, err := decs.For(int(src)).DecodeDispatch(pack, func(ev *trace.Event) {
 		if app.gate.Admit(ev.Kind) {
 			fold(ev)
-			if app.tracker != nil {
-				// The tracker is shared across lanes by design: its counts
-				// are atomics plus one mutex, so lateness accounting stays
-				// exact even though the fold path is shared-nothing.
-				app.tracker.OnEvent(ev)
-			}
 			admitted++
 		}
 	})
+	rep.EndPack()
 	if err != nil {
 		return admitted, fmt.Errorf("serviced: pack decode: %w", err)
 	}
@@ -448,10 +447,8 @@ func (s *session) windowStats() (windows int, late int64, minCompleteness float6
 		}
 		windows += a.tracker.WindowsObserved()
 		late += a.tracker.LateEvents()
-		for _, idx := range a.tracker.WindowIndices() {
-			if c := a.tracker.Completeness(idx); c < minCompleteness {
-				minCompleteness = c
-			}
+		if _, c, ok := a.tracker.WorstWindow(); ok {
+			minCompleteness = min(minCompleteness, c)
 		}
 	}
 	return
