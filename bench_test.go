@@ -213,7 +213,7 @@ func BenchmarkFig18DensityMaps(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			hits = rep.Chapters[0].Density.Map(trace.KindSend, analysis.MetricHits)
+			hits = rep.Chapters[0].Density.AppendMap(nil, trace.KindSend, analysis.MetricHits)
 		}
 		// 8x8 mesh: corner (2 neighbours) < edge (3) < interior (4).
 		if !(hits[0] < hits[1] && hits[1] < hits[9]) {
@@ -235,8 +235,8 @@ func BenchmarkFig18DensityMaps(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
-			waits = rep.Chapters[0].Density.CollectiveTimeMap()
-			sizes = rep.Chapters[0].Density.P2PSizeMap()
+			waits = rep.Chapters[0].Density.AppendCollectiveTimeMap(nil)
+			sizes = rep.Chapters[0].Density.AppendP2PSizeMap(nil)
 		}
 		wst, sst := report.Stats(waits), report.Stats(sizes)
 		// Collective-time spread clearly above flat (paper: red ≈1.7×

@@ -7,9 +7,9 @@
 //
 //   - a message-size histogram KS with a single sensitivity on decoded
 //     events;
-//   - a "late-sender detector" joining pairs of events (a two-slot
-//     sensitivity set) to flag receives that waited on their matching
-//     send, demonstrating multi-type sensitivities;
+//   - a "late-sender detector" joining send and recv records (a two-slot
+//     sensitivity set), matched by message tag, to flag receives that
+//     waited on their send, demonstrating multi-type sensitivities;
 //
 // plus a bootstrap KS that registers the detector dynamically from inside
 // an operation and then removes itself — the paper's simplified
@@ -38,6 +38,7 @@ func main() {
 	bb := blackboard.New(blackboard.Config{Workers: 4})
 	defer bb.Close()
 
+	startT := blackboard.TypeID(level, "run-start")
 	eventT := blackboard.TypeID(level, "event")
 	sendT := blackboard.TypeID(level, "send-record")
 	recvT := blackboard.TypeID(level, "recv-record")
@@ -82,26 +83,28 @@ func main() {
 		log.Fatal(err)
 	}
 
-	// Bootstrap KS: installs the late-sender detector on first event, then
-	// removes itself (dynamic KS management from inside an operation).
+	// Bootstrap KS: installs the late-sender detector on the run-start
+	// entry, then removes itself (dynamic KS management from inside an
+	// operation). The stream waits for it: a record posted before the
+	// detector exists would find no listener.
 	var lateMu sync.Mutex
 	late := 0
-	// Jobs already triggered for a KS may still run right after it
-	// unregisters itself, so the bootstrap is idempotent via sync.Once.
-	var installOnce sync.Once
 	if err := bb.Register(blackboard.KS{
 		Name:          "bootstrap",
-		Sensitivities: []blackboard.Type{eventT},
+		Sensitivities: []blackboard.Type{startT},
 		Op: func(bb *blackboard.Blackboard, _ []*blackboard.Entry) {
-			installOnce.Do(func() { installLateSender(bb, &lateMu, &late) })
+			installLateSender(bb, &lateMu, &late)
 			bb.Unregister("bootstrap")
 		},
 	}); err != nil {
 		log.Fatal(err)
 	}
 
+	bb.Post(startT, 0, nil)
+	bb.Drain()
+
 	// Feed a synthetic event stream: sends at various sizes, half of them
-	// "late" relative to their receives.
+	// "late" relative to their receives, each message tagged by index.
 	for i := 0; i < 1000; i++ {
 		size := int64(64 << (i % 8))
 		sendStart := int64(i * 100)
@@ -109,8 +112,8 @@ func main() {
 		if i%2 == 0 {
 			recvStart = sendStart - 50 // receiver posted early: late sender
 		}
-		bb.Post(eventT, 0, &trace.Event{Kind: trace.KindSend, Rank: 0, Peer: 1, Size: size, TStart: sendStart, TEnd: sendStart + 10})
-		bb.Post(eventT, 0, &trace.Event{Kind: trace.KindRecv, Rank: 1, Peer: 0, Size: size, TStart: recvStart, TEnd: sendStart + 20})
+		bb.Post(eventT, 0, &trace.Event{Kind: trace.KindSend, Rank: 0, Peer: 1, Tag: int32(i), Size: size, TStart: sendStart, TEnd: sendStart + 10})
+		bb.Post(eventT, 0, &trace.Event{Kind: trace.KindRecv, Rank: 1, Peer: 0, Tag: int32(i), Size: size, TStart: recvStart, TEnd: sendStart + 20})
 	}
 	bb.Drain()
 
@@ -131,21 +134,35 @@ func main() {
 	}
 }
 
-// installLateSender registers the two-slot late-sender join KS.
+// installLateSender registers the two-slot late-sender join KS. A job
+// gets whichever send and recv records are pending, so each record waits
+// in pending until the other half of its message (same tag) arrives.
 func installLateSender(bb *blackboard.Blackboard, mu *sync.Mutex, late *int) {
 	sendT := blackboard.TypeID(level, "send-record")
 	recvT := blackboard.TypeID(level, "recv-record")
+	pending := map[int32]*trace.Event{}
 	err := bb.Register(blackboard.KS{
 		Name: "late-sender",
 		// Two sensitivities: one send record + one recv record per job.
 		Sensitivities: []blackboard.Type{sendT, recvT},
 		Op: func(_ *blackboard.Blackboard, in []*blackboard.Entry) {
-			send := in[0].Payload.(*trace.Event)
-			recv := in[1].Payload.(*trace.Event)
-			if send.TStart > recv.TStart {
-				mu.Lock()
-				*late++
-				mu.Unlock()
+			mu.Lock()
+			defer mu.Unlock()
+			for _, e := range in {
+				ev := e.Payload.(*trace.Event)
+				other, ok := pending[ev.Tag]
+				if !ok {
+					pending[ev.Tag] = ev
+					continue
+				}
+				delete(pending, ev.Tag)
+				send, recv := other, ev
+				if send.Kind != trace.KindSend {
+					send, recv = recv, send
+				}
+				if send.TStart > recv.TStart {
+					*late++
+				}
 			}
 		},
 	})

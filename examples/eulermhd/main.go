@@ -53,5 +53,5 @@ func main() {
 	// The MPI_Send-hits density map distinguishes mesh border from
 	// interior, as in Figure 18a.
 	fmt.Println("--- MPI_Isend hits density map ---")
-	fmt.Print(report.DensityASCII(ch.Density.Map(trace.KindIsend, analysis.MetricHits), 64))
+	fmt.Print(report.DensityASCII(ch.Density.AppendMap(nil, trace.KindIsend, analysis.MetricHits), 64))
 }

@@ -38,7 +38,7 @@ func main() {
 	fmt.Printf("matched send/recv pairs: %d (unmatched halves: %d)\n", ws.Pairs(), ws.Unmatched())
 	fmt.Printf("total late-sender wait:  %v\n", time.Duration(ws.TotalLateNs()))
 
-	late := ws.LateSenderMap()
+	late := ws.AppendLateSenderMap(nil)
 	st := report.Stats(late)
 	fmt.Printf("late-sender wait per rank: min %v, max %v (imbalance %.2f)\n",
 		time.Duration(st.Min), time.Duration(st.Max), st.Imbalance)

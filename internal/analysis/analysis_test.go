@@ -117,19 +117,19 @@ func TestDensityMaps(t *testing.T) {
 	p.PostPack(buildPack(0, 3, trace.Event{Kind: trace.KindBarrier, Rank: 3, Peer: -1, TStart: 0, TEnd: 50}))
 	bb.Drain()
 
-	hits := p.Density.Map(trace.KindSend, MetricHits)
+	hits := p.Density.AppendMap(nil, trace.KindSend, MetricHits)
 	if hits[0] != 2 || hits[1] != 1 || hits[2] != 0 {
 		t.Fatalf("send hits map = %v", hits)
 	}
-	bytes := p.Density.P2PSizeMap()
+	bytes := p.Density.AppendP2PSizeMap(nil)
 	if bytes[0] != 30 || bytes[1] != 30 {
 		t.Fatalf("p2p size map = %v", bytes)
 	}
-	waits := p.Density.WaitTimeMap()
+	waits := p.Density.AppendWaitTimeMap(nil)
 	if waits[2] != 100 || waits[0] != 0 {
 		t.Fatalf("wait map = %v", waits)
 	}
-	colls := p.Density.CollectiveTimeMap()
+	colls := p.Density.AppendCollectiveTimeMap(nil)
 	if colls[3] != 50 || colls[2] != 0 {
 		t.Fatalf("collective map = %v", colls)
 	}
@@ -189,7 +189,7 @@ func TestModuleMerge(t *testing.T) {
 	da.Add(&ev)
 	db.Add(&ev)
 	da.Merge(db)
-	if m := da.Map(trace.KindSend, MetricHits); m[0] != 2 {
+	if m := da.AppendMap(nil, trace.KindSend, MetricHits); m[0] != 2 {
 		t.Fatalf("merged density = %v", m)
 	}
 }
@@ -205,7 +205,7 @@ func TestOutOfRangeRanksIgnored(t *testing.T) {
 	if len(cellsOf(topo)) != 0 {
 		t.Fatal("out-of-range events must be dropped")
 	}
-	if m := dens.Map(trace.KindSend, MetricHits); m[0] != 0 && m[1] != 0 {
+	if m := dens.AppendMap(nil, trace.KindSend, MetricHits); m[0] != 0 && m[1] != 0 {
 		t.Fatalf("density accepted bad rank: %v", m)
 	}
 }
@@ -244,8 +244,8 @@ func TestAccountingConservationProperty(t *testing.T) {
 		}
 		bb.Drain()
 		var gotEvents int64
-		for _, k := range p.Profiler.Kinds() {
-			gotEvents += p.Profiler.Stat(k).Hits
+		for _, ks := range p.Profiler.AppendStats(nil) {
+			gotEvents += ks.Hits
 		}
 		return gotEvents == wantEvents && cellsOf(p.Topology).totalBytes() == wantP2PBytes
 	}

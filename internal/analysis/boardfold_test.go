@@ -34,7 +34,7 @@ func packStream(t *testing.T, version int, appID uint32, rank int32, evs []trace
 // comparison also covers what audit packs fed.
 func canonicalWithShed(p *Pipeline) []byte {
 	out := canonicalOf(p)
-	for _, k := range p.Completeness.Kinds() {
+	for _, k := range p.Completeness.AppendKinds(nil) {
 		st := p.Completeness.Stat(k)
 		out = fmt.Appendf(out, "|shed %d %d %d", k, st.Shed, st.Kept)
 	}

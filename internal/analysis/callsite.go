@@ -1,8 +1,9 @@
 package analysis
 
 import (
+	"cmp"
 	"maps"
-	"sort"
+	"slices"
 	"sync"
 
 	"repro/internal/trace"
@@ -80,28 +81,23 @@ func (m *CallsiteModule) mergeReset(o *CallsiteModule) {
 	}
 }
 
-// Top returns the n call-site rows with the largest accumulated time,
-// most expensive first.
-func (m *CallsiteModule) Top(n int) []CallsiteStat {
+// AppendTop appends the n call-site rows with the largest accumulated
+// time, most expensive first (every row when n <= 0), to dst and returns
+// the extended slice.
+func (m *CallsiteModule) AppendTop(dst []CallsiteStat, n int) []CallsiteStat {
 	m.mu.Lock()
-	out := make([]CallsiteStat, 0, len(m.per))
+	base := len(dst)
 	for key, st := range m.per {
-		out = append(out, CallsiteStat{Ctx: key.ctx(), Label: m.name[key.ctx()], Kind: key.kind(), Stat: *st})
+		dst = append(dst, CallsiteStat{Ctx: key.ctx(), Label: m.name[key.ctx()], Kind: key.kind(), Stat: *st})
 	}
 	m.mu.Unlock()
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Stat.TimeNs != out[j].Stat.TimeNs {
-			return out[i].Stat.TimeNs > out[j].Stat.TimeNs
-		}
-		if out[i].Ctx != out[j].Ctx {
-			return out[i].Ctx < out[j].Ctx
-		}
-		return out[i].Kind < out[j].Kind
+	slices.SortFunc(dst[base:], func(a, b CallsiteStat) int {
+		return cmp.Or(cmp.Compare(b.Stat.TimeNs, a.Stat.TimeNs), cmp.Compare(a.Ctx, b.Ctx), cmp.Compare(a.Kind, b.Kind))
 	})
-	if n > 0 && len(out) > n {
-		out = out[:n]
+	if n > 0 && len(dst)-base > n {
+		dst = dst[:base+n]
 	}
-	return out
+	return dst
 }
 
 // Merge folds another call-site module into this one.

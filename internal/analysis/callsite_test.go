@@ -20,7 +20,7 @@ func TestCallsiteAggregation(t *testing.T) {
 	add(2, trace.KindWaitall, 400)
 	add(3, trace.KindBarrier, 50) // unlabeled context
 
-	top := m.Top(0)
+	top := m.AppendTop(nil, 0)
 	if len(top) != 4 {
 		t.Fatalf("rows = %d", len(top))
 	}
@@ -34,7 +34,7 @@ func TestCallsiteAggregation(t *testing.T) {
 	if top[2].Label != "" || top[2].Ctx != 3 {
 		t.Fatalf("unlabeled row = %+v", top[2])
 	}
-	if got := m.Top(2); len(got) != 2 {
+	if got := m.AppendTop(nil, 2); len(got) != 2 {
 		t.Fatalf("Top(2) = %d rows", len(got))
 	}
 }
@@ -49,7 +49,7 @@ func TestCallsiteMerge(t *testing.T) {
 	b.Add(&ev1)
 	b.Add(&ev2)
 	a.Merge(b)
-	top := a.Top(0)
+	top := a.AppendTop(nil, 0)
 	if len(top) != 2 {
 		t.Fatalf("rows = %d", len(top))
 	}
@@ -86,7 +86,7 @@ func TestPipelineEnableCallsites(t *testing.T) {
 	ev := trace.Event{Kind: trace.KindSend, Rank: 0, Peer: 1, Ctx: 9, Size: 64, TStart: 0, TEnd: 3}
 	p.PostPack(buildPack(0, 0, ev))
 	bb.Drain()
-	top := cs.Top(0)
+	top := cs.AppendTop(nil, 0)
 	if len(top) != 1 || top[0].Ctx != 9 || top[0].Stat.Bytes != 64 {
 		t.Fatalf("top = %+v", top)
 	}

@@ -1,7 +1,7 @@
 package analysis
 
 import (
-	"sort"
+	"slices"
 	"sync"
 
 	"repro/internal/trace"
@@ -72,16 +72,17 @@ func (m *CompletenessModule) mergeReset(o *CompletenessModule) {
 	}
 }
 
-// Kinds returns the classes with ledger entries, in kind order.
-func (m *CompletenessModule) Kinds() []trace.Kind {
+// AppendKinds appends the classes with ledger entries, in kind order, to
+// dst and returns the extended slice.
+func (m *CompletenessModule) AppendKinds(dst []trace.Kind) []trace.Kind {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	out := make([]trace.Kind, 0, len(m.per))
+	base := len(dst)
 	for k := range m.per {
-		out = append(out, k)
+		dst = append(dst, k)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	slices.Sort(dst[base:])
+	return dst
 }
 
 // Stat returns one class's ledger entry.

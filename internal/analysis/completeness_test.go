@@ -27,7 +27,7 @@ func TestCompletenessLedger(t *testing.T) {
 		{Kind: trace.KindSend, Shed: 2, Kept: 48},
 	})
 
-	kinds := m.Kinds()
+	kinds := m.AppendKinds(nil)
 	if len(kinds) != 2 || kinds[0] != trace.KindSend || kinds[1] != trace.KindRecv {
 		t.Fatalf("kinds = %v", kinds)
 	}

@@ -9,6 +9,16 @@ import (
 	"repro/internal/trace"
 )
 
+// The naive reference of TestPartialOracle, for its daemon leg
+// (daemon_oracle_test.go), an external test: the daemon imports this
+// package.
+var (
+	PartialOracleRun = partialOracleRun
+	OraclePacks      = oraclePacks
+	EngineProfile    = engineProfile
+	ProfileDiff      = profileDiff
+)
+
 // drainPacks drains the module's selected trace as consecutive packs, the
 // stream readExported replays.
 func drainPacks(m *ExportModule) []byte {

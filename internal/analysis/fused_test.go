@@ -121,7 +121,7 @@ func TestFusedIngestMatchesBoardPath(t *testing.T) {
 	if ef, eb := pf.Topology.AppendEdges(nil), pb.Topology.AppendEdges(nil); !slices.Equal(ef, eb) {
 		t.Fatalf("topology: fused=%+v board=%+v", ef, eb)
 	}
-	hf, hb := pf.state.Sizes.Histogram(), pb.state.Sizes.Histogram()
+	hf, hb := pf.state.Sizes.AppendHistogram(nil), pb.state.Sizes.AppendHistogram(nil)
 	if len(hf) != len(hb) {
 		t.Fatalf("size histogram rows: fused=%d board=%d", len(hf), len(hb))
 	}
@@ -130,7 +130,7 @@ func TestFusedIngestMatchesBoardPath(t *testing.T) {
 			t.Fatalf("size bucket %d: fused=%+v board=%+v", i, hf[i], hb[i])
 		}
 	}
-	tfp, tbp := pf.state.Callsites.Top(0), pb.state.Callsites.Top(0)
+	tfp, tbp := pf.state.Callsites.AppendTop(nil, 0), pb.state.Callsites.AppendTop(nil, 0)
 	if len(tfp) != len(tbp) {
 		t.Fatalf("callsite rows: fused=%d board=%d", len(tfp), len(tbp))
 	}

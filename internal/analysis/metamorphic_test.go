@@ -118,7 +118,7 @@ func TestCallsiteKeyLayoutSurvivesSeal(t *testing.T) {
 	if err := cum.MergeEncoded(delta.Flush(nil, true)); err != nil {
 		t.Fatal(err)
 	}
-	rows := cum.Callsites.Top(0)
+	rows := cum.Callsites.AppendTop(nil, 0)
 	if len(rows) != len(sites) {
 		t.Fatalf("%d call sites went in, %d came out: %+v", len(sites), len(rows), rows)
 	}
@@ -173,11 +173,12 @@ func readCells(pp *Partial, prefix string, index int64, out map[cell]float64) {
 		put(section, i, what+" bytes", float64(st.Bytes))
 		put(section, i, what+" time", float64(st.TimeNs))
 	}
-	kinds := pp.Profiler.Kinds()
+	var kinds []trace.Kind
 	metrics := []Metric{MetricHits, MetricBytes, MetricTime}
 	put("profiler", index, "events", float64(pp.Profiler.Events()))
-	for _, k := range kinds {
-		stat("profiler", index, k.String(), pp.Profiler.Stat(k))
+	for _, ks := range pp.Profiler.AppendStats(nil) {
+		kinds = append(kinds, ks.Kind)
+		stat("profiler", index, ks.Kind.String(), ks.Stat)
 	}
 	if pp.Topology != nil {
 		for _, e := range pp.Topology.AppendEdges(nil) {
@@ -185,10 +186,10 @@ func readCells(pp *Partial, prefix string, index int64, out map[cell]float64) {
 		}
 	}
 	if d := pp.Density; d != nil {
-		maps := map[string][]float64{"p2p size": d.P2PSizeMap(), "wait time": d.WaitTimeMap(), "collective time": d.CollectiveTimeMap()}
+		maps := map[string][]float64{"p2p size": d.AppendP2PSizeMap(nil), "wait time": d.AppendWaitTimeMap(nil), "collective time": d.AppendCollectiveTimeMap(nil)}
 		for _, k := range kinds {
 			for _, m := range metrics {
-				maps[fmt.Sprint(k, " metric ", m)] = d.Map(k, m)
+				maps[fmt.Sprint(k, " metric ", m)] = d.AppendMap(nil, k, m)
 			}
 		}
 		for name, vals := range maps {
@@ -198,12 +199,12 @@ func readCells(pp *Partial, prefix string, index int64, out map[cell]float64) {
 		}
 	}
 	if pp.Sizes != nil {
-		for _, b := range pp.Sizes.Histogram() {
+		for _, b := range pp.Sizes.AppendHistogram(nil) {
 			stat("sizes", index, fmt.Sprint(b.Lo, "..", b.Hi), Stat{Hits: b.Hits, Bytes: b.Bytes})
 		}
 	}
 	if pp.Callsites != nil {
-		for _, row := range pp.Callsites.Top(0) {
+		for _, row := range pp.Callsites.AppendTop(nil, 0) {
 			stat("callsites", index, fmt.Sprint(row.Ctx, " ", row.Kind), row.Stat)
 		}
 	}
@@ -220,14 +221,14 @@ func readCells(pp *Partial, prefix string, index int64, out map[cell]float64) {
 		put("waits", index, "pairs", float64(w.Pairs()))
 		put("waits", index, "unmatched", float64(w.Unmatched()))
 		hits := w.LateSenderHits()
-		for r, ns := range w.LateSenderMap() {
+		for r, ns := range w.AppendLateSenderMap(nil) {
 			put("waits", index, fmt.Sprint("late ns rank ", r), ns)
 			put("waits", index, fmt.Sprint("late hits rank ", r), float64(hits[r]))
 		}
 	}
 	if pp.Windows != nil {
 		var wins []*Partial
-		first, refs := pp.Windows.Series(func(wp *Partial) float64 {
+		first, refs := pp.Windows.AppendSeries(nil, func(wp *Partial) float64 {
 			wins = append(wins, wp)
 			return float64(len(wins))
 		})

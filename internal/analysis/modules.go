@@ -64,17 +64,6 @@ func nonZeroKeys[K comparable, V comparable](m map[K]*V) []K {
 	return keys
 }
 
-// kindsWhere returns, ascending, the kinds whose table slot is in use.
-func kindsWhere(used func(k int) bool) []trace.Kind {
-	out := make([]trace.Kind, 0, trace.KindCount)
-	for k := 0; k < kindSlots; k++ {
-		if used(k) {
-			out = append(out, trace.Kind(k))
-		}
-	}
-	return out
-}
-
 // --- Profiler module ---
 
 // ProfilerModule reduces an application's events to per-call-type
@@ -130,11 +119,24 @@ func (m *ProfilerModule) Stat(k trace.Kind) Stat {
 	return m.total[k]
 }
 
-// Kinds returns the call kinds observed, ascending.
-func (m *ProfilerModule) Kinds() []trace.Kind {
+// KindStat is one call kind's application-wide statistics.
+type KindStat struct {
+	Kind trace.Kind
+	Stat
+}
+
+// AppendStats appends every call kind observed, ascending, with its
+// statistics to dst and returns the extended slice: one locked pass, so
+// the rows are one consistent reading of the module.
+func (m *ProfilerModule) AppendStats(dst []KindStat) []KindStat {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return kindsWhere(func(k int) bool { return m.total[k] != Stat{} })
+	for k, st := range m.total {
+		if st != (Stat{}) {
+			dst = append(dst, KindStat{trace.Kind(k), st})
+		}
+	}
+	return dst
 }
 
 // Merge folds another profiler (e.g. from a different analyzer rank) into
@@ -426,42 +428,43 @@ func (m *DensityModule) mergeReset(o *DensityModule) {
 	}
 }
 
-// Map returns the per-rank values of one kind under one metric (length =
-// application size; all zeros if the kind never occurred).
-func (m *DensityModule) Map(k trace.Kind, metric Metric) []float64 {
+// AppendMap appends the per-rank values of one kind under one metric to
+// dst (application size of them; all zeros if the kind never occurred)
+// and returns the extended slice.
+func (m *DensityModule) AppendMap(dst []float64, k trace.Kind, metric Metric) []float64 {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	out := make([]float64, m.size)
+	dst, out := grow(dst, m.size)
 	for r, st := range m.perKind[k] {
 		out[r] = st.Value(metric)
 	}
-	return out
+	return dst
 }
 
-// CollectiveTimeMap sums the time metric over every collective kind — the
-// paper's "time spent in collectives" map (Figure 18c).
-func (m *DensityModule) CollectiveTimeMap() []float64 {
-	return m.sumMap(trace.Kind.IsCollective, MetricTime)
+// AppendCollectiveTimeMap sums the time metric over every collective
+// kind — the paper's "time spent in collectives" map (Figure 18c).
+func (m *DensityModule) AppendCollectiveTimeMap(dst []float64) []float64 {
+	return m.appendSumMap(dst, trace.Kind.IsCollective, MetricTime)
 }
 
-// WaitTimeMap sums the time metric over MPI_Wait/MPI_Waitall — the paper's
-// wait-time map (Figure 18d).
-func (m *DensityModule) WaitTimeMap() []float64 {
-	return m.sumMap(trace.Kind.IsWait, MetricTime)
+// AppendWaitTimeMap sums the time metric over MPI_Wait/MPI_Waitall — the
+// paper's wait-time map (Figure 18d).
+func (m *DensityModule) AppendWaitTimeMap(dst []float64) []float64 {
+	return m.appendSumMap(dst, trace.Kind.IsWait, MetricTime)
 }
 
-// P2PSizeMap sums outgoing point-to-point bytes per rank — the paper's
-// total point-to-point size map (Figure 18e).
-func (m *DensityModule) P2PSizeMap() []float64 {
-	return m.sumMap(trace.Kind.IsOutgoingP2P, MetricBytes)
+// AppendP2PSizeMap sums outgoing point-to-point bytes per rank — the
+// paper's total point-to-point size map (Figure 18e).
+func (m *DensityModule) AppendP2PSizeMap(dst []float64) []float64 {
+	return m.appendSumMap(dst, trace.Kind.IsOutgoingP2P, MetricBytes)
 }
 
-// sumMap sums metric per rank over the kinds pick selects, ascending, in
-// one locked pass.
-func (m *DensityModule) sumMap(pick func(trace.Kind) bool, metric Metric) []float64 {
+// appendSumMap appends metric summed per rank over the kinds pick
+// selects, in one locked pass.
+func (m *DensityModule) appendSumMap(dst []float64, pick func(trace.Kind) bool, metric Metric) []float64 {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	out := make([]float64, m.size)
+	dst, out := grow(dst, m.size)
 	for k, per := range m.perKind {
 		if per == nil || !pick(trace.Kind(k)) {
 			continue
@@ -470,7 +473,17 @@ func (m *DensityModule) sumMap(pick func(trace.Kind) bool, metric Metric) []floa
 			out[r] += per[r].Value(metric)
 		}
 	}
-	return out
+	return dst
+}
+
+// grow extends dst by n zeros and returns it with the new tail. A nil dst
+// comes back non-nil: an empty map is a map of no ranks, not no map.
+func grow(dst []float64, n int) (ext, tail []float64) {
+	if dst == nil {
+		dst = make([]float64, 0, n)
+	}
+	ext = append(dst, make([]float64, n)...)
+	return ext, ext[len(dst):]
 }
 
 // Merge folds another density module into this one.

@@ -90,8 +90,8 @@ func engineProfile(pp *Partial) refProfile {
 	p := newRefProfile()
 	stat := func(st Stat) [3]int64 { return [3]int64{st.Hits, st.Bytes, st.TimeNs} }
 	p.events = pp.Profiler.Events()
-	for _, k := range pp.Profiler.Kinds() {
-		p.kinds[[2]int64{int64(k)}] = stat(pp.Profiler.Stat(k))
+	for _, ks := range pp.Profiler.AppendStats(nil) {
+		p.kinds[[2]int64{int64(ks.Kind)}] = stat(ks.Stat)
 	}
 	for _, e := range pp.Topology.AppendEdges(nil) {
 		p.matrix[[2]int64{int64(e.Src), int64(e.Dst)}] = stat(e.Stat)
@@ -107,13 +107,13 @@ func engineProfile(pp *Partial) refProfile {
 				}
 			}
 		}
-		dense(p.density, pp.Density.Map)
+		dense(p.density, func(k trace.Kind, metric Metric) []float64 { return pp.Density.AppendMap(nil, k, metric) })
 		dense(p.temporal, pp.Temporal.Series)
 	}
-	for _, c := range pp.Callsites.Top(0) {
+	for _, c := range pp.Callsites.AppendTop(nil, 0) {
 		p.callsites[[2]int64{int64(c.Ctx), int64(c.Kind)}] = stat(c.Stat)
 	}
-	for _, b := range pp.Sizes.Histogram() {
+	for _, b := range pp.Sizes.AppendHistogram(nil) {
 		p.sizes[[2]int64{b.Lo}] = [3]int64{b.Hits, b.Bytes, 0}
 	}
 	return p
@@ -125,17 +125,8 @@ func engineProfile(pp *Partial) refProfile {
 // decode to. The temporal buckets are drawn as narrow as 50 ns, so the
 // streams' starts before zero reach back several buckets.
 func TestPartialOracle(t *testing.T) {
-	const appSize = 5
 	for seed := int64(0); seed < 1000; seed++ {
-		rng := rand.New(rand.NewSource(seed))
-		perRank := oracleStream(rng, appSize)
-		opts := PartialOptions{AppSize: appSize, WaitState: true, TemporalWindowNs: int64(50 + rng.Intn(1950)),
-			Callsites: true, Sizes: true, WindowNs: int64(600 + rng.Intn(2400))}
-		var evs []trace.Event
-		for _, seq := range perRank {
-			evs = append(evs, seq...)
-		}
-		want := refProfileOf(evs, appSize, opts.TemporalWindowNs)
+		rng, perRank, opts, want := partialOracleRun(seed)
 		for name, path := range ingestPaths(t, rng, opts, perRank, seed%oracleBoardEvery == 0) {
 			pp, err := DecodePartial(path().AppendCanonical(nil))
 			if err != nil {
@@ -147,6 +138,22 @@ func TestPartialOracle(t *testing.T) {
 			}
 		}
 	}
+}
+
+// partialOracleRun draws run seed of TestPartialOracle: its events per
+// rank, the modules they fold into and the reference's answer, with the
+// generator to draw the run's ingest paths from.
+func partialOracleRun(seed int64) (*rand.Rand, [][]trace.Event, PartialOptions, refProfile) {
+	const appSize = 5
+	rng := rand.New(rand.NewSource(seed))
+	perRank := oracleStream(rng, appSize)
+	opts := PartialOptions{AppSize: appSize, WaitState: true, TemporalWindowNs: int64(50 + rng.Intn(1950)),
+		Callsites: true, Sizes: true, WindowNs: int64(600 + rng.Intn(2400))}
+	var evs []trace.Event
+	for _, seq := range perRank {
+		evs = append(evs, seq...)
+	}
+	return rng, perRank, opts, refProfileOf(evs, appSize, opts.TemporalWindowNs)
 }
 
 // profileDiff names a module and a cell where two answers differ.

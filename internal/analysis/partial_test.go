@@ -197,7 +197,7 @@ func TestPartialMergeMatchesFlatWaitState(t *testing.T) {
 		if f, g := flat.Waits.Unmatched(), tree.Waits.Unmatched(); f != g {
 			t.Fatalf("trial %d: flat %d unmatched, merged %d", trial, f, g)
 		}
-		fm, gm := flat.Waits.LateSenderMap(), tree.Waits.LateSenderMap()
+		fm, gm := flat.Waits.AppendLateSenderMap(nil), tree.Waits.AppendLateSenderMap(nil)
 		for r := range fm {
 			if fm[r] != gm[r] {
 				t.Fatalf("trial %d: rank %d late %v vs %v", trial, r, fm[r], gm[r])

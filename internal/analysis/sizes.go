@@ -74,11 +74,11 @@ type SizeBucket struct {
 	Hits, Bytes int64
 }
 
-// Histogram returns the non-empty buckets in ascending size order.
-func (m *SizesModule) Histogram() []SizeBucket {
+// AppendHistogram appends the non-empty buckets in ascending size order
+// to dst and returns the extended slice.
+func (m *SizesModule) AppendHistogram(dst []SizeBucket) []SizeBucket {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	var out []SizeBucket
 	for b := 0; b < SizeBuckets; b++ {
 		if m.hits[b] == 0 {
 			continue
@@ -87,15 +87,16 @@ func (m *SizesModule) Histogram() []SizeBucket {
 		if b > 0 {
 			lo = 1 << uint(b)
 		}
-		out = append(out, SizeBucket{Lo: lo, Hi: 1 << uint(b+1), Hits: m.hits[b], Bytes: m.bytes[b]})
+		dst = append(dst, SizeBucket{Lo: lo, Hi: 1 << uint(b+1), Hits: m.hits[b], Bytes: m.bytes[b]})
 	}
-	return out
+	return dst
 }
 
 // MedianBucket returns the bucket containing the median message (by
 // count), or a zero bucket when empty.
 func (m *SizesModule) MedianBucket() SizeBucket {
-	hist := m.Histogram()
+	var buf [SizeBuckets]SizeBucket
+	hist := m.AppendHistogram(buf[:0])
 	var total int64
 	for _, b := range hist {
 		total += b.Hits

@@ -10,7 +10,7 @@ import (
 
 // totals sums the histogram's message and byte counts.
 func totals(m *SizesModule) (hits, bytes int64) {
-	for _, b := range m.Histogram() {
+	for _, b := range m.AppendHistogram(nil) {
 		hits += b.Hits
 		bytes += b.Bytes
 	}
@@ -37,7 +37,7 @@ func TestSizesBucketing(t *testing.T) {
 	if bytes != want {
 		t.Fatalf("bytes = %d, want %d", bytes, want)
 	}
-	hist := m.Histogram()
+	hist := m.AppendHistogram(nil)
 	// Buckets: [0,2): {0,1}; [2,4): {2,3}; [4,8): {4}; [512,1024): {1000};
 	// [1024,2048): {1024}; [2^19,2^20): {2^20-1}; [2^20,2^21): {2^20}.
 	if len(hist) != 7 {
@@ -112,7 +112,7 @@ func TestSizesConservationProperty(t *testing.T) {
 		if hits != int64(len(sizes)) || bytes != wantBytes {
 			return false
 		}
-		for _, b := range m.Histogram() {
+		for _, b := range m.AppendHistogram(nil) {
 			if b.Hits == 0 || b.Lo >= b.Hi {
 				return false
 			}

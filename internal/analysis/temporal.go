@@ -128,13 +128,13 @@ func (m *TemporalModule) Buckets() int {
 	return m.buckets
 }
 
-// CommunicationTimeSeries sums time spent in any MPI communication
-// (point-to-point, waits, collectives) per bucket — the report's headline
-// temporal map.
-func (m *TemporalModule) CommunicationTimeSeries() []float64 {
+// AppendCommunicationTimeSeries appends the time spent in any MPI
+// communication (point-to-point, waits, collectives) per bucket — the
+// report's headline temporal map — to dst and returns the extended slice.
+func (m *TemporalModule) AppendCommunicationTimeSeries(dst []float64) []float64 {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	out := make([]float64, m.buckets)
+	dst, out := grow(dst, m.buckets)
 	for k, per := range m.perKind {
 		if k := trace.Kind(k); !(k.IsP2P() || k.IsWait() || k.IsCollective()) {
 			continue
@@ -143,7 +143,7 @@ func (m *TemporalModule) CommunicationTimeSeries() []float64 {
 			out[b] += float64(st.TimeNs)
 		}
 	}
-	return out
+	return dst
 }
 
 // Merge folds another temporal module (same window) into this one.

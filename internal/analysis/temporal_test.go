@@ -75,7 +75,7 @@ func TestTemporalCommunicationSeries(t *testing.T) {
 	for i := range evs {
 		m.Add(&evs[i])
 	}
-	comm := m.CommunicationTimeSeries()
+	comm := m.AppendCommunicationTimeSeries(nil)
 	if comm[0] != 60 {
 		t.Fatalf("comm series = %v", comm)
 	}

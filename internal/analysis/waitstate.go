@@ -335,18 +335,19 @@ func (m *WaitStateModule) Unmatched() int64 {
 	return n
 }
 
-// LateSenderMap returns per-rank late-sender wait time in nanoseconds — a
-// density map like the paper's Figure 18d, but attributing the wait to its
-// cause.
-func (m *WaitStateModule) LateSenderMap() []float64 {
+// AppendLateSenderMap appends per-rank late-sender wait time in
+// nanoseconds — a density map like the paper's Figure 18d, but
+// attributing the wait to its cause — to dst and returns the extended
+// slice.
+func (m *WaitStateModule) AppendLateSenderMap(dst []float64) []float64 {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.settleLocked()
-	out := make([]float64, m.size)
+	dst, out := grow(dst, m.size)
 	for r, v := range m.lateNs {
 		out[r] = float64(v)
 	}
-	return out
+	return dst
 }
 
 // LateSenderHits returns per-rank late-sender occurrence counts.

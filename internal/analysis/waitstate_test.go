@@ -27,7 +27,7 @@ func TestLateSenderDetected(t *testing.T) {
 	if m.Pairs() != 1 {
 		t.Fatalf("pairs = %d", m.Pairs())
 	}
-	if got := m.LateSenderMap(); got[1] != 100 || got[0] != 0 {
+	if got := m.AppendLateSenderMap(nil); got[1] != 100 || got[0] != 0 {
 		t.Fatalf("late map = %v", got)
 	}
 	if hits := m.LateSenderHits(); hits[1] != 1 {
@@ -58,7 +58,7 @@ func TestWaitCappedByRecvDuration(t *testing.T) {
 	m.Add(&ev)
 	ev = sendAt(0, 1, 0, 1000)
 	m.Add(&ev)
-	if got := m.LateSenderMap(); got[1] != 30 {
+	if got := m.AppendLateSenderMap(nil); got[1] != 30 {
 		t.Fatalf("late map = %v", got)
 	}
 }
@@ -77,7 +77,7 @@ func TestFIFOMatchingPerChannel(t *testing.T) {
 	if m.Pairs() != 2 {
 		t.Fatalf("pairs = %d", m.Pairs())
 	}
-	if got := m.LateSenderMap(); got[1] != 200 {
+	if got := m.AppendLateSenderMap(nil); got[1] != 200 {
 		t.Fatalf("late map = %v", got)
 	}
 	if m.Unmatched() != 0 {
@@ -150,7 +150,7 @@ func TestPipelineWaitState(t *testing.T) {
 	if ws.Pairs() != 1 {
 		t.Fatalf("pairs = %d", ws.Pairs())
 	}
-	if got := ws.LateSenderMap(); got[1] != 400 {
+	if got := ws.AppendLateSenderMap(nil); got[1] != 400 {
 		t.Fatalf("late map = %v", got)
 	}
 }

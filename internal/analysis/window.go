@@ -187,14 +187,15 @@ func (m *WindowedModule) Len() int {
 	return len(m.wins)
 }
 
-// Series extracts one per-window value across the populated index range
-// (gaps filled with zero), for sparkline rendering. It settles the owning
+// AppendSeries appends one per-window value across the populated index
+// range (gaps filled with zero), for sparkline rendering, to dst and
+// returns the first index and the extended slice. It settles the owning
 // wait-state module first (Waits before Windows, the order Partial
 // declares them), so the windows hold every pair its queues can form. fn
 // reads one window and runs with the series locked, so it sees no
 // half-folded pack; it may use the window's locked accessors but must not
 // call back into m.
-func (m *WindowedModule) Series(fn func(*Partial) float64) (firstIdx int64, values []float64) {
+func (m *WindowedModule) AppendSeries(dst []float64, fn func(*Partial) float64) (firstIdx int64, values []float64) {
 	if m.waits != nil {
 		m.waits.mu.Lock()
 		defer m.waits.mu.Unlock()
@@ -203,17 +204,17 @@ func (m *WindowedModule) Series(fn func(*Partial) float64) (firstIdx int64, valu
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if len(m.wins) == 0 {
-		return 0, nil
+		return 0, dst
 	}
 	first, last := int64(math.MaxInt64), int64(math.MinInt64)
 	for i := range m.wins {
 		first, last = min(first, i), max(last, i)
 	}
-	values = make([]float64, last-first+1)
+	dst, out := grow(dst, int(last-first+1))
 	for i, wp := range m.wins {
-		values[i-first] = fn(wp)
+		out[i-first] = fn(wp)
 	}
-	return first, values
+	return first, dst
 }
 
 // Merge folds another windowed series into this one (copy semantics:

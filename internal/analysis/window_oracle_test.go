@@ -132,7 +132,7 @@ func engineRun(pp *Partial) refRun {
 	read := func(w *refWindow, ws *WaitStateModule) {
 		w.pairs = ws.Pairs()
 		hits := ws.LateSenderHits()
-		for r, ns := range ws.LateSenderMap() {
+		for r, ns := range ws.AppendLateSenderMap(nil) {
 			if hits[r] != 0 || ns != 0 {
 				w.lateNs[int32(r)], w.lateHits[int32(r)] = int64(ns), hits[r]
 			}
@@ -141,12 +141,11 @@ func engineRun(pp *Partial) refRun {
 	run := refRun{whole: newRefWindow(), wins: map[int64]*refWindow{}}
 	read(run.whole, pp.Waits)
 	var got []*refWindow
-	first, refs := pp.Windows.Series(func(wp *Partial) float64 {
+	first, refs := pp.Windows.AppendSeries(nil, func(wp *Partial) float64 {
 		w := newRefWindow()
 		w.events = wp.Profiler.Events()
-		for _, k := range wp.Profiler.Kinds() {
-			st := wp.Profiler.Stat(k)
-			w.kinds[k] = [3]int64{st.Hits, st.Bytes, st.TimeNs}
+		for _, ks := range wp.Profiler.AppendStats(nil) {
+			w.kinds[ks.Kind] = [3]int64{ks.Hits, ks.Bytes, ks.TimeNs}
 		}
 		read(w, wp.Waits)
 		got = append(got, w)

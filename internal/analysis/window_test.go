@@ -39,7 +39,7 @@ func TestWindowConcatReconstructsWholeRun(t *testing.T) {
 
 		acc := &ProfilerModule{}
 		sums := NewWaitStateModule(appSize)
-		pp.Windows.Series(func(wp *Partial) float64 {
+		pp.Windows.AppendSeries(nil, func(wp *Partial) float64 {
 			acc.Merge(wp.Profiler)
 			sums.Merge(wp.Waits)
 			return 0
@@ -73,7 +73,7 @@ func TestWindowSumsMatchWholeRun(t *testing.T) {
 	pp := NewPartial(1, liveOpts(ranks))
 	foldAll(pp, livePacks(ranks, 0, 3648))
 	var pairs, lateNs int64
-	pp.Windows.Series(func(wp *Partial) float64 {
+	pp.Windows.AppendSeries(nil, func(wp *Partial) float64 {
 		pairs += wp.Waits.Pairs()
 		lateNs += wp.Waits.TotalLateNs()
 		return 0

@@ -31,7 +31,7 @@ func TestWindowedModuleEdges(t *testing.T) {
 	}
 
 	// Series spans the populated range with zero-filled gaps.
-	first, vals := m.Series(func(wp *Partial) float64 { return float64(wp.Profiler.Events()) })
+	first, vals := m.AppendSeries(nil, func(wp *Partial) float64 { return float64(wp.Profiler.Events()) })
 	if first != 0 || len(vals) != 3 {
 		t.Fatalf("series first=%d len=%d, want 0/3", first, len(vals))
 	}
@@ -39,7 +39,7 @@ func TestWindowedModuleEdges(t *testing.T) {
 		t.Fatalf("series = %v", vals)
 	}
 	var empty WindowedModule
-	if _, vals := empty.Series(func(*Partial) float64 { return 1 }); vals != nil {
+	if _, vals := empty.AppendSeries(nil, func(*Partial) float64 { return 1 }); vals != nil {
 		t.Fatalf("empty series = %v", vals)
 	}
 

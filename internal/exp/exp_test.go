@@ -378,7 +378,7 @@ func TestOverloadSweepGolden(t *testing.T) {
 	ap := pts[len(pts)-1]
 	got := fmt.Sprintf("level %d decisions %d app-sec %v shed", ap.AdaptMaxLevel, ap.AdaptDecisions, ap.AppSeconds)
 	comp := ap.Report.Chapters[0].Completeness
-	for _, k := range comp.Kinds() {
+	for _, k := range comp.AppendKinds(nil) {
 		got += fmt.Sprintf(" %s:%d", k, comp.Stat(k).Shed)
 	}
 	if got != want {
@@ -491,7 +491,7 @@ func TestProfileRunWithAllModules(t *testing.T) {
 	if ch.Temporal.Buckets() == 0 {
 		t.Fatal("temporal module empty")
 	}
-	if len(ch.Callsites.Top(0)) == 0 {
+	if len(ch.Callsites.AppendTop(nil, 0)) == 0 {
 		t.Fatal("callsite module empty")
 	}
 	var buf bytes.Buffer

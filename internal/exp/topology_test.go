@@ -165,7 +165,7 @@ func requireCollectives(t *testing.T, w *nas.Workload, perRank map[trace.Kind]an
 		if got := ch.Profiler.Stat(k); got.Hits != procs*want.Hits || got.Bytes != procs*want.Bytes {
 			t.Errorf("%v: %d hits %d bytes, want %d hits %d bytes", k, got.Hits, got.Bytes, procs*want.Hits, procs*want.Bytes)
 		}
-		hits, bytes := ch.Density.Map(k, analysis.MetricHits), ch.Density.Map(k, analysis.MetricBytes)
+		hits, bytes := ch.Density.AppendMap(nil, k, analysis.MetricHits), ch.Density.AppendMap(nil, k, analysis.MetricBytes)
 		for r := range hits {
 			if hits[r] != float64(want.Hits) || bytes[r] != float64(want.Bytes) {
 				t.Errorf("%v on rank %d: %v hits %v bytes, want %d hits %d bytes", k, r, hits[r], bytes[r], want.Hits, want.Bytes)

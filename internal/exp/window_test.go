@@ -27,7 +27,7 @@ func windowFingerprint(t *testing.T, rep *report.Report) (string, int) {
 		// one's value is the 1-based position of its encoding in encs, so
 		// the zero-filled gaps stay zero.
 		var encs [][]byte
-		first, refs := ch.Windows.Series(func(p *analysis.Partial) float64 {
+		first, refs := ch.Windows.AppendSeries(nil, func(p *analysis.Partial) float64 {
 			encs = append(encs, p.AppendCanonical(nil))
 			return float64(len(encs))
 		})

@@ -129,7 +129,7 @@ func TestLUSendHitsFollowNeighbourCount(t *testing.T) {
 		t.Fatal(err)
 	}
 	_, topo, dens, _ := recordingRun(t, w)
-	hits := dens.Map(trace.KindSend, analysis.MetricHits)
+	hits := dens.AppendMap(nil, trace.KindSend, analysis.MetricHits)
 	// 4x4 mesh: corners (0,3,12,15) have 2 neighbours, edges 3, interior 4.
 	corner, edge, interior := hits[0], hits[1], hits[5]
 	if !(corner < edge && edge < interior) {
@@ -174,7 +174,7 @@ func TestBTSymmetricImbalanceMaps(t *testing.T) {
 		t.Fatal(err)
 	}
 	_, _, dens, _ := recordingRun(t, w)
-	colls := dens.CollectiveTimeMap()
+	colls := dens.AppendCollectiveTimeMap(nil)
 	// Centre ranks compute longer (bump), so they wait LESS in the
 	// collective; border ranks wait more. Check border > centre.
 	border := colls[0]
@@ -189,7 +189,7 @@ func TestBTSymmetricImbalanceMaps(t *testing.T) {
 		t.Fatalf("collective map should be symmetric under transpose, correlation = %.3f", r)
 	}
 	// P2P size spread is small (remainder split only): max/min < 1.35.
-	sizes := dens.P2PSizeMap()
+	sizes := dens.AppendP2PSizeMap(nil)
 	lo, hi := math.Inf(1), math.Inf(-1)
 	for _, v := range sizes {
 		lo, hi = math.Min(lo, v), math.Max(hi, v)
@@ -213,8 +213,8 @@ func TestClassCHasHigherEventBandwidthThanD(t *testing.T) {
 		}
 		prof, _, _, wall := recordingRun(t, w)
 		var events int64
-		for _, k := range prof.Kinds() {
-			events += prof.Stat(k).Hits
+		for _, ks := range prof.AppendStats(nil) {
+			events += ks.Hits
 		}
 		return float64(events) * 256 / wall // bytes/s at 256 B per event
 	}
@@ -373,9 +373,9 @@ func TestEPIsComputeDominated(t *testing.T) {
 	}
 	prof, _, _, wall := recordingRun(t, w)
 	var commNs int64
-	for _, k := range prof.Kinds() {
-		if k.IsCollective() || k.IsP2P() || k.IsWait() {
-			commNs += prof.Stat(k).TimeNs
+	for _, ks := range prof.AppendStats(nil) {
+		if k := ks.Kind; k.IsCollective() || k.IsP2P() || k.IsWait() {
+			commNs += ks.TimeNs
 		}
 	}
 	frac := float64(commNs) / 16 / (wall * 1e9)

@@ -308,7 +308,7 @@ func TestSparseRenderersMatchDenseOracle(t *testing.T) {
 			topo := readTopology(rep.Chapters[0].Topology)
 			for _, w := range metrics {
 				for _, width := range []int{48, 60} {
-					if got, want := topo.heatmap(w, width), denseHeatmap(dense, w, width); got != want {
+					if got, want := string(topo.heatmap(nil, w, width)), denseHeatmap(dense, w, width); got != want {
 						t.Fatalf("heatmap(%s, %d):\n got %q\nwant %q", w, width, got, want)
 					}
 				}
@@ -336,7 +336,7 @@ func TestSparseRenderersMatchDenseOracle(t *testing.T) {
 				t.Fatalf("text topology section differs from the dense one:\n%s\nwant it to contain\n%s", text.String(), wantText)
 			}
 			wantTeX := fmt.Sprintf("Total point-to-point volume: %s. Degree histogram:%s\n\\begin{verbatim}\n%s\\end{verbatim}\n",
-				latexEscape(HumanBytes(float64(dense.totalBytes()))),
+				latexEscape(string(buf(nil).size(float64(dense.totalBytes()), 0))),
 				denseDegreeHistogram(dense, " %d neighbours $\\times$ %d ranks;"),
 				denseHeatmap(dense, analysis.MetricBytes, 60))
 			if !strings.Contains(tex.String(), wantTeX) {

@@ -108,9 +108,9 @@ func (r *Report) ToJSON(includeMatrix bool) JSONReport {
 			WallSeconds: ch.WallTime.Seconds(),
 			Density:     map[string]JSONMap{},
 		}
-		for _, row := range ch.profileRows() {
+		for _, row := range profileRows(nil, ch.Profiler) {
 			jc.Profile = append(jc.Profile, JSONProfileRow{
-				Call: row.kind.String(), Hits: row.st.Hits, TimeNs: row.st.TimeNs, Bytes: row.st.Bytes,
+				Call: row.Kind.String(), Hits: row.Hits, TimeNs: row.TimeNs, Bytes: row.Bytes,
 			})
 		}
 
@@ -127,13 +127,13 @@ func (r *Report) ToJSON(includeMatrix bool) JSONReport {
 			}
 		}
 
-		jc.Density["send_hits"] = mapToJSON(ch.Density.Map(trace.KindSend, analysis.MetricHits))
-		jc.Density["p2p_bytes"] = mapToJSON(ch.Density.P2PSizeMap())
-		jc.Density["wait_time_ns"] = mapToJSON(ch.Density.WaitTimeMap())
-		jc.Density["collective_time_ns"] = mapToJSON(ch.Density.CollectiveTimeMap())
+		jc.Density["send_hits"] = mapToJSON(ch.Density.AppendMap(nil, trace.KindSend, analysis.MetricHits))
+		jc.Density["p2p_bytes"] = mapToJSON(ch.Density.AppendP2PSizeMap(nil))
+		jc.Density["wait_time_ns"] = mapToJSON(ch.Density.AppendWaitTimeMap(nil))
+		jc.Density["collective_time_ns"] = mapToJSON(ch.Density.AppendCollectiveTimeMap(nil))
 
 		if ch.Callsites != nil {
-			for _, row := range ch.Callsites.Top(0) {
+			for _, row := range ch.Callsites.AppendTop(nil, 0) {
 				site := row.Label
 				if site == "" {
 					site = "ctx:" + strconv.FormatUint(uint64(row.Ctx), 10)
@@ -148,17 +148,17 @@ func (r *Report) ToJSON(includeMatrix bool) JSONReport {
 			jc.WaitState = &JSONWaitState{
 				Pairs:       ch.WaitState.Pairs(),
 				TotalLateNs: ch.WaitState.TotalLateNs(),
-				PerRankNs:   ch.WaitState.LateSenderMap(),
+				PerRankNs:   ch.WaitState.AppendLateSenderMap(nil),
 			}
 		}
 		if ch.Temporal != nil {
 			jc.Temporal = &JSONTemporal{
 				WindowNs: ch.Temporal.Window(),
-				CommNs:   ch.Temporal.CommunicationTimeSeries(),
+				CommNs:   ch.Temporal.AppendCommunicationTimeSeries(nil),
 			}
 		}
 		if ch.Sizes != nil {
-			for _, b := range ch.Sizes.Histogram() {
+			for _, b := range ch.Sizes.AppendHistogram(nil) {
 				jc.Sizes = append(jc.Sizes, JSONSizeRow{Lo: b.Lo, Hi: b.Hi, Hits: b.Hits, Bytes: b.Bytes})
 			}
 		}

@@ -46,22 +46,26 @@ func (r *Report) RenderLaTeX(w io.Writer) error {
 		// Profile table.
 		b.WriteString("\\subsection{MPI profile}\n")
 		b.WriteString("\\begin{tabular}{lrrr}\n\\toprule\ncall & hits & time & total size \\\\\n\\midrule\n")
-		for _, row := range ch.profileRows() {
+		for _, row := range profileRows(nil, ch.Profiler) {
 			fmt.Fprintf(&b, "%s & %d & %s & %s \\\\\n",
-				latexEscape(row.kind.String()), row.st.Hits,
-				latexEscape(time.Duration(row.st.TimeNs).String()),
-				latexEscape(HumanBytes(float64(row.st.Bytes))))
+				latexEscape(row.Kind.String()), row.Hits,
+				latexEscape(time.Duration(row.TimeNs).String()),
+				latexEscape(string(buf(nil).size(float64(row.Bytes), 0))))
 		}
 		b.WriteString("\\bottomrule\n\\end{tabular}\n")
 
 		// Topology.
 		b.WriteString("\n\\subsection{Point-to-point topology}\n")
 		topo := readTopology(ch.Topology)
-		fmt.Fprintf(&b, "Total point-to-point volume: %s. ", latexEscape(HumanBytes(float64(topo.bytes))))
+		fmt.Fprintf(&b, "Total point-to-point volume: %s. ", latexEscape(string(buf(nil).size(float64(topo.bytes), 0))))
 		b.WriteString("Degree histogram:")
-		topo.degreeHistogram(func(d, ranks int) { fmt.Fprintf(&b, " %d neighbours $\\times$ %d ranks;", d, ranks) })
+		for d, ranks := range topo.degreeHistogram() {
+			if ranks > 0 {
+				fmt.Fprintf(&b, " %d neighbours $\\times$ %d ranks;", d, ranks)
+			}
+		}
 		fmt.Fprintf(&b, "\n\\begin{verbatim}\n%s\\end{verbatim}\n",
-			topo.heatmap(analysis.MetricBytes, 60))
+			topo.heatmap(nil, analysis.MetricBytes, 60))
 		fmt.Fprintf(&b, "The communication graph is emitted as \\texttt{%s\\_topology.dot} (render with Graphviz).\n",
 			latexEscape(strings.ReplaceAll(ch.App, ".", "_")))
 
@@ -71,10 +75,10 @@ func (r *Report) RenderLaTeX(w io.Writer) error {
 			name   string
 			values []float64
 		}{
-			{"MPI\\_Send hits", ch.Density.Map(trace.KindSend, analysis.MetricHits)},
-			{"point-to-point total size", ch.Density.P2PSizeMap()},
-			{"wait time", ch.Density.WaitTimeMap()},
-			{"collective time", ch.Density.CollectiveTimeMap()},
+			{"MPI\\_Send hits", ch.Density.AppendMap(nil, trace.KindSend, analysis.MetricHits)},
+			{"point-to-point total size", ch.Density.AppendP2PSizeMap(nil)},
+			{"wait time", ch.Density.AppendWaitTimeMap(nil)},
+			{"collective time", ch.Density.AppendCollectiveTimeMap(nil)},
 		}
 		for _, m := range maps {
 			st := Stats(m.values)
@@ -86,7 +90,7 @@ func (r *Report) RenderLaTeX(w io.Writer) error {
 			fmt.Fprintf(&b, "\\begin{verbatim}\n%s\\end{verbatim}\n", DensityASCII(m.values, 60))
 		}
 		if ch.Callsites != nil {
-			rows := ch.Callsites.Top(10)
+			rows := ch.Callsites.AppendTop(nil, 10)
 			if len(rows) > 0 {
 				b.WriteString("\n\\subsection{Top call sites}\n")
 				b.WriteString("\\begin{tabular}{llrrr}\n\\toprule\nsite & call & hits & time & total size \\\\\n\\midrule\n")
@@ -98,26 +102,26 @@ func (r *Report) RenderLaTeX(w io.Writer) error {
 					fmt.Fprintf(&b, "%s & %s & %d & %s & %s \\\\\n",
 						latexEscape(label), latexEscape(row.Kind.String()), row.Stat.Hits,
 						latexEscape(time.Duration(row.Stat.TimeNs).String()),
-						latexEscape(HumanBytes(float64(row.Stat.Bytes))))
+						latexEscape(string(buf(nil).size(float64(row.Stat.Bytes), 0))))
 				}
 				b.WriteString("\\bottomrule\n\\end{tabular}\n")
 			}
 		}
 		if ch.Temporal != nil && ch.Temporal.Buckets() > 0 {
 			b.WriteString("\n\\subsection{Temporal map}\n")
-			series := ch.Temporal.CommunicationTimeSeries()
+			series := ch.Temporal.AppendCommunicationTimeSeries(nil)
 			st := Stats(series)
 			fmt.Fprintf(&b, "Communication time per %s window; peak %s, mean %s.\n",
 				latexEscape(time.Duration(ch.Temporal.Window()).String()),
 				latexEscape(time.Duration(st.Max).String()),
 				latexEscape(time.Duration(st.Mean).String()))
-			fmt.Fprintf(&b, "\\begin{verbatim}\n|%s|\n\\end{verbatim}\n", Sparkline(series, 72))
+			fmt.Fprintf(&b, "\\begin{verbatim}\n|%s|\n\\end{verbatim}\n", buf(nil).sparkline(series, 72))
 		}
 		if ch.WaitState != nil {
 			b.WriteString("\n\\subsection{Wait-state analysis}\n")
 			fmt.Fprintf(&b, "%d send/receive pairs matched; total late-sender wait %s.\n",
 				ch.WaitState.Pairs(), latexEscape(time.Duration(ch.WaitState.TotalLateNs()).String()))
-			late := ch.WaitState.LateSenderMap()
+			late := ch.WaitState.AppendLateSenderMap(nil)
 			if st := Stats(late); st.Max > 0 {
 				fmt.Fprintf(&b, "\\begin{verbatim}\n%s\\end{verbatim}\n", DensityASCII(late, 60))
 			}

@@ -14,7 +14,9 @@ import (
 	"slices"
 	"strconv"
 	"strings"
+	"sync"
 	"time"
+	"unicode/utf8"
 
 	"repro/internal/analysis"
 	"repro/internal/trace"
@@ -41,34 +43,74 @@ func rampChar(v, lo, hi float64) byte {
 	return ramp[i]
 }
 
-// HumanBytes formats a byte count with binary units.
-func HumanBytes(b float64) string {
-	units := []string{"B", "KB", "MB", "GB", "TB"}
-	i := 0
-	for b >= 1024 && i < len(units)-1 {
-		b /= 1024
-		i++
+// buf is a text buffer with the fmt verbs the reports use as append
+// methods. A width pads as fmt does, counting runes (the 'µ' of a
+// duration is one column): right-aligned, or left-aligned when negative.
+type buf []byte
+
+func (b buf) lit(s string) buf { return append(b, s...) }
+
+func (b buf) str(s string, width int) buf { return append(b, s...).pad(len(b), width) }
+
+func (b buf) num(v int64, width int) buf { return buf(strconv.AppendInt(b, v, 10)).pad(len(b), width) }
+
+func (b buf) float(v float64, verb byte, prec, width int) buf {
+	return buf(strconv.AppendFloat(b, v, verb, prec, 64)).pad(len(b), width)
+}
+
+// dur appends ns as time.Duration's String spells it. String is inlined
+// and its result does not escape, so it formats on the stack.
+func (b buf) dur(ns int64, width int) buf {
+	return append(b, time.Duration(ns).String()...).pad(len(b), width)
+}
+
+var units = [...]string{"B", "KB", "MB", "GB", "TB"}
+
+// size appends a byte count with binary units.
+func (b buf) size(v float64, width int) buf {
+	i, prec := 0, 0
+	for ; v >= 1024 && i < len(units)-1; i, prec = i+1, 2 {
+		v /= 1024
 	}
-	if i == 0 {
-		return fmt.Sprintf("%.0f %s", b, units[i])
+	return buf(strconv.AppendFloat(b, v, 'f', prec, 64)).lit(" ").lit(units[i]).pad(len(b), width)
+}
+
+// pad aligns b[start:] in a field of width runes.
+func (b buf) pad(start, width int) buf {
+	n := max(width, -width) - utf8.RuneCount(b[start:])
+	for range n {
+		b = append(b, ' ')
 	}
-	return fmt.Sprintf("%.2f %s", b, units[i])
+	if width > 0 && n > 0 {
+		copy(b[start+n:], b[start:len(b)-n])
+		for i := range n {
+			b[start+i] = ' '
+		}
+	}
+	return b
 }
 
 // topology is the renderers' one read of a TopologyModule: the written
 // cells, ascending by (src, dst), and what every renderer derives from
 // them. A query costs O(written cells + ranks); only the CSV and the JSON
-// byte matrix, dense by definition, cost ranks².
+// byte matrix, dense by definition, cost ranks². A read reuses the
+// storage of the one before it.
 type topology struct {
 	n      int
 	edges  []analysis.Edge
 	degree []int // per rank: the distinct peers it sent to
 	bytes  int64 // summed over every cell
+	// The degree histogram's counts and the heat map's cells.
+	hist   []int
+	cellOf []int
+	grid   []float64
 }
 
-func readTopology(m *analysis.TopologyModule) *topology {
-	t := &topology{n: m.Ranks(), edges: m.AppendEdges(nil)}
-	t.degree = make([]int, t.n)
+func readTopology(m *analysis.TopologyModule) *topology { return new(topology).read(m) }
+
+func (t *topology) read(m *analysis.TopologyModule) *topology {
+	t.n, t.edges, t.bytes = m.Ranks(), m.AppendEdges(t.edges[:0]), 0
+	t.degree = zeroed(t.degree, t.n)
 	for _, e := range t.edges {
 		t.degree[e.Src]++
 		t.bytes += e.Bytes
@@ -76,21 +118,26 @@ func readTopology(m *analysis.TopologyModule) *topology {
 	return t
 }
 
-// degreeHistogram calls fn, ascending by degree, with every degree some
-// rank has and the number of ranks that have it.
-func (t *topology) degreeHistogram(fn func(degree, ranks int)) {
-	hist := make([]int, t.n+1)
-	for _, d := range t.degree {
-		hist[d]++
+// zeroed returns s resized to n zeros, in its own storage when it fits.
+func zeroed[T any](s []T, n int) []T {
+	if s == nil || cap(s) < n {
+		return make([]T, n)
 	}
-	for d, ranks := range hist {
-		if ranks > 0 {
-			fn(d, ranks)
-		}
-	}
+	s = s[:n]
+	clear(s)
+	return s
 }
 
-// heatmap renders the matrix weighted by w as an ASCII heat map,
+// degreeHistogram returns, indexed by degree, how many ranks have it.
+func (t *topology) degreeHistogram() []int {
+	t.hist = zeroed(t.hist, t.n+1)
+	for _, d := range t.degree {
+		t.hist[d]++
+	}
+	return t.hist
+}
+
+// heatmap appends the matrix weighted by w as an ASCII heat map,
 // max-pooled to at most maxCells×maxCells character cells (the paper's
 // Figure 17a for CG.D/128 renders every cell). The pool is seeded with 0,
 // which an unwritten cell weighs under every metric, so reading only the
@@ -98,16 +145,17 @@ func (t *topology) degreeHistogram(fn func(degree, ranks int)) {
 // it there, the scale runs from 0 (from the least pooled cell when every
 // one is above 0) to the largest, and every other character is the
 // ramp's for 0.
-func (t *topology) heatmap(w analysis.Metric, maxCells int) string {
+func (t *topology) heatmap(b buf, w analysis.Metric, maxCells int) buf {
 	if maxCells <= 0 {
 		maxCells = 64
 	}
 	cells := min(t.n, maxCells)
-	cellOf := make([]int, t.n)
-	for r := range cellOf {
-		cellOf[r] = r * cells / t.n
+	t.cellOf = zeroed(t.cellOf, t.n)
+	for r := range t.cellOf {
+		t.cellOf[r] = r * cells / t.n
 	}
-	grid := make([]float64, cells*cells)
+	t.grid = zeroed(t.grid, cells*cells)
+	grid, cellOf := t.grid, t.cellOf
 	lo, hi, lit := 0.0, 0.0, 0
 	for _, e := range t.edges {
 		g := &grid[cellOf[e.Src]*cells+cellOf[e.Dst]]
@@ -121,8 +169,8 @@ func (t *topology) heatmap(w analysis.Metric, maxCells int) string {
 	if lit > 0 && lit == len(grid) {
 		lo = slices.Min(grid)
 	}
-	b := fmt.Appendf(make([]byte, 0, 64+cells*(cells+1)),
-		"p2p matrix (%s), %d ranks, cell=max-pooled %dx%d\n", w, t.n, cells, cells)
+	b = b.lit("p2p matrix (").lit(w.String()).lit("), ").num(int64(t.n), 0).
+		lit(" ranks, cell=max-pooled ").num(int64(cells), 0).lit("x").num(int64(cells), 0).lit("\n")
 	head, zero := len(b), rampChar(0, lo, hi)
 	for range cells {
 		for range cells {
@@ -136,7 +184,7 @@ func (t *topology) heatmap(w analysis.Metric, maxCells int) string {
 			b[head+r*(cells+1)+c] = rampChar(v, lo, hi)
 		}
 	}
-	return string(b)
+	return b
 }
 
 // csv renders the matrix weighted by w as CSV, one row per source rank;
@@ -227,18 +275,22 @@ func Stats(values []float64) DensityStats {
 // DensityASCII renders per-rank values as an ASCII heat grid in rank
 // row-major order, downsampled to at most maxCols columns.
 func DensityASCII(values []float64, maxCols int) string {
+	return string(buf(nil).density(values, maxCols))
+}
+
+func (b buf) density(values []float64, maxCols int) buf {
 	n := len(values)
 	if n == 0 {
-		return "(empty)\n"
+		return b.lit("(empty)\n")
 	}
 	if maxCols <= 0 {
 		maxCols = 64
 	}
 	cols, rows := GridShape(n)
 	st := Stats(values)
-	var sb strings.Builder
-	fmt.Fprintf(&sb, "density %dx%d  min=%g max=%g mean=%.4g imbalance=%.3f\n",
-		cols, rows, st.Min, st.Max, st.Mean, st.Imbalance)
+	b = b.lit("density ").num(int64(cols), 0).lit("x").num(int64(rows), 0).
+		lit("  min=").float(st.Min, 'g', -1, 0).lit(" max=").float(st.Max, 'g', -1, 0).
+		lit(" mean=").float(st.Mean, 'g', 4, 0).lit(" imbalance=").float(st.Imbalance, 'f', 3, 0).lit("\n")
 	// Downsample columns if needed (max pooling per character cell).
 	step := 1
 	if cols > maxCols {
@@ -255,42 +307,48 @@ func DensityASCII(values []float64, maxCols int) string {
 				}
 			}
 			if math.IsInf(v, -1) {
-				sb.WriteByte(' ')
+				b = append(b, ' ')
 			} else {
-				sb.WriteByte(rampChar(v, st.Min, st.Max))
+				b = append(b, rampChar(v, st.Min, st.Max))
 			}
 		}
-		sb.WriteByte('\n')
+		b = append(b, '\n')
 	}
-	return sb.String()
+	return b
 }
 
-// Sparkline renders a time series as a one-line ASCII intensity strip,
+// sparkline appends a time series as a one-line ASCII intensity strip,
 // max-pooled to at most maxCols characters — the report's temporal maps.
-func Sparkline(values []float64, maxCols int) string {
-	if len(values) == 0 {
-		return "(empty)"
+// A character pools a run of values and 0, so the strip is two walks of
+// the values, one for its scale and one for its characters.
+func (b buf) sparkline(values []float64, maxCols int) buf {
+	n := len(values)
+	if n == 0 {
+		return b.lit("(empty)")
 	}
 	if maxCols <= 0 {
 		maxCols = 64
 	}
-	cols := len(values)
-	if cols > maxCols {
-		cols = maxCols
-	}
-	pooled := make([]float64, cols)
-	for i, v := range values {
-		c := i * cols / len(values)
-		if v > pooled[c] {
-			pooled[c] = v
+	cols := min(n, maxCols)
+	lo, hi := math.Inf(1), math.Inf(-1)
+	for pass := range 2 {
+		cell := 0.0
+		for i, v := range values {
+			if v > cell {
+				cell = v
+			}
+			if (i+1)*cols/n == i*cols/n {
+				continue // the cell pools the next value too
+			}
+			if pass == 0 {
+				lo, hi = min(lo, cell), max(hi, cell)
+			} else {
+				b = append(b, rampChar(cell, lo, hi))
+			}
+			cell = 0
 		}
 	}
-	st := Stats(pooled)
-	out := make([]byte, cols)
-	for i, v := range pooled {
-		out[i] = rampChar(v, st.Min, st.Max)
-	}
-	return string(out)
+	return b
 }
 
 // DensityPGM renders per-rank values as a portable graymap (P2) image, one
@@ -387,99 +445,95 @@ type Report struct {
 	StreamLoss []StreamLossRow
 }
 
-// Render writes the report as structured text.
+// scratch is one render's working storage, pooled so that a warm render
+// allocates nothing: the text, and the module reads it is made from.
+type scratch struct {
+	text  buf
+	topo  topology
+	rows  []analysis.KindStat
+	vals  []float64
+	sites []analysis.CallsiteStat
+	sizes []analysis.SizeBucket
+	kinds []trace.Kind
+}
+
+var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
+
+// Render writes the report as structured text, in one Write, and returns
+// the writer's error.
 func (r *Report) Render(w io.Writer) error {
-	fmt.Fprintf(w, "==== %s ====\n", r.Title)
-	fmt.Fprintf(w, "applications: %d\n", len(r.Chapters))
+	s := scratchPool.Get().(*scratch)
+	defer scratchPool.Put(s)
+	b := s.text[:0].lit("==== ").lit(r.Title).lit(" ====\napplications: ").num(int64(len(r.Chapters)), 0).lit("\n")
 	for i, ch := range r.Chapters {
-		fmt.Fprintf(w, "\n---- chapter %d: %s (%d processes, wall %.3fs) ----\n",
-			i+1, ch.App, ch.Procs, ch.WallTime.Seconds())
-		if err := ch.render(w); err != nil {
-			return err
-		}
+		b = b.lit("\n---- chapter ").num(int64(i+1), 0).lit(": ").lit(ch.App).lit(" (").num(int64(ch.Procs), 0).
+			lit(" processes, wall ").float(ch.WallTime.Seconds(), 'f', 3, 0).lit("s) ----\n")
+		b = s.chapter(b, ch)
 	}
 	if r.EngineHealth != nil {
-		if err := renderEngineHealth(w, r.EngineHealth); err != nil {
-			return err
-		}
+		b = s.engineHealth(b, r.EngineHealth)
 	}
-	if err := renderStreamLoss(w, r.StreamLoss); err != nil {
-		return err
-	}
-	return nil
+	s.text = streamLoss(b, r.StreamLoss)
+	_, err := w.Write(s.text)
+	return err
 }
 
-// renderStreamLoss writes the per-stream loss table. Rows with no loss at
-// all are elided; a run with nothing lost prints nothing, so reports from
+// streamLoss appends the per-stream loss table. Rows with no loss at all
+// are elided; a run with nothing lost prints nothing, so reports from
 // non-adaptive healthy runs are unchanged.
-func renderStreamLoss(w io.Writer, rows []StreamLossRow) error {
-	live := rows[:0:0]
+func streamLoss(b buf, rows []StreamLossRow) buf {
+	head := true
 	for _, r := range rows {
-		if !r.zero() {
-			live = append(live, r)
+		if r.zero() {
+			continue
 		}
+		if head {
+			b = b.lit("\nPer-stream loss accounting:\n  ").str("app", -16).lit(" ").str("rank", 6).lit(" ").
+				str("blocks dropped", 14).lit(" ").str("blocks lost", 16).lit(" ").str("events shed", 14).lit("\n")
+			head = false
+		}
+		b = b.lit("  ").str(r.App, -16).lit(" ").num(int64(r.Rank), 6).lit(" ").num(r.Dropped, 14).lit(" ").
+			num(r.LostInFlight, 16).lit(" ").num(r.Shed, 14).lit("\n")
 	}
-	if len(live) == 0 {
-		return nil
-	}
-	fmt.Fprintf(w, "\nPer-stream loss accounting:\n")
-	fmt.Fprintf(w, "  %-16s %6s %14s %16s %14s\n",
-		"app", "rank", "blocks dropped", "blocks lost", "events shed")
-	for _, r := range live {
-		fmt.Fprintf(w, "  %-16s %6d %14d %16d %14d\n",
-			r.App, r.Rank, r.Dropped, r.LostInFlight, r.Shed)
-	}
-	return nil
+	return b
 }
 
-// renderEngineHealth writes the engine-health chapter: one line per
-// telemetry series with a sparkline over the snapshot sequence. All-zero
-// series are elided — a healthy engine has no quarantines, and printing
-// forty flat lines would bury the live ones.
-func renderEngineHealth(w io.Writer, hk *analysis.EngineHealthKS) error {
-	fmt.Fprintf(w, "\n---- engine health (%d snapshots) ----\n", hk.Snapshots())
+// engineHealth appends the engine-health chapter: one line per telemetry
+// series with a sparkline over the snapshot sequence. All-zero series
+// are elided — a healthy engine has no quarantines, and printing forty
+// flat lines would bury the live ones.
+func (s *scratch) engineHealth(b buf, hk *analysis.EngineHealthKS) buf {
+	b = b.lit("\n---- engine health (").num(int64(hk.Snapshots()), 0).lit(" snapshots) ----\n")
 	if hk.Snapshots() == 0 {
-		fmt.Fprintln(w, "no telemetry snapshots received")
-		return nil
+		return b.lit("no telemetry snapshots received\n")
 	}
-	fmt.Fprintf(w, "  %-32s %14s %14s  series\n", "metric", "last", "max")
+	b = b.lit("  ").str("metric", -32).lit(" ").str("last", 14).lit(" ").str("max", 14).lit("  series\n")
 	for _, name := range hk.Acc.Names() {
-		pts := hk.Acc.Points(name)
-		values := make([]float64, len(pts))
-		for i, p := range pts {
-			values[i] = p.Value
+		s.vals = s.vals[:0]
+		for _, p := range hk.Acc.Points(name) {
+			s.vals = append(s.vals, p.Value)
 		}
-		st := Stats(values)
+		st := Stats(s.vals)
 		if st.Max == 0 && st.Min == 0 {
 			continue
 		}
-		last := values[len(values)-1]
-		fmt.Fprintf(w, "  %-32s %14.4g %14.4g  |%s|\n", name, last, st.Max, Sparkline(values, 40))
+		b = b.lit("  ").str(name, -32).lit(" ").float(s.vals[len(s.vals)-1], 'g', 4, 14).lit(" ").
+			float(st.Max, 'g', 4, 14).lit("  |").sparkline(s.vals, 40).lit("|\n")
 	}
-	return nil
+	return b
 }
 
-// profileRow is one call kind's line of the MPI profile.
-type profileRow struct {
-	kind trace.Kind
-	st   analysis.Stat
-}
-
-// profileRows lists the chapter's MPI call kinds in the order every
+// profileRows appends a profiler's call kinds to dst in the order every
 // rendering prints them: by time, longest first, ties (typically
 // zero-time calls) by kind so the table does not depend on the order
-// events reached the profiler. Each kind's Stat is read once, so a fold
-// running beside the render cannot reorder the rows in mid-sort.
-func (ch *Chapter) profileRows() []profileRow {
-	kinds := ch.Profiler.Kinds()
-	rows := make([]profileRow, len(kinds))
-	for i, k := range kinds {
-		rows[i] = profileRow{k, ch.Profiler.Stat(k)}
-	}
-	slices.SortFunc(rows, func(a, b profileRow) int {
-		return cmp.Or(cmp.Compare(b.st.TimeNs, a.st.TimeNs), cmp.Compare(a.kind, b.kind))
+// events reached the profiler. The rows are one locked read, so a fold
+// running beside the render cannot reorder them in mid-sort.
+func profileRows(dst []analysis.KindStat, m *analysis.ProfilerModule) []analysis.KindStat {
+	dst = m.AppendStats(dst)
+	slices.SortFunc(dst, func(a, b analysis.KindStat) int {
+		return cmp.Or(cmp.Compare(b.TimeNs, a.TimeNs), cmp.Compare(a.Kind, b.Kind))
 	})
-	return rows
+	return dst
 }
 
 // Artifacts returns every chapter's per-application files, keyed by file
@@ -493,109 +547,111 @@ func (r *Report) Artifacts() map[string][]byte {
 		files[base+"_matrix_bytes.csv"] = topo.csv(analysis.MetricBytes)
 		files[base+"_matrix_hits.csv"] = topo.csv(analysis.MetricHits)
 		files[base+"_topology.dot"] = topo.dot(ch.App, analysis.MetricBytes)
-		files[base+"_send_hits.pgm"] = DensityPGM(ch.Density.Map(trace.KindSend, analysis.MetricHits))
-		files[base+"_p2p_size.pgm"] = DensityPGM(ch.Density.P2PSizeMap())
-		files[base+"_wait_time.pgm"] = DensityPGM(ch.Density.WaitTimeMap())
-		files[base+"_coll_time.pgm"] = DensityPGM(ch.Density.CollectiveTimeMap())
+		files[base+"_send_hits.pgm"] = DensityPGM(ch.Density.AppendMap(nil, trace.KindSend, analysis.MetricHits))
+		files[base+"_p2p_size.pgm"] = DensityPGM(ch.Density.AppendP2PSizeMap(nil))
+		files[base+"_wait_time.pgm"] = DensityPGM(ch.Density.AppendWaitTimeMap(nil))
+		files[base+"_coll_time.pgm"] = DensityPGM(ch.Density.AppendCollectiveTimeMap(nil))
 	}
 	return files
 }
 
-func (ch *Chapter) render(w io.Writer) error {
+// densityMaps are the chapter's density maps, in the order it prints them.
+var densityMaps = [...]struct {
+	name string
+	read func(*analysis.DensityModule, []float64) []float64
+}{
+	{"MPI_Send hits", func(d *analysis.DensityModule, dst []float64) []float64 {
+		return d.AppendMap(dst, trace.KindSend, analysis.MetricHits)
+	}},
+	{"p2p total size", (*analysis.DensityModule).AppendP2PSizeMap},
+	{"wait time", (*analysis.DensityModule).AppendWaitTimeMap},
+	{"collective time", (*analysis.DensityModule).AppendCollectiveTimeMap},
+}
+
+// chapter appends one application's section.
+func (s *scratch) chapter(b buf, ch *Chapter) buf {
 	// MPI call profile.
-	fmt.Fprintf(w, "\nMPI profile:\n")
-	fmt.Fprintf(w, "  %-14s %12s %14s %14s\n", "call", "hits", "time", "total size")
-	for _, row := range ch.profileRows() {
-		fmt.Fprintf(w, "  %-14s %12d %14s %14s\n",
-			row.kind, row.st.Hits, time.Duration(row.st.TimeNs), HumanBytes(float64(row.st.Bytes)))
+	b = b.lit("\nMPI profile:\n  ").str("call", -14).lit(" ").str("hits", 12).lit(" ").str("time", 14).lit(" ").
+		str("total size", 14).lit("\n")
+	s.rows = profileRows(s.rows[:0], ch.Profiler)
+	for _, row := range s.rows {
+		b = b.lit("  ").str(row.Kind.String(), -14).lit(" ").num(row.Hits, 12).lit(" ").dur(row.TimeNs, 14).lit(" ").
+			size(float64(row.Bytes), 14).lit("\n")
 	}
 
 	// Topology.
-	topo := readTopology(ch.Topology)
-	fmt.Fprintf(w, "\nTopology (total size weighting):\n")
-	io.WriteString(w, topo.heatmap(analysis.MetricBytes, 48))
-	fmt.Fprintf(w, "degree histogram:")
-	topo.degreeHistogram(func(d, ranks int) { fmt.Fprintf(w, " %d-neighbour:%d", d, ranks) })
-	fmt.Fprintln(w)
+	topo := s.topo.read(ch.Topology)
+	b = topo.heatmap(b.lit("\nTopology (total size weighting):\n"), analysis.MetricBytes, 48).lit("degree histogram:")
+	for d, ranks := range topo.degreeHistogram() {
+		if ranks > 0 {
+			b = b.lit(" ").num(int64(d), 0).lit("-neighbour:").num(int64(ranks), 0)
+		}
+	}
+	b = b.lit("\n")
 
 	// Density maps.
-	maps := []struct {
-		name   string
-		values []float64
-	}{
-		{"MPI_Send hits", ch.Density.Map(trace.KindSend, analysis.MetricHits)},
-		{"p2p total size", ch.Density.P2PSizeMap()},
-		{"wait time", ch.Density.WaitTimeMap()},
-		{"collective time", ch.Density.CollectiveTimeMap()},
-	}
-	for _, m := range maps {
-		st := Stats(m.values)
-		if st.Max == 0 {
-			continue
+	for _, m := range densityMaps {
+		if s.vals = m.read(ch.Density, s.vals[:0]); Stats(s.vals).Max != 0 {
+			b = b.lit("\nDensity map: ").lit(m.name).lit("\n").density(s.vals, 48)
 		}
-		fmt.Fprintf(w, "\nDensity map: %s\n", m.name)
-		io.WriteString(w, DensityASCII(m.values, 48))
 	}
 
 	// Message-size distribution (optional module).
 	if ch.Sizes != nil {
-		if hist := ch.Sizes.Histogram(); len(hist) > 0 {
-			fmt.Fprintf(w, "\nMessage-size distribution (point-to-point):\n")
-			fmt.Fprintf(w, "  %-22s %12s %14s\n", "size range", "messages", "bytes")
+		if s.sizes = ch.Sizes.AppendHistogram(s.sizes[:0]); len(s.sizes) > 0 {
+			b = b.lit("\nMessage-size distribution (point-to-point):\n  ").str("size range", -22).lit(" ").
+				str("messages", 12).lit(" ").str("bytes", 14).lit("\n")
 			var maxHits int64
-			for _, b := range hist {
-				if b.Hits > maxHits {
-					maxHits = b.Hits
-				}
+			for _, sb := range s.sizes {
+				maxHits = max(maxHits, sb.Hits)
 			}
-			for _, b := range hist {
-				bar := strings.Repeat("#", int(40*b.Hits/maxHits))
-				fmt.Fprintf(w, "  [%8s, %8s) %12d %14s %s\n",
-					HumanBytes(float64(b.Lo)), HumanBytes(float64(b.Hi)), b.Hits,
-					HumanBytes(float64(b.Bytes)), bar)
+			for _, sb := range s.sizes {
+				b = b.lit("  [").size(float64(sb.Lo), 8).lit(", ").size(float64(sb.Hi), 8).lit(") ").num(sb.Hits, 12).
+					lit(" ").size(float64(sb.Bytes), 14).lit(" ")
+				for range 40 * sb.Hits / maxHits {
+					b = append(b, '#')
+				}
+				b = b.lit("\n")
 			}
 			med := ch.Sizes.MedianBucket()
-			fmt.Fprintf(w, "median message size bucket: [%s, %s)\n",
-				HumanBytes(float64(med.Lo)), HumanBytes(float64(med.Hi)))
+			b = b.lit("median message size bucket: [").size(float64(med.Lo), 0).lit(", ").size(float64(med.Hi), 0).lit(")\n")
 		}
 	}
 
 	// Call-site breakdown (optional module).
 	if ch.Callsites != nil {
-		rows := ch.Callsites.Top(10)
-		if len(rows) > 0 {
-			fmt.Fprintf(w, "\nTop call sites by time:\n")
-			fmt.Fprintf(w, "  %-18s %-14s %10s %14s %14s\n", "site", "call", "hits", "time", "total size")
-			for _, row := range rows {
-				label := row.Label
-				if label == "" {
-					label = fmt.Sprintf("ctx:%d", row.Ctx)
+		if s.sites = ch.Callsites.AppendTop(s.sites[:0], 10); len(s.sites) > 0 {
+			b = b.lit("\nTop call sites by time:\n  ").str("site", -18).lit(" ").str("call", -14).lit(" ").
+				str("hits", 10).lit(" ").str("time", 14).lit(" ").str("total size", 14).lit("\n")
+			for _, row := range s.sites {
+				b = b.lit("  ")
+				if start := len(b); row.Label != "" {
+					b = b.str(row.Label, -18)
+				} else {
+					b = b.lit("ctx:").num(int64(row.Ctx), 0).pad(start, -18)
 				}
-				fmt.Fprintf(w, "  %-18s %-14s %10d %14s %14s\n",
-					label, row.Kind, row.Stat.Hits,
-					time.Duration(row.Stat.TimeNs), HumanBytes(float64(row.Stat.Bytes)))
+				b = b.lit(" ").str(row.Kind.String(), -14).lit(" ").num(row.Stat.Hits, 10).lit(" ").
+					dur(row.Stat.TimeNs, 14).lit(" ").size(float64(row.Stat.Bytes), 14).lit("\n")
 			}
 		}
 	}
 
 	// Temporal maps (optional module).
 	if ch.Temporal != nil && ch.Temporal.Buckets() > 0 {
-		window := time.Duration(ch.Temporal.Window())
-		fmt.Fprintf(w, "\nTemporal map: communication time per %v window\n", window)
-		series := ch.Temporal.CommunicationTimeSeries()
-		fmt.Fprintf(w, "|%s|\n", Sparkline(series, 72))
-		st := Stats(series)
-		fmt.Fprintf(w, "peak window: %v busy, mean %v\n", time.Duration(st.Max), time.Duration(st.Mean))
+		b = b.lit("\nTemporal map: communication time per ").dur(ch.Temporal.Window(), 0).lit(" window\n")
+		s.vals = ch.Temporal.AppendCommunicationTimeSeries(s.vals[:0])
+		st := Stats(s.vals)
+		b = b.lit("|").sparkline(s.vals, 72).lit("|\npeak window: ").dur(int64(st.Max), 0).lit(" busy, mean ").
+			dur(int64(st.Mean), 0).lit("\n")
 	}
 
 	// Wait-state analysis (optional module).
 	if ch.WaitState != nil {
-		late := ch.WaitState.LateSenderMap()
-		st := Stats(late)
-		fmt.Fprintf(w, "\nWait-state analysis: %d send/recv pairs matched, total late-sender wait %s\n",
-			ch.WaitState.Pairs(), time.Duration(ch.WaitState.TotalLateNs()))
-		if st.Max > 0 {
-			io.WriteString(w, DensityASCII(late, 48))
+		s.vals = ch.WaitState.AppendLateSenderMap(s.vals[:0])
+		b = b.lit("\nWait-state analysis: ").num(ch.WaitState.Pairs(), 0).
+			lit(" send/recv pairs matched, total late-sender wait ").dur(ch.WaitState.TotalLateNs(), 0).lit("\n")
+		if Stats(s.vals).Max > 0 {
+			b = b.density(s.vals, 48)
 		}
 	}
 
@@ -603,43 +659,42 @@ func (ch *Chapter) render(w io.Writer) error {
 	// the populated index range, gaps rendered as zero cells, so the
 	// virtual-time axis is uniform whatever the event distribution.
 	if ch.Windows != nil && ch.Windows.Len() > 0 {
-		win := time.Duration(ch.Windows.Window())
-		slide := time.Duration(ch.Windows.Slide())
+		win, slide := ch.Windows.Window(), ch.Windows.Slide()
 		kind := "tumbling"
 		if slide != win {
 			kind = "sliding"
 		}
-		firstIdx, events := ch.Windows.Series(func(p *analysis.Partial) float64 {
+		firstIdx, events := ch.Windows.AppendSeries(s.vals[:0], func(p *analysis.Partial) float64 {
 			return float64(p.Profiler.Events())
 		})
-		fmt.Fprintf(w, "\nWindowed series: %d windows of %v (%s, slide %v), first index %d\n",
-			ch.Windows.Len(), win, kind, slide, firstIdx)
-		fmt.Fprintf(w, "  events/window     |%s|\n", Sparkline(events, 72))
-		_, bytes := ch.Windows.Series(func(p *analysis.Partial) float64 {
-			var b int64
-			for _, k := range p.Profiler.Kinds() {
-				b += p.Profiler.Stat(k).Bytes
+		b = b.lit("\nWindowed series: ").num(int64(ch.Windows.Len()), 0).lit(" windows of ").dur(win, 0).lit(" (").
+			lit(kind).lit(", slide ").dur(slide, 0).lit("), first index ").num(firstIdx, 0).lit("\n").
+			lit("  events/window     |").sparkline(events, 72).lit("|\n")
+		_, s.vals = ch.Windows.AppendSeries(events[:0], func(p *analysis.Partial) float64 {
+			var bytes int64
+			s.rows = p.Profiler.AppendStats(s.rows[:0])
+			for _, row := range s.rows {
+				bytes += row.Bytes
 			}
-			return float64(b)
+			return float64(bytes)
 		})
-		if st := Stats(bytes); st.Max > 0 {
-			fmt.Fprintf(w, "  bytes/window      |%s|\n", Sparkline(bytes, 72))
+		if Stats(s.vals).Max > 0 {
+			b = b.lit("  bytes/window      |").sparkline(s.vals, 72).lit("|\n")
 		}
-		_, waits := ch.Windows.Series(func(p *analysis.Partial) float64 {
+		_, s.vals = ch.Windows.AppendSeries(s.vals[:0], func(p *analysis.Partial) float64 {
 			if p.Waits == nil {
 				return 0
 			}
 			return float64(p.Waits.TotalLateNs())
 		})
-		if st := Stats(waits); st.Max > 0 {
-			fmt.Fprintf(w, "  late-sender/window |%s|\n", Sparkline(waits, 72))
+		if Stats(s.vals).Max > 0 {
+			b = b.lit("  late-sender/window |").sparkline(s.vals, 72).lit("|\n")
 		}
 		if tr := ch.WindowLag; tr != nil {
-			fmt.Fprintf(w, "  event-to-report lag: last %v, max %v (%d events, %d late)\n",
-				time.Duration(tr.LagNs()), time.Duration(tr.MaxLagNs()),
-				tr.Events(), tr.LateEvents())
+			b = b.lit("  event-to-report lag: last ").dur(tr.LagNs(), 0).lit(", max ").dur(tr.MaxLagNs(), 0).
+				lit(" (").num(tr.Events(), 0).lit(" events, ").num(tr.LateEvents(), 0).lit(" late)\n")
 			if idx, c, ok := tr.WorstWindow(); ok {
-				fmt.Fprintf(w, "  worst window completeness: >=%.2f%% (window %d)\n", 100*c, idx)
+				b = b.lit("  worst window completeness: >=").float(100*c, 'f', 2, 0).lit("% (window ").num(idx, 0).lit(")\n")
 			}
 		}
 	}
@@ -647,10 +702,11 @@ func (ch *Chapter) render(w io.Writer) error {
 	// Measurement completeness (adaptive engine only). Renders nothing
 	// when no events were shed, so non-adaptive chapters are unchanged.
 	if !ch.Completeness.Empty() {
-		fmt.Fprintf(w, "\nMeasurement completeness (load shedding active):\n")
-		fmt.Fprintf(w, "  %-14s %12s %12s %14s\n", "call", "analyzed", "shed", "completeness")
+		b = b.lit("\nMeasurement completeness (load shedding active):\n  ").str("call", -14).lit(" ").
+			str("analyzed", 12).lit(" ").str("shed", 12).lit(" ").str("completeness", 14).lit("\n")
 		var totalShed, totalAnalyzed int64
-		for _, k := range ch.Completeness.Kinds() {
+		s.kinds = ch.Completeness.AppendKinds(s.kinds[:0])
+		for _, k := range s.kinds {
 			st := ch.Completeness.Stat(k)
 			analyzed := ch.Profiler.Stat(k).Hits
 			totalShed += st.Shed
@@ -659,11 +715,12 @@ func (ch *Chapter) render(w io.Writer) error {
 				continue
 			}
 			bound := ch.Completeness.Bound(k, analyzed)
-			fmt.Fprintf(w, "  %-14s %12d %12d %13.2f%%\n", k, analyzed, st.Shed, 100*(1-bound))
+			b = b.lit("  ").str(k.String(), -14).lit(" ").num(analyzed, 12).lit(" ").num(st.Shed, 12).lit(" ").
+				float(100*(1-bound), 'f', 2, 13).lit("%\n")
 		}
 		overall := float64(totalShed) / float64(totalShed+totalAnalyzed)
-		fmt.Fprintf(w, "advertised bound: >=%.2f%% of events analyzed (%d shed, %d analyzed)\n",
-			100*(1-overall), totalShed, totalAnalyzed)
+		b = b.lit("advertised bound: >=").float(100*(1-overall), 'f', 2, 0).lit("% of events analyzed (").
+			num(totalShed, 0).lit(" shed, ").num(totalAnalyzed, 0).lit(" analyzed)\n")
 	}
-	return nil
+	return b
 }

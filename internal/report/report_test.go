@@ -35,7 +35,7 @@ func TestMatrixCSV(t *testing.T) {
 }
 
 func TestMatrixHeatmapShapes(t *testing.T) {
-	hm := topo3().heatmap(analysis.MetricBytes, 8)
+	hm := string(topo3().heatmap(nil, analysis.MetricBytes, 8))
 	lines := strings.Split(strings.TrimSpace(hm), "\n")
 	// header + 3 rows (no downsampling needed)
 	if len(lines) != 4 {
@@ -55,7 +55,7 @@ func TestMatrixHeatmapDownsamples(t *testing.T) {
 	for i := int32(0); i < 100; i++ {
 		topo.Add(&trace.Event{Kind: trace.KindSend, Rank: i, Peer: (i + 1) % 100, Size: 10, TEnd: 1})
 	}
-	hm := readTopology(topo).heatmap(analysis.MetricHits, 10)
+	hm := string(readTopology(topo).heatmap(nil, analysis.MetricHits, 10))
 	lines := strings.Split(strings.TrimSpace(hm), "\n")
 	if len(lines) != 11 {
 		t.Fatalf("downsampled heatmap lines = %d", len(lines))
@@ -151,8 +151,8 @@ func TestHumanBytes(t *testing.T) {
 		{333.22 * (1 << 30), "333.22 GB"},
 	}
 	for _, c := range cases {
-		if got := HumanBytes(c.in); got != c.want {
-			t.Fatalf("HumanBytes(%g) = %q, want %q", c.in, got, c.want)
+		if got := string(buf(nil).size(c.in, 0)); got != c.want {
+			t.Fatalf("size(%g) = %q, want %q", c.in, got, c.want)
 		}
 	}
 }

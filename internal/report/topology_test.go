@@ -50,13 +50,13 @@ func TestRankRelabellingRelation(t *testing.T) {
 
 		da, db := a.Chapters[0].Density, b.Chapters[0].Density
 		maps := [][2][]float64{
-			{da.P2PSizeMap(), db.P2PSizeMap()},
-			{da.WaitTimeMap(), db.WaitTimeMap()},
-			{da.CollectiveTimeMap(), db.CollectiveTimeMap()},
+			{da.AppendP2PSizeMap(nil), db.AppendP2PSizeMap(nil)},
+			{da.AppendWaitTimeMap(nil), db.AppendWaitTimeMap(nil)},
+			{da.AppendCollectiveTimeMap(nil), db.AppendCollectiveTimeMap(nil)},
 		}
 		for k := 0; k < trace.KindCount; k++ {
 			for _, w := range metrics {
-				maps = append(maps, [2][]float64{da.Map(trace.Kind(k), w), db.Map(trace.Kind(k), w)})
+				maps = append(maps, [2][]float64{da.AppendMap(nil, trace.Kind(k), w), db.AppendMap(nil, trace.Kind(k), w)})
 			}
 		}
 		for i, m := range maps {

@@ -137,7 +137,7 @@ func TestLiveWindowsCarryLateSender(t *testing.T) {
 		t.Fatal(err)
 	}
 	var windows int64
-	pp.Windows.Series(func(wp *analysis.Partial) float64 {
+	pp.Windows.AppendSeries(nil, func(wp *analysis.Partial) float64 {
 		windows += wp.Waits.TotalLateNs()
 		return 0
 	})
