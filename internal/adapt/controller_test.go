@@ -19,12 +19,12 @@ func snap(stalls, bytesW, bytesR, backlogNs int64) Signals {
 	return Signals{Stalls: stalls, BytesWritten: bytesW, BytesRead: bytesR, BacklogNs: backlogNs, BacklogMaxNs: backlogNs}
 }
 
-// admitted offers n events of class k to the gate and counts the ones it
-// lets through.
+// admitted offers n events of class k to the gate as one pack and counts
+// the ones it lets through.
 func admitted(g *Gate, k trace.Kind, n int) int {
 	kept := 0
-	for i := 0; i < n; i++ {
-		if g.Admit(k) {
+	for _, ok := range admitPack(g, repeat(k, n)...) {
+		if ok {
 			kept++
 		}
 	}
@@ -211,11 +211,11 @@ func TestControllerGatesProgrammedLate(t *testing.T) {
 	c.Observe(snap(0, 0, 0, 0))
 	c.Observe(snap(32, 0, 0, 0)) // L4
 	g := c.NewGate()
-	if g.Admit(trace.KindIsend) {
+	if admitted(g, trace.KindIsend, 1) != 0 {
 		t.Fatal("late gate admitted an async event the active plan sheds")
 	}
 	g2 := c.NewGate()
-	g2.Admit(trace.KindIsend)
+	admitted(g2, trace.KindIsend, 1)
 	if c.TotalShed() != 2 {
 		t.Fatalf("TotalShed %d, want 2", c.TotalShed())
 	}

@@ -9,12 +9,13 @@ import (
 	"repro/internal/trace"
 )
 
-// The naive reference of TestPartialOracle, for its daemon leg
-// (daemon_oracle_test.go), an external test: the daemon imports this
-// package.
+// The naive reference of TestPartialOracle, for its daemon and archive
+// legs (daemon_oracle_test.go, archive_oracle_test.go), external tests:
+// the daemon and the replay import this package.
 var (
 	PartialOracleRun = partialOracleRun
 	OraclePacks      = oraclePacks
+	RefProfileOf     = refProfileOf
 	EngineProfile    = engineProfile
 	ProfileDiff      = profileDiff
 )

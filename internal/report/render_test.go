@@ -294,9 +294,6 @@ func TestRenderZeroAllocs(t *testing.T) {
 	if raceEnabled() {
 		t.Skip("under the race detector sync.Pool drops a quarter of what is put back")
 	}
-	// A kind without a name is spelled by fmt, once per row.
-	defer func(all []trace.Kind) { genKinds = all }(genKinds)
-	genKinds = slices.DeleteFunc(slices.Clone(genKinds), func(k trace.Kind) bool { return int(k) >= trace.KindCount })
 	fused := genChapter(rand.New(rand.NewSource(2)), "FUSED.A", 64)
 	fused.WaitState, fused.Temporal, fused.Callsites, fused.Sizes, fused.Windows, fused.WindowLag = nil, nil, nil, nil, nil, nil
 	fused.Completeness = analysis.NewCompletenessModule()

@@ -106,3 +106,60 @@ func TestLaneTrackersMatchSync(t *testing.T) {
 		t.Errorf("two lanes' tracker (events, late, windows, worst window, its bound) = %v, synchronous %v", got, want)
 	}
 }
+
+// TestLaneGateLedger: two lanes admit through one shedding gate, each
+// deciding a pack through a tally of its own and committing it once per
+// pack. The session's governor climbs the whole ladder as the packs come,
+// so the classes go from open to sampled to closed while the lanes fold.
+// After the flush barrier, for every class, kept + shed is what was sent
+// and kept is what was folded.
+func TestLaneGateLedger(t *testing.T) {
+	meta := wire.SessionMeta{Title: "t", Apps: []wire.AppMeta{{AppID: 3, Name: "app", Procs: 4}}}
+	s := newSession(1, trace.PackV3, meta, newGovernor(1, 0, 1), 2)
+	defer s.shutdown()
+	kinds := []trace.Kind{trace.KindSend, trace.KindRecv, trace.KindIsend, trace.KindWait,
+		trace.KindAllreduce, trace.KindPosixWrite}
+	sent := map[trace.Kind]int64{}
+	builders := []trace.Builder{trace.NewPackBuilderV3(3, 0, 48, trace.PackHeaderSize+64*48),
+		trace.NewPackBuilderV3(3, 1, 48, trace.PackHeaderSize+64*48)}
+	ingest := func(src int, pack []byte) {
+		if err := s.ingest(uint32(src), pack); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 20_000; i++ {
+		src := i % 2
+		ev := trace.Event{Kind: kinds[i*7%len(kinds)], Rank: int32(src), Peer: int32(1 - src), Size: 64,
+			TStart: int64(i) * 10, TEnd: int64(i)*10 + 5}
+		sent[ev.Kind]++
+		if builders[src].Add(&ev) {
+			ingest(src, builders[src].Take())
+		}
+	}
+	for src, b := range builders {
+		if pack := b.Take(); pack != nil {
+			ingest(src, pack)
+		}
+	}
+	if err := s.flushLanes(); err != nil {
+		t.Fatal(err)
+	}
+	app := s.apps[0]
+	folded := map[trace.Kind]int64{}
+	for _, ks := range app.delta.Partial().Profiler.AppendStats(nil) {
+		folded[ks.Kind] = ks.Stat.Hits
+	}
+	ledger := map[trace.Kind]trace.AuditEntry{}
+	for _, e := range app.gate.Entries() {
+		ledger[e.Kind] = e
+	}
+	for _, k := range kinds {
+		if e := ledger[k]; e.Kept+e.Shed != sent[k] || e.Kept != folded[k] {
+			t.Errorf("%s: %d kept + %d shed of %d sent; %d folded", k, e.Kept, e.Shed, sent[k], folded[k])
+		}
+	}
+	if s.gov.maxLevel() != 4 || app.gate.TotalShed() == 0 {
+		t.Errorf("the governor reached level %d and the gate shed %d: no shedding to account for",
+			s.gov.maxLevel(), app.gate.TotalShed())
+	}
+}

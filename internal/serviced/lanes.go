@@ -24,9 +24,10 @@ import (
 //
 // Pack bytes alias the wire reader's frame buffer, so the connection
 // copies them (through a recycling pool) before handing them to a lane.
-// Admission gates are per-app atomics, safe to consult lane-side; their
-// shed ledgers stay whole-session, folded at close like the synchronous
-// path does.
+// Admission gates are per-app atomics: each lane decides a pack through a
+// tally of its own and commits it to the gate once per pack, so the shed
+// ledgers stay exact and whole-session, folded at close like the
+// synchronous path does.
 
 // laneQueueDepth bounds each lane's pack queue; a full queue blocks the
 // connection goroutine, which is the natural backpressure (the credit
@@ -129,9 +130,8 @@ func (s *session) runLane(l *lane) {
 	}
 }
 
-// fold decodes one pack into the lane's replica for its app, consulting
-// the app's (atomic) admission gate per event exactly like the
-// synchronous path.
+// fold decodes one pack into the lane's replica for its app, admitting
+// through the app's gate exactly like the synchronous path.
 func (l *lane) fold(j laneJob) error {
 	rep := l.reps[j.app]
 	if rep == nil {

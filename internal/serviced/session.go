@@ -206,18 +206,22 @@ func (s *session) foldSync(src uint32, app *sessionApp, pack []byte) error {
 
 // decodeAdmitted decodes one data pack of any negotiated format through
 // its writer's decoder in decs and folds into rep every event the app's
-// admission gate admits, then commits rep's window tally: the tracker,
-// shared across lanes, takes the pack's counts at once. It returns how
-// many were admitted.
+// admission gate admits, deciding through one tally for the pack. Then it
+// commits the pack's admission tally and rep's window tally: the gate and
+// the tracker, shared across lanes, take the pack's counts at once. It
+// returns how many were admitted.
 func decodeAdmitted(decs trace.Decoders, src uint32, app *sessionApp, pack []byte, rep *analysis.Replica) (int64, error) {
 	admitted := int64(0)
 	fold := rep.FoldFunc()
+	var gate adapt.Tally
+	gate.Start(app.gate)
 	_, err := decs.For(int(src)).DecodeDispatch(pack, func(ev *trace.Event) {
-		if app.gate.Admit(ev.Kind) {
+		if gate.Admit(ev.Kind) {
 			fold(ev)
 			admitted++
 		}
 	})
+	gate.Commit()
 	rep.EndPack()
 	if err != nil {
 		return admitted, fmt.Errorf("serviced: pack decode: %w", err)

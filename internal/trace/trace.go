@@ -80,13 +80,20 @@ var kindNames = [...]string{
 	KindPosixClose: "close",
 }
 
-// String returns the instrumented call's name.
-func (k Kind) String() string {
-	if int(k) < len(kindNames) && kindNames[k] != "" {
-		return kindNames[k]
+// kindStrings spells every Kind value, built once: its name, or Kind(n)
+// for a value without one.
+var kindStrings = func() (s [256]string) {
+	for k := range s {
+		s[k] = fmt.Sprintf("Kind(%d)", k)
+		if k < len(kindNames) && kindNames[k] != "" {
+			s[k] = kindNames[k]
+		}
 	}
-	return fmt.Sprintf("Kind(%d)", uint8(k))
-}
+	return s
+}()
+
+// String returns the instrumented call's name.
+func (k Kind) String() string { return kindStrings[k] }
 
 // Kinds returns every valid event kind, in declaration order.
 func Kinds() []Kind {

@@ -175,8 +175,17 @@ func TestKindNamesDistinct(t *testing.T) {
 		}
 		seen[name] = true
 	}
-	if Kind(200).String() == "" {
-		t.Fatal("unknown kind should stringify")
+	for _, c := range []struct {
+		k    Kind
+		want string
+	}{{KindInvalid, "invalid"}, {KindPosixClose, "close"}, {kindCount, "Kind(22)"}, {200, "Kind(200)"}, {255, "Kind(255)"}} {
+		if got := c.k.String(); got != c.want {
+			t.Errorf("Kind(%d).String() = %q, want %q", uint8(c.k), got, c.want)
+		}
+	}
+	var name string
+	if n := testing.AllocsPerRun(10, func() { name = Kind(200).String() }); n != 0 || name != "Kind(200)" {
+		t.Errorf("spelling an unnamed kind allocates %v", n)
 	}
 }
 
