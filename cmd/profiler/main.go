@@ -2,15 +2,16 @@
 // analysis engine and writes the resulting report — the full pipeline
 // behind the paper's Figures 17 and 18. It is the one command that
 // describes a run: the events come from the simulator, or with -trace from
-// an otf2lite archive the IO proxy exported (-export), set up with the
-// code a simulated run uses; they are analysed in-process, or with -daemon
-// in a session on a profilerd (`profilerctl` prints a daemon's status).
+// an archive an earlier run recorded (-export FILE: the frame log of the
+// daemon session that run would have been, its module selection and
+// windows included); they are analysed in-process, or with -daemon in a
+// session on a profilerd (`profilerctl` prints a daemon's status).
 // Several NAME.CLASS@PROCS items run concurrently in one MPMD job, one
 // report chapter each; -out, -latex and -json add CSV/DOT/PGM artifacts,
 // a LaTeX document and the JSON analysis:
 //
-//	profiler -apps LU.C@64,CG.C@64 -export exp
-//	profiler -trace exp/LU_C.o2l -waitstate
+//	profiler -apps LU.C@64,CG.C@64 -waitstate -export run.pfl
+//	profiler -trace run.pfl
 //	profiler -apps CG.A@16 -daemon 127.0.0.1:7101 -diff-every 4
 //
 // -fig NAME regenerates one entry of the paper's figure table
@@ -33,7 +34,6 @@ import (
 	"strings"
 	"time"
 
-	"repro/internal/analysis"
 	"repro/internal/client"
 	"repro/internal/cliutil"
 	"repro/internal/exp"
@@ -47,7 +47,7 @@ import (
 var modeFlags = map[string]string{
 	"simulate": "apps iters analyzers workers out latex json waitstate temporal callsites sizes export export-p2p-only platform telemetry telemetry-period format replicas tree-levels tree-fanin tree-flush window window-slide window-grace",
 	"fig":      "fig",
-	"trace":    "trace workers out latex json waitstate temporal callsites sizes",
+	"trace":    "trace workers out latex json",
 	"daemon":   "daemon diff-every apps iters platform format waitstate temporal callsites sizes window window-slide window-grace",
 }
 
@@ -104,13 +104,13 @@ func parse(fs *flag.FlagSet, args []string) (*config, error) {
 	fs.DurationVar(&temporal, "temporal", 0, "temporal-map bucket width in virtual time (e.g. 100ms; 0 = off)")
 	fs.BoolVar(&o.Callsites, "callsites", false, "enable the per-call-site breakdown")
 	fs.BoolVar(&o.Sizes, "sizes", false, "enable the message-size distribution")
-	fs.StringVar(&c.export, "export", "", "directory for selective otf2lite trace archives (one per app; empty = off)")
-	fs.BoolVar(&c.exportP2P, "export-p2p-only", false, "export only point-to-point events")
+	fs.StringVar(&c.export, "export", "", "record the run in this archive file for -trace (empty = off)")
+	fs.BoolVar(&c.exportP2P, "export-p2p-only", false, "archive only point-to-point events, re-encoded as v3 packs")
 	fs.StringVar(&platform, "platform", "tera100", "platform model (tera100 or curie)")
 	fs.BoolVar(&o.Telemetry, "telemetry", false, "stream engine-health meta-events and append a health chapter + JSON summary")
 	fs.DurationVar(&telPeriod, "telemetry-period", 0, "virtual-time sampling period for -telemetry (0 = 10ms)")
 	fs.IntVar(&format, "format", 0, "pack wire format: 1 (fixed records), 2 (delta+varint) or 3 (stream dictionary, fused analyzer decode); 0 = 1, the seed behavior")
-	fs.IntVar(&replicas, "replicas", 0, "per-worker module replicas (0 = off): lock-free parallel folding with epoch merges; profiles stay byte-identical, incompatible with -export")
+	fs.IntVar(&replicas, "replicas", 0, "per-worker module replicas (0 = off): lock-free parallel folding with epoch merges; profiles stay byte-identical")
 	fs.IntVar(&o.TreeLevels, "tree-levels", 0, "analysis tree levels: <=1 flat pipeline, L>=2 adds L-1 aggregator tiers between leaves and the root blackboard")
 	fs.IntVar(&o.TreeFanin, "tree-fanin", 0, "reduction-tree fan-in (0 = 8); only with -tree-levels >= 2")
 	fs.IntVar(&o.TreeFlushPacks, "tree-flush", 0, "ship partial-profile deltas every N packs (0 = only at stream end); only with -tree-levels >= 2")
@@ -118,7 +118,7 @@ func parse(fs *flag.FlagSet, args []string) (*config, error) {
 	fs.DurationVar(&slide, "window-slide", 0, "sliding-window stride for -window (0 = tumbling)")
 	fs.DurationVar(&grace, "window-grace", 0, "lateness grace before an event counts against its window's completeness bound")
 	fs.StringVar(&c.fig, "fig", "", "write the figure table entry NAME (or all) at its paths under results/; takes no other flag")
-	fs.StringVar(&c.trace, "trace", "", "replay this otf2lite archive instead of simulating")
+	fs.StringVar(&c.trace, "trace", "", "analyse the run this -export archive recorded instead of simulating")
 	fs.StringVar(&c.daemon, "daemon", "", "analyse in a session on the profilerd at this TCP address instead of in-process")
 	fs.IntVar(&c.diffEvery, "diff-every", 0, "with -daemon: poll Diff every N packs and verify the replayed state against a Snapshot (0 = off)")
 	if err := fs.Parse(args); err != nil {
@@ -142,7 +142,6 @@ func parse(fs *flag.FlagSet, args []string) (*config, error) {
 		"tree-fanin":       {"needs a reduction tree (-tree-levels >= 2)", o.TreeLevels >= 2},
 		"tree-flush":       {"needs a reduction tree (-tree-levels >= 2)", o.TreeLevels >= 2},
 		"export-p2p-only":  {"needs -export", c.export != ""},
-		"replicas":         {"is incompatible with -export (the exporter is an IO proxy, not a mergeable module)", o.Replicas == 0 || c.export == ""},
 		"window-slide":     {"needs -window", window > 0},
 		"window-grace":     {"needs -window", window > 0},
 		"telemetry-period": {"needs -telemetry", o.Telemetry},
@@ -176,36 +175,7 @@ func parse(fs *flag.FlagSet, args []string) (*config, error) {
 // runLocal analyses in-process, the simulated run or the archive's, and
 // writes the report and what the output flags ask for.
 func runLocal(c *config) error {
-	var rep *report.Report
-	var err error
-	if c.mode == "trace" {
-		rep, err = exp.ReplayArchive(c.trace, c.opts)
-	} else {
-		if c.export != "" {
-			if err := os.MkdirAll(c.export, 0o755); err != nil {
-				return err
-			}
-			if c.exportP2P {
-				c.opts.ExportFilter = func(e *trace.Event) bool { return e.Kind.IsP2P() }
-			}
-			c.opts.Export = func(app string, m *analysis.ExportModule) {
-				name := filepath.Join(c.export, strings.ReplaceAll(app, ".", "_")+".o2l")
-				f, err := os.Create(name)
-				if err != nil {
-					log.Fatal(err)
-				}
-				if err := m.WriteArchive(f); err != nil {
-					log.Fatal(err)
-				}
-				if err := f.Close(); err != nil {
-					log.Fatal(err)
-				}
-				fmt.Fprintf(os.Stderr, "exported %d events to %s (%d filtered out)\n",
-					m.Exported(), name, m.Dropped())
-			}
-		}
-		rep, err = exp.ProfileRun(c.platform, c.workloads, c.opts)
-	}
+	rep, err := analyseLocal(c)
 	if err != nil {
 		return err
 	}
@@ -240,6 +210,30 @@ func runLocal(c *config) error {
 		return enc.Encode(rep.EngineHealth.Summary())
 	}
 	return nil
+}
+
+// analyseLocal replays the -trace archive, or runs the simulation and
+// records it in the -export archive when one is asked for.
+func analyseLocal(c *config) (*report.Report, error) {
+	switch {
+	case c.mode == "trace":
+		return exp.ReplayArchive(c.trace, c.opts.Workers)
+	case c.export == "":
+		return exp.ProfileRun(c.platform, c.workloads, c.opts)
+	}
+	f, err := os.Create(c.export)
+	if err != nil {
+		return nil, err
+	}
+	if c.exportP2P {
+		c.opts.ExportFilter = func(e *trace.Event) bool { return e.Kind.IsP2P() }
+	}
+	c.opts.Export = f
+	rep, err := exp.ProfileRun(c.platform, c.workloads, c.opts)
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return rep, err
 }
 
 // runDaemon captures the simulated run's analyzer input, streams it

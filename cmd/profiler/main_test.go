@@ -29,8 +29,9 @@ func TestParseEnforcesFlagTable(t *testing.T) {
 	}{
 		// One flag each mode does not take.
 		{[]string{"-fig", "17cg", "-apps", "CG.A@16"}, "fig mode takes no -apps"},
-		{[]string{"-trace", "lu.o2l", "-apps", "CG.A@16"}, "trace mode takes no -apps"},
-		{[]string{"-trace", "lu.o2l", "-daemon", "127.0.0.1:7101"}, "trace mode takes no -daemon"},
+		{[]string{"-trace", "lu.pfl", "-apps", "CG.A@16"}, "trace mode takes no -apps"},
+		{[]string{"-trace", "lu.pfl", "-daemon", "127.0.0.1:7101"}, "trace mode takes no -daemon"},
+		{[]string{"-trace", "lu.pfl", "-waitstate"}, "trace mode takes no -waitstate"},
 		{[]string{"-daemon", "127.0.0.1:7101", "-telemetry"}, "daemon mode takes no -telemetry"},
 		{[]string{"-daemon", "127.0.0.1:7101", "-out", "rep"}, "daemon mode takes no -out"},
 		{[]string{"-diff-every", "4"}, "-diff-every needs -daemon"},
@@ -39,11 +40,10 @@ func TestParseEnforcesFlagTable(t *testing.T) {
 		{[]string{"-tree-levels", "1", "-tree-fanin", "4"}, "-tree-fanin needs a reduction tree"},
 		{[]string{"-tree-flush", "4"}, "-tree-flush needs a reduction tree"},
 		{[]string{"-export-p2p-only"}, "-export-p2p-only needs -export"},
-		{[]string{"-export", "exp", "-replicas", "2"}, "-replicas is incompatible with -export"},
 		{[]string{"-window-slide", "5ms"}, "-window-slide needs -window"},
 		{[]string{"-window", "0", "-window-grace", "1ms"}, "-window-grace needs -window"},
 		{[]string{"-telemetry-period", "1ms"}, "-telemetry-period needs -telemetry"},
-		{[]string{"-trace", "lu.o2l", "-diff-every", "4"}, "-diff-every needs -daemon"},
+		{[]string{"-trace", "lu.pfl", "-diff-every", "4"}, "-diff-every needs -daemon"},
 	}
 	for _, c := range refused {
 		if _, err := parseArgs(c.args...); err == nil || !strings.Contains(err.Error(), c.want) {
@@ -55,11 +55,11 @@ func TestParseEnforcesFlagTable(t *testing.T) {
 		mode string
 	}{
 		{[]string{"-apps", "CG.A@16", "-tree-levels", "2", "-tree-fanin", "4", "-tree-flush", "2"}, "simulate"},
-		{[]string{"-apps", "CG.A@16", "-export", "exp", "-export-p2p-only", "-replicas", "0"}, "simulate"},
+		{[]string{"-apps", "CG.A@16", "-export", "run.pfl", "-export-p2p-only", "-replicas", "2"}, "simulate"},
 		{[]string{"-apps", "CG.A@16", "-window", "10ms", "-window-slide", "5ms", "-window-grace", "1ms"}, "simulate"},
 		{[]string{"-apps", "CG.A@16", "-telemetry", "-telemetry-period", "1ms"}, "simulate"},
 		{[]string{"-fig", "17cg"}, "fig"},
-		{[]string{"-trace", "lu.o2l", "-waitstate", "-sizes", "-callsites", "-temporal", "1ms", "-out", "rep"}, "trace"},
+		{[]string{"-trace", "lu.pfl", "-workers", "2", "-out", "rep", "-latex", "rep.tex", "-json", "rep.json"}, "trace"},
 		{[]string{"-daemon", "127.0.0.1:7101", "-apps", "CG.A@16", "-diff-every", "4", "-window", "10ms", "-window-slide", "5ms"}, "daemon"},
 	}
 	for _, c := range accepted {

@@ -18,8 +18,8 @@
 // session's epoch — so there is one fan-out from an event to the modules
 // (Partial.fold) and one merge of two module sets (Partial.Merge, and its
 // move form MergeReset). A Pipeline is that state on a board: its Enable*
-// methods add the optional modules to it, and what is not a module — the
-// export proxy, the window tracker — attaches as a tap behind the fold.
+// methods add the optional modules to it, and the window tracker, which is
+// not a module, attaches as a tap behind the fold.
 //
 // Locking is per pack, not per event. Every module keeps its accumulators
 // behind a mutex and has two ways in: Add (lock, fold, unlock) for a caller
@@ -36,7 +36,6 @@ package analysis
 
 import (
 	"fmt"
-	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -84,21 +83,16 @@ type Pipeline struct {
 	// before they are released; Pipeline.NewReplica tracks every replica's.
 	tally *WindowTally
 
-	// foldFn is what a locked pack fold calls per event: state.fold, then
-	// the taps — the event consumers that are not modules and synchronize
-	// themselves (export proxies, the window tracker) — in the order they
-	// attached. addTap is its only writer (under mu, with the names it has
-	// attached in taps); the board's fold KS and the fused ingest both load
-	// it, so profiles are byte-identical either way.
+	// foldFn is what a locked pack fold calls per event: state.fold, then,
+	// once AttachWindowTracker has set it (under mu), the tally's Observe.
+	// The board's fold KS and the fused ingest both load it, so profiles
+	// are byte-identical either way.
 	mu     sync.Mutex
-	taps   []string
 	foldFn atomic.Pointer[func(*trace.Event)]
 
-	// Replica mode (EnableReplicas): exports counts export proxies
-	// (incompatible with replicas); reps, non-nil once enabled, holds one
+	// Replica mode (EnableReplicas): reps, non-nil once enabled, holds one
 	// private module replica per board worker, indexed by worker id,
 	// merged every epochEvents events and at Settle.
-	exports     int
 	epochEvents int
 	reps        []*Replica
 	rm          *telemetry.ReplicaMetrics
@@ -190,22 +184,6 @@ func (p *Pipeline) foldBoardPack(worker int, buf []byte) {
 	}
 }
 
-// addTap attaches an event consumer that is not a module behind the state's
-// fold and republishes the dispatcher; fn synchronizes itself. This is the
-// only place such consumers attach, so the board path and the fused path
-// feed the same ones.
-func (p *Pipeline) addTap(name string, fn func(*trace.Event)) error {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if slices.Contains(p.taps, name) {
-		return p.alreadyEnabled(name)
-	}
-	p.taps = append(p.taps, name)
-	next := tapped(*p.foldFn.Load(), fn)
-	p.foldFn.Store(&next)
-	return nil
-}
-
 func (p *Pipeline) alreadyEnabled(name string) error {
 	return fmt.Errorf("analysis: %q already enabled on level %q", name, p.level)
 }
@@ -237,11 +215,6 @@ func (p *Pipeline) foldStreamPack(dec *trace.StreamDecoder, buf []byte, fn func(
 		p.codec.OnDecode(n, time.Since(t0).Nanoseconds())
 	}
 	return n, nil
-}
-
-// PostPack places an encoded pack on the pipeline's level.
-func (p *Pipeline) PostPack(buf []byte) {
-	p.bb.Post(blackboard.TypeID(p.level, TypePack), int64(len(buf)), buf)
 }
 
 // Dispatcher is the multi-level KS of the paper's Figure 5: it reads each

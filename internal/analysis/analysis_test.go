@@ -8,6 +8,12 @@ import (
 	"repro/internal/trace"
 )
 
+// PostPack places an encoded pack on the pipeline's level, past the
+// dispatcher.
+func (p *Pipeline) PostPack(buf []byte) {
+	p.bb.Post(blackboard.TypeID(p.level, TypePack), int64(len(buf)), buf)
+}
+
 func newBoard(t *testing.T) *blackboard.Blackboard {
 	t.Helper()
 	bb := blackboard.New(blackboard.Config{Workers: 4})

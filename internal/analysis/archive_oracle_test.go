@@ -1,6 +1,7 @@
 package analysis_test
 
 import (
+	"bytes"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -9,53 +10,76 @@ import (
 
 	"repro/internal/analysis"
 	"repro/internal/exp"
-	"repro/internal/otf2lite"
 	"repro/internal/report"
 	"repro/internal/trace"
+	"repro/internal/wire"
 )
 
 // TestPartialOracleArchive is TestPartialOracle's archive leg: every tenth
-// of its 1 000 runs, without its windows (a replay takes none), is written
-// as an otf2lite archive and analysed post-mortem by exp.ReplayArchive
-// with the run's module selection. The replayed chapter must hold the
-// reference's values. The archive's ranks define the app, so the rank the
-// generator puts outside the run's app is inside the replayed one: the
-// reference is taken over the same events at the chapter's size.
+// of its 1 000 runs, windows on, is written as the archive of its session —
+// the Register frame naming the run's own app size and modules, the packs
+// of one source per rank in the v1, v2 or v3 format, round robin — and
+// analysed post-mortem by exp.ReplayArchive. The replayed chapter must
+// hold the reference's values at that size, the generator's rank outside
+// the app staying outside it, and its window series the window
+// reference's.
 func TestPartialOracleArchive(t *testing.T) {
 	dir := t.TempDir()
 	for seed := int64(0); seed < 1000; seed += 10 {
-		_, perRank, opts, _ := analysis.PartialOracleRun(seed)
-		w := otf2lite.NewWriter()
-		var evs []trace.Event
-		for _, seq := range perRank {
-			for i := range seq {
-				w.Add(&seq[i])
+		_, perRank, opts, want := analysis.PartialOracleRun(seed)
+		version := []int{trace.PackV1, trace.PackV2, trace.PackV3}[seed/10%3]
+		var b bytes.Buffer
+		frame := func(typ byte, p []byte, err error) {
+			if err == nil {
+				err = wire.WriteFrame(&b, typ, p)
 			}
-			evs = append(evs, seq...)
+			if err != nil {
+				t.Fatal(err)
+			}
 		}
-		path := filepath.Join(dir, fmt.Sprintf("run%d.o2l", seed))
-		f, err := os.Create(path)
-		if err != nil {
+		frame(wire.TypeHello, wire.EncodeHello(wire.Hello{Proto: wire.ProtoVersion, MaxFormat: byte(version)}), nil)
+		reg, err := wire.EncodeSessionMeta(wire.SessionMeta{
+			Title: "oracle", Apps: []wire.AppMeta{{Name: "app", Procs: opts.AppSize, AppID: 1}},
+			WaitState: opts.WaitState, TemporalWindowNs: opts.TemporalWindowNs, Callsites: opts.Callsites,
+			Sizes: opts.Sizes, WindowNs: opts.WindowNs,
+		})
+		frame(wire.TypeRegister, reg, err)
+		packs := analysis.OraclePacks(t, version, perRank, 1+int(seed)%7)
+		for i, more := 0, true; more; i++ {
+			more = false
+			for r := range packs {
+				if i < len(packs[r]) {
+					frame(wire.TypePack, wire.EncodePack(uint32(r), packs[r][i]), nil)
+					more = true
+				}
+			}
+		}
+		cm, err := wire.EncodeCloseMeta(wire.CloseMeta{Apps: []wire.AppFinal{{}}})
+		frame(wire.TypeClose, cm, err)
+		path := filepath.Join(dir, fmt.Sprintf("run%d.pfl", seed))
+		if err := os.WriteFile(path, b.Bytes(), 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if err := w.Finish(f); err != nil {
-			t.Fatal(err)
-		}
-		if err := f.Close(); err != nil {
-			t.Fatal(err)
-		}
-		rep, err := exp.ReplayArchive(path, exp.ProfileOptions{Workers: 2, WaitState: opts.WaitState,
-			TemporalWindowNs: opts.TemporalWindowNs, Callsites: opts.Callsites, Sizes: opts.Sizes})
+
+		rep, err := exp.ReplayArchive(path, 2)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
 		ch := rep.Chapters[0]
-		if ch.Procs != opts.AppSize+1 {
-			t.Fatalf("seed %d: the replay sized the app at %d ranks, the archive holds %d", seed, ch.Procs, opts.AppSize+1)
+		if ch.Procs != opts.AppSize {
+			t.Fatalf("seed %d: the replay sized the app at %d ranks, the run at %d", seed, ch.Procs, opts.AppSize)
 		}
-		want := analysis.RefProfileOf(evs, ch.Procs, opts.TemporalWindowNs)
 		if got := analysis.EngineProfile(chapterPartial(ch)); !reflect.DeepEqual(got, want) {
-			t.Fatalf("seed %d: the replayed chapter disagrees with the reference: %s", seed, analysis.ProfileDiff(got, want))
+			t.Fatalf("seed %d (v%d packs): the replayed chapter disagrees with the reference: %s",
+				seed, version, analysis.ProfileDiff(got, want))
+		}
+		var evs []trace.Event
+		for _, seq := range perRank {
+			evs = append(evs, seq...)
+		}
+		if diff := analysis.WindowOracleDiff(ch.WaitState, ch.Windows, evs, opts.AppSize); diff != "" {
+			t.Fatalf("seed %d (v%d packs, window %d): the replayed series disagrees with the reference: %s",
+				seed, version, opts.WindowNs, diff)
 		}
 	}
 }

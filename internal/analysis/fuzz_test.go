@@ -195,35 +195,23 @@ func TestDecodePartialHostileWindows(t *testing.T) {
 		t.Fatalf("wire slide larger than window: err = %v, want loud slide rejection", err)
 	}
 
-	// The temporal map is the other dense-from-sparse decoder: both the
-	// claimed bucket count and the cells the entries materialize are
-	// capped, or a sub-kilobyte payload forces multi-gigabyte
-	// allocations (found by fuzzing as a worker hang).
+	// The temporal map is the other dense-from-sparse decoder: the
+	// claimed bucket count is capped at what a writer's rows can hold, or
+	// a sub-kilobyte payload forces multi-gigabyte allocations (found by
+	// fuzzing as a worker hang), and a coarsening that overflows the width
+	// is refused.
 	tEnc := NewPartial(0, PartialOptions{AppSize: 2, TemporalWindowNs: 1000}).AppendCanonical(nil)
-	tb := append([]byte(nil), tEnc...)
 	// With no events and only the temporal flag set, the encoding ends
 	// with the temporal section: bucket count u32, then kind count u32.
-	binary.LittleEndian.PutUint32(tb[len(tb)-8:], maxDecodedTemporalBuckets+1)
-	if _, err := DecodePartial(tb); err == nil || !strings.Contains(err.Error(), "bucket count") {
-		t.Fatalf("temporal bucket cap+1: err = %v, want loud bucket rejection", err)
-	}
-	tb = append([]byte(nil), tEnc[:len(tEnc)-8]...)
-	u32 := func(v uint32) {
-		var w [4]byte
-		binary.LittleEndian.PutUint32(w[:], v)
-		tb = append(tb, w[:]...)
-	}
-	u32(maxDecodedTemporalBuckets) // claimed bucket count, at the cap
-	u32(2)                         // two kinds, each naming the top bucket
-	for k := uint32(0); k < 2; k++ {
-		u32(k)                                       // kind
-		u32(1)                                       // one entry
-		u32(maxDecodedTemporalBuckets - 1)           // bucket index
-		tb = binary.LittleEndian.AppendUint64(tb, 1) // Stat: one hit, as a zero one is refused
-		tb = append(tb, make([]byte, 16)...)
-	}
-	if _, err := DecodePartial(tb); err == nil || !strings.Contains(err.Error(), "cells") {
-		t.Fatalf("temporal cells cap: err = %v, want loud cells rejection", err)
+	for _, c := range []struct {
+		count uint32
+		want  string
+	}{{maxTemporalBuckets + 1, "bucket count"}, {54 << 24, "overflows"}} {
+		tb := append([]byte(nil), tEnc...)
+		binary.LittleEndian.PutUint32(tb[len(tb)-8:], c.count)
+		if _, err := DecodePartial(tb); err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Fatalf("temporal count word %#x: err = %v, want %q", c.count, err, c.want)
+		}
 	}
 }
 

@@ -237,13 +237,14 @@ func (tr *WindowTracker) Publish() {
 // NewReplica, on every replica's fold dispatcher. Call after EnableWindows
 // and before EnableReplicas or any replica/lane creation.
 func (p *Pipeline) AttachWindowTracker(tr *WindowTracker) error {
-	tally := tr.NewTally()
-	if err := p.addTap("windowlag", tally.Observe); err != nil {
-		return err
-	}
 	p.mu.Lock()
-	p.tally = tally
-	p.mu.Unlock()
+	defer p.mu.Unlock()
+	if p.tally != nil {
+		return p.alreadyEnabled("windowlag")
+	}
+	p.tally = tr.NewTally()
+	next := tapped(*p.foldFn.Load(), p.tally.Observe)
+	p.foldFn.Store(&next)
 	return nil
 }
 

@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"encoding/binary"
 	"fmt"
+	"math"
 	"slices"
 	"sync"
 
@@ -319,15 +320,6 @@ var partialMagic = [4]byte{'V', 'P', 'P', '1'}
 // partition (2560 procs) with a ~400 MB worst case.
 const maxDecodedAppSize = 1 << 12
 
-// maxDecodedTemporalBuckets caps both the bucket count a decoded
-// temporal map may claim and the dense Stat cells it may materialize
-// across kinds. The bucket count sizes read-time series slices and the
-// per-kind arrays are dense up to the highest index an entry names, so
-// without the cap a sub-kilobyte payload forces multi-gigabyte
-// allocations. 1<<20 buckets is a week of runtime at the default 10 ms
-// temporal window — far past any real run.
-const maxDecodedTemporalBuckets = 1 << 20
-
 const (
 	flagWait uint32 = 1 << iota
 	flagTemporal
@@ -634,7 +626,9 @@ func (pp *Partial) encodeWaitQueues(w pwriter) []byte {
 
 func (pp *Partial) encodeTemporal(w pwriter) []byte {
 	m := pp.Temporal
-	w.u32(uint32(m.buckets))
+	// A coarsened module says by how much in the count's top byte, so one
+	// that never coarsened encodes as it always has.
+	w.u32(uint32(m.buckets) | uint32(m.shift)<<24)
 	w.kindRows(&m.perKind)
 	if w.reset {
 		// A reset row keeps its capacity but not its length: the bucket
@@ -922,20 +916,29 @@ func (pp *Partial) mergeWaitQueues(r *preader, apply bool) error {
 }
 
 func (pp *Partial) mergeTemporal(r *preader, apply bool) error {
-	buckets := int(r.u32())
-	if buckets < 0 || buckets > maxDecodedTemporalBuckets {
+	// A writer's rows hold at most maxTemporalBuckets buckets, and a row's
+	// cells index below the count: dense rows stay within 256 kinds × B.
+	v := r.u32()
+	buckets, shift := int(v&(1<<24-1)), uint(v>>24)
+	if buckets > maxTemporalBuckets {
 		return fmt.Errorf("analysis: implausible partial temporal bucket count %d", buckets)
 	}
-	m := pp.Temporal
-	if apply {
-		m.buckets = max(m.buckets, buckets)
+	if pp.opts.TemporalWindowNs > math.MaxInt64>>shift {
+		return fmt.Errorf("analysis: partial temporal width %d doubled %d times overflows", pp.opts.TemporalWindowNs, shift)
 	}
-	cells := 0
+	// The finer side is coarsened: m before the walk, the cells as they land.
+	m := pp.Temporal
+	var d uint
+	if apply {
+		if shift > m.shift {
+			m.coarsen(shift - m.shift)
+		}
+		d = m.shift - shift
+		m.buckets = max(m.buckets, ceilShift(buckets, d))
+	}
 	for k := r.cells("temporal kind", kindSlots, false, 4+4); k.next(r); {
 		// First pass: check the row and find its highest bucket, so the
-		// dense row grows exactly once. Growing it inside the fill loop
-		// would let a small payload with ascending indices force repeated
-		// near-gigabyte reallocations.
+		// dense row grows exactly once.
 		mark, top := r.off, 0
 		for c := k.row(r, "temporal bucket", buckets); c.next(r); {
 			if r.stat() == (Stat{}) {
@@ -943,20 +946,14 @@ func (pp *Partial) mergeTemporal(r *preader, apply bool) error {
 			}
 			top = int(c.key)
 		}
-		if r.err != nil {
-			break
+		if r.err != nil || !apply {
+			continue // an error ends the walk
 		}
-		if cells += top + 1; cells > maxDecodedTemporalBuckets {
-			return fmt.Errorf("analysis: partial temporal map claims %d cells (cap %d)", cells, maxDecodedTemporalBuckets)
-		}
-		if !apply {
-			continue
-		}
-		per := growStats(m.perKind[k.key], top+1)
+		per := growStats(m.perKind[k.key], top>>d+1)
 		m.perKind[k.key] = per
 		r.off = mark
 		for c := k.row(r, "temporal bucket", buckets); c.next(r); {
-			per[c.key].merge(r.stat())
+			per[c.key>>d].merge(r.stat())
 		}
 	}
 	return r.err

@@ -2,8 +2,10 @@ package analysis
 
 import (
 	"fmt"
+	"maps"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"repro/internal/trace"
@@ -18,6 +20,29 @@ import (
 // and bytes of the calls starting in the bucket and the time of every call
 // spanning it, time before zero counted at zero; and the power-of-two
 // histogram of outgoing message sizes.
+
+// The reference, for the oracles' daemon and archive legs
+// (daemon_oracle_test.go, archive_oracle_test.go), external tests: the
+// daemon and the replay import this package.
+var (
+	PartialOracleRun = partialOracleRun
+	OraclePacks      = oraclePacks
+	RefProfileOf     = refProfileOf
+	EngineProfile    = engineProfile
+	ProfileDiff      = profileDiff
+)
+
+// WindowOracleDiff holds a chapter's window series and its wait-state
+// module to the window reference over the run's events, as oracleAgrees
+// holds a decoded partial: "" when they agree, else where they differ.
+func WindowOracleDiff(waits *WaitStateModule, wins *WindowedModule, evs []trace.Event, appSize int) string {
+	got := engineRun(&Partial{Waits: waits, Windows: wins})
+	want := refAnalyze(evs, appSize, wins.Window(), wins.Slide())
+	if reflect.DeepEqual(got, want) {
+		return ""
+	}
+	return refDiff(got, want)
+}
 
 // refCells is one module's answer: hits, bytes and time by a two-part key,
 // no zero ones.
@@ -108,7 +133,15 @@ func engineProfile(pp *Partial) refProfile {
 			}
 		}
 		dense(p.density, func(k trace.Kind, metric Metric) []float64 { return pp.Density.AppendMap(nil, k, metric) })
-		dense(p.temporal, pp.Temporal.Series)
+	}
+	// The temporal rows are read as they are: a dense series per kind
+	// costs 256 kinds × the bucket count.
+	for k, per := range pp.Temporal.perKind {
+		for b, st := range per {
+			if st != (Stat{}) {
+				p.temporal[[2]int64{int64(k), int64(b)}] = stat(st)
+			}
+		}
 	}
 	for _, c := range pp.Callsites.AppendTop(nil, 0) {
 		p.callsites[[2]int64{int64(c.Ctx), int64(c.Kind)}] = stat(c.Stat)
@@ -180,5 +213,57 @@ func profileDiff(got, want refProfile) string {
 			}
 		}
 	}
-	return "no cell differs"
+	return noCellDiffers
+}
+
+// noCellDiffers is what profileDiff says of two equal answers.
+const noCellDiffers = "no cell differs"
+
+// TestPartialOracleCoarsened is TestPartialOracle past the temporal row
+// cap: 1 000 runs whose buckets are drawn too narrow for maxTemporalBuckets,
+// each through one of the same ingest paths in turn, agree with the
+// reference taken at the width the engine coarsened to, which must be the
+// configured one doubled: the width the reference reaches from the run's
+// latest event alone, whatever path and merges got there.
+func TestPartialOracleCoarsened(t *testing.T) {
+	for seed, crossed := int64(0), 0; crossed < 1000; seed++ {
+		rng, perRank, opts, _ := partialOracleRun(seed)
+		// Starts and windows are stretched 32-fold and durations kept: an
+		// event then spans a few of the coarsened buckets, not hundreds,
+		// which keeps 1 000 runs cheap under -race.
+		var evs []trace.Event
+		var last int64
+		for _, seq := range perRank {
+			for i := range seq {
+				ev := &seq[i]
+				ev.TStart, ev.TEnd = 32*ev.TStart, 32*ev.TStart+ev.TEnd-ev.TStart
+				last = max(last, ev.TEnd)
+			}
+			evs = append(evs, seq...)
+		}
+		if last < maxTemporalBuckets {
+			continue // no width crosses the cap
+		}
+		crossed++
+		opts.TemporalWindowNs, opts.WindowNs = 1+rng.Int63n(last/maxTemporalBuckets), 32*opts.WindowNs
+		// The width a fold of the latest event alone settles at.
+		width := opts.TemporalWindowNs
+		for last/width >= maxTemporalBuckets {
+			width *= 2
+		}
+		paths := ingestPaths(t, rng, opts, perRank, false)
+		names := slices.Sorted(maps.Keys(paths))
+		name := names[int(seed)%len(names)]
+		pp, err := DecodePartial(paths[name]().AppendCanonical(nil))
+		if err != nil {
+			t.Fatalf("seed %d %s: %v", seed, name, err)
+		}
+		if w := pp.Temporal.Window(); w != width || pp.Temporal.Buckets() > maxTemporalBuckets {
+			t.Fatalf("seed %d %s: width %d ns over %d buckets, want %d ns within the cap", seed, name, w, pp.Temporal.Buckets(), width)
+		}
+		if diff := profileDiff(engineProfile(pp), refProfileOf(evs, opts.AppSize, width)); diff != noCellDiffers {
+			t.Fatalf("seed %d %s (temporal bucket %d ns, coarsened to %d): the decoded profile disagrees with the reference: %s",
+				seed, name, opts.TemporalWindowNs, width, diff)
+		}
+	}
 }

@@ -146,33 +146,6 @@ func TestEngineHealthKS(t *testing.T) {
 	}
 }
 
-// TestExportWriteArchive flushes an exporter as an otf2lite archive and
-// replays the plain WriteTo stream for comparison.
-func TestExportWriteArchive(t *testing.T) {
-	m := NewExportModule(3, nil)
-	for i := 0; i < 10; i++ {
-		ev := trace.Event{Kind: trace.KindRecv, Rank: int32(i % 2), Peer: int32((i + 1) % 2),
-			Size: 16, TStart: int64(i) * 100, TEnd: int64(i)*100 + 50}
-		m.Add(&ev)
-	}
-	var buf bytes.Buffer
-	if err := m.WriteArchive(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if buf.Len() == 0 {
-		t.Fatal("empty archive")
-	}
-	// WriteArchive drains: a second flush writes an empty archive body,
-	// not the same events again.
-	var again bytes.Buffer
-	if err := m.WriteArchive(&again); err != nil {
-		t.Fatal(err)
-	}
-	if again.Len() >= buf.Len() {
-		t.Fatalf("second archive (%d bytes) not smaller than first (%d)", again.Len(), buf.Len())
-	}
-}
-
 // TestMetricLabels pins the report labels and small accessors the render
 // layer relies on.
 func TestMetricLabels(t *testing.T) {

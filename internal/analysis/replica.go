@@ -128,8 +128,7 @@ func (p *Pipeline) MergeReplica(r *Replica) {
 // every Enable* the run will use and before any pack flows; call Settle
 // after the board drains to merge the residue.
 //
-// Trace export is incompatible (the exporter is an IO proxy, not a
-// mergeable module), as is enabling further modules afterwards.
+// Enabling further modules afterwards is not supported.
 func (p *Pipeline) EnableReplicas(epochEvents int) error {
 	if epochEvents <= 0 {
 		epochEvents = DefaultEpochEvents
@@ -138,9 +137,6 @@ func (p *Pipeline) EnableReplicas(epochEvents int) error {
 	defer p.mu.Unlock()
 	if p.reps != nil {
 		return fmt.Errorf("analysis: replicas already enabled on level %q", p.level)
-	}
-	if p.exports > 0 {
-		return fmt.Errorf("analysis: replicas are incompatible with trace export on level %q", p.level)
 	}
 	// Workers fill the table lazily; posting a pack is the happens-before
 	// edge that publishes it to them.

@@ -290,26 +290,13 @@ func TestParallelFusedIngestMatchesSerial(t *testing.T) {
 	}
 }
 
-// TestReplicaExportExclusion pins the mode exclusion both ways: the
-// exporter is an IO proxy on the raw event flow, which replica folding
-// removes.
-func TestReplicaExportExclusion(t *testing.T) {
+// TestEnableReplicasOnce refuses a second EnableReplicas on a level.
+func TestEnableReplicasOnce(t *testing.T) {
 	_, p := fullPipeline(t, 2)
-	if _, err := p.EnableExport("sel", nil); err != nil {
+	if err := p.EnableReplicas(0); err != nil {
 		t.Fatal(err)
 	}
 	if err := p.EnableReplicas(0); err == nil {
-		t.Error("EnableReplicas after EnableExport succeeded")
-	}
-
-	_, p2 := fullPipeline(t, 2)
-	if err := p2.EnableReplicas(0); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := p2.EnableExport("sel", nil); err == nil {
-		t.Error("EnableExport after EnableReplicas succeeded")
-	}
-	if err := p2.EnableReplicas(0); err == nil {
 		t.Error("double EnableReplicas succeeded")
 	}
 }

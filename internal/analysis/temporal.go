@@ -1,6 +1,7 @@
 package analysis
 
 import (
+	"math/bits"
 	"slices"
 	"sync"
 
@@ -16,14 +17,29 @@ import (
 // Buckets grow on demand as later events arrive; an event whose interval
 // spans several buckets contributes its duration pro-rata to each (so
 // long waits appear as sustained activity, not as a spike at their start).
+// A row holds at most maxTemporalBuckets buckets: past them the width in
+// effect doubles and bucket pairs merge. Sums are exact under pairing, so
+// the rows are a fold's at the coarser width, which depends only on the
+// latest event seen, not on the order or merges that brought it.
 type TemporalModule struct {
 	mu sync.Mutex
-	// window is the bucket width in virtual nanoseconds.
-	window int64
+	// window is the bucket width in effect, base<<shift virtual
+	// nanoseconds; base is the configured width.
+	window, base int64
+	shift        uint
 	// perKind holds one per-bucket row per kind, grown as events arrive.
 	perKind [kindSlots][]Stat
 	buckets int
 }
+
+// maxTemporalBuckets is B, the most buckets a row holds. No committed
+// result, golden or bench workload comes near it (results/' most is fig.
+// 18 BT's 26), so all keep their width and bytes; one event at 16 h over
+// 1 µs buckets used to ask for 5.8·10¹⁰ cells.
+const (
+	temporalBits       = 12
+	maxTemporalBuckets = 1 << temporalBits
+)
 
 // NewTemporalModule creates a temporal module with the given bucket width
 // in nanoseconds (e.g. 100 ms of virtual time).
@@ -31,11 +47,16 @@ func NewTemporalModule(windowNs int64) *TemporalModule {
 	if windowNs <= 0 {
 		windowNs = 1e8
 	}
-	return &TemporalModule{window: windowNs}
+	return &TemporalModule{window: windowNs, base: windowNs}
 }
 
-// Window returns the bucket width in nanoseconds.
-func (m *TemporalModule) Window() int64 { return m.window }
+// Window returns the bucket width in effect in nanoseconds: the configured
+// one, doubled each time the rows filled up.
+func (m *TemporalModule) Window() int64 {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.window
+}
 
 // Add folds one event in.
 func (m *TemporalModule) Add(ev *trace.Event) {
@@ -51,11 +72,13 @@ func (m *TemporalModule) fold(ev *trace.Event) {
 	// Time before zero counts at zero, as the window series counts it: a
 	// negative bucket index has no row.
 	start, end := max(ev.TStart, 0), max(ev.TEnd, 0)
-	firstB := int(start / m.window)
 	lastB := int(end / m.window)
-	if lastB+1 > m.buckets {
-		m.buckets = lastB + 1
+	if lastB >= maxTemporalBuckets {
+		m.coarsen(uint(bits.Len(uint(lastB))) - temporalBits)
+		lastB = int(end / m.window)
 	}
+	firstB := int(start / m.window)
+	m.buckets = max(m.buckets, lastB+1)
 	per := m.perKind[ev.Kind]
 	if len(per) <= lastB {
 		per = growStats(per, m.buckets)
@@ -70,25 +93,50 @@ func (m *TemporalModule) fold(ev *trace.Event) {
 		return
 	}
 	for b := firstB; b <= lastB; b++ {
-		bStart := int64(b) * m.window
-		bEnd := bStart + m.window
-		lo, hi := max(start, bStart), min(end, bEnd)
+		lo, hi := max(start, int64(b)*m.window), min(end, int64(b+1)*m.window)
 		if hi > lo {
 			per[b].TimeNs += hi - lo
 		}
 	}
 }
 
-// mergeRows adds every row of src into m. Called with m.mu held.
-func (m *TemporalModule) mergeRows(src *[kindSlots][]Stat) {
+// coarsen multiplies the width in effect by 2^k and sums each run of 2^k
+// buckets into one, in place: the cells a row no longer reaches are left
+// zero, as growStats expects of spare capacity. Called with m.mu held.
+func (m *TemporalModule) coarsen(k uint) {
+	for kind, per := range m.perKind {
+		for i, st := range per {
+			per[i] = Stat{}
+			per[i>>k].merge(st)
+		}
+		m.perKind[kind] = per[:ceilShift(len(per), k)]
+	}
+	m.buckets = ceilShift(m.buckets, k)
+	m.window <<= k
+	m.shift += k
+}
+
+// ceilShift is n/2^k rounded up: how many buckets n become at 2^k times
+// the width.
+func ceilShift(n int, k uint) int { return (n + 1<<k - 1) >> k }
+
+// mergeRows adds the rows, bucket count and shift of a module of the same
+// configured width into m, coarsening the finer side (src stays as it is).
+// Called with m.mu held.
+func (m *TemporalModule) mergeRows(src *[kindSlots][]Stat, buckets int, shift uint) {
+	if shift > m.shift {
+		m.coarsen(shift - m.shift)
+	}
+	d := m.shift - shift
+	m.buckets = max(m.buckets, ceilShift(buckets, d))
 	for k, per := range src {
 		if len(per) == 0 {
 			continue
 		}
-		dst := growStats(m.perKind[k], len(per))
+		dst := growStats(m.perKind[k], ceilShift(len(per), d))
 		m.perKind[k] = dst
 		for b := range per {
-			dst[b].merge(per[b])
+			dst[b>>d].merge(per[b])
 		}
 	}
 }
@@ -99,10 +147,7 @@ func (m *TemporalModule) mergeRows(src *[kindSlots][]Stat) {
 func (m *TemporalModule) mergeReset(o *TemporalModule) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if o.buckets > m.buckets {
-		m.buckets = o.buckets
-	}
-	m.mergeRows(&o.perKind)
+	m.mergeRows(&o.perKind, o.buckets, o.shift)
 	for _, per := range o.perKind {
 		clear(per)
 	}
@@ -146,20 +191,18 @@ func (m *TemporalModule) AppendCommunicationTimeSeries(dst []float64) []float64 
 	return dst
 }
 
-// Merge folds another temporal module (same window) into this one.
+// Merge folds another temporal module (same configured width) into this
+// one.
 func (m *TemporalModule) Merge(o *TemporalModule) {
 	o.mu.Lock()
-	snap, ob := o.perKind, o.buckets
+	snap, ob, os := o.perKind, o.buckets, o.shift
 	for k, per := range snap {
 		snap[k] = slices.Clone(per)
 	}
 	o.mu.Unlock()
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if ob > m.buckets {
-		m.buckets = ob
-	}
-	m.mergeRows(&snap)
+	m.mergeRows(&snap, ob, os)
 }
 
 // EnableTemporal adds a temporal-map module to the pipeline's state and
@@ -169,6 +212,6 @@ func (p *Pipeline) EnableTemporal(windowNs int64) (*TemporalModule, error) {
 		return nil, p.alreadyEnabled("temporal")
 	}
 	p.state.Temporal = NewTemporalModule(windowNs)
-	p.state.opts.TemporalWindowNs = p.state.Temporal.Window()
+	p.state.opts.TemporalWindowNs = p.state.Temporal.base
 	return p.state.Temporal, nil
 }

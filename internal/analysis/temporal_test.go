@@ -2,8 +2,10 @@ package analysis
 
 import (
 	"math"
+	"runtime"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"repro/internal/blackboard"
 	"repro/internal/trace"
@@ -143,5 +145,47 @@ func TestTemporalTimeConservationProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestTemporalRowsBounded reproduces a fold that ran out of memory: 1 µs
+// buckets and one event ending about 16 h in, spanning the whole run. The
+// rows stop at maxTemporalBuckets, the width doubles instead, the fold
+// allocates far below 64 MB, the time is conserved and the partial decodes
+// at the width in effect.
+func TestTemporalRowsBounded(t *testing.T) {
+	const end = 16 * int64(time.Hour)
+	pp := NewPartial(0, PartialOptions{AppSize: 2, TemporalWindowNs: 1000})
+	evs := []trace.Event{
+		{Kind: trace.KindWait, TStart: 0, TEnd: end},
+		{Kind: trace.KindSend, Rank: 0, Peer: 1, Size: 8, TStart: end, TEnd: end},
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := range evs {
+		pp.AddEvent(&evs[i])
+	}
+	runtime.ReadMemStats(&after)
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 64<<20 {
+		t.Fatalf("the fold allocated %d bytes", alloc)
+	}
+	dec, err := DecodePartial(pp.AppendCanonical(nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := dec.Temporal
+	w := m.Window()
+	if w <= 1000 || w%1000 != 0 || m.Buckets() > maxTemporalBuckets || m.Buckets() != int(end/w)+1 {
+		t.Fatalf("width %d ns over %d buckets", w, m.Buckets())
+	}
+	var total float64
+	for _, v := range m.Series(trace.KindWait, MetricTime) {
+		total += v
+	}
+	if total != float64(end) {
+		t.Fatalf("wait time %v, want %d", total, end)
+	}
+	if hits := m.Series(trace.KindSend, MetricHits); hits[len(hits)-1] != 1 {
+		t.Fatalf("the send is not in the last bucket: %v", hits[len(hits)-4:])
 	}
 }

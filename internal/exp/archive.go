@@ -1,53 +1,241 @@
 package exp
 
 import (
+	"bufio"
+	"bytes"
+	"cmp"
+	"errors"
 	"fmt"
 	"io"
 	"os"
-	"path/filepath"
 	"runtime"
-	"strings"
 	"time"
 
 	"repro/internal/analysis"
 	"repro/internal/blackboard"
-	"repro/internal/otf2lite"
 	"repro/internal/report"
 	"repro/internal/trace"
+	"repro/internal/wire"
 )
 
-// ReplayArchive analyses an otf2lite archive post-mortem: the classical
-// tool work-flow, kept as an interoperability path for what the IO proxy
-// (§VI) exports. The level is set up by the code ProfileRun uses and fed
-// v1 packs on the board, so an archive of a whole run replays to the
-// online chapter ("streamed analysis is very close to post-mortem
-// analysis"). The chapter is named after the file less its .o2l extension
-// and its wall time is the last event's end. Of opts only Workers and the
-// module selection apply; options that shape a live coupling are refused.
-func ReplayArchive(path string, opts ProfileOptions) (*report.Report, error) {
-	if opts.Export != nil || opts.Telemetry || opts.Adaptive || opts.Replicas > 0 || opts.TreeLevels > 1 || opts.WindowNs > 0 {
-		return nil, fmt.Errorf("exp: an archive replay takes only the module selection and Workers")
+// An archive records a run as the frame log of the daemon session that
+// would analyse it (package wire): a Hello frame naming the highest pack
+// format, a Register frame with the run's SessionMeta (title, each
+// application's name, size, id and labels, modules, windows), one Pack
+// frame per block in the order the analyzers took them, and a Close frame
+// with the wall times and loss rows. The writer refuses what the reader
+// refuses; the reader passes every frame through wire's size caps and
+// Parse* validators.
+
+// archiveWriter streams an archive: the head before the run, a Pack frame
+// per teed block during it, the Close frame after it.
+type archiveWriter struct {
+	bw *bufio.Writer
+	// filter, when set, keeps the events the archive holds, re-encoded as
+	// v3: one builder per writer at the run's pack size, flushed at the
+	// end in the order the writers' first blocks came in.
+	filter    func(*trace.Event) bool
+	packBytes int
+	decs      trace.Decoders
+	builders  map[int]*trace.ColumnBuilder
+	writers   []int
+}
+
+// newArchiveWriter writes the head of cp's archive to w: cp carries the
+// run's title, pack format, applications and options.
+func newArchiveWriter(w io.Writer, cp *Capture, filter func(*trace.Event) bool, packBytes int) (*archiveWriter, error) {
+	reg, err := wire.EncodeSessionMeta(cp.SessionMeta())
+	if err == nil {
+		_, err = wire.ParseSessionMeta(reg)
 	}
+	if err != nil {
+		return nil, fmt.Errorf("exp: archive: %w", err)
+	}
+	a := &archiveWriter{bw: bufio.NewWriterSize(w, wire.ConnBuffer), filter: filter, packBytes: packBytes}
+	format := cp.PackVersion
+	if filter != nil {
+		format = trace.PackV3
+		a.decs, a.builders = trace.Decoders{}, map[int]*trace.ColumnBuilder{}
+	}
+	hello := wire.EncodeHello(wire.Hello{Proto: wire.ProtoVersion, MaxFormat: byte(format)})
+	if err := wire.WriteFrame(a.bw, wire.TypeHello, hello); err != nil {
+		return nil, err
+	}
+	return a, wire.WriteFrame(a.bw, wire.TypeRegister, reg)
+}
+
+// pack records one block from writer src.
+func (a *archiveWriter) pack(src int, data []byte) error {
+	if a.filter == nil {
+		return wire.WritePack(a.bw, uint32(src), data)
+	}
+	h, err := trace.PeekHeader(data)
+	if err != nil {
+		return err
+	}
+	if h.Version == trace.PackAudit {
+		// A shed ledger holds no events: it is kept as it came.
+		return wire.WritePack(a.bw, uint32(src), data)
+	}
+	b := a.builders[src]
+	if b == nil {
+		b = trace.NewPackBuilderV3(h.AppID, h.SrcRank, EventRecordSize, a.packBytes)
+		a.builders[src] = b
+		a.writers = append(a.writers, src)
+	}
+	var werr error
+	_, err = a.decs.For(src).DecodeDispatch(data, func(e *trace.Event) {
+		if a.filter(e) && b.Add(e) && werr == nil {
+			werr = a.take(src, b)
+		}
+	})
+	return errors.Join(err, werr)
+}
+
+// take writes the pack b holds, if any, and keeps its storage for the next.
+func (a *archiveWriter) take(src int, b *trace.ColumnBuilder) error {
+	pk := b.Take()
+	if pk == nil {
+		return nil
+	}
+	err := wire.WritePack(a.bw, uint32(src), pk)
+	b.Reset(pk)
+	return err
+}
+
+// close flushes the filter's open packs and ends the archive with cm.
+func (a *archiveWriter) close(cm wire.CloseMeta) error {
+	for _, src := range a.writers {
+		if err := a.take(src, a.builders[src]); err != nil {
+			return err
+		}
+	}
+	p, err := wire.EncodeCloseMeta(cm)
+	if err == nil {
+		err = wire.WriteFrame(a.bw, wire.TypeClose, p)
+	}
+	if err == nil {
+		err = a.bw.Flush()
+	}
+	return err
+}
+
+// readArchive reads an archive into the capture it records. Every pack must
+// name a registered application in a format the Hello frame allows (a
+// shed ledger may ride in any), and nothing may follow the Close frame.
+func readArchive(r io.Reader) (*Capture, error) {
+	cp, err := readFrames(wire.NewReader(r))
+	if err != nil {
+		return nil, fmt.Errorf("exp: archive: %w", err)
+	}
+	return cp, nil
+}
+
+func readFrames(fr *wire.Reader) (*Capture, error) {
+	cp := &Capture{}
+	apps := map[uint32]bool{}
+	for i := 0; ; i++ {
+		f, err := fr.Next()
+		if err == io.EOF {
+			err = io.ErrUnexpectedEOF
+		}
+		if err != nil {
+			return nil, err
+		}
+		switch head := [...]byte{wire.TypeHello, wire.TypeRegister}; {
+		case i < len(head) && f.Type != head[i]:
+			return nil, fmt.Errorf("frame %#x where %#x belongs", f.Type, head[i])
+		case i == 0:
+			h, err := wire.ParseHello(f.Payload)
+			if err == nil && (h.Proto != wire.ProtoVersion || h.MaxFormat < trace.PackV1 || h.MaxFormat > trace.PackV3) {
+				err = fmt.Errorf("protocol %d, pack format %d", h.Proto, h.MaxFormat)
+			}
+			if err != nil {
+				return nil, err
+			}
+			cp.PackVersion = int(h.MaxFormat)
+		case i == 1:
+			m, err := wire.ParseSessionMeta(f.Payload)
+			if err != nil {
+				return nil, err
+			}
+			cp.Title, cp.Options = m.Title, ProfileOptions{WaitState: m.WaitState, TemporalWindowNs: m.TemporalWindowNs,
+				Callsites: m.Callsites, Sizes: m.Sizes, WindowNs: m.WindowNs, WindowSlideNs: m.WindowSlideNs, WindowGraceNs: m.WindowGraceNs}
+			for _, a := range m.Apps {
+				cp.Apps = append(cp.Apps, CaptureApp{Name: a.Name, Procs: a.Procs, AppID: a.AppID, Labels: a.Labels})
+				apps[a.AppID] = true
+			}
+		case f.Type == wire.TypePack:
+			src, pack, err := wire.ParsePack(f.Payload)
+			var h trace.Header
+			if err == nil {
+				h, err = trace.PeekHeader(pack)
+			}
+			if err == nil && !apps[h.AppID] {
+				err = fmt.Errorf("pack for unregistered app id %d", h.AppID)
+			} else if err == nil && h.Version != trace.PackAudit && h.Version > cp.PackVersion {
+				err = fmt.Errorf("pack format v%d in a v%d archive", h.Version, cp.PackVersion)
+			}
+			if err != nil {
+				return nil, err
+			}
+			if h.Version != trace.PackAudit {
+				cp.Events += int64(h.Count)
+			}
+			cp.Packs = append(cp.Packs, CapturedPack{Src: int(src), Data: bytes.Clone(pack)})
+		case f.Type == wire.TypeClose:
+			m, err := wire.ParseCloseMeta(f.Payload)
+			if err == nil && len(m.Apps) != len(cp.Apps) {
+				err = fmt.Errorf("close with %d applications, register with %d", len(m.Apps), len(cp.Apps))
+			}
+			if _, next := fr.Next(); err == nil && next != io.EOF {
+				err = cmp.Or(next, errors.New("frames after close"))
+			}
+			if err != nil {
+				return nil, err
+			}
+			for i, a := range m.Apps {
+				cp.Apps[i].WallTime = time.Duration(a.WallNs)
+			}
+			for _, lr := range m.Loss {
+				cp.Loss = append(cp.Loss, report.StreamLossRow{App: lr.App, Rank: lr.Rank,
+					Dropped: lr.Dropped, LostInFlight: lr.LostInFlight, Shed: lr.Shed})
+			}
+			return cp, nil
+		default:
+			return nil, fmt.Errorf("frame %#x in a session log", f.Type)
+		}
+	}
+}
+
+// ReplayArchive analyses the archive at path post-mortem, in-process, on a
+// board of the given worker count (0 = GOMAXPROCS): the report the
+// recorded run rendered online, titled after the file.
+func ReplayArchive(path string, workers int) (*report.Report, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
-
-	// First pass: the definitions only, to size the level.
-	arch, err := otf2lite.Read(f, nil)
+	cp, err := readArchive(f)
 	if err != nil {
 		return nil, err
 	}
-	procs := 0
-	for _, r := range arch.Ranks {
-		procs = max(procs, int(r)+1)
+	rep, err := cp.analyse(workers)
+	if err != nil {
+		return nil, err
 	}
-	if procs < 1 {
-		return nil, fmt.Errorf("exp: archive %s defines no locations", path)
-	}
+	rep.Title = "post-mortem replay of " + path
+	return rep, nil
+}
 
-	workers := opts.Workers
+// analyse folds the capture in-process: one level per application, set up
+// by addLevel with the run's own sizes, module selection and windows, fed
+// the packs in capture order as a flat run's analyzers feed them. The
+// report is the one the run rendered online but for the window trackers'
+// arrival-side lines: they measure the analyzer's clock, which a capture
+// does not record.
+func (cp *Capture) analyse(workers int) (*report.Report, error) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
@@ -57,30 +245,27 @@ func ReplayArchive(path string, opts ProfileOptions) (*report.Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	lv, err := addLevel(disp, 0, strings.TrimSuffix(filepath.Base(path), ".o2l"), procs, opts, nil)
+	rep := &report.Report{Title: cp.Title, StreamLoss: cp.Loss}
+	for _, a := range cp.Apps {
+		lv, err := addLevel(disp, a, cp.Options, nil)
+		if err != nil {
+			return nil, err
+		}
+		lv.ch.WallTime = a.WallTime
+		rep.Chapters = append(rep.Chapters, lv.ch)
+	}
+	fused := analysis.NewFusedIngest(disp)
+	for _, p := range cp.Packs {
+		if _, err = fused.Absorb(p.Src, p.Data); err != nil {
+			break
+		}
+	}
+	bb.Drain()
 	if err != nil {
 		return nil, err
 	}
-
-	// Second pass: the events, through the pack path a v1 stream takes.
-	if _, err := f.Seek(0, io.SeekStart); err != nil {
-		return nil, err
+	if n := bb.Stats().OpPanics; n > 0 {
+		return nil, fmt.Errorf("exp: %d packs of the capture did not fold", n)
 	}
-	builder := trace.NewPackBuilder(0, -1, trace.MinRecordSize, 1<<20)
-	var end int64
-	if _, err := otf2lite.Read(f, func(e *trace.Event) {
-		end = max(end, e.TEnd)
-		if builder.Add(e) {
-			lv.pipe.PostPack(builder.Take())
-		}
-	}); err != nil {
-		return nil, err
-	}
-	if buf := builder.Take(); buf != nil {
-		lv.pipe.PostPack(buf)
-	}
-	bb.Drain()
-	lv.pipe.Settle()
-	lv.ch.WallTime = time.Duration(end)
-	return &report.Report{Title: "post-mortem replay of " + path, Chapters: []*report.Chapter{lv.ch}}, nil
+	return rep, nil
 }

@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"bytes"
 	"fmt"
 	"time"
 
@@ -23,11 +24,13 @@ type CapturedPack struct {
 }
 
 // CaptureApp is one application's run facts, everything the daemon needs
-// to head a report chapter.
+// to head a report chapter: Labels names its call-site contexts when the
+// call-site module is on.
 type CaptureApp struct {
 	Name     string
 	Procs    int
 	AppID    uint32
+	Labels   map[uint32]string
 	WallTime time.Duration
 }
 
@@ -35,13 +38,14 @@ type CaptureApp struct {
 // the analysis: the packs the analyzer partition absorbed, per-writer,
 // in order, plus the per-application metadata and per-stream loss
 // accounting the report needs. A Capture is what a remote client replays
-// to the profiling daemon — the daemon analyzing a Capture produces a
-// report byte-identical to ProfileRun analyzing the live streams,
-// because the simulation below the analyzer absorb point is unchanged.
+// to the profiling daemon, and what an archive records — the daemon or
+// the post-mortem replay analyzing a Capture produces a report
+// byte-identical to ProfileRun analyzing the live streams, because the
+// simulation below the analyzer absorb point is unchanged.
 type Capture struct {
-	// PlatformName is the platform model's name (the report title cites it).
-	PlatformName string
-	// PackVersion is the wire format every captured pack uses.
+	// Title heads the report; it names the platform model.
+	Title string
+	// PackVersion is the highest wire format a captured pack uses.
 	PackVersion int
 	// Apps lists the applications in partition order (chapter order).
 	Apps []CaptureApp
@@ -57,33 +61,26 @@ type Capture struct {
 }
 
 // CaptureRun executes the instrumented simulation of ProfileRun with the
-// analysis taken out: the analyzer partition tees every incoming block into
-// the returned Capture and charges the block's modeled analysis cost. Both
-// are one coupledRun under options resolved by one function, and the
-// analysis engine is host-side in ProfileRun (its simulated analyzer only
-// charges that same Compute time), so the captured packs, wall times and
-// loss counters are exactly what the in-process pipeline would have seen
-// (TestCaptureRunMatchesProfileRun).
+// analysis taken out: the analyzer partition's tee copies every incoming
+// block into the returned Capture, and the reader charges the block's
+// modeled analysis cost. Both are one coupledRun under options resolved by
+// one function, and the analysis engine is host-side in ProfileRun (its
+// simulated analyzer only charges that same Compute time), so the captured
+// packs, wall times and loss counters are exactly what the in-process
+// pipeline would have seen (TestCaptureRunMatchesProfileRun).
 //
 // Options that require the in-process engine are rejected: Telemetry and
 // Adaptive close loops through the live blackboard, trees reshape the
-// transport below the capture point, and Export needs the raw event flow.
+// transport below the capture point, and Export writes what the engine
+// was fed.
 func CaptureRun(p Platform, workloads []*nas.Workload, opts ProfileOptions) (*Capture, error) {
 	co, err := opts.resolve(workloads)
 	if err != nil {
 		return nil, err
 	}
-	if opts.Telemetry || opts.Adaptive {
-		return nil, fmt.Errorf("exp: capture cannot host the telemetry/adaptive loop (it has no analysis engine)")
+	if opts.Telemetry || opts.Adaptive || opts.TreeLevels > 1 || opts.Export != nil {
+		return nil, fmt.Errorf("exp: a capture tees a flat run's analyzer input and hosts no engine: no telemetry, adaptive loop, tree or export")
 	}
-	if opts.TreeLevels > 1 {
-		return nil, fmt.Errorf("exp: capture taps the analyzer ingest point; reduction trees reshape it (TreeLevels <= 1 only)")
-	}
-	if opts.Export != nil {
-		return nil, fmt.Errorf("exp: trace export needs the in-process engine")
-	}
-
-	cp := &Capture{PlatformName: p.Name, PackVersion: co.packVersion, Options: opts}
 
 	run := &coupledRun{blockSize: int64(co.packBytes), mayLose: co.mayLose}
 	if err := run.instrumented(workloads, instrument.OnlineConfig{PackVersion: co.packVersion}, nil); err != nil {
@@ -91,39 +88,58 @@ func CaptureRun(p Platform, workloads []*nas.Workload, opts ProfileOptions) (*Ca
 	}
 	run.analyzer(co.analyzers, nil, false, func(r *mpi.Rank, _ *vmpi.Session) (reader, error) {
 		return reader{onBlock: func(blk *vmpi.Block) error {
-			// Tee the block: the payload goes back to the pool, so the
-			// capture keeps its own copy.
-			cp.Packs = append(cp.Packs, CapturedPack{
-				Src:  blk.From,
-				Data: append([]byte(nil), blk.Payload...),
-			})
 			r.Compute(co.cost(blk.Size))
 			blk.Release()
 			return nil
 		}}, nil
 	})
 	run.build(p, 1)
+	cp, err := run.newCapture(p, workloads, co.packVersion, opts)
+	if err != nil {
+		return nil, err
+	}
+	run.tee = func(src int, payload []byte) error {
+		// The payload goes back to the pool: the capture keeps a copy.
+		cp.Packs = append(cp.Packs, CapturedPack{Src: src, Data: bytes.Clone(payload)})
+		return nil
+	}
 	if err := run.run(); err != nil {
 		return nil, err
 	}
+	run.finishCapture(cp)
+	return cp, nil
+}
 
-	for i, w := range workloads {
-		part := run.layout.DescByName(w.Name)
+// newCapture heads a capture of the built run: its title, pack format and
+// options, and each application's name, size, the id its packs carry and,
+// with the call-site module on, its context labels. Wall times, loss and
+// events follow the run (finishCapture).
+func (c *coupledRun) newCapture(p Platform, workloads []*nas.Workload, packVersion int, opts ProfileOptions) (*Capture, error) {
+	cp := &Capture{Title: fmt.Sprintf("online profiling report (%s)", p.Name), PackVersion: packVersion, Options: opts}
+	var labels map[uint32]string
+	if opts.Callsites {
+		labels = nas.ContextLabels()
+	}
+	for _, w := range workloads {
+		part := c.layout.DescByName(w.Name)
 		if part == nil {
 			return nil, fmt.Errorf("exp: partition %q missing", w.Name)
 		}
-		cp.Apps = append(cp.Apps, CaptureApp{
-			Name:     w.Name,
-			Procs:    w.Procs,
-			AppID:    uint32(part.ID),
-			WallTime: time.Duration(run.world.ProgramFinish(i).Duration()),
-		})
-	}
-	cp.Loss = run.lossRows()
-	for _, pr := range run.probes {
-		cp.Events += pr.rec.Events()
+		cp.Apps = append(cp.Apps, CaptureApp{Name: w.Name, Procs: w.Procs, AppID: uint32(part.ID), Labels: labels})
 	}
 	return cp, nil
+}
+
+// finishCapture records what the run left for cp: each application's wall
+// time, the per-stream loss rows and the events the recorders produced.
+func (c *coupledRun) finishCapture(cp *Capture) {
+	for i := range cp.Apps {
+		cp.Apps[i].WallTime = time.Duration(c.world.ProgramFinish(i).Duration())
+	}
+	cp.Loss = c.lossRows()
+	for _, pr := range c.probes {
+		cp.Events += pr.rec.Events()
+	}
 }
 
 // SessionMeta builds the Register payload for the captured run: the same
@@ -132,7 +148,7 @@ func CaptureRun(p Platform, workloads []*nas.Workload, opts ProfileOptions) (*Ca
 func (cp *Capture) SessionMeta() wire.SessionMeta {
 	o := cp.Options
 	m := wire.SessionMeta{
-		Title:            fmt.Sprintf("online profiling report (%s)", cp.PlatformName),
+		Title:            cp.Title,
 		WaitState:        o.WaitState,
 		TemporalWindowNs: o.TemporalWindowNs,
 		Callsites:        o.Callsites,
@@ -141,16 +157,12 @@ func (cp *Capture) SessionMeta() wire.SessionMeta {
 		WindowSlideNs:    o.WindowSlideNs,
 		WindowGraceNs:    o.WindowGraceNs,
 	}
-	var labels map[uint32]string
-	if o.Callsites {
-		labels = nas.ContextLabels()
-	}
 	for _, a := range cp.Apps {
 		m.Apps = append(m.Apps, wire.AppMeta{
 			Name:   a.Name,
 			Procs:  a.Procs,
 			AppID:  a.AppID,
-			Labels: labels,
+			Labels: a.Labels,
 		})
 	}
 	return m

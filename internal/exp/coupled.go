@@ -35,6 +35,10 @@ type coupledRun struct {
 	blockSize int64
 	// mayLose is set when a fault, a throttle or a write deadline is configured.
 	mayLose bool
+	// tee, when set, records every data block an analyzer takes, before its
+	// reader gets it: a capture's copy (CaptureRun) or an archive's frame
+	// (ProfileOptions.Export). Set it before run.
+	tee func(src int, payload []byte) error
 
 	programs []mpi.Program
 	// writerParts counts the writer partitions, which are the first
@@ -238,6 +242,15 @@ func (c *coupledRun) analyzer(ranks int, tel *telemetry.StreamMetrics, failover 
 		rd, err := start(r, sess)
 		if err != nil {
 			return err
+		}
+		if c.tee != nil {
+			onBlock := rd.onBlock
+			rd.onBlock = func(blk *vmpi.Block) error {
+				if err := c.tee(blk.From, blk.Payload); err != nil {
+					return err
+				}
+				return onBlock(blk)
+			}
 		}
 		if rd.side.st == nil {
 			err = drain(st, rd.onBlock)

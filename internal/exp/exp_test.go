@@ -7,10 +7,8 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/analysis"
 	"repro/internal/exp/runner"
 	"repro/internal/nas"
-	"repro/internal/otf2lite"
 	"repro/internal/trace"
 )
 
@@ -513,42 +511,37 @@ func TestProfileRunWithAllModules(t *testing.T) {
 	}
 }
 
+// TestProfileRunExport exports a run through a filter: the archive holds
+// only the kept events, re-encoded as v3 packs, and the shed ledger of
+// nothing; its replay folds exactly them.
 func TestProfileRunExport(t *testing.T) {
 	p := Tera100()
 	w, err := nas.LU(nas.ClassC, 8, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var exported int64
 	var archive bytes.Buffer
 	_, err = ProfileRun(p, []*nas.Workload{w}, ProfileOptions{
 		Analyzers: 1, Workers: 2,
 		ExportFilter: func(e *trace.Event) bool { return e.Kind == trace.KindSend },
-		Export: func(app string, m *analysis.ExportModule) {
-			exported = m.Exported()
-			if err := m.WriteArchive(&archive); err != nil {
-				t.Error(err)
-			}
-		},
+		Export:       &archive,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if exported == 0 || archive.Len() == 0 {
-		t.Fatalf("exported = %d, archive = %d bytes", exported, archive.Len())
-	}
-	// The archive replays cleanly and contains only sends.
-	count := 0
-	arch, err := otf2lite.Read(&archive, func(e *trace.Event) {
-		count++
-		if e.Kind != trace.KindSend {
-			t.Errorf("non-send event in filtered export: %v", e.Kind)
-		}
-	})
+	cp, err := readArchive(&archive)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if int64(count) != exported || arch.Events != count {
-		t.Fatalf("replayed %d of %d", count, exported)
+	if cp.PackVersion != trace.PackV3 || cp.Events == 0 || len(cp.Packs) < 2 {
+		t.Fatalf("archive v%d holds %d events in %d packs", cp.PackVersion, cp.Events, len(cp.Packs))
+	}
+	rep, err := cp.analyse(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ch := rep.Chapters[0]
+	if st := ch.Profiler.Stat(trace.KindSend); st.Hits != cp.Events || ch.Profiler.Events() != cp.Events {
+		t.Fatalf("replayed %d events, %d sends, of %d archived", ch.Profiler.Events(), st.Hits, cp.Events)
 	}
 }

@@ -9,10 +9,7 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/analysis"
-	"repro/internal/blackboard"
 	"repro/internal/nas"
-	"repro/internal/report"
 	"repro/internal/trace"
 )
 
@@ -93,75 +90,6 @@ func TestSweepTablesGolden(t *testing.T) {
 	}
 }
 
-// foldCapture analyzes a capture the way a daemon session does: the module
-// selection the capture echoes, every pack through one fused ingest in
-// arrival order, the run facts into the chapter heads.
-func foldCapture(t *testing.T, cp *Capture) *report.Report {
-	t.Helper()
-	bb := blackboard.New(blackboard.Config{Workers: 1})
-	defer bb.Close()
-	disp, err := analysis.NewDispatcher(bb)
-	if err != nil {
-		t.Fatal(err)
-	}
-	fused := analysis.NewParallelFusedIngest(disp, 0, 0)
-	rep := &report.Report{
-		Title:      fmt.Sprintf("online profiling report (%s)", cp.PlatformName),
-		StreamLoss: cp.Loss,
-	}
-	check := func(err error) {
-		t.Helper()
-		if err != nil {
-			t.Fatal(err)
-		}
-	}
-	var pipes []*analysis.Pipeline
-	for _, app := range cp.Apps {
-		pipe, err := disp.AddApp(app.AppID, app.Name, app.Procs)
-		check(err)
-		ch := &report.Chapter{
-			App: app.Name, Procs: app.Procs, WallTime: app.WallTime,
-			Profiler: pipe.Profiler, Topology: pipe.Topology, Density: pipe.Density,
-			Completeness: pipe.Completeness,
-		}
-		if cp.Options.WaitState {
-			ch.WaitState, err = pipe.EnableWaitState()
-			check(err)
-		}
-		if cp.Options.TemporalWindowNs > 0 {
-			ch.Temporal, err = pipe.EnableTemporal(cp.Options.TemporalWindowNs)
-			check(err)
-		}
-		if cp.Options.Callsites {
-			ch.Callsites, err = pipe.EnableCallsites()
-			check(err)
-			for ctx, label := range nas.ContextLabels() {
-				ch.Callsites.Label(ctx, label)
-			}
-		}
-		if cp.Options.Sizes {
-			ch.Sizes, err = pipe.EnableSizes()
-			check(err)
-		}
-		if cp.Options.WindowNs > 0 {
-			ch.Windows, err = pipe.EnableWindows(cp.Options.WindowNs, cp.Options.WindowSlideNs)
-			check(err)
-		}
-		pipes = append(pipes, pipe)
-		rep.Chapters = append(rep.Chapters, ch)
-	}
-	for _, pk := range cp.Packs {
-		_, err := fused.Absorb(pk.Src, pk.Data)
-		check(err)
-	}
-	bb.Drain()
-	fused.Sync()
-	for _, pipe := range pipes {
-		pipe.Settle()
-	}
-	return rep
-}
-
 // TestCaptureRunMatchesProfileRun asserts the sentence in CaptureRun's doc
 // comment in the package that makes it: a capture is the profiling run with
 // the analysis taken out, so analyzing its packs afterwards gives the
@@ -186,7 +114,10 @@ func TestCaptureRunMatchesProfileRun(t *testing.T) {
 					if err != nil {
 						t.Fatal(err)
 					}
-					folded := foldCapture(t, cp)
+					folded, err := cp.analyse(1)
+					if err != nil {
+						t.Fatal(err)
+					}
 					if windowNs > 0 {
 						// Before any render (see windowFingerprint).
 						want, n := windowFingerprint(t, live)
@@ -196,8 +127,8 @@ func TestCaptureRunMatchesProfileRun(t *testing.T) {
 						}
 						// Event-to-report lag is read off the live analyzer's
 						// clock, which a capture does not carry.
-						for _, ch := range live.Chapters {
-							ch.WindowLag = nil
+						for i, ch := range live.Chapters {
+							ch.WindowLag, folded.Chapters[i].WindowLag = nil, nil
 						}
 					}
 					want, err := ProfileFingerprint(live)

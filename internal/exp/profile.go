@@ -2,6 +2,7 @@ package exp
 
 import (
 	"fmt"
+	"io"
 	"runtime"
 	"time"
 
@@ -72,13 +73,15 @@ type ProfileOptions struct {
 	// its window when the analyzer's effective clock has passed the
 	// window's end by more than this when the event folds.
 	WindowGraceNs int64
-	// Export, when non-nil, enables the selective trace-export KS ("IO
-	// proxy", paper §VI) on every application; after the run each
-	// application's module is handed to the callback for writing. Export
-	// needs the raw event flow and is therefore incompatible with the
-	// reduction tree (TreeLevels > 1).
-	Export func(app string, m *analysis.ExportModule)
-	// ExportFilter selects the exported events (nil = everything).
+	// Export, when non-nil, receives the run's archive (see archive.go):
+	// the head before the run, every block the analyzers take as they take
+	// it, the close after it — what ReplayArchive and a daemon session
+	// replay (paper §VI's export for post-mortem tools). It tees the
+	// analyzer partition's input, which a reduction tree reshapes, so it
+	// needs TreeLevels <= 1.
+	Export io.Writer
+	// ExportFilter selects the exported events (nil = every block as it
+	// came); the kept ones are re-encoded as v3 packs.
 	ExportFilter func(*trace.Event) bool
 	// PackVersion selects the pack wire format: trace.PackV1 (fixed
 	// records; 0 defaults to it), PackV2 (delta+varint columns — the
@@ -91,8 +94,7 @@ type ProfileOptions struct {
 	// instead of the shared (locked) modules, fused v3 ingest runs
 	// Replicas lock-free lanes, and the residue settles into the
 	// canonical modules before anything reads them. Profiles are
-	// byte-identical to the serial path; incompatible with Export (the
-	// trace proxy is not a mergeable module).
+	// byte-identical to the serial path.
 	Replicas int
 	// Telemetry enables engine self-telemetry: the coupling stack's own
 	// counters (streams, NIC, sinks, blackboard) are sampled into
@@ -272,7 +274,7 @@ func ProfileRunStats(p Platform, workloads []*nas.Workload, opts ProfileOptions)
 	var plan *tbon.Plan
 	if levels > 1 {
 		if opts.Export != nil {
-			return nil, nil, fmt.Errorf("exp: trace export needs the raw event flow; use the flat pipeline (TreeLevels <= 1)")
+			return nil, nil, fmt.Errorf("exp: trace export tees the analyzer partition's input, which a reduction tree reshapes (TreeLevels <= 1 only)")
 		}
 		fanin := opts.TreeFanin
 		if fanin == 0 {
@@ -338,9 +340,6 @@ func ProfileRunStats(p Platform, workloads []*nas.Workload, opts ProfileOptions)
 	disp, err := analysis.NewDispatcher(bb)
 	if err != nil {
 		return nil, nil, err
-	}
-	if opts.Replicas > 0 && opts.Export != nil {
-		return nil, nil, fmt.Errorf("exp: trace export is incompatible with replica mode (Replicas > 0)")
 	}
 	// One fused ingest for the whole analyzer partition: per-writer v3
 	// decoders keyed by universe rank, shared safely because rank mains
@@ -526,14 +525,22 @@ func ProfileRunStats(p Platform, workloads []*nas.Workload, opts ProfileOptions)
 		}
 	}
 
-	// Register one pipeline per application level before the run.
-	appLevels := make([]*appLevel, len(workloads))
-	for i, w := range workloads {
-		part := layout.DescByName(w.Name)
-		if part == nil {
-			return nil, nil, fmt.Errorf("exp: partition %q missing", w.Name)
+	// Register one pipeline per application level before the run. The
+	// capture heads them, and an export's archive.
+	cp, err := run.newCapture(p, workloads, max(co.packVersion, online.AnnouncePackVersion), opts)
+	if err != nil {
+		return nil, nil, err
+	}
+	var archive *archiveWriter
+	if opts.Export != nil {
+		if archive, err = newArchiveWriter(opts.Export, cp, opts.ExportFilter, co.packBytes); err != nil {
+			return nil, nil, err
 		}
-		lv, err := addLevel(disp, uint32(part.ID), w.Name, w.Procs, opts, windowMetrics)
+		run.tee = archive.pack
+	}
+	appLevels := make([]*appLevel, len(workloads))
+	for i, a := range cp.Apps {
+		lv, err := addLevel(disp, a, opts, windowMetrics)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -544,8 +551,8 @@ func ProfileRunStats(p Platform, workloads []*nas.Workload, opts ProfileOptions)
 			// Leaves build partials with exactly the root pipeline's
 			// module selection, so everything shipped up the tree has a
 			// home to be absorbed into.
-			tree.leafOpts[part.ID] = lv.pipe.PartialOptions()
-			tree.trackers[part.ID] = trackers[i]
+			tree.leafOpts[a.AppID] = lv.pipe.PartialOptions()
+			tree.trackers[a.AppID] = trackers[i]
 		}
 		if opts.Replicas > 0 {
 			// After every Enable*: the replica module selection is frozen
@@ -591,56 +598,46 @@ func ProfileRunStats(p Platform, workloads []*nas.Workload, opts ProfileOptions)
 		bb.Drain()
 	}
 
-	if opts.Export != nil {
-		for i, w := range workloads {
-			opts.Export(w.Name, appLevels[i].export)
+	run.finishCapture(cp)
+	if archive != nil {
+		if err := archive.close(cp.CloseMeta()); err != nil {
+			return nil, nil, err
 		}
-	}
-
-	for i := range workloads {
-		if s := world.ProgramFinish(i).Seconds(); s > stats.AppSeconds {
-			stats.AppSeconds = s
-		}
-		stats.AnalyzedEvents += appLevels[i].pipe.Profiler.Events()
 	}
 	if ctl != nil {
 		stats.ShedEvents = ctl.TotalShed()
 		stats.AdaptMaxLevel = ctl.MaxLevelSeen()
 		stats.AdaptDecisions = ctl.Decisions()
 	}
-
-	rep := &report.Report{
-		Title:        fmt.Sprintf("online profiling report (%s)", p.Name),
-		EngineHealth: health,
-		StreamLoss:   run.lossRows(),
-	}
+	rep := &report.Report{Title: cp.Title, EngineHealth: health, StreamLoss: cp.Loss}
 	for i, lv := range appLevels {
-		lv.ch.WallTime = time.Duration(world.ProgramFinish(i).Duration())
+		stats.AppSeconds = max(stats.AppSeconds, world.ProgramFinish(i).Seconds())
+		stats.AnalyzedEvents += lv.pipe.Profiler.Events()
+		lv.ch.WallTime = cp.Apps[i].WallTime
 		rep.Chapters = append(rep.Chapters, lv.ch)
 	}
 	return rep, stats, nil
 }
 
-// appLevel is one application's level on the analysis board: its pipeline,
-// its trace-export module when one is on, and the report chapter over the
-// modules the options selected, less the wall time the caller sets.
+// appLevel is one application's level on the analysis board: its pipeline
+// and the report chapter over the modules the options selected, less the
+// wall time the caller sets.
 type appLevel struct {
-	pipe   *analysis.Pipeline
-	export *analysis.ExportModule
-	ch     *report.Chapter
+	pipe *analysis.Pipeline
+	ch   *report.Chapter
 }
 
-// addLevel registers an application level on disp and enables the modules
+// addLevel registers application a's level on disp and enables the modules
 // opts selects. A simulated run and an archive replay both set up their
 // levels here, so the two cannot disagree on what a level runs.
-func addLevel(disp *analysis.Dispatcher, appID uint32, name string, procs int, opts ProfileOptions, wm *telemetry.WindowMetrics) (*appLevel, error) {
-	pipe, err := disp.AddApp(appID, name, procs)
+func addLevel(disp *analysis.Dispatcher, a CaptureApp, opts ProfileOptions, wm *telemetry.WindowMetrics) (*appLevel, error) {
+	pipe, err := disp.AddApp(a.AppID, a.Name, a.Procs)
 	if err != nil {
 		return nil, err
 	}
 	ch := &report.Chapter{
-		App:          name,
-		Procs:        procs,
+		App:          a.Name,
+		Procs:        a.Procs,
 		Profiler:     pipe.Profiler,
 		Topology:     pipe.Topology,
 		Density:      pipe.Density,
@@ -661,13 +658,8 @@ func addLevel(disp *analysis.Dispatcher, appID uint32, name string, procs int, o
 		if ch.Callsites, err = pipe.EnableCallsites(); err != nil {
 			return nil, err
 		}
-		for ctx, label := range nas.ContextLabels() {
+		for ctx, label := range a.Labels {
 			ch.Callsites.Label(ctx, label)
-		}
-	}
-	if opts.Export != nil {
-		if lv.export, err = pipe.EnableExport("proxy", opts.ExportFilter); err != nil {
-			return nil, err
 		}
 	}
 	if opts.Sizes {

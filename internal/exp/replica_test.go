@@ -1,10 +1,8 @@
 package exp
 
 import (
-	"strings"
 	"testing"
 
-	"repro/internal/analysis"
 	"repro/internal/trace"
 )
 
@@ -77,19 +75,5 @@ func TestReplicaProfileMatrixMatchesSerial(t *testing.T) {
 				t.Fatal("no events analyzed")
 			}
 		})
-	}
-}
-
-// TestReplicaExportIncompatible pins the options cross-check: replica
-// mode removes the raw event flow the exporter taps.
-func TestReplicaExportIncompatible(t *testing.T) {
-	p := Tera100()
-	ws := treeTestWorkloads(t)[:1]
-	opts := treeTestOpts()
-	opts.Replicas = 2
-	opts.Export = func(string, *analysis.ExportModule) {}
-	_, _, err := ProfileRunStats(p, ws, opts)
-	if err == nil || !strings.Contains(err.Error(), "replica mode") {
-		t.Fatalf("err = %v, want replica/export incompatibility", err)
 	}
 }

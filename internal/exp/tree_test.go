@@ -3,6 +3,7 @@ package exp
 import (
 	"bytes"
 	"fmt"
+	"io"
 	"runtime"
 	"strings"
 	"testing"
@@ -260,7 +261,7 @@ func TestTreeOptionValidation(t *testing.T) {
 	}{
 		{"no-workloads", nil, ProfileOptions{}, "no workloads to profile"},
 		{"export-with-tree", ws,
-			ProfileOptions{TreeLevels: 2, Export: func(string, *analysis.ExportModule) {}},
+			ProfileOptions{TreeLevels: 2, Export: io.Discard},
 			"trace export"},
 		{"fault-without-tree", ws,
 			ProfileOptions{AggregatorFaults: []AggregatorFault{{Local: 0}}},

@@ -416,7 +416,7 @@ func BlockSize(payload []byte) int64 {
 
 // DecodeEach decodes one self-contained pack (v1 or v2), invoking fn per
 // event without materializing a slice: the entry for consumers that see
-// packs in no particular order (the board's fold KS, export replay). It is
+// packs in no particular order (the board's fold KS). It is
 // a StreamDecoder with no history, so it refuses what needs one — a v3
 // pack here has leaked onto a path that does not preserve per-writer
 // order — and, like every decode, anything that is not an event pack.
