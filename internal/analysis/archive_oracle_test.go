@@ -88,5 +88,5 @@ func TestPartialOracleArchive(t *testing.T) {
 // reference reads them from.
 func chapterPartial(ch *report.Chapter) *analysis.Partial {
 	return &analysis.Partial{Profiler: ch.Profiler, Topology: ch.Topology, Density: ch.Density,
-		Temporal: ch.Temporal, Callsites: ch.Callsites, Sizes: ch.Sizes}
+		Waits: ch.WaitState, Temporal: ch.Temporal, Callsites: ch.Callsites, Sizes: ch.Sizes}
 }

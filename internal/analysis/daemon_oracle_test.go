@@ -17,12 +17,16 @@ import (
 // or v3 format, from a client through serviced.Daemon.ServeConn over
 // net.Pipe, so every frame passes the daemon's connection handler and its
 // session. The final Snapshot's partial must decode to the reference's
-// values.
+// values. Every other run folds on a two-worker daemon's lanes, and every
+// run polls Diff between rounds of packs, so seals split channels' sends
+// from their receives: the lane replicas' pendings cross the seals through
+// the delta, and the synchronous delta settles at each pack's end.
 func TestPartialOracleDaemon(t *testing.T) {
-	d := serviced.New(serviced.Options{})
+	daemons := []*serviced.Daemon{serviced.New(serviced.Options{}), serviced.New(serviced.Options{Workers: 2})}
 	for seed := int64(0); seed < 1000; seed += 5 {
 		_, perRank, opts, want := analysis.PartialOracleRun(seed)
 		version := []int{trace.PackV1, trace.PackV2, trace.PackV3}[seed/5%3]
+		d := daemons[seed/5%2]
 		srv, conn := net.Pipe()
 		go d.ServeConn(srv)
 		c, err := client.New(conn, version)
@@ -36,13 +40,23 @@ func TestPartialOracleDaemon(t *testing.T) {
 		}); err != nil {
 			t.Fatal(err)
 		}
-		// Round robin over the ranks, each rank's packs in order.
+		// Round robin over the ranks, each rank's packs in order. Rank r
+		// writes as source r+r/2, so on the lanes (source mod 2) ranks 1
+		// and 2, 3 and 4, … share one and their channels pair in it.
 		packs := analysis.OraclePacks(t, version, perRank, 1+int(seed)%7)
+		cursor := uint64(0)
 		for i, more := 0, true; more; i++ {
+			if i > 0 && i%(1+int(seed)%3) == 0 {
+				st, err := c.Diff(cursor)
+				if err != nil {
+					t.Fatalf("seed %d: diff before round %d: %v", seed, i, err)
+				}
+				cursor = st.To
+			}
 			more = false
 			for r := range packs {
 				if i < len(packs[r]) {
-					if err := c.SendPack(uint32(r), packs[r][i]); err != nil {
+					if err := c.SendPack(uint32(r+r/2), packs[r][i]); err != nil {
 						t.Fatalf("seed %d: pack %d of rank %d: %v", seed, i, r, err)
 					}
 					more = true

@@ -772,6 +772,10 @@ func readPartialHeader(r *preader) (appID uint32, opts PartialOptions, flags uin
 			return 0, opts, 0, fmt.Errorf("analysis: partial window slide %d outside (0, %d]",
 				opts.WindowSlideNs, opts.WindowNs)
 		}
+		if trace.WindowOverlap(opts.WindowNs, opts.WindowSlideNs) > trace.MaxWindowOverlap {
+			return 0, opts, 0, fmt.Errorf("analysis: partial window %d / slide %d overlaps more than %d windows",
+				opts.WindowNs, opts.WindowSlideNs, trace.MaxWindowOverlap)
+		}
 	}
 	return appID, opts, flags, nil
 }

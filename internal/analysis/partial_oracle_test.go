@@ -11,15 +11,17 @@ import (
 	"repro/internal/trace"
 )
 
-// The naive whole-run reference for the six module sections: maps over the
-// run's events and nothing of the engine's — no packs, no partials, no
-// shared helper. Per module it is what a reader of the paper writes down:
+// The naive whole-run reference for the seven module sections: maps over
+// the run's events and nothing of the engine's — no packs, no partials, no
+// engine helper. Per module it is what a reader of the paper writes down:
 // hits, bytes and time per call kind; the same per (sender, receiver) of
 // outgoing point-to-point calls between ranks of the app, per (kind, rank)
 // of the app, and per (call site, kind); per (kind, time bucket) the hits
 // and bytes of the calls starting in the bucket and the time of every call
 // spanning it, time before zero counted at zero; and the power-of-two
-// histogram of outgoing message sizes.
+// histogram of outgoing message sizes; and the late-sender pairs, with
+// the hits and wait per receiving rank, of the window reference's pairing
+// (refPairs).
 
 // The reference, for the oracles' daemon and archive legs
 // (daemon_oracle_test.go, archive_oracle_test.go), external tests: the
@@ -54,15 +56,16 @@ func (c refCells) add(a, b int64, v [3]int64) {
 }
 
 // refProfile is the reference's answer for a whole run. A size bucket is
-// keyed by its lower bound.
+// keyed by its lower bound, a late-sender cell by its rank: its hits and
+// wait.
 type refProfile struct {
-	events, buckets                                    int64
-	kinds, matrix, density, temporal, callsites, sizes refCells
+	events, buckets, pairs                                   int64
+	kinds, matrix, density, temporal, callsites, sizes, late refCells
 }
 
 func newRefProfile() refProfile {
 	return refProfile{kinds: refCells{}, matrix: refCells{}, density: refCells{}, temporal: refCells{},
-		callsites: refCells{}, sizes: refCells{}}
+		callsites: refCells{}, sizes: refCells{}, late: refCells{}}
 }
 
 // refProfileOf runs the reference over a run's events, in any order, with
@@ -106,6 +109,12 @@ func refProfileOf(evs []trace.Event, appSize int, bucketNs int64) refProfile {
 			}
 		}
 	}
+	refPairs(evs, appSize, func(r refRecv, wait int64) {
+		p.pairs++
+		if wait > 0 {
+			p.late.add(int64(r.rank), 0, [3]int64{1, wait, 0})
+		}
+	})
 	return p
 }
 
@@ -149,10 +158,17 @@ func engineProfile(pp *Partial) refProfile {
 	for _, b := range pp.Sizes.AppendHistogram(nil) {
 		p.sizes[[2]int64{b.Lo}] = [3]int64{b.Hits, b.Bytes, 0}
 	}
+	p.pairs = pp.Waits.Pairs()
+	hits := pp.Waits.LateSenderHits()
+	for r, ns := range pp.Waits.AppendLateSenderMap(nil) {
+		if hits[r] != 0 || ns != 0 {
+			p.late[[2]int64{int64(r)}] = [3]int64{hits[r], int64(ns), 0}
+		}
+	}
 	return p
 }
 
-// TestPartialOracle holds the six module sections to the naive reference on
+// TestPartialOracle holds the seven module sections to the naive reference on
 // 1 000 generated runs with every module on, through the ingest paths
 // TestWindowOracle drives, each compared on the values its canonical bytes
 // decode to. The temporal buckets are drawn as narrow as 50 ns, so the
@@ -191,8 +207,9 @@ func partialOracleRun(seed int64) (*rand.Rand, [][]trace.Event, PartialOptions, 
 
 // profileDiff names a module and a cell where two answers differ.
 func profileDiff(got, want refProfile) string {
-	if got.events != want.events || got.buckets != want.buckets {
-		return fmt.Sprintf("events %d and temporal buckets %d, want %d and %d", got.events, got.buckets, want.events, want.buckets)
+	if got.events != want.events || got.buckets != want.buckets || got.pairs != want.pairs {
+		return fmt.Sprintf("events %d, temporal buckets %d and wait-state pairs %d, want %d, %d and %d",
+			got.events, got.buckets, got.pairs, want.events, want.buckets, want.pairs)
 	}
 	for _, m := range []struct {
 		name      string
@@ -201,6 +218,7 @@ func profileDiff(got, want refProfile) string {
 		{"profiler", got.kinds, want.kinds}, {"topology", got.matrix, want.matrix},
 		{"density", got.density, want.density}, {"temporal", got.temporal, want.temporal},
 		{"call sites", got.callsites, want.callsites}, {"sizes", got.sizes, want.sizes},
+		{"late sender", got.late, want.late},
 	} {
 		for key, v := range m.want {
 			if m.got[key] != v {

@@ -74,6 +74,17 @@ func (r *Replica) Track(tr *WindowTracker) {
 // where a pack's fold ends. Free on an untracked replica.
 func (r *Replica) EndPack() { r.tally.Commit() }
 
+// Settle pairs what the replica's wait-state queues hold. Call it where a
+// pack's fold ends only if the replica has folded every pack of each
+// writer, in order, and kept their pendings (MergeFull's prefix condition).
+// Not on a board replica (any worker may fold any of a writer's packs),
+// nor on one a MergeReset empties, as a daemon lane's at every seal.
+func (r *Replica) Settle() {
+	if w := r.pp.Waits; w != nil {
+		w.settleLocked()
+	}
+}
+
 // tapped returns the dispatcher that folds an event, then hands it to tap.
 func tapped(fold, tap func(*trace.Event)) func(*trace.Event) {
 	return func(ev *trace.Event) {

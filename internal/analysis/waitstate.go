@@ -38,7 +38,10 @@ import (
 // The trade-off is queue memory proportional to the channel's message
 // count between settles rather than to in-flight messages. A settle costs
 // what was written since the last one: it drains the unsettled list — the
-// records that gained an entry — and never ranges the channel index.
+// records that gained an entry — and never ranges the channel index. A
+// replica fed each writer's every pack in order (a daemon session's delta,
+// a tree leaf's) also settles at every pack's end (Replica.Settle), while
+// the pack's channels are in cache, so a seal pairs at most the last pack's.
 //
 // Send-side blocking (Late Receiver) does not occur under the eager
 // protocol this runtime models, so only the receive side is classified.

@@ -286,6 +286,10 @@ func (p *Pipeline) EnableWindows(windowNs, slideNs int64) (*WindowedModule, erro
 	if slideNs < 0 || slideNs > windowNs {
 		return nil, fmt.Errorf("analysis: window slide %d outside (0, %d]", slideNs, windowNs)
 	}
+	if trace.WindowOverlap(windowNs, slideNs) > trace.MaxWindowOverlap {
+		return nil, fmt.Errorf("analysis: window %d / slide %d overlaps more than %d windows",
+			windowNs, slideNs, trace.MaxWindowOverlap)
+	}
 	if p.state.Windows != nil {
 		return nil, p.alreadyEnabled("windows")
 	}

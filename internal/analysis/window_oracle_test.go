@@ -72,8 +72,6 @@ func refAnalyze(evs []trace.Event, appSize int, width, slide int64) refRun {
 		}
 		return run.wins[i]
 	}
-	sends := map[refKey][]int64{}
-	recvs := map[refKey][]refRecv{}
 	for _, ev := range evs {
 		for _, i := range refCovering(ev.TStart, width, slide) {
 			w := win(i)
@@ -81,6 +79,31 @@ func refAnalyze(evs []trace.Event, appSize int, width, slide int64) refRun {
 			s := w.kinds[ev.Kind]
 			w.kinds[ev.Kind] = [3]int64{s[0] + 1, s[1] + ev.Size, s[2] + ev.TEnd - ev.TStart}
 		}
+	}
+	refPairs(evs, appSize, func(r refRecv, wait int64) {
+		credited := []*refWindow{run.whole}
+		for _, i := range refCovering(r.start, width, slide) {
+			credited = append(credited, win(i))
+		}
+		for _, w := range credited {
+			w.pairs++
+			if wait > 0 {
+				w.lateNs[r.rank] += wait
+				w.lateHits[r.rank]++
+			}
+		}
+	})
+	return run
+}
+
+// refPairs pairs a run's events, in any order, the brute-force way: per
+// (src, dst, tag, comm) channel, the sends and the receives sorted by time
+// and matched by position. It calls pair with each pair's receive and its
+// late-sender wait, zero unless the receiving rank is in the app.
+func refPairs(evs []trace.Event, appSize int, pair func(r refRecv, wait int64)) {
+	sends := map[refKey][]int64{}
+	recvs := map[refKey][]refRecv{}
+	for _, ev := range evs {
 		if ev.Peer < 0 {
 			continue // a wildcard completion names no channel
 		}
@@ -106,24 +129,12 @@ func refAnalyze(evs []trace.Event, appSize int, width, slide int64) refRun {
 			// The receive waited from its start until the send started, at
 			// most for its own duration; only ranks of the app are charged.
 			r, wait := rs[j], int64(0)
-			if ss[j] > r.start {
+			if ss[j] > r.start && r.rank >= 0 && int(r.rank) < appSize {
 				wait = min(ss[j], r.end) - r.start
 			}
-			late := wait > 0 && r.rank >= 0 && int(r.rank) < appSize
-			credited := []*refWindow{run.whole}
-			for _, i := range refCovering(r.start, width, slide) {
-				credited = append(credited, win(i))
-			}
-			for _, w := range credited {
-				w.pairs++
-				if late {
-					w.lateNs[r.rank] += wait
-					w.lateHits[r.rank]++
-				}
-			}
+			pair(r, wait)
 		}
 	}
-	return run
 }
 
 // engineRun reads the same values out of a partial the way the report

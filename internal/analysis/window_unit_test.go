@@ -106,6 +106,17 @@ func TestEnableWindowsValidation(t *testing.T) {
 	if _, err := p.EnableWindows(1000, 2000); err == nil {
 		t.Fatal("slide > window accepted")
 	}
+	// 65 windows cover every instant: one past trace.MaxWindowOverlap, at
+	// Enable and at the partial decoder.
+	if _, err := p.EnableWindows(65, 1); err == nil {
+		t.Fatal("an overlap of 65 windows accepted")
+	}
+	for width, ok := range map[int64]bool{64: true, 65: false} {
+		enc := NewPartial(0, PartialOptions{AppSize: 2, WindowNs: width, WindowSlideNs: 1}).AppendCanonical(nil)
+		if _, err := DecodePartial(enc); (err == nil) != ok {
+			t.Fatalf("decoding a partial of window %d / slide 1: err %v", width, err)
+		}
+	}
 	if p.state.Windows != nil {
 		t.Fatal("series set before a successful enable")
 	}

@@ -270,11 +270,11 @@ func TestReadArchiveRejectsGarbage(t *testing.T) {
 // the capture to the replay: neither may panic or hang. Seeded from small
 // exported runs, v1 and filtered v3, with every module and windows on.
 //
-// Two shapes are stepped over rather than replayed, each a known open
-// bound of the register frame that a daemon shares: applications whose
-// dense topology matrices would take hundreds of megabytes (24·N² bytes
-// each), and window geometries that put one event in thousands of
-// sliding windows.
+// One shape is stepped over rather than replayed, a known open bound of
+// the register frame that a daemon shares: applications whose dense
+// topology matrices would take hundreds of megabytes (24·N² bytes each).
+// The reader itself refuses windows overlapping more than
+// trace.MaxWindowOverlap-fold.
 func FuzzReadArchive(f *testing.F) {
 	w, err := nas.ByName("CG", nas.ClassA, 4, 1)
 	if err != nil {
@@ -296,7 +296,7 @@ func FuzzReadArchive(f *testing.F) {
 		for _, a := range cp.Apps {
 			procs += a.Procs
 		}
-		if o := cp.Options; procs > 256 || (o.WindowSlideNs > 0 && o.WindowNs/o.WindowSlideNs > 64) {
+		if procs > 256 {
 			return
 		}
 		cp.analyse(1)

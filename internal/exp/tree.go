@@ -243,6 +243,7 @@ func (lf *treeLeaf) absorb(blk *vmpi.Block) error {
 	}
 	_, err = lf.decs.For(blk.From).DecodeDispatch(blk.Payload, rep.FoldFunc())
 	rep.EndPack()
+	rep.Settle() // a writer's packs arrive in order: pair what this one completed
 	if err != nil {
 		return fmt.Errorf("exp: leaf pack decode: %w", err)
 	}

@@ -1,8 +1,10 @@
 package serviced
 
 import (
+	"bytes"
 	"testing"
 
+	"repro/internal/analysis"
 	"repro/internal/trace"
 	"repro/internal/wire"
 )
@@ -24,18 +26,42 @@ func TestSyncFoldWindowedZeroAllocs(t *testing.T) {
 		WindowNs: 2000, WindowGraceNs: 500, Apps: []wire.AppMeta{{AppID: 3, Name: "app", Procs: 4}}})
 }
 
-func syncFoldZeroAllocs(t *testing.T, meta wire.SessionMeta) {
-	s := newSession(1, trace.PackV3, meta, newGovernor(0, 0, 0), 1)
-	defer s.shutdown()
+// TestSyncFoldWaitStateZeroAllocs is TestSyncFoldWindowedZeroAllocs with
+// wait-state on and a pack of sends and the receives they pair with: the
+// settle at the pack's end pairs every channel the pack touched and
+// credits the pairs to their windows, allocating nothing either.
+func TestSyncFoldWaitStateZeroAllocs(t *testing.T) {
+	syncFoldZeroAllocs(t, wire.SessionMeta{Title: "t", WaitState: true, WindowNs: 2000, WindowGraceNs: 500,
+		Apps: []wire.AppMeta{{AppID: 3, Name: "app", Procs: 4}}})
+}
+
+// foldPacks builds two 256-event packs of one writer over four ranks: each
+// a call to the next rank, or, with pairs set, alternately a send and the
+// receive that completes it (the receive starting 50 ns early).
+func foldPacks(pairs bool) [][]byte {
 	b := trace.NewPackBuilderV3(3, 0, 48, trace.PackHeaderSize+256*48)
 	var packs [][]byte
 	for i := 0; len(packs) < 2; i++ {
 		ev := trace.Event{Kind: trace.KindIsend, Rank: int32(i % 4), Peer: int32((i + 1) % 4), Tag: 1,
 			Ctx: uint32(i % 5), Size: 1 << 12, TStart: int64(i) * 100, TEnd: int64(i)*100 + 40}
+		if pairs {
+			src := int32(i / 2 % 4)
+			ev.Rank, ev.Peer = src, (src+1)%4
+			if i%2 == 1 {
+				ev.Kind, ev.Rank, ev.Peer, ev.TStart = trace.KindRecv, ev.Peer, ev.Rank, ev.TStart-150
+			}
+		}
 		if b.Add(&ev) {
 			packs = append(packs, b.Take())
 		}
 	}
+	return packs
+}
+
+func syncFoldZeroAllocs(t *testing.T, meta wire.SessionMeta) {
+	s := newSession(1, trace.PackV3, meta, newGovernor(0, 0, 0), 1)
+	defer s.shutdown()
+	packs := foldPacks(meta.WaitState)
 	app := s.byID[3]
 	for _, pk := range packs {
 		if err := s.foldSync(0, app, pk); err != nil {
@@ -54,6 +80,9 @@ func syncFoldZeroAllocs(t *testing.T, meta wire.SessionMeta) {
 	}
 	if got, want := s.events.Load(), int64(256*(2+51)); got != want {
 		t.Errorf("session counted %d admitted events, want %d", got, want)
+	}
+	if w := app.delta.Partial().Waits; w != nil && (w.Pairs() != 128*(2+51) || w.Unmatched() != 0) {
+		t.Errorf("the folds paired %d and left %d unmatched, want %d and 0", w.Pairs(), w.Unmatched(), 128*(2+51))
 	}
 	if tr := app.tracker; tr != nil && tr.Events() != s.events.Load() {
 		t.Errorf("the tracker counted %d events, the session %d", tr.Events(), s.events.Load())
@@ -161,5 +190,122 @@ func TestLaneGateLedger(t *testing.T) {
 	if s.gov.maxLevel() != 4 || app.gate.TotalShed() == 0 {
 		t.Errorf("the governor reached level %d and the gate shed %d: no shedding to account for",
 			s.gov.maxLevel(), app.gate.TotalShed())
+	}
+}
+
+// chanPack packs evs as writer's one pack of app 3.
+func chanPack(writer int32, evs ...trace.Event) []byte {
+	b := trace.NewPackBuilderV3(3, writer, 48, trace.PackHeaderSize+64*48)
+	for i := range evs {
+		b.Add(&evs[i])
+	}
+	return b.Take()
+}
+
+// chanSend and chanRecv are the two sides of one channel, rank 0 to rank 1.
+func chanSend(t int64) trace.Event {
+	return trace.Event{Kind: trace.KindSend, Rank: 0, Peer: 1, Size: 8, TStart: t, TEnd: t + 5}
+}
+
+func chanRecv(t, end int64) trace.Event {
+	return trace.Event{Kind: trace.KindRecv, Rank: 1, Peer: 0, Size: 8, TStart: t, TEnd: end}
+}
+
+type writerPack struct {
+	writer uint32
+	pack   []byte
+}
+
+// pollRun ingests packs into a wait-state session of the given worker
+// count, polling Diff after each pack whose index poll returns true, and
+// returns the final Snapshot's partial and the rendered close report.
+func pollRun(t *testing.T, workers int, packs []writerPack, poll func(i int) bool) (snap []byte, rendered string) {
+	t.Helper()
+	meta := wire.SessionMeta{Title: "t", WaitState: true, Apps: []wire.AppMeta{{AppID: 3, Name: "app", Procs: 2}}}
+	s := newSession(1, trace.PackV3, meta, newGovernor(0, 0, 0), workers)
+	defer s.shutdown()
+	cursor := uint64(0)
+	for i, p := range packs {
+		if err := s.ingest(p.writer, p.pack); err != nil {
+			t.Fatal(err)
+		}
+		if poll(i) {
+			st, err := s.diff(cursor)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cursor = st.To
+		}
+	}
+	st, err := s.snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := s.close(wire.CloseMeta{Apps: []wire.AppFinal{{}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := rep.Render(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return st.Apps[0], buf.String()
+}
+
+// TestSyncResultIndependentOfPolling: one channel whose sends reach the
+// daemon out of time order across packs — a send at t=100, then receives
+// at 60 and 120, then a send at 50. The synchronous path pairs what each
+// pack completed at the pack's end, so a client that polls Diff after
+// every pack and one that never polls get byte-identical final Snapshots
+// and reports. Pairing at the seal alone made the answer follow the polls.
+// The input breaks the per-rank time order the pairing assumes (rank 0
+// sends at 100, then at 50), so the test checks only that the answer does
+// not depend on the polls, not which pairs it holds: the whole-run
+// reference, which sorts each side by time, would pair 60 with 50.
+// The lane path still depends on the cadence for such input: a lane
+// replica does not settle at a pack's end (TestLanePairsAcrossSeals), so
+// its channels pair only at a seal, when the replicas merge into the delta.
+func TestSyncResultIndependentOfPolling(t *testing.T) {
+	packs := []writerPack{{0, chanPack(0, chanSend(100))}, {1, chanPack(1, chanRecv(60, 110), chanRecv(120, 130))},
+		{0, chanPack(0, chanSend(50))}}
+	polledSnap, polledRep := pollRun(t, 1, packs, func(int) bool { return true })
+	snap, rendered := pollRun(t, 1, packs, func(int) bool { return false })
+	if !bytes.Equal(polledSnap, snap) {
+		t.Errorf("the final Snapshot differs between polling after every pack and never polling")
+	}
+	if polledRep != rendered {
+		t.Errorf("the final report differs between polling after every pack and never polling:\n%s\nvs\n%s", polledRep, rendered)
+	}
+	pp, err := analysis.DecodePartial(snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pairs := pp.Waits.Pairs(); pairs != 2 {
+		t.Errorf("the Snapshot holds %d pairs, want 2", pairs)
+	}
+}
+
+// TestLanePairsAcrossSeals: writers 0 (rank 0's sends) and 2 (rank 1's
+// receives) share lane 0 of a two-worker session. A send at 10, a Diff,
+// then its receive at 20 and a later send at 40. The seal hands the
+// lane's pending send to the delta, so the receive must pair there with
+// the send at 10 (no wait), not in the lane with the send at 40 (a late
+// sender that did not happen). A lane replica must therefore not settle
+// at a pack's end; the synchronous session and a never-polled one agree.
+func TestLanePairsAcrossSeals(t *testing.T) {
+	packs := []writerPack{{0, chanPack(0, chanSend(10))}, {2, chanPack(2, chanRecv(20, 30))}, {0, chanPack(0, chanSend(40))}}
+	for _, tc := range []struct {
+		workers int
+		poll    bool
+	}{{2, true}, {2, false}, {1, true}, {1, false}} {
+		snap, _ := pollRun(t, tc.workers, packs, func(i int) bool { return tc.poll && i == 0 })
+		pp, err := analysis.DecodePartial(snap)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if pairs, late := pp.Waits.Pairs(), pp.Waits.TotalLateNs(); pairs != 1 || late != 0 {
+			t.Errorf("%d workers, Diff after the first send %v: %d pairs waiting %d ns, want 1 and 0 ns",
+				tc.workers, tc.poll, pairs, late)
+		}
 	}
 }

@@ -197,9 +197,11 @@ func (s *session) ingest(src uint32, pack []byte) error {
 }
 
 // foldSync is the synchronous decode+fold path: events go straight into
-// the app's delta on the connection goroutine.
+// the app's delta, which keeps every writer's pendings across seals, so it
+// pairs what each pack completed (Replica.Settle; a lane replica may not).
 func (s *session) foldSync(src uint32, app *sessionApp, pack []byte) error {
 	admitted, err := decodeAdmitted(s.decs, src, app, pack, app.delta)
+	app.delta.Settle()
 	s.events.Add(admitted)
 	return err
 }

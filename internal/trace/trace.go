@@ -171,6 +171,17 @@ type Event struct {
 // Duration returns the call's duration in nanoseconds.
 func (e *Event) Duration() int64 { return e.TEnd - e.TStart }
 
+// MaxWindowOverlap caps how many windows of a sliding geometry cover one
+// instant (WindowOverlap): an event folds into every window covering its
+// start. The register frame, the partial decoder and
+// Pipeline.EnableWindows each refuse a wider geometry, so no client makes
+// one event cost thousands of window folds.
+const MaxWindowOverlap = 64
+
+// WindowOverlap returns how many windows of the given width and slide
+// (0 < slide <= width) cover one instant: ⌈width/slide⌉.
+func WindowOverlap(width, slide int64) int64 { return (width-1)/slide + 1 }
+
 // MinRecordSize is the exact byte size of the binary event structure and
 // the stride of v1 records; a pack's RecordSize may declare more to model
 // richer per-event context.

@@ -18,6 +18,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+
+	"repro/internal/trace"
 )
 
 // ProtoVersion is the frame-protocol version carried in the hello
@@ -499,6 +501,10 @@ func ParseSessionMeta(p []byte) (SessionMeta, error) {
 	}
 	if m.WindowSlideNs < 0 || (m.WindowNs > 0 && m.WindowSlideNs > m.WindowNs) {
 		return SessionMeta{}, fmt.Errorf("wire: register window_slide_ns %d outside [0, %d]", m.WindowSlideNs, m.WindowNs)
+	}
+	if m.WindowSlideNs > 0 && trace.WindowOverlap(m.WindowNs, m.WindowSlideNs) > trace.MaxWindowOverlap {
+		return SessionMeta{}, fmt.Errorf("wire: register window %d / slide %d overlaps more than %d windows",
+			m.WindowNs, m.WindowSlideNs, trace.MaxWindowOverlap)
 	}
 	if m.WindowNs == 0 && (m.WindowSlideNs != 0 || m.WindowGraceNs != 0) {
 		return SessionMeta{}, fmt.Errorf("wire: register window slide/grace without window_ns")
