@@ -19,6 +19,7 @@ type CallsiteModule struct {
 	mu   sync.Mutex
 	per  map[callsiteKey]*Stat
 	name map[uint32]string
+	keys []callsiteKey // the encoder's sort scratch
 }
 
 // callsiteKey packs (ctx, kind) into one word, ctx<<8 | kind: a map

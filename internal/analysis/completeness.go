@@ -25,8 +25,9 @@ type ShedStat struct {
 // topology as the data it bounds. Merging is a plain per-class sum:
 // associative, commutative, identity-preserving.
 type CompletenessModule struct {
-	mu  sync.Mutex
-	per map[trace.Kind]*ShedStat
+	mu   sync.Mutex
+	per  map[trace.Kind]*ShedStat
+	keys []trace.Kind // the encoder's sort scratch
 }
 
 // NewCompletenessModule creates an empty ledger.

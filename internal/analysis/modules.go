@@ -50,12 +50,11 @@ func entry[K comparable, V any](m map[K]*V, k K) *V {
 	return v
 }
 
-// nonZeroKeys returns, unordered, the keys of m whose value is not the
-// zero value: what an encoder writes of a map whose entries a reset
-// zeroes in place.
-func nonZeroKeys[K comparable, V comparable](m map[K]*V) []K {
+// appendNonZeroKeys appends to keys, unordered, the keys of m whose value
+// is not the zero value: what an encoder writes of a map whose entries a
+// reset zeroes in place.
+func appendNonZeroKeys[K comparable, V comparable](keys []K, m map[K]*V) []K {
 	var zero V
-	keys := make([]K, 0, len(m))
 	for k, v := range m {
 		if *v != zero {
 			keys = append(keys, k)

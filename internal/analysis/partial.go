@@ -445,6 +445,17 @@ func (pp *Partial) Flush(buf []byte, final bool) []byte {
 	return pp.encode(buf, final, true)
 }
 
+// FlushPooled is Flush into pack-pool storage (trace.GetBuffer) sized from
+// the caller's previous flush of the partial, *last (0 before the first;
+// a few KB then), with a quarter's headroom for a delta that grew: steady
+// flushes fit, and kept bytes are not pinned in a buffer much larger than
+// they are. It sets *last; the bytes are the caller's to put back.
+func (pp *Partial) FlushPooled(last *int, final bool) []byte {
+	buf := pp.Flush(trace.GetBuffer(max(*last+*last/4, 4<<10))[:0], final)
+	*last = len(buf)
+	return buf
+}
+
 func (pp *Partial) encode(buf []byte, pendings, reset bool) []byte {
 	w := pwriter{buf: buf, pendings: pendings, reset: reset}
 	w.buf = append(w.buf, partialMagic[:]...)
@@ -522,7 +533,7 @@ func (pp *Partial) AddAudit(entries []trace.AuditEntry) {
 }
 
 func (pp *Partial) encodeShed(w pwriter) []byte {
-	sortedCells(&w, pp.Shed.per, func(k trace.Kind, st ShedStat) {
+	sortedCells(&w, pp.Shed.per, &pp.Shed.keys, func(k trace.Kind, st ShedStat) {
 		w.u32(uint32(k))
 		w.i64(st.Shed)
 		w.i64(st.Kept)
@@ -643,7 +654,7 @@ func (pp *Partial) encodeTemporal(w pwriter) []byte {
 }
 
 func (pp *Partial) encodeCallsites(w pwriter) []byte {
-	sortedCells(&w, pp.Callsites.per, func(k callsiteKey, st Stat) {
+	sortedCells(&w, pp.Callsites.per, &pp.Callsites.keys, func(k callsiteKey, st Stat) {
 		w.u32(k.ctx())
 		w.u32(uint32(k.kind()))
 		w.stat(st)
@@ -1160,10 +1171,12 @@ func (w *pwriter) pairRow(cols [2][]int64, hits int) {
 }
 
 // sortedCells writes a map's non-zero entries as a cell list in key order,
-// put writing each key and value. A reset zeroes the entries and keeps
-// them.
-func sortedCells[K cmp.Ordered, V comparable](w *pwriter, m map[K]*V, put func(K, V)) {
-	keys := nonZeroKeys(m)
+// put writing each key and value. The keys are sorted in *scratch, which
+// the map's module keeps under the lock the encode holds. A reset zeroes
+// the entries and keeps them.
+func sortedCells[K cmp.Ordered, V comparable](w *pwriter, m map[K]*V, scratch *[]K, put func(K, V)) {
+	keys := appendNonZeroKeys((*scratch)[:0], m)
+	*scratch = keys
 	slices.Sort(keys)
 	w.u32(uint32(len(keys)))
 	var zero V

@@ -31,6 +31,9 @@ type Client struct {
 
 	format int
 	sess   session
+	// req is where a Diff request's cursor is encoded, like the daemon's
+	// credit grant: a payload handed to the frame writer escapes.
+	req [8]byte
 }
 
 // session is the client's half of the protocol state: the registered
@@ -240,7 +243,8 @@ func (c *Client) Diff(cursor uint64) (wire.State, error) {
 	if err := c.ready("diff"); err != nil {
 		return wire.State{}, err
 	}
-	f, err := c.call(wire.TypeDiff, wire.EncodeDiffReq(wire.DiffReq{Cursor: cursor}), wire.TypeState)
+	n := copy(c.req[:], wire.EncodeDiffReq(wire.DiffReq{Cursor: cursor}))
+	f, err := c.call(wire.TypeDiff, c.req[:n], wire.TypeState)
 	if err != nil {
 		return wire.State{}, err
 	}

@@ -58,7 +58,7 @@ func TestSweepTablesGolden(t *testing.T) {
 			fmt.Fprintf(buf, "%+v\n", pts)
 			return err
 		}},
-		"tree": {"277be751c66f6c6f07d69cb696bf337ea124476b92bdff835cf02e0174f2f10f", func(buf *bytes.Buffer) error {
+		"tree": {"c8c9e77a309264e6fd819863eee144666157b8c7197d6503819feca3fd546695", func(buf *bytes.Buffer) error {
 			pts, err := TreeScalingSweep(p, treeTestWorkloads(t), treeTestOpts(), []TreeConfig{
 				{Levels: 2, Fanin: 4, FlushPacks: 4},
 				{Levels: 3, Fanin: 2, FlushPacks: 4},

@@ -77,8 +77,8 @@ type ProfileOptions struct {
 	// the head before the run, every block the analyzers take as they take
 	// it, the close after it — what ReplayArchive and a daemon session
 	// replay (paper §VI's export for post-mortem tools). It tees the
-	// analyzer partition's input, which a reduction tree reshapes, so it
-	// needs TreeLevels <= 1.
+	// analyzer partition's input: in a reduction tree, what the leaves
+	// fold, each writer's packs in the order its leaf took them.
 	Export io.Writer
 	// ExportFilter selects the exported events (nil = every block as it
 	// came); the kept ones are re-encoded as v3 packs.
@@ -273,9 +273,6 @@ func ProfileRunStats(p Platform, workloads []*nas.Workload, opts ProfileOptions)
 	}
 	var plan *tbon.Plan
 	if levels > 1 {
-		if opts.Export != nil {
-			return nil, nil, fmt.Errorf("exp: trace export tees the analyzer partition's input, which a reduction tree reshapes (TreeLevels <= 1 only)")
-		}
 		fanin := opts.TreeFanin
 		if fanin == 0 {
 			fanin = DefaultTreeFanin

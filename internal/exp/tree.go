@@ -28,13 +28,11 @@ const treeBlockBytes = 8 << 20
 // dispatcher (AbsorbEncoded), which merges them into the application's
 // level the same way. Whoever merges a block releases it to the pool.
 
-// shipPartial flushes pp upstream and returns the bytes written. The
-// buffer is sized from the endpoint's previous flush of that application
-// (*last, 0 before the first; a few KB then) with headroom for a delta
-// that grew, and drawn from the pack pool's class for that size.
+// shipPartial flushes pp upstream (Partial.FlushPooled, *last being the
+// endpoint's previous flush of that application) and returns the bytes
+// written.
 func shipPartial(up *vmpi.Stream, pp *analysis.Partial, last *int, final bool) (int64, error) {
-	buf := pp.Flush(trace.GetBuffer(max(*last+*last/4, 4<<10))[:0], final)
-	*last = len(buf)
+	buf := pp.FlushPooled(last, final)
 	return int64(len(buf)), up.Write(buf, int64(len(buf)))
 }
 

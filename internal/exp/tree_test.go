@@ -3,7 +3,6 @@ package exp
 import (
 	"bytes"
 	"fmt"
-	"io"
 	"runtime"
 	"strings"
 	"testing"
@@ -247,9 +246,44 @@ func TestTreeAggregatorKill(t *testing.T) {
 	}
 }
 
+// TestTreeArchiveFoldsToRootReport: a tree run's leaves tee what they
+// fold into the run's archive, each writer's packs in the order its leaf
+// took them, so the flat fold of the archive is the root's report, and
+// the archive holds every event the root analysed. Both tree depths, v1
+// and v3 packs (whose dictionaries need that per-writer order).
+func TestTreeArchiveFoldsToRootReport(t *testing.T) {
+	ws := treeTestWorkloads(t)
+	for _, levels := range []int{2, 3} {
+		for _, version := range []int{trace.PackV1, trace.PackV3} {
+			opts := treeTestOpts()
+			opts.TreeLevels, opts.PackVersion = levels, version
+			var archive bytes.Buffer
+			opts.Export = &archive
+			rep, stats, err := ProfileRunStats(Tera100(), ws, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cp, err := readArchive(&archive)
+			if err != nil {
+				t.Fatal(err)
+			}
+			flat, err := cp.analyse(1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, _ := ProfileFingerprint(rep)
+			got, _ := ProfileFingerprint(flat)
+			if got != want || cp.Events != stats.AnalyzedEvents {
+				t.Errorf("L%d v%d: archive of %d events folds to %.12s, the root analysed %d to %.12s",
+					levels, version, cp.Events, got, stats.AnalyzedEvents, want)
+			}
+		}
+	}
+}
+
 // TestTreeOptionValidation pins the option cross-checks: a run needs
-// workloads, trace export needs the raw event flow, aggregator faults
-// need a tree, and the tree root cannot be killed.
+// workloads, aggregator faults need a tree, and the tree root cannot be
+// killed.
 func TestTreeOptionValidation(t *testing.T) {
 	p := Tera100()
 	ws := treeTestWorkloads(t)[:1]
@@ -260,9 +294,6 @@ func TestTreeOptionValidation(t *testing.T) {
 		want string
 	}{
 		{"no-workloads", nil, ProfileOptions{}, "no workloads to profile"},
-		{"export-with-tree", ws,
-			ProfileOptions{TreeLevels: 2, Export: io.Discard},
-			"trace export"},
 		{"fault-without-tree", ws,
 			ProfileOptions{AggregatorFaults: []AggregatorFault{{Local: 0}}},
 			"need a reduction tree"},

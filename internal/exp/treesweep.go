@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
@@ -71,7 +72,8 @@ type TreePoint struct {
 	// sweep's flat baseline (0 for the baseline itself).
 	IngestReductionPct float64
 	// Fingerprint is the masked report hash; MatchesFlat records whether
-	// it equals the flat baseline's.
+	// it equals that of the flat fold of the run's own archive: the same
+	// events, analysed without the tree.
 	Fingerprint string
 	MatchesFlat bool
 }
@@ -80,17 +82,33 @@ type TreePoint struct {
 // tree configuration, all at equal event volume and on a pinned platform
 // model, and reports each topology's root-blackboard ingest against the
 // flat baseline. The first returned point is always the flat baseline.
+// Each run's report is held to the flat fold of that run's own archive:
+// aggregator traffic shifts the application's virtual time, and with it
+// the events, so a separate flat run is no reference for a tree run.
 func TreeScalingSweep(p Platform, workloads []*nas.Workload, base ProfileOptions, configs []TreeConfig) ([]TreePoint, error) {
 	run := func(cfg TreeConfig) (TreePoint, error) {
 		opts := base
 		opts.TreeLevels = cfg.Levels
 		opts.TreeFanin = cfg.Fanin
 		opts.TreeFlushPacks = cfg.FlushPacks
+		var archive bytes.Buffer
+		opts.Export = &archive
 		rep, stats, err := ProfileRunStats(p, workloads, opts)
+		var ref *report.Report
+		if err == nil {
+			var cp *Capture
+			if cp, err = readArchive(&archive); err == nil {
+				ref, err = cp.analyse(opts.Workers)
+			}
+		}
 		if err != nil {
 			return TreePoint{}, fmt.Errorf("exp: tree sweep %s: %w", cfg, err)
 		}
 		fp, err := ProfileFingerprint(rep)
+		if err != nil {
+			return TreePoint{}, err
+		}
+		want, err := ProfileFingerprint(ref)
 		if err != nil {
 			return TreePoint{}, err
 		}
@@ -102,6 +120,7 @@ func TreeScalingSweep(p Platform, workloads []*nas.Workload, base ProfileOptions
 			RootIngestBytes: stats.RootIngestBytes,
 			RootPosts:       stats.RootPosts,
 			Fingerprint:     fp,
+			MatchesFlat:     fp == want,
 		}
 		if pt.AppSeconds > 0 {
 			pt.RootIngestRate = float64(pt.RootIngestBytes) / pt.AppSeconds
@@ -113,7 +132,6 @@ func TreeScalingSweep(p Platform, workloads []*nas.Workload, base ProfileOptions
 	if err != nil {
 		return nil, err
 	}
-	flat.MatchesFlat = true
 	points := []TreePoint{flat}
 	for _, cfg := range configs {
 		pt, err := run(cfg)
@@ -123,20 +141,21 @@ func TreeScalingSweep(p Platform, workloads []*nas.Workload, base ProfileOptions
 		if flat.RootIngestBytes > 0 {
 			pt.IngestReductionPct = 100 * (1 - float64(pt.RootIngestBytes)/float64(flat.RootIngestBytes))
 		}
-		pt.MatchesFlat = pt.Fingerprint == flat.Fingerprint
 		points = append(points, pt)
 	}
 	return points, nil
 }
 
 // WriteTreeTable prints a tree scaling sweep, one topology per row, with
-// the flat baseline first.
+// the flat baseline first. shift-ms is the perturbation: how far the
+// aggregators' traffic moved the application's virtual time from the flat
+// run's, in milliseconds.
 func WriteTreeTable(w io.Writer, points []TreePoint) {
-	fmt.Fprintf(w, "%-12s %5s %9s %10s %13s %12s %10s %6s\n",
-		"topology", "aggs", "app-sec", "events", "root-bytes", "bytes/sec", "reduction", "match")
+	fmt.Fprintf(w, "%-12s %5s %9s %9s %10s %13s %12s %10s %6s\n",
+		"topology", "aggs", "app-sec", "shift-ms", "events", "root-bytes", "bytes/sec", "reduction", "match")
 	for _, pt := range points {
-		fmt.Fprintf(w, "%-12s %5d %9.3f %10d %13d %12.0f %9.1f%% %6v\n",
-			pt.Config, pt.TreeRanks, pt.AppSeconds, pt.AnalyzedEvents,
+		fmt.Fprintf(w, "%-12s %5d %9.3f %+9.3f %10d %13d %12.0f %9.1f%% %6v\n",
+			pt.Config, pt.TreeRanks, pt.AppSeconds, 1e3*(pt.AppSeconds-points[0].AppSeconds), pt.AnalyzedEvents,
 			pt.RootIngestBytes, pt.RootIngestRate, pt.IngestReductionPct, pt.MatchesFlat)
 	}
 }

@@ -193,7 +193,7 @@ func (d *Daemon) Serve(l net.Listener) error {
 func (d *Daemon) ServeConn(rw io.ReadWriteCloser) error {
 	defer rw.Close()
 	c := &conn{d: d}
-	err := c.run(wire.NewReader(rw), bufio.NewWriter(rw))
+	err := c.run(wire.NewReader(rw), bufio.NewWriterSize(rw, wire.ConnBuffer))
 	if c.sess != nil && !c.sess.closed {
 		d.endSession(c.sess, nil)
 		if err == nil {
@@ -302,6 +302,7 @@ func (d *Daemon) endSession(s *session, rep *report.Report) {
 	d.mergeNs += s.laneMergeNs.Load()
 	d.query.add(s.queryStats())
 	d.mu.Unlock()
+	s.release()
 }
 
 // conn is one connection's protocol state machine. handle advances it by
@@ -318,10 +319,12 @@ type conn struct {
 	// the governor under escalation — paces its burst size.
 	granted  int64
 	received int64
-	// grant is where a credit frame's payload is assembled: a payload
-	// handed to the frame writer escapes, and a fresh one per window would
-	// be the pack path's only allocation.
+	// grant is where a credit frame's payload is assembled, state where a
+	// State frame's is: a payload handed to the frame writer escapes, so a
+	// fresh one per reply would be the pack path's only allocation (credit)
+	// and a fresh copy of every query's answer (state).
 	grant [8]byte
+	state []byte
 }
 
 // run is the socket shell: read a frame, handle it, write the reply. A
@@ -357,6 +360,15 @@ func (c *conn) run(fr *wire.Reader, bw *bufio.Writer) error {
 	}
 }
 
+// reply encodes a query answer into the connection's state buffer.
+func (c *conn) reply(st wire.State, err error) (byte, []byte, error) {
+	if err != nil {
+		return 0, nil, err
+	}
+	c.state = wire.AppendState(c.state[:0], st)
+	return wire.TypeState, c.state, nil
+}
+
 // sessionOps names the frames that act on the registered session, indexed
 // by frame type ("" for the rest): a lookup on every pack costs no hash.
 var sessionOps = [256]string{wire.TypePack: "pack", wire.TypeSnapshot: "snapshot", wire.TypeDiff: "diff", wire.TypeClose: "close"}
@@ -364,7 +376,9 @@ var sessionOps = [256]string{wire.TypePack: "pack", wire.TypeSnapshot: "snapshot
 // handle advances the protocol by one frame: Hello, then Register, then
 // any number of Pack/Snapshot/Diff/Stats, then Close. It returns the reply
 // frame, typ 0 for none (a pack inside its credit window), or the error
-// that refuses the frame. It does no I/O.
+// that refuses the frame. It does no I/O. A reply payload is valid until
+// the next frame: Credit and State payloads live in storage the connection
+// and its session keep.
 func (c *conn) handle(f wire.Frame) (typ byte, payload []byte, err error) {
 	op := sessionOps[f.Type]
 	switch {
@@ -454,15 +468,13 @@ func (c *conn) request(f wire.Frame) (byte, []byte, error) {
 		n := copy(c.grant[:], wire.EncodeCredit(wire.Credit{Credits: uint32(win), Window: uint32(win)}))
 		return wire.TypeCredit, c.grant[:n], nil
 	case wire.TypeSnapshot:
-		st, err := c.sess.snapshot()
-		return wire.TypeState, wire.EncodeState(st), err
+		return c.reply(c.sess.snapshot())
 	case wire.TypeDiff:
 		dr, err := wire.ParseDiffReq(f.Payload)
 		if err != nil {
 			return 0, nil, err
 		}
-		st, err := c.sess.diff(dr.Cursor)
-		return wire.TypeState, wire.EncodeState(st), err
+		return c.reply(c.sess.diff(dr.Cursor))
 	}
 	// Close runs the final flush and retires the session into the
 	// daemon's history.

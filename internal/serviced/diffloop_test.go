@@ -2,12 +2,14 @@ package serviced
 
 import (
 	"bytes"
+	"math/rand/v2"
 	"testing"
 	"time"
 
 	"repro/internal/analysis"
 	"repro/internal/client"
 	"repro/internal/trace"
+	"repro/internal/wire"
 )
 
 // TestDiffLoopCursorDepths runs the same pack stream through two
@@ -148,5 +150,71 @@ func TestLiveWindowsCarryLateSender(t *testing.T) {
 	}
 	if windows != whole {
 		t.Errorf("Σ window late-sender wait %d ns != whole run %d ns", windows, whole)
+	}
+}
+
+// TestDiffRecyclingOracle holds the recycled epoch ring to the Snapshot:
+// a seeded session through conn.handle polls at random cursor depths —
+// one epoch, several, exactly the ring's span, and older than
+// DefaultEpochCap, which is answered Full — across hundreds of seals, so
+// the ring wraps many times and every sealed buffer goes back to the pack
+// pool and comes out again for a later epoch. Each answer is applied to a
+// client-side replay before the next frame and must verify against the
+// Snapshot after it. Epochs hold one to three of a v1 capture's packs
+// taken round and round, so no two neighbours in the ring share their
+// bytes.
+func TestDiffRecyclingOracle(t *testing.T) {
+	opts := testOpts
+	opts.PackVersion = trace.PackV1
+	opts.PackBytes = 1024
+	opts.TemporalWindowNs = (10 * time.Millisecond).Nanoseconds()
+	opts.WindowNs = (5 * time.Millisecond).Nanoseconds()
+	cp := capture(t, opts, [4]int{0, 'A', 16, 2}, [4]int{1, 'A', 16, 1})
+	meta := cp.SessionMeta()
+	c := queryConn(t, trace.PackV1, meta)
+	replay := client.NewDiffReplayer(meta)
+	rng := rand.New(rand.NewPCG(53, 1))
+	next := 0
+	seal := func() {
+		n := 1 + rng.IntN(3)
+		for i := 0; i < n; i++ {
+			feed(t, c, cp.Packs[next%len(cp.Packs):next%len(cp.Packs)+1])
+			next++
+		}
+		step(t, c, wire.Frame{Type: wire.TypeSnapshot}, wire.TypeState)
+	}
+	depths := []int{1, 2, 3, 7, 19, DefaultEpochCap - 1, DefaultEpochCap, DefaultEpochCap + 1, DefaultEpochCap + 6}
+	seals, full := 0, 0
+	for round := 0; round < 40; round++ {
+		depth := depths[rng.IntN(len(depths))]
+		for i := 1; i < depth; i++ {
+			seal()
+		}
+		feed(t, c, cp.Packs[next%len(cp.Packs):next%len(cp.Packs)+1]) // the Diff seals the last epoch
+		next++
+		seals += depth
+		st, err := wire.ParseState(step(t, c, wire.Frame{Type: wire.TypeDiff, Payload: wire.EncodeDiffReq(wire.DiffReq{Cursor: replay.Cursor()})}, wire.TypeState))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if aged := depth > DefaultEpochCap; st.Full != aged || (!aged && st.To-st.From != uint64(depth)) {
+			t.Fatalf("round %d: a cursor %d epochs deep got (%d, %d] full=%v", round, depth, st.From, st.To, st.Full)
+		}
+		if st.Full {
+			full++
+		}
+		if err := replay.Apply(st); err != nil {
+			t.Fatal(err)
+		}
+		snap, err := wire.ParseState(step(t, c, wire.Frame{Type: wire.TypeSnapshot}, wire.TypeState))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := replay.Verify(snap); err != nil {
+			t.Fatalf("round %d, cursor %d epochs deep: %v", round, depth, err)
+		}
+	}
+	if seals <= 4*DefaultEpochCap || full == 0 {
+		t.Fatalf("%d seals and %d full resyncs: the ring did not wrap enough", seals, full)
 	}
 }

@@ -2,7 +2,6 @@ package serviced
 
 import (
 	"fmt"
-	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -33,9 +32,15 @@ type sessionApp struct {
 	delta *analysis.Replica
 	// cum is the merge of every sealed delta: the state Snapshot serves.
 	cum *analysis.Partial
-	// sealedLen is the size of the last sealed delta: the next seal's
-	// buffer starts at that capacity instead of growing from nothing.
+	// sealedLen is the size of the last flushed delta, which sizes the
+	// next flush's buffer (Partial.FlushPooled).
 	sealedLen int
+	// snap holds the app's part of the last Snapshot, multi that of the
+	// last Diff over several epochs, which folds them into acc first
+	// (emptied again by the flush that encodes it): storage every query
+	// reuses, so an answer is valid until the next frame.
+	snap, multi []byte
+	acc         *analysis.Partial
 	// tracker, on windowed sessions, is the arrival-side lateness
 	// accounting shared by the synchronous fold and every ingest lane,
 	// each counting into a tally of its own replica (Replica.Track).
@@ -67,12 +72,15 @@ type session struct {
 	decs trace.Decoders
 	gov  *governor
 
-	// epoch counts seals; sealed retains the most recent DefaultEpochCap
-	// sealed deltas, covering epochs (epoch-len(sealed), epoch]. A Diff
-	// cursor older than that gets a full-state resync.
+	// epoch counts seals; sealed is a ring of the most recent
+	// DefaultEpochCap sealed deltas, covering epochs (epoch-len(sealed),
+	// epoch], epoch e in slot (e-1) mod DefaultEpochCap. A Diff cursor
+	// older than that gets a full-state resync.
 	epoch  atomic.Uint64
 	dirty  bool
 	sealed []sealedEpoch
+	// answer holds a query answer's per-app slices.
+	answer [][]byte
 
 	// lanes is the bounded ingest worker pool (empty = synchronous
 	// ingest); see lanes.go for the full concurrency contract.
@@ -99,7 +107,9 @@ type session struct {
 }
 
 // sealedEpoch is one sealed delta: the encoded per-application partials
-// of everything ingested between two seals, indexed like session.apps.
+// of everything ingested between two seals, indexed like session.apps, in
+// pack-pool storage that goes back when the ring evicts the epoch or the
+// session ends.
 type sealedEpoch struct {
 	apps [][]byte
 }
@@ -115,6 +125,7 @@ func newSession(id uint64, format int, meta wire.SessionMeta, gov *governor, wor
 		byID:   make(map[uint32]*sessionApp, len(meta.Apps)),
 		decs:   make(trace.Decoders),
 		gov:    gov,
+		answer: make([][]byte, len(meta.Apps)),
 	}
 	for _, am := range meta.Apps {
 		opts := analysis.PartialOptions{
@@ -132,6 +143,7 @@ func newSession(id uint64, format int, meta wire.SessionMeta, gov *governor, wor
 			gate:  gov.newGate(),
 			delta: analysis.NewReplica(am.AppID, opts),
 			cum:   analysis.NewPartial(am.AppID, opts),
+			acc:   analysis.NewPartial(am.AppID, opts),
 		}
 		if meta.WindowNs > 0 {
 			app.tracker = analysis.NewWindowTracker(meta.WindowNs, meta.WindowSlideNs, meta.WindowGraceNs, nil)
@@ -234,10 +246,11 @@ func decodeAdmitted(decs trace.Decoders, src uint32, app *sessionApp, pack []byt
 // seal closes the current delta into a new epoch: pending lane work is
 // flushed into the delta first (the lane pool's epoch barrier), then
 // each application's delta is flushed (settled statistics only —
-// pendings stay local; the flush resets the delta in place), its bytes
-// are folded into the cumulative state with MergeEncoded, and the same
-// bytes are retained for Diff replay. The cost is that of the encoded
-// delta: nothing on this path is proportional to ranks².
+// pendings stay local; the flush resets the delta in place) into a pooled
+// buffer, its bytes are folded into the cumulative state with
+// MergeEncoded, and the same bytes are retained for Diff replay. The cost
+// is that of the encoded delta: nothing on this path is proportional to
+// ranks².
 func (s *session) seal() error {
 	if err := s.flushLanes(); err != nil {
 		return err
@@ -247,25 +260,46 @@ func (s *session) seal() error {
 	}
 	t0 := time.Now()
 	epoch := s.epoch.Load()
-	se := sealedEpoch{apps: make([][]byte, len(s.apps))}
+	se := s.slot(epoch + 1)
 	for i, a := range s.apps {
-		// A quarter over the last epoch's size: steady epochs fit, and the
-		// retained bytes are not pinned in a buffer much larger than they are.
-		se.apps[i] = a.delta.Partial().Flush(make([]byte, 0, a.sealedLen+a.sealedLen/4), false)
-		a.sealedLen = len(se.apps[i])
+		se.apps[i] = a.delta.Partial().FlushPooled(&a.sealedLen, false)
 		if err := a.cum.MergeEncoded(se.apps[i]); err != nil {
 			return fmt.Errorf("serviced: seal epoch %d: %w", epoch+1, err)
 		}
 	}
 	s.epoch.Add(1)
-	if len(s.sealed) == DefaultEpochCap {
-		s.sealed = slices.Delete(s.sealed, 0, 1) // copy down: the log keeps its storage
-	}
-	s.sealed = append(s.sealed, se)
 	s.dirty = false
 	s.seals.Add(1)
 	s.sealNs.Add(time.Since(t0).Nanoseconds())
 	return nil
+}
+
+// slot returns the ring entry epoch e seals into. Once the ring is full
+// that is the oldest epoch's, whose bytes go back to the pack pool: no
+// answer refers to them, each being copied into its frame before the
+// next one is served.
+func (s *session) slot(e uint64) *sealedEpoch {
+	if len(s.sealed) < DefaultEpochCap {
+		s.sealed = append(s.sealed, sealedEpoch{apps: make([][]byte, len(s.apps))})
+		return &s.sealed[len(s.sealed)-1]
+	}
+	se := &s.sealed[(e-1)%DefaultEpochCap]
+	for i, b := range se.apps {
+		trace.PutBuffer(b)
+		se.apps[i] = nil
+	}
+	return se
+}
+
+// release gives the retained epochs' bytes back to the pack pool when the
+// session ends, closed or aborted.
+func (s *session) release() {
+	for _, se := range s.sealed {
+		for _, b := range se.apps {
+			trace.PutBuffer(b)
+		}
+	}
+	s.sealed = nil
 }
 
 // snapshot seals pending work and returns the full cumulative state:
@@ -275,9 +309,10 @@ func (s *session) snapshot() (wire.State, error) {
 	if err := s.seal(); err != nil {
 		return wire.State{}, err
 	}
-	st := wire.State{From: 0, To: s.epoch.Load(), Full: true, Apps: make([][]byte, len(s.apps))}
+	st := wire.State{From: 0, To: s.epoch.Load(), Full: true, Apps: s.answer}
 	for i, a := range s.apps {
-		st.Apps[i] = a.cum.AppendCanonical(nil)
+		a.snap = a.cum.AppendCanonical(a.snap[:0])
+		st.Apps[i] = a.snap
 	}
 	s.served(st)
 	return st, nil
@@ -308,7 +343,8 @@ func (s *session) served(st wire.State) {
 // case — is answered with that epoch's retained bytes as they are (they
 // decode to the partial a canonical re-encode would give; only the
 // header's pendings bit differs, which no decoder reads); an older one
-// with the epochs folded into one accumulator by MergeEncoded. A cursor
+// with the epochs folded into the app's kept accumulator by MergeEncoded,
+// which the flush that encodes the answer empties again. A cursor
 // that aged out of the retained log gets the full state back (Full set —
 // replace, don't merge); a cursor at the head gets an empty delta.
 func (s *session) diff(cursor uint64) (wire.State, error) {
@@ -337,19 +373,18 @@ func (s *session) diff(cursor uint64) (wire.State, error) {
 	if cursor == epoch {
 		return st, nil
 	}
-	missed := s.sealed[cursor-lo:]
-	if len(missed) == 1 {
-		st.Apps = missed[0].apps
+	if epoch-cursor == 1 {
+		st.Apps = s.sealed[cursor%DefaultEpochCap].apps
 	} else {
-		st.Apps = make([][]byte, len(s.apps))
+		st.Apps = s.answer
 		for i, a := range s.apps {
-			acc := analysis.NewPartial(a.meta.AppID, a.opts)
-			for _, se := range missed {
-				if err := acc.MergeEncoded(se.apps[i]); err != nil {
+			for e := cursor; e < epoch; e++ {
+				if err := a.acc.MergeEncoded(s.sealed[e%DefaultEpochCap].apps[i]); err != nil {
 					return wire.State{}, fmt.Errorf("serviced: diff merge: %w", err)
 				}
 			}
-			st.Apps[i] = acc.AppendCanonical(nil)
+			a.multi = a.acc.Flush(a.multi[:0], true)
+			st.Apps[i] = a.multi
 		}
 	}
 	s.served(st)
@@ -373,7 +408,10 @@ func (s *session) close(cm wire.CloseMeta) (*report.Report, error) {
 	}
 	t0 := time.Now()
 	for _, a := range s.apps {
-		if err := a.cum.MergeEncoded(a.delta.Partial().Flush(nil, true)); err != nil {
+		buf := a.delta.Partial().FlushPooled(&a.sealedLen, true)
+		err := a.cum.MergeEncoded(buf)
+		trace.PutBuffer(buf)
+		if err != nil {
 			return nil, fmt.Errorf("serviced: final seal: %w", err)
 		}
 	}

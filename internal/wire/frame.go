@@ -18,6 +18,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"slices"
 
 	"repro/internal/trace"
 )
@@ -352,26 +353,31 @@ type State struct {
 	Apps [][]byte
 }
 
-// EncodeState encodes a state answer.
-func EncodeState(s State) []byte {
+// EncodeState encodes a state answer into a buffer of its own.
+func EncodeState(s State) []byte { return AppendState(nil, s) }
+
+// AppendState appends the encoding of a state answer to dst, growing it
+// at most once: a connection that keeps dst answers every query from the
+// same storage.
+func AppendState(dst []byte, s State) []byte {
 	n := 8 + 8 + 1 + 4
 	for _, a := range s.Apps {
 		n += 4 + len(a)
 	}
-	p := make([]byte, 0, n)
-	p = binary.LittleEndian.AppendUint64(p, s.From)
-	p = binary.LittleEndian.AppendUint64(p, s.To)
+	dst = slices.Grow(dst, n)
+	dst = binary.LittleEndian.AppendUint64(dst, s.From)
+	dst = binary.LittleEndian.AppendUint64(dst, s.To)
 	if s.Full {
-		p = append(p, 1)
+		dst = append(dst, 1)
 	} else {
-		p = append(p, 0)
+		dst = append(dst, 0)
 	}
-	p = binary.LittleEndian.AppendUint32(p, uint32(len(s.Apps)))
+	dst = binary.LittleEndian.AppendUint32(dst, uint32(len(s.Apps)))
 	for _, a := range s.Apps {
-		p = binary.LittleEndian.AppendUint32(p, uint32(len(a)))
-		p = append(p, a...)
+		dst = binary.LittleEndian.AppendUint32(dst, uint32(len(a)))
+		dst = append(dst, a...)
 	}
-	return p
+	return dst
 }
 
 // ParseState decodes a state answer. The per-app slices alias the
