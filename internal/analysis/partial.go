@@ -707,15 +707,34 @@ func DecodePartial(buf []byte) (*Partial, error) {
 // module selection into pp straight from its bytes — the result of
 // Merge(DecodePartial(buf)) without materializing the decoded partial,
 // so the cost is proportional to what buf holds, not to the dense
-// module state. Validate-then-apply: the buffer is first walked with
-// every hostile-input check DecodePartial makes and only then folded
-// in, so an error leaves pp exactly as it was.
+// module state. Validate-then-apply: CheckEncoded, then MergeChecked, so
+// an error leaves pp exactly as it was.
 func (pp *Partial) MergeEncoded(buf []byte) error { return pp.mergeEncoded(buf, pp.AppID) }
 
 // mergeEncoded is MergeEncoded of a partial whose header must name
 // application want: the receiver's own id, or the id a dispatcher routed
 // the bytes by to a state that folds under another.
 func (pp *Partial) mergeEncoded(buf []byte, want uint32) error {
+	if err := pp.walkEncoded(buf, want, false); err != nil {
+		return err
+	}
+	return pp.walkEncoded(buf, want, true)
+}
+
+// CheckEncoded walks buf with every check MergeEncoded makes and folds
+// nothing: nil means MergeEncoded would accept it. A caller that folds
+// several buffers all or none checks each before merging any.
+func (pp *Partial) CheckEncoded(buf []byte) error { return pp.walkEncoded(buf, pp.AppID, false) }
+
+// MergeChecked is MergeEncoded's second walk alone, for a buf that
+// CheckEncoded accepted: it folds without walking the bytes twice. It
+// still refuses malformed input, but may have folded part of it by then.
+func (pp *Partial) MergeChecked(buf []byte) error { return pp.walkEncoded(buf, pp.AppID, true) }
+
+// walkEncoded reads buf's header, requires it mergeable into pp under
+// application want, and walks its sections, folding them when apply is
+// set.
+func (pp *Partial) walkEncoded(buf []byte, want uint32, apply bool) error {
 	r := preader{buf: buf}
 	appID, opts, flags, err := readPartialHeader(&r)
 	if err != nil {
@@ -724,12 +743,7 @@ func (pp *Partial) mergeEncoded(buf []byte, want uint32) error {
 	if err := pp.mergeable(want, appID, opts); err != nil {
 		return err
 	}
-	body := r.off
-	if err := pp.mergeSections(&r, flags, false); err != nil {
-		return err
-	}
-	r.off = body
-	return pp.mergeSections(&r, flags, true)
+	return pp.mergeSections(&r, flags, apply)
 }
 
 // PartialAppID returns the application id an encoded partial's header

@@ -34,6 +34,14 @@ type Client struct {
 	// req is where a Diff request's cursor is encoded, like the daemon's
 	// credit grant: a payload handed to the frame writer escapes.
 	req [8]byte
+	// apps and bufs are where Snapshot and Diff answers live: the answer's
+	// per-app header and one buffer per app, each app's bytes copied out of
+	// the frame reader's buffer, which the next frame overwrites. An answer
+	// is valid until the next Snapshot or Diff. Each buffer keeps the
+	// capacity of the largest answer its app has had until Shutdown drops
+	// them: a Client carries one session, so none outlives it.
+	apps [][]byte
+	bufs [][]byte
 }
 
 // session is the client's half of the protocol state: the registered
@@ -224,7 +232,9 @@ func (c *Client) SendPack(src uint32, pack []byte) error {
 }
 
 // Snapshot fetches the session's full merged analysis state; the
-// returned epoch (State.To) is a valid Diff cursor.
+// returned epoch (State.To) is a valid Diff cursor. The answer is valid
+// until the next Snapshot or Diff, which reuses its storage: the client
+// holds each app's largest answer until Shutdown.
 func (c *Client) Snapshot() (wire.State, error) {
 	if err := c.ready("snapshot"); err != nil {
 		return wire.State{}, err
@@ -233,12 +243,13 @@ func (c *Client) Snapshot() (wire.State, error) {
 	if err != nil {
 		return wire.State{}, err
 	}
-	return parseStateCopy(f.Payload)
+	return c.keep(f.Payload)
 }
 
 // Diff fetches the state delta since the cursor: mergeable partials
 // covering epochs (cursor, State.To], or the full state (State.Full)
-// when the cursor aged out of the daemon's epoch log.
+// when the cursor aged out of the daemon's epoch log. The answer is valid
+// until the next Snapshot or Diff, like Snapshot's.
 func (c *Client) Diff(cursor uint64) (wire.State, error) {
 	if err := c.ready("diff"); err != nil {
 		return wire.State{}, err
@@ -248,18 +259,23 @@ func (c *Client) Diff(cursor uint64) (wire.State, error) {
 	if err != nil {
 		return wire.State{}, err
 	}
-	return parseStateCopy(f.Payload)
+	return c.keep(f.Payload)
 }
 
-// parseStateCopy parses a state frame and unaliases the per-app slices
-// from the reader's reused buffer.
-func parseStateCopy(payload []byte) (wire.State, error) {
-	st, err := wire.ParseState(payload)
+// keep parses a state frame into the client's answer storage, copying
+// each app's bytes out of the frame reader's buffer into that app's own.
+func (c *Client) keep(payload []byte) (wire.State, error) {
+	st, err := wire.ParseStateInto(c.apps[:0], payload)
 	if err != nil {
 		return wire.State{}, err
 	}
+	c.apps = st.Apps
 	for i, a := range st.Apps {
-		st.Apps[i] = append([]byte(nil), a...)
+		if i == len(c.bufs) {
+			c.bufs = append(c.bufs, nil)
+		}
+		c.bufs[i] = append(c.bufs[i][:0], a...)
+		st.Apps[i] = c.bufs[i]
 	}
 	return st, nil
 }
@@ -294,9 +310,12 @@ func (c *Client) Stats() ([]byte, error) {
 }
 
 // Shutdown closes the connection; every later call fails at once. Packs
-// still buffered are dropped, as the session they belong to is.
+// still buffered are dropped, as the session they belong to is, and the
+// client lets go of its answer storage: the last answer stays the
+// caller's.
 func (c *Client) Shutdown() error {
 	c.sess.shut = true
+	c.apps, c.bufs = nil, nil
 	return c.conn.Close()
 }
 
@@ -331,34 +350,36 @@ func (r *DiffReplayer) Cursor() uint64 { return r.cursor }
 
 // Apply folds one State answer into the replayed state: deltas merge,
 // full states replace. Either way the partials are folded in straight
-// from their bytes (analysis.MergeEncoded), so applying a delta costs
-// what the delta holds, not the size of the replayed state.
+// from their bytes, so applying a delta costs what the delta holds, not
+// the size of the replayed state. All or nothing: every app's bytes are
+// checked (Partial.CheckEncoded) before any is folded (MergeChecked), so
+// an answer Apply refuses leaves the replayed state and its cursor as
+// they were.
 func (r *DiffReplayer) Apply(st wire.State) error {
-	if st.Full {
-		for i, am := range r.apps {
-			fresh := analysis.NewPartial(am.AppID, am.Options())
-			if i < len(st.Apps) {
-				if err := fresh.MergeEncoded(st.Apps[i]); err != nil {
-					return err
-				}
-			}
-			r.apps[i] = fresh
-		}
-		r.cursor = st.To
-		return nil
+	if len(st.Apps) > len(r.apps) {
+		return fmt.Errorf("client: answer names %d apps, session has %d", len(st.Apps), len(r.apps))
 	}
-	if st.From != r.cursor {
+	if !st.Full && st.From != r.cursor {
 		return fmt.Errorf("client: diff covers (%d, %d] but replay cursor is %d", st.From, st.To, r.cursor)
 	}
-	for i := range st.Apps {
-		if i >= len(r.apps) {
-			return fmt.Errorf("client: diff names app %d, session has %d", i, len(r.apps))
-		}
-		if err := r.apps[i].MergeEncoded(st.Apps[i]); err != nil {
-			return err
+	into := r.apps
+	if st.Full {
+		into = make([]*analysis.Partial, len(r.apps))
+		for i, am := range r.apps {
+			into[i] = analysis.NewPartial(am.AppID, am.Options())
 		}
 	}
-	r.cursor = st.To
+	for i, a := range st.Apps {
+		if err := into[i].CheckEncoded(a); err != nil {
+			return fmt.Errorf("client: app %d: %w", i, err)
+		}
+	}
+	for i, a := range st.Apps {
+		if err := into[i].MergeChecked(a); err != nil {
+			return fmt.Errorf("client: app %d: %w", i, err)
+		}
+	}
+	r.apps, r.cursor = into, st.To
 	return nil
 }
 

@@ -500,3 +500,166 @@ func TestStatsAfterSpentWindow(t *testing.T) {
 		t.Fatal("Stats with a spent credit window deadlocked")
 	}
 }
+
+// TestStateStorageOwnership: an answer lives in storage the client keeps,
+// valid until the next Snapshot or Diff. SendPack, Stats and Close leave a
+// Snapshot's bytes as they were; the next Diff is parsed into the same
+// storage; Shutdown drops the storage and leaves the last answer to the
+// caller.
+func TestStateStorageOwnership(t *testing.T) {
+	cp := captureCG(t, 1, trace.PackV1)
+	c := pipeTo(t, serviced.New(serviced.Options{}), trace.PackV1)
+	if _, err := c.Register(cp.SessionMeta()); err != nil {
+		t.Fatal(err)
+	}
+	send := func(packs []exp.CapturedPack) {
+		t.Helper()
+		for _, p := range packs {
+			if err := c.SendPack(uint32(p.Src), p.Data); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	intact := func(st wire.State, want []byte, after string) {
+		t.Helper()
+		if len(st.Apps) != 1 || string(st.Apps[0]) != string(want) {
+			t.Fatalf("a Snapshot's bytes changed under %s", after)
+		}
+	}
+	half := len(cp.Packs) / 2
+	send(cp.Packs[:half])
+	snap, err := c.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := append([]byte(nil), snap.Apps[0]...)
+	send(cp.Packs[half : half+1])
+	intact(snap, want, "SendPack")
+	if _, err := c.Stats(); err != nil {
+		t.Fatal(err)
+	}
+	intact(snap, want, "Stats")
+
+	st, err := c.Diff(snap.To)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(st.Apps) != 1 || len(st.Apps[0]) > len(want) || &st.Apps[0][:1][0] != &snap.Apps[0][:1][0] {
+		t.Fatalf("the Diff after a Snapshot is not parsed into the Snapshot's storage")
+	}
+	send(cp.Packs[half+1:])
+
+	last, err := c.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want = append(want[:0], last.Apps[0]...)
+	if _, err := c.Close(cp.CloseMeta()); err != nil {
+		t.Fatal(err)
+	}
+	intact(last, want, "Close")
+	if _, err := c.Stats(); err != nil {
+		t.Fatal(err)
+	}
+	intact(last, want, "Stats after Close")
+	c.Shutdown()
+	intact(last, want, "Shutdown")
+}
+
+// TestApplyIsAllOrNothing: an answer Apply refuses changes nothing — not
+// the first app of a two-app delta whose second app is truncated, not a
+// Full answer with the same flaw, not one naming more apps than the
+// session has — so the replayer still verifies against the Snapshot
+// before it, and then applies the intact answer.
+func TestApplyIsAllOrNothing(t *testing.T) {
+	var ws []*nas.Workload
+	for _, name := range []string{"CG", "LU"} {
+		w, err := nas.ByName(name, 'A', 16, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ws = append(ws, w)
+	}
+	cp, err := exp.CaptureRun(exp.Tera100(), ws, exp.ProfileOptions{WaitState: true, Sizes: true, PackVersion: trace.PackV1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	meta := cp.SessionMeta()
+	c := pipeTo(t, serviced.New(serviced.Options{}), trace.PackV1)
+	if _, err := c.Register(meta); err != nil {
+		t.Fatal(err)
+	}
+	send := func(packs []exp.CapturedPack) {
+		t.Helper()
+		for _, p := range packs {
+			if err := c.SendPack(uint32(p.Src), p.Data); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	// Each half of the run carries events of both apps: the first half of
+	// each app's packs, then the rest.
+	var first, second []exp.CapturedPack
+	for _, am := range meta.Apps {
+		var own []exp.CapturedPack
+		for _, p := range cp.Packs {
+			if h, err := trace.PeekHeader(p.Data); err == nil && h.AppID == am.AppID {
+				own = append(own, p)
+			}
+		}
+		first, second = append(first, own[:len(own)/2]...), append(second, own[len(own)/2:]...)
+	}
+	replay := client.NewDiffReplayer(meta)
+	send(first)
+	st, err := c.Diff(0)
+	if err == nil {
+		err = replay.Apply(st)
+	}
+	if err != nil {
+		t.Fatal(err)
+	}
+	snap, err := c.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := replay.Verify(snap); err != nil {
+		t.Fatal(err)
+	}
+	// The next answer reuses the Snapshot's storage: keep a copy.
+	snap.Apps = [][]byte{append([]byte(nil), snap.Apps[0]...), append([]byte(nil), snap.Apps[1]...)}
+
+	send(second)
+	st, err = c.Diff(replay.Cursor())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(st.Apps) != 2 || len(st.Apps[0]) == 0 || len(st.Apps[1]) == 0 {
+		t.Fatalf("the delta carries %d apps, want both", len(st.Apps))
+	}
+	cut := st
+	cut.Apps = [][]byte{st.Apps[0], st.Apps[1][:len(st.Apps[1])/2]}
+	full := cut
+	full.Full = true
+	three := st
+	three.Apps = [][]byte{st.Apps[0], st.Apps[1], st.Apps[1]}
+	for _, bad := range []struct {
+		name string
+		st   wire.State
+	}{{"truncated second app", cut}, {"full, truncated second app", full}, {"three apps", three}} {
+		if err := replay.Apply(bad.st); err == nil {
+			t.Fatalf("%s: applied", bad.name)
+		}
+		if err := replay.Verify(snap); err != nil {
+			t.Fatalf("%s: the refused answer changed the replay: %v", bad.name, err)
+		}
+	}
+	if err := replay.Apply(st); err != nil {
+		t.Fatal(err)
+	}
+	if snap, err = c.Snapshot(); err != nil {
+		t.Fatal(err)
+	}
+	if err := replay.Verify(snap); err != nil {
+		t.Fatal(err)
+	}
+}

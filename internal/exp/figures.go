@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"io"
+	"slices"
 	"time"
 
 	"repro/internal/cliutil"
@@ -167,10 +168,27 @@ type streamSweep struct {
 	perWriter, block int64
 }
 
+// write is Figure 14's table. It refuses points that contradict the
+// paper's reading of the figure (EXPERIMENTS.md): at 2 560 writers the
+// streams beat the prorated filesystem share at ratio 25 (10.11 > 9.14
+// GB/s) and lose to it at ratio 32.
 func (s streamSweep) write(w io.Writer, j int) error {
 	points, err := StreamSweepJ(s.platform, s.writers, s.ratios, s.perWriter, s.block, j)
 	if err != nil {
 		return err
+	}
+	for _, c := range []struct {
+		ratio int
+		beats bool
+	}{{25, true}, {32, false}} {
+		i := slices.IndexFunc(points, func(p StreamPoint) bool { return p.Writers == 2560 && p.Ratio == c.ratio })
+		if i < 0 {
+			return fmt.Errorf("exp: figure 14 has no point at 2560 writers, ratio %d", c.ratio)
+		}
+		if p := points[i]; (p.Throughput > p.FSShare) != c.beats {
+			return fmt.Errorf("exp: figure 14 contradicts the paper at 2560 writers, ratio %d: streams %.2f GB/s, prorated FS %.2f GB/s",
+				c.ratio, p.Throughput/1e9, p.FSShare/1e9)
+		}
 	}
 	WriteStreamTable(w, points)
 	var best StreamPoint

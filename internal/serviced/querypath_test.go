@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/client"
 	"repro/internal/exp"
 	"repro/internal/trace"
 	"repro/internal/wire"
@@ -147,5 +148,81 @@ func TestQueryPathZeroAllocs(t *testing.T) {
 				t.Errorf("a pack, a one-epoch Diff and a Snapshot allocate %.1f objects, want 0", allocs)
 			}
 		})
+	}
+}
+
+// TestLivePollZeroAllocs guards a live dashboard's poll, both ends: on a
+// warm session over net.Pipe a client sends a pack, asks for the Diff
+// since its cursor and applies it to its replayer, and neither the client,
+// the pipe nor the daemon's connection goroutine allocates — the answer is
+// parsed into storage the client keeps, and the pack opens no new window
+// or bucket. The allocations are counted process-wide. Once with the
+// default modules and once with the live set.
+func TestLivePollZeroAllocs(t *testing.T) {
+	app := []wire.AppMeta{{AppID: 3, Name: "app", Procs: 4}}
+	for _, tc := range []struct {
+		name string
+		meta wire.SessionMeta
+	}{
+		{"default", wire.SessionMeta{Title: "t", Apps: app}},
+		{"live", wire.SessionMeta{Title: "t", WaitState: true, Sizes: true, Callsites: true, TemporalWindowNs: 1000,
+			WindowNs: 2000, WindowGraceNs: 500, Apps: app}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c := pipeClient(t, New(Options{}), trace.PackV3)
+			if _, err := c.Register(tc.meta); err != nil {
+				t.Fatal(err)
+			}
+			replay := client.NewDiffReplayer(tc.meta)
+			packs := foldPacks(tc.meta.WaitState)
+			if err := c.SendPack(0, packs[0]); err != nil {
+				t.Fatal(err)
+			}
+			poll := func() {
+				if err := c.SendPack(0, packs[1]); err != nil {
+					t.Fatal(err)
+				}
+				st, err := c.Diff(replay.Cursor())
+				if err == nil {
+					err = replay.Apply(st)
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+			}
+			// Until the epoch ring wraps, every seal takes fresh buffers
+			// from the pack pool; from then on each takes the evicted one's.
+			for i := 0; i < 2*DefaultEpochCap; i++ {
+				poll()
+			}
+			if allocs := testing.AllocsPerRun(100, poll); allocs != 0 {
+				t.Errorf("a pack, a one-epoch Diff and its Apply allocate %.1f objects, want 0", allocs)
+			}
+			snap, err := c.Snapshot()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := replay.Verify(snap); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}
+
+// TestEpochRingAllocatedOnce: the sealed-epoch ring comes whole with the
+// session, so filling its slots allocates nothing.
+func TestEpochRingAllocatedOnce(t *testing.T) {
+	meta := wire.SessionMeta{Title: "t", Apps: []wire.AppMeta{{AppID: 3, Name: "a", Procs: 4}, {AppID: 4, Name: "b", Procs: 4}}}
+	s := newSession(1, trace.PackV3, meta, newGovernor(0, 0, 0), 1)
+	defer s.shutdown()
+	e := uint64(0)
+	allocs := testing.AllocsPerRun(DefaultEpochCap-1, func() {
+		e++
+		if se := s.slot(e); len(se.apps) != 2 {
+			t.Fatalf("slot %d holds %d apps, want 2", e, len(se.apps))
+		}
+	})
+	if len(s.sealed) != DefaultEpochCap || allocs != 0 {
+		t.Errorf("filling %d of %d slots allocates %.1f objects, want 0", len(s.sealed), DefaultEpochCap, allocs)
 	}
 }

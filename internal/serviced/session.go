@@ -75,7 +75,8 @@ type session struct {
 	// epoch counts seals; sealed is a ring of the most recent
 	// DefaultEpochCap sealed deltas, covering epochs (epoch-len(sealed),
 	// epoch], epoch e in slot (e-1) mod DefaultEpochCap. A Diff cursor
-	// older than that gets a full-state resync.
+	// older than that gets a full-state resync. The ring is allocated
+	// whole with the session and grows within its capacity.
 	epoch  atomic.Uint64
 	dirty  bool
 	sealed []sealedEpoch
@@ -126,7 +127,14 @@ func newSession(id uint64, format int, meta wire.SessionMeta, gov *governor, wor
 		decs:   make(trace.Decoders),
 		gov:    gov,
 		answer: make([][]byte, len(meta.Apps)),
+		sealed: make([]sealedEpoch, DefaultEpochCap),
 	}
+	// Every slot's per-app slices are carved from one array.
+	slots := make([][]byte, DefaultEpochCap*len(meta.Apps))
+	for i := range s.sealed {
+		s.sealed[i].apps = slots[i*len(meta.Apps) : (i+1)*len(meta.Apps) : (i+1)*len(meta.Apps)]
+	}
+	s.sealed = s.sealed[:0]
 	for _, am := range meta.Apps {
 		opts := analysis.PartialOptions{
 			AppSize:          am.Procs,
@@ -280,7 +288,7 @@ func (s *session) seal() error {
 // next one is served.
 func (s *session) slot(e uint64) *sealedEpoch {
 	if len(s.sealed) < DefaultEpochCap {
-		s.sealed = append(s.sealed, sealedEpoch{apps: make([][]byte, len(s.apps))})
+		s.sealed = s.sealed[:len(s.sealed)+1]
 		return &s.sealed[len(s.sealed)-1]
 	}
 	se := &s.sealed[(e-1)%DefaultEpochCap]
@@ -299,7 +307,7 @@ func (s *session) release() {
 			trace.PutBuffer(b)
 		}
 	}
-	s.sealed = nil
+	s.sealed = s.sealed[:0]
 }
 
 // snapshot seals pending work and returns the full cumulative state:

@@ -48,6 +48,7 @@ package trace
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 )
 
 const (
@@ -204,13 +205,7 @@ func (d *StreamDecoder) initColumns(persistent bool) error {
 		count = int(dictLen)
 	}
 	need := first + count
-	dict := *target
-	if cap(dict) < need {
-		nd := make([]kctKey, first, need)
-		copy(nd, dict[:first])
-		dict = nd
-	}
-	dict = dict[:need]
+	dict := slices.Grow((*target)[:first], count)[:need]
 	for i := first; i < need; i++ {
 		if pos >= body {
 			*target = dict[:first]

@@ -159,6 +159,42 @@ func TestStreamDecoderRestart(t *testing.T) {
 	}
 }
 
+// TestStreamDecoderDictGrowsAcrossRestart holds the persistent
+// dictionary's growth to the stateless decoder: a v3 stream whose
+// dictionary grows over several packs, then restarts at base 0 and grows
+// again, decodes through one StreamDecoder to exactly the events
+// DecodeEach gives for the same events as self-contained v2 packs.
+func TestStreamDecoderDictGrowsAcrossRestart(t *testing.T) {
+	events := make([]Event, 300)
+	for i := range events {
+		events[i] = fig14ishEvent(i)
+		events[i].Ctx = uint32(i % 37)
+	}
+	var packs [][]byte
+	var want []Event
+	for _, half := range [][]Event{events[:150], events[150:]} {
+		packs = append(packs, takePacksV3(NewPackBuilderV3(1, 0, 48, 1<<9), half)...)
+		for _, p := range takePacksV3(NewPackBuilderV2(1, 0, 48, 1<<9), half) {
+			if _, err := DecodeEach(p, func(e *Event) { want = append(want, *e) }); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	var d StreamDecoder
+	got := decodeStream(t, &d, packs)
+	if len(d.dict) < 37 || len(packs) < 4 {
+		t.Fatalf("%d packs grew the dictionary to %d entries, want 37 or more over several packs", len(packs), len(d.dict))
+	}
+	if len(got) != len(want) {
+		t.Fatalf("stream decoded %d events, DecodeEach %d", len(got), len(want))
+	}
+	for i := range got {
+		if got[i] != want[i] || got[i] != events[i] {
+			t.Fatalf("event %d: stream %+v, DecodeEach %+v, sent %+v", i, got[i], want[i], events[i])
+		}
+	}
+}
+
 // TestStreamDecoderGap checks loss detection: dropping a pack that
 // introduced dictionary entries must fail loudly with a dictionary-gap
 // error, not fold events under the wrong call sites.

@@ -380,9 +380,14 @@ func AppendState(dst []byte, s State) []byte {
 	return dst
 }
 
-// ParseState decodes a state answer. The per-app slices alias the
-// payload.
-func ParseState(p []byte) (State, error) {
+// ParseState decodes a state answer into a slice of its own. The per-app
+// slices alias the payload.
+func ParseState(p []byte) (State, error) { return ParseStateInto(nil, p) }
+
+// ParseStateInto decodes a state answer, appending its per-app slices to
+// apps: a caller that passes the last answer's Apps[:0] parses every
+// answer into the same storage. The per-app slices alias the payload.
+func ParseStateInto(apps [][]byte, p []byte) (State, error) {
 	if len(p) < 21 {
 		return State{}, fmt.Errorf("wire: state payload %d bytes, want >= 21", len(p))
 	}
@@ -396,6 +401,7 @@ func ParseState(p []byte) (State, error) {
 		From: binary.LittleEndian.Uint64(p),
 		To:   binary.LittleEndian.Uint64(p[8:]),
 		Full: p[16] == 1,
+		Apps: apps,
 	}
 	n := int(binary.LittleEndian.Uint32(p[17:]))
 	off := 21
