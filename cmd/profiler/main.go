@@ -4,8 +4,10 @@
 // describes a run: the events come from the simulator, or with -trace from
 // an archive an earlier run recorded (-export FILE: the frame log of the
 // daemon session that run would have been, its module selection and
-// windows included); they are analysed in-process, or with -daemon in a
-// session on a profilerd (`profilerctl` prints a daemon's status).
+// windows included). A simulated run is analysed in-process, or with
+// -daemon in a session on a profilerd (`profilerctl` prints a daemon's
+// status); an archive is folded in a session of an in-process daemon, the
+// engine profilerd runs.
 // Several NAME.CLASS@PROCS items run concurrently in one MPMD job, one
 // report chapter each; -out, -latex and -json add CSV/DOT/PGM artifacts,
 // a LaTeX document and the JSON analysis:
@@ -39,15 +41,15 @@ import (
 	"repro/internal/exp"
 	"repro/internal/nas"
 	"repro/internal/report"
-	"repro/internal/trace"
+	"repro/internal/serviced"
 )
 
 // modeFlags names the flags each mode takes. The mode is the first of -fig,
 // -trace and -daemon that is set, and the simulator when none is.
 var modeFlags = map[string]string{
-	"simulate": "apps iters analyzers workers out latex json waitstate temporal callsites sizes export export-p2p-only platform telemetry telemetry-period format replicas tree-levels tree-fanin tree-flush window window-slide window-grace",
+	"simulate": "apps iters analyzers workers out latex json waitstate temporal callsites sizes export platform telemetry telemetry-period format replicas tree-levels tree-fanin tree-flush window window-slide window-grace",
 	"fig":      "fig",
-	"trace":    "trace workers out latex json",
+	"trace":    "trace out latex json",
 	"daemon":   "daemon diff-every apps iters platform format waitstate temporal callsites sizes window window-slide window-grace",
 }
 
@@ -56,7 +58,6 @@ type config struct {
 	mode                     string
 	fig, trace, daemon       string
 	out, latex, json, export string
-	exportP2P                bool
 	diffEvery                int
 	platform                 exp.Platform
 	workloads                []*nas.Workload
@@ -76,7 +77,7 @@ func main() {
 	case "daemon":
 		err = runDaemon(c, os.Stdout, os.Stderr)
 	default:
-		err = runLocal(c)
+		err = runLocal(c, os.Stdout)
 	}
 	if err != nil {
 		log.Fatal(err)
@@ -105,7 +106,6 @@ func parse(fs *flag.FlagSet, args []string) (*config, error) {
 	fs.BoolVar(&o.Callsites, "callsites", false, "enable the per-call-site breakdown")
 	fs.BoolVar(&o.Sizes, "sizes", false, "enable the message-size distribution")
 	fs.StringVar(&c.export, "export", "", "record the run in this archive file for -trace (empty = off)")
-	fs.BoolVar(&c.exportP2P, "export-p2p-only", false, "archive only point-to-point events, re-encoded as v3 packs")
 	fs.StringVar(&platform, "platform", "tera100", "platform model (tera100 or curie)")
 	fs.BoolVar(&o.Telemetry, "telemetry", false, "stream engine-health meta-events and append a health chapter + JSON summary")
 	fs.DurationVar(&telPeriod, "telemetry-period", 0, "virtual-time sampling period for -telemetry (0 = 10ms)")
@@ -141,7 +141,6 @@ func parse(fs *flag.FlagSet, args []string) (*config, error) {
 	}{
 		"tree-fanin":       {"needs a reduction tree (-tree-levels >= 2)", o.TreeLevels >= 2},
 		"tree-flush":       {"needs a reduction tree (-tree-levels >= 2)", o.TreeLevels >= 2},
-		"export-p2p-only":  {"needs -export", c.export != ""},
 		"window-slide":     {"needs -window", window > 0},
 		"window-grace":     {"needs -window", window > 0},
 		"telemetry-period": {"needs -telemetry", o.Telemetry},
@@ -173,13 +172,13 @@ func parse(fs *flag.FlagSet, args []string) (*config, error) {
 }
 
 // runLocal analyses in-process, the simulated run or the archive's, and
-// writes the report and what the output flags ask for.
-func runLocal(c *config) error {
+// writes the report to stdout and what the output flags ask for.
+func runLocal(c *config, stdout io.Writer) error {
 	rep, err := analyseLocal(c)
 	if err != nil {
 		return err
 	}
-	if err := rep.Render(os.Stdout); err != nil {
+	if err := rep.Render(stdout); err != nil {
 		return err
 	}
 	files := map[string][]byte{}
@@ -205,28 +204,35 @@ func runLocal(c *config) error {
 		return err
 	}
 	if rep.EngineHealth != nil {
-		enc := json.NewEncoder(os.Stdout)
+		enc := json.NewEncoder(stdout)
 		enc.SetIndent("", "  ")
 		return enc.Encode(rep.EngineHealth.Summary())
 	}
 	return nil
 }
 
-// analyseLocal replays the -trace archive, or runs the simulation and
+// analyseLocal replays the -trace archive in a session of an in-process
+// daemon whose quota is off, so nothing is shed, or runs the simulation and
 // records it in the -export archive when one is asked for.
 func analyseLocal(c *config) (*report.Report, error) {
-	switch {
-	case c.mode == "trace":
-		return exp.ReplayArchive(c.trace, c.opts.Workers)
-	case c.export == "":
+	if c.mode == "trace" {
+		f, err := os.Open(c.trace)
+		if err != nil {
+			return nil, err
+		}
+		defer f.Close()
+		rep, err := serviced.New(serviced.Options{}).Replay(f)
+		if err == nil {
+			rep.Title = "post-mortem replay of " + c.trace
+		}
+		return rep, err
+	}
+	if c.export == "" {
 		return exp.ProfileRun(c.platform, c.workloads, c.opts)
 	}
 	f, err := os.Create(c.export)
 	if err != nil {
 		return nil, err
-	}
-	if c.exportP2P {
-		c.opts.ExportFilter = func(e *trace.Event) bool { return e.Kind.IsP2P() }
 	}
 	c.opts.Export = f
 	rep, err := exp.ProfileRun(c.platform, c.workloads, c.opts)

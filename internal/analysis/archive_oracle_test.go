@@ -2,15 +2,12 @@ package analysis_test
 
 import (
 	"bytes"
-	"fmt"
-	"os"
-	"path/filepath"
 	"reflect"
 	"testing"
 
 	"repro/internal/analysis"
-	"repro/internal/exp"
 	"repro/internal/report"
+	"repro/internal/serviced"
 	"repro/internal/trace"
 	"repro/internal/wire"
 )
@@ -19,12 +16,11 @@ import (
 // of its 1 000 runs, windows on, is written as the archive of its session —
 // the Register frame naming the run's own app size and modules, the packs
 // of one source per rank in the v1, v2 or v3 format, round robin — and
-// analysed post-mortem by exp.ReplayArchive. The replayed chapter must
-// hold the reference's values at that size, the generator's rank outside
-// the app staying outside it, and its window series the window
-// reference's.
+// replayed post-mortem in a daemon session (serviced.Daemon.Replay, what
+// profiler -trace runs). The replayed chapter must hold the reference's
+// values at that size, the generator's rank outside the app staying
+// outside it, and its window series the window reference's.
 func TestPartialOracleArchive(t *testing.T) {
-	dir := t.TempDir()
 	for seed := int64(0); seed < 1000; seed += 10 {
 		_, perRank, opts, want := analysis.PartialOracleRun(seed)
 		version := []int{trace.PackV1, trace.PackV2, trace.PackV3}[seed/10%3]
@@ -56,12 +52,7 @@ func TestPartialOracleArchive(t *testing.T) {
 		}
 		cm, err := wire.EncodeCloseMeta(wire.CloseMeta{Apps: []wire.AppFinal{{}}})
 		frame(wire.TypeClose, cm, err)
-		path := filepath.Join(dir, fmt.Sprintf("run%d.pfl", seed))
-		if err := os.WriteFile(path, b.Bytes(), 0o644); err != nil {
-			t.Fatal(err)
-		}
-
-		rep, err := exp.ReplayArchive(path, 2)
+		rep, err := serviced.New(serviced.Options{}).Replay(&b)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}

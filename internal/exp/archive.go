@@ -7,7 +7,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"os"
 	"runtime"
 	"time"
 
@@ -31,19 +30,11 @@ import (
 // per teed block during it, the Close frame after it.
 type archiveWriter struct {
 	bw *bufio.Writer
-	// filter, when set, keeps the events the archive holds, re-encoded as
-	// v3: one builder per writer at the run's pack size, flushed at the
-	// end in the order the writers' first blocks came in.
-	filter    func(*trace.Event) bool
-	packBytes int
-	decs      trace.Decoders
-	builders  map[int]*trace.ColumnBuilder
-	writers   []int
 }
 
 // newArchiveWriter writes the head of cp's archive to w: cp carries the
 // run's title, pack format, applications and options.
-func newArchiveWriter(w io.Writer, cp *Capture, filter func(*trace.Event) bool, packBytes int) (*archiveWriter, error) {
+func newArchiveWriter(w io.Writer, cp *Capture) (*archiveWriter, error) {
 	reg, err := wire.EncodeSessionMeta(cp.SessionMeta())
 	if err == nil {
 		_, err = wire.ParseSessionMeta(reg)
@@ -51,13 +42,8 @@ func newArchiveWriter(w io.Writer, cp *Capture, filter func(*trace.Event) bool, 
 	if err != nil {
 		return nil, fmt.Errorf("exp: archive: %w", err)
 	}
-	a := &archiveWriter{bw: bufio.NewWriterSize(w, wire.ConnBuffer), filter: filter, packBytes: packBytes}
-	format := cp.PackVersion
-	if filter != nil {
-		format = trace.PackV3
-		a.decs, a.builders = trace.Decoders{}, map[int]*trace.ColumnBuilder{}
-	}
-	hello := wire.EncodeHello(wire.Hello{Proto: wire.ProtoVersion, MaxFormat: byte(format)})
+	a := &archiveWriter{bw: bufio.NewWriterSize(w, wire.ConnBuffer)}
+	hello := wire.EncodeHello(wire.Hello{Proto: wire.ProtoVersion, MaxFormat: byte(cp.PackVersion)})
 	if err := wire.WriteFrame(a.bw, wire.TypeHello, hello); err != nil {
 		return nil, err
 	}
@@ -66,50 +52,11 @@ func newArchiveWriter(w io.Writer, cp *Capture, filter func(*trace.Event) bool, 
 
 // pack records one block from writer src.
 func (a *archiveWriter) pack(src int, data []byte) error {
-	if a.filter == nil {
-		return wire.WritePack(a.bw, uint32(src), data)
-	}
-	h, err := trace.PeekHeader(data)
-	if err != nil {
-		return err
-	}
-	if h.Version == trace.PackAudit {
-		// A shed ledger holds no events: it is kept as it came.
-		return wire.WritePack(a.bw, uint32(src), data)
-	}
-	b := a.builders[src]
-	if b == nil {
-		b = trace.NewPackBuilderV3(h.AppID, h.SrcRank, EventRecordSize, a.packBytes)
-		a.builders[src] = b
-		a.writers = append(a.writers, src)
-	}
-	var werr error
-	_, err = a.decs.For(src).DecodeDispatch(data, func(e *trace.Event) {
-		if a.filter(e) && b.Add(e) && werr == nil {
-			werr = a.take(src, b)
-		}
-	})
-	return errors.Join(err, werr)
+	return wire.WritePack(a.bw, uint32(src), data)
 }
 
-// take writes the pack b holds, if any, and keeps its storage for the next.
-func (a *archiveWriter) take(src int, b *trace.ColumnBuilder) error {
-	pk := b.Take()
-	if pk == nil {
-		return nil
-	}
-	err := wire.WritePack(a.bw, uint32(src), pk)
-	b.Reset(pk)
-	return err
-}
-
-// close flushes the filter's open packs and ends the archive with cm.
+// close ends the archive with cm.
 func (a *archiveWriter) close(cm wire.CloseMeta) error {
-	for _, src := range a.writers {
-		if err := a.take(src, a.builders[src]); err != nil {
-			return err
-		}
-	}
 	p, err := wire.EncodeCloseMeta(cm)
 	if err == nil {
 		err = wire.WriteFrame(a.bw, wire.TypeClose, p)
@@ -206,27 +153,6 @@ func readFrames(fr *wire.Reader) (*Capture, error) {
 			return nil, fmt.Errorf("frame %#x in a session log", f.Type)
 		}
 	}
-}
-
-// ReplayArchive analyses the archive at path post-mortem, in-process, on a
-// board of the given worker count (0 = GOMAXPROCS): the report the
-// recorded run rendered online, titled after the file.
-func ReplayArchive(path string, workers int) (*report.Report, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	cp, err := readArchive(f)
-	if err != nil {
-		return nil, err
-	}
-	rep, err := cp.analyse(workers)
-	if err != nil {
-		return nil, err
-	}
-	rep.Title = "post-mortem replay of " + path
-	return rep, nil
 }
 
 // analyse folds the capture in-process: one level per application, set up

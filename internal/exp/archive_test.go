@@ -4,14 +4,13 @@ import (
 	"bytes"
 	"fmt"
 	"io"
-	"os"
-	"path/filepath"
 	"regexp"
 	"strings"
 	"testing"
 	"time"
 
 	"repro/internal/nas"
+	"repro/internal/serviced"
 	"repro/internal/trace"
 	"repro/internal/wire"
 )
@@ -49,11 +48,12 @@ func exportRun(t testing.TB, ws []*nas.Workload, opts ProfileOptions) (string, [
 var trackerLine = regexp.MustCompile(`(?m)^  (event-to-report lag|worst window completeness): .*\n`)
 
 // TestReplayArchiveMatchesProfileRun holds the post-mortem path to the
-// online one: the archive a run exported replays to the run's report byte
-// for byte, but for the title and the trackers' arrival-side lines, over
-// pack v1 and v3, one and two applications, with and without 10 ms windows
-// and with replicas off and on. The replay takes nothing but the file:
-// sizes, modules, labels and windows come from its Register frame.
+// online one: the archive a run exported replays in a daemon session
+// (serviced.Daemon.Replay, what profiler -trace runs) to the run's report
+// byte for byte, but for the title and the trackers' arrival-side lines,
+// over pack v1 and v3, one and two applications, with and without 10 ms
+// windows and with replicas off and on. The replay takes nothing but the
+// archive: sizes, modules, labels and windows come from its Register frame.
 func TestReplayArchiveMatchesProfileRun(t *testing.T) {
 	for _, set := range []struct {
 		apps     []string
@@ -77,11 +77,7 @@ func TestReplayArchiveMatchesProfileRun(t *testing.T) {
 							WindowNs: window.Nanoseconds(), Replicas: replicas}
 						t.Run(fmt.Sprintf("v%d-window%v-replicas%d", v, window, replicas), func(t *testing.T) {
 							online, archive := exportRun(t, ws, opts)
-							path := filepath.Join(t.TempDir(), "run.pfl")
-							if err := os.WriteFile(path, archive, 0o644); err != nil {
-								t.Fatal(err)
-							}
-							rep, err := ReplayArchive(path, 2)
+							rep, err := serviced.New(serviced.Options{}).Replay(bytes.NewReader(archive))
 							if err != nil {
 								t.Fatal(err)
 							}
@@ -117,34 +113,19 @@ func renderBody(t testing.TB, rep interface{ Render(io.Writer) error }) string {
 }
 
 // TestExportDeterministic exports the same run twice, with two board
-// workers, with two replicas and with the point-to-point filter: the
-// archives are byte-identical, because the tee records blocks in the order
-// the simulated analyzers take them, which no host thread reorders.
+// workers and with two replicas: the archives are byte-identical, because
+// the tee records blocks in the order the simulated analyzers take them,
+// which no host thread reorders.
 func TestExportDeterministic(t *testing.T) {
 	ws := archiveTestWorkloads(t, "LU", "CG")
 	base := ProfileOptions{Workers: 2, WaitState: true, WindowNs: (10 * time.Millisecond).Nanoseconds()}
-	replicas, p2p := base, base
+	replicas := base
 	replicas.Replicas = 2
-	p2p.ExportFilter = func(e *trace.Event) bool { return e.Kind.IsP2P() }
-	for name, opts := range map[string]ProfileOptions{"workers2": base, "replicas2": replicas, "p2p-only": p2p} {
+	for name, opts := range map[string]ProfileOptions{"workers2": base, "replicas2": replicas} {
 		_, a := exportRun(t, ws, opts)
 		_, b := exportRun(t, ws, opts)
 		if !bytes.Equal(a, b) {
 			t.Errorf("%s: two exports of one run differ (%d and %d bytes)", name, len(a), len(b))
-		}
-	}
-}
-
-// TestReplayArchiveRefuses covers the replay's refusals: a missing file and
-// bytes that are no archive.
-func TestReplayArchiveRefuses(t *testing.T) {
-	junk := filepath.Join(t.TempDir(), "junk.pfl")
-	if err := os.WriteFile(junk, []byte("not an archive"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	for _, path := range []string{junk, filepath.Join(t.TempDir(), "missing.pfl")} {
-		if _, err := ReplayArchive(path, 0); err == nil {
-			t.Errorf("ReplayArchive(%s) accepted", filepath.Base(path))
 		}
 	}
 }
@@ -158,7 +139,7 @@ func archiveOf(t testing.TB, v int, packs ...[]byte) []byte {
 		cp.Packs = append(cp.Packs, CapturedPack{Data: pk})
 	}
 	var b bytes.Buffer
-	a, err := newArchiveWriter(&b, cp, nil, StreamBlockSize)
+	a, err := newArchiveWriter(&b, cp)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -176,8 +157,9 @@ func archiveOf(t testing.TB, v int, packs ...[]byte) []byte {
 // TestReadArchiveMixedFormats reads an archive whose middle pack is v2
 // between v1 ones, with a shed ledger: each pack is framed by its own
 // length, so the reader steps over a v2 body by its encoded size, not by
-// the fixed-record length its count would have in v1, and the replay folds
-// every event in order and the ledger into the completeness section.
+// the fixed-record length its count would have in v1. A daemon session
+// replaying it negotiates v2 and folds the v1 packs below that format too:
+// every event in order, and the ledger into the completeness section.
 func TestReadArchiveMixedFormats(t *testing.T) {
 	var packs [][]byte
 	total := 0
@@ -194,14 +176,15 @@ func TestReadArchiveMixedFormats(t *testing.T) {
 		packs = append(packs, b.Take())
 	}
 	packs = append(packs, trace.EncodeAuditPack(7, 0, []trace.AuditEntry{{Kind: trace.KindSend, Shed: 3, Kept: 5}}))
-	cp, err := readArchive(bytes.NewReader(archiveOf(t, trace.PackV2, packs...)))
+	archive := archiveOf(t, trace.PackV2, packs...)
+	cp, err := readArchive(bytes.NewReader(archive))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(cp.Packs) != len(packs) || cp.Events != int64(total) {
 		t.Fatalf("read %d packs, %d events; wrote %d, %d", len(cp.Packs), cp.Events, len(packs), total)
 	}
-	rep, err := cp.analyse(2)
+	rep, err := serviced.New(serviced.Options{}).Replay(bytes.NewReader(archive))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -267,8 +250,8 @@ func TestReadArchiveRejectsGarbage(t *testing.T) {
 }
 
 // FuzzReadArchive feeds bytes to the archive reader and, when they parse,
-// the capture to the replay: neither may panic or hang. Seeded from small
-// exported runs, v1 and filtered v3, with every module and windows on.
+// the capture to the simulator's fold: neither may panic or hang. Seeded
+// from small exported runs, v1 and v3, with every module and windows on.
 //
 // One shape is stepped over rather than replayed, a known open bound of
 // the register frame that a daemon shares: applications whose dense
@@ -282,11 +265,11 @@ func FuzzReadArchive(f *testing.F) {
 	}
 	opts := ProfileOptions{Workers: 1, WaitState: true, Callsites: true, Sizes: true, PackBytes: 4096,
 		TemporalWindowNs: time.Millisecond.Nanoseconds(), WindowNs: (5 * time.Millisecond).Nanoseconds()}
-	_, plain := exportRun(f, []*nas.Workload{w}, opts)
-	f.Add(plain)
-	opts.PackVersion, opts.ExportFilter = trace.PackV3, func(e *trace.Event) bool { return e.Kind.IsP2P() }
-	_, filtered := exportRun(f, []*nas.Workload{w}, opts)
-	f.Add(filtered)
+	for _, v := range []int{trace.PackV1, trace.PackV3} {
+		opts.PackVersion = v
+		_, archive := exportRun(f, []*nas.Workload{w}, opts)
+		f.Add(archive)
+	}
 	f.Fuzz(func(t *testing.T, b []byte) {
 		cp, err := readArchive(bytes.NewReader(b))
 		if err != nil {

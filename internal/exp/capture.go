@@ -38,10 +38,12 @@ type CaptureApp struct {
 // the analysis: the packs the analyzer partition absorbed, per-writer,
 // in order, plus the per-application metadata and per-stream loss
 // accounting the report needs. A Capture is what a remote client replays
-// to the profiling daemon, and what an archive records — the daemon or
-// the post-mortem replay analyzing a Capture produces a report
-// byte-identical to ProfileRun analyzing the live streams, because the
-// simulation below the analyzer absorb point is unchanged.
+// to the profiling daemon, and what an archive records, which profiler
+// -trace folds in a session of an in-process daemon: a daemon session
+// analyzing a Capture produces a report byte-identical to ProfileRun
+// analyzing the live streams, because the simulation below the analyzer
+// absorb point is unchanged. Capture.analyse is the simulator's own fold
+// of one, the flat reference the tree sweep compares against.
 type Capture struct {
 	// Title heads the report; it names the platform model.
 	Title string

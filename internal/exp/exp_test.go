@@ -510,38 +510,3 @@ func TestProfileRunWithAllModules(t *testing.T) {
 		t.Fatal("latex missing wait-state section")
 	}
 }
-
-// TestProfileRunExport exports a run through a filter: the archive holds
-// only the kept events, re-encoded as v3 packs, and the shed ledger of
-// nothing; its replay folds exactly them.
-func TestProfileRunExport(t *testing.T) {
-	p := Tera100()
-	w, err := nas.LU(nas.ClassC, 8, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var archive bytes.Buffer
-	_, err = ProfileRun(p, []*nas.Workload{w}, ProfileOptions{
-		Analyzers: 1, Workers: 2,
-		ExportFilter: func(e *trace.Event) bool { return e.Kind == trace.KindSend },
-		Export:       &archive,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cp, err := readArchive(&archive)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cp.PackVersion != trace.PackV3 || cp.Events == 0 || len(cp.Packs) < 2 {
-		t.Fatalf("archive v%d holds %d events in %d packs", cp.PackVersion, cp.Events, len(cp.Packs))
-	}
-	rep, err := cp.analyse(2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ch := rep.Chapters[0]
-	if st := ch.Profiler.Stat(trace.KindSend); st.Hits != cp.Events || ch.Profiler.Events() != cp.Events {
-		t.Fatalf("replayed %d events, %d sends, of %d archived", ch.Profiler.Events(), st.Hits, cp.Events)
-	}
-}

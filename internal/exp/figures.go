@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"slices"
+	"strings"
 	"time"
 
 	"repro/internal/cliutil"
@@ -217,6 +218,11 @@ type overheadSweep struct {
 	iters, ratio, repeats int
 }
 
+// write is Figure 15's table. It refuses points that contradict the
+// paper's reading of the figure (EXPERIMENTS.md): every overhead is below
+// 25 % (at most 17.14 %, CG.C@512), and a class D run, longer for the same
+// traffic, pays less than its class C twin at the same process count (the
+// closest pair: SP.D@144 −0.35 % against SP.C@144 −0.04 %).
 func (s overheadSweep) write(w io.Writer, j int) error {
 	grid := Fig15Grid(s.cases, s.procs, s.iters)
 	points, err := runner.Run(len(grid), j, func(i int) (OverheadPoint, error) {
@@ -224,6 +230,17 @@ func (s overheadSweep) write(w io.Writer, j int) error {
 	})
 	if err != nil {
 		return err
+	}
+	for _, p := range points {
+		if p.OverheadPct >= 25 {
+			return fmt.Errorf("exp: figure 15 contradicts the paper at %s@%d: overhead %.2f %% is not below 25 %%", p.Bench, p.Procs, p.OverheadPct)
+		}
+		app, class, _ := strings.Cut(p.Bench, ".")
+		i := slices.IndexFunc(points, func(c OverheadPoint) bool { return c.Bench == app+".C" && c.Procs == p.Procs })
+		if class == "D" && i >= 0 && p.OverheadPct >= points[i].OverheadPct {
+			return fmt.Errorf("exp: figure 15 contradicts the paper at %s@%d: overhead %.2f %% is not below class C's %.2f %%",
+				p.Bench, p.Procs, p.OverheadPct, points[i].OverheadPct)
+		}
 	}
 	WriteOverheadTable(w, fmt.Sprintf("Figure 15: online-coupling overhead at ratio 1:%d on %s (%d passes averaged)",
 		s.ratio, s.platform.Name, s.repeats), points)

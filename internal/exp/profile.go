@@ -75,14 +75,12 @@ type ProfileOptions struct {
 	WindowGraceNs int64
 	// Export, when non-nil, receives the run's archive (see archive.go):
 	// the head before the run, every block the analyzers take as they take
-	// it, the close after it — what ReplayArchive and a daemon session
-	// replay (paper §VI's export for post-mortem tools). It tees the
-	// analyzer partition's input: in a reduction tree, what the leaves
-	// fold, each writer's packs in the order its leaf took them.
+	// it, the close after it — the frame log profiler -trace folds in a
+	// session of an in-process daemon (paper §VI's export for post-mortem
+	// tools). It tees the analyzer partition's input: in a reduction tree,
+	// what the leaves fold, each writer's packs in the order its leaf took
+	// them.
 	Export io.Writer
-	// ExportFilter selects the exported events (nil = every block as it
-	// came); the kept ones are re-encoded as v3 packs.
-	ExportFilter func(*trace.Event) bool
 	// PackVersion selects the pack wire format: trace.PackV1 (fixed
 	// records; 0 defaults to it), PackV2 (delta+varint columns — the
 	// analyzer decodes either per pack, so this only changes the bytes on
@@ -530,7 +528,7 @@ func ProfileRunStats(p Platform, workloads []*nas.Workload, opts ProfileOptions)
 	}
 	var archive *archiveWriter
 	if opts.Export != nil {
-		if archive, err = newArchiveWriter(opts.Export, cp, opts.ExportFilter, co.packBytes); err != nil {
+		if archive, err = newArchiveWriter(opts.Export, cp); err != nil {
 			return nil, nil, err
 		}
 		run.tee = archive.pack

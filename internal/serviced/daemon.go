@@ -192,15 +192,38 @@ func (d *Daemon) Serve(l net.Listener) error {
 // (net.Pipe) serve without a listener.
 func (d *Daemon) ServeConn(rw io.ReadWriteCloser) error {
 	defer rw.Close()
+	_, err := d.serve(rw, rw)
+	return err
+}
+
+// Replay folds an archive, the frame log profiler -export writes, in a
+// session of d: its frames go through the loop a connection runs, and their
+// replies nowhere. It returns the closed session's report. A log that ends
+// before its Close or holds a frame the daemon refuses is an error, and a
+// session it left open is aborted; after the Close, only Stats may follow.
+func (d *Daemon) Replay(r io.Reader) (*report.Report, error) {
+	rep, err := d.serve(r, io.Discard)
+	if err == nil && rep == nil {
+		err = errors.New("serviced: replay: the log closes no session")
+	}
+	if err != nil {
+		return nil, err
+	}
+	return rep, nil
+}
+
+// serve runs one connection's frames from r, its replies to w, and returns
+// the report of its session, nil unless the session closed.
+func (d *Daemon) serve(r io.Reader, w io.Writer) (*report.Report, error) {
 	c := &conn{d: d}
-	err := c.run(wire.NewReader(rw), bufio.NewWriterSize(rw, wire.ConnBuffer))
+	err := c.run(wire.NewReader(r), bufio.NewWriterSize(w, wire.ConnBuffer))
 	if c.sess != nil && !c.sess.closed {
 		d.endSession(c.sess, nil)
 		if err == nil {
-			err = fmt.Errorf("serviced: session %d: connection ended before close", c.sess.id)
+			err = fmt.Errorf("serviced: session %d ended before close", c.sess.id)
 		}
 	}
-	return err
+	return c.rep, err
 }
 
 func (d *Daemon) logf(format string, args ...any) {
@@ -325,6 +348,8 @@ type conn struct {
 	// and a fresh copy of every query's answer (state).
 	grant [8]byte
 	state []byte
+	// rep is the closed session's report, nil until Close.
+	rep *report.Report
 }
 
 // run is the socket shell: read a frame, handle it, write the reply. A
@@ -486,11 +511,12 @@ func (c *conn) request(f wire.Frame) (byte, []byte, error) {
 	if err != nil {
 		return 0, nil, err
 	}
+	c.d.endSession(c.sess, rep)
+	c.rep = rep
 	var buf bytes.Buffer
 	if err := rep.Render(&buf); err != nil {
 		return 0, nil, fmt.Errorf("render: %w", err)
 	}
-	c.d.endSession(c.sess, rep)
 	_, late, _ := c.sess.windowStats()
 	payload, err := wire.EncodeFinalReport(wire.FinalReport{
 		Session:    c.sess.id,

@@ -2,13 +2,10 @@ package serviced
 
 import (
 	"bytes"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 
 	"repro/internal/client"
-	"repro/internal/exp"
 	"repro/internal/trace"
 	"repro/internal/wire"
 )
@@ -164,9 +161,9 @@ func TestProtocolErrors(t *testing.T) {
 
 // TestRegisterRefusesWideWindowOverlap: a Register frame whose windows
 // overlap 2^40-fold (width 2^40 ns, slide 1 ns) would fold every event into
-// 2^40 windows. conn.handle refuses it, counting no session, and so does the
-// archive reader, before any pack of the archive folds. At the cap, 64
-// windows, the daemon opens the session.
+// 2^40 windows. conn.handle refuses it, counting no session, and so does a
+// replay of an archive holding it, before any pack of the archive folds. At
+// the cap, 64 windows, the daemon opens the session.
 func TestRegisterRefusesWideWindowOverlap(t *testing.T) {
 	wide := packMeta
 	wide.WindowNs, wide.WindowSlideNs = 1<<40, 1
@@ -187,18 +184,13 @@ func TestRegisterRefusesWideWindowOverlap(t *testing.T) {
 	step(t, c, helloFrame, wire.TypeHelloAck)
 	step(t, c, wire.Frame{Type: wire.TypeRegister, Payload: mustJSON(wire.EncodeSessionMeta(atCap))}, wire.TypeRegisterAck)
 
-	var b bytes.Buffer
 	first, _ := packPair()
-	for _, f := range []wire.Frame{helloFrame, reg, {Type: wire.TypePack, Payload: wire.EncodePack(0, first)}, closeFrame} {
-		if err := wire.WriteFrame(&b, f.Type, f.Payload); err != nil {
-			t.Fatal(err)
-		}
-	}
-	path := filepath.Join(t.TempDir(), "wide.pfl")
-	if err := os.WriteFile(path, b.Bytes(), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := exp.ReplayArchive(path, 1); err == nil || !strings.Contains(err.Error(), want) {
+	archive := frameLog(t, helloFrame, reg, wire.Frame{Type: wire.TypePack, Payload: wire.EncodePack(0, first)}, closeFrame)
+	d = New(Options{})
+	if _, err := d.Replay(bytes.NewReader(archive)); err == nil || !strings.Contains(err.Error(), want) {
 		t.Fatalf("archive of window 2^40 / slide 1: err %v, want %q", err, want)
+	}
+	if st, _ := d.Status(); st.SessionsTotal != 0 {
+		t.Fatalf("a refused archive opened a session (%d counted)", st.SessionsTotal)
 	}
 }

@@ -178,7 +178,8 @@ func (s *session) workerCount() int {
 // frame reader's buffer; the synchronous path consumes them in place,
 // the lane path copies them before handing off. Audit packs are always
 // folded here — they touch the delta's completeness module, which the
-// lanes never do.
+// lanes never do. A data pack may be in any format up to the negotiated
+// one: an adaptive run announces its highest and starts below it.
 func (s *session) ingest(src uint32, pack []byte) error {
 	h, err := trace.PeekHeader(pack)
 	if err != nil {
@@ -200,7 +201,7 @@ func (s *session) ingest(src uint32, pack []byte) error {
 		s.gov.onPack(len(pack))
 		return nil
 	}
-	if h.Version != s.format {
+	if h.Version > s.format {
 		return fmt.Errorf("serviced: pack format v%d on a session negotiated for v%d", h.Version, s.format)
 	}
 	if len(s.lanes) > 0 {
