@@ -18,7 +18,8 @@
 // The example posts its own per-event entries, the paper's Figure 4
 // granularity. The built-in pipeline (internal/analysis) folds per pack
 // instead and posts no event entries (DESIGN.md §11): a KS that wants its
-// events subscribes to "pack"@level and decodes with trace.DecodeEach.
+// events subscribes to "pack"@level and decodes with a trace.StreamDecoder
+// (DecodeDispatch).
 package main
 
 import (

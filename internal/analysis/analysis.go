@@ -71,16 +71,13 @@ type Pipeline struct {
 	// Density accumulates per-rank call statistics for density maps.
 	Density *DensityModule
 
-	// Completeness accumulates the shed ledgers from audit packs (flat
-	// path) and partial shed sections (tree path): the loss accounting
-	// behind the report's completeness bounds. Always present; empty
-	// unless an admission gate shed events.
+	// Completeness accumulates the shed ledgers of audit packs and partial
+	// shed sections behind the report's completeness bounds; always present.
 	Completeness *CompletenessModule
 
 	// tally, when a window tracker is attached, counts for it what the
-	// locked pack folds fold (event→report-update lag and per-window
-	// completeness), owned by whoever holds the state's locks and committed
-	// before they are released; Pipeline.NewReplica tracks every replica's.
+	// locked pack folds fold, committed before the state's locks are
+	// released; Pipeline.NewReplica tracks every replica's.
 	tally *WindowTally
 
 	// foldFn is what a locked pack fold calls per event: state.fold, then,
@@ -97,9 +94,13 @@ type Pipeline struct {
 	reps        []*Replica
 	rm          *telemetry.ReplicaMetrics
 
-	// codec, when attached, accounts each folded pack's event count and
-	// wall-clock decode+fold time. Set it before the first pack is posted;
-	// the board's queue ordering then publishes it to the worker pool.
+	// dec decodes the locked board folds' packs, under the state's locks,
+	// and decs, indexed like reps, each replica's; made on first use.
+	dec  *trace.StreamDecoder
+	decs []*trace.StreamDecoder
+
+	// codec, when attached, accounts each folded pack's events and decode
+	// time; set before the first post, which publishes it to the workers.
 	codec *telemetry.CodecMetrics
 }
 
@@ -148,37 +149,39 @@ func NewPipeline(bb *blackboard.Blackboard, level string, appSize int) (*Pipelin
 // is decoded in place from the borrowed block and every event folded
 // without an intermediate copy or board entry: into the state under its
 // modules' mutexes, or, after EnableReplicas, into the executing worker's
-// private replica.
+// private replica, through a decoder reused pack after pack (v1 and v2
+// packs leave no history in it).
 func (p *Pipeline) foldBoardPack(worker int, buf []byte) {
+	if h, err := trace.PeekHeader(buf); err == nil && h.Version == trace.PackV3 {
+		// The board keeps no per-writer order: a v3 pack (PostRaw, not
+		// FusedIngest) would decode against another writer's dictionary.
+		panic(fmt.Sprintf("analysis: v3 pack posted to the blackboard on level %q; v3 requires ordered stream ingest (FusedIngest)", p.level))
+	}
 	var fn func(*trace.Event)
 	var rep *Replica
-	tally := p.tally
+	dec, tally := &p.dec, p.tally
 	if p.reps != nil {
 		// Each slot is touched only by its owning worker.
 		if rep = p.reps[worker]; rep == nil {
 			rep = p.NewReplica()
 			p.reps[worker] = rep
 		}
-		fn, tally = rep.foldFn, rep.tally
+		fn, tally, dec = rep.foldFn, rep.tally, &p.decs[worker]
 	} else {
 		p.state.lock()
 		defer p.state.unlock()
 		fn = *p.foldFn.Load()
 	}
-	var t0 time.Time
-	if p.codec != nil {
-		t0 = time.Now()
+	if *dec == nil {
+		*dec = new(trace.StreamDecoder)
 	}
-	h, err := trace.DecodeEach(buf, fn)
+	n, err := p.foldStreamPack(*dec, buf, fn)
 	tally.Commit()
 	if err != nil {
-		panic(fmt.Sprintf("analysis: undecodable pack on level %q: %v", p.level, err))
-	}
-	if p.codec != nil {
-		p.codec.OnDecode(h.Count, time.Since(t0).Nanoseconds())
+		panic(err.Error())
 	}
 	if rep != nil {
-		if rep.pending += h.Count; rep.pending >= p.epochEvents {
+		if rep.pending += n; rep.pending >= p.epochEvents {
 			p.MergeReplica(rep)
 		}
 	}
@@ -245,14 +248,6 @@ func NewDispatcher(bb *blackboard.Blackboard) (*Dispatcher, error) {
 			if p == nil {
 				panic(fmt.Sprintf("analysis: pack for unregistered app id %d", h.AppID))
 			}
-			if h.Version == trace.PackV3 {
-				// v3 packs need per-writer decode order, which the board's
-				// worker pool deliberately does not preserve. Reaching this
-				// KS means a caller routed a v3 pack through PostRaw
-				// instead of FusedIngest.Absorb — fail loudly before a
-				// dictionary gap mis-attributes events downstream.
-				panic(fmt.Sprintf("analysis: v3 pack for app %d posted to the blackboard; v3 requires ordered stream ingest (FusedIngest)", h.AppID))
-			}
 			if h.Version == trace.PackAudit {
 				// A recorder's shed ledger rides the data stream; it feeds
 				// the completeness accounting, not the event pipeline.
@@ -264,8 +259,9 @@ func NewDispatcher(bb *blackboard.Blackboard) (*Dispatcher, error) {
 				return
 			}
 			// The level entry holds the raw one, so a handed-over pack goes
-			// back to the pool only once its fold KS is done with it.
-			d.bb.PostFrom(in[0], blackboard.TypeID(p.level, TypePack), int64(len(buf)), buf)
+			// back to the pool only once its fold KS is done with it; it
+			// shares the raw entry's boxed payload.
+			d.bb.PostFrom(in[0], blackboard.TypeID(p.level, TypePack), int64(len(buf)), in[0].Payload)
 		},
 	})
 	if err != nil {
@@ -296,16 +292,8 @@ func (d *Dispatcher) Pipeline(appID uint32) *Pipeline {
 
 // PostRaw places an encoded pack of unknown level on the board; the
 // dispatcher routes it. The pack is lent: the board never recycles it.
-func (d *Dispatcher) PostRaw(buf []byte) { d.postRaw(buf, nil) }
-
-// postRaw is PostRaw that, with a non-nil release, takes the pack over:
-// release gets it back once the last entry that references it is released.
-func (d *Dispatcher) postRaw(buf []byte, release func([]byte)) {
-	var free func()
-	if release != nil {
-		free = func() { release(buf) }
-	}
-	d.bb.PostOwned(blackboard.TypeID("", TypeRawPack), int64(len(buf)), buf, free)
+func (d *Dispatcher) PostRaw(buf []byte) {
+	d.bb.Post(blackboard.TypeID("", TypeRawPack), int64(len(buf)), buf)
 }
 
 // FusedIngest is the analyzer-side entry point for v3 streams: one
@@ -351,15 +339,16 @@ func (f *FusedIngest) Absorb(src int, buf []byte) (consumed bool, err error) {
 // when the fused fold returns, or when the board releases the last entry
 // that references it. The caller must not touch buf afterwards.
 func (f *FusedIngest) HandOver(src int, buf []byte) error {
-	_, err := f.absorb(src, buf, trace.PutBuffer)
+	_, err := f.absorb(src, buf, func(pack any) { trace.PutBuffer(pack.([]byte)) })
 	return err
 }
 
-// absorb is Absorb and HandOver: release is nil for a lent pack.
-func (f *FusedIngest) absorb(src int, buf []byte, release func([]byte)) (consumed bool, err error) {
+// absorb is Absorb and HandOver: release, nil for a lent pack, gets the
+// pack back once no fold or board entry references it.
+func (f *FusedIngest) absorb(src int, buf []byte, release func(any)) (consumed bool, err error) {
 	h, err := trace.PeekHeader(buf)
 	if err == nil && h.Version != trace.PackV3 {
-		f.d.postRaw(buf, release)
+		f.d.bb.PostOwned(blackboard.TypeID("", TypeRawPack), int64(len(buf)), buf, release)
 		return false, nil
 	}
 	if release != nil {

@@ -174,8 +174,9 @@ func TestFusedIngestRoutesLegacyToBoard(t *testing.T) {
 }
 
 // TestV3PackOnBoardFailsLoud: a v3 pack routed through PostRaw (instead
-// of FusedIngest) must be rejected by the dispatcher, not silently
-// misdecoded — the worker pool cannot guarantee per-writer order.
+// of FusedIngest) must be rejected by the board's fold before it decodes
+// an event, not silently misdecoded — the worker pool cannot guarantee
+// per-writer order — and the worker's decoder then folds a v1 pack.
 func TestV3PackOnBoardFailsLoud(t *testing.T) {
 	bb := newBoard(t)
 	d, err := NewDispatcher(bb)
@@ -195,6 +196,11 @@ func TestV3PackOnBoardFailsLoud(t *testing.T) {
 	}
 	if p.Profiler.Events() != 0 {
 		t.Fatalf("misrouted v3 pack was decoded anyway: events = %d", p.Profiler.Events())
+	}
+	d.PostRaw(buildPack(3, 0, sendEvent(0, 1, 8, 0, 1)))
+	bb.Drain()
+	if p.Profiler.Events() != 1 {
+		t.Fatalf("a v1 pack after the refusal folded %d events, want 1", p.Profiler.Events())
 	}
 }
 

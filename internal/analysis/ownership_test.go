@@ -101,9 +101,10 @@ func TestHandedOverPacksReleasedOnce(t *testing.T) {
 		fi := NewFusedIngest(d)
 		var mu sync.Mutex
 		released := map[*byte]int{}
-		var release func([]byte)
+		var release func(any)
 		if handOver {
-			release = func(buf []byte) {
+			release = func(pack any) {
+				buf := pack.([]byte)
 				for i := range buf {
 					buf[i] = 0xFF
 				}

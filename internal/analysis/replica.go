@@ -9,18 +9,9 @@ import (
 )
 
 // This file is the lock-free parallel analysis layer: per-worker module
-// replicas folding events into private memory, merged into the canonical
-// modules on epoch boundaries.
-//
-// The flat path serializes pack folds on the modules' mutexes (held per
-// pack, see Pipeline.FoldPack) — concurrent sources queue behind one
-// another. But PR 5 already made every module's state associative-
-// commutative mergeable (the Partial machinery), so the fix is structural,
-// not lock-tuning: give each worker its own replica of the module set,
-// fold without any synchronization, and run the existing merge on epoch
-// boundaries. Merge order and cadence cannot change the result — that is
-// exactly the property the reduction tree is built on, and the canonical
-// sparse key-sorted Partial encoding makes it checkable byte-for-byte.
+// replicas fold events into private memory, merged into the canonical
+// modules on epoch boundaries. Partial merges are associative and
+// commutative, so merge order and cadence cannot change the result.
 
 // DefaultEpochEvents is the board-path epoch length: how many events a
 // worker's replica folds before merging into the canonical modules (checked
@@ -153,6 +144,7 @@ func (p *Pipeline) EnableReplicas(epochEvents int) error {
 	// edge that publishes it to them.
 	p.epochEvents = epochEvents
 	p.reps = make([]*Replica, p.bb.Workers())
+	p.decs = make([]*trace.StreamDecoder, len(p.reps))
 	if p.rm != nil {
 		p.rm.Replicas(len(p.reps))
 	}
@@ -175,23 +167,12 @@ func (p *Pipeline) Settle() {
 	}
 }
 
-// FoldPackReplica is FoldPack targeting a private replica instead of the
-// shared modules: the same fused decode, but the per-event fold touches
-// only replica-local memory. The caller owns rep (see Replica).
-func (p *Pipeline) FoldPackReplica(rep *Replica, dec *trace.StreamDecoder, buf []byte) (int, error) {
-	n, err := p.foldStreamPack(dec, buf, rep.foldFn)
-	rep.EndPack()
-	return n, err
-}
-
 // --- parallel fused ingest ---
 
 // ingestLane is one partition of a parallel FusedIngest: sources hash to
 // lanes (src mod lanes), so one source's packs always decode on the same
-// lane — preserving the per-writer decode order v3 dictionaries need —
-// while distinct lanes share no mutable state. The lane mutex serializes
-// concurrent producers that happen to share a lane; it is taken once per
-// pack, not per event, so it amortizes to nothing at pack granularity.
+// lane, in the order v3 dictionaries need, and lanes share no mutable
+// state. The lane mutex, taken once per pack, serializes producers.
 type ingestLane struct {
 	mu    sync.Mutex
 	decs  trace.Decoders
@@ -223,8 +204,7 @@ func NewParallelFusedIngest(d *Dispatcher, lanes, epochPacks int) *FusedIngest {
 	return f
 }
 
-// absorbLane folds one v3 pack on the source's lane. Called from Absorb
-// when lanes are configured.
+// absorbLane folds one v3 pack on the source's lane.
 func (f *FusedIngest) absorbLane(p *Pipeline, src int, buf []byte) error {
 	lane := f.lanes[src%len(f.lanes)]
 	lane.mu.Lock()
@@ -234,7 +214,9 @@ func (f *FusedIngest) absorbLane(p *Pipeline, src int, buf []byte) error {
 		rep = p.NewReplica()
 		lane.reps[p] = rep
 	}
-	if _, err := p.FoldPackReplica(rep, lane.decs.For(src), buf); err != nil {
+	_, err := p.foldStreamPack(lane.decs.For(src), buf, rep.foldFn)
+	rep.EndPack()
+	if err != nil {
 		return err
 	}
 	lane.packs++
@@ -245,8 +227,7 @@ func (f *FusedIngest) absorbLane(p *Pipeline, src int, buf []byte) error {
 	return nil
 }
 
-// mergeLaneLocked merges every replica on the lane into its pipeline's
-// canonical modules. Called with the lane mutex held.
+// mergeLaneLocked merges the lane's replicas; the lane mutex is held.
 func (f *FusedIngest) mergeLaneLocked(lane *ingestLane) {
 	for p, rep := range lane.reps {
 		p.MergeReplica(rep)

@@ -78,14 +78,23 @@ type Entry struct {
 	Payload any
 
 	refs atomic.Int32
-	// release (PostOwned) runs, and from (PostFrom) is released, when the
-	// last reference is dropped.
-	release func()
+	// release (PostOwned) runs on the payload, and from (PostFrom) is
+	// released, when the last reference is dropped; then an entry a board
+	// made (pooled) goes back to the pool.
+	release func(any)
 	from    *Entry
+	pooled  bool
+}
+
+// pool holds board-made entries whose last reference is gone, for any
+// board's next post: a board lives one run, the pool the process.
+var pool struct {
+	sync.Mutex
+	free []*Entry
 }
 
 // NewEntry creates an entry with a reference count of 1 (owned by the
-// caller).
+// caller); the board never reuses it.
 func NewEntry(t Type, size int64, payload any) *Entry {
 	e := &Entry{Type: t, Size: size, Payload: payload}
 	e.refs.Store(1)
@@ -97,7 +106,8 @@ func (e *Entry) Retain() { e.refs.Add(1) }
 
 // Release drops a reference. It reports whether this was the last
 // reference: the entry's storage is then reclaimable, and the entry runs
-// its release function and releases the entry it was derived from.
+// its release function and releases the entry it was derived from. An
+// entry the board made is then pooled for reuse: nothing may touch it.
 func (e *Entry) Release() bool {
 	n := e.refs.Add(-1)
 	if n < 0 {
@@ -107,17 +117,23 @@ func (e *Entry) Release() bool {
 		return false
 	}
 	if e.release != nil {
-		e.release()
+		e.release(e.Payload)
 	}
 	if e.from != nil {
 		e.from.Release()
+	}
+	if e.pooled {
+		*e = Entry{pooled: true}
+		pool.Lock()
+		pool.free = append(pool.free, e)
+		pool.Unlock()
 	}
 	return true
 }
 
 // Operation is a knowledge source's code: it receives the matched entries
-// (one per sensitivity slot, in slot order) and may post new entries or
-// (un)register KSs through the board handle.
+// (one per sensitivity slot, in slot order; an op that keeps one past its
+// return must Retain it) and may post entries or (un)register KSs.
 type Operation func(bb *Blackboard, inputs []*Entry)
 
 // WorkerOperation is an Operation that also receives the id of the pool
@@ -145,26 +161,27 @@ type KS struct {
 type ksState struct {
 	ks   KS
 	mu   sync.Mutex
-	pend [][]*Entry // one FIFO per sensitivity slot
-	// slots indexes the sensitivity slots by type, precomputed at
-	// registration: offer walks only the slots matching the entry instead
-	// of re-scanning the whole sensitivity list per post.
+	pend []fifo[*Entry] // one FIFO per sensitivity slot
+	// spare holds the more slices of finished jobs, for the next to fill.
+	spare [][]*Entry
+	// slots indexes the sensitivity slots by type, so offer walks only the
+	// slots matching the entry.
 	slots map[Type][]int
-	// dead flags a state removed from the board (Unregister) whose pointer may
-	// survive in a published listener snapshot: offers after removal are
-	// discarded, never parked on slots nobody will ever drain.
+	// dead flags a state Unregister removed that a published snapshot may
+	// still list: its offers are discarded, never parked on dead slots.
 	dead bool
 	jobs atomic.Int64
-	// lat is the KS's wall-clock job latency histogram, resolved once at
-	// Register time when telemetry is attached (nil otherwise — workers
-	// only pay a nil check).
+	// lat is the KS's wall-clock job latency histogram, resolved at
+	// Register when telemetry is attached (nil otherwise).
 	lat *telemetry.Histogram
 }
 
-// job is one triggered operation.
+// job is one triggered operation: first fills the KS's first slot, more
+// (nil for a one-slot KS) the others, in slot order.
 type job struct {
-	st     *ksState
-	inputs []*Entry
+	st    *ksState
+	first *Entry
+	more  []*Entry
 }
 
 // Config parameterizes the engine.
@@ -183,18 +200,13 @@ type Stats struct {
 	// OpPanics counts knowledge-source operations that panicked and were
 	// isolated.
 	OpPanics int64
-	// Dropped counts entries discarded undelivered, from every discard
-	// path: posts after Close (a closed board sheds load instead of
-	// crashing the poster — during a degraded shutdown the stream side may
-	// still be flushing blocks at it) and entries whose listener vanished
-	// in a re-registration race.
+	// Dropped counts entries discarded undelivered: posts after Close (a
+	// closed board sheds load, as in a degraded shutdown whose streams
+	// still flush) and entries whose listener vanished in a re-registration.
 	Dropped int64
-	// Unclaimed counts posted entries that found no listener at all — a
-	// type nobody is sensitive to, or a post landing between Unregister
-	// and the re-Register — and were released undelivered. With it the
-	// delivery ledger closes: every entry offered to PostEntry is
-	// delivered to (or parked for) a job, or counted in Dropped or
-	// Unclaimed; nothing is discarded uncounted.
+	// Unclaimed counts posted entries that found no listener and were
+	// released undelivered. It closes the delivery ledger: every entry
+	// PostEntry gets is delivered, parked, or counted here or in Dropped.
 	Unclaimed int64
 }
 
@@ -253,27 +265,31 @@ func (bb *Blackboard) nextRand() uint64 {
 }
 
 type jobFIFO struct {
-	mu   sync.Mutex
-	jobs []job
-	head int      // index of the next job to pop; amortized compaction
-	_    [40]byte // pad to keep adjacent locks off one cache line
+	mu sync.Mutex
+	fifo[job]
+	_ [40]byte // pad to keep adjacent locks off one cache line
 }
 
-// pop removes the FIFO's oldest job in O(1) amortized (the consumed prefix
-// is compacted away once it exceeds half the slice).
-func (q *jobFIFO) pop() (job, bool) {
-	if q.head >= len(q.jobs) {
-		return job{}, false
+// fifo is a queue that keeps its storage: pop is O(1) amortized, an
+// emptied queue restarts at the front and a consumed prefix over half the
+// slice is compacted away, so a warm queue pushes without growing.
+type fifo[T any] struct {
+	items []T
+	head  int // index of the next item to pop
+}
+
+func (q *fifo[T]) len() int { return len(q.items) - q.head }
+
+func (q *fifo[T]) pop() (v T, ok bool) {
+	if q.head >= len(q.items) {
+		return v, false
 	}
-	j := q.jobs[q.head]
-	q.jobs[q.head] = job{}
+	v, q.items[q.head] = q.items[q.head], v
 	q.head++
-	if q.head > len(q.jobs)/2 && q.head > 32 {
-		n := copy(q.jobs, q.jobs[q.head:])
-		q.jobs = q.jobs[:n]
-		q.head = 0
+	if q.head == len(q.items) || q.head > len(q.items)/2 && q.head > 32 {
+		q.items, q.head = q.items[:copy(q.items, q.items[q.head:])], 0
 	}
-	return j, true
+	return v, true
 }
 
 // New creates and starts a blackboard engine.
@@ -314,7 +330,7 @@ func (bb *Blackboard) Register(ks KS) error {
 	}
 	st := &ksState{
 		ks:    ks,
-		pend:  make([][]*Entry, len(ks.Sensitivities)),
+		pend:  make([]fifo[*Entry], len(ks.Sensitivities)),
 		slots: make(map[Type][]int, len(ks.Sensitivities)),
 	}
 	for i, t := range ks.Sensitivities {
@@ -371,7 +387,7 @@ func (bb *Blackboard) Unregister(name string) {
 	st.pend = nil
 	st.mu.Unlock()
 	for _, slot := range pend {
-		for _, e := range slot {
+		for _, e := range slot.items[slot.head:] {
 			bb.dropped.Add(1)
 			bb.tel.Load().OnDrop()
 			e.Release()
@@ -389,19 +405,15 @@ func (bb *Blackboard) Registered(name string) bool {
 
 // Post creates an entry and places it on the board. Equivalent to
 // PostEntry(NewEntry(...)) where the board consumes the caller's
-// reference.
-func (bb *Blackboard) Post(t Type, size int64, payload any) {
-	bb.PostEntry(NewEntry(t, size, payload))
-}
+// reference, except that the entry is pooled for reuse.
+func (bb *Blackboard) Post(t Type, size int64, payload any) { bb.post(t, size, payload, nil, nil) }
 
 // PostOwned is Post for a payload whose storage the caller hands over:
-// release, unless nil, runs once, when the entry's last reference is
-// dropped — after every job that read it, or when the board discards it.
-// This is how the paper frees stream buffers.
-func (bb *Blackboard) PostOwned(t Type, size int64, payload any, release func()) {
-	e := NewEntry(t, size, payload)
-	e.release = release
-	bb.PostEntry(e)
+// release, unless nil, runs once on the payload, when the entry's last
+// reference is dropped — after every job that read it, or when the board
+// discards it. This is how the paper frees stream buffers.
+func (bb *Blackboard) PostOwned(t Type, size int64, payload any, release func(any)) {
+	bb.post(t, size, payload, release, nil)
 }
 
 // PostFrom is Post for a payload a knowledge source passes on from its
@@ -410,8 +422,22 @@ func (bb *Blackboard) PostOwned(t Type, size int64, payload any, release func())
 // that reads the payload under its new type.
 func (bb *Blackboard) PostFrom(from *Entry, t Type, size int64, payload any) {
 	from.Retain()
-	e := NewEntry(t, size, payload)
-	e.from = from
+	bb.post(t, size, payload, nil, from)
+}
+
+// post is PostEntry of an entry from the pool.
+func (bb *Blackboard) post(t Type, size int64, payload any, release func(any), from *Entry) {
+	var e *Entry
+	pool.Lock()
+	if n := len(pool.free) - 1; n >= 0 {
+		e, pool.free = pool.free[n], pool.free[:n]
+	} else {
+		e = NewEntry(t, size, payload)
+		e.pooled = true
+	}
+	pool.Unlock()
+	e.Type, e.Size, e.Payload, e.release, e.from = t, size, payload, release, from
+	e.refs.Store(1)
 	bb.PostEntry(e)
 }
 
@@ -444,7 +470,7 @@ func (bb *Blackboard) PostEntry(e *Entry) {
 	}
 	for _, st := range listeners {
 		e.Retain()
-		inputs, ok := st.offer(e)
+		j, ok := st.offer(e)
 		if !ok {
 			// The entry was discarded undelivered: count it, like every
 			// other discard path, so Stats.Dropped stays a complete ledger.
@@ -452,30 +478,28 @@ func (bb *Blackboard) PostEntry(e *Entry) {
 			bb.tel.Load().OnDrop()
 			continue
 		}
-		if inputs != nil {
-			bb.push(job{st: st, inputs: inputs})
+		if j.first != nil {
+			bb.push(j)
 		}
 	}
 	e.Release() // the board consumed the caller's reference
 }
 
 // offer places e on the KS's least-filled matching slot and, if every slot
-// is non-empty, pops one entry per slot as a job input set. The second
+// is non-empty, pops one entry per slot as a job's inputs. The second
 // return is false when the entry was discarded instead of enqueued.
-func (st *ksState) offer(e *Entry) ([]*Entry, bool) {
+func (st *ksState) offer(e *Entry) (job, bool) {
 	st.mu.Lock()
 	defer st.mu.Unlock()
 	if st.dead {
-		// The published snapshot raced with Unregister: the state is off the
-		// board and nobody will ever drain its slots. Parking the entry
-		// would leak it; discard instead (Release is atomic, safe under
-		// st.mu).
+		// The published snapshot raced with Unregister: nobody will ever
+		// drain these slots, so parking would leak the entry.
 		e.Release()
-		return nil, false
+		return job{}, false
 	}
 	best := -1
 	for _, i := range st.slots[e.Type] {
-		if best < 0 || len(st.pend[i]) < len(st.pend[best]) {
+		if best < 0 || st.pend[i].len() < st.pend[best].len() {
 			best = i
 		}
 	}
@@ -483,20 +507,25 @@ func (st *ksState) offer(e *Entry) ([]*Entry, bool) {
 		// Listener snapshot raced with a re-registration under the same
 		// name and the replacement does not match this type.
 		e.Release()
-		return nil, false
+		return job{}, false
 	}
-	st.pend[best] = append(st.pend[best], e)
-	for _, slot := range st.pend {
-		if len(slot) == 0 {
-			return nil, true
+	st.pend[best].items = append(st.pend[best].items, e)
+	for i := range st.pend {
+		if st.pend[i].len() == 0 {
+			return job{}, true
 		}
 	}
-	inputs := make([]*Entry, len(st.pend))
-	for i := range st.pend {
-		inputs[i] = st.pend[i][0]
-		st.pend[i] = st.pend[i][1:]
+	j := job{st: st}
+	if n := len(st.spare) - 1; n >= 0 {
+		j.more, st.spare = st.spare[n], st.spare[:n]
+	} else if len(st.pend) > 1 {
+		j.more = make([]*Entry, len(st.pend)-1)
 	}
-	return inputs, true
+	j.first, _ = st.pend[0].pop()
+	for i := range j.more {
+		j.more[i], _ = st.pend[i+1].pop()
+	}
+	return j, true
 }
 
 // push enqueues a job on a random FIFO and wakes one worker. The queued
@@ -507,7 +536,7 @@ func (bb *Blackboard) push(j job) {
 	bb.inflight.Add(1)
 	q := &bb.queues[bb.nextRand()%uint64(len(bb.queues))]
 	q.mu.Lock()
-	q.jobs = append(q.jobs, j)
+	q.items = append(q.items, j)
 	q.mu.Unlock()
 	bb.tel.Load().QueueDepth(bb.queued.Add(1))
 	bb.idleMu.Lock()
@@ -535,6 +564,7 @@ func (bb *Blackboard) steal(rng *rand.Rand) (job, bool) {
 func (bb *Blackboard) worker(id int) {
 	defer bb.wg.Done()
 	rng := rand.New(rand.NewSource(int64(id)*0x9e37 + 1))
+	var in []*Entry // the running job's inputs, reused job after job
 	for {
 		j, ok := bb.steal(rng)
 		if !ok {
@@ -555,18 +585,26 @@ func (bb *Blackboard) worker(id int) {
 			bb.idleMu.Unlock()
 			continue
 		}
+		in = append(append(in[:0], j.first), j.more...)
 		if j.st.lat != nil {
 			start := time.Now()
-			bb.runOp(id, j)
+			bb.runOp(id, j.st, in)
 			j.st.lat.Observe(int64(time.Since(start)))
 		} else {
-			bb.runOp(id, j)
+			bb.runOp(id, j.st, in)
 		}
 		j.st.jobs.Add(1)
 		bb.jobsDone.Add(1)
 		bb.tel.Load().OnJob()
-		for _, e := range j.inputs {
+		for i, e := range in {
 			e.Release()
+			in[i] = nil
+		}
+		if j.more != nil {
+			clear(j.more)
+			j.st.mu.Lock()
+			j.st.spare = append(j.st.spare, j.more)
+			j.st.mu.Unlock()
 		}
 		if bb.inflight.Add(-1) == 0 {
 			bb.drainMu.Lock()
@@ -603,17 +641,17 @@ func (bb *Blackboard) Close() {
 // knowledge source (the paper's KSs are third-party plugins loaded from
 // shared libraries) must not take the engine down. The panic is counted
 // and the job's inputs are released normally.
-func (bb *Blackboard) runOp(worker int, j job) {
+func (bb *Blackboard) runOp(worker int, st *ksState, in []*Entry) {
 	defer func() {
 		if r := recover(); r != nil {
 			bb.panics.Add(1)
 		}
 	}()
-	if j.st.ks.OpW != nil {
-		j.st.ks.OpW(bb, worker, j.inputs)
+	if st.ks.OpW != nil {
+		st.ks.OpW(bb, worker, in)
 		return
 	}
-	j.st.ks.Op(bb, j.inputs)
+	st.ks.Op(bb, in)
 }
 
 // Workers returns the worker pool size: the number of distinct worker ids

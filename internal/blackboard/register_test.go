@@ -136,9 +136,9 @@ func TestOfferAfterTakeDiscards(t *testing.T) {
 	}
 	e := NewEntry(ty, 1, nil)
 	e.Retain() // the poster's per-listener reference
-	inputs, ok := st.offer(e)
-	if ok || inputs != nil {
-		t.Fatalf("offer to a removed state accepted the entry (ok=%v inputs=%v)", ok, inputs)
+	j, ok := st.offer(e)
+	if ok || j.first != nil {
+		t.Fatalf("offer to a removed state accepted the entry (ok=%v job=%v)", ok, j)
 	}
 	if e.refs.Load() != 1 {
 		t.Fatalf("discarded offer left %d refs, want the caller's 1", e.refs.Load())
@@ -254,31 +254,27 @@ func TestRegisterDuringPostHammer(t *testing.T) {
 }
 
 // TestPostEntryAllocationFree pins the satellite contract: posting to a
-// registered single-sensitivity KS allocates only what the job itself
-// needs — the listener lookup allocates nothing (no per-post snapshot
-// copy of the listener slice).
+// registered KS allocates nothing once warm — the listener lookup copies no
+// snapshot, the entries come from the pool, the slot and job queues keep
+// their storage and the job's input set is reused.
 func TestPostEntryAllocationFree(t *testing.T) {
 	bb := New(Config{Workers: 1})
 	defer bb.Close()
 	ty := TypeID("alloc", "t")
 	if err := bb.Register(KS{
 		Name:          "sink",
-		Sensitivities: []Type{ty, ty}, // never fires: entries park and rotate
+		Sensitivities: []Type{ty, ty}, // every pair of posts fires one job
 		Op:            func(_ *Blackboard, _ []*Entry) {},
 	}); err != nil {
 		t.Fatal(err)
 	}
-	// Two-slot KS: each post parks on one slot; pairing posts makes every
-	// pair produce exactly one job. Budget per pair: 2 entries, 1 inputs
-	// slice, ~2 amortized slice growths (pend + job FIFO). A listener
-	// snapshot copied per post would add two more per pair, which is the
-	// regression this guards against.
-	allocs := testing.AllocsPerRun(100, func() {
+	pair := func() {
 		bb.Post(ty, 1, nil)
 		bb.Post(ty, 1, nil)
-	})
-	bb.Drain()
-	if allocs > 5 {
-		t.Fatalf("post pair allocated %.1f objects, want <= 5 (no listener snapshot copies)", allocs)
+		bb.Drain()
+	}
+	pair()
+	if allocs := testing.AllocsPerRun(100, pair); allocs != 0 {
+		t.Fatalf("post pair allocated %.1f objects, want 0", allocs)
 	}
 }

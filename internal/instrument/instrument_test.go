@@ -327,7 +327,7 @@ func TestOnlineRecorderEndToEnd(t *testing.T) {
 					break
 				}
 				gotPacks++
-				if _, err := trace.DecodeEach(blk.Payload, func(e *trace.Event) { gotEvents++ }); err != nil {
+				if _, err := new(trace.StreamDecoder).DecodeDispatch(blk.Payload, func(e *trace.Event) { gotEvents++ }); err != nil {
 					t.Error(err)
 					return
 				}

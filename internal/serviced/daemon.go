@@ -181,7 +181,7 @@ func (d *Daemon) Serve(l net.Listener) error {
 		}
 		go func() {
 			if err := d.ServeConn(c); err != nil {
-				d.logf("serviced: %v", err)
+				d.logf("%v", err)
 			}
 		}()
 	}

@@ -178,7 +178,7 @@ func (s *session) flushLanes() error {
 			}
 			t0 := time.Now()
 			if err := app.delta.Partial().MergeReset(pp); err != nil {
-				return fmt.Errorf("serviced: replica merge: %w", err)
+				return fmt.Errorf("replica merge: %w", err)
 			}
 			s.laneMerges.Add(1)
 			s.laneMergeNs.Add(time.Since(t0).Nanoseconds())

@@ -75,6 +75,35 @@ func TestReplayArchiveRefuses(t *testing.T) {
 	}
 }
 
+// TestRefusalNamesItsPackageOnce pins a session refusal's whole text: the
+// daemon's prefix once, then the session, then the reason — as Replay
+// returns it, and as the error frame tells the client, which adds its own
+// prefix.
+func TestRefusalNamesItsPackageOnce(t *testing.T) {
+	first, _ := packPair()
+	helloV1 := wire.Frame{Type: wire.TypeHello, Payload: wire.EncodeHello(wire.Hello{Proto: wire.ProtoVersion, MaxFormat: trace.PackV1})}
+	frames := []wire.Frame{helloV1, registerFrame, {Type: wire.TypePack, Payload: wire.EncodePack(0, first)}}
+	const reason = "session 1: pack format v3 on a session negotiated for v1"
+	if _, err := New(Options{}).Replay(bytes.NewReader(frameLog(t, frames...))); err == nil || err.Error() != "serviced: "+reason {
+		t.Fatalf("Replay: %v, want %q", err, "serviced: "+reason)
+	}
+	var out bytes.Buffer
+	New(Options{}).serve(bytes.NewReader(frameLog(t, frames...)), &out)
+	r := wire.NewReader(&out)
+	for {
+		f, err := r.Next()
+		if err != nil {
+			t.Fatalf("no error frame among the replies: %v", err)
+		}
+		if f.Type == wire.TypeError {
+			if string(f.Payload) != reason {
+				t.Fatalf("error frame %q, want %q", f.Payload, reason)
+			}
+			return
+		}
+	}
+}
+
 // FuzzReplayArchive feeds bytes to Daemon.Replay, which profiler -trace
 // runs on a file: a replay may not panic or hang, and leaves no live
 // session. Seeded from small exported runs, v1 and v3, with every module

@@ -183,18 +183,18 @@ func (s *session) workerCount() int {
 func (s *session) ingest(src uint32, pack []byte) error {
 	h, err := trace.PeekHeader(pack)
 	if err != nil {
-		return fmt.Errorf("serviced: pack header: %w", err)
+		return fmt.Errorf("pack header: %w", err)
 	}
 	app := s.byID[h.AppID]
 	if app == nil {
-		return fmt.Errorf("serviced: pack for unregistered app id %d", h.AppID)
+		return fmt.Errorf("pack for unregistered app id %d", h.AppID)
 	}
 	if h.Version == trace.PackAudit {
 		// A client-side shed ledger (adaptive instrumented runs): fold it
 		// into the same completeness accounting the daemon's own gates use.
 		_, entries, err := trace.DecodeAuditPack(pack)
 		if err != nil {
-			return fmt.Errorf("serviced: audit pack: %w", err)
+			return fmt.Errorf("audit pack: %w", err)
 		}
 		app.delta.Partial().AddAudit(entries)
 		s.dirty = true
@@ -202,7 +202,7 @@ func (s *session) ingest(src uint32, pack []byte) error {
 		return nil
 	}
 	if h.Version > s.format {
-		return fmt.Errorf("serviced: pack format v%d on a session negotiated for v%d", h.Version, s.format)
+		return fmt.Errorf("pack format v%d on a session negotiated for v%d", h.Version, s.format)
 	}
 	if len(s.lanes) > 0 {
 		if err := s.enqueue(src, app, pack); err != nil {
@@ -247,7 +247,7 @@ func decodeAdmitted(decs trace.Decoders, src uint32, app *sessionApp, pack []byt
 	gate.Commit()
 	rep.EndPack()
 	if err != nil {
-		return admitted, fmt.Errorf("serviced: pack decode: %w", err)
+		return admitted, fmt.Errorf("pack decode: %w", err)
 	}
 	return admitted, nil
 }
@@ -273,7 +273,7 @@ func (s *session) seal() error {
 	for i, a := range s.apps {
 		se.apps[i] = a.delta.Partial().FlushPooled(&a.sealedLen, false)
 		if err := a.cum.MergeEncoded(se.apps[i]); err != nil {
-			return fmt.Errorf("serviced: seal epoch %d: %w", epoch+1, err)
+			return fmt.Errorf("seal epoch %d: %w", epoch+1, err)
 		}
 	}
 	s.epoch.Add(1)
@@ -367,7 +367,7 @@ func (s *session) diff(cursor uint64) (wire.State, error) {
 	}()
 	epoch := s.epoch.Load()
 	if cursor > epoch {
-		return wire.State{}, fmt.Errorf("serviced: diff cursor %d ahead of epoch %d", cursor, epoch)
+		return wire.State{}, fmt.Errorf("diff cursor %d ahead of epoch %d", cursor, epoch)
 	}
 	lo := epoch - uint64(len(s.sealed)) // sealed log covers (lo, epoch]
 	if cursor < lo {
@@ -389,7 +389,7 @@ func (s *session) diff(cursor uint64) (wire.State, error) {
 		for i, a := range s.apps {
 			for e := cursor; e < epoch; e++ {
 				if err := a.acc.MergeEncoded(s.sealed[e%DefaultEpochCap].apps[i]); err != nil {
-					return wire.State{}, fmt.Errorf("serviced: diff merge: %w", err)
+					return wire.State{}, fmt.Errorf("diff merge: %w", err)
 				}
 			}
 			a.multi = a.acc.Flush(a.multi[:0], true)
@@ -405,7 +405,7 @@ func (s *session) diff(cursor uint64) (wire.State, error) {
 // completeness accounting, and builds the final report.
 func (s *session) close(cm wire.CloseMeta) (*report.Report, error) {
 	if len(cm.Apps) != len(s.apps) {
-		return nil, fmt.Errorf("serviced: close names %d apps, session has %d", len(cm.Apps), len(s.apps))
+		return nil, fmt.Errorf("close names %d apps, session has %d", len(cm.Apps), len(s.apps))
 	}
 	if err := s.flushLanes(); err != nil {
 		return nil, err
@@ -421,7 +421,7 @@ func (s *session) close(cm wire.CloseMeta) (*report.Report, error) {
 		err := a.cum.MergeEncoded(buf)
 		trace.PutBuffer(buf)
 		if err != nil {
-			return nil, fmt.Errorf("serviced: final seal: %w", err)
+			return nil, fmt.Errorf("final seal: %w", err)
 		}
 	}
 	s.seals.Add(1)

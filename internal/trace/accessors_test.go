@@ -102,8 +102,9 @@ func TestAuditPackRoundTrip(t *testing.T) {
 	if _, _, err := DecodeAuditPack(v2.Take()); err == nil {
 		t.Fatal("v2 pack accepted as an audit pack")
 	}
-	if _, err := DecodeEach(buf, func(*Event) { t.Fatal("audit entry delivered as an event") }); err == nil {
-		t.Fatal("DecodeEach accepted an audit pack")
+	var d StreamDecoder
+	if _, err := d.DecodeDispatch(buf, func(*Event) { t.Fatal("audit entry delivered as an event") }); err == nil {
+		t.Fatal("DecodeDispatch accepted an audit pack")
 	}
 	if _, _, err := decodePack(buf); err == nil {
 		t.Fatal("decodePack accepted an audit pack")

@@ -19,11 +19,13 @@ func Example() {
 	pack := b.Take()
 
 	var total int64
-	h, err := trace.DecodeEach(pack, func(e *trace.Event) { total += e.Size })
+	var d trace.StreamDecoder
+	n, err := d.DecodeDispatch(pack, func(e *trace.Event) { total += e.Size })
 	if err != nil {
 		fmt.Println(err)
 		return
 	}
-	fmt.Printf("app %d sent %d events, %d bytes payload\n", h.AppID, h.Count, total)
+	h, _ := trace.PeekHeader(pack)
+	fmt.Printf("app %d sent %d events, %d bytes payload\n", h.AppID, n, total)
 	// Output: app 1 sent 3 events, 6144 bytes payload
 }

@@ -372,9 +372,9 @@ func TestPackV2CorruptBody(t *testing.T) {
 			}
 		}
 		each := 0
-		_, err := DecodeEach(buf, func(*Event) { each++ })
+		_, err := new(StreamDecoder).DecodeDispatch(buf, func(*Event) { each++ })
 		if (err == nil) != (r.err == nil) || each != n {
-			t.Fatalf("DecodeEach stopped after %d events with %v, Next after %d with %v", each, err, n, r.err)
+			t.Fatalf("DecodeDispatch stopped after %d events with %v, Next after %d with %v", each, err, n, r.err)
 		}
 		return r.err
 	}

@@ -75,8 +75,8 @@ const PackV3 = 3
 // and a pack whose dictionary base disagrees with the accumulated state
 // fails loudly instead of mis-attributing events. v1 and v2 packs carry no
 // cross-pack state, so one per-writer decoder serves a stream whose format
-// switches mid-run, and a decoder with no history (DecodeEach) serves
-// consumers that see packs in any order.
+// switches mid-run, and one decoder serves v1/v2 packs that arrive in any
+// order (the board's fold keeps one per worker).
 //
 // Events decode in place from the borrowed buffer: no per-event allocation,
 // no intermediate slice, and none per pack once the dictionary storage is

@@ -162,8 +162,8 @@ func TestStreamDecoderRestart(t *testing.T) {
 // TestStreamDecoderDictGrowsAcrossRestart holds the persistent
 // dictionary's growth to the stateless decoder: a v3 stream whose
 // dictionary grows over several packs, then restarts at base 0 and grows
-// again, decodes through one StreamDecoder to exactly the events
-// DecodeEach gives for the same events as self-contained v2 packs.
+// again, decodes through one StreamDecoder to exactly the events a
+// stateless decode gives for the same events as self-contained v2 packs.
 func TestStreamDecoderDictGrowsAcrossRestart(t *testing.T) {
 	events := make([]Event, 300)
 	for i := range events {
@@ -175,9 +175,11 @@ func TestStreamDecoderDictGrowsAcrossRestart(t *testing.T) {
 	for _, half := range [][]Event{events[:150], events[150:]} {
 		packs = append(packs, takePacksV3(NewPackBuilderV3(1, 0, 48, 1<<9), half)...)
 		for _, p := range takePacksV3(NewPackBuilderV2(1, 0, 48, 1<<9), half) {
-			if _, err := DecodeEach(p, func(e *Event) { want = append(want, *e) }); err != nil {
+			_, evs, err := decodePack(p)
+			if err != nil {
 				t.Fatal(err)
 			}
+			want = append(want, evs...)
 		}
 	}
 	var d StreamDecoder
@@ -186,11 +188,11 @@ func TestStreamDecoderDictGrowsAcrossRestart(t *testing.T) {
 		t.Fatalf("%d packs grew the dictionary to %d entries, want 37 or more over several packs", len(packs), len(d.dict))
 	}
 	if len(got) != len(want) {
-		t.Fatalf("stream decoded %d events, DecodeEach %d", len(got), len(want))
+		t.Fatalf("stream decoded %d events, stateless %d", len(got), len(want))
 	}
 	for i := range got {
 		if got[i] != want[i] || got[i] != events[i] {
-			t.Fatalf("event %d: stream %+v, DecodeEach %+v, sent %+v", i, got[i], want[i], events[i])
+			t.Fatalf("event %d: stream %+v, stateless %+v, sent %+v", i, got[i], want[i], events[i])
 		}
 	}
 }
@@ -331,10 +333,11 @@ func TestStreamDecoderHostileDeltas(t *testing.T) {
 	}
 }
 
-// TestPackReaderRejectsV3 pins the ordering guard: the stateless entries
-// refuse v3 packs — the stream opener a fresh decoder could read, and a
-// follow-up — so they cannot be misdecoded on a path (like the
-// blackboard's worker pool) that does not preserve per-writer order.
+// TestPackReaderRejectsV3 pins the ordering guard: the stateless decode
+// refuses v3 packs — the stream opener a fresh decoder could read, and a
+// follow-up — so they cannot be misdecoded on a path that does not
+// preserve per-writer order (the board fold's own refusal is
+// analysis.TestV3PackOnBoardFailsLoud).
 func TestPackReaderRejectsV3(t *testing.T) {
 	b := NewPackBuilderV3(1, 0, 48, 1<<12)
 	ev := fig14ishEvent(0)
@@ -342,12 +345,8 @@ func TestPackReaderRejectsV3(t *testing.T) {
 	opener := append([]byte(nil), b.Take()...)
 	b.Add(&ev)
 	for _, pack := range [][]byte{opener, b.Take()} {
-		n := 0
-		if _, err := DecodeEach(pack, func(*Event) { n++ }); err == nil || n != 0 || !strings.Contains(err.Error(), "StreamDecoder") {
-			t.Fatalf("DecodeEach(v3) = %v after %d events, want a StreamDecoder redirect error before the first", err, n)
-		}
-		if _, _, err := decodePack(pack); err == nil {
-			t.Fatal("decodePack accepted a v3 pack")
+		if _, evs, err := decodePack(pack); err == nil || len(evs) != 0 || !strings.Contains(err.Error(), "StreamDecoder") {
+			t.Fatalf("decodePack(v3) = %v with %d events, want a StreamDecoder redirect error and none", err, len(evs))
 		}
 	}
 }

@@ -424,22 +424,3 @@ func BlockSize(payload []byte) int64 {
 	}
 	return PackHeaderSize + int64(le.Uint32(payload[12:]))*int64(le.Uint32(payload[16:]))
 }
-
-// DecodeEach decodes one self-contained pack (v1 or v2), invoking fn per
-// event without materializing a slice: the entry for consumers that see
-// packs in no particular order (the board's fold KS). It is
-// a StreamDecoder with no history, so it refuses what needs one — a v3
-// pack here has leaked onto a path that does not preserve per-writer
-// order — and, like every decode, anything that is not an event pack.
-func DecodeEach(buf []byte, fn func(e *Event)) (Header, error) {
-	h, err := PeekHeader(buf)
-	if err != nil {
-		return Header{}, err
-	}
-	if h.Version == PackV3 {
-		return Header{}, fmt.Errorf("trace: v3 pack requires a per-writer StreamDecoder, not a stateless decode")
-	}
-	var d StreamDecoder
-	_, err = d.DecodeDispatch(buf, fn)
-	return h, err
-}

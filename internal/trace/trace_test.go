@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -115,21 +116,26 @@ func TestDecodeErrors(t *testing.T) {
 	}
 }
 
-func TestDecodeEachMatchesDecodePack(t *testing.T) {
+// TestDecodeDispatchV1MatchesNext: a v1 pack's DecodeDispatch delivers
+// the events the Init/Next iteration does, as many as its header counts.
+func TestDecodeDispatchV1MatchesNext(t *testing.T) {
 	b := NewPackBuilder(1, 2, 56, 1<<14)
 	for i := 0; i < 37; i++ {
 		ev := sampleEvent(i)
 		b.Add(&ev)
 	}
 	buf := b.Take()
-	_, want, err := decodePack(buf)
-	if err != nil {
+	var d StreamDecoder
+	if err := d.Init(buf); err != nil {
 		t.Fatal(err)
 	}
-	var got []Event
-	h, err := DecodeEach(buf, func(e *Event) { got = append(got, *e) })
-	if err != nil {
-		t.Fatal(err)
+	var want []Event
+	for d.Next() {
+		want = append(want, d.ev)
+	}
+	h, got, err := decodePack(buf)
+	if err != nil || d.err != nil {
+		t.Fatal(err, d.err)
 	}
 	if h.Count != len(want) || len(got) != len(want) {
 		t.Fatalf("counts: header %d, got %d, want %d", h.Count, len(got), len(want))
@@ -247,7 +253,7 @@ func BenchmarkPackAdd(b *testing.B) {
 	}
 }
 
-func BenchmarkDecodeEach(b *testing.B) {
+func BenchmarkDecodeDispatchV1(b *testing.B) {
 	pb := NewPackBuilder(0, 0, 48, 1<<20)
 	for i := 0; i < 20000; i++ {
 		ev := sampleEvent(i)
@@ -258,20 +264,30 @@ func BenchmarkDecodeEach(b *testing.B) {
 	buf := pb.Take()
 	b.SetBytes(int64(len(buf)))
 	b.ReportAllocs()
+	var d StreamDecoder
 	for i := 0; i < b.N; i++ {
 		var sum int64
-		if _, err := DecodeEach(buf, func(e *Event) { sum += e.Size }); err != nil {
+		if _, err := d.DecodeDispatch(buf, func(e *Event) { sum += e.Size }); err != nil {
 			b.Fatal(err)
 		}
 	}
 }
 
-// decodePack is DecodeEach into a slice: the pack's header and events. The
-// decoder differential holds the stream decoder to it.
+// decodePack is a decode with no history into a slice: the pack's header
+// and events, through a fresh StreamDecoder that refuses a v3 pack (which
+// needs its writer's earlier packs). The decoder differential holds the
+// stream decoder to it.
 func decodePack(buf []byte) (Header, []Event, error) {
-	var events []Event
-	h, err := DecodeEach(buf, func(e *Event) { events = append(events, *e) })
+	h, err := PeekHeader(buf)
 	if err != nil {
+		return Header{}, nil, err
+	}
+	if h.Version == PackV3 {
+		return h, nil, fmt.Errorf("trace: v3 pack requires a per-writer StreamDecoder, not a stateless decode")
+	}
+	var d StreamDecoder
+	var events []Event
+	if _, err := d.DecodeDispatch(buf, func(e *Event) { events = append(events, *e) }); err != nil {
 		return h, nil, err
 	}
 	return h, events, nil
