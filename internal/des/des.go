@@ -1,19 +1,28 @@
 // Package des implements a deterministic discrete-event simulation kernel.
 //
 // The kernel drives a set of processes (Proc) in virtual time. Each process
-// is a coroutine (iter.Pull) of the goroutine that called Run, so exactly
-// one executes at a time: control is a baton, handed over by coroutine
-// switches that never enter the Go scheduler, and there is no scheduler
-// goroutine — a process that parks runs the event loop itself (see drive).
-// Events are popped in (time, sequence) order whoever pops them, so a
-// simulation is fully deterministic: given the same seed and the same
-// program, every run produces the same event ordering and the same virtual
-// timestamps.
+// runs on a coroutine (iter.Pull) that the goroutine calling Run resumes, so
+// exactly one executes at a time: control is a baton, handed over by
+// coroutine switches that never enter the Go scheduler, and there is no
+// scheduler goroutine — a process that parks runs the event loop itself
+// (see drive). Events are popped in (time, sequence) order whoever pops
+// them, so a simulation is fully deterministic: given the same seed and the
+// same program, every run produces the same event ordering and the same
+// virtual timestamps.
+//
+// A coroutine outlives its process. A process takes one from a process-wide
+// idle list at its first transfer, and when its body ends the coroutine
+// goes back to the list, parked there until a process of any simulation, on
+// any goroutine, takes it for the next body (see coro). A simulation of a
+// few hundred processes therefore makes its coroutines once per program,
+// not once per run.
 //
 // A process body that panics fails the simulation (Run re-raises it); one
 // that calls runtime.Goexit (t.FailNow) ends the goroutine that called Run,
-// as if Run itself had. Processes still parked when Run returns are never
-// resumed, and their deferred functions never run.
+// as if Run itself had. Processes still parked when Run ends — deadlocked,
+// halted or failed — end there as if their bodies had called
+// runtime.Goexit: their deferred functions run, a recover in them sees no
+// panic, and their coroutines end with them.
 //
 // The package provides the primitives the MPI runtime model is built on:
 //
@@ -31,7 +40,9 @@ import (
 	"fmt"
 	"iter"
 	"math/rand"
+	"runtime"
 	"sort"
+	"sync"
 	"time"
 )
 
@@ -240,13 +251,20 @@ func (s *Simulator) AtCall(at Time, fn func(any), arg any) {
 }
 
 // Proc is a simulated process. All its methods must be called from the
-// process's own coroutine (inside the function passed to Spawn), except
+// process's own coroutine (inside the function passed to SpawnFor), except
 // Kill, which may be called from scheduler context or another process.
 type Proc struct {
-	sim  *Simulator
-	name string
-	// next transfers control into the process's coroutine (only Run's
-	// goroutine calls it); yield transfers it back from park.
+	sim *Simulator
+	// name is the process's name as panics and deadlock reports give it;
+	// nameFor, when set, renders it on demand instead (SpawnFor).
+	name    string
+	nameFor fmt.Stringer
+	body    func(p *Proc)
+	// co is the coroutine the process runs on, from its first transfer to
+	// its end (nil before and after). next transfers control into it (only
+	// Run's goroutine calls it) and yield transfers it back from park: co's
+	// own, copied here so that a switch is one call.
+	co     *coro
 	next   func() (struct{}, bool)
 	yield  func(struct{}) bool
 	dead   bool
@@ -265,40 +283,114 @@ func (p *Proc) Dead() bool { return p.dead }
 // Now returns the current virtual time.
 func (p *Proc) Now() Time { return p.sim.now }
 
-// Spawn creates a process executing fn and schedules its start at the
+// SpawnFor creates a process executing fn and schedules its start at the
 // current virtual time. It may be called before Run, from a running
-// process or from a callback. Nothing of the coroutine runs before the
-// first transfer; a finished body returns from it, and so into Run.
-func (s *Simulator) Spawn(name string, fn func(p *Proc)) *Proc {
-	p := &Proc{sim: s, name: name}
+// process or from a callback. The process takes its coroutine at its first
+// transfer, not here. name is rendered lazily, as ParkFor's reason is:
+// name.String() runs only if a panic or a deadlock report names the
+// process, so name must stay valid while the process lives.
+func (s *Simulator) SpawnFor(name fmt.Stringer, fn func(p *Proc)) *Proc {
+	p := &Proc{sim: s, nameFor: name, body: fn}
 	s.procs[p] = struct{}{}
 	s.live++
-	p.next, _ = iter.Pull(func(yield func(struct{}) bool) {
-		p.yield = yield
-		p.run(fn)
-	})
 	s.scheduleProc(s.now, p)
 	return p
+}
+
+// label renders the process's name.
+func (p *Proc) label() string {
+	if p.nameFor != nil {
+		return p.nameFor.String()
+	}
+	return p.name
+}
+
+// coro is a coroutine that runs process bodies one after another. When a
+// body ends the coroutine yields instead of returning; Run's goroutine,
+// back from the transfer with the process dead, puts it on the idle list
+// (release), where it waits, parked in that yield, for the next process to
+// take it (takeCoro). Above idleCap, release stops it instead and its
+// sequence function returns. A coroutine whose body panicked out of run or
+// called runtime.Goexit has ended, and never reaches the list.
+type coro struct {
+	next func() (struct{}, bool)
+	stop func()
+	p    *Proc // the process it runs, from takeCoro to release
+}
+
+// idleCap bounds the idle list: room for the benchmark's simulation (136
+// processes) and then some. A larger run makes the rest anew each time.
+const idleCap = 256
+
+// idle is the process-wide list of coroutines waiting for a body. It is a
+// mutex-guarded slice, not a sync.Pool: a coroutine the pool dropped would
+// be a parked goroutine leaked, not garbage.
+var idle struct {
+	sync.Mutex
+	coros []*coro
+}
+
+// takeCoro gives p a coroutine, an idle one if there is one.
+func takeCoro(p *Proc) {
+	var c *coro
+	idle.Lock()
+	if n := len(idle.coros); n > 0 {
+		c = idle.coros[n-1]
+		idle.coros[n-1] = nil
+		idle.coros = idle.coros[:n-1]
+	}
+	idle.Unlock()
+	if c == nil {
+		c = new(coro)
+		c.next, c.stop = iter.Pull(func(yield func(struct{}) bool) {
+			for ok := true; ok; ok = yield(struct{}{}) {
+				c.p.yield = yield
+				c.p.run()
+			}
+		})
+	}
+	c.p = p
+	p.co, p.next = c, c.next
+}
+
+// release returns a dead process's coroutine to the idle list, or stops it
+// when the list is full.
+func (p *Proc) release() {
+	c := p.co
+	p.co, p.next, p.yield = nil, nil, nil
+	c.p = nil
+	idle.Lock()
+	if len(idle.coros) < idleCap {
+		idle.coros = append(idle.coros, c)
+		c = nil
+	}
+	idle.Unlock()
+	if c != nil {
+		c.stop()
+	}
+}
+
+// end marks the process dead and drops it from the live set.
+func (p *Proc) end() {
+	s := p.sim
+	p.dead = true
+	s.live--
+	delete(s.procs, p)
 }
 
 // run executes the process body and marks the process dead however the
 // body ends. A kill unwinds silently; any other panic becomes the
 // simulation's failure, which Run re-raises.
-func (p *Proc) run(fn func(p *Proc)) {
-	s := p.sim
+func (p *Proc) run() {
 	defer func() {
-		p.dead = true
-		s.live--
-		delete(s.procs, p)
+		p.end()
 		if r := recover(); r != nil {
 			if _, ok := r.(killSignal); !ok {
-				s.failure = fmt.Sprintf("des: process %q panicked: %v", p.name, r)
+				p.sim.failure = fmt.Sprintf("des: process %q panicked: %v", p.label(), r)
 			}
 		}
 	}()
-	if !p.killed {
-		fn(p)
-	}
+	p.body(p)
 }
 
 // killSignal unwinds a killed process's stack from inside park. It is
@@ -363,7 +455,17 @@ func (s *Simulator) drive(self *Proc) (resumed bool) {
 		default:
 			for s.pending = p; s.pending != nil; {
 				p, s.pending = s.pending, nil
+				if p.next == nil { // the first transfer
+					if p.killed { // killed before it ran: it never will
+						p.end()
+						continue
+					}
+					takeCoro(p)
+				}
 				p.next()
+				if p.dead {
+					p.release()
+				}
 			}
 		}
 	}
@@ -373,13 +475,18 @@ func (s *Simulator) drive(self *Proc) (resumed bool) {
 // park blocks the process until an event resumes it, running the event
 // loop on the process's own coroutine meanwhile. If the process was killed
 // while blocked, park never returns: the stack unwinds via killSignal and
-// run's recover terminates the process.
+// run's recover terminates the process. Once the simulator has halted no
+// event resumes a process, so a killed process that wakes then is being
+// reaped at the end of Run, and unwinds by runtime.Goexit instead.
 func (p *Proc) park(why string, lazy fmt.Stringer) {
 	p.blockedOn, p.blockedFor = why, lazy
 	if !p.sim.drive(p) {
 		p.yield(struct{}{})
 	}
 	if p.killed {
+		if p.sim.halted {
+			runtime.Goexit()
+		}
 		panic(killSignal{})
 	}
 	p.blockedOn, p.blockedFor = "", nil
@@ -446,13 +553,15 @@ func (e *DeadlockError) Error() string {
 // Run executes the simulation until the event queue drains or the
 // simulator halts (once halted, Run returns when the executing process
 // parks, discarding the remaining events). It returns a *DeadlockError if
-// processes remain blocked with no pending events, and nil otherwise. Run
-// must be called exactly once.
+// processes remain blocked with no pending events, and nil otherwise.
+// However Run ends, it reaps the processes still parked. Run must be called
+// exactly once.
 func (s *Simulator) Run() error {
 	if s.ran {
 		panic("des: Run called twice")
 	}
 	s.ran = true
+	defer s.reap()
 	s.drive(nil)
 	if s.failure != nil {
 		panic(s.failure)
@@ -464,12 +573,36 @@ func (s *Simulator) Run() error {
 			if p.blockedFor != nil {
 				why = p.blockedFor.String()
 			}
-			blocked = append(blocked, p.name+": "+why)
+			blocked = append(blocked, p.label()+": "+why)
 		}
 		sort.Strings(blocked)
 		return &DeadlockError{Now: s.now, Blocked: blocked}
 	}
 	return nil
+}
+
+// reap ends every process still parked when Run ends — deadlocked, halted,
+// failed, or with Run's goroutine exiting — so that none keeps its
+// coroutine, and through it the whole simulation, alive. Each is killed
+// and resumed into runtime.Goexit (see park): its deferred functions run,
+// a recover in them sees no panic, and the coroutine ends. iter.Pull hands
+// a coroutine's Goexit on to whoever resumed it, so each is resumed from a
+// goroutine of its own, which reap waits for. A process that never ran
+// holds no coroutine and is left as it is.
+func (s *Simulator) reap() {
+	done := make(chan struct{})
+	for p := range s.procs {
+		if p.next == nil {
+			continue
+		}
+		s.halted = true // no event runs again; see park
+		p.killed = true
+		go func() {
+			defer func() { done <- struct{}{} }()
+			p.next()
+		}()
+		<-done
+	}
 }
 
 // Cond is a condition variable in virtual time: processes Wait on it, and

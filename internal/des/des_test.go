@@ -26,6 +26,13 @@ func (c *Cond) Signal() {
 	}
 }
 
+// Spawn is SpawnFor with a name known up front.
+func (s *Simulator) Spawn(name string, fn func(p *Proc)) *Proc {
+	p := s.SpawnFor(nil, fn)
+	p.name = name
+	return p
+}
+
 // after schedules fn d after the current virtual time.
 func after(s *Simulator, d time.Duration, fn func()) { s.At(s.Now()+DurationToTime(d), fn) }
 

@@ -71,6 +71,15 @@ type probe struct {
 	gate *adapt.Gate
 }
 
+// instrumentedRank is what an instrumented rank keeps for the run: its
+// interposed MPI handle, its recorder and its probe. An application's
+// ranks take theirs from one slab.
+type instrumentedRank struct {
+	m   instrument.MPI
+	rec instrument.OnlineRecorder
+	pr  probe
+}
+
 // firstError picks a run's error: what a rank reported, else the
 // simulation's. A rank that fails returns from its main with streams open,
 // so its peers may then block for good — the deadlock the simulator
@@ -109,7 +118,7 @@ func (c *coupledRun) program(name string, procs int, main func(*mpi.Rank) error)
 
 // instrumented adds the applications, one writer partition each: every
 // rank runs its workload under an online recorder attached to the Analyzer
-// partition (instrument.AttachOnline: map, write stream, recorder). cfg
+// partition (instrument.AttachOnlineInto: map, write stream, recorder). cfg
 // carries what the experiment chooses; the application id, the record and
 // pack sizes and the calibrated capture cost are filled in here. attached,
 // when non-nil, runs on the rank between the attach and the application's
@@ -127,20 +136,23 @@ func (c *coupledRun) instrumented(workloads []*nas.Workload, cfg instrument.Onli
 	for _, w := range workloads {
 		c.writerParts++
 		c.cores += w.Procs
+		slab := make([]instrumentedRank, w.Procs)
 		c.program(w.Name, w.Procs, func(r *mpi.Rank) error {
+			ir := &slab[r.ProgramRank()]
 			sess := c.layout.Init(r)
-			m := instrument.New(r, sess.WorldComm())
+			m, rec, pr := &ir.m, &ir.rec, &ir.pr
+			instrument.NewInto(m, r, sess.WorldComm())
 			cfg := cfg
 			cfg.AppID = uint32(sess.PartitionID())
-			rec, err := instrument.AttachOnline(sess, "Analyzer", cfg)
-			if err != nil {
+			if err := instrument.AttachOnlineInto(rec, sess, "Analyzer", cfg); err != nil {
 				return err
 			}
 			m.SetRecorder(rec)
-			pr := &probe{app: w.Name, rank: sess.LocalRank(), rec: rec}
+			*pr = probe{app: w.Name, rank: sess.LocalRank(), rec: rec}
 			c.probes = append(c.probes, pr)
 			var after func() error
 			if attached != nil {
+				var err error
 				if after, err = attached(r, sess, pr); err != nil {
 					return err
 				}

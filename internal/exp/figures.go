@@ -373,7 +373,9 @@ func (s treeSweep) write(w io.Writer, j int) error {
 // throttled to rate bytes/second, once static (back-pressure only) and
 // once adaptive (the controller sheds load under a quantified completeness
 // bound), then the adaptive run's loss per rank. base fixes the blackboard
-// worker count, so j does not enter.
+// worker count, so j does not enter. write refuses a table where the
+// throttle stalls the static run by no more than 2x or the adaptive run's
+// overhead exceeds 1.25x, the claim EXPERIMENTS.md checks it against.
 type overloadSweep struct {
 	platform Platform
 	app      app
@@ -390,6 +392,12 @@ func (s overloadSweep) write(w io.Writer, _ int) error {
 	points, err := OverloadSweep(s.platform, []*nas.Workload{wl}, s.base, s.rate)
 	if err != nil {
 		return err
+	}
+	for _, p := range points {
+		if p.Mode == "static" && p.OverheadX <= 2 || p.Mode == "adaptive" && p.OverheadX > 1.25 {
+			return fmt.Errorf("exp: the overload extension contradicts its claim: %s overhead %.2fx, want static above 2x and adaptive at or below 1.25x",
+				p.Mode, p.OverheadX)
+		}
 	}
 	WriteOverloadTable(w, points)
 	if rep := points[len(points)-1].Report; len(rep.StreamLoss) > 0 {

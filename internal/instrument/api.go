@@ -63,16 +63,24 @@ type MPI struct {
 	// ev is emit's scratch event: recorders do not retain it, so one per
 	// handle serves every intercepted call without a heap allocation.
 	ev trace.Event
-	// reqs is exchange's request storage: pointers into one slab, as long
-	// as the largest group the handle has exchanged with.
-	reqs []*mpi.Request
+	// reqs is exchange's request storage, as long as the largest group the
+	// handle has exchanged with.
+	reqs []mpi.Request
 }
 
 // New wraps a rank and communicator with no recorder attached (reference
 // behaviour).
 func New(r *mpi.Rank, c *mpi.Comm) *MPI {
+	m := new(MPI)
+	NewInto(m, r, c)
+	return m
+}
+
+// NewInto is New into storage the caller keeps (a run allocates its ranks'
+// handles in one slab).
+func NewInto(m *MPI, r *mpi.Rank, c *mpi.Comm) {
 	me := int32(c.LocalOf(r.Global()))
-	return &MPI{rank: r, comm: c, me: me, app: me}
+	*m = MPI{rank: r, comm: c, me: me, app: me}
 }
 
 // SetRecorder attaches (or clears, with nil) the measurement recorder.
@@ -165,7 +173,8 @@ func (m *MPI) ExchangeGroup(peers []int, tag int, sizes []int64, count int) {
 }
 
 // exchange is Exchange and ExchangeGroup, the requests in the handle's slab
-// (a warm one allocates nothing); waitPeer is whom the Waitall record names.
+// (a warm one allocates nothing) and the list Waitall takes on the stack;
+// waitPeer is whom the Waitall record names.
 func (m *MPI) exchange(peers []int, tag int, sizes []int64, count int, waitPeer int32) {
 	if count <= 0 || len(peers) == 0 {
 		return
@@ -176,23 +185,23 @@ func (m *MPI) exchange(peers []int, tag int, sizes []int64, count int, waitPeer 
 	t0 := m.now()
 	n := 2 * len(peers)
 	if len(m.reqs) < n {
-		slab := make([]mpi.Request, n)
-		m.reqs = make([]*mpi.Request, n)
-		for i := range slab {
-			m.reqs[i] = &slab[i]
-		}
+		m.reqs = make([]mpi.Request, n)
 	}
+	var onStack [8]*mpi.Request // a stencil's four neighbours
+	wait := onStack[:0]
 	var total int64
 	for pi, peer := range peers {
 		for i := 0; i < count; i++ {
 			m.emit(trace.KindIsend, int32(peer), int32(tag), sizes[pi], t0, t0)
 			m.emit(trace.KindIrecv, int32(peer), int32(tag), 0, t0, t0)
 		}
-		m.rank.IrecvInto(m.reqs[2*pi], m.comm, peer, tag)
-		m.rank.IsendInto(m.reqs[2*pi+1], m.comm, peer, tag, sizes[pi]*int64(count), nil)
+		recv, send := &m.reqs[2*pi], &m.reqs[2*pi+1]
+		m.rank.IrecvInto(recv, m.comm, peer, tag)
+		m.rank.IsendInto(send, m.comm, peer, tag, sizes[pi]*int64(count), nil)
+		wait = append(wait, recv, send)
 		total += 2 * sizes[pi] * int64(count)
 	}
-	m.rank.Waitall(m.reqs[:n])
+	m.rank.Waitall(wait)
 	m.emit(trace.KindWaitall, waitPeer, int32(tag), total, t0, m.now())
 }
 

@@ -139,9 +139,11 @@ type AdmissionGate interface {
 // deadline), the recorder falls back: it stops streaming, and the
 // application keeps running and loses only the streamed detail.
 type OnlineRecorder struct {
-	sess     *vmpi.Session
-	stream   *vmpi.Stream
-	builder  trace.Builder // nil for v1 size-only: see Record
+	sess    *vmpi.Session
+	stream  *vmpi.Stream
+	builder trace.Builder // nil for v1 size-only: see Record
+	// pack is the storage of the v1 builder the recorder starts with.
+	pack     trace.PackBuilder
 	version  int
 	appID    uint32
 	cost     costMeter
@@ -176,14 +178,14 @@ type OnlineRecorder struct {
 	fellBack bool
 }
 
-// NewOnlineRecorder wraps an already-open writer stream. It refuses a
+// init makes o a recorder on an already-open writer stream. It refuses a
 // cfg.PackVersion that names no pack format.
-func NewOnlineRecorder(sess *vmpi.Session, stream *vmpi.Stream, cfg OnlineConfig) (*OnlineRecorder, error) {
+func (o *OnlineRecorder) init(sess *vmpi.Session, stream *vmpi.Stream, cfg OnlineConfig) error {
 	version := cfg.PackVersion
 	if version == 0 {
 		version = trace.PackV1
 	}
-	o := &OnlineRecorder{
+	*o = OnlineRecorder{
 		sess:       sess,
 		stream:     stream,
 		version:    version,
@@ -196,38 +198,43 @@ func NewOnlineRecorder(sess *vmpi.Session, stream *vmpi.Stream, cfg OnlineConfig
 	if o.recordSize < trace.MinRecordSize {
 		o.recordSize = trace.MinRecordSize
 	}
-	if !cfg.SizeOnly || version != trace.PackV1 {
+	switch {
+	case version == trace.PackV1 && !cfg.SizeOnly:
+		o.pack = *trace.NewPackBuilder(cfg.AppID, int32(sess.LocalRank()), cfg.RecordSize, cfg.PackBytes)
+		o.builder = &o.pack
+	case version != trace.PackV1:
 		b, err := trace.NewBuilder(version, cfg.AppID, int32(sess.LocalRank()), cfg.RecordSize, cfg.PackBytes)
 		if err != nil {
-			return nil, fmt.Errorf("instrument: %w", err)
+			return fmt.Errorf("instrument: %w", err)
 		}
 		o.builder = b
 	}
-	return o, nil
+	return nil
 }
 
-// AttachOnline maps the session's partition to the named analyzer
-// partition (round-robin), opens a write stream over the map and returns a
-// recorder on it — the whole coupling sequence of the paper's Figure 11.
-// With cfg.FailoverEndpoints > 0 the stream is opened over the mapped
-// analyzer plus up to that many additional analyzer ranks (wrapping around
-// the partition), ordered primary-first so failover targets only absorb
-// traffic when the primary is out of credits or quarantined. The analyzer
-// side must then open its read streams over every potential writer, not
-// just its mapped ones.
-func AttachOnline(sess *vmpi.Session, analyzer string, cfg OnlineConfig) (*OnlineRecorder, error) {
+// AttachOnlineInto maps the session's partition to the named analyzer
+// partition (round-robin), opens a write stream over the map and makes o
+// a recorder on it — the whole coupling sequence of the paper's Figure 11,
+// into storage the caller keeps (a run allocates its ranks' recorders in
+// one slab). With cfg.FailoverEndpoints > 0 the stream is opened over the
+// mapped analyzer plus up to that many additional analyzer ranks (wrapping
+// around the partition), ordered primary-first so failover targets only
+// absorb traffic when the primary is out of credits or quarantined. The
+// analyzer side must then open its read streams over every potential
+// writer, not just its mapped ones.
+func AttachOnlineInto(o *OnlineRecorder, sess *vmpi.Session, analyzer string, cfg OnlineConfig) error {
 	// Before the map and the stream: a rank that leaves with either open
 	// strands its analyzer.
 	if v := cfg.PackVersion; v < 0 || v > trace.PackV3 {
-		return nil, fmt.Errorf("instrument: unknown pack version %d", v)
+		return fmt.Errorf("instrument: unknown pack version %d", v)
 	}
 	part := sess.Layout().DescByName(analyzer)
 	if part == nil {
-		return nil, fmt.Errorf("instrument: could not locate %q partition", analyzer)
+		return fmt.Errorf("instrument: could not locate %q partition", analyzer)
 	}
 	var m vmpi.Map
 	if err := sess.MapPartitions(part.ID, vmpi.MapRoundRobin, &m); err != nil {
-		return nil, err
+		return err
 	}
 	// Primary-first ordering (BalanceNone) when a failover set is present:
 	// the mapped endpoint is drained before traffic spills to backups.
@@ -245,12 +252,12 @@ func AttachOnline(sess *vmpi.Session, analyzer string, cfg OnlineConfig) (*Onlin
 	if cfg.FailoverEndpoints > 0 {
 		peers := failoverPeers(m.Targets(), part.Globals, cfg.FailoverEndpoints)
 		if err := st.OpenRanks(peers, "w"); err != nil {
-			return nil, err
+			return err
 		}
 	} else if err := st.OpenMap(&m, "w"); err != nil {
-		return nil, err
+		return err
 	}
-	return NewOnlineRecorder(sess, st, cfg)
+	return o.init(sess, st, cfg)
 }
 
 // failoverPeers returns the mapped analyzer ranks followed by up to extra
@@ -321,7 +328,7 @@ func (o *OnlineRecorder) SetGate(g AdmissionGate) { o.gate = g }
 
 // SetPackVersionFunc installs the pack-format selector consulted at each
 // flush boundary (e.g. the adaptive controller's PackVersion). The stream
-// must have announced the highest format f may return (AttachOnline's
+// must have announced the highest format f may return (AttachOnlineInto's
 // AnnouncePackVersion). Nil pins the format chosen at construction.
 func (o *OnlineRecorder) SetPackVersionFunc(f func() int) { o.packFn = f }
 

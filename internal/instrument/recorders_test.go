@@ -18,6 +18,15 @@ import (
 // per intercepted event.
 var onlineCfg = OnlineConfig{RecordSize: 256, PackBytes: 1 << 20, PerEventCost: 150 * time.Nanosecond}
 
+// AttachOnline is AttachOnlineInto a recorder of its own.
+func AttachOnline(sess *vmpi.Session, analyzer string, cfg OnlineConfig) (*OnlineRecorder, error) {
+	o := new(OnlineRecorder)
+	if err := AttachOnlineInto(o, sess, analyzer, cfg); err != nil {
+		return nil, err
+	}
+	return o, nil
+}
+
 func TestCostMeterBatchesAndSettles(t *testing.T) {
 	var finish time.Duration
 	var comm *mpi.Comm

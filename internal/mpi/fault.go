@@ -58,7 +58,7 @@ func (w *World) failRankNow(global int) {
 		return
 	}
 	w.failed[global] = true
-	r := w.ranks[global]
+	r := &w.ranks[global]
 	r.mailbox = nil
 	if r.proc != nil {
 		r.proc.Kill()
@@ -66,7 +66,8 @@ func (w *World) failRankNow(global int) {
 	// Wake every blocked receiver in the job: a fault is an "arrival" in
 	// the sense that waiting code must re-check its predicates (is my peer
 	// still alive?).
-	for _, other := range w.ranks {
+	for i := range w.ranks {
+		other := &w.ranks[i]
 		if other == r || other.proc == nil || other.proc.Dead() {
 			continue
 		}

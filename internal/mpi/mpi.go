@@ -89,7 +89,7 @@ type World struct {
 	fs       *simfs.FS
 	cfg      Config
 	programs []Program
-	ranks    []*Rank
+	ranks    []Rank // indexed by global rank
 	universe *Comm
 	nextComm uint32
 	colls    map[collKey]*collState
@@ -122,6 +122,7 @@ func NewWorld(cfg Config, programs ...Program) *World {
 		programs:   programs,
 		colls:      make(map[collKey]*collState),
 		splits:     make(map[collKey]*splitState),
+		ranks:      make([]Rank, total),
 		finishTime: make([]des.Time, total),
 		failed:     make([]bool, total),
 	}
@@ -131,12 +132,7 @@ func NewWorld(cfg Config, programs ...Program) *World {
 	global := 0
 	for pi, p := range programs {
 		for lr := 0; lr < p.Procs; lr++ {
-			w.ranks = append(w.ranks, &Rank{
-				world:  w,
-				global: global,
-				prog:   pi,
-				local:  lr,
-			})
+			w.ranks[global] = Rank{world: w, global: global, prog: pi, local: lr}
 			global++
 		}
 	}
@@ -183,9 +179,9 @@ func (w *World) Programs() []Program { return w.programs }
 // rank order.
 func (w *World) ProgramRanks(pi int) []int {
 	var out []int
-	for _, r := range w.ranks {
-		if r.prog == pi {
-			out = append(out, r.global)
+	for i := range w.ranks {
+		if w.ranks[i].prog == pi {
+			out = append(out, i)
 		}
 	}
 	return out
@@ -210,11 +206,12 @@ func (w *World) NewComm(globals []int) *Comm {
 // Run launches every rank and executes the simulation to completion. It
 // returns an error if the simulation deadlocks.
 func (w *World) Run() error {
-	for _, r := range w.ranks {
-		name := fmt.Sprintf("%s[%d]", w.programs[r.prog].Name, r.local)
-		// The proc handle is taken from Spawn so fault injection scheduled
-		// at t=0 (before the rank's first transfer) can still target it.
-		r.proc = w.sim.Spawn(name, func(p *des.Proc) {
+	for i := range w.ranks {
+		r := &w.ranks[i]
+		// The proc handle is taken from SpawnFor so fault injection
+		// scheduled at t=0 (before the rank's first transfer) can still
+		// target it. The rank names its process (String).
+		r.proc = w.sim.SpawnFor(r, func(p *des.Proc) {
 			w.programs[r.prog].Main(r)
 			w.finishTime[r.global] = p.Now()
 		})
@@ -226,9 +223,9 @@ func (w *World) Run() error {
 // the program's virtual wall-time when it started at t=0.
 func (w *World) ProgramFinish(pi int) des.Time {
 	var max des.Time
-	for _, r := range w.ranks {
-		if r.prog == pi && w.finishTime[r.global] > max {
-			max = w.finishTime[r.global]
+	for i := range w.ranks {
+		if w.ranks[i].prog == pi && w.finishTime[i] > max {
+			max = w.finishTime[i]
 		}
 	}
 	return max
@@ -387,6 +384,12 @@ func (r *Rank) blockedOnColl(op string, c *Comm, seq uint64) *parkReason {
 	return &r.why
 }
 
+// String names the rank as panics and deadlock reports give its process:
+// program name and rank within the program, "CG.A[3]".
+func (r *Rank) String() string {
+	return fmt.Sprintf("%s[%d]", r.world.programs[r.prog].Name, r.local)
+}
+
 // Global returns the rank's id in the universe.
 func (r *Rank) Global() int { return r.global }
 
@@ -436,7 +439,7 @@ func (r *Rank) IsendInto(req *Request, c *Comm, dst, tag int, size int64, payloa
 	injected, delivered := w.net.Transfer(r.Now(), r.global, dstGlobal, size+envelope)
 	msg := w.newMessage()
 	msg.srcLocal, msg.tag, msg.comm, msg.size = srcLocal, tag, c.id, size
-	msg.payload, msg.dst = payload, w.ranks[dstGlobal]
+	msg.payload, msg.dst = payload, &w.ranks[dstGlobal]
 	w.sim.AtCall(delivered, deliverMessage, msg)
 	*req = Request{rank: r, isSend: true, doneAt: injected}
 }

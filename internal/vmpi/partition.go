@@ -50,6 +50,9 @@ func (p *Partition) Root() int { return p.Globals[0] }
 type Layout struct {
 	world *mpi.World
 	parts []*Partition
+	// sessions holds every rank's session, indexed by universe rank: a run
+	// allocates them once, not once per rank.
+	sessions []Session
 }
 
 // NewLayout derives partitions from the world's MPMD program table.
@@ -57,7 +60,7 @@ type Layout struct {
 // the paper ("processes are grouped in partitions either by names or
 // command lines").
 func NewLayout(w *mpi.World) *Layout {
-	l := &Layout{world: w}
+	l := &Layout{world: w, sessions: make([]Session, w.Universe().Size())}
 	index := map[string]*Partition{}
 	for pi, prog := range w.Programs() {
 		part, ok := index[prog.Name]
@@ -115,22 +118,23 @@ type Session struct {
 	rank   *mpi.Rank
 	part   *Partition
 	local  int
+	// first is the storage of the first stream the process makes
+	// (NewStream), allocated with the layout's sessions.
+	first Stream
 }
 
 // Init virtualizes a rank: it resolves the rank's partition and returns the
 // session handle every other vmpi call hangs off. It is the analogue of the
-// wrapped MPI_Init in the paper's preloadable library.
+// wrapped MPI_Init in the paper's preloadable library. A rank has one
+// session: a second Init returns the same handle.
 func (l *Layout) Init(r *mpi.Rank) *Session {
 	part := l.PartitionOf(r.Global())
 	if part == nil {
 		panic(fmt.Sprintf("vmpi: rank %d belongs to no partition", r.Global()))
 	}
-	return &Session{
-		layout: l,
-		rank:   r,
-		part:   part,
-		local:  part.comm.LocalOf(r.Global()),
-	}
+	s := &l.sessions[r.Global()]
+	s.layout, s.rank, s.part, s.local = l, r, part, part.comm.LocalOf(r.Global())
+	return s
 }
 
 // Rank returns the underlying MPI rank handle.

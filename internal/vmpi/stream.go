@@ -237,12 +237,19 @@ func (st *Stream) applyWindow() {
 
 // NewStream initializes a stream with the given block size and balancing
 // policy (the paper's VMPI_Stream_init). The stream carries blocks of at
-// most blockSize bytes.
+// most blockSize bytes. A process's first stream lives in its session.
 func NewStream(sess *Session, blockSize int64, policy BalancePolicy) *Stream {
 	if blockSize <= 0 {
 		panic("vmpi: stream block size must be positive")
 	}
-	return &Stream{sess: sess, blockSize: blockSize, policy: policy, na: NA, naOut: NAOut}
+	var st *Stream
+	if sess != nil && sess.first.sess == nil {
+		st = &sess.first
+	} else {
+		st = new(Stream)
+	}
+	*st = Stream{sess: sess, blockSize: blockSize, policy: policy, na: NA, naOut: NAOut}
+	return st
 }
 
 // SetChannel separates concurrent streams between the same process pairs:
