@@ -38,15 +38,17 @@ func TestSleepAllocsAmortized(t *testing.T) {
 // its end: the Proc, 1.0 objects a process on go1.24.0. Its coroutine comes
 // from the idle list (these bodies end at their first transfer, so one
 // coroutine serves them all; without the list it was 13 objects inside
-// iter.Pull), the body captures nothing, and the map entry, the start
-// event and the heap slot are warm by the measured rounds. A process whose
+// iter.Pull), the body captures nothing, the name is made once (as an mpi
+// rank is its own name), and the map entry, the start event and the heap
+// slot are warm by the measured rounds. A process whose
 // body is a closure adds that closure.
 func TestSpawnAllocsPerProcess(t *testing.T) {
 	const procs = 1000
 	s := New(1)
+	name := procName("p")
 	round := func() {
 		for i := 0; i < procs; i++ {
-			s.Spawn("p", func(p *Proc) {})
+			s.SpawnFor(&name, func(p *Proc) {})
 		}
 		s.ran = false
 		if err := s.Run(); err != nil {

@@ -20,9 +20,9 @@
 // A process body that panics fails the simulation (Run re-raises it); one
 // that calls runtime.Goexit (t.FailNow) ends the goroutine that called Run,
 // as if Run itself had. Processes still parked when Run ends — deadlocked,
-// halted or failed — end there as if their bodies had called
-// runtime.Goexit: their deferred functions run, a recover in them sees no
-// panic, and their coroutines end with them.
+// halted or failed — end there, one at a time in spawn order, as if their
+// bodies had called runtime.Goexit: their deferred functions run, a recover
+// in them sees no panic, and their coroutines end with them.
 //
 // The package provides the primitives the MPI runtime model is built on:
 //
@@ -37,10 +37,12 @@
 package des
 
 import (
+	"cmp"
 	"fmt"
 	"iter"
 	"math/rand"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -255,11 +257,10 @@ func (s *Simulator) AtCall(at Time, fn func(any), arg any) {
 // Kill, which may be called from scheduler context or another process.
 type Proc struct {
 	sim *Simulator
-	// name is the process's name as panics and deadlock reports give it;
-	// nameFor, when set, renders it on demand instead (SpawnFor).
-	name    string
-	nameFor fmt.Stringer
-	body    func(p *Proc)
+	id  uint64 // spawn order: the sequence number of its start event
+	// name renders the process's name for panics and deadlock reports.
+	name fmt.Stringer
+	body func(p *Proc)
 	// co is the coroutine the process runs on, from its first transfer to
 	// its end (nil before and after). next transfers control into it (only
 	// Run's goroutine calls it) and yield transfers it back from park: co's
@@ -288,21 +289,14 @@ func (p *Proc) Now() Time { return p.sim.now }
 // process or from a callback. The process takes its coroutine at its first
 // transfer, not here. name is rendered lazily, as ParkFor's reason is:
 // name.String() runs only if a panic or a deadlock report names the
-// process, so name must stay valid while the process lives.
+// process, so name must be non-nil and stay valid while the process lives.
 func (s *Simulator) SpawnFor(name fmt.Stringer, fn func(p *Proc)) *Proc {
-	p := &Proc{sim: s, nameFor: name, body: fn}
+	p := &Proc{sim: s, name: name, body: fn}
 	s.procs[p] = struct{}{}
 	s.live++
 	s.scheduleProc(s.now, p)
+	p.id = s.seq
 	return p
-}
-
-// label renders the process's name.
-func (p *Proc) label() string {
-	if p.nameFor != nil {
-		return p.nameFor.String()
-	}
-	return p.name
 }
 
 // coro is a coroutine that runs process bodies one after another. When a
@@ -386,7 +380,7 @@ func (p *Proc) run() {
 		p.end()
 		if r := recover(); r != nil {
 			if _, ok := r.(killSignal); !ok {
-				p.sim.failure = fmt.Sprintf("des: process %q panicked: %v", p.label(), r)
+				p.sim.failure = fmt.Sprintf("des: process %q panicked: %v", p.name.String(), r)
 			}
 		}
 	}()
@@ -573,7 +567,7 @@ func (s *Simulator) Run() error {
 			if p.blockedFor != nil {
 				why = p.blockedFor.String()
 			}
-			blocked = append(blocked, p.label()+": "+why)
+			blocked = append(blocked, p.name.String()+": "+why)
 		}
 		sort.Strings(blocked)
 		return &DeadlockError{Now: s.now, Blocked: blocked}
@@ -583,18 +577,22 @@ func (s *Simulator) Run() error {
 
 // reap ends every process still parked when Run ends — deadlocked, halted,
 // failed, or with Run's goroutine exiting — so that none keeps its
-// coroutine, and through it the whole simulation, alive. Each is killed
-// and resumed into runtime.Goexit (see park): its deferred functions run,
-// a recover in them sees no panic, and the coroutine ends. iter.Pull hands
-// a coroutine's Goexit on to whoever resumed it, so each is resumed from a
-// goroutine of its own, which reap waits for. A process that never ran
-// holds no coroutine and is left as it is.
+// coroutine, and through it the whole simulation, alive. Each, in spawn
+// order, is killed and resumed into runtime.Goexit (see park): its deferred
+// functions run, a recover in them sees no panic, and the coroutine ends.
+// iter.Pull hands a coroutine's Goexit on to whoever resumed it, so each is
+// resumed from a goroutine of its own, which reap waits for. A process that
+// never ran holds no coroutine and is left as it is.
 func (s *Simulator) reap() {
-	done := make(chan struct{})
+	var parked []*Proc
 	for p := range s.procs {
-		if p.next == nil {
-			continue
+		if p.next != nil {
+			parked = append(parked, p)
 		}
+	}
+	slices.SortFunc(parked, func(a, b *Proc) int { return cmp.Compare(a.id, b.id) })
+	done := make(chan struct{})
+	for _, p := range parked {
 		s.halted = true // no event runs again; see park
 		p.killed = true
 		go func() {

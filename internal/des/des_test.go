@@ -26,11 +26,14 @@ func (c *Cond) Signal() {
 	}
 }
 
+// procName is a process name known up front.
+type procName string
+
+func (n procName) String() string { return string(n) }
+
 // Spawn is SpawnFor with a name known up front.
 func (s *Simulator) Spawn(name string, fn func(p *Proc)) *Proc {
-	p := s.SpawnFor(nil, fn)
-	p.name = name
-	return p
+	return s.SpawnFor(procName(name), fn)
 }
 
 // after schedules fn d after the current virtual time.
@@ -331,7 +334,7 @@ func TestAccessorsAndSleepUntil(t *testing.T) {
 	s := New(9)
 	var c Cond
 	s.Spawn("worker", func(p *Proc) {
-		if p.name != "worker" || p.sim != s {
+		if p.name.String() != "worker" || p.sim != s {
 			t.Error("accessors wrong")
 		}
 		p.SleepUntil(DurationToTime(5 * time.Millisecond))

@@ -2,6 +2,7 @@ package des
 
 import (
 	"runtime"
+	"slices"
 	"testing"
 	"time"
 )
@@ -141,4 +142,29 @@ func TestDeadlockedRunLeavesNoCoroutine(t *testing.T) {
 		}()
 	}
 	check("failed")
+}
+
+// TestDeadlockedRunReapsInSpawnOrder: the processes a deadlocked run
+// reaps run their deferred functions in spawn order, whatever order they
+// parked in.
+func TestDeadlockedRunReapsInSpawnOrder(t *testing.T) {
+	const procs = 16
+	for run := 0; run < 5; run++ {
+		s := New(1)
+		var c Cond
+		var order []int
+		for i := 0; i < procs; i++ {
+			s.Spawn("stuck", func(p *Proc) {
+				defer func() { order = append(order, i) }()
+				p.Sleep(time.Duration(procs-i) * time.Millisecond)
+				c.Wait(p, "never-signalled")
+			})
+		}
+		if _, ok := s.Run().(*DeadlockError); !ok {
+			t.Fatal("the run did not deadlock")
+		}
+		if len(order) != procs || !slices.IsSorted(order) {
+			t.Fatalf("run %d reaped in order %v, want spawn order 0..%d", run, order, procs-1)
+		}
+	}
 }
